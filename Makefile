@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test build-ext bench bench-smoke bench-sweep report examples sweep-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
+.PHONY: install test bench bench-check bench-smoke bench-sweep report examples sweep-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -10,14 +10,14 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Build the optional compiled engine core in place (docs/TUNING.md
-# "Compiled core").  Everything works without it; REPRO_ENGINE=compiled
-# just warns and falls back to the pure loop until this has run.
-build-ext:
-	$(PYTHON) setup.py build_ext --inplace
-
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The repo benchmark's own smoke test (~30 s): one `python -m bench
+# --quick` run checked against the metric names in BENCHMARK.json, so
+# the benchmark the pipeline gates on cannot rot unseen.
+bench-check:
+	PYTHONPATH=src $(PYTHON) -m pytest bench/ -q
 
 # Fast (<60s) hot-path regression check: the E22 micro/meso benchmarks
 # plus a fresh BENCH_hotpath.json perf baseline (see docs/TUNING.md).
@@ -127,5 +127,5 @@ examples:
 
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .sweep-cache
-	rm -f .channels-smoke-trace.jsonl src/repro/simulator/_speedups*.so
+	rm -f .channels-smoke-trace.jsonl
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -1,29 +1,11 @@
-"""Legacy setup shim + optional compiled engine core.
+"""Legacy setup shim.
 
 The execution environment has no network access and no ``wheel``
 package, so PEP 517 editable installs (which build a wheel) fail.
 This shim lets ``pip install -e .`` fall back to the classic
 ``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
-
-It also declares the optional C extension holding the compiled engine
-core (the Simulator.run dispatch loop — see docs/TUNING.md, "Compiled
-core").  Build it in place with::
-
-    python setup.py build_ext --inplace
-
-The extension is marked ``optional``: a missing compiler degrades to a
-warning and the package keeps working on the pure-Python engine
-(``REPRO_ENGINE`` selects the backend at runtime).
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-setup(
-    ext_modules=[
-        Extension(
-            "repro.simulator._speedups",
-            sources=["src/repro/simulator/_speedups.c"],
-            optional=True,
-        ),
-    ],
-)
+setup()

@@ -10,30 +10,19 @@ sizes Section 3.3 bounds.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["LamsDlcConfig"]
 
 
 def _default_batch_window() -> int:
-    """Default transmission-window batch size.
+    """The default :attr:`LamsDlcConfig.batch_window`.
 
-    ``REPRO_BATCH_WINDOW`` overrides it per process (``0`` or ``1``
-    disables batching — every frame takes the scalar path), which is how
-    the differential tests pin both sides of the batched-vs-scalar
-    comparison without threading a parameter through every harness.
+    Kept because ``bench/run.py`` stamps it into every record; a later
+    benchmark PR drops the stamp field and this function with it.
     """
-    value = os.environ.get("REPRO_BATCH_WINDOW")
-    if value is None:
-        return 64
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH_WINDOW must be an integer, got {value!r}"
-        ) from None
+    return LamsDlcConfig.batch_window
 
 
 @dataclass
@@ -86,14 +75,14 @@ class LamsDlcConfig:
     receive_queue_capacity: Optional[int] = None
 
     # -- transmission batching (performance, not protocol) ---------------------
-    batch_window: int = field(default_factory=_default_batch_window)
+    batch_window: int = 64
     """Maximum frames the sender commits to the channel as one batched
     window when the backlog allows (``send_burst``).  Purely a hot-path
     optimisation: corruption verdicts are pre-drawn bulk but remain
     bit-identical to scalar draws, and the window only engages at line
     rate with no retransmissions queued.  ``0`` or ``1`` disables
-    batching (see also the ``REPRO_BATCH_WINDOW`` environment
-    variable, which sets the default)."""
+    batching — every frame takes the scalar path, the reference the
+    batched-vs-scalar tests compare against."""
 
     # -- flow control (Section 3.4) -------------------------------------------
     flow_control_enabled: bool = True

@@ -33,33 +33,6 @@ inner loop trades a little elegance for speed:
   once they outnumber live entries — heavy timer churn cannot bloat
   the heap, and there is no per-cancel O(n) sweep.
 
-Engine backends
----------------
-The dispatch loop has two interchangeable implementations selected via
-the ``REPRO_ENGINE`` environment variable (read once at import):
-
-- ``pure`` — the Python loop in :meth:`Simulator.run` below.
-- ``compiled`` — the C port in ``_speedups.c`` (build it with
-  ``python setup.py build_ext --inplace``).  Requesting ``compiled``
-  without the artifact warns and falls back to ``pure``.
-- ``auto`` (default) — ``compiled`` when the artifact imports, else
-  ``pure``, silently.
-
-Both backends drain the same heap of the same tuples with the same
-tie-breaking, clock updates, and event accounting, so results are
-bit-identical — tests/test_engine_parity.py runs golden scenarios on
-both and asserts identical tracer summaries and delivered payloads.
-:func:`engine_backend` reports the active choice (benchmarks stamp it
-into their records); :func:`use_backend` overrides it for a ``with``
-block in tests.
-
-Separately, :class:`Simulator` accepts a ``timer_wheel_width`` giving a
-calendar-queue (bucketed) scheduler for :class:`Timer` expiries — aimed
-at the constellation regime where ~10k concurrent checkpoint timers
-churn faster than frame events.  The wheel run loop is pure Python (it
-takes precedence over the compiled backend for that simulator) and its
-merged dispatch preserves the exact ``(time, sequence)`` order.
-
 Example
 -------
 >>> sim = Simulator()
@@ -78,11 +51,8 @@ Example
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Iterator, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Simulator",
@@ -92,12 +62,9 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Timer",
-    "TimerWheel",
     "SimulationError",
     "StopSimulation",
     "engine_backend",
-    "use_backend",
-    "COMPILED_AVAILABLE",
 ]
 
 
@@ -124,171 +91,13 @@ class _TimerExpiry:
 _TIMER_EXPIRE = _TimerExpiry()
 
 
-# -- backend selection (REPRO_ENGINE=pure|compiled|auto) -------------------
-
-def _load_compiled_run(requested: str):
-    """Import the compiled run loop, honouring the requested backend."""
-    if requested == "pure":
-        return None
-    try:
-        from repro.simulator import _speedups
-    except ImportError:
-        if requested == "compiled":
-            warnings.warn(
-                "REPRO_ENGINE=compiled but repro.simulator._speedups is not "
-                "built; falling back to the pure-Python engine. Build it "
-                "with: python setup.py build_ext --inplace",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return None
-    return _speedups.run_loop
-
-
-_REQUESTED_ENGINE = os.environ.get("REPRO_ENGINE", "auto").strip().lower() or "auto"
-if _REQUESTED_ENGINE not in ("pure", "compiled", "auto"):
-    raise ValueError(
-        f"REPRO_ENGINE must be 'pure', 'compiled', or 'auto', "
-        f"got {_REQUESTED_ENGINE!r}"
-    )
-
-# The compiled loop is loaded once regardless of the request (so tests can
-# flip backends at runtime via use_backend); _ACTIVE_RUN holds the loop a
-# Simulator.run call will actually use, or None for the pure loop.
-_COMPILED_RUN = _load_compiled_run("auto")
-COMPILED_AVAILABLE = _COMPILED_RUN is not None
-"""True when the ``_speedups`` extension imported successfully."""
-
-if _REQUESTED_ENGINE == "compiled" and not COMPILED_AVAILABLE:
-    # Re-run purely for the user-facing warning documented above.
-    _load_compiled_run("compiled")
-
-_ACTIVE_RUN = _COMPILED_RUN if _REQUESTED_ENGINE != "pure" else None
-
-
 def engine_backend() -> str:
-    """The dispatch-loop backend new :meth:`Simulator.run` calls will use.
+    """Always ``"pure"``: :meth:`Simulator.run` is the only dispatch loop.
 
-    Returns ``"compiled"`` or ``"pure"``.  Benchmarks stamp this into
-    their records so throughput numbers are attributable to a backend.
-    (A simulator constructed with a timer wheel always runs the pure
-    merged loop regardless of this value.)
+    Kept because ``bench/run.py`` stamps it into every record; a later
+    benchmark PR drops the stamp field and this function with it.
     """
-    return "compiled" if _ACTIVE_RUN is not None else "pure"
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Force the dispatch-loop backend within a ``with`` block.
-
-    ``use_backend("compiled")`` raises :class:`RuntimeError` when the
-    extension is not built, so differential tests can assert they truly
-    exercised both loops rather than silently comparing pure to pure.
-    """
-    global _ACTIVE_RUN
-    if name not in ("pure", "compiled"):
-        raise ValueError(f"backend must be 'pure' or 'compiled', got {name!r}")
-    if name == "compiled" and _COMPILED_RUN is None:
-        raise RuntimeError(
-            "compiled engine requested but repro.simulator._speedups is not "
-            "built (python setup.py build_ext --inplace)"
-        )
-    previous = _ACTIVE_RUN
-    _ACTIVE_RUN = _COMPILED_RUN if name == "compiled" else None
-    try:
-        yield
-    finally:
-        _ACTIVE_RUN = previous
-
-
-_WHEEL_WIDTH_ENV = os.environ.get("REPRO_TIMER_WHEEL")
-try:
-    _DEFAULT_WHEEL_WIDTH = float(_WHEEL_WIDTH_ENV) if _WHEEL_WIDTH_ENV else 0.0
-except ValueError:
-    raise ValueError(
-        f"REPRO_TIMER_WHEEL must be a bucket width in seconds, "
-        f"got {_WHEEL_WIDTH_ENV!r}"
-    ) from None
-
-
-class TimerWheel:
-    """Calendar queue holding :class:`Timer` expiry entries.
-
-    A dict of per-bucket heaps keyed by ``int(time / width)`` plus a
-    lazily-pruned min-heap of bucket keys.  Push and pop are O(log b)
-    in the *bucket* population rather than the total pending count, so
-    ~10k concurrent timers churning (start/cancel per frame, as in the
-    constellation regime) do not pay a log of the whole backlog per
-    operation.  Entries are the engine's plain ``(time, sequence,
-    callback, args)`` tuples; iteration order within a bucket heap is
-    unspecified but pops are globally ordered by ``(time, sequence)``,
-    matching the main heap's total order exactly.
-    """
-
-    __slots__ = ("width", "_buckets", "_keys", "_count")
-
-    def __init__(self, width: float) -> None:
-        if width <= 0:
-            raise ValueError(f"bucket width must be positive, got {width!r}")
-        self.width = width
-        self._buckets: dict[int, list[tuple]] = {}
-        self._keys: list[int] = []
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def push(self, entry: tuple) -> None:
-        key = int(entry[0] / self.width)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = bucket = []
-            heappush(self._keys, key)
-        heappush(bucket, entry)
-        self._count += 1
-
-    def _front(self) -> Optional[list[tuple]]:
-        """The bucket heap holding the globally smallest entry.
-
-        Prunes keys whose buckets have been emptied and deleted; a key
-        re-populated after going stale appears twice in the key heap,
-        which lazy deletion handles (the dict lookup is authoritative).
-        """
-        buckets = self._buckets
-        keys = self._keys
-        while keys:
-            bucket = buckets.get(keys[0])
-            if bucket is not None:
-                return bucket
-            heappop(keys)
-        return None
-
-    def peek(self) -> Optional[tuple]:
-        bucket = self._front()
-        return bucket[0] if bucket is not None else None
-
-    def pop(self) -> tuple:
-        bucket = self._front()
-        if bucket is None:
-            raise IndexError("pop from an empty TimerWheel")
-        entry = heappop(bucket)
-        if not bucket:
-            del self._buckets[self._keys[0]]
-        self._count -= 1
-        return entry
-
-    def entries(self) -> Iterator[tuple]:
-        """Every pending entry, in no particular order (for compaction)."""
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def rebuild(self, entries: list[tuple]) -> None:
-        """Replace the wheel's contents (compaction support)."""
-        self._buckets.clear()
-        self._keys.clear()
-        self._count = 0
-        for entry in entries:
-            self.push(entry)
+    return "pure"
 
 
 class Event:
@@ -558,21 +367,13 @@ class Simulator:
     # entries both exceed this floor and outnumber live entries.
     _COMPACT_MIN_STALE = 64
 
-    def __init__(self, timer_wheel_width: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._sequence = 0
         self._stopped = False
         self._stale_timers = 0
         self.event_count = 0
-        # Calendar-queue option for Timer expiries: None = default from
-        # REPRO_TIMER_WHEEL (0/unset = disabled), 0 = explicitly off,
-        # otherwise the bucket width in seconds.
-        if timer_wheel_width is None:
-            timer_wheel_width = _DEFAULT_WHEEL_WIDTH
-        self._wheel: Optional[TimerWheel] = (
-            TimerWheel(timer_wheel_width) if timer_wheel_width else None
-        )
 
     # -- scheduling ------------------------------------------------------
 
@@ -599,11 +400,8 @@ class Simulator:
                         _push=heappush) -> None:
         """Push a :class:`Timer` expiry entry (engine-dispatched inline)."""
         self._sequence = sequence = self._sequence + 1
-        entry = (self.now + delay, sequence, _TIMER_EXPIRE, (timer, generation))
-        if self._wheel is not None:
-            self._wheel.push(entry)
-        else:
-            _push(self._heap, entry)
+        _push(self._heap,
+              (self.now + delay, sequence, _TIMER_EXPIRE, (timer, generation)))
 
     def _note_stale_timer(self) -> None:
         """Account one orphaned timer entry; compact the heap in batch."""
@@ -615,15 +413,10 @@ class Simulator:
     def _compact(self) -> None:
         """Drop every dead timer entry from the heap in one pass.
 
-        Mutates the heap list in place (run loops hold a reference to
+        Mutates the heap list in place (the run loop holds a reference to
         it) and preserves the ``(time, sequence)`` dispatch order of
         every surviving entry exactly.
         """
-        if self._wheel is not None:
-            self._wheel.rebuild([
-                entry for entry in self._wheel.entries()
-                if entry[3][1] == entry[3][0]._generation and entry[3][0]._running
-            ])
         live = [
             entry for entry in self._heap
             if entry[2] is not _TIMER_EXPIRE
@@ -676,13 +469,6 @@ class Simulator:
 
         Returns the final simulation time.
         """
-        if self._wheel is not None:
-            return self._run_with_wheel(until, max_events)
-        run_loop = _ACTIVE_RUN
-        if run_loop is not None:
-            # The C port of exactly the loop below (see _speedups.c).
-            return run_loop(self, until, max_events, _TIMER_EXPIRE,
-                            SimulationError)
         self._stopped = False
         heap = self._heap  # _compact mutates in place, so this stays valid
         pop = heappop
@@ -724,77 +510,9 @@ class Simulator:
             self.now = until
         return self.now
 
-    def _run_with_wheel(self, until: Optional[float],
-                        max_events: Optional[int]) -> float:
-        """The dispatch loop merged with the calendar queue.
-
-        Identical semantics to :meth:`run`: at each step the globally
-        smallest ``(time, sequence)`` entry across the main heap and the
-        timer wheel is dispatched, so interleaving with frame events is
-        exactly what the single-heap loop would produce.
-        """
-        self._stopped = False
-        heap = self._heap
-        wheel = self._wheel
-        pop = heappop
-        push = heappush
-        wheel_peek = wheel.peek
-        wheel_pop = wheel.pop
-        timer_sentinel = _TIMER_EXPIRE
-        bounded = until is not None
-        limit = float("inf") if max_events is None else max_events
-        processed = 0
-        try:
-            while not self._stopped:
-                wheel_entry = wheel_peek()
-                if heap and (wheel_entry is None or heap[0] < wheel_entry):
-                    entry = pop(heap)
-                    from_wheel = False
-                elif wheel_entry is not None:
-                    entry = wheel_pop()
-                    from_wheel = True
-                else:
-                    break
-                when = entry[0]
-                if bounded and when > until:
-                    if from_wheel:
-                        wheel.push(entry)
-                    else:
-                        push(heap, entry)
-                    self.now = until
-                    return until
-                self.now = when
-                callback = entry[2]
-                if callback is timer_sentinel:
-                    timer, generation = entry[3]
-                    if generation == timer._generation and timer._running:
-                        timer._running = False
-                        timer._deadline = None
-                        timer.callback()
-                    else:
-                        self._stale_timers -= 1
-                else:
-                    callback(*entry[3])
-                processed += 1
-                if processed >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (possible runaway simulation)"
-                    )
-        finally:
-            self.event_count += processed
-        if bounded and self.now < until:
-            self.now = until
-        return self.now
-
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None if the heap is empty."""
-        first = self._heap[0][0] if self._heap else None
-        if self._wheel is not None:
-            wheel_entry = self._wheel.peek()
-            if wheel_entry is not None and (first is None or wheel_entry[0] < first):
-                first = wheel_entry[0]
-        return first
+        return self._heap[0][0] if self._heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        pending = len(self._heap) + (len(self._wheel) if self._wheel else 0)
-        return f"<Simulator t={self.now:.6f} pending={pending}>"
+        return f"<Simulator t={self.now:.6f} pending={len(self._heap)}>"

@@ -7,6 +7,9 @@ per-protocol pair factories must be behaviour-identical shims over it.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import api
@@ -331,6 +334,9 @@ class TestSpecFacade:
                      "chain_topology", "grid_topology", "cross_traffic"):
             assert name in api.__all__
             assert hasattr(api, name)
+        # repro.__version__ is the one version literal; pyproject reads it.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert not re.search(r'(?m)^version\s*=\s*"', pyproject.read_text())
 
     def test_spec_from_kwargs_migrates_failure_callbacks(self):
         alarm = lambda: None  # noqa: E731

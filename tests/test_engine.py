@@ -153,6 +153,57 @@ class TestScheduling:
         sim.schedule(2.5, lambda: None)
         assert sim.peek() == 2.5
 
+    def test_until_then_stop_accounting(self):
+        """until-clamp, an integer absolute time, stop(), return values."""
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "a")
+        sim.schedule_at(2, seen.append, "b")
+        sim.schedule(3.0, sim.stop)
+        sim.schedule(4.0, seen.append, "never")
+        assert sim.run(until=1.5) == 1.5
+        assert seen == ["a"]
+        assert sim.event_count == 1
+        assert sim.run() == 3.0
+        assert seen == ["a", "b"]
+        assert sim.now == 3.0
+        assert sim.event_count == 3
+
+    def test_max_events_accounting(self):
+        sim = Simulator()
+        for index in range(10):
+            sim.schedule(index * 0.1, lambda: None)
+        with pytest.raises(SimulationError) as excinfo:
+            sim.run(max_events=5)
+        assert str(excinfo.value) == (
+            "exceeded max_events=5 (possible runaway simulation)"
+        )
+        assert sim.event_count == 5
+        assert sim.now == 4 * 0.1
+
+    def test_callback_exception_propagates_and_run_resumes(self):
+        class Boom(Exception):
+            pass
+
+        def bang():
+            raise Boom("bang")
+
+        sim = Simulator()
+        log = []
+        sim.schedule(0.5, log.append, "before")
+        sim.schedule(1.0, bang)
+        sim.schedule(1.5, log.append, "after")
+        with pytest.raises(Boom):
+            sim.run()
+        # The raising event is not counted; the clock stays at its time
+        # and the later entry is still queued.
+        assert sim.event_count == 1
+        assert sim.now == 1.0
+        assert [entry[0] for entry in sim._heap] == [1.5]
+        assert sim.run() == 1.5
+        assert log == ["before", "after"]
+        assert sim.event_count == 2
+
 
 class TestEvents:
     def test_succeed_delivers_value(self, sim):
@@ -428,6 +479,24 @@ class TestTimerCompaction:
         sim._compact()
         sim.run()
         assert fired == [2.0]
+
+    def test_restart_churn_across_rounds(self, sim):
+        """Stale-generation expiries and heap compaction in one run."""
+        fired = []
+        timers = [sim.timer(lambda i=i: fired.append(i)) for i in range(64)]
+
+        def churn():
+            for timer in timers:
+                timer.restart(0.5)  # orphan the previous expiry
+
+        for round_index in range(8):
+            sim.schedule(round_index * 0.1, churn)
+        sim.run()
+        assert fired == list(range(64))
+        assert sim.now == 7 * 0.1 + 0.5
+        # 8 churn calls + 64 live expiries + the 45 orphaned expiries
+        # that surfaced (compaction dropped the other 403 unseen).
+        assert sim.event_count == 117
 
     def test_stale_counter_resets_after_compaction(self, sim):
         fired = []
