@@ -45,6 +45,16 @@ __all__ = [
 
 _CUTTING_KINDS = ("outage", "feedback-blackout")
 
+# Protocol reaction event -> (RecoveryMetrics counter, OutageRecord
+# latency field measured from the outage start); None where absent.
+_REACTIONS = {
+    "checkpoint_timeout": (None, "time_to_checkpoint_timeout"),
+    "request_nak_sent": ("request_naks", "time_to_first_request_nak"),
+    "enforced_nak": ("enforced_naks", None),
+    "enforced_recovery_complete": ("recoveries", "time_to_enforced_nak"),
+    "link_failure_declared": ("failures_declared", "time_to_declared_failure"),
+}
+
 
 def detection_bound(config: Any) -> float:
     """Worst-case outage-start → Request-NAK latency (Section 3.2).
@@ -158,57 +168,62 @@ class RecoveryMetrics:
         return latest
 
     def _on_record(self, record: TraceRecord) -> None:
-        event = record.event
-        if record.source == "faults":
-            kind = record.detail.get("kind")
-            if kind not in _CUTTING_KINDS:
-                return
-            index = record.detail["index"]
-            if event == "fault_start":
-                outage = OutageRecord(
-                    index=index, kind=kind, start=record.time,
-                    direction=record.detail.get("direction", "both"),
-                )
-                self.outages.append(outage)
-                self._open[(kind, index)] = outage
-            elif event == "fault_end":
-                outage = self._open.pop((kind, index), None)
-                if outage is not None:
-                    outage.end = record.time
-            return
+        handler = self._handlers.get(record.event)
+        if handler is not None:
+            handler(self, record)
 
-        if event == "frame_lost_outage":
-            self.frames_lost_total += 1
-            for outage in self._open.values():
-                outage.frames_lost += 1
+    def _on_fault(self, record: TraceRecord) -> None:
+        if record.source != "faults":
             return
+        kind = record.detail.get("kind")
+        if kind not in _CUTTING_KINDS:
+            return
+        index = record.detail["index"]
+        if record.event == "fault_start":
+            outage = OutageRecord(
+                index=index, kind=kind, start=record.time,
+                direction=record.detail.get("direction", "both"),
+            )
+            self.outages.append(outage)
+            self._open[(kind, index)] = outage
+        else:
+            outage = self._open.pop((kind, index), None)
+            if outage is not None:
+                outage.end = record.time
 
-        current = self._current(record.time)
-        if event == "checkpoint_timeout":
-            if current is not None and current.time_to_checkpoint_timeout is None:
-                current.time_to_checkpoint_timeout = record.time - current.start
-        elif event == "request_nak_sent":
-            self.request_naks += 1
-            if current is not None and current.time_to_first_request_nak is None:
-                current.time_to_first_request_nak = record.time - current.start
-        elif event == "enforced_nak":
-            self.enforced_naks += 1
-        elif event == "enforced_recovery_complete":
-            self.recoveries += 1
-            if current is not None and current.time_to_enforced_nak is None:
-                current.time_to_enforced_nak = record.time - current.start
-        elif event == "link_failure_declared":
-            self.failures_declared += 1
-            if current is not None and current.time_to_declared_failure is None:
-                current.time_to_declared_failure = record.time - current.start
-        elif event == "deliver" and not record.detail.get("control", False):
-            for outage in self.outages:
-                if (
-                    outage.post_recovery_delivery_delay is None
-                    and outage.end is not None
-                    and record.time >= outage.end
-                ):
-                    outage.post_recovery_delivery_delay = record.time - outage.end
+    def _on_frame_lost(self, record: TraceRecord) -> None:
+        self.frames_lost_total += 1
+        for outage in self._open.values():
+            outage.frames_lost += 1
+
+    def _on_reaction(self, record: TraceRecord) -> None:
+        counter, latency = _REACTIONS[record.event]
+        if counter is not None:
+            setattr(self, counter, getattr(self, counter) + 1)
+        if latency is not None:
+            current = self._current(record.time)
+            if current is not None and getattr(current, latency) is None:
+                setattr(current, latency, record.time - current.start)
+
+    def _on_deliver(self, record: TraceRecord) -> None:
+        if record.detail.get("control", False):
+            return
+        for outage in self.outages:
+            if (
+                outage.post_recovery_delivery_delay is None
+                and outage.end is not None
+                and record.time >= outage.end
+            ):
+                outage.post_recovery_delivery_delay = record.time - outage.end
+
+    # The only events read; every other record costs one dict miss.
+    _handlers = {
+        "fault_start": _on_fault,
+        "fault_end": _on_fault,
+        "frame_lost_outage": _on_frame_lost,
+        "deliver": _on_deliver,
+        **dict.fromkeys(_REACTIONS, _on_reaction),
+    }
 
     # -- reporting --------------------------------------------------------
 

@@ -83,12 +83,16 @@ class Violation:
 class InvariantMonitor:
     """Base class: consume trace records, accumulate violations.
 
-    Subclasses override :meth:`on_event` (called for every record) and
-    :meth:`finalize` (called once, after the simulation has run, for
-    end-of-run accounting like the zero-loss ledger).
+    Subclasses override :meth:`on_event` and :meth:`finalize` (called
+    once, after the simulation has run, for end-of-run accounting like
+    the zero-loss ledger).  :attr:`events` names the trace events
+    :meth:`on_event` reads; the suite hands it only those records.  Left
+    at ``None`` (the default), :meth:`on_event` is called for every
+    record.
     """
 
     name = "invariant"
+    events: Optional[frozenset[str]] = None
 
     def __init__(self) -> None:
         self.violations: list[Violation] = []
@@ -122,10 +126,13 @@ class InvariantMonitor:
 class MonitorSuite:
     """A set of monitors attached to one simulation's tracer.
 
-    Construction registers a single listener on *tracer* that fans
-    records out to every monitor and maintains the rolling trace window
-    violations capture.  Call :meth:`finalize` once after the run;
-    :attr:`violations` / :meth:`report` aggregate across monitors.
+    Construction registers a single listener on *tracer* that routes
+    each record to the monitors whose :attr:`InvariantMonitor.events`
+    name its event (or name nothing) and keeps the last *window*
+    records; a violation captures them, formatted at that moment.  The
+    monitor list is fixed at construction.  Call :meth:`finalize` once
+    after the run; :attr:`violations` / :meth:`report` aggregate across
+    monitors.
 
     *context* carries the reproducer identity (seed, scenario name,
     fault-plan name, episode index); it is stamped onto every
@@ -144,8 +151,21 @@ class MonitorSuite:
         self.monitors = list(monitors)
         self.context = dict(context or {})
         self.held_snapshot = held_snapshot or (lambda: [])
-        self._window: deque[str] = deque(maxlen=window)
+        self._window: deque[TraceRecord] = deque(maxlen=window)
         self._finalized = False
+        # event -> the on_event hooks that read it, in monitor order; an
+        # event no monitor names falls through to the hooks that read all.
+        self._read_all = tuple(
+            m.on_event for m in self.monitors if m.events is None
+        )
+        declared = {e for m in self.monitors for e in m.events or ()}
+        self._routes = {
+            event: tuple(
+                m.on_event for m in self.monitors
+                if m.events is None or event in m.events
+            )
+            for event in declared
+        }
         for monitor in self.monitors:
             monitor.bind(self)
         tracer.listeners.append(self._on_record)
@@ -153,12 +173,12 @@ class MonitorSuite:
     # -- trace plumbing ---------------------------------------------------
 
     def _on_record(self, record: TraceRecord) -> None:
-        self._window.append(record.format())
-        for monitor in self.monitors:
-            monitor.on_event(record)
+        self._window.append(record)
+        for on_event in self._routes.get(record.event, self._read_all):
+            on_event(record)
 
     def window_snapshot(self) -> tuple[str, ...]:
-        return tuple(self._window)
+        return tuple(record.format() for record in self._window)
 
     def detach(self) -> None:
         """Stop listening (accumulated violations stay readable)."""
@@ -231,6 +251,7 @@ class ZeroLossLedger(InvariantMonitor):
     """
 
     name = "zero-loss"
+    events = frozenset({"payload_accepted", "payload_delivered"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -283,6 +304,10 @@ class DestinationOrderingMonitor(InvariantMonitor):
     def __init__(self, dlc_no_duplicates: bool = False) -> None:
         super().__init__()
         self.dlc_no_duplicates = dlc_no_duplicates
+        self.events = frozenset(
+            {"dest_deliver", "payload_delivered"} if dlc_no_duplicates
+            else {"dest_deliver"}
+        )
         self._next_expected: dict[Any, int] = {}
         self._dlc_delivered: set[Any] = set()
 
@@ -331,6 +356,7 @@ class ReceiverQueueBoundMonitor(InvariantMonitor):
     """
 
     name = "receiver-queue-bound"
+    events = frozenset({"rxqueue_level"})
 
     def __init__(self, bound: float) -> None:
         super().__init__()
@@ -382,6 +408,7 @@ class HoldingTimeBoundMonitor(InvariantMonitor):
     """
 
     name = "holding-time-bound"
+    events = frozenset({"iframe_released"})
 
     def __init__(
         self,
@@ -449,28 +476,28 @@ class CheckpointCoverageMonitor(InvariantMonitor):
     """
 
     name = "checkpoint-coverage"
+    events = frozenset({"error_logged", "checkpoint_sent"})
 
     def __init__(self, cumulation_depth: int) -> None:
         super().__init__()
         self.cumulation_depth = cumulation_depth
-        # (receiver source, seq) -> [remaining reports, detect time]
-        self._pending: dict[tuple[str, int], list[float]] = {}
+        # receiver source -> seq -> [remaining reports, detect time]
+        self._pending: dict[str, dict[int, list[float]]] = {}
 
     def on_event(self, record: TraceRecord) -> None:
         if record.event == "error_logged":
-            key = (record.source, record.detail["seq"])
-            if key not in self._pending:
-                self._pending[key] = [float(self.cumulation_depth), record.time]
+            self._pending.setdefault(record.source, {}).setdefault(
+                record.detail["seq"],
+                [float(self.cumulation_depth), record.time],
+            )
         elif record.event == "checkpoint_sent" and not record.detail.get("enforced"):
             seqs = record.detail.get("seqs")
-            if seqs is None:
+            pending = self._pending.get(record.source)
+            if seqs is None or not pending:
                 return
             listed = set(seqs)
-            for key in list(self._pending):
-                source, seq = key
-                if source != record.source:
-                    continue
-                remaining, detected = self._pending[key]
+            for seq in list(pending):
+                remaining, detected = pending[seq]
                 if detected >= record.time:
                     continue  # logged at/after issue; next checkpoint covers it
                 if seq not in listed:
@@ -482,13 +509,13 @@ class CheckpointCoverageMonitor(InvariantMonitor):
                         seq=seq, detected=detected,
                         remaining=int(remaining), listed=len(listed),
                     )
-                    del self._pending[key]  # report once, not per checkpoint
+                    del pending[seq]  # report once, not per checkpoint
                     continue
                 remaining -= 1
                 if remaining <= 0:
-                    del self._pending[key]
+                    del pending[seq]
                 else:
-                    self._pending[key][0] = remaining
+                    pending[seq][0] = remaining
 
 
 def merge_windows(windows: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -527,6 +554,10 @@ class FailureLatencyMonitor(InvariantMonitor):
     """
 
     name = "failure-latency"
+    events = frozenset({
+        "checkpoint_timeout", "request_nak_sent",
+        "enforced_recovery_complete", "link_failure_declared",
+    })
 
     def __init__(
         self,

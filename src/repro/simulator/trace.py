@@ -29,9 +29,17 @@ from typing import Any, Callable, Iterable, Optional
 __all__ = ["TraceRecord", "Tracer", "Counter", "TimeWeightedStat", "SampleStat"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One timeline entry: *who* did *what* at *when*, with detail."""
+    """One timeline entry: *who* did *what* at *when*, with detail.
+
+    Not frozen: a frozen dataclass constructs through four
+    ``object.__setattr__`` calls, and :meth:`Tracer.emit` builds one
+    record per event of a monitored run.  Records are shared by every
+    listener and by a monitor suite's trace window, which formats them
+    only when a violation is recorded — treat a record, and the values
+    in its ``detail``, as immutable.
+    """
 
     time: float
     source: str
@@ -177,38 +185,24 @@ class _ListenerList(list):
         super().__init__()
         self._tracer = tracer
 
-    def append(self, item: Any) -> None:
-        super().append(item)
-        self._tracer._refresh_active()
 
-    def extend(self, items: Iterable[Any]) -> None:
-        super().extend(items)
-        self._tracer._refresh_active()
+def _refreshing(name: str) -> Callable[..., Any]:
+    mutate = getattr(list, name)
 
-    def insert(self, index: int, item: Any) -> None:
-        super().insert(index, item)
+    def method(self: _ListenerList, *args: Any) -> Any:
+        result = mutate(self, *args)
         self._tracer._refresh_active()
+        return result
 
-    def remove(self, item: Any) -> None:
-        super().remove(item)
-        self._tracer._refresh_active()
+    method.__name__ = name
+    return method
 
-    def pop(self, index: int = -1) -> Any:
-        item = super().pop(index)
-        self._tracer._refresh_active()
-        return item
 
-    def clear(self) -> None:
-        super().clear()
-        self._tracer._refresh_active()
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self._tracer._refresh_active()
-
-    def __iadd__(self, items: Iterable[Any]) -> "_ListenerList":
-        self.extend(items)
-        return self
+# Every list method that can change the length.
+for _name in ("append", "extend", "insert", "remove", "pop", "clear",
+              "__setitem__", "__delitem__", "__iadd__", "__imul__"):
+    setattr(_ListenerList, _name, _refreshing(_name))
+del _name
 
 
 class Tracer:
@@ -253,7 +247,7 @@ class Tracer:
         """Record a timeline event (and notify listeners)."""
         if not self.active:
             return
-        record = TraceRecord(time=time, source=source, event=event, detail=detail)
+        record = TraceRecord(time, source, event, detail)
         if self._record_timeline:
             self.records.append(record)
         for listener in self.listeners:

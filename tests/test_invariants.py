@@ -166,6 +166,22 @@ class TestBrokenProtocolCaught:
         suite.finalize(0.3)
         assert suite.ok
 
+    def test_checkpoint_coverage_is_per_receiver(self):
+        """Many links share one tracer: a checkpoint only answers for
+        the errors its own receiver logged."""
+        tracer, suite = self.make_suite([CheckpointCoverageMonitor(2)])
+        tracer.emit(0.10, "b1", "error_logged", seq=5)
+        tracer.emit(0.11, "b2", "error_logged", seq=5)
+        tracer.emit(0.12, "b2", "error_logged", seq=6)
+        tracer.emit(0.15, "b1", "checkpoint_sent", seqs=(5,), enforced=False)
+        tracer.emit(0.16, "b2", "checkpoint_sent", seqs=(6,), enforced=False)
+        tracer.emit(0.20, "b1", "checkpoint_sent", seqs=(5,), enforced=False)
+        tracer.emit(0.21, "b2", "checkpoint_sent", seqs=(), enforced=False)
+        suite.finalize(0.3)
+        assert [(v.time, v.detail["seq"]) for v in suite.violations] == [
+            (0.16, 5), (0.21, 6),
+        ]
+
     def test_receiver_queue_bound_violation_fires_once(self):
         tracer, suite = self.make_suite([ReceiverQueueBoundMonitor(bound=4)])
         tracer.emit(0.1, "b", "rxqueue_level", depth=10)

@@ -229,6 +229,18 @@ class TestTracerFastPath:
         assert tracer.active is True
         del tracer.listeners[0]
         assert tracer.active is False
+        # Slice/index assignment and in-place repetition change the
+        # length too.
+        seen = []
+        tracer.listeners[0:0] = [seen.append]
+        assert tracer.active is True
+        tracer.emit(0.0, "src", "evt")
+        assert len(seen) == 1
+        tracer.listeners[:] = []
+        assert tracer.active is False
+        tracer.listeners.append(listener)
+        tracer.listeners *= 0
+        assert tracer.active is False and tracer.listeners == []
 
     def test_mid_run_listener_sees_subsequent_emits(self):
         tracer = Tracer()
