@@ -109,7 +109,9 @@ def _error_model_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--error-model", default=None,
                         help="registered error-model name for both frame "
-                             "classes (perfect/bernoulli/gilbert-elliott/...)")
+                             "classes; only models buildable from the "
+                             "scenario's BER and bit rate alone "
+                             "(perfect/bernoulli/orbit-coupled)")
     return parent
 
 
@@ -137,12 +139,19 @@ def _apply_error_model_arg(
     name = getattr(args, "error_model", None)
     if name is None:
         return scenario
-    from .simulator.errormodel import available_error_models
+    from .simulator.errormodel import available_error_models, resolve_error_model
 
     if name.lower() not in available_error_models():
         print(f"error: unknown error model {name!r} "
               f"(use one of: {', '.join(available_error_models())})",
               file=sys.stderr)
+        return None
+    try:
+        # A bare name gets only what the scenario knows (BER, bit rate).
+        resolve_error_model(name, ber=scenario.iframe_ber, bit_rate=scenario.bit_rate)
+    except (TypeError, ValueError) as error:
+        print(f"error: error model {name!r} cannot be built from a bare "
+              f"name: {error}", file=sys.stderr)
         return None
     return scenario.with_(iframe_error_model=name, cframe_error_model=name)
 

@@ -76,13 +76,13 @@ class LamsDlcConfig:
 
     # -- transmission batching (performance, not protocol) ---------------------
     batch_window: int = 64
-    """Maximum frames the sender commits to the channel as one batched
-    window when the backlog allows (``send_burst``).  Purely a hot-path
-    optimisation: corruption verdicts are pre-drawn bulk but remain
-    bit-identical to scalar draws, and the window only engages at line
-    rate with no retransmissions queued.  ``0`` or ``1`` disables
-    batching — every frame takes the scalar path, the reference the
-    batched-vs-scalar tests compare against."""
+    """Most new frames the sender commits to the channel as one run
+    (``send_burst``) when it is at line rate with a backlog.  Outcomes
+    frame for frame do not depend on it; commit granularity does — what
+    arrives mid-window (a NAK, a Stop-Go change, a suspension, a control
+    frame) waits for the run to end, at most ``batch_window - 1`` frame
+    times (docs/TUNING.md §10).  ``1`` is one frame per run: the
+    paper's sender, and the reference the parity tests compare against."""
 
     # -- flow control (Section 3.4) -------------------------------------------
     flow_control_enabled: bool = True
@@ -124,8 +124,8 @@ class LamsDlcConfig:
             raise ValueError("min_rate_fraction must be in (0, 1]")
         if self.receive_low_watermark > self.receive_high_watermark:
             raise ValueError("low watermark must not exceed high watermark")
-        if self.batch_window < 0:
-            raise ValueError("batch_window cannot be negative")
+        if self.batch_window < 1:
+            raise ValueError("batch_window must be at least 1 (one frame per run)")
 
     # -- derived quantities ---------------------------------------------------
 

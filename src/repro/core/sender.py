@@ -122,19 +122,15 @@ class LamsSender:
         self._sendbuf_stat_name = f"{self.name}.sendbuf"
         self._holding_stat = None
 
-        # Per-frame constants hoisted out of _transmit (the I-frame size
-        # and line rate are fixed for the lifetime of the endpoint).
+        # Per-frame constants hoisted out of _send_window (the I-frame
+        # size and line rate are fixed for the lifetime of the endpoint).
         self._iframe_bits = config.iframe_bits
         self._iframe_tx_time = config.iframe_bits / data_channel.bit_rate
         self._piggyback = config.piggyback_flow_control
-        # Batched transmission window: engaged only when the channel
-        # supports send_burst and the configured window allows > 1.
-        self._burst_send = (
-            getattr(data_channel, "send_burst", None)
-            if config.batch_window > 1
-            else None
+        # Channels without send_burst (UDP, stubs) take runs of one.
+        self._batch_window = (
+            config.batch_window if hasattr(data_channel, "send_burst") else 1
         )
-        self._batch_window = config.batch_window
 
         # Statistics.
         self.iframes_sent = 0
@@ -232,7 +228,7 @@ class LamsSender:
     # -- transmission loop ------------------------------------------------------------
 
     def _maybe_send(self) -> None:
-        """Transmit the next frame if pacing, channel, and state allow."""
+        """Transmit the next run if pacing, channel, and state allow."""
         if self.failed or not self._started:
             return
         # Inlined SimplexChannel.is_idle (hot: runs once per idle event
@@ -257,117 +253,41 @@ class LamsSender:
                 self.sim.schedule_at(self._next_allowed_send, self._pacing_expired)
             return
         if has_retransmission:
-            job = self._retransmit_queue.popleft()
-            self._transmit(
-                payload=job.payload,
-                enqueue_time=job.enqueue_time,
-                first_send_time=job.first_send_time,
-                retransmit_count=job.retransmit_count,
-                origin=job.origin,
-            )
-            self.retransmissions += 1
-            self.retransmissions_by_cause[job.cause] += 1
-        else:
-            # Batched window fast path: with a deep backlog, no
-            # retransmissions, and pacing at line rate, commit a whole
-            # window in one operation (see _send_window for the exact-
-            # equivalence argument).
-            flow = self.flow
-            if (
-                self._burst_send is not None
-                and len(self.buffer._pending) > 1
-                and (not flow.enabled or flow.rate_fraction >= 1.0)
-                and getattr(channel, "_is_up", True)
-            ):
-                self._send_window()
-                return
-            packet, enqueue_time = self.buffer.pop_pending()
-            self._transmit(payload=packet, enqueue_time=enqueue_time)
+            self._send_window(1, self._retransmit_queue.popleft())
+            return
+        # New frames go a window at a time only at line rate on an up
+        # channel; a Stop-Go-paced sender needs the gap after every frame.
+        flow = self.flow
+        count = 1
+        if (
+            (not flow.enabled or flow.rate_fraction >= 1.0)
+            and getattr(channel, "_is_up", True)
+        ):
+            count = min(self._batch_window, len(self.buffer._pending))
+        self._send_window(count)
 
     def _pacing_expired(self) -> None:
         self._pacing_armed = False
         self._maybe_send()
 
-    def _transmit(
-        self,
-        payload: Any,
-        enqueue_time: float,
-        first_send_time: Optional[float] = None,
-        retransmit_count: int = 0,
-        origin: int = -1,
+    def _send_window(
+        self, count: int, job: Optional[PendingRetransmission] = None,
     ) -> None:
-        now = self.sim.now
-        seq = self.seqspace.allocate()
-        frame = IFrame(
-            seq=seq,
-            payload=payload,
-            size_bits=self._iframe_bits,
-            transmit_index=self._transmit_index,
-            origin=origin,
-            stop_go=self.stop_go_provider() if self._piggyback else False,
-        )
-        self._transmit_index += 1
-        tx_time = self._iframe_tx_time
-        channel = self.data_channel
-        delay = getattr(channel, "_fixed_delay", None)
-        if delay is None:
-            delay = channel.propagation_delay(now)
-        expected_arrival = now + tx_time + delay
-        record = OutstandingFrame(
-            seq=seq,
-            payload=payload,
-            enqueue_time=enqueue_time,
-            send_time=now,
-            expected_arrival=expected_arrival,
-            transmit_index=frame.transmit_index,
-            retransmit_count=retransmit_count,
-            first_send_time=first_send_time if first_send_time is not None else now,
-            origin=origin if origin >= 0 else frame.transmit_index,
-        )
-        self.buffer.record_outstanding(record)
-        # Inlined _record_occupancy (once per frame).
-        stat = self._sendbuf_stat
-        if stat is None:
-            stat = self._sendbuf_stat = self.tracer.level_stat(
-                self._sendbuf_stat_name, start_time=now
-            )
-        buffer = self.buffer
-        stat.update(now, len(buffer._pending) + len(buffer._outstanding))
-        channel.send(frame)
-        self.iframes_sent += 1
-        # Inlined StopGoRateController.inter_frame_gap (hot: once per frame).
-        flow = self.flow
-        self._next_allowed_send = now + (
-            tx_time / flow.rate_fraction if flow.enabled else tx_time
-        )
-        if self.tracer.active:
-            self.tracer.emit(
-                now, self.name, "iframe_sent",
-                seq=seq, index=frame.transmit_index, retx=retransmit_count,
-            )
-        # Try to queue the next frame right behind this one only when
-        # pacing is at line rate; otherwise the pacing timer drives it.
+        """Hand the channel one run: *count* new frames, or retransmission *job*.
 
-    def _send_window(self) -> None:
-        """Commit up to ``batch_window`` new frames as one channel burst.
-
-        Per-frame state matches what ``k`` successive scalar
-        ``_transmit`` calls at the frames' departure instants would
-        record: sequence numbers allocate in the same order, each
-        outstanding record carries its own ``send_time`` and
-        ``expected_arrival``, and ``iframe_sent`` is emitted with the
-        per-frame departure stamp.  The single occupancy sample is
-        exact, not approximate — a first transmission moves one packet
-        from pending to outstanding, so the level never changes inside
-        the window (releases and accepts sample the stat at their own
-        event times in both modes).  Only the piggybacked Stop-Go bits
-        are evaluated at commit time rather than per departure — a
-        bounded divergence that exists only under bidirectional
-        traffic.
+        Frames are stamped with their own departure instants — sequence
+        numbers allocate in order, each outstanding record carries its
+        own ``send_time`` and ``expected_arrival``, ``iframe_sent`` is
+        emitted per frame — so what is recorded does not depend on
+        *count*.  The single occupancy sample is exact: a first
+        transmission moves one packet from pending to outstanding, so
+        the level never changes inside a window.  What does depend on
+        *count* is the commit granularity (docs/TUNING.md §10): the
+        piggybacked Stop-Go bits are read now, and anything that arrives
+        mid-window waits for the run to end.
         """
         now = self.sim.now
         buffer = self.buffer
-        pending = buffer._pending
         channel = self.data_channel
         tx_time = self._iframe_tx_time
         bits = self._iframe_bits
@@ -376,46 +296,53 @@ class LamsSender:
         provider = self.stop_go_provider
         record_outstanding = buffer.record_outstanding
         pop_pending = buffer.pop_pending
-        propagation_delay = channel.propagation_delay
         trace_active = self.tracer.active
-        emit = self.tracer.emit
-        name = self.name
         index = self._transmit_index
         departure = now
-        seqs = self.seqspace.allocate_run(min(self._batch_window, len(pending)))
+        seqs = self.seqspace.allocate_run(count)
         if not seqs:
-            # The next in-order number is still outstanding; raise the
-            # scalar path's SequenceExhausted (allocate fails loudly).
+            # The next in-order number is still outstanding: fail loudly
+            # with allocate()'s SequenceExhausted.
             self.seqspace.allocate()
             raise AssertionError("allocate() must raise after an empty run")
         frames: list[IFrame] = []
         for seq in seqs:
-            packet, enqueue_time = pop_pending()
-            frame = IFrame(
+            if job is None:
+                payload, enqueue_time = pop_pending()
+                first_send_time, retransmit_count, origin = departure, 0, -1
+            else:
+                payload, enqueue_time = job.payload, job.enqueue_time
+                first_send_time = job.first_send_time
+                retransmit_count, origin = job.retransmit_count, job.origin
+                self.retransmissions += 1
+                self.retransmissions_by_cause[job.cause] += 1
+            frames.append(IFrame(
                 seq=seq,
-                payload=packet,
+                payload=payload,
                 size_bits=bits,
                 transmit_index=index,
-                origin=-1,
+                origin=origin,
                 stop_go=provider() if piggyback else False,
-            )
+            ))
             delay = fixed_delay
             if delay is None:
-                delay = propagation_delay(departure)
+                delay = channel.propagation_delay(departure)
             record_outstanding(OutstandingFrame(
                 seq=seq,
-                payload=packet,
+                payload=payload,
                 enqueue_time=enqueue_time,
                 send_time=departure,
                 expected_arrival=departure + tx_time + delay,
                 transmit_index=index,
-                retransmit_count=0,
-                first_send_time=departure,
-                origin=index,
+                retransmit_count=retransmit_count,
+                first_send_time=first_send_time,
+                origin=origin if origin >= 0 else index,
             ))
-            frames.append(frame)
             if trace_active:
-                emit(departure, name, "iframe_sent", seq=seq, index=index, retx=0)
+                self.tracer.emit(
+                    departure, self.name, "iframe_sent",
+                    seq=seq, index=index, retx=retransmit_count,
+                )
             index += 1
             departure += tx_time
         self._transmit_index = index
@@ -425,9 +352,14 @@ class LamsSender:
             stat = self._sendbuf_stat = self.tracer.level_stat(
                 self._sendbuf_stat_name, start_time=now
             )
-        stat.update(now, len(pending) + len(buffer._outstanding))
-        channel.send_burst(frames)
+        stat.update(now, len(buffer._pending) + len(buffer._outstanding))
+        if k == 1:
+            channel.send(frames[0])
+        else:
+            channel.send_burst(frames)
         self.iframes_sent += k
+        # Inlined StopGoRateController.inter_frame_gap; at line rate the
+        # accumulated departure is the channel's own run-end float.
         flow = self.flow
         self._next_allowed_send = (
             now + k * tx_time / flow.rate_fraction if flow.enabled

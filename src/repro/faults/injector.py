@@ -235,6 +235,7 @@ class FaultInjector:
                 model = payload
             else:
                 model = ControlCorruptingModel(model, payload)
+        getattr(channel, "settle", lambda: None)()  # frames already sent keep the old model
         setattr(channel, attr, model)
         if not layers:
             del self._base_models[key]

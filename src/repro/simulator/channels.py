@@ -549,7 +549,7 @@ class OrbitCoupledChannel:
         :meth:`frame_error` would (advancing the bucket cache in frame
         order); frames with nonzero probability are then settled from
         one bulk uniform draw — the same variates in the same order as
-        the scalar path, with zero-probability frames consuming none.
+        per-frame draws, with zero-probability frames consuming none.
         """
         probabilities = []
         drawing = 0

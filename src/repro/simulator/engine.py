@@ -334,10 +334,12 @@ class Timer:
         """(Re)arm the timer to fire *delay* from now."""
         if delay < 0:
             raise ValueError(f"negative timer delay: {delay!r}")
+        # Bump first: noting may compact the heap, and the entry being
+        # orphaned must already read as dead or it survives the sweep.
+        self._generation += 1
         if self._running:
             # The previous expiry's heap entry just became garbage.
             self.sim._note_stale_timer()
-        self._generation += 1
         self._running = True
         self._deadline = self.sim.now + delay
         self.sim._schedule_timer(delay, self, self._generation)
@@ -348,9 +350,9 @@ class Timer:
 
     def cancel(self) -> None:
         """Disarm the timer; a pending expiry becomes a no-op."""
+        self._generation += 1
         if self._running:
             self.sim._note_stale_timer()
-        self._generation += 1
         self._running = False
         self._deadline = None
 

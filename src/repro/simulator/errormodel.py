@@ -181,8 +181,8 @@ class BernoulliChannel:
         :meth:`frame_error`, consumed in the same order; the only
         difference is that the threshold compare runs as one (or a few)
         numpy slice operations instead of ``n`` ``.item()`` calls.
-        Zero-probability frames consume no draw, exactly as in the
-        scalar path.
+        Zero-probability frames consume no draw, exactly as in
+        :meth:`frame_error`.
         """
         prob_get = self._prob_by_bits.get
         probabilities = []

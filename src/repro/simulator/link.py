@@ -8,6 +8,8 @@ Each simplex channel models:
 
 - **Serialization**: one frame at a time occupies the transmitter for
   ``size_bits / bit_rate`` seconds; frames pushed while busy queue FIFO.
+  Back-to-back frames form a *run*, decided (verdicts drawn, deliveries
+  scheduled) when its last frame leaves — see docs/TUNING.md §10.
 - **Propagation**: a fixed delay or a time-varying ``delay(t)`` callable
   (driven by the orbit model); arrivals are clamped monotone so frames
   never overtake each other.
@@ -53,29 +55,6 @@ DelaySpec = Union[float, Callable[[float], float]]
 FrameHandler = Callable[[Any, bool], None]
 
 
-class _Burst:
-    """In-flight state of one :meth:`SimplexChannel.send_burst` window.
-
-    ``cancelled_from`` marks the first frame index handed back to the
-    scalar machinery by a mid-burst :meth:`SimplexChannel.down` — its
-    pre-scheduled delivery (and the burst-complete event) become
-    no-ops for indices at or past the mark.
-    """
-
-    __slots__ = ("frames", "starts", "finishes", "arrivals",
-                 "verdicts", "cancelled_from", "prev_last_arrival")
-
-    def __init__(self, frames, starts, finishes, arrivals, verdicts,
-                 prev_last_arrival):
-        self.frames = frames
-        self.starts = starts
-        self.finishes = finishes
-        self.arrivals = arrivals
-        self.verdicts = verdicts
-        self.cancelled_from = len(frames)
-        self.prev_last_arrival = prev_last_arrival
-
-
 class SimplexChannel:
     """One direction of a link: serializer + propagation pipe + errors."""
 
@@ -114,7 +93,8 @@ class SimplexChannel:
         self._transmitting = False
         self._last_arrival = -1.0
         self._is_up = True
-        self._active_burst: Optional[_Burst] = None
+        self._run: Any = None  # on the transmitter: a frame, or a list of frames
+        self._run_start = 0.0  # of a list run (settle() needs it)
         # Cached RNG streams for the per-frame error draws; the registry
         # returns the same generator per name, so caching is free and
         # skips an f-string build plus a dict probe per frame.
@@ -161,257 +141,152 @@ class SimplexChannel:
 
     def down(self) -> None:
         """Cut the channel: queued/in-flight sends from now on are lost."""
+        self.settle()
         self._is_up = False
-        if self._active_burst is not None:
-            self._rescalarize_burst(self._active_burst)
 
     def up(self) -> None:
         """Restore the channel."""
         self._is_up = True
 
     # -- transmission ----------------------------------------------------
+    #
+    # Every transmission is a *run*: one or more frames that occupy the
+    # transmitter back to back and are decided together when the last
+    # one leaves (one completion event per run, carrying the run and its
+    # start).  ``_run`` is the bare frame for a run of one — an idle
+    # channel must keep nothing more alive per send than its event, or
+    # a thousand idle links pay for it — and the list of frames otherwise.
+    # Frame i starts where frame i-1 ended; those instants are never
+    # stored, always re-derived by the same accumulation (``cursor +=
+    # size_bits / bit_rate``) — and a sender pacing against a run's end
+    # accumulates the same way: ``now + total`` differs in the last bit.
 
     def send(self, frame: Transmittable) -> None:
         """Queue *frame* for transmission (FIFO behind any busy frame)."""
         if self._transmitting:
             self._queue.append(frame)
             return
-        if self._queue:
-            # Not transmitting but backlogged (only reachable mid
-            # _start_next reentry); keep strict FIFO.
-            self._queue.append(frame)
-            self._start_next()
-            return
-        # Idle-channel fast path: skip the queue round-trip and start
-        # serializing immediately (the per-frame common case).
+        # Idle channel: a run of one, inlined (_start_next without the
+        # queue round-trip — this is the per-frame common case).
         self._transmitting = True
-        tx_time = frame.size_bits / self.bit_rate
-        self.busy_seconds += tx_time
         sim = self.sim
-        departure = sim.now
-        # Inlined sim.schedule (hot: once per frame).
+        self._run = frame
+        start = sim.now
         sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (departure + tx_time, sequence,
-                             self._finish_transmit, (frame, departure)))
+        heappush(sim._heap, (start + frame.size_bits / self.bit_rate, sequence,
+                             self._complete, (frame, start)))
 
     def transmission_time(self, frame: Transmittable) -> float:
         """Seconds the transmitter is occupied serializing *frame*."""
         return frame.size_bits / self.bit_rate
 
-    # -- batched transmission --------------------------------------------
-
     def send_burst(self, frames: Sequence[Transmittable]) -> None:
-        """Serialize a FIFO window of frames as one batched operation.
+        """Queue a FIFO window of frames; an idle channel starts it as one run.
 
-        Semantically equivalent to ``for f in frames: self.send(f)`` on
-        an idle, up channel with no competing traffic: departure,
-        finish, and arrival times match the scalar schedule exactly, and
-        corruption verdicts come from the error model's bulk
-        ``draw_window`` — the same RNG variates in the same order as
-        per-frame draws.  The saving is event count: ``k`` deliveries
+        Identical in every outcome to ``for f in frames: self.send(f)``
+        — deliveries, losses, counters, RNG draws — at ``k`` deliveries
         plus one completion event instead of ``2k`` events.
-
-        Two deliberate, bounded divergences from the scalar path:
-
-        - frames queued behind an in-progress burst (interleaved control
-          traffic, NAK-triggered retransmissions) wait for the whole
-          window rather than the next frame boundary, so recovery
-          timing can shift once the backlog outlasts the RTT;
-        - a mid-burst :meth:`down` hands the unfinished tail back to the
-          scalar machinery, whose outage handling re-draws those frames'
-          verdicts when the channel comes back up.
-
-        Callers that need exact scalar behaviour (retransmissions,
-        paced traffic) simply keep calling :meth:`send`.
         """
-        if self._transmitting or self._queue or not self._is_up or len(frames) < 2:
-            for frame in frames:
-                self.send(frame)
-            return
-        first_control = frames[0].is_control
-        sizes = []
-        for frame in frames:
-            if frame.is_control is not first_control:
-                # Mixed window (never produced by the sender's batched
-                # loop): the two frame classes draw from different RNG
-                # streams, so fall back to per-frame sends.
-                for one in frames:
-                    self.send(one)
-                return
-            sizes.append(frame.size_bits)
-        self._transmitting = True
-        sim = self.sim
-        bit_rate = self.bit_rate
-        cursor = sim.now
-        starts = []
-        finishes = []
-        for bits in sizes:
-            starts.append(cursor)
-            cursor += bits / bit_rate
-            finishes.append(cursor)
-        self.busy_seconds += cursor - starts[0]
-        if first_control:
-            rng = self._cframe_rng
-            if rng is None:
-                rng = self._cframe_rng = self.streams.get(f"{self.name}.cframe")
-            model = self.cframe_errors
-        else:
-            rng = self._iframe_rng
-            if rng is None:
-                rng = self._iframe_rng = self.streams.get(f"{self.name}.iframe")
-            model = self.iframe_errors
-        bulk = getattr(model, "draw_window", None)
-        if bulk is not None:
-            verdicts = bulk(starts, sizes, rng)
-        else:
-            verdicts = scalar_draw_window(model, starts, sizes, rng)
-        n = len(frames)
-        self.frames_sent += n
-        corrupted_count = 0
-        fixed_delay = self._fixed_delay
-        last_arrival = self._last_arrival
-        prev_last_arrival = last_arrival
-        arrivals = []
-        propagation_delay = self.propagation_delay
-        for i in range(n):
-            if verdicts[i]:
-                corrupted_count += 1
-            delay = fixed_delay
-            if delay is None:
-                delay = propagation_delay(starts[i])
-            arrival = finishes[i] + delay
-            if arrival < last_arrival:
-                arrival = last_arrival
-            last_arrival = arrival
-            arrivals.append(arrival)
-        self.frames_corrupted += corrupted_count
-        self._last_arrival = last_arrival
-        burst = _Burst(frames, starts, finishes, arrivals, verdicts,
-                       prev_last_arrival)
-        self._active_burst = burst
-        # Inlined sim.schedule_at: k delivery events plus one window-
-        # completion event (vs 2k scalar events).
-        heap = sim._heap
-        sequence = sim._sequence
-        deliver = self._deliver_burst
-        for i in range(n):
-            sequence += 1
-            heappush(heap, (arrivals[i], sequence, deliver, (burst, i)))
-        sequence += 1
-        heappush(heap, (cursor, sequence, self._burst_complete, (burst,)))
-        sim._sequence = sequence
+        self._queue.extend(frames)
+        if self._queue and not self._transmitting:
+            self._start_next()
 
-    def _deliver_burst(self, burst: _Burst, i: int) -> None:
-        if i >= burst.cancelled_from:
-            return  # tail handed back to the scalar path by a mid-burst down()
-        frame = burst.frames[i]
-        if not self._is_up:
-            self._lose_to_outage(frame, phase="propagate")
-            return
-        if self.receiver is None:
-            raise RuntimeError(f"channel {self.name!r} has no receiver attached")
-        corrupted = burst.verdicts[i]
-        if self.tracer.active:
-            self.tracer.emit(
-                self.sim.now, self.name, "deliver",
-                control=frame.is_control, corrupted=corrupted,
-            )
-        self.receiver(frame, corrupted)
+    def settle(self) -> None:
+        """Pin down the active run before something changes its frames' fate.
 
-    def _burst_complete(self, burst: _Burst) -> None:
-        if burst.cancelled_from < len(burst.frames):
-            return  # the rescalarized tail drives _start_next instead
-        self._active_burst = None
-        self._start_next()
-
-    def _rescalarize_burst(self, burst: _Burst) -> None:
-        """Hand a burst's unfinished tail back to the scalar machinery.
-
-        Called by :meth:`down`.  Frames already past serialization keep
-        their scheduled deliveries (they are in flight, and
-        :meth:`_deliver_burst` loses them while the channel is down,
-        like scalar in-flight frames).  The frame currently serializing
-        finishes on the scalar :meth:`_finish_transmit` path; frames not
-        yet started return to the head of the queue with their batched
-        accounting undone, so the scalar path re-decides them against
-        the channel state at their actual serialization times.
+        Must be called before the channel goes down or an error model is
+        swapped.  Frames already off the transmitter are decided now,
+        under the state they were sent in; the frame on the wire finishes
+        as a run of one; the rest return to the head of the queue.
         """
-        self._active_burst = None
+        frames = self._run
+        if frames.__class__ is not list or len(frames) < 2:
+            return
         now = self.sim.now
-        finishes = burst.finishes
-        n = len(finishes)
-        j = n
-        for i in range(n):
-            if finishes[i] > now:
-                j = i
+        bit_rate = self.bit_rate
+        start = self._run_start
+        for on_wire, frame in enumerate(frames):
+            end = start + frame.size_bits / bit_rate
+            if end >= now:
                 break
-        if j >= n:
-            return  # window fully serialized; only the completion event remains
-        burst.cancelled_from = j
-        frames = burst.frames
-        verdicts = burst.verdicts
-        # Undo batched accounting for the unfinished tail.
-        self.frames_sent -= n - j
-        self.frames_corrupted -= sum(1 for i in range(j, n) if verdicts[i])
-        # Arrival clamping must forget the cancelled tail's arrivals.
-        self._last_arrival = (
-            burst.arrivals[j - 1] if j > 0 else burst.prev_last_arrival
-        )
-        # Frames after the one mid-serialization go back to the queue
-        # head (busy time re-accrues when they restart).
-        for i in range(n - 1, j, -1):
-            self.busy_seconds -= finishes[i] - burst.starts[i]
-            self._queue.appendleft(frames[i])
-        # The frame on the wire finishes serializing on schedule; the
-        # scalar finish decides outage loss vs delivery and pulls the
-        # queue along via _start_next.
+            start = end
+        if on_wire:
+            self._decide(frames[:on_wire], self._run_start)
+        self._queue.extendleft(reversed(frames[on_wire + 1:]))
+        self._run = frame
         sim = self.sim
         sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (finishes[j], sequence,
-                             self._finish_transmit, (frames[j], burst.starts[j])))
+        heappush(sim._heap, (end, sequence, self._complete, (frame, start)))
 
     def _start_next(self) -> None:
-        if not self._queue:
+        """Start the next run from the queue head, or go idle."""
+        queue = self._queue
+        if not queue:
             self._transmitting = False
+            self._run = None
             callbacks = self.idle_callbacks
             if len(callbacks) == 1:
                 # Single registered callback (the usual wiring): skip the
-                # defensive snapshot copy — this runs once per frame.
+                # defensive snapshot copy — this runs once per run.
                 callbacks[0]()
             else:
                 for callback in list(callbacks):
                     callback()
             return
-        frame = self._queue.popleft()
         self._transmitting = True
-        tx_time = frame.size_bits / self.bit_rate
-        self.busy_seconds += tx_time
         sim = self.sim
-        departure = sim.now
-        # Inlined sim.schedule (hot: once per queued frame).
+        bit_rate = self.bit_rate
+        first = queue.popleft()
+        self._run = frames = [first]
+        self._run_start = start = sim.now
+        end = start + first.size_bits / bit_rate
+        if queue and self._is_up:
+            # The run grows while its frames can be decided together:
+            # same class (one RNG stream), and serialized before the
+            # first frame lands (no arrival precedes the decision).  A
+            # down channel gets one frame at a time: up() does not
+            # settle, so each frame must meet the state at its own end.
+            control = first.is_control
+            delay = self._fixed_delay
+            if delay is None:
+                delay = self.propagation_delay(start)
+            first_arrival = end + delay
+            while queue:
+                frame = queue[0]
+                if frame.is_control is not control:
+                    break
+                finish = end + frame.size_bits / bit_rate
+                if finish > first_arrival:
+                    break
+                frames.append(queue.popleft())
+                end = finish
         sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (departure + tx_time, sequence,
-                             self._finish_transmit, (frame, departure)))
+        heappush(sim._heap, (end, sequence, self._complete, (frames, start)))
 
-    def _finish_transmit(self, frame: Transmittable, departure: float) -> None:
-        self.frames_sent += 1
-        if not self._is_up:
+    def _complete(self, run: Any, start: float) -> None:
+        """The run that began at *start* has left the transmitter: decide it."""
+        if run is not self._run:
+            return  # settled: a shorter run replaced this one
+        frames = run if run.__class__ is list else (run,)
+        if self._is_up:
+            self._decide(frames, start)
+        else:
+            frame = frames[0]  # runs started or settled while down hold one frame
+            self.frames_sent += 1
+            self.busy_seconds += frame.size_bits / self.bit_rate
             self._lose_to_outage(frame, phase="serialize")
-            self._start_next()
-            return
-        # Propagation (inlined here — this plus _start_next is the
-        # per-frame event): pick the per-class RNG stream and error
-        # model, decide corruption, and schedule the delivery.
-        sim = self.sim
-        delay = self._fixed_delay
-        if delay is None:
-            delay = self.propagation_delay(departure)
-        arrival = sim.now + delay
-        # Frames cannot overtake: clamp to monotone arrival order.
-        if arrival < self._last_arrival:
-            arrival = self._last_arrival
-        self._last_arrival = arrival
-        if frame.is_control:
+        self._start_next()
+
+    def _decide(self, frames: Sequence[Transmittable], start: float) -> None:
+        """Draw verdicts for frames that left an up transmitter back to
+        back from *start*, and schedule their deliveries — the one place
+        corruption is decided.
+
+        The error model is looked up here, never cached: fault injection
+        and instrumentation reassign it on a live channel.
+        """
+        first = frames[0]
+        if first.is_control:
             rng = self._cframe_rng
             if rng is None:
                 rng = self._cframe_rng = self.streams.get(f"{self.name}.cframe")
@@ -421,14 +296,73 @@ class SimplexChannel:
             if rng is None:
                 rng = self._iframe_rng = self.streams.get(f"{self.name}.iframe")
             model = self.iframe_errors
-        corrupted = model.frame_error(departure, frame.size_bits, rng)
-        if corrupted:
-            self.frames_corrupted += 1
-        # Inlined sim.schedule_at (hot: once per frame); arrival can
-        # never precede now because delay is validated non-negative.
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (arrival, sequence, self._deliver, (frame, corrupted)))
-        self._start_next()
+        sim = self.sim
+        bit_rate = self.bit_rate
+        fixed_delay = self._fixed_delay
+        if len(frames) == 1:
+            # A run of one, straight-line.  The loop below computes the
+            # same thing; going through it for a single frame costs
+            # constellation_1000 (2000 idle channels, every checkpoint a
+            # run of one) 5-7% (measurement in CHANGES.md, PR 15).
+            bits = first.size_bits
+            corrupted = model.frame_error(start, bits, rng)
+            self.frames_sent += 1
+            tx_time = bits / bit_rate
+            self.busy_seconds += tx_time
+            if corrupted:
+                self.frames_corrupted += 1
+            delay = fixed_delay
+            if delay is None:
+                delay = self.propagation_delay(start)
+            arrival = start + tx_time + delay
+            if arrival < self._last_arrival:
+                arrival = self._last_arrival
+            self._last_arrival = arrival
+            sim._sequence = sequence = sim._sequence + 1
+            heappush(sim._heap, (arrival, sequence, self._deliver, (first, corrupted)))
+            return
+        starts = []
+        sizes = []
+        cursor = start
+        for frame in frames:
+            bits = frame.size_bits
+            starts.append(cursor)
+            sizes.append(bits)
+            cursor += bits / bit_rate
+        bulk = getattr(model, "draw_window", None)
+        if bulk is not None:
+            verdicts = bulk(starts, sizes, rng)
+        else:
+            verdicts = scalar_draw_window(model, starts, sizes, rng)
+        self.frames_sent += len(frames)
+        busy = self.busy_seconds
+        last_arrival = self._last_arrival
+        # Inlined sim.schedule_at (hot: once per frame); an arrival never
+        # precedes now — delays are non-negative and a run ends before
+        # its first frame lands.
+        heap = sim._heap
+        sequence = sim._sequence
+        deliver = self._deliver
+        end = start
+        for frame, corrupted in zip(frames, verdicts):
+            tx_time = frame.size_bits / bit_rate
+            busy += tx_time
+            if corrupted:
+                self.frames_corrupted += 1
+            delay = fixed_delay
+            if delay is None:
+                delay = self.propagation_delay(end)  # end of the previous = this start
+            end += tx_time
+            arrival = end + delay
+            # Frames cannot overtake: clamp to monotone arrival order.
+            if arrival < last_arrival:
+                arrival = last_arrival
+            last_arrival = arrival
+            sequence += 1
+            heappush(heap, (arrival, sequence, deliver, (frame, corrupted)))
+        sim._sequence = sequence
+        self.busy_seconds = busy
+        self._last_arrival = last_arrival
 
     def _lose_to_outage(self, frame: Transmittable, phase: str) -> None:
         """Account one frame swallowed by a down channel.

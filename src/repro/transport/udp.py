@@ -162,7 +162,7 @@ class UdpChannel:
         tx_time = frame.size_bits / self.bit_rate
         self.busy_seconds += tx_time
         clock = self.sim
-        clock.schedule(tx_time, self._finish_transmit, frame, clock.now)
+        clock.schedule(tx_time, self._transmit_done, frame, clock.now)
 
     def _start_next(self) -> None:
         if not self._queue:
@@ -172,7 +172,7 @@ class UdpChannel:
             return
         self._begin_transmit(self._queue.popleft())
 
-    def _finish_transmit(self, frame: Any, departure: float) -> None:
+    def _transmit_done(self, frame: Any, departure: float) -> None:
         self.frames_sent += 1
         if not self._is_up:
             self._lose_to_outage(frame, phase="serialize")

@@ -168,6 +168,18 @@ class TestSharedParents:
                      "--duration", "0.1"]) == 2
         assert "unknown error model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, names", [
+        ("gilbert-elliott", "'good_ber', 'bad_ber', 'mean_good', and 'mean_bad'"),
+        ("trace-replay", "records= or path="),
+    ])
+    def test_rejects_error_model_a_bare_name_cannot_build(self, capsys, name, names):
+        """A registered model that needs parameters is a one-line error
+        naming them, not a TypeError traceback from inside the builder."""
+        assert main(["simulate", "--error-model", name, "--duration", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: error model {name!r} cannot be built")
+        assert names in err and err.count("\n") == 1
+
     def test_rejects_bad_jobs(self, capsys):
         assert main(["sweep", "--jobs", "0"]) == 2
 

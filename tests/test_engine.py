@@ -488,15 +488,20 @@ class TestTimerCompaction:
         def churn():
             for timer in timers:
                 timer.restart(0.5)  # orphan the previous expiry
+                assert sim._stale_timers >= 0
 
         for round_index in range(8):
             sim.schedule(round_index * 0.1, churn)
         sim.run()
+        # Every orphan was either compacted away or counted down as it
+        # surfaced: an entry that survives the very compaction its own
+        # orphaning triggered would leave this at -1.
+        assert sim._stale_timers == 0
         assert fired == list(range(64))
         assert sim.now == 7 * 0.1 + 0.5
-        # 8 churn calls + 64 live expiries + the 45 orphaned expiries
-        # that surfaced (compaction dropped the other 403 unseen).
-        assert sim.event_count == 117
+        # 8 churn calls + 64 live expiries + the 49 orphaned expiries
+        # that surfaced (compaction dropped the other 399 unseen).
+        assert sim.event_count == 121
 
     def test_stale_counter_resets_after_compaction(self, sim):
         fired = []
