@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-check bench-smoke bench-sweep report examples sweep-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
+.PHONY: install test bench bench-check bench-pairs bench-smoke bench-sweep report examples sweep-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -19,6 +19,21 @@ bench:
 # the benchmark the pipeline gates on cannot rot unseen.
 bench-check:
 	PYTHONPATH=src $(PYTHON) -m pytest bench/ -q
+
+# The acceptance procedure for a performance claim, as one command:
+# `make bench-pairs PARENT=<rev> WORKLOAD=sat_clean SEED=23 PAIRS=10`
+# exports <rev> and the index (what `git add -A` staged) into a temp
+# dir, runs `python3 -m bench --workload W --seed S --seconds 5
+# --trace 0` on each, one run at a time in alternating order, prints
+# every run, medians, quartiles, wins and ops_failed, and fails if the
+# two exact `counts` lines differ.  Never measure from the working tree.
+PARENT ?= HEAD
+WORKLOAD ?= sat_clean
+SEED ?= 23
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--seed $(SEED) --pairs $(PAIRS)
 
 # Fast (<60s) hot-path regression check: the E22 micro/meso benchmarks
 # plus a fresh BENCH_hotpath.json perf baseline (see docs/TUNING.md).

@@ -4,66 +4,86 @@ Section 3.4 distinguishes *flow control* (protects the receiver) from
 *buffer control* (bounds the sender's holding time, giving the sending
 buffer its finite "transparent size" ``B_LAMS``).  This module is the
 data structure under both: a FIFO of packets awaiting first
-transmission plus a map of outstanding (transmitted, unresolved)
+transmission plus the *window* of outstanding (transmitted, unresolved)
 frames, instrumented so experiments can measure exactly the quantities
 Section 4 derives — mean holding time ``H_frame`` and buffer occupancy.
+
+The window is a set of parallel columns indexed by transmit order:
+position ``p`` describes transmit index ``base + p``.  Two facts of the
+protocol make that enough.  Retransmissions are renumbered
+(Section 3.3), so a frame's sequence number is a function of its
+transmit index (:class:`~repro.core.seqspace.SequenceSpace`) and a NAK
+finds its frame by arithmetic.  And a valid checkpoint resolves every
+frame it covers (Section 3.2), so the resolved part of the window is a
+prefix and is dropped with one slice deletion per column.  A frame
+detached out of order (NAK'd) leaves a tombstone — ``None`` in
+:attr:`SendBuffer.items` — until the prefix reaches it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
+
+from .seqspace import SequenceExhausted, SequenceSpace
 
 __all__ = ["OutstandingFrame", "SendBuffer"]
 
 
-@dataclass(slots=True)
-class OutstandingFrame:
-    """Bookkeeping for one transmitted-but-unresolved I-frame."""
+class OutstandingFrame(NamedTuple):
+    """One transmitted-but-unresolved I-frame, as a record built on demand."""
 
     seq: int
     payload: Any
     enqueue_time: float
-    send_time: float
     expected_arrival: float
     transmit_index: int
-    retransmit_count: int = 0
-    first_send_time: float = field(default=-1.0)
-    origin: int = field(default=-1)
+    retransmit_count: int
+    first_send_time: float
+    origin: int
     """Transmit index of the frame's first incarnation (stable identity
-    across renumbering; -1 means this IS the first incarnation)."""
-
-    def __post_init__(self) -> None:
-        if self.first_send_time < 0:
-            self.first_send_time = self.send_time
-        if self.origin < 0:
-            self.origin = self.transmit_index
+    across renumbering; its own index for a first transmission)."""
 
 
 class SendBuffer:
-    """Pending queue + outstanding map with occupancy/holding statistics.
+    """Pending queue + outstanding window with occupancy/holding statistics.
 
     *Occupancy* counts both pending and outstanding frames — a frame
     occupies sender memory from enqueue until resolution (release) —
     matching the paper's definition of the sending-buffer requirement.
+
+    The columns are public: the sender appends to them and walks them
+    directly on its per-frame paths.  Everything that is not per-frame
+    goes through the methods below.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
+    def __init__(
+        self, capacity: Optional[int] = None, space: Optional[SequenceSpace] = None,
+    ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive (or None for unbounded)")
         self.capacity = capacity
+        self.space = space or SequenceSpace(1 << 16)
         self._pending: deque[tuple[Any, float]] = deque()
-        self._outstanding: dict[int, OutstandingFrame] = {}
-        # LAMS issues transmit indices in send order, so the outstanding
-        # dict is normally already insertion-ordered by transmit_index;
-        # track that so outstanding_frames() can skip the sort.
-        self._last_recorded_index = -1
-        self._insertion_ordered = True
+        # The window: one entry per column per transmit index from ``base`` on.
+        self.base = 0
+        # ``(payload, enqueue_time)`` as popped from pending; None = detached.
+        self.items: list[Optional[tuple[Any, float]]] = []
+        # Expected arrival at the receiver (kept for tombstones too).
+        self.arrivals: list[float] = []
+        # Departure of the frame's first incarnation.
+        self.first_sends: list[float] = []
+        # None for a first transmission, else ``(retransmit_count, origin)``.
+        self.retx: list[Optional[tuple[int, int]]] = []
+        self.live = 0  # positions that are not tombstones
+        # Arrivals are normally non-decreasing in transmit order, so a
+        # checkpoint's covered frames are a prefix found by bisection;
+        # the sender clears this when it sees one out of order.
+        self.monotone = True
         # Statistics.
         self.enqueued_total = 0
         self.refused_total = 0
-        self.released_total = 0
         self.holding_time_sum = 0.0
         self.holding_samples = 0
         self.peak_occupancy = 0
@@ -76,20 +96,17 @@ class SendBuffer:
 
     @property
     def outstanding_count(self) -> int:
-        return len(self._outstanding)
+        return self.live
 
     @property
     def occupancy(self) -> int:
         """Total frames held (pending + outstanding)."""
-        return len(self._pending) + len(self._outstanding)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and self.occupancy >= self.capacity
+        return len(self._pending) + self.live
 
     @property
     def mean_holding_time(self) -> float:
-        """Mean time from first transmission to resolution, over releases."""
+        """Mean time from *first* transmission to release — the paper's
+        ``H_frame``; a renumbered frame carries its first-send time forward."""
         if self.holding_samples == 0:
             return 0.0
         return self.holding_time_sum / self.holding_samples
@@ -98,7 +115,7 @@ class SendBuffer:
 
     def enqueue(self, packet: Any, now: float) -> bool:
         """Add a packet from the network layer; False if buffer is full."""
-        occ = len(self._pending) + len(self._outstanding)
+        occ = len(self._pending) + self.live
         if self.capacity is not None and occ >= self.capacity:
             self.refused_total += 1
             return False
@@ -109,66 +126,112 @@ class SendBuffer:
             self.peak_occupancy = occ
         return True
 
-    def has_pending(self) -> bool:
-        return bool(self._pending)
-
     def pop_pending(self) -> tuple[Any, float]:
         """Next (packet, enqueue_time) awaiting first transmission."""
         return self._pending.popleft()
-
-    # -- outstanding map -------------------------------------------------------
-
-    def record_outstanding(self, frame: OutstandingFrame) -> None:
-        """Track a just-transmitted frame until it resolves."""
-        if frame.seq in self._outstanding:
-            raise ValueError(f"sequence {frame.seq} already outstanding")
-        self._outstanding[frame.seq] = frame
-        if frame.transmit_index >= self._last_recorded_index:
-            self._last_recorded_index = frame.transmit_index
-        else:
-            self._insertion_ordered = False
-        occ = len(self._pending) + len(self._outstanding)
-        if occ > self.peak_occupancy:
-            self.peak_occupancy = occ
-
-    def find(self, seq: int) -> Optional[OutstandingFrame]:
-        """The outstanding record for *seq*, or None if already resolved."""
-        return self._outstanding.get(seq)
-
-    def remove(self, seq: int) -> OutstandingFrame:
-        """Detach *seq* (for renumbering at retransmission) without stats."""
-        return self._outstanding.pop(seq)
-
-    def release(self, seq: int, now: float) -> OutstandingFrame:
-        """Resolve *seq* as successfully delivered; records holding time.
-
-        Holding time is measured from the frame's *first* transmission,
-        matching the paper's ``H_frame`` (the recursion over
-        retransmissions is realised by the renumbered record carrying
-        ``first_send_time`` forward).
-        """
-        frame = self._outstanding.pop(seq)
-        self.released_total += 1
-        self.holding_time_sum += now - frame.first_send_time
-        self.holding_samples += 1
-        return frame
 
     def pending_payloads(self) -> list[Any]:
         """Payloads still awaiting first transmission (snapshot)."""
         return [packet for packet, _ in self._pending]
 
+    # -- outstanding window ------------------------------------------------------
+
+    @property
+    def next_index(self) -> int:
+        """The transmit index the next frame sent will carry."""
+        return self.base + len(self.items)
+
+    def admit(self, count: int) -> int:
+        """How many of the next *count* frames can be numbered (at least 1).
+
+        Frame ``i`` reuses the number of frame ``i - modulus``, which must
+        be resolved by then — the unique-identification invariant.  The
+        run stops short at the first number still held by a live frame;
+        if that is the very next number, raises :class:`SequenceExhausted`.
+        """
+        items = self.items
+        modulus = self.space.modulus
+        reused = len(items) - modulus  # position whose number comes round next
+        if reused + count > 0:
+            count = min(count, modulus)  # a run cannot lap itself
+            for position in range(max(reused, 0), reused + count):
+                if items[position] is not None:
+                    count = position - reused
+                    break
+            if count == 0:
+                raise SequenceExhausted(
+                    f"sequence number {self.space.seq_of(self.next_index)} is "
+                    f"still outstanding ({self.live}/{modulus} numbers in use); "
+                    "the numbering space is undersized for this link"
+                )
+        return count
+
+    def position_of(self, seq: int) -> Optional[int]:
+        """Window position of the live frame numbered *seq*, or None.
+
+        Only the latest transmit index carrying *seq* can be live (an
+        older one had to be resolved before the number was reissued).
+        """
+        space = self.space
+        if not 0 <= seq < space.modulus:
+            return None
+        position = space.index_of(seq, self.next_index - 1) - self.base
+        if position < 0 or self.items[position] is None:
+            return None
+        return position
+
+    def detach(self, position: int) -> tuple[Any, float, float, int, int]:
+        """Tombstone *position* (for renumbering at retransmission).
+
+        Returns ``(payload, enqueue_time, first_send_time,
+        retransmit_count, origin)`` of the detached frame.
+        """
+        payload, enqueue_time = self.items[position]
+        self.items[position] = None
+        self.live -= 1
+        count, origin = self.retx[position] or (0, self.base + position)
+        return payload, enqueue_time, self.first_sends[position], count, origin
+
+    def covered(self, issue_time: float, guard: float):
+        """Positions whose frame reached the receiver before *issue_time*.
+
+        A frame is covered unless ``arrival + guard > issue_time``.  With
+        monotone arrivals that is a prefix (one bisection, returned as a
+        ``range``); otherwise every position is tested.
+        """
+        arrivals = self.arrivals
+        if self.monotone:
+            return range(bisect_right(arrivals, issue_time, key=lambda a: a + guard))
+        return [p for p, a in enumerate(arrivals) if not a + guard > issue_time]
+
+    def drop_prefix(self, count: int) -> None:
+        """Forget the first *count* positions (all resolved by the caller)."""
+        del self.items[:count]
+        del self.arrivals[:count]
+        del self.first_sends[:count]
+        del self.retx[:count]
+        self.base += count
+        if not self.items:
+            self.monotone = True
+
     def outstanding_frames(self) -> Iterator[OutstandingFrame]:
-        """Snapshot iteration over outstanding records (sorted by transmit order)."""
-        if self._insertion_ordered:
-            return iter(list(self._outstanding.values()))
-        return iter(sorted(self._outstanding.values(), key=lambda f: f.transmit_index))
+        """The live frames in transmit order, as records built on demand."""
+        seq_of = self.space.seq_of
+        for position, item in enumerate(self.items):
+            if item is None:
+                continue
+            index = self.base + position
+            count, origin = self.retx[position] or (0, index)
+            yield OutstandingFrame(
+                seq_of(index), item[0], item[1], self.arrivals[position],
+                index, count, self.first_sends[position], origin,
+            )
 
     def clear(self) -> None:
-        """Drop everything (link teardown)."""
+        """Drop everything (link teardown); transmit indices keep counting."""
         self._pending.clear()
-        self._outstanding.clear()
-        self._last_recorded_index = -1
-        self._insertion_ordered = True
+        self.drop_prefix(len(self.items))
+        self.live = 0
 
     def __len__(self) -> int:
         return self.occupancy

@@ -32,8 +32,11 @@ I-frames".
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Any, Callable, Optional
 
 from ..simulator.engine import Simulator
@@ -42,7 +45,7 @@ from ..simulator.trace import Tracer
 from .config import LamsDlcConfig
 from .flowcontrol import StopGoRateController
 from .frames import CheckpointFrame, IFrame, RequestNakFrame
-from .sendbuf import OutstandingFrame, SendBuffer
+from .sendbuf import SendBuffer
 from .seqspace import SequenceSpace
 
 __all__ = ["LamsSender", "PendingRetransmission"]
@@ -50,7 +53,7 @@ __all__ = ["LamsSender", "PendingRetransmission"]
 
 @dataclass(slots=True)
 class PendingRetransmission:
-    """A frame detached from the outstanding map, awaiting renumbering."""
+    """A frame detached from the outstanding window, awaiting renumbering."""
 
     payload: Any
     enqueue_time: float
@@ -84,8 +87,9 @@ class LamsSender:
         self.on_failure = on_failure or (lambda: None)
         self.link_start_time = link_start_time
 
-        self.buffer = SendBuffer(capacity=config.send_buffer_capacity)
-        self.seqspace = SequenceSpace(config.numbering_size)
+        self.buffer = SendBuffer(
+            config.send_buffer_capacity, SequenceSpace(config.numbering_size),
+        )
         self.flow = StopGoRateController(
             decrease_factor=config.rate_decrease_factor,
             increase_step=config.rate_increase_step,
@@ -93,7 +97,6 @@ class LamsSender:
             enabled=config.flow_control_enabled,
         )
         self._retransmit_queue: deque[PendingRetransmission] = deque()
-        self._transmit_index = 0
         self._next_allowed_send = 0.0
         self._pacing_armed = False
         self._started = False
@@ -120,7 +123,6 @@ class LamsSender:
         # their start times match first use, exactly like Tracer.level).
         self._sendbuf_stat = None
         self._sendbuf_stat_name = f"{self.name}.sendbuf"
-        self._holding_stat = None
 
         # Per-frame constants hoisted out of _send_window (the I-frame
         # size and line rate are fixed for the lifetime of the endpoint).
@@ -184,7 +186,7 @@ class LamsSender:
                 stat = self._sendbuf_stat = self.tracer.level_stat(
                     self._sendbuf_stat_name, start_time=now
                 )
-            stat.update(now, len(buffer._pending) + len(buffer._outstanding))
+            stat.update(now, len(buffer._pending) + buffer.live)
             # Inlined busy-channel early-exit of _maybe_send: saturated
             # sources accept in bursts while a frame is serializing.
             # (try/except is free when no exception fires; the fallback
@@ -221,7 +223,7 @@ class LamsSender:
         the network layer can still recover.
         """
         payloads = self.buffer.pending_payloads()
-        payloads.extend(record.payload for record in self.buffer.outstanding_frames())
+        payloads.extend(item[0] for item in self.buffer.items if item is not None)
         payloads.extend(job.payload for job in self._retransmit_queue)
         return payloads
 
@@ -242,7 +244,6 @@ class LamsSender:
         if busy:
             return  # the channel's idle callback re-enters here
         has_retransmission = bool(self._retransmit_queue)
-        # Inlined SendBuffer.has_pending (hot: same call rate as above).
         has_new = bool(self.buffer._pending) and not self.suspended
         if not has_retransmission and not has_new:
             return
@@ -253,7 +254,7 @@ class LamsSender:
                 self.sim.schedule_at(self._next_allowed_send, self._pacing_expired)
             return
         if has_retransmission:
-            self._send_window(1, self._retransmit_queue.popleft())
+            self._send_window(1, retransmission=True)
             return
         # New frames go a window at a time only at line rate on an up
         # channel; a Stop-Go-paced sender needs the gap after every frame.
@@ -270,99 +271,94 @@ class LamsSender:
         self._pacing_armed = False
         self._maybe_send()
 
-    def _send_window(
-        self, count: int, job: Optional[PendingRetransmission] = None,
-    ) -> None:
-        """Hand the channel one run: *count* new frames, or retransmission *job*.
+    def _send_window(self, count: int, retransmission: bool = False) -> None:
+        """Hand the channel one run: *count* new frames, or the next retransmission.
 
-        Frames are stamped with their own departure instants — sequence
-        numbers allocate in order, each outstanding record carries its
-        own ``send_time`` and ``expected_arrival``, ``iframe_sent`` is
-        emitted per frame — so what is recorded does not depend on
-        *count*.  The single occupancy sample is exact: a first
-        transmission moves one packet from pending to outstanding, so
-        the level never changes inside a window.  What does depend on
-        *count* is the commit granularity (docs/TUNING.md §10): the
-        piggybacked Stop-Go bits are read now, and anything that arrives
-        mid-window waits for the run to end.
+        Frames are stamped with their own departure instants — each
+        window position carries its own first-send time and expected
+        arrival, ``iframe_sent`` is emitted per frame — so what is
+        recorded does not depend on *count*.  Sequence numbers are
+        derived, not allocated: transmit index ``i`` carries
+        ``(i + offset) % modulus``, and :meth:`SendBuffer.admit` stops the
+        run short of a number whose previous holder is still live.  The
+        single occupancy sample is exact: a first transmission moves one
+        packet from pending to outstanding.  What does depend on *count*
+        is the commit granularity (docs/TUNING.md §10): the piggybacked
+        Stop-Go bit is read once (no simulated time passes inside a
+        window), and anything that arrives mid-window waits for its end.
         """
         now = self.sim.now
         buffer = self.buffer
         channel = self.data_channel
         tx_time = self._iframe_tx_time
         bits = self._iframe_bits
-        fixed_delay = getattr(channel, "_fixed_delay", None)
-        piggyback = self._piggyback
-        provider = self.stop_go_provider
-        record_outstanding = buffer.record_outstanding
-        pop_pending = buffer.pop_pending
+        delay = fixed_delay = getattr(channel, "_fixed_delay", None)
+        stop_go = self.stop_go_provider() if self._piggyback else False
         trace_active = self.tracer.active
-        index = self._transmit_index
+        space = buffer.space
+        modulus = space.modulus
+        count = buffer.admit(count)
+        index = buffer.next_index
+        seq = (index + space.offset) % modulus
+        if not retransmission:
+            pop_pending = buffer._pending.popleft
+            batch = [pop_pending() for _ in range(count)]
+            retx, origin, retransmit_count, first_send = None, -1, 0, None
+        else:
+            job = self._retransmit_queue.popleft()
+            batch = [(job.payload, job.enqueue_time)]
+            retransmit_count, origin = retx = job.retransmit_count, job.origin
+            first_send = job.first_send_time
+            self.retransmissions += 1
+            self.retransmissions_by_cause[job.cause] += 1
+        arrivals = buffer.arrivals
+        first_sends = buffer.first_sends
+        last_arrival = arrivals[-1] if arrivals else now
         departure = now
-        seqs = self.seqspace.allocate_run(count)
-        if not seqs:
-            # The next in-order number is still outstanding: fail loudly
-            # with allocate()'s SequenceExhausted.
-            self.seqspace.allocate()
-            raise AssertionError("allocate() must raise after an empty run")
         frames: list[IFrame] = []
-        for seq in seqs:
-            if job is None:
-                payload, enqueue_time = pop_pending()
-                first_send_time, retransmit_count, origin = departure, 0, -1
-            else:
-                payload, enqueue_time = job.payload, job.enqueue_time
-                first_send_time = job.first_send_time
-                retransmit_count, origin = job.retransmit_count, job.origin
-                self.retransmissions += 1
-                self.retransmissions_by_cause[job.cause] += 1
-            frames.append(IFrame(
-                seq=seq,
-                payload=payload,
-                size_bits=bits,
-                transmit_index=index,
-                origin=origin,
-                stop_go=provider() if piggyback else False,
-            ))
-            delay = fixed_delay
-            if delay is None:
+        for payload, _ in batch:
+            frames.append(IFrame(seq, payload, bits, index, origin, stop_go))
+            if fixed_delay is None:
                 delay = channel.propagation_delay(departure)
-            record_outstanding(OutstandingFrame(
-                seq=seq,
-                payload=payload,
-                enqueue_time=enqueue_time,
-                send_time=departure,
-                expected_arrival=departure + tx_time + delay,
-                transmit_index=index,
-                retransmit_count=retransmit_count,
-                first_send_time=first_send_time,
-                origin=origin if origin >= 0 else index,
-            ))
+            arrival = departure + tx_time + delay
+            if arrival < last_arrival:
+                buffer.monotone = False  # coverage falls back to a scan
+            last_arrival = arrival
+            arrivals.append(arrival)
+            first_sends.append(departure if first_send is None else first_send)
             if trace_active:
                 self.tracer.emit(
                     departure, self.name, "iframe_sent",
                     seq=seq, index=index, retx=retransmit_count,
                 )
             index += 1
+            seq += 1
+            if seq == modulus:
+                seq = 0
             departure += tx_time
-        self._transmit_index = index
-        k = len(frames)
+        assert seq == (index + space.offset) % modulus, "seq is derived from index"
+        buffer.items.extend(batch)
+        buffer.retx.extend([retx] * count)
+        buffer.live += count
+        occupancy = len(buffer._pending) + buffer.live
+        if occupancy > buffer.peak_occupancy:
+            buffer.peak_occupancy = occupancy
         stat = self._sendbuf_stat
         if stat is None:
             stat = self._sendbuf_stat = self.tracer.level_stat(
                 self._sendbuf_stat_name, start_time=now
             )
-        stat.update(now, len(buffer._pending) + len(buffer._outstanding))
-        if k == 1:
+        stat.update(now, occupancy)
+        if count == 1:
             channel.send(frames[0])
         else:
             channel.send_burst(frames)
-        self.iframes_sent += k
+        self.iframes_sent += count
         # Inlined StopGoRateController.inter_frame_gap; at line rate the
         # accumulated departure is the channel's own run-end float.
         flow = self.flow
         self._next_allowed_send = (
-            now + k * tx_time / flow.rate_fraction if flow.enabled
+            now + count * tx_time / flow.rate_fraction if flow.enabled
             else departure
         )
 
@@ -412,13 +408,15 @@ class LamsSender:
             if self.sim.now - self._last_probe_time >= self.expected_response_time:
                 self._send_request_nak()
 
-        cause = "enforced" if cp.enforced else "nak"
-        nak_set = set(cp.naks)
-        for seq in cp.naks:
-            record = self.buffer.find(seq)
-            if record is None:
-                continue  # already retransmitted under a new number
-            self._requeue(record, cause=cause)
+        if cp.naks:
+            # A NAK'd number that is no longer live was already
+            # retransmitted under a new number (Section 3.2): ignored.
+            cause = "enforced" if cp.enforced else "nak"
+            position_of = self.buffer.position_of
+            for seq in cp.naks:
+                position = position_of(seq)
+                if position is not None:
+                    self._requeue(position, cause)
 
         # While a failure check is in progress, plain checkpoints drive
         # retransmission only — never release.  A checkpoint issued after
@@ -428,36 +426,33 @@ class LamsSender:
         # resolving-period retention is sized so that list still carries
         # the frame.  This is the paper's "may do Check-Point Recovery
         # but can not send new I-frames" state.
-        if not self._awaiting_enforced:
-            self._release_covered(cp, nak_set)
+        if not self._awaiting_enforced and self.buffer.items:
+            self._release_covered(cp)
         self._maybe_send()
 
-    def _requeue(self, record: OutstandingFrame, cause: str) -> None:
-        """Detach an outstanding frame for renumbered retransmission."""
-        self.buffer.remove(record.seq)
-        self.seqspace.release(record.seq)
-        self._retransmit_queue.append(
-            PendingRetransmission(
-                payload=record.payload,
-                enqueue_time=record.enqueue_time,
-                first_send_time=record.first_send_time,
-                retransmit_count=record.retransmit_count + 1,
-                cause=cause,
-                origin=record.origin,
-            )
-        )
+    def _requeue(self, position: int, cause: str) -> None:
+        """Detach a window position for renumbered retransmission."""
+        buffer = self.buffer
+        payload, enqueue_time, first_send, count, origin = buffer.detach(position)
+        self._retransmit_queue.append(PendingRetransmission(
+            payload, enqueue_time, first_send, count + 1, cause, origin,
+        ))
         if self.tracer.active:
             self.tracer.emit(
-                self.sim.now, self.name, "requeue", seq=record.seq, cause=cause,
+                self.sim.now, self.name, "requeue",
+                seq=buffer.space.seq_of(buffer.base + position), cause=cause,
             )
 
-    def _release_covered(self, cp: CheckpointFrame, nak_set: set[int]) -> None:
-        """Release covered frames the checkpoint implicitly acknowledged.
+    def _release_covered(self, cp: CheckpointFrame) -> None:
+        """Resolve the frames the checkpoint covers and did not NAK.
 
         A frame is covered when it reached the receiver (deterministic
         arrival time, plus its processing time) before the checkpoint
-        was issued.  Covered and not NAK'd and within the frontier ⇒
-        delivered; beyond the frontier ⇒ trailing loss ⇒ retransmit.
+        was issued.  Covered and within the frontier ⇒ delivered (the
+        NAK pass has already detached the ones that were not); beyond
+        the frontier ⇒ trailing loss ⇒ retransmit.  Every covered frame
+        is resolved one way or the other, so the covered prefix of the
+        window is dropped whole.
 
         An Enforced-NAK additionally bounds how far back its error list
         can vouch: the receiver's resolving log only retains errors for
@@ -468,53 +463,61 @@ class LamsSender:
         the paper admits possible duplication; the destination
         resequencer removes any duplicates, and zero loss is preserved.
         """
-        guard = self.config.processing_time
-        vouch_horizon = None
-        if cp.enforced:
-            vouch_horizon = cp.issue_time - self.config.resolving_period(self.expected_rtt)
-        # Hoisted loop invariants: this scan walks every outstanding
-        # frame once per checkpoint, which makes it the hottest
-        # non-per-frame loop in the sender.
-        issue_time = cp.issue_time
+        buffer = self.buffer
+        items = buffer.items
+        base = buffer.base
+        live_before = buffer.live
+        covered = buffer.covered(cp.issue_time, self.config.processing_time)
+        # Positions up to the reception frontier, then the trailing ones
+        # (``covered`` is sorted, and a range when arrivals are monotone).
         frontier = cp.frontier
-        to_release: list[int] = []
-        to_retransmit: list[tuple[OutstandingFrame, str]] = []
-        for record in self.buffer.outstanding_frames():
-            if record.expected_arrival + guard > issue_time:
-                continue  # not yet covered by this checkpoint
-            if record.seq in nak_set:
-                continue  # handled by the NAK pass
-            if frontier is None or record.transmit_index > frontier:
-                to_retransmit.append((record, "trailing"))
-            elif vouch_horizon is not None and record.expected_arrival < vouch_horizon:
-                to_retransmit.append((record, "enforced"))
-            else:
-                to_release.append(record.seq)
-        for record, cause in to_retransmit:
-            self._requeue(record, cause=cause)
-        holding_stat = self._holding_stat
-        if holding_stat is None and to_release:
-            holding_stat = self._holding_stat = self.tracer.sample_stat(
-                f"{self.name}.holding_time"
-            )
-        trace_active = self.tracer.active
-        now = self.sim.now
-        buffer_release = self.buffer.release
-        seqspace_release = self.seqspace.release
-        holding_add = holding_stat.add if to_release else None
-        for seq in to_release:
-            released = buffer_release(seq, now)
-            seqspace_release(seq)
-            self.releases += 1
-            holding = now - released.first_send_time
-            holding_add(holding)
-            if trace_active:
-                self.tracer.emit(
-                    now, self.name, "iframe_released",
-                    seq=seq, holding=holding, retx=released.retransmit_count,
-                )
-        if to_release or to_retransmit:
+        cut = 0 if frontier is None else bisect_left(covered, frontier - base + 1)
+        within = covered[:cut]
+        if cp.enforced:
+            arrivals = buffer.arrivals
+            vouch_horizon = cp.issue_time - self.config.resolving_period(self.expected_rtt)
+            for position in within:
+                if items[position] is not None and arrivals[position] < vouch_horizon:
+                    self._requeue(position, "enforced")
+        for position in covered[cut:]:
+            if items[position] is not None:
+                self._requeue(position, "trailing")
+        if buffer.live < len(items):  # tombstones: skip them
+            within = [position for position in within if items[position] is not None]
+        if within:
+            self._release(within)
+        resolved = len(covered)
+        if not buffer.monotone:
+            # No covered prefix: tombstone the released, drop what leads.
+            for position in within:
+                items[position] = None
+            resolved = next((p for p, item in enumerate(items) if item is not None), len(items))
+        buffer.drop_prefix(resolved)
+        if buffer.live != live_before:
             self._record_occupancy()
+
+    def _release(self, positions) -> None:
+        """Release live window *positions* as delivered (holding time ends now)."""
+        buffer = self.buffer
+        now = self.sim.now
+        first_sends = buffer.first_sends
+        holdings = [now - first_sends[position] for position in positions]
+        # One float addition per sample, in transmit order (not sum(),
+        # whose rounding is the interpreter's business).
+        buffer.holding_time_sum = reduce(add, holdings, buffer.holding_time_sum)
+        buffer.holding_samples += len(holdings)
+        self.tracer.sample_stat(f"{self.name}.holding_time").extend(holdings)
+        if self.tracer.active:
+            emit, name, seq_of = self.tracer.emit, self.name, buffer.space.seq_of
+            base, retx = buffer.base, buffer.retx
+            for position, holding in zip(positions, holdings):
+                count = retx[position]
+                emit(
+                    now, name, "iframe_released", seq=seq_of(base + position),
+                    holding=holding, retx=0 if count is None else count[0],
+                )
+        buffer.live -= len(holdings)
+        self.releases += len(holdings)
 
     # -- failure handling -------------------------------------------------------------
 

@@ -8,10 +8,14 @@ numbers."
 
 LAMS-DLC's contribution here (Section 3.3) is that renumbering
 retransmissions bounds the required space to
-``resolving_period / frame_time``.  This class enforces the invariant
-mechanically: a number cannot be reissued while still outstanding, and
-allocation fails loudly if the space is exhausted — which, per the
-paper's bound, cannot happen in a correctly sized configuration.
+``resolving_period / frame_time``.  Renumbering also means numbers are
+issued in transmit order, so a frame's number is a function of its
+transmit index and :class:`SequenceSpace` is only that arithmetic.  The
+invariant itself is enforced where liveness is known
+(:meth:`repro.core.sendbuf.SendBuffer.admit`): a number cannot be
+reissued while its previous holder is unresolved, and sending fails
+loudly with :class:`SequenceExhausted` — which, per the paper's bound,
+cannot happen in a correctly sized configuration.
 """
 
 from __future__ import annotations
@@ -41,111 +45,36 @@ def cyclic_less_equal(a: int, b: int, reference: int, modulus: int) -> bool:
 
 
 class SequenceSpace:
-    """Allocator for cyclically reused sequence numbers.
+    """Cyclic numbering of transmit order: ``seq = (index + offset) % modulus``.
 
     >>> space = SequenceSpace(modulus=4)
-    >>> [space.allocate() for _ in range(3)]
-    [0, 1, 2]
-    >>> space.release(1)
-    >>> space.allocate()
-    3
-    >>> space.allocate()   # 0 and 2 still outstanding; next is 0 -> skip...
-    Traceback (most recent call last):
-        ...
-    repro.core.seqspace.SequenceExhausted: ...
+    >>> [space.seq_of(index) for index in range(6)]
+    [0, 1, 2, 3, 0, 1]
+    >>> space.index_of(1, newest=5), space.index_of(2, newest=5)
+    (5, 2)
 
-    Allocation is strictly sequential (``next`` advances by one per
-    allocation) because LAMS-DLC transmits frames in allocation order
-    and the receiver relies on sequential numbering for gap detection.
-    A sequential allocator can only reuse number ``n`` once ``n`` has
-    been released *and* the cursor has wrapped around to it; if the
-    cursor reaches a still-outstanding number, the space is exhausted
-    for the purposes of in-order numbering and we raise.
+    Numbering is strictly sequential because LAMS-DLC transmits frames
+    in numbering order and the receiver relies on it for gap detection;
+    number ``n`` comes round again every ``modulus`` transmissions.
+    ``offset`` (the number of transmit index 0) is kept explicit so an
+    endpoint can be started from an arbitrary numbering state.
     """
+
+    __slots__ = ("modulus", "offset")
 
     def __init__(self, modulus: int) -> None:
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
         self.modulus = modulus
-        self._next = 0
-        self._outstanding: set[int] = set()
-        self.total_allocated = 0
+        self.offset = 0
 
-    @property
-    def outstanding_count(self) -> int:
-        """Numbers currently assigned to unresolved frames."""
-        return len(self._outstanding)
+    def seq_of(self, index: int) -> int:
+        """The sequence number carried by transmit index *index*."""
+        return (index + self.offset) % self.modulus
 
-    @property
-    def next_value(self) -> int:
-        """The number the next :meth:`allocate` will return (if free)."""
-        return self._next
-
-    def is_outstanding(self, seq: int) -> bool:
-        return seq in self._outstanding
-
-    def allocate(self) -> int:
-        """Issue the next sequence number.
-
-        Raises
-        ------
-        SequenceExhausted
-            If the next in-order number is still outstanding — the
-            unique-identification invariant would be violated.
-        """
-        candidate = self._next
-        if candidate in self._outstanding:
-            raise SequenceExhausted(
-                f"sequence number {candidate} is still outstanding "
-                f"({len(self._outstanding)}/{self.modulus} numbers in use); "
-                "the numbering space is undersized for this link"
-            )
-        self._outstanding.add(candidate)
-        self._next = (candidate + 1) % self.modulus
-        self.total_allocated += 1
-        return candidate
-
-    def allocate_run(self, max_count: int) -> list[int]:
-        """Issue up to *max_count* consecutive numbers in one call.
-
-        Equivalent to repeated :meth:`allocate`, but stops short (no
-        exception) when the cursor meets a still-outstanding number —
-        the batched transmission window sends what it got and lets the
-        next scalar allocation raise :class:`SequenceExhausted`.
-        Returns the allocated numbers in issue order.
-        """
-        if max_count < 0:
-            raise ValueError("max_count cannot be negative")
-        outstanding = self._outstanding
-        candidate = self._next
-        modulus = self.modulus
-        run: list[int] = []
-        for _ in range(max_count):
-            if candidate in outstanding:
-                break
-            outstanding.add(candidate)
-            run.append(candidate)
-            candidate = (candidate + 1) % modulus
-        self._next = candidate
-        self.total_allocated += len(run)
-        return run
-
-    def release(self, seq: int) -> None:
-        """Return *seq* to the pool (frame resolved: acked or renumbered)."""
-        try:
-            self._outstanding.remove(seq)
-        except KeyError:
-            raise KeyError(f"sequence number {seq} is not outstanding") from None
-
-    def release_all(self) -> None:
-        """Drop all outstanding numbers (link teardown)."""
-        self._outstanding.clear()
-
-    def __contains__(self, seq: int) -> bool:
-        return seq in self._outstanding
+    def index_of(self, seq: int, newest: int) -> int:
+        """The latest transmit index ``<= newest`` that carried *seq*."""
+        return newest - (newest + self.offset - seq) % self.modulus
 
     def __repr__(self) -> str:
-        return (
-            f"SequenceSpace(modulus={self.modulus}, next={self._next}, "
-            f"outstanding={len(self._outstanding)})"
-        )
+        return f"SequenceSpace(modulus={self.modulus}, offset={self.offset})"

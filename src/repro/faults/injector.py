@@ -16,13 +16,18 @@ correctly, and a channel that was already down when a fault began
 fault ends — the injector only restores state it took down itself.
 
 Error-model faults (BER storms and control corruption) are tracked as
-an ordered stack of *layers* over the channel's base model, rebuilt on
+a list of active *layers* over the channel's base model, recomposed on
 every fault boundary, so interleaved windows (fault A starts, fault B
 starts, fault A ends while B is still active) keep B's effect applied.
 A plain last-in-first-out stash restores in the wrong order for that
 shape — a bug the chaos-soak invariant monitors caught: an "ended"
 fault would strip a still-active deterministic corruption window,
-letting checkpoints through a window the plan declares silent.
+letting checkpoints through a window the plan declares silent.  The
+composition does not depend on activation order: a storm *replaces*
+the model and corruption *wraps* whatever model is current, so the
+newest active storm is the base and every active corruption window
+wraps it, whichever started first.  Two storms overlapping on one
+channel do not stack — the later one wins while both are active.
 """
 
 from __future__ import annotations
@@ -199,7 +204,7 @@ class FaultInjector:
         for channel in self._channels(fault.direction):
             self._pop_layer(channel, "cframe_errors", index)
 
-    # -- model layering (correct for arbitrary window overlap) ------------
+    # -- model layering (storms replace, corruption wraps; order-free) ----
 
     def _push_layer(
         self, channel: SimplexChannel, attr: str, index: int, mode: str, payload: Any,
@@ -219,8 +224,14 @@ class FaultInjector:
         self._rebuild(channel, attr)
 
     def _rebuild(self, channel: SimplexChannel, attr: str) -> None:
-        """Reapply the active layers, in activation order, over the base.
+        """Recompose the model from the active layers, whatever their order.
 
+        The last active ``replace`` layer (a BER storm's model) is the
+        base and every active ``wrap`` layer (control corruption) goes on
+        top of it, in activation order.  Composing strictly in activation
+        order instead lets a storm that starts *inside* a corruption
+        window throw the wrapper away — checkpoints then flow through a
+        window the plan declares silent (soak seed 7, episode 144).
         Removing *any* fault's layer — not just the most recent — leaves
         every other active fault's effect in place, which a LIFO stash
         cannot do for interleaved windows.
@@ -233,7 +244,8 @@ class FaultInjector:
         for _, mode, payload in layers:
             if mode == "replace":
                 model = payload
-            else:
+        for _, mode, payload in layers:
+            if mode != "replace":
                 model = ControlCorruptingModel(model, payload)
         getattr(channel, "settle", lambda: None)()  # frames already sent keep the old model
         setattr(channel, attr, model)

@@ -91,6 +91,22 @@ class SampleStat:
         if sample > self.maximum:
             self.maximum = sample
 
+    def extend(self, samples: list[float]) -> None:
+        """:meth:`add` each of *samples* in order — the same floats, one call."""
+        if not samples:
+            return
+        mean, m2 = self._mean, self._m2
+        count = float(self.count)  # exact, and spares an int->float per division
+        for sample in samples:
+            count += 1.0
+            delta = sample - mean
+            mean += delta / count
+            m2 += delta * (sample - mean)
+        self.count += len(samples)
+        self._mean, self._m2 = mean, m2
+        self.minimum = min(self.minimum, min(samples))
+        self.maximum = max(self.maximum, max(samples))
+
     @property
     def mean(self) -> float:
         return self._mean if self.count else math.nan

@@ -65,6 +65,18 @@ class TestRunEpisode:
         spec = generate_episode(11, 1)
         assert run_episode(spec) == run_episode(spec)
 
+    def test_storm_inside_a_corruption_window_keeps_the_silence(self):
+        """Soak seed 7, episode 144: p=1 control corruption on the reverse
+        channel, overlapped by a BER storm that starts later.  The plan
+        declares the window silent; the injector used to let checkpoints
+        through it and the failure-latency monitor (rightly) objected."""
+        spec = generate_episode(7, 144)
+        kinds = [fault.kind for fault in spec.fault_plan.faults]
+        assert "control-corruption" in kinds and "ber-storm" in kinds
+        report = run_episode(spec)
+        assert report["violations"] == []
+        assert report["delivered"] == report["offered"] == 229
+
 
 class TestRunSoak:
     def test_small_soak_completes_clean(self):

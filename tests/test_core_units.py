@@ -4,19 +4,21 @@ flow control, frames, and configuration."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LamsDlcConfig
 from repro.core.flowcontrol import StopGoRateController
 from repro.core.frames import CheckpointFrame, IFrame, RequestNakFrame
-from repro.core.sendbuf import OutstandingFrame, SendBuffer
+from repro.core.sendbuf import SendBuffer
 from repro.core.seqspace import (
     SequenceExhausted,
     SequenceSpace,
     cyclic_less_equal,
     forward_distance,
 )
+
+from .sender_reference import FRAME_TIME, SenderRig
 
 
 class TestForwardDistance:
@@ -44,94 +46,125 @@ class TestForwardDistance:
 
 
 class TestSequenceSpace:
+    """Cyclic numbering: the arithmetic, and the unique-identification
+    invariant as the sender's outstanding window enforces it."""
+
+    @staticmethod
+    def release_oldest(rig: SenderRig) -> None:
+        """A checkpoint that covers exactly the oldest outstanding frame."""
+        buffer = rig.sender.buffer
+        oldest = next(buffer.outstanding_frames())
+        rig.checkpoint(oldest.expected_arrival + rig.config.processing_time,
+                       frontier=buffer.next_index - 1)
+
+    @staticmethod
+    def allocate(rig: SenderRig) -> int:
+        rig.offer(1)
+        rig.run(FRAME_TIME)
+        if rig.exhausted is not None:
+            raise rig.exhausted
+        return rig.sender.buffer.space.seq_of(rig.sender.iframes_sent - 1)
+
     def test_sequential_allocation(self):
         space = SequenceSpace(8)
-        assert [space.allocate() for _ in range(5)] == [0, 1, 2, 3, 4]
+        assert [space.seq_of(index) for index in range(5)] == [0, 1, 2, 3, 4]
+        rig = SenderRig(numbering_bits=3)
+        assert [self.allocate(rig) for _ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_wraparound_after_release(self):
-        space = SequenceSpace(4)
+        rig = SenderRig(numbering_bits=2)
         for _ in range(4):
-            space.release(space.allocate())
-        assert space.allocate() == 0  # wrapped
+            self.allocate(rig)
+            self.release_oldest(rig)
+        assert self.allocate(rig) == 0  # wrapped
 
     def test_exhaustion_raises(self):
-        space = SequenceSpace(4)
+        rig = SenderRig(numbering_bits=2)
         for _ in range(4):
-            space.allocate()
+            self.allocate(rig)
         with pytest.raises(SequenceExhausted):
-            space.allocate()
+            self.allocate(rig)
 
     def test_cursor_blocked_by_outstanding(self):
-        space = SequenceSpace(4)
-        seqs = [space.allocate() for _ in range(4)]
-        space.release(seqs[1])
-        space.release(seqs[2])
-        space.release(seqs[3])
-        # Cursor is at 0, which is still outstanding.
-        with pytest.raises(SequenceExhausted):
-            space.allocate()
+        rig = SenderRig(numbering_bits=2)
+        for _ in range(4):
+            self.allocate(rig)
+        # Numbers 1, 2, 3 come free (renumbered), but the next in-order
+        # number is 0, which is still outstanding.
+        rig.checkpoint(rig.sim.now - 1.0, naks=[1, 2, 3])
+        assert isinstance(rig.exhausted, SequenceExhausted)
+        assert rig.sender.buffer.outstanding_count == 1
 
-    def test_release_unknown_raises(self):
-        space = SequenceSpace(8)
-        with pytest.raises(KeyError):
-            space.release(3)
+    def test_unknown_number_has_no_position(self):
+        buffer = SendBuffer(space=SequenceSpace(8))
+        assert buffer.position_of(3) is None  # never sent
+        rig = SenderRig(numbering_bits=3)
+        self.allocate(rig)
+        assert rig.sender.buffer.position_of(0) == 0
+        assert rig.sender.buffer.position_of(1) is None
+        assert rig.sender.buffer.position_of(8) is None  # not a number at all
 
     def test_membership_and_counts(self):
-        space = SequenceSpace(8)
-        seq = space.allocate()
-        assert seq in space and space.is_outstanding(seq)
-        assert space.outstanding_count == 1
-        space.release(seq)
-        assert seq not in space
-        assert space.outstanding_count == 0
+        rig = SenderRig(numbering_bits=3)
+        buffer = rig.sender.buffer
+        seq = self.allocate(rig)
+        assert buffer.position_of(seq) is not None
+        assert buffer.outstanding_count == 1
+        self.release_oldest(rig)
+        assert buffer.position_of(seq) is None
+        assert buffer.outstanding_count == 0
 
     def test_minimum_modulus(self):
         with pytest.raises(ValueError):
             SequenceSpace(1)
 
-    @given(st.lists(st.booleans(), min_size=1, max_size=300))
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=100))
     def test_uniqueness_invariant(self, operations):
         """Under any allocate/release-oldest interleaving, outstanding
         numbers are always distinct and within the modulus."""
-        space = SequenceSpace(16)
+        rig = SenderRig(numbering_bits=4)
         outstanding: list[int] = []
         for do_allocate in operations:
             if do_allocate:
                 try:
-                    seq = space.allocate()
+                    seq = self.allocate(rig)
                 except SequenceExhausted:
                     assert len(outstanding) >= 1
-                    continue
+                    break
                 assert seq not in outstanding  # the paper's invariant
                 assert 0 <= seq < 16
                 outstanding.append(seq)
             elif outstanding:
-                space.release(outstanding.pop(0))
-        assert space.outstanding_count == len(outstanding)
+                self.release_oldest(rig)
+                outstanding.pop(0)
+            assert [r.seq for r in rig.sender.buffer.outstanding_frames()] == outstanding
+        assert rig.sender.buffer.outstanding_count == len(outstanding)
 
     @given(st.integers(min_value=2, max_value=64))
     def test_full_cycle_reuses_in_order(self, modulus):
         space = SequenceSpace(modulus)
-        first_pass = []
-        for _ in range(modulus):
-            seq = space.allocate()
-            first_pass.append(seq)
-            space.release(seq)
-        second_pass = []
-        for _ in range(modulus):
-            seq = space.allocate()
-            second_pass.append(seq)
-            space.release(seq)
+        first_pass = [space.seq_of(index) for index in range(modulus)]
+        second_pass = [space.seq_of(index) for index in range(modulus, 2 * modulus)]
         assert first_pass == second_pass == list(range(modulus))
+        # index_of inverts seq_of over the latest modulus indices.
+        newest = 2 * modulus - 1
+        assert [space.index_of(seq, newest) for seq in second_pass] == list(
+            range(modulus, 2 * modulus))
+
+    def test_full_cycle_through_the_window(self):
+        rig = SenderRig(numbering_bits=3)
+        passes = []
+        for _ in range(2):
+            numbers = []
+            for _ in range(8):
+                numbers.append(self.allocate(rig))
+                self.release_oldest(rig)
+            passes.append(numbers)
+        assert passes[0] == passes[1] == list(range(8))
 
 
 class TestSendBuffer:
-    def make_record(self, seq: int, now: float = 0.0) -> OutstandingFrame:
-        return OutstandingFrame(
-            seq=seq, payload=f"p{seq}", enqueue_time=now, send_time=now,
-            expected_arrival=now + 0.01, transmit_index=seq,
-        )
-
     def test_enqueue_and_pop(self):
         buffer = SendBuffer()
         assert buffer.enqueue("a", now=1.0)
@@ -146,49 +179,57 @@ class TestSendBuffer:
         assert buffer.refused_total == 1
 
     def test_occupancy_counts_both_sides(self):
-        buffer = SendBuffer()
-        buffer.enqueue("a", 0.0)
-        buffer.record_outstanding(self.make_record(0))
-        assert buffer.occupancy == 2
+        rig = SenderRig()
+        rig.offer(2, together=False)  # the first leaves at once, the second waits
+        buffer = rig.sender.buffer
+        assert (buffer.pending_count, buffer.outstanding_count) == (1, 1)
+        assert buffer.occupancy == len(buffer) == 2
         assert buffer.peak_occupancy == 2
 
     def test_duplicate_outstanding_rejected(self):
-        buffer = SendBuffer()
-        buffer.record_outstanding(self.make_record(1))
-        with pytest.raises(ValueError):
-            buffer.record_outstanding(self.make_record(1))
+        """A number held by a live frame cannot be issued again."""
+        rig = SenderRig(numbering_bits=2)
+        rig.offer(4)
+        buffer = rig.sender.buffer
+        with pytest.raises(SequenceExhausted):
+            buffer.admit(1)
+        buffer.detach(0)
+        assert buffer.admit(3) == 1  # number 0 is free, number 1 is not
 
     def test_release_measures_holding_from_first_send(self):
-        buffer = SendBuffer()
-        record = self.make_record(0, now=10.0)
-        buffer.record_outstanding(record)
-        released = buffer.release(0, now=10.5)
-        assert released.payload == "p0"
-        assert buffer.mean_holding_time == pytest.approx(0.5)
+        rig = SenderRig()
+        rig.offer(1)
+        rig.run(0.025)
+        rig.checkpoint(rig.sim.now, frontier=0)
+        assert rig.sender.releases == 1
+        assert rig.sender.buffer.mean_holding_time == pytest.approx(0.025)
 
     def test_holding_time_survives_renumbering(self):
         """A retransmitted frame carries first_send_time forward."""
-        buffer = SendBuffer()
-        original = self.make_record(0, now=1.0)
-        buffer.record_outstanding(original)
-        detached = buffer.remove(0)
-        renumbered = OutstandingFrame(
-            seq=5, payload=detached.payload, enqueue_time=detached.enqueue_time,
-            send_time=3.0, expected_arrival=3.01, transmit_index=7,
-            retransmit_count=1, first_send_time=detached.first_send_time,
-        )
-        buffer.record_outstanding(renumbered)
-        buffer.release(5, now=4.0)
-        assert buffer.mean_holding_time == pytest.approx(3.0)  # 4.0 - 1.0
+        rig = SenderRig()
+        rig.run(0.010)
+        rig.offer(1)
+        rig.run(0.020)
+        rig.checkpoint(rig.sim.now - 1.0, naks=[0])  # retransmitted at t=30 ms as number 1
+        renumbered, = rig.sender.buffer.outstanding_frames()
+        assert (renumbered.seq, renumbered.transmit_index) == (1, 1)
+        assert (renumbered.retransmit_count, renumbered.origin) == (1, 0)
+        assert renumbered.first_send_time == pytest.approx(0.010)
+        rig.run(0.010)
+        rig.checkpoint(rig.sim.now, frontier=1)
+        assert rig.sender.buffer.mean_holding_time == pytest.approx(0.030)  # 40 ms - 10 ms
 
     def test_outstanding_iteration_in_transmit_order(self):
-        buffer = SendBuffer()
-        for seq, index in ((3, 2), (1, 0), (2, 1)):
-            record = self.make_record(seq)
-            record.transmit_index = index
-            buffer.record_outstanding(record)
-        indices = [r.transmit_index for r in buffer.outstanding_frames()]
-        assert indices == [0, 1, 2]
+        rig = SenderRig()
+        rig.offer(6)
+        rig.run(10 * FRAME_TIME)
+        rig.checkpoint(rig.sim.now - 1.0, naks=[3, 1])
+        rig.run(10 * FRAME_TIME)
+        frames = list(rig.sender.buffer.outstanding_frames())
+        assert [f.transmit_index for f in frames] == [0, 2, 4, 5, 6, 7]
+        assert [f.seq for f in frames] == [0, 2, 4, 5, 6, 7]
+        assert [f.origin for f in frames] == [0, 2, 4, 5, 3, 1]
+        assert [f.payload for f in frames] == [0, 2, 4, 5, 3, 1]
 
     def test_pending_payloads_snapshot(self):
         buffer = SendBuffer()
@@ -197,11 +238,13 @@ class TestSendBuffer:
         assert buffer.pending_payloads() == ["x", "y"]
 
     def test_clear(self):
-        buffer = SendBuffer()
-        buffer.enqueue("a", 0.0)
-        buffer.record_outstanding(self.make_record(0))
+        rig = SenderRig()
+        rig.offer(3, together=False)
+        buffer = rig.sender.buffer
+        assert buffer.occupancy == 3
         buffer.clear()
-        assert buffer.occupancy == 0
+        assert buffer.occupancy == 0 and not list(buffer.outstanding_frames())
+        assert buffer.next_index == 1  # transmit indices keep counting
 
 
 class TestStopGoRateController:

@@ -270,6 +270,42 @@ class TestFaultInjector:
         assert ("rev", False, False) in arrived  # data frame untouched
         assert isinstance(link.reverse.cframe_errors, PerfectChannel)  # restored
 
+    @pytest.mark.parametrize("storm_first", [False, True])
+    def test_storm_and_corruption_compose_in_either_order(self, storm_first):
+        """A storm replaces the model, corruption wraps it — whichever
+        started first (soak seed 7 episode 144: a storm starting inside
+        a p=1 corruption window used to throw the wrapper away)."""
+        from repro.faults.injector import ControlCorruptingModel
+
+        sim = Simulator()
+        link = make_link(sim)
+        original = link.reverse.cframe_errors
+        storm_start, corruption_start = (1.0, 1.2) if storm_first else (1.2, 1.0)
+        plan = FaultPlan(faults=(
+            ControlCorruption(start=corruption_start, duration=1.0, probability=1.0,
+                              direction="reverse"),
+            BerStorm(start=storm_start, duration=1.0, model="bernoulli",
+                     params={"ber": 1e-4}, direction="reverse", targets=("cframe",)),
+        ))
+        FaultInjector(sim, link, plan)
+        seen = {}
+        for t in (1.1, 1.5, 2.1):
+            sim.schedule_at(t, lambda t=t: seen.update({t: link.reverse.cframe_errors}))
+        sim.run()
+        both = seen[1.5]
+        assert isinstance(both, ControlCorruptingModel) and both.probability == 1.0
+        assert isinstance(both.base, BernoulliChannel)
+        assert both.base.ber == pytest.approx(1e-4)
+        # Before and after the overlap each fault stands alone.
+        first, last = seen[1.1], seen[2.1]
+        if storm_first:
+            assert isinstance(first, BernoulliChannel)
+            assert isinstance(last, ControlCorruptingModel) and last.base is original
+        else:
+            assert isinstance(first, ControlCorruptingModel) and first.base is original
+            assert isinstance(last, BernoulliChannel)
+        assert link.reverse.cframe_errors is original
+
     def test_emits_fault_events(self):
         sim = Simulator()
         tracer = Tracer(record_timeline=True)

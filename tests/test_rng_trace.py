@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.simulator.rng import StreamRegistry, derive_seed
 from repro.simulator.trace import SampleStat, TimeWeightedStat, Tracer
@@ -73,6 +75,16 @@ class TestSampleStat:
             stat.add(value)
         assert stat.variance == pytest.approx(32.0 / 7.0)
         assert stat.stdev == pytest.approx(math.sqrt(32.0 / 7.0))
+
+    @given(st.lists(st.lists(st.floats(-1e6, 1e6), max_size=20), max_size=6))
+    def test_extend_equals_repeated_add_to_the_bit(self, batches):
+        one_by_one, batched = SampleStat("a"), SampleStat("b")
+        for batch in batches:
+            for value in batch:
+                one_by_one.add(value)
+            batched.extend(batch)
+            assert [getattr(batched, slot) for slot in SampleStat.__slots__[1:]] == [
+                getattr(one_by_one, slot) for slot in SampleStat.__slots__[1:]]
 
     def test_empty_stat_mean_is_nan_but_spread_is_zero(self):
         # Mean of nothing is undefined; spread of fewer than two samples

@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the repo benchmark, from clean exports.
+
+The acceptance procedure for a performance claim (ROADMAP, docs/TUNING.md
+§10) as one command::
+
+    python3 tools/bench_pairs.py --parent <rev> --workload sat_clean --seed 23 --pairs 10
+
+Both sides are exported into a temporary directory first — the parent
+with ``git archive <rev>``, the change with ``git checkout-index`` (what
+``git add -A`` staged; HEAD when nothing is staged) — because numbers
+measured from a working tree have misled before (stale ``__pycache__``,
+``bench/out``, an editor's files).  Then ``python3 -m bench --workload W
+--seed S --seconds N --trace 0`` runs in each export, one run at a time,
+alternating which side goes first.  Every run is printed, then medians,
+inclusive quartiles, wins and ``ops_failed`` per metric.
+
+Exit status 1 if a run fails, or if the two sides' exact ``counts``
+lines differ (same program, same answers); a live workload whose counts
+vary from run to run on one side is reported and not compared.  This
+script only invokes the benchmark; it reads ``BENCHMARK.json`` for the
+metric names, directions and bounds and edits nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def export(side: str, rev: str | None, root: Path) -> Path:
+    """A clean copy of *rev* (or of the index when None) under *root*."""
+    target = root / side
+    target.mkdir()
+    if rev is None:
+        subprocess.run(["git", "checkout-index", "-a", f"--prefix={target}/"],
+                       cwd=REPO, check=True)
+    else:
+        archive = subprocess.run(["git", "archive", rev], cwd=REPO, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+    return target
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One driver-style run; the exact counts line and the result object."""
+    command = [sys.executable, "-m", "bench", "--workload", workload,
+               "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"benchmark failed in {checkout}:\n{done.stdout}{done.stderr}")
+    result = json.loads(lines[-1])
+    counts = next((line for line in lines if line.startswith("counts ")), "")
+    return {"counts": counts, "failed": result["failed"], "attempted": result["attempted"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="run length (default: BENCHMARK.json run_seconds)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        checkouts = {"parent": export("parent", args.parent, Path(scratch)),
+                     "change": export("change", None, Path(scratch))}
+        print(f"# {args.workload} seed {args.seed}, {seconds:g} s, {args.pairs} pairs: "
+              f"parent = {args.parent}, change = the index")
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_once(checkouts[side], args.workload, args.seed, seconds)
+                runs[side].append(run)
+                shown = "  ".join(f"{name}={value:.6g}" for name, value in run["metrics"].items())
+                print(f"pair {pair + 1:2d} {side:6s} failed={run['failed']}  {shown}", flush=True)
+
+    status = 0
+    print()
+    for metric in spec["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent = [run["metrics"][name] for run in runs["parent"]]
+        change = [run["metrics"][name] for run in runs["change"]]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        ties = sum(c == p for p, c in zip(parent, change))
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+        gain = (cmed / pmed - 1.0) if pmed else float("nan")
+        print(f"{name} [{metric['unit']}, {metric['better']} is better, bound {metric['bound']:.0%}]")
+        print(f"  parent q1/median/q3 {pq1:.6g} / {pmed:.6g} / {pq3:.6g}   (IQR {pq3 - pq1:.6g})")
+        print(f"  change q1/median/q3 {cq1:.6g} / {cmed:.6g} / {cq3:.6g}")
+        print(f"  change/parent {gain:+.1%} in the median, median gap {abs(cmed - pmed):.6g}; "
+              f"change ahead in {wins}/{len(parent) - ties} pairs ({ties} tie(s))")
+    for side in ("parent", "change"):
+        failed = [run["failed"] for run in runs[side]]
+        print(f"ops_failed {side}: {failed} of {runs[side][0]['attempted']} attempted")
+        status |= any(failed)
+
+    counts = {side: {run["counts"] for run in runs[side]} for side in runs}
+    if any(len(lines) > 1 for lines in counts.values()):
+        print("counts vary from run to run on one side (live workload): not compared")
+    elif counts["parent"] != counts["change"]:
+        print("COUNTS DIFFER\n  parent: %s\n  change: %s" % (*counts["parent"], *counts["change"]))
+        status = 1
+    else:
+        print("counts identical on both sides:", *counts["parent"])
+    return int(status)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
