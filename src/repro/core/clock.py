@@ -18,9 +18,13 @@ object (``start``/``restart``/``cancel``/``running``/``deadline``).
 **Engine heap ABI** — the hot paths in
 :mod:`repro.core.receiver` and :mod:`repro.simulator.link` inline
 ``heappush(clock._heap, (when, clock._sequence, callback, args))``
-instead of calling ``schedule``; the heap list, the ``_sequence``
-counter, and the :class:`~repro.simulator.engine.Timer` generation
-protocol are therefore part of the scheduling ABI, not private detail.
+instead of calling ``schedule``; the heap list and the ``_sequence``
+counter are therefore part of the scheduling ABI, not private detail.
+So is what a loop owes an entry it pops: call ``entry[2](*entry[3])``
+and nothing else.  A :class:`~repro.simulator.engine.Timer` is such an
+entry — its carrier names ``Timer._surfaced``, the one rule for "a timer
+entry reached the top" (fire, re-push at the reserved ``(deadline,
+sequence)``, or lapse), which every loop therefore shares by calling it.
 Implementations that are not the DES engine must share that ABI by
 subclassing :class:`~repro.simulator.engine.Simulator` (as
 :class:`repro.transport.clock.AsyncioClock` does) rather than

@@ -36,10 +36,9 @@ class IFrame:
     total order usable for trailing-loss detection.
 
     I-frames are constructed once per transmission on the simulation's
-    hottest path, so unlike the (rare) control frames below the class is
-    not ``frozen`` — a frozen dataclass pays an ``object.__setattr__``
-    call per field on every construction.  Treat instances as immutable
-    once on the wire regardless.
+    hottest path, so the class is not ``frozen`` — a frozen dataclass
+    pays an ``object.__setattr__`` call per field on every construction.
+    Treat instances as immutable once on the wire regardless.
     """
 
     seq: int
@@ -79,9 +78,14 @@ class IFrame:
             raise ValueError("I-frame must have positive size")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CheckpointFrame:
     """Check-Point command / Check-Point-NAK / Enforced-NAK.
+
+    Not ``frozen``, for :class:`IFrame`'s reason: on an idle link the
+    periodic checkpoint *is* the traffic (all but a few hundred of a
+    1000-link constellation's frames), and it should cost what an
+    I-frame costs to build.  Immutable once on the wire all the same.
 
     Attributes
     ----------
@@ -130,7 +134,8 @@ class CheckpointFrame:
             raise ValueError("checkpoint index cannot be negative")
         if self.size_bits <= 0:
             raise ValueError("C-frame must have positive size")
-        if len(set(self.naks)) != len(self.naks):
+        naks = self.naks
+        if naks and len(set(naks)) != len(naks):
             raise ValueError("duplicate sequence numbers in NAK list")
 
     @property

@@ -120,21 +120,22 @@ class LamsDlcEndpoint:
 
     def on_frame(self, frame: Any, corrupted: bool) -> None:
         """Dispatch one arriving frame to the proper half."""
-        # Exact-type check first: I-frames dominate the arrival stream
-        # and `type(...) is` beats isinstance on the hot path; the
-        # isinstance fallbacks keep subclasses working.
-        if type(frame) is IFrame or isinstance(frame, IFrame):
+        # The three frame classes are final (nothing subclasses them), so
+        # class identity decides: I-frames dominate a busy link's arrival
+        # stream, checkpoints are all of an idle one's.
+        kind = type(frame)
+        if kind is IFrame:
             self.receiver.on_iframe(frame, corrupted)
             # The piggybacked Stop-Go bit rides in the (FEC-protected)
             # header, so it is readable whenever the header is.
             if self._piggyback and (not corrupted or self._header_protected):
                 self.sender.note_piggyback_stop_go(frame.stop_go)
-        elif isinstance(frame, CheckpointFrame):
+        elif kind is CheckpointFrame:
             self.sender.on_checkpoint(frame, corrupted)
-        elif isinstance(frame, RequestNakFrame):
+        elif kind is RequestNakFrame:
             self.receiver.on_request_nak(frame, corrupted)
         else:
-            raise TypeError(f"unknown frame type: {type(frame).__name__}")
+            raise TypeError(f"unknown frame type: {kind.__name__}")
 
     def __repr__(self) -> str:
         return f"<LamsDlcEndpoint {self.name}>"

@@ -90,6 +90,7 @@ class LamsReceiver:
         self._numbering_size = config.numbering_size
         self._zero_duplication = config.zero_duplication
         self._rx_capacity = config.receive_queue_capacity
+        self._checkpoint_interval = config.checkpoint_interval
         self._drain_delay_value = (
             delivery_interval if delivery_interval is not None
             else config.processing_time
@@ -124,7 +125,7 @@ class LamsReceiver:
         if self._running:
             raise RuntimeError("receiver already started")
         self._running = True
-        self._checkpoint_timer.start(self.config.checkpoint_interval)
+        self._checkpoint_timer.start(self._checkpoint_interval)
 
     def stop(self) -> None:
         """Halt checkpoint emission (link teardown)."""
@@ -280,18 +281,20 @@ class LamsReceiver:
     def _emit_periodic_checkpoint(self) -> None:
         if not self._running:
             return
-        naks = self._cumulative_naks()
-        self._send_checkpoint(naks=naks, enforced=False)
-        self._checkpoint_timer.start(self.config.checkpoint_interval)
+        self._send_checkpoint(self._cumulative_naks(), enforced=False)
+        self._checkpoint_timer.start(self._checkpoint_interval)
 
     def _cumulative_naks(self) -> tuple[int, ...]:
         """NAK list for a periodic checkpoint; ages out reported entries."""
+        if not self._error_log:
+            return ()
         naks = []
         expired = []
+        depth = self.config.cumulation_depth
         for seq, entry in self._error_log.items():
             naks.append(seq)
             entry.reports += 1
-            if entry.reports >= self.config.cumulation_depth:
+            if entry.reports >= depth:
                 expired.append(seq)
         for seq in expired:
             del self._error_log[seq]
@@ -299,23 +302,21 @@ class LamsReceiver:
 
     def _send_checkpoint(self, naks: tuple[int, ...], enforced: bool) -> None:
         stop_go = self._stop_indicated()
+        index = self.cp_index
+        now = self.sim.now
         frame = CheckpointFrame(
-            cp_index=self.cp_index,
-            issue_time=self.sim.now,
-            naks=naks,
-            frontier=self.frontier,
-            enforced=enforced,
-            stop_go=stop_go,
-            size_bits=self.config.cframe_bits(len(naks)),
+            index, now, naks, self.frontier, enforced, stop_go,
+            self.config.cframe_bits(len(naks)),
         )
-        self.cp_index += 1
+        self.cp_index = index + 1
         self.checkpoints_sent += 1
         self.control_channel.send(frame)
-        self.tracer.emit(
-            self.sim.now, self.name, "checkpoint_sent",
-            index=frame.cp_index, naks=len(naks), enforced=enforced, stop_go=stop_go,
-            seqs=naks,
-        )
+        if self.tracer.active:
+            self.tracer.emit(
+                now, self.name, "checkpoint_sent",
+                index=index, naks=len(naks), enforced=enforced, stop_go=stop_go,
+                seqs=naks,
+            )
 
     # -- delivery / flow control --------------------------------------------------------
 
@@ -347,7 +348,7 @@ class LamsReceiver:
         self._receive_queue.append(frame.payload)
         depth = len(self._receive_queue)
         now = self.sim.now
-        # Inlined _record_queue_depth (once per queued frame).
+        # Queue-depth statistic, inline (once per queued frame).
         stat = self._rxqueue_stat
         if stat is None:
             stat = self._rxqueue_stat = self.tracer.level_stat(
@@ -364,17 +365,6 @@ class LamsReceiver:
             heappush(sim._heap, (now + self._drain_delay_value, sequence,
                                  self._drain_one, ()))
 
-    def _record_queue_depth(self, depth: int) -> None:
-        stat = self._rxqueue_stat
-        if stat is None:
-            stat = self._rxqueue_stat = self.tracer.level_stat(
-                self._rxqueue_stat_name, start_time=self.sim.now
-            )
-        stat.update(self.sim.now, depth)
-
-    def _drain_delay(self) -> float:
-        return self._drain_delay_value
-
     def _drain_one(self) -> None:
         queue = self._receive_queue
         if not queue:
@@ -382,7 +372,7 @@ class LamsReceiver:
             return
         packet = queue.popleft()
         now = self.sim.now
-        # Inlined _record_queue_depth (once per delivered frame).
+        # Queue-depth statistic, inline (once per delivered frame).
         stat = self._rxqueue_stat
         if stat is None:
             stat = self._rxqueue_stat = self.tracer.level_stat(

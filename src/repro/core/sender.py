@@ -129,6 +129,8 @@ class LamsSender:
         self._iframe_bits = config.iframe_bits
         self._iframe_tx_time = config.iframe_bits / data_channel.bit_rate
         self._piggyback = config.piggyback_flow_control
+        self._checkpoint_interval = config.checkpoint_interval
+        self._checkpoint_timeout = config.checkpoint_timeout
         # Channels without send_burst (UDP, stubs) take runs of one.
         self._batch_window = (
             config.batch_window if hasattr(data_channel, "send_burst") else 1
@@ -157,7 +159,7 @@ class LamsSender:
         if self._started:
             raise RuntimeError("sender already started")
         self._started = True
-        self._checkpoint_timer.start(self.expected_rtt + self.config.checkpoint_timeout)
+        self._checkpoint_timer.start(self.expected_rtt + self._checkpoint_timeout)
         self._maybe_send()
 
     def stop(self) -> None:
@@ -233,6 +235,13 @@ class LamsSender:
         """Transmit the next run if pacing, channel, and state allow."""
         if self.failed or not self._started:
             return
+        # Nothing to send is decided first: it is the whole of an idle
+        # link's two calls per checkpoint (its own checkpoint leaving
+        # the channel, the peer's arriving) and touches no channel state.
+        has_retransmission = bool(self._retransmit_queue)
+        has_new = bool(self.buffer._pending) and not self.suspended
+        if not has_retransmission and not has_new:
+            return
         # Inlined SimplexChannel.is_idle (hot: runs once per idle event
         # and once per accepted packet); falls back to the public
         # property for duck-typed channels without the private fields.
@@ -243,10 +252,6 @@ class LamsSender:
             busy = not channel.is_idle
         if busy:
             return  # the channel's idle callback re-enters here
-        has_retransmission = bool(self._retransmit_queue)
-        has_new = bool(self.buffer._pending) and not self.suspended
-        if not has_retransmission and not has_new:
-            return
         now = self.sim.now
         if now < self._next_allowed_send:
             if not self._pacing_armed:
@@ -372,7 +377,7 @@ class LamsSender:
         """
         if not self._piggyback or self.failed:
             return
-        if self.sim.now - self._last_piggyback_applied < self.config.checkpoint_interval:
+        if self.sim.now - self._last_piggyback_applied < self._checkpoint_interval:
             return
         self._last_piggyback_applied = self.sim.now
         self.flow.on_stop_go(stop)
@@ -389,15 +394,15 @@ class LamsSender:
             return
         self.checkpoints_received += 1
         self._seen_any_checkpoint = True
-        self._checkpoint_timer.start(self.config.checkpoint_timeout)
+        self._checkpoint_timer.start(self._checkpoint_timeout)
         self.flow.on_stop_go(cp.stop_go)
 
-        if cp.enforced and self._awaiting_enforced:
-            self._failure_timer.cancel()
-            self._awaiting_enforced = False
-            self.suspended = False
-            self.tracer.emit(self.sim.now, self.name, "enforced_recovery_complete")
-        elif self._awaiting_enforced:
+        if self._awaiting_enforced:
+            if cp.enforced:
+                self._failure_timer.cancel()
+                self._awaiting_enforced = False
+                self.suspended = False
+                self.tracer.emit(self.sim.now, self.name, "enforced_recovery_complete")
             # A plain checkpoint while we await the Enforced-NAK means the
             # link is alive but our Request-NAK was lost (e.g. swallowed
             # by the tail of an outage).  Re-probe — each Request-NAK
@@ -405,29 +410,33 @@ class LamsSender:
             # budget restarts per probe; total failure-detection latency
             # stays bounded because probes only repeat while checkpoints
             # keep arriving, i.e. while the receiver is demonstrably up.
-            if self.sim.now - self._last_probe_time >= self.expected_response_time:
+            elif self.sim.now - self._last_probe_time >= self.expected_response_time:
                 self._send_request_nak()
 
-        if cp.naks:
-            # A NAK'd number that is no longer live was already
-            # retransmitted under a new number (Section 3.2): ignored.
-            cause = "enforced" if cp.enforced else "nak"
-            position_of = self.buffer.position_of
-            for seq in cp.naks:
-                position = position_of(seq)
-                if position is not None:
-                    self._requeue(position, cause)
+        # An empty window (the idle link's every checkpoint) has no
+        # number a NAK could name and nothing to cover.
+        buffer = self.buffer
+        if buffer.items:
+            if cp.naks:
+                # A NAK'd number that is no longer live was already
+                # retransmitted under a new number (Section 3.2): ignored.
+                cause = "enforced" if cp.enforced else "nak"
+                position_of = buffer.position_of
+                for seq in cp.naks:
+                    position = position_of(seq)
+                    if position is not None:
+                        self._requeue(position, cause)
 
-        # While a failure check is in progress, plain checkpoints drive
-        # retransmission only — never release.  A checkpoint issued after
-        # a NAK entry expired could otherwise release a frame whose
-        # NAK reports were all lost; the Enforced-NAK's resolving-period
-        # list is the authoritative resync point (Section 3.2), and the
-        # resolving-period retention is sized so that list still carries
-        # the frame.  This is the paper's "may do Check-Point Recovery
-        # but can not send new I-frames" state.
-        if not self._awaiting_enforced and self.buffer.items:
-            self._release_covered(cp)
+            # While a failure check is in progress, plain checkpoints drive
+            # retransmission only — never release.  A checkpoint issued after
+            # a NAK entry expired could otherwise release a frame whose
+            # NAK reports were all lost; the Enforced-NAK's resolving-period
+            # list is the authoritative resync point (Section 3.2), and the
+            # resolving-period retention is sized so that list still carries
+            # the frame.  This is the paper's "may do Check-Point Recovery
+            # but can not send new I-frames" state.
+            if not self._awaiting_enforced:
+                self._release_covered(cp)
         self._maybe_send()
 
     def _requeue(self, position: int, cause: str) -> None:
@@ -537,7 +546,7 @@ class LamsSender:
             return
         self.tracer.emit(self.sim.now, self.name, "checkpoint_timeout")
         remaining = self._remaining_lifetime()
-        response_budget = self.expected_response_time + self.config.checkpoint_timeout
+        response_budget = self.expected_response_time + self._checkpoint_timeout
         if remaining is not None and remaining < response_budget:
             # Unrecoverable within the link lifetime: fail immediately.
             self._declare_failure()
@@ -552,7 +561,7 @@ class LamsSender:
         self.request_naks_sent += 1
         self._last_probe_time = self.sim.now
         self._failure_timer.start(
-            self.expected_response_time + self.config.checkpoint_timeout
+            self.expected_response_time + self._checkpoint_timeout
         )
         self.tracer.emit(self.sim.now, self.name, "request_nak_sent")
 

@@ -27,11 +27,16 @@ inner loop trades a little elegance for speed:
   arguments / loop locals), and :attr:`Simulator.now` is a plain
   attribute rather than a property so callbacks reading the clock do
   not pay descriptor overhead.
-- :class:`Timer` expiries are engine-recognised entries dispatched
-  inline (no per-expiry Python call for stale generations), and
-  cancelled/restarted timers are compacted out of the heap in batch
-  once they outnumber live entries — heavy timer churn cannot bloat
-  the heap, and there is no per-cancel O(n) sweep.
+- A running :class:`Timer` keeps one heap entry, its *carrier*.
+  Restarting it stores the new deadline and reserves the sequence
+  number a push would have taken; the heap is touched only when the
+  carrier surfaces (re-pushed at the reserved ``(deadline, sequence)``
+  if the deadline moved on) or when a restart *shortens* the deadline.
+  Every live callback therefore runs at exactly the ``(time,
+  sequence)`` a push per restart would have given it, and a link that
+  restarts a timeout on every checkpoint pays three attribute stores
+  for it.  The loops know nothing of this: a carrier is an ordinary
+  entry whose callback is :meth:`Timer._surfaced`.
 
 Example
 -------
@@ -51,7 +56,7 @@ Example
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -74,21 +79,6 @@ class SimulationError(Exception):
 
 class StopSimulation(Exception):
     """Raised inside a process to halt the whole simulation immediately."""
-
-
-class _TimerExpiry:
-    """Sentinel marking a heap entry as a :class:`Timer` expiry.
-
-    Entries carrying this sentinel are dispatched inline by
-    :meth:`Simulator.run` (args hold ``(timer, generation)``), which
-    lets the engine both skip stale generations without a Python call
-    and identify dead entries during batch compaction.
-    """
-
-    __slots__ = ()
-
-
-_TIMER_EXPIRE = _TimerExpiry()
 
 
 def engine_backend() -> str:
@@ -302,59 +292,86 @@ class Timer:
     """A restartable one-shot timer built on the event heap.
 
     Protocol state machines need timers that can be started, restarted
-    (reset to a fresh timeout) and cancelled; this wrapper provides that
-    via a generation counter: a cancelled or superseded expiry is simply
-    ignored when it surfaces.  The engine dispatches timer entries
-    inline (no Python call for a stale expiry) and batch-compacts the
-    heap when dead timer entries start to dominate it, so heavy
-    start/cancel churn costs neither per-cancel sweeps nor unbounded
-    heap growth.
+    (reset to a fresh timeout) and cancelled.  A timer owns at most one
+    heap entry that matters, its *carrier*, and the rule is:
+
+    - :meth:`start` stores the deadline and reserves the next engine
+      sequence number — the one a push would have used, so every other
+      event keeps its number.  It pushes ``(deadline, sequence)`` only
+      when there is no carrier, or when the new deadline is *earlier*
+      than the carrier's time (the old entry is then left behind and
+      ignored when it surfaces).
+    - :meth:`cancel` stores ``None``; the carrier stays, and a later
+      :meth:`start` reuses it.
+    - when the carrier surfaces (:meth:`_surfaced`, the one place either
+      event loop meets a timer) it fires the callback if it *is* the
+      reserved ``(deadline, sequence)``, re-pushes itself there if the
+      deadline has moved on, and otherwise lapses.
+
+    The callback therefore runs at exactly the ``(time, sequence)`` it
+    would have had with one push per start, and restarting a running
+    timer to a later deadline — a sender hearing a checkpoint — costs
+    three attribute stores and no heap operation.
     """
 
-    __slots__ = ("sim", "callback", "_generation", "_deadline", "_running")
+    __slots__ = ("sim", "callback", "_deadline", "_sequence", "_carrier",
+                 "_carrier_time")
 
     def __init__(self, sim: "Simulator", callback: Callable[[], None]) -> None:
         self.sim = sim
         self.callback = callback
-        self._generation = 0
-        self._deadline: Optional[float] = None
-        self._running = False
+        self._deadline: Optional[float] = None  # None: stopped
+        self._sequence = 0  # reserved by the latest start
+        self._carrier = 0  # sequence number of the carrier entry
+        self._carrier_time: Optional[float] = None  # its time; None: no carrier
 
     @property
     def running(self) -> bool:
         """True while an expiry is pending."""
-        return self._running
+        return self._deadline is not None
 
     @property
     def deadline(self) -> Optional[float]:
         """Absolute expiry time, or None when stopped."""
-        return self._deadline if self._running else None
+        return self._deadline
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer to fire *delay* from now."""
         if delay < 0:
             raise ValueError(f"negative timer delay: {delay!r}")
-        # Bump first: noting may compact the heap, and the entry being
-        # orphaned must already read as dead or it survives the sweep.
-        self._generation += 1
-        if self._running:
-            # The previous expiry's heap entry just became garbage.
-            self.sim._note_stale_timer()
-        self._running = True
-        self._deadline = self.sim.now + delay
-        self.sim._schedule_timer(delay, self, self._generation)
+        sim = self.sim
+        sim._sequence = self._sequence = sim._sequence + 1
+        self._deadline = deadline = sim.now + delay
+        carried = self._carrier_time
+        if carried is None or deadline < carried:
+            self._push(deadline)
 
     def restart(self, delay: float) -> None:
         """Alias of :meth:`start`; reads better at call sites that reset."""
         self.start(delay)
 
     def cancel(self) -> None:
-        """Disarm the timer; a pending expiry becomes a no-op."""
-        self._generation += 1
-        if self._running:
-            self.sim._note_stale_timer()
-        self._running = False
+        """Disarm the timer; its carrier lapses (or is reused) later."""
         self._deadline = None
+
+    def _push(self, when: float) -> None:
+        """Make ``(when, reserved sequence)`` the carrier."""
+        self._carrier_time = when
+        self._carrier = sequence = self._sequence
+        heappush(self.sim._heap, (when, sequence, self._surfaced, (sequence,)))
+
+    def _surfaced(self, sequence: int) -> None:
+        """The heap entry pushed with *sequence* reached the top."""
+        if sequence != self._carrier:
+            return  # left behind by a start that shortened the deadline
+        deadline = self._deadline
+        if deadline is None:
+            self._carrier_time = None  # cancelled, never restarted
+        elif sequence == self._sequence:
+            self._carrier_time = self._deadline = None
+            self.callback()
+        else:
+            self._push(deadline)
 
 
 class Simulator:
@@ -365,16 +382,11 @@ class Simulator:
     events across all :meth:`run` calls.
     """
 
-    # Batch-compaction thresholds: rebuild the heap once dead timer
-    # entries both exceed this floor and outnumber live entries.
-    _COMPACT_MIN_STALE = 64
-
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._sequence = 0
         self._stopped = False
-        self._stale_timers = 0
         self.event_count = 0
 
     # -- scheduling ------------------------------------------------------
@@ -397,36 +409,6 @@ class Simulator:
             )
         self._sequence = sequence = self._sequence + 1
         _push(self._heap, (when, sequence, callback, args))
-
-    def _schedule_timer(self, delay: float, timer: Timer, generation: int,
-                        _push=heappush) -> None:
-        """Push a :class:`Timer` expiry entry (engine-dispatched inline)."""
-        self._sequence = sequence = self._sequence + 1
-        _push(self._heap,
-              (self.now + delay, sequence, _TIMER_EXPIRE, (timer, generation)))
-
-    def _note_stale_timer(self) -> None:
-        """Account one orphaned timer entry; compact the heap in batch."""
-        self._stale_timers += 1
-        if (self._stale_timers >= self._COMPACT_MIN_STALE
-                and self._stale_timers * 2 > len(self._heap)):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every dead timer entry from the heap in one pass.
-
-        Mutates the heap list in place (the run loop holds a reference to
-        it) and preserves the ``(time, sequence)`` dispatch order of
-        every surviving entry exactly.
-        """
-        live = [
-            entry for entry in self._heap
-            if entry[2] is not _TIMER_EXPIRE
-            or (entry[3][1] == entry[3][0]._generation and entry[3][0]._running)
-        ]
-        heapify(live)
-        self._heap[:] = live
-        self._stale_timers = 0
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event succeeding *delay* seconds from now."""
@@ -472,10 +454,9 @@ class Simulator:
         Returns the final simulation time.
         """
         self._stopped = False
-        heap = self._heap  # _compact mutates in place, so this stays valid
+        heap = self._heap
         pop = heappop
         push = heappush
-        timer_sentinel = _TIMER_EXPIRE
         bounded = until is not None
         limit = float("inf") if max_events is None else max_events
         processed = 0
@@ -490,17 +471,7 @@ class Simulator:
                     self.now = until
                     return until
                 self.now = when
-                callback = entry[2]
-                if callback is timer_sentinel:
-                    timer, generation = entry[3]
-                    if generation == timer._generation and timer._running:
-                        timer._running = False
-                        timer._deadline = None
-                        timer.callback()
-                    else:
-                        self._stale_timers -= 1
-                else:
-                    callback(*entry[3])
+                entry[2](*entry[3])
                 processed += 1
                 if processed >= limit:
                     raise SimulationError(

@@ -5,8 +5,8 @@ hot paths push ``(time, sequence, callback, args)`` tuples straight
 onto the engine heap (see :mod:`repro.core.clock` for why that ABI is
 public).  :class:`AsyncioClock` therefore *subclasses*
 :class:`~repro.simulator.engine.Simulator` instead of re-implementing
-the surface: the heap, the ``_sequence`` counter, :class:`Timer`
-generations, and batch compaction are all inherited unchanged.  What
+the surface: the heap, the ``_sequence`` counter and the
+:class:`Timer` carrier rule are all inherited unchanged.  What
 changes is who drains the heap — instead of :meth:`Simulator.run`
 looping in virtual time, a *pump* dispatches every entry that is due in
 wall time and arms one ``loop.call_at`` alarm for the earliest
@@ -39,7 +39,7 @@ import asyncio
 from heapq import heappop
 from typing import Optional
 
-from ..simulator.engine import Simulator, _TIMER_EXPIRE
+from ..simulator.engine import Simulator
 
 __all__ = ["AsyncioClock"]
 
@@ -86,9 +86,8 @@ class AsyncioClock(Simulator):
     def _pump(self) -> None:
         self._pumping = True
         processed = 0
-        heap = self._heap  # _compact mutates in place, so this stays valid
+        heap = self._heap
         pop = heappop
-        timer_sentinel = _TIMER_EXPIRE
         loop_time = self._loop.time
         epoch = self._epoch
         try:
@@ -97,19 +96,7 @@ class AsyncioClock(Simulator):
                 when = entry[0]
                 if when > self.now:
                     self.now = when
-                callback = entry[2]
-                # Same timer-sentinel dispatch as Simulator.run: stale
-                # generations are skipped without a Python call.
-                if callback is timer_sentinel:
-                    timer, generation = entry[3]
-                    if generation == timer._generation and timer._running:
-                        timer._running = False
-                        timer._deadline = None
-                        timer.callback()
-                    else:
-                        self._stale_timers -= 1
-                else:
-                    callback(*entry[3])
+                entry[2](*entry[3])
                 processed += 1
             # Snap to wall time so externally triggered work (frame
             # dispatch, accepts) is stamped with its real arrival time.

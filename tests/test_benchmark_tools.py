@@ -8,8 +8,10 @@ pin the plumbing those numbers travel through.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +228,30 @@ class TestCompareCli:
 def test_engine_backend_is_stamped_somewhere_real():
     """The stamp the history rows carry must be the live selector."""
     assert engine_backend() in ("pure", "compiled")
+
+
+def test_bench_pairs_counts_may_differ_only_where_named():
+    """``tools/bench_pairs.py --counts-may-differ``: a named key may
+    move (and is reported if it did not); any other key fails the run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    compare = bench_pairs.compare_counts
+
+    parent = "counts events=618271 frames=158646 peak_heap=16065 retransmissions=6"
+    change = "counts events=532273 frames=158646 peak_heap=16065 retransmissions=6"
+    named = frozenset({"events", "peak_heap"})
+
+    same, report = compare(parent, parent)
+    assert same and report == [f"counts identical on both sides: {parent}"]
+    same, report = compare(parent, change)
+    assert not same and report[0] == "COUNTS DIFFER in events"
+    same, report = compare(parent, change, named)
+    assert same
+    assert "  events: 618271 → 532273" in report
+    assert "  peak_heap: 16065 on both sides (allowed to differ, did not)" in report
+    same, report = compare(parent, change.replace("frames=158646", "frames=158647"), named)
+    assert not same and report[0] == "COUNTS DIFFER in frames"
+    same, _ = compare(parent, change + " extra=1", named)
+    assert not same

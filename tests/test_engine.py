@@ -15,6 +15,8 @@ from repro.simulator.engine import (
     Timer,
 )
 
+from .timer_reference import timer_entries
+
 
 class TestScheduling:
     def test_clock_starts_at_zero(self):
@@ -441,19 +443,17 @@ class TestTimer:
 
 
 class TestTimerCompaction:
-    """Batched cancellation: restart/cancel churn must not grow the heap
-    unboundedly, and compaction must never change dispatch behaviour."""
+    """Restart/cancel churn cannot grow the heap: a timer keeps one
+    carrier entry however often it is restarted (this class used to
+    check a batch sweep of dead entries; there are none to sweep now)."""
 
     def test_restart_churn_keeps_heap_bounded(self, sim):
         timer = sim.timer(lambda: None)
-        churn = 10 * sim._COMPACT_MIN_STALE
-        for _ in range(churn):
-            timer.start(1.0)  # each restart orphans the previous entry
-        # Without batch compaction the heap would hold `churn` entries.
-        assert len(sim._heap) < churn
-        assert sim._stale_timers < sim._COMPACT_MIN_STALE
+        for _ in range(640):
+            timer.start(1.0)
+        assert len(sim._heap) == 1
 
-    def test_compaction_preserves_dispatch_order(self, sim):
+    def test_cancelled_timers_never_fire(self, sim):
         log = []
         # Live work interleaved with churned timers.
         for index in range(20):
@@ -464,55 +464,71 @@ class TestTimerCompaction:
                 timer.start(5.0)
         for timer in timers:
             timer.cancel()
-        sim._compact()
+        assert len(sim._heap) == 20 + len(timers)
         sim.run()
-        assert log == list(range(20))  # cancelled timers never fired
+        assert log == list(range(20))
+        assert sim.now == 5.0  # the carriers lapsed there, silently
 
-    def test_compaction_keeps_pending_timer(self, sim):
+    def test_churn_leaves_a_pending_timer_alone(self, sim):
         fired = []
         keeper = sim.timer(lambda: fired.append(sim.now))
         keeper.start(2.0)
         churn = sim.timer(lambda: fired.append("churn"))
-        for _ in range(5 * sim._COMPACT_MIN_STALE):
+        for _ in range(320):
             churn.start(1.0)
         churn.cancel()
-        sim._compact()
+        assert len(sim._heap) == 2
         sim.run()
         assert fired == [2.0]
 
     def test_restart_churn_across_rounds(self, sim):
-        """Stale-generation expiries and heap compaction in one run."""
+        """Restarts from eight rounds, carried by one entry per timer."""
         fired = []
         timers = [sim.timer(lambda i=i: fired.append(i)) for i in range(64)]
 
         def churn():
             for timer in timers:
-                timer.restart(0.5)  # orphan the previous expiry
-                assert sim._stale_timers >= 0
+                timer.restart(0.5)
+            assert len(sim._heap) <= 8 + len(timers)
 
         for round_index in range(8):
             sim.schedule(round_index * 0.1, churn)
         sim.run()
-        # Every orphan was either compacted away or counted down as it
-        # surfaced: an entry that survives the very compaction its own
-        # orphaning triggered would leave this at -1.
-        assert sim._stale_timers == 0
         assert fired == list(range(64))
         assert sim.now == 7 * 0.1 + 0.5
-        # 8 churn calls + 64 live expiries + the 49 orphaned expiries
-        # that surfaced (compaction dropped the other 399 unseen).
-        assert sim.event_count == 121
+        # 8 churn calls + three surfacings per timer: the carrier pushed
+        # at 0.5 meets deadline 1.0 (the 0.5 churn runs first, it was
+        # scheduled first) and is re-pushed there, meets 1.2 at 1.0, and
+        # fires at 1.2.  One push per restart popped 8 + 64 * 8 = 520;
+        # the batch sweep this replaced got that down to 121.
+        assert sim.event_count == 8 + 3 * 64
+        assert sim._sequence == 8 + 8 * 64  # every restart reserved one
 
-    def test_stale_counter_resets_after_compaction(self, sim):
+    def test_cancel_then_start_reuses_the_entry(self, sim):
         fired = []
         timer = sim.timer(lambda: fired.append(sim.now))
         timer.start(1.0)
-        for _ in range(sim._COMPACT_MIN_STALE + 5):
+        (entry,) = sim._heap
+        for _ in range(69):
+            timer.cancel()
             timer.start(1.0)
-        # The compaction triggered by churn zeroed the stale count.
-        assert sim._stale_timers <= sim._COMPACT_MIN_STALE
+        assert sim._heap == [entry] and sim._heap[0] is entry
         timer.cancel()
         sim.run()
-        # The clock may advance over any remaining stale entries, but
-        # the cancelled timer must never fire.
-        assert fired == []
+        # The clock advances over the lapsed carrier, but the cancelled
+        # timer never fires.
+        assert fired == [] and sim.now == 1.0 and sim.event_count == 1
+
+    def test_shortening_restart_fires_at_the_new_deadline(self, sim):
+        fired = []
+        timer = sim.timer(lambda: fired.append(sim.now))
+        timer.start(3.0)
+        sim.schedule(2.5, fired.append, "between")
+        timer.start(1.0)  # earlier than the carrier: the one case that pushes
+        assert [entry[0] for entry in sorted(timer_entries(sim, timer))] == [1.0, 3.0]
+        sim.run(until=2.0)
+        assert fired == [1.0] and not timer.running
+        timer.start(2.0)  # deadline 4.0, past the entry left behind at 3.0
+        sim.run()
+        assert fired == [1.0, "between", 4.0]
+        assert sim.event_count == 4  # the entry at 3.0 surfaced as a no-op

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.engine import Simulator
+from repro.simulator.engine import Simulator, Timer
+from repro.transport.clock import AsyncioClock
+
+from .timer_reference import ReferenceTimer, timer_entries
 
 
 class TestSchedulingProperties:
@@ -119,6 +123,127 @@ class TestTimerProperties:
         assert len(fired) == len(expected)
         for got, want in zip(fired, expected):
             assert abs(got - want) < 1e-9
+
+
+# -- the carrier rule against the push-per-start reference -------------------
+
+TIMERS = 3
+# A coarse grid, for both the instants operations run at and their
+# delays: deadlines then collide with each other, with carriers and with
+# plain events, and same-instant order is what is being compared.
+GRID = [0.0, 1.0, 2.0, 3.0, 4.0]
+
+_timer_op = st.tuples(
+    st.sampled_from(GRID), st.integers(0, TIMERS - 1),
+    st.sampled_from(["start", "cancel", "cancel-start"]), st.sampled_from(GRID),
+)
+_plain_op = st.tuples(
+    st.sampled_from(GRID), st.none(), st.just("plain"), st.sampled_from(GRID),
+)
+_histories = st.lists(st.one_of(_timer_op, _plain_op), max_size=40)
+# Per timer, the delays it restarts itself with from inside its own
+# callback, one per firing.
+_refires = st.lists(st.lists(st.sampled_from(GRID), max_size=3),
+                    min_size=TIMERS, max_size=TIMERS)
+
+
+class _StubLoop:
+    """What AsyncioClock needs of a loop, with a clock the test advances."""
+
+    class _Handle:
+        def cancel(self):
+            pass
+
+    def __init__(self):
+        self.now = 0.0
+
+    def time(self):
+        return self.now
+
+    def call_at(self, when, callback):
+        return self._Handle()
+
+
+def _run_des(step):
+    sim = Simulator()
+    return sim, sim.run
+
+
+def _run_pumped(step):
+    loop = _StubLoop()
+    clock = AsyncioClock(loop)
+
+    def drain():
+        while clock._heap:
+            loop.now += step
+            clock.kick()
+
+    return clock, drain
+
+
+def _play(make_clock, timer_class, history, refires, step):
+    """Run *history*; the log of live callbacks, ``_sequence``, ``event_count``."""
+    clock, drain = make_clock(step)
+    log = []
+    refires = [list(delays) for delays in refires]
+    shortened = [0] * TIMERS  # starts that pushed beside a later carrier
+
+    def check_one_entry_per_timer():
+        if timer_class is not Timer:
+            return
+        for timer, spare in zip(timers, shortened):
+            assert len(timer_entries(clock, timer)) <= 1 + spare
+
+    def start(index, delay):
+        carried = getattr(timers[index], "_carrier_time", None)
+        if carried is not None and clock.now + delay < carried:
+            shortened[index] += 1
+        timers[index].start(delay)
+
+    def fired(index):
+        log.append((clock.now, f"timer{index}"))
+        if refires[index]:
+            start(index, refires[index].pop(0))
+        check_one_entry_per_timer()
+
+    def apply(number, index, action, delay):
+        if action == "plain":
+            clock.schedule(delay, lambda: log.append((clock.now, f"plain{number}")))
+            return
+        if action != "start":
+            timers[index].cancel()
+        if action != "cancel":
+            start(index, delay)
+        check_one_entry_per_timer()
+
+    timers = [timer_class(clock, lambda index=index: fired(index))
+              for index in range(TIMERS)]
+    for number, (at, index, action, delay) in enumerate(history):
+        clock.schedule(at, apply, number, index, action, delay)
+    drain()
+    assert not any(timer.running for timer in timers)
+    return log, clock._sequence, clock.event_count
+
+
+class TestTimerAgainstReference:
+    @pytest.mark.parametrize("make_clock", [_run_des, _run_pumped])
+    @settings(max_examples=300, deadline=None)
+    @given(history=_histories, refires=_refires,
+           step=st.sampled_from([0.5, 1.0, 2.5]))
+    def test_same_live_callbacks_in_the_same_order(self, make_clock, history,
+                                                   refires, step):
+        """Start later / at the same instant / earlier, cancel,
+        cancel-then-start, restart from inside the callback: every live
+        callback at the reference's ``(now, who)``, every sequence
+        number reserved, never more than one heap entry per timer unless
+        a start shortened its deadline — and nothing popped that the
+        reference did not pop."""
+        log, sequence, events = _play(make_clock, Timer, history, refires, step)
+        want_log, want_sequence, want_events = _play(
+            make_clock, ReferenceTimer, history, refires, step)
+        assert log == want_log
+        assert sequence == want_sequence
+        assert events <= want_events
 
 
 class TestProcessProperties:

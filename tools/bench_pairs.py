@@ -17,8 +17,11 @@ inclusive quartiles, wins and ``ops_failed`` per metric.
 
 Exit status 1 if a run fails, or if the two sides' exact ``counts``
 lines differ (same program, same answers); a live workload whose counts
-vary from run to run on one side is reported and not compared.  This
-script only invokes the benchmark; it reads ``BENCHMARK.json`` for the
+vary from run to run on one side is reported and not compared.  A
+change that removes work by design names the keys it moves with
+``--counts-may-differ events,peak_heap``: those are printed ``parent →
+change`` (and reported if they did *not* move), every other key must
+still match.  This script only invokes the benchmark; it reads ``BENCHMARK.json`` for the
 metric names, directions and bounds and edits nothing.
 """
 
@@ -70,6 +73,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def compare_counts(parent: str, change: str,
+                   may_differ: frozenset[str] = frozenset()) -> tuple[bool, list[str]]:
+    """Whether two exact ``counts`` lines agree on every key outside
+    *may_differ*, and the lines to print about it."""
+    before, after = (dict(item.split("=", 1) for item in line.split()[1:])
+                     for line in (parent, change))
+    moved = sorted(key for key in before.keys() | after.keys()
+                   if before.get(key) != after.get(key))
+    named = [f"  {key}: {before.get(key)} → {after.get(key)}" if key in moved else
+             f"  {key}: {before.get(key)} on both sides (allowed to differ, did not)"
+             for key in sorted(may_differ)]
+    unexpected = [key for key in moved if key not in may_differ]
+    if unexpected:
+        return False, [f"COUNTS DIFFER in {', '.join(unexpected)}",
+                       f"  parent: {parent}", f"  change: {change}", *named]
+    if not may_differ:
+        return True, [f"counts identical on both sides: {parent}"]
+    return True, [f"counts identical on both sides but for: {change}", *named]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -78,7 +101,10 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--counts-may-differ", default="", metavar="KEY,KEY",
+                        help="counts keys the change moves by design; all others must match")
     args = parser.parse_args(argv)
+    may_differ = frozenset(filter(None, args.counts_may_differ.split(",")))
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
@@ -121,11 +147,10 @@ def main(argv=None) -> int:
     counts = {side: {run["counts"] for run in runs[side]} for side in runs}
     if any(len(lines) > 1 for lines in counts.values()):
         print("counts vary from run to run on one side (live workload): not compared")
-    elif counts["parent"] != counts["change"]:
-        print("COUNTS DIFFER\n  parent: %s\n  change: %s" % (*counts["parent"], *counts["change"]))
-        status = 1
     else:
-        print("counts identical on both sides:", *counts["parent"])
+        same, report = compare_counts(*counts["parent"], *counts["change"], may_differ)
+        print("\n".join(report))
+        status |= not same
     return int(status)
 
 
