@@ -28,16 +28,21 @@ bench-check:
 # every run, medians, quartiles, wins and ops_failed, and fails if the
 # two exact `counts` lines differ — except in the keys a change that
 # removes work names, e.g. COUNTS_MAY_DIFFER=events,peak_heap (printed
-# parent → change; every other key must still match).  Never measure
-# from the working tree.
+# parent → change; every other key must still match).  CLAIM=<metric>
+# adds the claim-rule verdicts: `holds` only if the change is ahead in
+# >= 9/10 pairs and by more than the parent's IQR (else exit 1), and
+# within bound / worse (exit 1) / unresolved for every other metric.
+# Never measure from the working tree.
 PARENT ?= HEAD
 WORKLOAD ?= sat_clean
 SEED ?= 23
 PAIRS ?= 10
 COUNTS_MAY_DIFFER ?=
+CLAIM ?=
 bench-pairs:
 	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-		--seed $(SEED) --pairs $(PAIRS) --counts-may-differ "$(COUNTS_MAY_DIFFER)"
+		--seed $(SEED) --pairs $(PAIRS) --counts-may-differ "$(COUNTS_MAY_DIFFER)" \
+		--claim "$(CLAIM)"
 
 # Fast (<60s) hot-path regression check: the E22 micro/meso benchmarks
 # plus a fresh BENCH_hotpath.json perf baseline (see docs/TUNING.md).

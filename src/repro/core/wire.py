@@ -38,10 +38,16 @@ Request-NAK::
 
 Control frames use CRC-16 (they are short and separately FEC-protected,
 assumption 4); I-frames use CRC-32.
+
+``issue_t`` and ``req_time`` are clock readings, finite and
+non-negative; a decoder rejects anything else (the sender compares them
+against expected arrival times, and ``+inf`` would cover every
+outstanding frame).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Optional, Union
 
@@ -74,6 +80,17 @@ _FLAG_FRONTIER = 0x04
 
 class WireFormatError(ValueError):
     """Malformed or CRC-failing wire data."""
+
+
+def _check_time(value: float, field: str) -> None:
+    """Reject a timestamp no encoder's clock produces.
+
+    The CRC says the octets arrived as sent, not that the peer is sane:
+    checked here and not in the frame constructors, which the DES builds
+    once per frame from its own clock.
+    """
+    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+        raise WireFormatError(f"{field} {value!r} is not a finite, non-negative time")
 
 
 def encode_iframe(frame: IFrame, payload: bytes, origin: Optional[int] = None) -> bytes:
@@ -180,6 +197,7 @@ def decode_checkpoint(data: bytes, *, verify: bool = True) -> CheckpointFrame:
     frame_type, flags, cp_index, issue_time = struct.unpack(">BBId", body[:14])
     if frame_type != FRAME_TYPE_CHECKPOINT:
         raise WireFormatError(f"not a checkpoint (type 0x{frame_type:02x})")
+    _check_time(issue_time, "checkpoint issue time")
     cursor = 14
     frontier: Optional[int] = None
     if flags & _FLAG_FRONTIER:
@@ -228,6 +246,7 @@ def decode_request_nak(data: bytes, *, verify: bool = True) -> RequestNakFrame:
     frame_type, request_time = struct.unpack(">Bd", body)
     if frame_type != FRAME_TYPE_REQUEST_NAK:
         raise WireFormatError(f"not a Request-NAK (type 0x{frame_type:02x})")
+    _check_time(request_time, "Request-NAK request time")
     try:
         return RequestNakFrame(request_time=request_time, size_bits=8 * len(data))
     except ValueError as error:

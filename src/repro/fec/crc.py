@@ -3,16 +3,22 @@
 The paper's link-model assumption 9 states that all frame errors —
 including outright losses — are *detectable*: "we assume that no
 undetectable errors (CRC-violation)".  This module supplies the
-detection machinery: table-driven CRC-16-CCITT (the HDLC frame check
-sequence) and CRC-32 (for long I-frames at Gbps rates), plus helpers to
-frame and verify payloads.
+detection machinery: CRC-16-CCITT (the HDLC frame check sequence) and
+CRC-32 (for long I-frames at Gbps rates), plus helpers to frame and
+verify payloads.
 
-These are real bit-accurate implementations, usable standalone; the
-simulator's frame objects use them when byte-level payloads are carried
-(the analytic model only needs the *detectability* assumption).
+Both polynomials are computed by the standard library's C code
+(``binascii.crc_hqx``, ``zlib.crc32``): the UDP plane hashes every frame
+on encode and again on decode, so a per-byte Python loop here is a
+fifth of what a datagram costs (docs/TUNING.md §13).  The table-driven
+definitions they must equal, for every input and every ``initial``, are
+the test oracle in ``tests/crc_reference.py``.
 """
 
 from __future__ import annotations
+
+import binascii
+import zlib
 
 __all__ = [
     "crc16_ccitt",
@@ -24,44 +30,24 @@ __all__ = [
 ]
 
 
-def _build_table_16(poly: int) -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ poly) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-def _build_table_32(poly: int) -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        table.append(crc)
-    return table
-
-
-_TABLE_16 = _build_table_16(0x1021)  # CCITT polynomial x^16 + x^12 + x^5 + 1
-_TABLE_32 = _build_table_32(0xEDB88320)  # reflected IEEE 802.3 polynomial
-
-
 def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
-    """CRC-16-CCITT (X.25 / HDLC FCS polynomial), MSB-first."""
-    crc = initial & 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _TABLE_16[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    """CRC-16-CCITT (X.25 / HDLC FCS polynomial), MSB-first.
+
+    *data* is bytes-like (``bytes``, ``bytearray``, ``memoryview``);
+    *initial* is taken modulo 2**16.
+    """
+    return binascii.crc_hqx(data, initial & 0xFFFF)
 
 
 def crc32_ieee(data: bytes, initial: int = 0xFFFFFFFF) -> int:
-    """CRC-32 (IEEE 802.3, reflected), with final complement."""
-    crc = initial & 0xFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ _TABLE_32[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    """CRC-32 (IEEE 802.3, reflected), with final complement.
+
+    *data* is bytes-like (``bytes``, ``bytearray``, ``memoryview``);
+    *initial* is the register before the first byte, taken modulo
+    2**32.  ``zlib.crc32`` takes the complemented register as its
+    running value, hence the XOR.
+    """
+    return zlib.crc32(data, (initial & 0xFFFFFFFF) ^ 0xFFFFFFFF)
 
 
 def append_crc16(payload: bytes) -> bytes:

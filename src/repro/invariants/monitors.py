@@ -109,7 +109,7 @@ class InvariantMonitor:
             invariant=self.name, time=time, message=message, detail=detail,
         )
         if self._suite is not None:
-            violation.trace_window = self._suite.window_snapshot()
+            violation.trace_window = self._suite.window_snapshot(time)
             violation.context = dict(self._suite.context)
         self.violations.append(violation)
         return violation
@@ -129,10 +129,10 @@ class MonitorSuite:
     Construction registers a single listener on *tracer* that routes
     each record to the monitors whose :attr:`InvariantMonitor.events`
     name its event (or name nothing) and keeps the last *window*
-    records; a violation captures them, formatted at that moment.  The
-    monitor list is fixed at construction.  Call :meth:`finalize` once
-    after the run; :attr:`violations` / :meth:`report` aggregate across
-    monitors.
+    records; a violation captures those up to its own time, formatted at
+    that moment.  The monitor list is fixed at construction.  Call
+    :meth:`finalize` once after the run; :attr:`violations` /
+    :meth:`report` aggregate across monitors.
 
     *context* carries the reproducer identity (seed, scenario name,
     fault-plan name, episode index); it is stamped onto every
@@ -177,8 +177,26 @@ class MonitorSuite:
         for on_event in self._routes.get(record.event, self._read_all):
             on_event(record)
 
-    def window_snapshot(self) -> tuple[str, ...]:
-        return tuple(record.format() for record in self._window)
+    def window_snapshot(self, until: float = math.inf) -> tuple[str, ...]:
+        """The retained records up to time *until*, formatted.
+
+        A monitor reporting from ``finalize`` stamps its violation with
+        the instant the invariant broke, which the window may have left
+        behind long ago; what was recorded after that instant explains
+        nothing, so when nothing older is retained one line says so.
+        Records are dropped from the newest end only: stamps are not
+        monotone in emission order (a committed window's ``iframe_sent``
+        records carry their future departure times), and a violation
+        raised from ``on_event`` must keep everything emitted before the
+        record that raised it.
+        """
+        records = list(self._window)
+        while records and records[-1].time > until:
+            records.pop()
+        if self._window and not records:
+            return (f"trace window had moved past t={until:.6f}; "
+                    f"oldest retained record t={self._window[0].time:.6f}",)
+        return tuple(record.format() for record in records)
 
     def detach(self) -> None:
         """Stop listening (accumulated violations stay readable)."""

@@ -45,6 +45,14 @@ __all__ = [
 _INDEX_DIGITS = 8
 _HEADER_LEN = _INDEX_DIGITS + 1  # "00000042|"
 
+# Body byte i of payload `index` is (131*index + 7 + 29*i) mod 256.  29 is
+# invertible mod 256, so every body is a slice of the one sequence
+# 29*j mod 256, entered at j = (131*index + 7) * 29^-1: one copy, no
+# per-byte loop inside a live offer loop (run_client builds payloads
+# between sends).
+_FILL = bytes((29 * j) & 0xFF for j in range(256))
+_INVERSE_29 = pow(29, -1, 256)
+
 
 def make_payload(index: int, size: int = 256) -> bytes:
     """Deterministic payload *index*: parseable header + pseudo-random fill.
@@ -57,9 +65,9 @@ def make_payload(index: int, size: int = 256) -> bytes:
     if size < _HEADER_LEN:
         raise ValueError(f"payload size must be >= {_HEADER_LEN}, got {size}")
     header = b"%0*d|" % (_INDEX_DIGITS, index)
-    body = bytes((index * 131 + i * 29 + 7) & 0xFF
-                 for i in range(size - _HEADER_LEN))
-    return header + body
+    start = ((index * 131 + 7) * _INVERSE_29) & 0xFF
+    need = start + size - _HEADER_LEN
+    return header + (_FILL * (need // 256 + 1))[start:need]
 
 
 def payload_index(data: Any) -> Optional[int]:

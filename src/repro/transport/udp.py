@@ -148,10 +148,6 @@ class UdpChannel:
         if self._transmitting:
             self._queue.append(frame)
             return
-        if self._queue:
-            self._queue.append(frame)
-            self._start_next()
-            return
         self._begin_transmit(frame)
 
     def transmission_time(self, frame: Any) -> float:
@@ -167,8 +163,14 @@ class UdpChannel:
     def _start_next(self) -> None:
         if not self._queue:
             self._transmitting = False
-            for callback in list(self.idle_callbacks):
-                callback()
+            callbacks = self.idle_callbacks
+            if len(callbacks) == 1:
+                # Single registered callback (the usual wiring): skip the
+                # defensive snapshot copy — this runs once per frame.
+                callbacks[0]()
+            else:
+                for callback in list(callbacks):
+                    callback()
             return
         self._begin_transmit(self._queue.popleft())
 

@@ -230,14 +230,18 @@ def test_engine_backend_is_stamped_somewhere_real():
     assert engine_backend() in ("pure", "compiled")
 
 
-def test_bench_pairs_counts_may_differ_only_where_named():
-    """``tools/bench_pairs.py --counts-may-differ``: a named key may
-    move (and is reported if it did not); any other key fails the run."""
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    compare = bench_pairs.compare_counts
+    return bench_pairs
+
+
+def test_bench_pairs_counts_may_differ_only_where_named():
+    """``tools/bench_pairs.py --counts-may-differ``: a named key may
+    move (and is reported if it did not); any other key fails the run."""
+    compare = load_bench_pairs().compare_counts
 
     parent = "counts events=618271 frames=158646 peak_heap=16065 retransmissions=6"
     change = "counts events=532273 frames=158646 peak_heap=16065 retransmissions=6"
@@ -255,3 +259,58 @@ def test_bench_pairs_counts_may_differ_only_where_named():
     assert not same and report[0] == "COUNTS DIFFER in frames"
     same, _ = compare(parent, change + " extra=1", named)
     assert not same
+
+
+def test_bench_pairs_claim_verdicts_on_canned_runs(capsys):
+    """``tools/bench_pairs.py --claim``: the claimed metric holds only
+    when ahead in >= 9/10 pairs by more than the parent's IQR; every
+    other metric is within bound, worse (exit 1) or unresolved; a live
+    workload's per-run retransmissions are listed, not just skipped."""
+    summarize = load_bench_pairs().summarize
+    spec = {"end_to_end": [
+        {"name": "cpu_us", "unit": "us", "better": "lower", "bound": 0.2},
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.15},
+        {"name": "p50", "unit": "ms", "better": "lower", "bound": 0.15},
+        {"name": "rss", "unit": "MB", "better": "lower", "bound": 0.05},
+    ]}
+
+    def side(cpu, rate, p50, rss, retransmissions):
+        return [{"counts": f"counts datagrams={4600 + r} retransmissions={r}", "failed": 0,
+                 "attempted": 4511,
+                 "metrics": {"cpu_us": c, "rate": f, "p50": l, "rss": m}}
+                for c, f, l, m, r in zip(cpu, rate, p50, rss, retransmissions)]
+
+    tens = range(10)
+    parent = side(cpu=[260 + i for i in tens], rate=[585.0] * 10,
+                  p50=[2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0],
+                  rss=[52.0] * 10, retransmissions=[11, 0, 3, 7, 2, 9, 4, 1, 0, 5])
+    runs = {"parent": parent,
+            "change": side(cpu=[180 + i for i in tens], rate=[585.0] * 10,
+                           p50=[2.1, 2.0, 2.0, 2.0, 2.0, 3.1, 3.0, 3.0, 3.0, 3.0],
+                           rss=[52.5] * 10, retransmissions=[4, 0, 2, 1, 0, 6, 3, 1, 0, 2])}
+
+    assert summarize(spec, runs) == 0  # no claim: the table only
+    assert "verdicts" not in capsys.readouterr().out
+
+    assert summarize(spec, runs, claim="cpu_us") == 0
+    out = capsys.readouterr().out
+    assert "  cpu_us: CLAIM holds: ahead in 10/10 pairs (0 tie(s))" in out
+    assert "  rate: within bound" in out
+    assert "  p50: unresolved (spread wider than bound)" in out  # IQR 1.0 of a median 2.5
+    assert "  rss: within bound" in out  # +1% of a 5% bound
+    assert "  retransmissions parent: 11 0 3 7 2 9 4 1 0 5" in out
+    assert "  retransmissions change: 4 0 2 1 0 6 3 1 0 2" in out
+    assert "  datagrams parent: 4611 4600" in out
+
+    # Eight wins of ten is not nine; a lead inside the parent's IQR is not a gain.
+    runs["change"] = side(cpu=[180] * 8 + [300, 300], rate=[585.0] * 10, p50=[1.9] * 10,
+                          rss=[56.0] * 10, retransmissions=[0] * 10)
+    assert summarize(spec, runs, claim="cpu_us") == 1
+    out = capsys.readouterr().out
+    assert "  cpu_us: CLAIM not resolved: ahead in 8/10 pairs" in out
+    assert "  rss: worse by more than bound" in out
+    assert "  p50: within bound" in out  # every change run below every parent run
+    runs["change"] = side(cpu=[258 + i for i in tens], rate=[585.0] * 10, p50=[2.0] * 10,
+                          rss=[52.0] * 10, retransmissions=[0] * 10)
+    assert summarize(spec, runs, claim="cpu_us") == 1
+    assert "CLAIM not resolved: ahead in 10/10 pairs" in capsys.readouterr().out

@@ -27,6 +27,11 @@ from repro.fec.crc import (
 )
 from repro.fec.interleaver import BlockInterleaver, burst_spread
 
+from .crc_reference import reference_crc16_ccitt, reference_crc32_ieee
+
+# Every form of input the wire hands the CRC, over one generated value.
+BYTES_LIKE = st.sampled_from([bytes, bytearray, memoryview])
+
 
 class TestCrc:
     def test_crc16_known_vector(self):
@@ -71,6 +76,29 @@ class TestCrc:
     @given(st.binary(min_size=0, max_size=200))
     def test_crc32_roundtrip_property(self, payload):
         assert verify_crc32(append_crc32(payload))
+
+    # The C implementations against the table loops they replaced
+    # (tests/crc_reference.py): every input, every initial register —
+    # including one bit above the register, which both must mask off.
+
+    @given(st.binary(min_size=0, max_size=4096),
+           st.integers(min_value=0, max_value=1 << 16), BYTES_LIKE)
+    def test_crc16_equals_table_reference(self, data, initial, form):
+        assert crc16_ccitt(form(data), initial) == reference_crc16_ccitt(data, initial)
+
+    @given(st.binary(min_size=0, max_size=4096),
+           st.integers(min_value=0, max_value=1 << 32), BYTES_LIKE)
+    def test_crc32_equals_table_reference(self, data, initial, form):
+        assert crc32_ieee(form(data), initial) == reference_crc32_ieee(data, initial)
+
+    @pytest.mark.parametrize("data", [b"", b"\x00", b"123456789", bytes(range(256)) * 6])
+    def test_default_and_boundary_initials_equal_table_reference(self, data):
+        assert crc16_ccitt(data) == reference_crc16_ccitt(data)
+        assert crc32_ieee(data) == reference_crc32_ieee(data)
+        for initial in (0, 0xFFFF, 0x10000, 0x1FFFF):
+            assert crc16_ccitt(data, initial) == reference_crc16_ccitt(data, initial)
+        for initial in (0, 0xFFFFFFFF, 0x100000000, 0x1FFFFFFFF):
+            assert crc32_ieee(data, initial) == reference_crc32_ieee(data, initial)
 
 
 class TestInterleaver:

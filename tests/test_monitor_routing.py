@@ -5,7 +5,8 @@ its event and formats the trace window when a violation is recorded.
 The reference below is what the suite did before: every record goes to
 every monitor's ``on_event`` and every record is formatted on arrival.
 Recorded timelines are replayed through both; the violations must be
-identical, ``trace_window`` text and ``context`` included.
+identical, ``trace_window`` text and ``context`` included.  Both keep
+the window rule: a violation's window ends at the violation's own time.
 
 A clean run violates nothing under the bounds ``attach_monitors``
 derives, so each timeline is also replayed under deliberately tight
@@ -16,6 +17,7 @@ Everything asserted here is a count or a comparison, never a timing.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import pytest
@@ -59,12 +61,18 @@ class BroadcastSuite(MonitorSuite):
         self._lines = deque(maxlen=window)
 
     def _on_record(self, record):
-        self._lines.append(record.format())
+        self._lines.append((record.time, record.format()))
         for monitor in self.monitors:
             monitor.on_event(record)
 
-    def window_snapshot(self):
-        return tuple(self._lines)
+    def window_snapshot(self, until=math.inf):
+        lines = list(self._lines)
+        while lines and lines[-1][0] > until:
+            lines.pop()
+        if self._lines and not lines:
+            return (f"trace window had moved past t={until:.6f}; "
+                    f"oldest retained record t={self._lines[0][0]:.6f}",)
+        return tuple(line for _, line in lines)
 
 
 def simulate(seed, until=1.5, **build):
@@ -197,3 +205,48 @@ def test_clean_monitored_run_formats_no_record(monkeypatch):
     assert calls == []
     # ...and the window is still there for the violation that needs it.
     assert len(suite.window_snapshot()) == 40 == len(calls)
+
+
+def silence_nobody_noticed(later_records):
+    """One silence window the sender never reacts to, then unrelated traffic."""
+    tracer = Tracer()
+    monitor = FailureLatencyMonitor(
+        silence_windows=[(0.5, 0.9)], risk_windows=[],
+        detection_bound=0.05, declared_bound=10.0, guard=0.01,
+    )
+    suite = MonitorSuite(tracer, [monitor], context=CONTEXT)
+    tracer.emit(0.40, "a", "iframe_sent", seq=0)
+    tracer.emit(0.55, "a", "iframe_sent", seq=1)
+    for index in range(later_records):
+        tracer.emit(2.0 + 0.01 * index, "a", "iframe_sent", seq=2 + index)
+    suite.finalize(3.0)
+    (violation,) = suite.violations
+    assert violation.invariant == "failure-latency" and violation.time == pytest.approx(0.56)
+    return violation
+
+
+def test_end_of_run_violation_keeps_the_window_at_its_own_time():
+    """A monitor reporting from ``finalize`` stamps the instant the bound
+    ran out; records from seconds later are not its trace window."""
+    violation = silence_nobody_noticed(later_records=10)
+    assert [line.split()[0] for line in violation.trace_window] == ["0.400000", "0.550000"]
+
+
+def test_window_that_moved_past_the_violation_says_so():
+    violation = silence_nobody_noticed(later_records=60)
+    assert violation.trace_window == (
+        "trace window had moved past t=0.560000; oldest retained record t=2.200000",)
+    assert "trace window had moved past" in violation.format()
+
+
+def test_violation_from_on_event_keeps_records_stamped_ahead_of_it():
+    """A committed window's ``iframe_sent`` records carry departure times
+    still in the future; they were emitted before the record that raised
+    the violation and belong to its window."""
+    tracer = Tracer()
+    suite = MonitorSuite(tracer, [ReceiverQueueBoundMonitor(bound=0)])
+    tracer.emit(0.20, "a", "iframe_sent", seq=0)
+    tracer.emit(0.30, "a", "iframe_sent", seq=1)
+    tracer.emit(0.10, "b.rx", "rxqueue_level", depth=1)
+    (violation,) = suite.violations
+    assert violation.time == 0.10 and len(violation.trace_window) == 3

@@ -10,9 +10,43 @@ under a second per scenario.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.transport import GOLDEN_SCENARIOS, golden_scenario, run_conformance
-from repro.transport.conformance import run_des_reference
+from repro.transport.conformance import make_payload, payload_index, run_des_reference
+
+PAYLOAD_SIZES = (9, 10, 100, 256, 300, 1500)
+
+
+def generated_payload(index: int, size: int) -> bytes:
+    """``make_payload`` as it was defined: one generator step per byte."""
+    body = bytes((index * 131 + i * 29 + 7) & 0xFF for i in range(size - 9))
+    return b"%08d|" % index + body
+
+
+class TestPayloadIsTheGeneratedOne:
+    """``make_payload`` slices one tiled permutation; the bytes must be
+    the ones the per-byte definition above produces."""
+
+    @pytest.mark.parametrize("size", PAYLOAD_SIZES)
+    def test_every_index_residue(self, size):
+        for index in range(256):
+            assert make_payload(index, size) == generated_payload(index, size)
+
+    @given(index=st.integers(min_value=0, max_value=10**8 - 1),
+           size=st.sampled_from(PAYLOAD_SIZES))
+    def test_large_indices(self, index, size):
+        payload = make_payload(index, size)
+        assert payload == generated_payload(index, size)
+        assert len(payload) == size and payload_index(payload) == index
+
+    def test_default_size(self):
+        assert make_payload(4510) == generated_payload(4510, 256)
+
+    def test_too_small_for_the_header(self):
+        with pytest.raises(ValueError, match="payload size"):
+            make_payload(0, 8)
 
 
 class TestGoldenScenarios:

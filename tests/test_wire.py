@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 
 import pytest
@@ -12,6 +13,7 @@ from repro.core.frames import CheckpointFrame, IFrame, RequestNakFrame
 from repro.core.wire import (
     FRAME_TYPE_CHECKPOINT,
     FRAME_TYPE_IFRAME,
+    FRAME_TYPE_REQUEST_NAK,
     WireFormatError,
     decode_checkpoint,
     decode_frame,
@@ -22,10 +24,33 @@ from repro.core.wire import (
     encode_iframe,
     encode_request_nak,
 )
+from repro.fec.crc import append_crc16
+from repro.transport.udp import decode_datagram
+
+from .sender_reference import SenderRig
 
 
 def make_iframe(seq=7, index=42, payload_bits=64) -> IFrame:
     return IFrame(seq=seq, payload=None, size_bits=payload_bits, transmit_index=index)
+
+
+def crafted_checkpoint(issue_time: float, frontier: int | None = None) -> bytes:
+    """A CRC-valid checkpoint with no NAKs around an arbitrary time field."""
+    body = struct.pack(">BBId", FRAME_TYPE_CHECKPOINT, 0 if frontier is None else 0x04,
+                       1, issue_time)
+    if frontier is not None:
+        body += struct.pack(">I", frontier)
+    return append_crc16(body + b"\x00\x00")
+
+
+def crafted_request_nak(request_time: float) -> bytes:
+    return append_crc16(struct.pack(">Bd", FRAME_TYPE_REQUEST_NAK, request_time))
+
+
+def assert_times_are_clock_readings(frame) -> None:
+    for name in ("issue_time", "request_time"):
+        value = getattr(frame, name, 0.0)
+        assert math.isfinite(value) and value >= 0.0, (name, value)
 
 
 class TestIFrameWire:
@@ -175,10 +200,15 @@ class TestDecoderFuzzing:
     @given(data=st.binary(max_size=256))
     @settings(max_examples=500)
     def test_arbitrary_bytes_never_leak_other_exceptions(self, data):
-        try:
-            decode_frame(data)
-        except WireFormatError:
-            pass
+        # verify=False is the salvage pass decode_datagram runs on every
+        # CRC failure: it parses most arbitrary octets, so it is the one
+        # that shows what a decoder is willing to return.
+        for verify in (True, False):
+            try:
+                frame = decode_frame(data, verify=verify)
+            except WireFormatError:
+                continue
+            assert_times_are_clock_readings(frame)
 
     @given(
         payload=st.binary(max_size=64),
@@ -206,8 +236,6 @@ class TestDecoderFuzzing:
     def test_crc_valid_duplicate_naks_raise_wire_error(self):
         """A CRC-passing body with a duplicate NAK entry must surface as
         WireFormatError, not as the frame constructor's plain ValueError."""
-        from repro.fec.crc import append_crc16
-
         body = struct.pack(">BBId", FRAME_TYPE_CHECKPOINT, 0, 1, 0.0)
         body += struct.pack(">HHH", 2, 5, 5)  # nak_count=2, naks=(5, 5)
         crafted = append_crc16(body)
@@ -215,6 +243,17 @@ class TestDecoderFuzzing:
             decode_frame(crafted)
         with pytest.raises(WireFormatError):
             decode_checkpoint(crafted)
+
+    @given(time_field=st.binary(min_size=8, max_size=8), checkpoint=st.booleans())
+    @settings(max_examples=300)
+    def test_crc_valid_control_frame_with_any_time_field(self, time_field, checkpoint):
+        (value,) = struct.unpack(">d", time_field)
+        data = crafted_checkpoint(value) if checkpoint else crafted_request_nak(value)
+        if math.isfinite(value) and value >= 0.0:
+            assert_times_are_clock_readings(decode_frame(data))
+        else:
+            with pytest.raises(WireFormatError):
+                decode_frame(data)
 
     def test_non_bytes_input_raises_wire_error(self):
         for bad in (None, 17, "abc", [1, 2, 3], 4.2):
@@ -225,6 +264,46 @@ class TestDecoderFuzzing:
         encoded = encode_request_nak(RequestNakFrame(request_time=1.0))
         for view in (bytearray(encoded), memoryview(encoded)):
             assert decode_frame(view).request_time == 1.0
+
+
+class TestTimesNoEncoderProduces:
+    """A CRC proves the octets arrived as sent, not that the peer's clock
+    is sane: the two-process mode takes datagrams from the network."""
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("craft, decode", [
+        (crafted_checkpoint, decode_checkpoint),
+        (crafted_request_nak, decode_request_nak),
+    ])
+    def test_rejected_by_every_decoder(self, craft, decode, bad):
+        data = craft(bad)
+        for verify in (True, False):
+            with pytest.raises(WireFormatError, match="finite, non-negative"):
+                decode(data, verify=verify)
+            with pytest.raises(WireFormatError):
+                decode_frame(data, verify=verify)
+
+    def test_zero_and_ordinary_times_still_decode(self):
+        assert decode_checkpoint(crafted_checkpoint(0.0)).issue_time == 0.0
+        assert decode_request_nak(crafted_request_nak(1e9)).request_time == 1e9
+
+    def test_crafted_checkpoint_never_reaches_the_sender(self):
+        """issue_time=+inf covers the whole window and a large frontier
+        turns every covered frame into a delivered one: zero loss broken
+        by one well-formed datagram, unless the decoder stops it."""
+        rig = SenderRig()
+        rig.offer(50)
+        rig.run(0.001)
+        assert rig.sender.buffer.outstanding_count == 50
+        frame, corrupted = decode_datagram(crafted_checkpoint(math.inf, frontier=0xFFFFFFFF))
+        assert frame is None and corrupted  # counted as undecodable, dispatched nowhere
+
+        # What the frame does if anything lets it through (the frame
+        # constructors do not validate times; the DES pays for them per frame).
+        rig.sender.on_checkpoint(
+            CheckpointFrame(cp_index=1, issue_time=math.inf, frontier=0xFFFFFFFF), False)
+        assert rig.sender.buffer.outstanding_count == 0
+        assert rig.sender.held_payloads() == []
 
 
 class TestOriginFidelity:
