@@ -14,7 +14,8 @@ Run:  python examples/flow_control_demo.py
 
 from __future__ import annotations
 
-from repro.core import LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import LamsDlcConfig
 from repro.simulator import FullDuplexLink, Simulator, StreamRegistry
 from repro.workloads.generators import ConstantRateSource
 
@@ -40,8 +41,8 @@ def main() -> None:
     delivered: list = []
     # The receiver drains one frame per 250 µs — far below the ~83 µs
     # inter-frame time of a saturated 100 Mbps sender.
-    a, b = lams_dlc_pair(
-        sim, link, config, deliver_b=delivered.append, delivery_interval_b=250e-6,
+    a, b = make_endpoint_pair(
+        "lams", sim, link, config, deliver_b=delivered.append, delivery_interval_b=250e-6,
     )
     a.start(send=True, receive=False)
     b.start(send=False, receive=True)

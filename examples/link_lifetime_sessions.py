@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core import LamsDlcConfig
 from repro.hdlc import HdlcConfig
 from repro.session import LinkSessionManager, PassSchedule
-from repro.session.factories import hdlc_session_factory, lams_session_factory
+from repro.session.factories import session_factory
 from repro.simulator import (
     BernoulliChannel,
     FullDuplexLink,
@@ -46,12 +46,12 @@ def main() -> None:
     schedule = PassSchedule.periodic(first_start=0.05, duration=0.5, gap=0.2, count=4)
 
     for label, factory, init_time in (
-        ("LAMS-DLC, 10ms init", lams_session_factory(
-            LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)), 0.010),
-        ("LAMS-DLC, 100ms init", lams_session_factory(
-            LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)), 0.100),
-        ("SR-HDLC, 10ms init", hdlc_session_factory(
-            HdlcConfig(window_size=64, sequence_bits=7, timeout=0.07)), 0.010),
+        ("LAMS-DLC, 10ms init", session_factory(
+            "lams", LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)), 0.010),
+        ("LAMS-DLC, 100ms init", session_factory(
+            "lams", LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)), 0.100),
+        ("SR-HDLC, 10ms init", session_factory(
+            "hdlc", HdlcConfig(window_size=64, sequence_bits=7, timeout=0.07)), 0.010),
     ):
         sim = Simulator()
         link = FullDuplexLink(

@@ -13,7 +13,8 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro.analysis import lams as lams_model
-from repro.workloads import build_lams_simulation, preset
+from repro.api import build_simulation
+from repro.workloads import preset
 from repro.workloads.generators import FiniteBatch
 
 
@@ -22,7 +23,7 @@ def main() -> None:
     print(f"link: {scenario.bit_rate/1e6:.0f} Mbps, {scenario.distance_km:.0f} km "
           f"(RTT {scenario.round_trip_time*1000:.1f} ms), I-frame BER {scenario.iframe_ber:g}")
 
-    setup = build_lams_simulation(scenario, seed=7)
+    setup = build_simulation(scenario, "lams", seed=7)
     n_frames = 10_000
     FiniteBatch(setup.sim, setup.endpoint_a, count=n_frames).start()
     setup.run(until=30.0)

@@ -20,10 +20,11 @@ A complete, executable reconstruction of the paper's system:
 
 Quickstart::
 
-    from repro.workloads import preset, build_lams_simulation
+    from repro.api import build_simulation
+    from repro.workloads import preset
     from repro.workloads.generators import FiniteBatch
 
-    setup = build_lams_simulation(preset("nominal"), seed=1)
+    setup = build_simulation(preset("nominal"), "lams", seed=1)
     FiniteBatch(setup.sim, setup.endpoint_a, count=1000).start()
     setup.run(until=5.0)
     assert len(setup.delivered) == 1000

@@ -132,7 +132,7 @@ def _validate_pool_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _apply_error_model_arg(
+def _with_error_model_arg(
     scenario: LinkScenario, args: argparse.Namespace,
 ) -> Optional[LinkScenario]:
     """Fold a validated --error-model into the scenario; None on error."""
@@ -226,7 +226,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _apply_error_model_arg(_scenario_from_args(args), args)
+    scenario = _with_error_model_arg(_scenario_from_args(args), args)
     if scenario is None:
         return 2
     plan, ok = _load_fault_plan_arg(args)
@@ -316,7 +316,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             except ValueError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 2
-            scenario = _apply_error_model_arg(_scenario_from_args(args), args)
+            scenario = _with_error_model_arg(_scenario_from_args(args), args)
             if scenario is None:
                 return 2
             master_seed = (args.master_seed if args.master_seed is not None
@@ -517,7 +517,7 @@ def _cmd_constellation(args: argparse.Namespace) -> int:
     if args.duration <= 0:
         print("error: --duration must be positive", file=sys.stderr)
         return 2
-    scenario = _apply_error_model_arg(_scenario_from_args(args), args)
+    scenario = _with_error_model_arg(_scenario_from_args(args), args)
     if scenario is None:
         return 2
     template = LinkSpec(scenario=scenario)
@@ -572,7 +572,7 @@ def _transport_scenario(args: argparse.Namespace) -> Optional[LinkScenario]:
         scenario = golden_scenario(args.golden)
     else:
         scenario = _scenario_from_args(args)
-    return _apply_error_model_arg(scenario, args)
+    return _with_error_model_arg(scenario, args)
 
 
 def _cmd_transmit(args: argparse.Namespace) -> int:

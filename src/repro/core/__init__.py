@@ -1,9 +1,10 @@
 """LAMS-DLC: the paper's NAK-based ARQ data-link protocol.
 
 Public surface: :class:`LamsDlcConfig` (all protocol knobs),
-:class:`LamsDlcEndpoint` / :func:`lams_dlc_pair` (executable protocol),
-and the building blocks (frames, sequence space, send buffer, Stop-Go
-flow control) for anyone composing a custom stack.
+:class:`LamsDlcEndpoint` (executable protocol; pairs are built with
+:func:`repro.api.make_endpoint_pair`), and the building blocks (frames,
+sequence space, send buffer, Stop-Go flow control) for anyone composing
+a custom stack.
 """
 
 from .config import LamsDlcConfig
@@ -16,7 +17,7 @@ from .endpoint import (
 )
 from .flowcontrol import StopGoRateController
 from .frames import CheckpointFrame, IFrame, LamsFrame, RequestNakFrame
-from .protocol import LamsDlcEndpoint, lams_dlc_pair
+from .protocol import LamsDlcEndpoint
 from .receiver import ErrorEntry, LamsReceiver
 from .sendbuf import OutstandingFrame, SendBuffer
 from .sender import LamsSender, PendingRetransmission
@@ -48,7 +49,6 @@ __all__ = [
     "available_protocols",
     "cyclic_less_equal",
     "forward_distance",
-    "lams_dlc_pair",
     "register_pair_factory",
     "resolve_protocol",
 ]

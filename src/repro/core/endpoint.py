@@ -11,20 +11,18 @@ captures that shape once:
   be written against the shape instead of a concrete class.
 - a **pair-factory registry** — each protocol family registers one
   builder (``register_pair_factory``); callers construct endpoints
-  through :func:`build_endpoint_pair` (or the public facade
-  :func:`repro.api.make_endpoint_pair`) instead of protocol-name
-  ``if``/``elif`` chains.
+  through :func:`make_endpoint_pair` (re-exported by :mod:`repro.api`)
+  instead of protocol-name ``if``/``elif`` chains.
 - **protocol-name aliases** — the experiment-level names
   (``"gbn"``, ``"nbdt-multiphase"``, ...) resolve to a registered
   family plus the configuration overrides that variant implies.
-- a **transport-backend registry** — construction dispatches on the
-  ``(protocol, backend)`` pair: the protocol family supplies the state
-  machines, the backend supplies the substrate they run on.  ``"des"``
-  is the in-process discrete-event simulator; ``"udp"``
-  (:mod:`repro.transport`) runs the same state machines over real
-  asyncio-UDP sockets.  Backends declare which families they can carry
-  (the UDP backend needs a :mod:`repro.core.wire` codec, which only the
-  LAMS family has today).
+
+Construction is substrate-agnostic: a family factory is written against
+the :class:`~repro.core.clock.Clock` contract and the link's
+``forward`` / ``reverse`` / ``attach`` shape, so the same call wires a
+pair over the discrete-event simulator's
+:class:`~repro.simulator.link.FullDuplexLink` or over
+:class:`repro.transport.udp.UdpLink`'s real sockets.
 
 The registry lives here, import-free of the protocol implementations,
 so the protocol modules can register themselves without cycles; lookup
@@ -41,15 +39,11 @@ __all__ = [
     "Endpoint",
     "EndpointPair",
     "PairFactory",
-    "TransportBackend",
-    "available_backends",
     "available_protocols",
-    "build_endpoint_pair",
+    "make_endpoint_pair",
     "pair_factory",
-    "register_backend",
     "register_pair_factory",
     "registered_families",
-    "resolve_backend",
     "resolve_protocol",
 ]
 
@@ -184,80 +178,6 @@ def available_protocols() -> list[str]:
     return sorted(_ALIASES)
 
 
-@dataclasses.dataclass(frozen=True)
-class TransportBackend:
-    """One substrate endpoint pairs can be built on.
-
-    ``build_pair`` receives the already-resolved family name and its
-    registered :data:`PairFactory` plus the standard construction
-    arguments; it validates the substrate (clock/link types) and calls
-    the factory.  ``families`` restricts which protocol families the
-    backend can carry (``None`` means all).
-    """
-
-    name: str
-    build_pair: Callable[..., "EndpointPair"]
-    build_simulation: Optional[Callable[..., Any]] = None
-    families: Optional[frozenset[str]] = None
-    description: str = ""
-
-
-_BACKENDS: dict[str, TransportBackend] = {}
-
-# Built-in backends importable on demand (same pattern as the protocol
-# families): the UDP backend lives in the transport package and
-# registers itself at import time.
-_BACKEND_MODULES = {
-    "udp": "repro.transport.backend",
-}
-
-
-def register_backend(backend: TransportBackend) -> TransportBackend:
-    """Register a :class:`TransportBackend` under its name."""
-    _BACKENDS[backend.name.lower()] = backend
-    return backend
-
-
-def resolve_backend(backend: str) -> TransportBackend:
-    """Look up *backend*, importing built-in backends lazily."""
-    name = backend.lower()
-    if name not in _BACKENDS:
-        module = _BACKEND_MODULES.get(name)
-        if module is not None:
-            importlib.import_module(module)
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        known = sorted(set(_BACKENDS) | set(_BACKEND_MODULES))
-        raise ValueError(
-            f"unknown backend {backend!r} (use one of: {', '.join(known)})"
-        ) from None
-
-
-def available_backends() -> list[str]:
-    """Every resolvable backend name (sorted)."""
-    return sorted(set(_BACKENDS) | set(_BACKEND_MODULES))
-
-
-def _des_build_pair(
-    family: str,
-    factory: PairFactory,
-    sim: Any,
-    link: Any,
-    config: Any,
-    **kwargs: Any,
-) -> "EndpointPair":
-    """The DES backend: the family factory runs on the simulator as-is."""
-    return factory(sim, link, config, **kwargs)
-
-
-register_backend(TransportBackend(
-    name="des",
-    build_pair=_des_build_pair,
-    description="in-process discrete-event simulator (virtual time)",
-))
-
-
 def _apply_overrides(config: Any, overrides: dict[str, Any]) -> Any:
     """Fold alias-implied overrides into a config dataclass, if it has
     the fields (a custom config type without them is left alone)."""
@@ -268,46 +188,55 @@ def _apply_overrides(config: Any, overrides: dict[str, Any]) -> Any:
     return dataclasses.replace(config, **applicable) if applicable else config
 
 
-def build_endpoint_pair(
+def make_endpoint_pair(
     protocol: str,
-    sim: Any,
+    clock: Any,
     link: Any,
     config: Any,
     *,
-    backend: str = "des",
     config_b: Any = None,
     tracer: Any = None,
     deliver_a: Optional[Callable[[Any], None]] = None,
     deliver_b: Optional[Callable[[Any], None]] = None,
     **extras: Any,
 ) -> "EndpointPair":
-    """Resolve ``(protocol, backend)`` and build a wired endpoint pair.
+    """Build a wired endpoint pair for *protocol* over an existing *link*.
 
-    This is the registry-level entry point; the public facade is
-    :func:`repro.api.make_endpoint_pair`, which adds documentation and
-    re-exports.  ``extras`` pass through to the family factory (e.g.
-    LAMS-DLC's ``on_failure_a``/``delivery_interval_b``).
+    Parameters
+    ----------
+    protocol:
+        A name from :func:`available_protocols` (``"lams"``, ``"hdlc"``,
+        ``"gbn"``, ``"nbdt-continuous"``, ...).  Alias-implied config
+        adjustments (e.g. ``selective=False`` for ``"gbn"``) are applied
+        to *config* and *config_b* automatically.
+    clock, link:
+        The scheduler and the full-duplex link to wire across: a
+        :class:`~repro.simulator.engine.Simulator` with a
+        :class:`~repro.simulator.link.FullDuplexLink`, or an
+        :class:`~repro.transport.clock.AsyncioClock` with a
+        :class:`~repro.transport.udp.UdpLink` (LAMS family only — the
+        one with a :mod:`repro.core.wire` codec).
+    config, config_b:
+        The protocol configuration (``LamsDlcConfig`` / ``HdlcConfig`` /
+        ``NbdtConfig``); *config_b* overrides the B side when the two
+        ends differ.
+    tracer, deliver_a, deliver_b:
+        Shared tracer and per-side delivery callbacks.
+    extras:
+        Family-specific keywords, passed through (LAMS-DLC accepts
+        ``on_failure_a``/``on_failure_b``/``delivery_interval_b``).
 
-    *backend* selects the substrate: ``"des"`` expects the DES
-    :class:`~repro.simulator.engine.Simulator` and a
-    :class:`~repro.simulator.link.FullDuplexLink`; ``"udp"`` expects an
-    :class:`~repro.transport.clock.AsyncioClock` and a
-    :class:`~repro.transport.udp.UdpLink`.  The returned pair is
-    created and wired but not started.
+    Returns ``(endpoint_a, endpoint_b)`` — created and wired (A
+    transmitting on the forward channel, B on the reverse) but not
+    started; call ``start(send=..., receive=...)`` per the roles the
+    experiment needs.
     """
     family, overrides = resolve_protocol(protocol)
-    impl = resolve_backend(backend)
-    if impl.families is not None and family not in impl.families:
-        raise ValueError(
-            f"protocol family {family!r} is not available on backend "
-            f"{impl.name!r} (supported: {', '.join(sorted(impl.families))})"
-        )
-    factory = pair_factory(family)
     config = _apply_overrides(config, overrides)
     if config_b is not None:
         config_b = _apply_overrides(config_b, overrides)
-    return impl.build_pair(
-        family, factory, sim, link, config,
+    return pair_factory(family)(
+        clock, link, config,
         config_b=config_b, tracer=tracer,
         deliver_a=deliver_a, deliver_b=deliver_b,
         **extras,

@@ -33,7 +33,7 @@ from .frames import CheckpointFrame, IFrame, RequestNakFrame
 from .receiver import LamsReceiver
 from .sender import LamsSender
 
-__all__ = ["LamsDlcEndpoint", "lams_dlc_pair"]
+__all__ = ["LamsDlcEndpoint"]
 
 
 class LamsDlcEndpoint:
@@ -177,38 +177,3 @@ def _make_lams_pair(
     link.attach(endpoint_a.on_frame, endpoint_b.on_frame)
     return endpoint_a, endpoint_b
 
-
-def lams_dlc_pair(
-    sim: Simulator,
-    link: FullDuplexLink,
-    config: LamsDlcConfig,
-    config_b: Optional[LamsDlcConfig] = None,
-    tracer: Optional[Tracer] = None,
-    deliver_a: Optional[Callable[[Any], None]] = None,
-    deliver_b: Optional[Callable[[Any], None]] = None,
-    on_failure_a: Optional[Callable[[], None]] = None,
-    on_failure_b: Optional[Callable[[], None]] = None,
-    delivery_interval_b: Optional[float] = None,
-) -> tuple[LamsDlcEndpoint, LamsDlcEndpoint]:
-    """Create and wire a pair of endpoints across *link*.
-
-    .. deprecated:: transport backend PR
-       Thin shim over the unified factory registry — use
-       ``repro.api.make_endpoint_pair("lams", ...)`` instead, which
-       also accepts ``backend="udp"``.  Scheduled for removal in the
-       1.0 release (see docs/API.md "Backends").
-    """
-    import warnings
-
-    warnings.warn(
-        "lams_dlc_pair is deprecated; use "
-        "repro.api.make_endpoint_pair('lams', ...) (removal target: 1.0)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _make_lams_pair(
-        sim, link, config,
-        config_b=config_b, tracer=tracer,
-        deliver_a=deliver_a, deliver_b=deliver_b,
-        on_failure_a=on_failure_a, on_failure_b=on_failure_b,
-        delivery_interval_b=delivery_interval_b,
-    )

@@ -700,7 +700,7 @@ def e15_link_sessions(
     from ..core.config import LamsDlcConfig
     from ..hdlc.config import HdlcConfig
     from ..session import LinkSessionManager, PassSchedule
-    from ..session.factories import hdlc_session_factory, lams_session_factory
+    from ..session.factories import session_factory
     from ..simulator.engine import Simulator
 
     scenario = scenario or preset("nominal").with_(
@@ -715,20 +715,17 @@ def e15_link_sessions(
                 first_start=0.05, duration=0.5, gap=0.2, count=4
             )
             if protocol == "lams":
-                factory = lams_session_factory(
-                    LamsDlcConfig(
-                        checkpoint_interval=scenario.checkpoint_interval,
-                        cumulation_depth=scenario.cumulation_depth,
-                    )
+                config = LamsDlcConfig(
+                    checkpoint_interval=scenario.checkpoint_interval,
+                    cumulation_depth=scenario.cumulation_depth,
                 )
             else:
-                factory = hdlc_session_factory(
-                    HdlcConfig(
-                        window_size=scenario.window_size,
-                        sequence_bits=scenario.sequence_bits,
-                        timeout=scenario.timeout,
-                    )
+                config = HdlcConfig(
+                    window_size=scenario.window_size,
+                    sequence_bits=scenario.sequence_bits,
+                    timeout=scenario.timeout,
                 )
+            factory = session_factory(protocol, config)
             delivered: list = []
             manager = LinkSessionManager(
                 sim, link, schedule, factory,

@@ -25,18 +25,6 @@ __all__ = [
 ]
 
 
-def _build(scenario: LinkScenario, protocol: str, seed: int,
-           overrides: Optional[dict] = None,
-           iframe_errors: Optional[ErrorModel] = None,
-           cframe_errors: Optional[ErrorModel] = None):
-    # All protocol-name dispatch lives in the unified factory registry
-    # (repro.core.endpoint / repro.api); unknown names raise ValueError.
-    return build_simulation(
-        scenario, protocol, seed=seed, overrides=overrides,
-        iframe_errors=iframe_errors, cframe_errors=cframe_errors,
-    )
-
-
 def measure_batch_transfer(
     scenario: LinkScenario,
     protocol: str,
@@ -51,7 +39,7 @@ def measure_batch_transfer(
     nothing more afterwards.  The clock stops when the N-th frame is
     delivered at the receiver.
     """
-    setup = _build(scenario, protocol, seed, overrides)
+    setup = build_simulation(scenario, protocol, seed=seed, overrides=overrides)
     batch = FiniteBatch(setup.sim, setup.endpoint_a, n_frames)
     batch.start()
     if batch.refused:
@@ -103,7 +91,10 @@ def measure_saturated(
     trajectory reveals whether a transparent size exists (finite for
     LAMS-DLC, divergent for SR-HDLC).
     """
-    setup = _build(scenario, protocol, seed, overrides, iframe_errors, cframe_errors)
+    setup = build_simulation(
+        scenario, protocol, seed=seed, overrides=overrides,
+        iframe_errors=iframe_errors, cframe_errors=cframe_errors,
+    )
     sender = setup.endpoint_a.sender
     backlog = lambda: sender.pending_count
     source = SaturatedSource(
@@ -153,7 +144,7 @@ def measure_constant_rate(
     """
     from ..workloads.generators import ConstantRateSource
 
-    setup = _build(scenario, protocol, seed, overrides)
+    setup = build_simulation(scenario, protocol, seed=seed, overrides=overrides)
     sender = setup.endpoint_a.sender
     rate = load / scenario.iframe_time
     source = ConstantRateSource(setup.sim, setup.endpoint_a, rate=rate)
@@ -240,7 +231,7 @@ def measure_failure_recovery(
     with duplicate delivery counted separately, since the paper admits
     duplication in this corner.
     """
-    setup = _build(scenario, "lams", seed, overrides)
+    setup = build_simulation(scenario, "lams", seed=seed, overrides=overrides)
     batch = FiniteBatch(setup.sim, setup.endpoint_a, n_frames)
     batch.start()
     setup.sim.schedule_at(outage_start, setup.link.down)

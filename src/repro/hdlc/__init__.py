@@ -8,7 +8,7 @@ background comparisons.
 
 from .config import HdlcConfig
 from .frames import HdlcFrame, HdlcIFrame, RejFrame, RrFrame, SrejFrame
-from .protocol import HdlcEndpoint, hdlc_pair
+from .protocol import HdlcEndpoint
 from .receiver import HdlcReceiver
 from .sender import HdlcOutstanding, HdlcSender
 from .window import ReceiverWindow, SenderWindow, in_window, increment, window_offset
@@ -26,7 +26,6 @@ __all__ = [
     "RrFrame",
     "SenderWindow",
     "SrejFrame",
-    "hdlc_pair",
     "in_window",
     "increment",
     "window_offset",

@@ -12,8 +12,8 @@ frame type            handled by
 ``RejFrame``          sender half
 ====================  ==========================================
 
-Identical construction/usage to ``lams_dlc_pair`` so experiments can be
-written once and parameterised by protocol.
+Built by the same :func:`repro.api.make_endpoint_pair` call as a LAMS-DLC
+pair, so experiments can be written once and parameterised by protocol.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .frames import HdlcIFrame, RejFrame, RrFrame, SrejFrame
 from .receiver import HdlcReceiver
 from .sender import HdlcSender
 
-__all__ = ["HdlcEndpoint", "hdlc_pair"]
+__all__ = ["HdlcEndpoint"]
 
 
 class HdlcEndpoint:
@@ -108,33 +108,3 @@ def _make_hdlc_pair(
     link.attach(endpoint_a.on_frame, endpoint_b.on_frame)
     return endpoint_a, endpoint_b
 
-
-def hdlc_pair(
-    sim: Simulator,
-    link: FullDuplexLink,
-    config: HdlcConfig,
-    config_b: Optional[HdlcConfig] = None,
-    tracer: Optional[Tracer] = None,
-    deliver_a: Optional[Callable[[Any], None]] = None,
-    deliver_b: Optional[Callable[[Any], None]] = None,
-) -> tuple[HdlcEndpoint, HdlcEndpoint]:
-    """Create and wire a pair of HDLC endpoints across *link*.
-
-    .. deprecated:: transport backend PR
-       Thin shim over the unified factory registry — use
-       ``repro.api.make_endpoint_pair("hdlc", ...)`` instead.
-       Scheduled for removal in the 1.0 release (see docs/API.md
-       "Backends").
-    """
-    import warnings
-
-    warnings.warn(
-        "hdlc_pair is deprecated; use "
-        "repro.api.make_endpoint_pair('hdlc', ...) (removal target: 1.0)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _make_hdlc_pair(
-        sim, link, config,
-        config_b=config_b, tracer=tracer,
-        deliver_a=deliver_a, deliver_b=deliver_b,
-    )

@@ -9,7 +9,7 @@ memory until positive acknowledgement, and no reliability machinery.
 
 from .config import NbdtConfig
 from .frames import NbdtIFrame, NbdtReport, NbdtReportRequest
-from .protocol import NbdtEndpoint, nbdt_pair
+from .protocol import NbdtEndpoint
 from .receiver import NbdtReceiver
 from .sender import NbdtOutstanding, NbdtSender
 
@@ -22,5 +22,4 @@ __all__ = [
     "NbdtReport",
     "NbdtReportRequest",
     "NbdtSender",
-    "nbdt_pair",
 ]

@@ -13,7 +13,7 @@ from .frames import NbdtIFrame, NbdtReport, NbdtReportRequest
 from .receiver import NbdtReceiver
 from .sender import NbdtSender
 
-__all__ = ["NbdtEndpoint", "nbdt_pair"]
+__all__ = ["NbdtEndpoint"]
 
 
 class NbdtEndpoint:
@@ -87,33 +87,3 @@ def _make_nbdt_pair(
     link.attach(endpoint_a.on_frame, endpoint_b.on_frame)
     return endpoint_a, endpoint_b
 
-
-def nbdt_pair(
-    sim: Simulator,
-    link: FullDuplexLink,
-    config: NbdtConfig,
-    config_b: Optional[NbdtConfig] = None,
-    tracer: Optional[Tracer] = None,
-    deliver_a: Optional[Callable[[Any], None]] = None,
-    deliver_b: Optional[Callable[[Any], None]] = None,
-) -> tuple[NbdtEndpoint, NbdtEndpoint]:
-    """Create and wire a pair of NBDT endpoints across *link*.
-
-    .. deprecated:: transport backend PR
-       Thin shim over the unified factory registry — use
-       ``repro.api.make_endpoint_pair("nbdt", ...)`` instead.
-       Scheduled for removal in the 1.0 release (see docs/API.md
-       "Backends").
-    """
-    import warnings
-
-    warnings.warn(
-        "nbdt_pair is deprecated; use "
-        "repro.api.make_endpoint_pair('nbdt', ...) (removal target: 1.0)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _make_nbdt_pair(
-        sim, link, config,
-        config_b=config_b, tracer=tracer,
-        deliver_a=deliver_a, deliver_b=deliver_b,
-    )

@@ -6,14 +6,12 @@ sessions, and zero-loss carry-over of unresolved traffic between
 passes.
 """
 
-from .factories import hdlc_session_factory, lams_session_factory, session_factory
+from .factories import session_factory
 from .manager import LinkPass, LinkSessionManager, PassSchedule
 
 __all__ = [
     "LinkPass",
     "LinkSessionManager",
     "PassSchedule",
-    "hdlc_session_factory",
-    "lams_session_factory",
     "session_factory",
 ]

@@ -1,4 +1,4 @@
-"""Standard endpoint factories for the session manager.
+"""The standard endpoint factory for the session manager.
 
 :func:`session_factory` closes over a protocol name and configuration
 and builds a fresh, started, one-way endpoint pair per pass through the
@@ -7,9 +7,6 @@ the protocol's config carries a ``link_lifetime`` field (LAMS-DLC), the
 pass's remaining time is threaded into it so enforced recovery can
 apply the paper's "recoverable link failure" test against real pass
 boundaries.
-
-The per-protocol helpers (``lams_session_factory``,
-``hdlc_session_factory``) remain as thin shims.
 """
 
 from __future__ import annotations
@@ -18,13 +15,11 @@ import dataclasses
 import inspect
 from typing import Any, Callable, Optional
 
-from ..core.config import LamsDlcConfig
-from ..core.endpoint import build_endpoint_pair, pair_factory, resolve_protocol
-from ..hdlc.config import HdlcConfig
+from ..core.endpoint import make_endpoint_pair, pair_factory, resolve_protocol
 from ..simulator.engine import Simulator
 from ..simulator.link import FullDuplexLink
 
-__all__ = ["session_factory", "lams_session_factory", "hdlc_session_factory"]
+__all__ = ["session_factory"]
 
 
 def session_factory(protocol: str, config: Any) -> Callable:
@@ -66,7 +61,7 @@ def session_factory(protocol: str, config: Any) -> Callable:
             {"on_failure_a": on_failure}
             if on_failure is not None and takes_failure else {}
         )
-        endpoint_a, endpoint_b = build_endpoint_pair(
+        endpoint_a, endpoint_b = make_endpoint_pair(
             protocol, sim, link, session_config, deliver_b=deliver, **extras
         )
         endpoint_a.start(send=True, receive=False)
@@ -75,12 +70,3 @@ def session_factory(protocol: str, config: Any) -> Callable:
 
     return factory
 
-
-def lams_session_factory(config: LamsDlcConfig) -> Callable:
-    """An EndpointFactory running LAMS-DLC for each pass (shim)."""
-    return session_factory("lams", config)
-
-
-def hdlc_session_factory(config: HdlcConfig) -> Callable:
-    """An EndpointFactory running SR-HDLC (or GBN) for each pass (shim)."""
-    return session_factory("hdlc", config)

@@ -22,8 +22,9 @@ Quick tour (see docs/TOPOLOGY.md for the full story)::
 
 The spec layer (:class:`LinkSpec` / :class:`EndpointSpec`,
 :func:`build_link`, :func:`instantiate_pair`) is also the construction
-path behind :func:`repro.api.make_endpoint_pair` — a two-node topology
-is just the degenerate case.
+path behind :func:`repro.api.build_simulation` and
+``LinkScenario.build_link`` — a one-link spec is just the degenerate
+case.
 """
 
 from .builder import (

@@ -1,12 +1,8 @@
 """Declarative construction specs: one link, fully described.
 
-This module is the heart of the spec-based construction path the rest
-of the library builds on.  Today's endpoint construction funnels a long
-kwargs list through :func:`repro.api.make_endpoint_pair` — protocol,
-configs, delivery callbacks, error models, fault plan — and every layer
-that wants "a LAMS-DLC link" (experiments, session manager, examples)
-re-plumbs the same arguments.  A :class:`LinkSpec` bundles that whole
-operating point into one value:
+This module is the one place a live link is built.  A
+:class:`LinkSpec` bundles a link's whole operating point into one
+value:
 
 - the **physics** — a :class:`~repro.workloads.scenarios.LinkScenario`
   (or preset name) supplying rate / delay / BERs, with optional
@@ -23,10 +19,13 @@ operating point into one value:
 
 Specs are plain dataclasses: build one, ``with_()`` variants of it, put
 it in a :class:`~repro.topology.graph.Topology`, or hand it straight to
-:func:`build_link` / :func:`instantiate_pair`.  The legacy facade
-(:func:`repro.api.make_endpoint_pair`, :func:`repro.api.build_simulation`)
-is a thin wrapper over exactly these two functions, so both paths stay
-behaviourally identical by construction.
+:func:`build_link` / :func:`instantiate_pair`.  Every builder reduces to
+those two calls — :class:`~repro.topology.builder.ConstellationBuilder`
+once per topology link, :func:`repro.workloads.scenarios.build_simulation`
+for its one link, :meth:`LinkScenario.build_link
+<repro.workloads.scenarios.LinkScenario.build_link>` for the link alone
+— so every protocol and every harness sees the same link for the same
+description.
 """
 
 from __future__ import annotations
@@ -34,15 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Union
 
-from ..core.endpoint import EndpointPair, build_endpoint_pair, resolve_protocol
+from ..core.endpoint import EndpointPair, make_endpoint_pair, resolve_protocol
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..simulator.engine import Simulator
-from ..simulator.errormodel import (
-    ErrorModelSpec,
-    resolve_error_model,
-    resolve_link_error_models,
-)
+from ..simulator.errormodel import ErrorModelSpec, resolve_link_error_models
 from ..simulator.link import DelaySpec, FullDuplexLink
 from ..simulator.rng import StreamRegistry, derive_seed
 from ..simulator.trace import Tracer
@@ -288,30 +283,22 @@ def instantiate_pair(
     link: FullDuplexLink,
     *,
     tracer: Optional[Tracer] = None,
-    apply_error_model: bool = False,
 ) -> EndpointPair:
     """Build *spec*'s wired (not started) endpoint pair over *link*.
 
-    This is the single construction path every facade reduces to:
-    :func:`repro.api.make_endpoint_pair` wraps its kwargs into a
-    :class:`LinkSpec` and calls this;
-    :class:`~repro.topology.builder.ConstellationBuilder` calls it once
-    per topology link.
-
-    With ``apply_error_model=True`` the spec's ``error_model`` replaces
-    the I-frame error process of *both* link directions first — the
-    behaviour of the legacy ``make_endpoint_pair(error_model=...)``
-    kwarg on an externally built link.  Links built by
-    :func:`build_link` already have the model folded in, so builders
-    leave this off.
+    *link* is normally :func:`build_link`'s result for the same spec,
+    which already carries the spec's error models; the spec's fault
+    plan, if any, is scheduled on *sim* here.
     """
-    if apply_error_model and spec.error_model is not None:
-        for channel in (link.forward, link.reverse):
-            channel.iframe_errors = resolve_error_model(
-                spec.error_model, bit_rate=channel.bit_rate
-            )
     config = spec.protocol_config("a")
-    config_b = spec.endpoint_b.config
+    # Neither side explicit: B shares A's config object (the factories
+    # read ``config_b or config``), one config per link in a
+    # constellation rather than two.
+    config_b = (
+        None
+        if spec.endpoint_a.config is None and spec.endpoint_b.config is None
+        else spec.protocol_config("b")
+    )
     extras = dict(spec.extras)
     family, _ = resolve_protocol(spec.protocol)
     if family == "lams":
@@ -326,7 +313,7 @@ def instantiate_pair(
             f"on_failure callbacks require a LAMS-family protocol, "
             f"not {spec.protocol!r}"
         )
-    pair = build_endpoint_pair(
+    pair = make_endpoint_pair(
         spec.protocol, sim, link, config,
         config_b=config_b, tracer=tracer,
         deliver_a=spec.endpoint_a.deliver,
@@ -337,41 +324,6 @@ def instantiate_pair(
         # The simulator's event heap keeps the injector alive.
         FaultInjector(sim, link, spec.fault_plan, tracer=tracer)
     return pair
-
-
-def spec_from_kwargs(
-    protocol: str,
-    config: Any,
-    *,
-    config_b: Any = None,
-    deliver_a: Optional[Callable[[Any], None]] = None,
-    deliver_b: Optional[Callable[[Any], None]] = None,
-    error_model: ErrorModelSpec = None,
-    fault_plan: Optional[FaultPlan] = None,
-    **extras: Any,
-) -> LinkSpec:
-    """The legacy ``make_endpoint_pair`` kwargs list as a :class:`LinkSpec`.
-
-    Pulled out so the facade shim and its tests share one translation.
-    ``on_failure_a`` / ``on_failure_b`` migrate onto the endpoint specs;
-    every other extra passes through.
-    """
-    endpoint_a = EndpointSpec(
-        config=config, deliver=deliver_a,
-        on_failure=extras.pop("on_failure_a", None),
-    )
-    endpoint_b = EndpointSpec(
-        config=config_b, deliver=deliver_b,
-        on_failure=extras.pop("on_failure_b", None),
-    )
-    return LinkSpec(
-        protocol=protocol,
-        endpoint_a=endpoint_a,
-        endpoint_b=endpoint_b,
-        error_model=error_model,
-        fault_plan=fault_plan,
-        extras=extras,
-    )
 
 
 def as_dict(spec: LinkSpec) -> dict[str, Any]:

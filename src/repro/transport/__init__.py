@@ -24,9 +24,12 @@ LAMS-DLC endpoints over actual UDP sockets:
 - :mod:`repro.transport.conformance` — the golden scenarios run on
   both backends with wire digests and monitor verdicts compared.
 
-Importing :mod:`repro.transport.backend` (done lazily by the backend
-registry) registers the ``"udp"`` backend for
-``make_endpoint_pair(..., backend="udp")``.
+Pair construction is shared with the simulator:
+:func:`repro.api.make_endpoint_pair` wires a LAMS pair over an
+:class:`AsyncioClock` and a :class:`UdpLink` exactly as it does over a
+``Simulator`` and a ``FullDuplexLink``, and :func:`open_loopback` is the
+one-way harness built on it (the UDP twin of
+:func:`repro.workloads.scenarios.build_simulation`).
 
 See ``docs/TRANSPORT.md`` for the architecture walkthrough.
 """
@@ -51,6 +54,7 @@ from .session import (
     TransportResult,
     TransportSetup,
     install_signal_stop,
+    open_loopback,
     run_client,
     run_serve,
     run_transfer,
@@ -85,6 +89,7 @@ __all__ = [
     "golden_scenario",
     "install_signal_stop",
     "make_payload",
+    "open_loopback",
     "payload_digest",
     "payload_index",
     "run_client",

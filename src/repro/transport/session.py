@@ -27,7 +27,7 @@ import signal
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from ..core.endpoint import build_endpoint_pair
+from ..core.endpoint import make_endpoint_pair, resolve_protocol
 from ..faults.plan import FaultPlan
 from ..simulator.rng import StreamRegistry
 from ..simulator.trace import Tracer
@@ -199,6 +199,21 @@ class TransportResult:
         return [] if self.monitors is None else self.monitors.violations
 
 
+def _require_wire_family(protocol: str) -> None:
+    """Reject a protocol the UDP plane cannot carry, before any socket.
+
+    Frames cross a socket as :mod:`repro.core.wire` bytes, and only the
+    LAMS family has that codec; the comparison protocols (SR-HDLC/GBN,
+    NBDT) are simulation-only baselines.
+    """
+    family, _ = resolve_protocol(protocol)
+    if family != "lams":
+        raise ValueError(
+            f"protocol {protocol!r} cannot run over UDP: family {family!r} "
+            "has no wire codec (only the LAMS family does)"
+        )
+
+
 async def open_loopback(
     scenario: LinkScenario,
     protocol: str = "lams",
@@ -223,6 +238,7 @@ async def open_loopback(
     *iframe_errors* / *cframe_errors* override the scenario's error
     processes exactly like their ``build_simulation`` namesakes.
     """
+    _require_wire_family(protocol)
     if error_model is not None and iframe_errors is not None:
         raise ValueError("pass error_model or iframe_errors, not both")
     clock = AsyncioClock()
@@ -249,8 +265,8 @@ async def open_loopback(
         seed=seed, tracer=tracer, host=host,
     )
     config = scenario.protocol_config(protocol, **(overrides or {}))
-    endpoint_a, endpoint_b = build_endpoint_pair(
-        protocol, clock, link, config, backend="udp",
+    endpoint_a, endpoint_b = make_endpoint_pair(
+        protocol, clock, link, config,
         tracer=tracer, deliver_b=delivered.append,
     )
     endpoint_a.start(send=True, receive=False)

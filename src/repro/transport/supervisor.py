@@ -48,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..core.endpoint import build_endpoint_pair
+from ..core.endpoint import make_endpoint_pair
 from ..faults.metrics import declared_failure_bound
 from ..faults.plan import FaultPlan
 from ..simulator.trace import Tracer
@@ -60,6 +60,7 @@ from .session import (
     Deadline,
     TransportResult,
     TransportSetup,
+    _require_wire_family,
     _settle_budget,
     install_signal_stop,
 )
@@ -215,6 +216,7 @@ class SessionSupervisor:
         tracer: Optional[Tracer] = None,
         host: str = "127.0.0.1",
     ) -> None:
+        _require_wire_family(protocol)
         self.scenario = scenario
         self.protocol = protocol
         self.seed = seed
@@ -324,8 +326,8 @@ class SessionSupervisor:
                 # event, and endpoints built against a stale clock would
                 # arm their startup watchdogs in the past.
                 clock.kick()
-                endpoint_a, endpoint_b = build_endpoint_pair(
-                    self.protocol, clock, link, self.config, backend="udp",
+                endpoint_a, endpoint_b = make_endpoint_pair(
+                    self.protocol, clock, link, self.config,
                     tracer=tracer, deliver_b=delivered.append,
                     on_failure_a=protocol_failed.set,
                 )

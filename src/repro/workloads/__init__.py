@@ -11,9 +11,6 @@ from .scenarios import (
     PRESETS,
     LinkScenario,
     SimulationSetup,
-    build_hdlc_simulation,
-    build_lams_simulation,
-    build_nbdt_simulation,
     build_simulation,
     preset,
 )
@@ -27,9 +24,6 @@ __all__ = [
     "PRESETS",
     "SaturatedSource",
     "SimulationSetup",
-    "build_hdlc_simulation",
-    "build_lams_simulation",
-    "build_nbdt_simulation",
     "build_simulation",
     "preset",
 ]

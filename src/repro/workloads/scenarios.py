@@ -26,19 +26,14 @@ from typing import Any, Optional
 
 from ..analysis.params import ModelParameters
 from ..core.config import LamsDlcConfig
-from ..core.endpoint import Endpoint, build_endpoint_pair, resolve_protocol
+from ..core.endpoint import Endpoint, resolve_protocol
 from ..faults.injector import FaultInjector
 from ..faults.metrics import RecoveryMetrics
 from ..faults.plan import FaultPlan
 from ..hdlc.config import HdlcConfig
 from ..simulator.engine import Simulator
-from ..simulator.errormodel import (
-    ErrorModel,
-    ErrorModelSpec,
-    resolve_link_error_models,
-)
+from ..simulator.errormodel import ErrorModelSpec
 from ..simulator.link import FullDuplexLink, LIGHT_SPEED_KM_S
-from ..simulator.rng import StreamRegistry
 from ..simulator.trace import Tracer
 
 __all__ = [
@@ -48,9 +43,6 @@ __all__ = [
     "PRESETS",
     "preset",
     "build_simulation",
-    "build_lams_simulation",
-    "build_hdlc_simulation",
-    "build_nbdt_simulation",
 ]
 
 
@@ -216,37 +208,21 @@ class LinkScenario:
         the error-model registry with the scenario's BER and bit rate as
         context, one fresh instance per direction (see
         :func:`~repro.simulator.errormodel.resolve_link_error_models`).
+
+        This is :func:`repro.topology.spec.build_link` on a one-link
+        :class:`~repro.topology.spec.LinkSpec` named after the scenario
+        (imported at call time: topology sits above workloads).
         """
-        models = resolve_link_error_models(
-            iframe=self.iframe_error_model if iframe_errors is None else iframe_errors,
-            cframe=self.cframe_error_model if cframe_errors is None else cframe_errors,
-            reverse_iframe=(
-                self.reverse_iframe_error_model
-                if reverse_iframe_errors is None
-                else reverse_iframe_errors
+        from ..topology.spec import LinkSpec, build_link
+
+        return build_link(
+            LinkSpec(
+                name=self.name, scenario=self, seed=seed,
+                iframe_errors=iframe_errors, cframe_errors=cframe_errors,
+                reverse_iframe_errors=reverse_iframe_errors,
+                reverse_cframe_errors=reverse_cframe_errors,
             ),
-            reverse_cframe=(
-                self.reverse_cframe_error_model
-                if reverse_cframe_errors is None
-                else reverse_cframe_errors
-            ),
-            iframe_ber=self.iframe_ber,
-            cframe_ber=self.cframe_ber,
-            reverse_iframe_ber=self.reverse_iframe_ber,
-            reverse_cframe_ber=self.reverse_cframe_ber,
-            bit_rate=self.bit_rate,
-        )
-        return FullDuplexLink(
-            sim,
-            bit_rate=self.bit_rate,
-            propagation_delay=self.one_way_delay,
-            name=self.name,
-            iframe_errors=models[0],
-            cframe_errors=models[1],
-            reverse_iframe_errors=models[2],
-            reverse_cframe_errors=models[3],
-            streams=StreamRegistry(seed=seed),
-            tracer=tracer,
+            sim, tracer=tracer,
         )
 
 
@@ -339,9 +315,7 @@ def build_simulation(
     # Lazy import: the topology package sits above workloads in the
     # layering (it consumes LinkScenario); only the spec module is
     # needed here, and only at call time.
-    from ..topology.spec import EndpointSpec, LinkSpec
-    from ..topology.spec import build_link as _spec_build_link
-    from ..topology.spec import instantiate_pair as _spec_instantiate_pair
+    from ..topology.spec import EndpointSpec, LinkSpec, build_link, instantiate_pair
 
     sim = Simulator()
     tracer = tracer or Tracer()
@@ -364,8 +338,8 @@ def build_simulation(
         endpoint_a=EndpointSpec(receive=False),
         endpoint_b=EndpointSpec(deliver=delivered.append, send=False),
     )
-    link = _spec_build_link(spec, sim, tracer=tracer)
-    a, b = _spec_instantiate_pair(spec, sim, link, tracer=tracer)
+    link = build_link(spec, sim, tracer=tracer)
+    a, b = instantiate_pair(spec, sim, link, tracer=tracer)
     a.start(send=True, receive=False)
     b.start(send=False, receive=True)
     injector = recovery = None
@@ -386,51 +360,6 @@ def build_simulation(
             context={"scenario": scenario.name, "protocol": protocol, "seed": seed},
         )
     return setup
-
-
-def build_lams_simulation(
-    scenario: LinkScenario,
-    seed: int = 0,
-    tracer: Optional[Tracer] = None,
-    lams_overrides: Optional[dict] = None,
-    iframe_errors: Optional[ErrorModel] = None,
-    cframe_errors: Optional[ErrorModel] = None,
-) -> SimulationSetup:
-    """One-way LAMS-DLC transfer (shim over :func:`build_simulation`)."""
-    return build_simulation(
-        scenario, "lams", seed=seed, tracer=tracer, overrides=lams_overrides,
-        iframe_errors=iframe_errors, cframe_errors=cframe_errors,
-    )
-
-
-def build_nbdt_simulation(
-    scenario: LinkScenario,
-    seed: int = 0,
-    tracer: Optional[Tracer] = None,
-    nbdt_overrides: Optional[dict] = None,
-    iframe_errors: Optional[ErrorModel] = None,
-    cframe_errors: Optional[ErrorModel] = None,
-) -> SimulationSetup:
-    """One-way NBDT transfer (shim over :func:`build_simulation`)."""
-    return build_simulation(
-        scenario, "nbdt", seed=seed, tracer=tracer, overrides=nbdt_overrides,
-        iframe_errors=iframe_errors, cframe_errors=cframe_errors,
-    )
-
-
-def build_hdlc_simulation(
-    scenario: LinkScenario,
-    seed: int = 0,
-    tracer: Optional[Tracer] = None,
-    hdlc_overrides: Optional[dict] = None,
-    iframe_errors: Optional[ErrorModel] = None,
-    cframe_errors: Optional[ErrorModel] = None,
-) -> SimulationSetup:
-    """One-way SR-HDLC/GBN transfer (shim over :func:`build_simulation`)."""
-    return build_simulation(
-        scenario, "hdlc", seed=seed, tracer=tracer, overrides=hdlc_overrides,
-        iframe_errors=iframe_errors, cframe_errors=cframe_errors,
-    )
 
 
 PRESETS: dict[str, LinkScenario] = {

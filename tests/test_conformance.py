@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CheckpointFrame, LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import CheckpointFrame, LamsDlcConfig
 from repro.simulator import FullDuplexLink, PerfectChannel, Simulator, StreamRegistry
 
 RATE = 100e6
@@ -43,7 +44,7 @@ def build(sim, iframe_errors=None):
     )
     config = LamsDlcConfig(checkpoint_interval=W_CP, cumulation_depth=C_DEPTH)
     delivered = []
-    a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+    a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
 
     # Intercept checkpoint commands on the wire (reverse channel).
     checkpoints: list[tuple[float, CheckpointFrame, bool]] = []

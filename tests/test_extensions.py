@@ -7,11 +7,12 @@ import pytest
 
 from repro.analysis import delay
 from repro.analysis import lams as lams_model
-from repro.core import LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import LamsDlcConfig
 from repro.experiments.runner import measure_batch_transfer, measure_failure_recovery
-from repro.hdlc import HdlcConfig, hdlc_pair
+from repro.hdlc import HdlcConfig
 from repro.session import LinkPass, LinkSessionManager, PassSchedule
-from repro.session.factories import hdlc_session_factory, lams_session_factory
+from repro.session.factories import session_factory
 from repro.simulator import (
     BernoulliChannel,
     FullDuplexLink,
@@ -60,7 +61,7 @@ class TestZeroDuplication:
             checkpoint_interval=0.005, cumulation_depth=3, zero_duplication=True
         )
         delivered = []
-        a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
         for i in range(2000):
@@ -79,7 +80,7 @@ class TestZeroDuplication:
         link = make_link(sim, seed=5, iframe_ber=0.0, cframe_ber=0.0)
         config = LamsDlcConfig(zero_duplication=True)
         delivered = []
-        a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
         for i in range(500):
@@ -95,7 +96,7 @@ class TestStutterMode:
         link = make_link(sim, seed=6, iframe_ber=0.0, cframe_ber=0.0)
         config = HdlcConfig(window_size=8, sequence_bits=7, timeout=0.06, stutter=True)
         delivered = []
-        a, b = hdlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("hdlc", sim, link, config, deliver_b=delivered.append)
         a.start()
         for i in range(8):
             a.accept(("pkt", i))
@@ -121,7 +122,7 @@ class TestStutterMode:
         sim = Simulator()
         link = make_link(sim, seed=7, iframe_ber=0.0, cframe_ber=0.0)
         delivered = []
-        a, b = hdlc_pair(sim, link, HdlcConfig(window_size=8, timeout=0.06),
+        a, b = make_endpoint_pair("hdlc", sim, link, HdlcConfig(window_size=8, timeout=0.06),
                          deliver_b=delivered.append)
         a.start()
         for i in range(8):
@@ -134,7 +135,7 @@ class TestStutterMode:
         link = make_link(sim, seed=8, iframe_ber=1e-5, cframe_ber=1e-6)
         config = HdlcConfig(window_size=16, sequence_bits=7, timeout=0.06, stutter=True)
         delivered = []
-        a, b = hdlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("hdlc", sim, link, config, deliver_b=delivered.append)
         a.start()
         for i in range(300):
             a.accept(("pkt", i))
@@ -167,14 +168,14 @@ class TestPassSchedule:
 
 
 class TestSessionManager:
-    def run_session(self, factory, config, n=4000, seed=2, init_time=0.05,
+    def run_session(self, protocol, config, n=4000, seed=2, init_time=0.05,
                     iframe_ber=1e-6):
         sim = Simulator()
         link = make_link(sim, seed=seed, iframe_ber=iframe_ber)
         schedule = PassSchedule.periodic(first_start=0.1, duration=0.4, gap=0.3, count=4)
         delivered = []
         manager = LinkSessionManager(
-            sim, link, schedule, factory(config),
+            sim, link, schedule, session_factory(protocol, config),
             init_time=init_time, deliver=delivered.append,
         )
         for i in range(n):
@@ -184,7 +185,7 @@ class TestSessionManager:
 
     def test_lams_sessions_zero_loss_across_passes(self):
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
-        manager, delivered = self.run_session(lams_session_factory, config)
+        manager, delivered = self.run_session("lams", config)
         ids = {p[1] for p in delivered}
         assert manager.passes_run == 4
         # Everything delivered or still queued: nothing vanished.
@@ -193,23 +194,21 @@ class TestSessionManager:
 
     def test_carryover_replays_unresolved(self):
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
-        manager, delivered = self.run_session(
-            lams_session_factory, config, n=8000
-        )
+        manager, delivered = self.run_session("lams", config, n=8000)
         # More than one pass was needed, so carry-over happened.
         assert manager.carried_over > 0
         assert manager.session_history[0]["reclaimed"] > 0
 
     def test_duplicates_only_from_carryover(self):
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
-        manager, delivered = self.run_session(lams_session_factory, config, n=8000)
+        manager, delivered = self.run_session("lams", config, n=8000)
         ids = [p[1] for p in delivered]
         duplicates = len(ids) - len(set(ids))
         assert duplicates <= manager.carried_over
 
     def test_hdlc_sessions_also_work(self):
         config = HdlcConfig(window_size=32, sequence_bits=7, timeout=0.06)
-        manager, delivered = self.run_session(hdlc_session_factory, config, n=1500)
+        manager, delivered = self.run_session("hdlc", config, n=1500)
         assert manager.passes_run == 4
         ids = {p[1] for p in delivered}
         assert len(ids) + manager.backlog >= 1500
@@ -222,7 +221,7 @@ class TestSessionManager:
         delivered = []
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
         manager = LinkSessionManager(
-            sim, link, schedule, lams_session_factory(config),
+            sim, link, schedule, session_factory("lams", config),
             init_time=0.2, deliver=delivered.append,
         )
         manager.send(("pkt", 0))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hdlc import HdlcConfig, hdlc_pair
+from repro.api import make_endpoint_pair
+from repro.hdlc import HdlcConfig
 from repro.simulator import (
     BernoulliChannel,
     FullDuplexLink,
@@ -32,7 +33,7 @@ def build(sim, iframe_ber=0.0, cframe_ber=0.0, seed=1, config=None, tracer=None)
     )
     config = config or HdlcConfig(window_size=32, sequence_bits=7, timeout=0.06)
     delivered = []
-    a, b = hdlc_pair(sim, link, config, tracer=tracer, deliver_b=delivered.append)
+    a, b = make_endpoint_pair("hdlc", sim, link, config, tracer=tracer, deliver_b=delivered.append)
     a.start()
     return link, a, b, delivered
 

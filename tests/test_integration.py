@@ -9,7 +9,8 @@ from hypothesis import given, settings, HealthCheck
 from hypothesis import strategies as st
 
 from repro.analysis import lams as lams_model
-from repro.core import LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import LamsDlcConfig
 from repro.netlayer import (
     DatagramService,
     DeliveryLog,
@@ -23,7 +24,7 @@ from repro.simulator import (
     Simulator,
     StreamRegistry,
 )
-from repro.workloads import build_lams_simulation, preset
+from repro.workloads import build_simulation, preset
 from repro.workloads.generators import FiniteBatch
 
 
@@ -63,8 +64,8 @@ def build_chain(sim, hops=2, iframe_ber=1e-6, seed=1):
             streams=StreamRegistry(seed=seed + i),
         )
         left, right = names[i], names[i + 1]
-        a, b = lams_dlc_pair(
-            sim, link, config,
+        a, b = make_endpoint_pair(
+            "lams", sim, link, config,
             deliver_a=lambda pkt, ln=f"l{i}", nd=left: nodes[nd].deliver_up(pkt, ln),
             deliver_b=lambda pkt, ln=f"l{i}", nd=right: nodes[nd].deliver_up(pkt, ln),
         )
@@ -127,7 +128,7 @@ class TestMultiHop:
 class TestModelAgreement:
     def test_lams_holding_time_within_band(self):
         scenario = preset("noisy")
-        setup = build_lams_simulation(scenario, seed=21)
+        setup = build_simulation(scenario, "lams", seed=21)
         FiniteBatch(setup.sim, setup.endpoint_a, count=5000).start()
         setup.run(until=10.0)
         measured = setup.endpoint_a.sender.mean_holding_time
@@ -154,7 +155,7 @@ class TestModelAgreement:
 
     def test_retransmission_rate_matches_p_f(self):
         scenario = preset("noisy")  # P_F ≈ 0.079
-        setup = build_lams_simulation(scenario, seed=24)
+        setup = build_simulation(scenario, "lams", seed=24)
         FiniteBatch(setup.sim, setup.endpoint_a, count=5000).start()
         setup.run(until=10.0)
         sender = setup.endpoint_a.sender
@@ -183,7 +184,7 @@ class TestSeededProperties:
         )
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
         delivered = []
-        a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
         n = 400
@@ -211,7 +212,7 @@ class TestSeededProperties:
         )
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
         delivered = []
-        a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
         n = 300
@@ -239,8 +240,8 @@ class TestFullDuplexData:
         )
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
         to_b, to_a = [], []
-        a, b = lams_dlc_pair(
-            sim, link, config, deliver_a=to_a.append, deliver_b=to_b.append
+        a, b = make_endpoint_pair(
+            "lams", sim, link, config, deliver_a=to_a.append, deliver_b=to_b.append
         )
         a.start()
         b.start()

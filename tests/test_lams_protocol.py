@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import LamsDlcConfig
 from repro.simulator import (
     BernoulliChannel,
     FullDuplexLink,
@@ -51,8 +52,8 @@ def build(
     )
     config = config or LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
     delivered = []
-    a, b = lams_dlc_pair(
-        sim, link, config, tracer=tracer,
+    a, b = make_endpoint_pair(
+        "lams", sim, link, config, tracer=tracer,
         deliver_b=deliver or delivered.append,
         delivery_interval_b=delivery_interval,
     )
@@ -226,8 +227,8 @@ class TestEnforcedRecovery:
             streams=StreamRegistry(seed=1),
         )
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
-        a, b = lams_dlc_pair(
-            sim, link, config, on_failure_a=lambda: failures.append(sim.now)
+        a, b = make_endpoint_pair(
+            "lams", sim, link, config, on_failure_a=lambda: failures.append(sim.now)
         )
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
@@ -253,7 +254,7 @@ class TestEnforcedRecovery:
             sim, bit_rate=RATE, propagation_delay=DELAY,
             streams=StreamRegistry(seed=1),
         )
-        a, b = lams_dlc_pair(sim, link, config)
+        a, b = make_endpoint_pair("lams", sim, link, config)
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
         transfer(sim, a, 10)
@@ -270,7 +271,7 @@ class TestEnforcedRecovery:
             streams=StreamRegistry(seed=1),
         )
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
-        a, b = lams_dlc_pair(sim, link, config)
+        a, b = make_endpoint_pair("lams", sim, link, config)
         a.start(send=True, receive=False)
         # b never started: no checkpoints ever.
         transfer(sim, a, 5)

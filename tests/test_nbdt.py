@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.nbdt import NbdtConfig, NbdtReport, nbdt_pair
+from repro.api import make_endpoint_pair
+from repro.nbdt import NbdtConfig, NbdtReport
 from repro.simulator import (
     BernoulliChannel,
     FullDuplexLink,
@@ -28,7 +29,7 @@ def build(sim, mode="continuous", iframe_ber=0.0, cframe_ber=0.0, seed=1, **cfg)
     )
     config = NbdtConfig(mode=mode, report_every=64, timeout=0.06, **cfg)
     delivered = []
-    a, b = nbdt_pair(sim, link, config, deliver_b=delivered.append)
+    a, b = make_endpoint_pair("nbdt", sim, link, config, deliver_b=delivered.append)
     a.start()
     return link, a, b, delivered
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import LamsDlcConfig
 from repro.core.wire import decode_frame, encode_frame, WireFormatError
 from repro.core.frames import CheckpointFrame, IFrame
-from repro.hdlc import HdlcConfig, hdlc_pair
+from repro.hdlc import HdlcConfig
 from repro.simulator import (
     BernoulliChannel,
     FullDuplexLink,
@@ -46,8 +47,8 @@ class TestPiggybackFlowControl:
             piggyback_flow_control=piggyback,
         )
         delivered_a, delivered_b = [], []
-        a, b = lams_dlc_pair(
-            sim, link, config,
+        a, b = make_endpoint_pair(
+            "lams", sim, link, config,
             deliver_a=delivered_a.append, deliver_b=delivered_b.append,
             delivery_interval_b=300e-6,  # B drains slowly -> congests
         )
@@ -87,7 +88,7 @@ class TestPiggybackFlowControl:
                 piggyback_flow_control=piggyback,
             )
             delivered = []
-            a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+            a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
             a.start(send=True, receive=False)
             b.start(send=False, receive=True)
             for i in range(500):
@@ -101,7 +102,7 @@ class TestPiggybackFlowControl:
         sim = Simulator()
         link = make_link(sim, seed=4)
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
-        a, b = lams_dlc_pair(sim, link, config)
+        a, b = make_endpoint_pair("lams", sim, link, config)
         sender = a.sender
         sender.note_piggyback_stop_go(True)
         first = sender.flow.stop_indications
@@ -179,7 +180,7 @@ class TestBroadRobustness:
         link = make_link(sim, seed=seed, iframe_ber=1e-5, cframe_ber=1e-6)
         config = HdlcConfig(window_size=32, sequence_bits=7, timeout=0.06)
         delivered = []
-        a, b = hdlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("hdlc", sim, link, config, deliver_b=delivered.append)
         a.start()
         n = 300
         for i in range(n):
@@ -204,7 +205,7 @@ class TestBroadRobustness:
         link = make_link(sim, seed=seed, iframe_ber=1e-6, cframe_ber=1e-7)
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=3)
         delivered = []
-        a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
         n = 300
@@ -253,7 +254,7 @@ class TestBroadRobustness:
         )
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=5)
         delivered = []
-        a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
         n = 300

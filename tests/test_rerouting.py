@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import LamsDlcConfig
 from repro.netlayer import (
     DatagramService,
     DeliveryLog,
@@ -60,8 +61,8 @@ def build_ring_with_failover(sim, size=4, seed=51):
             streams=StreamRegistry(seed=seed + i),
         )
         left, right = names[i], names[j]
-        a, b = lams_dlc_pair(
-            sim, link, config,
+        a, b = make_endpoint_pair(
+            "lams", sim, link, config,
             deliver_a=lambda pkt, ln=f"l{i}", nd=left: nodes[nd].deliver_up(pkt, ln),
             deliver_b=lambda pkt, ln=f"l{i}", nd=right: nodes[nd].deliver_up(pkt, ln),
             on_failure_a=lambda ln=f"l{i}", nd=left: nodes[nd].report_link_failure(ln),

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import LamsDlcConfig
 from repro.netlayer import (
     DatagramService,
     DeliveryLog,
@@ -59,8 +60,8 @@ def build_ring(sim, size=6, iframe_ber=1e-6, seed=31):
             streams=StreamRegistry(seed=seed + i),
         )
         left, right = names[i], names[j]
-        a, b = lams_dlc_pair(
-            sim, link, config,
+        a, b = make_endpoint_pair(
+            "lams", sim, link, config,
             deliver_a=lambda pkt, ln=f"l{i}", nd=left: nodes[nd].deliver_up(pkt, ln),
             deliver_b=lambda pkt, ln=f"l{i}", nd=right: nodes[nd].deliver_up(pkt, ln),
         )

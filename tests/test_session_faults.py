@@ -15,7 +15,7 @@ from repro.core import LamsDlcConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdlc import HdlcConfig
 from repro.session import LinkSessionManager, PassSchedule
-from repro.session.factories import hdlc_session_factory, lams_session_factory
+from repro.session.factories import session_factory
 from repro.simulator import (
     BernoulliChannel,
     FullDuplexLink,
@@ -33,7 +33,7 @@ def make_link(sim, tracer, seed=1):
     )
 
 
-def run_faulted_session(factory, config, plan, n=2000, seed=2,
+def run_faulted_session(protocol, config, plan, n=2000, seed=2,
                         pass_duration=1.0, count=2, until=3.5):
     sim = Simulator()
     tracer = Tracer(record_timeline=True)
@@ -43,7 +43,7 @@ def run_faulted_session(factory, config, plan, n=2000, seed=2,
     )
     delivered = []
     manager = LinkSessionManager(
-        sim, link, schedule, factory(config),
+        sim, link, schedule, session_factory(protocol, config),
         init_time=0.05, deliver=delivered.append, tracer=tracer,
     )
     FaultInjector(sim, link, plan, tracer=tracer)
@@ -63,7 +63,7 @@ class TestMidPassFailure:
         # so the sender declares the link failed mid-pass.
         plan = FaultPlan.single_outage(start=0.3, duration=0.5)
         return run_faulted_session(
-            lams_session_factory, LamsDlcConfig(**LAMS_CONFIG_KW), plan, n=n,
+            "lams", LamsDlcConfig(**LAMS_CONFIG_KW), plan, n=n,
         )
 
     def test_failure_tears_session_down_early(self):
@@ -105,7 +105,7 @@ class TestRideOutFault:
         config = LamsDlcConfig(checkpoint_interval=0.005, cumulation_depth=8)
         plan = FaultPlan.single_outage(start=0.3, duration=0.02)
         manager, delivered, tracer = run_faulted_session(
-            lams_session_factory, config, plan, n=1500,
+            "lams", config, plan, n=1500,
         )
         assert manager.failures == 0
         assert all(h["reason"] == "pass_end" for h in manager.session_history)
@@ -117,7 +117,7 @@ class TestRideOutFault:
         config = HdlcConfig(window_size=32, sequence_bits=7, timeout=0.06)
         plan = FaultPlan.single_outage(start=0.3, duration=0.1)
         manager, delivered, tracer = run_faulted_session(
-            hdlc_session_factory, config, plan, n=1000,
+            "hdlc", config, plan, n=1000,
         )
         assert manager.failures == 0
         ids = {p[1] for p in delivered}
@@ -138,9 +138,8 @@ class TestInjectorManagerInterplay:
             first_start=0.1, duration=0.4, gap=0.6, count=2,
         )
         manager = LinkSessionManager(
-            sim, link, schedule, lams_session_factory(
-                LamsDlcConfig(**LAMS_CONFIG_KW)
-            ),
+            sim, link, schedule,
+            session_factory("lams", LamsDlcConfig(**LAMS_CONFIG_KW)),
             init_time=0.05, deliver=lambda p: None, tracer=tracer,
         )
         # Fault starts in the gap (link already down) and ends there too.
@@ -268,7 +267,7 @@ class TestBacklogReplayOrder:
         queued payload is either delivered or still in the backlog."""
         plan = FaultPlan.single_outage(start=0.3, duration=0.5)
         manager, delivered, _ = run_faulted_session(
-            lams_session_factory, LamsDlcConfig(**LAMS_CONFIG_KW), plan, n=800,
+            "lams", LamsDlcConfig(**LAMS_CONFIG_KW), plan, n=800,
         )
         assert manager.failures == 1
         ids = sorted({p[1] for p in delivered})

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import LamsDlcConfig
 from repro.faults import FaultPlan
-from repro.simulator import Satellite
+from repro.simulator import Satellite, Simulator
 from repro.topology import (
     EndpointSpec,
     FlowSpec,
@@ -23,9 +23,11 @@ from repro.topology import (
     NodeSpec,
     Topology,
     build_constellation,
+    build_link,
     chain_topology,
     cross_traffic,
     grid_topology,
+    instantiate_pair,
     ring_topology,
 )
 
@@ -120,6 +122,19 @@ class TestLinkSpec:
         derived = LinkSpec(scenario="short_hop",
                            overrides={"cumulation_depth": 7})
         assert derived.protocol_config("a").cumulation_depth == 7
+        # The built pair follows the same order on both sides: an
+        # explicit A config is A's alone, and B shares A's object only
+        # when neither side is explicit.
+        for case, config_a, config_b in (
+            (LinkSpec(config=explicit,
+                      endpoint_a=EndpointSpec(config=per_side)),
+             per_side, explicit),
+            (spec, explicit, per_side),
+            (LinkSpec(config=explicit), explicit, explicit),
+        ):
+            sim = Simulator()
+            a, b = instantiate_pair(case, sim, build_link(case, sim))
+            assert a.config is config_a and b.config is config_b
 
     def test_other_end(self):
         spec = LinkSpec(a="x", b="y")

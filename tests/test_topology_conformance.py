@@ -1,7 +1,7 @@
 """Conformance: the declarative topology build reproduces hand-wiring.
 
 ``examples/multihop_store_and_forward.py`` historically built its
-four-node relay chain link by link (FullDuplexLink + lams_dlc_pair +
+four-node relay chain link by link (FullDuplexLink + make_endpoint_pair +
 Node/ForwardingNetworkLayer plumbing by hand).  The example now
 declares the same chain as a Topology; this test keeps the original
 hand-wired construction alive and asserts the
@@ -13,7 +13,8 @@ so the declarative path is provably the same simulation.
 
 from __future__ import annotations
 
-from repro.core import LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import LamsDlcConfig
 from repro.netlayer import (
     DatagramService,
     DeliveryLog,
@@ -89,8 +90,8 @@ def run_hand_wired():
             streams=StreamRegistry(seed=100 + i),
         )
         left, right = names[i], names[i + 1]
-        a, b = lams_dlc_pair(
-            sim, link, config,
+        a, b = make_endpoint_pair(
+            "lams", sim, link, config,
             deliver_a=lambda pkt, ln=f"l{i}", nd=left: nodes[nd].deliver_up(pkt, ln),
             deliver_b=lambda pkt, ln=f"l{i}", nd=right: nodes[nd].deliver_up(pkt, ln),
         )

@@ -17,6 +17,7 @@ from repro.simulator import StreamRegistry, Tracer
 from repro.transport import (
     AsyncioClock,
     Impairments,
+    SessionSupervisor,
     UdpLink,
     corrupt_crc,
     decode_datagram,
@@ -257,6 +258,22 @@ class TestLoopbackSession:
         assert result.completed
         assert result.digest == result.expected_digest
         assert result.ok
+
+    def test_udp_backend_rejects_foreign_families(self, monkeypatch):
+        """Only the LAMS family has a wire codec; any other protocol is
+        refused where its name enters, before a socket exists to leak."""
+        opened = []
+
+        def reached(*args, **kwargs):
+            opened.append(args)
+            raise AssertionError("UdpLink.open reached")
+
+        monkeypatch.setattr(UdpLink, "open", reached)
+        with pytest.raises(ValueError, match="no wire codec"):
+            run_transfer(golden_scenario("clean"), "hdlc", n_frames=1)
+        with pytest.raises(ValueError, match="no wire codec"):
+            SessionSupervisor(golden_scenario("clean"), "nbdt")
+        assert opened == []
 
 
 # -- payload helpers -------------------------------------------------------

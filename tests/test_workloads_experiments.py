@@ -24,8 +24,7 @@ from repro.simulator.engine import Simulator
 from repro.workloads import (
     LinkScenario,
     PRESETS,
-    build_hdlc_simulation,
-    build_lams_simulation,
+    build_simulation,
     preset,
 )
 from repro.workloads.generators import (
@@ -171,8 +170,8 @@ class TestScenarios:
         assert overridden.cumulation_depth == 7
 
     def test_build_simulations_run(self):
-        for build in (build_lams_simulation, build_hdlc_simulation):
-            setup = build(preset("short_hop"), seed=2)
+        for protocol in ("lams", "hdlc"):
+            setup = build_simulation(preset("short_hop"), protocol, seed=2)
             FiniteBatch(setup.sim, setup.endpoint_a, count=50).start()
             setup.run(until=3.0)
             assert len(setup.delivered) == 50
