@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-check bench-pairs bench-smoke bench-sweep report examples sweep-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
+.PHONY: install test bench bench-check bench-pairs report examples sweep-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -43,25 +43,6 @@ bench-pairs:
 	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		--seed $(SEED) --pairs $(PAIRS) --counts-may-differ "$(COUNTS_MAY_DIFFER)" \
 		--claim "$(CLAIM)"
-
-# Fast (<60s) hot-path regression check: the E22 micro/meso benchmarks
-# plus a fresh BENCH_hotpath.json perf baseline (see docs/TUNING.md).
-# The trailing compare diffs the new history record against the
-# previous one — informational only (the leading '-' keeps a >=10%
-# swing from failing the target; use `bench-baseline --compare
-# --strict` in CI when a hard gate is wanted).
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_e22_hotpath.py -q -s
-	PYTHONPATH=src $(PYTHON) -m repro bench-baseline --repeats 2 \
-		--duration 1.0 --micro-events 100000
-	-PYTHONPATH=src $(PYTHON) -m repro bench-baseline --compare
-
-# Sweep-scaling smoke: the E23 benchmarks run a tiny replicated sweep
-# serially and over a warm jobs=2 pool and assert the parallel and
-# streamed results are bit-identical to serial, plus that a cache-hot
-# re-run executes zero simulations (see docs/TUNING.md "Sweep scaling").
-bench-sweep:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_e23_sweepscale.py -q -s
 
 report:
 	$(PYTHON) -m repro report --output evaluation_report.txt

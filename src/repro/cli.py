@@ -690,136 +690,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 130 if report.reason == "interrupted" else 0
 
 
-def _cmd_bench_baseline(args: argparse.Namespace) -> int:
-    from .benchmark import (
-        compare_last_two,
-        profile_hotpath_bench,
-        run_hotpath_bench,
-        write_baseline,
-    )
-
-    if args.compare:
-        try:
-            comparison = compare_last_two(args.history,
-                                          threshold=args.compare_threshold)
-        except (OSError, ValueError) as error:
-            print(f"bench-compare: {error}", file=sys.stderr)
-            return 2 if args.strict else 0
-        old = (comparison["old_commit"] or "unknown")[:12]
-        new = (comparison["new_commit"] or "unknown")[:12]
-        print(f"bench-compare: {old} -> {new} "
-              f"(threshold {comparison['threshold']:.0%})")
-        for caveat in comparison["caveats"]:
-            print(f"  note: {caveat}")
-        for row in comparison["rows"]:
-            marker = ("REGRESSED" if row["regressed"]
-                      else "improved" if row["improved"] else "ok")
-            print(f"  {row['metric']:<42} {row['old']:>14,.1f} -> "
-                  f"{row['new']:>14,.1f}  {row['delta']:+7.1%}  {marker}")
-        regressions = comparison["regressions"]
-        if regressions:
-            print(f"bench-compare: {len(regressions)} metric(s) regressed "
-                  f">= {comparison['threshold']:.0%}", file=sys.stderr)
-            return 1 if args.strict else 0
-        print("bench-compare: no regressions")
-        return 0
-
-    if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.duration <= 0:
-        print("error: --duration must be positive", file=sys.stderr)
-        return 2
-
-    if args.profile:
-        try:
-            reports = profile_hotpath_bench(
-                top_n=args.profile_top,
-                micro_events=args.micro_events,
-                duration=args.duration,
-                scenario=args.scenario,
-                protocol=args.protocol,
-                seed=args.seed,
-                sweep_seeds=args.sweep_seeds,
-                sweep_duration=args.sweep_duration,
-                include_sweep_scale=not args.skip_sweep_scale,
-                constellation_links=tuple(args.constellation_links)[:2],
-                constellation_duration=args.constellation_duration,
-                include_constellation_scale=not args.skip_constellation_scale,
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        for kind, report in reports.items():
-            print(f"===== profile: {kind} (top {args.profile_top} "
-                  f"by cumulative time) =====")
-            print(report)
-        print("profiled run: no baseline written "
-              "(instrumentation overhead invalidates the numbers)")
-        return 0
-
-    try:
-        payload = run_hotpath_bench(
-            repeats=args.repeats,
-            micro_events=args.micro_events,
-            duration=args.duration,
-            scenario=args.scenario,
-            protocol=args.protocol,
-            seed=args.seed,
-            sweep_seeds=args.sweep_seeds,
-            sweep_duration=args.sweep_duration,
-            include_sweep_scale=not args.skip_sweep_scale,
-            constellation_links=tuple(args.constellation_links),
-            constellation_duration=args.constellation_duration,
-            include_constellation_scale=not args.skip_constellation_scale,
-            force_parallel=args.force_parallel,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    history = None if args.no_history else args.history
-    write_baseline(args.output, payload=payload, history_path=history)
-    micro = payload["engine_dispatch"]
-    meso = payload["saturated_throughput"]
-    print(f"engine={payload.get('engine')} "
-          f"batch_window={payload.get('batch_window')}")
-    print(f"engine dispatch : {micro['events_per_sec']:,.0f} events/sec "
-          f"(p50 {micro['per_event_p50_us']:.3f}us, "
-          f"p95 {micro['per_event_p95_us']:.3f}us per event)")
-    print(f"saturated (E6)  : {meso['events_per_sec']:,.0f} events/sec, "
-          f"{meso['frames_per_sec']:,.0f} frames/sec, "
-          f"{meso['delivered']:,} delivered")
-    sweep = payload.get("sweep_scale")
-    if sweep:
-        serial = sweep["serial"]
-        line = f"sweep (E23)     : {serial['points_per_sec']:,.1f} points/sec serial"
-        for run in sweep["parallel"]:
-            line += f", {run['points_per_sec']:,.1f} @ jobs={run['jobs']}"
-        hot = sweep.get("cache_hot")
-        if hot:
-            line += (f"; cache-hot re-run {hot['wall_seconds'] * 1e3:,.1f} ms "
-                     f"({hot['points_per_sec']:,.0f} points/sec)")
-        print(line)
-        skipped = sweep.get("parallel_skipped")
-        if skipped:
-            print(f"sweep (E23)     : parallel cells skipped ({skipped}; "
-                  "--force-parallel overrides)")
-    constellation = payload.get("constellation_scale")
-    if constellation:
-        for scale in constellation["scales"]:
-            print(f"constellation   : {scale['links']:>4} links -> "
-                  f"{scale['events_per_sec']:,.0f} events/sec, "
-                  f"peak heap {scale['peak_heap']:,}, "
-                  f"peak buffered/link {scale['peak_buffered_per_link']:,} "
-                  f"(build {scale['build_wall_seconds'] * 1e3:,.1f} ms)")
-    commit = payload.get("git_commit")
-    print(f"baseline written to {args.output} "
-          f"(commit {commit[:12] if commit else 'unknown'}, "
-          f"host {payload.get('hostname')}, cpus {payload.get('cpu_count')}"
-          f"{'' if history is None else ', history ' + history})")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .experiments.report import generate_report
 
@@ -1181,68 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--duration", type=float, default=30.0,
                               help="seconds to serve before reporting")
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    bench_parser = subparsers.add_parser(
-        "bench-baseline",
-        help="measure hot-path performance and write BENCH_hotpath.json",
-    )
-    bench_parser.add_argument("--output", default="BENCH_hotpath.json",
-                              help="baseline file to write")
-    bench_parser.add_argument("--repeats", type=int, default=3,
-                              help="repeat count (best-of is reported)")
-    bench_parser.add_argument("--micro-events", type=int, default=200_000,
-                              help="events for the dispatch micro-benchmark")
-    bench_parser.add_argument("--duration", type=float, default=2.0,
-                              help="simulated seconds for the saturated run")
-    bench_parser.add_argument("--scenario", default="nominal",
-                              help="link scenario preset")
-    bench_parser.add_argument("--protocol", default="lams",
-                              help="protocol under test")
-    bench_parser.add_argument("--seed", type=int, default=1,
-                              help="simulation seed")
-    bench_parser.add_argument("--history", default="BENCH_history.jsonl",
-                              help="JSONL trajectory file to append to")
-    bench_parser.add_argument("--no-history", action="store_true",
-                              help="skip appending to the history trajectory")
-    bench_parser.add_argument("--sweep-seeds", type=int, default=16,
-                              help="replication points for the sweep-scale "
-                                   "section")
-    bench_parser.add_argument("--sweep-duration", type=float, default=0.05,
-                              help="simulated seconds per sweep-scale point")
-    bench_parser.add_argument("--constellation-links", type=int, nargs="+",
-                              default=[10, 100, 1000], metavar="N",
-                              help="ring sizes for the constellation-scale "
-                                   "benchmark")
-    bench_parser.add_argument("--constellation-duration", type=float,
-                              default=0.2,
-                              help="simulated seconds per constellation scale")
-    bench_parser.add_argument("--skip-constellation-scale",
-                              action="store_true",
-                              help="skip the constellation-scale benchmark")
-    bench_parser.add_argument("--skip-sweep-scale", action="store_true",
-                              help="omit the sweep_scale section")
-    bench_parser.add_argument("--force-parallel", action="store_true",
-                              help="run parallel sweep cells even on a "
-                                   "single-core host (skewed: they measure "
-                                   "pool oversubscription, not speedup)")
-    bench_parser.add_argument("--profile", action="store_true",
-                              help="run each bench kind under cProfile and "
-                                   "print hot functions instead of writing a "
-                                   "baseline")
-    bench_parser.add_argument("--profile-top", type=int, default=25,
-                              metavar="N",
-                              help="rows per profile report (with --profile)")
-    bench_parser.add_argument("--compare", action="store_true",
-                              help="diff the last two history records "
-                                   "instead of benchmarking")
-    bench_parser.add_argument("--compare-threshold", type=float, default=0.10,
-                              metavar="FRAC",
-                              help="relative slowdown that counts as a "
-                                   "regression (with --compare)")
-    bench_parser.add_argument("--strict", action="store_true",
-                              help="exit nonzero when --compare finds "
-                                   "regressions")
-    bench_parser.set_defaults(handler=_cmd_bench_baseline)
 
     report_parser = subparsers.add_parser(
         "report", help="regenerate the full evaluation report"

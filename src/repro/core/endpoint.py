@@ -43,7 +43,6 @@ __all__ = [
     "make_endpoint_pair",
     "pair_factory",
     "register_pair_factory",
-    "registered_families",
     "resolve_protocol",
 ]
 
@@ -166,11 +165,6 @@ def pair_factory(family: str) -> PairFactory:
             f"no pair factory registered for family {family!r} "
             f"(registered: {', '.join(sorted(_FACTORIES)) or 'none'})"
         ) from None
-
-
-def registered_families() -> list[str]:
-    """Families with a factory currently registered (sorted)."""
-    return sorted(_FACTORIES)
 
 
 def available_protocols() -> list[str]:

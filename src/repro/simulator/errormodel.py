@@ -42,6 +42,7 @@ __all__ = [
     "resolve_error_model",
     "resolve_link_error_models",
     "scalar_draw_window",
+    "scenario_error_specs",
 ]
 
 
@@ -550,6 +551,74 @@ def _is_model_instance(spec: ErrorModelSpec) -> bool:
     return not (spec is None or isinstance(spec, (str, tuple, Mapping)))
 
 
+_SpecAndBer = tuple[ErrorModelSpec, float]
+
+
+def _feedback(
+    forward: _SpecAndBer, spec: ErrorModelSpec, ber: Optional[float]
+) -> _SpecAndBer:
+    """reverse > forward: a feedback-direction spec or BER left unset
+    mirrors the forward one."""
+    return (
+        spec if spec is not None else forward[0],
+        ber if ber is not None else forward[1],
+    )
+
+
+def scenario_error_specs(
+    scenario: Any,
+    *,
+    error_model: ErrorModelSpec = None,
+    iframe_errors: ErrorModelSpec = None,
+    cframe_errors: ErrorModelSpec = None,
+    reverse_iframe_errors: ErrorModelSpec = None,
+    reverse_cframe_errors: ErrorModelSpec = None,
+) -> dict[str, tuple[_SpecAndBer, _SpecAndBer]]:
+    """The one statement of scenario -> error-model precedence.
+
+    Returns ``{"forward": (iframe, cframe), "reverse": (iframe,
+    cframe)}``, each entry the ``(spec, ber)`` pair that direction's
+    frame class resolves from.  An explicit override beats the
+    *scenario*'s ``*_error_model`` field (*error_model* is the I-frame
+    shorthand for *iframe_errors*); the reverse direction — receiver ->
+    sender, carrying checkpoints and NAKs — takes its own override, then
+    the scenario's ``reverse_*`` field, then whatever the forward
+    direction resolved to, override included.  BERs come from the
+    scenario only.  Pure: nothing is instantiated, so the DES link
+    (:func:`resolve_link_error_models`) and the UDP impairments read the
+    same answer.
+    """
+    if error_model is not None and iframe_errors is not None:
+        raise ValueError("pass error_model or iframe_errors, not both")
+
+    def first(*specs: ErrorModelSpec) -> ErrorModelSpec:
+        return next((spec for spec in specs if spec is not None), None)
+
+    iframe = (
+        first(error_model, iframe_errors, scenario.iframe_error_model),
+        scenario.iframe_ber,
+    )
+    cframe = (
+        first(cframe_errors, scenario.cframe_error_model),
+        scenario.cframe_ber,
+    )
+    return {
+        "forward": (iframe, cframe),
+        "reverse": (
+            _feedback(
+                iframe,
+                first(reverse_iframe_errors, scenario.reverse_iframe_error_model),
+                scenario.reverse_iframe_ber,
+            ),
+            _feedback(
+                cframe,
+                first(reverse_cframe_errors, scenario.reverse_cframe_error_model),
+                scenario.reverse_cframe_ber,
+            ),
+        ),
+    }
+
+
 def resolve_link_error_models(
     *,
     iframe: ErrorModelSpec = None,
@@ -593,8 +662,9 @@ def resolve_link_error_models(
             and _is_model_instance(forward_spec)
         ):
             return None  # legacy: FullDuplexLink shares the forward instance
-        spec = reverse_spec if reverse_spec is not None else forward_spec
-        direction_ber = reverse_ber if reverse_ber is not None else forward_ber
+        spec, direction_ber = _feedback(
+            (forward_spec, forward_ber), reverse_spec, reverse_ber
+        )
         return resolve_error_model(
             spec, ber=direction_ber, bit_rate=bit_rate, context=context
         )

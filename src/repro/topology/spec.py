@@ -37,7 +37,11 @@ from ..core.endpoint import EndpointPair, make_endpoint_pair, resolve_protocol
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..simulator.engine import Simulator
-from ..simulator.errormodel import ErrorModelSpec, resolve_link_error_models
+from ..simulator.errormodel import (
+    ErrorModelSpec,
+    resolve_link_error_models,
+    scenario_error_specs,
+)
 from ..simulator.link import DelaySpec, FullDuplexLink
 from ..simulator.rng import StreamRegistry, derive_seed
 from ..simulator.trace import Tracer
@@ -229,37 +233,27 @@ def build_link(
         delay = propagation_delay
     else:
         delay = scenario.one_way_delay
-    iframe_spec = (
-        spec.error_model
-        if spec.error_model is not None
-        else (spec.iframe_errors
-              if spec.iframe_errors is not None
-              else scenario.iframe_error_model)
+    specs = scenario_error_specs(
+        scenario,
+        error_model=spec.error_model,
+        iframe_errors=spec.iframe_errors,
+        cframe_errors=spec.cframe_errors,
+        reverse_iframe_errors=spec.reverse_iframe_errors,
+        reverse_cframe_errors=spec.reverse_cframe_errors,
     )
-    cframe_spec = (
-        spec.cframe_errors
-        if spec.cframe_errors is not None
-        else scenario.cframe_error_model
-    )
-    reverse_iframe_spec = (
-        spec.reverse_iframe_errors
-        if spec.reverse_iframe_errors is not None
-        else scenario.reverse_iframe_error_model
-    )
-    reverse_cframe_spec = (
-        spec.reverse_cframe_errors
-        if spec.reverse_cframe_errors is not None
-        else scenario.reverse_cframe_error_model
+    (iframe, iframe_ber), (cframe, cframe_ber) = specs["forward"]
+    (reverse_iframe, reverse_iframe_ber), (reverse_cframe, reverse_cframe_ber) = (
+        specs["reverse"]
     )
     models = resolve_link_error_models(
-        iframe=iframe_spec,
-        cframe=cframe_spec,
-        reverse_iframe=reverse_iframe_spec,
-        reverse_cframe=reverse_cframe_spec,
-        iframe_ber=scenario.iframe_ber,
-        cframe_ber=scenario.cframe_ber,
-        reverse_iframe_ber=scenario.reverse_iframe_ber,
-        reverse_cframe_ber=scenario.reverse_cframe_ber,
+        iframe=iframe,
+        cframe=cframe,
+        reverse_iframe=reverse_iframe,
+        reverse_cframe=reverse_cframe,
+        iframe_ber=iframe_ber,
+        cframe_ber=cframe_ber,
+        reverse_iframe_ber=reverse_iframe_ber,
+        reverse_cframe_ber=reverse_cframe_ber,
         bit_rate=bit_rate,
         context={"geometry": geometry} if geometry is not None else None,
     )

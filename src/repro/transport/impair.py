@@ -41,6 +41,7 @@ from ..simulator.errormodel import (
     ErrorModelSpec,
     register_error_model,
     resolve_error_model,
+    scenario_error_specs,
 )
 
 __all__ = [
@@ -128,6 +129,7 @@ class Impairments:
         jitter: float = 0.0,
         drop: Optional[float] = None,
         direction: str = "forward",
+        **overrides: ErrorModelSpec,
     ) -> "Impairments":
         """The scenario's link conditions as wire impairments.
 
@@ -135,10 +137,10 @@ class Impairments:
         ``"uniform-loss"`` model (``None``/0 means no loss).
 
         ``direction="reverse"`` builds the feedback direction (receiver
-        -> sender, carrying checkpoints and NAKs) from the scenario's
-        ``reverse_*`` fields, each falling back to the forward value —
-        identical impairments unless the scenario declares an
-        asymmetric feedback channel.
+        -> sender, carrying checkpoints and NAKs).  Which spec and BER
+        each direction carries — *overrides* included — is decided by
+        :func:`~repro.simulator.errormodel.scenario_error_specs`, the
+        same resolver the DES link uses.
         """
         if direction not in ("forward", "reverse"):
             raise ValueError(
@@ -147,19 +149,9 @@ class Impairments:
         drop_spec: ErrorModelSpec = None
         if drop:
             drop_spec = ("uniform-loss", {"probability": float(drop)})
-        iframe_errors = scenario.iframe_error_model
-        cframe_errors = scenario.cframe_error_model
-        iframe_ber = scenario.iframe_ber
-        cframe_ber = scenario.cframe_ber
-        if direction == "reverse":
-            if scenario.reverse_iframe_error_model is not None:
-                iframe_errors = scenario.reverse_iframe_error_model
-            if scenario.reverse_cframe_error_model is not None:
-                cframe_errors = scenario.reverse_cframe_error_model
-            if scenario.reverse_iframe_ber is not None:
-                iframe_ber = scenario.reverse_iframe_ber
-            if scenario.reverse_cframe_ber is not None:
-                cframe_ber = scenario.reverse_cframe_ber
+        (iframe_errors, iframe_ber), (cframe_errors, cframe_ber) = (
+            scenario_error_specs(scenario, **overrides)[direction]
+        )
         return cls(
             propagation_delay=scenario.one_way_delay,
             jitter=jitter,

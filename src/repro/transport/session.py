@@ -239,26 +239,17 @@ async def open_loopback(
     processes exactly like their ``build_simulation`` namesakes.
     """
     _require_wire_family(protocol)
-    if error_model is not None and iframe_errors is not None:
-        raise ValueError("pass error_model or iframe_errors, not both")
+    errors = {"error_model": error_model, "iframe_errors": iframe_errors,
+              "cframe_errors": cframe_errors}
+    impairments = Impairments.from_scenario(
+        scenario, jitter=jitter, drop=drop, **errors,
+    )
+    reverse_impairments = Impairments.from_scenario(
+        scenario, jitter=jitter, drop=drop, direction="reverse", **errors,
+    )
     clock = AsyncioClock()
     tracer = tracer or Tracer()
     delivered = DeliveredList()
-    impairments = Impairments.from_scenario(scenario, jitter=jitter, drop=drop)
-    reverse_impairments = Impairments.from_scenario(
-        scenario, jitter=jitter, drop=drop, direction="reverse",
-    )
-    data_spec = error_model if error_model is not None else iframe_errors
-    if data_spec is not None:
-        impairments = impairments.with_(iframe_errors=data_spec)
-        # Explicit overrides mirror onto the feedback direction unless
-        # the scenario pins it (same precedence as the DES resolver).
-        if scenario.reverse_iframe_error_model is None:
-            reverse_impairments = reverse_impairments.with_(iframe_errors=data_spec)
-    if cframe_errors is not None:
-        impairments = impairments.with_(cframe_errors=cframe_errors)
-        if scenario.reverse_cframe_error_model is None:
-            reverse_impairments = reverse_impairments.with_(cframe_errors=cframe_errors)
     link = await UdpLink.open(
         clock, name=scenario.name, bit_rate=scenario.bit_rate,
         impairments=impairments, reverse_impairments=reverse_impairments,

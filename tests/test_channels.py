@@ -324,6 +324,76 @@ class TestAsymmetricFeedback:
         with pytest.raises(ValueError, match="direction"):
             Impairments.from_scenario(scenario, direction="sideways")
 
+    # scenario_error_specs' precedence as a table over preset("noisy")
+    # (I-frame BER 1e-5, control BER 1e-7): what the scenario pins on the
+    # feedback direction x which explicit overrides are passed -> the
+    # (class, BER) the forward and the reverse direction must carry for
+    # (I-frames, control frames).  A model without a `ber` reads None.
+    _B, _GE, _P = BernoulliChannel, GilbertElliottChannel, PerfectChannel
+    _DEFAULT = ((_B, 1e-5), (_B, 1e-7))
+    _RECIPE = ((_GE, None), (_P, None))
+    _LIVE = ((_B, 0.5), (_B, 0.25))
+    _PERFECT = ((_P, None), (_P, None))
+    _NO_PIN = {}
+    _MODEL_PIN = {"reverse_iframe_error_model": "perfect",
+                  "reverse_cframe_error_model": "perfect"}
+    _BER_PIN = {"reverse_iframe_ber": 1e-3, "reverse_cframe_ber": 1e-4}
+    _OVERRIDES = {
+        "none": dict,
+        "recipe": lambda: {"error_model": ("gilbert-elliott", GE_PARAMS),
+                           "cframe_errors": "perfect"},
+        "live": lambda: {"iframe_errors": BernoulliChannel(0.5),
+                         "cframe_errors": BernoulliChannel(0.25)},
+    }
+
+    @pytest.mark.parametrize("pinned,override,forward,reverse", [
+        (_NO_PIN, "none", _DEFAULT, _DEFAULT),
+        (_NO_PIN, "recipe", _RECIPE, _RECIPE),
+        (_NO_PIN, "live", _LIVE, _LIVE),
+        # The scenario's reverse model beats a forward override.
+        (_MODEL_PIN, "none", _DEFAULT, _PERFECT),
+        (_MODEL_PIN, "recipe", _RECIPE, _PERFECT),
+        (_MODEL_PIN, "live", _LIVE, _PERFECT),
+        # A reverse BER reaches whatever model reads the link's BER.
+        (_BER_PIN, "none", _DEFAULT, ((_B, 1e-3), (_B, 1e-4))),
+        (_BER_PIN, "recipe", _RECIPE, _RECIPE),
+        (_BER_PIN, "live", _LIVE, _LIVE),
+    ])
+    def test_des_and_udp_links_carry_the_table(self, pinned, override,
+                                               forward, reverse):
+        """One precedence behind both construction paths: each cell gives
+        the DES link (``build_simulation``) and the UDP link
+        (``open_loopback``) the same model class and BER per direction."""
+        import asyncio
+
+        from repro.transport.session import open_loopback
+        from repro.workloads.scenarios import build_simulation
+
+        scenario = preset("noisy").with_(**pinned)
+        make_overrides = self._OVERRIDES[override]
+
+        def carried(link):
+            return tuple(
+                tuple((type(model), getattr(model, "ber", None))
+                      for model in (channel.iframe_errors, channel.cframe_errors))
+                for channel in (link.forward, link.reverse)
+            ) + (link.reverse.iframe_errors is link.forward.iframe_errors,)
+
+        async def udp_carried():
+            setup = await open_loopback(scenario, "lams", 1,
+                                        run_with_invariants=False,
+                                        **make_overrides())
+            try:
+                return carried(setup.link)
+            finally:
+                await setup.close()
+
+        des = build_simulation(scenario, "lams", seed=1, **make_overrides()).link
+        # A live instance left unpinned is shared by both directions; a
+        # recipe builds one fresh instance each.
+        shared = override == "live" and pinned is not self._MODEL_PIN
+        assert carried(des) == asyncio.run(udp_carried()) == (forward, reverse, shared)
+
     def test_e25_rows_cover_the_sweep(self):
         from repro.experiments.registry import e25_feedback_asymmetry
 

@@ -21,6 +21,18 @@ class TestParser:
             build_parser().parse_args(["simulate", "--protocol", "tcp"])
 
 
+    def test_bench_baseline_is_an_unknown_command(self, capsys):
+        """The old benchmark plane is gone: `python3 -m bench` measures."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench-baseline"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench-baseline'" in capsys.readouterr().err
+        (subcommands,) = (action for action in build_parser()._actions
+                          if action.dest == "command")
+        assert "bench-baseline" not in subcommands.choices
+        assert "simulate" in subcommands.choices
+
+
 class TestCommands:
     def test_experiments_list(self, capsys):
         assert main(["experiments", "list"]) == 0

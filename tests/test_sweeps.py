@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.sweeps import (
@@ -131,14 +132,24 @@ class TestStreamingSummary:
         assert stream.high == batch.high
 
     @given(st.lists(finite_floats, min_size=2, max_size=32))
+    @example([-999999999999.0, 499999999985.0, 499999999985.0])
     @settings(max_examples=100, deadline=None)
     def test_welford_matches_two_pass(self, values):
+        """Both references are correctly rounded sums (``math.fsum``),
+        and the slack is rounding error, which scales with the largest
+        magnitude: the @example's mean is -29/3 from terms near 1e12,
+        where one ulp is already 1e-4.  (``float_info.min`` covers
+        underflow: squares of values near 1e-161 are subnormal.)"""
         count, mean, m2 = welford(values)
         assert count == len(values)
-        assert mean == pytest.approx(sum(values) / len(values),
-                                     rel=1e-9, abs=1e-6)
-        two_pass = sum((v - mean) ** 2 for v in values)
-        assert m2 == pytest.approx(two_pass, rel=1e-6, abs=1e-6)
+        scale = max(abs(v) for v in values)
+        slack = 8 * count * count * sys.float_info.epsilon
+        tiny = sys.float_info.min
+        assert mean == pytest.approx(math.fsum(values) / count,
+                                     rel=1e-9, abs=slack * scale + tiny)
+        two_pass = math.fsum((v - mean) ** 2 for v in values)
+        assert m2 == pytest.approx(two_pass, rel=1e-6,
+                                   abs=slack * scale ** 2 + tiny)
 
 
 class TestReplicate:
