@@ -47,19 +47,28 @@ bench-pairs:
 report:
 	$(PYTHON) -m repro report --output evaluation_report.txt
 
-# A two-job parallel mini-sweep: exercises the multiprocessing pool,
-# the on-disk result cache, and the unified endpoint-pair API end to end.
+# A two-job parallel mini-sweep, run twice on a fresh cache directory:
+# exercises the multiprocessing pool, the on-disk result cache, and the
+# unified endpoint-pair API end to end.  The first pass must execute
+# all four points and the second must answer all four from the cache.
 sweep-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro sweep --preset short_hop \
-		--protocols lams hdlc --seeds 2 --duration 0.05 \
-		--metrics efficiency --jobs 2 --cache-dir .sweep-cache
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for pass in cold warm; do \
+		PYTHONPATH=src $(PYTHON) -m repro sweep --preset short_hop \
+			--protocols lams hdlc --seeds 2 --duration 0.05 \
+			--metrics efficiency --jobs 2 --cache-dir "$$dir/cache" \
+			| tee "$$dir/$$pass.txt"; \
+	done; \
+	grep -q '^sweep: 4 executed, 0 cached' "$$dir/cold.txt"; \
+	grep -q '^sweep: 0 executed, 4 cached' "$$dir/warm.txt"
 
 # The fault-injection matrix (E21) through the sweep runner: outage
 # detection and declared-failure latency checked against the paper's
-# C_depth*W_cp bounds, with zero frame loss in every cell.
+# C_depth*W_cp bounds, with zero frame loss in every cell.  Uncached,
+# so the table is always the one the checked-out code computes.
 faults-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro sweep --experiments E21 \
-		--jobs 2 --cache-dir .sweep-cache
+		--jobs 2 --no-cache
 
 # A short randomized chaos soak under the runtime invariant monitors
 # (docs/INVARIANTS.md): every episode draws a fresh scenario, fault

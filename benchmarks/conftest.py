@@ -1,31 +1,21 @@
 """Benchmark-suite configuration.
 
 Each benchmark file regenerates one evaluation series of the paper
-(experiments E1–E12, see DESIGN.md), prints the series as a table, and
-asserts the paper's qualitative shape — who wins, which direction the
-curve moves, where the structural results (finite vs infinite buffer,
-bounded vs unbounded numbering) land.
+(the registry, ``experiments list``; see DESIGN.md), prints the series
+as a table, and asserts the paper's qualitative shape — who wins, which
+direction the curve moves, where the structural results (finite vs
+infinite buffer, bounded vs unbounded numbering) land.
 
 Simulation-backed experiments run exactly once per benchmark round via
 ``benchmark.pedantic``; the timing numbers measure the harness itself,
 while the scientific output is the printed table (run with ``-s``).
-
-Replicated benchmarks (E20) opt into the parallel sweep runner by
-setting ``REPRO_SWEEP_JOBS=N`` in the environment: the ``replicated``
-fixture fans the per-seed simulations over ``N`` worker processes, with
-results bit-identical to the serial path (same seeds, same summaries).
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments import ExperimentResult, render_table
-from repro.experiments.parallel import parallel_replicate
-
-SWEEP_JOBS = int(os.environ.get("REPRO_SWEEP_JOBS", "1"))
 
 
 def emit(result: ExperimentResult, columns=None) -> None:
@@ -35,27 +25,6 @@ def emit(result: ExperimentResult, columns=None) -> None:
                        title=f"[{result.experiment_id}] {result.title}"))
     if result.notes:
         print(f"  note: {result.notes}")
-
-
-@pytest.fixture
-def sweep_jobs() -> int:
-    """Worker-process count for replicated benchmarks (REPRO_SWEEP_JOBS)."""
-    return SWEEP_JOBS
-
-
-@pytest.fixture
-def replicated(sweep_jobs):
-    """Run a :class:`~repro.experiments.parallel.MeasureSpec` replication.
-
-    ``replicated(spec, metric, seeds)`` returns the same
-    :class:`~repro.experiments.sweeps.ReplicationSummary` as serial
-    ``replicate`` — over ``REPRO_SWEEP_JOBS`` processes when set.
-    """
-
-    def runner(spec, metric, seeds):
-        return parallel_replicate(spec, metric, seeds, jobs=sweep_jobs)
-
-    return runner
 
 
 @pytest.fixture

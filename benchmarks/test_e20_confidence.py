@@ -8,14 +8,11 @@ Asserted: the intervals are tight (the DES is long enough that run-to-
 run noise is small), they do not overlap between protocols (the win is
 statistically unambiguous), and the LAMS interval contains — or sits
 within a few percent of — the Section-4 prediction.
-
-Runs serially by default; set ``REPRO_SWEEP_JOBS=N`` to fan the per-seed
-simulations over N worker processes (bit-identical summaries).
 """
 
 from __future__ import annotations
 
-from conftest import SWEEP_JOBS, emit
+from conftest import emit
 
 from repro.analysis import lams as lams_model
 from repro.experiments.parallel import MeasureSpec, parallel_replicate
@@ -26,7 +23,7 @@ SEEDS = range(100, 110)
 DURATION = 1.0
 
 
-def run_replicated(jobs: int = SWEEP_JOBS) -> tuple[ExperimentResult, dict]:
+def run_replicated() -> tuple[ExperimentResult, dict]:
     scenario = preset("noisy")
     summaries = {}
     rows = []
@@ -34,9 +31,7 @@ def run_replicated(jobs: int = SWEEP_JOBS) -> tuple[ExperimentResult, dict]:
         spec = MeasureSpec.create(
             "measure_saturated", scenario, protocol, duration=DURATION
         )
-        summary = parallel_replicate(
-            spec, "efficiency", SEEDS, jobs=jobs
-        )
+        summary = parallel_replicate(spec, "efficiency", SEEDS)
         summaries[protocol] = summary
         rows.append(
             {

@@ -15,8 +15,8 @@ A complete, executable reconstruction of the paper's system:
 - :mod:`repro.netlayer` — datagrams, store-and-forward routing, and the
   destination resequencer the relaxed in-sequence constraint requires.
 - :mod:`repro.workloads` / :mod:`repro.experiments` — traffic models,
-  canned scenarios, and the E1–E12 experiment registry regenerating the
-  paper's evaluation.
+  canned scenarios, and the experiment registry (``experiments list``)
+  regenerating the paper's evaluation.
 
 Quickstart::
 

@@ -9,7 +9,7 @@ ordering monitor sees end-to-end releases, drive a finite workload
 through the random fault plan, and report every invariant violation
 with its trace window and reproducer seed.
 
-:func:`run_soak` fans N episodes over the parallel sweep pool
+:func:`run_soak` fans N episodes over one parallel sweep
 (:func:`repro.experiments.parallel.run_sweep`); ``fail_fast`` aborts on
 the first violating episode via
 :class:`~repro.experiments.parallel.SweepStop` without losing the
@@ -18,11 +18,9 @@ violating report.  CLI: ``python -m repro soak``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .. import __version__ as CODE_VERSION
 from ..experiments.parallel import SweepStop, _jsonable, run_sweep
 from ..netlayer.packet import Datagram
 from ..netlayer.resequencer import Resequencer
@@ -210,34 +208,13 @@ def run_transport_episode(spec: EpisodeSpec) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class ChaosPoint:
-    """One episode as a cacheable, picklable sweep work unit."""
+    """One episode as a picklable sweep work unit."""
 
     spec: EpisodeSpec
 
     @property
     def label(self) -> str:
         return self.spec.label
-
-    def cache_key(self) -> dict[str, Any]:
-        kwargs = {
-            "fault_plan": self.spec.fault_plan.to_dict(),
-            "overrides": dict(self.spec.overrides),
-            "n_frames": self.spec.n_frames,
-            "max_time": self.spec.max_time,
-            "episode": self.spec.index,
-            "iframe_errors": repr(self.spec.iframe_errors),
-        }
-        # Only non-DES runs key on the backend, so historical DES soak
-        # cache entries stay valid.
-        if self.spec.backend != "des":
-            kwargs["backend"] = self.spec.backend
-        return {
-            "experiment_id": "chaos-soak",
-            "scenario": dataclasses.asdict(self.spec.scenario),
-            "kwargs": kwargs,
-            "seed": self.spec.seed,
-            "code_version": CODE_VERSION,
-        }
 
     def execute(self) -> Any:
         if self.spec.backend == "udp":
@@ -291,11 +268,8 @@ def run_soak(
     jobs: int = 1,
     fail_fast: bool = False,
     only: Optional[int] = None,
-    cache: Any = None,
     progress: Optional[Callable[[dict[str, Any]], None]] = None,
     *,
-    pool: Any = None,
-    chunksize: int = 0,
     backend: str = "des",
 ) -> SoakResult:
     """Run *episodes* randomized chaos episodes under full monitoring.
@@ -304,11 +278,8 @@ def run_soak(
     violation from its report).  *fail_fast* stops scheduling new
     episodes once any violation is seen; the violating episode's report
     is always retained.  *progress*, if given, receives each episode's
-    report dict as it completes.  *pool* shares a persistent
-    :class:`~repro.experiments.parallel.SweepPool` with other sweeps in
-    the same session (the soak rides the same warm workers); *chunksize*
-    is the sweep dispatch granularity (0 = adaptive).  *backend*
-    selects the soak plane: ``"des"`` episodes run in virtual time,
+    report dict as it completes, in episode order.  *backend* selects
+    the soak plane: ``"des"`` episodes run in virtual time,
     ``"udp"`` episodes as supervised real-time loopback sessions with
     transport-level fault injection.
     """
@@ -322,16 +293,15 @@ def run_soak(
     points = [ChaosPoint(spec) for spec in specs]
     stopped = False
 
-    def on_progress(point: ChaosPoint, from_cache: bool, result: Any = None) -> None:
+    def on_progress(point: ChaosPoint, from_cache: bool, result: Any) -> None:
         nonlocal stopped
-        if result is not None and progress is not None:
+        if progress is not None:
             progress(result)
-        if fail_fast and result is not None and not result.get("ok", True):
+        if fail_fast and not result.get("ok", True):
             stopped = True
             raise SweepStop(point.label)
 
-    results = run_sweep(points, jobs=jobs, cache=cache, progress=on_progress,
-                        pool=pool, chunksize=chunksize)
+    results = run_sweep(points, jobs=jobs, progress=on_progress)
     reports = [r for r in results if r is not None]
     return SoakResult(
         master_seed=master_seed,

@@ -2,14 +2,15 @@
 
 The commands cover the library's everyday uses:
 
-- ``experiments list`` / ``experiments run <id>`` — the E1–E19 registry.
+- ``experiments list`` / ``experiments run <id>`` — the experiment registry.
 - ``model`` — the Section-4 closed-form quantities at one operating point.
 - ``compare`` — model-level LAMS-DLC vs SR-HDLC at one operating point.
 - ``simulate`` — run an executable protocol (LAMS-DLC, SR-HDLC, GBN, or
   NBDT) over a simulated link.
-- ``sweep`` — replicated measurements (or registry experiments) over a
-  ``multiprocessing`` pool with an on-disk result cache (``--jobs N``,
-  ``--cache-dir``, ``--no-cache``).
+- ``sweep`` — replicated measurements (or registry experiments) as one
+  sweep over a ``multiprocessing`` pool, with an on-disk result cache
+  (``--jobs N``, ``--cache-dir``, ``--no-cache``); ``cache`` inspects
+  or clears that cache.
 - ``soak`` — randomized chaos episodes under the full invariant-monitor
   suite (``--episodes N --seed S --jobs J --fail-fast``); exits
   non-zero if any invariant was violated, printing each violation with
@@ -31,10 +32,10 @@ The commands cover the library's everyday uses:
 Every command accepts ``--preset`` (short_hop / nominal / long_haul /
 noisy) plus overrides for the physical and protocol knobs.
 
-The cross-cutting knobs — ``--seed``, ``--jobs``/``--chunksize``,
-``--error-model``, ``--fault-plan`` — are defined once as argparse
-*parent parsers* and shared by every command that accepts them, so
-they spell and behave identically everywhere.
+The cross-cutting knobs — ``--seed``, ``--jobs``, ``--error-model``,
+``--fault-plan`` — are defined once as argparse *parent parsers* and
+shared by every command that accepts them, so they spell and behave
+identically everywhere.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Optional, Sequence
 from .analysis import bounds, compare, delay
 from .analysis import hdlc as hdlc_model
 from .analysis import lams as lams_model
-from .experiments import experiment_ids, render_table, run_experiment
+from .experiments import REGISTRY, experiment_ids, render_table, run_experiment
 from .experiments.runner import measure_batch_transfer, measure_saturated
 from .simulator.orbit import Satellite, rtt_statistics, visibility_windows
 from .workloads import preset
@@ -100,8 +101,6 @@ def _pool_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--jobs", type=int, default=1,
                         help="worker processes")
-    parent.add_argument("--chunksize", type=int, default=0,
-                        help="work units per worker dispatch (0 = adaptive)")
     return parent
 
 
@@ -124,11 +123,9 @@ def _fault_plan_parent() -> argparse.ArgumentParser:
 
 
 def _validate_pool_args(args: argparse.Namespace) -> Optional[str]:
-    """Shared --jobs/--chunksize validation; an error message or None."""
+    """Shared --jobs validation; an error message or None."""
     if args.jobs < 1:
         return "--jobs must be >= 1"
-    if args.chunksize < 0:
-        return "--chunksize must be >= 0 (0 = adaptive)"
     return None
 
 
@@ -175,8 +172,7 @@ def _load_fault_plan_arg(args: argparse.Namespace) -> tuple[Optional[object], bo
 def _cmd_experiments(args: argparse.Namespace) -> int:
     if args.action == "list":
         for eid in experiment_ids():
-            result_fn = run_experiment.__globals__["REGISTRY"][eid]
-            doc = (result_fn.__doc__ or "").strip().splitlines()[0]
+            doc = (REGISTRY[eid].__doc__ or "").strip().splitlines()[0]
             print(f"{eid:8s} {doc}")
         return 0
     result = run_experiment(args.id)
@@ -261,15 +257,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments.parallel import (
+        MeasurePoint,
         MeasureSpec,
         ResultCache,
-        SweepPool,
-        parallel_replicate_all,
         replication_seeds,
         resolve_jobs,
         run_experiments_parallel,
+        run_sweep,
     )
-    from .simulator.trace import Tracer
+    from .simulator.trace import StreamingSummary, Tracer
 
     problem = _validate_pool_args(args)
     if problem is not None:
@@ -283,20 +279,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               "registry experiments (--experiments) define their own",
               file=sys.stderr)
         return 2
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    # Replicated fault-plan runs skip the cache: FaultPlan objects are
+    # not cache-key serialisable.
+    cache = (None if args.no_cache or plan is not None
+             else ResultCache(args.cache_dir))
     stats = Tracer()
-    # One warm pool for the whole invocation: every protocol (or
-    # experiment batch) reuses the same initialized workers.  On a
-    # single-core host the request resolves to serial — no pool.
+    # On a single-core host the request resolves to serial — no pool.
     jobs = resolve_jobs(args.jobs)
-    pool = SweepPool(jobs) if jobs > 1 else None
 
     try:
         if args.experiments:
             try:
                 results = run_experiments_parallel(
                     args.experiments, jobs=jobs, cache=cache, stats=stats,
-                    pool=pool, chunksize=args.chunksize,
                 )
             except KeyError as error:
                 print(f"error: {error.args[0]}", file=sys.stderr)
@@ -319,58 +314,51 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             scenario = _with_error_model_arg(_scenario_from_args(args), args)
             if scenario is None:
                 return 2
-            master_seed = (args.master_seed if args.master_seed is not None
-                           else args.seed)
-            seeds = replication_seeds(master_seed, args.seeds)
+            seeds = replication_seeds(args.seed, args.seeds)
+            if plan is not None:
+                runner = "measure_fault_plan"
+                kwargs = {"fault_plan": plan, "total_time": args.duration}
+            else:
+                runner = "measure_saturated"
+                kwargs = {"duration": args.duration}
+            specs = [
+                MeasureSpec.create(runner, scenario, protocol, **kwargs)
+                for protocol in args.protocols
+            ]
+            # One sweep over every (protocol, seed): one pool start-up,
+            # work balanced across protocols.  Each protocol's slice is
+            # then folded in seed order, so the table does not depend on
+            # --jobs or on which results came from the cache.
+            results = run_sweep(
+                [MeasurePoint(spec, seed) for spec in specs for seed in seeds],
+                jobs=jobs, cache=cache, stats=stats,
+            )
             rows = []
-            for protocol in args.protocols:
-                if plan is not None:
-                    # Replicated fault-plan runs: the plan rides in the
-                    # MeasureSpec kwargs (protocol too — the runner takes
-                    # it as a keyword), and the cache is skipped because
-                    # FaultPlan objects are not cache-key serialisable.
-                    spec = MeasureSpec.create(
-                        "measure_fault_plan", scenario, None,
-                        fault_plan=plan, total_time=args.duration,
-                        protocol=protocol,
-                    )
-                    point_cache = None
-                else:
-                    spec = MeasureSpec.create(
-                        "measure_saturated", scenario, protocol,
-                        duration=args.duration,
-                    )
-                    point_cache = cache
-                # Streaming aggregation: summaries fold in as results
-                # arrive, bit-identical to batch (docs/API.md).
-                try:
-                    summaries = parallel_replicate_all(
-                        spec, args.metrics, seeds, jobs=jobs,
-                        cache=point_cache, stats=stats,
-                        pool=pool, chunksize=args.chunksize, streaming=True,
-                    )
-                except KeyError as error:
-                    print(f"error: metric {error.args[0]!r} is not in the "
-                          f"runner's output; pick --metrics from the "
-                          f"{spec.runner} result columns", file=sys.stderr)
-                    return 2
-                for metric in args.metrics:
-                    summary = summaries[metric]
-                    rows.append({
-                        "protocol": protocol,
-                        "metric": metric,
-                        "mean": summary.mean,
-                        "ci95_half_width": summary.half_width,
-                        "n": summary.count,
-                    })
+            try:
+                for index, protocol in enumerate(args.protocols):
+                    replications = results[index * len(seeds):][:len(seeds)]
+                    for metric in args.metrics:
+                        summary = StreamingSummary.from_samples(
+                            metric, (float(r[metric]) for r in replications)
+                        )
+                        rows.append({
+                            "protocol": protocol,
+                            "metric": metric,
+                            "mean": summary.mean,
+                            "ci95_half_width": summary.half_width,
+                            "n": summary.count,
+                        })
+            except KeyError as error:
+                print(f"error: metric {error.args[0]!r} is not in the "
+                      f"runner's output; pick --metrics from the "
+                      f"{runner} result columns", file=sys.stderr)
+                return 2
             print(render_table(
                 rows,
                 title=f"replicated sweep over preset '{scenario.name}' "
-                      f"({args.seeds} seeds, master {master_seed})",
+                      f"({args.seeds} seeds, master {args.seed})",
             ))
     finally:
-        if pool is not None:
-            pool.close()
         if cache is not None:
             cache.close()
 
@@ -381,9 +369,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for name in stats.counters
         if name.startswith("sweep.worker.") and name.endswith(".tasks")
     )
-    start = f", start={pool.start_method}" if pool is not None else ""
     print(f"\nsweep: {executed} executed, {hits} cached "
-          f"(jobs={jobs}, workers={len(workers) or 1}{start}"
+          f"(jobs={jobs}, workers={len(workers) or 1}"
           f"{'' if cache is None else ', cache=' + cache.root})")
     return 0
 
@@ -395,18 +382,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.action == "info":
             info = cache.info()
             print(f"cache {cache.root}: {info['entries']} entries in "
-                  f"{info['shards']} shard(s), {info['v1_files']} legacy "
-                  f"v1 file(s)")
-            return 0
-        if args.action == "clear":
+                  f"{info['shards']} shard(s)")
+        else:
             removed = cache.clear()
             print(f"cache {cache.root}: removed {removed} entries")
-            return 0
-        # migrate: absorb v1 per-point files and compact shards.
-        report = cache.migrate()
-        print(f"cache {cache.root}: {report['entries']} entries in one "
-              f"compacted shard ({report['v1_absorbed']} v1 files absorbed, "
-              f"{report['shards_compacted']} old shards compacted)")
     return 0
 
 
@@ -442,7 +421,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     from .chaos import run_soak
-    from .experiments.parallel import SweepPool, resolve_jobs
 
     if args.episodes < 1:
         print("error: --episodes must be >= 1", file=sys.stderr)
@@ -467,20 +445,15 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                   f"delivered={report['delivered']}/{report['offered']} "
                   f"failures={report['failures_declared']} {status}")
 
-    jobs = resolve_jobs(args.jobs)
-    pool = SweepPool(jobs) if jobs > 1 else None
     try:
         result = run_soak(
-            episodes=args.episodes, master_seed=args.seed, jobs=jobs,
+            episodes=args.episodes, master_seed=args.seed, jobs=args.jobs,
             fail_fast=args.fail_fast, only=args.only, progress=progress,
-            pool=pool, chunksize=args.chunksize, backend=args.backend,
+            backend=args.backend,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    finally:
-        if pool is not None:
-            pool.close()
 
     summary = result.summary()
     print(f"\nsoak: {summary['episodes_completed']}/"
@@ -860,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     error_model_parent = _error_model_parent()
     fault_plan_parent = _fault_plan_parent()
 
-    exp = subparsers.add_parser("experiments", help="run the E1-E19 registry")
+    exp = subparsers.add_parser("experiments", help="run the experiment registry")
     exp_sub = exp.add_subparsers(dest="action", required=True)
     exp_sub.add_parser("list", help="list experiment ids")
     exp_run = exp_sub.add_parser("run", help="run one experiment")
@@ -911,9 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument("--seeds", type=int, default=8,
                               help="replications per protocol")
-    sweep_parser.add_argument("--master-seed", type=int, default=None,
-                              help="deprecated alias of --seed (the master "
-                                   "seed replication seeds derive from)")
     sweep_parser.add_argument("--duration", type=float, default=1.0,
                               help="simulated seconds per replication")
     sweep_parser.add_argument("--metrics", nargs="*", default=["efficiency"],
@@ -925,11 +895,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
     cache_parser = subparsers.add_parser(
-        "cache", help="inspect or maintain the on-disk sweep result cache"
+        "cache", help="inspect or clear the on-disk sweep result cache"
     )
-    cache_parser.add_argument("action", choices=("info", "migrate", "clear"),
-                              help="info: show entry/shard counts; migrate: "
-                                   "absorb v1 files and compact shards; "
+    cache_parser.add_argument("action", choices=("info", "clear"),
+                              help="info: show entry/shard counts; "
                                    "clear: delete every cached result")
     cache_parser.add_argument("--cache-dir", default=".sweep-cache",
                               help="cache directory to operate on")

@@ -1,13 +1,13 @@
-"""Experiment harness: runners, the E1–E19 registry, statistical
-replication, report generation, and table rendering."""
+"""Experiment harness: runners, the registry (``experiments list``),
+statistical replication, report generation, and table rendering."""
 
+from ..simulator.trace import StreamingSummary
 from . import runner
 from .parallel import (
     ExperimentPoint,
     MeasurePoint,
     MeasureSpec,
     ResultCache,
-    SweepPool,
     SweepStop,
     parallel_replicate,
     parallel_replicate_all,
@@ -24,13 +24,6 @@ from .registry import (
     run_experiment,
 )
 from .reporting import format_value, render_series, render_table
-from .sweeps import (
-    ReplicationSummary,
-    StreamingSummary,
-    replicate,
-    replicate_all,
-    welford,
-)
 
 __all__ = [
     "REGISTRY",
@@ -41,7 +34,6 @@ __all__ = [
     "MeasureSpec",
     "ResultCache",
     "StreamingSummary",
-    "SweepPool",
     "SweepStop",
     "default_seed",
     "experiment_ids",
@@ -50,13 +42,9 @@ __all__ = [
     "parallel_replicate_all",
     "render_series",
     "render_table",
-    "ReplicationSummary",
-    "replicate",
-    "replicate_all",
     "replication_seeds",
     "run_experiment",
     "run_experiments_parallel",
     "run_sweep",
     "runner",
-    "welford",
 ]

@@ -1,4 +1,4 @@
-"""Parallel experiment execution: process pools, seed streams, caching.
+"""Parallel experiment execution: one process pool per sweep, a result cache.
 
 The paper's evaluation is Monte-Carlo replication — the same
 measurement across many independent seeds, BERs, and window settings —
@@ -10,89 +10,72 @@ path guarantees:
 **Determinism.**  Each replication derives its RNG streams from its own
 seed (:mod:`repro.simulator.rng`), so a simulation's result depends
 only on ``(spec, seed)`` — never on which process ran it or in what
-order.  Parallel sweeps therefore produce *bit-identical* summaries to
-serial execution on the same seeds.  :func:`replication_seeds` derives
-the per-replication seeds from one master seed via
-:func:`~repro.simulator.rng.derive_seed`, so a sweep's seed list is
-itself stable across runs and machines.
+order.  :func:`run_sweep` returns results in input order and the
+replicate functions fold them in seed order, so a parallel sweep's
+summaries are *bit-identical* to ``jobs=1`` on the same seeds.
+:func:`replication_seeds` derives the per-replication seeds from one
+master seed via :func:`~repro.simulator.rng.derive_seed`, so a sweep's
+seed list is itself stable across runs and machines.
 
 **Free re-runs.**  Results land in a sharded on-disk cache
-(:class:`ResultCache`), keyed by ``(experiment_id, scenario, seed,
-code_version)``: append-only JSON-lines shard files with an in-memory
-index, so a fully warm 1000-point re-run costs one sequential index
-read instead of 1000 file opens.  JSON floats round-trip exactly
-(shortest-repr encoding), so cached summaries are byte-identical to
-freshly computed ones.  Legacy one-file-per-point (v1) caches are read
-transparently; ``python -m repro cache migrate`` upgrades in place.
+(:class:`ResultCache`), keyed by ``(experiment_id, scenario, seed)``
+plus the identity of the code that computed them: append-only
+JSON-lines shard files with an in-memory index, so a fully warm
+1000-point re-run costs one sequential index read instead of 1000 file
+opens.  JSON floats round-trip exactly (shortest-repr encoding), so
+cached summaries are byte-identical to freshly computed ones.
 
 **Observability.**  :func:`run_sweep` reports per-worker progress and
 timing through :mod:`repro.simulator.trace`-style counters and sample
 statistics on a :class:`~repro.simulator.trace.Tracer`.
 
-The sweep plane itself is engineered for throughput:
-
-- :class:`SweepPool` is a *persistent warm pool* — workers are created
-  once (with the registry, runner, and scenario modules pre-imported)
-  and reused across any number of :func:`run_sweep` calls, so a
-  multi-protocol sweep or a chaos soak pays pool start-up exactly once.
-- Points are dispatched with ``imap_unordered`` under an adaptive
-  chunk size (``chunksize=0``), amortising one IPC round-trip over
-  many points instead of paying it per point.
-- Workers ship results back as compact slots-tuples ``(index, pid,
-  seconds, json)`` — one pre-encoded JSON string per result instead of
-  a pickled dict tree; the parent reuses the encoding verbatim for the
-  cache append.
-- With ``keep_results=False`` (used by ``parallel_replicate_all(...,
-  streaming=True)``), results are folded into
-  :class:`~repro.experiments.sweeps.StreamingSummary` accumulators as
-  they arrive, in seed order, so sweep memory is O(points in flight)
-  rather than O(total points) — and still bit-identical to batch
-  aggregation (see :func:`repro.experiments.sweeps.welford`).
+A sweep is one :func:`run_sweep` call on a pool it owns: the workers
+are started for that call (``fork`` where the platform offers it, else
+``spawn``; the registry, runner, and scenario modules pre-imported),
+fed with ``imap_unordered`` under an adaptive chunk size that amortises
+one IPC round-trip over several points, and gone when it returns.
+Workers ship results back as ``(index, pid, seconds, json)`` — one
+pre-encoded JSON string per result instead of a pickled dict tree.
 
 Entry points:
 
-- :func:`parallel_replicate` / :func:`parallel_replicate_all` — the
-  parallel counterparts of :func:`repro.experiments.sweeps.replicate`
-  and :func:`~repro.experiments.sweeps.replicate_all`, taking a
-  picklable :class:`MeasureSpec` instead of a closure.
-- :func:`run_experiments_parallel` — fan registry experiments (E1–E20)
-  out across processes.
+- :func:`parallel_replicate` / :func:`parallel_replicate_all` — one
+  picklable :class:`MeasureSpec` across a seed list, summarised per
+  metric as a :class:`~repro.simulator.trace.StreamingSummary`.
+- :func:`run_experiments_parallel` — fan registry experiments
+  (``experiments list``) out across processes.
 - :func:`run_sweep` — the generic engine over any sequence of points.
 
-CLI: ``python -m repro sweep`` (``--jobs N``, ``--chunksize``,
-``--cache-dir``, ``--no-cache``) and ``python -m repro cache``
-(``migrate`` / ``info``).  Benchmarks opt in via the
-``REPRO_SWEEP_JOBS`` environment variable (see
-``benchmarks/conftest.py``).
+CLI: ``python -m repro sweep`` (``--jobs N``, ``--cache-dir``,
+``--no-cache``) and ``python -m repro cache`` (``info`` / ``clear``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
-import inspect
 import itertools
 import json
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .. import __version__ as CODE_VERSION
+from .. import __version__
 from ..simulator.rng import derive_seed
-from ..simulator.trace import Tracer
+from ..simulator.trace import StreamingSummary, Tracer
 from ..workloads.scenarios import LinkScenario
 from . import runner as _runner_module
 from .registry import REGISTRY, ExperimentResult, default_seed, run_experiment
-from .sweeps import ReplicationSummary, StreamingSummary
 
 __all__ = [
     "ExperimentPoint",
     "MeasurePoint",
     "MeasureSpec",
     "ResultCache",
-    "SweepPool",
     "SweepStop",
     "parallel_replicate",
     "parallel_replicate_all",
@@ -160,13 +143,12 @@ def replication_seeds(
 class MeasureSpec:
     """A picklable description of one runner measurement.
 
-    The serial :func:`~repro.experiments.sweeps.replicate` takes an
-    arbitrary ``measure(seed)`` closure; closures do not cross process
-    boundaries, so the parallel path names the runner function instead:
-    *runner* is an attribute of :mod:`repro.experiments.runner`
+    Closures do not cross process boundaries, so a measurement names
+    its runner function instead of holding it: *runner* is an attribute
+    of :mod:`repro.experiments.runner`
     (``"measure_saturated"``, ``"measure_batch_transfer"``, ...),
-    called as ``fn(scenario, protocol, seed=seed, **kwargs)`` (or
-    without *protocol* for runners that fix it, like
+    called as ``fn(scenario, protocol=protocol, seed=seed, **kwargs)``
+    (or without *protocol* for runners that fix it, like
     ``measure_failure_recovery``).
     """
 
@@ -201,13 +183,9 @@ class MeasureSpec:
         """Execute the measurement at *seed* (in any process)."""
         fn = getattr(_runner_module, self.runner)
         kwargs = dict(self.kwargs)
-        if self.protocol is None:
-            return fn(self.scenario, seed=seed, **kwargs)
-        return fn(self.scenario, self.protocol, seed=seed, **kwargs)
-
-    def measure(self) -> Callable[[int], Mapping[str, Any]]:
-        """A serial-``replicate``-compatible ``measure(seed)`` callable."""
-        return self.run
+        if self.protocol is not None:
+            kwargs["protocol"] = self.protocol
+        return fn(self.scenario, seed=seed, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -227,7 +205,6 @@ class MeasurePoint:
             "scenario": dataclasses.asdict(self.spec.scenario),
             "kwargs": dict(self.spec.kwargs),
             "seed": self.seed,
-            "code_version": CODE_VERSION,
         }
 
     def execute(self) -> Any:
@@ -236,7 +213,7 @@ class MeasurePoint:
 
 @dataclass(frozen=True)
 class ExperimentPoint:
-    """One registry experiment (E1–E20) as a cacheable work unit."""
+    """One registry experiment as a cacheable work unit."""
 
     experiment_id: str
     seed: int
@@ -276,7 +253,6 @@ class ExperimentPoint:
             "scenario": dataclasses.asdict(scenario) if scenario is not None else None,
             "kwargs": kwargs,
             "seed": self.seed,
-            "code_version": CODE_VERSION,
         }
 
     def execute(self) -> Any:
@@ -306,14 +282,38 @@ def _jsonable(value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# On-disk result cache (v2: sharded append-only JSON-lines)
+# On-disk result cache (sharded append-only JSON-lines)
 # ---------------------------------------------------------------------------
 
 
-class ResultCache:
-    """Sharded result cache keyed by (experiment_id, scenario, seed, version).
+@functools.lru_cache(maxsize=None)
+def _code_identity() -> str:
+    """The identity of the code a cached result was computed by.
 
-    **Layout (v2).**  Results live in append-only shard files
+    ``__version__`` plus a SHA-256 over the package's ``*.py`` sources
+    (names and bytes, in sorted order), so an edit anywhere in the
+    package turns every stored entry into a miss — the version string
+    alone does not move between releases.  A few milliseconds, paid on
+    the first cache use of a process and never at import.
+    """
+    package = Path(__file__).resolve().parents[1]
+    sources = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        sources.update(path.relative_to(package).as_posix().encode("utf-8"))
+        sources.update(b"\0")
+        sources.update(path.read_bytes())
+    return f"{__version__}+{sources.hexdigest()[:16]}"
+
+
+class ResultCache:
+    """Sharded result cache keyed by (experiment_id, scenario, seed, code).
+
+    **Keys.**  A point says what it measures (``point.cache_key()``);
+    the cache adds who measured it — :func:`_code_identity`, stored as
+    the key's ``code_version`` — so results computed by different code
+    never answer for one another.
+
+    **Layout.**  Results live in append-only shard files
     (``shard-<pid>-<uniq>.jsonl``), one line per entry::
 
         <sha256-hex>\\t{"key": {...}, "result": ...}\\n
@@ -329,33 +329,20 @@ class ResultCache:
     **Durability.**  Each cache instance appends to its own private
     shard (``O_EXCL``-created), so concurrent writers never interleave.
     Every ``put`` is flushed; ``fsync`` is *batched* (every
-    ``fsync_interval`` puts, and on :meth:`flush`/:meth:`close`).  A
+    :attr:`FSYNC_INTERVAL` puts, and on :meth:`flush`/:meth:`close`).  A
     crash can therefore lose at most the last unsynced batch — and a
     torn final line is detected and skipped on the next open, never
     served as data.
-
-    **Migration.**  Legacy v1 caches (one ``<digest>.json`` file per
-    point) are read transparently as a fallback; :meth:`migrate`
-    (``python -m repro cache migrate``) absorbs them — and compacts all
-    existing shards — into a single fresh shard.
     """
 
-    #: Orphaned v1 ``*.json.tmp.*`` files older than this are removed on
-    #: open (left behind by killed pre-v2 writers).
-    STALE_TMP_SECONDS = 3600.0
-
-    #: Default number of puts between fsyncs.
+    #: Number of puts between fsyncs.
     FSYNC_INTERVAL = 64
 
     _shard_ids = itertools.count()
 
-    def __init__(self, root: str, code_version: str = CODE_VERSION,
-                 fsync_interval: int = FSYNC_INTERVAL) -> None:
+    def __init__(self, root: str) -> None:
         self.root = str(root)
-        self.code_version = code_version
-        self.fsync_interval = max(1, int(fsync_interval))
         os.makedirs(self.root, exist_ok=True)
-        self.stale_tmp_removed = self._sweep_stale_tmp()
         self.hits = 0
         self.misses = 0
         #: digest -> (shard path, byte offset, line length)
@@ -368,23 +355,6 @@ class ResultCache:
         self._load_shards()
 
     # -- maintenance -----------------------------------------------------
-
-    def _sweep_stale_tmp(self) -> int:
-        """Delete old orphaned v1 temp files; returns how many went."""
-        cutoff = time.time() - self.STALE_TMP_SECONDS
-        removed = 0
-        for name in os.listdir(self.root):
-            if ".json.tmp." not in name:
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                if os.path.getmtime(path) < cutoff:
-                    os.unlink(path)
-                    removed += 1
-            except OSError:
-                # Raced with another opener or a finishing writer.
-                continue
-        return removed
 
     def _shard_paths(self) -> list[str]:
         paths = [
@@ -426,39 +396,31 @@ class ResultCache:
 
     # -- keying ----------------------------------------------------------
 
-    @staticmethod
-    def _canonical(key: Mapping[str, Any]) -> str:
-        return json.dumps(key, sort_keys=True, default=str)
+    def _keyed(self, point: Any) -> tuple[str, str]:
+        """``(digest, canonical JSON)`` of *point*'s full cache key."""
+        key = {**point.cache_key(), "code_version": _code_identity()}
+        canonical = json.dumps(key, sort_keys=True, default=str)
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest(), canonical
 
     def digest_for(self, point: Any) -> str:
-        """The SHA-256 hex digest of *point*'s canonical cache key."""
-        return hashlib.sha256(
-            self._canonical(point.cache_key()).encode("utf-8")
-        ).hexdigest()
+        """The SHA-256 hex digest of *point*'s canonical cache key.
 
-    def path_for(self, point: Any) -> str:
-        """The legacy (v1) one-file-per-point path for *point*.
-
-        Still the cache's stable key identity: two points share a
-        ``path_for`` iff they share a canonical cache key.  v2 stores
-        results in shards, but reads this path as a migration fallback.
+        The cache's key identity: two points share a digest iff they
+        share a canonical key under the same code identity.
         """
-        return os.path.join(self.root, f"{self.digest_for(point)}.json")
+        return self._keyed(point)[0]
 
     # -- access ----------------------------------------------------------
 
     def contains(self, point: Any) -> bool:
         """Whether *point* is (probably) cached — no read, no stats.
 
-        An index membership test (plus a v1-file existence check), used
-        by the sweep engine to partition points before dispatch.  A
-        ``True`` here can still turn into a :meth:`get` miss if the
-        entry is torn or its stored key mismatches; callers must handle
-        that by recomputing.
+        An index membership test, used by the sweep engine to partition
+        points before dispatch.  A ``True`` here can still turn into a
+        :meth:`get` miss if the entry is torn or its stored key
+        mismatches; callers must handle that by recomputing.
         """
-        return self.digest_for(point) in self._index or os.path.exists(
-            self.path_for(point)
-        )
+        return self.digest_for(point) in self._index
 
     def _read_entry(self, entry: tuple[str, int, int]) -> Optional[dict]:
         path, offset, length = entry
@@ -484,43 +446,22 @@ class ResultCache:
 
     def get(self, point: Any) -> Optional[Any]:
         """The cached result for *point*, or None on a miss."""
-        key = json.loads(self._canonical(point.cache_key()))
-        entry = self._index.get(self.digest_for(point))
+        digest, canonical = self._keyed(point)
+        entry = self._index.get(digest)
         if entry is not None:
             stored = self._read_entry(entry)
-            if stored is not None and stored.get("key") == key:
+            if stored is not None and stored.get("key") == json.loads(canonical):
                 self.hits += 1
                 return stored["result"]
-        # v1 fallback: one JSON file per point at the legacy path.
-        try:
-            with open(self.path_for(point), "r", encoding="utf-8") as handle:
-                stored = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        if stored.get("key") != key:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return stored["result"]
+        self.misses += 1
+        return None
 
     def put(self, point: Any, result: Any) -> None:
         """Store *result* for *point* (appended to this cache's shard)."""
-        self._append(point, json.dumps(result))
-
-    def put_raw(self, point: Any, result_json: str) -> None:
-        """Store a pre-encoded JSON result verbatim.
-
-        The pool workers ship results as JSON strings; appending that
-        encoding directly skips a decode/re-encode round trip per point.
-        """
-        self._append(point, result_json)
-
-    def _append(self, point: Any, result_json: str) -> None:
-        digest = self.digest_for(point)
+        digest, canonical = self._keyed(point)
         line = (
-            digest + '\t{"key": ' + self._canonical(point.cache_key())
-            + ', "result": ' + result_json + "}\n"
+            digest + '\t{"key": ' + canonical
+            + ', "result": ' + json.dumps(result) + "}\n"
         ).encode("utf-8")
         writer = self._writer if self._writer is not None else self._open_writer()
         offset = self._writer_offset
@@ -530,7 +471,7 @@ class ResultCache:
         self._index[digest] = (self._writer_path, offset, len(line))
         self._writer_offset = offset + len(line)
         self._unsynced += 1
-        if self._unsynced >= self.fsync_interval:
+        if self._unsynced >= self.FSYNC_INTERVAL:
             os.fsync(writer.fileno())
             self._unsynced = 0
 
@@ -579,24 +520,14 @@ class ResultCache:
 
     # -- bulk operations -------------------------------------------------
 
-    def _v1_paths(self) -> list[str]:
-        out = []
-        for name in os.listdir(self.root):
-            if name.endswith(".json") and len(name) == 69:  # 64 hex + ".json"
-                out.append(os.path.join(self.root, name))
-        return out
-
     def __len__(self) -> int:
-        digests = set(self._index)
-        for path in self._v1_paths():
-            digests.add(os.path.basename(path)[:-5])
-        return len(digests)
+        return len(self._index)
 
     def clear(self) -> int:
         """Delete every entry; returns how many distinct keys went."""
         removed = len(self)
         self.close()
-        for path in self._shard_paths() + self._v1_paths():
+        for path in self._shard_paths():
             try:
                 os.unlink(path)
             except OSError:
@@ -604,67 +535,9 @@ class ResultCache:
         self._index.clear()
         return removed
 
-    def migrate(self) -> dict[str, int]:
-        """Upgrade in place: absorb v1 files, compact shards into one.
-
-        Every live entry — v2 shard lines (index-reachable only, so
-        superseded duplicates drop out) plus v1 per-point files — is
-        rewritten into a single fresh shard; the old shards and v1
-        files are then deleted.  Returns counts for reporting.
-        """
-        v1_absorbed = 0
-        lines: dict[str, bytes] = {}
-        for digest, entry in list(self._index.items()):
-            stored = self._read_entry(entry)
-            if stored is not None:
-                lines[digest] = (
-                    digest + "\t" + json.dumps(stored) + "\n"
-                ).encode("utf-8")
-        for path in self._v1_paths():
-            digest = os.path.basename(path)[:-5]
-            if digest in lines:
-                continue
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    stored = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            lines[digest] = (
-                digest + "\t" + json.dumps(stored) + "\n"
-            ).encode("utf-8")
-            v1_absorbed += 1
-        old_shards = self._shard_paths()
-        old_v1 = self._v1_paths()
-        self.close()
-        writer = self._open_writer()
-        new_index: dict[str, tuple[str, int, int]] = {}
-        offset = 0
-        for digest, line in lines.items():
-            writer.write(line)
-            new_index[digest] = (self._writer_path, offset, len(line))
-            offset += len(line)
-        writer.flush()
-        os.fsync(writer.fileno())
-        self._writer_offset = offset
-        for path in old_shards + old_v1:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self._index = new_index
-        return {
-            "entries": len(new_index),
-            "v1_absorbed": v1_absorbed,
-            "shards_compacted": len(old_shards),
-        }
-
     def info(self) -> dict[str, int]:
-        """Shape of the on-disk cache (entries, shards, legacy files)."""
-        return {
-            "entries": len(self),
-            "shards": len(self._shard_paths()),
-            "v1_files": len(self._v1_paths()),
-        }
+        """Shape of the on-disk cache (entries, shards)."""
+        return {"entries": len(self), "shards": len(self._shard_paths())}
 
 
 # ---------------------------------------------------------------------------
@@ -684,109 +557,21 @@ def _warm_worker() -> None:
     from . import registry, runner  # noqa: F401
 
 
-def _resolve_start_method(method: Optional[str] = None) -> str:
-    """The explicit multiprocessing start method for sweep pools.
+def _pool_context():
+    """The multiprocessing context sweep pools are built from.
 
-    Preference order: the *method* argument, the ``REPRO_MP_START``
-    environment variable, then ``fork`` where the platform offers it
-    (cheapest — workers inherit the warm interpreter) with ``spawn`` as
-    the explicit fallback.  Never the interpreter default, so sweeps
-    behave identically on platforms where the default differs.
+    ``fork`` where the platform offers it (cheapest — workers inherit
+    the warm interpreter), else ``spawn``.  Never the interpreter
+    default, so sweeps behave identically on platforms where the
+    default differs.
     """
-    if method is None:
-        method = os.environ.get("REPRO_MP_START") or None
     available = multiprocessing.get_all_start_methods()
-    if method is None:
-        method = "fork" if "fork" in available else "spawn"
-    if method not in available:
-        raise ValueError(
-            f"unknown start method {method!r}; available: {available}"
-        )
-    return method
-
-
-def _pool_context(method: Optional[str] = None):
-    """An explicitly chosen multiprocessing context (spawn-safe)."""
-    return multiprocessing.get_context(_resolve_start_method(method))
-
-
-class SweepPool:
-    """A persistent, warm worker pool reused across sweeps.
-
-    Workers are created lazily on first use — initialised once with
-    :func:`_warm_worker` — and then serve every subsequent
-    :func:`run_sweep` call handed this pool, so a multi-protocol sweep
-    session (or a chaos soak riding the same pool) pays pool start-up
-    exactly once instead of once per sweep.
-
-    :meth:`cancel` tears the workers down immediately (used on
-    :class:`SweepStop` so abandoned tasks stop burning CPU); the next
-    use transparently builds a fresh pool.  Context-manager exit closes
-    the pool (or cancels it if exiting on an exception).
-    """
-
-    def __init__(self, jobs: int, start_method: Optional[str] = None) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-        self.start_method = _resolve_start_method(start_method)
-        self._context = multiprocessing.get_context(self.start_method)
-        self._pool: Optional[Any] = None
-        #: How many times the pool was torn down and lazily rebuilt.
-        self.recycled = 0
-
-    def pool(self) -> Any:
-        """The live ``multiprocessing.Pool`` (created on first use)."""
-        if self._pool is None:
-            self._pool = self._context.Pool(
-                processes=self.jobs, initializer=_warm_worker
-            )
-        return self._pool
-
-    def cancel(self) -> None:
-        """Terminate workers now; the next use rebuilds the pool."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self.recycled += 1
-
-    def close(self) -> None:
-        """Finish outstanding tasks and shut the workers down."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "SweepPool":
-        return self
-
-    def __exit__(self, exc_type: Any, *exc: Any) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.cancel()
+    return multiprocessing.get_context("fork" if "fork" in available else "spawn")
 
 
 # ---------------------------------------------------------------------------
 # The sweep engine
 # ---------------------------------------------------------------------------
-
-
-def _progress_adapter(
-    progress: Optional[Callable[..., None]],
-) -> Callable[[Any, bool, Any], None]:
-    """Normalise a progress callback to the (point, from_cache, result)
-    calling convention, keeping 2-parameter callbacks working."""
-    if progress is None:
-        return lambda point, from_cache, result: None
-    try:
-        takes_result = len(inspect.signature(progress).parameters) >= 3
-    except (TypeError, ValueError):
-        takes_result = False
-    if takes_result:
-        return progress
-    return lambda point, from_cache, result: progress(point, from_cache)
 
 
 def _execute_point(point: Any) -> tuple[Any, int, float]:
@@ -801,24 +586,20 @@ def _execute_task(task: tuple[int, Any]) -> tuple[int, int, float, str]:
 
     The result crosses the process boundary as one JSON string (floats
     round-trip exactly under shortest-repr encoding) instead of a
-    pickled dict tree — cheaper to serialise, and the parent reuses the
-    encoding verbatim for the cache append.
+    pickled dict tree — cheaper to serialise.
     """
     index, point = task
-    start = time.perf_counter()
-    result = point.execute()
-    return index, os.getpid(), time.perf_counter() - start, json.dumps(result)
+    result, worker, elapsed = _execute_point(point)
+    return index, worker, elapsed, json.dumps(result)
 
 
-def _resolve_chunksize(chunksize: int, pending: int, jobs: int) -> int:
+def _chunk_size(pending: int, jobs: int) -> int:
     """Adaptive chunking: amortise IPC without starving the tail.
 
-    ``chunksize=0`` targets ~4 chunks per worker (capped at 32 points a
-    chunk), so dispatch overhead is paid once per chunk while the last
-    worker never sits on more than a quarter of its share.
+    Targets ~4 chunks per worker (capped at 32 points a chunk), so
+    dispatch overhead is paid once per chunk while the last worker
+    never sits on more than a quarter of its share.
     """
-    if chunksize > 0:
-        return chunksize
     return max(1, min(32, -(-pending // (jobs * 4))))
 
 
@@ -827,21 +608,16 @@ def run_sweep(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     stats: Optional[Tracer] = None,
-    progress: Optional[Callable[[Any, bool], None]] = None,
-    *,
-    pool: Optional[SweepPool] = None,
-    chunksize: int = 0,
-    keep_results: bool = True,
-) -> Optional[list[Any]]:
+    progress: Optional[Callable[[Any, bool, Any], None]] = None,
+) -> list[Any]:
     """Execute *points*, in order, over up to *jobs* worker processes.
 
     Cached points are answered from *cache* without touching the pool
     (a fully warm sweep executes **zero** simulations); fresh results
-    are written back.  *pool* reuses a persistent :class:`SweepPool`
-    across calls (its worker count then overrides *jobs*); otherwise a
-    transient pool is created for this sweep.  *chunksize* controls how
-    many points travel per worker dispatch (0 = adaptive, see
-    :func:`_resolve_chunksize`).
+    are written back.  When more than one point is left to run and
+    *jobs* allows it, the sweep starts a pool for its own duration:
+    closed when the sweep completes, terminated on :class:`SweepStop`
+    or an error so abandoned chunks stop burning CPU.
 
     Counters on *stats* (a :class:`~repro.simulator.trace.Tracer`):
 
@@ -849,24 +625,16 @@ def run_sweep(
     - ``sweep.worker.<pid>.tasks`` — per-worker task counts
     - samples ``sweep.task_seconds`` and ``sweep.worker.<pid>.seconds``
 
-    *progress*, if given, is called as ``progress(point, from_cache)``
-    after each point resolves — or ``progress(point, from_cache,
-    result)`` when the callback accepts a third parameter — always in
-    input order, whatever order workers complete in; raising
-    :class:`SweepStop` from it ends the sweep early with the partial
-    results.
-
-    With ``keep_results=False`` the engine returns ``None`` and holds
-    only the out-of-order arrival buffer (O(points in flight)) instead
-    of the full result list — results are observed solely through
-    *progress*, which is how streaming aggregation keeps thousand-point
-    sweeps in constant memory.
+    *progress*, if given, is called as ``progress(point, from_cache,
+    result)`` after each point resolves, always in input order,
+    whatever order workers complete in; raising :class:`SweepStop` from
+    it ends the sweep early with the partial results (unexecuted points
+    stay ``None``).
     """
     jobs = resolve_jobs(jobs)
     points = list(points)
     stats = stats if stats is not None else Tracer()
-    results: Optional[list[Any]] = [None] * len(points) if keep_results else None
-    notify = _progress_adapter(progress)
+    results: list[Any] = [None] * len(points)
 
     hit_flags = (
         [cache.contains(point) for point in points]
@@ -875,47 +643,41 @@ def run_sweep(
     )
     pending = [(i, p) for i, (p, hit) in enumerate(zip(points, hit_flags)) if not hit]
 
-    def _account(worker: int, elapsed: float) -> None:
-        stats.count("sweep.executed")
-        stats.count(f"sweep.worker.{worker}.tasks")
-        stats.sample("sweep.task_seconds", elapsed)
-        stats.sample(f"sweep.worker.{worker}.seconds", elapsed)
-
     def _resolve_hit(index: int, point: Any) -> None:
         cached = cache.get(point)
         if cached is None:
             # Torn or key-mismatched entry discovered after the probe:
             # recompute inline so the sweep still completes.
-            _run_inline(index, point)
+            _resolve_run(index, point, *_execute_point(point))
             return
         stats.count("sweep.cache_hits")
-        if results is not None:
-            results[index] = cached
-        notify(point, True, cached)
+        results[index] = cached
+        if progress is not None:
+            progress(point, True, cached)
 
-    def _run_inline(index: int, point: Any) -> None:
-        result, worker, elapsed = _execute_point(point)
-        _account(worker, elapsed)
+    def _resolve_run(index: int, point: Any, result: Any,
+                     worker: int, elapsed: float) -> None:
+        stats.count("sweep.executed")
+        stats.count(f"sweep.worker.{worker}.tasks")
+        stats.sample("sweep.task_seconds", elapsed)
+        stats.sample(f"sweep.worker.{worker}.seconds", elapsed)
         if cache is not None:
             cache.put(point, result)
-        if results is not None:
-            results[index] = result
-        notify(point, False, result)
+        results[index] = result
+        if progress is not None:
+            progress(point, False, result)
 
-    use_pool = len(pending) > 1 and (pool is not None or jobs > 1)
     try:
-        if use_pool:
-            owned = pool is None
-            active = pool if pool is not None else SweepPool(min(jobs, len(pending)))
-            completed = False
+        if jobs > 1 and len(pending) > 1:
+            workers = min(jobs, len(pending))
+            pool = _pool_context().Pool(processes=workers, initializer=_warm_worker)
             try:
-                chunk = _resolve_chunksize(chunksize, len(pending), active.jobs)
-                arrivals = active.pool().imap_unordered(
-                    _execute_task, pending, chunksize=chunk
+                arrivals = pool.imap_unordered(
+                    _execute_task, pending, _chunk_size(len(pending), workers)
                 )
                 # Out-of-order arrivals wait here until their turn; the
                 # in-order chunk assignment bounds this buffer to
-                # O(jobs * chunksize) under normal skew.
+                # O(jobs * chunk size) under normal skew.
                 ready: dict[int, tuple[int, float, str]] = {}
                 for index, point in enumerate(points):
                     stats.count("sweep.points")
@@ -926,30 +688,23 @@ def run_sweep(
                         got_index, worker, elapsed, encoded = next(arrivals)
                         ready[got_index] = (worker, elapsed, encoded)
                     worker, elapsed, encoded = ready.pop(index)
-                    _account(worker, elapsed)
-                    if cache is not None:
-                        cache.put_raw(point, encoded)
-                    if results is not None:
-                        results[index] = json.loads(encoded)
-                        notify(point, False, results[index])
-                    else:
-                        notify(point, False, json.loads(encoded))
-                completed = True
+                    _resolve_run(index, point, json.loads(encoded), worker, elapsed)
+            except BaseException:
+                # SweepStop or an error mid-sweep: abandoned chunks must
+                # not keep burning CPU.
+                pool.terminate()
+                raise
+            else:
+                pool.close()
             finally:
-                if not completed:
-                    # SweepStop or an error mid-sweep: abandoned chunks
-                    # must not keep burning CPU (a persistent pool
-                    # rebuilds lazily on its next use).
-                    active.cancel()
-                if owned:
-                    active.close()
+                pool.join()
         else:
             for index, point in enumerate(points):
                 stats.count("sweep.points")
                 if hit_flags[index]:
                     _resolve_hit(index, point)
                 else:
-                    _run_inline(index, point)
+                    _resolve_run(index, point, *_execute_point(point))
     except SweepStop:
         pass
     if cache is not None:
@@ -958,7 +713,7 @@ def run_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Replication over a pool (the parallel replicate / replicate_all)
+# Replication: one spec across a seed list, summarised per metric
 # ---------------------------------------------------------------------------
 
 
@@ -969,25 +724,23 @@ def parallel_replicate(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     stats: Optional[Tracer] = None,
-    progress: Optional[Callable[[Any, bool], None]] = None,
-    *,
-    pool: Optional[SweepPool] = None,
-    chunksize: int = 0,
-    streaming: bool = False,
-):
-    """Parallel :func:`~repro.experiments.sweeps.replicate`.
+    progress: Optional[Callable[[Any, bool, Any], None]] = None,
+) -> StreamingSummary:
+    """Summarise one *metric* of *spec* across *seeds*.
 
-    Bit-identical to the serial version on the same seeds: sample order
-    follows seed order, values are the same per-seed simulations, and
-    NaN measurements raise the same ``ValueError``.  With
-    ``streaming=True`` the return type is a
-    :class:`~repro.experiments.sweeps.StreamingSummary` (same
-    statistics, bit-identically, without retaining the samples).
+    :func:`parallel_replicate_all` for a single metric, with one
+    addition: a NaN measurement raises ``ValueError`` naming its seed
+    instead of poisoning the summary.
     """
+    def guarded(point: MeasurePoint, from_cache: bool, result: Any) -> None:
+        if result[metric] != result[metric]:
+            raise ValueError(f"measurement returned NaN for seed {point.seed}")
+        if progress is not None:
+            progress(point, from_cache, result)
+
     summaries = parallel_replicate_all(
         spec, [metric], seeds, jobs=jobs, cache=cache, stats=stats,
-        progress=progress, _nan_guard=True,
-        pool=pool, chunksize=chunksize, streaming=streaming,
+        progress=guarded,
     )
     return summaries[metric]
 
@@ -999,62 +752,24 @@ def parallel_replicate_all(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     stats: Optional[Tracer] = None,
-    progress: Optional[Callable[[Any, bool], None]] = None,
-    _nan_guard: bool = False,
-    *,
-    pool: Optional[SweepPool] = None,
-    chunksize: int = 0,
-    streaming: bool = False,
-):
-    """Parallel :func:`~repro.experiments.sweeps.replicate_all`.
+    progress: Optional[Callable[[Any, bool, Any], None]] = None,
+) -> dict[str, StreamingSummary]:
+    """Summarise several *metrics* of *spec* from one run per seed.
 
-    One simulation per seed feeds every metric, exactly like the serial
-    version; summaries are bit-identical to serial execution.
-
-    ``streaming=True`` folds each metric into a
-    :class:`~repro.experiments.sweeps.StreamingSummary` as results
-    arrive (in seed order — the engine reorders worker completions), so
-    memory stays O(points in flight) instead of O(seeds); the folded
-    statistics are bit-identical to the batch
-    :class:`~repro.experiments.sweeps.ReplicationSummary` because both
-    run the same :func:`~repro.experiments.sweeps.welford` recurrence.
+    The per-seed results are folded in seed order, so the summaries are
+    bit-identical whatever *jobs* is and whichever results came from
+    *cache*.
     """
-    seed_list = list(seeds)
-    if not seed_list:
+    points = [MeasurePoint(spec, seed) for seed in seeds]
+    if not points:
         raise ValueError("at least one seed is required")
-    points = [MeasurePoint(spec, seed) for seed in seed_list]
-
-    if streaming:
-        accumulators = {metric: StreamingSummary(metric) for metric in metrics}
-        outer_notify = _progress_adapter(progress)
-
-        def consume(point: MeasurePoint, from_cache: bool, result: Any) -> None:
-            for metric in metrics:
-                value = result[metric]
-                if _nan_guard and value != value:
-                    raise ValueError(
-                        f"measurement returned NaN for seed {point.seed}"
-                    )
-                accumulators[metric].push(float(value))
-            outer_notify(point, from_cache, result)
-
-        run_sweep(points, jobs=jobs, cache=cache, stats=stats,
-                  progress=consume, pool=pool, chunksize=chunksize,
-                  keep_results=False)
-        return accumulators
-
     results = run_sweep(points, jobs=jobs, cache=cache, stats=stats,
-                        progress=progress, pool=pool, chunksize=chunksize)
-    collected: dict[str, list[float]] = {metric: [] for metric in metrics}
-    for seed, result in zip(seed_list, results):
-        for metric in metrics:
-            value = result[metric]
-            if _nan_guard and value != value:
-                raise ValueError(f"measurement returned NaN for seed {seed}")
-            collected[metric].append(float(value))
+                        progress=progress)
     return {
-        metric: ReplicationSummary(metric=metric, samples=tuple(values))
-        for metric, values in collected.items()
+        metric: StreamingSummary.from_samples(
+            metric, (float(result[metric]) for result in results)
+        )
+        for metric in metrics
     }
 
 
@@ -1069,10 +784,7 @@ def run_experiments_parallel(
     cache: Optional[ResultCache] = None,
     stats: Optional[Tracer] = None,
     seed: Optional[int] = None,
-    progress: Optional[Callable[[Any, bool], None]] = None,
-    *,
-    pool: Optional[SweepPool] = None,
-    chunksize: int = 0,
+    progress: Optional[Callable[[Any, bool, Any], None]] = None,
 ) -> dict[str, ExperimentResult]:
     """Run registry experiments across a process pool.
 
@@ -1083,7 +795,7 @@ def run_experiments_parallel(
     """
     points = [ExperimentPoint.create(eid, seed=seed) for eid in experiment_ids]
     payloads = run_sweep(points, jobs=jobs, cache=cache, stats=stats,
-                         progress=progress, pool=pool, chunksize=chunksize)
+                         progress=progress)
     out: dict[str, ExperimentResult] = {}
     for point, payload in zip(points, payloads):
         out[point.experiment_id] = ExperimentResult(

@@ -1,4 +1,5 @@
-"""Experiment registry: every evaluation series of the paper, E1–E18.
+"""Experiment registry: every evaluation series of the paper
+(``python -m repro experiments list`` prints the ids).
 
 The tech report's evaluation is the set of closed-form comparisons in
 Section 4 plus the qualitative claims of Sections 2–3 (it prints no
@@ -998,8 +999,8 @@ def e24_constellation(
     delay streams, engine event count, peak event-queue width, peak
     per-link buffered state).
     """
-    # Lazy import: the topology package consumes experiments.sweeps, so
-    # a module-level import here would be circular.
+    # Imported here for import cost only: E24 is the one experiment that
+    # needs the topology and network layers (~27 ms of imports).
     from ..topology import (
         LinkSpec,
         build_constellation,

@@ -1,8 +1,8 @@
 """Full evaluation report: every experiment, one document.
 
-``generate_report()`` runs the complete E1–E17 registry (model
-transcriptions and simulations) and renders one plain-text document —
-the reproduction's equivalent of the paper's evaluation section,
+``generate_report()`` runs the complete registry (``experiments
+list``: model transcriptions and simulations) and renders one
+plain-text document — the reproduction's equivalent of the paper's evaluation section,
 regenerated from scratch on demand.  Exposed on the CLI as
 ``python -m repro report``.
 """

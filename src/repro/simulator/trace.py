@@ -26,7 +26,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["TraceRecord", "Tracer", "Counter", "TimeWeightedStat", "SampleStat"]
+__all__ = [
+    "TraceRecord", "Tracer", "Counter", "TimeWeightedStat", "SampleStat",
+    "StreamingSummary",
+]
+
+# Two-sided 95% normal quantile.
+_Z95 = 1.959963984540054
 
 
 @dataclass(slots=True)
@@ -184,6 +190,100 @@ class TimeWeightedStat:
             return self._level
         area = self._area + self._level * (end - self._last_time)
         return area / span
+
+
+class StreamingSummary:
+    """Mean / spread of one metric across independent replications.
+
+    Holds only ``(count, mean, M2)`` — Welford's recurrence, numerically
+    stable at large means — so memory is constant however many samples
+    flow through.  Values :meth:`push`-ed in the same order always
+    produce the same bits, which is what makes a parallel sweep's
+    summary identical to a serial one: the sweep engine folds results
+    in seed order, whatever order workers finished in.
+
+    :meth:`merge` combines two accumulators with the Chan et al.
+    parallel formula; the merged moments are mathematically exact but
+    fold values in a different order, so merged results are equal to
+    within rounding, not bit-identical — use a single seed-order stream
+    (as the sweep engine does) when exact reproducibility matters.
+    """
+
+    __slots__ = ("metric", "count", "_mean", "_m2")
+
+    def __init__(self, metric: str = "", count: int = 0,
+                 mean: float = 0.0, m2: float = 0.0) -> None:
+        self.metric = metric
+        self.count = count
+        self._mean = mean
+        self._m2 = m2
+
+    @classmethod
+    def from_samples(cls, metric: str, samples: Iterable[float]) -> "StreamingSummary":
+        summary = cls(metric)
+        for value in samples:
+            summary.push(value)
+        return summary
+
+    def push(self, value: float) -> None:
+        """Fold one sample in (one step of Welford's recurrence)."""
+        self.count += 1
+        delta = value - self._mean
+        self._mean += delta / self.count
+        self._m2 += delta * (value - self._mean)
+
+    def merge(self, other: "StreamingSummary") -> None:
+        """Absorb *other*'s moments (Chan et al. pairwise combination)."""
+        if other.count == 0:
+            return
+        if self.count == 0:
+            self.count, self._mean, self._m2 = other.count, other._mean, other._m2
+            return
+        total = self.count + other.count
+        delta = other._mean - self._mean
+        self._mean += delta * other.count / total
+        self._m2 += other._m2 + delta * delta * self.count * other.count / total
+        self.count = total
+
+    @property
+    def mean(self) -> float:
+        return self._mean
+
+    @property
+    def stdev(self) -> float:
+        """Sample standard deviation (n-1); 0 below two samples."""
+        if self.count < 2:
+            return 0.0
+        return math.sqrt(self._m2 / (self.count - 1))
+
+    @property
+    def half_width(self) -> float:
+        """95% confidence half-width (normal approximation)."""
+        if self.count < 2:
+            return 0.0
+        return _Z95 * self.stdev / math.sqrt(self.count)
+
+    @property
+    def low(self) -> float:
+        return self.mean - self.half_width
+
+    @property
+    def high(self) -> float:
+        return self.mean + self.half_width
+
+    def relative_half_width(self) -> float:
+        """Half-width as a fraction of the mean (nan at mean 0)."""
+        return self.half_width / self.mean if self.mean else float("nan")
+
+    def overlaps(self, other) -> bool:
+        """True if the two 95% intervals overlap (no clear separation)."""
+        return self.low <= other.high and other.low <= self.high
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamingSummary({self.metric}: {self.mean:.6g} "
+            f"± {self.half_width:.2g}, n={self.count})"
+        )
 
 
 class _ListenerList(list):

@@ -26,14 +26,13 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..experiments.sweeps import StreamingSummary
 from ..netlayer.datagram import DatagramService, DeliveryLog
 from ..netlayer.forwarding import ForwardingNetworkLayer, shortest_path_routes
 from ..simulator.engine import Simulator
 from ..simulator.node import Node
 from ..simulator.orbit import IsolatedLinkGeometry
 from ..simulator.rng import StreamRegistry, derive_seed
-from ..simulator.trace import Tracer
+from ..simulator.trace import StreamingSummary, Tracer
 from .flows import FlowDriver, FlowSpec
 from .graph import Topology
 from .spec import LinkSpec, build_link, instantiate_pair

@@ -3,7 +3,7 @@
 One :class:`LinkStats` tracks a single link: the channel counters both
 simplex directions already maintain (frames sent / corrupted / lost to
 outage, busy time) plus constant-memory
-:class:`~repro.experiments.sweeps.StreamingSummary` streams of delivery
+:class:`~repro.simulator.trace.StreamingSummary` streams of delivery
 delay and payload size, fed by the builder's delivery taps.
 
 :func:`network_rollup` folds every link into one network-wide view:
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Mapping, Optional
 
-from ..experiments.sweeps import StreamingSummary
 from ..simulator.link import FullDuplexLink
+from ..simulator.trace import StreamingSummary
 
 __all__ = [
     "LinkStats",

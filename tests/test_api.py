@@ -259,8 +259,9 @@ class TestFacadeFaultKwargs:
 
 
 # The names that were second ways to build a link (or, for
-# repro.benchmark, to measure a speed), each beside the module it lived
-# in; none may come back.  Written with a "|" inside so that `git grep`
+# repro.benchmark, to measure a speed; for repro.experiments, to run or
+# summarise a sweep), each beside the module it lived in; none may come
+# back.  Written with a "|" inside so that `git grep`
 # for one of them finds nothing in the tree; the "|" is dropped before
 # use.
 DELETED_NAMES = [
@@ -281,10 +282,18 @@ DELETED_NAMES = [
     ("repro.core.endpoint", "registered_|families"),
     ("repro.transport.backend", "UDP_|BACKEND"),
     ("repro.benchmark", "run_hotpath_|bench"),
+    ("repro.experiments.parallel", "Sweep|Pool"),
+    ("repro.experiments", "Sweep|Pool"),
+    ("repro.experiments", "Replication|Summary"),
+    ("repro.experiments", "replic|ate"),
+    ("repro.experiments", "replicate_|all"),
+    ("repro.experiments", "wel|ford"),
+    ("repro.experiments.sweeps", "Streaming|Summary"),
 ]
 
 # Whole modules that went with their names: these must not import.
-DELETED_MODULES = {"repro.transport.backend", "repro.benchmark"}
+DELETED_MODULES = {"repro.transport.backend", "repro.benchmark",
+                   "repro.experiments.sweeps"}
 
 
 class TestSpecFacade:

@@ -151,9 +151,8 @@ class TestSharedParents:
 
     @pytest.mark.parametrize("command", ["sweep", "soak"])
     def test_pool_flags(self, command):
-        args = build_parser().parse_args(
-            [command, "--jobs", "3", "--chunksize", "2"])
-        assert args.jobs == 3 and args.chunksize == 2
+        args = build_parser().parse_args([command, "--jobs", "3"])
+        assert args.jobs == 3
 
     @pytest.mark.parametrize("command", [
         "simulate", "sweep", "constellation", "transmit", "serve",
@@ -168,12 +167,6 @@ class TestSharedParents:
         args = build_parser().parse_args(
             [command, "--fault-plan", "plan.json"])
         assert args.fault_plan == "plan.json"
-
-    def test_sweep_master_seed_is_deprecated_alias(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.master_seed is None  # unset -> --seed wins
-        args = build_parser().parse_args(["sweep", "--master-seed", "9"])
-        assert args.master_seed == 9
 
     def test_rejects_unknown_error_model(self, capsys):
         assert main(["simulate", "--error-model", "psychic",
@@ -194,6 +187,68 @@ class TestSharedParents:
 
     def test_rejects_bad_jobs(self, capsys):
         assert main(["sweep", "--jobs", "0"]) == 2
+
+
+class TestSweepCommands:
+    """`sweep` and `cache` end to end, on a 2 x 2 short_hop sweep."""
+
+    SWEEP = ["sweep", "--preset", "short_hop", "--protocols", "lams", "hdlc",
+             "--seeds", "2", "--duration", "0.02", "--jobs", "2"]
+
+    def test_second_run_is_answered_from_the_cache(self, capsys, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+
+        def run():
+            assert main(self.SWEEP + ["--cache-dir", cache_dir]) == 0
+            table, footer = capsys.readouterr().out.split("\nsweep: ")
+            return table, footer
+
+        cold_table, cold_footer = run()
+        warm_table, warm_footer = run()
+        assert cold_footer.startswith("4 executed, 0 cached (jobs=")
+        assert warm_footer.startswith("0 executed, 4 cached (jobs=")
+        assert warm_table == cold_table
+        assert "lams  efficiency" in cold_table and "hdlc  efficiency" in cold_table
+
+        assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
+        assert "4 entries in 1 shard(s)" in capsys.readouterr().out
+        assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
+        assert "removed 4 entries" in capsys.readouterr().out
+        assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
+        assert "0 entries in 0 shard(s)" in capsys.readouterr().out
+
+    def test_fault_plan_sweep_runs_uncached(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"name": "cut", "faults": [{"kind": "outage", '
+                        '"start": 0.005, "duration": 0.01, "direction": "both"}]}')
+        assert main([
+            "sweep", "--preset", "short_hop", "--protocols", "lams",
+            "--seeds", "2", "--duration", "0.3", "--fault-plan", str(plan),
+            "--metrics", "delivered_unique", "lost",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "lams  delivered_unique" in out
+        assert "sweep: 2 executed, 0 cached (jobs=1, workers=1)" in out
+        assert not (tmp_path / "cache").exists()
+
+    def test_unknown_metric_is_a_one_line_error(self, capsys):
+        assert main(self.SWEEP + ["--no-cache", "--metrics", "no_such"]) == 2
+        err = capsys.readouterr().err
+        assert "metric 'no_such' is not in the runner's output" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "migrate"],
+        ["sweep", "--chunksize", "2"],
+        ["soak", "--chunksize", "2"],
+        ["sweep", "--master-seed", "9"],
+    ])
+    def test_deleted_options_are_rejected_by_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestTransportCommands:

@@ -1,4 +1,4 @@
-"""Tests for the statistical replication helpers."""
+"""Tests for the replication summary (`simulator.trace.StreamingSummary`)."""
 
 from __future__ import annotations
 
@@ -9,44 +9,65 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.sweeps import (
-    ReplicationSummary,
-    StreamingSummary,
-    replicate,
-    replicate_all,
-    welford,
-)
+from repro.simulator.trace import StreamingSummary
+
+
+def welford(values):
+    """The oracle: the canonical ``(count, mean, M2)`` fold over *values*
+    in order.  `StreamingSummary.push` / `from_samples` are held to this
+    exact operation sequence, bit for bit."""
+    count = 0
+    mean = 0.0
+    m2 = 0.0
+    for value in values:
+        count += 1
+        delta = value - mean
+        mean += delta / count
+        m2 += delta * (value - mean)
+    return count, mean, m2
+
+
+def oracle_stdev(values):
+    count, _, m2 = welford(values)
+    return math.sqrt(m2 / (count - 1)) if count > 1 else 0.0
 
 
 class TestReplicationSummary:
+    """What a summary over a whole sample tuple reports."""
+
     def test_mean_and_stdev(self):
-        summary = ReplicationSummary("m", (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0))
+        summary = StreamingSummary.from_samples(
+            "m", (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0))
         assert summary.mean == pytest.approx(5.0)
         assert summary.stdev == pytest.approx(math.sqrt(32.0 / 7.0))
 
     def test_half_width_formula(self):
-        summary = ReplicationSummary("m", (1.0, 2.0, 3.0, 4.0))
+        summary = StreamingSummary.from_samples("m", (1.0, 2.0, 3.0, 4.0))
         expected = 1.959963984540054 * summary.stdev / 2.0
         assert summary.half_width == pytest.approx(expected)
         assert summary.low == pytest.approx(summary.mean - expected)
         assert summary.high == pytest.approx(summary.mean + expected)
 
     def test_single_sample_degenerate(self):
-        summary = ReplicationSummary("m", (3.0,))
+        summary = StreamingSummary.from_samples("m", (3.0,))
+        assert summary.mean == summary.low == summary.high == 3.0
         assert summary.stdev == 0.0
         assert summary.half_width == 0.0
 
     def test_overlap_detection(self):
-        a = ReplicationSummary("m", (1.0, 1.1, 0.9, 1.0))
-        b = ReplicationSummary("m", (1.05, 1.1, 1.0, 1.15))
-        c = ReplicationSummary("m", (5.0, 5.1, 4.9, 5.0))
+        a = StreamingSummary.from_samples("m", (1.0, 1.1, 0.9, 1.0))
+        b = StreamingSummary.from_samples("m", (1.05, 1.1, 1.0, 1.15))
+        c = StreamingSummary.from_samples("m", (5.0, 5.1, 4.9, 5.0))
         assert a.overlaps(b) and b.overlaps(a)
         assert not a.overlaps(c) and not c.overlaps(a)
 
     def test_relative_half_width(self):
-        summary = ReplicationSummary("m", (10.0, 10.0, 10.0, 14.0))
+        summary = StreamingSummary.from_samples("m", (10.0, 10.0, 10.0, 14.0))
         assert summary.relative_half_width() == pytest.approx(
             summary.half_width / summary.mean
+        )
+        assert math.isnan(
+            StreamingSummary.from_samples("m", (-1.0, 1.0)).relative_half_width()
         )
 
 
@@ -60,11 +81,10 @@ class TestStreamingSummary:
         stream = StreamingSummary("m")
         for value in values:
             stream.push(value)
-        batch = ReplicationSummary("m", values)
-        assert stream.count == len(values)
-        assert stream.mean == batch.mean
-        assert stream.stdev == batch.stdev
-        assert stream.half_width == batch.half_width
+        count, mean, _ = welford(values)
+        assert stream.count == count == len(values)
+        assert stream.mean == mean
+        assert stream.stdev == oracle_stdev(values)
 
     def test_single_sample_degenerate(self):
         stream = StreamingSummary("m")
@@ -84,7 +104,7 @@ class TestStreamingSummary:
     def test_from_samples(self):
         values = (1.0, 2.0, 3.0)
         assert StreamingSummary.from_samples("m", values).mean == (
-            ReplicationSummary("m", values).mean
+            welford(values)[1]
         )
 
     def test_merge_is_exact_on_disjoint_halves(self):
@@ -100,36 +120,42 @@ class TestStreamingSummary:
         for v in values[5:]:
             right.push(v)
         left.merge(right)
-        batch = ReplicationSummary("m", tuple(values))
         assert left.count == 10
-        assert left.mean == pytest.approx(batch.mean, abs=1e-12)
-        assert left.stdev == pytest.approx(batch.stdev, abs=1e-12)
+        assert left.mean == pytest.approx(welford(values)[1], abs=1e-12)
+        assert left.stdev == pytest.approx(oracle_stdev(values), abs=1e-12)
 
     def test_overlap_and_relative_match_batch(self):
+        # Pushed one at a time or built from the tuple: same answers.
         values = (10.0, 10.0, 10.0, 14.0)
-        stream = StreamingSummary.from_samples("m", values)
-        batch = ReplicationSummary("m", values)
+        stream = StreamingSummary("m")
+        for value in values:
+            stream.push(value)
+        batch = StreamingSummary.from_samples("m", values)
         assert stream.relative_half_width() == batch.relative_half_width()
-        other = ReplicationSummary("m", (10.5, 11.0, 12.0))
-        assert stream.overlaps(other) == batch.overlaps(other)
+        other = StreamingSummary.from_samples("m", (10.5, 11.0, 12.0))
+        assert stream.overlaps(other) == batch.overlaps(other) is True
 
     @given(st.lists(finite_floats, min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
     def test_streamed_bit_identical_to_batch(self, values):
-        """The headline contract: streaming aggregation is not merely
-        close to batch aggregation — it is *bit-identical*, because
-        ReplicationSummary and StreamingSummary run the same welford()
-        recurrence in the same order."""
+        """The headline contract: the summary is not merely close to
+        the batch welford() fold over the same values — it is
+        *bit-identical*, pushed one at a time or built by from_samples,
+        which is what lets a sweep's table be compared with `cmp`."""
+        count, mean, _ = welford(values)
+        stdev = oracle_stdev(values)
+        half_width = (1.959963984540054 * stdev / math.sqrt(count)
+                      if count > 1 else 0.0)
         stream = StreamingSummary("m")
         for value in values:
             stream.push(value)
-        batch = ReplicationSummary("m", tuple(values))
-        assert stream.count == batch.count
-        assert stream.mean == batch.mean          # exact, not approx
-        assert stream.stdev == batch.stdev        # exact, not approx
-        assert stream.half_width == batch.half_width
-        assert stream.low == batch.low
-        assert stream.high == batch.high
+        for summary in (stream, StreamingSummary.from_samples("m", values)):
+            assert summary.count == count
+            assert summary.mean == mean              # exact, not approx
+            assert summary.stdev == stdev            # exact, not approx
+            assert summary.half_width == half_width
+            assert summary.low == mean - half_width
+            assert summary.high == mean + half_width
 
     @given(st.lists(finite_floats, min_size=2, max_size=32))
     @example([-999999999999.0, 499999999985.0, 499999999985.0])
@@ -153,43 +179,15 @@ class TestStreamingSummary:
 
 
 class TestReplicate:
-    def measure(self, seed):
-        return {"metric_a": float(seed), "metric_b": float(seed * 2)}
-
-    def test_replicate_collects_samples(self):
-        summary = replicate(self.measure, "metric_a", seeds=[1, 2, 3])
-        assert summary.samples == (1.0, 2.0, 3.0)
-        assert summary.mean == 2.0
-
-    def test_replicate_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
-            replicate(lambda seed: {"x": float("nan")}, "x", seeds=[1])
-
-    def test_replicate_requires_seeds(self):
-        with pytest.raises(ValueError):
-            replicate(self.measure, "metric_a", seeds=[])
-
-    def test_replicate_all_shares_runs(self):
-        calls = []
-
-        def measure(seed):
-            calls.append(seed)
-            return self.measure(seed)
-
-        summaries = replicate_all(measure, ["metric_a", "metric_b"], seeds=[1, 2])
-        assert calls == [1, 2]  # one run per seed, not per metric
-        assert summaries["metric_b"].samples == (2.0, 4.0)
-
     def test_deterministic_simulation_gives_zero_spread(self):
         """Same seed twice: the DES must reproduce exactly."""
-        from repro.experiments.runner import measure_batch_transfer
+        from repro.experiments.parallel import MeasureSpec, parallel_replicate
         from repro.workloads import preset
 
-        summary = replicate(
-            lambda seed: measure_batch_transfer(
-                preset("short_hop"), "lams", 100, seed=7, max_time=30.0
-            ),
-            metric="duration",
-            seeds=[0, 1],  # seed arg ignored inside: fixed seed=7
+        spec = MeasureSpec.create(
+            "measure_batch_transfer", preset("short_hop"), "lams",
+            n_frames=100, max_time=30.0,
         )
+        summary = parallel_replicate(spec, "duration", seeds=[7, 7])
+        assert summary.count == 2
         assert summary.stdev == 0.0

@@ -12,7 +12,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.sweeps import StreamingSummary
+from repro.simulator.trace import StreamingSummary
 from repro.topology.stats import LinkStats, network_rollup
 
 
