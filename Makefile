@@ -85,11 +85,21 @@ soak-smoke:
 # event, so no timing is involved): 3.385 events a frame and 14.75 heap
 # entries a link; a heap entry per timer restart, or a stale pop, coming
 # back reads 3.899 and 18.7 (docs/TUNING.md "What an idle link costs").
+# The build side of the budget is a count too: a routing table is made
+# by the node that first forwards, so the cell E24 itself built (caught
+# on its way out of build_constellation) may hold no more tables than
+# it has forwarding nodes — 12 and 12 here, where every node is a
+# source; 4 for chain-4's five nodes, whose sink only terminates; 16 of
+# 1000 on the benchmark's ring (docs/TUNING.md "What a link costs to
+# build and to hold").
 constellation-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro constellation --topology ring \
 		--size 4 --messages 10 --duration 0.5
 	PYTHONPATH=src $(PYTHON) -c "\
+	import repro.topology as topology; \
 	from repro.experiments import run_experiment; \
+	cells, build = [], topology.build_constellation; \
+	topology.build_constellation = lambda *a, **k: cells.append(build(*a, **k)) or cells[-1]; \
 	result = run_experiment('E24', scale_links=12, duration=0.5); \
 	assert all(row['delivery_ratio'] == 1.0 for row in result.rows), result.rows; \
 	assert all(row['deterministic'] in (None, True) for row in result.rows), result.rows; \
@@ -97,9 +107,16 @@ constellation-smoke:
 	assert scale['cell'] == 'ring-12', scale; \
 	assert scale['events'] <= 3.5 * scale['frames_sent'], scale; \
 	assert scale['peak_heap'] <= 16 * scale['links'], scale; \
+	routing = [(sum(layer.tables_built for layer in cell.layers.values()), \
+		sum(1 for layer in cell.layers.values() if layer.forwarded), len(cell.layers)) \
+		for cell in cells]; \
+	assert all(0 < tables <= forwarders for tables, forwarders, _ in routing), routing; \
+	tables, forwarders, nodes = routing[-1]; \
+	assert nodes == 12 and routing[1] == (4, 4, 5), routing; \
 	print('E24 ok:', ', '.join(row['cell'] for row in result.rows), \
-		'| ring-12 events/frame %.3f, peak_heap/link %.2f' \
-		% (scale['events'] / scale['frames_sent'], scale['peak_heap'] / scale['links']))"
+		'| ring-12 events/frame %.3f, peak_heap/link %.2f,' \
+		% (scale['events'] / scale['frames_sent'], scale['peak_heap'] / scale['links']), \
+		'%d route tables for %d forwarding nodes' % (tables, forwarders))"
 
 # Transport-backend smoke (docs/TRANSPORT.md): a loopback LAMS-DLC
 # transfer over real asyncio-UDP sockets with the invariant monitors

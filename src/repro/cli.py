@@ -229,11 +229,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not ok:
         return 2
     if plan is not None:
-        from .experiments.runner import measure_fault_plan
+        from .experiments.runner import measure_fault_plan, require_lams_family
 
         if args.saturated:
             print("error: --fault-plan runs a finite batch; drop --saturated",
                   file=sys.stderr)
+            return 2
+        try:
+            require_lams_family(args.protocol)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
             return 2
         result = measure_fault_plan(
             scenario, plan, total_time=args.duration,
@@ -304,10 +309,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print()
         else:
             from .core.endpoint import resolve_protocol
+            from .experiments.runner import require_lams_family
 
+            # A fault plan is measured from LAMS-only sender state.
+            check = resolve_protocol if plan is None else require_lams_family
             try:
                 for protocol in args.protocols:
-                    resolve_protocol(protocol)
+                    check(protocol)
             except ValueError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 2

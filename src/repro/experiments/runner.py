@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..core.endpoint import resolve_protocol
 from ..faults.plan import FaultPlan
 from ..simulator.engine import Simulator
 from ..simulator.errormodel import ErrorModel
@@ -22,6 +23,7 @@ __all__ = [
     "measure_burst_utilization",
     "measure_failure_recovery",
     "measure_fault_plan",
+    "require_lams_family",
 ]
 
 
@@ -261,6 +263,23 @@ def measure_failure_recovery(
     }
 
 
+def require_lams_family(protocol: str) -> None:
+    """Raise ``ValueError`` unless *protocol* is a LAMS-family name.
+
+    :func:`measure_fault_plan` reads what only the LAMS-DLC sender
+    keeps — the failure declaration, the Request-NAK count, the
+    held-payload ledger — so any other family is refused before a
+    simulation is built rather than after it has run.
+    """
+    family, _ = resolve_protocol(protocol)
+    if family != "lams":
+        raise ValueError(
+            f"a fault plan is measured from the LAMS-DLC sender's failure "
+            f"declaration and held-payload ledger; protocol {protocol!r} "
+            f"({family} family) has neither"
+        )
+
+
 def measure_fault_plan(
     scenario: LinkScenario,
     fault_plan: FaultPlan,
@@ -280,8 +299,10 @@ def measure_fault_plan(
     frames lost per outage, post-recovery delay), merged with the same
     zero-loss accounting the outage experiment uses.  Everything is
     driven by the simulation's seeded streams, so the same (plan, seed)
-    returns bit-identical numbers.
+    returns bit-identical numbers.  LAMS family only
+    (:func:`require_lams_family`).
     """
+    require_lams_family(protocol)
     setup = build_simulation(
         scenario, protocol, seed=seed, overrides=overrides, fault_plan=fault_plan,
     )

@@ -9,13 +9,17 @@ I-frame is moved to the sending buffer of the next hop").
 
 Routing is static shortest-path over the topology known at setup —
 adequate for link-lifetime-scale experiments; routes are recomputed by
-the experiment harness when the constellation geometry changes.
+the experiment harness when the constellation geometry changes.  A
+node's table is one BFS and one entry per reachable destination, so it
+is built when the node first has something to forward, not before: a
+node that only ever terminates traffic, or carries none, never pays it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Optional
+from functools import partial
+from typing import Callable, Hashable, Optional, Union
 
 from ..simulator.engine import Simulator
 from ..simulator.node import Node
@@ -24,12 +28,15 @@ from .resequencer import Resequencer
 
 __all__ = ["shortest_path_routes", "ForwardingNetworkLayer"]
 
+Routes = dict[Hashable, str]
+"""``destination -> link_name``: one node's first-hop table."""
+
 
 def shortest_path_routes(
     topology: dict[Hashable, dict[Hashable, str]],
     origin: Hashable,
     exclude_links: Optional[set[str]] = None,
-) -> dict[Hashable, str]:
+) -> Routes:
     """First-hop routing table for *origin* by breadth-first search.
 
     *topology* maps ``node -> {neighbor: link_name}``.  Returns
@@ -40,7 +47,7 @@ def shortest_path_routes(
     if origin not in topology:
         raise KeyError(f"origin {origin!r} not in topology")
     excluded = exclude_links or set()
-    routes: dict[Hashable, str] = {}
+    routes: Routes = {}
     first_hop: dict[Hashable, tuple[Hashable, str]] = {}
     visited = {origin}
     frontier: deque[Hashable] = deque([origin])
@@ -68,13 +75,19 @@ class ForwardingNetworkLayer:
     next hop's DLC; if that DLC's sending buffer refuses (finite
     capacity), the datagram waits in a retry queue — store-and-forward
     semantics, nothing is dropped at the network layer.
+
+    *routes* is this node's first-hop table, or a zero-argument
+    callable returning it (``partial(shortest_path_routes, adjacency,
+    address)``), called once, at the first route lookup.  A table
+    passed as a dict is kept by reference: entries the caller adds
+    later are the ones consulted.
     """
 
     def __init__(
         self,
         sim: Simulator,
         address: Hashable,
-        routes: Optional[dict[Hashable, str]] = None,
+        routes: Union[Routes, Callable[[], Routes], None] = None,
         deliver: Optional[Callable[[Datagram], None]] = None,
         retry_interval: float = 0.001,
         topology: Optional[dict[Hashable, dict[Hashable, str]]] = None,
@@ -83,7 +96,12 @@ class ForwardingNetworkLayer:
             raise ValueError("retry_interval must be positive")
         self.sim = sim
         self.address = address
-        self.routes = routes or {}
+        # ``is not None``: an empty table is still the caller's table.
+        self._routes = routes if routes is not None else {}
+        self.tables_built = 0
+        """Times this node materialised a routing table: 0 until it
+        first looks a route up, then 1 plus one per declared failure it
+        routed around — the build cost a constellation actually paid."""
         self.resequencer = Resequencer(deliver=deliver)
         self.retry_interval = retry_interval
         self.topology = topology
@@ -118,8 +136,11 @@ class ForwardingNetworkLayer:
         if self.topology is None:
             return  # static routing: record only
         self.failed_links.add(link_name)
-        self.routes = shortest_path_routes(
-            self.topology, self.address, exclude_links=self.failed_links
+        # Invalidate: the next lookup recomputes over what is then
+        # known to be down (the set is live, so a second failure before
+        # that lookup costs no second BFS).
+        self._routes = partial(
+            shortest_path_routes, self.topology, self.address, self.failed_links
         )
         # Reclaim everything the failed DLC still holds and push it over
         # the recomputed routes.  Duplicates are possible (frames the
@@ -137,7 +158,7 @@ class ForwardingNetworkLayer:
             self.rerouted += 1
             if packet.destination == self.address:
                 self.resequencer.push(packet)
-            elif packet.destination in self.routes:
+            elif self._next_hop(packet.destination) is not None:
                 self._forward(packet)
             else:
                 # Currently unreachable: park in the retry queue in case
@@ -156,10 +177,27 @@ class ForwardingNetworkLayer:
 
     # -- forwarding machinery ----------------------------------------------------
 
+    @property
+    def routes(self) -> Routes:
+        """This node's first-hop table, materialised at first access."""
+        routes = self._routes
+        if callable(routes):
+            routes = self._routes = routes()
+            self.tables_built += 1
+        return routes
+
+    @routes.setter
+    def routes(self, routes: Union[Routes, Callable[[], Routes]]) -> None:
+        self._routes = routes
+
+    def _next_hop(self, destination: Hashable) -> Optional[str]:
+        """The link toward *destination*, or ``None`` if unreachable."""
+        return self.routes.get(destination)
+
     def _forward(self, packet: Datagram) -> None:
         if self.node is None:
             raise RuntimeError("network layer not bound to a node")
-        link_name = self.routes.get(packet.destination)
+        link_name = self._next_hop(packet.destination)
         if link_name is None:
             raise KeyError(
                 f"node {self.address!r} has no route to {packet.destination!r}"
@@ -180,7 +218,7 @@ class ForwardingNetworkLayer:
         attempts = len(self._retry_queue)
         for _ in range(attempts):
             packet = self._retry_queue.popleft()
-            link_name = self.routes.get(packet.destination)
+            link_name = self._next_hop(packet.destination)
             if link_name is None:
                 # Still unreachable after failures; keep parked.
                 self._retry_queue.append(packet)

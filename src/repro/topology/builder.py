@@ -23,9 +23,11 @@ shift another link's draws: stream isolation is per link name.
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..core.endpoint import resolve_protocol
 from ..netlayer.datagram import DatagramService, DeliveryLog
 from ..netlayer.forwarding import ForwardingNetworkLayer, shortest_path_routes
 from ..simulator.engine import Simulator
@@ -70,9 +72,9 @@ class LinkRuntime:
             sender = getattr(endpoint, "sender", None)
             if sender is not None:
                 total += getattr(sender, "occupancy", 0)
-            receiver = getattr(endpoint, "receiver", None)
-            if receiver is not None and hasattr(receiver, "queued_payloads"):
-                total += len(receiver.queued_payloads())
+            # Only the LAMS receiver has a receive queue to count.
+            total += getattr(
+                getattr(endpoint, "receiver", None), "receive_queue_length", 0)
         return total
 
     def __repr__(self) -> str:
@@ -265,8 +267,10 @@ class ConstellationBuilder:
         adjacency = self.topology.adjacency()
 
         # 1. Nodes: delivery log + forwarding layer + node, in
-        #    declaration order (route tables are pure functions of the
-        #    adjacency, so this order only fixes object identity).
+        #    declaration order.  A route table is a pure function of the
+        #    adjacency, so each layer gets the call that computes its
+        #    own and makes it when it first forwards: all tables up
+        #    front is one BFS per node, quadratic in the ring.
         logs: Dict[str, DeliveryLog] = {}
         layers: Dict[str, ForwardingNetworkLayer] = {}
         nodes: Dict[str, Node] = {}
@@ -275,7 +279,7 @@ class ConstellationBuilder:
             logs[name] = DeliveryLog(sim)
             layer = ForwardingNetworkLayer(
                 sim, address=name,
-                routes=shortest_path_routes(adjacency, name),
+                routes=partial(shortest_path_routes, adjacency, name),
                 deliver=logs[name],
                 retry_interval=self.retry_interval,
                 topology=adjacency if self.dynamic_routing else None,
@@ -288,9 +292,10 @@ class ConstellationBuilder:
         #    into the two nodes, start A then B.  This exact sequence is
         #    the determinism contract (and matches the hand-wired
         #    examples frame for frame).
+        satellites = {spec.name: spec.satellite for spec in self.topology.nodes}
         links: Dict[str, LinkRuntime] = {}
         for spec in self.topology.links:
-            links[spec.name] = self._build_link(spec, sim, nodes)
+            links[spec.name] = self._build_link(spec, sim, nodes, satellites)
 
         # 3. Services + flows.
         services = {
@@ -313,12 +318,12 @@ class ConstellationBuilder:
     # -- internals ---------------------------------------------------------
 
     def _build_link(self, spec: LinkSpec, sim: Simulator,
-                    nodes: Dict[str, Node]) -> LinkRuntime:
+                    nodes: Dict[str, Node],
+                    satellites: Dict[str, Any]) -> LinkRuntime:
         monitored = self.monitors if self.monitors is not None else spec.monitors
         tracer = Tracer() if monitored else None
         node_a, node_b = nodes[spec.a], nodes[spec.b]
-        sat_a = self.topology.node(spec.a).satellite
-        sat_b = self.topology.node(spec.b).satellite
+        sat_a, sat_b = satellites[spec.a], satellites[spec.b]
         geometry = (
             IsolatedLinkGeometry(sat_a, sat_b)
             if (sat_a is not None and sat_b is not None)
@@ -380,8 +385,6 @@ class ConstellationBuilder:
 
     @staticmethod
     def _lams_family(spec: LinkSpec) -> bool:
-        from ..core.endpoint import resolve_protocol
-
         return resolve_protocol(spec.protocol)[0] == "lams"
 
     def _arm_probe(self, constellation: Constellation,

@@ -232,6 +232,39 @@ class TestSweepCommands:
         assert "sweep: 2 executed, 0 cached (jobs=1, workers=1)" in out
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--protocol", "hdlc"], "'hdlc' (hdlc family)"),
+        (["simulate", "--protocol", "gbn"], "'gbn' (hdlc family)"),
+        (["simulate", "--protocol", "nbdt-continuous"],
+         "'nbdt-continuous' (nbdt family)"),
+        # The sweep's default protocols are lams and hdlc.
+        (["sweep", "--no-cache"], "'hdlc' (hdlc family)"),
+        (["sweep", "--no-cache", "--protocols", "lams", "nbdt-multiphase"],
+         "'nbdt-multiphase' (nbdt family)"),
+    ])
+    def test_fault_plan_rejects_a_family_it_cannot_measure(
+            self, argv, named, capsys, tmp_path, monkeypatch):
+        """Only the LAMS sender has what measure_fault_plan reads; any
+        other family used to run the whole simulation and then die on
+        ``'HdlcSender' object has no attribute 'failed'``.  Refused by
+        name, exit 2, before anything is built."""
+        import repro.experiments.runner as runner
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a simulation was built")
+
+        monkeypatch.setattr(runner, "build_simulation", no_build)
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"name": "cut", "faults": [{"kind": "outage", '
+                        '"start": 0.005, "duration": 0.01, "direction": "both"}]}')
+        assert main(argv + ["--preset", "short_hop", "--duration", "0.3",
+                            "--fault-plan", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: a fault plan is measured from the "
+                                       "LAMS-DLC sender")
+        assert named in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_unknown_metric_is_a_one_line_error(self, capsys):
         assert main(self.SWEEP + ["--no-cache", "--metrics", "no_such"]) == 2
         err = capsys.readouterr().err

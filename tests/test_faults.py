@@ -388,6 +388,15 @@ class TestMeasureFaultPlan:
         assert result["faults"] == 1
         assert result["outages"] == 1
 
+    @pytest.mark.parametrize("protocol, family", [
+        ("hdlc", "hdlc"), ("gbn", "hdlc"), ("nbdt-multiphase", "nbdt"),
+    ])
+    def test_refuses_a_family_without_a_failure_declaration(self, protocol, family):
+        plan = FaultPlan.single_outage(start=0.05, duration=0.05)
+        with pytest.raises(ValueError, match=f"{protocol!r} \\({family} family\\)"):
+            measure_fault_plan(preset("nominal"), plan, total_time=1.0,
+                               protocol=protocol)
+
     def test_repeated_runs_bit_identical(self):
         scenario = preset("nominal").with_(cumulation_depth=2)
         plan = FaultPlan.single_outage(start=0.05, duration=0.05)

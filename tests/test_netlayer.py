@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import partial
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -138,6 +141,27 @@ class TestRouting:
                 path = nx.shortest_path(graph, origin, destination)
                 assert topology[origin][path[1]] == link
 
+    def test_on_demand_table_agrees_with_networkx(self):
+        """The same cross-check on the path a built constellation takes:
+        the layer is handed the call, not the table, and makes the
+        table at its first lookup."""
+        import networkx as nx
+
+        topology = self.topology()
+        graph = nx.Graph(
+            (node, neighbor) for node, hops in topology.items() for neighbor in hops)
+        sim = Simulator()
+        for origin in topology:
+            layer = ForwardingNetworkLayer(
+                sim, address=origin,
+                routes=partial(shortest_path_routes, topology, origin))
+            assert layer.tables_built == 0
+            for destination in topology:
+                if destination != origin:
+                    path = nx.shortest_path(graph, origin, destination)
+                    assert layer._next_hop(destination) == topology[origin][path[1]]
+            assert layer.tables_built == 1
+
 
 class TestForwardingLayer:
     def test_local_delivery_goes_through_resequencer(self):
@@ -196,6 +220,23 @@ class TestForwardingLayer:
         layer.bind(node)
         with pytest.raises(KeyError):
             layer.on_packet(make_datagram(0), from_link="in")
+
+    def test_empty_table_is_kept_not_replaced(self):
+        """``routes={}`` is the caller's table, empty or not: a route
+        filled in after construction is the one consulted (``routes or
+        {}`` swapped in a private dict and raised KeyError here)."""
+        sim = Simulator()
+        table = {}
+        layer = ForwardingNetworkLayer(sim, address="m", routes=table)
+        assert layer.routes is table
+        node = Node(sim, "m", network_layer=layer)
+        layer.bind(node)
+        sent = []
+        node.attach_endpoint("out", SimpleNamespace(accept=lambda p: not sent.append(p)))
+        table["d"] = "out"
+        layer.on_packet(make_datagram(0), from_link="in")
+        assert len(sent) == 1 and layer.forwarded == 1
+        assert layer.tables_built == 0
 
     def test_unbound_layer_raises(self):
         sim = Simulator()

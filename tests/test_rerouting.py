@@ -10,6 +10,9 @@ removed by the destination resequencer.
 
 from __future__ import annotations
 
+import hashlib
+from functools import partial
+
 import pytest
 
 from repro.api import make_endpoint_pair
@@ -141,3 +144,96 @@ class TestFailover:
         layer.on_link_failure("l9")
         assert layer.link_failures == ["l9"]
         assert layer.failed_links == set()
+
+
+# What the parent commit (every table computed at build, recomputed
+# inside on_link_failure) produced for the two orders below: digest of
+# n1's delivery log, duplicates the resequencer absorbed, engine events.
+PARENT_RUNS = {
+    "forward-then-failure": ("6abdba4b74dd2295", 46, 51229),
+    "failure-then-forward": ("9b0190cb289fd452", 0, 50976),
+}
+
+
+class TestOnDemandTablesAcrossAFailure:
+    """A table is made at the first route lookup and invalidated, not
+    recomputed, by a declared failure — so which comes first, a node's
+    first forward or its link's failure, must not show in anything but
+    the count of tables made."""
+
+    ORDERS = {
+        # name: (datagrams offered at, l0 cut at)
+        "forward-then-failure": (0.0, 0.012),
+        "failure-then-forward": (0.2, 0.001),
+    }
+    # At t = 0.19 (failure declared, second order's offer not yet made)
+    # and at the end: n0's (rerouted, forwarded), tables made per node.
+    # n0 forwards on its full-ring table and rebuilds around l0, or has
+    # only ever the table that excludes l0; n2 / n3 relay after the cut;
+    # n1 terminates and, though it declared l0 failed too, never looks
+    # a route up.
+    TABLES = {
+        "forward-then-failure": (
+            (200, 400), {"n0": 2, "n1": 0, "n2": 1, "n3": 1},
+            (200, 400), {"n0": 2, "n1": 0, "n2": 1, "n3": 1}),
+        "failure-then-forward": (
+            (0, 0), {"n0": 0, "n1": 0, "n2": 0, "n3": 0},
+            (0, 200), {"n0": 1, "n1": 0, "n2": 1, "n3": 1}),
+    }
+
+    def run(self, order, on_demand, n=200):
+        send_at, cut_at = self.ORDERS[order]
+        sim = Simulator()
+        names, nodes, layers, services, logs, links = build_ring_with_failover(sim)
+        if on_demand:
+            for name, layer in layers.items():
+                layer.routes = partial(shortest_path_routes, layer.topology, name)
+
+        def offer():
+            for i in range(n):
+                services["n0"].send("n1", data=i)
+
+        def tables():
+            return ((layers["n0"].rerouted, layers["n0"].forwarded),
+                    {name: layer.tables_built for name, layer in layers.items()})
+
+        if send_at:
+            sim.schedule_at(send_at, offer)
+        else:
+            offer()
+        sim.schedule_at(cut_at, links["l0"].down)
+        seen = []
+        sim.schedule_at(0.19, lambda: seen.extend(tables()))
+        sim.run(until=10.0)
+        seen.extend(tables())  # before .routes below materialises the rest
+        log = logs["n1"]
+        digest = hashlib.sha256(
+            repr([(dg.source, dg.sequence) for dg in log.datagrams]).encode()
+            + repr(list(log.delays)).encode()
+        ).hexdigest()[:16]
+        return {
+            "tables": tuple(seen),
+            "failed": {name: set(layer.failed_links) for name, layer in layers.items()},
+            "routes": {name: dict(layer.routes) for name, layer in layers.items()},
+            "counts": {name: (layer.rerouted, layer.forwarded, layer.retry_backlog)
+                       for name, layer in layers.items()},
+            "delivered": len(log),
+            "parent": (digest, layers["n1"].resequencer.duplicates_dropped,
+                       sim.event_count),
+        }
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_either_order_matches_the_parent(self, order):
+        eager = self.run(order, on_demand=False)
+        lazy = self.run(order, on_demand=True)
+        for key in ("failed", "routes", "counts", "delivered", "parent"):
+            assert lazy[key] == eager[key], key
+        assert lazy["parent"] == PARENT_RUNS[order]
+        assert lazy["delivered"] == 200
+        # Both ends of l0 declared it; each routes the long way round.
+        assert lazy["failed"] == {"n0": {"l0"}, "n1": {"l0"}, "n2": set(), "n3": set()}
+        assert lazy["routes"]["n0"] == {"n1": "l3", "n2": "l3", "n3": "l3"}
+        assert lazy["routes"]["n1"] == {"n0": "l1", "n2": "l1", "n3": "l1"}
+        assert lazy["tables"] == self.TABLES[order]
+        # A table passed in was never made here: only n0's rebuild counts.
+        assert eager["tables"][3] == {"n0": 1, "n1": 0, "n2": 0, "n3": 0}

@@ -220,6 +220,91 @@ def test_idle_ring_unchanged_from_parent_but_for_the_heap():
     assert engine["peak_heap"] < PARENT_IDLE_RING_ENGINE["peak_heap"]
 
 
+class TestRouteTablesOnDemand:
+    """A build computes no routing table; the run computes one per node
+    that forwards — so neither depends on how big the constellation is."""
+
+    @staticmethod
+    def forwarding_run(size, monkeypatch):
+        import repro.netlayer.forwarding as forwarding
+        import repro.topology.builder as builder
+
+        calls = []
+        real = forwarding.shortest_path_routes
+
+        def counted(topology, origin, exclude_links=None):
+            calls.append(origin)
+            return real(topology, origin, exclude_links)
+
+        monkeypatch.setattr(forwarding, "shortest_path_routes", counted)
+        monkeypatch.setattr(builder, "shortest_path_routes", counted)
+        topology = ring_topology(size, FAST)
+        names = topology.node_names()
+        flows = [
+            FlowSpec(source=names[s], destination=names[(s + 2) % size],
+                     messages=5, interval=0.002)
+            for s in (3, 11, 12)
+        ]
+        constellation = build_constellation(
+            topology, master_seed=7, flows=flows, horizon=0.05)
+        assert calls == []
+        constellation.run(until=0.05)
+        assert constellation.datagrams_delivered() == 15
+        layers = constellation.layers
+        forwarders = {name for name in names if layers[name].forwarded}
+        # Three sources, three relays; n12 is both.
+        assert forwarders == {f"n{i}" for i in (3, 4, 11, 12, 13)}
+        assert sorted(calls) == sorted(forwarders)
+        assert {name for name in names if layers[name].tables_built} == forwarders
+        # The table a node made is the one the parent built for it.
+        for name in forwarders:
+            assert layers[name].routes == real(topology.adjacency(), name)
+        return len(calls)
+
+    def test_one_table_per_forwarding_node_at_any_size(self, monkeypatch):
+        assert (self.forwarding_run(50, monkeypatch)
+                == self.forwarding_run(200, monkeypatch) == 5)
+
+    def test_antipodal_route_is_the_parents(self):
+        """n0 of a 12-ring is equally far from n6 either way; the table
+        made on demand breaks the tie as the one made at build did."""
+        constellation = build_constellation(
+            ring_topology(12, FAST), dynamic_routing=True)
+        assert constellation.layers["n0"].routes["n6"] == "l0"
+        assert constellation.layers["n3"].routes["n9"] == "l2"
+
+
+def test_buffered_payloads_counts_what_each_family_holds():
+    """Sender occupancy at both ends plus, on LAMS links, the receive
+    queues — read by length, for every protocol family a link can run."""
+    protocols = dict(zip(("l0", "l1", "l2"), ("lams", "hdlc", "nbdt-continuous")))
+    topo = chain_topology(3, FAST).map_links(lambda spec: spec.with_(
+        protocol=protocols[spec.name],
+        # A slow consumer at n1, so l0's receive queue is not empty.
+        extras={"delivery_interval_b": 1e-4} if spec.name == "l0" else {}))
+    constellation = build_constellation(topo, flows=[
+        FlowSpec(source=a, destination=b, messages=200, interval=1e-5)
+        for a, b in (("n0", "n1"), ("n1", "n2"), ("n2", "n3"))
+    ], horizon=0.02)
+    seen = {name: 0 for name in protocols}
+    queued = []
+
+    def check():
+        for name, runtime in constellation.links.items():
+            ends = (runtime.endpoint_a, runtime.endpoint_b)
+            expected = sum(end.sender.occupancy for end in ends)
+            if name == "l0":
+                queued.append(len(runtime.endpoint_b.receiver.queued_payloads()))
+                expected += queued[-1]
+            assert runtime.buffered_payloads() == expected
+            seen[name] = max(seen[name], expected)
+
+    for tick in range(40):  # the first frames land at ~6.7 ms
+        constellation.sim.schedule_at(0.005 + tick * 2.5e-4, check)
+    constellation.run(until=0.02)
+    assert all(seen.values()) and max(queued) > 0, (seen, queued)
+
+
 class TestFaultIsolation:
     def test_fault_on_one_link_cannot_shift_another(self):
         plans = {"l2": FaultPlan.single_outage(0.05, 0.05)}
