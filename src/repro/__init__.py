@@ -9,7 +9,7 @@ A complete, executable reconstruction of the paper's system:
 - :mod:`repro.simulator` — from-scratch discrete-event simulator:
   engine, links, error models (random + Gilbert–Elliott bursts), LEO
   orbital geometry.
-- :mod:`repro.fec` — CRC, interleaving, codec residual-BER models.
+- :mod:`repro.fec` — CRC, codec residual-BER models.
 - :mod:`repro.analysis` — every closed-form expression of the paper's
   Section 4.
 - :mod:`repro.netlayer` — datagrams, store-and-forward routing, and the

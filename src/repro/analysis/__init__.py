@@ -4,7 +4,7 @@ Submodules: :mod:`params` (the symbol bundle), :mod:`errorprobs`
 (retransmission probabilities), :mod:`lams` and :mod:`hdlc` (the two
 protocols' period/throughput/buffer expressions), :mod:`bounds`
 (numbering/inconsistency-gap bounds of Sections 2.3 and 3.3), and
-:mod:`compare` (sweeps and crossover finding).
+:mod:`compare` (comparison rows and sweeps).
 """
 
 from . import bounds, compare, delay, errorprobs, framesize, gbn, hybrid

@@ -1,6 +1,6 @@
 """Structural bounds: numbering size, resolving period, inconsistency gap.
 
-Sections 2.3 and 3.3 argue three qualitative results that don't appear
+Sections 2.3 and 3.3 argue two qualitative results that don't appear
 in the throughput algebra but are the protocol's *correctness* selling
 points; this module makes each quantitative:
 
@@ -15,9 +15,6 @@ points; this module makes each quantitative:
    disagree: bounded for LAMS-DLC (periodic responses), unbounded for
    a pos-ack scheme on a noisy link (a frame can be repeatedly
    corrupted with the sender none the wiser).
-
-3. **GBN discard waste** — the link-frame-length's worth of good frames
-   Go-Back-N throws away per error (Section 2.3).
 """
 
 from __future__ import annotations
@@ -28,26 +25,12 @@ from .errorprobs import retransmission_probability_posack
 from .params import ModelParameters
 
 __all__ = [
-    "link_frame_length",
     "lams_resolving_period",
     "lams_required_numbering_size",
     "lams_inconsistency_gap",
     "hdlc_holding_time_quantile",
     "hdlc_required_numbering_size_quantile",
-    "hdlc_inconsistency_gap_expected",
-    "gbn_discards_per_error",
 ]
-
-
-def link_frame_length(round_trip_time: float, iframe_time: float) -> float:
-    """Maximum in-transit frames: ``(D_link · T_data)/(V · L_frame)``.
-
-    Expressed in timing terms, one-way propagation over the frame
-    transmission time.
-    """
-    if iframe_time <= 0:
-        raise ValueError("iframe_time must be positive")
-    return (round_trip_time / 2.0) / iframe_time
 
 
 def lams_resolving_period(params: ModelParameters) -> float:
@@ -99,28 +82,3 @@ def hdlc_holding_time_quantile(params: ModelParameters, quantile: float) -> floa
 def hdlc_required_numbering_size_quantile(params: ModelParameters, quantile: float) -> int:
     """Numbering size covering the q-quantile holding time for SR-HDLC."""
     return math.ceil(hdlc_holding_time_quantile(params, quantile) / params.iframe_time)
-
-
-def hdlc_inconsistency_gap_expected(params: ModelParameters) -> float:
-    """Expected inconsistency gap for SR-HDLC's SREJ recovery.
-
-    If a SREJ is lost the sender resends after the timeout; repeated
-    losses extend the gap geometrically (Section 2.3: "Should such an
-    event occur repeatedly, the inconsistency gap of SR-HDLC would be
-    unbounded").  The expectation is finite —
-    ``t_out · P_R / (1 - P_R)`` beyond the base response — but the
-    distribution has unbounded support, unlike LAMS-DLC's hard bound.
-    """
-    p_r = retransmission_probability_posack(params.p_f, params.p_c)
-    base = params.round_trip_time + params.cframe_time + params.processing_time
-    return base + params.timeout * p_r / (1.0 - p_r)
-
-
-def gbn_discards_per_error(params: ModelParameters) -> float:
-    """Good frames Go-Back-N discards per frame error (Section 2.3).
-
-    Everything in flight behind the erroneous frame — one link frame
-    length, both directions of the feedback loop — is retransmitted:
-    approximately ``R / t_f`` frames.
-    """
-    return params.round_trip_time / params.iframe_time

@@ -12,7 +12,7 @@ series; they are also usable directly for exploration::
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Sequence
 
 from . import hdlc as hdlc_model
 from . import lams as lams_model
@@ -22,7 +22,6 @@ __all__ = [
     "comparison_row",
     "sweep",
     "efficiency_ratio",
-    "find_crossover",
 ]
 
 
@@ -74,40 +73,3 @@ def efficiency_ratio(
     return lams_model.throughput_efficiency(params, n_frames) / hdlc_model.throughput_efficiency(
         params, n_frames, variant
     )
-
-
-def find_crossover(
-    make_params: Callable[[float], ModelParameters],
-    low: float,
-    high: float,
-    n_frames: int,
-    variant: str = "derived",
-    tolerance: float = 1e-9,
-    max_iterations: int = 200,
-) -> Optional[float]:
-    """Bisect for the parameter value where the two protocols tie.
-
-    ``make_params(x)`` builds the parameter point for sweep value *x*.
-    Returns the crossover location, or None if the advantage has the
-    same sign at both ends (no crossover in ``[low, high]``).
-    """
-    def advantage(x: float) -> float:
-        return efficiency_ratio(make_params(x), n_frames, variant) - 1.0
-
-    f_low, f_high = advantage(low), advantage(high)
-    if f_low == 0.0:
-        return low
-    if f_high == 0.0:
-        return high
-    if (f_low > 0) == (f_high > 0):
-        return None
-    for _ in range(max_iterations):
-        mid = 0.5 * (low + high)
-        f_mid = advantage(mid)
-        if abs(f_mid) < tolerance or (high - low) < tolerance * max(1.0, abs(mid)):
-            return mid
-        if (f_mid > 0) == (f_low > 0):
-            low, f_low = mid, f_mid
-        else:
-            high, f_high = mid, f_mid
-    return 0.5 * (low + high)

@@ -1,18 +1,10 @@
-"""Per-frame delay distributions.
+"""Per-frame delay distribution of LAMS-DLC.
 
 Section 4 derives only *mean* quantities; this module extends the
-analysis to full distributions, which the paper's architecture needs in
-two places it leaves quantitative but unevaluated:
-
-- Section 2.3: "Given that the expected total delay of an I-frame
-  between the source and the destination is bounded, the overheads due
-  to the buffer requirement and the additional processing power, is
-  easily computed" — computing it requires the delay *distribution*,
-  because the destination's resequencing buffer is sized by the delay
-  *spread*, not the mean.
-- The geometric retransmission count makes every per-frame delay a
-  geometric mixture: a frame delivered on its k-th attempt waits
-  ``(k-1)`` recovery periods plus one final transit.
+analysis to quantiles (the ``model`` command prints p50 and p99.99).
+The geometric retransmission count makes every per-frame delay a
+geometric mixture: a frame delivered on its k-th attempt waits
+``(k-1)`` recovery periods plus one final transit.
 
 All quantities derive from the same :class:`ModelParameters` the rest
 of the analysis uses.
@@ -22,23 +14,14 @@ from __future__ import annotations
 
 import math
 
-from . import hdlc as hdlc_model
 from . import lams as lams_model
-from .errorprobs import (
-    geometric_period_pmf,
-    retransmission_probability_lams,
-    retransmission_probability_posack,
-)
+from .errorprobs import retransmission_probability_lams
 from .params import ModelParameters
 
 __all__ = [
     "attempts_for_quantile",
     "lams_delay_for_attempts",
     "lams_delay_quantile",
-    "lams_mean_delay",
-    "hdlc_delay_for_attempts",
-    "hdlc_delay_quantile",
-    "resequencing_buffer_bound",
 ]
 
 
@@ -73,41 +56,3 @@ def lams_delay_quantile(params: ModelParameters, quantile: float) -> float:
     """q-quantile of the LAMS-DLC per-frame link delay."""
     p_r = retransmission_probability_lams(params.p_f)
     return lams_delay_for_attempts(params, attempts_for_quantile(p_r, quantile))
-
-
-def lams_mean_delay(params: ModelParameters) -> float:
-    """Mean per-frame link delay: geometric mixture expectation.
-
-    ``E[delay] = (s̄ - 1) · D_retrn + t_f + R/2`` — the expected number
-    of failed attempts is ``s̄ - 1``.
-    """
-    sbar = lams_model.s_bar(params)
-    return (sbar - 1.0) * lams_model.retransmission_period(params) + (
-        params.iframe_time + params.round_trip_time / 2.0
-    )
-
-
-def hdlc_delay_for_attempts(params: ModelParameters, attempts: int) -> float:
-    """SR-HDLC link delay on the *attempts*-th try (timeout recovery)."""
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    final_transit = params.iframe_time + params.round_trip_time / 2.0
-    return (attempts - 1) * params.timeout + final_transit
-
-
-def hdlc_delay_quantile(params: ModelParameters, quantile: float) -> float:
-    """q-quantile of the SR-HDLC per-frame link delay."""
-    p_r = retransmission_probability_posack(params.p_f, params.p_c)
-    return hdlc_delay_for_attempts(params, attempts_for_quantile(p_r, quantile))
-
-
-def resequencing_buffer_bound(params: ModelParameters, quantile: float = 0.999999) -> float:
-    """Destination resequencing-buffer bound, in frames (Section 2.3).
-
-    A datagram can overtake another by at most the *delay spread*
-    (q-quantile minus minimum); frames arriving during that spread must
-    be buffered for ordering.  At full rate one frame arrives per
-    ``t_f``, so the bound is ``spread / t_f``.
-    """
-    spread = lams_delay_quantile(params, quantile) - lams_delay_for_attempts(params, 1)
-    return spread / params.iframe_time

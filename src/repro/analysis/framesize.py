@@ -37,7 +37,6 @@ __all__ = [
     "goodput_per_channel_bit",
     "optimal_frame_size_approx",
     "optimal_frame_size",
-    "frame_size_sweep",
 ]
 
 
@@ -101,23 +100,3 @@ def optimal_frame_size(
         range(lo, hi + 1),
         key=lambda size: goodput_per_channel_bit(size, overhead_bits, ber),
     )
-
-
-def frame_size_sweep(
-    overhead_bits: int,
-    ber: float,
-    sizes: list[int],
-) -> list[dict]:
-    """Goodput across candidate payload sizes, with the optimum marked."""
-    best = optimal_frame_size(overhead_bits, ber)
-    rows = []
-    for size in sizes:
-        rows.append(
-            {
-                "payload_bits": size,
-                "p_f": frame_error_probability(ber, size + overhead_bits),
-                "goodput": goodput_per_channel_bit(size, overhead_bits, ber),
-                "is_optimal_region": abs(math.log(size / best)) < math.log(2),
-            }
-        )
-    return rows

@@ -37,7 +37,6 @@ __all__ = [
     "type1_parameters",
     "type1_goodput_efficiency",
     "codec_sweep",
-    "best_codec",
 ]
 
 #: A strength-ordered ladder of candidate codecs for sweeps.
@@ -116,16 +115,3 @@ def codec_sweep(
             }
         )
     return rows
-
-
-def best_codec(
-    base: ModelParameters,
-    iframe_bits: int,
-    channel_ber: float,
-    ladder: Sequence[tuple[str, CodecModel]] = STANDARD_LADDER,
-    n_frames: int = 100_000,
-) -> tuple[str, float]:
-    """The ladder's goodput-optimal codec at this operating point."""
-    rows = codec_sweep(base, iframe_bits, channel_ber, ladder, n_frames)
-    winner = max(rows, key=lambda row: row["goodput"])
-    return str(winner["codec"]), float(winner["goodput"])

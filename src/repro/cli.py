@@ -26,21 +26,27 @@ The commands cover the library's everyday uses:
   model driving a batch transfer (``--verify`` replays it and checks
   the delivered-payload digest bit-identically); see docs/CHANNELS.md.
 - ``channels`` — list or describe the registered error models
-  (``--model NAME --timeline`` prints a time-varying model's BER).
+  (``--model NAME --timeline --span S`` prints a time-varying model's
+  BER).
 - ``report`` — regenerate the full evaluation as one document.
 
-Every command accepts ``--preset`` (short_hop / nominal / long_haul /
-noisy) plus overrides for the physical and protocol knobs.
-
-The cross-cutting knobs — ``--seed``, ``--jobs``, ``--error-model``,
-``--fault-plan`` — are defined once as argparse *parent parsers* and
-shared by every command that accepts them, so they spell and behave
-identically everywhere.
+The four commands that evaluate one operating point — ``model``,
+``compare``, ``simulate``, ``sweep`` — accept ``--preset`` (short_hop /
+nominal / long_haul / noisy) plus the paper's operating-point overrides
+(``--bit-rate --distance-km --iframe-ber --cframe-ber
+--checkpoint-interval --cumulation-depth --window-size --alpha``);
+``trace-synth`` accepts ``--preset`` alone and every other command runs
+its documented scenario.  ``--seed``, ``--jobs`` and ``--fault-plan``
+are defined once as argparse *parent parsers* for the two commands each
+that accept them.  Every flag is one that a Makefile target, CI step,
+documented command line or effect-asserting test passes; the per-flag
+table is in docs/API.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -56,9 +62,14 @@ from .workloads.scenarios import LinkScenario
 __all__ = ["main", "build_parser"]
 
 
-def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_preset_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", default="nominal",
                         help="scenario preset (short_hop/nominal/long_haul/noisy)")
+
+
+def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--preset`` plus the paper's operating-point overrides."""
+    _add_preset_argument(parser)
     parser.add_argument("--bit-rate", type=float, default=None, help="bits/second")
     parser.add_argument("--distance-km", type=float, default=None)
     parser.add_argument("--iframe-ber", type=float, default=None)
@@ -104,16 +115,6 @@ def _pool_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _error_model_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--error-model", default=None,
-                        help="registered error-model name for both frame "
-                             "classes; only models buildable from the "
-                             "scenario's BER and bit rate alone "
-                             "(perfect/bernoulli/orbit-coupled)")
-    return parent
-
-
 def _fault_plan_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--fault-plan", default=None, metavar="FILE",
@@ -133,7 +134,7 @@ def _with_error_model_arg(
     scenario: LinkScenario, args: argparse.Namespace,
 ) -> Optional[LinkScenario]:
     """Fold a validated --error-model into the scenario; None on error."""
-    name = getattr(args, "error_model", None)
+    name = args.error_model
     if name is None:
         return scenario
     from .simulator.errormodel import available_error_models, resolve_error_model
@@ -155,7 +156,7 @@ def _with_error_model_arg(
 
 def _load_fault_plan_arg(args: argparse.Namespace) -> tuple[Optional[object], bool]:
     """Load a --fault-plan file; ``(plan, ok)`` with errors printed."""
-    path = getattr(args, "fault_plan", None)
+    path = args.fault_plan
     if path is None:
         return None, True
     from .faults import FaultPlan
@@ -242,18 +243,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 2
         result = measure_fault_plan(
             scenario, plan, total_time=args.duration,
-            n_frames=args.frames, seed=args.seed, protocol=args.protocol,
+            n_frames=args.frames, protocol=args.protocol,
         )
         print(render_table([result], title=f"simulated {args.protocol} under "
                                            f"fault plan '{plan.name}' "
                                            f"({len(plan)} faults)"))
         return 0
     if args.saturated:
-        result = measure_saturated(scenario, args.protocol, args.duration, seed=args.seed)
+        result = measure_saturated(scenario, args.protocol, args.duration)
     else:
         result = measure_batch_transfer(
-            scenario, args.protocol, args.frames, seed=args.seed,
-            max_time=args.duration,
+            scenario, args.protocol, args.frames, max_time=args.duration,
         )
     print(render_table([result], title=f"simulated {args.protocol} over "
                                        f"preset '{scenario.name}'"))
@@ -279,9 +279,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plan, ok = _load_fault_plan_arg(args)
     if not ok:
         return 2
-    if args.experiments and (plan is not None or args.error_model is not None):
-        print("error: --fault-plan/--error-model shape the scenario; "
-              "registry experiments (--experiments) define their own",
+    if args.experiments and plan is not None:
+        print("error: --fault-plan shapes the scenario; registry "
+              "experiments (--experiments) define their own",
               file=sys.stderr)
         return 2
     # Replicated fault-plan runs skip the cache: FaultPlan objects are
@@ -319,10 +319,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             except ValueError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 2
-            scenario = _with_error_model_arg(_scenario_from_args(args), args)
-            if scenario is None:
-                return 2
-            seeds = replication_seeds(args.seed, args.seeds)
+            scenario = _scenario_from_args(args)
+            master_seed = 0
+            seeds = replication_seeds(master_seed, args.seeds)
             if plan is not None:
                 runner = "measure_fault_plan"
                 kwargs = {"fault_plan": plan, "total_time": args.duration}
@@ -364,7 +363,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(render_table(
                 rows,
                 title=f"replicated sweep over preset '{scenario.name}' "
-                      f"({args.seeds} seeds, master {args.seed})",
+                      f"({args.seeds} seeds, master {master_seed})",
             ))
     finally:
         if cache is not None:
@@ -403,10 +402,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     config, rationale = recommend_config(
         bit_rate=args.bit_rate,
         distance_km=args.distance_km,
-        iframe_ber=args.iframe_ber,
-        cframe_ber=args.cframe_ber,
         mean_burst=args.mean_burst,
-        wait_budget=args.wait_budget,
     )
     rows = [
         {"knob": "payload_bits", "value": config.iframe_payload_bits,
@@ -422,8 +418,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     ]
     print(render_table(rows, title=f"recommended LAMS-DLC configuration "
                                    f"({args.bit_rate/1e6:.0f} Mbps x "
-                                   f"{args.distance_km:.0f} km, "
-                                   f"BER {args.iframe_ber:g})"))
+                                   f"{args.distance_km:.0f} km)"))
     return 0
 
 
@@ -498,10 +493,7 @@ def _cmd_constellation(args: argparse.Namespace) -> int:
     if args.duration <= 0:
         print("error: --duration must be positive", file=sys.stderr)
         return 2
-    scenario = _with_error_model_arg(_scenario_from_args(args), args)
-    if scenario is None:
-        return 2
-    template = LinkSpec(scenario=scenario)
+    template = LinkSpec(scenario=preset("nominal"))
     if args.topology == "ring":
         topo = ring_topology(args.size, template, name=f"ring-{args.size}")
     elif args.topology == "chain":
@@ -515,7 +507,7 @@ def _cmd_constellation(args: argparse.Namespace) -> int:
         interval=args.duration / max(1, 2 * args.messages),
     )
     constellation = build_constellation(
-        topo, master_seed=args.seed, flows=flows, horizon=args.duration,
+        topo, flows=flows, horizon=args.duration,
         probe_interval=args.duration / 50.0,
         dynamic_routing=args.dynamic_routing,
     )
@@ -525,7 +517,7 @@ def _cmd_constellation(args: argparse.Namespace) -> int:
         constellation.link_summaries(),
         title=f"{topo.name}: {len(topo.nodes)} nodes, "
               f"{len(topo.links)} LAMS-DLC links, {len(flows)} flows, "
-              f"{args.duration:g}s (seed {args.seed})",
+              f"{args.duration:g}s (seed {constellation.master_seed})",
     ))
     print()
     print(render_table(
@@ -545,15 +537,13 @@ def _parse_hostport(value: str, default_port: int = 47901) -> tuple[str, int]:
     return host, int(port)
 
 
-def _transport_scenario(args: argparse.Namespace) -> Optional[LinkScenario]:
-    """The scenario a transport command runs: golden or preset-derived."""
-    if getattr(args, "golden", None) is not None:
-        from .transport.conformance import golden_scenario
+def _transport_scenario(args: argparse.Namespace) -> LinkScenario:
+    """The scenario a transport command runs: golden, else nominal."""
+    if args.golden is None:
+        return preset("nominal")
+    from .transport.conformance import golden_scenario
 
-        scenario = golden_scenario(args.golden)
-    else:
-        scenario = _scenario_from_args(args)
-    return _with_error_model_arg(scenario, args)
+    return golden_scenario(args.golden)
 
 
 def _cmd_transmit(args: argparse.Namespace) -> int:
@@ -564,22 +554,13 @@ def _cmd_transmit(args: argparse.Namespace) -> int:
         print("error: --conform runs loopback sessions; drop --connect",
               file=sys.stderr)
         return 2
-    plan, ok = _load_fault_plan_arg(args)
-    if not ok:
-        return 2
 
     if args.conform:
-        if plan is not None or args.error_model is not None:
-            print("error: --conform runs the fixed golden scenarios; drop "
-                  "--fault-plan/--error-model", file=sys.stderr)
-            return 2
         from .transport.conformance import run_conformance
 
         names = [args.golden] if args.golden is not None else None
-        reports = run_conformance(
-            names, seed=args.seed, n_frames=args.frames,
-            payload_bytes=args.payload_bytes, timeout=args.timeout,
-        )
+        reports = run_conformance(names, n_frames=args.frames,
+                                  timeout=args.timeout)
         for report in reports:
             print(report.summary())
         matches = all(report.matches for report in reports)
@@ -588,8 +569,6 @@ def _cmd_transmit(args: argparse.Namespace) -> int:
         return 0 if matches else 1
 
     scenario = _transport_scenario(args)
-    if scenario is None:
-        return 2
 
     if args.connect:
         from .transport.session import run_client
@@ -600,9 +579,8 @@ def _cmd_transmit(args: argparse.Namespace) -> int:
             print(f"error: bad --connect address: {error}", file=sys.stderr)
             return 2
         report = run_client(
-            scenario, connect=peer, seed=args.seed, n_frames=args.frames,
-            payload_bytes=args.payload_bytes, timeout=args.timeout,
-            install_signals=True,
+            scenario, connect=peer, n_frames=args.frames,
+            timeout=args.timeout, install_signals=True,
         )
         status = "complete" if report.completed else f"INCOMPLETE:{report.reason}"
         print(f"transmit -> {peer[0]}:{peer[1]}: offered {report.offered} "
@@ -616,10 +594,7 @@ def _cmd_transmit(args: argparse.Namespace) -> int:
     from .transport.session import run_transfer
 
     result = run_transfer(
-        scenario, "lams", args.seed,
-        n_frames=args.frames, payload_bytes=args.payload_bytes,
-        timeout=args.timeout, jitter=args.jitter, drop=args.drop,
-        fault_plan=plan, run_with_invariants=not args.no_invariants,
+        scenario, n_frames=args.frames, timeout=args.timeout,
         install_signals=True,
     )
     digest = "match" if result.digest == result.expected_digest else "MISMATCH"
@@ -636,19 +611,18 @@ def _cmd_transmit(args: argparse.Namespace) -> int:
           f"{stats['forward_frames_corrupted']} corrupted, "
           f"{stats['forward_frames_dropped']} dropped; "
           f"retransmissions {stats['retransmissions']}")
-    if result.monitors is None:
-        print("invariants: monitors disabled (--no-invariants)")
-    else:
-        print(f"invariants: {result.monitors.report()}")
+    print(f"invariants: {result.monitors.report()}")
     if result.failure_reason == "interrupted":
         return 130
     return 0 if result.ok else 1
 
 
+_SERVE_SECONDS = 30.0
+"""How long ``serve`` listens before it reports."""
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     scenario = _transport_scenario(args)
-    if scenario is None:
-        return 2
     try:
         bind = _parse_hostport(args.bind)
     except ValueError as error:
@@ -657,10 +631,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .transport.session import run_serve
 
     print(f"serving {scenario.name} on {bind[0]}:{bind[1]} "
-          f"for {args.duration:g}s ...")
+          f"for {_SERVE_SECONDS:g}s ...")
     report = run_serve(
-        scenario, bind=bind, seed=args.seed, duration=args.duration,
-        install_signals=True,
+        scenario, bind=bind, duration=_SERVE_SECONDS, install_signals=True,
     )
     print(f"serve: {report.received_unique} unique payload(s) "
           f"({report.duplicates} duplicate(s)), "
@@ -684,20 +657,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+_ORBIT_MAX_RANGE_KM = 6000.0
+"""Laser range within which ``orbit`` counts the pair as visible."""
+
+
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    sat_a = Satellite("a", altitude_km=args.altitude, inclination_deg=args.inclination)
-    sat_b = Satellite(
-        "b", altitude_km=args.altitude, inclination_deg=args.inclination,
-        raan_deg=args.raan_b, phase_deg=args.phase_b,
-    )
+    # The default LEO pair (1000 km, 60 degrees), planes 30 degrees apart.
+    sat_a = Satellite("a")
+    sat_b = Satellite("b", raan_deg=30.0)
     stats = rtt_statistics(sat_a, sat_b, 0.0, args.span, step_s=args.step)
     print(render_table(
         [{"quantity": key, "value": value} for key, value in stats.items()],
         title=f"RTT statistics over {args.span:.0f}s "
-              f"(altitude {args.altitude:.0f} km)",
+              f"(altitude {sat_a.altitude_km:.0f} km)",
     ))
     windows = visibility_windows(
-        sat_a, sat_b, 0.0, args.span, max_range_km=args.max_range, step_s=args.step
+        sat_a, sat_b, 0.0, args.span, max_range_km=_ORBIT_MAX_RANGE_KM,
+        step_s=args.step,
     )
     rows = [
         {"start_s": w.start, "end_s": w.end, "duration_s": w.duration}
@@ -705,7 +681,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     ]
     print()
     print(render_table(rows, title=f"visibility windows (max range "
-                                   f"{args.max_range:.0f} km)"))
+                                   f"{_ORBIT_MAX_RANGE_KM:.0f} km)"))
     return 0
 
 
@@ -714,7 +690,7 @@ def _cmd_trace_synth(args: argparse.Namespace) -> int:
 
     from .simulator.channels import replay_trace, synthesize_trace, write_trace
 
-    scenario = _scenario_from_args(args)
+    scenario = preset(args.preset)
     model_spec = None
     if args.params is not None:
         if args.model is None:
@@ -733,8 +709,7 @@ def _cmd_trace_synth(args: argparse.Namespace) -> int:
         model_spec = args.model
     try:
         result = synthesize_trace(
-            scenario, model_spec, protocol=args.protocol, seed=args.seed,
-            n_frames=args.frames, max_time=args.max_time,
+            scenario, model_spec, seed=args.seed, n_frames=args.frames,
         )
     except (TypeError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -743,7 +718,7 @@ def _cmd_trace_synth(args: argparse.Namespace) -> int:
         args.output, result.records, mode="frame",
         model=args.model, scenario=scenario.name, seed=args.seed,
         bit_rate=scenario.bit_rate, digest=result.digest,
-        extra={"protocol": args.protocol, "n_frames": args.frames},
+        extra={"protocol": "lams", "n_frames": args.frames},
     )
     print(f"trace written to {args.output}: {len(result.records)} frame "
           f"records, {result.delivered} payloads delivered in "
@@ -751,8 +726,7 @@ def _cmd_trace_synth(args: argparse.Namespace) -> int:
     print(f"delivered-payload digest: {result.digest}")
     if args.verify:
         replayed = replay_trace(
-            scenario, args.output, protocol=args.protocol, seed=args.seed,
-            n_frames=args.frames, max_time=args.max_time,
+            scenario, args.output, seed=args.seed, n_frames=args.frames,
         )
         if replayed.digest != result.digest:
             print(f"verify: FAIL — replay digest {replayed.digest} != "
@@ -764,7 +738,6 @@ def _cmd_trace_synth(args: argparse.Namespace) -> int:
 
 def _cmd_channels(args: argparse.Namespace) -> int:
     import inspect
-    import json
 
     from .simulator.errormodel import (
         available_error_models,
@@ -794,19 +767,10 @@ def _cmd_channels(args: argparse.Namespace) -> int:
         print()
         print("\n".join(f"  {line}" for line in doc.splitlines()))
     if args.timeline:
-        params = {}
-        if args.params is not None:
-            try:
-                params = json.loads(args.params)
-            except json.JSONDecodeError as error:
-                print(f"error: --params is not valid JSON: {error}",
-                      file=sys.stderr)
-                return 2
-        scenario = _scenario_from_args(args)
+        scenario = preset("nominal")
         try:
             instance = resolve_error_model(
-                (args.model, params), ber=scenario.iframe_ber,
-                bit_rate=scenario.bit_rate,
+                args.model, ber=scenario.iframe_ber, bit_rate=scenario.bit_rate,
             )
         except (TypeError, ValueError) as error:
             print(f"error: cannot instantiate {args.model!r}: {error}",
@@ -821,7 +785,7 @@ def _cmd_channels(args: argparse.Namespace) -> int:
         t = 0.0
         while t <= args.span + 1e-9:
             rows.append({"t_s": t, "ber": instance.instantaneous_ber(t)})
-            t += args.step
+            t += 60.0  # one row a minute
         print()
         print(render_table(rows, title=f"instantaneous BER over {args.span:g}s"))
     return 0
@@ -833,12 +797,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="LAMS-DLC ARQ protocol reproduction (Ward & Choi, 1991)",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    # Flags are spelled in full: with argparse's prefix matching,
+    # `sweep --seed 7` (no such flag) would silently mean `--seeds 7`.
+    subparsers = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False),
+    )
 
     # Shared parents: one definition per cross-cutting knob.
     seed_parent = _seed_parent()
     pool_parent = _pool_parent()
-    error_model_parent = _error_model_parent()
     fault_plan_parent = _fault_plan_parent()
 
     exp = subparsers.add_parser("experiments", help="run the experiment registry")
@@ -860,9 +829,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim_parser = subparsers.add_parser(
         "simulate", help="run the executable protocol",
-        parents=[seed_parent, error_model_parent, fault_plan_parent],
+        parents=[fault_plan_parent],
     )
     _add_scenario_arguments(sim_parser)
+    sim_parser.add_argument(
+        "--error-model", default=None,
+        help="registered error-model name for both frame classes; only "
+             "models buildable from the scenario's BER and bit rate alone "
+             "(perfect/bernoulli/orbit-coupled)",
+    )
     sim_parser.add_argument(
         "--protocol",
         choices=("lams", "hdlc", "gbn", "nbdt-continuous", "nbdt-multiphase"),
@@ -877,8 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_parser = subparsers.add_parser(
         "sweep", help="replicated measurements over a process pool",
-        parents=[seed_parent, pool_parent, error_model_parent,
-                 fault_plan_parent],
+        parents=[pool_parent, fault_plan_parent],
     )
     _add_scenario_arguments(sweep_parser)
     sweep_parser.add_argument(
@@ -917,12 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune_parser.add_argument("--bit-rate", type=float, required=True)
     tune_parser.add_argument("--distance-km", type=float, required=True)
-    tune_parser.add_argument("--iframe-ber", type=float, default=1e-6)
-    tune_parser.add_argument("--cframe-ber", type=float, default=1e-8)
     tune_parser.add_argument("--mean-burst", type=float, default=0.0,
                              help="mean burst length in seconds")
-    tune_parser.add_argument("--wait-budget", type=float, default=0.10,
-                             help="checkpoint wait as a fraction of RTT")
     tune_parser.set_defaults(handler=_cmd_tune)
 
     soak_parser = subparsers.add_parser(
@@ -947,9 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
         "constellation",
         help="run a multi-link constellation (topology layer) and print "
              "per-link + network rollup stats",
-        parents=[seed_parent, error_model_parent],
     )
-    _add_scenario_arguments(constellation_parser)
     constellation_parser.add_argument(
         "--topology", choices=("ring", "chain", "grid"), default="ring",
         help="constellation shape",
@@ -979,25 +947,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="run LAMS-DLC over real asyncio-UDP sockets (loopback with "
              "invariant monitors, --connect for two-process, --conform "
              "for the DES-vs-UDP conformance harness)",
-        parents=[seed_parent, error_model_parent, fault_plan_parent],
     )
-    _add_scenario_arguments(transmit_parser)
     transmit_parser.add_argument(
         "--golden", choices=("clean", "lossy"), default=None,
-        help="use a golden conformance scenario instead of --preset "
-             "(real-time-friendly rates; see docs/TRANSPORT.md)",
+        help="use a golden conformance scenario instead of the nominal "
+             "preset (real-time-friendly rates; see docs/TRANSPORT.md)",
     )
     transmit_parser.add_argument("--frames", type=int, default=48,
                                  help="payloads to transfer")
-    transmit_parser.add_argument("--payload-bytes", type=int, default=256,
-                                 help="bytes per payload")
     transmit_parser.add_argument("--timeout", type=float, default=30.0,
                                  help="wall-clock cap on the session")
-    transmit_parser.add_argument("--jitter", type=float, default=0.0,
-                                 help="uniform extra one-way delay in seconds")
-    transmit_parser.add_argument("--drop", type=float, default=None,
-                                 help="i.i.d. datagram loss probability "
-                                      "(the 'uniform-loss' error model)")
     transmit_parser.add_argument("--connect", default=None, metavar="HOST:PORT",
                                  help="two-process mode: send to a running "
                                       "'repro serve' instead of loopback")
@@ -1005,28 +964,22 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="run the golden scenarios on both "
                                       "backends and compare digests and "
                                       "monitor verdicts")
-    transmit_parser.add_argument("--no-invariants", action="store_true",
-                                 help="skip the invariant monitor suite "
-                                      "(loopback mode)")
     transmit_parser.set_defaults(handler=_cmd_transmit)
 
     serve_parser = subparsers.add_parser(
         "serve",
         help="receive side of a two-process UDP session "
              "(pair with 'transmit --connect')",
-        parents=[seed_parent, error_model_parent],
     )
-    _add_scenario_arguments(serve_parser)
     serve_parser.add_argument(
         "--golden", choices=("clean", "lossy"), default=None,
-        help="use a golden conformance scenario instead of --preset",
+        help="use a golden conformance scenario instead of the nominal "
+             "preset",
     )
     serve_parser.add_argument("--bind", default="127.0.0.1:47901",
                               metavar="HOST:PORT",
                               help="address to listen on (the peer is "
                                    "learned from the first datagram)")
-    serve_parser.add_argument("--duration", type=float, default=30.0,
-                              help="seconds to serve before reporting")
     serve_parser.set_defaults(handler=_cmd_serve)
 
     report_parser = subparsers.add_parser(
@@ -1039,13 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.set_defaults(handler=_cmd_report)
 
     orbit_parser = subparsers.add_parser("orbit", help="LEO pair geometry")
-    orbit_parser.add_argument("--altitude", type=float, default=1000.0)
-    orbit_parser.add_argument("--inclination", type=float, default=60.0)
-    orbit_parser.add_argument("--raan-b", type=float, default=30.0)
-    orbit_parser.add_argument("--phase-b", type=float, default=0.0)
     orbit_parser.add_argument("--span", type=float, default=12_000.0)
     orbit_parser.add_argument("--step", type=float, default=5.0)
-    orbit_parser.add_argument("--max-range", type=float, default=6000.0)
     orbit_parser.set_defaults(handler=_cmd_orbit)
 
     trace_parser = subparsers.add_parser(
@@ -1055,19 +1003,15 @@ def build_parser() -> argparse.ArgumentParser:
              "fixture; see docs/CHANNELS.md)",
         parents=[seed_parent],
     )
-    _add_scenario_arguments(trace_parser)
+    _add_preset_argument(trace_parser)
     trace_parser.add_argument("--model", default=None,
                               help="registered error-model name to record "
                                    "(default: the scenario's I-frame model)")
     trace_parser.add_argument("--params", default=None, metavar="JSON",
                               help="JSON object of model constructor kwargs, "
                                    "e.g. '{\"good_ber\": 1e-7, ...}'")
-    trace_parser.add_argument("--protocol", default="lams",
-                              help="protocol driving the recorded transfer")
     trace_parser.add_argument("--frames", type=int, default=200,
                               help="payloads in the recorded batch")
-    trace_parser.add_argument("--max-time", type=float, default=60.0,
-                              help="simulated-seconds cap on the batch")
     trace_parser.add_argument("--output", default="trace.jsonl",
                               help="JSONL trace file to write")
     trace_parser.add_argument("--verify", action="store_true",
@@ -1081,19 +1025,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered error models, or describe one "
              "(--model NAME [--timeline])",
     )
-    _add_scenario_arguments(channels_parser)
     channels_parser.add_argument("--model", default=None,
                                  help="describe one registered model instead "
                                       "of listing all")
-    channels_parser.add_argument("--params", default=None, metavar="JSON",
-                                 help="constructor kwargs for --timeline")
     channels_parser.add_argument("--timeline", action="store_true",
                                  help="print instantaneous_ber(t) over --span "
                                       "(time-varying models only)")
     channels_parser.add_argument("--span", type=float, default=600.0,
                                  help="timeline span in seconds")
-    channels_parser.add_argument("--step", type=float, default=60.0,
-                                 help="timeline step in seconds")
     channels_parser.set_defaults(handler=_cmd_channels)
 
     return parser

@@ -16,7 +16,7 @@ from .endpoint import (
     resolve_protocol,
 )
 from .flowcontrol import StopGoRateController
-from .frames import CheckpointFrame, IFrame, LamsFrame, RequestNakFrame
+from .frames import CheckpointFrame, IFrame, RequestNakFrame
 from .protocol import LamsDlcEndpoint
 from .receiver import ErrorEntry, LamsReceiver
 from .sendbuf import OutstandingFrame, SendBuffer
@@ -24,7 +24,6 @@ from .sender import LamsSender, PendingRetransmission
 from .seqspace import (
     SequenceExhausted,
     SequenceSpace,
-    cyclic_less_equal,
     forward_distance,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "IFrame",
     "LamsDlcConfig",
     "LamsDlcEndpoint",
-    "LamsFrame",
     "LamsReceiver",
     "LamsSender",
     "OutstandingFrame",
@@ -47,7 +45,6 @@ __all__ = [
     "SequenceSpace",
     "StopGoRateController",
     "available_protocols",
-    "cyclic_less_equal",
     "forward_distance",
     "register_pair_factory",
     "resolve_protocol",

@@ -18,7 +18,7 @@ captures that shape once:
   family plus the configuration overrides that variant implies.
 
 Construction is substrate-agnostic: a family factory is written against
-the :class:`~repro.core.clock.Clock` contract and the link's
+the :mod:`repro.simulator.engine` scheduling contract and the link's
 ``forward`` / ``reverse`` / ``attach`` shape, so the same call wires a
 pair over the discrete-event simulator's
 :class:`~repro.simulator.link.FullDuplexLink` or over

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-__all__ = ["IFrame", "CheckpointFrame", "RequestNakFrame", "LamsFrame"]
+__all__ = ["IFrame", "CheckpointFrame", "RequestNakFrame"]
 
 
 @dataclass(slots=True, eq=False)
@@ -160,6 +160,3 @@ class RequestNakFrame:
     def __post_init__(self) -> None:
         if self.size_bits <= 0:
             raise ValueError("Request-NAK must have positive size")
-
-
-LamsFrame = IFrame | CheckpointFrame | RequestNakFrame

@@ -95,6 +95,10 @@ class LamsReceiver:
             delivery_interval if delivery_interval is not None
             else config.processing_time
         )
+        # How long delivered incarnation ids are remembered.  Duplicates
+        # are produced only by enforced recovery, whose retransmissions
+        # land within roughly one resolving period plus one failure
+        # budget of the original delivery; 4x covers that with margin.
         self._origin_retention_value = 4.0 * config.resolving_period(expected_rtt)
         # Cached occupancy stat for the per-frame enqueue/drain path
         # (created lazily so its start time matches first use).
@@ -189,17 +193,6 @@ class LamsReceiver:
         self._enqueue_for_delivery(frame)
 
     # -- zero-duplication extension -----------------------------------------------
-
-    @property
-    def _origin_retention(self) -> float:
-        """How long delivered incarnation ids are remembered.
-
-        Duplicates are produced only by enforced recovery, whose
-        retransmissions land within roughly one resolving period plus
-        one failure budget of the original delivery; 4x the resolving
-        period covers that with margin.
-        """
-        return 4.0 * self.resolving_retention
 
     def _is_duplicate_incarnation(self, frame: IFrame) -> bool:
         """Record-and-test the frame's stable incarnation identity."""
@@ -301,7 +294,7 @@ class LamsReceiver:
         return tuple(naks)
 
     def _send_checkpoint(self, naks: tuple[int, ...], enforced: bool) -> None:
-        stop_go = self._stop_indicated()
+        stop_go = self.stop_indicated()
         index = self.cp_index
         now = self.sim.now
         frame = CheckpointFrame(
@@ -329,9 +322,6 @@ class LamsReceiver:
         if not self.config.flow_control_enabled:
             return False
         return len(self._receive_queue) >= self.config.receive_high_watermark
-
-    # Backwards-compatible private alias used by checkpoint emission.
-    _stop_indicated = stop_indicated
 
     def _enqueue_for_delivery(self, frame: IFrame) -> None:
         capacity = self._rx_capacity

@@ -20,7 +20,7 @@ cannot happen in a correctly sized configuration.
 
 from __future__ import annotations
 
-__all__ = ["SequenceSpace", "SequenceExhausted", "forward_distance", "cyclic_less_equal"]
+__all__ = ["SequenceSpace", "SequenceExhausted", "forward_distance"]
 
 
 class SequenceExhausted(RuntimeError):
@@ -32,16 +32,6 @@ def forward_distance(start: int, end: int, modulus: int) -> int:
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     return (end - start) % modulus
-
-
-def cyclic_less_equal(a: int, b: int, reference: int, modulus: int) -> bool:
-    """True if *a* is at or before *b*, measured forward from *reference*.
-
-    Orders sequence numbers on the circle by their distance from a known
-    trailing point (e.g. the oldest outstanding number), which is the
-    standard way to linearise cyclic comparisons.
-    """
-    return forward_distance(reference, a, modulus) <= forward_distance(reference, b, modulus)
 
 
 class SequenceSpace:

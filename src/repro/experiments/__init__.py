@@ -23,7 +23,7 @@ from .registry import (
     experiment_ids,
     run_experiment,
 )
-from .reporting import format_value, render_series, render_table
+from .reporting import format_value, render_table
 
 __all__ = [
     "REGISTRY",
@@ -40,7 +40,6 @@ __all__ = [
     "format_value",
     "parallel_replicate",
     "parallel_replicate_all",
-    "render_series",
     "render_table",
     "replication_seeds",
     "run_experiment",

@@ -8,9 +8,9 @@ diffable across runs.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-__all__ = ["format_value", "render_table", "render_series"]
+__all__ = ["format_value", "render_table"]
 
 
 def format_value(value: Any, precision: int = 4) -> str:
@@ -26,9 +26,6 @@ def format_value(value: Any, precision: int = 4) -> str:
             return "inf" if value > 0 else "-inf"
         if value == 0:
             return "0"
-        magnitude = abs(value)
-        if magnitude >= 1e5 or magnitude < 1e-3:
-            return f"{value:.{precision}g}"
         return f"{value:.{precision}g}"
     return str(value)
 
@@ -60,22 +57,3 @@ def render_table(
     for r in rendered:
         lines.append("  ".join(r[col].rjust(widths[col]) for col in columns))
     return "\n".join(lines)
-
-
-def render_series(
-    x_name: str,
-    x_values: Iterable[Any],
-    series: dict[str, Iterable[Any]],
-    title: Optional[str] = None,
-    precision: int = 4,
-) -> str:
-    """Render parallel series (one x column, many y columns) as a table."""
-    columns = [x_name, *series.keys()]
-    value_lists = [list(values) for values in series.values()]
-    rows = []
-    for i, x in enumerate(x_values):
-        row: dict[str, Any] = {x_name: x}
-        for name, values in zip(series.keys(), value_lists):
-            row[name] = values[i]
-        rows.append(row)
-    return render_table(rows, columns=columns, title=title, precision=precision)

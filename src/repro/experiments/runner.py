@@ -15,7 +15,7 @@ from ..faults.plan import FaultPlan
 from ..simulator.engine import Simulator
 from ..simulator.errormodel import ErrorModel
 from ..workloads.generators import FiniteBatch, SaturatedSource
-from ..workloads.scenarios import LinkScenario, build_simulation
+from ..workloads.scenarios import LinkScenario, SimulationSetup, build_simulation
 
 __all__ = [
     "measure_batch_transfer",
@@ -241,25 +241,33 @@ def measure_failure_recovery(
     setup.sim.run(until=total_time)
 
     sender = setup.endpoint_a.sender
-    payload_ids = [p[1] for p in setup.delivered]
-    unique = set(payload_ids)
-    # Zero-loss accounting: a frame is only *lost* if it was neither
-    # delivered nor still held by the sender.  On a declared failure the
-    # sender retains every unresolved frame for the network layer
-    # (Section 3.3: the ends "can recover I-frames without loss").
-    buffered_ids = {p[1] for p in sender.held_payloads()}
-    accounted = unique | buffered_ids
     return {
         "outage_duration": outage_duration,
         "request_naks_sent": sender.request_naks_sent,
         "failure_declared": sender.failed,
         "recovered": not sender.failed,
+        **_zero_loss_ledger(setup, n_frames),
+        "retransmissions": sender.retransmissions,
+    }
+
+
+def _zero_loss_ledger(setup: SimulationSetup, n_frames: int) -> dict[str, int]:
+    """Where the *n_frames* offered payloads are: the zero-loss columns.
+
+    A frame is only *lost* if it was neither delivered nor still held by
+    the sender.  On a declared failure the sender retains every
+    unresolved frame for the network layer (Section 3.3: the ends "can
+    recover I-frames without loss").
+    """
+    payload_ids = [p[1] for p in setup.delivered]
+    unique = set(payload_ids)
+    buffered_ids = {p[1] for p in setup.endpoint_a.sender.held_payloads()}
+    return {
         "delivered_total": len(payload_ids),
         "delivered_unique": len(unique),
         "duplicates": len(payload_ids) - len(unique),
         "buffered_at_sender": len(buffered_ids),
-        "lost": n_frames - len(accounted),
-        "retransmissions": sender.retransmissions,
+        "lost": n_frames - len(unique | buffered_ids),
     }
 
 
@@ -312,10 +320,6 @@ def measure_fault_plan(
 
     sender = setup.endpoint_a.sender
     recovery = setup.recovery
-    payload_ids = [p[1] for p in setup.delivered]
-    unique = set(payload_ids)
-    buffered_ids = {p[1] for p in sender.held_payloads()}
-    accounted = unique | buffered_ids
     result: dict[str, Any] = {
         "plan": fault_plan.name,
         "faults": len(fault_plan),
@@ -323,11 +327,7 @@ def measure_fault_plan(
         "recovered": not sender.failed,
         "request_naks_sent": sender.request_naks_sent,
         "retransmissions": sender.retransmissions,
-        "delivered_total": len(payload_ids),
-        "delivered_unique": len(unique),
-        "duplicates": len(payload_ids) - len(unique),
-        "buffered_at_sender": len(buffered_ids),
-        "lost": n_frames - len(accounted),
+        **_zero_loss_ledger(setup, n_frames),
     }
     if recovery is not None:
         result.update(recovery.summary())

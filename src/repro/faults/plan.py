@@ -377,14 +377,6 @@ class FaultPlan:
         """Time of the last fault's end (0.0 for an empty plan)."""
         return max((fault.end for fault in self.faults), default=0.0)
 
-    def outages(self) -> list[Fault]:
-        """The channel-cutting faults (outages and feedback blackouts)."""
-        return [f for f in self.faults if f.kind in ("outage", "feedback-blackout")]
-
-    def transport_faults(self) -> list[Fault]:
-        """The socket/process-level faults (UDP-backend only)."""
-        return [f for f in self.faults if f.kind in TRANSPORT_FAULT_KINDS]
-
     # -- serialisation ----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:

@@ -1,8 +1,7 @@
-"""FEC substrate: CRC detection, block interleaving, codec models.
+"""FEC substrate: CRC detection and codec residual-BER models.
 
 Implements the error-control building blocks the paper assumes of the
-physical layer (Sections 2.1–2.2): detectable errors via CRC, burst
-randomisation via interleaving (Paul et al., reference [10]), and a
+physical layer (Sections 2.1–2.2): detectable errors via CRC and a
 residual-BER abstraction with a stronger codec for control frames.
 """
 
@@ -11,10 +10,8 @@ from .codec import (
     ConcatenatedCodecModel,
     DEFAULT_CFRAME_CODEC,
     DEFAULT_IFRAME_CODEC,
-    HammingCode74,
     HammingCodecModel,
     IdentityCodec,
-    RepetitionCode,
     RepetitionCodecModel,
 )
 from .crc import (
@@ -25,22 +22,17 @@ from .crc import (
     verify_crc16,
     verify_crc32,
 )
-from .interleaver import BlockInterleaver, burst_spread
 
 __all__ = [
-    "BlockInterleaver",
     "CodecModel",
     "ConcatenatedCodecModel",
     "DEFAULT_CFRAME_CODEC",
     "DEFAULT_IFRAME_CODEC",
-    "HammingCode74",
     "HammingCodecModel",
     "IdentityCodec",
-    "RepetitionCode",
     "RepetitionCodecModel",
     "append_crc16",
     "append_crc32",
-    "burst_spread",
     "crc16_ccitt",
     "crc32_ieee",
     "verify_crc16",

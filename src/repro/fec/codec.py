@@ -7,17 +7,12 @@ itself.  Assumption 4 of the link model uses *two* codecs: a standard
 one for I-frames and a more powerful one for control frames (which is
 why control frames cannot be piggybacked onto I-frames).
 
-Two layers are provided:
-
-1. **Bit-accurate codes** (:class:`HammingCode74`,
-   :class:`RepetitionCode`) that really encode/decode numpy bit arrays.
-   They exist to *demonstrate* the abstraction is sound (tests inject
-   bursts through the interleaver + Hamming pipeline and verify
-   correction), not to run at simulated Gbps.
-2. **Residual-BER models** (:class:`CodecModel` and friends) mapping a
-   raw channel BER to the post-decoding BER the ARQ layer sees.  The
-   simulator's channels are parameterized with residual BERs from these
-   models, exactly mirroring the paper's abstraction.
+This module is that abstraction: residual-BER models
+(:class:`CodecModel` and friends) mapping a raw channel BER to the
+post-decoding BER the ARQ layer sees, and a code rate.  The simulator's
+channels are parameterized with residual BERs, and
+:mod:`repro.analysis.hybrid` (experiment E16) trades a codec's rate
+against its residual BER, exactly mirroring the paper.
 """
 
 from __future__ import annotations
@@ -25,11 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
-    "HammingCode74",
-    "RepetitionCode",
     "CodecModel",
     "IdentityCodec",
     "RepetitionCodecModel",
@@ -38,99 +29,6 @@ __all__ = [
     "DEFAULT_IFRAME_CODEC",
     "DEFAULT_CFRAME_CODEC",
 ]
-
-
-def _bits_required(values: np.ndarray) -> None:
-    if values.ndim != 1 or not np.isin(values, (0, 1)).all():
-        raise ValueError("expected a 1-D array of 0/1 bits")
-
-
-class HammingCode74:
-    """The (7,4) Hamming code: corrects any single bit error per codeword.
-
-    Encoding uses the systematic generator; decoding computes the
-    syndrome and flips the indicated bit.  Input lengths must be
-    multiples of 4 (pad upstream if needed).
-    """
-
-    #: generator matrix G (4x7), systematic in the first 4 positions
-    GENERATOR = np.array(
-        [
-            [1, 0, 0, 0, 1, 1, 0],
-            [0, 1, 0, 0, 1, 0, 1],
-            [0, 0, 1, 0, 0, 1, 1],
-            [0, 0, 0, 1, 1, 1, 1],
-        ],
-        dtype=np.uint8,
-    )
-    #: parity-check matrix H (3x7)
-    PARITY_CHECK = np.array(
-        [
-            [1, 1, 0, 1, 1, 0, 0],
-            [1, 0, 1, 1, 0, 1, 0],
-            [0, 1, 1, 1, 0, 0, 1],
-        ],
-        dtype=np.uint8,
-    )
-
-    rate = 4 / 7
-
-    def __init__(self) -> None:
-        # Map syndrome (as integer) -> erroneous bit position, or -1.
-        self._syndrome_to_position = np.full(8, -1, dtype=int)
-        for position in range(7):
-            error = np.zeros(7, dtype=np.uint8)
-            error[position] = 1
-            syndrome = (self.PARITY_CHECK @ error) % 2
-            key = int(syndrome[0]) * 4 + int(syndrome[1]) * 2 + int(syndrome[2])
-            self._syndrome_to_position[key] = position
-
-    def encode(self, bits: np.ndarray) -> np.ndarray:
-        """Encode a bit array (length divisible by 4) to codewords."""
-        _bits_required(bits)
-        if len(bits) % 4 != 0:
-            raise ValueError("input length must be a multiple of 4")
-        data = bits.reshape(-1, 4).astype(np.uint8)
-        return ((data @ self.GENERATOR) % 2).reshape(-1)
-
-    def decode(self, bits: np.ndarray) -> np.ndarray:
-        """Decode codewords (length divisible by 7), correcting 1 error each."""
-        _bits_required(bits)
-        if len(bits) % 7 != 0:
-            raise ValueError("input length must be a multiple of 7")
-        words = bits.reshape(-1, 7).astype(np.uint8).copy()
-        syndromes = (words @ self.PARITY_CHECK.T) % 2
-        keys = syndromes[:, 0] * 4 + syndromes[:, 1] * 2 + syndromes[:, 2]
-        positions = self._syndrome_to_position[keys]
-        rows = np.nonzero(positions >= 0)[0]
-        words[rows, positions[rows]] ^= 1
-        return words[:, :4].reshape(-1)
-
-
-class RepetitionCode:
-    """The n-fold repetition code with majority-vote decoding (n odd)."""
-
-    def __init__(self, n: int = 3) -> None:
-        if n < 1 or n % 2 == 0:
-            raise ValueError("repetition factor must be odd and >= 1")
-        self.n = n
-        self.rate = 1.0 / n
-
-    def encode(self, bits: np.ndarray) -> np.ndarray:
-        _bits_required(bits)
-        return np.repeat(bits.astype(np.uint8), self.n)
-
-    def decode(self, bits: np.ndarray) -> np.ndarray:
-        _bits_required(bits)
-        if len(bits) % self.n != 0:
-            raise ValueError(f"input length must be a multiple of {self.n}")
-        groups = bits.reshape(-1, self.n)
-        return (groups.sum(axis=1) > self.n // 2).astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# Residual-BER models
-# ---------------------------------------------------------------------------
 
 
 class CodecModel:

@@ -7,7 +7,7 @@ background comparisons.
 """
 
 from .config import HdlcConfig
-from .frames import HdlcFrame, HdlcIFrame, RejFrame, RrFrame, SrejFrame
+from .frames import HdlcIFrame, RejFrame, RrFrame, SrejFrame
 from .protocol import HdlcEndpoint
 from .receiver import HdlcReceiver
 from .sender import HdlcOutstanding, HdlcSender
@@ -16,7 +16,6 @@ from .window import ReceiverWindow, SenderWindow, in_window, increment, window_o
 __all__ = [
     "HdlcConfig",
     "HdlcEndpoint",
-    "HdlcFrame",
     "HdlcIFrame",
     "HdlcOutstanding",
     "HdlcReceiver",

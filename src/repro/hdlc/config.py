@@ -86,10 +86,3 @@ class HdlcConfig:
     @property
     def effective_ack_every(self) -> int:
         return self.ack_every if self.ack_every is not None else self.window_size
-
-    @staticmethod
-    def timeout_for_link(round_trip_time: float, alpha: float) -> float:
-        """The paper's ``t_out = R + alpha`` helper."""
-        if alpha < 0:
-            raise ValueError("alpha cannot be negative")
-        return round_trip_time + alpha

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["HdlcIFrame", "RrFrame", "SrejFrame", "RejFrame", "HdlcFrame"]
+__all__ = ["HdlcIFrame", "RrFrame", "SrejFrame", "RejFrame"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,3 @@ class RejFrame:
     def __post_init__(self) -> None:
         if self.nr < 0:
             raise ValueError("N(R) cannot be negative")
-
-
-HdlcFrame = HdlcIFrame | RrFrame | SrejFrame | RejFrame

@@ -240,15 +240,7 @@ class HdlcSender:
             return
         acked = self.window.acknowledge(frame.nr)
         for ns in acked:
-            record = self._outstanding.pop(ns, None)
-            if record is None:
-                continue
-            self.releases += 1
-            self.holding_time_sum += self.sim.now - record.first_send_time
-            self.holding_samples += 1
-            self.tracer.sample(
-                f"{self.name}.holding_time", self.sim.now - record.first_send_time
-            )
+            self._release(ns)
         if acked:
             self._record_occupancy()
         if frame.final:
@@ -263,6 +255,17 @@ class HdlcSender:
             if self._outstanding and nothing_sendable:
                 self._poll_timer.start(self.config.timeout)
         self._maybe_send()
+
+    def _release(self, ns: int) -> None:
+        """Frame *ns* is acknowledged: drop its record, sample its holding time."""
+        record = self._outstanding.pop(ns, None)
+        if record is None:
+            return
+        held = self.sim.now - record.first_send_time
+        self.releases += 1
+        self.holding_time_sum += held
+        self.holding_samples += 1
+        self.tracer.sample(f"{self.name}.holding_time", held)
 
     def on_srej(self, frame: SrejFrame, corrupted: bool) -> None:
         if corrupted:
@@ -281,13 +284,8 @@ class HdlcSender:
         """Go-Back-N: resend everything from N(R) in order."""
         if corrupted:
             return
-        acked = self.window.acknowledge(frame.nr)
-        for ns in acked:
-            record = self._outstanding.pop(ns, None)
-            if record is not None:
-                self.releases += 1
-                self.holding_time_sum += self.sim.now - record.first_send_time
-                self.holding_samples += 1
+        for ns in self.window.acknowledge(frame.nr):
+            self._release(ns)
         # Rebuild the retransmission queue in sequence order from N(R).
         self._retransmit_queue.clear()
         self._requeued.clear()

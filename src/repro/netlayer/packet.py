@@ -40,11 +40,6 @@ class Datagram:
             raise ValueError("size_bits must be positive")
 
     @property
-    def flow_id(self) -> tuple[Hashable, Hashable]:
-        """The (source, destination) pair identifying this flow."""
-        return (self.source, self.destination)
-
-    @property
     def key(self) -> tuple[Hashable, int]:
         """Uniqueness key for deduplication: (source, sequence)."""
         return (self.source, self.sequence)

@@ -112,10 +112,6 @@ class Resequencer:
             return len(flow.held) if flow else 0
         return sum(len(flow.held) for flow in self.flows.values())
 
-    def pending_sources(self) -> list[Hashable]:
-        """Sources with gaps still open."""
-        return [src for src, flow in self.flows.items() if flow.held]
-
     def __repr__(self) -> str:
         return (
             f"Resequencer(delivered={self.delivered}, "

@@ -10,8 +10,7 @@ minimize the impact of idle time due to link initialization and link
 This module supplies the session layer that turns those passes into a
 continuous service:
 
-- a :class:`PassSchedule` of ``[start, end)`` windows (hand-built or
-  straight from :func:`repro.simulator.orbit.visibility_windows`);
+- a :class:`PassSchedule` of ``[start, end)`` windows;
 - a :class:`LinkSessionManager` that, for each pass: waits out the
   retargeting/initialisation overhead, stands up a *fresh* protocol
   endpoint pair over the link, replays every datagram left unresolved
@@ -35,15 +34,13 @@ from __future__ import annotations
 import inspect
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from ..core.endpoint import Endpoint
 from ..simulator.engine import Simulator
 from ..simulator.link import FullDuplexLink
-from ..simulator.orbit import VisibilityWindow
 from ..simulator.trace import Tracer
 
-__all__ = ["LinkPass", "PassSchedule", "SessionEndpoint", "LinkSessionManager"]
+__all__ = ["LinkPass", "PassSchedule", "LinkSessionManager"]
 
 
 @dataclass(frozen=True)
@@ -73,11 +70,6 @@ class PassSchedule:
         self.passes = list(ordered)
 
     @classmethod
-    def from_windows(cls, windows: Sequence[VisibilityWindow]) -> "PassSchedule":
-        """Build from orbit-model visibility windows."""
-        return cls([LinkPass(w.start, w.end) for w in windows])
-
-    @classmethod
     def periodic(cls, first_start: float, duration: float, gap: float, count: int) -> "PassSchedule":
         """``count`` equal passes separated by ``gap`` seconds."""
         if count < 1:
@@ -102,15 +94,6 @@ class PassSchedule:
 
     def __iter__(self):
         return iter(self.passes)
-
-
-class SessionEndpoint(Endpoint, Protocol):
-    """What the manager needs from a protocol endpoint pair's sender side.
-
-    A narrowing re-statement of the structural
-    :class:`repro.core.endpoint.Endpoint` contract — every endpoint
-    built by :func:`repro.api.make_endpoint_pair` satisfies it.
-    """
 
 
 EndpointFactory = Callable[[Simulator, FullDuplexLink, Callable[[Any], None], float], tuple[Any, Any]]
@@ -184,10 +167,6 @@ class LinkSessionManager:
     def backlog(self) -> int:
         """Payloads waiting for link time."""
         return len(self._queue)
-
-    @property
-    def session_active(self) -> bool:
-        return self._session_up
 
     # -- pass lifecycle -----------------------------------------------------------
 

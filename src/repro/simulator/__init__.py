@@ -1,23 +1,12 @@
 """Discrete-event simulation substrate for the LAMS-DLC reproduction.
 
-Built from scratch (no SimPy dependency): a generator-process event
+Built from scratch (no SimPy dependency): a callback-and-timer event
 engine, deterministic named RNG streams, channel error models (random
 and Gilbert–Elliott burst), full-duplex links with serialization and
 time-varying propagation, LEO orbital geometry, and tracing/statistics.
 """
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    Simulator,
-    SimulationError,
-    StopSimulation,
-    Timeout,
-    Timer,
-)
+from .engine import Simulator, SimulationError, Timer
 from .errormodel import (
     BernoulliChannel,
     ErrorModel,
@@ -34,12 +23,7 @@ from .channels import (
     synthesize_trace,
     write_trace,
 )
-from .link import (
-    LIGHT_SPEED_KM_S,
-    FullDuplexLink,
-    SimplexChannel,
-    delay_from_distance_km,
-)
+from .link import LIGHT_SPEED_KM_S, FullDuplexLink, SimplexChannel
 from .node import Node, PacketSink
 from .orbit import (
     EARTH_RADIUS_KM,
@@ -47,7 +31,6 @@ from .orbit import (
     Satellite,
     VisibilityWindow,
     link_distance_km,
-    propagation_delay_fn,
     rtt_statistics,
     visibility_windows,
 )
@@ -55,44 +38,35 @@ from .rng import StreamRegistry, derive_seed
 from .trace import Counter, SampleStat, TimeWeightedStat, Tracer, TraceRecord
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "BernoulliChannel",
     "Counter",
     "EARTH_RADIUS_KM",
     "ErrorModel",
-    "Event",
     "FullDuplexLink",
     "GilbertElliottChannel",
-    "Interrupt",
     "IsolatedLinkGeometry",
     "LIGHT_SPEED_KM_S",
     "Node",
     "OrbitCoupledChannel",
     "PacketSink",
     "PerfectChannel",
-    "Process",
     "RecordingChannel",
     "SampleStat",
     "Satellite",
     "SimplexChannel",
     "SimulationError",
     "Simulator",
-    "StopSimulation",
     "StreamRegistry",
-    "Timeout",
     "TimeWeightedStat",
     "Timer",
     "TraceRecord",
     "TraceReplayChannel",
     "Tracer",
     "VisibilityWindow",
-    "delay_from_distance_km",
     "derive_seed",
     "frame_error_probability",
     "link_distance_km",
     "load_trace",
-    "propagation_delay_fn",
     "replay_trace",
     "rtt_statistics",
     "synthesize_trace",

@@ -1,9 +1,11 @@
 """Discrete-event simulation engine.
 
-This module is a small, dependency-free discrete-event simulator in the
-style of SimPy: a :class:`Simulator` owns a clock and an event heap,
-*processes* are Python generators that ``yield`` events to wait on, and
-plain callbacks can be scheduled at absolute or relative times.
+This module is a small, dependency-free discrete-event simulator: a
+:class:`Simulator` owns a clock and an event heap, plain callbacks are
+scheduled at absolute or relative times, and a :class:`Timer` is a
+callback that can be re-armed and cancelled.  Callbacks and timers are
+the whole programming model, as in the paper: LAMS-DLC is specified as
+frame handlers plus two timers.
 
 The engine is deliberately deterministic: events scheduled for the same
 time fire in the order they were scheduled (FIFO tie-breaking via a
@@ -38,47 +40,54 @@ inner loop trades a little elegance for speed:
   for it.  The loops know nothing of this: a carrier is an ordinary
   entry whose callback is :meth:`Timer._surfaced`.
 
+The scheduling contract
+-----------------------
+:class:`Simulator`'s public surface — a monotone ``now``, ``schedule`` /
+``schedule_at``, and ``timer()`` — is what a protocol half needs from
+its event source, whether "now" is simulated or wall time.  Beneath it,
+the hot paths in :mod:`repro.core.receiver` and
+:mod:`repro.simulator.link` inline ``heappush(clock._heap, (when,
+clock._sequence, callback, args))`` instead of calling ``schedule``; the
+heap list and the ``_sequence`` counter are therefore part of the
+scheduling ABI, not private detail.  So is what a loop owes an entry it
+pops: call ``entry[2](*entry[3])`` and nothing else.  A :class:`Timer`
+is such an entry — its carrier names ``Timer._surfaced``, the one rule
+for "a timer entry reached the top" (fire, re-push at the reserved
+``(deadline, sequence)``, or lapse), which every loop therefore shares
+by calling it.  A clock that is not this engine shares that ABI by
+subclassing :class:`Simulator` (as
+:class:`repro.transport.clock.AsyncioClock` does) rather than
+re-implementing the surface methods.
+
 Example
 -------
 >>> sim = Simulator()
 >>> log = []
->>> def proc(sim, log):
-...     yield sim.timeout(1.0)
-...     log.append(sim.now)
-...     yield sim.timeout(2.0)
-...     log.append(sim.now)
->>> _ = sim.process(proc(sim, log))
+>>> sim.schedule(1.0, log.append, "frame")
+>>> watchdog = sim.timer(lambda: log.append(sim.now))
+>>> watchdog.start(2.0)
+>>> sim.schedule(1.5, watchdog.start, 1.5)    # re-armed before it fires
 >>> sim.run()
 3.0
 >>> log
-[1.0, 3.0]
+['frame', 3.0]
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
     "Simulator",
-    "Event",
-    "Timeout",
-    "Process",
-    "AnyOf",
-    "AllOf",
     "Timer",
     "SimulationError",
-    "StopSimulation",
     "engine_backend",
 ]
 
 
 class SimulationError(Exception):
-    """Raised for illegal engine operations (e.g. double-firing an event)."""
-
-
-class StopSimulation(Exception):
-    """Raised inside a process to halt the whole simulation immediately."""
+    """Raised for illegal engine operations (e.g. exceeding ``max_events``)."""
 
 
 def engine_backend() -> str:
@@ -88,204 +97,6 @@ def engine_backend() -> str:
     benchmark PR drops the stamp field and this function with it.
     """
     return "pure"
-
-
-class Event:
-    """A one-shot occurrence that processes can wait on.
-
-    An event starts *pending*, is *triggered* exactly once via
-    :meth:`succeed` or :meth:`fail`, and then calls back every waiter.
-    Events may be waited on after they have fired; the waiter resumes
-    immediately at the current simulation time.
-    """
-
-    __slots__ = ("sim", "_value", "_ok", "_fired", "_callbacks")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._value: Any = None
-        self._ok: bool = True
-        self._fired: bool = False
-        self._callbacks: list[Callable[["Event"], None]] = []
-
-    # -- state ---------------------------------------------------------
-
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been succeeded or failed."""
-        return self._fired
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The success value or failure exception."""
-        return self._value
-
-    # -- triggering ----------------------------------------------------
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with an optional value."""
-        self._trigger(value, ok=True)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception; waiters will raise it."""
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._trigger(exception, ok=False)
-        return self
-
-    def _trigger(self, value: Any, ok: bool) -> None:
-        if self._fired:
-            raise SimulationError("event already triggered")
-        self._fired = True
-        self._ok = ok
-        self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self.sim.schedule(0.0, callback, self)
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Register *callback(event)*; runs now if already triggered."""
-        if self._fired:
-            self.sim.schedule(0.0, callback, self)
-        else:
-            self._callbacks.append(callback)
-
-
-class Timeout(Event):
-    """An event that succeeds after a fixed delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        sim.schedule(delay, self._expire, value)
-
-    def _expire(self, value: Any) -> None:
-        self.succeed(value)
-
-
-class Process(Event):
-    """A running generator; itself an event that fires on completion.
-
-    The generator yields :class:`Event` instances.  When a yielded event
-    succeeds, the generator is resumed with the event's value; when it
-    fails, the exception is thrown into the generator (and propagates,
-    failing the process, unless caught).
-    """
-
-    __slots__ = ("generator",)
-
-    def __init__(self, sim: "Simulator", generator: Generator) -> None:
-        super().__init__(sim)
-        self.generator = generator
-        sim.schedule(0.0, self._resume, None, True)
-
-    def _on_wait_done(self, event: Event) -> None:
-        self._resume(event.value, event.ok)
-
-    def _resume(self, value: Any, ok: bool) -> None:
-        if self.triggered:
-            # A stale wakeup: the process already finished (e.g. it was
-            # interrupted out of the wait this event belonged to).
-            return
-        try:
-            if ok:
-                target = self.generator.send(value)
-            else:
-                target = self.generator.throw(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except StopSimulation:
-            self.sim.stop()
-            self.succeed(None)
-            return
-        except BaseException as exc:  # process died: fail the process event
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            self.generator.throw(
-                SimulationError(f"process yielded a non-event: {target!r}")
-            )
-            return
-        target.add_callback(self._on_wait_done)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        self.sim.schedule(0.0, self._resume, Interrupt(cause), False)
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class AnyOf(Event):
-    """Succeeds when the first of several events succeeds.
-
-    The value is the triggering event itself, so callers can identify
-    which condition fired.  Failure of any constituent fails the AnyOf.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            raise ValueError("AnyOf requires at least one event")
-        for event in self.events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(event)
-        else:
-            self.fail(event.value)
-
-
-class AllOf(Event):
-    """Succeeds when every constituent event has succeeded.
-
-    The value is the list of constituent values in construction order.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            raise ValueError("AllOf requires at least one event")
-        self._remaining = len(self.events)
-        for event in self.events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e.value for e in self.events])
 
 
 class Timer:
@@ -375,7 +186,7 @@ class Timer:
 
 
 class Simulator:
-    """The event loop: clock, heap, and process bookkeeping.
+    """The event loop: a clock and a heap of scheduled callbacks.
 
     :attr:`now` is a plain attribute (read it freely, never assign it
     from outside the engine); :attr:`event_count` counts dispatched
@@ -409,26 +220,6 @@ class Simulator:
             )
         self._sequence = sequence = self._sequence + 1
         _push(self._heap, (when, sequence, callback, args))
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event succeeding *delay* seconds from now."""
-        return Timeout(self, delay, value)
-
-    def event(self) -> Event:
-        """A fresh untriggered event."""
-        return Event(self)
-
-    def process(self, generator: Generator) -> Process:
-        """Start a generator as a process; returns its completion event."""
-        return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing when the first of *events* succeeds."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event firing when all of *events* have succeeded."""
-        return AllOf(self, events)
 
     def timer(self, callback: Callable[[], None]) -> Timer:
         """A restartable :class:`Timer` invoking *callback* on expiry."""

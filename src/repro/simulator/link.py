@@ -456,10 +456,3 @@ class FullDuplexLink:
 
     def __repr__(self) -> str:
         return f"<FullDuplexLink {self.name}>"
-
-
-def delay_from_distance_km(distance_km: float) -> float:
-    """Propagation delay in seconds for a light-speed path of *distance_km*."""
-    if distance_km < 0:
-        raise ValueError("distance cannot be negative")
-    return distance_km / LIGHT_SPEED_KM_S

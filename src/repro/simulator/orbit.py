@@ -33,7 +33,6 @@ __all__ = [
     "link_distance_km",
     "visibility_windows",
     "rtt_statistics",
-    "propagation_delay_fn",
 ]
 
 EARTH_RADIUS_KM = 6371.0
@@ -217,8 +216,3 @@ class IsolatedLinkGeometry:
 
     def rtt_stats(self, t_start: float, t_end: float, step_s: float = 1.0) -> dict[str, float]:
         return rtt_statistics(self.a, self.b, t_start, t_end, step_s)
-
-
-def propagation_delay_fn(a: Satellite, b: Satellite) -> Callable[[float], float]:
-    """Shorthand for :meth:`IsolatedLinkGeometry.delay_fn`."""
-    return IsolatedLinkGeometry(a, b).delay_fn()

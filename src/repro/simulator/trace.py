@@ -378,11 +378,6 @@ class Tracer:
             result = [r for r in result if r.event == event]
         return list(result)
 
-    def format_timeline(self, records: Optional[Iterable[TraceRecord]] = None) -> str:
-        """The timeline as a printable block of text."""
-        chosen = self.records if records is None else records
-        return "\n".join(record.format() for record in chosen)
-
     # -- metrics ---------------------------------------------------------
 
     def counter(self, name: str) -> Counter:

@@ -122,11 +122,6 @@ class Topology:
     def degree(self, name: str) -> int:
         return len(self.adjacency()[name])
 
-    def links_at(self, name: str) -> list[LinkSpec]:
-        """The links incident to node *name*, in declaration order."""
-        self.node(name)
-        return [link for link in self.links if name in (link.a, link.b)]
-
     # -- construction helpers --------------------------------------------
 
     def with_(self, **changes: Any) -> "Topology":

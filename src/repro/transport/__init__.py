@@ -1,7 +1,7 @@
 """Real-network asyncio-UDP backend for LAMS-DLC endpoints.
 
 The protocol halves in :mod:`repro.core` are written against the
-:class:`~repro.core.clock.Clock` scheduling contract, not against
+scheduling contract of :mod:`repro.simulator.engine`, not against
 virtual time.  This package supplies the second implementation of that
 contract — :class:`~repro.transport.clock.AsyncioClock` maps the event
 heap onto the asyncio event loop — plus everything needed to run two

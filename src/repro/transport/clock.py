@@ -1,9 +1,9 @@
-"""The asyncio implementation of the :class:`~repro.core.clock.Clock` seam.
+"""The asyncio implementation of the engine's scheduling contract.
 
 The protocol halves do not only call ``schedule``/``timer()`` — their
 hot paths push ``(time, sequence, callback, args)`` tuples straight
-onto the engine heap (see :mod:`repro.core.clock` for why that ABI is
-public).  :class:`AsyncioClock` therefore *subclasses*
+onto the engine heap (see :mod:`repro.simulator.engine` for why that
+ABI is public).  :class:`AsyncioClock` therefore *subclasses*
 :class:`~repro.simulator.engine.Simulator` instead of re-implementing
 the surface: the heap, the ``_sequence`` counter and the
 :class:`Timer` carrier rule are all inherited unchanged.  What

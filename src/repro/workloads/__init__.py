@@ -3,7 +3,6 @@
 from .generators import (
     ConstantRateSource,
     FiniteBatch,
-    OnOffSource,
     SaturatedSource,
 )
 from .scenarios import (
@@ -20,7 +19,6 @@ __all__ = [
     "DeliveredList",
     "FiniteBatch",
     "LinkScenario",
-    "OnOffSource",
     "PRESETS",
     "SaturatedSource",
     "SimulationSetup",

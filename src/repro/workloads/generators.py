@@ -1,7 +1,7 @@
 """Traffic generators.
 
-Four source models cover the paper's two analytic regimes and the
-burst scenarios between them:
+Three source models cover the paper's two analytic regimes and the
+offered loads between them:
 
 - :class:`FiniteBatch` — N frames available at t=0, then silence: the
   "low traffic" assumption of Section 4 ("the sender receives no
@@ -10,8 +10,6 @@ burst scenarios between them:
   "high traffic" regime (incoming rate pinned at ``1/t_f``).
 - :class:`ConstantRateSource` — packets at a fixed rate (offered load
   sweeps, flow-control experiments).
-- :class:`OnOffSource` — deterministic on/off bursts (stress for the
-  Stop-Go mechanism and queue dynamics).
 
 All generators target anything exposing ``accept(packet) -> bool`` —
 i.e. either protocol's endpoint — and tag packets with creation time.
@@ -28,7 +26,6 @@ __all__ = [
     "FiniteBatch",
     "SaturatedSource",
     "ConstantRateSource",
-    "OnOffSource",
 ]
 
 
@@ -166,60 +163,6 @@ class ConstantRateSource:
             return
         if self.limit is not None and self.offered + self.refused >= self.limit:
             self._running = False
-            return
-        packet = self.make_packet(self.offered + self.refused, self.sim.now)
-        if self.target.accept(packet):
-            self.offered += 1
-        else:
-            self.refused += 1
-        self.sim.schedule(self.interval, self._emit)
-
-
-class OnOffSource:
-    """Deterministic on/off bursts at a given on-rate."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        target: AcceptsPackets,
-        rate: float,
-        on_duration: float,
-        off_duration: float,
-        make_packet: Optional[Callable[[int, float], Any]] = None,
-        limit: Optional[int] = None,
-    ) -> None:
-        if rate <= 0 or on_duration <= 0 or off_duration < 0:
-            raise ValueError("invalid on/off parameters")
-        self.sim = sim
-        self.target = target
-        self.interval = 1.0 / rate
-        self.on_duration = on_duration
-        self.off_duration = off_duration
-        self.make_packet = make_packet or _default_packet
-        self.limit = limit
-        self.offered = 0
-        self.refused = 0
-        self._running = False
-        self._phase_end = 0.0
-
-    def start(self) -> None:
-        self._running = True
-        self._phase_end = self.sim.now + self.on_duration
-        self._emit()
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _emit(self) -> None:
-        if not self._running:
-            return
-        if self.limit is not None and self.offered + self.refused >= self.limit:
-            self._running = False
-            return
-        if self.sim.now >= self._phase_end:
-            # Off phase: sleep, then begin the next burst.
-            self._phase_end = self.sim.now + self.off_duration + self.on_duration
-            self.sim.schedule(self.off_duration, self._emit)
             return
         packet = self.make_packet(self.offered + self.refused, self.sim.now)
         if self.target.accept(packet):

@@ -289,11 +289,64 @@ DELETED_NAMES = [
     ("repro.experiments", "replicate_|all"),
     ("repro.experiments", "wel|ford"),
     ("repro.experiments.sweeps", "Streaming|Summary"),
+    # Reached by nothing but their own unit tests (DESIGN.md §3a).
+    ("repro.simulator.engine", "Ev|ent"),
+    ("repro.simulator.engine", "Time|out"),
+    ("repro.simulator.engine", "Pro|cess"),
+    ("repro.simulator.engine", "Inter|rupt"),
+    ("repro.simulator.engine", "Any|Of"),
+    ("repro.simulator.engine", "All|Of"),
+    ("repro.simulator.engine", "Stop|Simulation"),
+    ("repro.simulator", "Pro|cess"),
+    ("repro.core.clock", "Clo|ck"),
+    ("repro.fec.interleaver", "Block|Interleaver"),
+    ("repro.fec.codec", "Hamming|Code74"),
+    ("repro.fec.codec", "Repetition|Code"),
+    ("repro.fec", "burst_|spread"),
+    ("repro.workloads.generators", "OnOff|Source"),
+    ("repro.experiments.reporting", "render_|series"),
+    ("repro.core.seqspace", "cyclic_|less_equal"),
+    ("repro.simulator.link", "delay_from_|distance_km"),
+    ("repro.simulator.orbit", "propagation_|delay_fn"),
+    ("repro.session.manager", "Session|Endpoint"),
+    ("repro.core.frames", "Lams|Frame"),
+    ("repro.hdlc.frames", "Hdlc|Frame"),
+    ("repro.analysis.bounds", "link_frame_|length"),
+    ("repro.analysis.bounds", "hdlc_inconsistency_|gap_expected"),
+    ("repro.analysis.bounds", "gbn_discards_|per_error"),
+    ("repro.analysis.compare", "find_|crossover"),
+    ("repro.analysis.delay", "lams_mean_|delay"),
+    ("repro.analysis.delay", "hdlc_delay_|quantile"),
+    ("repro.analysis.delay", "hdlc_delay_|for_attempts"),
+    ("repro.analysis.delay", "resequencing_|buffer_bound"),
+    ("repro.analysis.framesize", "frame_size_|sweep"),
+    ("repro.analysis.hybrid", "best_|codec"),
+]
+
+# Methods that went the same way, beside the class they were on.
+DELETED_ATTRIBUTES = [
+    ("repro.simulator.engine", "Simulator", "time|out"),
+    ("repro.simulator.engine", "Simulator", "ev|ent"),
+    ("repro.simulator.engine", "Simulator", "pro|cess"),
+    ("repro.simulator.engine", "Simulator", "any_|of"),
+    ("repro.simulator.engine", "Simulator", "all_|of"),
+    ("repro.simulator.trace", "Tracer", "format_|timeline"),
+    ("repro.topology.graph", "Topology", "links_|at"),
+    ("repro.session.manager", "LinkSessionManager", "session_|active"),
+    ("repro.session.manager", "PassSchedule", "from_|windows"),
+    ("repro.hdlc.config", "HdlcConfig", "timeout_for_|link"),
+    ("repro.netlayer.packet", "Datagram", "flow_|id"),
+    ("repro.netlayer.resequencer", "Resequencer", "pending_|sources"),
+    ("repro.faults.plan", "FaultPlan", "out|ages"),
+    ("repro.faults.plan", "FaultPlan", "transport_|faults"),
+    ("repro.core.receiver", "LamsReceiver", "_stop_|indicated"),
+    ("repro.core.receiver", "LamsReceiver", "_origin_|retention"),
 ]
 
 # Whole modules that went with their names: these must not import.
 DELETED_MODULES = {"repro.transport.backend", "repro.benchmark",
-                   "repro.experiments.sweeps"}
+                   "repro.experiments.sweeps", "repro.core.clock",
+                   "repro.fec.interleaver"}
 
 
 class TestSpecFacade:
@@ -335,6 +388,14 @@ class TestSpecFacade:
         home = importlib.import_module(module)
         assert not hasattr(home, name)
         assert not hasattr(api, name)
+
+    @pytest.mark.parametrize("module,owner,name", [
+        pytest.param(module, owner, name.replace("|", ""),
+                     id=f"{owner}.{name.replace('|', '')}")
+        for module, owner, name in DELETED_ATTRIBUTES
+    ])
+    def test_deleted_method_stays_deleted(self, module, owner, name):
+        assert not hasattr(getattr(importlib.import_module(module), owner), name)
 
     def test_facade_and_spec_path_build_identical_runs(self):
         """Same seed, same scenario: a hand-built link + pair and a
@@ -378,3 +439,19 @@ class TestSpecFacade:
             return delivered
 
         assert run_facade() == run_spec()
+
+
+def test_design_table_has_a_row_for_every_module():
+    """DESIGN.md §3a says who reaches each module other than its own
+    tests; a new module has to say so too, and a row may not outlive its
+    file or plead "own tests only"."""
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "repro"
+    modules = {path.relative_to(package).as_posix()
+               for path in package.rglob("*.py")}
+    section = (root / "DESIGN.md").read_text().split("## 3a. Reachability")[1]
+    rows = dict(re.findall(r"(?m)^\| `([\w/]+\.py)` \| (.+) \|$",
+                           section.split("\n## ")[0]))
+    assert set(rows) == modules
+    assert not [name for name, reached_by in rows.items()
+                if "own tests only" in reached_by.lower()]

@@ -60,6 +60,31 @@ class TestCommands:
         ]) == 0
         assert "Section-4 model" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, quantity", [
+        ("--bit-rate", "1e8", "B_LAMS (frames)"),
+        ("--distance-km", "2000", "H_frame LAMS (s)"),
+        ("--iframe-ber", "1e-5", "P_F (I-frame error prob)"),
+        ("--cframe-ber", "1e-6", "P_C (control error prob)"),
+        ("--checkpoint-interval", "0.02", "H_frame LAMS (s)"),
+        ("--cumulation-depth", "5", "numbering required (LAMS)"),
+        ("--window-size", "31", "D_low HDLC(N=50000) (s)"),
+        ("--alpha", "1.0", "eta HDLC (N=50000)"),
+    ])
+    def test_each_operating_point_override_moves_a_printed_quantity(
+            self, flag, value, quantity, capsys):
+        """The eight overrides `model`, `compare`, `simulate` and `sweep`
+        share are kept for what they do, not for parsing: each moves a
+        named row of the `model` table off its nominal value."""
+        def table(argv):
+            assert main(["model", *argv]) == 0
+            rows = capsys.readouterr().out.splitlines()[3:]
+            return {name.strip(): cell for name, cell in
+                    (row.rsplit(None, 1) for row in rows)}
+
+        nominal, moved = table([]), table([flag, value])
+        assert nominal.keys() == moved.keys()
+        assert moved[quantity] != nominal[quantity]
+
     def test_compare_command(self, capsys):
         assert main(["compare", "--preset", "nominal", "--frames", "10000"]) == 0
         out = capsys.readouterr().out
@@ -140,11 +165,9 @@ class TestSoakBackendFlag:
 
 
 class TestSharedParents:
-    """The shared parent parsers give every runner the same core flags."""
+    """A shared parent parser gives its commands the same flag."""
 
-    @pytest.mark.parametrize("command", [
-        "simulate", "sweep", "soak", "constellation", "transmit", "serve",
-    ])
+    @pytest.mark.parametrize("command", ["soak", "trace-synth"])
     def test_seed_flag_everywhere(self, command):
         args = build_parser().parse_args([command, "--seed", "7"])
         assert args.seed == 7
@@ -154,15 +177,13 @@ class TestSharedParents:
         args = build_parser().parse_args([command, "--jobs", "3"])
         assert args.jobs == 3
 
-    @pytest.mark.parametrize("command", [
-        "simulate", "sweep", "constellation", "transmit", "serve",
-    ])
+    @pytest.mark.parametrize("command", ["simulate"])
     def test_error_model_flag(self, command):
         args = build_parser().parse_args(
             [command, "--error-model", "gilbert-elliott"])
         assert args.error_model == "gilbert-elliott"
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "transmit"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_fault_plan_flag(self, command):
         args = build_parser().parse_args(
             [command, "--fault-plan", "plan.json"])
@@ -288,7 +309,6 @@ class TestTransportCommands:
     def test_transmit_defaults(self):
         args = build_parser().parse_args(["transmit"])
         assert args.frames == 48
-        assert args.payload_bytes == 256
         assert args.golden is None
         assert args.connect is None
         assert not args.conform
@@ -296,7 +316,7 @@ class TestTransportCommands:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.bind == "127.0.0.1:47901"
-        assert args.duration == 30.0
+        assert args.golden is None
 
     def test_transmit_rejects_conform_with_connect(self, capsys):
         assert main(["transmit", "--conform", "--connect",
@@ -311,3 +331,40 @@ class TestTransportCommands:
         assert "delivered 8/8" in out
         assert "digest match" in out
         assert "all invariants held" in out
+
+
+# The flags nothing passed — no Makefile target, CI step, documented
+# command line or effect-asserting test (the per-flag table is in
+# docs/API.md) — each beside the command it came off; none may come back.
+OPERATING_POINT = ["--bit-rate", "--distance-km", "--iframe-ber", "--cframe-ber",
+                   "--checkpoint-interval", "--cumulation-depth",
+                   "--window-size", "--alpha"]
+REMOVED_FLAGS = {
+    "simulate": ["--seed"],
+    "sweep": ["--seed", "--error-model"],
+    "tune": ["--iframe-ber", "--cframe-ber", "--wait-budget"],
+    "constellation": [*OPERATING_POINT, "--preset", "--seed", "--error-model"],
+    "transmit": [*OPERATING_POINT, "--preset", "--seed", "--error-model",
+                 "--fault-plan", "--payload-bytes", "--jitter", "--drop",
+                 "--no-invariants"],
+    "serve": [*OPERATING_POINT, "--preset", "--seed", "--error-model",
+              "--duration"],
+    "orbit": ["--altitude", "--inclination", "--raan-b", "--phase-b",
+              "--max-range"],
+    "trace-synth": [*OPERATING_POINT, "--protocol", "--max-time"],
+    "channels": [*OPERATING_POINT, "--preset", "--params", "--step"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command} {flag}")
+    for command, flags in REMOVED_FLAGS.items() for flag in flags
+])
+def test_removed_flag_exits_2(command, flag, capsys):
+    """Exit 2 on the flag itself — not on a prefix match (`sweep --seed`
+    would otherwise be read as `--seeds`), not on a missing value."""
+    required = ["--bit-rate", "3e8", "--distance-km", "5000"] if command == "tune" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *required, flag, "1"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

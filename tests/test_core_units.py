@@ -14,7 +14,6 @@ from repro.core.sendbuf import SendBuffer
 from repro.core.seqspace import (
     SequenceExhausted,
     SequenceSpace,
-    cyclic_less_equal,
     forward_distance,
 )
 
@@ -38,11 +37,6 @@ class TestForwardDistance:
     def test_distance_inverse(self, a, b):
         d = forward_distance(a, b, 256)
         assert (a + d) % 256 == b
-
-    def test_cyclic_less_equal(self):
-        # Reference 250: 252 is before 3 going forward.
-        assert cyclic_less_equal(252, 3, reference=250, modulus=256)
-        assert not cyclic_less_equal(3, 252, reference=250, modulus=256)
 
 
 class TestSequenceSpace:

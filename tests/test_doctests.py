@@ -12,7 +12,6 @@ import pytest
 
 import repro.api
 import repro.core.seqspace
-import repro.fec.interleaver
 import repro.simulator.engine
 import repro.simulator.rng
 
@@ -20,7 +19,6 @@ MODULES = [
     repro.api,
     repro.simulator.engine,
     repro.simulator.rng,
-    repro.fec.interleaver,
     repro.core.seqspace,
 ]
 

@@ -4,16 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulator.engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    SimulationError,
-    Simulator,
-    StopSimulation,
-    Timer,
-)
+from repro.simulator.engine import SimulationError, Simulator
 
 from .timer_reference import timer_entries
 
@@ -205,194 +196,6 @@ class TestScheduling:
         assert sim.run() == 1.5
         assert log == ["before", "after"]
         assert sim.event_count == 2
-
-
-class TestEvents:
-    def test_succeed_delivers_value(self, sim):
-        event = sim.event()
-        got = []
-        event.add_callback(lambda e: got.append(e.value))
-        event.succeed(42)
-        sim.run()
-        assert got == [42]
-
-    def test_callback_after_trigger_still_fires(self, sim):
-        event = sim.event()
-        event.succeed("v")
-        got = []
-        event.add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == ["v"]
-
-    def test_double_trigger_rejected(self, sim):
-        event = sim.event()
-        event.succeed(1)
-        with pytest.raises(SimulationError):
-            event.succeed(2)
-
-    def test_fail_requires_exception(self, sim):
-        event = sim.event()
-        with pytest.raises(TypeError):
-            event.fail("not an exception")
-
-    def test_triggered_and_ok_flags(self, sim):
-        event = sim.event()
-        assert not event.triggered
-        event.fail(RuntimeError("boom"))
-        assert event.triggered and not event.ok
-
-    def test_timeout_negative_delay_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.timeout(-1.0)
-
-
-class TestProcesses:
-    def test_process_advances_through_timeouts(self, sim):
-        trace = []
-
-        def proc():
-            trace.append(sim.now)
-            yield sim.timeout(1.0)
-            trace.append(sim.now)
-            yield sim.timeout(2.5)
-            trace.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert trace == [0.0, 1.0, 3.5]
-
-    def test_process_receives_timeout_value(self, sim):
-        got = []
-
-        def proc():
-            value = yield sim.timeout(1.0, "payload")
-            got.append(value)
-
-        sim.process(proc())
-        sim.run()
-        assert got == ["payload"]
-
-    def test_process_completion_event_carries_return(self, sim):
-        def proc():
-            yield sim.timeout(1.0)
-            return "done"
-
-        completion = sim.process(proc())
-        sim.run()
-        assert completion.triggered and completion.value == "done"
-
-    def test_process_exception_fails_completion(self, sim):
-        def proc():
-            yield sim.timeout(1.0)
-            raise ValueError("inner")
-
-        completion = sim.process(proc())
-        sim.run()
-        assert completion.triggered and not completion.ok
-        assert isinstance(completion.value, ValueError)
-
-    def test_process_waits_on_plain_event(self, sim):
-        event = sim.event()
-        got = []
-
-        def waiter():
-            value = yield event
-            got.append((sim.now, value))
-
-        sim.process(waiter())
-        sim.schedule(4.0, event.succeed, "go")
-        sim.run()
-        assert got == [(4.0, "go")]
-
-    def test_failed_event_raises_inside_process(self, sim):
-        event = sim.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield event
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        sim.process(waiter())
-        sim.schedule(1.0, event.fail, RuntimeError("bad"))
-        sim.run()
-        assert caught == ["bad"]
-
-    def test_interrupt_raises_in_process(self, sim):
-        caught = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                caught.append((sim.now, interrupt.cause))
-
-        process = sim.process(sleeper())
-        sim.schedule(2.0, process.interrupt, "wake")
-        sim.run()
-        assert caught == [(2.0, "wake")]
-
-    def test_stop_simulation_from_process(self, sim):
-        log = []
-
-        def proc():
-            yield sim.timeout(1.0)
-            raise StopSimulation
-
-        sim.process(proc())
-        sim.schedule(5.0, log.append, "later")
-        sim.run()
-        assert log == []
-
-    def test_processes_interleave(self, sim):
-        log = []
-
-        def proc(name, step):
-            for _ in range(3):
-                yield sim.timeout(step)
-                log.append((name, sim.now))
-
-        sim.process(proc("a", 1.0))
-        sim.process(proc("b", 1.5))
-        sim.run()
-        # At t=3.0 both fire; b's timeout was scheduled earlier (at 1.5)
-        # so FIFO tie-breaking runs it first.
-        assert log == [
-            ("a", 1.0), ("b", 1.5), ("a", 2.0), ("b", 3.0), ("a", 3.0), ("b", 4.5),
-        ]
-
-
-class TestCombinators:
-    def test_any_of_fires_on_first(self, sim):
-        winner = []
-
-        def proc():
-            event = yield sim.any_of([sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")])
-            winner.append((sim.now, event.value))
-
-        sim.process(proc())
-        sim.run()
-        assert winner == [(1.0, "fast")]
-
-    def test_all_of_waits_for_every_event(self, sim):
-        got = []
-
-        def proc():
-            values = yield sim.all_of([sim.timeout(1.0, "a"), sim.timeout(3.0, "b")])
-            got.append((sim.now, values))
-
-        sim.process(proc())
-        sim.run()
-        assert got == [(3.0, ["a", "b"])]
-
-    def test_any_of_empty_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.any_of([])
-
-    def test_all_of_empty_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.all_of([])
 
 
 class TestTimer:

@@ -244,25 +244,3 @@ class TestTimerAgainstReference:
         assert log == want_log
         assert sequence == want_sequence
         assert events <= want_events
-
-
-class TestProcessProperties:
-    @given(st.lists(st.floats(min_value=0.001, max_value=10.0), min_size=1, max_size=30))
-    def test_process_time_accumulates_exactly(self, waits):
-        sim = Simulator()
-        ticks = []
-
-        def proc():
-            for wait in waits:
-                yield sim.timeout(wait)
-                ticks.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        cumulative = []
-        total = 0.0
-        for wait in waits:
-            total += wait
-            cumulative.append(total)
-        for got, want in zip(ticks, cumulative):
-            assert abs(got - want) < 1e-6 * max(1.0, want)

@@ -19,7 +19,6 @@ from repro.simulator import (
     Simulator,
     StreamRegistry,
 )
-from repro.simulator.orbit import VisibilityWindow
 from repro.workloads import preset
 
 
@@ -150,12 +149,6 @@ class TestPassSchedule:
         assert schedule.total_link_time == pytest.approx(6.0)
         assert schedule.passes[1].start == pytest.approx(3.5)
 
-    def test_from_orbit_windows(self):
-        windows = [VisibilityWindow(0.0, 10.0), VisibilityWindow(20.0, 25.0)]
-        schedule = PassSchedule.from_windows(windows)
-        assert len(schedule) == 2
-        assert schedule.passes[1].duration == pytest.approx(5.0)
-
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             PassSchedule([LinkPass(0.0, 5.0), LinkPass(4.0, 8.0)])
@@ -261,32 +254,7 @@ class TestDelayAnalysis:
         expected = params.iframe_time + params.round_trip_time / 2
         assert delay.lams_delay_for_attempts(params, 1) == pytest.approx(expected)
 
-    def test_mean_delay_consistent_with_mixture(self):
-        params = self.make_params()
-        # Evaluate the mixture numerically and compare to the closed form.
-        from repro.analysis.errorprobs import geometric_period_pmf
-        p_r = params.p_f
-        numeric = sum(
-            geometric_period_pmf(p_r, k) * delay.lams_delay_for_attempts(params, k)
-            for k in range(1, 400)
-        )
-        assert delay.lams_mean_delay(params) == pytest.approx(numeric, rel=1e-9)
-
-    def test_hdlc_tail_heavier_than_lams(self):
-        """Same quantile: HDLC pays timeouts, LAMS pays checkpoint waits."""
-        params = self.make_params(alpha=0.1)
-        assert delay.hdlc_delay_quantile(params, 0.9999) > delay.lams_delay_quantile(
-            params, 0.9999
-        )
-
-    def test_resequencing_buffer_bound_positive_and_scales(self):
-        clean = self.make_params(iframe_ber=1e-7)
-        noisy = self.make_params(iframe_ber=1e-5)
-        assert delay.resequencing_buffer_bound(noisy) > delay.resequencing_buffer_bound(clean) >= 0
-
     def test_invalid_attempts(self):
         params = self.make_params()
         with pytest.raises(ValueError):
             delay.lams_delay_for_attempts(params, 0)
-        with pytest.raises(ValueError):
-            delay.hdlc_delay_for_attempts(params, 0)

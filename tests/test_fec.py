@@ -1,20 +1,17 @@
-"""Tests for the FEC substrate: CRC, interleaving, codecs."""
+"""Tests for the FEC substrate: CRC and codec models."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fec.codec import (
     ConcatenatedCodecModel,
     DEFAULT_CFRAME_CODEC,
     DEFAULT_IFRAME_CODEC,
-    HammingCode74,
     HammingCodecModel,
     IdentityCodec,
-    RepetitionCode,
     RepetitionCodecModel,
 )
 from repro.fec.crc import (
@@ -25,7 +22,6 @@ from repro.fec.crc import (
     verify_crc16,
     verify_crc32,
 )
-from repro.fec.interleaver import BlockInterleaver, burst_spread
 
 from .crc_reference import reference_crc16_ccitt, reference_crc32_ieee
 
@@ -99,110 +95,6 @@ class TestCrc:
             assert crc16_ccitt(data, initial) == reference_crc16_ccitt(data, initial)
         for initial in (0, 0xFFFFFFFF, 0x100000000, 0x1FFFFFFFF):
             assert crc32_ieee(data, initial) == reference_crc32_ieee(data, initial)
-
-
-class TestInterleaver:
-    def test_known_permutation(self):
-        interleaver = BlockInterleaver(rows=3, cols=4)
-        assert interleaver.interleave(list(range(12))) == [
-            0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11,
-        ]
-
-    def test_wrong_block_size_rejected(self):
-        interleaver = BlockInterleaver(rows=2, cols=3)
-        with pytest.raises(ValueError):
-            interleaver.interleave([1, 2, 3])
-
-    def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
-            BlockInterleaver(rows=0, cols=4)
-
-    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=16))
-    def test_roundtrip_property(self, rows, cols):
-        interleaver = BlockInterleaver(rows=rows, cols=cols)
-        block = list(range(rows * cols))
-        assert interleaver.deinterleave(interleaver.interleave(block)) == block
-
-    def test_array_roundtrip(self):
-        interleaver = BlockInterleaver(rows=5, cols=7)
-        block = np.arange(35)
-        out = interleaver.deinterleave_array(interleaver.interleave_array(block))
-        assert np.array_equal(out, block)
-
-    def test_burst_within_rows_spreads_to_one_per_codeword(self):
-        """The interleaver's defining guarantee: a channel burst no longer
-        than `rows` symbols hits each codeword at most once."""
-        interleaver = BlockInterleaver(rows=8, cols=16)
-        for start in range(0, interleaver.block_size, 7):
-            assert burst_spread(interleaver, start, burst_length=8) <= 1
-
-    def test_long_burst_exceeds_single_error(self):
-        interleaver = BlockInterleaver(rows=4, cols=8)
-        assert burst_spread(interleaver, 0, burst_length=9) >= 2
-
-    @given(
-        rows=st.integers(min_value=2, max_value=12),
-        cols=st.integers(min_value=2, max_value=12),
-        start=st.integers(min_value=0, max_value=200),
-    )
-    def test_burst_spread_bound_property(self, rows, cols, start):
-        """Spread of a burst of length L is at most ceil(L / rows)."""
-        interleaver = BlockInterleaver(rows=rows, cols=cols)
-        length = min(rows, interleaver.block_size)
-        spread = burst_spread(interleaver, start % interleaver.block_size, length)
-        assert spread <= 1
-
-
-class TestHammingCode:
-    def test_roundtrip_clean(self):
-        code = HammingCode74()
-        rng = np.random.default_rng(1)
-        data = rng.integers(0, 2, size=400).astype(np.uint8)
-        assert np.array_equal(code.decode(code.encode(data)), data)
-
-    def test_corrects_any_single_error_per_codeword(self):
-        code = HammingCode74()
-        data = np.array([1, 0, 1, 1], dtype=np.uint8)
-        encoded = code.encode(data)
-        for position in range(7):
-            corrupted = encoded.copy()
-            corrupted[position] ^= 1
-            assert np.array_equal(code.decode(corrupted), data), position
-
-    def test_length_validation(self):
-        code = HammingCode74()
-        with pytest.raises(ValueError):
-            code.encode(np.array([1, 0, 1], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            code.decode(np.array([1] * 6, dtype=np.uint8))
-
-    def test_interleaver_plus_hamming_fixes_burst(self):
-        """End-to-end Paul-et-al. pipeline: a burst of `rows` bit errors on
-        the channel is fully corrected after de-interleave + decode."""
-        code = HammingCode74()
-        rows, cols = 16, 7  # one codeword per interleaver row
-        interleaver = BlockInterleaver(rows=rows, cols=cols)
-        rng = np.random.default_rng(5)
-        data = rng.integers(0, 2, size=rows * 4).astype(np.uint8)
-        channel_block = interleaver.interleave_array(code.encode(data))
-        # A contiguous burst of `rows` flipped bits.
-        start = 23
-        channel_block[start : start + rows] ^= 1
-        decoded = code.decode(np.array(interleaver.deinterleave_array(channel_block)))
-        assert np.array_equal(decoded, data)
-
-
-class TestRepetitionCode:
-    def test_roundtrip_and_correction(self):
-        code = RepetitionCode(3)
-        data = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        encoded = code.encode(data)
-        encoded[4] ^= 1  # one flip inside a triple
-        assert np.array_equal(code.decode(encoded), data)
-
-    def test_even_factor_rejected(self):
-        with pytest.raises(ValueError):
-            RepetitionCode(2)
 
 
 class TestCodecModels:

@@ -165,6 +165,22 @@ class TestGoBackN:
             results[selective] = a.sender.retransmissions
         assert results[False] > 2 * results[True]
 
+    def test_every_release_is_a_holding_time_sample(self):
+        """A REJ releases frames too: the tracer's holding-time samples
+        count what ``holding_samples`` counts (on_rej used to skip them)."""
+        sim = Simulator()
+        tracer = Tracer()
+        _, a, b, delivered = build(
+            sim, iframe_ber=2e-5, seed=10, config=self.make_config(), tracer=tracer
+        )
+        transfer(a, 500)
+        sim.run(until=60.0)
+        sender = a.sender
+        assert sender.holding_samples == sender.releases == 500
+        stat = tracer.samples[f"{sender.name}.holding_time"]
+        assert stat.count == sender.holding_samples
+        assert stat.mean == pytest.approx(sender.mean_holding_time)
+
     def test_receiver_discards_out_of_order(self):
         sim = Simulator()
         _, a, b, delivered = build(

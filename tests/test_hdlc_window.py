@@ -157,11 +157,6 @@ class TestHdlcConfig:
         with pytest.raises(ValueError):
             HdlcConfig(window_size=128, sequence_bits=7, selective=False)
 
-    def test_timeout_for_link(self):
-        assert HdlcConfig.timeout_for_link(0.1, 0.05) == pytest.approx(0.15)
-        with pytest.raises(ValueError):
-            HdlcConfig.timeout_for_link(0.1, -0.1)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             HdlcConfig(window_size=0)

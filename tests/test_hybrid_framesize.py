@@ -53,18 +53,6 @@ class TestCodecSweep:
             for row in hybrid.codec_sweep(base_params(), 8272, channel_ber):
                 assert 0.0 <= row["goodput"] <= 1.0
 
-    def test_best_codec_crossover(self):
-        clean_winner, _ = hybrid.best_codec(base_params(), 8272, 1e-6)
-        noisy_winner, _ = hybrid.best_codec(base_params(), 8272, 1e-3)
-        assert clean_winner == "none"
-        assert noisy_winner != "none"
-
-    def test_best_codec_returns_max(self):
-        rows = hybrid.codec_sweep(base_params(), 8272, 1e-4)
-        name, goodput = hybrid.best_codec(base_params(), 8272, 1e-4)
-        assert goodput == pytest.approx(max(row["goodput"] for row in rows))
-        assert any(row["codec"] == name for row in rows)
-
 
 class TestFrameSize:
     def test_goodput_zero_at_certain_corruption(self):
@@ -105,9 +93,3 @@ class TestFrameSize:
                 assert best >= framesize.goodput_per_channel_bit(
                     neighbour, overhead, ber
                 )
-
-    def test_sweep_marks_optimal_region(self):
-        rows = framesize.frame_size_sweep(80, 1e-5, [256, 2789, 100_000])
-        flags = {row["payload_bits"]: row["is_optimal_region"] for row in rows}
-        assert flags[2789] is True
-        assert flags[256] is False and flags[100_000] is False

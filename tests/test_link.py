@@ -8,12 +8,7 @@ import pytest
 
 from repro.simulator.engine import Simulator
 from repro.simulator.errormodel import BernoulliChannel, PerfectChannel
-from repro.simulator.link import (
-    LIGHT_SPEED_KM_S,
-    FullDuplexLink,
-    SimplexChannel,
-    delay_from_distance_km,
-)
+from repro.simulator.link import FullDuplexLink, SimplexChannel
 from repro.simulator.rng import StreamRegistry
 
 
@@ -264,11 +259,3 @@ class TestFullDuplexLink:
         assert not link.forward.is_up and not link.reverse.is_up
         link.up()
         assert link.forward.is_up and link.reverse.is_up
-
-
-class TestHelpers:
-    def test_delay_from_distance(self):
-        assert delay_from_distance_km(LIGHT_SPEED_KM_S) == pytest.approx(1.0)
-        assert delay_from_distance_km(0.0) == 0.0
-        with pytest.raises(ValueError):
-            delay_from_distance_km(-1.0)

@@ -28,7 +28,6 @@ class TestDatagram:
     def test_key_and_flow(self):
         dg = make_datagram(5)
         assert dg.key == ("s", 5)
-        assert dg.flow_id == ("s", "d")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -79,7 +78,6 @@ class TestResequencer:
         reseq.push(make_datagram(5))
         assert reseq.held_count() == 2
         assert reseq.held_count("s") == 2
-        assert reseq.pending_sources() == ["s"]
 
     @given(
         st.permutations(list(range(12))),

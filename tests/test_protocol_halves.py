@@ -168,7 +168,7 @@ class TestReceiverHalf:
         assert receiver.duplicates_suppressed == 1
         # After the retention window the memory is pruned: the same
         # origin would be accepted again (no stale state forever).
-        sim.run(until=receiver._origin_retention + 0.01)
+        sim.run(until=receiver._origin_retention_value + 0.01)
         late = IFrame(seq=9, payload=("p", 0), size_bits=8272,
                       transmit_index=9, origin=0)
         receiver.on_iframe(late, corrupted=False)

@@ -203,12 +203,6 @@ class TestTracer:
         assert summary["s.count"] == 1
         assert "l.avg" in summary and summary["l.max"] == 3.0
 
-    def test_format_timeline_readable(self):
-        tracer = Tracer(record_timeline=True)
-        tracer.emit(1.5, "node", "sent", seq=3)
-        text = tracer.format_timeline()
-        assert "node" in text and "sent" in text and "seq=3" in text
-
 
 class TestTracerFastPath:
     """The precomputed ``active`` flag must track timeline + listeners."""

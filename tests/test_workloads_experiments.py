@@ -9,7 +9,6 @@ import pytest
 from repro.experiments import (
     REGISTRY,
     experiment_ids,
-    render_series,
     render_table,
     run_experiment,
 )
@@ -30,7 +29,6 @@ from repro.workloads import (
 from repro.workloads.generators import (
     ConstantRateSource,
     FiniteBatch,
-    OnOffSource,
     SaturatedSource,
 )
 
@@ -114,27 +112,11 @@ class TestGenerators:
         sim.run(until=1.0)
         assert source.offered == 25
 
-    def test_on_off_source_bursts(self):
-        sim = Simulator()
-        target = Collector()
-        source = OnOffSource(
-            sim, target, rate=1000.0, on_duration=0.01, off_duration=0.09
-        )
-        source.start()
-        sim.run(until=0.30)
-        source.stop()
-        times = [p[2] for p in target.packets]
-        # All sends fall inside on-phases: t mod 0.1 < ~0.011.
-        assert all((t % 0.1) < 0.012 for t in times)
-        assert len(times) >= 20
-
     def test_invalid_parameters(self):
         sim = Simulator()
         target = Collector()
         with pytest.raises(ValueError):
             ConstantRateSource(sim, target, rate=0)
-        with pytest.raises(ValueError):
-            OnOffSource(sim, target, rate=10, on_duration=0, off_duration=1)
         with pytest.raises(ValueError):
             FiniteBatch(sim, target, count=-1)
 
@@ -260,8 +242,3 @@ class TestReporting:
 
     def test_render_table_empty(self):
         assert "(empty)" in render_table([], title="T")
-
-    def test_render_series(self):
-        text = render_series("x", [1, 2], {"y": [10, 20], "z": [0.1, 0.2]})
-        assert "x" in text and "y" in text and "z" in text
-        assert "20" in text
