@@ -82,9 +82,11 @@ soak-smoke:
 # through the `constellation` CLI, then the E24 experiment with its
 # determinism-certifying scale cell shrunk to a dozen links.  That cell
 # also carries the idle-link budget as exact counts (they repeat to the
-# event, so no timing is involved): 3.385 events a frame and 14.75 heap
-# entries a link; a heap entry per timer restart, or a stale pop, coming
-# back reads 3.899 and 18.7 (docs/TUNING.md "What an idle link costs").
+# event, so no timing is involved): 2.515 events a frame and 12.83 heap
+# entries a link, the 24 receivers' checkpoints being one round of
+# Simulator.every with one heap entry; a checkpoint timer per receiver
+# coming back reads 3.385 and 14.75, a heap entry per timer restart
+# 3.899 and 18.7 (docs/TUNING.md "What an idle link costs").
 # The build side of the budget is a count too: a routing table is made
 # by the node that first forwards, so the cell E24 itself built (caught
 # on its way out of build_constellation) may hold no more tables than
@@ -105,8 +107,10 @@ constellation-smoke:
 	assert all(row['deterministic'] in (None, True) for row in result.rows), result.rows; \
 	scale = result.rows[-1]; \
 	assert scale['cell'] == 'ring-12', scale; \
-	assert scale['events'] <= 3.5 * scale['frames_sent'], scale; \
-	assert scale['peak_heap'] <= 16 * scale['links'], scale; \
+	assert scale['events'] <= 2.6 * scale['frames_sent'], scale; \
+	assert scale['peak_heap'] <= 13 * scale['links'], scale; \
+	rounds = sorted(len(armed.members) for armed in cells[-1].sim._rounds.values()); \
+	assert rounds[-1] == 2 * scale['links'], rounds; \
 	routing = [(sum(layer.tables_built for layer in cell.layers.values()), \
 		sum(1 for layer in cell.layers.values() if layer.forwarded), len(cell.layers)) \
 		for cell in cells]; \
@@ -114,8 +118,9 @@ constellation-smoke:
 	tables, forwarders, nodes = routing[-1]; \
 	assert nodes == 12 and routing[1] == (4, 4, 5), routing; \
 	print('E24 ok:', ', '.join(row['cell'] for row in result.rows), \
-		'| ring-12 events/frame %.3f, peak_heap/link %.2f,' \
-		% (scale['events'] / scale['frames_sent'], scale['peak_heap'] / scale['links']), \
+		'| ring-12 events/frame %.3f, peak_heap/link %.2f, members per round %s,' \
+		% (scale['events'] / scale['frames_sent'], scale['peak_heap'] / scale['links'], \
+		'+'.join(map(str, rounds))), \
 		'%d route tables for %d forwarding nodes' % (tables, forwarders))"
 
 # Transport-backend smoke (docs/TRANSPORT.md): a loopback LAMS-DLC

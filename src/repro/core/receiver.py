@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from heapq import heappush
 from typing import Any, Callable, Optional
 
-from ..simulator.engine import Simulator
+from ..simulator.engine import Periodic, Simulator
 from ..simulator.link import SimplexChannel
 from ..simulator.trace import Tracer
 from .config import LamsDlcConfig
@@ -78,7 +78,9 @@ class LamsReceiver:
         # Errors kept past cumulative expiry, for Enforced-NAK responses.
         self._resolving_log: deque[ErrorEntry] = deque()
         self._running = False
-        self._checkpoint_timer = sim.timer(self._emit_periodic_checkpoint)
+        # The periodic Check-Point: a member of the engine round of every
+        # receiver started at this instant with this W_cp.
+        self._checkpoint_tick: Optional[Periodic] = None
 
         # Receive queue: frames waiting for per-frame processing. With no
         # delivery_interval the queue drains at one frame per t_proc.
@@ -91,6 +93,13 @@ class LamsReceiver:
         self._zero_duplication = config.zero_duplication
         self._rx_capacity = config.receive_queue_capacity
         self._checkpoint_interval = config.checkpoint_interval
+        # ... and the per-checkpoint ones.
+        self._cumulation_depth = config.cumulation_depth
+        self._flow_control_enabled = config.flow_control_enabled
+        self._high_watermark = config.receive_high_watermark
+        self._empty_cframe_bits = config.cframe_bits(0)
+        # Bound once: the object every drain entry of this receiver carries.
+        self._drain_one = self._drain_one
         self._drain_delay_value = (
             delivery_interval if delivery_interval is not None
             else config.processing_time
@@ -129,12 +138,14 @@ class LamsReceiver:
         if self._running:
             raise RuntimeError("receiver already started")
         self._running = True
-        self._checkpoint_timer.start(self._checkpoint_interval)
+        self._checkpoint_tick = self.sim.every(
+            self._checkpoint_interval, self._emit_periodic_checkpoint)
 
     def stop(self) -> None:
         """Halt checkpoint emission (link teardown)."""
         self._running = False
-        self._checkpoint_timer.cancel()
+        if self._checkpoint_tick is not None:
+            self._checkpoint_tick.cancel()
 
     @property
     def running(self) -> bool:
@@ -272,10 +283,7 @@ class LamsReceiver:
     # -- checkpoint emission ---------------------------------------------------------
 
     def _emit_periodic_checkpoint(self) -> None:
-        if not self._running:
-            return
         self._send_checkpoint(self._cumulative_naks(), enforced=False)
-        self._checkpoint_timer.start(self._checkpoint_interval)
 
     def _cumulative_naks(self) -> tuple[int, ...]:
         """NAK list for a periodic checkpoint; ages out reported entries."""
@@ -283,7 +291,7 @@ class LamsReceiver:
             return ()
         naks = []
         expired = []
-        depth = self.config.cumulation_depth
+        depth = self._cumulation_depth
         for seq, entry in self._error_log.items():
             naks.append(seq)
             entry.reports += 1
@@ -299,7 +307,7 @@ class LamsReceiver:
         now = self.sim.now
         frame = CheckpointFrame(
             index, now, naks, self.frontier, enforced, stop_go,
-            self.config.cframe_bits(len(naks)),
+            self.config.cframe_bits(len(naks)) if naks else self._empty_cframe_bits,
         )
         self.cp_index = index + 1
         self.checkpoints_sent += 1
@@ -319,9 +327,9 @@ class LamsReceiver:
         Public because the co-located sender half piggybacks it onto
         outgoing I-frames (Section 3.1's flow-control piggybacking).
         """
-        if not self.config.flow_control_enabled:
+        if not self._flow_control_enabled:
             return False
-        return len(self._receive_queue) >= self.config.receive_high_watermark
+        return len(self._receive_queue) >= self._high_watermark
 
     def _enqueue_for_delivery(self, frame: IFrame) -> None:
         capacity = self._rx_capacity

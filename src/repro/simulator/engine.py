@@ -2,10 +2,11 @@
 
 This module is a small, dependency-free discrete-event simulator: a
 :class:`Simulator` owns a clock and an event heap, plain callbacks are
-scheduled at absolute or relative times, and a :class:`Timer` is a
-callback that can be re-armed and cancelled.  Callbacks and timers are
+scheduled at absolute or relative times, a :class:`Timer` is a callback
+that can be re-armed and cancelled, and :meth:`Simulator.every` runs a
+callback once an interval.  Callbacks, timers and periodic callbacks are
 the whole programming model, as in the paper: LAMS-DLC is specified as
-frame handlers plus two timers.
+frame handlers, two timers, and a Check-Point every ``W_cp``.
 
 The engine is deliberately deterministic: events scheduled for the same
 time fire in the order they were scheduled (FIFO tie-breaking via a
@@ -39,13 +40,22 @@ inner loop trades a little elegance for speed:
   restarts a timeout on every checkpoint pays three attribute stores
   for it.  The loops know nothing of this: a carrier is an ordinary
   entry whose callback is :meth:`Timer._surfaced`.
+- Periodic callbacks with the same next deadline and interval share ONE
+  heap entry, their *round* (:meth:`Simulator.every`): a thousand idle
+  receivers checkpointing in step are one pop and one push per ``W_cp``
+  instead of a thousand.  A round is an ordinary entry too.
+- Whoever pushes an entry per frame or per restart puts an object bound
+  once into it (``Timer._on_surface``, ``_Round.fire``, and the
+  channel's and receiver's ``self._x = self._x`` lines), not a bound
+  method made for that push: the tuple is then the only allocation, and
+  the only thing the cyclic collector gains to track, per entry.
 
 The scheduling contract
 -----------------------
 :class:`Simulator`'s public surface — a monotone ``now``, ``schedule`` /
-``schedule_at``, and ``timer()`` — is what a protocol half needs from
-its event source, whether "now" is simulated or wall time.  Beneath it,
-the hot paths in :mod:`repro.core.receiver` and
+``schedule_at``, ``timer()`` and ``every()`` — is what a protocol half
+needs from its event source, whether "now" is simulated or wall time.
+Beneath it, the hot paths in :mod:`repro.core.receiver` and
 :mod:`repro.simulator.link` inline ``heappush(clock._heap, (when,
 clock._sequence, callback, args))`` instead of calling ``schedule``; the
 heap list and the ``_sequence`` counter are therefore part of the
@@ -54,10 +64,13 @@ pops: call ``entry[2](*entry[3])`` and nothing else.  A :class:`Timer`
 is such an entry — its carrier names ``Timer._surfaced``, the one rule
 for "a timer entry reached the top" (fire, re-push at the reserved
 ``(deadline, sequence)``, or lapse), which every loop therefore shares
-by calling it.  A clock that is not this engine shares that ABI by
-subclassing :class:`Simulator` (as
-:class:`repro.transport.clock.AsyncioClock` does) rather than
-re-implementing the surface methods.
+by calling it.  A round is another: its entry names ``_Round._fire``,
+which runs the members and pushes the next entry itself, so no loop
+knows of rounds and a clock pumped late re-arms them from its own
+``now`` exactly as it did a timer restarted from inside its callback.
+A clock that is not this engine shares that ABI by subclassing
+:class:`Simulator` (as :class:`repro.transport.clock.AsyncioClock` does)
+rather than re-implementing the surface methods.
 
 Example
 -------
@@ -67,10 +80,12 @@ Example
 >>> watchdog = sim.timer(lambda: log.append(sim.now))
 >>> watchdog.start(2.0)
 >>> sim.schedule(1.5, watchdog.start, 1.5)    # re-armed before it fires
->>> sim.run()
-3.0
+>>> tick = sim.every(1.25, lambda: log.append("tick"))
+>>> sim.schedule(2.75, tick.cancel)
+>>> sim.run(until=3.5)
+3.5
 >>> log
-['frame', 3.0]
+['frame', 'tick', 'tick', 3.0]
 """
 
 from __future__ import annotations
@@ -126,7 +141,7 @@ class Timer:
     """
 
     __slots__ = ("sim", "callback", "_deadline", "_sequence", "_carrier",
-                 "_carrier_time")
+                 "_carrier_time", "_on_surface")
 
     def __init__(self, sim: "Simulator", callback: Callable[[], None]) -> None:
         self.sim = sim
@@ -135,6 +150,8 @@ class Timer:
         self._sequence = 0  # reserved by the latest start
         self._carrier = 0  # sequence number of the carrier entry
         self._carrier_time: Optional[float] = None  # its time; None: no carrier
+        # Bound once: the object every entry of this timer carries.
+        self._on_surface = self._surfaced
 
     @property
     def running(self) -> bool:
@@ -169,7 +186,7 @@ class Timer:
         """Make ``(when, reserved sequence)`` the carrier."""
         self._carrier_time = when
         self._carrier = sequence = self._sequence
-        heappush(self.sim._heap, (when, sequence, self._surfaced, (sequence,)))
+        heappush(self.sim._heap, (when, sequence, self._on_surface, (sequence,)))
 
     def _surfaced(self, sequence: int) -> None:
         """The heap entry pushed with *sequence* reached the top."""
@@ -183,6 +200,66 @@ class Timer:
             self.callback()
         else:
             self._push(deadline)
+
+
+class Periodic:
+    """One callback of a round: what :meth:`Simulator.every` returns."""
+
+    __slots__ = ("callback",)
+
+    def __init__(self, callback: Callable[[], None]) -> None:
+        self.callback: Optional[Callable[[], None]] = callback  # None: cancelled
+
+    def cancel(self) -> None:
+        """Never run again; the round drops the member when it next fires."""
+        self.callback = None
+
+
+class _Round:
+    """The periodic callbacks that share one ``(next deadline, interval)``.
+
+    A round owns one heap entry, armed at ``sim._rounds[key]``'s key.
+    When the entry surfaces, :meth:`_fire` runs the live members in the
+    order they joined and re-arms once at ``now + interval`` — or, if a
+    round is already armed there, hands its members to that round.
+    """
+
+    __slots__ = ("sim", "key", "members", "fire")
+
+    def __init__(self, sim: "Simulator", key: tuple[float, float],
+                 member: Periodic) -> None:
+        self.sim = sim
+        self.key = key
+        self.members = [member]
+        # Bound once: the object every entry of this round carries.
+        self.fire = self._fire
+
+    def _fire(self) -> None:
+        sim = self.sim
+        rounds = sim._rounds
+        del rounds[self.key]  # joins from here on are for the next instant
+        members = self.members
+        cancelled = False
+        for member in members:
+            callback = member.callback
+            if callback is not None:
+                callback()
+            if member.callback is None:  # before this firing, or just now
+                cancelled = True
+        if cancelled:
+            members[:] = [member for member in members
+                          if member.callback is not None]
+            if not members:
+                return
+        interval = self.key[1]
+        deadline = sim.now + interval
+        self.key = key = (deadline, interval)
+        armed = rounds.setdefault(key, self)
+        if armed is self:
+            sim._sequence = sequence = sim._sequence + 1
+            heappush(sim._heap, (deadline, sequence, self.fire, ()))
+        else:
+            armed.members.extend(members)  # behind those it already has
 
 
 class Simulator:
@@ -199,6 +276,8 @@ class Simulator:
         self._sequence = 0
         self._stopped = False
         self.event_count = 0
+        # Armed rounds by (next deadline, interval); see every().
+        self._rounds: dict[tuple[float, float], _Round] = {}
 
     # -- scheduling ------------------------------------------------------
 
@@ -224,6 +303,56 @@ class Simulator:
     def timer(self, callback: Callable[[], None]) -> Timer:
         """A restartable :class:`Timer` invoking *callback* on expiry."""
         return Timer(self, callback)
+
+    def every(self, interval: float, callback: Callable[[], None]) -> Periodic:
+        """Run ``callback()`` at ``now + interval`` and every *interval*
+        after, until the returned handle's ``cancel()``.
+
+        Each deadline is the previous firing's ``now + interval`` — what
+        a :class:`Timer` restarted from inside its own callback computes
+        — so the instants are the same floats, and on a clock pumped
+        late they drift the same way.  Callbacks whose next deadline
+        *and* interval are equal form a *round* with ONE heap entry
+        between them: a thousand receivers started together cost one
+        pop and one push per interval, not a thousand.  A callback
+        joining at any other instant is a round of one, which is one
+        event per interval as the timer was.  An exception leaving a
+        callback ends its round (a timer whose callback raised was not
+        restarted either); a run is not expected to survive one.
+
+        The ordering rule.  A round runs its live members in the order
+        they joined it, all at its entry's ``(deadline, sequence)``, and
+        takes that sequence number when it is armed: at its first
+        member's join, and after its last member has run each time it
+        fires.  Members that join while a round fires are for the next
+        instant: they arm a round of their own there, and the firing
+        round, re-arming on the same key, joins *it* — behind them.  Set
+        against one self-restarting timer per callback, every callback
+        still runs at the same instant and members keep their relative
+        order; the one thing that can move is an entry for exactly a
+        round's instant whose sequence number would have fallen
+        *between* two members' numbers, since a round has only one.  If
+        it was pushed from inside a member's callback the last time the
+        round fired, it now runs before the whole round (plain event or
+        new member alike); if it was pushed between two joins of the
+        round's first interval, after it.  A checkpoint's own events are
+        a frame time and a propagation delay away, never a whole
+        interval, so nothing in the bench, E24, the soak or tier-1 is
+        such an entry.
+        """
+        if not interval > 0:
+            raise ValueError(f"period must be positive, got {interval!r}")
+        member = Periodic(callback)
+        deadline = self.now + interval
+        key = (deadline, interval)
+        armed = self._rounds.get(key)
+        if armed is None:
+            self._rounds[key] = armed = _Round(self, key, member)
+            self._sequence = sequence = self._sequence + 1
+            heappush(self._heap, (deadline, sequence, armed.fire, ()))
+        else:
+            armed.members.append(member)
+        return member
 
     # -- running ----------------------------------------------------------
 

@@ -104,6 +104,11 @@ class SimplexChannel:
         self.frames_sent = 0
         self.frames_corrupted = 0
         self.frames_lost_outage = 0
+        # Bound once: the two objects every heap entry of this channel
+        # carries.  A bound method made per push is one more allocation
+        # the collector tracks per in-flight frame.
+        self._complete = self._complete
+        self._deliver = self._deliver
 
     # -- wiring ----------------------------------------------------------
 

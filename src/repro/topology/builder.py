@@ -394,10 +394,10 @@ class ConstellationBuilder:
 
         def probe() -> None:
             constellation.sample_state()
-            if horizon is None or sim.now + interval <= horizon:
-                sim.schedule(interval, probe)
+            if horizon is not None and sim.now + interval > horizon:
+                tick.cancel()
 
-        sim.schedule(interval, probe)
+        tick = sim.every(interval, probe)
 
 
 def build_constellation(

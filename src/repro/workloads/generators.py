@@ -101,16 +101,18 @@ class SaturatedSource:
         self.offered = 0
         self.refused = 0
         self._running = False
+        self._chain = 0  # bumped by start(): a tick pending from before is void
 
     def start(self) -> None:
         self._running = True
-        self._tick()
+        self._chain += 1
+        self._tick(self._chain)
 
     def stop(self) -> None:
         self._running = False
 
-    def _tick(self) -> None:
-        if not self._running:
+    def _tick(self, chain: int) -> None:
+        if chain != self._chain or not self._running:
             return
         if self.limit is not None and self.offered >= self.limit:
             self._running = False
@@ -126,7 +128,9 @@ class SaturatedSource:
                 else:
                     self.refused += 1
                     break
-        self.sim.schedule(self.poll_interval, self._tick)
+        # self._tick, looked up on the instance: the benchmark shadows it
+        # there to time the source.
+        self.sim.schedule(self.poll_interval, self._tick, chain)
 
 
 class ConstantRateSource:
@@ -150,16 +154,18 @@ class ConstantRateSource:
         self.offered = 0
         self.refused = 0
         self._running = False
+        self._chain = 0  # bumped by start(): an emission pending from before is void
 
     def start(self) -> None:
         self._running = True
-        self._emit()
+        self._chain += 1
+        self._emit(self._chain)
 
     def stop(self) -> None:
         self._running = False
 
-    def _emit(self) -> None:
-        if not self._running:
+    def _emit(self, chain: int) -> None:
+        if chain != self._chain or not self._running:
             return
         if self.limit is not None and self.offered + self.refused >= self.limit:
             self._running = False
@@ -169,4 +175,4 @@ class ConstantRateSource:
             self.offered += 1
         else:
             self.refused += 1
-        self.sim.schedule(self.interval, self._emit)
+        self.sim.schedule(self.interval, self._emit, chain)

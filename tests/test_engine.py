@@ -6,6 +6,7 @@ import pytest
 
 from repro.simulator.engine import SimulationError, Simulator
 
+from .periodic_reference import ReferencePeriodic, round_entries
 from .timer_reference import timer_entries
 
 
@@ -335,3 +336,155 @@ class TestTimerCompaction:
         sim.run()
         assert fired == [1.0, "between", 4.0]
         assert sim.event_count == 4  # the entry at 3.0 surfaced as a no-op
+
+
+class TestEvery:
+    """``Simulator.every``: periodic callbacks, one heap entry a round."""
+
+    def test_fires_every_interval_until_cancelled(self, sim):
+        fired = []
+        tick = sim.every(0.1, lambda: fired.append(sim.now))
+        sim.run(until=0.35)
+        # Each deadline is the previous firing's now + interval: the
+        # floats a timer restarted from inside its callback computes.
+        assert fired == [0.1, 0.1 + 0.1, 0.1 + 0.1 + 0.1]
+        tick.cancel()
+        sim.run(until=1.0)
+        assert len(fired) == 3
+        assert sim._heap == [] and sim._rounds == {}  # the entry lapsed
+
+    def test_a_round_of_one_is_one_event_an_interval(self, sim):
+        sim.every(1.0, lambda: None)
+        sim.run(until=10.0)
+        assert sim.event_count == 10 and len(sim._heap) == 1
+
+    def test_interval_must_be_positive(self, sim):
+        for interval in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                sim.every(interval, lambda: None)
+
+    def test_equal_deadline_and_interval_share_one_entry(self, sim):
+        log = []
+        for name in "abc":
+            sim.every(1.0, lambda name=name: log.append((sim.now, name)))
+        assert len(sim._heap) == 1
+        sim.schedule(0.5, sim.every, 1.0, lambda: log.append((sim.now, "late")))
+        sim.every(2.0, lambda: log.append((sim.now, "slow")))  # same instant, other interval
+        sim.run(until=2.0)
+        # Join order inside a round; a member that joined at another
+        # instant, or on another interval, is a round of its own.
+        assert log == [(1.0, "a"), (1.0, "b"), (1.0, "c"), (1.5, "late"),
+                       (2.0, "slow"), (2.0, "a"), (2.0, "b"), (2.0, "c")]
+        assert len(sim._heap) == len(round_entries(sim)) == 3
+        assert sim.event_count == 1 + 2 + 1 + 1  # the join, two rounds of three, late, slow
+
+    def test_cancelled_members_are_skipped_and_dropped(self, sim):
+        log = []
+        ticks = {}
+
+        def member(name, victim=None):
+            def run():
+                log.append((sim.now, name))
+                if victim is not None and sim.now == 1.0:
+                    ticks[victim].cancel()
+            ticks[name] = sim.every(1.0, run)
+
+        member("a", victim="a")  # from inside its own callback
+        member("b", victim="d")  # a later member of the firing round
+        member("c")
+        member("d")
+        sim.schedule(1.5, lambda: ticks["c"].cancel())  # from outside
+        sim.run(until=3.0)
+        assert log == [(1.0, "a"), (1.0, "b"), (1.0, "c"),
+                       (2.0, "b"), (3.0, "b")]
+        (entry,) = sim._heap
+        assert [m.callback is not None for m in entry[2].__self__.members] == [True]
+
+    def test_stop_start_at_one_instant_runs_once(self, sim):
+        log = []
+        first = sim.every(1.0, lambda: log.append("first"))
+        first.cancel()
+        sim.every(1.0, lambda: log.append("second"))
+        assert len(sim._heap) == 1
+        sim.run(until=2.0)
+        assert log == ["second", "second"]
+
+    def test_a_join_while_the_round_fires_first_runs_next_time(self, sim):
+        log = []
+
+        def spawner():
+            log.append((sim.now, "spawner"))
+            if sim.now == 1.0:
+                sim.every(1.0, lambda: log.append((sim.now, "spawned")))
+
+        sim.every(1.0, lambda: log.append((sim.now, "first")))
+        sim.every(1.0, spawner)
+        sim.every(1.0, lambda: log.append((sim.now, "last")))
+        sim.run(until=2.0)
+        # Not at 1.0; at 2.0 ahead of the round that was firing, which
+        # re-armed onto the key the newcomer had armed and joined behind.
+        assert log == [
+            (1.0, "first"), (1.0, "spawner"), (1.0, "last"),
+            (2.0, "spawned"), (2.0, "first"), (2.0, "spawner"), (2.0, "last"),
+        ]
+        assert len(sim._heap) == 1 and len(sim._rounds) == 1
+
+    def test_two_rounds_landing_on_one_key_merge(self, sim):
+        log = []
+        # Scheduled ahead of the round's entry for 1.0, so it runs first
+        # there and arms (2.0, 1.0) before the old round gets to.
+        sim.schedule(1.0, sim.every, 1.0, lambda: log.append((sim.now, "new")))
+        sim.every(1.0, lambda: log.append((sim.now, "old")))
+        sim.run(until=1.0)
+        assert len(round_entries(sim)) == 1 and len(sim._rounds) == 1
+        sim.run(until=3.0)
+        assert log == [(1.0, "old"), (2.0, "new"), (2.0, "old"),
+                       (3.0, "new"), (3.0, "old")]
+        # As the timers: "new" started before "old" restarted at 1.0.
+        assert sim.event_count == 1 + 1 + 2  # the join, old alone, then one round
+
+    @pytest.mark.parametrize("periodic", ["every", "reference"])
+    def test_the_ordering_rule(self, sim, periodic):
+        """The one consequence of a round having one sequence number: an
+        entry for a round's instant that would have run *between* two
+        members now runs on one side of them all — ahead if it was
+        pushed while the round last fired (the round re-arms after its
+        last member), behind if it was pushed between two joins of the
+        round's first interval (the entry is the first joiner's)."""
+        log = []
+
+        def every(interval, callback):
+            if periodic == "every":
+                return sim.every(interval, callback)
+            return ReferencePeriodic(sim, interval, callback)
+
+        def pusher():
+            log.append((sim.now, "pusher"))
+            if sim.now == 1.0:
+                sim.schedule(1.0, log.append, (2.0, "pushed by pusher"))
+
+        every(1.0, lambda: log.append((sim.now, "first")))
+        sim.schedule(1.0, log.append, (1.0, "pushed between joins"))
+        every(1.0, pusher)
+        every(1.0, lambda: log.append((sim.now, "last")))
+        sim.run(until=2.0)
+        at = {1.0: [who for now, who in log if now == 1.0],
+              2.0: [who for now, who in log if now == 2.0]}
+        if periodic == "every":
+            assert at[1.0] == ["first", "pusher", "last", "pushed between joins"]
+            assert at[2.0] == ["pushed by pusher", "first", "pusher", "last"]
+        else:
+            assert at[1.0] == ["first", "pushed between joins", "pusher", "last"]
+            assert at[2.0] == ["first", "pushed by pusher", "pusher", "last"]
+
+    def test_entries_pushed_outside_a_firing_keep_their_side(self, sim):
+        """Before the round's number was taken: ahead of it.  After: behind."""
+        log = []
+        sim.schedule(2.0, log.append, "before the first join")
+        sim.every(1.0, lambda: log.append(sim.now))
+        sim.every(1.0, lambda: log.append(sim.now))
+        sim.schedule(1.0, log.append, "after the last join")
+        sim.schedule(1.5, sim.schedule, 0.5, log.append, "after the re-arm")
+        sim.run(until=2.0)
+        assert log == [1.0, 1.0, "after the last join",
+                       "before the first join", 2.0, 2.0, "after the re-arm"]

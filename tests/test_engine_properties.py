@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulator.engine import Simulator, Timer
+from repro.topology import build_constellation, ring_topology
 from repro.transport.clock import AsyncioClock
 
+from .periodic_reference import ReferencePeriodic, round_entries
 from .timer_reference import ReferenceTimer, timer_entries
 
 
@@ -244,3 +248,223 @@ class TestTimerAgainstReference:
         assert log == want_log
         assert sequence == want_sequence
         assert events <= want_events
+
+
+# -- rounds against one self-restarting timer per callback -------------------
+
+MEMBERS = 4
+# Halves are exact in binary, so instants and deadlines collide for real:
+# equal keys share a round, and same-instant order is what is compared.
+INSTANTS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+INTERVALS = [0.5, 1.0, 2.0]
+HORIZON = 8.0
+
+# (instant, late, action, member, interval or delay).  A *late* op goes
+# through a zero-delay hop, so it runs behind whatever was already queued
+# for its instant — after the rounds due then have fired and re-armed.
+_round_op = st.tuples(
+    st.sampled_from(INSTANTS), st.booleans(), st.sampled_from(["join", "cancel"]),
+    st.integers(0, MEMBERS - 1), st.sampled_from(INTERVALS),
+)
+_round_plain = st.tuples(
+    st.sampled_from(INSTANTS), st.just(False), st.just("plain"), st.none(),
+    st.sampled_from(INTERVALS),
+)
+_round_histories = st.lists(st.one_of(_round_op, _round_plain), max_size=30)
+
+
+def _scripts(actions):
+    """Per member, what its callback does on each of its first firings."""
+    return st.lists(st.lists(actions, max_size=3),
+                    min_size=MEMBERS, max_size=MEMBERS)
+
+
+# What a callback may do where the order inside an instant is compared
+# exactly: cancel itself, a later member of the firing round or any
+# other, and join a member on an interval other than its own ...
+_exact_scripts = _scripts(st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("cancel"), st.integers(0, MEMBERS - 1)),
+    st.tuples(st.just("join-other-interval"), st.integers(0, MEMBERS - 1),
+              st.integers(1, len(INTERVALS) - 1)),
+))
+# ... and where only the instants are: what touches nobody but itself,
+# pushes and re-joins on its own interval included.
+_self_scripts = _scripts(st.one_of(
+    st.just(("none",)),
+    st.just(("cancel-self",)),
+    st.tuples(st.just("rejoin-self"), st.sampled_from(INTERVALS)),
+    st.tuples(st.just("plain"), st.sampled_from(INTERVALS)),
+))
+
+
+def _des_until(step):
+    sim = Simulator()
+    return sim, lambda: sim.run(until=HORIZON)
+
+
+def _pumped_until(step):
+    loop = _StubLoop()
+    clock = AsyncioClock(loop)
+
+    def drain():
+        while loop.now < HORIZON:
+            loop.now += step  # 2.5: every round is pumped late, some twice over
+            clock.kick()
+
+    return clock, drain
+
+
+def _play_rounds(make_clock, reference, history, scripts, step):
+    """Run *history*; the ``(now, who)`` log and ``event_count``."""
+    clock, drain = make_clock(step)
+    log = []
+    scripts = [list(script) for script in scripts]
+    handles = [None] * MEMBERS
+    intervals = [None] * MEMBERS
+
+    def check_one_entry_per_round():
+        if reference:
+            return
+        entries = round_entries(clock)
+        assert len(entries) == len(clock._rounds)
+        for when, _, fire, _ in entries:
+            armed = fire.__self__
+            assert armed.key[0] == when and clock._rounds[armed.key] is armed
+
+    def cancel(index):
+        if handles[index] is not None:
+            handles[index].cancel()
+            handles[index] = None
+
+    def join(index, interval):
+        cancel(index)  # on a running member this is stop(); start()
+        intervals[index] = interval
+        callback = partial(fired, index)
+        handles[index] = (ReferencePeriodic(clock, interval, callback) if reference
+                          else clock.every(interval, callback))
+
+    def plain(tag, delay):
+        clock.schedule(delay, lambda: log.append((clock.now, tag)))
+
+    def fired(index):
+        log.append((clock.now, f"member{index}"))
+        action = scripts[index].pop(0) if scripts[index] else ("none",)
+        if action[0] == "cancel":
+            cancel(action[1])
+        elif action[0] == "join-other-interval":
+            own = INTERVALS.index(intervals[index])
+            join(action[1], INTERVALS[(own + action[2]) % len(INTERVALS)])
+        elif action[0] == "cancel-self":
+            cancel(index)
+        elif action[0] == "rejoin-self":
+            join(index, action[1])
+        elif action[0] == "plain":
+            plain(f"pushed-by-member{index}", action[1])
+
+    def apply(number, action, index, value):
+        if action == "plain":
+            plain(f"plain{number}", value)
+        elif action == "join":
+            join(index, value)
+        else:
+            cancel(index)
+        check_one_entry_per_round()
+
+    for number, (at, late, action, index, value) in enumerate(history):
+        if late:
+            clock.schedule(at, clock.schedule, 0.0, apply, number, action, index, value)
+        else:
+            clock.schedule(at, apply, number, action, index, value)
+    drain()
+    check_one_entry_per_round()
+    return log, clock.event_count
+
+
+class TestRoundsAgainstReference:
+    @pytest.mark.parametrize("make_clock", [_des_until, _pumped_until])
+    @settings(max_examples=300, deadline=None)
+    @given(history=_round_histories, scripts=_exact_scripts,
+           step=st.sampled_from([0.5, 1.0, 2.5]))
+    def test_same_callbacks_in_the_same_order(self, make_clock, history,
+                                              scripts, step):
+        """Join at equal and at different instants and intervals, cancel
+        from outside, from inside one's own callback and of a later
+        member of the firing round, stop(); start() at one instant, join
+        during a firing, a round re-arming onto another's key: the same
+        ``(now, who)`` log as one self-restarting timer per callback,
+        plain events at the rounds' instants included, one heap entry a
+        round throughout — and nothing popped the reference did not pop.
+
+        Exact, because nothing here takes a number *between* two members
+        of a round: each instant's plain pushes are made before its
+        joins, and a callback joins nobody to its own interval."""
+        history = sorted(history, key=lambda op: op[2] != "plain")
+        log, events = _play_rounds(make_clock, False, history, scripts, step)
+        want_log, want_events = _play_rounds(make_clock, True, history, scripts, step)
+        assert log == want_log
+        assert events <= want_events
+
+    @pytest.mark.parametrize("make_clock", [_des_until, _pumped_until])
+    @settings(max_examples=300, deadline=None)
+    @given(history=_round_histories, scripts=_self_scripts,
+           step=st.sampled_from([0.5, 1.0, 2.5]))
+    def test_same_callbacks_at_the_same_instants(self, make_clock, history,
+                                                 scripts, step):
+        """Pushes and re-joins from inside a member's callback, pushes
+        between two joins: an entry can now take a number between two
+        members, so it runs on one side of the whole round — every
+        callback still at the reference's instant, bit for bit."""
+        log, events = _play_rounds(make_clock, False, history, scripts, step)
+        want_log, want_events = _play_rounds(make_clock, True, history, scripts, step)
+        assert sorted(log) == sorted(want_log)
+        assert [now for now, _ in log] == [now for now, _ in want_log]
+        assert events <= want_events
+
+
+class TestCheckpointRounds:
+    """What ``LamsReceiver`` holds in the heap for its periodic Check-Point."""
+
+    @staticmethod
+    def ring():
+        constellation = build_constellation(ring_topology(6), master_seed=7)
+        receivers = [endpoint.receiver for runtime in constellation.links.values()
+                     for endpoint in (runtime.endpoint_a, runtime.endpoint_b)]
+        return constellation.sim, receivers
+
+    def test_twelve_receivers_started_together_hold_one_entry(self):
+        sim, receivers = self.ring()
+        interval = receivers[0].config.checkpoint_interval
+        assert len(receivers) == 12
+        (entry,) = round_entries(sim)
+        assert entry[0] == interval and len(entry[2].__self__.members) == 12
+        before = sim.event_count
+        sim.run(until=10.5 * interval)
+        (entry,) = round_entries(sim)
+        assert len(entry[2].__self__.members) == 12
+        assert [receiver.checkpoints_sent for receiver in receivers] == [10] * 12
+        # Ten firings of the one entry (it was ten of each of twelve),
+        # and the 120 checkpoints' two channel events apiece.
+        assert sim.event_count - before == 10 + 2 * 120
+
+    def test_a_receiver_restarted_mid_interval_gets_its_own(self):
+        sim, receivers = self.ring()
+        interval = receivers[0].config.checkpoint_interval
+        sim.run(until=2.5 * interval)
+        receivers[5].stop()
+        receivers[5].start()
+        shared, own = sorted(round_entries(sim))
+        assert (shared[0], own[0]) == (3 * interval, 2.5 * interval + interval)
+        assert len(own[2].__self__.members) == 1
+        sim.run(until=4.25 * interval)
+        # The shared round dropped the cancelled member when it fired.
+        shared, own = sorted(round_entries(sim), key=lambda entry: -len(
+            entry[2].__self__.members))
+        assert len(shared[2].__self__.members) == 11
+        assert len(own[2].__self__.members) == 1
+        assert [r.checkpoints_sent for r in receivers] == [4] * 5 + [3] + [4] * 6
+        # Stopped for good: its round of one lapses, the entry is gone.
+        receivers[5].stop()
+        sim.run(until=5.25 * interval)
+        assert len(round_entries(sim)) == 1
+        assert receivers[5].checkpoints_sent == 3

@@ -112,6 +112,53 @@ class TestGenerators:
         sim.run(until=1.0)
         assert source.offered == 25
 
+    @staticmethod
+    def _restart(source):
+        source.stop()
+        source.start()
+
+    def test_constant_rate_restart_inside_an_interval_is_one_chain(self):
+        """stop(); start() while an emission is pending: the pending one
+        is void.  Two chains ran before — 2012 packets here, not 1012."""
+        sim = Simulator()
+        target = Collector()
+        source = ConstantRateSource(sim, target, rate=1000.0)
+        source.start()
+        sim.schedule(0.0105, self._restart, source)
+        sim.run(until=1.0108)
+        # 11 emissions at 0 … 10 ms, then 1001 at 10.5 … 1010.5 ms.
+        assert len(target.packets) == 1012
+        times = [packet[2] for packet in target.packets]
+        assert times == sorted(times) and len(set(times)) == len(times)
+
+    def test_saturated_restart_inside_an_interval_is_one_chain(self):
+        sim = Simulator()
+        polls = []
+        source = SaturatedSource(
+            sim, Collector(), backlog_fn=lambda: polls.append(sim.now) or 10**9,
+            poll_interval=0.001,
+        )
+        source.start()
+        sim.schedule(0.0105, self._restart, source)
+        sim.schedule(0.0107, source.start)  # a second start without a stop
+        sim.run(until=1.0109)
+        # 11 polls at 0 … 10 ms, the restart's, then 1001 at 10.7 … 1010.7 ms.
+        assert len(polls) == 11 + 1 + 1001
+        assert len(set(polls)) == len(polls)
+
+    def test_saturated_source_rearms_through_the_instance_attribute(self):
+        """``bench/workloads.py`` shadows ``source._tick`` on the instance
+        to time the source: every tick armed after that goes through it."""
+        sim = Simulator()
+        source = SaturatedSource(sim, Collector(), backlog_fn=lambda: 0,
+                                 poll_interval=0.01)
+        source.start()
+        seen = []
+        inner = source._tick
+        source._tick = lambda *args: seen.append(sim.now) or inner(*args)
+        sim.run(until=0.055)
+        assert seen == pytest.approx([0.02, 0.03, 0.04, 0.05])
+
     def test_invalid_parameters(self):
         sim = Simulator()
         target = Collector()
