@@ -107,8 +107,8 @@ constellation-smoke:
 	assert all(row['deterministic'] in (None, True) for row in result.rows), result.rows; \
 	scale = result.rows[-1]; \
 	assert scale['cell'] == 'ring-12', scale; \
-	assert scale['events'] <= 2.6 * scale['frames_sent'], scale; \
-	assert scale['peak_heap'] <= 13 * scale['links'], scale; \
+	assert scale['events'] <= 0.9 * scale['frames_sent'], scale; \
+	assert scale['peak_heap'] <= 7 * scale['links'], scale; \
 	rounds = sorted(len(armed.members) for armed in cells[-1].sim._rounds.values()); \
 	assert rounds[-1] == 2 * scale['links'], rounds; \
 	routing = [(sum(layer.tables_built for layer in cell.layers.values()), \

@@ -2,7 +2,8 @@
 
 This module is a small, dependency-free discrete-event simulator: a
 :class:`Simulator` owns a clock and an event heap, plain callbacks are
-scheduled at absolute or relative times, a :class:`Timer` is a callback
+scheduled at absolute or relative times (:meth:`Simulator.push` is the
+hot paths' absolute-time push), a :class:`Timer` is a callback
 that can be re-armed and cancelled, and :meth:`Simulator.every` runs a
 callback once an interval.  Callbacks, timers and periodic callbacks are
 the whole programming model, as in the paper: LAMS-DLC is specified as
@@ -44,31 +45,50 @@ inner loop trades a little elegance for speed:
   heap entry, their *round* (:meth:`Simulator.every`): a thousand idle
   receivers checkpointing in step are one pop and one push per ``W_cp``
   instead of a thousand.  A round is an ordinary entry too.
+- Pushes made back to back for one instant share ONE heap entry too, a
+  *batch* (:meth:`Simulator.push`, the push rule): the thousand
+  checkpoints that round sends leave their idle transmitters as one
+  plain ``_complete`` entry and one batch, and land as one ``_deliver``
+  entry and one batch, instead of a thousand of each.  A batch is a
+  plain list of callbacks and argument tuples inside an ordinary entry
+  whose callback, the runner, is bound once per simulator — never an
+  object that refers to itself, or every batch is the cyclic
+  collector's to free.
 - Whoever pushes an entry per frame or per restart puts an object bound
-  once into it (``Timer._on_surface``, ``_Round.fire``, and the
-  channel's and receiver's ``self._x = self._x`` lines), not a bound
-  method made for that push: the tuple is then the only allocation, and
-  the only thing the cyclic collector gains to track, per entry.
+  once into it (``Timer._on_surface``, ``_Round.fire``, the batch
+  runner, and the channel's and receiver's ``self._x = self._x``
+  lines), not a bound method made for that push: the tuple is then the
+  only allocation, and the only thing the cyclic collector gains to
+  track, per entry.
 
 The scheduling contract
 -----------------------
 :class:`Simulator`'s public surface — a monotone ``now``, ``schedule`` /
-``schedule_at``, ``timer()`` and ``every()`` — is what a protocol half
-needs from its event source, whether "now" is simulated or wall time.
-Beneath it, the hot paths in :mod:`repro.core.receiver` and
-:mod:`repro.simulator.link` inline ``heappush(clock._heap, (when,
-clock._sequence, callback, args))`` instead of calling ``schedule``; the
-heap list and the ``_sequence`` counter are therefore part of the
-scheduling ABI, not private detail.  So is what a loop owes an entry it
-pops: call ``entry[2](*entry[3])`` and nothing else.  A :class:`Timer`
-is such an entry — its carrier names ``Timer._surfaced``, the one rule
-for "a timer entry reached the top" (fire, re-push at the reserved
-``(deadline, sequence)``, or lapse), which every loop therefore shares
-by calling it.  A round is another: its entry names ``_Round._fire``,
-which runs the members and pushes the next entry itself, so no loop
-knows of rounds and a clock pumped late re-arms them from its own
-``now`` exactly as it did a timer restarted from inside its callback.
-A clock that is not this engine shares that ABI by subclassing
+``schedule_at``, ``push``, ``timer()`` and ``every()`` — is what a
+protocol half needs from its event source, whether "now" is simulated
+or wall time.  Beneath it, the hot paths in :mod:`repro.core.receiver`
+and :mod:`repro.simulator.link` inline ``heappush(clock._heap, (when,
+clock._sequence, callback, args))`` instead of calling ``schedule``
+(the idle channel's send and a run of one's delivery call ``push``);
+the heap list and the ``_sequence`` counter are therefore part of the
+scheduling ABI, not private detail.  Every such push takes a sequence
+number, which is what closes an open batch of ``push``: that is why the
+inlined sites need not know of batches.  What a loop owes an entry it
+pops is part of the ABI too: call ``entry[2](*entry[3])`` and nothing
+else.  A :class:`Timer` is such an entry — its carrier names
+``Timer._surfaced``, the one rule for "a timer entry reached the top"
+(fire, re-push at the reserved ``(deadline, sequence)``, or lapse),
+which every loop therefore shares by calling it.  A round is another:
+its entry names ``_Round._fire``, which runs the members and pushes the
+next entry itself, so no loop knows of rounds and a clock pumped late
+re-arms them from its own ``now`` exactly as it did a timer restarted
+from inside its callback.  A batch is a third: its entry names the
+simulator's runner,
+which runs the members in push order.  After a ``stop()`` or an
+exception leaving a member, a round and a batch alike put the members
+not yet run back at the entry's own ``(time, sequence)``, so what runs
+next is what would have run next with an entry per member.  A clock
+that is not this engine shares that ABI by subclassing
 :class:`Simulator` (as :class:`repro.transport.clock.AsyncioClock` does)
 rather than re-implementing the surface methods.
 
@@ -218,13 +238,17 @@ class Periodic:
 class _Round:
     """The periodic callbacks that share one ``(next deadline, interval)``.
 
-    A round owns one heap entry, armed at ``sim._rounds[key]``'s key.
-    When the entry surfaces, :meth:`_fire` runs the live members in the
-    order they joined and re-arms once at ``now + interval`` — or, if a
-    round is already armed there, hands its members to that round.
+    A round owns one heap entry, armed at ``sim._rounds[key]``'s key
+    with sequence number ``sequence``.  When the entry surfaces,
+    :meth:`_fire` runs the live members in the order they joined and
+    re-arms once at ``now + interval`` — or, if a round is already armed
+    there, hands its members to that round.  A ``stop()`` or an
+    exception leaving a member puts the members not yet run back at the
+    entry's own ``(deadline, sequence)``; the round re-arms after its
+    last member has run.
     """
 
-    __slots__ = ("sim", "key", "members", "fire")
+    __slots__ = ("sim", "key", "sequence", "members", "fire")
 
     def __init__(self, sim: "Simulator", key: tuple[float, float],
                  member: Periodic) -> None:
@@ -233,31 +257,61 @@ class _Round:
         self.members = [member]
         # Bound once: the object every entry of this round carries.
         self.fire = self._fire
+        self._arm()
 
-    def _fire(self) -> None:
+    def _arm(self) -> None:
         sim = self.sim
-        rounds = sim._rounds
-        del rounds[self.key]  # joins from here on are for the next instant
+        sim._sequence = self.sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (self.key[0], sequence, self.fire, ()))
+
+    def _fire(self, first: int = 0) -> None:
+        """Run the members from index *first* (0: the entry surfaced)."""
+        sim = self.sim
+        if not first:
+            del sim._rounds[self.key]  # joins from here on are for the next instant
         members = self.members
-        cancelled = False
-        for member in members:
-            callback = member.callback
-            if callback is not None:
-                callback()
-            if member.callback is None:  # before this firing, or just now
-                cancelled = True
+        last = len(members) - 1
+        # A later leg cannot know what an earlier one saw cancelled.
+        cancelled = first > 0
+        try:
+            for index in range(first, last + 1):
+                member = members[index]
+                callback = member.callback
+                if callback is not None:
+                    callback()
+                if member.callback is None:  # before this firing, or just now
+                    cancelled = True
+                if sim._stopped and index < last:
+                    self._pend(index + 1)
+                    return
+        except BaseException:
+            # As a timer whose callback raised: not run again.
+            members[index].callback = None
+            if index < last:
+                self._pend(index + 1)
+            else:
+                self._rearm(True)
+            raise
+        self._rearm(cancelled)
+
+    def _pend(self, first: int) -> None:
+        """Leave the members from *first* on due at this entry's own
+        ``(deadline, sequence)``, for the next run to start with."""
+        heappush(self.sim._heap, (self.key[0], self.sequence, self.fire, (first,)))
+
+    def _rearm(self, cancelled: bool) -> None:
+        members = self.members
         if cancelled:
             members[:] = [member for member in members
                           if member.callback is not None]
             if not members:
                 return
+        sim = self.sim
         interval = self.key[1]
-        deadline = sim.now + interval
-        self.key = key = (deadline, interval)
-        armed = rounds.setdefault(key, self)
+        self.key = key = (sim.now + interval, interval)
+        armed = sim._rounds.setdefault(key, self)
         if armed is self:
-            sim._sequence = sequence = sim._sequence + 1
-            heappush(sim._heap, (deadline, sequence, self.fire, ()))
+            self._arm()
         else:
             armed.members.extend(members)  # behind those it already has
 
@@ -278,6 +332,13 @@ class Simulator:
         self.event_count = 0
         # Armed rounds by (next deadline, interval); see every().
         self._rounds: dict[tuple[float, float], _Round] = {}
+        # The tail of push(): time and sequence number of its latest
+        # entry, and that entry's call list if it is a batch still open.
+        self._tail_time = 0.0
+        self._tail_sequence = -1
+        self._tail_calls: Optional[list] = None
+        # Bound once: the object every batch entry carries.
+        self._joined = self._run_joined
 
     # -- scheduling ------------------------------------------------------
 
@@ -300,6 +361,69 @@ class Simulator:
         self._sequence = sequence = self._sequence + 1
         _push(self._heap, (when, sequence, callback, args))
 
+    def push(self, when: float, callback: Callable, args: tuple,
+             _push=heappush) -> None:
+        """Run ``callback(*args)`` at absolute time *when* (not checked
+        against ``now``), sharing a heap entry with the pushes before it
+        where the push rule allows.
+
+        The push rule.  A push for the same instant as the previous
+        push made here, with no sequence number taken in between, joins
+        it instead of taking an entry of its own: the first push for an
+        instant is a plain entry, the second opens a *batch* — one entry
+        ``(when, next sequence, runner, (calls, when, sequence))`` whose
+        list ``calls`` holds callback, args, callback, args, … — and
+        later ones append to it.  The batch closes when anything takes a
+        sequence number (any other push, a :class:`Timer` start, a round
+        re-arming) and when it starts to run.
+
+        Why the order is exact: the members would have taken consecutive
+        sequence numbers at one instant, so no entry could run between
+        them; entries pushed while the batch runs would have come after
+        them either way.  Every entry is dispatched at the ``(time,
+        sequence)`` rank it had with a push per call — only the numbers
+        after a batch are fewer.  A ``stop()`` from inside a member, or
+        an exception leaving one, leaves the members not yet run due at
+        the batch's own ``(when, sequence)``.
+        """
+        sequence = self._sequence
+        if sequence == self._tail_sequence and when == self._tail_time:
+            calls = self._tail_calls
+            if calls is not None:
+                calls.append(callback)
+                calls.append(args)
+                return
+            self._tail_calls = calls = [callback, args]
+            self._sequence = self._tail_sequence = sequence = sequence + 1
+            _push(self._heap, (when, sequence, self._joined, (calls, when, sequence)))
+            return
+        self._sequence = self._tail_sequence = sequence = sequence + 1
+        self._tail_time = when
+        self._tail_calls = None
+        _push(self._heap, (when, sequence, callback, args))
+
+    def _run_joined(self, calls: list, when: float, sequence: int) -> None:
+        """Run a batch of :meth:`push`: its members, in push order."""
+        if calls is self._tail_calls:
+            self._tail_calls = None  # closed: later pushes start afresh
+        # Popped from the end, each member is let go as it runs, as its
+        # own entry would have been: a thousand frames a batch carries
+        # then do not stay alive, and counted by the collector, until
+        # the last has run.
+        calls.reverse()
+        pop = calls.pop
+        try:
+            while calls:
+                callback = pop()
+                callback(*pop())
+                if self._stopped:
+                    break
+        finally:
+            if calls:
+                calls.reverse()
+                heappush(self._heap, (when, sequence, self._joined,
+                                      (calls, when, sequence)))
+
     def timer(self, callback: Callable[[], None]) -> Timer:
         """A restartable :class:`Timer` invoking *callback* on expiry."""
         return Timer(self, callback)
@@ -316,9 +440,7 @@ class Simulator:
         between them: a thousand receivers started together cost one
         pop and one push per interval, not a thousand.  A callback
         joining at any other instant is a round of one, which is one
-        event per interval as the timer was.  An exception leaving a
-        callback ends its round (a timer whose callback raised was not
-        restarted either); a run is not expected to survive one.
+        event per interval as the timer was.
 
         The ordering rule.  A round runs its live members in the order
         they joined it, all at its entry's ``(deadline, sequence)``, and
@@ -339,6 +461,13 @@ class Simulator:
         a frame time and a propagation delay away, never a whole
         interval, so nothing in the bench, E24, the soak or tier-1 is
         such an entry.
+
+        A ``stop()`` from inside a member, or an exception leaving one,
+        ends the dispatch there as it ended the timers': the members not
+        yet run stay due at the round's own ``(deadline, sequence)``, so
+        the next :meth:`run` starts with them, and the round re-arms
+        once its last member has run.  A member whose callback raised is
+        dropped (a timer whose callback raised was not restarted).
         """
         if not interval > 0:
             raise ValueError(f"period must be positive, got {interval!r}")
@@ -347,9 +476,7 @@ class Simulator:
         key = (deadline, interval)
         armed = self._rounds.get(key)
         if armed is None:
-            self._rounds[key] = armed = _Round(self, key, member)
-            self._sequence = sequence = self._sequence + 1
-            heappush(self._heap, (deadline, sequence, armed.fire, ()))
+            self._rounds[key] = _Round(self, key, member)
         else:
             armed.members.append(member)
         return member
@@ -357,7 +484,8 @@ class Simulator:
     # -- running ----------------------------------------------------------
 
     def stop(self) -> None:
-        """Halt :meth:`run` after the current callback returns."""
+        """Halt :meth:`run` after the current callback returns (a member
+        of a batch or round too: the rest stay due for the next run)."""
         self._stopped = True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -368,6 +496,7 @@ class Simulator:
         until:
             Stop once the clock would pass this time; the clock is then
             advanced exactly to *until* (events at ``t == until`` run).
+            A run ended by :meth:`stop` leaves it at the stopping event.
         max_events:
             Safety valve for runaway simulations.
 
@@ -399,7 +528,7 @@ class Simulator:
                     )
         finally:
             self.event_count += processed
-        if bounded and self.now < until:
+        if bounded and self.now < until and not self._stopped:
             self.now = until
         return self.now
 

@@ -172,14 +172,14 @@ class SimplexChannel:
             self._queue.append(frame)
             return
         # Idle channel: a run of one, inlined (_start_next without the
-        # queue round-trip — this is the per-frame common case).
+        # queue round-trip — this is the per-frame common case).  Idle
+        # channels sending at one instant share its heap entry.
         self._transmitting = True
         sim = self.sim
         self._run = frame
         start = sim.now
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (start + frame.size_bits / self.bit_rate, sequence,
-                             self._complete, (frame, start)))
+        sim.push(start + frame.size_bits / self.bit_rate, self._complete,
+                 (frame, start))
 
     def transmission_time(self, frame: Transmittable) -> float:
         """Seconds the transmitter is occupied serializing *frame*."""
@@ -323,8 +323,7 @@ class SimplexChannel:
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
-            sim._sequence = sequence = sim._sequence + 1
-            heappush(sim._heap, (arrival, sequence, self._deliver, (first, corrupted)))
+            sim.push(arrival, self._deliver, (first, corrupted))
             return
         starts = []
         sizes = []

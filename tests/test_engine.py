@@ -163,6 +163,20 @@ class TestScheduling:
         assert sim.now == 3.0
         assert sim.event_count == 3
 
+    def test_a_stopped_bounded_run_leaves_the_clock_at_the_stop(self):
+        """``run(until=u)`` ended by ``stop()`` is not a run to *u*: the
+        clock stays at the stopping event, so the next run's events do
+        not take it backwards."""
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, lambda: seen.append(sim.now))
+        assert sim.run(until=10.0) == 1.0
+        assert sim.now == 1.0
+        assert sim.run() == 2.0
+        assert seen == [2.0]
+        assert sim.run(until=10.0) == 10.0  # an unstopped run still reaches u
+
     def test_max_events_accounting(self):
         sim = Simulator()
         for index in range(10):
@@ -477,6 +491,77 @@ class TestEvery:
             assert at[1.0] == ["first", "pushed between joins", "pusher", "last"]
             assert at[2.0] == ["first", "pushed by pusher", "pusher", "last"]
 
+    @pytest.mark.parametrize("periodic", ["every", "reference"])
+    def test_stop_inside_a_member_leaves_the_rest_for_the_next_run(self, sim,
+                                                                   periodic):
+        log = []
+
+        def every(interval, callback):
+            if periodic == "every":
+                return sim.every(interval, callback)
+            return ReferencePeriodic(sim, interval, callback)
+
+        def stopper():
+            log.append((sim.now, "stopper"))
+            sim.stop()
+
+        every(1.0, stopper)
+        every(1.0, lambda: log.append((sim.now, "second")))
+        sim.schedule(1.0, log.append, (1.0, "after the round"))
+        assert sim.run(until=10.0) == 1.0
+        assert log == [(1.0, "stopper")]
+        if periodic == "every":
+            # The rest at the entry's own (time, sequence), not re-armed yet.
+            (pending,) = round_entries(sim)
+            assert pending[0] == 1.0 and sim._rounds == {}
+        assert sim.run(until=1.5) == 1.5
+        assert log == [(1.0, "stopper"), (1.0, "second"), (1.0, "after the round")]
+        assert sim.run(until=2.5) == 2.0
+        assert log[3:] == [(2.0, "stopper")]
+        sim.run(until=2.5)
+        assert log[4:] == [(2.0, "second")]
+
+    @pytest.mark.parametrize("periodic", ["every", "reference"])
+    def test_a_raising_member_is_dropped_and_the_rest_run_next(self, sim,
+                                                               periodic):
+        class Boom(Exception):
+            pass
+
+        log = []
+
+        def every(interval, callback):
+            if periodic == "every":
+                return sim.every(interval, callback)
+            return ReferencePeriodic(sim, interval, callback)
+
+        def bang():
+            log.append((sim.now, "bang"))
+            raise Boom
+
+        for name, callback in (("first", None), ("bang", bang), ("last", None)):
+            every(1.0, callback or (lambda name=name: log.append((sim.now, name))))
+        with pytest.raises(Boom):
+            sim.run(until=3.0)
+        assert log == [(1.0, "first"), (1.0, "bang")] and sim.now == 1.0
+        sim.run(until=3.0)
+        assert log[2:] == [(1.0, "last"), (2.0, "first"), (2.0, "last"),
+                           (3.0, "first"), (3.0, "last")]
+
+    def test_a_raising_last_member_still_re_arms_the_others(self, sim):
+        log = []
+
+        def bang():
+            raise KeyError("bang")
+
+        sim.every(1.0, lambda: log.append(sim.now))
+        sim.every(1.0, bang)
+        with pytest.raises(KeyError):
+            sim.run(until=3.0)
+        sim.run(until=3.0)
+        assert log == [1.0, 2.0, 3.0]
+        (entry,) = round_entries(sim)
+        assert len(entry[2].__self__.members) == 1
+
     def test_entries_pushed_outside_a_firing_keep_their_side(self, sim):
         """Before the round's number was taken: ahead of it.  After: behind."""
         log = []
@@ -488,3 +573,97 @@ class TestEvery:
         sim.run(until=2.0)
         assert log == [1.0, 1.0, "after the last join",
                        "before the first join", 2.0, 2.0, "after the re-arm"]
+
+
+class TestPush:
+    """``Simulator.push``: back-to-back pushes for one instant share an entry."""
+
+    @staticmethod
+    def batches(sim):
+        return [entry for entry in sim._heap if entry[2] is sim._joined]
+
+    def test_one_push_is_a_plain_entry(self, sim):
+        sim.push(1.0, print, ("x",))
+        assert sim._heap == [(1.0, 1, print, ("x",))]
+
+    def test_later_pushes_for_the_instant_join_one_batch(self, sim):
+        log = []
+        for name in "abcd":
+            sim.push(1.0, log.append, (name,))
+        assert len(sim._heap) == 2 and sim._sequence == 2
+        (batch,) = self.batches(sim)
+        assert batch[:2] == (1.0, 2)
+        assert batch[3][0] == [log.append, ("b",), log.append, ("c",),
+                               log.append, ("d",)]
+        sim.run()
+        assert log == list("abcd") and sim.event_count == 2
+
+    def test_anything_taking_a_number_closes_the_tail(self, sim):
+        log = []
+        timer = sim.timer(lambda: log.append("timer"))
+        sim.push(1.0, log.append, ("a",))
+        sim.push(1.0, log.append, ("b",))  # opens a batch
+        sim.schedule_at(1.0, log.append, "plain")
+        sim.push(1.0, log.append, ("c",))
+        sim.push(1.0, log.append, ("d",))  # opens another
+        timer.start(1.0)  # reserves a number (and pushes its carrier)
+        sim.push(1.0, log.append, ("e",))
+        sim.every(1.0, lambda: log.append("round"))  # arms a round
+        sim.push(1.0, log.append, ("f",))
+        sim.push(2.0, log.append, ("later",))  # the tail moves on
+        sim.push(1.0, log.append, ("g",))
+        sim.push(1.0, log.append, ("h",))  # a third
+        assert len(sim._heap) == 12 and len(self.batches(sim)) == 3
+        sim.run(until=1.5)
+        assert log == ["a", "b", "plain", "c", "d", "timer", "e", "round", "f",
+                       "g", "h"]
+
+    def test_a_batch_closes_when_it_runs(self, sim):
+        log = []
+
+        def member(name):
+            log.append(name)
+            if name == "b":  # zero-delay, from inside the batch
+                sim.push(sim.now, log.append, ("pushed by b",))
+                sim.push(sim.now, log.append, ("pushed by b, too",))
+
+        sim.push(1.0, member, ("a",))
+        sim.push(1.0, member, ("b",))
+        sim.push(1.0, member, ("c",))
+        sim.run()
+        assert log == ["a", "b", "c", "pushed by b", "pushed by b, too"]
+
+    def test_stop_leaves_the_rest_due_at_the_batch_rank(self, sim):
+        log = []
+
+        def stopper():
+            log.append("stopper")
+            sim.stop()
+
+        sim.push(1.0, log.append, ("a",))
+        sim.push(1.0, stopper, ())
+        sim.push(1.0, log.append, ("c",))
+        sim.schedule_at(1.0, log.append, "after")
+        assert sim.run(until=5.0) == 1.0
+        assert log == ["a", "stopper"]
+        (batch,) = self.batches(sim)
+        assert batch[:2] == (1.0, 2) and batch[3][0] == [log.append, ("c",)]
+        sim.run()
+        assert log == ["a", "stopper", "c", "after"]
+
+    def test_an_exception_leaves_the_rest_due_at_the_batch_rank(self, sim):
+        log = []
+
+        def bang():
+            raise ValueError("bang")
+
+        sim.push(1.0, log.append, ("a",))
+        sim.push(1.0, bang, ())
+        sim.push(1.0, log.append, ("c",))
+        sim.schedule_at(1.0, log.append, "after")
+        with pytest.raises(ValueError):
+            sim.run()
+        assert log == ["a"] and [entry[:2] for entry in sorted(sim._heap)] == [
+            (1.0, 2), (1.0, 3)]
+        sim.run()
+        assert log == ["a", "c", "after"]

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.engine import Simulator, Timer
+from repro.simulator.engine import Simulator, Timer, _Round
 from repro.topology import build_constellation, ring_topology
 from repro.transport.clock import AsyncioClock
 
 from .periodic_reference import ReferencePeriodic, round_entries
+from .push_reference import pending_calls, reference_push
 from .timer_reference import ReferenceTimer, timer_entries
 
 
@@ -281,12 +282,15 @@ def _scripts(actions):
 
 # What a callback may do where the order inside an instant is compared
 # exactly: cancel itself, a later member of the firing round or any
-# other, and join a member on an interval other than its own ...
+# other, join a member on an interval other than its own, stop() the
+# run or raise ...
 _exact_scripts = _scripts(st.one_of(
     st.just(("none",)),
     st.tuples(st.just("cancel"), st.integers(0, MEMBERS - 1)),
     st.tuples(st.just("join-other-interval"), st.integers(0, MEMBERS - 1),
               st.integers(1, len(INTERVALS) - 1)),
+    st.just(("stop",)),
+    st.just(("raise",)),
 ))
 # ... and where only the instants are: what touches nobody but itself,
 # pushes and re-joins on its own interval included.
@@ -298,19 +302,43 @@ _self_scripts = _scripts(st.one_of(
 ))
 
 
+class Boom(Exception):
+    """What a scripted callback raises."""
+
+
 def _des_until(step):
     sim = Simulator()
-    return sim, lambda: sim.run(until=HORIZON)
+
+    def drain(log):
+        while True:  # a stop() or an exception ends a run: run again
+            try:
+                sim.run(until=HORIZON)
+            except Boom:
+                continue
+            if not sim._stopped:
+                return
+            log.append((sim.now, "stopped"))  # what ran before the stop
+
+    return sim, drain
+
+
+def _kick(clock):
+    while True:  # an exception ends a pump: pump again
+        try:
+            clock.kick()
+            return
+        except Boom:
+            pass
 
 
 def _pumped_until(step):
     loop = _StubLoop()
     clock = AsyncioClock(loop)
 
-    def drain():
+    def drain(log):
         while loop.now < HORIZON:
             loop.now += step  # 2.5: every round is pumped late, some twice over
-            clock.kick()
+            _kick(clock)
 
     return clock, drain
 
@@ -361,6 +389,10 @@ def _play_rounds(make_clock, reference, history, scripts, step):
             join(index, action[1])
         elif action[0] == "plain":
             plain(f"pushed-by-member{index}", action[1])
+        elif action[0] == "stop":
+            clock.stop()
+        elif action[0] == "raise":
+            raise Boom(index)
 
     def apply(number, action, index, value):
         if action == "plain":
@@ -376,7 +408,7 @@ def _play_rounds(make_clock, reference, history, scripts, step):
             clock.schedule(at, clock.schedule, 0.0, apply, number, action, index, value)
         else:
             clock.schedule(at, apply, number, action, index, value)
-    drain()
+    drain(log)
     check_one_entry_per_round()
     return log, clock.event_count
 
@@ -391,7 +423,9 @@ class TestRoundsAgainstReference:
         """Join at equal and at different instants and intervals, cancel
         from outside, from inside one's own callback and of a later
         member of the firing round, stop(); start() at one instant, join
-        during a firing, a round re-arming onto another's key: the same
+        during a firing, a round re-arming onto another's key, a member
+        calling ``sim.stop()`` or raising mid-round and the run (or pump)
+        started again: the same
         ``(now, who)`` log as one self-restarting timer per callback,
         plain events at the rounds' instants included, one heap entry a
         round throughout — and nothing popped the reference did not pop.
@@ -422,6 +456,157 @@ class TestRoundsAgainstReference:
         assert events <= want_events
 
 
+# -- the push rule against a push per call -----------------------------------
+
+# Deltas from 0.0 to 1.0 in halves: pushes from different ops and from
+# inside callbacks land on each other's instants.
+PUSH_INSTANTS = [0.0, 0.5, 1.0, 2.0]
+PUSH_DELAYS = [0.0, 0.5, 1.0]
+PUSH_HORIZON = 5.0
+
+# What a pushed callback does when it runs.  A nested push carries no
+# action of its own, so a history stays finite.
+_push_then = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("push"), st.integers(1, 3), st.sampled_from(PUSH_DELAYS)),
+    st.tuples(st.just("plain"), st.sampled_from(PUSH_DELAYS)),
+    st.tuples(st.just("timer"), st.integers(0, TIMERS - 1),
+              st.sampled_from(PUSH_DELAYS)),
+    st.just(("stop",)),
+    st.just(("raise",)),
+)
+# One step of an op; an op's steps are made back to back from one callback.
+# A push step is a run of pushes for one instant, each with its own action.
+_push_step = st.one_of(
+    st.tuples(st.just("push"), st.sampled_from(PUSH_DELAYS),
+              st.lists(_push_then, min_size=1, max_size=4)),
+    st.tuples(st.just("plain"), st.sampled_from(PUSH_DELAYS)),
+    st.tuples(st.just("timer"), st.integers(0, TIMERS - 1),
+              st.sampled_from(["start", "cancel", "cancel-start"]),
+              st.sampled_from(PUSH_DELAYS)),
+    st.tuples(st.just("every"), st.sampled_from([0.5, 1.0])),
+)
+_push_histories = st.lists(
+    st.tuples(st.sampled_from(PUSH_INSTANTS),
+              st.lists(_push_step, min_size=1, max_size=6)),
+    max_size=10,
+)
+
+
+def _push_des(step):
+    sim = Simulator()
+
+    def drain(log):
+        while True:  # a stop() or an exception ends a run: run again
+            try:
+                sim.run(until=PUSH_HORIZON)
+            except Boom:
+                continue
+            if not sim._stopped:
+                return
+            log.append((sim.now, "stopped"))  # what ran before the stop
+
+    return sim, drain
+
+
+def _push_pumped(step):
+    loop = _StubLoop()
+    clock = AsyncioClock(loop)
+
+    def drain(log):
+        while loop.now < PUSH_HORIZON:
+            loop.now += step  # 1.5: most batches are pumped late
+            _kick(clock)
+
+    return clock, drain
+
+
+def _play_pushes(make_clock, reference, history, step):
+    """Run *history*; the ``(now, who)`` log, what is still pending as
+    ``(time, who)`` in dispatch order, and ``event_count``."""
+    clock, drain = make_clock(step)
+    push = partial(reference_push, clock) if reference else clock.push
+    log = []
+
+    def expired(index):
+        log.append((clock.now, f"timer{index}"))
+
+    timers = [clock.timer(partial(expired, index)) for index in range(TIMERS)]
+
+    def fired(label, then):
+        log.append((clock.now, label))
+        if then[0] == "push":  # zero delay included: from inside a batch
+            for nested in range(then[1]):
+                push(clock.now + then[2], fired, (f"{label}/{nested}", ("none",)))
+        elif then[0] == "plain":
+            clock.schedule(then[1], plain, f"{label}/plain")
+        elif then[0] == "timer":
+            timers[then[1]].start(then[2])
+        elif then[0] == "stop":
+            clock.stop()
+        elif then[0] == "raise":
+            raise Boom(label)
+
+    def plain(label):
+        log.append((clock.now, label))
+
+    def apply(number, steps):
+        for index, (kind, *values) in enumerate(steps):
+            label = f"op{number}.{index}"
+            if kind == "push":
+                delay, thens = values
+                for member, then in enumerate(thens):
+                    push(clock.now + delay, fired, (f"{label}.{member}", then))
+            elif kind == "plain":
+                clock.schedule(values[0], plain, label)
+            elif kind == "timer":
+                timer, action, delay = values
+                if action != "start":
+                    timers[timer].cancel()
+                if action != "cancel":
+                    timers[timer].start(delay)
+            else:
+                clock.every(values[0], partial(plain, label))
+
+    def who(callback, args):
+        if callback in (fired, plain):
+            return args[0]
+        owner = getattr(callback, "__self__", None)
+        if isinstance(owner, _Round):
+            return "round of " + ",".join(member.callback.args[0]
+                                          for member in owner.members)
+        return f"timer{timers.index(owner)}"
+
+    for number, (at, steps) in enumerate(history):
+        clock.schedule(at, apply, number, steps)
+    drain(log)
+    pending = [(when, who(callback, args))
+               for when, callback, args in pending_calls(clock)]
+    return log, pending, clock.event_count
+
+
+class TestPushRuleAgainstReference:
+    @pytest.mark.parametrize("make_clock", [_push_des, _push_pumped])
+    @settings(max_examples=300, deadline=None)
+    @given(history=_push_histories, step=st.sampled_from([0.5, 1.0, 1.5]))
+    def test_same_calls_in_the_same_order(self, make_clock, history, step):
+        """Rule pushes at equal and different instants, back to back and
+        from inside a batch's members (zero delay included), with plain
+        ``schedule`` calls, timer start / restart / cancel and ``every``
+        joins between them, a member calling ``stop()`` or raising and
+        the run (or pump) started again: the same ``(now, who)`` log as
+        one heap entry a push, the same calls pending past the horizon
+        in the same order — and nothing popped the reference did not."""
+        log, pending, events = _play_pushes(make_clock, False, history, step)
+        want_log, want_pending, want_events = _play_pushes(
+            make_clock, True, history, step)
+        times = [now for now, _ in log]
+        assert times == sorted(times)  # a stopped run leaves now where it stopped
+        assert log == want_log
+        assert pending == want_pending
+        assert events <= want_events
+
+
 class TestCheckpointRounds:
     """What ``LamsReceiver`` holds in the heap for its periodic Check-Point."""
 
@@ -443,9 +628,12 @@ class TestCheckpointRounds:
         (entry,) = round_entries(sim)
         assert len(entry[2].__self__.members) == 12
         assert [receiver.checkpoints_sent for receiver in receivers] == [10] * 12
-        # Ten firings of the one entry (it was ten of each of twelve),
-        # and the 120 checkpoints' two channel events apiece.
-        assert sim.event_count - before == 10 + 2 * 120
+        # Ten firings of the one entry (it was ten of each of twelve);
+        # the 120 checkpoints' completions, a plain entry and a batch of
+        # eleven each interval (they were 120 entries); the 84 that have
+        # landed, likewise two entries an interval (84); and 36
+        # surfacings of the senders' timeout carriers.
+        assert sim.event_count - before == 10 + 2 * 10 + 2 * 7 + 36
 
     def test_a_receiver_restarted_mid_interval_gets_its_own(self):
         sim, receivers = self.ring()
@@ -468,3 +656,40 @@ class TestCheckpointRounds:
         sim.run(until=5.25 * interval)
         assert len(round_entries(sim)) == 1
         assert receivers[5].checkpoints_sent == 3
+
+
+class TestIdleChannelEntries:
+    """What an idle constellation's channels hold in the heap per ``W_cp``."""
+
+    def test_twenty_four_idle_receivers_two_entries_of_each_kind(self):
+        """ring-12: each interval's 24 checkpoints leave the transmitters
+        as one plain ``_complete`` entry and one batch of 23 (they were
+        24 entries), and land the same way as ``_deliver`` entries."""
+        constellation = build_constellation(ring_topology(12), master_seed=7)
+        sim = constellation.sim
+        link = next(iter(constellation.links.values()))
+        interval = link.endpoint_a.receiver.config.checkpoint_interval
+        seen = {id(entry): entry for entry in sim._heap}  # held: ids stay unique
+        entries = {}  # (interval index, kind) -> heap entries pushed
+        members = {}  # (interval index, kind) -> calls they carry
+        while sim.peek() <= 10 * interval:
+            # One instant at a time: a channel entry is never due at the
+            # instant it is pushed, so each shows up in the heap after it.
+            sim.run(until=sim.peek())
+            cycle = int(sim.now / interval + 1e-9)
+            for entry in sim._heap:
+                if id(entry) in seen:
+                    continue
+                seen[id(entry)] = entry
+                if entry[2] is sim._joined:
+                    calls = entry[3][0][::2]
+                else:
+                    calls = [entry[2]]
+                kinds = {getattr(call, "__name__", None) for call in calls}
+                if kinds & {"_complete", "_deliver"}:
+                    (kind,) = kinds
+                    entries[cycle, kind] = entries.get((cycle, kind), 0) + 1
+                    members[cycle, kind] = members.get((cycle, kind), 0) + len(calls)
+        assert {cycle for cycle, _ in entries} == set(range(1, 11))
+        assert set(members.values()) == {24}
+        assert max(entries.values()) <= 2
