@@ -109,7 +109,7 @@ constellation-smoke:
 	assert scale['cell'] == 'ring-12', scale; \
 	assert scale['events'] <= 0.9 * scale['frames_sent'], scale; \
 	assert scale['peak_heap'] <= 7 * scale['links'], scale; \
-	rounds = sorted(len(armed.members) for armed in cells[-1].sim._rounds.values()); \
+	rounds = sorted(len(armed.calls) // 2 for armed in cells[-1].sim._rounds.values()); \
 	assert rounds[-1] == 2 * scale['links'], rounds; \
 	routing = [(sum(layer.tables_built for layer in cell.layers.values()), \
 		sum(1 for layer in cell.layers.values() if layer.forwarded), len(cell.layers)) \

@@ -105,8 +105,8 @@ def recommend_config(
     Returns ``(config, rationale)`` where *rationale* records each
     chosen value and the rule that produced it.
     """
-    if bit_rate <= 0 or distance_km <= 0:
-        raise ValueError("bit_rate and distance must be positive")
+    if not (0 < bit_rate < math.inf and 0 < distance_km < math.inf):  # NaN too
+        raise ValueError("bit_rate and distance must be positive and finite")
 
     from ..simulator.link import LIGHT_SPEED_KM_S
 

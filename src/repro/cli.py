@@ -90,7 +90,11 @@ def _scenario_from_args(args: argparse.Namespace) -> LinkScenario:
         value = getattr(args, field)
         if value is not None:
             overrides[field] = value
-    return scenario.with_(**overrides) if overrides else scenario
+    try:
+        return scenario.with_(**overrides) if overrides else scenario
+    except ValueError as error:  # e.g. --distance-km nan
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 # -- shared parent parsers --------------------------------------------------

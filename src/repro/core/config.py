@@ -106,16 +106,19 @@ class LamsDlcConfig:
     in the remaining lifetime ("recoverable link failure")."""
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive")
-        if self.cumulation_depth < 1:
+        # Each test is written so that NaN fails it: NaN compares false.
+        if not 0 < self.checkpoint_interval < math.inf:
+            raise ValueError("checkpoint_interval must be positive and finite, "
+                             f"got {self.checkpoint_interval!r}")
+        if not self.cumulation_depth >= 1:
             raise ValueError("cumulation_depth must be >= 1")
-        if self.iframe_payload_bits <= 0 or self.iframe_overhead_bits < 0:
+        if not (self.iframe_payload_bits > 0 and self.iframe_overhead_bits >= 0):
             raise ValueError("I-frame sizes must be positive")
-        if self.cframe_base_bits <= 0 or self.cframe_per_nak_bits < 0:
+        if not (self.cframe_base_bits > 0 and self.cframe_per_nak_bits >= 0):
             raise ValueError("C-frame sizes must be positive")
-        if self.processing_time < 0:
-            raise ValueError("processing_time cannot be negative")
+        if not 0 <= self.processing_time < math.inf:
+            raise ValueError("processing_time must be non-negative and finite, "
+                             f"got {self.processing_time!r}")
         if not 1 <= self.numbering_bits <= 32:
             raise ValueError("numbering_bits must be in [1, 32]")
         if not 0 < self.rate_decrease_factor < 1:

@@ -21,7 +21,7 @@ guarantees:
 - **session resumption** — teardown reclaims the sender's
   unacknowledged backlog (and flushes the receiver's already-acked
   queue upward) exactly like the DES
-  :class:`~repro.netlayer.session.LinkSessionManager`, and the next
+  :class:`~repro.session.manager.LinkSessionManager`, and the next
   generation replays it, so no checkpoint-acknowledged payload is ever
   lost across a restart;
 - **graceful degradation** — when every attempt is exhausted the

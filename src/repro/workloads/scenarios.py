@@ -21,6 +21,7 @@ preset             rate       distance     I-BER       C-BER
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -82,8 +83,10 @@ class LinkScenario:
     reverse_cframe_ber: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.bit_rate <= 0 or self.distance_km <= 0:
-            raise ValueError("rate and distance must be positive")
+        for name in ("bit_rate", "distance_km", "checkpoint_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     # -- derived ---------------------------------------------------------
 

@@ -18,13 +18,19 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.simulator.engine import Simulator, _Round
+from repro.simulator.engine import Periodic, Simulator
 
 
 def round_entries(sim: Simulator) -> list[tuple]:
-    """The heap entries that belong to rounds of ``sim.every``."""
+    """The heap entries that belong to rounds of ``sim.every``: shared
+    entries whose trailing call re-arms them."""
     return [entry for entry in sim._heap
-            if isinstance(getattr(entry[2], "__self__", None), _Round)]
+            if entry[2] is sim._joined and entry[3][3] is not None]
+
+
+def round_members(entry: tuple) -> list[Periodic]:
+    """The members a round's heap entry runs next, in order."""
+    return [call.__self__ for call in entry[3][0][::2]]
 
 
 class ReferencePeriodic:

@@ -27,7 +27,8 @@ def reference_push(sim: Simulator, when: float, callback: Callable,
 
 def pending_calls(sim: Simulator) -> list[tuple[float, Callable, tuple]]:
     """``(time, callback, args)`` of every call still due, in dispatch
-    order: a batch entry of :meth:`Simulator.push` counts once per member."""
+    order: a shared entry (a batch of :meth:`Simulator.push`, a round of
+    :meth:`Simulator.every`) counts once per call."""
     calls = []
     for entry in sorted(sim._heap):
         when, _, callback, args = entry

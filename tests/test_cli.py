@@ -105,6 +105,18 @@ class TestCommands:
         ]) == 0
         assert "efficiency" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--distance-km", "nan"), ("--bit-rate", "nan"), ("--distance-km", "inf"),
+        ("--checkpoint-interval", "nan"),
+    ])
+    def test_simulate_rejects_a_non_finite_link_parameter(self, flag, value, capsys):
+        """These ran to ``duration nan`` (or a traceback) with exit 0 before."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", "--preset", "nominal", "--frames", "20", flag, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
     def test_orbit_command(self, capsys):
         assert main(["orbit", "--span", "3000", "--step", "10"]) == 0
         out = capsys.readouterr().out

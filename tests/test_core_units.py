@@ -367,3 +367,15 @@ class TestLamsConfig:
             LamsDlcConfig(rate_decrease_factor=1.0)
         with pytest.raises(ValueError):
             LamsDlcConfig(receive_low_watermark=100, receive_high_watermark=10)
+
+    @pytest.mark.parametrize("field, value", [
+        ("checkpoint_interval", float("nan")), ("checkpoint_interval", float("inf")),
+        ("cumulation_depth", float("nan")), ("iframe_payload_bits", float("nan")),
+        ("iframe_overhead_bits", float("nan")), ("cframe_base_bits", float("nan")),
+        ("cframe_per_nak_bits", float("nan")), ("processing_time", float("nan")),
+        ("processing_time", float("inf")),
+    ])
+    def test_non_finite_parameters_rejected(self, field, value):
+        """NaN passed every ``<= 0`` / ``< 0`` test here before."""
+        with pytest.raises(ValueError):
+            LamsDlcConfig(**{field: value})

@@ -6,7 +6,7 @@ import pytest
 
 from repro.simulator.engine import SimulationError, Simulator
 
-from .periodic_reference import ReferencePeriodic, round_entries
+from .periodic_reference import ReferencePeriodic, round_entries, round_members
 from .timer_reference import timer_entries
 
 
@@ -80,6 +80,21 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.schedule(-0.1, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        """A NaN delay used to pass the ``< 0`` test and corrupt the heap
+        order: 1.0 dispatched before 0.5, and the clock went through nan."""
+        sim = Simulator()
+        log = []
+        for delay in (2.0, float("nan"), 1.0, 3.0, 0.5):
+            try:
+                sim.schedule(delay, lambda: log.append(sim.now))
+            except ValueError:
+                log.append("rejected")
+        with pytest.raises(ValueError):
+            sim.schedule_at(float("nan"), lambda: None)
+        sim.run()
+        assert log == ["rejected", 0.5, 1.0, 2.0, 3.0]
 
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
@@ -259,6 +274,12 @@ class TestTimer:
         with pytest.raises(ValueError):
             timer.start(-1.0)
 
+    def test_nan_delay_rejected(self, sim):
+        timer = sim.timer(lambda: None)
+        with pytest.raises(ValueError):
+            timer.start(float("nan"))
+        assert not timer.running and sim._heap == []
+
 
 class TestTimerCompaction:
     """Restart/cancel churn cannot grow the heap: a timer keeps one
@@ -412,7 +433,7 @@ class TestEvery:
         assert log == [(1.0, "a"), (1.0, "b"), (1.0, "c"),
                        (2.0, "b"), (3.0, "b")]
         (entry,) = sim._heap
-        assert [m.callback is not None for m in entry[2].__self__.members] == [True]
+        assert [m.callback is not None for m in round_members(entry)] == [True]
 
     def test_stop_start_at_one_instant_runs_once(self, sim):
         log = []
@@ -513,7 +534,8 @@ class TestEvery:
         if periodic == "every":
             # The rest at the entry's own (time, sequence), not re-armed yet.
             (pending,) = round_entries(sim)
-            assert pending[0] == 1.0 and sim._rounds == {}
+            assert pending[0] == 1.0 and list(sim._rounds) == [(1.0, 1.0)]
+            assert len(round_members(pending)) == 1  # "second", not yet run
         assert sim.run(until=1.5) == 1.5
         assert log == [(1.0, "stopper"), (1.0, "second"), (1.0, "after the round")]
         assert sim.run(until=2.5) == 2.0
@@ -560,7 +582,7 @@ class TestEvery:
         sim.run(until=3.0)
         assert log == [1.0, 2.0, 3.0]
         (entry,) = round_entries(sim)
-        assert len(entry[2].__self__.members) == 1
+        assert len(round_members(entry)) == 1
 
     def test_entries_pushed_outside_a_firing_keep_their_side(self, sim):
         """Before the round's number was taken: ahead of it.  After: behind."""
@@ -580,7 +602,8 @@ class TestPush:
 
     @staticmethod
     def batches(sim):
-        return [entry for entry in sim._heap if entry[2] is sim._joined]
+        return [entry for entry in sim._heap
+                if entry[2] is sim._joined and entry[3][3] is None]
 
     def test_one_push_is_a_plain_entry(self, sim):
         sim.push(1.0, print, ("x",))

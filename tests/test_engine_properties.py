@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.engine import Simulator, Timer, _Round
+from repro.simulator.engine import Periodic, Simulator, Timer
 from repro.topology import build_constellation, ring_topology
 from repro.transport.clock import AsyncioClock
 
-from .periodic_reference import ReferencePeriodic, round_entries
+from .periodic_reference import ReferencePeriodic, round_entries, round_members
 from .push_reference import pending_calls, reference_push
 from .timer_reference import ReferenceTimer, timer_entries
 
@@ -356,8 +356,8 @@ def _play_rounds(make_clock, reference, history, scripts, step):
             return
         entries = round_entries(clock)
         assert len(entries) == len(clock._rounds)
-        for when, _, fire, _ in entries:
-            armed = fire.__self__
+        for when, _, _, args in entries:
+            armed = args[3].__self__  # the round whose re-arm the entry trails
             assert armed.key[0] == when and clock._rounds[armed.key] is armed
 
     def cancel(index):
@@ -572,9 +572,8 @@ def _play_pushes(make_clock, reference, history, step):
         if callback in (fired, plain):
             return args[0]
         owner = getattr(callback, "__self__", None)
-        if isinstance(owner, _Round):
-            return "round of " + ",".join(member.callback.args[0]
-                                          for member in owner.members)
+        if isinstance(owner, Periodic):
+            return "member " + owner.callback.args[0]
         return f"timer{timers.index(owner)}"
 
     for number, (at, steps) in enumerate(history):
@@ -607,6 +606,131 @@ class TestPushRuleAgainstReference:
         assert events <= want_events
 
 
+# -- rounds and batches in one history, against both references --------------
+
+# Members join on whole intervals and what is pushed lands on halves as
+# well, so rounds and batches share instants.
+MIXED_INTERVALS = [1.0, 2.0]
+
+
+def _mixed_case(exact):
+    """``(exact, history, scripts)``: timed ops, and per member what its
+    callback does on each of its first firings.
+
+    *exact*: no push is a whole interval ahead and no member joins anyone
+    on its own interval, so nothing takes a sequence number between two
+    members of a round, the order is compared exactly, and calls may
+    cancel and join each other.  Otherwise a call touches only itself
+    (push, rejoin or cancel itself, stop, raise, start a member of its
+    own), and only the instants are compared."""
+    delays = [0.0, 0.5, 1.5] if exact else [0.0, 0.5, 1.0, 2.0]
+    nested = st.tuples(st.just("push"), st.sampled_from(delays),
+                       st.lists(st.just(("none",)), min_size=1, max_size=2))
+    join = st.tuples(st.just("join"), st.integers(0, MEMBERS - 1),
+                     st.sampled_from(MIXED_INTERVALS))
+    cancel = st.tuples(st.just("cancel"), st.integers(0, MEMBERS - 1))
+    either = [st.just(("none",)), st.just(("stop",)), st.just(("raise",)), nested]
+    if exact:
+        pushed = member = st.one_of(*either, join, cancel)
+    else:
+        pushed = st.one_of(*either, st.just(("join-new",)))
+        member = st.one_of(*either, st.just(("cancel-self",)),
+                           st.tuples(st.just("rejoin-self"),
+                                     st.sampled_from(MIXED_INTERVALS)))
+    batch = st.tuples(st.just("push"), st.sampled_from(delays),
+                      st.lists(pushed, min_size=1, max_size=3))
+    return st.tuples(
+        st.just(exact),
+        st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                           st.one_of(join, cancel, batch)), max_size=12),
+        st.lists(st.lists(st.one_of(member, batch), max_size=3),
+                 min_size=MEMBERS, max_size=MEMBERS),
+    )
+
+
+def _play_mixed(make_clock, reference, history, scripts, step):
+    """Run *history*; the ``(now, who)`` log and ``event_count``."""
+    clock, drain = make_clock(step)
+    push = partial(reference_push, clock) if reference else clock.push
+    log = []
+    scripts = [list(script) for script in scripts]
+    firings = [0] * MEMBERS
+    handles = {}  # name -> what every() (or the reference) returned
+    intervals = {}
+
+    def note(label):
+        log.append((clock.now, label))
+
+    def cancel(name):
+        if name in handles:
+            handles.pop(name).cancel()
+
+    def join(name, interval, callback):
+        cancel(name)
+        intervals[name] = interval
+        handles[name] = (ReferencePeriodic(clock, interval, callback) if reference
+                         else clock.every(interval, callback))
+
+    def act(label, then, index=None):
+        kind, own = then[0], f"member{index}"
+        if kind == "push":
+            for number, nested in enumerate(then[2]):
+                push(clock.now + then[1], pushed, (f"{label}/{number}", nested))
+        elif kind == "join" and intervals.get(own) != then[2]:  # not onto its own round
+            join(f"member{then[1]}", then[2], partial(fired, then[1]))
+        elif kind == "cancel":
+            cancel(f"member{then[1]}")
+        elif kind == "join-new":
+            join(f"{label}+", 1.0, partial(note, f"{label}+"))
+        elif kind == "cancel-self":
+            cancel(own)
+        elif kind == "rejoin-self":
+            join(own, then[1], partial(fired, index))
+        elif kind == "stop":
+            clock.stop()
+        elif kind == "raise":
+            raise Boom(label)
+
+    def pushed(label, then):
+        note(label)
+        act(label, then)
+
+    def fired(index):
+        note(f"member{index}")
+        firings[index] += 1
+        then = scripts[index].pop(0) if scripts[index] else ("none",)
+        act(f"member{index}.{firings[index]}", then, index)
+
+    for number, (at, op) in enumerate(history):
+        clock.schedule(at, act, f"op{number}", op)
+    drain(log)
+    return log, clock.event_count
+
+
+class TestRoundsAndBatchesAgainstReference:
+    @pytest.mark.parametrize("make_clock", [_des_until, _pumped_until])
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(_mixed_case(True), _mixed_case(False)),
+           step=st.sampled_from([0.5, 1.0, 2.5]))
+    def test_same_calls_at_the_same_instants(self, make_clock, case, step):
+        """Members of ``every`` rounds push same-instant batches, batch
+        members join and cancel rounds, either calls ``stop()`` or
+        raises and the run (or pump) starts again: against
+        ``ReferencePeriodic`` and ``reference_push`` together, the same
+        ``(now, who)`` log where the ordering rule promises the order,
+        every call at the same instant elsewhere — and nothing popped
+        that the references did not pop."""
+        exact, history, scripts = case
+        log, events = _play_mixed(make_clock, False, history, scripts, step)
+        want_log, want_events = _play_mixed(make_clock, True, history, scripts, step)
+        if exact:
+            assert log == want_log
+        else:
+            assert sorted(log) == sorted(want_log)
+            assert [now for now, _ in log] == [now for now, _ in want_log]
+        assert events <= want_events
+
+
 class TestCheckpointRounds:
     """What ``LamsReceiver`` holds in the heap for its periodic Check-Point."""
 
@@ -622,11 +746,11 @@ class TestCheckpointRounds:
         interval = receivers[0].config.checkpoint_interval
         assert len(receivers) == 12
         (entry,) = round_entries(sim)
-        assert entry[0] == interval and len(entry[2].__self__.members) == 12
+        assert entry[0] == interval and len(round_members(entry)) == 12
         before = sim.event_count
         sim.run(until=10.5 * interval)
         (entry,) = round_entries(sim)
-        assert len(entry[2].__self__.members) == 12
+        assert len(round_members(entry)) == 12
         assert [receiver.checkpoints_sent for receiver in receivers] == [10] * 12
         # Ten firings of the one entry (it was ten of each of twelve);
         # the 120 checkpoints' completions, a plain entry and a batch of
@@ -643,13 +767,13 @@ class TestCheckpointRounds:
         receivers[5].start()
         shared, own = sorted(round_entries(sim))
         assert (shared[0], own[0]) == (3 * interval, 2.5 * interval + interval)
-        assert len(own[2].__self__.members) == 1
+        assert len(round_members(own)) == 1
         sim.run(until=4.25 * interval)
         # The shared round dropped the cancelled member when it fired.
         shared, own = sorted(round_entries(sim), key=lambda entry: -len(
-            entry[2].__self__.members))
-        assert len(shared[2].__self__.members) == 11
-        assert len(own[2].__self__.members) == 1
+            round_members(entry)))
+        assert len(round_members(shared)) == 11
+        assert len(round_members(own)) == 1
         assert [r.checkpoints_sent for r in receivers] == [4] * 5 + [3] + [4] * 6
         # Stopped for good: its round of one lapses, the entry is gone.
         receivers[5].stop()

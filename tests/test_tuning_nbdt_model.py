@@ -69,6 +69,17 @@ class TestRecommendConfig:
         )
         assert config.cumulation_depth * config.checkpoint_interval > 0.02
 
+    @pytest.mark.parametrize("link", [
+        dict(bit_rate=float("inf"), distance_km=5000),
+        dict(bit_rate=300e6, distance_km=float("inf")),
+        dict(bit_rate=300e6, distance_km=float("nan")),
+    ])
+    def test_non_finite_link_rejected_by_name(self, link):
+        """These died with ZeroDivisionError / OverflowError / a NaN
+        conversion deep inside the frame-size rule."""
+        with pytest.raises(ValueError, match="bit_rate and distance"):
+            tuning.recommend_config(**link)
+
     def test_overrides_passed(self):
         config, _ = tuning.recommend_config(
             bit_rate=300e6, distance_km=5000, zero_duplication=True

@@ -209,6 +209,13 @@ class TestScenarios:
         scenario = preset("nominal").with_(distance_km=2000.0)
         assert scenario.distance_km == 2000.0
 
+    @pytest.mark.parametrize("field", ["bit_rate", "distance_km", "checkpoint_interval"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_link_parameters_must_be_positive_and_finite(self, field, value):
+        """NaN used to pass ``<= 0`` and run a simulation to ``duration nan``."""
+        with pytest.raises(ValueError, match=field):
+            preset("nominal").with_(**{field: value})
+
 
 class TestRunner:
     def test_batch_transfer_completes(self):
