@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..simulator.trace import TraceRecord, Tracer
+from ..simulator.trace import Entry, Router, Tracer
 
 __all__ = [
     "OutageRecord",
@@ -129,14 +129,15 @@ class OutageRecord:
         }
 
 
-class RecoveryMetrics:
+class RecoveryMetrics(Router):
     """Tracer listener building per-outage recovery records.
 
     Attach before the simulation runs (construction registers the
     listener); read :attr:`outages` / :meth:`summary` afterwards.
     Events between a ``fault_start`` and the next cutting fault's start
     are attributed to that fault — the protocol's reaction necessarily
-    trails the outage itself.
+    trails the outage itself.  A :class:`~repro.simulator.trace.Router`:
+    only the events in :attr:`routes` reach it.
     """
 
     def __init__(self, tracer: Tracer) -> None:
@@ -148,12 +149,19 @@ class RecoveryMetrics:
         self.failures_declared = 0
         self.frames_lost_total = 0
         self._open: dict[tuple[str, int], OutageRecord] = {}
-        tracer.listeners.append(self._on_record)
+        self.routes = {
+            "fault_start": (self._on_fault,),
+            "fault_end": (self._on_fault,),
+            "frame_lost_outage": (self._on_frame_lost,),
+            "deliver": (self._on_deliver,),
+            **dict.fromkeys(_REACTIONS, (self._on_reaction,)),
+        }
+        tracer.listeners.append(self)
 
     def detach(self) -> None:
         """Stop listening (metrics stay readable)."""
         try:
-            self.tracer.listeners.remove(self._on_record)
+            self.tracer.listeners.remove(self)
         except ValueError:
             pass
 
@@ -167,63 +175,52 @@ class RecoveryMetrics:
                 latest = record
         return latest
 
-    def _on_record(self, record: TraceRecord) -> None:
-        handler = self._handlers.get(record.event)
-        if handler is not None:
-            handler(self, record)
-
-    def _on_fault(self, record: TraceRecord) -> None:
-        if record.source != "faults":
+    def _on_fault(self, entry: Entry) -> None:
+        time, source, event, detail = entry
+        if source != "faults":
             return
-        kind = record.detail.get("kind")
+        kind = detail.get("kind")
         if kind not in _CUTTING_KINDS:
             return
-        index = record.detail["index"]
-        if record.event == "fault_start":
+        index = detail["index"]
+        if event == "fault_start":
             outage = OutageRecord(
-                index=index, kind=kind, start=record.time,
-                direction=record.detail.get("direction", "both"),
+                index=index, kind=kind, start=time,
+                direction=detail.get("direction", "both"),
             )
             self.outages.append(outage)
             self._open[(kind, index)] = outage
         else:
             outage = self._open.pop((kind, index), None)
             if outage is not None:
-                outage.end = record.time
+                outage.end = time
 
-    def _on_frame_lost(self, record: TraceRecord) -> None:
+    def _on_frame_lost(self, entry: Entry) -> None:
         self.frames_lost_total += 1
         for outage in self._open.values():
             outage.frames_lost += 1
 
-    def _on_reaction(self, record: TraceRecord) -> None:
-        counter, latency = _REACTIONS[record.event]
+    def _on_reaction(self, entry: Entry) -> None:
+        time, _, event, _ = entry
+        counter, latency = _REACTIONS[event]
         if counter is not None:
             setattr(self, counter, getattr(self, counter) + 1)
         if latency is not None:
-            current = self._current(record.time)
+            current = self._current(time)
             if current is not None and getattr(current, latency) is None:
-                setattr(current, latency, record.time - current.start)
+                setattr(current, latency, time - current.start)
 
-    def _on_deliver(self, record: TraceRecord) -> None:
-        if record.detail.get("control", False):
+    def _on_deliver(self, entry: Entry) -> None:
+        time, _, _, detail = entry
+        if detail.get("control", False):
             return
         for outage in self.outages:
             if (
                 outage.post_recovery_delivery_delay is None
                 and outage.end is not None
-                and record.time >= outage.end
+                and time >= outage.end
             ):
-                outage.post_recovery_delivery_delay = record.time - outage.end
-
-    # The only events read; every other record costs one dict miss.
-    _handlers = {
-        "fault_start": _on_fault,
-        "fault_end": _on_fault,
-        "frame_lost_outage": _on_frame_lost,
-        "deliver": _on_deliver,
-        **dict.fromkeys(_REACTIONS, _on_reaction),
-    }
+                outage.post_recovery_delivery_delay = time - outage.end
 
     # -- reporting --------------------------------------------------------
 

@@ -10,7 +10,7 @@ latency bounds.  The curated tests check these pointwise; this module
 checks them *continuously*, on any simulation, by listening to the
 shared :class:`~repro.simulator.trace.Tracer`.
 
-Each :class:`InvariantMonitor` consumes trace records as they are
+Each :class:`InvariantMonitor` consumes trace events as they are
 emitted and records :class:`Violation` objects the moment an invariant
 breaks — with the recent trace window attached, so a violation from a
 randomized chaos episode is immediately debuggable and reproducible
@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..simulator.trace import TraceRecord, Tracer
+from ..simulator.trace import Entry, Hook, Router, TraceRecord, Tracer
 
 __all__ = [
     "Violation",
@@ -81,22 +81,27 @@ class Violation:
 
 
 class InvariantMonitor:
-    """Base class: consume trace records, accumulate violations.
+    """Base class: consume trace events, accumulate violations.
 
-    Subclasses override :meth:`on_event` and :meth:`finalize` (called
-    once, after the simulation has run, for end-of-run accounting like
-    the zero-loss ledger).  :attr:`events` names the trace events
-    :meth:`on_event` reads; the suite hands it only those records.  Left
-    at ``None`` (the default), :meth:`on_event` is called for every
-    record.
+    A subclass passes its per-event *handlers* up — ``event →
+    handler(entry)``, where an entry is the raw ``(time, source, event,
+    detail)`` — and :attr:`events` is derived from them; the suite calls
+    each handler for its own event only.  A monitor that reads every
+    record overrides :meth:`on_event` instead and leaves :attr:`events`
+    at ``None`` (or names the events its :meth:`on_event` reads).
+    :meth:`finalize` is called once, after the simulation has run, for
+    end-of-run accounting like the zero-loss ledger.
     """
 
     name = "invariant"
     events: Optional[frozenset[str]] = None
 
-    def __init__(self) -> None:
+    def __init__(self, handlers: Optional[dict[str, Hook]] = None) -> None:
         self.violations: list[Violation] = []
         self._suite: Optional["MonitorSuite"] = None
+        self.handlers: dict[str, Hook] = dict(handlers or {})
+        if self.handlers:
+            self.events = frozenset(self.handlers)
 
     # -- wiring -----------------------------------------------------------
 
@@ -116,23 +121,36 @@ class InvariantMonitor:
 
     # -- hooks ------------------------------------------------------------
 
-    def on_event(self, record: TraceRecord) -> None:  # pragma: no cover - override
-        pass
+    def on_event(self, record: TraceRecord) -> None:
+        """Hand *record* to the handler for its event, if there is one."""
+        handler = self.handlers.get(record.event)
+        if handler is not None:
+            handler((record.time, record.source, record.event, record.detail))
+
+    def _hook(self, event: Optional[str]) -> Hook:
+        """What the suite calls for *event*: its handler, or else
+        :meth:`on_event` with a record built from the entry."""
+        handler = self.handlers.get(event)
+        if handler is not None:
+            return handler
+        on_event = self.on_event
+        return lambda entry: on_event(TraceRecord(*entry))
 
     def finalize(self, now: float) -> None:  # pragma: no cover - override
         pass
 
 
-class MonitorSuite:
+class MonitorSuite(Router):
     """A set of monitors attached to one simulation's tracer.
 
-    Construction registers a single listener on *tracer* that routes
-    each record to the monitors whose :attr:`InvariantMonitor.events`
-    name its event (or name nothing) and keeps the last *window*
-    records; a violation captures those up to its own time, formatted at
-    that moment.  The monitor list is fixed at construction.  Call
-    :meth:`finalize` once after the run; :attr:`violations` /
-    :meth:`report` aggregate across monitors.
+    Construction attaches the suite to *tracer* as its one listener, a
+    :class:`~repro.simulator.trace.Router`: every event's hooks are an
+    append of the raw entry to the last-*window* window plus the hook of
+    each monitor whose :attr:`InvariantMonitor.events` name it (or name
+    nothing).  A violation captures the window up to its own time,
+    formatted at that moment.  The monitor list is fixed at
+    construction.  Call :meth:`finalize` once after the run;
+    :attr:`violations` / :meth:`report` aggregate across monitors.
 
     *context* carries the reproducer identity (seed, scenario name,
     fault-plan name, episode index); it is stamped onto every
@@ -151,34 +169,27 @@ class MonitorSuite:
         self.monitors = list(monitors)
         self.context = dict(context or {})
         self.held_snapshot = held_snapshot or (lambda: [])
-        self._window: deque[TraceRecord] = deque(maxlen=window)
+        self._window: deque[Entry] = deque(maxlen=window)
         self._finalized = False
-        # event -> the on_event hooks that read it, in monitor order; an
-        # event no monitor names falls through to the hooks that read all.
-        self._read_all = tuple(
-            m.on_event for m in self.monitors if m.events is None
-        )
+        # Every event goes to the window first; one no monitor names goes
+        # only to the monitors that read everything after that.
+        keep = self._window.append
         declared = {e for m in self.monitors for e in m.events or ()}
-        self._routes = {
-            event: tuple(
-                m.on_event for m in self.monitors
-                if m.events is None or event in m.events
-            )
+        self.routes = {
+            event: (keep, *(m._hook(event) for m in self.monitors
+                            if m.events is None or event in m.events))
             for event in declared
         }
+        self.unrouted = (keep, *(m._hook(None) for m in self.monitors
+                                 if m.events is None))
         for monitor in self.monitors:
             monitor.bind(self)
-        tracer.listeners.append(self._on_record)
+        tracer.listeners.append(self)
 
     # -- trace plumbing ---------------------------------------------------
 
-    def _on_record(self, record: TraceRecord) -> None:
-        self._window.append(record)
-        for on_event in self._routes.get(record.event, self._read_all):
-            on_event(record)
-
     def window_snapshot(self, until: float = math.inf) -> tuple[str, ...]:
-        """The retained records up to time *until*, formatted.
+        """The retained entries up to time *until*, formatted as records.
 
         A monitor reporting from ``finalize`` stamps its violation with
         the instant the invariant broke, which the window may have left
@@ -187,21 +198,21 @@ class MonitorSuite:
         Records are dropped from the newest end only: stamps are not
         monotone in emission order (a committed window's ``iframe_sent``
         records carry their future departure times), and a violation
-        raised from ``on_event`` must keep everything emitted before the
-        record that raised it.
+        raised from a handler must keep everything emitted before the
+        entry that raised it.
         """
-        records = list(self._window)
-        while records and records[-1].time > until:
-            records.pop()
-        if self._window and not records:
+        entries = list(self._window)
+        while entries and entries[-1][0] > until:
+            entries.pop()
+        if self._window and not entries:
             return (f"trace window had moved past t={until:.6f}; "
-                    f"oldest retained record t={self._window[0].time:.6f}",)
-        return tuple(record.format() for record in records)
+                    f"oldest retained record t={self._window[0][0]:.6f}",)
+        return tuple(TraceRecord(*entry).format() for entry in entries)
 
     def detach(self) -> None:
         """Stop listening (accumulated violations stay readable)."""
         try:
-            self.tracer.listeners.remove(self._on_record)
+            self.tracer.listeners.remove(self)
         except ValueError:
             pass
 
@@ -263,31 +274,38 @@ class ZeroLossLedger(InvariantMonitor):
     backlog — the paper's zero-loss guarantee (Sections 3.2-3.3).
 
     Listens to the sender's ``payload_accepted`` and the receiver's
-    ``payload_delivered`` hooks; at finalize, anything accepted but
-    neither delivered nor present in the suite's held-backlog snapshot
-    (sender buffer + requeue + receiver's undrained queue) was *lost*.
+    ``payload_delivered`` hooks and keeps only what is in flight: a
+    delivery takes its payload off the ledger, so a value accepted
+    again later is owed again.  At finalize, anything still on the
+    ledger and not present in the suite's held-backlog snapshot (sender
+    buffer + requeue + receiver's undrained queue) was *lost*.
+    :attr:`accepted` / :attr:`delivered` count the events.
     """
 
     name = "zero-loss"
-    events = frozenset({"payload_accepted", "payload_delivered"})
 
     def __init__(self) -> None:
-        super().__init__()
-        self.accepted: dict[Any, Any] = {}
-        self.delivered: set[Any] = set()
+        super().__init__({
+            "payload_accepted": self._on_accepted,
+            "payload_delivered": self._on_delivered,
+        })
+        self.accepted = 0
+        self.delivered = 0
+        self._in_flight: dict[Any, Any] = {}
 
-    def on_event(self, record: TraceRecord) -> None:
-        if record.event == "payload_accepted":
-            payload = record.detail.get("payload")
-            self.accepted[_payload_key(payload)] = payload
-        elif record.event == "payload_delivered":
-            self.delivered.add(_payload_key(record.detail.get("payload")))
+    def _on_accepted(self, entry: Entry) -> None:
+        payload = entry[3].get("payload")
+        self._in_flight[_payload_key(payload)] = payload
+        self.accepted += 1
+
+    def _on_delivered(self, entry: Entry) -> None:
+        self._in_flight.pop(_payload_key(entry[3].get("payload")), None)
+        self.delivered += 1
 
     def finalize(self, now: float) -> None:
         held = {_payload_key(p) for p in (self._suite.held_snapshot() if self._suite else [])}
         missing = [
-            payload for key, payload in self.accepted.items()
-            if key not in self.delivered and key not in held
+            payload for key, payload in self._in_flight.items() if key not in held
         ]
         if missing:
             self.violate(
@@ -296,8 +314,8 @@ class ZeroLossLedger(InvariantMonitor):
                 f"held in a reclaimable backlog",
                 lost_count=len(missing),
                 sample=missing[:5],
-                accepted=len(self.accepted),
-                delivered=len(self.delivered),
+                accepted=self.accepted,
+                delivered=self.delivered,
                 held=len(held),
             )
 
@@ -320,43 +338,44 @@ class DestinationOrderingMonitor(InvariantMonitor):
     name = "destination-ordering"
 
     def __init__(self, dlc_no_duplicates: bool = False) -> None:
-        super().__init__()
+        handlers = {"dest_deliver": self._on_dest_deliver}
+        if dlc_no_duplicates:
+            handlers["payload_delivered"] = self._on_payload_delivered
+        super().__init__(handlers)
         self.dlc_no_duplicates = dlc_no_duplicates
-        self.events = frozenset(
-            {"dest_deliver", "payload_delivered"} if dlc_no_duplicates
-            else {"dest_deliver"}
-        )
         self._next_expected: dict[Any, int] = {}
         self._dlc_delivered: set[Any] = set()
 
-    def on_event(self, record: TraceRecord) -> None:
-        if record.event == "dest_deliver":
-            flow = record.detail.get("flow")
-            seq = record.detail.get("seq")
-            expected = self._next_expected.get(flow, 0)
-            if seq != expected:
-                kind = "duplicate" if seq < expected else "out-of-order/skipped"
-                self.violate(
-                    record.time,
-                    f"destination released {kind} sequence {seq} for flow "
-                    f"{flow!r} (expected {expected})",
-                    flow=flow, seq=seq, expected=expected,
-                )
-                # Resynchronise so one fault yields one violation, not a
-                # cascade for every subsequent in-order delivery.
-                self._next_expected[flow] = max(seq + 1, expected)
-            else:
-                self._next_expected[flow] = expected + 1
-        elif self.dlc_no_duplicates and record.event == "payload_delivered":
-            key = _payload_key(record.detail.get("payload"))
-            if key in self._dlc_delivered:
-                self.violate(
-                    record.time,
-                    "zero-duplication receiver delivered the same payload twice",
-                    payload=record.detail.get("payload"),
-                )
-            else:
-                self._dlc_delivered.add(key)
+    def _on_dest_deliver(self, entry: Entry) -> None:
+        time, _, _, detail = entry
+        flow = detail.get("flow")
+        seq = detail.get("seq")
+        expected = self._next_expected.get(flow, 0)
+        if seq != expected:
+            kind = "duplicate" if seq < expected else "out-of-order/skipped"
+            self.violate(
+                time,
+                f"destination released {kind} sequence {seq} for flow "
+                f"{flow!r} (expected {expected})",
+                flow=flow, seq=seq, expected=expected,
+            )
+            # Resynchronise so one fault yields one violation, not a
+            # cascade for every subsequent in-order delivery.
+            self._next_expected[flow] = max(seq + 1, expected)
+        else:
+            self._next_expected[flow] = expected + 1
+
+    def _on_payload_delivered(self, entry: Entry) -> None:
+        payload = entry[3].get("payload")
+        key = _payload_key(payload)
+        if key in self._dlc_delivered:
+            self.violate(
+                entry[0],
+                "zero-duplication receiver delivered the same payload twice",
+                payload=payload,
+            )
+        else:
+            self._dlc_delivered.add(key)
 
 
 class ReceiverQueueBoundMonitor(InvariantMonitor):
@@ -374,22 +393,20 @@ class ReceiverQueueBoundMonitor(InvariantMonitor):
     """
 
     name = "receiver-queue-bound"
-    events = frozenset({"rxqueue_level"})
 
     def __init__(self, bound: float) -> None:
-        super().__init__()
+        super().__init__({"rxqueue_level": self._on_rxqueue_level})
         self.bound = bound
         self._tripped: set[str] = set()
 
-    def on_event(self, record: TraceRecord) -> None:
-        if record.event != "rxqueue_level":
-            return
-        depth = record.detail.get("depth", 0)
-        if depth > self.bound and record.source not in self._tripped:
-            self._tripped.add(record.source)
+    def _on_rxqueue_level(self, entry: Entry) -> None:
+        depth = entry[3].get("depth", 0)
+        if depth > self.bound and entry[1] not in self._tripped:
+            time, source, _, _ = entry
+            self._tripped.add(source)
             self.violate(
-                record.time,
-                f"receive queue {record.source} reached {depth} frames, "
+                time,
+                f"receive queue {source} reached {depth} frames, "
                 f"above the bound {self.bound:g}",
                 depth=depth, bound=self.bound,
             )
@@ -426,7 +443,6 @@ class HoldingTimeBoundMonitor(InvariantMonitor):
     """
 
     name = "holding-time-bound"
-    events = frozenset({"iframe_released"})
 
     def __init__(
         self,
@@ -435,7 +451,7 @@ class HoldingTimeBoundMonitor(InvariantMonitor):
         guard: float = 0.0,
         send_buffer_capacity: Optional[int] = None,
     ) -> None:
-        super().__init__()
+        super().__init__({"iframe_released": self._on_iframe_released})
         self.resolving_period = resolving_period
         self.fault_windows = list(fault_windows)
         self.guard = guard
@@ -447,25 +463,24 @@ class HoldingTimeBoundMonitor(InvariantMonitor):
             total += max(0.0, min(end, w_end) - max(start, w_start))
         return total
 
-    def on_event(self, record: TraceRecord) -> None:
-        if record.event != "iframe_released":
-            return
-        holding = record.detail.get("holding", 0.0)
-        retx = record.detail.get("retx", 0)
-        start = record.time - holding
+    def _on_iframe_released(self, entry: Entry) -> None:
+        time, _, _, detail = entry
+        holding = detail.get("holding", 0.0)
+        retx = detail.get("retx", 0)
+        start = time - holding
         allowance = (
             (retx + 1) * self.resolving_period
-            + self._fault_overlap(start, record.time)
+            + self._fault_overlap(start, time)
             + self.guard
         )
         if holding > allowance:
             self.violate(
-                record.time,
-                f"frame seq={record.detail.get('seq')} held {holding:.6f}s, "
+                time,
+                f"frame seq={detail.get('seq')} held {holding:.6f}s, "
                 f"above the allowance {allowance:.6f}s "
                 f"({retx} retransmission(s))",
                 holding=holding, allowance=allowance, retx=retx,
-                seq=record.detail.get("seq"),
+                seq=detail.get("seq"),
             )
 
     def finalize(self, now: float) -> None:
@@ -494,46 +509,51 @@ class CheckpointCoverageMonitor(InvariantMonitor):
     """
 
     name = "checkpoint-coverage"
-    events = frozenset({"error_logged", "checkpoint_sent"})
 
     def __init__(self, cumulation_depth: int) -> None:
-        super().__init__()
+        super().__init__({
+            "error_logged": self._on_error_logged,
+            "checkpoint_sent": self._on_checkpoint_sent,
+        })
         self.cumulation_depth = cumulation_depth
         # receiver source -> seq -> [remaining reports, detect time]
         self._pending: dict[str, dict[int, list[float]]] = {}
 
-    def on_event(self, record: TraceRecord) -> None:
-        if record.event == "error_logged":
-            self._pending.setdefault(record.source, {}).setdefault(
-                record.detail["seq"],
-                [float(self.cumulation_depth), record.time],
-            )
-        elif record.event == "checkpoint_sent" and not record.detail.get("enforced"):
-            seqs = record.detail.get("seqs")
-            pending = self._pending.get(record.source)
-            if seqs is None or not pending:
-                return
-            listed = set(seqs)
-            for seq in list(pending):
-                remaining, detected = pending[seq]
-                if detected >= record.time:
-                    continue  # logged at/after issue; next checkpoint covers it
-                if seq not in listed:
-                    self.violate(
-                        record.time,
-                        f"error seq={seq} (detected t={detected:.6f}) missing "
-                        f"from cumulative NAK with {int(remaining)} of "
-                        f"{self.cumulation_depth} reports outstanding",
-                        seq=seq, detected=detected,
-                        remaining=int(remaining), listed=len(listed),
-                    )
-                    del pending[seq]  # report once, not per checkpoint
-                    continue
-                remaining -= 1
-                if remaining <= 0:
-                    del pending[seq]
-                else:
-                    pending[seq][0] = remaining
+    def _on_error_logged(self, entry: Entry) -> None:
+        time, source, _, detail = entry
+        self._pending.setdefault(source, {}).setdefault(
+            detail["seq"], [float(self.cumulation_depth), time],
+        )
+
+    def _on_checkpoint_sent(self, entry: Entry) -> None:
+        time, source, _, detail = entry
+        if detail.get("enforced"):
+            return
+        seqs = detail.get("seqs")
+        pending = self._pending.get(source)
+        if seqs is None or not pending:
+            return
+        listed = set(seqs)
+        for seq in list(pending):
+            remaining, detected = pending[seq]
+            if detected >= time:
+                continue  # logged at/after issue; next checkpoint covers it
+            if seq not in listed:
+                self.violate(
+                    time,
+                    f"error seq={seq} (detected t={detected:.6f}) missing "
+                    f"from cumulative NAK with {int(remaining)} of "
+                    f"{self.cumulation_depth} reports outstanding",
+                    seq=seq, detected=detected,
+                    remaining=int(remaining), listed=len(listed),
+                )
+                del pending[seq]  # report once, not per checkpoint
+                continue
+            remaining -= 1
+            if remaining <= 0:
+                del pending[seq]
+            else:
+                pending[seq][0] = remaining
 
 
 def merge_windows(windows: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -572,10 +592,6 @@ class FailureLatencyMonitor(InvariantMonitor):
     """
 
     name = "failure-latency"
-    events = frozenset({
-        "checkpoint_timeout", "request_nak_sent",
-        "enforced_recovery_complete", "link_failure_declared",
-    })
 
     def __init__(
         self,
@@ -585,7 +601,13 @@ class FailureLatencyMonitor(InvariantMonitor):
         declared_bound: float,
         guard: float,
     ) -> None:
-        super().__init__()
+        super().__init__({
+            "checkpoint_timeout": lambda entry: self._timeouts.append(entry[0]),
+            "request_nak_sent": lambda entry: self._note_state(entry[0], "suspected"),
+            "enforced_recovery_complete":
+                lambda entry: self._note_state(entry[0], "normal"),
+            "link_failure_declared": self._on_failure_declared,
+        })
         self.silence_windows = merge_windows(silence_windows)
         self.risk_windows = merge_windows(risk_windows)
         self.detection_bound = detection_bound
@@ -597,28 +619,21 @@ class FailureLatencyMonitor(InvariantMonitor):
 
     # -- event intake -----------------------------------------------------
 
-    def on_event(self, record: TraceRecord) -> None:
-        event = record.event
-        if event == "checkpoint_timeout":
-            self._timeouts.append(record.time)
-        elif event == "request_nak_sent":
-            self._note_state(record.time, "suspected")
-        elif event == "enforced_recovery_complete":
-            self._note_state(record.time, "normal")
-        elif event == "link_failure_declared":
-            self._failures.append(record.time)
-            self._note_state(record.time, "failed")
-            if not any(
-                start <= record.time <= end + self.declared_bound + self.guard
-                for start, end in self.risk_windows
-            ):
-                self.violate(
-                    record.time,
-                    "link failure declared with no checkpoint-threatening "
-                    "fault window inside the preceding failure budget",
-                    declared_bound=self.declared_bound,
-                    risk_windows=self.risk_windows,
-                )
+    def _on_failure_declared(self, entry: Entry) -> None:
+        time = entry[0]
+        self._failures.append(time)
+        self._note_state(time, "failed")
+        if not any(
+            start <= time <= end + self.declared_bound + self.guard
+            for start, end in self.risk_windows
+        ):
+            self.violate(
+                time,
+                "link failure declared with no checkpoint-threatening "
+                "fault window inside the preceding failure budget",
+                declared_bound=self.declared_bound,
+                risk_windows=self.risk_windows,
+            )
 
     def _note_state(self, time: float, state: str) -> None:
         self._state_timeline.append((time, state))

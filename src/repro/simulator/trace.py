@@ -18,6 +18,11 @@ automatically: assigning :attr:`Tracer.record_timeline` or mutating
 monitors) refreshes it.  Hot emit sites check ``tracer.active`` *before*
 building their keyword arguments, which makes tracing near-zero-cost
 for unmonitored runs; counters and stats are always live regardless.
+
+A monitored run builds no record at all: the invariant suite and the
+recovery metrics are :class:`Router` listeners, which publish the hooks
+each event goes to, and while only routers are attached :meth:`Tracer.emit`
+hands each hook the raw ``(time, source, event, detail)`` entry.
 """
 
 from __future__ import annotations
@@ -27,24 +32,30 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
-    "TraceRecord", "Tracer", "Counter", "TimeWeightedStat", "SampleStat",
-    "StreamingSummary",
+    "TraceRecord", "Tracer", "Router", "Counter", "TimeWeightedStat",
+    "SampleStat", "StreamingSummary",
 ]
 
 # Two-sided 95% normal quantile.
 _Z95 = 1.959963984540054
+
+# A raw trace entry, ``(time, source, event, detail)``, and a hook that
+# reads one.
+Entry = tuple[float, str, str, dict[str, Any]]
+Hook = Callable[[Entry], None]
 
 
 @dataclass(slots=True)
 class TraceRecord:
     """One timeline entry: *who* did *what* at *when*, with detail.
 
-    Not frozen: a frozen dataclass constructs through four
-    ``object.__setattr__`` calls, and :meth:`Tracer.emit` builds one
-    record per event of a monitored run.  Records are shared by every
-    listener and by a monitor suite's trace window, which formats them
-    only when a violation is recorded — treat a record, and the values
-    in its ``detail``, as immutable.
+    :meth:`Tracer.emit` builds one only when something reads records:
+    the timeline, or a listener that is not a :class:`Router`.  That one
+    record is shared by the timeline and every listener of the emit.
+    Not frozen (a frozen dataclass constructs through four
+    ``object.__setattr__`` calls) — treat a record, and the values in its
+    ``detail``, as immutable: a monitor suite's trace window keeps the
+    raw entries and formats them only when a violation is recorded.
     """
 
     time: float
@@ -286,13 +297,36 @@ class StreamingSummary:
         )
 
 
+class Router:
+    """A tracer listener that publishes which hooks read which event.
+
+    :attr:`routes` maps an event name to the hooks that read it, in
+    call order; :attr:`unrouted` holds the hooks for every event
+    :attr:`routes` does not name.  A hook takes one raw
+    ``(time, source, event, detail)`` entry.  While only routers are
+    attached and no timeline is recorded, :meth:`Tracer.emit` calls the
+    hooks itself and builds no :class:`TraceRecord`.  Otherwise the
+    router is called with the emit's shared record like any listener
+    and passes it on to the same hooks.  The tracer reads both tables
+    when its listeners change: set them before attaching.
+    """
+
+    routes: dict[str, tuple[Hook, ...]]
+    unrouted: tuple[Hook, ...] = ()
+
+    def __call__(self, record: TraceRecord) -> None:
+        entry = (record.time, record.source, record.event, record.detail)
+        for hook in self.routes.get(record.event, self.unrouted):
+            hook(entry)
+
+
 class _ListenerList(list):
     """Listener callbacks that keep the owning tracer's fast path honest.
 
     Call sites throughout the codebase (and tests) mutate
     ``tracer.listeners`` directly via ``append``/``remove``; every
-    mutation refreshes :attr:`Tracer.active` so a listener attached
-    mid-run immediately re-enables record construction.
+    mutation refreshes :attr:`Tracer.active` and the tracer's route
+    table, so a listener attached mid-run sees the very next emit.
     """
 
     __slots__ = ("_tracer",)
@@ -307,16 +341,17 @@ def _refreshing(name: str) -> Callable[..., Any]:
 
     def method(self: _ListenerList, *args: Any) -> Any:
         result = mutate(self, *args)
-        self._tracer._refresh_active()
+        self._tracer._refresh()
         return result
 
     method.__name__ = name
     return method
 
 
-# Every list method that can change the length.
+# Every list method that can change the members or their order.
 for _name in ("append", "extend", "insert", "remove", "pop", "clear",
-              "__setitem__", "__delitem__", "__iadd__", "__imul__"):
+              "__setitem__", "__delitem__", "__iadd__", "__imul__",
+              "sort", "reverse"):
     setattr(_ListenerList, _name, _refreshing(_name))
 del _name
 
@@ -326,12 +361,28 @@ class Tracer:
 
     Recording full timelines is expensive for long runs, so timeline
     capture is off by default; counters and stats are always live.
-    A *listener* callback can be attached to stream records (used by
-    tests asserting on protocol behaviour and by the invariant
-    monitors).  :attr:`active` is the precomputed fast-path flag: hot
-    emitters may skip :meth:`emit` (and the keyword-dict construction
-    it implies) entirely while it is False.
+    A *listener* attached to :attr:`listeners` streams the events (tests
+    asserting on protocol behaviour, the invariant monitors, the
+    recovery metrics).  :attr:`active` is the precomputed fast-path
+    flag: hot emitters may skip :meth:`emit` (and the keyword-dict
+    construction it implies) entirely while it is False.
+
+    Who gets what from :meth:`emit`:
+
+    - While the timeline is recorded or any listener is not a
+      :class:`Router`, one :class:`TraceRecord` is built per emit; it is
+      appended to :attr:`records` and every listener is called with it,
+      in attach order (a router passes it on to its hooks).
+    - Otherwise no record is built: the route table, ``event → hooks``
+      across the routers in attach order, is rebuilt whenever
+      :attr:`listeners` changes, and each hook gets the raw entry.
     """
+
+    # What :meth:`_refresh` computes for no listener, shared until the
+    # first change: a run with thousands of idle tracers holds no table.
+    _record_listeners: Optional[tuple[Any, ...]] = ()
+    _routes: dict[str, tuple[Hook, ...]] = {}
+    _unrouted: tuple[Hook, ...] = ()
 
     def __init__(self, record_timeline: bool = False) -> None:
         self._record_timeline = bool(record_timeline)
@@ -352,10 +403,23 @@ class Tracer:
     @record_timeline.setter
     def record_timeline(self, value: bool) -> None:
         self._record_timeline = bool(value)
-        self._refresh_active()
+        self._refresh()
 
-    def _refresh_active(self) -> None:
-        self.active = self._record_timeline or bool(self.listeners)
+    def _refresh(self) -> None:
+        """Recompute :attr:`active` and whom :meth:`emit` calls."""
+        listeners = tuple(self.listeners)
+        self.active = self._record_timeline or bool(listeners)
+        routers = () if self._record_timeline or not all(
+            isinstance(listener, Router) for listener in listeners
+        ) else listeners
+        # None while only routers listen: then no record is built.
+        self._record_listeners = None if routers else listeners
+        self._routes = {
+            event: tuple(hook for router in routers
+                         for hook in router.routes.get(event, router.unrouted))
+            for event in {event for router in routers for event in router.routes}
+        }
+        self._unrouted = tuple(hook for router in routers for hook in router.unrouted)
 
     # -- timeline --------------------------------------------------------
 
@@ -363,10 +427,16 @@ class Tracer:
         """Record a timeline event (and notify listeners)."""
         if not self.active:
             return
+        listeners = self._record_listeners
+        if listeners is None:
+            entry = (time, source, event, detail)
+            for hook in self._routes.get(event, self._unrouted):
+                hook(entry)
+            return
         record = TraceRecord(time, source, event, detail)
         if self._record_timeline:
             self.records.append(record)
-        for listener in self.listeners:
+        for listener in listeners:
             listener(record)
 
     def timeline(self, source: Optional[str] = None, event: Optional[str] = None) -> list[TraceRecord]:

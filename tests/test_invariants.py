@@ -134,6 +134,18 @@ class TestBrokenProtocolCaught:
         assert violation.detail["lost_count"] == 1
         assert ("pkt", 1) in violation.detail["sample"]
 
+    def test_payload_owed_again_after_its_delivery_is_caught_lost(self):
+        """The same value accepted again after its first delivery, then
+        lost: the ledger keeps only what is in flight, so it is owed."""
+        tracer, suite = self.make_suite([ZeroLossLedger()])
+        tracer.emit(0.1, "a", "payload_accepted", payload=("pkt", 0))
+        tracer.emit(0.2, "b", "payload_delivered", payload=("pkt", 0))
+        tracer.emit(0.3, "a", "payload_accepted", payload=("pkt", 0))
+        suite.finalize(1.0)
+        [violation] = suite.violations
+        assert violation.detail["sample"] == [("pkt", 0)]
+        assert (violation.detail["accepted"], violation.detail["delivered"]) == (2, 1)
+
     def test_held_backlog_is_not_loss(self):
         tracer = Tracer()
         suite = MonitorSuite(

@@ -60,7 +60,7 @@ class BroadcastSuite(MonitorSuite):
         super().__init__(*args, window=window, **kwargs)
         self._lines = deque(maxlen=window)
 
-    def _on_record(self, record):
+    def __call__(self, record):
         self._lines.append((record.time, record.format()))
         for monitor in self.monitors:
             monitor.on_event(record)
