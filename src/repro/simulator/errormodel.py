@@ -244,6 +244,22 @@ class BernoulliChannel:
         return f"BernoulliChannel(ber={self.ber:g})"
 
 
+def _settle(
+    verdicts: "list[bool]",
+    waiting: "list[int]",
+    thresholds: "list[float]",
+    rng: np.random.Generator,
+) -> None:
+    """Draw the acceptance variates of the frames *waiting* (in frame
+    order) with one ``rng.random(m)``, and empty both lists."""
+    for i, variate, threshold in zip(
+        waiting, rng.random(len(waiting)).tolist(), thresholds
+    ):
+        verdicts[i] = variate < threshold
+    waiting.clear()
+    thresholds.clear()
+
+
 class GilbertElliottChannel:
     """Two-state Gilbert–Elliott burst-error channel.
 
@@ -287,10 +303,11 @@ class GilbertElliottChannel:
         for name, value in (("good_ber", good_ber), ("bad_ber", bad_ber)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if mean_good <= 0 or mean_bad <= 0:
-            raise ValueError("state sojourn means must be positive")
-        if bit_rate <= 0:
-            raise ValueError("bit_rate must be positive")
+        for name, value in (
+            ("mean_good", mean_good), ("mean_bad", mean_bad), ("bit_rate", bit_rate)
+        ):
+            if not 0 < value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         self.good_ber = good_ber
         self.bad_ber = bad_ber
         self.mean_good = mean_good
@@ -300,6 +317,12 @@ class GilbertElliottChannel:
         self._state_until = 0.0
         self._initialised = False
         self._last_start = -math.inf
+        # log1p(-ber) of each state, indexed by _in_bad: a frame's
+        # log-survival per bit.  None for ber == 1, which corrupts every
+        # frame without a draw.
+        self._log_keep = tuple(
+            None if ber >= 1.0 else math.log1p(-ber) for ber in (good_ber, bad_ber)
+        )
 
     @property
     def steady_state_bad_fraction(self) -> float:
@@ -332,6 +355,15 @@ class GilbertElliottChannel:
             return False
         duration = bits / self.bit_rate
         end = start + duration
+        if start < end <= self._state_until and self._initialised:
+            # Inside the current sojourn (a *stretch*): no state to walk,
+            # no sojourn to draw — the walk below would see one segment,
+            # ``segment_bits`` computed exactly as here.
+            keep = self._log_keep[self._in_bad]
+            if keep is None:
+                return True
+            probability = -math.expm1((end - start) / duration * bits * keep)
+            return probability > 0.0 and rng.random() < probability
         self._advance_to(start, rng)
         # Walk the state intervals overlapped by the frame, accumulating
         # log-survival per segment.
@@ -341,11 +373,10 @@ class GilbertElliottChannel:
             self._advance_to(cursor, rng)
             segment_end = min(self._state_until, end)
             segment_bits = (segment_end - cursor) / duration * bits
-            ber = self.bad_ber if self._in_bad else self.good_ber
-            if ber >= 1.0:
+            keep = self._log_keep[self._in_bad]
+            if keep is None:
                 return True
-            if ber > 0.0:
-                log_survival += segment_bits * math.log1p(-ber)
+            log_survival += segment_bits * keep  # adds ±0.0 when ber == 0
             if segment_end >= end:
                 break
             cursor = segment_end
@@ -360,20 +391,59 @@ class GilbertElliottChannel:
         sizes: "list[int]",
         rng: np.random.Generator,
     ) -> "list[bool]":
-        """Bulk verdicts, bit-identical to scalar draws by construction.
+        """Bulk verdicts, bit-identical to scalar draws, one draw per stretch.
 
-        The state trajectory interleaves ``rng.exponential`` sojourn
-        draws with the per-frame acceptance draw, and which draws happen
-        depends on the state reached so far — so there is no variate
-        reordering that keeps the stream identical.  The window
-        therefore steps frames in order with the scalar kernel; the
-        saving is the per-frame call overhead above this method, not the
-        draws themselves.
+        The only draws besides the acceptance variates are sojourns, and
+        a frame inside the current sojourn (a *stretch*: it starts no
+        earlier than the last frame and ends no later than
+        ``_state_until``) draws none.  So the window collects the
+        thresholds of a stretch's frames and settles them with one
+        ``rng.random(m)``, which yields the same doubles as ``m`` scalar
+        calls.  A frame that needs the walk — the model's first, one
+        reaching a flip, one going back in time (which raises) — first
+        settles what is collected, keeping every variate in frame order,
+        then goes through :meth:`frame_error`.  Each threshold comes
+        from the frame's own ``segment_bits``, never a per-size cache:
+        it differs from ``bits`` in the last place.
         """
-        frame_error = self.frame_error
-        return [
-            frame_error(start, bits, rng) for start, bits in zip(starts, sizes)
-        ]
+        verdicts = [False] * len(sizes)
+        waiting: list[int] = []
+        thresholds: list[float] = []
+        bit_rate = self.bit_rate
+        expm1 = math.expm1
+        last = self._last_start
+        until = self._state_until if self._initialised else -math.inf
+        keep = self._log_keep[self._in_bad]
+        wait = waiting.append
+        threshold = thresholds.append
+        i = -1
+        for start, bits in zip(starts, sizes):
+            i += 1
+            # A NaN start or a zero-bit frame takes the scalar path.
+            if start >= last and bits:
+                duration = bits / bit_rate
+                end = start + duration
+                if start < end <= until:
+                    last = start
+                    if keep is None:
+                        verdicts[i] = True
+                        continue
+                    probability = -expm1((end - start) / duration * bits * keep)
+                    if probability > 0.0:
+                        wait(i)
+                        threshold(probability)
+                    continue
+            self._last_start = last
+            if waiting:
+                _settle(verdicts, waiting, thresholds, rng)
+            verdicts[i] = self.frame_error(start, bits, rng)
+            last = self._last_start
+            until = self._state_until
+            keep = self._log_keep[self._in_bad]
+        self._last_start = last
+        if waiting:
+            _settle(verdicts, waiting, thresholds, rng)
+        return verdicts
 
     def __repr__(self) -> str:
         return (

@@ -479,6 +479,20 @@ class TestGilbertElliottTimeGuard:
         channel.frame_error(1.0, 1000, rng)
         channel.frame_error(1.0, 1000, rng)  # piggyback at the same instant
 
+    def test_trace_synth_refuses_a_nan_sojourn(self, tmp_path, capsys):
+        """``--params`` is JSON, which spells NaN; a NaN ``mean_good`` used
+        to record a trace of a perfect channel and exit 0."""
+        out = tmp_path / "nan.jsonl"
+        code = main([
+            "trace-synth", "--preset", "noisy", "--model", "gilbert-elliott",
+            "--params", '{"good_ber": 1e-7, "bad_ber": 1e-3, "mean_good": NaN,'
+                        ' "mean_bad": 0.004}',
+            "--frames", "30", "--seed", "3", "--output", str(out),
+        ])
+        assert code == 1
+        assert "mean_good must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRegistryEdgeCases:
     def test_duplicate_registration_replaces(self):

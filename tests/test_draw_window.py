@@ -66,6 +66,17 @@ MODEL_FACTORIES = {
             good_ber=1e-7, bad_ber=1e-4, mean_good=0.02,
             mean_bad=0.004, bit_rate=3e8,
         ),
+        # Sojourns a few frames long: the windows below cross flips.
+        lambda: GilbertElliottChannel(
+            good_ber=1e-5, bad_ber=1e-3, mean_good=1e-4,
+            mean_bad=5e-5, bit_rate=3e8,
+        ),
+        # The degenerate BERs: a state that draws nothing, one that
+        # corrupts without drawing.
+        lambda: GilbertElliottChannel(
+            good_ber=0.0, bad_ber=1.0, mean_good=1e-4,
+            mean_bad=5e-5, bit_rate=3e8,
+        ),
     ],
     "trace-replay": [
         lambda: TraceReplayChannel(records=list(_TRACE_FRAMES), mode="frame"),
@@ -144,6 +155,43 @@ def test_bulk_and_scalar_interleave_on_one_stream(name, factory, starts, sizes):
 
     assert mixed == list(reference)
     assert rng_mixed.bit_generator.state == rng_scalar.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [pytest.param(factory, id=f"gilbert-elliott-{index}")
+     for index, factory in enumerate(MODEL_FACTORIES["gilbert-elliott"])],
+)
+def test_a_start_going_back_mid_window_raises_like_scalar(factory):
+    """A time-stateful model's bulk path raises the scalar path's
+    ``ValueError`` at the same frame, with the frames before it drawn."""
+    starts = [i * 2.75e-5 for i in range(200)]
+    starts[150] = starts[149] - 1e-6
+    sizes = [8272 if i % 3 else 96 for i in range(200)]
+    bulk_model = factory()
+    scalar_model = factory()
+    rng_bulk = np.random.default_rng(1234)
+    rng_scalar = np.random.default_rng(1234)
+    with pytest.raises(ValueError, match="time went backwards") as bulk:
+        bulk_model.draw_window(starts, sizes, rng_bulk)
+    with pytest.raises(ValueError, match="time went backwards") as scalar:
+        scalar_draw_window(scalar_model, starts, sizes, rng_scalar)
+    assert str(bulk.value) == str(scalar.value)
+    assert rng_bulk.bit_generator.state == rng_scalar.bit_generator.state
+
+
+def test_short_sojourns_cross_flips_inside_the_window():
+    """The short-sojourn instance really exercises the walk mid-window
+    (the 20 ms instance crosses no flip on these seeds)."""
+    model = MODEL_FACTORIES["gilbert-elliott"][1]()
+    rng = np.random.default_rng(1234)
+    flips = 0
+    in_bad = None
+    for start in (i * 2.75e-5 for i in range(200)):
+        model.frame_error(start, 8272, rng)
+        flips += in_bad is not None and model._in_bad != in_bad
+        in_bad = model._in_bad
+    assert flips > 20
 
 
 def test_trace_replay_frame_mode_never_draws():

@@ -129,6 +129,17 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             self.make(bit_rate=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("mean_good", math.nan), ("mean_bad", math.nan), ("bit_rate", math.nan),
+        ("mean_good", math.inf), ("mean_bad", math.inf), ("bit_rate", math.inf),
+        ("mean_bad", -1.0),
+    ])
+    def test_sojourns_and_rate_must_be_positive_and_finite(self, name, value):
+        """A NaN sojourn or rate used to build a channel that never
+        corrupts: NaN compares false, so no state ever flipped."""
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            self.make(**{name: value})
+
     def test_steady_state_fraction(self):
         channel = self.make(mean_good=0.3, mean_bad=0.1)
         assert channel.steady_state_bad_fraction == pytest.approx(0.25)

@@ -7,7 +7,9 @@ rests on one invariant: a seeded simulation computes *bit-identical*
 results no matter which observers are attached — a timeline, a
 listener, or nothing at all.  These are the regression tests for that
 invariant; if an optimisation ever makes an emit (or an RNG draw)
-conditional on observability, they break.
+conditional on observability, they break.  The burst channel's
+stretch path is held to the same contract, and to the per-frame walk it
+replaced.
 """
 
 from __future__ import annotations
@@ -17,11 +19,23 @@ import pytest
 from repro.workloads.generators import SaturatedSource
 from repro.workloads.scenarios import build_simulation, preset
 
+from .errormodel_reference import ReferenceGilbertElliott
+
+# "bursty" is the repo benchmark's sat_bursty link: nominal, with these
+# bursts on the forward I-frames.
+BURSTS = {"good_ber": 1e-7, "bad_ber": 1e-3, "mean_good": 0.02,
+          "mean_bad": 0.002}
+
 
 def _run(scenario_name: str, *, seed: int, record_timeline: bool,
-         attach_listener: bool, duration: float = 0.2):
-    scenario = preset(scenario_name)
-    setup = build_simulation(scenario, "lams", seed=seed)
+         attach_listener: bool, duration: float = 0.2, error_model=None):
+    if scenario_name == "bursty":
+        scenario = preset("nominal")
+        error_model = error_model or ("gilbert-elliott", BURSTS)
+    else:
+        scenario = preset(scenario_name)
+    setup = build_simulation(scenario, "lams", seed=seed,
+                             error_model=error_model)
     if record_timeline:
         setup.tracer.record_timeline = True
     records = []
@@ -48,7 +62,7 @@ def _run(scenario_name: str, *, seed: int, record_timeline: bool,
     return outcome, len(records)
 
 
-@pytest.mark.parametrize("scenario_name", ["nominal", "noisy"])
+@pytest.mark.parametrize("scenario_name", ["nominal", "noisy", "bursty"])
 def test_observers_do_not_change_outcomes(scenario_name):
     bare, bare_records = _run(
         scenario_name, seed=3, record_timeline=False, attach_listener=False
@@ -75,6 +89,29 @@ def test_same_seed_is_bit_identical():
     # Sanity: the noisy scenario actually exercised the error path, so
     # the RNG draw buffering is covered by the equality above.
     assert first["corrupted_fwd"] > 0
+
+
+def test_same_seed_is_bit_identical_on_bursts():
+    first, _ = _run("bursty", seed=11, record_timeline=False, attach_listener=False)
+    second, _ = _run("bursty", seed=11, record_timeline=False, attach_listener=False)
+    assert first == second
+    assert first["corrupted_fwd"] > 0
+
+
+def test_burst_stretches_change_no_outcome():
+    """A saturated burst-channel run gives the outcome it gave when every
+    frame walked the Gilbert–Elliott state machine and drew its own
+    variate: the reference model of ``tests/errormodel_reference.py`` as
+    the forward I-frame model."""
+    bit_rate = preset("nominal").bit_rate
+    shipped, _ = _run("bursty", seed=7, record_timeline=False,
+                      attach_listener=False)
+    reference, _ = _run(
+        "bursty", seed=7, record_timeline=False, attach_listener=False,
+        error_model=ReferenceGilbertElliott(bit_rate=bit_rate, **BURSTS),
+    )
+    assert shipped == reference
+    assert shipped["corrupted_fwd"] > 0
 
 
 def test_different_seeds_diverge():
