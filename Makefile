@@ -49,18 +49,20 @@ report:
 
 # A two-job parallel mini-sweep, run twice on a fresh cache directory:
 # exercises the multiprocessing pool, the on-disk result cache, and the
-# unified endpoint-pair API end to end.  The first pass must execute
-# all four points and the second must answer all four from the cache.
+# unified endpoint-pair API end to end, for every protocol family and
+# mode.  The first pass must execute all ten points and the second must
+# answer all ten from the cache.
 sweep-smoke:
 	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for pass in cold warm; do \
 		PYTHONPATH=src $(PYTHON) -m repro sweep --preset short_hop \
-			--protocols lams hdlc --seeds 2 --duration 0.05 \
+			--protocols lams hdlc gbn nbdt-continuous nbdt-multiphase \
+			--seeds 2 --duration 0.05 \
 			--metrics efficiency --jobs 2 --cache-dir "$$dir/cache" \
 			| tee "$$dir/$$pass.txt"; \
 	done; \
-	grep -q '^sweep: 4 executed, 0 cached' "$$dir/cold.txt"; \
-	grep -q '^sweep: 0 executed, 4 cached' "$$dir/warm.txt"
+	grep -q '^sweep: 10 executed, 0 cached' "$$dir/cold.txt"; \
+	grep -q '^sweep: 0 executed, 10 cached' "$$dir/warm.txt"
 
 # The fault-injection matrix (E21) through the sweep runner: outage
 # detection and declared-failure latency checked against the paper's

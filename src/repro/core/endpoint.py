@@ -13,6 +13,10 @@ captures that shape once:
   builder (``register_pair_factory``); callers construct endpoints
   through :func:`make_endpoint_pair` (re-exported by :mod:`repro.api`)
   instead of protocol-name ``if``/``elif`` chains.
+- :class:`BaselineEndpoint` — the one endpoint class of the two
+  baseline families: SR-HDLC/GBN and NBDT each register their sender
+  and receiver halves and a frame-type → handler table through
+  :func:`register_baseline`.
 - **protocol-name aliases** — the experiment-level names
   (``"gbn"``, ``"nbdt-multiphase"``, ...) resolve to a registered
   family plus the configuration overrides that variant implies.
@@ -35,13 +39,17 @@ import dataclasses
 import importlib
 from typing import Any, Callable, Iterator, Optional, Protocol, runtime_checkable
 
+from ..simulator.trace import Tracer
+
 __all__ = [
+    "BaselineEndpoint",
     "Endpoint",
     "EndpointPair",
     "PairFactory",
     "available_protocols",
     "make_endpoint_pair",
     "pair_factory",
+    "register_baseline",
     "register_pair_factory",
     "resolve_protocol",
 ]
@@ -51,8 +59,9 @@ __all__ = [
 class Endpoint(Protocol):
     """What the harness needs from one side of a protocol link.
 
-    Concrete endpoints (``LamsDlcEndpoint``, ``HdlcEndpoint``,
-    ``NbdtEndpoint``) satisfy this structurally; nothing subclasses it.
+    Concrete endpoints — ``LamsDlcEndpoint`` for LAMS-DLC,
+    :class:`BaselineEndpoint` for SR-HDLC/GBN and NBDT — satisfy this
+    structurally; nothing subclasses it.
     """
 
     name: str
@@ -134,6 +143,96 @@ def register_pair_factory(family: str, factory: Optional[PairFactory] = None):
         return fn
 
     return _register(factory) if factory is not None else _register
+
+
+class BaselineEndpoint:
+    """One side of a baseline link (SR-HDLC/GBN or NBDT).
+
+    A sender half transmitting on *outgoing*, a purely reactive receiver
+    half answering on the same channel, and *routes*: the family's
+    frame-type → ``(half, method)`` table naming which half takes each
+    arriving frame.
+    """
+
+    def __init__(
+        self,
+        sim: Any,
+        config: Any,
+        outgoing: Any,
+        name: str,
+        halves: tuple[type, type, dict[type, tuple[str, str]]],
+        tracer: Any = None,
+        deliver: Optional[Callable[[Any], None]] = None,
+    ) -> None:
+        sender, receiver, routes = halves
+        self.sim = sim
+        self.config = config
+        self.name = name
+        self.tracer = tracer or Tracer()
+        self.sender = sender(
+            sim, config, data_channel=outgoing, name=f"{name}.tx", tracer=self.tracer
+        )
+        self.receiver = receiver(
+            sim, config, control_channel=outgoing, name=f"{name}.rx",
+            tracer=self.tracer, deliver=deliver,
+        )
+        self._handlers = {
+            kind: getattr(getattr(self, half), method)
+            for kind, (half, method) in routes.items()
+        }
+
+    def start(self, send: bool = True, receive: bool = True) -> None:
+        """Bring the endpoint up (the receiver half is purely reactive)."""
+        if send:
+            self.sender.start()
+
+    def stop(self) -> None:
+        self.sender.stop()
+
+    def accept(self, packet: Any) -> bool:
+        """Queue a packet for transmission."""
+        return self.sender.accept(packet)
+
+    def on_frame(self, frame: Any, corrupted: bool) -> None:
+        """Dispatch one arriving frame to the half its route names."""
+        handler = self._handlers.get(type(frame))
+        if handler is None:
+            raise TypeError(f"unknown frame type: {type(frame).__name__}")
+        handler(frame, corrupted)
+
+    def __repr__(self) -> str:
+        return f"<BaselineEndpoint {self.name}>"
+
+
+def register_baseline(
+    family: str, sender: type, receiver: type, routes: dict[type, tuple[str, str]],
+) -> PairFactory:
+    """Register *family*'s pair factory: two :class:`BaselineEndpoint`\\ s
+    built from the *sender* and *receiver* half classes and *routes*."""
+    halves = (sender, receiver, routes)
+
+    def factory(
+        sim: Any,
+        link: Any,
+        config: Any,
+        *,
+        config_b: Any = None,
+        tracer: Any = None,
+        deliver_a: Optional[Callable[[Any], None]] = None,
+        deliver_b: Optional[Callable[[Any], None]] = None,
+    ) -> tuple[BaselineEndpoint, BaselineEndpoint]:
+        endpoint_a = BaselineEndpoint(
+            sim, config, link.forward, f"{link.name}.A", halves,
+            tracer=tracer, deliver=deliver_a,
+        )
+        endpoint_b = BaselineEndpoint(
+            sim, config_b or config, link.reverse, f"{link.name}.B", halves,
+            tracer=tracer, deliver=deliver_b,
+        )
+        link.attach(endpoint_a.on_frame, endpoint_b.on_frame)
+        return endpoint_a, endpoint_b
+
+    return register_pair_factory(family, factory)
 
 
 def resolve_protocol(protocol: str) -> tuple[str, dict[str, Any]]:

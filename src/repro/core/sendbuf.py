@@ -1,4 +1,4 @@
-"""The LAMS-DLC sending buffer, with holding-time accounting.
+"""The sending buffer of all three protocol families, with holding-time accounting.
 
 Section 3.4 distinguishes *flow control* (protects the receiver) from
 *buffer control* (bounds the sender's holding time, giving the sending
@@ -9,26 +9,49 @@ frames, instrumented so experiments can measure exactly the quantities
 Section 4 derives — mean holding time ``H_frame`` and buffer occupancy.
 
 The window is a set of parallel columns indexed by transmit order:
-position ``p`` describes transmit index ``base + p``.  Two facts of the
-protocol make that enough.  Retransmissions are renumbered
-(Section 3.3), so a frame's sequence number is a function of its
-transmit index (:class:`~repro.core.seqspace.SequenceSpace`) and a NAK
-finds its frame by arithmetic.  And a valid checkpoint resolves every
-frame it covers (Section 3.2), so the resolved part of the window is a
-prefix and is dropped with one slice deletion per column.  A frame
-detached out of order (NAK'd) leaves a tombstone — ``None`` in
-:attr:`SendBuffer.items` — until the prefix reaches it.
+position ``p`` describes transmit index ``base + p``, and a frame's
+sequence number is a function of its transmit index
+(:class:`~repro.core.seqspace.SequenceSpace`), so a number finds its
+frame by arithmetic (:meth:`SendBuffer.position_of`).  A frame resolved
+out of order leaves a tombstone — ``None`` in :attr:`SendBuffer.items`
+— until the resolved prefix reaches it and is dropped with one slice
+deletion per column.
+
+**Family-neutral** (LAMS-DLC, SR-HDLC/GBN and NBDT): the pending FIFO
+with its capacity, refusal and peak accounting; the ``items`` /
+``arrivals`` / ``first_sends`` / ``retx`` columns with ``base``,
+``next_index``, ``position_of``, tombstones and ``drop_prefix``; the
+holding-time sums.  The baselines never renumber, so they also share
+:meth:`~SendBuffer.push` (first transmission), :meth:`~SendBuffer.resend`
+(a retransmission counted in place), :meth:`~SendBuffer.release`
+(positive acknowledgement) and :meth:`~SendBuffer.drop_released`; SR-HDLC
+transmit index ``i`` carries ``N(S) = i mod M``, NBDT's absolute frame id
+*is* the transmit index.  :class:`BufferedSender` is the sender surface
+both baselines build on it.
+
+**LAMS-DLC only**: retransmissions are renumbered (Section 3.3), so a
+NAK'd frame is :meth:`~SendBuffer.detach`-ed to come back under a new
+index, and :meth:`~SendBuffer.admit` refuses to reissue a number whose
+holder is still live.  A valid checkpoint resolves every frame it
+covers (Section 3.2): :meth:`~SendBuffer.covered` finds them by expected
+arrival, a prefix found by bisection while arrivals are
+:attr:`~SendBuffer.monotone`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Any, Iterator, NamedTuple, Optional
+from functools import reduce
+from operator import add
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
+from ..simulator.engine import Simulator
+from ..simulator.link import SimplexChannel
+from ..simulator.trace import TimeWeightedStat, Tracer
 from .seqspace import SequenceExhausted, SequenceSpace
 
-__all__ = ["OutstandingFrame", "SendBuffer"]
+__all__ = ["BufferedSender", "OutstandingFrame", "SendBuffer"]
 
 
 class OutstandingFrame(NamedTuple):
@@ -68,7 +91,8 @@ class SendBuffer:
         self._pending: deque[tuple[Any, float]] = deque()
         # The window: one entry per column per transmit index from ``base`` on.
         self.base = 0
-        # ``(payload, enqueue_time)`` as popped from pending; None = detached.
+        # ``(payload, enqueue_time)`` as popped from pending; None = a
+        # tombstone (detached or released ahead of the prefix).
         self.items: list[Optional[tuple[Any, float]]] = []
         # Expected arrival at the receiver (kept for tombstones too).
         self.arrivals: list[float] = []
@@ -133,6 +157,12 @@ class SendBuffer:
     def pending_payloads(self) -> list[Any]:
         """Payloads still awaiting first transmission (snapshot)."""
         return [packet for packet, _ in self._pending]
+
+    def held_payloads(self) -> list[Any]:
+        """Pending payloads, then the live window's in transmit order."""
+        payloads = self.pending_payloads()
+        payloads.extend(item[0] for item in self.items if item is not None)
+        return payloads
 
     # -- outstanding window ------------------------------------------------------
 
@@ -214,6 +244,46 @@ class SendBuffer:
         if not self.items:
             self.monotone = True
 
+    # -- in-place retransmission (the baselines) ----------------------------------
+
+    def push(self, departure: float, arrival: float) -> int:
+        """Move the next pending packet into the window as a first
+        transmission leaving at *departure*; returns its position."""
+        self.items.append(self._pending.popleft())
+        self.arrivals.append(arrival)
+        self.first_sends.append(departure)
+        self.retx.append(None)
+        self.live += 1
+        return len(self.items) - 1
+
+    def resend(self, position: int) -> None:
+        """Count one more retransmission of *position* under its own number."""
+        count, origin = self.retx[position] or (0, self.base + position)
+        self.retx[position] = (count + 1, origin)
+
+    def release(self, positions: Iterable[int], now: float) -> list[float]:
+        """Tombstone live *positions* as delivered at *now*.
+
+        Returns their holding times (first send → *now*) in the order
+        given, which is the order they are added to ``holding_time_sum``.
+        """
+        items, first_sends = self.items, self.first_sends
+        holdings = []
+        for position in positions:
+            items[position] = None
+            holdings.append(now - first_sends[position])
+        self.holding_time_sum = reduce(add, holdings, self.holding_time_sum)
+        self.holding_samples += len(holdings)
+        self.live -= len(holdings)
+        return holdings
+
+    def drop_released(self) -> int:
+        """Drop the tombstones leading the window; returns how many."""
+        items = self.items
+        count = next((p for p, item in enumerate(items) if item is not None), len(items))
+        self.drop_prefix(count)
+        return count
+
     def outstanding_frames(self) -> Iterator[OutstandingFrame]:
         """The live frames in transmit order, as records built on demand."""
         seq_of = self.space.seq_of
@@ -240,4 +310,128 @@ class SendBuffer:
         return (
             f"SendBuffer(pending={self.pending_count}, "
             f"outstanding={self.outstanding_count}, capacity={self.capacity})"
+        )
+
+
+class BufferedSender:
+    """The sender half the two baseline families build on a :class:`SendBuffer`.
+
+    SR-HDLC/GBN and NBDT hold every frame until it is positively
+    acknowledged, retransmit it under its own number and run one timer
+    (poll / report).  What they share is here: the buffer (capacity from
+    ``config.send_buffer_capacity``), the harness-facing surface
+    (``accept``, ``occupancy``, ``held_payloads`` ...), the
+    ``{name}.sendbuf`` gauge and one ``{name}.holding_time`` sample per
+    release, in transmit order.  A subclass supplies ``_maybe_send``
+    (run whenever the channel goes idle) and ``_on_timeout``.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        config: Any,
+        data_channel: SimplexChannel,
+        name: str,
+        tracer: Optional[Tracer] = None,
+        space: Optional[SequenceSpace] = None,
+    ) -> None:
+        self.sim = sim
+        self.config = config
+        self.data_channel = data_channel
+        self.name = name
+        self.tracer = tracer or Tracer()
+        self.buffer = SendBuffer(config.send_buffer_capacity, space)
+        self._timer = sim.timer(self._on_timeout)
+        self._started = False
+        self._iframe_time = config.iframe_bits / data_channel.bit_rate
+        self._sendbuf: Optional[TimeWeightedStat] = None
+        self._holding_name = f"{name}.holding_time"
+        data_channel.on_idle(self._maybe_send)
+
+        # Statistics (the buffer keeps the occupancy and holding ones).
+        self.iframes_sent = 0
+        self.retransmissions = 0
+        self.releases = 0
+        self.polls_sent = 0
+        self.timeouts = 0
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def start(self) -> None:
+        if self._started:
+            raise RuntimeError("sender already started")
+        self._started = True
+        self._wake()
+
+    def stop(self) -> None:
+        self._timer.cancel()
+        self._started = False
+
+    # -- network-layer interface --------------------------------------------
+
+    def accept(self, packet: Any) -> bool:
+        """Offer a packet; False if the sending buffer refuses it."""
+        if not self.buffer.enqueue(packet, self.sim.now):
+            return False
+        self._record_occupancy()
+        self._wake()
+        return True
+
+    def _wake(self) -> None:
+        """New work (a packet, or the start): send if the channel allows."""
+        self._maybe_send()
+
+    @property
+    def occupancy(self) -> int:
+        """Sending-buffer occupancy: pending plus unacknowledged frames.
+
+        Section 4 proves SR-HDLC's has *no transparent size*, and NBDT's
+        is the paper's "huge memory": under sustained input both grow
+        while frames wait for a positive acknowledgement.
+        """
+        return self.buffer.occupancy
+
+    unresolved_count = occupancy
+
+    @property
+    def pending_count(self) -> int:
+        """Frames awaiting *first* transmission (the drainable backlog)."""
+        return self.buffer.pending_count
+
+    @property
+    def mean_holding_time(self) -> float:
+        return self.buffer.mean_holding_time
+
+    def held_payloads(self) -> list[Any]:
+        """Every payload not yet positively acknowledged — what a session
+        layer must carry over to the next link pass if this one ends now."""
+        return self.buffer.held_payloads()
+
+    # -- the window ----------------------------------------------------------
+
+    def _admit(self) -> int:
+        """Move the next pending packet into the window, sent now."""
+        now = self.sim.now
+        arrival = now + self._iframe_time + self.data_channel.propagation_delay(now)
+        return self.buffer.push(now, arrival)
+
+    def _release(self, positions: Iterable[int]) -> int:
+        """Release *positions* as positively acknowledged; returns how many
+        positions left the front of the window."""
+        holdings = self.buffer.release(positions, self.sim.now)
+        self.tracer.sample_stat(self._holding_name).extend(holdings)
+        self.releases += len(holdings)
+        return self.buffer.drop_released()
+
+    def _record_occupancy(self) -> None:
+        now = self.sim.now
+        if self._sendbuf is None:  # created at first use, like Tracer.level
+            self._sendbuf = self.tracer.level_stat(f"{self.name}.sendbuf", start_time=now)
+        self._sendbuf.update(now, self.buffer.occupancy)
+
+    def __repr__(self) -> str:
+        return (
+            f"<{type(self).__name__} {self.name} sent={self.iframes_sent} "
+            f"retx={self.retransmissions} released={self.releases} "
+            f"held={self.occupancy}>"
         )

@@ -8,22 +8,18 @@ background comparisons.
 
 from .config import HdlcConfig
 from .frames import HdlcIFrame, RejFrame, RrFrame, SrejFrame
-from .protocol import HdlcEndpoint
 from .receiver import HdlcReceiver
-from .sender import HdlcOutstanding, HdlcSender
-from .window import ReceiverWindow, SenderWindow, in_window, increment, window_offset
+from .sender import HdlcSender
+from .window import ReceiverWindow, in_window, increment, window_offset
 
 __all__ = [
     "HdlcConfig",
-    "HdlcEndpoint",
     "HdlcIFrame",
-    "HdlcOutstanding",
     "HdlcReceiver",
     "HdlcSender",
     "ReceiverWindow",
     "RejFrame",
     "RrFrame",
-    "SenderWindow",
     "SrejFrame",
     "in_window",
     "increment",

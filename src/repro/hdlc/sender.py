@@ -20,36 +20,31 @@ Implements the checkpoint/poll discipline the analysis models:
 
 In Go-Back-N mode (``config.selective = False``) a REJ rolls the send
 state back and everything from N(R) is retransmitted in order.
+
+The window is the sending buffer's columns (:mod:`repro.core.sendbuf`):
+transmit index ``i`` carries ``N(S) = i mod M``, ``V(A)`` is the number
+of the window's base and ``V(S)`` that of ``next_index``.  Cumulative
+acknowledgement releases a prefix, so the window has no holes and
+"oldest first" and "in N(R) order" are column order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Optional
 
+from ..core.sendbuf import BufferedSender
+from ..core.seqspace import SequenceSpace
 from ..simulator.engine import Simulator
 from ..simulator.link import SimplexChannel
 from ..simulator.trace import Tracer
 from .config import HdlcConfig
 from .frames import HdlcIFrame, RejFrame, RrFrame, SrejFrame
-from .window import SenderWindow, window_offset
 
-__all__ = ["HdlcSender", "HdlcOutstanding"]
-
-
-@dataclass
-class HdlcOutstanding:
-    """Bookkeeping for one unacknowledged I-frame."""
-
-    ns: int
-    payload: Any
-    enqueue_time: float
-    first_send_time: float
-    retransmit_count: int = 0
+__all__ = ["HdlcSender"]
 
 
-class HdlcSender:
+class HdlcSender(BufferedSender):
     """Sender state machine for one direction of an HDLC link."""
 
     def __init__(
@@ -60,176 +55,81 @@ class HdlcSender:
         name: str = "hdlc.tx",
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.sim = sim
-        self.config = config
-        self.data_channel = data_channel
-        self.name = name
-        self.tracer = tracer or Tracer()
-
-        self.window = SenderWindow(config.window_size, config.modulus)
-        self._pending: deque[tuple[Any, float]] = deque()
-        self._outstanding: dict[int, HdlcOutstanding] = {}
+        super().__init__(
+            sim, config, data_channel, name, tracer, SequenceSpace(config.modulus),
+        )
+        # N(S) values owed a retransmission; the set mirrors the queue.
         self._retransmit_queue: deque[int] = deque()
         self._requeued: set[int] = set()
-        self._poll_timer = sim.timer(self._on_poll_timeout)
-        self._started = False
         self._stutter_cursor = 0
-
-        self.data_channel.on_idle(self._maybe_send)
-
-        # Statistics.
-        self.iframes_sent = 0
-        self.retransmissions = 0
         self.stutter_transmissions = 0
-        self.releases = 0
-        self.polls_sent = 0
-        self.timeouts = 0
-        self.enqueued_total = 0
-        self.refused_total = 0
-        self.holding_time_sum = 0.0
-        self.holding_samples = 0
-        self.peak_occupancy = 0
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("sender already started")
-        self._started = True
-        self._maybe_send()
-
-    def stop(self) -> None:
-        self._poll_timer.cancel()
-        self._started = False
-
-    # -- network-layer interface -------------------------------------------------
-
-    def accept(self, packet: Any) -> bool:
-        """Offer a packet; False if the sending buffer refuses it."""
-        capacity = self.config.send_buffer_capacity
-        if capacity is not None and self.occupancy >= capacity:
-            self.refused_total += 1
-            return False
-        self._pending.append((packet, self.sim.now))
-        self.enqueued_total += 1
-        self._record_occupancy()
-        self._maybe_send()
-        return True
-
-    @property
-    def occupancy(self) -> int:
-        """Sending-buffer occupancy: pending plus unacknowledged frames.
-
-        This is the quantity Section 4 proves has *no transparent size*
-        for SR-HDLC: under sustained input it grows without bound while
-        the window stalls awaiting RR.
-        """
-        return len(self._pending) + len(self._outstanding)
-
-    @property
-    def unresolved_count(self) -> int:
-        return self.occupancy
-
-    @property
-    def pending_count(self) -> int:
-        """Frames awaiting *first* transmission (the drainable backlog)."""
-        return len(self._pending)
-
-    @property
-    def mean_holding_time(self) -> float:
-        if self.holding_samples == 0:
-            return 0.0
-        return self.holding_time_sum / self.holding_samples
-
-    def held_payloads(self) -> list[Any]:
-        """Every payload not yet cumulatively acknowledged.
-
-        Pending plus outstanding — the frames a session layer must carry
-        over to the next link pass if this one ends now.
-        """
-        payloads = [packet for packet, _ in self._pending]
-        payloads.extend(record.payload for record in self._outstanding.values())
-        return payloads
 
     # -- transmission -----------------------------------------------------------------
 
     def _maybe_send(self) -> None:
         if not self._started or not self.data_channel.is_idle:
             return
-        if self._retransmit_queue:
-            ns = self._retransmit_queue.popleft()
+        buffer = self.buffer
+        queue = self._retransmit_queue
+        while queue:
+            ns = queue.popleft()
             self._requeued.discard(ns)
-            record = self._outstanding.get(ns)
-            if record is None:
-                self._maybe_send()  # acked while queued; try the next one
+            position = buffer.position_of(ns)
+            if position is not None:  # else acknowledged while queued
+                buffer.resend(position)
+                self.retransmissions += 1
+                self._emit(position, poll=self._is_last_sendable())
                 return
-            record.retransmit_count += 1
-            self.retransmissions += 1
-            self._emit(record, poll=self._is_last_sendable())
-            return
-        if self._pending and self.window.can_send:
-            packet, enqueue_time = self._pending.popleft()
-            ns = self.window.next_ns()
-            record = HdlcOutstanding(
-                ns=ns,
-                payload=packet,
-                enqueue_time=enqueue_time,
-                first_send_time=self.sim.now,
-            )
-            self._outstanding[ns] = record
-            self._emit(record, poll=self._is_last_sendable())
-            return
-        if self.config.stutter and self._outstanding:
+        if self._window_open():
+            self._emit(self._admit(), poll=self._is_last_sendable())
+        elif self.config.stutter and buffer.items:
             # Stutter: the line would idle while the window stalls —
             # re-send unacknowledged frames round-robin instead.  No
             # Poll bit and no timer interaction: these are opportunistic
             # extra copies, not recovery actions.
             self._emit_stutter()
 
-    def _emit_stutter(self) -> None:
-        """One round-robin stutter copy of an unacknowledged frame."""
-        ordered = sorted(
-            self._outstanding,
-            key=lambda ns: window_offset(self.window.va, ns, self.config.modulus),
+    def _window_open(self) -> bool:
+        """A packet is pending and V(S) has not exhausted the window."""
+        return bool(self.buffer.pending_count) and (
+            len(self.buffer.items) < self.config.window_size
         )
-        cursor = self._stutter_cursor % len(ordered)
-        self._stutter_cursor = cursor + 1
-        record = self._outstanding[ordered[cursor]]
-        frame = HdlcIFrame(
-            ns=record.ns,
-            payload=record.payload,
-            size_bits=self.config.iframe_bits,
-            poll=False,
-        )
-        self.data_channel.send(frame)
-        self.iframes_sent += 1
-        self.stutter_transmissions += 1
-        self.tracer.emit(self.sim.now, self.name, "stutter_sent", ns=record.ns)
 
     def _is_last_sendable(self) -> bool:
         """True if no further frame can follow immediately — poll now."""
-        if self._retransmit_queue:
-            return False
-        if self._pending and self.window.can_send:
-            return False
-        return True
+        return not self._retransmit_queue and not self._window_open()
 
-    def _emit(self, record: HdlcOutstanding, poll: bool) -> None:
-        frame = HdlcIFrame(
-            ns=record.ns,
-            payload=record.payload,
+    def _frame(self, position: int, poll: bool) -> HdlcIFrame:
+        buffer = self.buffer
+        return HdlcIFrame(
+            ns=buffer.space.seq_of(buffer.base + position),
+            payload=buffer.items[position][0],
             size_bits=self.config.iframe_bits,
             poll=poll,
         )
+
+    def _emit_stutter(self) -> None:
+        """One round-robin stutter copy of an unacknowledged frame."""
+        position = self._stutter_cursor % len(self.buffer.items)
+        self._stutter_cursor = position + 1
+        frame = self._frame(position, poll=False)
+        self.data_channel.send(frame)
+        self.iframes_sent += 1
+        self.stutter_transmissions += 1
+        self.tracer.emit(self.sim.now, self.name, "stutter_sent", ns=frame.ns)
+
+    def _emit(self, position: int, poll: bool) -> None:
+        frame = self._frame(position, poll)
         self.data_channel.send(frame)
         self.iframes_sent += 1
         self._record_occupancy()
         if poll:
             self.polls_sent += 1
-            self._poll_timer.start(self.config.timeout)
+            self._timer.start(self.config.timeout)
+        retx = self.buffer.retx[position]
         self.tracer.emit(
             self.sim.now, self.name, "iframe_sent",
-            ns=record.ns, poll=poll, retx=record.retransmit_count,
+            ns=frame.ns, poll=poll, retx=0 if retx is None else retx[0],
         )
 
     # -- responses -----------------------------------------------------------------------
@@ -238,45 +138,43 @@ class HdlcSender:
         if corrupted:
             self.tracer.emit(self.sim.now, self.name, "rr_corrupted")
             return
-        acked = self.window.acknowledge(frame.nr)
-        for ns in acked:
-            self._release(ns)
-        if acked:
+        if self._acknowledge(frame.nr):
             self._record_occupancy()
         if frame.final:
-            self._poll_timer.cancel()
+            self._timer.cancel()
             # The poll cycle ended but frames beyond N(R) may remain
             # unacknowledged with no SREJ coming (they were all lost in
             # one sweep).  If nothing else will trigger recovery,
             # re-poll via timeout-style retransmission of the oldest.
-            nothing_sendable = not self._retransmit_queue and not (
-                self._pending and self.window.can_send
-            )
-            if self._outstanding and nothing_sendable:
-                self._poll_timer.start(self.config.timeout)
+            if self.buffer.items and self._is_last_sendable():
+                self._timer.start(self.config.timeout)
         self._maybe_send()
 
-    def _release(self, ns: int) -> None:
-        """Frame *ns* is acknowledged: drop its record, sample its holding time."""
-        record = self._outstanding.pop(ns, None)
-        if record is None:
-            return
-        held = self.sim.now - record.first_send_time
-        self.releases += 1
-        self.holding_time_sum += held
-        self.holding_samples += 1
-        self.tracer.sample(f"{self.name}.holding_time", held)
+    def _acknowledge(self, nr: int) -> int:
+        """Apply a cumulative N(R): release every frame before it.
+
+        Returns how many were released.  An N(R) outside ``(V(A),
+        V(S)]`` is stale or insane and is ignored (HDLC treats it as a
+        protocol error; for the simulation we drop it and let the
+        timeout recover).
+        """
+        buffer = self.buffer
+        advance = (nr - buffer.space.seq_of(buffer.base)) % buffer.space.modulus
+        if advance == 0 or advance > len(buffer.items):
+            return 0
+        self._release(range(advance))
+        return advance
 
     def on_srej(self, frame: SrejFrame, corrupted: bool) -> None:
         if corrupted:
             self.tracer.emit(self.sim.now, self.name, "srej_corrupted")
             return
         for ns in frame.nrs:
-            if ns in self._outstanding and ns not in self._requeued:
+            if ns not in self._requeued and self.buffer.position_of(ns) is not None:
                 self._retransmit_queue.append(ns)
                 self._requeued.add(ns)
         if frame.final:
-            self._poll_timer.cancel()
+            self._timer.cancel()
         self.tracer.emit(self.sim.now, self.name, "srej", count=len(frame.nrs))
         self._maybe_send()
 
@@ -284,50 +182,31 @@ class HdlcSender:
         """Go-Back-N: resend everything from N(R) in order."""
         if corrupted:
             return
-        for ns in self.window.acknowledge(frame.nr):
-            self._release(ns)
-        # Rebuild the retransmission queue in sequence order from N(R).
+        self._acknowledge(frame.nr)
+        buffer = self.buffer
+        seq_of = buffer.space.seq_of
         self._retransmit_queue.clear()
-        self._requeued.clear()
-        ordered = sorted(
-            self._outstanding,
-            key=lambda ns: window_offset(frame.nr, ns, self.config.modulus),
+        self._retransmit_queue.extend(
+            seq_of(buffer.base + position) for position in range(len(buffer.items))
         )
-        for ns in ordered:
-            self._retransmit_queue.append(ns)
-            self._requeued.add(ns)
+        self._requeued = set(self._retransmit_queue)
         if frame.final:
-            self._poll_timer.cancel()
+            self._timer.cancel()
         self._record_occupancy()
         self._maybe_send()
 
     # -- timeout recovery ---------------------------------------------------------------------
 
-    def _on_poll_timeout(self) -> None:
+    def _on_timeout(self) -> None:
         """No response to the poll within t_out: retransmit and re-poll."""
-        if not self._outstanding:
+        buffer = self.buffer
+        if not buffer.items:
             return
         self.timeouts += 1
-        oldest = min(
-            self._outstanding,
-            key=lambda ns: window_offset(self.window.va, ns, self.config.modulus),
-        )
+        oldest = buffer.space.seq_of(buffer.base)  # V(A)
         if oldest not in self._requeued:
             self._retransmit_queue.appendleft(oldest)
             self._requeued.add(oldest)
         self.tracer.emit(self.sim.now, self.name, "poll_timeout", ns=oldest)
-        self._poll_timer.start(self.config.timeout)
+        self._timer.start(self.config.timeout)
         self._maybe_send()
-
-    # -- instrumentation --------------------------------------------------------------------------
-
-    def _record_occupancy(self) -> None:
-        if self.occupancy > self.peak_occupancy:
-            self.peak_occupancy = self.occupancy
-        self.tracer.level(f"{self.name}.sendbuf", self.sim.now, self.occupancy)
-
-    def __repr__(self) -> str:
-        return (
-            f"<HdlcSender {self.name} sent={self.iframes_sent} "
-            f"retx={self.retransmissions} released={self.releases}>"
-        )

@@ -1,14 +1,14 @@
-"""Sliding-window arithmetic for HDLC.
+"""Sliding-window arithmetic for the HDLC receiver.
 
 Sequence numbers live in ``Z_M``; the helpers here linearise cyclic
-comparisons against a window base, which is how both the sender
-(``V(A) <= n < V(S)``) and the receiver (``V(R) <= n < V(R)+W``)
-decide membership.
+comparisons against a window base, which is how the receiver decides
+membership (``V(R) <= n < V(R)+W``).  The sender's window is the
+sending buffer's columns (:mod:`repro.hdlc.sender`).
 """
 
 from __future__ import annotations
 
-__all__ = ["in_window", "window_offset", "increment", "SenderWindow", "ReceiverWindow"]
+__all__ = ["in_window", "window_offset", "increment", "ReceiverWindow"]
 
 
 def increment(seq: int, modulus: int, by: int = 1) -> int:
@@ -24,60 +24,6 @@ def window_offset(base: int, seq: int, modulus: int) -> int:
 def in_window(base: int, seq: int, size: int, modulus: int) -> bool:
     """True if *seq* lies in ``[base, base + size)`` cyclically."""
     return window_offset(base, seq, modulus) < size
-
-
-class SenderWindow:
-    """Sender-side window state: V(A) (ack base) and V(S) (next send)."""
-
-    def __init__(self, size: int, modulus: int) -> None:
-        if size < 1:
-            raise ValueError("window size must be >= 1")
-        if modulus < 2 or size > modulus - 1:
-            raise ValueError("window size must be < modulus")
-        self.size = size
-        self.modulus = modulus
-        self.va = 0
-        self.vs = 0
-
-    @property
-    def outstanding(self) -> int:
-        """Frames sent but not cumulatively acknowledged."""
-        return window_offset(self.va, self.vs, self.modulus)
-
-    @property
-    def can_send(self) -> bool:
-        """True while V(S) has not exhausted the window."""
-        return self.outstanding < self.size
-
-    def next_ns(self) -> int:
-        """Consume the next send sequence number."""
-        if not self.can_send:
-            raise RuntimeError("window exhausted")
-        ns = self.vs
-        self.vs = increment(self.vs, self.modulus)
-        return ns
-
-    def acknowledge(self, nr: int) -> list[int]:
-        """Apply a cumulative N(R); returns the newly acked numbers.
-
-        N(R) acknowledges every frame *before* it.  Values outside
-        ``(V(A), V(S)]`` are stale or insane and are ignored (HDLC
-        treats an N(R) outside that range as a protocol error; for the
-        simulation we drop it and let the timeout recover).
-        """
-        advance = window_offset(self.va, nr, self.modulus)
-        if advance == 0 or advance > self.outstanding:
-            return []
-        acked = [increment(self.va, self.modulus, i) for i in range(advance)]
-        self.va = nr
-        return acked
-
-    def holds(self, ns: int) -> bool:
-        """True if *ns* is currently outstanding (unacked and sent)."""
-        return window_offset(self.va, ns, self.modulus) < self.outstanding
-
-    def __repr__(self) -> str:
-        return f"SenderWindow(va={self.va}, vs={self.vs}, size={self.size})"
 
 
 class ReceiverWindow:

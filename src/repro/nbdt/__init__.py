@@ -9,15 +9,12 @@ memory until positive acknowledgement, and no reliability machinery.
 
 from .config import NbdtConfig
 from .frames import NbdtIFrame, NbdtReport, NbdtReportRequest
-from .protocol import NbdtEndpoint
 from .receiver import NbdtReceiver
-from .sender import NbdtOutstanding, NbdtSender
+from .sender import NbdtSender
 
 __all__ = [
     "NbdtConfig",
-    "NbdtEndpoint",
     "NbdtIFrame",
-    "NbdtOutstanding",
     "NbdtReceiver",
     "NbdtReport",
     "NbdtReportRequest",

@@ -17,35 +17,30 @@ the sender's memory until *positively* acknowledged by a report (the
 failure-detection machinery at all ("they do not consider the
 reliability of protocol") — a dead receiver leaves the sender polling
 forever.
+
+The memory is the sending buffer's columns (:mod:`repro.core.sendbuf`):
+a frame's absolute id *is* its transmit index, so window position ``p``
+holds frame ``base + p``, and a report's selective release leaves
+tombstones until the released prefix reaches them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Optional
+from itertools import compress
+from typing import Optional
 
+from ..core.sendbuf import BufferedSender
 from ..simulator.engine import Simulator
 from ..simulator.link import SimplexChannel
 from ..simulator.trace import Tracer
 from .config import NbdtConfig
 from .frames import NbdtIFrame, NbdtReport, NbdtReportRequest
 
-__all__ = ["NbdtSender", "NbdtOutstanding"]
+__all__ = ["NbdtSender"]
 
 
-@dataclass
-class NbdtOutstanding:
-    """One transmitted, not-yet-acknowledged frame."""
-
-    fid: int
-    payload: Any
-    first_send_time: float
-    retransmit_count: int = 0
-    last_send_time: float = -1.0
-
-
-class NbdtSender:
+class NbdtSender(BufferedSender):
     """Sender state machine for one direction of an NBDT link."""
 
     def __init__(
@@ -56,86 +51,23 @@ class NbdtSender:
         name: str = "nbdt.tx",
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.sim = sim
-        self.config = config
-        self.data_channel = data_channel
-        self.name = name
-        self.tracer = tracer or Tracer()
-
-        self._pending: deque[Any] = deque()
-        self._outstanding: dict[int, NbdtOutstanding] = {}
+        super().__init__(sim, config, data_channel, name, tracer)
+        # Frame ids owed a retransmission; the set mirrors the queue.
         self._retransmit_queue: deque[int] = deque()
         self._requeued: set[int] = set()
-        self._next_fid = 0
-        self._started = False
-        self._report_timer = sim.timer(self._on_report_timeout)
+        # When each window position was last (re)sent: the in-flight guard.
+        self._last_sends: list[float] = []
 
         # Multiphase state: frames still owed to the current phase.
         self._phase_new_remaining = 0
         self._awaiting_report = False
 
-        self.data_channel.on_idle(self._maybe_send)
-
-        self.iframes_sent = 0
-        self.retransmissions = 0
-        self.releases = 0
         self.reports_received = 0
-        self.polls_sent = 0
-        self.timeouts = 0
-        self.holding_time_sum = 0.0
-        self.holding_samples = 0
-        self.peak_occupancy = 0
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("sender already started")
-        self._started = True
-        self._begin_phase_if_idle()
-        self._maybe_send()
-
-    def stop(self) -> None:
-        self._report_timer.cancel()
-        self._started = False
-
-    # -- network-layer interface -------------------------------------------------
-
-    def accept(self, packet: Any) -> bool:
-        capacity = self.config.send_buffer_capacity
-        if capacity is not None and self.occupancy >= capacity:
-            return False
-        self._pending.append(packet)
-        if self.occupancy > self.peak_occupancy:
-            self.peak_occupancy = self.occupancy
+    def _wake(self) -> None:
         if self._started:
             self._begin_phase_if_idle()
             self._maybe_send()
-        return True
-
-    @property
-    def occupancy(self) -> int:
-        """Sender memory: pending plus everything awaiting positive ack."""
-        return len(self._pending) + len(self._outstanding)
-
-    @property
-    def unresolved_count(self) -> int:
-        return self.occupancy
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
-    def mean_holding_time(self) -> float:
-        if self.holding_samples == 0:
-            return 0.0
-        return self.holding_time_sum / self.holding_samples
-
-    def held_payloads(self) -> list[Any]:
-        payloads = list(self._pending)
-        payloads.extend(record.payload for record in self._outstanding.values())
-        return payloads
 
     # -- transmission ----------------------------------------------------------------
 
@@ -145,8 +77,7 @@ class NbdtSender:
             return
         if self._awaiting_report or self._retransmit_queue or self._phase_new_remaining:
             return
-        if self._pending:
-            self._phase_new_remaining = len(self._pending)
+        self._phase_new_remaining = self.buffer.pending_count
 
     def _maybe_send(self) -> None:
         if not self._started or not self.data_channel.is_idle:
@@ -157,78 +88,74 @@ class NbdtSender:
             self._maybe_send_multiphase()
 
     def _maybe_send_continuous(self) -> None:
-        if self._retransmit_queue:
-            fid = self._retransmit_queue.popleft()
-            self._requeued.discard(fid)
-            record = self._outstanding.get(fid)
-            if record is None:
-                self._maybe_send_continuous()
+        position = self._next_retransmission()
+        if position is None:
+            if not self.buffer.pending_count:
                 return
-            record.retransmit_count += 1
-            self.retransmissions += 1
-            self._emit(record, poll=self._nothing_else_sendable())
-        elif self._pending:
-            self._emit(self._admit(), poll=self._nothing_else_sendable())
+            position = self._admit()
+        self._emit(position, poll=self._nothing_else_sendable())
 
     def _maybe_send_multiphase(self) -> None:
         if self._awaiting_report:
             return
-        if self._retransmit_queue:
-            fid = self._retransmit_queue.popleft()
-            record = self._outstanding.get(fid)
-            if record is None:
-                self._maybe_send_multiphase()
-                return
-            record.retransmit_count += 1
-            self.retransmissions += 1
+        position = self._next_retransmission()
+        if position is not None:
             last = not self._retransmit_queue
-            self._emit(record, poll=last)
-            if last:
-                self._close_phase()
-        elif self._phase_new_remaining > 0 and self._pending:
-            record = self._admit()
+        elif self._phase_new_remaining and self.buffer.pending_count:
+            position = self._admit()
             self._phase_new_remaining -= 1
-            last = self._phase_new_remaining == 0 or not self._pending
-            self._emit(record, poll=last)
+            last = not self._phase_new_remaining or not self.buffer.pending_count
             if last:
                 self._phase_new_remaining = 0
-                self._close_phase()
+        else:
+            return
+        self._emit(position, poll=last)
+        if last:
+            self._close_phase()
+
+    def _next_retransmission(self) -> Optional[int]:
+        """Pop queued ids until one is still held; its position, or None."""
+        buffer = self.buffer
+        queue = self._retransmit_queue
+        while queue:
+            fid = queue.popleft()
+            self._requeued.discard(fid)
+            position = fid - buffer.base
+            if position >= 0 and buffer.items[position] is not None:
+                buffer.resend(position)
+                self.retransmissions += 1
+                return position
+        return None
 
     def _close_phase(self) -> None:
         self._awaiting_report = True
-        self._report_timer.start(self.config.timeout)
+        self._timer.start(self.config.timeout)
 
     def _nothing_else_sendable(self) -> bool:
-        return not self._retransmit_queue and not self._pending
+        return not self._retransmit_queue and not self.buffer.pending_count
 
-    def _admit(self) -> NbdtOutstanding:
-        payload = self._pending.popleft()
-        record = NbdtOutstanding(
-            fid=self._next_fid, payload=payload, first_send_time=self.sim.now
-        )
-        self._next_fid += 1
-        self._outstanding[record.fid] = record
-        return record
+    def _admit(self) -> int:
+        position = super()._admit()
+        self._last_sends.append(self.sim.now)
+        return position
 
-    def _emit(self, record: NbdtOutstanding, poll: bool) -> None:
+    def _emit(self, position: int, poll: bool) -> None:
+        buffer = self.buffer
+        fid = buffer.base + position
         frame = NbdtIFrame(
-            fid=record.fid,
-            payload=record.payload,
+            fid=fid,
+            payload=buffer.items[position][0],
             size_bits=self.config.iframe_bits,
             poll=poll,
         )
-        record.last_send_time = self.sim.now
+        self._last_sends[position] = self.sim.now
         self.data_channel.send(frame)
         self.iframes_sent += 1
         if poll:
             self.polls_sent += 1
             if self.config.mode == "continuous":
-                self._report_timer.start(self.config.timeout)
-        if self.occupancy > self.peak_occupancy:
-            self.peak_occupancy = self.occupancy
-        self.tracer.emit(
-            self.sim.now, self.name, "iframe_sent", fid=record.fid, poll=poll,
-        )
+                self._timer.start(self.config.timeout)
+        self.tracer.emit(self.sim.now, self.name, "iframe_sent", fid=fid, poll=poll)
 
     # -- report handling --------------------------------------------------------------
 
@@ -238,15 +165,24 @@ class NbdtSender:
         self.reports_received += 1
         self._awaiting_report = False
         missing = set(report.missing)
+        buffer = self.buffer
+        base, items = buffer.base, buffer.items
         # Positive acknowledgement: everything at or below highest_seen
         # that the receiver does not list as missing.
-        for fid in [f for f in self._outstanding if f <= report.highest_seen]:
-            if fid in missing:
-                continue
-            record = self._outstanding.pop(fid)
-            self.releases += 1
-            self.holding_time_sum += self.sim.now - record.first_send_time
-            self.holding_samples += 1
+        # (``compress`` skips the tombstones: a gap the receiver keeps
+        # reporting holds every frame after it in the window.)
+        seen = max(0, report.highest_seen + 1 - base)
+        released = [
+            position for position in compress(range(seen), items)
+            if base + position not in missing
+        ]
+        if released:
+            del self._last_sends[:self._release(released)]
+            self._record_occupancy()
+        base, retx = buffer.base, buffer.retx
+        last_sends = self._last_sends
+        now, timeout = self.sim.now, self.config.timeout
+        queue, requeued = self._retransmit_queue, self._requeued
         # Retransmission work: the reported gaps.  In continuous mode a
         # gap can be re-reported while its retransmission is still in
         # flight (the report was issued before the re-sent copy could
@@ -255,55 +191,48 @@ class NbdtSender:
         # previous phase — every listed gap genuinely needs a re-send.
         in_flight_possible = self.config.mode == "continuous"
         for fid in sorted(missing):
-            record = self._outstanding.get(fid)
-            if record is None or fid in self._requeued:
+            position = fid - base
+            if not 0 <= position < len(items) or items[position] is None or fid in requeued:
                 continue
             if (
                 in_flight_possible
-                and record.retransmit_count > 0
-                and self.sim.now - record.last_send_time < self.config.timeout
+                and retx[position] is not None
+                and now - last_sends[position] < timeout
             ):
                 continue
-            self._retransmit_queue.append(fid)
-            self._requeued.add(fid)
+            queue.append(fid)
+            requeued.add(fid)
         # Trailing losses: frames beyond the receiver's highest seen id
         # can never appear in its gap list.  Anything we sent more than
         # one timeout ago that the report does not cover was lost off
         # the tail — retransmit it.  (Freshly sent frames are protected
         # by the same guard; the next report covers them.)
-        for fid in sorted(self._outstanding):
-            if fid <= report.highest_seen or fid in self._requeued:
+        for position in range(max(0, report.highest_seen + 1 - base), len(items)):
+            fid = base + position
+            if items[position] is None or fid in requeued:
                 continue
-            record = self._outstanding[fid]
-            if self.sim.now - record.last_send_time < self.config.timeout:
+            if now - last_sends[position] < timeout:
                 continue
-            self._retransmit_queue.append(fid)
-            self._requeued.add(fid)
+            queue.append(fid)
+            requeued.add(fid)
         if self.config.mode == "multiphase":
-            self._requeued.clear()
-            if not self._retransmit_queue:
+            requeued.clear()
+            if not queue:
                 self._begin_phase_if_idle()
-        if self._outstanding or self._pending:
-            self._report_timer.start(self.config.timeout)
+        if self.occupancy:
+            self._timer.start(timeout)
         else:
-            self._report_timer.cancel()
+            self._timer.cancel()
         self.tracer.emit(
-            self.sim.now, self.name, "report",
-            acked=self.releases, missing=len(missing),
+            now, self.name, "report", acked=self.releases, missing=len(missing),
         )
         self._maybe_send()
 
-    def _on_report_timeout(self) -> None:
+    def _on_timeout(self) -> None:
         """No report arrived: poll again (NBDT has no failure handling)."""
-        if not self._outstanding and not self._pending:
+        if not self.occupancy:
             return
         self.timeouts += 1
         self.data_channel.send(NbdtReportRequest(request_time=self.sim.now))
-        self._report_timer.start(self.config.timeout)
+        self._timer.start(self.config.timeout)
         self.tracer.emit(self.sim.now, self.name, "report_request")
-
-    def __repr__(self) -> str:
-        return (
-            f"<NbdtSender {self.name} mode={self.config.mode} "
-            f"sent={self.iframes_sent} outstanding={len(self._outstanding)}>"
-        )

@@ -78,6 +78,16 @@ class TestMakeEndpointPair:
         _, _, (a, _) = _pair("nbdt-multiphase")
         assert a.config.mode == "multiphase"
 
+    @pytest.mark.parametrize("protocol", ["hdlc", "nbdt"])
+    def test_baseline_endpoint_refuses_a_frame_it_has_no_route_for(self, protocol):
+        from repro.core.frames import CheckpointFrame
+
+        _, _, (a, _) = _pair(protocol)
+        frame = CheckpointFrame(cp_index=0, issue_time=0.0, naks=(), frontier=None,
+                                enforced=False)
+        with pytest.raises(TypeError, match="unknown frame type: CheckpointFrame"):
+            a.on_frame(frame, False)
+
     def test_explicit_config_fields_survive_aliases(self):
         # An override-free alias must not clobber an explicit config.
         scenario = preset("short_hop")
@@ -262,8 +272,9 @@ class TestFacadeFaultKwargs:
 # repro.benchmark, to measure a speed; for repro.experiments, to run or
 # summarise a sweep), each beside the module it lived in; none may come
 # back.  Written with a "|" inside so that `git grep`
-# for one of them finds nothing in the tree; the "|" is dropped before
-# use.
+# for one of them finds nothing in the tree but the oracles that keep
+# a deleted class on purpose (tests/*_reference.py); the "|" is dropped
+# before use.
 DELETED_NAMES = [
     ("repro.core.protocol", "lams_dlc_|pair"),
     ("repro.hdlc.protocol", "hdlc_|pair"),
@@ -321,6 +332,19 @@ DELETED_NAMES = [
     ("repro.analysis.delay", "resequencing_|buffer_bound"),
     ("repro.analysis.framesize", "frame_size_|sweep"),
     ("repro.analysis.hybrid", "best_|codec"),
+    # The baselines' record-per-frame windows and per-family endpoint
+    # classes: their senders keep the window in SendBuffer's columns,
+    # and core.endpoint.BaselineEndpoint serves both families.
+    ("repro.hdlc.window", "Sender|Window"),
+    ("repro.hdlc", "Sender|Window"),
+    ("repro.hdlc.sender", "Hdlc|Outstanding"),
+    ("repro.hdlc", "Hdlc|Outstanding"),
+    ("repro.nbdt.sender", "Nbdt|Outstanding"),
+    ("repro.nbdt", "Nbdt|Outstanding"),
+    ("repro.hdlc.protocol", "Hdlc|Endpoint"),
+    ("repro.hdlc", "Hdlc|Endpoint"),
+    ("repro.nbdt.protocol", "Nbdt|Endpoint"),
+    ("repro.nbdt", "Nbdt|Endpoint"),
 ]
 
 # Methods that went the same way, beside the class they were on.

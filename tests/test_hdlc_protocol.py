@@ -176,9 +176,9 @@ class TestGoBackN:
         transfer(a, 500)
         sim.run(until=60.0)
         sender = a.sender
-        assert sender.holding_samples == sender.releases == 500
+        assert sender.buffer.holding_samples == sender.releases == 500
         stat = tracer.samples[f"{sender.name}.holding_time"]
-        assert stat.count == sender.holding_samples
+        assert stat.count == sender.buffer.holding_samples
         assert stat.mean == pytest.approx(sender.mean_holding_time)
 
     def test_receiver_discards_out_of_order(self):

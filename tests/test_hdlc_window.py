@@ -1,4 +1,9 @@
-"""Unit tests for HDLC window arithmetic and configuration."""
+"""Unit tests for HDLC window arithmetic and configuration.
+
+The sender's V(A) / V(S) window is the sending buffer's columns
+(``HdlcSender.buffer``); ``TestSenderWindow`` drives it through the
+sender on a stub channel.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +13,13 @@ from hypothesis import strategies as st
 
 from repro.hdlc.config import HdlcConfig
 from repro.hdlc.frames import HdlcIFrame, RejFrame, RrFrame, SrejFrame
-from repro.hdlc.window import (
-    ReceiverWindow,
-    SenderWindow,
-    in_window,
-    increment,
-    window_offset,
-)
+from repro.hdlc.sender import HdlcSender
+from repro.hdlc.window import ReceiverWindow, in_window, increment, window_offset
+from repro.simulator.engine import Simulator
+
+from .baseline_sender_reference import StubChannel
+
+FRAME_TIME = 1 / 1024  # far inside the default 0.1 s poll timeout
 
 
 class TestWindowArithmetic:
@@ -40,55 +45,90 @@ class TestWindowArithmetic:
         assert in_window(base, seq, size, 128) == (window_offset(base, seq, 128) < size)
 
 
+class SenderRig:
+    """An HDLC sender (M = 8) on a stub channel, with its window in view."""
+
+    def __init__(self, size: int) -> None:
+        self.sim = Simulator()
+        config = HdlcConfig(window_size=size, sequence_bits=3, selective=False)
+        self.channel = StubChannel(self.sim, config.iframe_bits / FRAME_TIME, 0.0)
+        self.sender = HdlcSender(self.sim, config, self.channel)
+        self.sender.start()
+
+    def send(self, count: int) -> list[int]:
+        """Offer *count* packets; the N(S) of every frame that went out."""
+        sent = len(self.channel.frames)
+        for i in range(count):
+            assert self.sender.accept(i)
+        self.sim.run(until=self.sim.now + (count + 1) * FRAME_TIME)
+        return [frame.ns for frame in self.channel.frames[sent:]]
+
+    def ack(self, nr: int) -> int:
+        """Apply RR(N(R)); how many frames it released."""
+        released = self.sender.releases
+        self.sender.on_rr(RrFrame(nr=nr), corrupted=False)
+        return self.sender.releases - released
+
+    @property
+    def va(self) -> int:
+        buffer = self.sender.buffer
+        return buffer.space.seq_of(buffer.base)
+
+    @property
+    def vs(self) -> int:
+        buffer = self.sender.buffer
+        return buffer.space.seq_of(buffer.next_index)
+
+    @property
+    def outstanding(self) -> int:
+        return len(self.sender.buffer.items)
+
+
 class TestSenderWindow:
     def test_send_until_exhausted(self):
-        window = SenderWindow(size=3, modulus=8)
-        assert [window.next_ns() for _ in range(3)] == [0, 1, 2]
-        assert not window.can_send
-        with pytest.raises(RuntimeError):
-            window.next_ns()
+        rig = SenderRig(size=3)
+        assert rig.send(5) == [0, 1, 2]
+        assert rig.outstanding == 3 and rig.sender.pending_count == 2
 
     def test_cumulative_ack_slides(self):
-        window = SenderWindow(size=4, modulus=8)
-        for _ in range(4):
-            window.next_ns()
-        acked = window.acknowledge(3)  # acks 0, 1, 2
-        assert acked == [0, 1, 2]
-        assert window.outstanding == 1
-        assert window.can_send
+        rig = SenderRig(size=4)
+        rig.send(4)
+        assert rig.ack(3) == 3  # acks 0, 1, 2
+        assert rig.outstanding == 1
+        assert rig.send(1) == [4]  # the window is open again
 
     def test_stale_ack_ignored(self):
-        window = SenderWindow(size=4, modulus=8)
-        for _ in range(2):
-            window.next_ns()
-        window.acknowledge(2)
-        assert window.acknowledge(2) == []  # repeat: no progress
-        assert window.acknowledge(7) == []  # insane: outside (va, vs]
+        rig = SenderRig(size=4)
+        rig.send(2)
+        assert rig.ack(2) == 2
+        assert rig.ack(2) == 0  # repeat: no progress
+        assert rig.ack(7) == 0  # insane: outside (va, vs]
+        assert (rig.va, rig.vs) == (2, 2)
 
     def test_ack_across_wraparound(self):
-        window = SenderWindow(size=4, modulus=8)
+        rig = SenderRig(size=4)
         # Advance near the wrap point.
         for _ in range(6):
-            window.next_ns()
-            window.acknowledge(window.vs)
-        # va = vs = 6; send 4 more crossing the modulus.
-        sent = [window.next_ns() for _ in range(4)]
-        assert sent == [6, 7, 0, 1]
-        acked = window.acknowledge(1)
-        assert acked == [6, 7, 0]
+            rig.send(1)
+            rig.ack(rig.vs)
+        assert rig.va == rig.vs == 6
+        # Send 4 more crossing the modulus.
+        assert rig.send(4) == [6, 7, 0, 1]
+        assert rig.ack(1) == 3  # acks 6, 7, 0
+        assert (rig.va, rig.outstanding) == (1, 1)
 
     def test_holds(self):
-        window = SenderWindow(size=4, modulus=8)
-        window.next_ns()
-        window.next_ns()
-        assert window.holds(0) and window.holds(1)
-        assert not window.holds(2)
+        rig = SenderRig(size=4)
+        rig.send(2)
+        position_of = rig.sender.buffer.position_of
+        assert position_of(0) is not None and position_of(1) is not None
+        assert position_of(2) is None
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
-            SenderWindow(size=0, modulus=8)
+            HdlcConfig(window_size=0)
         with pytest.raises(ValueError):
-            SenderWindow(size=8, modulus=8)
+            HdlcConfig(window_size=8, sequence_bits=3, selective=False)
 
 
 class TestReceiverWindow:

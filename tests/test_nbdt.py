@@ -75,7 +75,7 @@ class TestContinuousMode:
         _, a, b, delivered = build(sim, iframe_ber=2e-5, seed=3)
         transfer(a, 2000)
         sim.run(until=60.0)
-        assert a.sender._next_fid == 2000  # one id per frame, forever
+        assert a.sender.buffer.next_index == 2000  # one id per frame, forever
         assert sorted(set(p[1] for p in delivered)) == list(range(2000))
 
     def test_no_window_stall(self):
