@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-check bench-pairs report examples sweep-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
+.PHONY: install test bench bench-check bench-pairs report examples sweep-smoke validation-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -63,6 +63,15 @@ sweep-smoke:
 	done; \
 	grep -q '^sweep: 10 executed, 0 cached' "$$dir/cold.txt"; \
 	grep -q '^sweep: 0 executed, 10 cached' "$$dir/warm.txt"
+
+# The Section-4 validation table (E26): every closed form beside a
+# ten-seed mean and its 95% CI, computed at two jobs (~6-8 s on a 2-CPU
+# host).  Fails unless every row is within its (closed form, protocol)
+# tolerance or a known divergence (docs/ANALYSIS.md §8), or a
+# cross-cell claim of the table breaks.  The same file `make bench` runs.
+validation-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_e26_validation.py \
+		--benchmark-only -s
 
 # The fault-injection matrix (E21) through the sweep runner: outage
 # detection and declared-failure latency checked against the paper's

@@ -649,7 +649,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .experiments.report import generate_report
+    from .experiments.reporting import generate_report
 
     text = generate_report(experiment_ids=args.only)
     if args.output:

@@ -1,5 +1,6 @@
 """Experiment harness: runners, the registry (``experiments list``),
-statistical replication, report generation, and table rendering."""
+statistical replication, and ``reporting`` (table rendering and the
+full evaluation report)."""
 
 from ..simulator.trace import StreamingSummary
 from . import runner

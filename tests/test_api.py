@@ -345,6 +345,12 @@ DELETED_NAMES = [
     ("repro.hdlc", "Hdlc|Endpoint"),
     ("repro.nbdt.protocol", "Nbdt|Endpoint"),
     ("repro.nbdt", "Nbdt|Endpoint"),
+    # Three validation experiments folded into E26's table, and the
+    # report module folded into experiments/reporting.py.
+    ("repro.experiments.registry", "e2_delivery_time_|measured"),
+    ("repro.experiments.registry", "e12_|validation"),
+    ("repro.experiments.registry", "e19_|validation_matrix"),
+    ("repro.experiments.report", "generate_|report"),
 ]
 
 # Methods that went the same way, beside the class they were on.
@@ -370,7 +376,7 @@ DELETED_ATTRIBUTES = [
 # Whole modules that went with their names: these must not import.
 DELETED_MODULES = {"repro.transport.backend", "repro.benchmark",
                    "repro.experiments.sweeps", "repro.core.clock",
-                   "repro.fec.interleaver"}
+                   "repro.fec.interleaver", "repro.experiments.report"}
 
 
 class TestSpecFacade:

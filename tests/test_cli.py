@@ -37,7 +37,7 @@ class TestCommands:
     def test_experiments_list(self, capsys):
         assert main(["experiments", "list"]) == 0
         out = capsys.readouterr().out
-        assert "E1" in out and "E12" in out
+        assert "E1" in out and "E26" in out
 
     def test_experiments_run_model_experiment(self, capsys):
         assert main(["experiments", "run", "E1"]) == 0

@@ -558,8 +558,8 @@ class TestRegistryFanout:
             ExperimentPoint.create("E999")
 
     def test_seed_default_resolved_from_signature(self):
-        # E2-sim registers seed=2; model-only E1 defaults to 0.
-        assert ExperimentPoint.create("E2-sim").seed == 2
+        # E4-sim registers seed=3; model-only E1 defaults to 0.
+        assert ExperimentPoint.create("E4-sim").seed == 3
         assert ExperimentPoint.create("E1").seed == 0
 
     def test_model_experiments_accept_seed(self):

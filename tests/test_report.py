@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.experiments.report import HEADER, generate_report
+from repro.experiments.reporting import HEADER, generate_report
 
 
 class TestGenerateReport:

@@ -256,7 +256,7 @@ class TestRegistry:
     def test_all_ids_registered(self):
         for eid in (
             "E1", "E2", "E3", "E4", "E4-sim", "E5", "E6", "E6-ber",
-            "E7", "E8", "E9", "E10", "E11", "E12",
+            "E7", "E8", "E9", "E10", "E11", "E26",
         ):
             assert eid in REGISTRY
         assert set(experiment_ids()) == set(REGISTRY)
