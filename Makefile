@@ -84,10 +84,13 @@ faults-smoke:
 # A short randomized chaos soak under the runtime invariant monitors
 # (docs/INVARIANTS.md): every episode draws a fresh scenario, fault
 # plan, and workload from the fixed master seed; any invariant
-# violation fails the target with a reproducer command.
+# violation fails the target with a reproducer command.  The second
+# soak (145 episodes of master seed 7, ~3 s at two jobs) is the verdict
+# a change to the monitored path quotes.
 soak-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro soak --episodes 12 --seed 20260806 \
 		--jobs 2 --fail-fast
+	PYTHONPATH=src $(PYTHON) -m repro soak --seed 7 --episodes 145 --jobs 2
 
 # Constellation-layer smoke (docs/TOPOLOGY.md): a tiny 4-node ring
 # through the `constellation` CLI, then the E24 experiment with its

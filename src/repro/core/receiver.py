@@ -352,9 +352,10 @@ class LamsReceiver:
             stat = self._rxqueue_stat = self.tracer.level_stat(
                 self._rxqueue_stat_name, start_time=now
             )
+        # Only a new peak is traced: the first depth above any bound is one.
+        if self.tracer.active and depth > stat.maximum:
+            self.tracer.emit(now, self.name, "rxqueue_peak", depth=depth)
         stat.update(now, depth)
-        if self.tracer.active:
-            self.tracer.emit(now, self.name, "rxqueue_level", depth=depth)
         if not self._draining:
             self._draining = True
             # Inlined sim.schedule (hot: once per queued frame).

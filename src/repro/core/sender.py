@@ -281,8 +281,10 @@ class LamsSender:
 
         Frames are stamped with their own departure instants — each
         window position carries its own first-send time and expected
-        arrival, ``iframe_sent`` is emitted per frame — so what is
-        recorded does not depend on *count*.  Sequence numbers are
+        arrival — so what is recorded does not depend on *count*.  One
+        ``iframes_sent`` record at *now* describes the run: frame ``k``
+        departs at *now* plus ``frame_time`` added ``k`` times, the
+        loop's own accumulation.  Sequence numbers are
         derived, not allocated: transmit index ``i`` carries
         ``(i + offset) % modulus``, and :meth:`SendBuffer.admit` stops the
         run short of a number whose previous holder is still live.  The
@@ -299,12 +301,11 @@ class LamsSender:
         bits = self._iframe_bits
         delay = fixed_delay = getattr(channel, "_fixed_delay", None)
         stop_go = self.stop_go_provider() if self._piggyback else False
-        trace_active = self.tracer.active
         space = buffer.space
         modulus = space.modulus
         count = buffer.admit(count)
-        index = buffer.next_index
-        seq = (index + space.offset) % modulus
+        first_index = index = buffer.next_index
+        first_seq = seq = (index + space.offset) % modulus
         if not retransmission:
             pop_pending = buffer._pending.popleft
             batch = [pop_pending() for _ in range(count)]
@@ -331,17 +332,18 @@ class LamsSender:
             last_arrival = arrival
             arrivals.append(arrival)
             first_sends.append(departure if first_send is None else first_send)
-            if trace_active:
-                self.tracer.emit(
-                    departure, self.name, "iframe_sent",
-                    seq=seq, index=index, retx=retransmit_count,
-                )
             index += 1
             seq += 1
             if seq == modulus:
                 seq = 0
             departure += tx_time
         assert seq == (index + space.offset) % modulus, "seq is derived from index"
+        if self.tracer.active:
+            self.tracer.emit(
+                now, self.name, "iframes_sent", first_index=first_index,
+                first_seq=first_seq, count=count, frame_time=tx_time,
+                retx=retransmit_count,
+            )
         buffer.items.extend(batch)
         buffer.retx.extend([retx] * count)
         buffer.live += count
@@ -517,14 +519,15 @@ class LamsSender:
         buffer.holding_samples += len(holdings)
         self.tracer.sample_stat(f"{self.name}.holding_time").extend(holdings)
         if self.tracer.active:
-            emit, name, seq_of = self.tracer.emit, self.name, buffer.space.seq_of
-            base, retx = buffer.base, buffer.retx
-            for position, holding in zip(positions, holdings):
-                count = retx[position]
-                emit(
-                    now, name, "iframe_released", seq=seq_of(base + position),
-                    holding=holding, retx=0 if count is None else count[0],
-                )
+            space, retx = buffer.space, buffer.retx
+            start, modulus = buffer.base + space.offset, space.modulus
+            self.tracer.emit(
+                now, self.name, "iframes_released",
+                seqs=[(start + position) % modulus for position in positions],
+                holdings=holdings,
+                retx=[0 if count is None else count[0]
+                      for count in map(retx.__getitem__, positions)],
+            )
         buffer.live -= len(holdings)
         self.releases += len(holdings)
 

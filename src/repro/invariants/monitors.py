@@ -195,9 +195,8 @@ class MonitorSuite(Router):
         the instant the invariant broke, which the window may have left
         behind long ago; what was recorded after that instant explains
         nothing, so when nothing older is retained one line says so.
-        Records are dropped from the newest end only: stamps are not
-        monotone in emission order (a committed window's ``iframe_sent``
-        records carry their future departure times), and a violation
+        Records are dropped from the newest end only: nothing makes a
+        source stamp its records in emission order, and a violation
         raised from a handler must keep everything emitted before the
         entry that raised it.
         """
@@ -260,6 +259,9 @@ class MonitorSuite(Router):
         )
 
 
+_NOTHING = object()
+
+
 def _payload_key(payload: Any) -> Any:
     """A hashable identity for a payload (repr fallback)."""
     try:
@@ -274,11 +276,17 @@ class ZeroLossLedger(InvariantMonitor):
     backlog — the paper's zero-loss guarantee (Sections 3.2-3.3).
 
     Listens to the sender's ``payload_accepted`` and the receiver's
-    ``payload_delivered`` hooks and keeps only what is in flight: a
-    delivery takes its payload off the ledger, so a value accepted
-    again later is owed again.  At finalize, anything still on the
-    ledger and not present in the suite's held-backlog snapshot (sender
-    buffer + requeue + receiver's undrained queue) was *lost*.
+    ``payload_delivered`` hooks and keeps only what is in flight, copy
+    by copy: a value accepted twice is owed twice, a delivery takes one
+    copy off the ledger, and a delivery of a value owed nothing (a DLC
+    duplicate) is ignored.  A ``backlog_reclaimed`` record listing the
+    ``payloads`` a torn-down sender handed back makes the next
+    acceptance of each one still owed the same copy, not another.  At
+    finalize, every copy still on the ledger and not matched by a copy
+    in the suite's held-backlog snapshot
+    (sender buffer + requeue + receiver's undrained queue) was *lost*.
+    Payloads are told apart by value, so a lost copy whose twin was
+    delivered twice goes unseen (docs/INVARIANTS.md).
     :attr:`accepted` / :attr:`delivered` count the events.
     """
 
@@ -288,24 +296,71 @@ class ZeroLossLedger(InvariantMonitor):
         super().__init__({
             "payload_accepted": self._on_accepted,
             "payload_delivered": self._on_delivered,
+            "backlog_reclaimed": self._on_reclaimed,
         })
         self.accepted = 0
         self.delivered = 0
+        # key -> payload for every value owed at least once, and key ->
+        # further copies owed for the few values accepted again while
+        # in flight; the dict operation itself hashes the payload.
         self._in_flight: dict[Any, Any] = {}
+        self._copies: dict[Any, int] = {}
+        self._reclaimed: dict[Any, int] = {}  # key -> re-acceptances due
 
     def _on_accepted(self, entry: Entry) -> None:
         payload = entry[3].get("payload")
-        self._in_flight[_payload_key(payload)] = payload
+        in_flight = self._in_flight
+        owed = len(in_flight)
+        try:
+            in_flight.setdefault(payload, payload)
+            key = payload
+        except TypeError:
+            key = repr(payload)
+            in_flight.setdefault(key, payload)
+        if len(in_flight) == owed:
+            due = self._reclaimed.pop(key, 0)
+            if due:
+                if due > 1:
+                    self._reclaimed[key] = due - 1
+            else:
+                self._copies[key] = self._copies.get(key, 0) + 1
         self.accepted += 1
 
     def _on_delivered(self, entry: Entry) -> None:
-        self._in_flight.pop(_payload_key(entry[3].get("payload")), None)
+        payload = entry[3].get("payload")
+        try:
+            owed = self._in_flight.pop(payload, _NOTHING)
+            key = payload
+        except TypeError:
+            key = repr(payload)
+            owed = self._in_flight.pop(key, _NOTHING)
+        if owed is not _NOTHING:
+            if self._copies and key in self._copies:
+                self._in_flight[key] = owed
+                copies = self._copies[key] - 1
+                if copies:
+                    self._copies[key] = copies
+                else:
+                    del self._copies[key]
+            elif self._reclaimed:
+                self._reclaimed.pop(key, None)  # owed nothing now
         self.delivered += 1
 
+    def _on_reclaimed(self, entry: Entry) -> None:
+        for payload in entry[3].get("payloads", ()):
+            key = _payload_key(payload)
+            due = self._reclaimed.get(key, 0)
+            if key in self._in_flight and due <= self._copies.get(key, 0):
+                self._reclaimed[key] = due + 1
+
     def finalize(self, now: float) -> None:
-        held = {_payload_key(p) for p in (self._suite.held_snapshot() if self._suite else [])}
+        held: dict[Any, int] = {}
+        for payload in self._suite.held_snapshot() if self._suite else []:
+            key = _payload_key(payload)
+            held[key] = held.get(key, 0) + 1
         missing = [
-            payload for key, payload in self._in_flight.items() if key not in held
+            payload for key, payload in self._in_flight.items()
+            for _ in range(1 + self._copies.get(key, 0) - held.get(key, 0))
         ]
         if missing:
             self.violate(
@@ -388,18 +443,20 @@ class ReceiverQueueBoundMonitor(InvariantMonitor):
     Stop-Go watermark.  An explicit ``receive_queue_capacity`` takes
     precedence as the bound when configured.
 
-    Checked live on ``rxqueue_level`` hook events and once more against
-    the tracer's time-weighted maxima at finalize.
+    Checked live on ``rxqueue_peak`` hook events — the receiver reports
+    each depth above its queue's maximum so far, and the first depth
+    above any bound is one of them — and once more against the tracer's
+    time-weighted maxima at finalize.
     """
 
     name = "receiver-queue-bound"
 
     def __init__(self, bound: float) -> None:
-        super().__init__({"rxqueue_level": self._on_rxqueue_level})
+        super().__init__({"rxqueue_peak": self._on_rxqueue_peak})
         self.bound = bound
         self._tripped: set[str] = set()
 
-    def _on_rxqueue_level(self, entry: Entry) -> None:
+    def _on_rxqueue_peak(self, entry: Entry) -> None:
         depth = entry[3].get("depth", 0)
         if depth > self.bound and entry[1] not in self._tripped:
             time, source, _, _ = entry
@@ -438,6 +495,11 @@ class HoldingTimeBoundMonitor(InvariantMonitor):
     and a fault window (padded by the declared-failure budget, during
     which recovery is legitimately stalled) extends the allowance.
 
+    Reads the sender's ``iframes_released`` records, one per release:
+    a frame held within its fault-free allowance ``(retx+1)*R + guard``
+    is cleared there, and only one above it has its fault overlap
+    summed.
+
     When ``send_buffer_capacity`` is configured, the send-buffer
     occupancy maximum is additionally checked at finalize.
     """
@@ -451,7 +513,7 @@ class HoldingTimeBoundMonitor(InvariantMonitor):
         guard: float = 0.0,
         send_buffer_capacity: Optional[int] = None,
     ) -> None:
-        super().__init__({"iframe_released": self._on_iframe_released})
+        super().__init__({"iframes_released": self._on_iframes_released})
         self.resolving_period = resolving_period
         self.fault_windows = list(fault_windows)
         self.guard = guard
@@ -463,24 +525,31 @@ class HoldingTimeBoundMonitor(InvariantMonitor):
             total += max(0.0, min(end, w_end) - max(start, w_start))
         return total
 
-    def _on_iframe_released(self, entry: Entry) -> None:
+    def _on_iframes_released(self, entry: Entry) -> None:
         time, _, _, detail = entry
-        holding = detail.get("holding", 0.0)
-        retx = detail.get("retx", 0)
-        start = time - holding
+        holdings = detail["holdings"]
+        period, guard = self.resolving_period, self.guard
+        # Every allowance is at least R + guard (rounding is monotone).
+        if max(holdings, default=0.0) <= period + guard:
+            return
+        for seq, holding, retx in zip(detail["seqs"], holdings, detail["retx"]):
+            if holding > (retx + 1) * period + guard:
+                self._check(time, seq, holding, retx)
+
+    def _check(self, time: float, seq: int, holding: float, retx: int) -> None:
+        """One frame over its fault-free allowance: add its fault overlap."""
         allowance = (
             (retx + 1) * self.resolving_period
-            + self._fault_overlap(start, time)
+            + self._fault_overlap(time - holding, time)
             + self.guard
         )
         if holding > allowance:
             self.violate(
                 time,
-                f"frame seq={detail.get('seq')} held {holding:.6f}s, "
+                f"frame seq={seq} held {holding:.6f}s, "
                 f"above the allowance {allowance:.6f}s "
                 f"({retx} retransmission(s))",
-                holding=holding, allowance=allowance, retx=retx,
-                seq=detail.get("seq"),
+                holding=holding, allowance=allowance, retx=retx, seq=seq,
             )
 
     def finalize(self, now: float) -> None:

@@ -64,9 +64,18 @@ class TraceRecord:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def format(self) -> str:
-        """Human-readable one-line rendering."""
-        detail = " ".join(f"{k}={v}" for k, v in self.detail.items())
+        """Human-readable one-line rendering; a list or tuple of more than
+        eight items (a run record's per-frame columns, a long NAK list)
+        shows its first three, its last and its length."""
+        detail = " ".join(f"{k}={_brief(v)}" for k, v in self.detail.items())
         return f"{self.time:12.6f}  {self.source:<16} {self.event:<24} {detail}"
+
+
+def _brief(value: Any) -> Any:
+    if isinstance(value, (list, tuple)) and len(value) > 8:
+        head = ", ".join(map(repr, value[:3]))
+        return f"[{head}, …, {value[-1]!r}] ({len(value)})"
+    return value
 
 
 class Counter:

@@ -521,7 +521,7 @@ class SessionSupervisor:
         tracer.emit(
             clock.now, "supervisor", "backlog_reclaimed",
             attempt=generation.number, reason=reason,
-            reclaimed=len(held), flushed=flushed,
+            reclaimed=len(held), flushed=flushed, payloads=tuple(held),
         )
 
     def _point_snapshot_at(

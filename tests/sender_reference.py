@@ -9,7 +9,8 @@ here, and only here, as the thing the columns must agree with.
 :class:`SenderRig` drives a real ``LamsSender`` over a stub channel,
 feeds the reference everything the sender put on the channel and every
 checkpoint it was handed, and after each step asserts that both tell
-the same story: the same trace records in the same order, the same
+the same story: the same trace records in the same order (the sender's
+run records expanded frame by frame, ``tests/trace_runs.py``), the same
 retransmission queue, the same holding statistics to the bit, the same
 held payloads.
 """
@@ -28,6 +29,8 @@ from repro.core.sender import LamsSender, PendingRetransmission
 from repro.core.seqspace import SequenceExhausted
 from repro.simulator.engine import Simulator
 from repro.simulator.trace import SampleStat, Tracer
+
+from .trace_runs import expand
 
 RTT = 0.008
 FRAME_TIME = 1e-4
@@ -191,13 +194,14 @@ class SenderRig:
         self.sender.start()
 
     def _on_record(self, record) -> None:
-        d = record.detail
-        if record.event == "iframe_sent":
-            self.log.append(("iframe_sent", record.time, d["seq"], d["index"], d["retx"]))
-        elif record.event == "requeue":
-            self.log.append(("requeue", record.time, d["seq"], d["cause"]))
-        elif record.event == "iframe_released":
-            self.log.append(("iframe_released", record.time, d["seq"], d["holding"], d["retx"]))
+        if record.event == "requeue":
+            self.log.append(("requeue", record.time, record.detail["seq"],
+                             record.detail["cause"]))
+        else:
+            self.log.extend(expand(
+                (record.time, record.source, record.event, record.detail),
+                self.config.numbering_size,
+            ))
 
     # -- steps ---------------------------------------------------------------
 

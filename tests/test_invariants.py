@@ -146,6 +146,52 @@ class TestBrokenProtocolCaught:
         assert violation.detail["sample"] == [("pkt", 0)]
         assert (violation.detail["accepted"], violation.detail["delivered"]) == (2, 1)
 
+    def test_lost_copy_of_a_value_accepted_twice_is_caught(self):
+        """Two copies of one value in flight, one delivered: the other
+        is owed, and finalizing with nothing held finds it lost."""
+        tracer, suite = self.make_suite([ZeroLossLedger()])
+        tracer.emit(0.1, "a", "payload_accepted", payload=b"x")
+        tracer.emit(0.2, "a", "payload_accepted", payload=b"x")
+        tracer.emit(0.3, "b", "payload_delivered", payload=b"x")
+        suite.finalize(1.0)
+        [violation] = suite.violations
+        assert (violation.detail["lost_count"], violation.detail["sample"]) == (1, [b"x"])
+
+    def test_copies_are_counted_against_the_held_backlog(self):
+        """One copy held of two owed is one lost; an unhashable payload
+        is keyed by its repr; a delivery owed nothing (a DLC duplicate)
+        takes nothing off the ledger."""
+        tracer = Tracer()
+        suite = MonitorSuite(tracer, [ZeroLossLedger()],
+                             held_snapshot=lambda: [["u"], b"y"])
+        for payload in (["u"], ["u"], b"y", b"y", b"z"):
+            tracer.emit(0.1, "a", "payload_accepted", payload=payload)
+        for payload in (b"z", b"z", b"w"):
+            tracer.emit(0.2, "b", "payload_delivered", payload=payload)
+        suite.finalize(1.0)
+        [violation] = suite.violations
+        assert violation.detail["sample"] == [["u"], b"y"]
+        assert (violation.detail["accepted"], violation.detail["delivered"],
+                violation.detail["held"]) == (5, 3, 2)
+
+    def test_replayed_backlog_is_the_same_copy(self):
+        """A torn-down sender's backlog is re-accepted by its successor:
+        a reclaimed payload owed once stays owed once, and one lost
+        after its replay is one lost."""
+        tracer, suite = self.make_suite([ZeroLossLedger()])
+        for payload in (b"x", b"y", b"z", b"z"):
+            tracer.emit(0.1, "a", "payload_accepted", payload=payload)
+        tracer.emit(0.2, "b", "payload_delivered", payload=b"y")
+        tracer.emit(0.3, "supervisor", "backlog_reclaimed",
+                    payloads=(b"x", b"y", b"z", b"z", b"z"))
+        for payload in (b"x", b"y", b"z", b"z"):
+            tracer.emit(0.4, "a2", "payload_accepted", payload=payload)
+        for payload in (b"x", b"y", b"z"):
+            tracer.emit(0.5, "b2", "payload_delivered", payload=payload)
+        suite.finalize(1.0)
+        [violation] = suite.violations
+        assert violation.detail["sample"] == [b"z"]
+
     def test_held_backlog_is_not_loss(self):
         tracer = Tracer()
         suite = MonitorSuite(
@@ -196,8 +242,8 @@ class TestBrokenProtocolCaught:
 
     def test_receiver_queue_bound_violation_fires_once(self):
         tracer, suite = self.make_suite([ReceiverQueueBoundMonitor(bound=4)])
-        tracer.emit(0.1, "b", "rxqueue_level", depth=10)
-        tracer.emit(0.2, "b", "rxqueue_level", depth=11)
+        tracer.emit(0.1, "b", "rxqueue_peak", depth=10)
+        tracer.emit(0.2, "b", "rxqueue_peak", depth=11)
         suite.finalize(0.3)
         assert len(suite.violations) == 1
         assert suite.violations[0].invariant == "receiver-queue-bound"

@@ -185,7 +185,7 @@ def test_monitor_without_declared_events_sees_every_record():
     tracer = Tracer()
     everything, some = Spy(), Spy(events=frozenset({"b", "never"}))
     MonitorSuite(tracer, [everything, some, ReceiverQueueBoundMonitor(4)])
-    emitted = ["a", "b", "rxqueue_level", "c", "b"]
+    emitted = ["a", "b", "rxqueue_peak", "c", "b"]
     for index, event in enumerate(emitted):
         tracer.emit(float(index), "src", event)
     assert everything.seen == emitted
@@ -240,13 +240,13 @@ def test_window_that_moved_past_the_violation_says_so():
 
 
 def test_violation_from_on_event_keeps_records_stamped_ahead_of_it():
-    """A committed window's ``iframe_sent`` records carry departure times
-    still in the future; they were emitted before the record that raised
-    the violation and belong to its window."""
+    """Records stamped later than the one that raised the violation (no
+    source promises stamps in emission order) were emitted before it and
+    belong to its window."""
     tracer = Tracer()
     suite = MonitorSuite(tracer, [ReceiverQueueBoundMonitor(bound=0)])
     tracer.emit(0.20, "a", "iframe_sent", seq=0)
     tracer.emit(0.30, "a", "iframe_sent", seq=1)
-    tracer.emit(0.10, "b.rx", "rxqueue_level", depth=1)
+    tracer.emit(0.10, "b.rx", "rxqueue_peak", depth=1)
     (violation,) = suite.violations
     assert violation.time == 0.10 and len(violation.trace_window) == 3

@@ -173,7 +173,7 @@ class Twins:
                 assert metrics_state(ours) == metrics_state(theirs)
 
 
-EVENTS = ["a", "b", "c", "boom", "rxqueue_level", "iframe_sent", "fault_start",
+EVENTS = ["a", "b", "c", "boom", "rxqueue_peak", "iframe_sent", "fault_start",
           "fault_end", "frame_lost_outage", "deliver", "checkpoint_timeout",
           "request_nak_sent", "link_failure_declared"]
 
@@ -229,14 +229,19 @@ def test_reordering_listeners_reorders_the_hooks():
 PAYLOADS = 2000
 
 # Seed 7, `nominal`, 2000 payloads, 2 simulated seconds: what the
-# one-record-per-emit tracer emitted while the suite listened, event by
-# event.  Routing changes who is called, never what is emitted.
+# tracer emitted while the suite listened, event by event.  Routing
+# changes who is called, never what is emitted.  The sender traces a run
+# and a release, not a frame (51 runs and 17 releases for 2018 I-frames,
+# `tests/test_trace_runs.py` expands them), and the receiver traces only
+# new queue peaks; what stays per frame is the link's `deliver` and the
+# payload ledger's `payload_accepted` / `payload_delivered`.
 EMITTED = {
     "checkpoint_sent": 400, "deliver": 2414, "error_logged": 18,
-    "iframe_corrupted": 18, "iframe_released": 2000, "iframe_sent": 2018,
+    "iframe_corrupted": 18, "iframes_released": 17, "iframes_sent": 51,
     "payload_accepted": 2000, "payload_delivered": 2000, "requeue": 18,
-    "rxqueue_level": 2000,
+    "rxqueue_peak": 1,
 }
+IFRAMES = 2018
 
 
 def monitored_run(monkeypatch, plain_listener: bool = False):
@@ -274,7 +279,12 @@ def monitored_run(monkeypatch, plain_listener: bool = False):
 def test_monitored_run_emits_the_same_events_and_builds_no_record(monkeypatch):
     emitted, built, _ = monitored_run(monkeypatch)
     assert emitted == EMITTED
-    assert sum(emitted.values()) == 12886  # 6.39 a frame for 2018 I-frames
+    # 3.44 records an I-frame, 6.39 when the sender and receiver traced
+    # every frame; the three per-frame events alone are 3.18, and the
+    # run-shaped ones 0.03.
+    assert sum(emitted.values()) == 6937 <= 3.5 * IFRAMES
+    run_shaped = ("iframes_sent", "iframes_released", "rxqueue_peak")
+    assert sum(emitted[event] for event in run_shaped) <= 0.05 * IFRAMES
     assert built == 0
 
 
