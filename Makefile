@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-check bench-pairs report examples sweep-smoke validation-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
+.PHONY: install test test-deep bench bench-check bench-pairs report examples sweep-smoke validation-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -10,6 +10,12 @@ install:
 # The tier-1 suite (~50 s: 47-59 s measured on a 2-CPU host).
 test:
 	$(PYTHON) -m pytest tests/
+
+# Tier-1 with the random search back on: the `deep` hypothesis profile
+# (tests/conftest.py) draws fresh examples each run, where tier-1's
+# `tier1` profile replays the same derandomized ones.
+test-deep:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ --hypothesis-profile=deep
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

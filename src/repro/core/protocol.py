@@ -175,5 +175,7 @@ def _make_lams_pair(
         link_start_time=sim.now,
     )
     link.attach(endpoint_a.on_frame, endpoint_b.on_frame)
+    endpoint_a.receiver.hear(link.reverse)
+    endpoint_b.receiver.hear(link.forward)
     return endpoint_a, endpoint_b
 

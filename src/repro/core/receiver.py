@@ -49,6 +49,14 @@ class ErrorEntry:
 class LamsReceiver:
     """Receiver state machine for one direction of a LAMS-DLC link."""
 
+    # The channel this receiver hears I-frames on, when hear() was given
+    # one of the simulator's: its agenda, once made, carries the drains.
+    _incoming: Optional[SimplexChannel] = None
+    # The arguments every drain is called with: the token of the live
+    # drain.  flush() gives its receiver a fresh one, so that a drain it
+    # overtook lapses; until then every receiver shares this one.
+    _drain_args = (object(),)
+
     def __init__(
         self,
         sim: Simulator,
@@ -151,6 +159,14 @@ class LamsReceiver:
     def running(self) -> bool:
         return self._running
 
+    def hear(self, channel: Any) -> None:
+        """Wire the channel I-frames arrive on (the pair factory calls this).
+
+        Only a simulator channel has an agenda for the drains to share.
+        """
+        if isinstance(channel, SimplexChannel):
+            self._incoming = channel
+
     @property
     def resolving_retention(self) -> float:
         """How long error entries stay available for Enforced-NAKs.
@@ -201,7 +217,32 @@ class LamsReceiver:
                 )
             return
 
-        self._enqueue_for_delivery(frame)
+        # Into the receive queue (inline: once per valid frame).
+        queue = self._receive_queue
+        capacity = self._rx_capacity
+        if capacity is not None and len(queue) >= capacity:
+            # Overflow: discard, but log as erroneous so the cumulative
+            # NAK triggers a retransmission — zero loss is preserved.
+            self.discards += 1
+            self._log_error(seq)
+            if self.tracer.active:
+                self.tracer.emit(self.sim.now, self.name, "overflow_discard", seq=seq)
+            return
+        queue.append(frame.payload)
+        depth = len(queue)
+        now = self.sim.now
+        stat = self._rxqueue_stat
+        if stat is None:
+            stat = self._rxqueue_stat = self.tracer.level_stat(
+                self._rxqueue_stat_name, start_time=now
+            )
+        # Only a new peak is traced: the first depth above any bound is one.
+        if self.tracer.active and depth > stat.maximum:
+            self.tracer.emit(now, self.name, "rxqueue_peak", depth=depth)
+        stat.update(now, depth)
+        if not self._draining:
+            self._draining = True
+            self._schedule_drain(now + self._drain_delay_value)
 
     # -- zero-duplication extension -----------------------------------------------
 
@@ -331,44 +372,23 @@ class LamsReceiver:
             return False
         return len(self._receive_queue) >= self._high_watermark
 
-    def _enqueue_for_delivery(self, frame: IFrame) -> None:
-        capacity = self._rx_capacity
-        if capacity is not None and len(self._receive_queue) >= capacity:
-            # Overflow: discard, but log as erroneous so the cumulative
-            # NAK triggers a retransmission — zero loss is preserved.
-            self.discards += 1
-            self._log_error(frame.seq)
-            if self.tracer.active:
-                self.tracer.emit(
-                    self.sim.now, self.name, "overflow_discard", seq=frame.seq
-                )
+    def _schedule_drain(self, when: float) -> None:
+        """Drain one frame at *when*: on lane 1 of the incoming channel's
+        agenda once it has one, else as a heap entry of its own (inlined
+        ``sim.schedule``)."""
+        incoming = self._incoming
+        agenda = incoming._agenda if incoming is not None else None
+        if agenda is not None:
+            agenda.add(agenda.lanes[1], when, self._drain_one, self._drain_args)
             return
-        self._receive_queue.append(frame.payload)
-        depth = len(self._receive_queue)
-        now = self.sim.now
-        # Queue-depth statistic, inline (once per queued frame).
-        stat = self._rxqueue_stat
-        if stat is None:
-            stat = self._rxqueue_stat = self.tracer.level_stat(
-                self._rxqueue_stat_name, start_time=now
-            )
-        # Only a new peak is traced: the first depth above any bound is one.
-        if self.tracer.active and depth > stat.maximum:
-            self.tracer.emit(now, self.name, "rxqueue_peak", depth=depth)
-        stat.update(now, depth)
-        if not self._draining:
-            self._draining = True
-            # Inlined sim.schedule (hot: once per queued frame).
-            sim = self.sim
-            sim._sequence = sequence = sim._sequence + 1
-            heappush(sim._heap, (now + self._drain_delay_value, sequence,
-                                 self._drain_one, ()))
+        sim = self.sim
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (when, sequence, self._drain_one, self._drain_args))
 
-    def _drain_one(self) -> None:
+    def _drain_one(self, token: object) -> None:
+        if token is not self._drain_args[0]:
+            return  # overtaken by flush()
         queue = self._receive_queue
-        if not queue:
-            self._draining = False
-            return
         packet = queue.popleft()
         now = self.sim.now
         # Queue-depth statistic, inline (once per delivered frame).
@@ -384,14 +404,10 @@ class LamsReceiver:
                 now, self.name, "payload_delivered", payload=packet
             )
         self.deliver(packet)
-        if queue:
-            # Inlined sim.schedule (hot: once per delivered frame).
-            sim = self.sim
-            sim._sequence = sequence = sim._sequence + 1
-            heappush(sim._heap, (sim.now + self._drain_delay_value, sequence,
-                                 self._drain_one, ()))
-        else:
+        if not queue:
             self._draining = False
+        elif self._draining:  # not when flush() is the caller
+            self._schedule_drain(self.sim.now + self._drain_delay_value)
 
     @property
     def receive_queue_length(self) -> int:
@@ -411,10 +427,12 @@ class LamsReceiver:
         Graceful-teardown paths (session supervisor recycling an
         endpoint generation) call this before dropping the receiver.
         """
-        count = 0
-        while self._receive_queue:
-            self._drain_one()
-            count += 1
+        queue = self._receive_queue
+        count = len(queue)
+        self._draining = False
+        self._drain_args = args = (object(),)  # a pending drain lapses
+        while queue:
+            self._drain_one(*args)
         return count
 
     def __repr__(self) -> str:

@@ -26,20 +26,31 @@ Hot-path design notes
   once per simulator; nothing pushed per frame or per restart is a
   bound method made for that push, or an object that refers to itself
   (docs/TUNING.md §12 has the measurements).
+- The receiving end of a channel — the arrivals of its runs and the
+  drains of the receiver it feeds — is one :class:`Agenda`: items that
+  keep their own ``(time, sequence)`` in FIFO lanes, carried by one heap
+  entry that runs them inline (docs/TUNING.md §10).
 
 The scheduling contract
 -----------------------
 :class:`Simulator`'s public surface — a monotone ``now``, ``schedule`` /
 ``schedule_at``, ``push``, ``timer()`` and ``every()`` — is what a
-protocol half needs from its event source.  The hot paths in :mod:`repro.core.receiver` and
-:mod:`repro.simulator.link` inline ``heappush(clock._heap, (when,
-clock._sequence, callback, args))``, so the heap and the ``_sequence``
-counter are part of the ABI; every such push takes a number, which
-closes an open batch.  A loop owes a popped entry ``entry[2](*entry[3])``
-and nothing else: a carrier names ``Timer._surfaced`` (fire, re-push at
-the reserved ``(deadline, sequence)``, or lapse), a shared entry the
-runner.  A clock that is not this engine subclasses :class:`Simulator`
-(as :class:`repro.transport.clock.AsyncioClock` does).
+protocol half needs from its event source.  The hot paths in
+:mod:`repro.core.receiver` and :mod:`repro.simulator.link` inline
+``heappush(clock._heap, (when, clock._sequence, callback, args))``, or
+append that same tuple to an :class:`Agenda` lane and announce it with
+:meth:`Agenda.added`, so the heap and the ``_sequence`` counter are part
+of the ABI; every such push or item takes a number, which closes an open
+batch.  A loop
+owes a popped entry ``entry[2](*entry[3])`` and nothing else: a carrier
+names ``Timer._surfaced`` (fire, re-push at the reserved ``(deadline,
+sequence)``, or lapse) or ``Agenda._surfaced``, a shared entry the
+runner.  A loop also keeps ``_horizon``, the latest time an agenda may
+run an item inline: :meth:`Simulator.run` sets it to *until* (+inf
+without one).  A clock that is not this engine subclasses
+:class:`Simulator` (as :class:`repro.transport.clock.AsyncioClock`
+does); the asyncio clock's horizon is -inf, since its pump dispatches by
+wall time, so there every agenda item is an entry of its own.
 
 The shared-entry rule.  The runner runs the entry's calls in order,
 letting each go as it runs.  A ``stop()`` or an exception leaving a call
@@ -49,6 +60,15 @@ Once the list is empty, however its last call returned, the runner makes
 the entry's trailing call: a round's re-arm at ``now + interval`` — from
 the clock's own ``now``, as a timer restarted inside its callback would
 — and nothing for a batch.
+
+The agenda rule.  Each item is the entry one push would have made.  The
+heap holds a carrier at the agenda's earliest item; when it surfaces,
+the agenda runs items in ``(time, sequence)`` order while the next one
+precedes the heap's top, is within the horizon and no ``stop()`` has
+been made, then — however it left, an exception included — carries the
+new earliest item.  So nothing runs inline that another entry should
+have preceded, and whatever reads the receiver's state runs after every
+item before it, as it would with an entry per item.
 
 Example
 -------
@@ -68,10 +88,13 @@ Example
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-__all__ = ["Simulator", "Timer", "SimulationError", "engine_backend"]
+__all__ = ["Agenda", "Simulator", "Timer", "SimulationError", "engine_backend"]
+
+_INF = float("inf")
 
 
 class SimulationError(Exception):
@@ -234,6 +257,110 @@ class _Round:
             armed.calls += calls
 
 
+class Agenda:
+    """Items that keep their own ``(time, sequence)`` but share one heap entry.
+
+    An item is a ``(time, sequence, callback, args)`` tuple, exactly the
+    heap entry one push would have made; it waits in one of the agenda's
+    FIFO ``lanes``, each of which its owner fills in ``(time, sequence)``
+    order.  The heap holds a *carrier* at the earliest head: an item added
+    earlier than the carried head gets a carrier of its own (the old one
+    stays and surfaces, at its own item, once that is the head again).
+    When a carrier surfaces, :meth:`_surfaced` runs heads in order, each
+    at its own ``now``, for as long as the next one precedes the heap's
+    top — ties broken by sequence number — and lies within the running
+    loop's horizon (``sim._horizon``), stopping after a ``stop()``; then,
+    however it left (an exception included), it carries the new head.
+    Every item therefore runs at the ``(time, sequence)`` and in the order
+    one heap entry per item would have given it.
+    """
+
+    __slots__ = ("sim", "lanes", "_armed", "_carried", "_on_surface")
+
+    def __init__(self, sim: "Simulator", lanes: int = 2) -> None:
+        self.sim = sim
+        self.lanes = tuple(deque() for _ in range(lanes))
+        # Time of the carried head: +inf when empty, -inf while running
+        # (nothing added then needs a carrier).
+        self._armed = _INF
+        self._carried: set[int] = set()  # sequence numbers of carriers in the heap
+        # Bound once: the object every carrier of this agenda carries.
+        self._on_surface = self._surfaced
+
+    def add(self, lane: deque, when: float, callback: Callable, args: tuple) -> None:
+        """Put ``callback(*args)`` at ``when`` on *lane*, at the next sequence number."""
+        sim = self.sim
+        sim._sequence = sequence = sim._sequence + 1
+        lane.append((when, sequence, callback, args))
+        if when < self._armed:
+            self._carry(when, sequence)
+
+    def added(self, when: float, sequence: int) -> None:
+        """An owner appended items itself, the first at ``(when, sequence)``."""
+        if when < self._armed:
+            self._carry(when, sequence)
+
+    def _carry(self, when: float, sequence: int) -> None:
+        self._armed = when
+        self._carried.add(sequence)
+        heappush(self.sim._heap, (when, sequence, self._on_surface, ()))
+
+    def _surfaced(self) -> None:
+        """A carrier reached the top: its item is the head.  Run the heads
+        that precede everything else, then carry the new head."""
+        sim = self.sim
+        heap = sim._heap
+        horizon = sim._horizon
+        lanes = self.lanes
+        self._armed = -_INF
+        try:
+            head = None
+            for lane in lanes:
+                if lane and (head is None or lane[0] < head[0]):
+                    head = lane
+            item = head.popleft()  # the carrier's own: due, whatever the horizon
+            self._carried.discard(item[1])
+            sim.now = item[0]
+            item[2](*item[3])
+            while not sim._stopped:
+                item = None
+                for lane in lanes:
+                    if lane:
+                        first = lane[0]
+                        if item is None or first < item:
+                            item, head = first, lane
+                if item is None:
+                    break
+                when = item[0]
+                if when > horizon:
+                    break
+                if heap:
+                    top = heap[0]
+                    if not (when < top[0] or (when == top[0] and item[1] < top[1])):
+                        break
+                head.popleft()
+                sim.now = when
+                item[2](*item[3])
+        finally:
+            self._rearm()
+
+    def _rearm(self) -> None:
+        """Carry the head, unless a carrier of its own is still in the heap."""
+        head = None
+        for lane in self.lanes:
+            if lane and (head is None or lane[0] < head):
+                head = lane[0]
+        if head is None:
+            self._armed = _INF
+            return
+        when, sequence = head[0], head[1]
+        self._armed = when
+        carried = self._carried
+        if sequence not in carried:
+            carried.add(sequence)
+            heappush(self.sim._heap, (when, sequence, self._on_surface, ()))
+
+
 class Simulator:
     """The event loop: a clock and a heap of scheduled callbacks.
 
@@ -247,6 +374,8 @@ class Simulator:
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._sequence = 0
         self._stopped = False
+        # The running loop's horizon: an agenda runs nothing inline past it.
+        self._horizon = _INF
         self.event_count = 0
         # Armed rounds by (next deadline, interval); see every().
         self._rounds: dict[tuple[float, float], _Round] = {}
@@ -394,6 +523,7 @@ class Simulator:
         pop = heappop
         push = heappush
         bounded = until is not None
+        self._horizon = until if bounded else _INF
         limit = float("inf") if max_events is None else max_events
         processed = 0
         try:

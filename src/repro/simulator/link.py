@@ -30,7 +30,7 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
-from .engine import Simulator
+from .engine import Agenda, Simulator
 from .errormodel import ErrorModel, PerfectChannel, scalar_draw_window
 from .rng import StreamRegistry
 from .trace import Tracer
@@ -57,6 +57,13 @@ FrameHandler = Callable[[Any, bool], None]
 
 class SimplexChannel:
     """One direction of a link: serializer + propagation pipe + errors."""
+
+    # The receiving end, made on the first run of two or more: lane 0
+    # holds the arrivals of runs, lane 1 the drains of the receiver this
+    # channel feeds (docs/TUNING.md §10).  Until then the class's None
+    # answers, so an idle channel, whose runs are all of one, holds
+    # nothing for it.
+    _agenda: Optional[Agenda] = None
 
     def __init__(
         self,
@@ -323,7 +330,15 @@ class SimplexChannel:
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
-            sim.push(arrival, self._deliver, (first, corrupted))
+            # A single I-frame (a retransmission, say) joins the agenda
+            # its channel's runs made; a single control frame keeps the
+            # per-instant batching push, which it shares with the
+            # checkpoints of other links sent at the same instant.
+            agenda = self._agenda
+            if agenda is None or first.is_control:
+                sim.push(arrival, self._deliver, (first, corrupted))
+            else:
+                agenda.add(agenda.lanes[0], arrival, self._deliver, (first, corrupted))
             return
         starts = []
         sizes = []
@@ -341,10 +356,14 @@ class SimplexChannel:
         self.frames_sent += len(frames)
         busy = self.busy_seconds
         last_arrival = self._last_arrival
-        # Inlined sim.schedule_at (hot: once per frame); an arrival never
-        # precedes now — delays are non-negative and a run ends before
-        # its first frame lands.
-        heap = sim._heap
+        # Each arrival is the item one push would have made, numbered as
+        # that push would have been; it never precedes now — delays are
+        # non-negative and a run ends before its first frame lands.
+        agenda = self._agenda
+        if agenda is None:
+            agenda = self._agenda = Agenda(sim)
+        arrivals = agenda.lanes[0]
+        append = arrivals.append
         sequence = sim._sequence
         deliver = self._deliver
         end = start
@@ -363,10 +382,12 @@ class SimplexChannel:
                 arrival = last_arrival
             last_arrival = arrival
             sequence += 1
-            heappush(heap, (arrival, sequence, deliver, (frame, corrupted)))
+            append((arrival, sequence, deliver, (frame, corrupted)))
         sim._sequence = sequence
         self.busy_seconds = busy
         self._last_arrival = last_arrival
+        count = len(frames)
+        agenda.added(arrivals[-count][0], sequence - count + 1)
 
     def _lose_to_outage(self, frame: Transmittable, phase: str) -> None:
         """Account one frame swallowed by a down channel.

@@ -63,6 +63,9 @@ class AsyncioClock(Simulator):
         self._alarm: Optional[asyncio.TimerHandle] = None
         self._alarm_deadline: Optional[float] = None
         self._pumping = False
+        # Never run an agenda item inline: the pump dispatches what is due
+        # in wall time, one heap entry per item.
+        self._horizon = float("-inf")
 
     # -- time ------------------------------------------------------------
 

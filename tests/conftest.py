@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.simulator import (
     BernoulliChannel,
@@ -13,6 +14,16 @@ from repro.simulator import (
     Tracer,
 )
 from repro.workloads import LinkScenario
+
+# Hypothesis profiles.  ``tier1``, loaded here, derandomizes every
+# property test and keeps no example database: each run draws the same
+# examples, so two runs in a row agree and a failure names an example
+# that fails again.  ``deep`` keeps the random search (``make
+# test-deep``, which passes ``--hypothesis-profile=deep``; the option is
+# applied after this file loads, so it wins).
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("deep", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -154,13 +154,13 @@ def stressed_receiver(bounds):
     MonitorSuite(setup.tracer, monitors)
     receiver = setup.endpoint_b.receiver
     depths: list[tuple[float, int]] = []
-    enqueue = receiver._enqueue_for_delivery
+    on_iframe = receiver.on_iframe
 
-    def traced(frame):
-        enqueue(frame)
+    def traced(frame, corrupted):
+        on_iframe(frame, corrupted)  # the depth only grows by enqueueing
         depths.append((setup.sim.now, len(receiver._receive_queue)))
 
-    receiver._enqueue_for_delivery = traced
+    receiver.on_iframe = traced
     FiniteBatch(setup.sim, setup.endpoint_a, 3000).start()
     setup.run(until=0.3)
     return monitors, depths
