@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-from typing import Any, Callable, Iterator, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, runtime_checkable
 
 from ..simulator.trace import Tracer
 
@@ -48,6 +48,7 @@ __all__ = [
     "PairFactory",
     "available_protocols",
     "make_endpoint_pair",
+    "offer",
     "pair_factory",
     "register_baseline",
     "register_pair_factory",
@@ -76,6 +77,12 @@ class Endpoint(Protocol):
 
     def accept(self, packet: Any) -> bool:
         """Queue a packet for transmission; False if the buffer refuses."""
+        ...
+
+    def accept_many(self, packets: Iterable[Any]) -> int:
+        """Queue *packets* in order up to the first refusal; returns how
+        many were accepted — the outcome of calling :meth:`accept` on
+        each until one returns False, *packets* consumed as lazily."""
         ...
 
     def on_frame(self, frame: Any, corrupted: bool) -> None:
@@ -127,6 +134,25 @@ _ALIASES: dict[str, tuple[str, dict[str, Any]]] = {
     "nbdt-continuous": ("nbdt", {"mode": "continuous"}),
     "nbdt-multiphase": ("nbdt", {"mode": "multiphase"}),
 }
+
+
+def offer(target: Any, packets: Iterable[Any]) -> int:
+    """Offer *packets* to *target* in order up to the first refusal;
+    returns how many it accepted.
+
+    Through ``target.accept_many`` when it has one (every
+    :class:`Endpoint` does); a target with only ``accept`` is offered one
+    packet at a time, the loop ``accept_many`` stands for.
+    """
+    accept_many = getattr(target, "accept_many", None)
+    if accept_many is not None:
+        return accept_many(packets)
+    accepted = 0
+    for packet in packets:
+        if not target.accept(packet):
+            break
+        accepted += 1
+    return accepted
 
 
 def register_pair_factory(family: str, factory: Optional[PairFactory] = None):
@@ -192,6 +218,10 @@ class BaselineEndpoint:
     def accept(self, packet: Any) -> bool:
         """Queue a packet for transmission."""
         return self.sender.accept(packet)
+
+    def accept_many(self, packets: Iterable[Any]) -> int:
+        """Queue *packets* up to the first refusal; returns how many."""
+        return self.sender.accept_many(packets)
 
     def on_frame(self, frame: Any, corrupted: bool) -> None:
         """Dispatch one arriving frame to the half its route names."""

@@ -22,7 +22,7 @@ frame type            handled by
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..simulator.engine import Simulator
 from ..simulator.link import FullDuplexLink, SimplexChannel
@@ -82,10 +82,12 @@ class LamsDlcEndpoint:
         # Hoisted per-frame dispatch constants.
         self._piggyback = config.piggyback_flow_control
         self._header_protected = config.header_protected
-        # Per-packet fast path: bind accept straight to the sender half
-        # unless a subclass overrides it.
+        # Fast path: bind accept / accept_many straight to the sender
+        # half unless a subclass overrides them.
         if type(self).accept is LamsDlcEndpoint.accept:
             self.accept = self.sender.accept
+        if type(self).accept_many is LamsDlcEndpoint.accept_many:
+            self.accept_many = self.sender.accept_many
 
     # -- lifecycle --------------------------------------------------------
 
@@ -115,6 +117,12 @@ class LamsDlcEndpoint:
         interface (and for subclasses that override it).
         """
         return self.sender.accept(packet)
+
+    def accept_many(self, packets: Iterable[Any]) -> int:
+        """Queue *packets* up to the first refusal; returns how many
+        (the sender half's :meth:`~repro.core.sender.LamsSender.accept_many`,
+        bound the same way as :meth:`accept`)."""
+        return self.sender.accept_many(packets)
 
     # -- link-facing interface ---------------------------------------------------
 

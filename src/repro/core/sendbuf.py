@@ -43,6 +43,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from functools import reduce
+from itertools import islice
 from operator import add
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
@@ -52,6 +53,8 @@ from ..simulator.trace import TimeWeightedStat, Tracer
 from .seqspace import SequenceExhausted, SequenceSpace
 
 __all__ = ["BufferedSender", "OutstandingFrame", "SendBuffer"]
+
+_NOTHING = object()
 
 
 class OutstandingFrame(NamedTuple):
@@ -139,24 +142,48 @@ class SendBuffer:
 
     def enqueue(self, packet: Any, now: float) -> bool:
         """Add a packet from the network layer; False if buffer is full."""
-        occ = len(self._pending) + self.live
-        if self.capacity is not None and occ >= self.capacity:
-            self.refused_total += 1
-            return False
-        self._pending.append((packet, now))
-        self.enqueued_total += 1
-        occ += 1
-        if occ > self.peak_occupancy:
-            self.peak_occupancy = occ
-        return True
+        return self.enqueue_many((packet,), now) == 1
+
+    def enqueue_many(self, packets: Iterable[Any], now: float) -> int:
+        """Add *packets* in order while there is room; returns how many.
+
+        The same as :meth:`enqueue` one packet at a time up to the first
+        refusal, with one update of each counter: *packets* is consumed
+        lazily, and with the buffer full one more packet is taken,
+        refused and counted in ``refused_total``.
+        """
+        pending = self._pending
+        before = len(pending)
+        if self.capacity is None:
+            for packet in packets:
+                pending.append((packet, now))
+        else:
+            packets = iter(packets)
+            room = max(0, self.capacity - before - self.live)
+            for packet in islice(packets, room):
+                pending.append((packet, now))
+            if len(pending) - before == room and next(packets, _NOTHING) is not _NOTHING:
+                self.refused_total += 1
+        entered = len(pending) - before
+        if entered:
+            self.enqueued_total += entered
+            occupancy = before + entered + self.live
+            if occupancy > self.peak_occupancy:
+                self.peak_occupancy = occupancy
+        return entered
 
     def pop_pending(self) -> tuple[Any, float]:
         """Next (packet, enqueue_time) awaiting first transmission."""
         return self._pending.popleft()
 
-    def pending_payloads(self) -> list[Any]:
-        """Payloads still awaiting first transmission (snapshot)."""
-        return [packet for packet, _ in self._pending]
+    def pending_payloads(self, last: Optional[int] = None) -> list[Any]:
+        """Payloads still awaiting first transmission (snapshot), or the
+        *last* ones enqueued."""
+        if last is None:
+            return [packet for packet, _ in self._pending]
+        payloads = [packet for packet, _ in islice(reversed(self._pending), last)]
+        payloads.reverse()
+        return payloads
 
     def held_payloads(self) -> list[Any]:
         """Pending payloads, then the live window's in transmit order."""
@@ -371,14 +398,38 @@ class BufferedSender:
 
     def accept(self, packet: Any) -> bool:
         """Offer a packet; False if the sending buffer refuses it."""
-        if not self.buffer.enqueue(packet, self.sim.now):
-            return False
-        self._record_occupancy()
-        self._wake()
-        return True
+        return self.accept_many((packet,)) == 1
 
-    def _wake(self) -> None:
-        """New work (a packet, or the start): send if the channel allows."""
+    def accept_many(self, packets: Iterable[Any]) -> int:
+        """Offer *packets* in order up to the first refusal; returns how
+        many were accepted.
+
+        The outcome of ``for p in packets: if not accept(p): break``:
+        while the channel is idle each packet is its own step (it may
+        start a transmission); once the channel is busy no wake can send,
+        so the rest enter in one step with one occupancy sample.
+        """
+        packets = iter(packets)
+        accepted = 0
+        while True:
+            busy = not self.data_channel.is_idle
+            entered = self.buffer.enqueue_many(
+                packets if busy else islice(packets, 1), self.sim.now)
+            if not entered:
+                return accepted
+            self._record_occupancy()
+            accepted += entered
+            self._wake(entered - 1)
+            if busy:
+                return accepted
+
+    def _wake(self, unwoken: int = 0) -> None:
+        """New work (packets, or the start): send if the channel allows.
+
+        *unwoken* packets joined the pending queue after the first of
+        this wake's, with no wake of their own: a stretch accepted while
+        the channel was busy.
+        """
         self._maybe_send()
 
     @property

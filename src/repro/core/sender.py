@@ -36,8 +36,9 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from operator import add
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..simulator.engine import Simulator
 from ..simulator.link import SimplexChannel
@@ -172,34 +173,51 @@ class LamsSender:
 
     def accept(self, packet: Any) -> bool:
         """Offer a packet for transmission; False if the buffer refuses."""
-        if self.failed:
-            return False
-        now = self.sim.now
+        return self.accept_many((packet,)) == 1
+
+    def accept_many(self, packets: Iterable[Any]) -> int:
+        """Offer *packets* in order up to the first refusal; returns how
+        many were accepted.
+
+        The outcome of ``for p in packets: if not accept(p): break``,
+        *packets* consumed as lazily.  While the channel is idle each
+        packet is its own step, so an idle channel still starts a run of
+        one.  Once it is busy nothing can send before the stretch ends,
+        and the rest enter in one step: one enqueue, one ``sendbuf``
+        sample (the same-instant samples it stands for add nothing to
+        the mean) and one ``payloads_accepted`` record at *now*.
+        """
+        packets = iter(packets)
         buffer = self.buffer
-        accepted = buffer.enqueue(packet, now)
-        if accepted:
-            if self.tracer.active:
-                self.tracer.emit(
-                    now, self.name, "payload_accepted", payload=packet,
-                )
-            # Inlined _record_occupancy (once per accepted packet).
-            stat = self._sendbuf_stat
-            if stat is None:
-                stat = self._sendbuf_stat = self.tracer.level_stat(
-                    self._sendbuf_stat_name, start_time=now
-                )
-            stat.update(now, len(buffer._pending) + buffer.live)
-            # Inlined busy-channel early-exit of _maybe_send: saturated
-            # sources accept in bursts while a frame is serializing.
-            # (try/except is free when no exception fires; the fallback
-            # keeps duck-typed channels without the private fields working.)
-            channel = self.data_channel
+        channel = self.data_channel
+        tracer = self.tracer
+        accepted = 0
+        while not self.failed:
+            # Inlined busy-channel test of _maybe_send (try/except is
+            # free when no exception fires; the fallback keeps duck-typed
+            # channels without the private fields working).
             try:
                 busy = channel._transmitting or channel._queue
             except AttributeError:
                 busy = not channel.is_idle
-            if not busy:
-                self._maybe_send()
+            now = self.sim.now
+            entered = buffer.enqueue_many(packets if busy else islice(packets, 1), now)
+            if not entered:
+                return accepted
+            if tracer.active:
+                tracer.emit(now, self.name, "payloads_accepted",
+                            payloads=buffer.pending_payloads(entered))
+            stat = self._sendbuf_stat
+            if stat is None:
+                stat = self._sendbuf_stat = tracer.level_stat(
+                    self._sendbuf_stat_name, start_time=now
+                )
+            stat.update(now, len(buffer._pending) + buffer.live)
+            accepted += entered
+            if busy:
+                return accepted
+            self._maybe_send()
+        next(packets, None)  # the one packet a failed sender refuses
         return accepted
 
     @property

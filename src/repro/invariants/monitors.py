@@ -275,7 +275,8 @@ class ZeroLossLedger(InvariantMonitor):
     """Every accepted payload is delivered or held in a reclaimable
     backlog — the paper's zero-loss guarantee (Sections 3.2-3.3).
 
-    Listens to the sender's ``payload_accepted`` and the receiver's
+    Listens to the sender's ``payloads_accepted`` (one record per
+    stretch of packets accepted together) and the receiver's
     ``payload_delivered`` hooks and keeps only what is in flight, copy
     by copy: a value accepted twice is owed twice, a delivery takes one
     copy off the ledger, and a delivery of a value owed nothing (a DLC
@@ -287,14 +288,14 @@ class ZeroLossLedger(InvariantMonitor):
     (sender buffer + requeue + receiver's undrained queue) was *lost*.
     Payloads are told apart by value, so a lost copy whose twin was
     delivered twice goes unseen (docs/INVARIANTS.md).
-    :attr:`accepted` / :attr:`delivered` count the events.
+    :attr:`accepted` / :attr:`delivered` count payloads.
     """
 
     name = "zero-loss"
 
     def __init__(self) -> None:
         super().__init__({
-            "payload_accepted": self._on_accepted,
+            "payloads_accepted": self._on_accepted,
             "payload_delivered": self._on_delivered,
             "backlog_reclaimed": self._on_reclaimed,
         })
@@ -308,23 +309,24 @@ class ZeroLossLedger(InvariantMonitor):
         self._reclaimed: dict[Any, int] = {}  # key -> re-acceptances due
 
     def _on_accepted(self, entry: Entry) -> None:
-        payload = entry[3].get("payload")
-        in_flight = self._in_flight
-        owed = len(in_flight)
-        try:
-            in_flight.setdefault(payload, payload)
-            key = payload
-        except TypeError:
-            key = repr(payload)
-            in_flight.setdefault(key, payload)
-        if len(in_flight) == owed:
-            due = self._reclaimed.pop(key, 0)
-            if due:
-                if due > 1:
-                    self._reclaimed[key] = due - 1
-            else:
-                self._copies[key] = self._copies.get(key, 0) + 1
-        self.accepted += 1
+        payloads = entry[3].get("payloads", ())
+        in_flight, copies, reclaimed = self._in_flight, self._copies, self._reclaimed
+        for payload in payloads:
+            owed = len(in_flight)
+            try:
+                in_flight.setdefault(payload, payload)
+                key = payload
+            except TypeError:
+                key = repr(payload)
+                in_flight.setdefault(key, payload)
+            if len(in_flight) == owed:
+                due = reclaimed.pop(key, 0)
+                if due:
+                    if due > 1:
+                        reclaimed[key] = due - 1
+                else:
+                    copies[key] = copies.get(key, 0) + 1
+        self.accepted += len(payloads)
 
     def _on_delivered(self, entry: Entry) -> None:
         payload = entry[3].get("payload")

@@ -64,20 +64,24 @@ class NbdtSender(BufferedSender):
 
         self.reports_received = 0
 
-    def _wake(self) -> None:
+    def _wake(self, unwoken: int = 0) -> None:
         if self._started:
-            self._begin_phase_if_idle()
+            self._begin_phase_if_idle(unwoken)
             self._maybe_send()
 
     # -- transmission ----------------------------------------------------------------
 
-    def _begin_phase_if_idle(self) -> None:
-        """Multiphase: open a transmission phase when nothing is owed."""
+    def _begin_phase_if_idle(self, unwoken: int = 0) -> None:
+        """Multiphase: open a transmission phase when nothing is owed.
+
+        The phase takes what was pending before the last *unwoken*
+        packets: woken one at a time, those would have found it open.
+        """
         if self.config.mode != "multiphase":
             return
         if self._awaiting_report or self._retransmit_queue or self._phase_new_remaining:
             return
-        self._phase_new_remaining = self.buffer.pending_count
+        self._phase_new_remaining = self.buffer.pending_count - unwoken
 
     def _maybe_send(self) -> None:
         if not self._started or not self.data_channel.is_idle:

@@ -36,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
+from ..core.endpoint import offer
 from ..simulator.engine import Simulator
 from ..simulator.link import FullDuplexLink
 from ..simulator.trace import Tracer
@@ -261,10 +262,10 @@ class LinkSessionManager:
     def _feed(self) -> None:
         if not self._session_up or self._endpoint_a is None:
             return
-        while self._queue:
-            if not self._endpoint_a.accept(self._queue[0]):
-                break
-            self._queue.popleft()
+        queue = self._queue
+        # The refused payload, if any, was only looked at: it stays queued.
+        for _ in range(offer(self._endpoint_a, queue)):
+            queue.popleft()
 
     def __repr__(self) -> str:
         return (

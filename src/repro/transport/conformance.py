@@ -199,8 +199,7 @@ def run_des_reference(
         run_with_invariants=True,
     )
     payloads = [make_payload(i, payload_bytes) for i in range(n_frames)]
-    for payload in payloads:
-        setup.endpoint_a.accept(payload)
+    setup.endpoint_a.accept_many(payloads)
     seen: set[int] = set()
     cursor = 0
     completed = False

@@ -12,13 +12,20 @@ offered loads between them:
   sweeps, flow-control experiments).
 
 All generators target anything exposing ``accept(packet) -> bool`` —
-i.e. either protocol's endpoint — and tag packets with creation time.
+i.e. any protocol's endpoint — and tag packets with creation time.  The
+two that offer several packets at one instant hand them over as one
+lazily consumed stretch through the target's ``accept_many`` when it
+has one (every endpoint does), so ``make_packet`` runs exactly as often
+as packet-at-a-time offering would call it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Any, Callable, Optional, Protocol
 
+from ..core.endpoint import offer
 from ..simulator.engine import Simulator
 
 __all__ = [
@@ -39,6 +46,17 @@ def _default_packet(index: int, now: float) -> tuple[str, int, float]:
     return ("pkt", index, now)
 
 
+def _whole(name: str, value: Any, least: int) -> int:
+    """*value* as an integer of at least *least*, else ValueError naming *name*."""
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if whole < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return whole
+
+
 class FiniteBatch:
     """All N packets offered at start time (the low-traffic model)."""
 
@@ -49,23 +67,25 @@ class FiniteBatch:
         count: int,
         make_packet: Optional[Callable[[int, float], Any]] = None,
     ) -> None:
-        if count < 0:
-            raise ValueError("count cannot be negative")
         self.sim = sim
         self.target = target
-        self.count = count
+        self.count = _whole("count", count, 0)
         self.make_packet = make_packet or _default_packet
         self.offered = 0
         self.refused = 0
 
     def start(self) -> None:
-        """Offer the whole batch immediately."""
-        for index in range(self.count):
-            packet = self.make_packet(index, self.sim.now)
-            if self.target.accept(packet):
-                self.offered += 1
-            else:
+        """Offer the whole batch immediately (a refused packet is counted
+        and the next one offered)."""
+        make, now, count = self.make_packet, self.sim.now, self.count
+        index = 0
+        while index < count:
+            accepted = offer(self.target, (make(i, now) for i in range(index, count)))
+            self.offered += accepted
+            index += accepted
+            if index < count:  # packet ``index`` was refused
                 self.refused += 1
+                index += 1
 
 
 class SaturatedSource:
@@ -88,13 +108,17 @@ class SaturatedSource:
         make_packet: Optional[Callable[[int, float], Any]] = None,
         limit: Optional[int] = None,
     ) -> None:
-        if low_water < 0 or chunk < 1 or poll_interval <= 0:
-            raise ValueError("invalid saturation parameters")
+        # Each test is written so that NaN fails it: NaN compares false.
+        if not 0 <= low_water < math.inf:
+            raise ValueError(f"low_water must be non-negative and finite, got {low_water!r}")
+        if not 0 < poll_interval < math.inf:
+            raise ValueError(
+                f"poll_interval must be positive and finite, got {poll_interval!r}")
         self.sim = sim
         self.target = target
         self.backlog_fn = backlog_fn
         self.low_water = low_water
-        self.chunk = chunk
+        self.chunk = _whole("chunk", chunk, 1)
         self.poll_interval = poll_interval
         self.make_packet = make_packet or _default_packet
         self.limit = limit
@@ -121,13 +145,11 @@ class SaturatedSource:
             budget = self.chunk
             if self.limit is not None:
                 budget = min(budget, self.limit - self.offered)
-            for _ in range(budget):
-                packet = self.make_packet(self.offered + self.refused, self.sim.now)
-                if self.target.accept(packet):
-                    self.offered += 1
-                else:
-                    self.refused += 1
-                    break
+            make, now, first = self.make_packet, self.sim.now, self.offered + self.refused
+            accepted = offer(self.target, (make(first + k, now) for k in range(budget)))
+            self.offered += accepted
+            if accepted < budget:  # the stretch stopped at a refusal
+                self.refused += 1
         # self._tick, looked up on the instance: the benchmark shadows it
         # there to time the source.
         self.sim.schedule(self.poll_interval, self._tick, chain)
@@ -144,8 +166,9 @@ class ConstantRateSource:
         make_packet: Optional[Callable[[int, float], Any]] = None,
         limit: Optional[int] = None,
     ) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        # A rate so small that its interval overflows is refused too.
+        if not 0 < rate < math.inf or not 1.0 / rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {rate!r}")
         self.sim = sim
         self.target = target
         self.interval = 1.0 / rate

@@ -7,7 +7,9 @@ the sending buffer's columns (:mod:`repro.core.sendbuf`): one
 frame in a dict, a pending deque, their own capacity, occupancy and
 holding-time bookkeeping, and ``sorted`` / ``min`` passes over the dict
 where the columns now have an order.  They are kept here verbatim, and
-only here, as the thing the shipped senders must agree with.
+only here, as the thing the shipped senders must agree with; the one
+addition is an ``accept_many`` that offers packets one ``accept`` at a
+time, so an endpoint can hand them a stretch.
 
 :class:`BaselineRig` drives a shipped sender and its reference through
 one history — each on its own simulator, stub channel and tracer — and
@@ -33,6 +35,8 @@ from repro.nbdt.frames import NbdtIFrame, NbdtReport, NbdtReportRequest
 from repro.simulator.engine import Simulator
 from repro.simulator.link import SimplexChannel
 from repro.simulator.trace import Tracer
+
+from .accept_reference import accept_each
 
 
 
@@ -170,6 +174,10 @@ class HdlcSender:
         self._record_occupancy()
         self._maybe_send()
         return True
+
+    def accept_many(self, packets: Any) -> int:
+        """The loop ``accept_many`` stands for (tests/accept_reference.py)."""
+        return accept_each(self.accept, packets)
 
     @property
     def occupancy(self) -> int:
@@ -469,6 +477,10 @@ class NbdtSender:
             self._begin_phase_if_idle()
             self._maybe_send()
         return True
+
+    def accept_many(self, packets: Any) -> int:
+        """The loop ``accept_many`` stands for (tests/accept_reference.py)."""
+        return accept_each(self.accept, packets)
 
     @property
     def occupancy(self) -> int:

@@ -10,7 +10,8 @@ here, and only here, as the thing the columns must agree with.
 feeds the reference everything the sender put on the channel and every
 checkpoint it was handed, and after each step asserts that both tell
 the same story: the same trace records in the same order (the sender's
-run records expanded frame by frame, ``tests/trace_runs.py``), the same
+run records expanded frame by frame, ``tests/trace_runs.py``; its
+acceptance records are ``tests/test_accept_many.py``'s), the same
 retransmission queue, the same holding statistics to the bit, the same
 held payloads.
 """
@@ -197,7 +198,7 @@ class SenderRig:
         if record.event == "requeue":
             self.log.append(("requeue", record.time, record.detail["seq"],
                              record.detail["cause"]))
-        else:
+        elif record.event != "payloads_accepted":  # tests/test_accept_many.py
             self.log.extend(expand(
                 (record.time, record.source, record.event, record.detail),
                 self.config.numbering_size,

@@ -125,8 +125,8 @@ class TestBrokenProtocolCaught:
 
     def test_lost_payload_caught_by_ledger(self):
         tracer, suite = self.make_suite([ZeroLossLedger()])
-        tracer.emit(0.1, "a", "payload_accepted", payload=("pkt", 0))
-        tracer.emit(0.2, "a", "payload_accepted", payload=("pkt", 1))
+        tracer.emit(0.1, "a", "payloads_accepted", payloads=[("pkt", 0)])
+        tracer.emit(0.2, "a", "payloads_accepted", payloads=[("pkt", 1)])
         tracer.emit(0.3, "b", "payload_delivered", payload=("pkt", 0))
         suite.finalize(1.0)
         [violation] = suite.violations
@@ -138,9 +138,9 @@ class TestBrokenProtocolCaught:
         """The same value accepted again after its first delivery, then
         lost: the ledger keeps only what is in flight, so it is owed."""
         tracer, suite = self.make_suite([ZeroLossLedger()])
-        tracer.emit(0.1, "a", "payload_accepted", payload=("pkt", 0))
+        tracer.emit(0.1, "a", "payloads_accepted", payloads=[("pkt", 0)])
         tracer.emit(0.2, "b", "payload_delivered", payload=("pkt", 0))
-        tracer.emit(0.3, "a", "payload_accepted", payload=("pkt", 0))
+        tracer.emit(0.3, "a", "payloads_accepted", payloads=[("pkt", 0)])
         suite.finalize(1.0)
         [violation] = suite.violations
         assert violation.detail["sample"] == [("pkt", 0)]
@@ -150,8 +150,8 @@ class TestBrokenProtocolCaught:
         """Two copies of one value in flight, one delivered: the other
         is owed, and finalizing with nothing held finds it lost."""
         tracer, suite = self.make_suite([ZeroLossLedger()])
-        tracer.emit(0.1, "a", "payload_accepted", payload=b"x")
-        tracer.emit(0.2, "a", "payload_accepted", payload=b"x")
+        tracer.emit(0.1, "a", "payloads_accepted", payloads=[b"x"])
+        tracer.emit(0.2, "a", "payloads_accepted", payloads=[b"x"])
         tracer.emit(0.3, "b", "payload_delivered", payload=b"x")
         suite.finalize(1.0)
         [violation] = suite.violations
@@ -164,8 +164,7 @@ class TestBrokenProtocolCaught:
         tracer = Tracer()
         suite = MonitorSuite(tracer, [ZeroLossLedger()],
                              held_snapshot=lambda: [["u"], b"y"])
-        for payload in (["u"], ["u"], b"y", b"y", b"z"):
-            tracer.emit(0.1, "a", "payload_accepted", payload=payload)
+        tracer.emit(0.1, "a", "payloads_accepted", payloads=[["u"], ["u"], b"y", b"y", b"z"])
         for payload in (b"z", b"z", b"w"):
             tracer.emit(0.2, "b", "payload_delivered", payload=payload)
         suite.finalize(1.0)
@@ -179,13 +178,11 @@ class TestBrokenProtocolCaught:
         a reclaimed payload owed once stays owed once, and one lost
         after its replay is one lost."""
         tracer, suite = self.make_suite([ZeroLossLedger()])
-        for payload in (b"x", b"y", b"z", b"z"):
-            tracer.emit(0.1, "a", "payload_accepted", payload=payload)
+        tracer.emit(0.1, "a", "payloads_accepted", payloads=[b"x", b"y", b"z", b"z"])
         tracer.emit(0.2, "b", "payload_delivered", payload=b"y")
         tracer.emit(0.3, "supervisor", "backlog_reclaimed",
                     payloads=(b"x", b"y", b"z", b"z", b"z"))
-        for payload in (b"x", b"y", b"z", b"z"):
-            tracer.emit(0.4, "a2", "payload_accepted", payload=payload)
+        tracer.emit(0.4, "a2", "payloads_accepted", payloads=[b"x", b"y", b"z", b"z"])
         for payload in (b"x", b"y", b"z"):
             tracer.emit(0.5, "b2", "payload_delivered", payload=payload)
         suite.finalize(1.0)
@@ -198,8 +195,8 @@ class TestBrokenProtocolCaught:
             tracer, [ZeroLossLedger()],
             held_snapshot=lambda: [("pkt", 1)],
         )
-        tracer.emit(0.1, "a", "payload_accepted", payload=("pkt", 0))
-        tracer.emit(0.2, "a", "payload_accepted", payload=("pkt", 1))
+        tracer.emit(0.1, "a", "payloads_accepted", payloads=[("pkt", 0)])
+        tracer.emit(0.2, "a", "payloads_accepted", payloads=[("pkt", 1)])
         tracer.emit(0.3, "b", "payload_delivered", payload=("pkt", 0))
         suite.finalize(1.0)
         assert suite.ok

@@ -265,6 +265,19 @@ def _digest(items) -> str:
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
 
 
+def _recorder(records: list):
+    """A listener appending raw entries; a ``payloads_accepted`` record
+    stands for the one ``payload_accepted`` record per packet the digests
+    were recorded with."""
+    def listen(record):
+        if record.event == "payloads_accepted":
+            records.extend((record.time, record.source, "payload_accepted", {"payload": payload})
+                           for payload in record.detail["payloads"])
+        else:
+            records.append((record.time, record.source, record.event, record.detail))
+    return listen
+
+
 def _link_streams(name, monitored):
     scenario = preset("nominal")
     build, payloads = dict(seed=7), 2000
@@ -285,8 +298,7 @@ def _link_streams(name, monitored):
     deliver = receiver.deliver
     receiver.deliver = lambda packet: (delivered.append((sim.now, packet)), deliver(packet))
     if monitored:
-        setup.tracer.listeners.append(lambda record: records.append(
-            (record.time, record.source, record.event, record.detail)))
+        setup.tracer.listeners.append(_recorder(records))
     FiniteBatch(sim, setup.endpoint_a, payloads).start()
     setup.run(until=1.0)
     if monitored:
@@ -306,8 +318,7 @@ def _ring_streams():
                                         horizon=0.05, monitors=True)
     records = []
     for name in sorted(constellation.links):
-        constellation.links[name].tracer.listeners.append(lambda record: records.append(
-            (record.time, record.source, record.event, record.detail)))
+        constellation.links[name].tracer.listeners.append(_recorder(records))
     constellation.run(until=0.3)
     logs = [(node, [(dg.source, dg.sequence) for dg in log.datagrams], list(log.delays))
             for node, log in sorted(constellation.logs.items())]

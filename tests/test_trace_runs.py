@@ -1,13 +1,16 @@
 """Run-shaped trace records against the per-frame stream they replace.
 
-The LAMS sender emits one ``iframes_sent`` per run and one
-``iframes_released`` per release, and the receiver reports only new
+The LAMS sender emits one ``iframes_sent`` per run, one
+``iframes_released`` per release and one ``payloads_accepted`` per
+stretch of packets accepted together, and the receiver reports only new
 receive-queue peaks (``rxqueue_peak``).  Three things are pinned here:
 
 - the expanded stream (``tests/trace_runs.py``) of three seeded
   monitored runs — nominal, Gilbert–Elliott bursts, and outages — is
   digest-equal to the per-frame ``(event, time, seq, index, retx |
-  holding)`` stream the sender emitted frame by frame;
+  holding)`` stream the sender emitted frame by frame, and its
+  acceptances, with a saturated source's too, to the per-packet
+  ``("payload_accepted", time, payload)`` stream;
 - ``HoldingTimeBoundMonitor`` reading a release record reports what the
   per-frame handler reported for each of its frames, ``(invariant,
   time, message, detail)`` included;
@@ -27,7 +30,7 @@ from repro.faults import FaultPlan
 from repro.invariants import HoldingTimeBoundMonitor, MonitorSuite, ReceiverQueueBoundMonitor
 from repro.simulator.trace import TraceRecord, Tracer
 from repro.workloads import preset
-from repro.workloads.generators import FiniteBatch
+from repro.workloads.generators import FiniteBatch, SaturatedSource
 from repro.workloads.scenarios import build_simulation
 
 from .trace_runs import expand
@@ -53,6 +56,35 @@ STREAMS = {
                 "224ddbc84137b3c4501f4011830585110914422d96f43bf1a4aed5d4db3f9313"),
 }
 
+# name -> sha256 of repr of the run's ``("payload_accepted", time,
+# payload)`` stream, recorded from the sender that emitted one
+# ``payload_accepted`` record per packet.  A batch offered at t = 0 is
+# two records now: its first packet starts the idle channel, the rest
+# enter in one step.
+ACCEPTED = {
+    "nominal": "4211e64aeac6fa1142a3457f50ba5eaeffb0a86763a2a78f38ff369064c6b638",
+    "bursty": "4211e64aeac6fa1142a3457f50ba5eaeffb0a86763a2a78f38ff369064c6b638",
+    "outages": "ad51d7736b7206cb797fd80f4a3ccf4db837376fb23fdc52d29ffa097b8ae94b",
+}
+
+
+def _digest(stream: list[tuple]) -> str:
+    return hashlib.sha256(repr(stream).encode()).hexdigest()
+
+
+def _expanding(setup):
+    """Attach a listener; returns (expanded stream, acceptance records)."""
+    modulus = setup.endpoint_a.sender.buffer.space.modulus
+    stream: list[tuple] = []
+    records: list[str] = []
+
+    def listen(record):
+        records.append(record.event)
+        stream.extend(expand((record.time, record.source, record.event, record.detail), modulus))
+
+    setup.tracer.listeners.append(listen)
+    return stream, records
+
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_expanded_stream_is_the_per_frame_stream(name):
@@ -61,17 +93,42 @@ def test_expanded_stream_is_the_per_frame_stream(name):
     if name == "outages":
         scenario = scenario.with_(checkpoint_interval=0.005)
     setup = build_simulation(scenario, "lams", run_with_invariants=True, **build)
-    modulus = setup.endpoint_a.sender.buffer.space.modulus
-    stream: list[tuple] = []
-    setup.tracer.listeners.append(lambda record: stream.extend(expand(
-        (record.time, record.source, record.event, record.detail), modulus)))
+    expanded, records = _expanding(setup)
     FiniteBatch(setup.sim, setup.endpoint_a, payloads).start()
     setup.run(until=1.0)
     assert setup.finalize_monitors().ok and len(setup.delivered) == payloads
+    stream = [item for item in expanded if item[0] != "payload_accepted"]
+    accepted = [item for item in expanded if item[0] == "payload_accepted"]
     events = [frame[0] for frame in stream]
     assert (events.count("iframe_sent"), events.count("iframe_released")) == (sent, released)
     assert sum(1 for frame in stream if frame[0] == "iframe_released" and frame[4]) == retransmitted
-    assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest
+    assert _digest(stream) == digest
+    assert (records.count("payloads_accepted"), len(accepted)) == (2, payloads)
+    assert _digest(accepted) == ACCEPTED[name]
+
+
+def test_a_saturated_sources_acceptances_are_the_per_packet_stream():
+    """Eight refills over 0.1 s of a saturated source: each is one
+    record (the first two, as the channel starts idle), and the stream
+    they expand to is the one recorded a record per packet."""
+    scenario = preset("nominal")
+    setup = build_simulation(scenario, "lams", seed=7, run_with_invariants=True)
+    expanded, records = _expanding(setup)
+    sender = setup.endpoint_a.sender
+    source = SaturatedSource(
+        setup.sim, setup.endpoint_a, backlog_fn=lambda: sender.pending_count,
+        low_water=256, chunk=512, poll_interval=scenario.iframe_time * 64,
+    )
+    source.start()
+    setup.run(until=0.1)
+    source.stop()
+    setup.run(until=0.3)
+    assert setup.finalize_monitors().ok and len(setup.delivered) == source.offered == 4096
+    accepted = [item for item in expanded if item[0] == "payload_accepted"]
+    assert (records.count("payloads_accepted"), len(accepted)) == (9, 4096)
+    assert setup.sim.event_count == 550
+    assert _digest(accepted) == (
+        "08139c6f1f4a56d2919a8c66ad44e3e8d26521d6ec3f93d07b63cea6170239dc")
 
 
 # -- holding time: one release record against per-frame checks -----------------

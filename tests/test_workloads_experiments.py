@@ -167,6 +167,38 @@ class TestGenerators:
         with pytest.raises(ValueError):
             FiniteBatch(sim, target, count=-1)
 
+    @pytest.mark.parametrize("name,build", [
+        # An infinite rate ran away at t=0; a NaN one was accepted; a
+        # rate this small has an interval that overflows to inf.
+        ("rate", lambda sim, t: ConstantRateSource(sim, t, rate=math.inf)),
+        ("rate", lambda sim, t: ConstantRateSource(sim, t, rate=math.nan)),
+        ("rate", lambda sim, t: ConstantRateSource(sim, t, rate=5e-324)),
+        ("poll_interval", lambda sim, t: SaturatedSource(sim, t, lambda: 0, poll_interval=math.nan)),
+        ("poll_interval", lambda sim, t: SaturatedSource(sim, t, lambda: 0, poll_interval=math.inf)),
+        # A NaN low water never refills: the source offered nothing.
+        ("low_water", lambda sim, t: SaturatedSource(sim, t, lambda: 0, low_water=math.nan)),
+        ("low_water", lambda sim, t: SaturatedSource(sim, t, lambda: 0, low_water=math.inf)),
+        # Fractional sizes failed only at start().
+        ("chunk", lambda sim, t: SaturatedSource(sim, t, lambda: 0, chunk=2.5)),
+        ("chunk", lambda sim, t: SaturatedSource(sim, t, lambda: 0, chunk=0)),
+        ("count", lambda sim, t: FiniteBatch(sim, t, count=10.0)),
+    ])
+    def test_a_bad_source_parameter_is_refused_at_construction_by_name(self, name, build):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build(Simulator(), Collector())
+
+    def test_sources_fall_back_to_accept_for_a_target_without_accept_many(self):
+        """A stretch offered to an ``accept``-only target stops at its
+        first refusal, and ``make_packet`` runs once per offer."""
+        made = []
+        target = Collector(refuse_after=3)
+        source = SaturatedSource(
+            Simulator(), target, backlog_fn=lambda: 0, chunk=8, poll_interval=1.0,
+            make_packet=lambda index, now: made.append(index) or index,
+        )
+        source.start()
+        assert (source.offered, source.refused, made) == (3, 1, [0, 1, 2, 3])
+
 
 class TestScenarios:
     def test_presets_exist(self):

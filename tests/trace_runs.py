@@ -1,17 +1,19 @@
 """The sender's run records, expanded back into per-frame tuples.
 
 A monitored ``LamsSender`` traces a run, not a frame: one
-``iframes_sent`` record per run handed to the channel and one
-``iframes_released`` record per release.  :func:`expand` turns either
-back into the tuples the sender's per-frame records used to carry, so
-the sender-window oracle in ``tests/sender_reference.py`` and the
+``iframes_sent`` record per run handed to the channel, one
+``iframes_released`` record per release and one ``payloads_accepted``
+record per stretch of packets accepted together.  :func:`expand` turns
+each back into the tuples the sender's per-frame records used to carry,
+so the sender-window oracle in ``tests/sender_reference.py`` and the
 recorded-stream digests in ``tests/test_trace_runs.py`` compare frame
 by frame:
 
 - ``("iframe_sent", departure, seq, index, retx)``, where frame ``k``
   of a run departs at the record's time plus ``frame_time`` added ``k``
   times (the sender's own float accumulation, not ``k * frame_time``);
-- ``("iframe_released", time, seq, holding, retx)``.
+- ``("iframe_released", time, seq, holding, retx)``;
+- ``("payload_accepted", time, payload)``.
 
 Any other record expands to nothing.
 """
@@ -38,4 +40,6 @@ def expand(entry: Entry, modulus: int) -> list[tuple[Any, ...]]:
     if event == "iframes_released":
         return [("iframe_released", time, seq, holding, retx) for seq, holding, retx
                 in zip(detail["seqs"], detail["holdings"], detail["retx"])]
+    if event == "payloads_accepted":
+        return [("payload_accepted", time, payload) for payload in detail["payloads"]]
     return []
