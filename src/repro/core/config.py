@@ -10,10 +10,22 @@ sizes Section 3.3 bounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["LamsDlcConfig"]
+
+
+def as_count(name: str, value: object, least: int) -> int:
+    """*value* as an integer of at least *least*, else ValueError naming *name*."""
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if whole < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return whole
 
 
 def _default_batch_window() -> int:
@@ -107,11 +119,12 @@ class LamsDlcConfig:
 
     def __post_init__(self) -> None:
         # Each test is written so that NaN fails it: NaN compares false.
+        # A count must be a whole number: 2.5 checkpoints or frames is
+        # not a value the protocol can act on.
         if not 0 < self.checkpoint_interval < math.inf:
             raise ValueError("checkpoint_interval must be positive and finite, "
                              f"got {self.checkpoint_interval!r}")
-        if not self.cumulation_depth >= 1:
-            raise ValueError("cumulation_depth must be >= 1")
+        as_count("cumulation_depth", self.cumulation_depth, 1)
         if not (self.iframe_payload_bits > 0 and self.iframe_overhead_bits >= 0):
             raise ValueError("I-frame sizes must be positive")
         if not (self.cframe_base_bits > 0 and self.cframe_per_nak_bits >= 0):
@@ -119,16 +132,25 @@ class LamsDlcConfig:
         if not 0 <= self.processing_time < math.inf:
             raise ValueError("processing_time must be non-negative and finite, "
                              f"got {self.processing_time!r}")
-        if not 1 <= self.numbering_bits <= 32:
+        if not 1 <= as_count("numbering_bits", self.numbering_bits, 1) <= 32:
             raise ValueError("numbering_bits must be in [1, 32]")
+        for name in ("send_buffer_capacity", "receive_queue_capacity"):
+            if getattr(self, name) is not None:
+                as_count(name, getattr(self, name), 1)
+        as_count("batch_window", self.batch_window, 1)
         if not 0 < self.rate_decrease_factor < 1:
             raise ValueError("rate_decrease_factor must be in (0, 1)")
+        if not 0 <= self.rate_increase_step < math.inf:
+            raise ValueError("rate_increase_step must be non-negative and finite, "
+                             f"got {self.rate_increase_step!r}")
         if not 0 < self.min_rate_fraction <= 1:
             raise ValueError("min_rate_fraction must be in (0, 1]")
-        if self.receive_low_watermark > self.receive_high_watermark:
+        low = as_count("receive_low_watermark", self.receive_low_watermark, 0)
+        if low > as_count("receive_high_watermark", self.receive_high_watermark, 0):
             raise ValueError("low watermark must not exceed high watermark")
-        if self.batch_window < 1:
-            raise ValueError("batch_window must be at least 1 (one frame per run)")
+        if self.link_lifetime is not None and not 0 <= self.link_lifetime < math.inf:
+            raise ValueError("link_lifetime must be non-negative and finite (None for "
+                             f"unbounded), got {self.link_lifetime!r}")
 
     # -- derived quantities ---------------------------------------------------
 

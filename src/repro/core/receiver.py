@@ -18,6 +18,12 @@ Responsibilities, straight from the protocol description:
 
 The receiver sends checkpoint commands for as long as it is running,
 "so long as the link is active" — even during a suspected failure.
+
+While its tracer is active the receiver traces a checkpoint interval's
+drains, not a drain: one ``payloads_delivered`` record (``times``,
+``payloads``) just ahead of each ``checkpoint_sent`` record, and in
+:meth:`LamsReceiver.flush`, :meth:`LamsReceiver.stop` and
+``Tracer.settle``.
 """
 
 from __future__ import annotations
@@ -56,6 +62,9 @@ class LamsReceiver:
     # drain.  flush() gives its receiver a fresh one, so that a drain it
     # overtook lapses; until then every receiver shares this one.
     _drain_args = (object(),)
+    # The drains since the last payloads_delivered record, ``(times,
+    # payloads)``, while the tracer is active; None when there are none.
+    _held: Optional[tuple[list, list]] = None
 
     def __init__(
         self,
@@ -151,6 +160,7 @@ class LamsReceiver:
 
     def stop(self) -> None:
         """Halt checkpoint emission (link teardown)."""
+        self._release_delivered()
         self._running = False
         if self._checkpoint_tick is not None:
             self._checkpoint_tick.cancel()
@@ -354,6 +364,8 @@ class LamsReceiver:
         self.checkpoints_sent += 1
         self.control_channel.send(frame)
         if self.tracer.active:
+            if self._held is not None:
+                self._release_delivered()
             self.tracer.emit(
                 now, self.name, "checkpoint_sent",
                 index=index, naks=len(naks), enforced=enforced, stop_go=stop_go,
@@ -400,14 +412,27 @@ class LamsReceiver:
         stat.update(now, len(queue))
         self.delivered += 1
         if self.tracer.active:
-            self.tracer.emit(
-                now, self.name, "payload_delivered", payload=packet
-            )
+            held = self._held
+            if held is None:
+                held = self._held = ([], [])
+                self.tracer.hold(self._release_delivered)
+            held[0].append(now)
+            held[1].append(packet)
         self.deliver(packet)
         if not queue:
             self._draining = False
         elif self._draining:  # not when flush() is the caller
             self._schedule_drain(self.sim.now + self._drain_delay_value)
+
+    def _release_delivered(self) -> None:
+        """Emit the drains held since the last record as one
+        ``payloads_delivered``, stamped with the first."""
+        held = self._held
+        if held is not None:
+            self._held = None
+            times, payloads = held
+            self.tracer.emit(times[0], self.name, "payloads_delivered",
+                             times=times, payloads=payloads)
 
     @property
     def receive_queue_length(self) -> int:
@@ -433,6 +458,7 @@ class LamsReceiver:
         self._drain_args = args = (object(),)  # a pending drain lapses
         while queue:
             self._drain_one(*args)
+        self._release_delivered()
         return count
 
     def __repr__(self) -> str:

@@ -330,6 +330,7 @@ def measure_fault_plan(
         **_zero_loss_ledger(setup, n_frames),
     }
     if recovery is not None:
+        setup.tracer.settle()  # a run still landing at the horizon counts too
         result.update(recovery.summary())
         if recovery.outages:
             # Single-outage plans are the common case; surface the first

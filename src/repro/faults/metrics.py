@@ -16,8 +16,9 @@ with the protocol's own events to produce one
 - **frames_lost** — frames the outage swallowed (both loss phases,
   per the ``frame_lost_outage`` trace event).
 - **post_recovery_delivery_delay** — outage end → the first I-frame
-  delivery afterwards: how long the resequencing pipeline stays dry
-  after the link returns.
+  arrival at or after it (read from the channels' ``frames_delivered``
+  run records): how long the resequencing pipeline stays dry after the
+  link returns.
 
 All quantities derive purely from simulation events, so a fault plan's
 metrics are bit-identical across repeated runs and across serial vs
@@ -31,6 +32,7 @@ assert measured ≤ bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -153,7 +155,7 @@ class RecoveryMetrics(Router):
             "fault_start": (self._on_fault,),
             "fault_end": (self._on_fault,),
             "frame_lost_outage": (self._on_frame_lost,),
-            "deliver": (self._on_deliver,),
+            "frames_delivered": (self._on_delivered,),
             **dict.fromkeys(_REACTIONS, (self._on_reaction,)),
         }
         tracer.listeners.append(self)
@@ -210,17 +212,16 @@ class RecoveryMetrics(Router):
             if current is not None and getattr(current, latency) is None:
                 setattr(current, latency, time - current.start)
 
-    def _on_deliver(self, entry: Entry) -> None:
-        time, _, _, detail = entry
+    def _on_delivered(self, entry: Entry) -> None:
+        detail = entry[3]
         if detail.get("control", False):
             return
+        times = detail["times"]
         for outage in self.outages:
-            if (
-                outage.post_recovery_delivery_delay is None
-                and outage.end is not None
-                and time >= outage.end
-            ):
-                outage.post_recovery_delivery_delay = time - outage.end
+            if outage.post_recovery_delivery_delay is None and outage.end is not None:
+                first = bisect_left(times, outage.end)
+                if first < len(times):
+                    outage.post_recovery_delivery_delay = times[first] - outage.end
 
     # -- reporting --------------------------------------------------------
 

@@ -109,11 +109,17 @@ class InvariantMonitor:
         self._suite = suite
 
     def violate(self, time: float, message: str, **detail: Any) -> Violation:
-        """Record one violation (annotated with the suite's context)."""
+        """Record one violation (annotated with the suite's context).
+
+        The tracer is settled first, so the window shows the arrivals
+        and drains held back when the invariant broke; raised from a
+        handler, they follow the entry that raised it.
+        """
         violation = Violation(
             invariant=self.name, time=time, message=message, detail=detail,
         )
         if self._suite is not None:
+            self._suite.tracer.settle()
             violation.trace_window = self._suite.window_snapshot(time)
             violation.context = dict(self._suite.context)
         self.violations.append(violation)
@@ -218,10 +224,12 @@ class MonitorSuite(Router):
     # -- lifecycle --------------------------------------------------------
 
     def finalize(self, now: float) -> None:
-        """Run every monitor's end-of-run checks (idempotent)."""
+        """Settle the tracer, then run every monitor's end-of-run checks
+        (idempotent)."""
         if self._finalized:
             return
         self._finalized = True
+        self.tracer.settle()
         for monitor in self.monitors:
             monitor.finalize(now)
         self.detach()
@@ -277,7 +285,8 @@ class ZeroLossLedger(InvariantMonitor):
 
     Listens to the sender's ``payloads_accepted`` (one record per
     stretch of packets accepted together) and the receiver's
-    ``payload_delivered`` hooks and keeps only what is in flight, copy
+    ``payloads_delivered`` (one per checkpoint interval's drains) and
+    keeps only what is in flight, copy
     by copy: a value accepted twice is owed twice, a delivery takes one
     copy off the ledger, and a delivery of a value owed nothing (a DLC
     duplicate) is ignored.  A ``backlog_reclaimed`` record listing the
@@ -296,7 +305,7 @@ class ZeroLossLedger(InvariantMonitor):
     def __init__(self) -> None:
         super().__init__({
             "payloads_accepted": self._on_accepted,
-            "payload_delivered": self._on_delivered,
+            "payloads_delivered": self._on_delivered,
             "backlog_reclaimed": self._on_reclaimed,
         })
         self.accepted = 0
@@ -329,24 +338,26 @@ class ZeroLossLedger(InvariantMonitor):
         self.accepted += len(payloads)
 
     def _on_delivered(self, entry: Entry) -> None:
-        payload = entry[3].get("payload")
-        try:
-            owed = self._in_flight.pop(payload, _NOTHING)
-            key = payload
-        except TypeError:
-            key = repr(payload)
-            owed = self._in_flight.pop(key, _NOTHING)
-        if owed is not _NOTHING:
-            if self._copies and key in self._copies:
-                self._in_flight[key] = owed
-                copies = self._copies[key] - 1
-                if copies:
-                    self._copies[key] = copies
-                else:
-                    del self._copies[key]
-            elif self._reclaimed:
-                self._reclaimed.pop(key, None)  # owed nothing now
-        self.delivered += 1
+        payloads = entry[3].get("payloads", ())
+        in_flight, copies, reclaimed = self._in_flight, self._copies, self._reclaimed
+        for payload in payloads:
+            try:
+                owed = in_flight.pop(payload, _NOTHING)
+                key = payload
+            except TypeError:
+                key = repr(payload)
+                owed = in_flight.pop(key, _NOTHING)
+            if owed is not _NOTHING:
+                if copies and key in copies:
+                    in_flight[key] = owed
+                    left = copies[key] - 1
+                    if left:
+                        copies[key] = left
+                    else:
+                        del copies[key]
+                elif reclaimed:
+                    reclaimed.pop(key, None)  # owed nothing now
+        self.delivered += len(payloads)
 
     def _on_reclaimed(self, entry: Entry) -> None:
         for payload in entry[3].get("payloads", ()):
@@ -387,9 +398,10 @@ class DestinationOrderingMonitor(InvariantMonitor):
     0, 1, 2, ... with no repeats and no skips.
 
     With *dlc_no_duplicates* set (the receiver's ``zero_duplication``
-    extension armed), link-level ``payload_delivered`` events are
-    additionally required to be duplicate-free — the "more recent
-    version ... guarantees zero duplication" claim of Section 3.2.
+    extension armed), the payloads of link-level ``payloads_delivered``
+    records are additionally required to be duplicate-free — the "more
+    recent version ... guarantees zero duplication" claim of Section
+    3.2 — and a duplicate is reported at its own delivery time.
     """
 
     name = "destination-ordering"
@@ -397,7 +409,7 @@ class DestinationOrderingMonitor(InvariantMonitor):
     def __init__(self, dlc_no_duplicates: bool = False) -> None:
         handlers = {"dest_deliver": self._on_dest_deliver}
         if dlc_no_duplicates:
-            handlers["payload_delivered"] = self._on_payload_delivered
+            handlers["payloads_delivered"] = self._on_payloads_delivered
         super().__init__(handlers)
         self.dlc_no_duplicates = dlc_no_duplicates
         self._next_expected: dict[Any, int] = {}
@@ -422,17 +434,19 @@ class DestinationOrderingMonitor(InvariantMonitor):
         else:
             self._next_expected[flow] = expected + 1
 
-    def _on_payload_delivered(self, entry: Entry) -> None:
-        payload = entry[3].get("payload")
-        key = _payload_key(payload)
-        if key in self._dlc_delivered:
-            self.violate(
-                entry[0],
-                "zero-duplication receiver delivered the same payload twice",
-                payload=payload,
-            )
-        else:
-            self._dlc_delivered.add(key)
+    def _on_payloads_delivered(self, entry: Entry) -> None:
+        detail = entry[3]
+        delivered = self._dlc_delivered
+        for time, payload in zip(detail["times"], detail["payloads"]):
+            key = _payload_key(payload)
+            if key in delivered:
+                self.violate(
+                    time,
+                    "zero-duplication receiver delivered the same payload twice",
+                    payload=payload,
+                )
+            else:
+                delivered.add(key)
 
 
 class ReceiverQueueBoundMonitor(InvariantMonitor):

@@ -229,6 +229,8 @@ class LinkSessionManager:
             if reclaimed:
                 # Invariant hook: the zero-loss ledger treats reclaimed
                 # payloads as held, and tests assert the replay order.
+                # Deliveries still held back go ahead of it.
+                self.tracer.settle()
                 self.tracer.emit(
                     self.sim.now, "session", "backlog_reclaimed",
                     count=reclaimed, backlog=len(self._queue),

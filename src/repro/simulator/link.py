@@ -22,12 +22,19 @@ Each simplex channel models:
 - **Outages**: the channel can be cut (``down()``) and restored
   (``up()``); frames sent while down are silently lost (link failure /
   retargeting episodes, Section 3.2).
+
+While its tracer is active a channel traces a run, not a frame: one
+``frames_delivered`` record (``times``, ``control``, ``corrupted``
+positions) per decided run, held until its last frame lands (a run of
+one: as it lands) and stamped with its first arrival; a frame lost in
+propagation keeps its ``frame_lost_outage`` record and is left out.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
+from itertools import islice
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
 from .engine import Agenda, Simulator
@@ -64,6 +71,11 @@ class SimplexChannel:
     # answers, so an idle channel, whose runs are all of one, holds
     # nothing for it.
     _agenda: Optional[Agenda] = None
+    # While the tracer is active: the runs decided but not yet landed,
+    # oldest first, each ``(times, verdicts, frames, last sequence,
+    # positions lost)``; its frames_delivered record waits for its last
+    # frame.  None until the first.
+    _held: Optional[deque] = None
 
     def __init__(
         self,
@@ -330,15 +342,16 @@ class SimplexChannel:
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
+            deliver = self._deliver_traced if self.tracer.active else self._deliver
             # A single I-frame (a retransmission, say) joins the agenda
             # its channel's runs made; a single control frame keeps the
             # per-instant batching push, which it shares with the
             # checkpoints of other links sent at the same instant.
             agenda = self._agenda
             if agenda is None or first.is_control:
-                sim.push(arrival, self._deliver, (first, corrupted))
+                sim.push(arrival, deliver, (first, corrupted))
             else:
-                agenda.add(agenda.lanes[0], arrival, self._deliver, (first, corrupted))
+                agenda.add(agenda.lanes[0], arrival, deliver, (first, corrupted))
             return
         starts = []
         sizes = []
@@ -388,6 +401,48 @@ class SimplexChannel:
         self._last_arrival = last_arrival
         count = len(frames)
         agenda.added(arrivals[-count][0], sequence - count + 1)
+        if self.tracer.active:
+            # The run's record is held until its last frame lands.
+            last = arrivals[-1]
+            arrivals[-1] = (last[0], sequence, self._deliver_last, last[3])
+            times = [item[0] for item in islice(reversed(arrivals), count)]
+            times.reverse()
+            held = self._held
+            if held is None:
+                held = self._held = deque()
+            held.append((times, verdicts, frames, sequence, []))
+            self.tracer.hold(self._emit_landed)
+
+    def _emit_run(self, times: list, verdicts: Sequence[bool],
+                  frames: Sequence[Transmittable], lost: list) -> None:
+        """Emit one ``frames_delivered`` record: the frames not lost."""
+        if lost:
+            kept = [k for k in range(len(times)) if k not in lost]
+            times = [times[k] for k in kept]
+            verdicts = [verdicts[k] for k in kept]
+        if times:
+            self.tracer.emit(
+                times[0], self.name, "frames_delivered", times=times,
+                control=frames[0].is_control,
+                corrupted=[k for k, bad in enumerate(verdicts) if bad] if any(verdicts) else [],
+            )
+
+    def _emit_landed(self) -> None:
+        """``Tracer.settle``: emit the frames of the oldest held run that
+        have already landed; the rest wait for their last frame."""
+        held = self._held
+        if not held:
+            return
+        times, verdicts, frames, last, lost = held[0]
+        first = last - len(times) + 1
+        waiting = sum(first <= item[1] <= last for item in self._agenda.lanes[0])
+        landed = len(times) - waiting
+        if landed:
+            self._emit_run(times[:landed], verdicts[:landed], frames[:landed],
+                           [k for k in lost if k < landed])
+            held[0] = (times[landed:], verdicts[landed:], frames[landed:], last,
+                       [k - landed for k in lost if k >= landed])
+        self.tracer.hold(self._emit_landed)
 
     def _lose_to_outage(self, frame: Transmittable, phase: str) -> None:
         """Account one frame swallowed by a down channel.
@@ -405,15 +460,35 @@ class SimplexChannel:
     def _deliver(self, frame: Transmittable, corrupted: bool) -> None:
         if not self._is_up:
             self._lose_to_outage(frame, phase="propagate")
+            held = self._held
+            if held:  # leave it out of its held run's record
+                _, _, frames, _, lost = held[0]
+                for position in range(lost[-1] + 1 if lost else 0, len(frames)):
+                    if frames[position] is frame:
+                        lost.append(position)
+                        break
             return
         if self.receiver is None:
             raise RuntimeError(f"channel {self.name!r} has no receiver attached")
-        if self.tracer.active:
-            self.tracer.emit(
-                self.sim.now, self.name, "deliver",
-                control=frame.is_control, corrupted=corrupted,
-            )
         self.receiver(frame, corrupted)
+
+    def _deliver_traced(self, frame: Transmittable, corrupted: bool) -> None:
+        """A run of one lands: its one-frame record goes out ahead of it."""
+        if self._is_up:
+            now = self.sim.now
+            self.tracer.emit(now, self.name, "frames_delivered", times=(now,),
+                             control=frame.is_control, corrupted=(0,) if corrupted else ())
+        self._deliver(frame, corrupted)
+
+    def _deliver_last(self, frame: Transmittable, corrupted: bool) -> None:
+        """The last frame of a held run lands: the run's record goes out
+        ahead of it, as a frame's own record did."""
+        if not self._is_up:
+            self._deliver(frame, corrupted)  # lost, and left out
+        times, verdicts, frames, _, lost = self._held.popleft()
+        self._emit_run(times, verdicts, frames, lost)
+        if self._is_up:
+            self._deliver(frame, corrupted)
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Fraction of elapsed time the transmitter was busy."""

@@ -23,6 +23,13 @@ A monitored run builds no record at all: the invariant suite and the
 recovery metrics are :class:`Router` listeners, which publish the hooks
 each event goes to, and while only routers are attached :meth:`Tracer.emit`
 hands each hook the raw ``(time, source, event, detail)`` entry.
+
+The receiving end traces runs, not frames: a channel's
+``frames_delivered`` goes out when its run's last frame arrives, and a
+receiver's ``payloads_delivered`` when it next checkpoints.  What is
+held back meanwhile is announced with :meth:`Tracer.hold`, and
+:meth:`Tracer.settle` has it emitted — before a suite finalizes, before
+the timeline is read, and before a ``backlog_reclaimed`` record.
 """
 
 from __future__ import annotations
@@ -385,6 +392,11 @@ class Tracer:
     - Otherwise no record is built: the route table, ``event → hooks``
       across the routers in attach order, is rebuilt whenever
       :attr:`listeners` changes, and each hook gets the raw entry.
+
+    Attach a listener before the traffic it is to see is sent: a
+    channel decides whether to record a run's arrivals when it decides
+    the run, so a listener attached while a run is in flight sees none
+    of that run's arrivals, and every run decided after it in full.
     """
 
     # What :meth:`_refresh` computes for no listener, shared until the
@@ -392,6 +404,8 @@ class Tracer:
     _record_listeners: Optional[tuple[Any, ...]] = ()
     _routes: dict[str, tuple[Hook, ...]] = {}
     _unrouted: tuple[Hook, ...] = ()
+    # Who holds records back (hold()), until settle() calls them.
+    _holders: Optional[dict[Callable[[], None], None]] = None
 
     def __init__(self, record_timeline: bool = False) -> None:
         self._record_timeline = bool(record_timeline)
@@ -448,8 +462,30 @@ class Tracer:
         for listener in listeners:
             listener(record)
 
+    def hold(self, release: Callable[[], None]) -> None:
+        """Note that an emitter holds records back: :meth:`settle` calls
+        *release*, which emits what it holds (and holds again if some of
+        it is not due yet)."""
+        holders = self._holders
+        if holders is None:
+            holders = self._holders = {}
+        holders[release] = None
+
+    def settle(self) -> None:
+        """Emit every record held back so far, each holder in the order it
+        first held.  Anything that reads the trace as complete calls it
+        first: :meth:`timeline`, ``MonitorSuite.finalize``, and whoever
+        emits ``backlog_reclaimed`` (a delivery still held there would
+        reach the zero-loss ledger after the reclaim it preceded)."""
+        holders = self._holders
+        if holders:
+            self._holders = None
+            for release in holders:
+                release()
+
     def timeline(self, source: Optional[str] = None, event: Optional[str] = None) -> list[TraceRecord]:
-        """Filtered view of the recorded timeline."""
+        """Filtered view of the recorded timeline (settled first)."""
+        self.settle()
         result = self.records
         if source is not None:
             result = [r for r in result if r.source == source]

@@ -518,6 +518,7 @@ class SessionSupervisor:
         self.payloads_reclaimed += len(held)
         self.payloads_flushed += flushed
         self._retransmissions += sender.retransmissions
+        tracer.settle()  # deliveries still held back go ahead of the reclaim
         tracer.emit(
             clock.now, "supervisor", "backlog_reclaimed",
             attempt=generation.number, reason=reason,

@@ -431,8 +431,9 @@ class UdpEndpointSocket:
         # dispatch at wall time, and re-arm for whatever it scheduled.
         self.clock.kick()
         if self.tracer.active:
-            self.tracer.emit(self.clock.now, self.incoming_name, "deliver",
-                             control=frame.is_control, corrupted=corrupted)
+            now = self.clock.now
+            self.tracer.emit(now, self.incoming_name, "frames_delivered", times=(now,),
+                             control=frame.is_control, corrupted=(0,) if corrupted else ())
         handler = self.handler
         if handler is not None:
             handler(frame, corrupted)

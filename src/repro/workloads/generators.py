@@ -22,9 +22,9 @@ as packet-at-a-time offering would call it.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Any, Callable, Optional, Protocol
 
+from ..core.config import as_count
 from ..core.endpoint import offer
 from ..simulator.engine import Simulator
 
@@ -46,17 +46,6 @@ def _default_packet(index: int, now: float) -> tuple[str, int, float]:
     return ("pkt", index, now)
 
 
-def _whole(name: str, value: Any, least: int) -> int:
-    """*value* as an integer of at least *least*, else ValueError naming *name*."""
-    try:
-        whole = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if whole < least:
-        raise ValueError(f"{name} must be at least {least}, got {value!r}")
-    return whole
-
-
 class FiniteBatch:
     """All N packets offered at start time (the low-traffic model)."""
 
@@ -69,7 +58,7 @@ class FiniteBatch:
     ) -> None:
         self.sim = sim
         self.target = target
-        self.count = _whole("count", count, 0)
+        self.count = as_count("count", count, 0)
         self.make_packet = make_packet or _default_packet
         self.offered = 0
         self.refused = 0
@@ -118,7 +107,7 @@ class SaturatedSource:
         self.target = target
         self.backlog_fn = backlog_fn
         self.low_water = low_water
-        self.chunk = _whole("chunk", chunk, 1)
+        self.chunk = as_count("chunk", chunk, 1)
         self.poll_interval = poll_interval
         self.make_packet = make_packet or _default_packet
         self.limit = limit

@@ -30,6 +30,8 @@ from repro.simulator.trace import Tracer
 from repro.workloads.generators import FiniteBatch, SaturatedSource
 from repro.workloads.scenarios import PRESETS, build_simulation
 
+from .trace_runs import Split
+
 
 def _fingerprint(setup) -> tuple:
     """Everything a run's outcome is judged by, hashable for equality."""
@@ -206,6 +208,15 @@ SCHEDULES = {
 }
 
 
+def _per_frame(tracer: Tracer) -> tuple:
+    """The timeline with each ``frames_delivered`` run expanded to one
+    ``deliver`` tuple per frame (a run's grouping is what differs)."""
+    split = Split()
+    for record in tracer.timeline():
+        split(record)
+    return split.others, split.per_source()
+
+
 def _drive(feed: str, model_kind: str, delay: float, mixed: bool,
            schedule: tuple) -> dict:
     """Send 64 frames down one bare channel and record all it did."""
@@ -249,7 +260,7 @@ def _drive(feed: str, model_kind: str, delay: float, mixed: bool,
     sim.run()
     return {
         "deliveries": deliveries,
-        "trace": [(r.time, r.source, r.event, r.detail) for r in tracer.records],
+        "trace": _per_frame(tracer),
         "idle_times": idle_times,
         "counters": (channel.busy_seconds, channel.frames_sent,
                      channel.frames_corrupted, channel.frames_lost_outage),

@@ -16,6 +16,9 @@ from repro.core.seqspace import (
     SequenceSpace,
     forward_distance,
 )
+from repro.session import LinkSessionManager, PassSchedule
+from repro.session.factories import session_factory
+from repro.simulator import FullDuplexLink, Simulator
 
 from .sender_reference import FRAME_TIME, SenderRig
 
@@ -379,3 +382,44 @@ class TestLamsConfig:
         """NaN passed every ``<= 0`` / ``< 0`` test here before."""
         with pytest.raises(ValueError):
             LamsDlcConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("receive_queue_capacity", 0), ("receive_queue_capacity", -1),
+        ("receive_queue_capacity", 2.5), ("send_buffer_capacity", 0),
+        ("send_buffer_capacity", -3), ("cumulation_depth", float("inf")),
+        ("cumulation_depth", 2.5), ("numbering_bits", 8.5),
+        ("batch_window", float("nan")), ("batch_window", 2.5),
+        ("rate_increase_step", float("nan")), ("rate_increase_step", -0.1),
+        ("rate_increase_step", float("inf")), ("link_lifetime", float("nan")),
+        ("link_lifetime", -1.0), ("link_lifetime", float("inf")),
+        ("receive_low_watermark", -1), ("receive_high_watermark", 2.5),
+    ])
+    def test_values_that_break_the_protocol_are_refused_by_name(self, field, value):
+        """Each was accepted before: a receive queue of 0 delivered nothing
+        while the suite reported ok, an infinite C_depth made the
+        checkpoint timeout infinite, so no failure was ever declared."""
+        with pytest.raises(ValueError, match=field):
+            LamsDlcConfig(**{field: value})
+
+    def test_a_pass_that_fits_inside_its_overhead_builds_no_endpoint(self):
+        """The session factory sets ``link_lifetime`` from the pass's
+        remaining time, which the manager only offers while positive."""
+        remaining = []
+        lams = session_factory("lams", LamsDlcConfig())
+
+        def factory(sim, link, deliver, pass_remaining):
+            remaining.append(pass_remaining)
+            return lams(sim, link, deliver, pass_remaining)
+
+        def passes(init_time):
+            sim = Simulator()
+            schedule = PassSchedule.periodic(first_start=0.1, duration=0.05, gap=0.1, count=2)
+            manager = LinkSessionManager(sim, FullDuplexLink(sim, 1e6, 0.001), schedule,
+                                         factory, init_time=init_time,
+                                         deliver=lambda packet: None)
+            sim.run(until=1.0)
+            return manager.passes_run
+
+        assert passes(init_time=0.05) == 0 and remaining == []
+        assert passes(init_time=0.0499) == 2
+        assert remaining == [pytest.approx(1e-4)] * 2 and min(remaining) > 0

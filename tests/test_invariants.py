@@ -127,7 +127,7 @@ class TestBrokenProtocolCaught:
         tracer, suite = self.make_suite([ZeroLossLedger()])
         tracer.emit(0.1, "a", "payloads_accepted", payloads=[("pkt", 0)])
         tracer.emit(0.2, "a", "payloads_accepted", payloads=[("pkt", 1)])
-        tracer.emit(0.3, "b", "payload_delivered", payload=("pkt", 0))
+        tracer.emit(0.3, "b", "payloads_delivered", times=[0.3], payloads=[("pkt", 0)])
         suite.finalize(1.0)
         [violation] = suite.violations
         assert violation.invariant == "zero-loss"
@@ -139,7 +139,7 @@ class TestBrokenProtocolCaught:
         lost: the ledger keeps only what is in flight, so it is owed."""
         tracer, suite = self.make_suite([ZeroLossLedger()])
         tracer.emit(0.1, "a", "payloads_accepted", payloads=[("pkt", 0)])
-        tracer.emit(0.2, "b", "payload_delivered", payload=("pkt", 0))
+        tracer.emit(0.2, "b", "payloads_delivered", times=[0.2], payloads=[("pkt", 0)])
         tracer.emit(0.3, "a", "payloads_accepted", payloads=[("pkt", 0)])
         suite.finalize(1.0)
         [violation] = suite.violations
@@ -152,7 +152,7 @@ class TestBrokenProtocolCaught:
         tracer, suite = self.make_suite([ZeroLossLedger()])
         tracer.emit(0.1, "a", "payloads_accepted", payloads=[b"x"])
         tracer.emit(0.2, "a", "payloads_accepted", payloads=[b"x"])
-        tracer.emit(0.3, "b", "payload_delivered", payload=b"x")
+        tracer.emit(0.3, "b", "payloads_delivered", times=[0.3], payloads=[b"x"])
         suite.finalize(1.0)
         [violation] = suite.violations
         assert (violation.detail["lost_count"], violation.detail["sample"]) == (1, [b"x"])
@@ -165,8 +165,7 @@ class TestBrokenProtocolCaught:
         suite = MonitorSuite(tracer, [ZeroLossLedger()],
                              held_snapshot=lambda: [["u"], b"y"])
         tracer.emit(0.1, "a", "payloads_accepted", payloads=[["u"], ["u"], b"y", b"y", b"z"])
-        for payload in (b"z", b"z", b"w"):
-            tracer.emit(0.2, "b", "payload_delivered", payload=payload)
+        tracer.emit(0.2, "b", "payloads_delivered", times=[0.2] * 3, payloads=[b"z", b"z", b"w"])
         suite.finalize(1.0)
         [violation] = suite.violations
         assert violation.detail["sample"] == [["u"], b"y"]
@@ -179,12 +178,12 @@ class TestBrokenProtocolCaught:
         after its replay is one lost."""
         tracer, suite = self.make_suite([ZeroLossLedger()])
         tracer.emit(0.1, "a", "payloads_accepted", payloads=[b"x", b"y", b"z", b"z"])
-        tracer.emit(0.2, "b", "payload_delivered", payload=b"y")
+        tracer.emit(0.2, "b", "payloads_delivered", times=[0.2], payloads=[b"y"])
         tracer.emit(0.3, "supervisor", "backlog_reclaimed",
                     payloads=(b"x", b"y", b"z", b"z", b"z"))
         tracer.emit(0.4, "a2", "payloads_accepted", payloads=[b"x", b"y", b"z", b"z"])
-        for payload in (b"x", b"y", b"z"):
-            tracer.emit(0.5, "b2", "payload_delivered", payload=payload)
+        tracer.emit(0.5, "b2", "payloads_delivered", times=[0.5, 0.51, 0.52],
+                    payloads=[b"x", b"y", b"z"])
         suite.finalize(1.0)
         [violation] = suite.violations
         assert violation.detail["sample"] == [b"z"]
@@ -197,7 +196,7 @@ class TestBrokenProtocolCaught:
         )
         tracer.emit(0.1, "a", "payloads_accepted", payloads=[("pkt", 0)])
         tracer.emit(0.2, "a", "payloads_accepted", payloads=[("pkt", 1)])
-        tracer.emit(0.3, "b", "payload_delivered", payload=("pkt", 0))
+        tracer.emit(0.3, "b", "payloads_delivered", times=[0.3], payloads=[("pkt", 0)])
         suite.finalize(1.0)
         assert suite.ok
 

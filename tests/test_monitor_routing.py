@@ -83,7 +83,7 @@ def simulate(seed, until=1.5, **build):
 
 
 def record(**build):
-    return simulate(tracer=Tracer(record_timeline=True), **build).tracer.records
+    return simulate(tracer=Tracer(record_timeline=True), **build).tracer.timeline()
 
 
 def duplicate_delivering_destination():
@@ -91,7 +91,7 @@ def duplicate_delivering_destination():
     tracer = Tracer(record_timeline=True)
     for time, seq in ((0.1, 0), (0.2, 1), (0.3, 1), (0.4, 2), (0.5, 4)):
         tracer.emit(time, "dest", "dest_deliver", flow="a", seq=seq)
-        tracer.emit(time, "b", "payload_delivered", payload=("pkt", seq))
+        tracer.emit(time, "b", "payloads_delivered", times=[time], payloads=[("pkt", seq)])
     return tracer.records
 
 

@@ -15,8 +15,10 @@ one :class:`~repro.simulator.engine.Agenda`, each item keeping the
   than the line included, deliver at the same ``(now, payload)`` as with
   one entry per arrival and per drain;
 - digests of the delivered ``(now, payload)`` stream and of the full
-  trace-record stream of seven runs, recorded at the parent, where every
-  arrival and every drain was its own heap entry;
+  trace-record stream of seven runs (the receiving end's run records
+  expanded per source by ``tests/trace_runs.py::Split``), recorded where
+  every arrival and every drain was its own heap entry and its own
+  record;
 - ``flush()`` leaves no live drain behind, and the event budget.
 """
 
@@ -45,6 +47,7 @@ from repro.workloads.generators import FiniteBatch, SaturatedSource
 from repro.workloads.scenarios import build_simulation
 
 from .agenda_reference import ReferenceAgenda
+from .trace_runs import Split
 from .test_engine_properties import _StubLoop
 
 LANES = 3
@@ -249,33 +252,25 @@ OUTAGES = FaultPlan.from_dict({"name": "runs", "faults": [
 # name -> (payloads delivered, digest of the delivered (now, payload)
 # stream, trace records, digest of the record stream), recorded where
 # every arrival and every drain was a heap entry of its own.  The
-# delivered stream is the same with the monitors off.
+# delivered stream is the same with the monitors off.  The record stream
+# is the per-frame stream of ``tests/trace_runs.py``'s ``Split`` — the
+# other records in emission order, then each source's arrivals and
+# drains — its digest taken from the per-frame records where each
+# arrival and drain was traced on its own (the counts are those of the
+# stream in emission order, recorded before the agenda existed).
 PARENT_STREAMS = {
-    "nominal": (2000, "1eef53611b7f5e3c", 6536, "77ceab404018f546"),
-    "bursty": (2000, "a6b1bd1776ab635f", 7045, "357f7afdd67558e9"),
-    "outages": (4000, "c43aa5cfc40c959f", 19995, "a5e5f700f71c16be"),
-    "stressed": (2000, "373d62fa1add8bba", 8947, "361dd57585c573ab"),
-    "window1": (2000, "5900a210ba3ffa64", 8484, "ddf4ee0d743ed611"),
-    "window64": (2000, "f41776c954ecada4", 6517, "d84e28d355fdac9b"),
-    "ring10": (600, "4ed30dec5b54dfdc", 9607, "4f29385e1472391b"),
+    "nominal": (2000, "1eef53611b7f5e3c", 6536, "92102ae72a32de30"),
+    "bursty": (2000, "a6b1bd1776ab635f", 7045, "c5054cd060bde276"),
+    "outages": (4000, "c43aa5cfc40c959f", 19995, "c6bb3dbde9b8481d"),
+    "stressed": (2000, "373d62fa1add8bba", 8947, "3fc39deac6944fed"),
+    "window1": (2000, "5900a210ba3ffa64", 8484, "79846b9f37b24182"),
+    "window64": (2000, "f41776c954ecada4", 6517, "1844bf8e33395671"),
+    "ring10": (600, "4ed30dec5b54dfdc", 9607, "91e84cd63bfe0527"),
 }
 
 
 def _digest(items) -> str:
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
-
-
-def _recorder(records: list):
-    """A listener appending raw entries; a ``payloads_accepted`` record
-    stands for the one ``payload_accepted`` record per packet the digests
-    were recorded with."""
-    def listen(record):
-        if record.event == "payloads_accepted":
-            records.extend((record.time, record.source, "payload_accepted", {"payload": payload})
-                           for payload in record.detail["payloads"])
-        else:
-            records.append((record.time, record.source, record.event, record.detail))
-    return listen
 
 
 def _link_streams(name, monitored):
@@ -294,11 +289,11 @@ def _link_streams(name, monitored):
         build = dict(seed=5, overrides={"batch_window": int(name[len("window"):])})
     setup = build_simulation(scenario, "lams", run_with_invariants=monitored, **build)
     sim, receiver = setup.sim, setup.endpoint_b.receiver
-    delivered, records = [], []
+    delivered, records = [], Split()
     deliver = receiver.deliver
     receiver.deliver = lambda packet: (delivered.append((sim.now, packet)), deliver(packet))
     if monitored:
-        setup.tracer.listeners.append(_recorder(records))
+        setup.tracer.listeners.append(records)
     FiniteBatch(sim, setup.endpoint_a, payloads).start()
     setup.run(until=1.0)
     if monitored:
@@ -306,8 +301,9 @@ def _link_streams(name, monitored):
     if name == "stressed":
         assert receiver.discards > 0
         assert any(record[2] == "checkpoint_sent" and record[3]["stop_go"]
-                   for record in records) or not monitored
-    return len(delivered), _digest(delivered), len(records), _digest(records)
+                   for record in records.others) or not monitored
+    return (len(delivered), _digest(delivered),
+            len(records), _digest((records.others, records.per_source())))
 
 
 def _ring_streams():
@@ -316,17 +312,19 @@ def _ring_streams():
                           interval=2e-4, poisson=True)
     constellation = build_constellation(topology, master_seed=7, flows=flows,
                                         horizon=0.05, monitors=True)
-    records = []
+    records = Split()
     for name in sorted(constellation.links):
-        constellation.links[name].tracer.listeners.append(_recorder(records))
+        constellation.links[name].tracer.listeners.append(records)
     constellation.run(until=0.3)
+    for name in sorted(constellation.links):
+        constellation.links[name].tracer.settle()
     logs = [(node, [(dg.source, dg.sequence) for dg in log.datagrams], list(log.delays))
             for node, log in sorted(constellation.logs.items())]
     channels = [channel for runtime in constellation.links.values()
                 for channel in (runtime.link.forward, runtime.link.reverse)]
     assert any(channel._agenda is not None for channel in channels)
     return (sum(len(log) for log in constellation.logs.values()), _digest(logs),
-            len(records), _digest(records))
+            len(records), _digest((records.others, records.per_source())))
 
 
 @pytest.mark.parametrize("name", sorted(PARENT_STREAMS))

@@ -2,8 +2,10 @@
 
 The LAMS sender emits one ``iframes_sent`` per run, one
 ``iframes_released`` per release and one ``payloads_accepted`` per
-stretch of packets accepted together, and the receiver reports only new
-receive-queue peaks (``rxqueue_peak``).  Three things are pinned here:
+stretch of packets accepted together; a channel one ``frames_delivered``
+per run that lands; the receiver one ``payloads_delivered`` per
+checkpoint interval's drains, and only new receive-queue peaks
+(``rxqueue_peak``).  Pinned here:
 
 - the expanded stream (``tests/trace_runs.py``) of three seeded
   monitored runs — nominal, Gilbert–Elliott bursts, and outages — is
@@ -11,11 +13,18 @@ receive-queue peaks (``rxqueue_peak``).  Three things are pinned here:
   holding)`` stream the sender emitted frame by frame, and its
   acceptances, with a saturated source's too, to the per-packet
   ``("payload_accepted", time, payload)`` stream;
+- the receiving end's records of six seeded runs expand, source by
+  source, to the per-frame ``deliver`` / ``payload_delivered`` stream;
+  generated runs cut into slices expand, after ``Tracer.settle()`` at
+  each cut, to exactly what the receivers heard and delivered; and the
+  records the tracer holds back reach the ledger ahead of a reclaim;
 - ``HoldingTimeBoundMonitor`` reading a release record reports what the
   per-frame handler reported for each of its frames, ``(invariant,
   time, message, detail)`` included;
 - ``ReceiverQueueBoundMonitor`` on a stressed receiver trips at the
-  same ``(time, depth)`` as every queued frame's own depth says it must.
+  same ``(time, depth)`` as every queued frame's own depth says it must,
+  and its window shows the arrivals and drains held when it tripped;
+- a listener attached mid-run hears every run decided after it.
 """
 
 from __future__ import annotations
@@ -26,14 +35,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import LamsDlcConfig
+from repro.core.endpoint import make_endpoint_pair
 from repro.faults import FaultPlan
-from repro.invariants import HoldingTimeBoundMonitor, MonitorSuite, ReceiverQueueBoundMonitor
+from repro.faults.plan import LinkOutage
+from repro.invariants import (
+    DestinationOrderingMonitor,
+    HoldingTimeBoundMonitor,
+    MonitorSuite,
+    ReceiverQueueBoundMonitor,
+    ZeroLossLedger,
+)
+from repro.session import LinkSessionManager, PassSchedule
+from repro.simulator import Simulator
 from repro.simulator.trace import TraceRecord, Tracer
 from repro.workloads import preset
 from repro.workloads.generators import FiniteBatch, SaturatedSource
 from repro.workloads.scenarios import build_simulation
 
-from .trace_runs import expand
+from .test_session_faults import make_link
+from .trace_runs import DELIVERIES, Split, expand
 
 BURSTS = ("gilbert-elliott", {
     "good_ber": 1e-7, "bad_ber": 1e-3, "mean_good": 0.02, "mean_bad": 0.002,
@@ -97,7 +118,7 @@ def test_expanded_stream_is_the_per_frame_stream(name):
     FiniteBatch(setup.sim, setup.endpoint_a, payloads).start()
     setup.run(until=1.0)
     assert setup.finalize_monitors().ok and len(setup.delivered) == payloads
-    stream = [item for item in expanded if item[0] != "payload_accepted"]
+    stream = [item for item in expanded if item[0] in ("iframe_sent", "iframe_released")]
     accepted = [item for item in expanded if item[0] == "payload_accepted"]
     events = [frame[0] for frame in stream]
     assert (events.count("iframe_sent"), events.count("iframe_released")) == (sent, released)
@@ -235,8 +256,223 @@ def test_queue_bound_trips_where_the_per_frame_depths_cross_it():
             f"receive queue nominal.B.rx reached {depth} frames, above the bound {monitor.bound:g}")
 
 
+def test_a_queue_bound_window_shows_the_arrivals_and_drains_before_the_peak():
+    """The violation settles the tracer before it snapshots the window:
+    the run landing and the drains since the last checkpoint, held when
+    the bound trips, follow the peak that raised it."""
+    (monitor,), depths = stressed_receiver([3])
+    (violation,) = monitor.violations
+    lines = [line.split() for line in violation.trace_window]
+    events = [line[2] for line in lines]
+    peak = events.index("rxqueue_peak") + 3  # depths 1, 2, 3, then 4
+    assert lines[peak][3] == "depth=4" and lines[peak][0] == f"{violation.time:.6f}"
+    assert events[peak + 1:] == ["frames_delivered", "payloads_delivered"]
+    for line in lines[peak + 1:]:
+        assert line[1] == ("nominal.fwd" if line[2] == "frames_delivered" else "nominal.B.rx")
+        assert float(line[0]) < violation.time
+    arrivals = violation.trace_window[peak + 1]
+    assert f"{violation.time!r}]" in arrivals  # up to the frame that tripped it
+    assert "('pkt', 0, 0.0)" in violation.trace_window[-1]
+
+
 def test_a_window_line_shortens_a_release_to_its_ends():
     line = TraceRecord(0.5, "a.tx", "iframes_released", dict(
         seqs=list(range(120)), holdings=[0.25] * 120, retx=[0, 1])).format()
     assert line.endswith("iframes_released         seqs=[0, 1, 2, …, 119] (120) "
                          "holdings=[0.25, 0.25, 0.25, …, 0.25] (120) retx=[0, 1]")
+
+
+# -- the receiving end: arrivals and drains ------------------------------------
+
+CUT = FaultPlan.from_dict({"name": "cut", "faults": [
+    {"kind": "outage", "start": 0.03, "duration": 0.02, "direction": "both"},
+]})
+
+# name -> (scenario changes, build arguments,
+# payloads, run until, frames lost (serializing, propagating), payloads
+# delivered, {source: (arrivals, drains)}, sha256 of repr of the
+# per-source streams); recorded from the channel's per-frame ``deliver``
+# and the receiver's per-drain ``payload_delivered`` records, expanded by
+# ``Split`` into ``("deliver", time, control, corrupted)`` and
+# ``("payload_delivered", time, payload)``.  "cut_short" stops with a
+# run half landed and drains not yet checkpointed.
+RECEIVING = {
+    "nominal": ({}, dict(seed=7), 2000, 1.0, (0, 0), 2000,
+                {"nominal.B.rx": (0, 2000), "nominal.fwd": (2018, 0), "nominal.rev": (196, 0)},
+                "96cf376c250d3837edd2f240a725e6792baec7cba77bd6839b4e885d0da664d8"),
+    "bursty": ({}, dict(seed=41, error_model=BURSTS), 2000, 1.0, (0, 0), 2000,
+               {"nominal.B.rx": (0, 2000), "nominal.fwd": (2120, 0), "nominal.rev": (196, 0)},
+               "30a85b38595738fa7b42e1fbf01cd71d61e03ff5545ac3ebd6dfe70371d70ee1"),
+    "outages": (dict(checkpoint_interval=0.005), dict(seed=9, fault_plan=OUTAGES), 4000, 1.0,
+                (871, 751), 4000,
+                {"nominal.B.rx": (0, 4000), "nominal.fwd": (4034, 0), "nominal.rev": (194, 0)},
+                "76d55adfabd0cfabbc46281cb2d020f6a0949c96f90246116fcaa069a13cf76a"),
+    "stressed": (dict(processing_time=40e-6),
+                 dict(seed=13, overrides={"receive_queue_capacity": 96}), 2000, 1.0, (0, 0), 2000,
+                 {"nominal.B.rx": (0, 2000), "nominal.fwd": (2388, 0), "nominal.rev": (196, 0)},
+                 "5e58b618de8600d24dab515dea08ecb946d31f9cba3684511ec068a0fc105bcf"),
+    "zero_duplication": (dict(checkpoint_interval=0.005),
+                         dict(seed=4, fault_plan=CUT, overrides={"zero_duplication": True}),
+                         2000, 1.0, (429, 608), 2000,
+                         {"nominal.B.rx": (0, 2000), "nominal.fwd": (2500, 0),
+                          "nominal.rev": (190, 0)},
+                         "1cba6494832b4c0e8cc463a8504ca20b1422f82a85391153c47fdbb651ab201e"),
+    "cut_short": ({}, dict(seed=7), 2000, 0.0401234, (0, 0), 840,
+                  {"nominal.B.rx": (0, 840), "nominal.fwd": (850, 0), "nominal.rev": (4, 0)},
+                  "5dddb11c091b921354f1b1fca976262357b33b1aa1d3ab4eb7b9c2b8bf50ee8f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECEIVING))
+def test_receiving_end_expands_to_the_per_frame_stream(name):
+    changes, build, payloads, until, lost, delivered, counts, digest = RECEIVING[name]
+    setup = build_simulation(preset("nominal").with_(**changes), "lams",
+                             run_with_invariants=True, **build)
+    split, stamps = Split(), []
+    setup.tracer.listeners.append(split)
+    setup.tracer.listeners.append(lambda record: record.event in DELIVERIES and stamps.append(
+        record.time == record.detail["times"][0]))  # a record is stamped with its first time
+    FiniteBatch(setup.sim, setup.endpoint_a, payloads).start()
+    setup.run(until=until)
+    assert setup.finalize_monitors().ok and len(setup.delivered) == delivered
+    assert stamps and all(stamps)
+    phases = [entry[3]["phase"] for entry in split.others if entry[2] == "frame_lost_outage"]
+    assert (phases.count("serialize"), phases.count("propagate")) == lost
+    streams = split.per_source()
+    assert {source: (sum(1 for item in stream if item[0] == "deliver"),
+                     sum(1 for item in stream if item[0] == "payload_delivered"))
+            for source, stream in streams} == counts
+    assert _digest(streams) == digest
+    if name == "zero_duplication":
+        assert setup.endpoint_b.receiver.duplicates_suppressed > 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    t_proc=st.sampled_from([0.0, 10e-6, 40e-6]),
+    outages=st.lists(st.tuples(st.sampled_from([0.0021, 0.003, 0.0045, 0.006]),
+                               st.sampled_from([0.0002, 0.0004, 0.002])), max_size=2),
+    slices=st.lists(st.sampled_from([0.001, 0.0022, 0.0031, 0.004, 0.0101]),
+                    max_size=3).map(sorted),
+    seed=st.integers(0, 3),
+    window=st.sampled_from([1, 7, 64]),
+)
+def test_settled_records_are_what_the_receivers_heard_and_delivered(
+        t_proc, outages, slices, seed, window):
+    """A short_hop link carrying 300 payloads, cut into *slices*: after
+    each, the settled records must expand to what each channel handed
+    its receiver and what B's receiver delivered, in order."""
+    scenario = preset("short_hop").with_(processing_time=t_proc)
+    plan = FaultPlan(faults=tuple(LinkOutage(start=start, duration=length)
+                                  for start, length in outages))
+    setup = build_simulation(scenario, "lams", seed=seed, fault_plan=plan,
+                             run_with_invariants=True,
+                             overrides={"receive_queue_capacity": 48, "batch_window": window})
+    sim, split = setup.sim, Split()
+    setup.tracer.listeners.append(split)
+    want: dict[str, list] = {}
+    for channel in (setup.link.forward, setup.link.reverse):
+        heard, log = channel.receiver, want.setdefault(channel.name, [])
+        channel.receiver = lambda frame, corrupted, heard=heard, log=log: (
+            log.append(("deliver", sim.now, frame.is_control, corrupted)), heard(frame, corrupted))
+    receiver = setup.endpoint_b.receiver
+    deliver, log = receiver.deliver, want.setdefault(receiver.name, [])
+    receiver.deliver = lambda packet: (log.append(("payload_delivered", sim.now, packet)),
+                                       deliver(packet))
+    FiniteBatch(sim, setup.endpoint_a, count=300).start()
+    for until in [*slices, 0.3]:
+        setup.run(until=until)
+        setup.tracer.settle()
+        assert split.deliveries == {source: log for source, log in want.items() if log}
+    assert setup.finalize_monitors().ok and len(setup.delivered) == 300
+
+
+def test_a_listener_attached_mid_run_sees_every_run_decided_after_it():
+    """A channel decides whether to record a run's arrivals when it
+    decides the run (``Tracer``'s attach rule): a listener attached with
+    frames in flight misses exactly those, and hears every later arrival."""
+    setup = build_simulation(preset("nominal"), "lams", seed=7)
+    sim, channel = setup.sim, setup.link.forward
+    heard, split = [], Split()
+    receiver = channel.receiver
+    channel.receiver = lambda frame, corrupted: (heard.append(sim.now), receiver(frame, corrupted))
+    assert not setup.tracer.active
+    FiniteBatch(sim, setup.endpoint_a, 2000).start()
+    setup.run(until=0.0101234)
+    in_flight = channel.frames_sent - len(heard)
+    del heard[:]
+    setup.tracer.listeners.append(split)
+    setup.run(until=1.0)
+    setup.tracer.settle()
+    recorded = [item[1] for item in split.deliveries[channel.name]]
+    assert 0 < in_flight < len(heard) and len(setup.delivered) == 2000
+    assert recorded == heard[in_flight:]
+
+
+def test_a_held_delivery_is_recorded_ahead_of_a_reclaim():
+    """A LAMS pass that ends mid-transfer, its endpoints tracing on the
+    session's tracer: the session manager reclaims the sender's backlog
+    while B's receiver still holds the drains of its last checkpoint
+    interval.  Those drains are recorded before the reclaim, not after
+    it when the receiver stops."""
+    sim, tracer = Simulator(), Tracer(record_timeline=True)
+    config = LamsDlcConfig(checkpoint_interval=0.005)
+
+    def factory(sim, link, deliver, pass_remaining, on_failure=None):
+        a, b = make_endpoint_pair("lams", sim, link, config, tracer=tracer, deliver_b=deliver)
+        a.start(send=True, receive=False)
+        b.start(send=False, receive=True)
+        return a, b
+
+    delivered: list = []
+    manager = LinkSessionManager(
+        sim, make_link(sim, tracer), PassSchedule.periodic(first_start=0.1, duration=0.9987,
+                                                           gap=0.3, count=1),
+        factory, init_time=0.05, deliver=delivered.append, tracer=tracer)
+    for i in range(14000):
+        manager.send(("pkt", i))
+    sim.run(until=1.2)
+    timeline = tracer.timeline()
+    [reclaim] = [k for k, record in enumerate(timeline) if record.event == "backlog_reclaimed"]
+    assert manager.session_history[0]["reason"] == "pass_end"
+    before = [payload for record in timeline[:reclaim] if record.event == "payloads_delivered"
+              for payload in record.detail["payloads"]]
+    assert before == delivered
+    # ...and some of them were held when the pass ended.
+    checkpoint = max(k for k, record in enumerate(timeline[:reclaim])
+                     if record.event == "checkpoint_sent")
+    assert "payloads_delivered" in [record.event for record in timeline[checkpoint:reclaim]]
+
+
+def test_a_reclaim_ahead_of_a_held_delivery_would_hide_a_loss():
+    """``x`` is delivered, reclaimed from the torn-down sender, accepted
+    again and lost.  In record order the ledger owes the second copy;
+    were the delivery recorded after the reclaim, the reclaim would
+    match the first copy, the late delivery pay off the second, and the
+    loss go unseen."""
+    def verdicts(settled: bool):
+        tracer = Tracer()
+        suite = MonitorSuite(tracer, [ZeroLossLedger()])
+        tracer.emit(0.1, "a", "payloads_accepted", payloads=[b"x"])
+        tracer.hold(lambda: tracer.emit(0.2, "b", "payloads_delivered",
+                                        times=[0.2], payloads=[b"x"]))
+        if settled:
+            tracer.settle()
+        tracer.emit(0.3, "supervisor", "backlog_reclaimed", payloads=(b"x",))
+        tracer.emit(0.4, "a2", "payloads_accepted", payloads=[b"x"])
+        suite.finalize(1.0)
+        return [(v.invariant, v.detail["lost_count"]) for v in suite.violations]
+
+    assert verdicts(settled=True) == [("zero-loss", 1)]
+    assert verdicts(settled=False) == []
+
+
+def test_a_duplicate_is_reported_at_its_own_delivery_time():
+    tracer = Tracer()
+    suite = MonitorSuite(tracer, [DestinationOrderingMonitor(dlc_no_duplicates=True)])
+    tracer.emit(0.1, "b", "payloads_delivered", times=[0.1, 0.2, 0.3, 0.4],
+                payloads=[b"a", b"b", b"a", b"c"])
+    suite.finalize(1.0)
+    [violation] = suite.violations
+    assert (violation.time, violation.detail["payload"]) == (0.3, b"a")
+    assert violation.trace_window[-1].split()[:3] == ["0.100000", "b", "payloads_delivered"]

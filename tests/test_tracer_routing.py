@@ -143,7 +143,8 @@ class Twins:
     def emit(self, event: str, source: str, number: int) -> None:
         self.time += 0.01
         detail = {"seq": number, "depth": number, "kind": "outage",
-                  "index": number % 2, "control": number % 3 == 0}
+                  "index": number % 2, "control": number % 3 == 0,
+                  "times": [self.time - 0.004 * k for k in range(number, -1, -1)]}
         before = [len(ours.records) for kind, ours, _ in self.pairs if kind in ("plain", "raiser")]
         timeline_before = len(self.tracer.records)
         raised = []
@@ -174,7 +175,7 @@ class Twins:
 
 
 EVENTS = ["a", "b", "c", "boom", "rxqueue_peak", "iframe_sent", "fault_start",
-          "fault_end", "frame_lost_outage", "deliver", "checkpoint_timeout",
+          "fault_end", "frame_lost_outage", "frames_delivered", "checkpoint_timeout",
           "request_nak_sent", "link_failure_declared"]
 
 steps = st.one_of(
@@ -235,14 +236,17 @@ PAYLOADS = 2000
 # `tests/test_trace_runs.py` expands them), and a stretch of accepted
 # packets, not a packet (the batch's first packet starts the idle channel,
 # the other 1999 enter in one step); the receiver traces only new queue
-# peaks.  What stays per frame is the link's `deliver` and the payload
-# ledger's `payload_delivered`.
+# peaks.  The receiving end traces a run too: the forward channel's 2018
+# I-frames land as 51 `frames_delivered` records, beside one for each of
+# the 396 checkpoints that landed, and the 2000 drains are 17
+# `payloads_delivered` records, one per checkpoint interval that drained.
 EMITTED = {
-    "checkpoint_sent": 400, "deliver": 2414, "error_logged": 18,
+    "checkpoint_sent": 400, "error_logged": 18, "frames_delivered": 51 + 396,
     "iframe_corrupted": 18, "iframes_released": 17, "iframes_sent": 51,
-    "payloads_accepted": 2, "payload_delivered": 2000, "requeue": 18,
+    "payloads_accepted": 2, "payloads_delivered": 17, "requeue": 18,
     "rxqueue_peak": 1,
 }
+CHECKPOINTS_LANDED = 396
 IFRAMES = 2018
 
 
@@ -281,13 +285,14 @@ def monitored_run(monkeypatch, plain_listener: bool = False):
 def test_monitored_run_emits_the_same_events_and_builds_no_record(monkeypatch):
     emitted, built, _ = monitored_run(monkeypatch)
     assert emitted == EMITTED
-    # 2.45 records an I-frame: 3.44 when the sender traced every
-    # accepted packet, 6.39 when the sender and receiver traced every
-    # frame too.  The two per-frame events alone are 2.19, and the
-    # run-shaped ones 0.04.
-    assert sum(emitted.values()) == 4939 <= 2.5 * IFRAMES
-    run_shaped = ("iframes_sent", "iframes_released", "rxqueue_peak", "payloads_accepted")
-    assert sum(emitted[event] for event in run_shaped) <= 0.05 * IFRAMES
+    # 0.49 records an I-frame: 2.45 when the link and the receiver
+    # traced every frame, 3.44 when the sender traced every accepted
+    # packet too, 6.39 when it traced every frame.  No event is per frame
+    # now: 796 records are the checkpoints' (each sent, and each landed),
+    # and the other 193 are 0.1 an I-frame.
+    assert sum(emitted.values()) == 989 <= 0.5 * IFRAMES
+    per_checkpoint = emitted["checkpoint_sent"] + CHECKPOINTS_LANDED
+    assert sum(emitted.values()) - per_checkpoint <= 0.1 * IFRAMES
     assert built == 0
 
 

@@ -1,28 +1,36 @@
-"""The sender's run records, expanded back into per-frame tuples.
+"""Run records, expanded back into per-frame tuples.
 
-A monitored ``LamsSender`` traces a run, not a frame: one
-``iframes_sent`` record per run handed to the channel, one
+A monitored link traces a run, not a frame.  The ``LamsSender`` emits
+one ``iframes_sent`` record per run handed to the channel, one
 ``iframes_released`` record per release and one ``payloads_accepted``
-record per stretch of packets accepted together.  :func:`expand` turns
-each back into the tuples the sender's per-frame records used to carry,
-so the sender-window oracle in ``tests/sender_reference.py`` and the
-recorded-stream digests in ``tests/test_trace_runs.py`` compare frame
-by frame:
+record per stretch of packets accepted together; the channel one
+``frames_delivered`` record per run that lands, and the receiver one
+``payloads_delivered`` record per checkpoint interval's drains.
+:func:`expand` turns each back into the tuples the per-frame records
+used to carry, so the sender-window oracle in
+``tests/sender_reference.py`` and the recorded-stream digests in
+``tests/test_trace_runs.py`` and ``tests/test_receive_agenda.py``
+compare frame by frame:
 
 - ``("iframe_sent", departure, seq, index, retx)``, where frame ``k``
   of a run departs at the record's time plus ``frame_time`` added ``k``
   times (the sender's own float accumulation, not ``k * frame_time``);
 - ``("iframe_released", time, seq, holding, retx)``;
-- ``("payload_accepted", time, payload)``.
+- ``("payload_accepted", time, payload)``;
+- ``("deliver", time, control, corrupted)``, one per frame landed;
+- ``("payload_delivered", time, payload)``, one per drain.
 
-Any other record expands to nothing.
+Any other record expands to nothing.  The receiving end's records are
+held until a run lands or a checkpoint goes out, so they come later in
+the stream than the per-frame records did: :class:`Split` keeps them
+apart, per source, where their order is still the per-frame order.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.simulator.trace import Entry
+from repro.simulator.trace import Entry, TraceRecord
 
 
 def expand(entry: Entry, modulus: int) -> list[tuple[Any, ...]]:
@@ -42,4 +50,42 @@ def expand(entry: Entry, modulus: int) -> list[tuple[Any, ...]]:
                 in zip(detail["seqs"], detail["holdings"], detail["retx"])]
     if event == "payloads_accepted":
         return [("payload_accepted", time, payload) for payload in detail["payloads"]]
+    if event == "frames_delivered":
+        corrupted = set(detail["corrupted"])
+        return [("deliver", time, detail["control"], k in corrupted)
+                for k, time in enumerate(detail["times"])]
+    if event == "payloads_delivered":
+        return [("payload_delivered", time, payload)
+                for time, payload in zip(detail["times"], detail["payloads"])]
     return []
+
+
+DELIVERIES = ("frames_delivered", "payloads_delivered")
+
+
+class Split:
+    """A record listener: the receiving end's records expanded, per
+    source, into :attr:`deliveries`; every other record in emission order
+    into :attr:`others` as a raw entry, but a ``payloads_accepted`` as one
+    ``payload_accepted`` entry per packet."""
+
+    def __init__(self) -> None:
+        self.others: list[tuple] = []
+        self.deliveries: dict[str, list[tuple]] = {}
+
+    def __call__(self, record: TraceRecord) -> None:
+        entry = (record.time, record.source, record.event, record.detail)
+        if record.event in DELIVERIES:
+            self.deliveries.setdefault(record.source, []).extend(expand(entry, 0))
+        elif record.event == "payloads_accepted":
+            self.others.extend((record.time, record.source, "payload_accepted",
+                                {"payload": payload}) for payload in record.detail["payloads"])
+        else:
+            self.others.append(entry)
+
+    def per_source(self) -> list[tuple[str, list[tuple]]]:
+        return sorted(self.deliveries.items())
+
+    def __len__(self) -> int:
+        """Entries in all: the records the per-frame stream had."""
+        return len(self.others) + sum(map(len, self.deliveries.values()))

@@ -10,7 +10,8 @@ tracer's record-fed listeners:
   record goes into a window of the last 40 and to ``on_event`` of each
   monitor that reads its event; the window is formatted for a violation.
 - :class:`ReferenceRecoveryMetrics` is ``RecoveryMetrics`` dispatching
-  each record on its event.
+  each record on its event, and reading a ``frames_delivered`` run one
+  arrival at a time, as it read the per-frame ``deliver`` record.
 
 They live here, and only here, as what the route table must agree with.
 """
@@ -45,6 +46,9 @@ class ReferenceTracer:
             self.records.append(record)
         for listener in self.listeners:
             listener(record)
+
+    def settle(self) -> None:
+        """Nothing is held back: every record went out as it was emitted."""
 
 
 class ReferenceSuite:
@@ -104,8 +108,9 @@ class ReferenceRecoveryMetrics:
             self.frames_lost_total += 1
             for outage in self._open.values():
                 outage.frames_lost += 1
-        elif event == "deliver":
-            self._on_deliver(record)
+        elif event == "frames_delivered":
+            for time in record.detail["times"]:  # a run, frame by frame
+                self._on_deliver(time, record.detail)
         elif event in _REACTIONS:
             self._on_reaction(record)
 
@@ -140,13 +145,13 @@ class ReferenceRecoveryMetrics:
             if current is not None and getattr(current, latency) is None:
                 setattr(current, latency, record.time - current.start)
 
-    def _on_deliver(self, record: TraceRecord) -> None:
-        if record.detail.get("control", False):
+    def _on_deliver(self, time: float, detail: dict) -> None:
+        if detail.get("control", False):
             return
         for outage in self.outages:
             if (
                 outage.post_recovery_delivery_delay is None
                 and outage.end is not None
-                and record.time >= outage.end
+                and time >= outage.end
             ):
-                outage.post_recovery_delivery_delay = record.time - outage.end
+                outage.post_recovery_delivery_delay = time - outage.end
