@@ -39,16 +39,19 @@ bench-check:
 # adds the claim-rule verdicts: `holds` only if the change is ahead in
 # >= 9/10 pairs and by more than the parent's IQR (else exit 1), and
 # within bound / worse (exit 1) / unresolved for every other metric.
-# Never measure from the working tree.
+# CHANGE=<rev> measures that revision in place of the index (exported
+# the way the parent is), so CHANGE=$(PARENT) is an A/A run.  Never
+# measure from the working tree.
 PARENT ?= HEAD
+CHANGE ?=
 WORKLOAD ?= sat_clean
 SEED ?= 23
 PAIRS ?= 10
 COUNTS_MAY_DIFFER ?=
 CLAIM ?=
 bench-pairs:
-	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-		--seed $(SEED) --pairs $(PAIRS) --counts-may-differ "$(COUNTS_MAY_DIFFER)" \
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) $(if $(CHANGE),--change $(CHANGE)) \
+		--workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) --counts-may-differ "$(COUNTS_MAY_DIFFER)" \
 		--claim "$(CLAIM)"
 
 report:

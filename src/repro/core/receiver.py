@@ -52,19 +52,33 @@ class ErrorEntry:
     reports: int = 0
 
 
-class LamsReceiver:
-    """Receiver state machine for one direction of a LAMS-DLC link."""
+# The arguments every drain is called with until its receiver's first
+# flush(): one token all receivers share.
+_SHARED_DRAIN_ARGS = (object(),)
 
-    # The channel this receiver hears I-frames on, when hear() was given
-    # one of the simulator's: its agenda, once made, carries the drains.
-    _incoming: Optional[SimplexChannel] = None
-    # The arguments every drain is called with: the token of the live
-    # drain.  flush() gives its receiver a fresh one, so that a drain it
-    # overtook lapses; until then every receiver shares this one.
-    _drain_args = (object(),)
-    # The drains since the last payloads_delivered record, ``(times,
-    # payloads)``, while the tracer is active; None when there are none.
-    _held: Optional[tuple[list, list]] = None
+
+class LamsReceiver:
+    """Receiver state machine for one direction of a LAMS-DLC link.
+
+    Its state is a fixed set of slots, as
+    :class:`~repro.core.sender.LamsSender`'s is and for the same reason.
+    """
+
+    __slots__ = (
+        "sim", "config", "control_channel", "expected_rtt", "name",
+        "tracer", "deliver", "delivery_interval", "cp_index", "frontier",
+        "_next_expected_seq", "_error_log", "_resolving_log", "_running",
+        "_checkpoint_tick", "_incoming", "_drain_args", "_held",
+        "_receive_queue", "_draining", "_header_protected",
+        "_numbering_size", "_zero_duplication", "_rx_capacity",
+        "_checkpoint_interval", "_cumulation_depth",
+        "_flow_control_enabled", "_high_watermark", "_empty_cframe_bits",
+        "_drain_bound", "_drain_delay_value", "_origin_retention_value",
+        "_rxqueue_stat", "_rxqueue_stat_name", "_delivered_origins",
+        "_origin_prune_queue", "iframes_received", "iframes_corrupted",
+        "gap_losses_detected", "delivered", "discards",
+        "duplicates_suppressed", "checkpoints_sent", "enforced_sent",
+    )
 
     def __init__(
         self,
@@ -98,6 +112,17 @@ class LamsReceiver:
         # The periodic Check-Point: a member of the engine round of every
         # receiver started at this instant with this W_cp.
         self._checkpoint_tick: Optional[Periodic] = None
+        # The channel this receiver hears I-frames on, when hear() was
+        # given one of the simulator's: its agenda, once made, carries
+        # the drains.
+        self._incoming: Optional[SimplexChannel] = None
+        # The arguments every drain is called with: the token of the live
+        # drain.  flush() gives its receiver a fresh one, so that a drain
+        # it overtook lapses.
+        self._drain_args = _SHARED_DRAIN_ARGS
+        # The drains since the last payloads_delivered record, ``(times,
+        # payloads)``, while the tracer is active; None when there are none.
+        self._held: Optional[tuple[list, list]] = None
 
         # Receive queue: frames waiting for per-frame processing. With no
         # delivery_interval the queue drains at one frame per t_proc.
@@ -116,7 +141,7 @@ class LamsReceiver:
         self._high_watermark = config.receive_high_watermark
         self._empty_cframe_bits = config.cframe_bits(0)
         # Bound once: the object every drain entry of this receiver carries.
-        self._drain_one = self._drain_one
+        self._drain_bound = self._drain_one
         self._drain_delay_value = (
             delivery_interval if delivery_interval is not None
             else config.processing_time
@@ -391,11 +416,11 @@ class LamsReceiver:
         incoming = self._incoming
         agenda = incoming._agenda if incoming is not None else None
         if agenda is not None:
-            agenda.add(agenda.lanes[1], when, self._drain_one, self._drain_args)
+            agenda.add(agenda.lanes[1], when, self._drain_bound, self._drain_args)
             return
         sim = self.sim
         sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (when, sequence, self._drain_one, self._drain_args))
+        heappush(sim._heap, (when, sequence, self._drain_bound, self._drain_args))
 
     def _drain_one(self, token: object) -> None:
         if token is not self._drain_args[0]:

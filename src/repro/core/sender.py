@@ -66,7 +66,28 @@ class PendingRetransmission:
 
 
 class LamsSender:
-    """Sender state machine for one direction of a LAMS-DLC link."""
+    """Sender state machine for one direction of a LAMS-DLC link.
+
+    Its state is a fixed set of slots: past 30 attributes an instance
+    dict stops sharing its keys (CPython's ``SHARED_KEYS_MAX_SIZE``), and
+    an idle constellation reads this state once per checkpoint per link
+    (docs/TUNING.md §12).
+    """
+
+    __slots__ = (
+        "sim", "config", "data_channel", "expected_rtt", "name", "tracer",
+        "on_failure", "link_start_time", "buffer", "flow",
+        "_retransmit_queue", "_next_allowed_send", "_pacing_armed",
+        "_started", "stop_go_provider", "_last_piggyback_applied",
+        "suspended", "failed", "_awaiting_enforced", "_last_probe_time",
+        "_checkpoint_timer", "_failure_timer", "_seen_any_checkpoint",
+        "_sendbuf_stat", "_sendbuf_stat_name", "_iframe_bits",
+        "_iframe_tx_time", "_piggyback", "_checkpoint_interval",
+        "_checkpoint_timeout", "_batch_window", "iframes_sent",
+        "retransmissions", "retransmissions_by_cause", "releases",
+        "checkpoints_received", "checkpoints_corrupted",
+        "request_naks_sent", "failures_declared",
+    )
 
     def __init__(
         self,

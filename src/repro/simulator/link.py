@@ -32,6 +32,7 @@ propagation keeps its ``frame_lost_outage`` record and is left out.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappush
 from itertools import islice
@@ -88,8 +89,8 @@ class SimplexChannel:
         streams: Optional[StreamRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if bit_rate <= 0:
-            raise ValueError(f"bit_rate must be positive, got {bit_rate!r}")
+        if not 0 < bit_rate < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"bit_rate must be positive and finite, got {bit_rate!r}")
         self.sim = sim
         self.name = name
         self.bit_rate = bit_rate
@@ -99,8 +100,11 @@ class SimplexChannel:
         if callable(propagation_delay):
             self._fixed_delay: Optional[float] = None
         else:
-            if propagation_delay < 0:
-                raise ValueError("propagation delay cannot be negative")
+            if not 0 <= propagation_delay < math.inf:
+                raise ValueError(
+                    "propagation_delay must be non-negative and finite, "
+                    f"got {propagation_delay!r}"
+                )
             self._fixed_delay = float(propagation_delay)
         self.iframe_errors: ErrorModel = iframe_errors or PerfectChannel()
         self.cframe_errors: ErrorModel = cframe_errors or PerfectChannel()
@@ -145,8 +149,10 @@ class SimplexChannel:
         """Propagation delay for a frame departing at time *when*."""
         spec = self._delay_spec
         delay = spec(when) if callable(spec) else spec
-        if delay < 0:
-            raise ValueError(f"propagation delay went negative at t={when}")
+        if not 0 <= delay < math.inf:
+            raise ValueError(
+                f"propagation_delay must be non-negative and finite, got {delay!r} at t={when}"
+            )
         return delay
 
     @property

@@ -27,6 +27,7 @@ same factory wires endpoints over real sockets:
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
 from typing import Any, Callable, Optional
 
@@ -77,8 +78,8 @@ class UdpChannel:
         streams: Optional[StreamRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if bit_rate <= 0:
-            raise ValueError(f"bit_rate must be positive, got {bit_rate!r}")
+        if not 0 < bit_rate < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"bit_rate must be positive and finite, got {bit_rate!r}")
         self.sim = clock
         self.name = name
         self.bit_rate = bit_rate
@@ -89,6 +90,11 @@ class UdpChannel:
         # Fast-path ABI shared with SimplexChannel (the sender half
         # reads these attributes directly).
         self._fixed_delay = float(self.impairments.propagation_delay)
+        if not 0 <= self._fixed_delay < math.inf:
+            raise ValueError(
+                "propagation_delay must be non-negative and finite, "
+                f"got {self._fixed_delay!r}"
+            )
         self._queue: deque[Any] = deque()
         self._transmitting = False
         self._last_arrival = -1.0

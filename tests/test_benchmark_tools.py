@@ -6,6 +6,8 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 from repro.simulator.engine import engine_backend
@@ -100,3 +102,39 @@ def test_bench_pairs_claim_verdicts_on_canned_runs(capsys):
                           rss=[52.0] * 10, retransmissions=[0] * 10)
     assert summarize(spec, runs, claim="cpu_us") == 1
     assert "CLAIM not resolved: ahead in 10/10 pairs" in capsys.readouterr().out
+
+
+def test_bench_pairs_change_exports_a_named_revision_like_the_parent(monkeypatch, tmp_path, capsys):
+    """``tools/bench_pairs.py --change <rev>``: the change side is that
+    revision, exported with the parent's ``git archive`` path (so
+    ``--parent X --change X`` is an A/A run); without it, the index."""
+    bench_pairs = load_bench_pairs()
+    commands = []
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, stdout=b"")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for side in ("parent", "change"):
+        bench_pairs.export(side, "cdbdb12", tmp_path)
+    assert [command[:3] for command in commands[0::2]] == [["git", "archive", "cdbdb12"]] * 2
+    assert [command[0] for command in commands[1::2]] == ["tar", "tar"]
+    bench_pairs.export("index", None, tmp_path)
+    assert commands[-1][:3] == ["git", "checkout-index", "-a"]
+
+    exported = []
+    monkeypatch.setattr(bench_pairs, "export",
+                        lambda side, rev, root: exported.append((side, rev)) or root / side)
+    spec = json.loads((bench_pairs.REPO / "BENCHMARK.json").read_text())
+    run = {"counts": "counts frames=1", "failed": 0, "attempted": 1,
+           "metrics": {metric["name"]: 1.0 for metric in spec["end_to_end"]}}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: run)
+    arguments = ["--parent", "cdbdb12", "--workload", "sat_clean", "--seed", "7", "--pairs", "1"]
+    assert bench_pairs.main([*arguments, "--change", "cdbdb12"]) == 0
+    assert exported == [("parent", "cdbdb12"), ("change", "cdbdb12")]
+    assert "parent = cdbdb12, change = cdbdb12" in capsys.readouterr().out
+    exported.clear()
+    assert bench_pairs.main(arguments) == 0
+    assert exported == [("parent", "cdbdb12"), ("change", None)]
+    assert "change = the index" in capsys.readouterr().out

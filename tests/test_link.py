@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -10,6 +12,10 @@ from repro.simulator.engine import Simulator
 from repro.simulator.errormodel import BernoulliChannel, PerfectChannel
 from repro.simulator.link import FullDuplexLink, SimplexChannel
 from repro.simulator.rng import StreamRegistry
+from repro.topology import LinkSpec, build_link
+from repro.transport.clock import AsyncioClock
+from repro.transport.impair import Impairments
+from repro.transport.udp import UdpChannel
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,61 @@ class TestSerialization:
         sim = Simulator()
         with pytest.raises(ValueError):
             make_channel(sim, bit_rate=0)
+
+
+class TestNonFiniteParameters:
+    """A rate or delay that is NaN or infinite is refused where it is
+    given, naming the field, not found later as a link that fails."""
+
+    @pytest.mark.parametrize("bit_rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_channel_refuses_the_rate(self, bit_rate):
+        with pytest.raises(ValueError, match="^bit_rate must be positive and finite"):
+            make_channel(Simulator(), bit_rate=bit_rate)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1e-9])
+    def test_channel_refuses_the_fixed_delay(self, delay):
+        with pytest.raises(ValueError, match="^propagation_delay must be non-negative and finite"):
+            make_channel(Simulator(), propagation_delay=delay)
+
+    def test_zero_delay_is_a_delay(self):
+        assert make_channel(Simulator(), propagation_delay=0.0).propagation_delay(1.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.001])
+    def test_a_delay_callable_going_bad_mid_run_raises_there(self, bad):
+        sim = Simulator()
+        channel = make_channel(sim, propagation_delay=lambda t: 0.010 if t < 0.0015 else bad)
+        arrivals = []
+        channel.attach_receiver(lambda f, c: arrivals.append(f.label))
+        channel.send(Frame(label="a"))  # departs at 0: delay 10 ms
+        sim.schedule(0.002, lambda: channel.send(Frame(label="b")))
+        with pytest.raises(ValueError, match="^propagation_delay must be non-negative and finite.*t=0.002"):
+            sim.run()
+        assert arrivals == []  # a's arrival was still pending
+
+    @pytest.mark.parametrize("field,value", [
+        ("bit_rate", math.nan), ("bit_rate", math.inf),
+        ("propagation_delay", math.nan), ("propagation_delay", math.inf),
+    ])
+    def test_build_link_refuses_a_non_finite_override(self, field, value):
+        spec = LinkSpec(scenario="nominal", **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build_link(spec, Simulator())
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(bit_rate=math.nan), "bit_rate"),
+        (dict(bit_rate=math.inf), "bit_rate"),
+        (dict(impairments=Impairments(propagation_delay=math.nan)), "propagation_delay"),
+        (dict(impairments=Impairments(propagation_delay=math.inf)), "propagation_delay"),
+    ])
+    def test_udp_channel_refuses_them_too(self, kwargs, field):
+        loop = asyncio.new_event_loop()
+        try:
+            arguments = dict(name="udp", emit=lambda data: None, bit_rate=1e6)
+            arguments.update(kwargs)
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                UdpChannel(AsyncioClock(loop), **arguments)
+        finally:
+            loop.close()
 
 
 class TestErrors:

@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.core import LamsDlcConfig
 from repro.core.endpoint import make_endpoint_pair
+from repro.core.frames import IFrame
 from repro.faults import FaultPlan
 from repro.faults.plan import LinkOutage
 from repro.invariants import (
@@ -232,13 +233,15 @@ def stressed_receiver(bounds):
     MonitorSuite(setup.tracer, monitors)
     receiver = setup.endpoint_b.receiver
     depths: list[tuple[float, int]] = []
-    on_iframe = receiver.on_iframe
+    channel = setup.link.forward
+    on_frame = channel.receiver
 
     def traced(frame, corrupted):
-        on_iframe(frame, corrupted)  # the depth only grows by enqueueing
-        depths.append((setup.sim.now, len(receiver._receive_queue)))
+        on_frame(frame, corrupted)  # the depth only grows by enqueueing
+        if type(frame) is IFrame:
+            depths.append((setup.sim.now, len(receiver._receive_queue)))
 
-    receiver.on_iframe = traced
+    channel.receiver = traced  # the handler B's receiver hears I-frames through
     FiniteBatch(setup.sim, setup.endpoint_a, 3000).start()
     setup.run(until=0.3)
     return monitors, depths

@@ -8,9 +8,11 @@ The acceptance procedure for a performance claim (ROADMAP, docs/TUNING.md
 
 Both sides are exported into a temporary directory first — the parent
 with ``git archive <rev>``, the change with ``git checkout-index`` (what
-``git add -A`` staged; HEAD when nothing is staged) — because numbers
-measured from a working tree have misled before (stale ``__pycache__``,
-``bench/out``, an editor's files).  Then ``python3 -m bench --workload W
+``git add -A`` staged; HEAD when nothing is staged), or with ``git
+archive`` too when ``--change <rev>`` names a revision (an A/A run is
+``--parent X --change X``) — because numbers measured from a working
+tree have misled before (stale ``__pycache__``, ``bench/out``, an
+editor's files).  Then ``python3 -m bench --workload W
 --seed S --seconds N --trace 0`` runs in each export, one run at a time,
 alternating which side goes first.  Every run is printed, then medians,
 inclusive quartiles, wins and ``ops_failed`` per metric.
@@ -195,6 +197,8 @@ def summarize(spec: dict, runs: dict[str, list[dict]],
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--change", default=None, metavar="REV",
+                        help="git revision to measure (default: the index)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
@@ -217,9 +221,9 @@ def main(argv=None) -> int:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         checkouts = {"parent": export("parent", args.parent, Path(scratch)),
-                     "change": export("change", None, Path(scratch))}
+                     "change": export("change", args.change, Path(scratch))}
         print(f"# {args.workload} seed {args.seed}, {seconds:g} s, {args.pairs} pairs: "
-              f"parent = {args.parent}, change = the index")
+              f"parent = {args.parent}, change = {args.change or 'the index'}")
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
