@@ -151,7 +151,12 @@ constellation-smoke:
 # transfer over real asyncio-UDP sockets with the invariant monitors
 # armed (clean + lossy golden scenarios), then the DES-vs-UDP
 # conformance harness asserting byte-identical delivery and identical
-# monitor verdicts on both backends.
+# monitor verdicts on both backends, then the two-process mode: a
+# `serve` in the background, a `transmit --connect` to it that must
+# exit 0, and the server stopped by SIGINT, which must exit 130 having
+# received all 24 payloads.
+SERVE_PORT ?= 47901
+
 transport-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro transmit --golden clean --frames 24 \
 		--timeout 20
@@ -159,6 +164,18 @@ transport-smoke:
 		--timeout 20
 	PYTHONPATH=src $(PYTHON) -m repro transmit --conform --frames 32 \
 		--timeout 20
+	log=$$(mktemp); \
+	PYTHONPATH=src $(PYTHON) -m repro serve --golden clean \
+		--bind 127.0.0.1:$(SERVE_PORT) > $$log 2>&1 & server=$$!; \
+	sleep 1; \
+	PYTHONPATH=src $(PYTHON) -m repro transmit --golden clean \
+		--connect 127.0.0.1:$(SERVE_PORT) --frames 24 --timeout 20; \
+	client=$$?; \
+	kill -INT $$server; wait $$server; status=$$?; \
+	cat $$log; grep -q "^serve: 24 unique payload(s) " $$log; found=$$?; \
+	rm -f $$log; \
+	echo "transmit exit $$client, serve exit $$status"; \
+	test $$client -eq 0 && test $$status -eq 130 && test $$found -eq 0
 
 # Live chaos-soak on the UDP backend (docs/TRANSPORT.md "Resilience"):
 # seeded episodes run as supervised real-time loopback sessions with

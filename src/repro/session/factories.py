@@ -29,6 +29,9 @@ def session_factory(protocol: str, config: Any) -> Callable:
     same configuration object is reused across passes (with
     ``link_lifetime`` refreshed per pass when the config supports it).
 
+    Every pass's endpoints trace into the link's tracer, so a monitor
+    suite on that tracer sees the protocol records of the whole run.
+
     The returned factory accepts the session manager's ``on_failure``
     keyword; when the protocol's pair factory takes an ``on_failure_a``
     extra (LAMS-DLC), the callback is threaded into the sending
@@ -62,7 +65,8 @@ def session_factory(protocol: str, config: Any) -> Callable:
             if on_failure is not None and takes_failure else {}
         )
         endpoint_a, endpoint_b = make_endpoint_pair(
-            protocol, sim, link, session_config, deliver_b=deliver, **extras
+            protocol, sim, link, session_config,
+            tracer=link.tracer, deliver_b=deliver, **extras
         )
         endpoint_a.start(send=True, receive=False)
         endpoint_b.start(send=False, receive=True)

@@ -15,7 +15,9 @@ continuous service:
   retargeting/initialisation overhead, stands up a *fresh* protocol
   endpoint pair over the link, replays every datagram left unresolved
   by the previous pass, feeds queued traffic, and tears down at pass
-  end, carrying the unresolved remainder forward.
+  end, carrying the unresolved remainder forward;
+- :func:`reclaim_backlog`, that teardown's backlog hand-back, which the
+  UDP session supervisor runs too.
 
 Carrying frames across passes can re-send data the receiver already
 delivered (the sender cannot know about frames acknowledged by
@@ -41,7 +43,7 @@ from ..simulator.engine import Simulator
 from ..simulator.link import FullDuplexLink
 from ..simulator.trace import Tracer
 
-__all__ = ["LinkPass", "PassSchedule", "LinkSessionManager"]
+__all__ = ["LinkPass", "PassSchedule", "LinkSessionManager", "reclaim_backlog"]
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,53 @@ the manager tears the session down early, carrying the backlog to the
 next pass.  Factories built by :func:`repro.session.factories.session_factory`
 support this automatically.
 """
+
+
+def reclaim_backlog(
+    clock: Simulator,
+    endpoint_a: Any,
+    endpoint_b: Any,
+    pending: deque,
+    tracer: Tracer,
+    source: str,
+    reason: str,
+    **detail: Any,
+) -> tuple[int, int]:
+    """Tear a session's endpoint pair down and hand its backlog back.
+
+    The one teardown of both backends (this module's
+    :class:`LinkSessionManager` and the UDP
+    :class:`~repro.transport.supervisor.SessionSupervisor`):
+
+    1. the sender's held (unacknowledged) payloads go back to the
+       *front* of *pending*, in their original order;
+    2. the receiver's queue, which the sender already saw acknowledged,
+       is flushed upward, so a teardown never un-delivers a payload;
+    3. both endpoints stop;
+    4. the tracer settles, so deliveries it still holds are recorded
+       ahead of the reclaim;
+    5. when anything was reclaimed or flushed, one ``backlog_reclaimed``
+       record: ``payloads``, ``reclaimed``, ``flushed``, ``reason``,
+       ``backlog`` (``len(pending)`` afterwards) and *detail*.
+
+    Endpoints without those halves (another protocol family's, a test
+    double) skip the step they lack.  Returns ``(reclaimed, flushed)``.
+    """
+    held_payloads = getattr(getattr(endpoint_a, "sender", None), "held_payloads", None)
+    held = list(held_payloads()) if held_payloads is not None else []
+    pending.extendleft(reversed(held))
+    flush = getattr(getattr(endpoint_b, "receiver", None), "flush", None)
+    flushed = flush() if flush is not None else 0
+    endpoint_a.stop()
+    endpoint_b.stop()
+    tracer.settle()
+    if held or flushed:
+        tracer.emit(
+            clock.now, source, "backlog_reclaimed",
+            payloads=tuple(held), reclaimed=len(held), flushed=flushed,
+            reason=reason, backlog=len(pending), **detail,
+        )
+    return len(held), flushed
 
 
 class LinkSessionManager:
@@ -218,26 +267,12 @@ class LinkSessionManager:
     def _teardown(self, link_pass: LinkPass, reason: str) -> None:
         self._session_up = False
         self.link.down()
-        # Reclaim everything the sender could not resolve in time; it is
-        # replayed on the next pass (duplicates possible, loss not).
-        sender = getattr(self._endpoint_a, "sender", None)
-        reclaimed = 0
-        if sender is not None and hasattr(sender, "held_payloads"):
-            held = sender.held_payloads()
-            reclaimed = len(held)
-            self._queue.extendleft(reversed(held))
-            if reclaimed:
-                # Invariant hook: the zero-loss ledger treats reclaimed
-                # payloads as held, and tests assert the replay order.
-                # Deliveries still held back go ahead of it.
-                self.tracer.settle()
-                self.tracer.emit(
-                    self.sim.now, "session", "backlog_reclaimed",
-                    count=reclaimed, backlog=len(self._queue),
-                )
-        for endpoint in (self._endpoint_a, self._endpoint_b):
-            if endpoint is not None:
-                endpoint.stop()
+        # Everything the sender could not resolve in time is replayed on
+        # the next pass (duplicates possible, loss not).
+        reclaimed, _ = reclaim_backlog(
+            self.sim, self._endpoint_a, self._endpoint_b, self._queue,
+            self.tracer, "session", reason,
+        )
         self._endpoint_a = self._endpoint_b = None
         self._current_pass = None
         self.carried_over += reclaimed

@@ -48,8 +48,7 @@ _HEADER_LEN = _INDEX_DIGITS + 1  # "00000042|"
 # Body byte i of payload `index` is (131*index + 7 + 29*i) mod 256.  29 is
 # invertible mod 256, so every body is a slice of the one sequence
 # 29*j mod 256, entered at j = (131*index + 7) * 29^-1: one copy, no
-# per-byte loop inside a live offer loop (run_client builds payloads
-# between sends).
+# per-byte loop where a live session builds its payloads.
 _FILL = bytes((29 * j) & 0xFF for j in range(256))
 _INVERSE_29 = pow(29, -1, 256)
 

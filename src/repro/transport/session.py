@@ -1,6 +1,6 @@
 """Live LAMS-DLC sessions over the UDP backend.
 
-Three ways to run the protocol on real sockets:
+Two ways to run the protocol on real sockets:
 
 - :func:`open_loopback` / :func:`run_transfer` — both endpoints in one
   process over a localhost socket pair, with the full invariant
@@ -9,6 +9,9 @@ Three ways to run the protocol on real sockets:
   :func:`repro.workloads.scenarios.build_simulation`:
   :class:`TransportSetup` mirrors ``SimulationSetup``'s shape, so
   :func:`~repro.invariants.harness.attach_monitors` works unchanged.
+  :func:`run_transfer` is a
+  :class:`~repro.transport.supervisor.SessionSupervisor` run of one
+  attempt over an :func:`open_loopback` session.
 - :func:`run_serve` / :func:`run_client` — one endpoint per process
   (the ``python -m repro serve`` / ``transmit --connect`` pair), for
   sessions across a real network path.
@@ -23,22 +26,19 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import signal
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from ..core.endpoint import make_endpoint_pair, resolve_protocol
+from ..core.endpoint import make_endpoint_pair, offer, resolve_protocol
 from ..faults.plan import FaultPlan
 from ..simulator.rng import StreamRegistry
 from ..simulator.trace import Tracer
 from ..workloads.scenarios import DeliveredList, LinkScenario
 from .clock import AsyncioClock
-from .conformance import (
-    make_payload,
-    payload_digest,
-    payload_index,
-    resequence_digest,
-)
+from .conformance import make_payload, payload_index, resequence_digest
 from .impair import Impairments
 from .udp import UdpEndpointSocket, UdpLink
 
@@ -130,7 +130,9 @@ class TransportSetup:
     """A live loopback session (the transport twin of ``SimulationSetup``).
 
     ``sim`` is the :class:`AsyncioClock` — named for shape-compatibility
-    with harness code written against ``SimulationSetup``.
+    with harness code written against ``SimulationSetup``.  Under a
+    :class:`~repro.transport.supervisor.SessionSupervisor`,
+    ``endpoint_a`` / ``endpoint_b`` are the live generation's pair.
     """
 
     sim: AsyncioClock
@@ -151,13 +153,7 @@ class TransportSetup:
 
     async def close(self) -> None:
         """Stop both endpoints and release sockets and timers."""
-        self.endpoint_a.stop()
-        self.endpoint_b.stop()
-        self.sim.kick()
-        self.link.close()
-        self.sim.close()
-        # Let the loop process the transport close callbacks.
-        await asyncio.sleep(0)
+        await _close(self.sim, self.link, self.endpoint_a, self.endpoint_b)
 
 
 @dataclass
@@ -236,7 +232,10 @@ async def open_loopback(
     endpoints, start, fault injector, monitors — so the two backends
     observe the same event sequence at startup.  *error_model* /
     *iframe_errors* / *cframe_errors* override the scenario's error
-    processes exactly like their ``build_simulation`` namesakes.
+    processes exactly like their ``build_simulation`` namesakes.  This
+    is the one place a loopback link is opened:
+    :class:`~repro.transport.supervisor.SessionSupervisor` (and so
+    :func:`run_transfer`) starts its sessions here.
     """
     _require_wire_family(protocol)
     errors = {"error_model": error_model, "iframe_errors": iframe_errors,
@@ -292,135 +291,46 @@ def _settle_budget(config: Any, rtt: float) -> float:
     return 2.0 * resolving + rtt + 0.1
 
 
-async def _offer_all(
-    setup: TransportSetup,
-    payloads: list[bytes],
+def _offer(clock: AsyncioClock, endpoint: Any, pending: deque) -> None:
+    """Offer *pending* to *endpoint* from the front, up to the first
+    refusal (Stop-Go); what it accepted leaves the queue."""
+    for _ in range(offer(endpoint, pending)):
+        pending.popleft()
+    clock.kick()
+
+
+async def _settle(
+    clock: AsyncioClock,
+    endpoint: Any,
+    pending: deque,
     deadline: Deadline,
-    stop: Optional[asyncio.Event] = None,
-) -> int:
-    """Offer every payload, yielding while Stop-Go refuses; count accepted."""
-    clock = setup.sim
-    accepted = 0
-    for payload in payloads:
-        while not deadline.expired and not (stop is not None and stop.is_set()):
-            clock.kick()
-            ok = setup.endpoint_a.accept(payload)
-            clock.kick()
-            if ok:
-                accepted += 1
-                break
-            await asyncio.sleep(_POLL)
-        else:
-            break
-    return accepted
+    stop: asyncio.Event,
+) -> bool:
+    """Offer *pending* while Stop-Go refuses, then wait for the sender's
+    ledger to empty (every copy released by a checkpoint).
 
-
-async def _transfer(
-    setup: TransportSetup,
-    scenario: LinkScenario,
-    payloads: list[bytes],
-    deadline: Deadline,
-    stop: Optional[asyncio.Event] = None,
-) -> tuple[bool, Optional[str]]:
-    """Drive one transfer on an open session.
-
-    Returns ``(completed, failure_reason)`` — ``(True, None)`` when the
-    transfer fully completed, otherwise the reason the wait ended
-    (``"watchdog"`` for the deadline, ``"interrupted"`` for *stop*).
+    True once both are empty; False if *deadline* expires or *stop* is
+    set first.
     """
-    clock = setup.sim
-    n_frames = len(payloads)
-    complete = asyncio.Event()
-    seen: set[int] = set()
-
-    def on_delivery() -> None:
-        index = payload_index(setup.delivered[-1])
-        if index is not None:
-            seen.add(index)
-        if len(seen) >= n_frames:
-            complete.set()
-
-    setup.delivered.on_append = on_delivery
-    try:
-        accepted = await _offer_all(setup, payloads, deadline, stop)
-        waits = [asyncio.ensure_future(complete.wait())]
-        if stop is not None:
-            waits.append(asyncio.ensure_future(stop.wait()))
-        try:
-            await asyncio.wait(waits, timeout=deadline.remaining(),
-                               return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            for wait in waits:
-                wait.cancel()
-        if stop is not None and stop.is_set():
-            return False, "interrupted"
-        if accepted < n_frames or not complete.is_set():
-            return False, "watchdog"
-    finally:
-        setup.delivered.on_append = None
-    # Quiesce: the checkpoints releasing the sender's last copies are
-    # still in flight when the final payload lands at the destination.
-    sender = getattr(setup.endpoint_a, "sender", None)
-    if sender is not None and hasattr(sender, "held_payloads"):
-        budget = _settle_budget(sender.config, scenario.round_trip_time)
-        settle = deadline.sub(budget)
-        while not settle.expired:
-            clock.kick()
-            if not sender.held_payloads():
-                break
-            await asyncio.sleep(_POLL)
-    return True, None
+    sender = endpoint.sender
+    while not (deadline.expired or stop.is_set()):
+        clock.kick()
+        _offer(clock, endpoint, pending)
+        if not pending and not sender.held_payloads():
+            return True
+        await asyncio.sleep(_POLL)
+    return False
 
 
-async def _run_transfer(
-    scenario: LinkScenario,
-    protocol: str,
-    seed: int,
-    n_frames: int,
-    payload_bytes: int,
-    timeout: float,
-    stop_event: Optional[asyncio.Event] = None,
-    install_signals: bool = False,
-    **open_kwargs: Any,
-) -> TransportResult:
-    payloads = [make_payload(i, payload_bytes) for i in range(n_frames)]
-    stop = stop_event if stop_event is not None else asyncio.Event()
-    uninstall = install_signal_stop(stop) if install_signals else (lambda: None)
-    setup = await open_loopback(scenario, protocol, seed, **open_kwargs)
-    deadline = Deadline(timeout)
-    try:
-        completed, reason = await _transfer(setup, scenario, payloads,
-                                            deadline, stop)
-        elapsed = deadline.elapsed()
-        suite = setup.finalize_monitors()
-    finally:
-        uninstall()
-        await setup.close()
-    digest, duplicates = resequence_digest(list(setup.delivered))
-    unique = len({payload_index(d) for d in setup.delivered
-                  if payload_index(d) is not None})
-    forward, reverse = setup.link.forward, setup.link.reverse
-    sender = getattr(setup.endpoint_a, "sender", None)
-    stats = {
-        "forward_frames_sent": forward.frames_sent,
-        "forward_frames_corrupted": forward.frames_corrupted,
-        "forward_frames_dropped": forward.frames_dropped,
-        "reverse_frames_sent": reverse.frames_sent,
-        "reverse_frames_corrupted": reverse.frames_corrupted,
-        "reverse_frames_dropped": reverse.frames_dropped,
-        "datagrams_received_b": setup.link.socket_b.datagrams_received,
-        "datagrams_received_a": setup.link.socket_a.datagrams_received,
-        "retransmissions": getattr(sender, "retransmissions", None),
-        "event_count": setup.sim.event_count,
-    }
-    return TransportResult(
-        scenario=scenario.name, protocol=protocol, seed=seed,
-        n_frames=n_frames, completed=completed,
-        delivered_unique=unique, duplicates=duplicates,
-        digest=digest, expected_digest=payload_digest(payloads),
-        elapsed=elapsed, monitors=suite, stats=stats,
-        failure_reason=reason,
-    )
+async def _close(clock: AsyncioClock, link: Any, *endpoints: Any) -> None:
+    """Stop *endpoints*, then release *link*'s sockets and *clock*'s alarm."""
+    for endpoint in endpoints:
+        endpoint.stop()
+    clock.kick()
+    link.close()
+    clock.close()
+    # Let the loop process the transport close callbacks.
+    await asyncio.sleep(0)
 
 
 def run_transfer(
@@ -447,14 +357,25 @@ def run_transfer(
     drain, finalizes the monitors, and tears everything down.  With
     *install_signals*, SIGINT/SIGTERM end the session gracefully and
     the result carries ``failure_reason="interrupted"``.
+
+    This is a supervised session of one attempt whose supervisor
+    declares nothing itself: no handshake or heartbeat timeout, no
+    reconnect, so a dead peer ends in ``"watchdog"`` at *timeout*.
     """
-    return asyncio.run(_run_transfer(
-        scenario, protocol, seed, n_frames, payload_bytes, timeout,
+    # Lazy: the supervisor is built on this module.
+    from .supervisor import SupervisorPolicy, run_supervised_transfer
+
+    return run_supervised_transfer(
+        scenario, protocol, seed, n_frames=n_frames,
+        payload_bytes=payload_bytes, timeout=timeout,
+        policy=SupervisorPolicy(
+            max_attempts=1, handshake_timeout=math.inf,
+            heartbeat_timeout=math.inf,
+        ),
+        overrides=overrides, jitter=jitter, drop=drop, fault_plan=fault_plan,
+        run_with_invariants=run_with_invariants, tracer=tracer, host=host,
         install_signals=install_signals,
-        overrides=overrides, jitter=jitter, drop=drop,
-        fault_plan=fault_plan, run_with_invariants=run_with_invariants,
-        tracer=tracer, host=host,
-    ))
+    )
 
 
 # -- two-process endpoints (serve / transmit --connect) -------------------
@@ -567,11 +488,7 @@ async def _serve(
         clock.kick()
     finally:
         uninstall()
-        endpoint.stop()
-        clock.kick()
-        sock.close()
-        clock.close()
-        await asyncio.sleep(0)
+        await _close(clock, sock, endpoint)
     digest, duplicates = resequence_digest(delivered)
     unique = len({payload_index(d) for d in delivered
                   if payload_index(d) is not None})
@@ -630,35 +547,13 @@ async def _client(
     sock, endpoint = await opener()
     endpoint.start(send=True, receive=False)
     clock.kick()
-    sender = endpoint.sender
-    offered = 0
+    pending = deque(make_payload(index, payload_bytes) for index in range(n_frames))
     deadline = Deadline(timeout)
-    completed = False
     try:
-        for index in range(n_frames):
-            payload = make_payload(index, payload_bytes)
-            while not deadline.expired and not stop.is_set():
-                clock.kick()
-                ok = endpoint.accept(payload)
-                clock.kick()
-                if ok:
-                    offered += 1
-                    break
-                await asyncio.sleep(_POLL)
-        # Complete when every copy is released by a checkpoint.
-        while not deadline.expired and not stop.is_set():
-            clock.kick()
-            if offered == n_frames and not sender.held_payloads():
-                completed = True
-                break
-            await asyncio.sleep(_POLL)
+        completed = await _settle(clock, endpoint, pending, deadline, stop)
     finally:
         uninstall()
-        endpoint.stop()
-        clock.kick()
-        sock.close()
-        clock.close()
-        await asyncio.sleep(0)
+        await _close(clock, sock, endpoint)
     if completed:
         reason = "completed"
     elif stop.is_set():
@@ -666,9 +561,9 @@ async def _client(
     else:
         reason = "watchdog"
     return ClientReport(
-        offered=offered, completed=completed,
-        held_remaining=len(sender.held_payloads()),
-        retransmissions=sender.retransmissions,
+        offered=n_frames - len(pending), completed=completed,
+        held_remaining=len(endpoint.sender.held_payloads()),
+        retransmissions=endpoint.sender.retransmissions,
         elapsed=deadline.elapsed(),
         reason=reason,
     )

@@ -1,11 +1,14 @@
 """Supervised resilient sessions over the UDP backend.
 
-:func:`~repro.transport.session.run_transfer` drives one fixed session:
-if the peer dies mid-transfer, the session hangs until the watchdog
-expires and the payloads still sitting in the sender's ledger are simply
-reported as undelivered.  The :class:`SessionSupervisor` wraps the same
-machinery in a supervised lifecycle with the classic operational
-guarantees:
+Every loopback transfer is a :class:`SessionSupervisor` run: one
+:func:`~repro.transport.session.open_loopback` session whose endpoint
+pairs (*generations*) the supervisor replaces as they die.
+:func:`~repro.transport.session.run_transfer` is its one-attempt case
+(``max_attempts=1``, infinite handshake and heartbeat timeouts): nothing
+is declared by the supervisor, nothing is replayed, and a dead peer ends
+in ``"watchdog"`` at the deadline.  With the default
+:meth:`SupervisorPolicy.for_scenario` the lifecycle has the classic
+operational guarantees:
 
 - **bounded establishment** — a session that never hears the peer
   (handshake blackhole, dead address) is declared failed within
@@ -20,11 +23,14 @@ guarantees:
   ``max_attempts`` establishments;
 - **session resumption** — teardown reclaims the sender's
   unacknowledged backlog (and flushes the receiver's already-acked
-  queue upward) exactly like the DES
-  :class:`~repro.session.manager.LinkSessionManager`, and the next
+  queue upward) with the DES
+  :class:`~repro.session.manager.LinkSessionManager`'s own
+  :func:`~repro.session.manager.reclaim_backlog`, and the next
   generation replays it, so no checkpoint-acknowledged payload is ever
   lost across a restart;
-- **graceful degradation** — when every attempt is exhausted the
+- **graceful degradation** — the protocol's own declared link failure
+  ends a generation too, when the policy allows a reconnect
+  (``max_attempts > 1``); when every attempt is exhausted the
   supervisor returns a reason-tagged declared-failure
   :class:`~repro.transport.session.TransportResult`; it may fail, but
   it never hangs past its deadline and never loses acknowledged data.
@@ -51,18 +57,20 @@ from typing import Any, Optional
 from ..core.endpoint import make_endpoint_pair
 from ..faults.metrics import declared_failure_bound
 from ..faults.plan import FaultPlan
+from ..session.manager import reclaim_backlog
 from ..simulator.trace import Tracer
-from ..workloads.scenarios import DeliveredList, LinkScenario
-from .clock import AsyncioClock
-from .impair import Impairments, TransportFaultInjector
+from ..workloads.scenarios import LinkScenario
 from .session import (
     _POLL,
     Deadline,
     TransportResult,
     TransportSetup,
+    _offer,
     _require_wire_family,
+    _settle,
     _settle_budget,
     install_signal_stop,
+    open_loopback,
 )
 from .conformance import (
     make_payload,
@@ -70,7 +78,6 @@ from .conformance import (
     payload_index,
     resequence_digest,
 )
-from .udp import UdpLink
 
 __all__ = [
     "DecorrelatedJitterBackoff",
@@ -176,29 +183,19 @@ class DecorrelatedJitterBackoff:
         self._prev = self.base
 
 
-class _Generation:
-    """One endpoint-pair establishment inside a supervised session."""
-
-    __slots__ = ("number", "endpoint_a", "endpoint_b", "sender", "receiver")
-
-    def __init__(self, number: int, endpoint_a: Any, endpoint_b: Any) -> None:
-        self.number = number
-        self.endpoint_a = endpoint_a
-        self.endpoint_b = endpoint_b
-        self.sender = endpoint_a.sender
-        self.receiver = endpoint_b.receiver
-
-
 class SessionSupervisor:
     """Run a loopback transfer under a supervised session lifecycle.
 
     The clock, the socket pair, and the fault timeline live for the
     whole supervised session (sockets are the NIC, not the session);
-    what a *generation* owns is one wired endpoint pair.  On a
-    generation's death the sender's unacknowledged backlog is reclaimed
-    to the front of the pending queue, the receiver's already-acked
-    queue is flushed upward, and — budget permitting — a fresh pair is
-    built over the same sockets after a backoff delay.
+    what a *generation* owns is one wired endpoint pair.  The first is
+    :func:`~repro.transport.session.open_loopback`'s, so both backends
+    build a session in one order; the session's
+    :class:`~repro.transport.session.TransportSetup` always holds the
+    live generation's pair.  On a generation's death
+    :func:`~repro.session.manager.reclaim_backlog` hands its backlog
+    back, and — budget permitting — a fresh pair is built over the same
+    sockets after a backoff delay.
     """
 
     def __init__(
@@ -220,6 +217,7 @@ class SessionSupervisor:
         self.scenario = scenario
         self.protocol = protocol
         self.seed = seed
+        self.overrides = overrides
         self.config = scenario.protocol_config(protocol, **(overrides or {}))
         self.policy = policy or SupervisorPolicy.for_scenario(
             scenario, config=self.config,
@@ -255,32 +253,17 @@ class SessionSupervisor:
         policy = self.policy
         stop = stop_event if stop_event is not None else asyncio.Event()
         uninstall = install_signal_stop(stop) if install_signals else (lambda: None)
-        clock = AsyncioClock()
-        tracer = self.tracer
-        impairments = Impairments.from_scenario(
-            self.scenario, jitter=self.jitter, drop=self.drop,
-        )
-        reverse_impairments = Impairments.from_scenario(
-            self.scenario, jitter=self.jitter, drop=self.drop,
-            direction="reverse",
-        )
-        link = await UdpLink.open(
-            clock, name=self.scenario.name, bit_rate=self.scenario.bit_rate,
-            impairments=impairments, reverse_impairments=reverse_impairments,
-            seed=self.seed, tracer=tracer,
+        setup = await open_loopback(
+            self.scenario, self.protocol, self.seed, overrides=self.overrides,
+            jitter=self.jitter, drop=self.drop, fault_plan=self.fault_plan,
+            run_with_invariants=self.run_with_invariants, tracer=self.tracer,
             host=self.host,
         )
+        clock, link, tracer, suite = setup.sim, setup.link, setup.tracer, setup.monitors
         base_name = link.name
         restart = asyncio.Event()
-        injector = recovery = None
-        if self.fault_plan is not None and len(self.fault_plan):
-            from ..faults.metrics import RecoveryMetrics
-
-            recovery = RecoveryMetrics(tracer)
-            injector = TransportFaultInjector(
-                clock, link, self.fault_plan, tracer=tracer,
-            )
-            injector.on_peer_restart = lambda fault: restart.set()
+        if setup.fault_injector is not None:
+            setup.fault_injector.on_peer_restart = lambda fault: restart.set()
         backoff = DecorrelatedJitterBackoff(
             policy.backoff_base, policy.backoff_cap,
             link.streams.get("supervisor.backoff"),
@@ -289,7 +272,7 @@ class SessionSupervisor:
         deadline = Deadline(timeout)
         pending: deque[bytes] = deque(payloads)
         n_frames = len(payloads)
-        delivered = DeliveredList()
+        delivered = setup.delivered
         seen: set[int] = set()
 
         def on_delivery() -> None:
@@ -298,9 +281,16 @@ class SessionSupervisor:
                 seen.add(index)
 
         delivered.on_append = on_delivery
+        if suite is not None:
+            # The zero-loss ledger counts this snapshot as safely held:
+            # the pending queue (every reclaimed payload included) plus
+            # the live generation's sender ledger and undrained queue.
+            suite.held_snapshot = lambda: [
+                *pending, *setup.endpoint_a.sender.held_payloads(),
+                *setup.endpoint_b.receiver.queued_payloads(),
+            ]
 
-        suite = None
-        generation: Optional[_Generation] = None
+        live = True  # setup holds a started pair not yet torn down
         completed = False
         failure_reason: Optional[str] = None
         try:
@@ -314,56 +304,46 @@ class SessionSupervisor:
                 if self.attempts >= policy.max_attempts:
                     break
                 self.attempts += 1
-                if self.attempts > 1:
+                restart.clear()
+                if not live:
                     # Fresh trace-source names per generation: the
                     # checkpoint-coverage monitor keys pendings by
                     # source, so generations must not share one.
                     link.name = f"{base_name}#g{self.attempts}"
-                restart.clear()
+                    # Snap the clock to wall time before construction:
+                    # after a backoff sleep ``now`` still sits at the
+                    # last pumped event, and endpoints built against a
+                    # stale clock would arm their startup watchdogs in
+                    # the past.
+                    clock.kick()
+                    setup.endpoint_a, setup.endpoint_b = make_endpoint_pair(
+                        self.protocol, clock, link, self.config,
+                        tracer=tracer, deliver_b=delivered.append,
+                    )
+                    setup.endpoint_a.start(send=True, receive=False)
+                    setup.endpoint_b.start(send=False, receive=True)
+                    clock.kick()
+                    live = True
                 protocol_failed = asyncio.Event()
-                # Snap the clock to wall time before construction: after
-                # a backoff sleep ``now`` still sits at the last pumped
-                # event, and endpoints built against a stale clock would
-                # arm their startup watchdogs in the past.
-                clock.kick()
-                endpoint_a, endpoint_b = make_endpoint_pair(
-                    self.protocol, clock, link, self.config,
-                    tracer=tracer, deliver_b=delivered.append,
-                    on_failure_a=protocol_failed.set,
-                )
-                generation = _Generation(self.attempts, endpoint_a, endpoint_b)
-                endpoint_a.start(send=True, receive=False)
-                endpoint_b.start(send=False, receive=True)
-                clock.kick()
-                if self.run_with_invariants and suite is None:
-                    from ..invariants.harness import attach_monitors
-
-                    shape = TransportSetup(
-                        clock, link, endpoint_a, endpoint_b, delivered, tracer,
-                    )
-                    suite = attach_monitors(
-                        shape, self.scenario, fault_plan=self.fault_plan,
-                        context={"scenario": self.scenario.name,
-                                 "protocol": self.protocol, "seed": self.seed,
-                                 "backend": "udp", "supervised": True},
-                    )
-                if suite is not None:
-                    self._point_snapshot_at(suite, pending, generation)
+                if policy.max_attempts > 1:
+                    # A declared failure ends the generation so that the
+                    # next one replays its backlog; with one attempt
+                    # there is no next one, and the session runs to its
+                    # deadline as the protocol alone would.
+                    setup.endpoint_a.sender.on_failure = protocol_failed.set
                 tracer.emit(
                     clock.now, "supervisor", "session_attempt",
                     attempt=self.attempts, pending=len(pending),
                 )
                 reason = await self._run_generation(
-                    clock, link, generation, pending, seen, n_frames,
-                    deadline, stop, protocol_failed, restart,
+                    setup, pending, seen, n_frames, deadline, stop,
+                    protocol_failed, restart,
                 )
                 if reason is None:
                     completed = True
                     break
-                self._teardown_generation(
-                    clock, link, tracer, generation, pending, reason,
-                )
-                generation = None
+                self._teardown_generation(setup, pending, reason)
+                live = False
                 failure_reason = reason
                 if reason == "interrupted":
                     break
@@ -385,27 +365,19 @@ class SessionSupervisor:
         elapsed = deadline.elapsed()
         if suite is not None:
             suite.finalize(clock.now)
-        # Final teardown (success path, or an interrupted live generation).
-        if generation is not None:
-            generation.endpoint_a.stop()
-            generation.endpoint_b.stop()
-            self._retransmissions += generation.sender.retransmissions
-        clock.kick()
-        link.close()
-        clock.close()
-        await asyncio.sleep(0)
+        if live:
+            self._retransmissions += setup.endpoint_a.sender.retransmissions
+        await setup.close()
         return self._result(
-            clock, link, delivered, seen, n_frames, payloads, pending,
-            completed, failure_reason, elapsed, suite,
+            setup, seen, n_frames, payloads, pending,
+            completed, failure_reason, elapsed,
         )
 
     # -- one generation ---------------------------------------------------
 
     async def _run_generation(
         self,
-        clock: AsyncioClock,
-        link: UdpLink,
-        generation: _Generation,
+        setup: TransportSetup,
         pending: deque,
         seen: set,
         n_frames: int,
@@ -419,13 +391,14 @@ class SessionSupervisor:
         ``protocol-failure`` / ``peer-restart`` / ``watchdog`` /
         ``interrupted``)."""
         policy = self.policy
+        clock = setup.sim
         loop_time = asyncio.get_running_loop().time
-        socket_a = link.socket_a
+        socket_a = setup.link.socket_a
         last_count = socket_a.datagrams_received
         started = loop_time()
         last_heard = started
         connected = False
-        endpoint_a = generation.endpoint_a
+        endpoint_a = setup.endpoint_a
         while True:
             clock.kick()
             if stop.is_set():
@@ -438,11 +411,7 @@ class SessionSupervisor:
                 # The peer process came back with no protocol state —
                 # the surviving half must re-establish, not limp on.
                 return "peer-restart"
-            while pending:
-                if not endpoint_a.accept(pending[0]):
-                    break
-                pending.popleft()
-                clock.kick()
+            _offer(clock, endpoint_a, pending)
             # Heartbeat: periodic checkpoints are the keepalive, and
             # *any* arriving datagram proves the peer is scheduling.
             count = socket_a.datagrams_received
@@ -456,45 +425,20 @@ class SessionSupervisor:
             elif connected and now - last_heard >= policy.heartbeat_timeout:
                 return "peer-dead"
             if not pending and len(seen) >= n_frames:
-                await self._settle(clock, generation, deadline)
+                # The checkpoints releasing the last payloads' copies
+                # are still in flight when the last one is delivered.
+                budget = _settle_budget(self.config, self.scenario.round_trip_time)
+                await _settle(clock, endpoint_a, pending, deadline.sub(budget), stop)
                 return None
             await asyncio.sleep(_POLL)
 
-    async def _settle(
-        self,
-        clock: AsyncioClock,
-        generation: _Generation,
-        deadline: Deadline,
-    ) -> None:
-        """Wait for the sender's ledger to drain (checkpoint releases
-        for the last payloads are still in flight at delivery time)."""
-        budget = _settle_budget(
-            generation.sender.config, self.scenario.round_trip_time,
-        )
-        settle = deadline.sub(budget)
-        while not settle.expired:
-            clock.kick()
-            if not generation.sender.held_payloads():
-                return
-            await asyncio.sleep(_POLL)
-
     def _teardown_generation(
-        self,
-        clock: AsyncioClock,
-        link: UdpLink,
-        tracer: Tracer,
-        generation: _Generation,
-        pending: deque,
-        reason: str,
+        self, setup: TransportSetup, pending: deque, reason: str,
     ) -> None:
-        """Declare the generation dead and reclaim its backlog.
-
-        Mirrors the DES session manager's teardown: the sender's held
-        (unacknowledged) payloads go back to the *front* of the pending
-        queue in order; the receiver's queue — payloads the peer
-        already acknowledged via checkpoints — is flushed upward so an
-        acked payload is never un-delivered by a restart.
-        """
+        """Declare the live generation dead and reclaim its backlog
+        (:func:`~repro.session.manager.reclaim_backlog`, the DES
+        session manager's teardown too)."""
+        clock, tracer = setup.sim, setup.tracer
         if reason in ("handshake-timeout", "peer-dead"):
             # The supervisor, not the protocol, is the detector here;
             # emit the declared-failure vocabulary so the failure-
@@ -502,56 +446,26 @@ class SessionSupervisor:
             # (a kill with no fault window behind it is a violation).
             tracer.emit(
                 clock.now, "supervisor", "checkpoint_timeout",
-                attempt=generation.number, reason=reason,
+                attempt=self.attempts, reason=reason,
             )
             tracer.emit(
                 clock.now, "supervisor", "link_failure_declared",
-                attempt=generation.number, reason=reason,
+                attempt=self.attempts, reason=reason,
             )
-        sender = generation.sender
-        held = list(sender.held_payloads())
-        generation.endpoint_a.stop()
-        flushed = generation.receiver.flush()
-        generation.endpoint_b.stop()
+        self._retransmissions += setup.endpoint_a.sender.retransmissions
         clock.kick()
-        pending.extendleft(reversed(held))
-        self.payloads_reclaimed += len(held)
-        self.payloads_flushed += flushed
-        self._retransmissions += sender.retransmissions
-        tracer.settle()  # deliveries still held back go ahead of the reclaim
-        tracer.emit(
-            clock.now, "supervisor", "backlog_reclaimed",
-            attempt=generation.number, reason=reason,
-            reclaimed=len(held), flushed=flushed, payloads=tuple(held),
+        reclaimed, flushed = reclaim_backlog(
+            clock, setup.endpoint_a, setup.endpoint_b, pending, tracer,
+            "supervisor", reason, attempt=self.attempts,
         )
-
-    def _point_snapshot_at(
-        self, suite: Any, pending: deque, generation: _Generation,
-    ) -> None:
-        """Aim the suite's held-backlog snapshot at the live generation.
-
-        The zero-loss ledger's finalize counts anything in this
-        snapshot as safely held: the supervisor's pending queue (which
-        includes every reclaimed payload) plus the current sender's
-        ledger and receiver's undrained queue.
-        """
-        sender, receiver = generation.sender, generation.receiver
-
-        def held_snapshot() -> list[Any]:
-            held = list(pending)
-            held.extend(sender.held_payloads())
-            held.extend(receiver.queued_payloads())
-            return held
-
-        suite.held_snapshot = held_snapshot
+        self.payloads_reclaimed += reclaimed
+        self.payloads_flushed += flushed
 
     # -- reporting --------------------------------------------------------
 
     def _result(
         self,
-        clock: AsyncioClock,
-        link: UdpLink,
-        delivered: DeliveredList,
+        setup: TransportSetup,
         seen: set,
         n_frames: int,
         payloads: list[bytes],
@@ -559,9 +473,9 @@ class SessionSupervisor:
         completed: bool,
         failure_reason: Optional[str],
         elapsed: float,
-        suite: Any,
     ) -> TransportResult:
-        digest, duplicates = resequence_digest(list(delivered))
+        digest, duplicates = resequence_digest(list(setup.delivered))
+        link = setup.link
         forward, reverse = link.forward, link.reverse
         socket_a, socket_b = link.socket_a, link.socket_b
         stats = {
@@ -582,14 +496,14 @@ class SessionSupervisor:
             "payloads_reclaimed": self.payloads_reclaimed,
             "payloads_flushed": self.payloads_flushed,
             "pending_remaining": len(pending),
-            "event_count": clock.event_count,
+            "event_count": setup.sim.event_count,
         }
         return TransportResult(
             scenario=self.scenario.name, protocol=self.protocol,
             seed=self.seed, n_frames=n_frames, completed=completed,
             delivered_unique=len(seen), duplicates=duplicates,
             digest=digest, expected_digest=payload_digest(payloads),
-            elapsed=elapsed, monitors=suite, stats=stats,
+            elapsed=elapsed, monitors=setup.monitors, stats=stats,
             failure_reason=failure_reason,
             attempts=self.attempts, reconnects=self.reconnects,
         )

@@ -8,11 +8,13 @@ No pytest-asyncio in the toolchain: async pieces run under
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import pytest
 
 from repro.core.frames import CheckpointFrame, IFrame
 from repro.core.wire import encode_frame
+from repro.faults import FaultPlan, HandshakeBlackhole
 from repro.simulator import StreamRegistry, Tracer
 from repro.transport import (
     AsyncioClock,
@@ -25,6 +27,7 @@ from repro.transport import (
     run_transfer,
 )
 from repro.transport.conformance import make_payload, payload_digest, payload_index
+from repro.transport.session import _client, _serve
 
 
 # -- AsyncioClock ----------------------------------------------------------
@@ -274,6 +277,69 @@ class TestLoopbackSession:
         with pytest.raises(ValueError, match="no wire codec"):
             SessionSupervisor(golden_scenario("clean"), "nbdt")
         assert opened == []
+
+
+class TestPlainTransferContract:
+    """What ``run_transfer`` promises beyond a supervised session: the
+    supervisor declares nothing itself and never reconnects."""
+
+    def test_silent_peer_ends_in_watchdog_at_the_timeout(self):
+        blackhole = FaultPlan(faults=(HandshakeBlackhole(start=0.0, duration=60.0),))
+        result = run_transfer(golden_scenario("clean"), n_frames=8, timeout=1.0,
+                              fault_plan=blackhole)
+        assert not result.completed
+        assert result.failure_reason == "watchdog"
+        assert 1.0 <= result.elapsed < 2.0
+
+    def test_signal_before_the_session_starts_interrupts_it(self, monkeypatch):
+        """A SIGINT already pending when the handlers go in: the stop
+        event is set before the first offer."""
+        monkeypatch.setattr(asyncio.SelectorEventLoop, "add_signal_handler",
+                            lambda loop, signum, callback, *args: callback(*args))
+        monkeypatch.setattr(asyncio.SelectorEventLoop, "remove_signal_handler",
+                            lambda loop, signum: True)
+        result = run_transfer(golden_scenario("clean"), n_frames=8, timeout=10.0,
+                              install_signals=True)
+        assert not result.completed
+        assert result.failure_reason == "interrupted"
+        assert result.elapsed < 5.0
+
+
+def _free_udp_port() -> int:
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestTwoProcessMode:
+    def test_client_completes_and_server_receives_every_payload(self):
+        """``serve`` and ``transmit --connect`` halves in one loop: the
+        client's ledger drains, and the server resequences exactly the
+        offered payloads."""
+        scenario = golden_scenario("clean")
+        address = ("127.0.0.1", _free_udp_port())
+        n_frames = 24
+
+        async def session():
+            stop = asyncio.Event()
+            server = asyncio.ensure_future(
+                _serve(scenario, address, 0, 30.0, None, None, stop_event=stop))
+            await asyncio.sleep(0.05)  # the server binds before the first send
+            try:
+                client = await _client(scenario, address, 0, n_frames, 256, 20.0,
+                                       None, None)
+            finally:
+                stop.set()
+            return client, await server
+
+        client, server = asyncio.run(session())
+        assert client.completed, client.reason
+        assert client.offered == n_frames
+        assert client.held_remaining == 0
+        assert server.reason == "interrupted"
+        assert server.received_unique == n_frames
+        assert server.digest == payload_digest(
+            [make_payload(i, 256) for i in range(n_frames)])
 
 
 # -- payload helpers -------------------------------------------------------
