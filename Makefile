@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-deep bench bench-check bench-pairs report examples sweep-smoke validation-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
+.PHONY: install test test-deep golden-bless mutants bench bench-check bench-pairs report examples sweep-smoke validation-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -17,6 +17,20 @@ test:
 # `tier1` profile replays the same derandomized ones.
 test-deep:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ --hypothesis-profile=deep
+
+# Rewrite tests/golden/des_counts.json (the benchmark's seed-7 `counts`
+# of the four discrete-event workloads at a short window, held by
+# tests/test_golden_counts.py in tier-1) and print each key that moved.
+# A change that moves a count by design runs this and names the key.
+golden-bless:
+	PYTHONPATH=src:. $(PYTHON) -m tests.test_golden_counts
+
+# Re-check the hand mutants (tools/mutants.py): each
+# tests/mutants/<name>.patch is applied to a scratch export of the index
+# (what `git add -A` staged) and the test it names must fail there.
+# Fails if any mutant survives or no longer applies.
+mutants:
+	$(PYTHON) tools/mutants.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -19,6 +19,16 @@ Responsibilities, straight from the protocol description:
 The receiver sends checkpoint commands for as long as it is running,
 "so long as the link is active" — even during a suspected failure.
 
+A receiver takes I-frames two ways.  :meth:`LamsReceiver.on_iframe` is
+the per-frame path: one arriving frame, applied as it lands.
+:meth:`LamsReceiver.on_run` takes a whole run the channel has decided
+(``hear`` wires it): the run waits as *pending arrivals*, each clean
+frame's delivery is planned at once by the receive queue's recurrence
+``d = max(a, d_prev) + t_proc`` as one agenda item, and the arrivals —
+with the deliveries already made — are applied in order, each at its
+own time, by ``_settle``, at the top of everything that reads the
+receiver's state (docs/TUNING.md §10).
+
 While its tracer is active the receiver traces a checkpoint interval's
 drains, not a drain: one ``payloads_delivered`` record (``times``,
 ``payloads``) just ahead of each ``checkpoint_sent`` record, and in
@@ -28,10 +38,12 @@ drains, not a drain: one ``payloads_delivered`` record (``times``,
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Any, Callable, Optional
+from itertools import islice
+from typing import Any, Callable, Optional, Sequence
 
 from ..simulator.engine import Periodic, Simulator
 from ..simulator.link import SimplexChannel
@@ -52,9 +64,12 @@ class ErrorEntry:
     reports: int = 0
 
 
-# The arguments every drain is called with until its receiver's first
-# flush(): one token all receivers share.
-_SHARED_DRAIN_ARGS = (object(),)
+# The token every drain carries until its receiver's first flush() or
+# replan: one object all receivers share.
+_SHARED_DRAIN_TOKEN = object()
+_INF = math.inf
+# A run's duplicate positions when zero-duplication is off.
+_NO_DUPLICATES: frozenset = frozenset()
 
 
 class LamsReceiver:
@@ -66,18 +81,19 @@ class LamsReceiver:
 
     __slots__ = (
         "sim", "config", "control_channel", "expected_rtt", "name",
-        "tracer", "deliver", "delivery_interval", "cp_index", "frontier",
+        "tracer", "deliver", "delivery_interval", "cp_index", "_frontier",
         "_next_expected_seq", "_error_log", "_resolving_log", "_running",
-        "_checkpoint_tick", "_incoming", "_drain_args", "_held",
-        "_receive_queue", "_draining", "_header_protected",
+        "_checkpoint_tick", "_incoming", "_drain_token", "_held",
+        "_depth", "_due", "_pending", "_next_settle",
+        "_stop_go_sink", "_stop_go_armed", "_header_protected",
         "_numbering_size", "_zero_duplication", "_rx_capacity",
         "_checkpoint_interval", "_cumulation_depth",
         "_flow_control_enabled", "_high_watermark", "_empty_cframe_bits",
         "_drain_bound", "_drain_delay_value", "_origin_retention_value",
         "_rxqueue_stat", "_rxqueue_stat_name", "_delivered_origins",
-        "_origin_prune_queue", "iframes_received", "iframes_corrupted",
-        "gap_losses_detected", "delivered", "discards",
-        "duplicates_suppressed", "checkpoints_sent", "enforced_sent",
+        "_origin_prune_queue", "_received", "_corrupted", "_gaps",
+        "_duplicates", "delivered", "discards",
+        "checkpoints_sent", "enforced_sent",
     )
 
     def __init__(
@@ -100,10 +116,14 @@ class LamsReceiver:
         # Explicit None check: callables with __len__ (e.g. DeliveryLog)
         # are falsy when empty and must not be replaced.
         self.deliver = deliver if deliver is not None else (lambda packet: None)
+        # The receive queue's recurrence must never plan a drain into the past.
+        if delivery_interval is not None and not 0 <= delivery_interval < _INF:
+            raise ValueError("delivery_interval must be non-negative and finite, "
+                             f"got {delivery_interval!r}")
         self.delivery_interval = delivery_interval
 
         self.cp_index = 0
-        self.frontier: Optional[int] = None
+        self._frontier: Optional[int] = None
         self._next_expected_seq: Optional[int] = None
         self._error_log: dict[int, ErrorEntry] = {}
         # Errors kept past cumulative expiry, for Enforced-NAK responses.
@@ -116,18 +136,33 @@ class LamsReceiver:
         # given one of the simulator's: its agenda, once made, carries
         # the drains.
         self._incoming: Optional[SimplexChannel] = None
-        # The arguments every drain is called with: the token of the live
-        # drain.  flush() gives its receiver a fresh one, so that a drain
-        # it overtook lapses.
-        self._drain_args = _SHARED_DRAIN_ARGS
+        # The token the live drains carry.  flush() and a replan give their
+        # receiver a fresh one, so that a drain they overtook lapses.
+        self._drain_token = _SHARED_DRAIN_TOKEN
         # The drains since the last payloads_delivered record, ``(times,
         # payloads)``, while the tracer is active; None when there are none.
         self._held: Optional[tuple[list, list]] = None
 
-        # Receive queue: frames waiting for per-frame processing. With no
-        # delivery_interval the queue drains at one frame per t_proc.
-        self._receive_queue: deque[Any] = deque()
-        self._draining = False
+        # Receive queue.  With no delivery_interval it drains at one frame
+        # per t_proc, so each payload's delivery is planned when it is
+        # known, as an item ``(when, sequence, _drain_one, (token,
+        # payload))``.  ``_due`` holds the items not yet replayed into
+        # ``_depth`` and the gauge by ``_settle``, oldest first; once
+        # settled, the first ``_depth`` of them are the queue proper (their
+        # payloads have arrived) and the rest are owed to pending arrivals.
+        self._depth = 0
+        self._due: deque[tuple] = deque()
+        # The run path (on_run): runs not yet fully arrived, each
+        # ``[times, frames, verdicts, first sequence, next position,
+        # positions zero-duplication suppresses]``,
+        # and the time of the earliest arrival or delivery not yet settled.
+        self._pending: list[list] = []
+        self._next_settle = _INF
+        # The co-located sender, whose piggybacked Stop-Go bits a run's
+        # frames carry (hear() sets it), and the heap entry that applies
+        # the next bit the sender will take, or None.
+        self._stop_go_sink: Any = None
+        self._stop_go_armed: Optional[tuple] = None
         # Per-frame constants hoisted out of the hot path (all fixed for
         # the lifetime of the endpoint).
         self._header_protected = config.header_protected
@@ -161,15 +196,16 @@ class LamsReceiver:
         # enforced-recovery horizon, so entries expire after a small
         # multiple of the resolving period — bounded memory.
         self._delivered_origins: dict[int, float] = {}
-        self._origin_prune_queue: deque[tuple[float, int]] = deque()
+        self._origin_prune_queue: deque[tuple[float, int, Optional[float]]] = deque()
 
-        # Statistics.
-        self.iframes_received = 0
-        self.iframes_corrupted = 0
-        self.gap_losses_detected = 0
+        # Statistics (the arrival counts are read through properties,
+        # which settle first).
+        self._received = 0
+        self._corrupted = 0
+        self._gaps = 0
         self.delivered = 0
         self.discards = 0
-        self.duplicates_suppressed = 0
+        self._duplicates = 0
         self.checkpoints_sent = 0
         self.enforced_sent = 0
 
@@ -185,6 +221,7 @@ class LamsReceiver:
 
     def stop(self) -> None:
         """Halt checkpoint emission (link teardown)."""
+        self._settle_due()
         self._release_delivered()
         self._running = False
         if self._checkpoint_tick is not None:
@@ -195,12 +232,34 @@ class LamsReceiver:
         return self._running
 
     def hear(self, channel: Any) -> None:
-        """Wire the channel I-frames arrive on (the pair factory calls this).
+        """Wire the channel I-frames arrive on (the pair factory calls this,
+        after ``link.attach``).
 
-        Only a simulator channel has an agenda for the drains to share.
+        Only a simulator channel has an agenda for the deliveries to
+        share.  The run path is wired when the channel's handler is a
+        LAMS-DLC endpoint's own ``on_frame``, whose receiver half this is,
+        and there is no receive-queue capacity: from then on, while the
+        channel's tracer is inactive, each I-frame run comes to
+        :meth:`on_run` whole, not through the handler.  Called again (after
+        the handler was swapped, say), it wires or unwires by the same test.
         """
-        if isinstance(channel, SimplexChannel):
-            self._incoming = channel
+        if not isinstance(channel, SimplexChannel):
+            return
+        self._incoming = channel
+        from .protocol import LamsDlcEndpoint
+
+        handler = channel.receiver
+        owner = getattr(handler, "__self__", None)
+        wired = (getattr(handler, "__func__", None) is LamsDlcEndpoint.on_frame
+                 and owner.receiver is self and self._rx_capacity is None)
+        if wired:
+            channel._run_sink = self
+            if self.config.piggyback_flow_control:
+                self._stop_go_sink = owner.sender
+        elif channel._run_sink is self:
+            self.hand_back()
+            channel._run_sink = None
+            self._stop_go_sink = None
 
     @property
     def resolving_retention(self) -> float:
@@ -211,61 +270,89 @@ class LamsReceiver:
         """
         return self.config.resolving_period(self.expected_rtt)
 
+    @property
+    def frontier(self) -> Optional[int]:
+        """The highest transmit index heard so far (None before any)."""
+        self._settle_due()
+        return self._frontier
+
+    @property
+    def iframes_received(self) -> int:
+        self._settle_due()
+        return self._received
+
+    @property
+    def iframes_corrupted(self) -> int:
+        self._settle_due()
+        return self._corrupted
+
+    @property
+    def gap_losses_detected(self) -> int:
+        self._settle_due()
+        return self._gaps
+
+    @property
+    def duplicates_suppressed(self) -> int:
+        self._settle_due()
+        return self._duplicates
+
     # -- frame input ----------------------------------------------------------
 
     def on_iframe(self, frame: IFrame, corrupted: bool) -> None:
-        """Handle an arriving I-frame (possibly corrupted)."""
-        self.iframes_received += 1
+        """Handle an arriving I-frame (possibly corrupted): the per-frame path."""
+        now = self.sim.now
+        if self._next_settle <= now:
+            self._settle()
+        if self._pending:
+            self._land_ahead(frame, corrupted)
+            return
+        self._received += 1
         if corrupted and not self._header_protected:
             # Header unreadable: an effective loss. A later frame's gap
             # or the sender's trailing-loss check will recover it.
-            self.iframes_corrupted += 1
+            self._corrupted += 1
             if self.tracer.active:
-                self.tracer.emit(self.sim.now, self.name, "iframe_header_lost")
+                self.tracer.emit(now, self.name, "iframe_header_lost")
             return
 
         seq = frame.seq
         # In-order arrival (the overwhelmingly common case) has no gap;
         # only jumps take the full modular-distance path.
         if seq != self._next_expected_seq:
-            self._detect_gap(seq)
+            self._detect_gap(seq, now)
         self._next_expected_seq = (seq + 1) % self._numbering_size
-        frontier = self.frontier
+        frontier = self._frontier
         if frontier is None or frame.transmit_index > frontier:
-            self.frontier = frame.transmit_index
+            self._frontier = frame.transmit_index
 
         if corrupted:
-            self.iframes_corrupted += 1
-            self._log_error(seq)
+            self._corrupted += 1
+            self._log_error(seq, now)
             if self.tracer.active:
-                self.tracer.emit(
-                    self.sim.now, self.name, "iframe_corrupted", seq=seq
-                )
+                self.tracer.emit(now, self.name, "iframe_corrupted", seq=seq)
             return
 
-        if self._zero_duplication and self._is_duplicate_incarnation(frame):
-            self.duplicates_suppressed += 1
-            if self.tracer.active:
-                self.tracer.emit(
-                    self.sim.now, self.name, "duplicate_suppressed",
-                    origin=frame.effective_origin,
-                )
-            return
+        if self._zero_duplication:
+            self._prune_origins(now)
+            if self._is_duplicate_incarnation(frame, now):
+                self._duplicates += 1
+                if self.tracer.active:
+                    self.tracer.emit(now, self.name, "duplicate_suppressed",
+                                     origin=frame.effective_origin)
+                return
 
         # Into the receive queue (inline: once per valid frame).
-        queue = self._receive_queue
+        depth = self._depth
         capacity = self._rx_capacity
-        if capacity is not None and len(queue) >= capacity:
+        if capacity is not None and depth >= capacity:
             # Overflow: discard, but log as erroneous so the cumulative
             # NAK triggers a retransmission — zero loss is preserved.
             self.discards += 1
-            self._log_error(seq)
+            self._log_error(seq, now)
             if self.tracer.active:
-                self.tracer.emit(self.sim.now, self.name, "overflow_discard", seq=seq)
+                self.tracer.emit(now, self.name, "overflow_discard", seq=seq)
             return
-        queue.append(frame.payload)
-        depth = len(queue)
-        now = self.sim.now
+        self._depth = depth = depth + 1
         stat = self._rxqueue_stat
         if stat is None:
             stat = self._rxqueue_stat = self.tracer.level_stat(
@@ -275,33 +362,374 @@ class LamsReceiver:
         if self.tracer.active and depth > stat.maximum:
             self.tracer.emit(now, self.name, "rxqueue_peak", depth=depth)
         stat.update(now, depth)
-        if not self._draining:
-            self._draining = True
-            self._schedule_drain(now + self._drain_delay_value)
+        due = self._due
+        last = due[-1][0] if due else now
+        self._schedule_drain((last if last > now else now) + self._drain_delay_value,
+                             frame.payload)
+
+    def on_run(self, times: Sequence[float], frames: Sequence[IFrame],
+               verdicts: Sequence[bool]) -> None:
+        """Take a decided run of I-frames, frame ``k`` landing at
+        ``times[k]`` (nondecreasing, none before now) and corrupted when
+        ``verdicts[k]``: the run path.
+
+        The run waits as pending arrivals, numbered as their arrival items
+        would have been; each clean frame's delivery is planned now as one
+        agenda item, ``d = max(a, d_prev) + t_proc`` (``delivery_interval``
+        in its place), the instant its per-frame drain would have had.
+        """
+        sim = self.sim
+        first = sim._sequence + 1
+        sim._sequence = first + len(times) - 1
+        run = [times, frames, verdicts, first, 0, _NO_DUPLICATES]
+        self._pending.append(run)
+        # The Stop-Go item first: it is due before the deliveries, so
+        # the agenda's carrier serves both.
+        if self._stop_go_sink is not None and self._stop_go_armed is None:
+            self._arm_stop_go(run=run)
+        self._take(run)
+        # Whatever reads the trace's statistics as complete settles first.
+        self.tracer.hold(self._settle)
+
+    def _take(self, run: list) -> None:
+        """Plan the deliveries of *run*'s frames still to land, behind
+        every delivery already owed."""
+        times, frames, verdicts, _, k, _ = run
+        skip = verdicts  # the frames that will not be queued
+        if self._zero_duplication:
+            run[5] = duplicates = self._project_duplicates(run)
+            skip = [corrupted or position in duplicates
+                    for position, corrupted in enumerate(verdicts)]
+        if k:
+            times, frames, skip = times[k:], frames[k:], skip[k:]
+        if times[0] < self._next_settle:
+            self._next_settle = times[0]
+        sim = self.sim
+        sequence = sim._sequence
+        due = self._due
+        plan = due.append
+        last = due[-1][0] if due else -_INF
+        interval = self._drain_delay_value
+        bound = self._drain_bound
+        token = self._drain_token
+        agenda = self._incoming._agenda
+        lane = agenda.lanes[1] if agenda is not None else None
+        tail = lane[-1][0] if lane else _INF if lane is None else -_INF
+        lead = None
+        for arrival, frame, skipped in zip(times, frames, skip):
+            if not skipped:
+                last = (arrival if arrival > last else last) + interval
+                sequence += 1
+                item = (last, sequence, bound, (token, frame.payload))
+                plan(item)
+                if last < tail:  # no agenda, or behind an item that lapsed
+                    heappush(sim._heap, item)
+                else:
+                    lane.append(item)
+                    if lead is None:
+                        lead = item
+        sim._sequence = sequence
+        if lead is not None:
+            agenda.added(lead[0], lead[1])
+
+    def _project_duplicates(self, run: list) -> set:
+        """The positions of *run*'s clean frames still to land that
+        zero-duplication will suppress, each tested at its own arrival
+        (every earlier arrival's origin is already recorded: the channel
+        is FIFO)."""
+        times, frames, verdicts, _, k, _ = run
+        self._prune_origins(self.sim.now)
+        return {position for position in range(k, len(times))
+                if not verdicts[position]
+                and self._is_duplicate_incarnation(frames[position], times[position])}
+
+    def _settle_due(self) -> None:
+        """Settle, if an arrival or a delivery made is due by now."""
+        if self._next_settle <= self.sim.now:
+            self._settle()
+
+    def _settle(self) -> None:
+        """Replay, in ``(time, sequence)`` order, what precedes the running
+        entry and is not yet applied: each pending arrival — sequence and
+        gap tracking, the frontier, the error log, the queue — and each
+        delivery already made, with the ``rxqueue`` gauge stepped at every
+        one of them, as the per-frame path steps it."""
+        sim = self.sim
+        now = sim.now
+        order = sim._order
+        due = self._due
+        depth = self._depth
+        # TimeWeightedStat.update's arithmetic, on locals; the gauge is
+        # made at the first payload queued, as the per-frame path makes it.
+        stat = self._rxqueue_stat
+        if stat is not None:
+            area, last, level, maximum = (
+                stat._area, stat._last_time, stat._level, stat.maximum)
+        pending = self._pending
+        if pending:
+            tracer = self.tracer
+            traced = tracer.active
+            expected = self._next_expected_seq
+            frontier = self._frontier
+            modulus = self._numbering_size
+            while pending:
+                run = pending[0]
+                times, frames, verdicts, first, k, duplicates = run
+                start, count = k, len(times)
+                while k < count:
+                    arrival = times[k]
+                    if arrival >= now and (arrival > now or first + k > order):
+                        break
+                    while due:  # the deliveries made before this arrival
+                        item = due[0]
+                        when = item[0]
+                        if when >= arrival and (when > arrival or item[1] > first + k):
+                            break
+                        due.popleft()
+                        depth -= 1
+                        if when < last:
+                            stat.update(when, depth)  # raises: time went backwards
+                        area += level * (when - last)
+                        last = when
+                        level = depth
+                    frame = frames[k]
+                    corrupted = verdicts[k]
+                    k += 1
+                    if corrupted and not self._header_protected:
+                        self._corrupted += 1
+                        if traced:
+                            tracer.emit(arrival, self.name, "iframe_header_lost")
+                        continue
+                    seq = frame.seq
+                    if seq != expected:
+                        self._next_expected_seq = expected
+                        self._detect_gap(seq, arrival)
+                    expected = (seq + 1) % modulus
+                    index = frame.transmit_index
+                    if frontier is None or index > frontier:
+                        frontier = index
+                    if corrupted:
+                        self._corrupted += 1
+                        self._log_error(seq, arrival)
+                        if traced:
+                            tracer.emit(arrival, self.name, "iframe_corrupted", seq=seq)
+                        continue
+                    if duplicates and k - 1 in duplicates:
+                        self._duplicates += 1
+                        if traced:
+                            tracer.emit(arrival, self.name, "duplicate_suppressed",
+                                        origin=frame.effective_origin)
+                        continue
+                    depth += 1
+                    if stat is None:
+                        stat = self._rxqueue_stat = tracer.level_stat(
+                            self._rxqueue_stat_name, start_time=arrival)
+                        area, last, level, maximum = (
+                            stat._area, stat._last_time, stat._level, stat.maximum)
+                    if traced and depth > maximum:
+                        tracer.emit(arrival, self.name, "rxqueue_peak", depth=depth)
+                    if arrival < last:
+                        stat.update(arrival, depth)  # raises: time went backwards
+                    if level:  # an empty queue's step adds +0.0: skip it
+                        area += level * (arrival - last)
+                    last = arrival
+                    level = depth
+                    if depth > maximum:
+                        maximum = depth
+                self._received += k - start
+                if k < count:
+                    run[4] = k
+                    break
+                del pending[0]
+            self._next_expected_seq = expected
+            self._frontier = frontier
+        while due:  # the deliveries made since the last arrival
+            item = due[0]
+            when = item[0]
+            if when > now or (when == now and item[1] > order):
+                break
+            due.popleft()
+            depth -= 1
+            if when < last:
+                stat.update(when, depth)  # raises: time went backwards
+            area += level * (when - last)
+            last = when
+            level = depth
+        if stat is not None:
+            stat._area = area
+            stat._last_time = last
+            stat._level = level
+            stat.maximum = maximum
+        self._depth = depth
+        # The first arrival or delivery not yet settled.
+        when = due[0][0] if due else _INF
+        if pending:
+            run = pending[0]
+            arrival = run[0][run[4]]
+            if arrival < when:
+                when = arrival
+        self._next_settle = when
+
+    def _unplan(self) -> list:
+        """Set the pending runs aside, once settled: forget the origins they
+        recorded ahead and the deliveries owed for them (the queued
+        payloads' stay).  Returns them."""
+        pending = self._pending
+        runs = list(pending)
+        if self._zero_duplication:
+            queue = self._origin_prune_queue
+            origins = self._delivered_origins
+            for _ in range(sum(not verdicts[position] and position not in duplicates
+                               for _, _, verdicts, _, k, duplicates in runs
+                               for position in range(k, len(verdicts)))):
+                _, origin, seen = queue.pop()
+                if seen is None:
+                    del origins[origin]
+                else:
+                    origins[origin] = seen
+        pending.clear()
+        due = self._due
+        for _ in range(len(due) - self._depth):
+            due.pop()
+        return runs
+
+    def _replan(self, runs: Sequence[list] = ()) -> None:
+        """Owe every delivery afresh, the pending runs set aside: a new
+        token, so the items already made lapse; the queued payloads' items
+        made again at their times; then *runs* taken again."""
+        self._drain_token = object()
+        due = self._due
+        owed = [(item[0], item[3][1]) for item in due]
+        due.clear()
+        for when, payload in owed:
+            self._schedule_drain(when, payload)
+        self._next_settle = due[0][0] if due else _INF
+        for run in runs:
+            self._pending.append(run)
+            self._take(run)
+
+    def _land_ahead(self, frame: IFrame, corrupted: bool) -> None:
+        """A frame landing the per-frame way ahead of runs taken whole
+        (decided while it was in flight): set the runs aside, take the
+        frame, then put the runs back behind it — as planned when its
+        delivery comes before their first arrival, else planned afresh."""
+        queued = self._depth
+        due = self._due
+        tail = [due.pop() for _ in range(len(due) - queued)]
+        runs = self._unplan()
+        self.on_iframe(frame, corrupted)
+        ahead = due[-1][0] if self._depth > queued else -_INF
+        first = next((times[position] for times, _, verdicts, _, k, duplicates in runs
+                      for position in range(k, len(times))
+                      if not verdicts[position] and position not in duplicates), _INF)
+        if self._zero_duplication or ahead > first:
+            self._replan(runs)
+            return
+        due.extend(reversed(tail))
+        self._pending.extend(runs)
+        run = runs[0]
+        self._next_settle = min(self._next_settle, run[0][run[4]])
+
+    def hand_back(self) -> None:
+        """The channel goes down, or ``hear`` unwires the run path: settle,
+        then hand the arrivals still in flight back to the channel as
+        per-frame arrivals, the items they would have been, which meet the
+        channel's state (and handler) as they land."""
+        self._settle_due()
+        if not self._pending:
+            return
+        channel = self._incoming
+        deliver = channel._deliver
+        items = [(times[position], first + position, deliver,
+                  (frames[position], verdicts[position]))
+                 for times, frames, verdicts, first, k, _ in self._unplan()
+                 for position in range(k, len(times))]
+        agenda = channel._agenda
+        armed = self._stop_go_armed
+        if armed is not None:
+            # Its arrival's item takes its place, with its number.
+            self._stop_go_armed = None
+            agenda.lanes[0].remove(armed)
+        agenda.insert(agenda.lanes[0], items)
+        self._replan()
+
+    # -- piggybacked Stop-Go on the run path ----------------------------------------
+
+    def _arm_stop_go(self, run: Optional[list] = None) -> None:
+        """Find the next pending arrival whose piggybacked Stop-Go bit the
+        sender will apply — its readable header landing a checkpoint
+        interval after the last one applied — and put the application at
+        that arrival's own ``(time, sequence)``, an item among the
+        channel's arrivals.  Searches *run* only when
+        given (nothing before it qualified against the same last one)."""
+        sender = self._stop_go_sink
+        if sender.failed:
+            return
+        last = sender._last_piggyback_applied
+        interval = self._checkpoint_interval
+        header_protected = self._header_protected
+        for candidate in (run,) if run is not None else self._pending:
+            times, frames, verdicts, first, k, _ = candidate
+            if times[-1] - last < interval:
+                continue  # arrivals are monotone: none of this run's qualifies
+            for position in range(k, len(times)):
+                if times[position] - last < interval:
+                    continue
+                if verdicts[position] and not header_protected:
+                    continue
+                self._stop_go_armed = entry = (
+                    times[position], first + position, self._apply_stop_go,
+                    (candidate, position))
+                agenda = self._incoming._agenda
+                agenda.insert(agenda.lanes[0], [entry])
+                return
+
+    def _apply_stop_go(self, run: list, position: int) -> None:
+        """At arrival *position* of *run*: apply its frame's Stop-Go bit
+        after its arrival, as ``LamsDlcEndpoint.on_frame`` does."""
+        self._stop_go_armed = None
+        self._settle_due()
+        self._stop_go_sink.note_piggyback_stop_go(run[1][position].stop_go)
+        if self._pending:
+            self._arm_stop_go()
 
     # -- zero-duplication extension -----------------------------------------------
 
-    def _is_duplicate_incarnation(self, frame: IFrame) -> bool:
-        """Record-and-test the frame's stable incarnation identity."""
-        now = self.sim.now
-        horizon = now - self._origin_retention_value
-        while self._origin_prune_queue and self._origin_prune_queue[0][0] < horizon:
-            _, stale = self._origin_prune_queue.popleft()
-            self._delivered_origins.pop(stale, None)
+    def _is_duplicate_incarnation(self, frame: IFrame, now: float) -> bool:
+        """Record-and-test the frame's stable incarnation identity at *now*,
+        its arrival: a duplicate when the same origin was delivered no
+        longer than the retention before.  The run path tests a run's
+        frames when it takes the run, in arrival order, each at its own
+        arrival; ``_prune_origins`` forgets only what no later arrival
+        can match."""
         # Inlined IFrame.effective_origin (property call per frame).
         origin = frame.origin
         if origin < 0:
             origin = frame.transmit_index
-        if origin in self._delivered_origins:
+        origins = self._delivered_origins
+        seen = origins.get(origin)
+        if seen is not None and seen >= now - self._origin_retention_value:
             return True
-        self._delivered_origins[origin] = now
-        self._origin_prune_queue.append((now, origin))
+        origins[origin] = now
+        # What it replaced, for hand_back() to put back.
+        self._origin_prune_queue.append((now, origin, seen))
         return False
+
+    def _prune_origins(self, now: float) -> None:
+        """Forget the origins delivered more than the retention before *now*."""
+        horizon = now - self._origin_retention_value
+        queue = self._origin_prune_queue
+        origins = self._delivered_origins
+        while queue and queue[0][0] < horizon:
+            when, origin, _ = queue.popleft()
+            if origins.get(origin) == when:
+                del origins[origin]
 
     def on_request_nak(self, frame: RequestNakFrame, corrupted: bool) -> None:
         """Answer a (valid) Request-NAK immediately with an Enforced-NAK."""
         if not self._running:
             return  # a dead receiver answers nothing
+        self._settle_due()
         if corrupted:
             # An unreadable probe; the sender's failure timer covers this.
             self.tracer.emit(self.sim.now, self.name, "request_nak_corrupted")
@@ -313,7 +741,7 @@ class LamsReceiver:
 
     # -- gap / error logging -----------------------------------------------------
 
-    def _detect_gap(self, seq: int) -> None:
+    def _detect_gap(self, seq: int, now: float) -> None:
         """Log losses revealed by a jump in the (sequential) numbering.
 
         LAMS-DLC issues sequence numbers in transmit order (including
@@ -333,21 +761,19 @@ class LamsReceiver:
         start = 0 if self._next_expected_seq is None else self._next_expected_seq
         for offset in range(gap):
             lost = (start + offset) % self._numbering_size
-            self._log_error(lost)
-        self.gap_losses_detected += gap
+            self._log_error(lost, now)
+        self._gaps += gap
         if self.tracer.active:
-            self.tracer.emit(
-                self.sim.now, self.name, "gap_detected", count=gap, upto=seq
-            )
+            self.tracer.emit(now, self.name, "gap_detected", count=gap, upto=seq)
 
-    def _log_error(self, seq: int) -> None:
+    def _log_error(self, seq: int, now: float) -> None:
         if seq in self._error_log:
             return
-        entry = ErrorEntry(seq=seq, detect_time=self.sim.now)
+        entry = ErrorEntry(seq=seq, detect_time=now)
         self._error_log[seq] = entry
         self._resolving_log.append(entry)
         if self.tracer.active:
-            self.tracer.emit(self.sim.now, self.name, "error_logged", seq=seq)
+            self.tracer.emit(now, self.name, "error_logged", seq=seq)
 
     def _resolving_period_errors(self) -> tuple[int, ...]:
         """All distinct error seqs logged within the resolving period."""
@@ -359,6 +785,7 @@ class LamsReceiver:
     # -- checkpoint emission ---------------------------------------------------------
 
     def _emit_periodic_checkpoint(self) -> None:
+        self._settle_due()
         self._send_checkpoint(self._cumulative_naks(), enforced=False)
 
     def _cumulative_naks(self) -> tuple[int, ...]:
@@ -382,7 +809,7 @@ class LamsReceiver:
         index = self.cp_index
         now = self.sim.now
         frame = CheckpointFrame(
-            index, now, naks, self.frontier, enforced, stop_go,
+            index, now, naks, self._frontier, enforced, stop_go,
             self.config.cframe_bits(len(naks)) if naks else self._empty_cframe_bits,
         )
         self.cp_index = index + 1
@@ -407,47 +834,51 @@ class LamsReceiver:
         """
         if not self._flow_control_enabled:
             return False
-        return len(self._receive_queue) >= self._high_watermark
+        self._settle_due()
+        return self._depth >= self._high_watermark
 
-    def _schedule_drain(self, when: float) -> None:
-        """Drain one frame at *when*: on lane 1 of the incoming channel's
-        agenda once it has one, else as a heap entry of its own (inlined
-        ``sim.schedule``)."""
+    def _schedule_drain(self, when: float, payload: Any) -> None:
+        """Owe *payload*'s delivery at *when*: an item on lane 1 of the
+        incoming channel's agenda once it has one — unless an item there
+        that lapsed is later — else a heap entry of its own."""
+        sim = self.sim
+        sim._sequence = sequence = sim._sequence + 1
+        item = (when, sequence, self._drain_bound, (self._drain_token, payload))
+        self._due.append(item)
         incoming = self._incoming
         agenda = incoming._agenda if incoming is not None else None
         if agenda is not None:
-            agenda.add(agenda.lanes[1], when, self._drain_bound, self._drain_args)
-            return
-        sim = self.sim
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (when, sequence, self._drain_bound, self._drain_args))
+            lane = agenda.lanes[1]
+            if not lane or lane[-1][0] <= when:
+                lane.append(item)
+                agenda.added(when, sequence)
+                return
+        heappush(sim._heap, item)
 
-    def _drain_one(self, token: object) -> None:
-        if token is not self._drain_args[0]:
-            return  # overtaken by flush()
-        queue = self._receive_queue
-        packet = queue.popleft()
-        now = self.sim.now
-        # Queue-depth statistic, inline (once per delivered frame).
-        stat = self._rxqueue_stat
-        if stat is None:
-            stat = self._rxqueue_stat = self.tracer.level_stat(
-                self._rxqueue_stat_name, start_time=now
-            )
-        stat.update(now, len(queue))
+    def _drain_one(self, token: object, packet: Any) -> None:
+        """One planned delivery: *packet*, the oldest payload owed, goes up."""
+        if token is not self._drain_token:
+            return  # overtaken by flush() or a replan
+        due = self._due
+        sim = self.sim
+        if not self._pending and due and due[0][1] == sim._order:
+            # Nothing before it left to settle: step the gauge now, as
+            # _settle would (the per-frame path's every delivery).
+            due.popleft()
+            self._depth = depth = self._depth - 1
+            self._rxqueue_stat.update(sim.now, depth)
+        elif self._next_settle > sim.now:
+            self._next_settle = sim.now  # what reads the queue replays it
         self.delivered += 1
-        if self.tracer.active:
+        tracer = self.tracer
+        if tracer.active:
             held = self._held
             if held is None:
                 held = self._held = ([], [])
-                self.tracer.hold(self._release_delivered)
-            held[0].append(now)
+                tracer.hold(self._release_delivered)
+            held[0].append(sim.now)
             held[1].append(packet)
         self.deliver(packet)
-        if not queue:
-            self._draining = False
-        elif self._draining:  # not when flush() is the caller
-            self._schedule_drain(self.sim.now + self._drain_delay_value)
 
     def _release_delivered(self) -> None:
         """Emit the drains held since the last record as one
@@ -461,12 +892,14 @@ class LamsReceiver:
 
     @property
     def receive_queue_length(self) -> int:
-        return len(self._receive_queue)
+        self._settle_due()
+        return self._depth
 
     def queued_payloads(self) -> list[Any]:
         """Payloads accepted but not yet drained upward (zero-loss ledger:
         these count as held, not lost, at end of run)."""
-        return list(self._receive_queue)
+        self._settle_due()
+        return [item[3][1] for item in islice(self._due, self._depth)]
 
     def flush(self) -> int:
         """Deliver every queued payload upward immediately; returns count.
@@ -477,12 +910,18 @@ class LamsReceiver:
         Graceful-teardown paths (session supervisor recycling an
         endpoint generation) call this before dropping the receiver.
         """
-        queue = self._receive_queue
-        count = len(queue)
-        self._draining = False
-        self._drain_args = args = (object(),)  # a pending drain lapses
-        while queue:
-            self._drain_one(*args)
+        self._settle_due()
+        count = self._depth
+        self._drain_token = token = object()  # their drains lapse
+        due = self._due
+        stat = self._rxqueue_stat
+        now = self.sim.now
+        for _ in range(count):
+            item = due.popleft()
+            self._depth -= 1
+            stat.update(now, self._depth)
+            self._drain_one(token, item[3][1])
+        self._replan(self._unplan())  # what lands later meets an empty queue
         self._release_delivered()
         return count
 

@@ -47,7 +47,10 @@ names ``Timer._surfaced`` (fire, re-push at the reserved ``(deadline,
 sequence)``, or lapse) or ``Agenda._surfaced``, a shared entry the
 runner.  A loop also keeps ``_horizon``, the latest time an agenda may
 run an item inline: :meth:`Simulator.run` sets it to *until* (+inf
-without one).  A clock that is not this engine subclasses
+without one); and ``_order``, the sequence number of the entry it is
+running (an agenda sets its items' own), which a receiver settling
+arrivals lazily compares with — :meth:`Simulator.run` leaves it "after
+everything" between runs.  A clock that is not this engine subclasses
 :class:`Simulator` (as :class:`repro.transport.clock.AsyncioClock`
 does); the asyncio clock's horizon is -inf, since its pump dispatches by
 wall time, so there every agenda item is an entry of its own.
@@ -95,6 +98,8 @@ from typing import Any, Callable, Optional
 __all__ = ["Agenda", "Simulator", "Timer", "SimulationError", "engine_backend"]
 
 _INF = float("inf")
+# ``Simulator._order`` outside a dispatch: after every number taken so far.
+_AFTER = 1 << 62
 
 
 class SimulationError(Exception):
@@ -300,6 +305,25 @@ class Agenda:
         if when < self._armed:
             self._carry(when, sequence)
 
+    def insert(self, lane: deque, items: list) -> None:
+        """Merge *items* — entries numbered earlier, in ``(time, sequence)``
+        order — into *lane*, carrying the first if it now leads (and no
+        carrier of its number is in the heap already)."""
+        lead = None
+        for other in self.lanes:
+            if other and (lead is None or other[0] < lead):
+                lead = other[0]
+        if not lane or lane[-1] < items[0]:
+            lane.extend(items)
+        else:
+            merged = sorted((*lane, *items))
+            lane.clear()
+            lane.extend(merged)
+        first = items[0]
+        if (self._armed != -_INF and (lead is None or first < lead)
+                and first[1] not in self._carried):
+            self._carry(first[0], first[1])
+
     def _carry(self, when: float, sequence: int) -> None:
         self._armed = when
         self._carried.add(sequence)
@@ -321,6 +345,7 @@ class Agenda:
             item = head.popleft()  # the carrier's own: due, whatever the horizon
             self._carried.discard(item[1])
             sim.now = item[0]
+            sim._order = item[1]
             item[2](*item[3])
             while not sim._stopped:
                 item = None
@@ -340,6 +365,7 @@ class Agenda:
                         break
                 head.popleft()
                 sim.now = when
+                sim._order = item[1]
                 item[2](*item[3])
         finally:
             self._rearm()
@@ -376,6 +402,10 @@ class Simulator:
         self._stopped = False
         # The running loop's horizon: an agenda runs nothing inline past it.
         self._horizon = _INF
+        # The sequence number of the entry or agenda item being run (a
+        # shared entry's for each of its calls); _AFTER between runs.
+        # What settles lazily (LamsReceiver._settle) compares with it.
+        self._order = _AFTER
         self.event_count = 0
         # Armed rounds by (next deadline, interval); see every().
         self._rounds: dict[tuple[float, float], _Round] = {}
@@ -535,8 +565,10 @@ class Simulator:
                     # once per run call) and stop at exactly *until*.
                     push(heap, entry)
                     self.now = until
+                    self._order = _AFTER
                     return until
                 self.now = when
+                self._order = entry[1]
                 entry[2](*entry[3])
                 processed += 1
                 if processed >= limit:
@@ -545,6 +577,8 @@ class Simulator:
                     )
         finally:
             self.event_count += processed
+        if not self._stopped:
+            self._order = _AFTER
         if bounded and self.now < until and not self._stopped:
             self.now = until
         return self.now

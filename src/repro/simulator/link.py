@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heappush
-from itertools import islice
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
 from .engine import Agenda, Simulator
@@ -77,6 +76,10 @@ class SimplexChannel:
     # positions lost)``; its frames_delivered record waits for its last
     # frame.  None until the first.
     _held: Optional[deque] = None
+    # The receiver whose ``hear`` wired its run path: while the tracer is
+    # inactive, an I-frame run is handed to its ``on_run`` whole
+    # (docs/TUNING.md §10).  None: every arrival is an item of its own.
+    _run_sink: Any = None
 
     def __init__(
         self,
@@ -172,6 +175,9 @@ class SimplexChannel:
     def down(self) -> None:
         """Cut the channel: queued/in-flight sends from now on are lost."""
         self.settle()
+        sink = self._run_sink
+        if sink is not None:
+            sink.hand_back()
         self._is_up = False
 
     def up(self) -> None:
@@ -348,71 +354,80 @@ class SimplexChannel:
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
-            deliver = self._deliver_traced if self.tracer.active else self._deliver
-            # A single I-frame (a retransmission, say) joins the agenda
-            # its channel's runs made; a single control frame keeps the
-            # per-instant batching push, which it shares with the
-            # checkpoints of other links sent at the same instant.
+            traced = self.tracer.active
+            # A single I-frame (a retransmission, say) on a channel whose
+            # runs made an agenda is a run of one for a wired receiver, or
+            # joins that agenda; otherwise, and for a single control
+            # frame, it keeps the per-instant batching push, which it
+            # shares with the checkpoints of other links sent at the same
+            # instant.
+            deliver = self._deliver_traced if traced else self._deliver
             agenda = self._agenda
             if agenda is None or first.is_control:
                 sim.push(arrival, deliver, (first, corrupted))
-            else:
-                agenda.add(agenda.lanes[0], arrival, deliver, (first, corrupted))
+                return
+            sink = self._run_sink
+            if sink is not None and not traced:
+                sink.on_run((arrival,), (first,), (corrupted,))
+                return
+            agenda.add(agenda.lanes[0], arrival, deliver, (first, corrupted))
             return
+        # Frame k starts where frame k-1 ended, and lands a delay later,
+        # clamped so that frames cannot overtake.
         starts = []
         sizes = []
+        times = []
+        busy = self.busy_seconds
+        last_arrival = self._last_arrival
         cursor = start
         for frame in frames:
             bits = frame.size_bits
             starts.append(cursor)
             sizes.append(bits)
-            cursor += bits / bit_rate
+            tx_time = bits / bit_rate
+            busy += tx_time
+            delay = fixed_delay
+            if delay is None:
+                delay = self.propagation_delay(cursor)
+            cursor += tx_time
+            arrival = cursor + delay
+            if arrival < last_arrival:
+                arrival = last_arrival
+            last_arrival = arrival
+            times.append(arrival)
         bulk = getattr(model, "draw_window", None)
         if bulk is not None:
             verdicts = bulk(starts, sizes, rng)
         else:
             verdicts = scalar_draw_window(model, starts, sizes, rng)
         self.frames_sent += len(frames)
-        busy = self.busy_seconds
-        last_arrival = self._last_arrival
-        # Each arrival is the item one push would have made, numbered as
-        # that push would have been; it never precedes now — delays are
-        # non-negative and a run ends before its first frame lands.
+        self.frames_corrupted += sum(map(bool, verdicts))
+        self.busy_seconds = busy
+        self._last_arrival = last_arrival
         agenda = self._agenda
         if agenda is None:
             agenda = self._agenda = Agenda(sim)
+        traced = self.tracer.active
+        sink = self._run_sink
+        if sink is not None and not traced and not first.is_control:
+            sink.on_run(times, frames, verdicts)
+            return
+        # Each arrival is the item one push would have made, numbered as
+        # that push would have been; it never precedes now — delays are
+        # non-negative and a run ends before its first frame lands.
         arrivals = agenda.lanes[0]
         append = arrivals.append
         sequence = sim._sequence
         deliver = self._deliver
-        end = start
-        for frame, corrupted in zip(frames, verdicts):
-            tx_time = frame.size_bits / bit_rate
-            busy += tx_time
-            if corrupted:
-                self.frames_corrupted += 1
-            delay = fixed_delay
-            if delay is None:
-                delay = self.propagation_delay(end)  # end of the previous = this start
-            end += tx_time
-            arrival = end + delay
-            # Frames cannot overtake: clamp to monotone arrival order.
-            if arrival < last_arrival:
-                arrival = last_arrival
-            last_arrival = arrival
+        for arrival, frame, corrupted in zip(times, frames, verdicts):
             sequence += 1
             append((arrival, sequence, deliver, (frame, corrupted)))
+        agenda.added(times[0], sim._sequence + 1)
         sim._sequence = sequence
-        self.busy_seconds = busy
-        self._last_arrival = last_arrival
-        count = len(frames)
-        agenda.added(arrivals[-count][0], sequence - count + 1)
-        if self.tracer.active:
+        if traced:
             # The run's record is held until its last frame lands.
             last = arrivals[-1]
             arrivals[-1] = (last[0], sequence, self._deliver_last, last[3])
-            times = [item[0] for item in islice(reversed(arrivals), count)]
-            times.reverse()
             held = self._held
             if held is None:
                 held = self._held = deque()

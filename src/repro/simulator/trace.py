@@ -463,9 +463,10 @@ class Tracer:
             listener(record)
 
     def hold(self, release: Callable[[], None]) -> None:
-        """Note that an emitter holds records back: :meth:`settle` calls
-        *release*, which emits what it holds (and holds again if some of
-        it is not due yet)."""
+        """Note that an emitter holds records back, or a receiver arrivals
+        it has not applied yet: :meth:`settle` calls *release*, which
+        emits or applies what it holds (and holds again if some of it is
+        not due yet)."""
         holders = self._holders
         if holders is None:
             holders = self._holders = {}
@@ -474,9 +475,10 @@ class Tracer:
     def settle(self) -> None:
         """Emit every record held back so far, each holder in the order it
         first held.  Anything that reads the trace as complete calls it
-        first: :meth:`timeline`, ``MonitorSuite.finalize``, and whoever
-        emits ``backlog_reclaimed`` (a delivery still held there would
-        reach the zero-loss ledger after the reclaim it preceded)."""
+        first: :meth:`timeline`, :meth:`summary`, ``MonitorSuite.finalize``,
+        and whoever emits ``backlog_reclaimed`` (a delivery still held
+        there would reach the zero-loss ledger after the reclaim it
+        preceded)."""
         holders = self._holders
         if holders:
             self._holders = None
@@ -541,7 +543,9 @@ class Tracer:
         return counter.value if counter else 0
 
     def summary(self) -> dict[str, Any]:
-        """All metrics as one flat dictionary (for reports and tests)."""
+        """All metrics as one flat dictionary (for reports and tests),
+        settled first."""
+        self.settle()
         result: dict[str, Any] = {}
         for name, counter in sorted(self.counters.items()):
             result[name] = counter.value

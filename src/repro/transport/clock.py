@@ -99,6 +99,7 @@ class AsyncioClock(Simulator):
                 when = entry[0]
                 if when > self.now:
                     self.now = when
+                self._order = entry[1]
                 entry[2](*entry[3])
                 processed += 1
             # Snap to wall time so externally triggered work (frame

@@ -46,3 +46,7 @@ class ReferenceAgenda:
 
     def added(self, when: float, sequence: int) -> None:
         pass
+
+    def insert(self, lane: _PushLane, items: list) -> None:
+        for item in items:
+            lane.append(item)

@@ -125,6 +125,7 @@ class TestCumulativeNak:
             original(frame, corrupted)
 
         link.forward.attach_receiver(intercept)
+        b.receiver.hear(link.forward)  # unwires the run path: intercept sees every I-frame
         for i in range(100):
             a.accept(("pkt", i))
         sim.run(until=2.0)

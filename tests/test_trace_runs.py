@@ -239,7 +239,7 @@ def stressed_receiver(bounds):
     def traced(frame, corrupted):
         on_frame(frame, corrupted)  # the depth only grows by enqueueing
         if type(frame) is IFrame:
-            depths.append((setup.sim.now, len(receiver._receive_queue)))
+            depths.append((setup.sim.now, receiver.receive_queue_length))
 
     channel.receiver = traced  # the handler B's receiver hears I-frames through
     FiniteBatch(setup.sim, setup.endpoint_a, 3000).start()
@@ -399,6 +399,7 @@ def test_a_listener_attached_mid_run_sees_every_run_decided_after_it():
     heard, split = [], Split()
     receiver = channel.receiver
     channel.receiver = lambda frame, corrupted: (heard.append(sim.now), receiver(frame, corrupted))
+    setup.endpoint_b.receiver.hear(channel)  # unwires the run path: every frame is heard
     assert not setup.tracer.active
     FiniteBatch(sim, setup.endpoint_a, 2000).start()
     setup.run(until=0.0101234)
@@ -479,3 +480,29 @@ def test_a_duplicate_is_reported_at_its_own_delivery_time():
     [violation] = suite.violations
     assert (violation.time, violation.detail["payload"]) == (0.3, b"a")
     assert violation.trace_window[-1].split()[:3] == ["0.100000", "b", "payloads_delivered"]
+
+
+def test_a_checkpoint_record_follows_the_drains_before_it():
+    """The receiver's held drains go out just ahead of its next
+    ``checkpoint_sent``: at every checkpoint record, each payload
+    delivered before the checkpoint's instant has already been recorded."""
+    tracer = Tracer()
+    setup = build_simulation(preset("nominal"), "lams", seed=7, tracer=tracer)
+    sim, receiver = setup.sim, setup.endpoint_b.receiver
+    deliveries, recorded, checked = [], [], []
+    deliver = receiver.deliver
+    receiver.deliver = lambda packet: (deliveries.append(sim.now), deliver(packet))
+
+    def listen(record):
+        if record.source != receiver.name:
+            return
+        if record.event == "payloads_delivered":
+            recorded.extend(record.detail["times"])
+        elif record.event == "checkpoint_sent":
+            due = sum(1 for when in deliveries if when < record.time)
+            checked.append((due, len(recorded) >= due))
+
+    tracer.listeners.append(listen)
+    FiniteBatch(sim, setup.endpoint_a, 600).start()
+    setup.run(until=0.06)
+    assert all(ok for _, ok in checked) and sum(due > 0 for due, _ in checked) > 5
