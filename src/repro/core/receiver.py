@@ -19,15 +19,16 @@ Responsibilities, straight from the protocol description:
 The receiver sends checkpoint commands for as long as it is running,
 "so long as the link is active" — even during a suspected failure.
 
-A receiver takes I-frames two ways.  :meth:`LamsReceiver.on_iframe` is
-the per-frame path: one arriving frame, applied as it lands.
-:meth:`LamsReceiver.on_run` takes a whole run the channel has decided
-(``hear`` wires it): the run waits as *pending arrivals*, each clean
-frame's delivery is planned at once by the receive queue's recurrence
-``d = max(a, d_prev) + t_proc`` as one agenda item, and the arrivals —
-with the deliveries already made — are applied in order, each at its
-own time, by ``_settle``, at the top of everything that reads the
-receiver's state (docs/TUNING.md §10).
+A receiver takes I-frames as runs: :meth:`LamsReceiver.on_run` a run the
+channel has decided (``hear`` wires it), :meth:`LamsReceiver.on_iframe`
+a frame handed over on its own, as a run of one.  A run waits as
+*pending arrivals*, each clean frame's delivery is planned at once by the
+receive queue's recurrence ``d = max(a, d_prev) + t_proc`` as one agenda
+item, and the arrivals — with the deliveries already made — are applied
+in order, each at its own time, by ``_settle``, at the top of everything
+that reads the receiver's state.  A run *taken as it lands* — a traced
+one, or a frame handed over on its own — is applied at each arrival
+instead, which plans that frame's delivery then (docs/TUNING.md §10).
 
 While its tracer is active the receiver traces a checkpoint interval's
 drains, not a drain: one ``payloads_delivered`` record (``times``,
@@ -39,6 +40,7 @@ drains, not a drain: one ``payloads_delivered`` record (``times``,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappush
@@ -68,8 +70,42 @@ class ErrorEntry:
 # replan: one object all receivers share.
 _SHARED_DRAIN_TOKEN = object()
 _INF = math.inf
-# A run's duplicate positions when zero-duplication is off.
-_NO_DUPLICATES: frozenset = frozenset()
+# A run's dropped positions when it has none, and when each frame's fate
+# is decided as it is applied.
+_NONE: dict = {}
+_DECIDE: dict = {None: None}
+
+
+class _Run:
+    """I-frames taken and not all applied yet: frame ``k`` lands at
+    ``times[k]``, numbered ``first + k``, corrupted when ``verdicts[k]``;
+    ``next`` is the first not applied; ``dropped`` maps a clean frame's
+    position to True (a duplicate) or False (a discard), as projected when
+    the run was taken.  A run taken as it lands (``landing``) plans each
+    delivery as its arrival is applied, or at its arrival's own item
+    before ``planned``."""
+
+    __slots__ = ("times", "frames", "verdicts", "first", "next", "dropped",
+                 "landing", "planned")
+
+    def __init__(self, times: Sequence[float], frames: Sequence[IFrame],
+                 verdicts: Sequence[bool], first: int, landing: bool) -> None:
+        self.times = times
+        self.frames = frames
+        self.verdicts = verdicts
+        self.first = first
+        self.next = 0
+        self.dropped = _NONE
+        self.landing = landing
+        self.planned = 0
+
+
+def _settled(slot: str, doc: Optional[str] = None) -> property:
+    """A read of the receiver's *slot* that settles it first."""
+    def read(receiver: "LamsReceiver") -> Any:
+        receiver._settle_due()
+        return getattr(receiver, slot)
+    return property(read, doc=doc)
 
 
 class LamsReceiver:
@@ -92,7 +128,7 @@ class LamsReceiver:
         "_drain_bound", "_drain_delay_value", "_origin_retention_value",
         "_rxqueue_stat", "_rxqueue_stat_name", "_delivered_origins",
         "_origin_prune_queue", "_received", "_corrupted", "_gaps",
-        "_duplicates", "delivered", "discards",
+        "_duplicates", "_discards", "delivered",
         "checkpoints_sent", "enforced_sent",
     )
 
@@ -152,15 +188,13 @@ class LamsReceiver:
         # payloads have arrived) and the rest are owed to pending arrivals.
         self._depth = 0
         self._due: deque[tuple] = deque()
-        # The run path (on_run): runs not yet fully arrived, each
-        # ``[times, frames, verdicts, first sequence, next position,
-        # positions zero-duplication suppresses]``,
-        # and the time of the earliest arrival or delivery not yet settled.
-        self._pending: list[list] = []
+        # The runs not yet fully arrived, oldest first, and the earliest
+        # arrival or delivery not yet settled.
+        self._pending: list[_Run] = []
         self._next_settle = _INF
         # The co-located sender, whose piggybacked Stop-Go bits a run's
-        # frames carry (hear() sets it), and the heap entry that applies
-        # the next bit the sender will take, or None.
+        # frames carry (hear() sets it), and the item that applies the
+        # next one, or None.
         self._stop_go_sink: Any = None
         self._stop_go_armed: Optional[tuple] = None
         # Per-frame constants hoisted out of the hot path (all fixed for
@@ -204,7 +238,7 @@ class LamsReceiver:
         self._corrupted = 0
         self._gaps = 0
         self.delivered = 0
-        self.discards = 0
+        self._discards = 0
         self._duplicates = 0
         self.checkpoints_sent = 0
         self.enforced_sent = 0
@@ -237,11 +271,10 @@ class LamsReceiver:
 
         Only a simulator channel has an agenda for the deliveries to
         share.  The run path is wired when the channel's handler is a
-        LAMS-DLC endpoint's own ``on_frame``, whose receiver half this is,
-        and there is no receive-queue capacity: from then on, while the
-        channel's tracer is inactive, each I-frame run comes to
-        :meth:`on_run` whole, not through the handler.  Called again (after
-        the handler was swapped, say), it wires or unwires by the same test.
+        LAMS-DLC endpoint's own ``on_frame``, whose receiver half this is:
+        from then on each I-frame run comes to :meth:`on_run` whole, not
+        through the handler.  Called again (after the handler was swapped,
+        say), it wires or unwires by the same test.
         """
         if not isinstance(channel, SimplexChannel):
             return
@@ -251,7 +284,7 @@ class LamsReceiver:
         handler = channel.receiver
         owner = getattr(handler, "__self__", None)
         wired = (getattr(handler, "__func__", None) is LamsDlcEndpoint.on_frame
-                 and owner.receiver is self and self._rx_capacity is None)
+                 and owner.receiver is self)
         if wired:
             channel._run_sink = self
             if self.config.piggyback_flow_control:
@@ -270,141 +303,97 @@ class LamsReceiver:
         """
         return self.config.resolving_period(self.expected_rtt)
 
-    @property
-    def frontier(self) -> Optional[int]:
-        """The highest transmit index heard so far (None before any)."""
-        self._settle_due()
-        return self._frontier
-
-    @property
-    def iframes_received(self) -> int:
-        self._settle_due()
-        return self._received
-
-    @property
-    def iframes_corrupted(self) -> int:
-        self._settle_due()
-        return self._corrupted
-
-    @property
-    def gap_losses_detected(self) -> int:
-        self._settle_due()
-        return self._gaps
-
-    @property
-    def duplicates_suppressed(self) -> int:
-        self._settle_due()
-        return self._duplicates
+    frontier = _settled("_frontier", "The highest transmit index heard so far (None before any).")
+    iframes_received = _settled("_received")
+    iframes_corrupted = _settled("_corrupted")
+    gap_losses_detected = _settled("_gaps")
+    duplicates_suppressed = _settled("_duplicates")
+    discards = _settled("_discards")
+    receive_queue_length = _settled("_depth")
 
     # -- frame input ----------------------------------------------------------
 
     def on_iframe(self, frame: IFrame, corrupted: bool) -> None:
-        """Handle an arriving I-frame (possibly corrupted): the per-frame path."""
-        now = self.sim.now
-        if self._next_settle <= now:
-            self._settle()
+        """Take an I-frame handed over on its own: a run of one at its own
+        item's ``(time, sequence)``, taken as it lands."""
+        sim = self.sim
+        run = self._landing((sim.now,), (frame,), (corrupted,), sim._order)
         if self._pending:
-            self._land_ahead(frame, corrupted)
-            return
-        self._received += 1
-        if corrupted and not self._header_protected:
-            # Header unreadable: an effective loss. A later frame's gap
-            # or the sender's trailing-loss check will recover it.
-            self._corrupted += 1
-            if self.tracer.active:
-                self.tracer.emit(now, self.name, "iframe_header_lost")
-            return
-
-        seq = frame.seq
-        # In-order arrival (the overwhelmingly common case) has no gap;
-        # only jumps take the full modular-distance path.
-        if seq != self._next_expected_seq:
-            self._detect_gap(seq, now)
-        self._next_expected_seq = (seq + 1) % self._numbering_size
-        frontier = self._frontier
-        if frontier is None or frame.transmit_index > frontier:
-            self._frontier = frame.transmit_index
-
-        if corrupted:
-            self._corrupted += 1
-            self._log_error(seq, now)
-            if self.tracer.active:
-                self.tracer.emit(now, self.name, "iframe_corrupted", seq=seq)
-            return
-
-        if self._zero_duplication:
-            self._prune_origins(now)
-            if self._is_duplicate_incarnation(frame, now):
-                self._duplicates += 1
-                if self.tracer.active:
-                    self.tracer.emit(now, self.name, "duplicate_suppressed",
-                                     origin=frame.effective_origin)
-                return
-
-        # Into the receive queue (inline: once per valid frame).
-        depth = self._depth
-        capacity = self._rx_capacity
-        if capacity is not None and depth >= capacity:
-            # Overflow: discard, but log as erroneous so the cumulative
-            # NAK triggers a retransmission — zero loss is preserved.
-            self.discards += 1
-            self._log_error(seq, now)
-            if self.tracer.active:
-                self.tracer.emit(now, self.name, "overflow_discard", seq=seq)
-            return
-        self._depth = depth = depth + 1
-        stat = self._rxqueue_stat
-        if stat is None:
-            stat = self._rxqueue_stat = self.tracer.level_stat(
-                self._rxqueue_stat_name, start_time=now
-            )
-        # Only a new peak is traced: the first depth above any bound is one.
-        if self.tracer.active and depth > stat.maximum:
-            self.tracer.emit(now, self.name, "rxqueue_peak", depth=depth)
-        stat.update(now, depth)
-        due = self._due
-        last = due[-1][0] if due else now
-        self._schedule_drain((last if last > now else now) + self._drain_delay_value,
-                             frame.payload)
+            self._settle_due()
+        if self._pending:
+            self._take_ahead(run)
+        else:
+            self._pending.append(run)
+            self._settle()
 
     def on_run(self, times: Sequence[float], frames: Sequence[IFrame],
                verdicts: Sequence[bool]) -> None:
         """Take a decided run of I-frames, frame ``k`` landing at
         ``times[k]`` (nondecreasing, none before now) and corrupted when
-        ``verdicts[k]``: the run path.
-
-        The run waits as pending arrivals, numbered as their arrival items
-        would have been; each clean frame's delivery is planned now as one
-        agenda item, ``d = max(a, d_prev) + t_proc`` (``delivery_interval``
-        in its place), the instant its per-frame drain would have had.
-        """
+        ``verdicts[k]``, its arrivals numbered as their items would have
+        been: the run path."""
         sim = self.sim
         first = sim._sequence + 1
         sim._sequence = first + len(times) - 1
-        run = [times, frames, verdicts, first, 0, _NO_DUPLICATES]
-        self._pending.append(run)
-        # The Stop-Go item first: it is due before the deliveries, so
-        # the agenda's carrier serves both.
-        if self._stop_go_sink is not None and self._stop_go_armed is None:
-            self._arm_stop_go(run=run)
-        self._take(run)
+        pending = self._pending
+        traced = self.tracer.active
+        if traced or (pending and pending[-1].landing):
+            # Taken as it lands (and so is every run behind it): each
+            # arrival an item that applies it and plans its delivery then,
+            # numbered where a frame handed over on its own numbers it, so
+            # that what a delivery sets off keeps its rank among other
+            # links' entries of the same instant, and the trace its order.
+            run = self._landing(times, frames, verdicts, first)
+            self._pend(run)
+            items = [(when, first + position, self._arrive, (run, position))
+                     for position, when in enumerate(times)]
+            if traced:  # the channel's record of the run goes out as its last lands
+                last = items[-1]
+                items[-1] = (last[0], last[1], self._arrive_last, last[3])
+            agenda = self._incoming._agenda
+            agenda.lanes[0].extend(items)
+            agenda.added(times[0], first)
+        else:
+            run = _Run(times, frames, verdicts, first, False)
+            # The Stop-Go item first: it is due before the deliveries, so
+            # the agenda's carrier serves both.
+            if self._stop_go_sink is not None and self._stop_go_armed is None:
+                self._arm_stop_go(run)
+            self._take(run)
         # Whatever reads the trace's statistics as complete settles first.
-        self.tracer.hold(self._settle)
+        self.tracer.hold(self._settle_due)
 
-    def _take(self, run: list) -> None:
-        """Plan the deliveries of *run*'s frames still to land, behind
-        every delivery already owed."""
-        times, frames, verdicts, _, k, _ = run
-        skip = verdicts  # the frames that will not be queued
-        if self._zero_duplication:
-            run[5] = duplicates = self._project_duplicates(run)
-            skip = [corrupted or position in duplicates
-                    for position, corrupted in enumerate(verdicts)]
-        if k:
-            times, frames, skip = times[k:], frames[k:], skip[k:]
-        if times[0] < self._next_settle:
-            self._next_settle = times[0]
+    def _landing(self, times: Sequence[float], frames: Sequence[IFrame],
+                 verdicts: Sequence[bool], first: int) -> _Run:
+        """A run to take as it lands: each frame's fate decided as it is
+        applied, if a receive capacity or zero-duplication can drop it."""
+        run = _Run(times, frames, verdicts, first, True)
+        if self._rx_capacity is not None or self._zero_duplication:
+            run.dropped = _DECIDE
+        return run
+
+    def _pend(self, run: _Run) -> None:
+        """Add *run* to the pending arrivals."""
+        self._pending.append(run)
+        arrival = run.times[run.next]
+        if arrival < self._next_settle:
+            self._next_settle = arrival
+
+    def _take(self, run: _Run) -> None:
+        """Pend *run* and plan its frames' deliveries behind every delivery
+        owed, projecting in arrival order what decides a clean frame's fate
+        as it lands: its origin (zero-duplication), and the queue's depth
+        (a full queue discards it)."""
+        self._pend(run)
+        times, k = run.times, run.next
         sim = self.sim
+        zero_duplication = self._zero_duplication
+        if zero_duplication:
+            self._prune_origins(sim.now)
+        capacity = self._rx_capacity
+        checked = capacity is not None or zero_duplication
+        if checked:
+            dropped, served, first = {}, 0, run.first
         sequence = sim._sequence
         due = self._due
         plan = due.append
@@ -412,36 +401,76 @@ class LamsReceiver:
         interval = self._drain_delay_value
         bound = self._drain_bound
         token = self._drain_token
-        agenda = self._incoming._agenda
+        agenda = self._incoming._agenda if self._incoming is not None else None
         lane = agenda.lanes[1] if agenda is not None else None
         tail = lane[-1][0] if lane else _INF if lane is None else -_INF
         lead = None
-        for arrival, frame, skipped in zip(times, frames, skip):
-            if not skipped:
-                last = (arrival if arrival > last else last) + interval
-                sequence += 1
-                item = (last, sequence, bound, (token, frame.payload))
-                plan(item)
-                if last < tail:  # no agenda, or behind an item that lapsed
-                    heappush(sim._heap, item)
-                else:
-                    lane.append(item)
-                    if lead is None:
-                        lead = item
+        rows = zip(times, run.frames, run.verdicts)
+        position = k - 1
+        for arrival, frame, skipped in islice(rows, k, None) if k else rows:
+            if skipped:
+                position += 1
+                continue
+            if checked:
+                position += 1
+                if zero_duplication and self._is_duplicate_incarnation(frame, arrival):
+                    dropped[position] = True  # a duplicate
+                    continue
+                if capacity is not None:
+                    # Every payload owed has arrived; those not yet delivered queue.
+                    served = bisect_left(due, (arrival, first + position), served)
+                    if len(due) - served >= capacity:
+                        dropped[position] = False  # a discard
+                        continue
+            last = (arrival if arrival > last else last) + interval
+            sequence += 1
+            item = (last, sequence, bound, (token, frame.payload))
+            plan(item)
+            if last < tail:  # no agenda, or behind an item that lapsed
+                heappush(sim._heap, item)
+            else:
+                lane.append(item)
+                if lead is None:
+                    lead = item
         sim._sequence = sequence
+        if checked:
+            run.dropped = dropped or _NONE
         if lead is not None:
             agenda.added(lead[0], lead[1])
 
-    def _project_duplicates(self, run: list) -> set:
-        """The positions of *run*'s clean frames still to land that
-        zero-duplication will suppress, each tested at its own arrival
-        (every earlier arrival's origin is already recorded: the channel
-        is FIFO)."""
-        times, frames, verdicts, _, k, _ = run
-        self._prune_origins(self.sim.now)
-        return {position for position in range(k, len(times))
-                if not verdicts[position]
-                and self._is_duplicate_incarnation(frames[position], times[position])}
+    def _take_ahead(self, run: _Run) -> None:
+        """Take *run*, a frame handed over on its own, ahead of the runs
+        pending (decided while it was in flight): set them aside, apply it,
+        and put them back behind it — as planned when its delivery comes
+        before their first clean arrival and zero-duplication is off, else
+        taken again."""
+        due = self._due
+        owed = [due.pop() for _ in range(len(due) - self._depth)]
+        queued = len(due)
+        runs = self._unplan()
+        self._pending.append(run)
+        self._settle()
+        ahead = due[-1][0] if len(due) > queued else -_INF
+        if self._zero_duplication or ahead > next(
+                (later.times[position] for later in runs if not later.landing
+                 for position in range(later.next, len(later.times))
+                 if not later.verdicts[position]), _INF):
+            self._replan(runs)
+            return
+        due.extend(reversed(owed))
+        for later in runs:
+            self._pend(later)
+
+    def _decide(self, frame: IFrame, arrival: float, depth: int) -> Optional[bool]:
+        """The fate of a clean frame of a run taken as it lands, applied at
+        *arrival* onto a queue *depth* deep: a duplicate (True), a discard
+        (False) or queued (None)."""
+        if self._zero_duplication:
+            self._prune_origins(arrival)
+            if self._is_duplicate_incarnation(frame, arrival):
+                return True
+        capacity = self._rx_capacity
+        return False if capacity is not None and depth >= capacity else None
 
     def _settle_due(self) -> None:
         """Settle, if an arrival or a delivery made is due by now."""
@@ -451,12 +480,15 @@ class LamsReceiver:
     def _settle(self) -> None:
         """Replay, in ``(time, sequence)`` order, what precedes the running
         entry and is not yet applied: each pending arrival — sequence and
-        gap tracking, the frontier, the error log, the queue — and each
-        delivery already made, with the ``rxqueue`` gauge stepped at every
-        one of them, as the per-frame path steps it."""
+        gap tracking, the frontier, the error log, the queue or a discard,
+        its records — and each delivery already made, with the ``rxqueue``
+        gauge stepped at every one, as a frame at a time would."""
         sim = self.sim
         now = sim.now
         order = sim._order
+        # Until the end, a settle that a record emitted here sets off
+        # (through Tracer.settle) finds nothing due.
+        self._next_settle = _INF
         due = self._due
         depth = self._depth
         # TimeWeightedStat.update's arithmetic, on locals; the gauge is
@@ -474,8 +506,10 @@ class LamsReceiver:
             modulus = self._numbering_size
             while pending:
                 run = pending[0]
-                times, frames, verdicts, first, k, duplicates = run
-                start, count = k, len(times)
+                times, frames, verdicts, first = run.times, run.frames, run.verdicts, run.first
+                count = len(times)
+                dropped, planned = run.dropped, run.planned if run.landing else count
+                k = start = run.next
                 while k < count:
                     arrival = times[k]
                     if arrival >= now and (arrival > now or first + k > order):
@@ -496,6 +530,9 @@ class LamsReceiver:
                     corrupted = verdicts[k]
                     k += 1
                     if corrupted and not self._header_protected:
+                        # Header unreadable: an effective loss. A later
+                        # frame's gap or the sender's trailing-loss check
+                        # will recover it.
                         self._corrupted += 1
                         if traced:
                             tracer.emit(arrival, self.name, "iframe_header_lost")
@@ -514,18 +551,31 @@ class LamsReceiver:
                         if traced:
                             tracer.emit(arrival, self.name, "iframe_corrupted", seq=seq)
                         continue
-                    if duplicates and k - 1 in duplicates:
-                        self._duplicates += 1
-                        if traced:
-                            tracer.emit(arrival, self.name, "duplicate_suppressed",
-                                        origin=frame.effective_origin)
-                        continue
+                    if dropped:
+                        fate = (self._decide(frame, arrival, depth) if dropped is _DECIDE
+                                else dropped.get(k - 1))
+                        if fate:
+                            self._duplicates += 1
+                            if traced:
+                                tracer.emit(arrival, self.name, "duplicate_suppressed",
+                                            origin=frame.effective_origin)
+                            continue
+                        if fate is False:
+                            # Overflow: discarded, but logged as erroneous so the
+                            # cumulative NAK recovers it — zero loss is preserved.
+                            self._discards += 1
+                            self._log_error(seq, arrival)
+                            if traced:
+                                tracer.emit(arrival, self.name, "overflow_discard", seq=seq)
+                            continue
                     depth += 1
                     if stat is None:
                         stat = self._rxqueue_stat = tracer.level_stat(
                             self._rxqueue_stat_name, start_time=arrival)
                         area, last, level, maximum = (
                             stat._area, stat._last_time, stat._level, stat.maximum)
+                    # Only a new peak is traced: the first depth above any
+                    # bound is one.
                     if traced and depth > maximum:
                         tracer.emit(arrival, self.name, "rxqueue_peak", depth=depth)
                     if arrival < last:
@@ -536,9 +586,13 @@ class LamsReceiver:
                     level = depth
                     if depth > maximum:
                         maximum = depth
+                    if k > planned:  # taken as it lands: its delivery, numbered now
+                        owed = due[-1][0] if due else arrival
+                        self._schedule_drain((owed if owed > arrival else arrival)
+                                             + self._drain_delay_value, frame.payload)
                 self._received += k - start
                 if k < count:
-                    run[4] = k
+                    run.next = k
                     break
                 del pending[0]
             self._next_expected_seq = expected
@@ -565,12 +619,12 @@ class LamsReceiver:
         when = due[0][0] if due else _INF
         if pending:
             run = pending[0]
-            arrival = run[0][run[4]]
+            arrival = run.times[run.next]
             if arrival < when:
                 when = arrival
         self._next_settle = when
 
-    def _unplan(self) -> list:
+    def _unplan(self) -> list[_Run]:
         """Set the pending runs aside, once settled: forget the origins they
         recorded ahead and the deliveries owed for them (the queued
         payloads' stay).  Returns them."""
@@ -579,9 +633,10 @@ class LamsReceiver:
         if self._zero_duplication:
             queue = self._origin_prune_queue
             origins = self._delivered_origins
-            for _ in range(sum(not verdicts[position] and position not in duplicates
-                               for _, _, verdicts, _, k, duplicates in runs
-                               for position in range(k, len(verdicts)))):
+            for _ in range(sum(not run.verdicts[position]
+                               and run.dropped.get(position) is not True
+                               for run in runs if not run.landing
+                               for position in range(run.next, len(run.times)))):
                 _, origin, seen = queue.pop()
                 if seen is None:
                     del origins[origin]
@@ -593,7 +648,7 @@ class LamsReceiver:
             due.pop()
         return runs
 
-    def _replan(self, runs: Sequence[list] = ()) -> None:
+    def _replan(self, runs: Sequence[_Run] = ()) -> None:
         """Owe every delivery afresh, the pending runs set aside: a new
         token, so the items already made lapse; the queued payloads' items
         made again at their times; then *runs* taken again."""
@@ -605,63 +660,94 @@ class LamsReceiver:
             self._schedule_drain(when, payload)
         self._next_settle = due[0][0] if due else _INF
         for run in runs:
-            self._pending.append(run)
-            self._take(run)
-
-    def _land_ahead(self, frame: IFrame, corrupted: bool) -> None:
-        """A frame landing the per-frame way ahead of runs taken whole
-        (decided while it was in flight): set the runs aside, take the
-        frame, then put the runs back behind it — as planned when its
-        delivery comes before their first arrival, else planned afresh."""
-        queued = self._depth
-        due = self._due
-        tail = [due.pop() for _ in range(len(due) - queued)]
-        runs = self._unplan()
-        self.on_iframe(frame, corrupted)
-        ahead = due[-1][0] if self._depth > queued else -_INF
-        first = next((times[position] for times, _, verdicts, _, k, duplicates in runs
-                      for position in range(k, len(times))
-                      if not verdicts[position] and position not in duplicates), _INF)
-        if self._zero_duplication or ahead > first:
-            self._replan(runs)
-            return
-        due.extend(reversed(tail))
-        self._pending.extend(runs)
-        run = runs[0]
-        self._next_settle = min(self._next_settle, run[0][run[4]])
+            if run.landing:
+                self._pend(run)
+            else:
+                self._take(run)
 
     def hand_back(self) -> None:
         """The channel goes down, or ``hear`` unwires the run path: settle,
-        then hand the arrivals still in flight back to the channel as
-        per-frame arrivals, the items they would have been, which meet the
-        channel's state (and handler) as they land."""
+        then hand the arrivals still in flight back to the channel as the
+        items they would have been, which meet the channel's state (and
+        handler) as they land."""
         self._settle_due()
         if not self._pending:
             return
         channel = self._incoming
         deliver = channel._deliver
-        items = [(times[position], first + position, deliver,
-                  (frames[position], verdicts[position]))
-                 for times, frames, verdicts, first, k, _ in self._unplan()
-                 for position in range(k, len(times))]
-        agenda = channel._agenda
-        armed = self._stop_go_armed
-        if armed is not None:
-            # Its arrival's item takes its place, with its number.
-            self._stop_go_armed = None
-            agenda.lanes[0].remove(armed)
-        agenda.insert(agenda.lanes[0], items)
+        items = [(run.times[position], run.first + position, deliver,
+                  (run.frames[position], run.verdicts[position]))
+                 for run in self._unplan() if not run.landing
+                 for position in range(run.next, len(run.times))]
+        # The receiver's own items: the Stop-Go one (its arrival's takes its
+        # place, with its number) and the arrivals of runs taken as they land.
+        lane = channel._agenda.lanes[0]
+        kept = []
+        for item in lane:
+            step = item[2]
+            if getattr(step, "__self__", None) is not self:
+                kept.append(item)
+            elif step != self._apply_stop_go:
+                run, position = item[3]
+                if step != self._arrive:  # it holds the run's record
+                    deliver = channel._deliver_last if position else channel._deliver_traced
+                items.append((item[0], item[1], deliver,
+                              (run.frames[position], run.verdicts[position])))
+                deliver = channel._deliver
+        lane.clear()
+        lane.extend(kept)
+        self._stop_go_armed = None
+        channel._agenda.insert(lane, items)
         self._replan()
+
+    def _arrive(self, run: _Run, position: int) -> None:
+        """Arrival *position* of a run taken as it lands: its delivery is
+        planned now and it is applied — at once, unless it is clean after a
+        clean frame (a run's frames are numbered consecutively, so no gap)
+        and no new queue peak: bearing no record, it waits for the next
+        settle.  Then its frame's Stop-Go bit, as ``on_frame`` applies it."""
+        frames, verdicts = run.frames, run.verdicts
+        stat = self._rxqueue_stat
+        if ((position == run.planned or position == run.next) and position
+                and not verdicts[position] and not verdicts[position - 1]
+                and stat is not None and self._rx_capacity is None
+                and not self._zero_duplication):
+            arrival = run.times[position]
+            due = self._due
+            owed = due[-1][0] if due else arrival
+            # The deliveries still owed at this arrival are its queue.
+            if owed < arrival or len(due) - bisect_left(
+                    due, (arrival, run.first + position)) < stat.maximum:
+                self._schedule_drain((owed if owed > arrival else arrival)
+                                     + self._drain_delay_value, frames[position].payload)
+                run.planned = position + 1
+            else:
+                self._settle()
+        else:
+            self._settle()
+        sender = self._stop_go_sink
+        if sender is not None and (not verdicts[position] or self._header_protected):
+            sender.note_piggyback_stop_go(frames[position].stop_go)
+
+    def _arrive_last(self, run: _Run, position: int) -> None:
+        """The last arrival of a traced run taken as it lands: the
+        channel's record of the run goes out ahead of it."""
+        channel = self._incoming
+        if position:
+            channel._emit_held()
+        else:
+            channel._emit_one(run.frames[0], run.verdicts[0])
+        self._arrive(run, position)
 
     # -- piggybacked Stop-Go on the run path ----------------------------------------
 
-    def _arm_stop_go(self, run: Optional[list] = None) -> None:
+    def _arm_stop_go(self, run: Optional[_Run] = None) -> None:
         """Find the next pending arrival whose piggybacked Stop-Go bit the
         sender will apply — its readable header landing a checkpoint
         interval after the last one applied — and put the application at
         that arrival's own ``(time, sequence)``, an item among the
-        channel's arrivals.  Searches *run* only when
-        given (nothing before it qualified against the same last one)."""
+        channel's arrivals.  Searches *run* only when given (nothing
+        before it qualified against the same last one)."""
         sender = self._stop_go_sink
         if sender.failed:
             return
@@ -669,27 +755,29 @@ class LamsReceiver:
         interval = self._checkpoint_interval
         header_protected = self._header_protected
         for candidate in (run,) if run is not None else self._pending:
-            times, frames, verdicts, first, k, _ = candidate
+            if candidate.landing:
+                break  # taken as it lands, as is every run behind it
+            times, verdicts = candidate.times, candidate.verdicts
             if times[-1] - last < interval:
                 continue  # arrivals are monotone: none of this run's qualifies
-            for position in range(k, len(times)):
+            for position in range(candidate.next, len(times)):
                 if times[position] - last < interval:
                     continue
                 if verdicts[position] and not header_protected:
                     continue
                 self._stop_go_armed = entry = (
-                    times[position], first + position, self._apply_stop_go,
+                    times[position], candidate.first + position, self._apply_stop_go,
                     (candidate, position))
                 agenda = self._incoming._agenda
                 agenda.insert(agenda.lanes[0], [entry])
                 return
 
-    def _apply_stop_go(self, run: list, position: int) -> None:
+    def _apply_stop_go(self, run: _Run, position: int) -> None:
         """At arrival *position* of *run*: apply its frame's Stop-Go bit
         after its arrival, as ``LamsDlcEndpoint.on_frame`` does."""
         self._stop_go_armed = None
         self._settle_due()
-        self._stop_go_sink.note_piggyback_stop_go(run[1][position].stop_go)
+        self._stop_go_sink.note_piggyback_stop_go(run.frames[position].stop_go)
         if self._pending:
             self._arm_stop_go()
 
@@ -863,7 +951,7 @@ class LamsReceiver:
         sim = self.sim
         if not self._pending and due and due[0][1] == sim._order:
             # Nothing before it left to settle: step the gauge now, as
-            # _settle would (the per-frame path's every delivery).
+            # _settle would (a frame handed over on its own's every delivery).
             due.popleft()
             self._depth = depth = self._depth - 1
             self._rxqueue_stat.update(sim.now, depth)
@@ -889,11 +977,6 @@ class LamsReceiver:
             times, payloads = held
             self.tracer.emit(times[0], self.name, "payloads_delivered",
                              times=times, payloads=payloads)
-
-    @property
-    def receive_queue_length(self) -> int:
-        self._settle_due()
-        return self._depth
 
     def queued_payloads(self) -> list[Any]:
         """Payloads accepted but not yet drained upward (zero-loss ledger:

@@ -76,9 +76,9 @@ class SimplexChannel:
     # positions lost)``; its frames_delivered record waits for its last
     # frame.  None until the first.
     _held: Optional[deque] = None
-    # The receiver whose ``hear`` wired its run path: while the tracer is
-    # inactive, an I-frame run is handed to its ``on_run`` whole
-    # (docs/TUNING.md §10).  None: every arrival is an item of its own.
+    # The receiver whose ``hear`` wired its run path: an I-frame run is
+    # handed to its ``on_run`` whole (docs/TUNING.md §10).  None: every
+    # arrival is an item of its own.
     _run_sink: Any = None
 
     def __init__(
@@ -367,7 +367,7 @@ class SimplexChannel:
                 sim.push(arrival, deliver, (first, corrupted))
                 return
             sink = self._run_sink
-            if sink is not None and not traced:
+            if sink is not None:
                 sink.on_run((arrival,), (first,), (corrupted,))
                 return
             agenda.add(agenda.lanes[0], arrival, deliver, (first, corrupted))
@@ -407,32 +407,34 @@ class SimplexChannel:
         agenda = self._agenda
         if agenda is None:
             agenda = self._agenda = Agenda(sim)
-        traced = self.tracer.active
-        sink = self._run_sink
-        if sink is not None and not traced and not first.is_control:
-            sink.on_run(times, frames, verdicts)
-            return
         # Each arrival is the item one push would have made, numbered as
         # that push would have been; it never precedes now — delays are
         # non-negative and a run ends before its first frame lands.
-        arrivals = agenda.lanes[0]
-        append = arrivals.append
-        sequence = sim._sequence
-        deliver = self._deliver
-        for arrival, frame, corrupted in zip(times, frames, verdicts):
-            sequence += 1
-            append((arrival, sequence, deliver, (frame, corrupted)))
-        agenda.added(times[0], sim._sequence + 1)
-        sim._sequence = sequence
+        sequence = sim._sequence + len(times)
+        traced = self.tracer.active
         if traced:
             # The run's record is held until its last frame lands.
-            last = arrivals[-1]
-            arrivals[-1] = (last[0], sequence, self._deliver_last, last[3])
             held = self._held
             if held is None:
                 held = self._held = deque()
             held.append((times, verdicts, frames, sequence, []))
             self.tracer.hold(self._emit_landed)
+        sink = self._run_sink
+        if sink is not None and not first.is_control:
+            sink.on_run(times, frames, verdicts)  # numbers them the same way
+            return
+        arrivals = agenda.lanes[0]
+        append = arrivals.append
+        number = sim._sequence
+        deliver = self._deliver
+        for arrival, frame, corrupted in zip(times, frames, verdicts):
+            number += 1
+            append((arrival, number, deliver, (frame, corrupted)))
+        agenda.added(times[0], sim._sequence + 1)
+        sim._sequence = sequence
+        if traced:
+            last = arrivals[-1]
+            arrivals[-1] = (last[0], sequence, self._deliver_last, last[3])
 
     def _emit_run(self, times: list, verdicts: Sequence[bool],
                   frames: Sequence[Transmittable], lost: list) -> None:
@@ -496,9 +498,7 @@ class SimplexChannel:
     def _deliver_traced(self, frame: Transmittable, corrupted: bool) -> None:
         """A run of one lands: its one-frame record goes out ahead of it."""
         if self._is_up:
-            now = self.sim.now
-            self.tracer.emit(now, self.name, "frames_delivered", times=(now,),
-                             control=frame.is_control, corrupted=(0,) if corrupted else ())
+            self._emit_one(frame, corrupted)
         self._deliver(frame, corrupted)
 
     def _deliver_last(self, frame: Transmittable, corrupted: bool) -> None:
@@ -506,10 +506,20 @@ class SimplexChannel:
         ahead of it, as a frame's own record did."""
         if not self._is_up:
             self._deliver(frame, corrupted)  # lost, and left out
-        times, verdicts, frames, _, lost = self._held.popleft()
-        self._emit_run(times, verdicts, frames, lost)
+        self._emit_held()
         if self._is_up:
             self._deliver(frame, corrupted)
+
+    def _emit_one(self, frame: Transmittable, corrupted: bool) -> None:
+        """A run of one lands now: its record."""
+        now = self.sim.now
+        self.tracer.emit(now, self.name, "frames_delivered", times=(now,),
+                         control=frame.is_control, corrupted=(0,) if corrupted else ())
+
+    def _emit_held(self) -> None:
+        """The last frame of the oldest held run lands: the run's record."""
+        times, verdicts, frames, _, lost = self._held.popleft()
+        self._emit_run(times, verdicts, frames, lost)
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Fraction of elapsed time the transmitter was busy."""

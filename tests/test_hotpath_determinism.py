@@ -62,6 +62,12 @@ def _run(scenario_name: str, *, seed: int, record_timeline: bool,
     return outcome, len(records)
 
 
+# scenario -> entries a traced run pops beyond the bare run (of 743,
+# 1569 and 983): a traced run lands a frame at a time, and an arrival
+# item that falls between two heap entries is one pop more.
+TRACED_POPS = {"nominal": 1, "noisy": 32, "bursty": 9}
+
+
 @pytest.mark.parametrize("scenario_name", ["nominal", "noisy", "bursty"])
 def test_observers_do_not_change_outcomes(scenario_name):
     bare, bare_records = _run(
@@ -76,11 +82,12 @@ def test_observers_do_not_change_outcomes(scenario_name):
     both, _ = _run(
         scenario_name, seed=3, record_timeline=True, attach_listener=True
     )
-    # With no observer a channel hands each run to the receiver whole, one
-    # agenda item per delivery and none per arrival, so the engine pops
-    # fewer entries; every result is the same.
-    assert bare.pop("event_count") <= timeline["event_count"]
-    assert timeline["event_count"] == listened["event_count"] == both["event_count"]
+    # Observed or not, a channel hands each run to the receiver whole, and
+    # every arrival is applied by the same code.  Traced, the receiver
+    # numbers each delivery at its arrival, so each arrival is an item of
+    # its own: only the entries popped differ.
+    traced_pops = timeline["event_count"] - bare.pop("event_count")
+    assert traced_pops == TRACED_POPS[scenario_name]
     assert bare == {key: value for key, value in timeline.items() if key != "event_count"}
     assert timeline == listened == both
     # The observer configurations really differed.

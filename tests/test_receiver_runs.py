@@ -1,5 +1,5 @@
-"""The receiver takes a run: the run path against the per-frame path and
-the frozen per-frame receiver.
+"""The receiver takes a run: the run path against frames handed over one
+at a time and the frozen per-frame receiver.
 
 ``LamsReceiver.on_run`` takes a run the channel has decided, plans each
 clean frame's delivery by the receive queue's recurrence and applies the
@@ -9,8 +9,8 @@ Stop-Go bit and the checkpoints of both directions matter:
 
 - ``run``: as built (the run path);
 - ``frame``: each channel's handler wrapped and its receiver made to
-  ``hear`` the channel again, which unwires the run path and keeps every
-  arrival on the per-frame path;
+  ``hear`` the channel again, which unwires the run path: every I-frame
+  is handed over on its own (``on_iframe``, a run of one);
 - ``reference``: ``tests/receiver_reference.py``'s frozen per-frame
   receiver patched into the pair.
 
@@ -96,10 +96,13 @@ CASES = {
 }
 
 
-def run(case: dict, path: str) -> dict:
-    """Play *case* one way; what each side delivered, sent and logged."""
+def run(case: dict, path: str, traced: bool = False) -> dict:
+    """Play *case* one way, with a listener on the tracer when *traced*;
+    what each side delivered, sent and logged."""
     sim = Simulator()
     tracer = Tracer()
+    if traced:
+        tracer.listeners.append(lambda record: None)
     streams = StreamRegistry(case["seed"])
     name, params = case["model"]
     link = FullDuplexLink(sim, case["bit_rate"], case["delay"], name=case["kind"],
@@ -180,6 +183,15 @@ def test_three_paths_agree(name):
     assert results["run"]["delivered"]["B"], "nothing delivered: the case tests nothing"
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_traced_run_taken_as_it_lands_agrees(name):
+    """Traced, a run is taken as it lands — an item per arrival plans its
+    delivery there, and an arrival that bears no record waits for the next
+    settle — and gives the frozen per-frame receiver's answers."""
+    case = CASES[name]
+    assert run(case, "run", traced=True) == run(case, "reference", traced=True)
+
+
 def test_the_cases_reach_what_they_are_named_for():
     """Each case exercises its feature on the run path."""
     slow = run(CASES["slow-receiver"], "run")
@@ -204,10 +216,13 @@ def test_the_cases_reach_what_they_are_named_for():
                                st.sampled_from([0.001, 0.00390625]),
                                st.sampled_from(["forward", "reverse", "both"])),
                      max_size=2),
+    capacity=st.sampled_from([None, 8, 40]),
 )
-def test_generated_histories_agree(base, seed, flushes, outages):
+def test_generated_histories_agree(base, seed, flushes, outages, capacity):
     case = dict(CASES[base], seed=seed, flushes=tuple(sorted(flushes)),
                 outages=tuple(sorted(outages)), until=min(CASES[base]["until"], 0.06))
+    if capacity is not None:
+        case["config"] = dict(case["config"], receive_queue_capacity=capacity)
     run_path, reference = run(case, "run"), run(case, "reference")
     assert run_path == reference
 
@@ -242,24 +257,32 @@ def _counted_runs(wrap: bool, rehear: bool, traced: bool) -> tuple[list[int], in
 
 
 def test_hear_wires_the_run_path_and_rewires_on_a_new_handler():
-    """Wired by the pair factory, runs reach ``on_run`` whole.  A handler
-    swapped in later sees only what still reaches it until the receiver
-    hears the channel again, which unwires the run path; an active tracer
-    keeps every arrival per frame.  Every payload is delivered each way."""
+    """Wired by the pair factory, runs reach ``on_run`` whole, traced or
+    not.  A handler swapped in later sees only what still reaches it
+    until the receiver hears the channel again, which unwires the run
+    path.  Every payload is delivered each way."""
     calls, heard, delivered = _counted_runs(wrap=False, rehear=False, traced=False)
     assert max(calls) > 1 and delivered == 20
+    assert _counted_runs(wrap=False, rehear=False, traced=True) == (calls, heard, delivered)
     calls, heard, delivered = _counted_runs(wrap=True, rehear=False, traced=False)
     assert sum(calls) + heard == 20 and max(calls) > 1 and delivered == 20
     assert _counted_runs(wrap=True, rehear=True, traced=False) == ([], 20, 20)
-    assert _counted_runs(wrap=False, rehear=False, traced=True) == ([], 0, 20)
 
 
-def test_a_receive_queue_capacity_keeps_the_per_frame_path():
+def test_a_capacity_bounded_receiver_takes_runs_as_the_per_frame_receiver_did():
+    """The ``stressed`` history (capacity 96, t_proc 40 us, seed 13) on the
+    run path: wired, and frame for frame the frozen per-frame receiver's
+    discards, error log, gauge area and maximum, and deliveries."""
+    case = _case("stressed", seed=13, payloads=2000, until=1.0,
+                 config=dict(processing_time=40e-6, receive_queue_capacity=96))
     sim = Simulator()
     link = FullDuplexLink(sim, 1e6, 0.001)
-    make_endpoint_pair("lams", sim, link,
-                       preset("nominal").lams_config(receive_queue_capacity=8))
-    assert link.forward._run_sink is None and link.reverse._run_sink is None
+    make_endpoint_pair("lams", sim, link, preset("nominal").lams_config(**case["config"]))
+    assert link.forward._run_sink is not None and link.reverse._run_sink is not None
+    results = {path: run(case, path) for path in PATHS}
+    assert results["run"] == results["reference"] == results["frame"]
+    assert results["run"]["B"]["counts"][5] > 0  # discards
+    assert run(case, "run", traced=True) == run(case, "reference", traced=True)
 
 
 @pytest.mark.parametrize("interval", [-1e-3, math.nan, math.inf, -math.inf])

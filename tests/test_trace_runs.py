@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 from repro.core import LamsDlcConfig
 from repro.core.endpoint import make_endpoint_pair
 from repro.core.frames import IFrame
+from repro.core.receiver import LamsReceiver
 from repro.faults import FaultPlan
 from repro.faults.plan import LinkOutage
 from repro.invariants import (
@@ -88,6 +89,18 @@ ACCEPTED = {
     "bursty": "4211e64aeac6fa1142a3457f50ba5eaeffb0a86763a2a78f38ff369064c6b638",
     "outages": "ad51d7736b7206cb797fd80f4a3ccf4db837376fb23fdc52d29ffa097b8ae94b",
 }
+
+
+def _on_each_arrival(receiver: LamsReceiver, observe) -> None:
+    """Call ``observe(frame, corrupted)`` as each frame of a run taken as
+    it lands (a traced run) is applied: its arrivals are the receiver's
+    own items, not the channel handler's."""
+    arrive = LamsReceiver._arrive
+    receiver.__class__ = type("Observed", (LamsReceiver,), {
+        "__slots__": (),
+        "_arrive": lambda self, run, position: (
+            arrive(self, run, position),
+            observe(run.frames[position], run.verdicts[position]))})
 
 
 def _digest(stream: list[tuple]) -> str:
@@ -241,7 +254,9 @@ def stressed_receiver(bounds):
         if type(frame) is IFrame:
             depths.append((setup.sim.now, receiver.receive_queue_length))
 
-    channel.receiver = traced  # the handler B's receiver hears I-frames through
+    channel.receiver = traced  # the handler frames handed over on their own pass
+    _on_each_arrival(receiver, lambda frame, corrupted: depths.append(
+        (setup.sim.now, receiver.receive_queue_length)))
     FiniteBatch(setup.sim, setup.endpoint_a, 3000).start()
     setup.run(until=0.3)
     return monitors, depths
@@ -364,7 +379,9 @@ def test_settled_records_are_what_the_receivers_heard_and_delivered(
         t_proc, outages, slices, seed, window):
     """A short_hop link carrying 300 payloads, cut into *slices*: after
     each, the settled records must expand to what each channel handed
-    its receiver and what B's receiver delivered, in order."""
+    its receiver and what B's receiver delivered, in order.  A channel
+    hands its receiver control frames (and frames on their own) through
+    its handler, a traced run's I-frames as the receiver's own items."""
     scenario = preset("short_hop").with_(processing_time=t_proc)
     plan = FaultPlan(faults=tuple(LinkOutage(start=start, duration=length)
                                   for start, length in outages))
@@ -374,10 +391,14 @@ def test_settled_records_are_what_the_receivers_heard_and_delivered(
     sim, split = setup.sim, Split()
     setup.tracer.listeners.append(split)
     want: dict[str, list] = {}
-    for channel in (setup.link.forward, setup.link.reverse):
+    for channel, endpoint in ((setup.link.forward, setup.endpoint_b),
+                              (setup.link.reverse, setup.endpoint_a)):
         heard, log = channel.receiver, want.setdefault(channel.name, [])
         channel.receiver = lambda frame, corrupted, heard=heard, log=log: (
             log.append(("deliver", sim.now, frame.is_control, corrupted)), heard(frame, corrupted))
+        assert channel._run_sink is endpoint.receiver  # still wired
+        _on_each_arrival(endpoint.receiver, lambda frame, corrupted, log=log: log.append(
+            ("deliver", sim.now, False, corrupted)))
     receiver = setup.endpoint_b.receiver
     deliver, log = receiver.deliver, want.setdefault(receiver.name, [])
     receiver.deliver = lambda packet: (log.append(("payload_delivered", sim.now, packet)),
@@ -506,3 +527,57 @@ def test_a_checkpoint_record_follows_the_drains_before_it():
     FiniteBatch(sim, setup.endpoint_a, 600).start()
     setup.run(until=0.06)
     assert all(ok for _, ok in checked) and sum(due > 0 for due, _ in checked) > 5
+
+
+def test_a_listener_settling_on_a_run_record_sees_each_frame_once():
+    """A record's listener may settle the tracer (a violation does): by
+    then the run the record reports has left the channel's held runs, so
+    no frame is recorded twice and no later run loses its record."""
+    setup = build_simulation(preset("nominal"), "lams", seed=7)
+    sim, split, heard = setup.sim, Split(), []
+    setup.tracer.listeners.append(split)
+    setup.tracer.listeners.append(
+        lambda record: record.event == "frames_delivered" and setup.tracer.settle())
+    handler = setup.link.reverse.receiver  # checkpoints: every frame lands through it
+    setup.link.reverse.receiver = lambda frame, corrupted: (heard.append(sim.now),
+                                                            handler(frame, corrupted))
+    FiniteBatch(sim, setup.endpoint_a, 2000).start()
+    setup.run(until=1.0)
+    setup.tracer.settle()
+    assert len(setup.delivered) == 2000
+    forward = split.deliveries[setup.link.forward.name]
+    assert len(forward) == setup.link.forward.frames_sent  # all landed long before
+    assert [item[1] for item in split.deliveries[setup.link.reverse.name]] == heard
+
+
+@pytest.mark.parametrize("load", [0.5, 1.5])
+@pytest.mark.parametrize("errors", [None, BURSTS], ids=["bernoulli", "bursts"])
+def test_a_traced_run_records_as_frames_handed_over_one_at_a_time(load, errors):
+    """A traced run lands as the receiver's own items, each applying its
+    arrival at once if it may bear a record and leaving the rest to the
+    next settle; frames handed over one at a time (the handler swapped,
+    the receiver hearing the channel again) are each applied at once.
+    With t_proc at *load* times t_f the queue stays short or builds: the
+    records, their order and the engine's entries are the same."""
+    def observe(one_at_a_time):
+        base = preset("nominal")
+        setup = build_simulation(base.with_(processing_time=load * base.iframe_time), "lams",
+                                 seed=3, error_model=errors)
+        records = []
+        setup.tracer.listeners.append(
+            lambda record: records.append((record.time, record.source, record.event,
+                                           record.detail)))
+        if one_at_a_time:
+            for channel, endpoint in ((setup.link.forward, setup.endpoint_b),
+                                      (setup.link.reverse, setup.endpoint_a)):
+                channel.receiver = lambda frame, corrupted, heard=channel.receiver: heard(
+                    frame, corrupted)
+                endpoint.receiver.hear(channel)
+                assert channel._run_sink is None
+        FiniteBatch(setup.sim, setup.endpoint_a, 3000).start()
+        setup.run(until=0.3)
+        setup.tracer.settle()
+        assert any(event == "rxqueue_peak" for _, _, event, _ in records)
+        return records, setup.sim.event_count, len(setup.delivered)
+
+    assert observe(False) == observe(True)
