@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-deep golden-bless mutants bench bench-check bench-pairs report examples sweep-smoke validation-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
+.PHONY: install test test-deep golden golden-bless mutants bench bench-check bench-pairs report examples sweep-smoke validation-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -18,17 +18,26 @@ test:
 test-deep:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ --hypothesis-profile=deep
 
-# Rewrite tests/golden/des_counts.json (the benchmark's seed-7 `counts`
-# of the four discrete-event workloads at a short window, held by
-# tests/test_golden_counts.py in tier-1) and print each key that moved.
-# A change that moves a count by design runs this and names the key.
+# The "same answers" set under tests/golden/: the benchmark's seed-7
+# `counts` of the four discrete-event workloads at a short window
+# (des_counts.json, tests/test_golden_counts.py, also in tier-1) and the
+# digests of E21's rows and of the `soak --seed 7 --episodes 145`
+# verdicts (verdicts.json, tools/golden.py; ~5 s on a 2-CPU host).
+# `make golden` fails if any moved; `make golden-bless` rewrites both
+# files and prints each key that moved.  A change that moves one by
+# design runs golden-bless and names the key.
+golden:
+	PYTHONPATH=src:. $(PYTHON) -m pytest -q -p no:cacheprovider tests/test_golden_counts.py
+	PYTHONPATH=src $(PYTHON) tools/golden.py
+
 golden-bless:
 	PYTHONPATH=src:. $(PYTHON) -m tests.test_golden_counts
+	PYTHONPATH=src $(PYTHON) tools/golden.py --bless
 
 # Re-check the hand mutants (tools/mutants.py): each
 # tests/mutants/<name>.patch is applied to a scratch export of the index
 # (what `git add -A` staged) and the test it names must fail there.
-# Fails if any mutant survives or no longer applies.  23 patches, ~135 s
+# Fails if any mutant survives or no longer applies.  29 patches, ~200 s
 # wall on a 2-vCPU host; CI runs it after tier-1.
 mutants:
 	$(PYTHON) tools/mutants.py

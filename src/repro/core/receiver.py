@@ -24,11 +24,12 @@ channel has decided (``hear`` wires it), :meth:`LamsReceiver.on_iframe`
 a frame handed over on its own, as a run of one.  A run waits as
 *pending arrivals*, each clean frame's delivery is planned at once by the
 receive queue's recurrence ``d = max(a, d_prev) + t_proc`` as one agenda
-item, and the arrivals — with the deliveries already made — are applied
-in order, each at its own time, by ``_settle``, at the top of everything
-that reads the receiver's state.  A run *taken as it lands* — a traced
-one, or a frame handed over on its own — is applied at each arrival
-instead, which plans that frame's delivery then (docs/TUNING.md §10).
+item that keeps its arrival's rank (the engine's rank rule), and the
+arrivals — with the deliveries already made — are applied in order, each
+at its own time, by ``_settle``, at the top of everything that reads the
+receiver's state.  Traced or not, a run is taken the same way; traced,
+the arrivals that may bear a record get an item of their own, which
+settles there (docs/TUNING.md §10).
 
 While its tracer is active the receiver traces a checkpoint interval's
 drains, not a drain: one ``payloads_delivered`` record (``times``,
@@ -44,7 +45,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappush
-from itertools import islice
+from itertools import count, islice
 from typing import Any, Callable, Optional, Sequence
 
 from ..simulator.engine import Periodic, Simulator
@@ -66,14 +67,12 @@ class ErrorEntry:
     reports: int = 0
 
 
-# The token every drain carries until its receiver's first flush() or
-# replan: one object all receivers share.
+# The token every drain carries until its receiver's first flush(): one
+# object all receivers share.
 _SHARED_DRAIN_TOKEN = object()
 _INF = math.inf
-# A run's dropped positions when it has none, and when each frame's fate
-# is decided as it is applied.
+# A run's dropped positions when it has none.
 _NONE: dict = {}
-_DECIDE: dict = {None: None}
 
 
 class _Run:
@@ -81,23 +80,24 @@ class _Run:
     ``times[k]``, numbered ``first + k``, corrupted when ``verdicts[k]``;
     ``next`` is the first not applied; ``dropped`` maps a clean frame's
     position to True (a duplicate) or False (a discard), as projected when
-    the run was taken.  A run taken as it lands (``landing``) plans each
-    delivery as its arrival is applied, or at its arrival's own item
-    before ``planned``."""
+    the run was taken.  ``marked`` maps the positions with an item of the
+    receiver's own (``_at_arrival``) to whether it applies its arrival
+    there, and ``recorded`` says whether the channel holds the run's
+    record for its last arrival to emit."""
 
     __slots__ = ("times", "frames", "verdicts", "first", "next", "dropped",
-                 "landing", "planned")
+                 "marked", "recorded")
 
     def __init__(self, times: Sequence[float], frames: Sequence[IFrame],
-                 verdicts: Sequence[bool], first: int, landing: bool) -> None:
+                 verdicts: Sequence[bool], first: int, recorded: bool = False) -> None:
         self.times = times
         self.frames = frames
         self.verdicts = verdicts
         self.first = first
         self.next = 0
         self.dropped = _NONE
-        self.landing = landing
-        self.planned = 0
+        self.marked: Optional[dict] = None
+        self.recorded = recorded
 
 
 def _settled(slot: str, doc: Optional[str] = None) -> property:
@@ -120,7 +120,7 @@ class LamsReceiver:
         "tracer", "deliver", "delivery_interval", "cp_index", "_frontier",
         "_next_expected_seq", "_error_log", "_resolving_log", "_running",
         "_checkpoint_tick", "_incoming", "_drain_token", "_held",
-        "_depth", "_due", "_pending", "_next_settle",
+        "_depth", "_due", "_pending", "_next_settle", "_peak",
         "_stop_go_sink", "_stop_go_armed", "_header_protected",
         "_numbering_size", "_zero_duplication", "_rx_capacity",
         "_checkpoint_interval", "_cumulation_depth",
@@ -172,8 +172,8 @@ class LamsReceiver:
         # given one of the simulator's: its agenda, once made, carries
         # the drains.
         self._incoming: Optional[SimplexChannel] = None
-        # The token the live drains carry.  flush() and a replan give their
-        # receiver a fresh one, so that a drain they overtook lapses.
+        # The token the live drains carry.  flush() gives its receiver a
+        # fresh one, so that a drain it overtook lapses.
         self._drain_token = _SHARED_DRAIN_TOKEN
         # The drains since the last payloads_delivered record, ``(times,
         # payloads)``, while the tracer is active; None when there are none.
@@ -192,6 +192,10 @@ class LamsReceiver:
         # arrival or delivery not yet settled.
         self._pending: list[_Run] = []
         self._next_settle = _INF
+        # The deepest the queue is projected to get by the runs taken
+        # (traced ones) or settled: a traced arrival beyond it bears a
+        # new peak's record.
+        self._peak = 0
         # The co-located sender, whose piggybacked Stop-Go bits a run's
         # frames carry (hear() sets it), and the item that applies the
         # next one, or None.
@@ -289,6 +293,8 @@ class LamsReceiver:
             channel._run_sink = self
             if self.config.piggyback_flow_control:
                 self._stop_go_sink = owner.sender
+            self.sim._plan(self)  # its runs' deliveries keep their arrivals' ranks
+
         elif channel._run_sink is self:
             self.hand_back()
             channel._run_sink = None
@@ -315,16 +321,16 @@ class LamsReceiver:
 
     def on_iframe(self, frame: IFrame, corrupted: bool) -> None:
         """Take an I-frame handed over on its own: a run of one at its own
-        item's ``(time, sequence)``, taken as it lands."""
+        item's ``(time, sequence)``, applied at once — ahead of the runs
+        pending (decided while it was in flight), which are set aside and
+        taken again behind it."""
         sim = self.sim
-        run = self._landing((sim.now,), (frame,), (corrupted,), sim._order)
-        if self._pending:
-            self._settle_due()
-        if self._pending:
-            self._take_ahead(run)
-        else:
-            self._pending.append(run)
-            self._settle()
+        run = _Run((sim.now,), (frame,), (corrupted,), sim._order)
+        runs = self._unplan() if self._pending else ()
+        self._take(run, planned=False)
+        self._settle()
+        if runs:
+            self._replan(runs)
 
     def on_run(self, times: Sequence[float], frames: Sequence[IFrame],
                verdicts: Sequence[bool]) -> None:
@@ -335,57 +341,29 @@ class LamsReceiver:
         sim = self.sim
         first = sim._sequence + 1
         sim._sequence = first + len(times) - 1
-        pending = self._pending
-        traced = self.tracer.active
-        if traced or (pending and pending[-1].landing):
-            # Taken as it lands (and so is every run behind it): each
-            # arrival an item that applies it and plans its delivery then,
-            # numbered where a frame handed over on its own numbers it, so
-            # that what a delivery sets off keeps its rank among other
-            # links' entries of the same instant, and the trace its order.
-            run = self._landing(times, frames, verdicts, first)
-            self._pend(run)
-            items = [(when, first + position, self._arrive, (run, position))
-                     for position, when in enumerate(times)]
-            if traced:  # the channel's record of the run goes out as its last lands
-                last = items[-1]
-                items[-1] = (last[0], last[1], self._arrive_last, last[3])
-            agenda = self._incoming._agenda
-            agenda.lanes[0].extend(items)
-            agenda.added(times[0], first)
-        else:
-            run = _Run(times, frames, verdicts, first, False)
-            # The Stop-Go item first: it is due before the deliveries, so
-            # the agenda's carrier serves both.
-            if self._stop_go_sink is not None and self._stop_go_armed is None:
-                self._arm_stop_go(run)
-            self._take(run)
+        run = _Run(times, frames, verdicts, first, self._incoming.tracer.active)
+        # The Stop-Go item first: it is due before the deliveries, so the
+        # agenda's carrier serves both.
+        if self._stop_go_sink is not None and self._stop_go_armed is None:
+            self._arm_stop_go(run)
+        self._take(run)
         # Whatever reads the trace's statistics as complete settles first.
         self.tracer.hold(self._settle_due)
 
-    def _landing(self, times: Sequence[float], frames: Sequence[IFrame],
-                 verdicts: Sequence[bool], first: int) -> _Run:
-        """A run to take as it lands: each frame's fate decided as it is
-        applied, if a receive capacity or zero-duplication can drop it."""
-        run = _Run(times, frames, verdicts, first, True)
-        if self._rx_capacity is not None or self._zero_duplication:
-            run.dropped = _DECIDE
-        return run
-
-    def _pend(self, run: _Run) -> None:
-        """Add *run* to the pending arrivals."""
-        self._pending.append(run)
-        arrival = run.times[run.next]
-        if arrival < self._next_settle:
-            self._next_settle = arrival
-
-    def _take(self, run: _Run) -> None:
+    def _take(self, run: _Run, planned: bool = True) -> None:
         """Pend *run* and plan its frames' deliveries behind every delivery
         owed, projecting in arrival order what decides a clean frame's fate
         as it lands: its origin (zero-duplication), and the queue's depth
-        (a full queue discards it)."""
-        self._pend(run)
+        (a full queue discards it).  Each delivery is a *planned* item that
+        keeps its arrival's rank, so it runs where a delivery numbered at
+        its arrival would have; taken at its own arrival (a frame handed
+        over on its own), it is numbered there.  Planned while the tracer
+        is active, the arrivals that may bear a record get items of their
+        own (:meth:`_mark_records`)."""
+        self._pending.append(run)
         times, k = run.times, run.next
+        if times[k] < self._next_settle:
+            self._next_settle = times[k]
         sim = self.sim
         zero_duplication = self._zero_duplication
         if zero_duplication:
@@ -394,83 +372,159 @@ class LamsReceiver:
         checked = capacity is not None or zero_duplication
         if checked:
             dropped, served, first = {}, 0, run.first
-        sequence = sim._sequence
         due = self._due
+        owed = len(due)
         plan = due.append
         last = due[-1][0] if due else -_INF
         interval = self._drain_delay_value
         bound = self._drain_bound
         token = self._drain_token
         agenda = self._incoming._agenda if self._incoming is not None else None
-        lane = agenda.lanes[1] if agenda is not None else None
-        tail = lane[-1][0] if lane else _INF if lane is None else -_INF
+        lane = agenda.lanes[1] if agenda is not None and planned else None
         lead = None
-        rows = zip(times, run.frames, run.verdicts)
-        position = k - 1
-        for arrival, frame, skipped in islice(rows, k, None) if k else rows:
+        # Traced, where an arrival finds deliveries owed: a new peak can
+        # only be there.
+        traced = planned and self.tracer.active
+        backlog = [] if traced else None
+        rows = zip(count(run.first), times, run.frames, run.verdicts)
+        for number, arrival, frame, skipped in islice(rows, k, None) if k else rows:
             if skipped:
-                position += 1
                 continue
             if checked:
-                position += 1
                 if zero_duplication and self._is_duplicate_incarnation(frame, arrival):
-                    dropped[position] = True  # a duplicate
+                    dropped[number - first] = True  # a duplicate
                     continue
                 if capacity is not None:
                     # Every payload owed has arrived; those not yet delivered queue.
-                    served = bisect_left(due, (arrival, first + position), served)
+                    served = bisect_left(due, (arrival, number), served)
+                    while served and due[served - 1][0] == arrival and len(due[served - 1]) > 4 \
+                            and not sim._key(due[served - 1]) < (arrival, number):
+                        served -= 1  # planned ahead of this arrival, ranked after it
                     if len(due) - served >= capacity:
-                        dropped[position] = False  # a discard
+                        dropped[number - first] = False  # a discard
                         continue
-            last = (arrival if arrival > last else last) + interval
-            sequence += 1
-            item = (last, sequence, bound, (token, frame.payload))
-            plan(item)
-            if last < tail:  # no agenda, or behind an item that lapsed
-                heappush(sim._heap, item)
+            if arrival > last:
+                last = arrival + interval
             else:
+                if backlog is not None:
+                    backlog.append(len(due))
+                last += interval
+            item = (last, number, bound, (token, frame.payload), arrival)
+            plan(item)
+            if lane is not None:
                 lane.append(item)
                 if lead is None:
                     lead = item
-        sim._sequence = sequence
+        if not planned and len(due) > owed:
+            # A frame handed over on its own: its delivery is numbered here,
+            # at its arrival, as a plain item (an entry of its own with no
+            # agenda).
+            sim._sequence = sequence = sim._sequence + 1
+            item = due[-1] = (due[-1][0], sequence, bound, due[-1][3])
+            if agenda is None:
+                heappush(sim._heap, item)
+            else:
+                agenda.lanes[1].append(item)
+                lead = item
         if checked:
             run.dropped = dropped or _NONE
+        if traced:
+            self._mark_records(run, owed, backlog)
         if lead is not None:
             agenda.added(lead[0], lead[1])
 
-    def _take_ahead(self, run: _Run) -> None:
-        """Take *run*, a frame handed over on its own, ahead of the runs
-        pending (decided while it was in flight): set them aside, apply it,
-        and put them back behind it — as planned when its delivery comes
-        before their first clean arrival and zero-duplication is off, else
-        taken again."""
+    def _mark_records(self, run: _Run, owed: int, backlog: list) -> None:
+        """Give an item of its own to each arrival of *run* — its
+        deliveries planned from ``_due[owed]`` on, those at the *backlog*
+        indexes behind deliveries owed — that may bear a record: a
+        corrupted frame, a gap in the numbering (the first frame, or one
+        after a lost header), a duplicate or discard, a new queue peak, and
+        the last, which carries the channel's record of the run."""
+        times, frames, verdicts, first, k = run.times, run.frames, run.verdicts, run.first, run.next
+        header_protected = self._header_protected
+        marks = [*run.dropped]
+        expected = self._next_expected_seq  # after the last readable header before the run
+        for before in reversed(self._pending[:-1]):
+            readable = next((position for position in range(len(before.times) - 1,
+                                                            before.next - 1, -1)
+                             if header_protected or not before.verdicts[position]), None)
+            if readable is not None:
+                expected = (before.frames[readable].seq + 1) % self._numbering_size
+                break
+        if expected is None or frames[k].seq != expected:
+            marks.append(k)  # a gap since the frames before
+        if any(islice(verdicts, k, None)):
+            for position in range(k, len(times)):
+                if verdicts[position]:
+                    marks.append(position)
+                    if not header_protected:
+                        marks.append(position + 1)  # the gap its lost header leaves
+        # A new peak: more deliveries owed at an arrival, its own included,
+        # than the deepest projected so far — the delivery ``peak`` places
+        # before its own (deliveries keep arrival order) not made yet.  An
+        # arrival that finds none owed is one deep.
         due = self._due
-        owed = [due.pop() for _ in range(len(due) - self._depth)]
-        queued = len(due)
-        runs = self._unplan()
-        self._pending.append(run)
-        self._settle()
-        ahead = due[-1][0] if len(due) > queued else -_INF
-        if self._zero_duplication or ahead > next(
-                (later.times[position] for later in runs if not later.landing
-                 for position in range(later.next, len(later.times))
-                 if not later.verdicts[position]), _INF):
-            self._replan(runs)
-            return
-        due.extend(reversed(owed))
-        for later in runs:
-            self._pend(later)
+        sim = self.sim
+        peak = self._peak
+        stat = self._rxqueue_stat
+        if stat is not None and stat.maximum > peak:
+            peak = stat.maximum
+        if not peak and len(due) > owed:
+            peak = 1
+            marks.append(due[owed][1] - first)
+        for index in backlog:
+            ahead = index - peak
+            if ahead < 0:
+                continue
+            item = due[index]
+            arrival = item[4]
+            while ahead >= 0 and (due[ahead][0] > arrival or (
+                    due[ahead][0] == arrival
+                    and not sim._key(due[ahead]) < (arrival, item[1]))):
+                ahead -= 1
+            if index - ahead > peak:
+                peak = index - ahead
+                marks.append(item[1] - first)
+        self._peak = peak
+        marks = dict.fromkeys(marks, True)
+        if run.recorded:  # the channel's record: no arrival to apply there for it
+            marks.setdefault(len(times) - 1, False)
+        self._mark(run, marks)
 
-    def _decide(self, frame: IFrame, arrival: float, depth: int) -> Optional[bool]:
-        """The fate of a clean frame of a run taken as it lands, applied at
-        *arrival* onto a queue *depth* deep: a duplicate (True), a discard
-        (False) or queued (None)."""
-        if self._zero_duplication:
-            self._prune_origins(arrival)
-            if self._is_duplicate_incarnation(frame, arrival):
-                return True
-        capacity = self._rx_capacity
-        return False if capacity is not None and depth >= capacity else None
+    def _mark(self, run: _Run, positions: dict) -> None:
+        """Give each of *positions* of *run* an item (:meth:`_at_arrival`)
+        unless it has one; *positions* says whether the item applies its
+        arrival there."""
+        marked = run.marked = run.marked or {}
+        times = run.times
+        items = [(times[position], run.first + position, self._at_arrival, (run, position))
+                 for position in sorted(positions)
+                 if position < len(times) and position not in marked]
+        for position, applies in positions.items():
+            marked[position] = marked.get(position, False) or applies
+        if items:
+            agenda = self._incoming._agenda
+            agenda.insert(agenda.lanes[0], items)
+
+    def _at_arrival(self, run: _Run, position: int) -> None:
+        """The item at arrival *position* of *run*: the channel's record of
+        the run goes out first if it is the last frame; the arrival is
+        applied, with everything before it, if it may bear a record; then
+        its piggybacked Stop-Go bit, if this is the arrival armed for it."""
+        if run.recorded and position == len(run.times) - 1:
+            channel = self._incoming
+            if position:
+                channel._emit_held()
+            else:
+                channel._emit_one(run.frames[0], run.verdicts[0])
+        if run.marked[position]:
+            self._settle_due()
+        armed = self._stop_go_armed
+        if armed is not None and armed[0] is run and armed[1] == position:
+            self._stop_go_armed = None
+            self._stop_go_sink.note_piggyback_stop_go(run.frames[position].stop_go)
+            if self._pending:
+                self._arm_stop_go()
 
     def _settle_due(self) -> None:
         """Settle, if an arrival or a delivery made is due by now."""
@@ -482,10 +536,12 @@ class LamsReceiver:
         entry and is not yet applied: each pending arrival — sequence and
         gap tracking, the frontier, the error log, the queue or a discard,
         its records — and each delivery already made, with the ``rxqueue``
-        gauge stepped at every one, as a frame at a time would."""
+        gauge stepped at every one, as a frame at a time would.  Where a
+        delivery ties with an arrival or the running entry, ranks decide
+        (``Simulator._key``)."""
         sim = self.sim
         now = sim.now
-        order = sim._order
+        running = None  # the running entry's key, read at a tie
         # Until the end, a settle that a record emitted here sets off
         # (through Tracer.settle) finds nothing due.
         self._next_settle = _INF
@@ -508,16 +564,24 @@ class LamsReceiver:
                 run = pending[0]
                 times, frames, verdicts, first = run.times, run.frames, run.verdicts, run.first
                 count = len(times)
-                dropped, planned = run.dropped, run.planned if run.landing else count
+                dropped = run.dropped
                 k = start = run.next
                 while k < count:
                     arrival = times[k]
-                    if arrival >= now and (arrival > now or first + k > order):
-                        break
+                    if arrival >= now:
+                        if arrival > now:
+                            break
+                        if first + k > sim._order:  # else it precedes, whatever the rank
+                            if running is None:
+                                running = sim._running_key()
+                            if (arrival, first + k) > running:
+                                break
                     while due:  # the deliveries made before this arrival
                         item = due[0]
                         when = item[0]
-                        if when >= arrival and (when > arrival or item[1] > first + k):
+                        if when >= arrival and (when > arrival or (
+                                item[1] > first + k if len(item) < 5
+                                else not sim._key(item) < (arrival, first + k))):
                             break
                         due.popleft()
                         depth -= 1
@@ -552,8 +616,7 @@ class LamsReceiver:
                             tracer.emit(arrival, self.name, "iframe_corrupted", seq=seq)
                         continue
                     if dropped:
-                        fate = (self._decide(frame, arrival, depth) if dropped is _DECIDE
-                                else dropped.get(k - 1))
+                        fate = dropped.get(k - 1)
                         if fate:
                             self._duplicates += 1
                             if traced:
@@ -586,10 +649,6 @@ class LamsReceiver:
                     level = depth
                     if depth > maximum:
                         maximum = depth
-                    if k > planned:  # taken as it lands: its delivery, numbered now
-                        owed = due[-1][0] if due else arrival
-                        self._schedule_drain((owed if owed > arrival else arrival)
-                                             + self._drain_delay_value, frame.payload)
                 self._received += k - start
                 if k < count:
                     run.next = k
@@ -600,8 +659,13 @@ class LamsReceiver:
         while due:  # the deliveries made since the last arrival
             item = due[0]
             when = item[0]
-            if when > now or (when == now and item[1] > order):
-                break
+            if when >= now:
+                if when > now:
+                    break
+                if running is None:
+                    running = sim._running_key()
+                if sim._key(item) > running:
+                    break
             due.popleft()
             depth -= 1
             if when < last:
@@ -625,9 +689,11 @@ class LamsReceiver:
         self._next_settle = when
 
     def _unplan(self) -> list[_Run]:
-        """Set the pending runs aside, once settled: forget the origins they
-        recorded ahead and the deliveries owed for them (the queued
-        payloads' stay).  Returns them."""
+        """Settle, then set the pending runs aside: forget the origins they
+        recorded ahead, the deliveries owed for them (the queued payloads'
+        stay) and the receiver's own items at their arrivals.  Returns
+        them."""
+        self._settle_due()
         pending = self._pending
         runs = list(pending)
         if self._zero_duplication:
@@ -635,7 +701,7 @@ class LamsReceiver:
             origins = self._delivered_origins
             for _ in range(sum(not run.verdicts[position]
                                and run.dropped.get(position) is not True
-                               for run in runs if not run.landing
+                               for run in runs
                                for position in range(run.next, len(run.times)))):
                 _, origin, seen = queue.pop()
                 if seen is None:
@@ -644,110 +710,70 @@ class LamsReceiver:
                     origins[origin] = seen
         pending.clear()
         due = self._due
-        for _ in range(len(due) - self._depth):
+        owed = len(due) - self._depth
+        for _ in range(owed):
             due.pop()
+        agenda = self._incoming._agenda if self._incoming is not None else None
+        if agenda is not None:
+            # Settled, the lane holds the deliveries not yet made: the owed
+            # ones are its tail.
+            agenda.trim(agenda.lanes[1], tail=owed)
+            agenda.discard(agenda.lanes[0], lambda item: item[2] != self._at_arrival)
+        self._stop_go_armed = None
+        for run in runs:
+            run.marked = None
+        stat = self._rxqueue_stat
+        self._peak = stat.maximum if stat is not None else 0
+        self._next_settle = due[0][0] if due else _INF
         return runs
 
-    def _replan(self, runs: Sequence[_Run] = ()) -> None:
-        """Owe every delivery afresh, the pending runs set aside: a new
-        token, so the items already made lapse; the queued payloads' items
-        made again at their times; then *runs* taken again."""
-        self._drain_token = object()
-        due = self._due
-        owed = [(item[0], item[3][1]) for item in due]
-        due.clear()
-        for when, payload in owed:
-            self._schedule_drain(when, payload)
-        self._next_settle = due[0][0] if due else _INF
+    def _replan(self, runs: Sequence[_Run]) -> None:
+        """Take *runs*, set aside by :meth:`_unplan`, again."""
         for run in runs:
-            if run.landing:
-                self._pend(run)
-            else:
-                self._take(run)
+            self._take(run)
+        if self._stop_go_sink is not None and self._pending:
+            self._arm_stop_go()
+
+    def _oldest_arrival(self) -> Optional[tuple[float, int]]:
+        """The oldest arrival a planned delivery not yet made keeps the rank
+        of (``Simulator._note`` prunes its log behind it).  A delivery made
+        but not yet settled keeps its rank as a plain number from here on,
+        so a receiver nobody settles any more holds no log."""
+        due, sim = self._due, self.sim
+        for index, item in enumerate(due):
+            if len(item) > 4:
+                if item[0] >= sim.now:
+                    return item[4], item[1]
+                due[index] = (item[0], sim._key(item)[1], item[2], item[3])
+        return None
 
     def hand_back(self) -> None:
         """The channel goes down, or ``hear`` unwires the run path: settle,
         then hand the arrivals still in flight back to the channel as the
         items they would have been, which meet the channel's state (and
         handler) as they land."""
-        self._settle_due()
-        if not self._pending:
-            return
         channel = self._incoming
-        deliver = channel._deliver
-        items = [(run.times[position], run.first + position, deliver,
-                  (run.frames[position], run.verdicts[position]))
-                 for run in self._unplan() if not run.landing
-                 for position in range(run.next, len(run.times))]
-        # The receiver's own items: the Stop-Go one (its arrival's takes its
-        # place, with its number) and the arrivals of runs taken as they land.
-        lane = channel._agenda.lanes[0]
-        kept = []
-        for item in lane:
-            step = item[2]
-            if getattr(step, "__self__", None) is not self:
-                kept.append(item)
-            elif step != self._apply_stop_go:
-                run, position = item[3]
-                if step != self._arrive:  # it holds the run's record
-                    deliver = channel._deliver_last if position else channel._deliver_traced
-                items.append((item[0], item[1], deliver,
-                              (run.frames[position], run.verdicts[position])))
+        items = []
+        for run in self._unplan():
+            last = len(run.times) - 1
+            for position in range(run.next, last + 1):
                 deliver = channel._deliver
-        lane.clear()
-        lane.extend(kept)
-        self._stop_go_armed = None
-        channel._agenda.insert(lane, items)
-        self._replan()
-
-    def _arrive(self, run: _Run, position: int) -> None:
-        """Arrival *position* of a run taken as it lands: its delivery is
-        planned now and it is applied — at once, unless it is clean after a
-        clean frame (a run's frames are numbered consecutively, so no gap)
-        and no new queue peak: bearing no record, it waits for the next
-        settle.  Then its frame's Stop-Go bit, as ``on_frame`` applies it."""
-        frames, verdicts = run.frames, run.verdicts
-        stat = self._rxqueue_stat
-        if ((position == run.planned or position == run.next) and position
-                and not verdicts[position] and not verdicts[position - 1]
-                and stat is not None and self._rx_capacity is None
-                and not self._zero_duplication):
-            arrival = run.times[position]
-            due = self._due
-            owed = due[-1][0] if due else arrival
-            # The deliveries still owed at this arrival are its queue.
-            if owed < arrival or len(due) - bisect_left(
-                    due, (arrival, run.first + position)) < stat.maximum:
-                self._schedule_drain((owed if owed > arrival else arrival)
-                                     + self._drain_delay_value, frames[position].payload)
-                run.planned = position + 1
-            else:
-                self._settle()
-        else:
-            self._settle()
-        sender = self._stop_go_sink
-        if sender is not None and (not verdicts[position] or self._header_protected):
-            sender.note_piggyback_stop_go(frames[position].stop_go)
-
-    def _arrive_last(self, run: _Run, position: int) -> None:
-        """The last arrival of a traced run taken as it lands: the
-        channel's record of the run goes out ahead of it."""
-        channel = self._incoming
-        if position:
-            channel._emit_held()
-        else:
-            channel._emit_one(run.frames[0], run.verdicts[0])
-        self._arrive(run, position)
+                if run.recorded and position == last:  # it holds the run's record
+                    deliver = channel._deliver_last if position else channel._deliver_traced
+                items.append((run.times[position], run.first + position, deliver,
+                              (run.frames[position], run.verdicts[position])))
+        if items:
+            channel._agenda.insert(channel._agenda.lanes[0], items)
 
     # -- piggybacked Stop-Go on the run path ----------------------------------------
 
     def _arm_stop_go(self, run: Optional[_Run] = None) -> None:
         """Find the next pending arrival whose piggybacked Stop-Go bit the
         sender will apply — its readable header landing a checkpoint
-        interval after the last one applied — and put the application at
-        that arrival's own ``(time, sequence)``, an item among the
-        channel's arrivals.  Searches *run* only when given (nothing
-        before it qualified against the same last one)."""
+        interval after the last one applied — and apply it there: at the
+        arrival's own item (:meth:`_at_arrival`), made if it has none.
+        Searches *run* only when given (nothing before it qualified against
+        the same last one)."""
         sender = self._stop_go_sink
         if sender.failed:
             return
@@ -755,8 +781,6 @@ class LamsReceiver:
         interval = self._checkpoint_interval
         header_protected = self._header_protected
         for candidate in (run,) if run is not None else self._pending:
-            if candidate.landing:
-                break  # taken as it lands, as is every run behind it
             times, verdicts = candidate.times, candidate.verdicts
             if times[-1] - last < interval:
                 continue  # arrivals are monotone: none of this run's qualifies
@@ -765,21 +789,9 @@ class LamsReceiver:
                     continue
                 if verdicts[position] and not header_protected:
                     continue
-                self._stop_go_armed = entry = (
-                    times[position], candidate.first + position, self._apply_stop_go,
-                    (candidate, position))
-                agenda = self._incoming._agenda
-                agenda.insert(agenda.lanes[0], [entry])
+                self._stop_go_armed = (candidate, position)
+                self._mark(candidate, {position: True})
                 return
-
-    def _apply_stop_go(self, run: _Run, position: int) -> None:
-        """At arrival *position* of *run*: apply its frame's Stop-Go bit
-        after its arrival, as ``LamsDlcEndpoint.on_frame`` does."""
-        self._stop_go_armed = None
-        self._settle_due()
-        self._stop_go_sink.note_piggyback_stop_go(run.frames[position].stop_go)
-        if self._pending:
-            self._arm_stop_go()
 
     # -- zero-duplication extension -----------------------------------------------
 
@@ -925,28 +937,10 @@ class LamsReceiver:
         self._settle_due()
         return self._depth >= self._high_watermark
 
-    def _schedule_drain(self, when: float, payload: Any) -> None:
-        """Owe *payload*'s delivery at *when*: an item on lane 1 of the
-        incoming channel's agenda once it has one — unless an item there
-        that lapsed is later — else a heap entry of its own."""
-        sim = self.sim
-        sim._sequence = sequence = sim._sequence + 1
-        item = (when, sequence, self._drain_bound, (self._drain_token, payload))
-        self._due.append(item)
-        incoming = self._incoming
-        agenda = incoming._agenda if incoming is not None else None
-        if agenda is not None:
-            lane = agenda.lanes[1]
-            if not lane or lane[-1][0] <= when:
-                lane.append(item)
-                agenda.added(when, sequence)
-                return
-        heappush(sim._heap, item)
-
     def _drain_one(self, token: object, packet: Any) -> None:
         """One planned delivery: *packet*, the oldest payload owed, goes up."""
         if token is not self._drain_token:
-            return  # overtaken by flush() or a replan
+            return  # overtaken by flush()
         due = self._due
         sim = self.sim
         if not self._pending and due and due[0][1] == sim._order:
@@ -997,6 +991,9 @@ class LamsReceiver:
         count = self._depth
         self._drain_token = token = object()  # their drains lapse
         due = self._due
+        agenda = self._incoming._agenda if self._incoming is not None else None
+        if agenda is not None and count:  # settled: the lane's head is the queue
+            agenda.trim(agenda.lanes[1], head=count)
         stat = self._rxqueue_stat
         now = self.sim.now
         for _ in range(count):

@@ -29,7 +29,8 @@ Hot-path design notes
 - The receiving end of a channel — the arrivals of its runs and the
   drains of the receiver it feeds — is one :class:`Agenda`: items that
   keep their own ``(time, sequence)`` in FIFO lanes, carried by one heap
-  entry that runs them inline (docs/TUNING.md §10).
+  entry that runs them inline (docs/TUNING.md §10).  A delivery planned
+  ahead of its arrival keeps that arrival's rank (the rank rule).
 
 The scheduling contract
 -----------------------
@@ -41,16 +42,20 @@ protocol half needs from its event source.  The hot paths in
 append that same tuple to an :class:`Agenda` lane and announce it with
 :meth:`Agenda.added`, so the heap and the ``_sequence`` counter are part
 of the ABI; every such push or item takes a number, which closes an open
-batch.  A loop
+batch — but a *planned* item (the rank rule, below), which takes its
+arrival's.  A loop
 owes a popped entry ``entry[2](*entry[3])`` and nothing else: a carrier
 names ``Timer._surfaced`` (fire, re-push at the reserved ``(deadline,
-sequence)``, or lapse) or ``Agenda._surfaced``, a shared entry the
+sequence)``, or lapse) or ``Agenda._surfaced`` (through ``_ranked``
+for a carrier at a rank), a shared entry the
 runner.  A loop also keeps ``_horizon``, the latest time an agenda may
 run an item inline: :meth:`Simulator.run` sets it to *until* (+inf
-without one); and ``_order``, the sequence number of the entry it is
-running (an agenda sets its items' own), which a receiver settling
-arrivals lazily compares with — :meth:`Simulator.run` leaves it "after
-everything" between runs.  A clock that is not this engine subclasses
+without one); ``_order``, the sequence number of the entry it is
+running (an agenda sets its items' own, and ``_item`` to the item),
+which a receiver settling arrivals lazily compares with —
+:meth:`Simulator.run` leaves it "after everything" between runs; and the
+dispatch log, a ``_note`` after each dispatch that moved ``_sequence``.
+A clock that is not this engine subclasses
 :class:`Simulator` (as :class:`repro.transport.clock.AsyncioClock`
 does); the asyncio clock's horizon is -inf, since its pump dispatches by
 wall time, so there every agenda item is an entry of its own.
@@ -73,6 +78,23 @@ new earliest item.  So nothing runs inline that another entry should
 have preceded, and whatever reads the receiver's state runs after every
 item before it, as it would with an entry per item.
 
+The rank rule.  A delivery planned when its run is decided, before its
+arrival lands, is a *planned* item ``(time, arrival sequence, callback,
+args, arrival time)``: it keeps the rank a delivery numbered at its
+arrival would have had.  Against any entry or item of its own instant it
+runs after everything numbered before the dispatch passed its arrival's
+``(time, sequence)`` and before everything numbered after; planned items
+tied with each other go in arrival order.  That rank is
+``(time, c + 0.5, arrival)`` (:meth:`Simulator._key`), where ``c`` is the
+counter when the dispatch passed the arrival: the dispatch log keeps
+``(key, counter)`` for each dispatch that moved the counter, so ``c`` is
+a bisect away, and the log is pruned behind the oldest arrival a planned
+item not yet made keeps the rank of.  The rank is read only where a
+planned item ties in time with another entry — an agenda's head against
+the heap's top or another lane's head, a receiver's delivery against an
+arrival or the running entry — and a planned head that must let a tied
+entry go first is carried again at its rank, once its arrival has passed.
+
 Example
 -------
 >>> sim = Simulator()
@@ -91,6 +113,7 @@ Example
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
@@ -100,6 +123,9 @@ __all__ = ["Agenda", "Simulator", "Timer", "SimulationError", "engine_backend"]
 _INF = float("inf")
 # ``Simulator._order`` outside a dispatch: after every number taken so far.
 _AFTER = 1 << 62
+# Entries the dispatch log holds before it is pruned behind the oldest
+# arrival a planned item still keeps the rank of.
+_LOG_LIMIT = 1024
 
 
 class SimulationError(Exception):
@@ -262,6 +288,13 @@ class _Round:
             armed.calls += calls
 
 
+def _ranked(key: float, arrival: tuple, agenda: "Agenda") -> None:
+    """A carrier at a rank (:meth:`Agenda._defer`): *agenda*'s head
+    surfaced at ``(now, key)``.  A function, not a bound method, so that
+    two carriers at one rank compare by their arrivals, never by agenda."""
+    agenda._surfaced(key)
+
+
 class Agenda:
     """Items that keep their own ``(time, sequence)`` but share one heap entry.
 
@@ -270,14 +303,22 @@ class Agenda:
     FIFO ``lanes``, each of which its owner fills in ``(time, sequence)``
     order.  The heap holds a *carrier* at the earliest head: an item added
     earlier than the carried head gets a carrier of its own (the old one
-    stays and surfaces, at its own item, once that is the head again).
-    When a carrier surfaces, :meth:`_surfaced` runs heads in order, each
+    stays, surfaces, finds a later head and carries that).  When a carrier
+    surfaces at its own item, :meth:`_surfaced` runs heads in order, each
     at its own ``now``, for as long as the next one precedes the heap's
-    top — ties broken by sequence number — and lies within the running
-    loop's horizon (``sim._horizon``), stopping after a ``stop()``; then,
-    however it left (an exception included), it carries the new head.
-    Every item therefore runs at the ``(time, sequence)`` and in the order
-    one heap entry per item would have given it.
+    top — ties broken by rank — and lies within the running loop's horizon
+    (``sim._horizon``), stopping after a ``stop()``; then, however it left
+    (an exception included), it carries the new head.  Every item
+    therefore runs at the ``(time, sequence)`` and in the order one heap
+    entry per item would have given it.
+
+    A *planned* item, ``(time, arrival sequence, callback, args, arrival
+    time)``, is made ahead of the arrival it belongs to and takes no
+    number: it keeps the rank that arrival gives it (:meth:`Simulator._key`,
+    the rank rule), for which its arrival's number is a lower bound that
+    stands in except where it ties with another entry.  There the rank
+    decides, and a planned head that must let a tied entry go first is
+    carried again at its rank (:meth:`_defer`).
     """
 
     __slots__ = ("sim", "lanes", "_armed", "_carried", "_on_surface")
@@ -288,8 +329,8 @@ class Agenda:
         # Time of the carried head: +inf when empty, -inf while running
         # (nothing added then needs a carrier).
         self._armed = _INF
-        self._carried: set[int] = set()  # sequence numbers of carriers in the heap
-        # Bound once: the object every carrier of this agenda carries.
+        self._carried: set = set()  # keys of this agenda's carriers in the heap
+        # Bound once: the object every carrier at a number carries.
         self._on_surface = self._surfaced
 
     def add(self, lane: deque, when: float, callback: Callable, args: tuple) -> None:
@@ -309,10 +350,8 @@ class Agenda:
         """Merge *items* — entries numbered earlier, in ``(time, sequence)``
         order — into *lane*, carrying the first if it now leads (and no
         carrier of its number is in the heap already)."""
-        lead = None
-        for other in self.lanes:
-            if other and (lead is None or other[0] < lead):
-                lead = other[0]
+        lead = self._head()
+        lead = lead[0] if lead is not None else None
         if not lane or lane[-1] < items[0]:
             lane.extend(items)
         else:
@@ -320,39 +359,103 @@ class Agenda:
             lane.clear()
             lane.extend(merged)
         first = items[0]
-        if (self._armed != -_INF and (lead is None or first < lead)
+        if (self._armed != -_INF and (lead is None or first[0] < lead[0] or (
+                first[0] == lead[0] and self.sim._key(first) < self.sim._key(lead)))
                 and first[1] not in self._carried):
             self._carry(first[0], first[1])
 
-    def _carry(self, when: float, sequence: int) -> None:
-        self._armed = when
-        self._carried.add(sequence)
-        heappush(self.sim._heap, (when, sequence, self._on_surface, ()))
+    def discard(self, lane: deque, keep: Callable[[tuple], bool]) -> None:
+        """Drop the items of *lane* that *keep* rejects.  A dropped head's
+        carrier surfaces, finds a later head and carries that."""
+        kept = [item for item in lane if keep(item)]
+        if len(kept) != len(lane):
+            lane.clear()
+            lane.extend(kept)
+            self._dropped()
 
-    def _surfaced(self) -> None:
-        """A carrier reached the top: its item is the head.  Run the heads
-        that precede everything else, then carry the new head."""
+    def trim(self, lane: deque, head: int = 0, tail: int = 0) -> None:
+        """Drop *head* items from the front of *lane* and *tail* from its back."""
+        for _ in range(head):
+            lane.popleft()
+        for _ in range(tail):
+            lane.pop()
+        if head or tail:
+            self._dropped()
+
+    def _dropped(self) -> None:
+        if self._armed != -_INF:  # while running, the run carries at its end
+            self._rearm()
+
+    def _carry(self, when: float, key: float, arrival: Optional[tuple] = None) -> None:
+        self._armed = when
+        self._carried.add(key)
+        if arrival is None:
+            heappush(self.sim._heap, (when, key, self._on_surface, (key,)))
+        else:
+            heappush(self.sim._heap, (when, key, _ranked, (key, arrival, self)))
+
+    def _head(self) -> Optional[deque]:
+        """The lane whose head comes first (a tie decided by rank)."""
+        head = None
+        for lane in self.lanes:
+            if lane:
+                if head is None:
+                    head = lane
+                    continue
+                first, item = lane[0], head[0]
+                if first[0] < item[0] or (
+                        first[0] == item[0] and self.sim._key(first) < self.sim._key(item)):
+                    head = lane
+        return head
+
+    def _surfaced(self, key: float) -> None:
+        """A carrier reached the top at ``(now, key)``.  If the head is its
+        item, run the heads that precede everything else; then carry the
+        new head."""
         sim = self.sim
         heap = sim._heap
         horizon = sim._horizon
         lanes = self.lanes
+        self._carried.discard(key)
         self._armed = -_INF
+        counted = sim._counted
+        deferred = False
         try:
-            head = None
+            item = None
             for lane in lanes:
-                if lane and (head is None or lane[0] < head[0]):
-                    head = lane
-            item = head.popleft()  # the carrier's own: due, whatever the horizon
-            self._carried.discard(item[1])
-            sim.now = item[0]
+                if lane:
+                    first = lane[0]
+                    if item is None or first[0] < item[0]:
+                        item, head = first, lane
+                    elif first[0] == item[0] and sim._key(first) < sim._key(item):
+                        item, head = first, lane
+            if item is None:
+                return
+            when = item[0]
+            if when != sim.now or (item[1] != key and (
+                    len(item) < 5 or key != sim._key(item)[1])):
+                return  # not its item: a later one (its own was dropped)
+            if len(item) > 4 and key == item[1] and heap:
+                top = heap[0]
+                if top[0] == when and not sim._key(item) < sim._key(top):
+                    self._defer(item)
+                    deferred = True
+                    return
+            head.popleft()
             sim._order = item[1]
+            sim._item = item
             item[2](*item[3])
             while not sim._stopped:
+                if sim._sequence != counted:
+                    sim._note(item)
+                    counted = sim._counted
                 item = None
                 for lane in lanes:
                     if lane:
                         first = lane[0]
-                        if item is None or first < item:
+                        if item is None or first[0] < item[0]:
+                            item, head = first, lane
+                        elif first[0] == item[0] and sim._key(first) < sim._key(item):
                             item, head = first, lane
                 if item is None:
                     break
@@ -361,30 +464,53 @@ class Agenda:
                     break
                 if heap:
                     top = heap[0]
-                    if not (when < top[0] or (when == top[0] and item[1] < top[1])):
+                    if when >= top[0] and (when > top[0] or not (
+                            item[1] < top[1] if len(item) < 5 else sim._key(item) < sim._key(top))):
+                        if when == top[0] and len(item) > 4 and item[1] < top[1]:
+                            # Its number said first, its rank says later: the
+                            # next dispatch is past its arrival, so the rank holds.
+                            self._defer(item)
+                            deferred = True
                         break
                 head.popleft()
                 sim.now = when
                 sim._order = item[1]
+                sim._item = item
                 item[2](*item[3])
         finally:
-            self._rearm()
+            if sim._sequence != counted:  # moved by the last item run
+                sim._note(sim._item)
+            if not deferred:
+                self._rearm()
+
+    def _defer(self, item: tuple) -> None:
+        """Carry the planned head *item*, whose arrival has passed, at its rank."""
+        key = self.sim._key(item)
+        self._armed = item[0]
+        if key[1] not in self._carried:
+            self._carry(item[0], key[1], key[2:])
 
     def _rearm(self) -> None:
-        """Carry the head, unless a carrier of its own is still in the heap."""
-        head = None
-        for lane in self.lanes:
-            if lane and (head is None or lane[0] < head):
-                head = lane[0]
+        """Carry the head, unless a carrier of its own is still in the heap
+        — at its rank, if it is planned, its arrival has passed and the
+        heap's top ties with it."""
+        head = self._head()
         if head is None:
             self._armed = _INF
             return
-        when, sequence = head[0], head[1]
+        item = head[0]
+        when, sequence = item[0], item[1]
+        if len(item) > 4:
+            sim = self.sim
+            heap = sim._heap
+            if heap and heap[0][0] == when and (item[4], sequence) < (sim.now, sim._order):
+                self._defer(item)
+                return
         self._armed = when
         carried = self._carried
         if sequence not in carried:
             carried.add(sequence)
-            heappush(self.sim._heap, (when, sequence, self._on_surface, ()))
+            heappush(self.sim._heap, (when, sequence, self._on_surface, (sequence,)))
 
 
 class Simulator:
@@ -406,6 +532,20 @@ class Simulator:
         # shared entry's for each of its calls); _AFTER between runs.
         # What settles lazily (LamsReceiver._settle) compares with it.
         self._order = _AFTER
+        # The agenda item being run last (a planned one's rank is read from
+        # it by _running_key).
+        self._item: Optional[tuple] = None
+        # The dispatch log: ``(*key, counter)`` for each dispatch after
+        # which ``_sequence`` had moved, keys in dispatch order, so the
+        # counter at any position already passed is a bisect away
+        # (_counter_at).  ``_counted`` is the counter last logged; each
+        # object in ``_planners`` names, by ``_oldest_arrival()``, the
+        # oldest arrival whose rank it may still ask for.  With no
+        # planner there is no planned item and the loops log nothing.
+        self._log: list[tuple] = [(-_INF, 0, 0)]
+        self._counted = 0
+        self._log_limit = _LOG_LIMIT
+        self._planners: list = []
         self.event_count = 0
         # Armed rounds by (next deadline, interval); see every().
         self._rounds: dict[tuple[float, float], _Round] = {}
@@ -497,6 +637,72 @@ class Simulator:
             elif then is not None:
                 then()
 
+    # -- the rank rule ----------------------------------------------------
+
+    def _key(self, entry: tuple) -> tuple:
+        """The full dispatch key of an entry or agenda item: ``(time,
+        sequence)``, or for a planned item ``(time, c + 0.5, arrival time,
+        arrival sequence)``, where ``c`` is the counter when the dispatch
+        passed its arrival (``_counter_at``).  That is the rank a
+        delivery numbered at its arrival would have had: after every entry
+        numbered before the arrival was passed, before every entry numbered
+        after, and among planned items in arrival order.  Compared only
+        where two entries tie in time."""
+        if len(entry) > 4:
+            when, sequence = entry[4], entry[1]
+            return (entry[0], self._counter_at(when, sequence) + 0.5, when, sequence)
+        if entry[2] is _ranked:
+            return (entry[0], entry[1], *entry[3][1])  # a carrier at a rank
+        return (entry[0], entry[1])
+
+    def _running_key(self) -> tuple:
+        """The dispatch key of the entry or item being run."""
+        item = self._item
+        if (item is not None and len(item) > 4 and item[1] == self._order
+                and item[0] == self.now):
+            return self._key(item)
+        return (self.now, self._order)
+
+    def _counter_at(self, when: float, sequence: int) -> int:
+        """``_sequence`` as the dispatch passed position ``(when, sequence)``:
+        the counter after the last logged dispatch before it, or — not
+        passed yet — the counter now, which every entry made before it is
+        passed stays at or under."""
+        log = self._log
+        index = bisect_left(log, (when, sequence))
+        if index == len(log) and (when > self.now or (
+                when == self.now and sequence > self._order)):
+            return self._sequence
+        return log[index - 1][-1] if index else log[0][-1]
+
+    def _plan(self, planner: Any) -> None:
+        """*planner* may make planned items from now on: keep the dispatch
+        log (from here, the first time) and prune it behind *planner*'s
+        oldest arrival too."""
+        if not self._planners:
+            self._note((self.now, self._order, None, ()))
+        if planner not in self._planners:
+            self._planners.append(planner)
+
+    def _note(self, entry: tuple) -> None:
+        """Log that ``_sequence`` moved during the dispatch of *entry*."""
+        self._counted = counter = self._sequence
+        log = self._log
+        if len(entry) < 5 and entry[2] is not _ranked:
+            log.append((entry[0], entry[1], counter))
+        else:
+            log.append((*self._key(entry), counter))
+        if len(log) > self._log_limit:
+            oldest = None
+            for planner in self._planners:
+                arrival = planner._oldest_arrival()
+                if arrival is not None and (oldest is None or arrival < oldest):
+                    oldest = arrival
+            keep = len(log) - 1 if oldest is None else bisect_left(log, oldest) - 1
+            if keep > 0:
+                del log[:keep]
+            self._log_limit = max(_LOG_LIMIT, 2 * len(log))
+
     def timer(self, callback: Callable[[], None]) -> Timer:
         """A restartable :class:`Timer` invoking *callback* on expiry."""
         return Timer(self, callback)
@@ -549,6 +755,8 @@ class Simulator:
         *max_events* is a safety valve for runaway simulations.
         """
         self._stopped = False
+        if self._planners and self._sequence != self._counted:  # numbers taken between runs
+            self._note((self.now, self._order, None, ()))
         heap = self._heap
         pop = heappop
         push = heappush
@@ -571,6 +779,8 @@ class Simulator:
                 self._order = entry[1]
                 entry[2](*entry[3])
                 processed += 1
+                if self._planners and self._sequence != self._counted:
+                    self._note(entry)
                 if processed >= limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (possible runaway simulation)"

@@ -33,6 +33,7 @@ propagation keeps its ``frame_lost_outage`` record and is left out.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
@@ -458,8 +459,13 @@ class SimplexChannel:
             return
         times, verdicts, frames, last, lost = held[0]
         first = last - len(times) + 1
-        waiting = sum(first <= item[1] <= last for item in self._agenda.lanes[0])
-        landed = len(times) - waiting
+        # Landed: the arrivals the dispatch has passed, however they were
+        # taken (an item each, or a run handed to the receiver whole).
+        sim = self.sim
+        now, order = sim.now, sim._order
+        landed = bisect_left(times, now)
+        while landed < len(times) and times[landed] == now and first + landed <= order:
+            landed += 1
         if landed:
             self._emit_run(times[:landed], verdicts[:landed], frames[:landed],
                            [k for k in lost if k < landed])

@@ -102,6 +102,8 @@ class AsyncioClock(Simulator):
                 self._order = entry[1]
                 entry[2](*entry[3])
                 processed += 1
+                if self._planners and self._sequence != self._counted:
+                    self._note(entry)
             # Snap to wall time so externally triggered work (frame
             # dispatch, accepts) is stamped with its real arrival time.
             wall = loop_time() - epoch

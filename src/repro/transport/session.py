@@ -360,7 +360,9 @@ def run_transfer(
 
     This is a supervised session of one attempt whose supervisor
     declares nothing itself: no handshake or heartbeat timeout, no
-    reconnect, so a dead peer ends in ``"watchdog"`` at *timeout*.
+    reconnect.  The protocol's declared link failure ends it at once,
+    ``failure_reason="protocol-failure"``; a peer the protocol cannot
+    perceive as dead ends it in ``"watchdog"`` at *timeout*.
     """
     # Lazy: the supervisor is built on this module.
     from .supervisor import SupervisorPolicy, run_supervised_transfer

@@ -5,8 +5,9 @@ Every loopback transfer is a :class:`SessionSupervisor` run: one
 pairs (*generations*) the supervisor replaces as they die.
 :func:`~repro.transport.session.run_transfer` is its one-attempt case
 (``max_attempts=1``, infinite handshake and heartbeat timeouts): nothing
-is declared by the supervisor, nothing is replayed, and a dead peer ends
-in ``"watchdog"`` at the deadline.  With the default
+is declared by the supervisor and nothing is replayed; the protocol's own
+declared link failure ends it at once (``"protocol-failure"``), and a peer
+it cannot perceive as dead ends it in ``"watchdog"`` at the deadline.  With the default
 :meth:`SupervisorPolicy.for_scenario` the lifecycle has the classic
 operational guarantees:
 
@@ -29,8 +30,8 @@ operational guarantees:
   generation replays it, so no checkpoint-acknowledged payload is ever
   lost across a restart;
 - **graceful degradation** — the protocol's own declared link failure
-  ends a generation too, when the policy allows a reconnect
-  (``max_attempts > 1``); when every attempt is exhausted the
+  ends a generation too (the next one, if the policy allows a reconnect,
+  replays its backlog); when every attempt is exhausted the
   supervisor returns a reason-tagged declared-failure
   :class:`~repro.transport.session.TransportResult`; it may fail, but
   it never hangs past its deadline and never loses acknowledged data.
@@ -325,12 +326,9 @@ class SessionSupervisor:
                     clock.kick()
                     live = True
                 protocol_failed = asyncio.Event()
-                if policy.max_attempts > 1:
-                    # A declared failure ends the generation so that the
-                    # next one replays its backlog; with one attempt
-                    # there is no next one, and the session runs to its
-                    # deadline as the protocol alone would.
-                    setup.endpoint_a.sender.on_failure = protocol_failed.set
+                # A declared failure ends the generation: the next one, if
+                # any, replays its backlog.
+                setup.endpoint_a.sender.on_failure = protocol_failed.set
                 tracer.emit(
                     clock.now, "supervisor", "session_attempt",
                     attempt=self.attempts, pending=len(pending),

@@ -37,8 +37,11 @@ from repro.core.frames import IFrame
 from repro.core.protocol import LamsDlcEndpoint
 from repro.faults import FaultPlan
 from repro.faults.plan import LinkOutage
+from repro.api import make_endpoint_pair
 from repro.simulator import FullDuplexLink, Simulator
 from repro.simulator.engine import Agenda
+from repro.simulator.link import SimplexChannel
+from repro.simulator.trace import Tracer
 from repro.topology import build_constellation, cross_traffic, ring_topology
 from repro.topology.spec import LinkSpec
 from repro.transport.clock import AsyncioClock
@@ -335,6 +338,58 @@ def test_streams_match_the_parent(name):
     delivered, delivered_digest, _, _ = PARENT_STREAMS[name]
     assert _link_streams(name, monitored=True) == PARENT_STREAMS[name]
     assert _link_streams(name, monitored=False)[:2] == (delivered, delivered_digest)
+
+
+# -- the rank rule: a planned delivery keeps its arrival's rank ---------------------
+
+
+def _tied_across_links(traced: bool, one_at_a_time: bool) -> list:
+    """A LAMS link (power-of-two timings: t_f = 1/1024 s, t_proc = t_f / 2,
+    4 t_f of delay) whose receiver takes a run of one — decided at
+    41/1024 s, landing at 45/1024 s, delivered at 45.5/1024 s — and a second
+    channel whose frame, sent at 43/1024 s, is pushed as an arrival at
+    43.5/1024 s (after the run was decided, before it lands) for exactly
+    the delivery's instant.  Every delivery and that landing, in the order
+    they ran."""
+    sim, tracer, unit = Simulator(), Tracer(), 1 / 1024
+    if traced:
+        tracer.listeners.append(lambda record: None)
+    link = FullDuplexLink(sim, 2.0 ** 20, 4 * unit, tracer=tracer)
+    config = preset("nominal").lams_config(
+        iframe_payload_bits=1024 - 80, checkpoint_interval=16 * unit,
+        processing_time=unit / 2, batch_window=8, cframe_base_bits=128)
+    log = []
+    a, b = make_endpoint_pair("lams", sim, link, config, tracer=tracer,
+                              deliver_b=lambda packet: log.append((sim.now, packet)))
+    if one_at_a_time:
+        handler = link.forward.receiver
+        link.forward.receiver = lambda frame, corrupted: handler(frame, corrupted)
+        b.receiver.hear(link.forward)
+    other = SimplexChannel(sim, "other", 2.0 ** 20, 2 * unit)
+    other.attach_receiver(lambda frame, corrupted: log.append((sim.now, frame.payload)))
+    a.start()
+    b.start()
+    a.accept_many(["p0", "p1", "p2"])  # a run of one, then of two: the channel's agenda
+    sim.schedule_at(40 * unit, a.accept_many, ["q"])
+    sim.schedule_at(43 * unit, other.send,
+                    IFrame(seq=0, payload="x", size_bits=512, transmit_index=0))
+    sim.run(until=64 * unit)
+    assert link.forward._agenda is not None
+    assert (link.forward._run_sink is b.receiver) is not one_at_a_time
+    return log
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_a_planned_delivery_keeps_its_arrivals_rank(traced):
+    """The run path plans q's delivery when its run is decided, ahead of
+    the other channel's arrival push; handed over one at a time, q's
+    delivery was numbered as it landed, behind it.  Traced or not, the
+    planned delivery runs where that one did: after the other arrival."""
+    unit = 1 / 1024
+    want = [(5.5 * unit, "p0"), (6.5 * unit, "p1"), (7.5 * unit, "p2"),
+            (45.5 * unit, "x"), (45.5 * unit, "q")]
+    assert _tied_across_links(traced, one_at_a_time=True) == want
+    assert _tied_across_links(traced, one_at_a_time=False) == want
 
 
 # -- flush, and what the agenda saves ------------------------------------------------

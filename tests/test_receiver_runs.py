@@ -185,9 +185,10 @@ def test_three_paths_agree(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_traced_run_taken_as_it_lands_agrees(name):
-    """Traced, a run is taken as it lands — an item per arrival plans its
-    delivery there, and an arrival that bears no record waits for the next
-    settle — and gives the frozen per-frame receiver's answers."""
+    """Traced, a run is taken whole — its deliveries at their arrivals'
+    ranks, an item only at an arrival that may bear a record, the rest
+    waiting for the next settle — and gives the frozen per-frame
+    receiver's answers."""
     case = CASES[name]
     assert run(case, "run", traced=True) == run(case, "reference", traced=True)
 

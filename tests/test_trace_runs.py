@@ -22,8 +22,9 @@ checkpoint interval's drains, and only new receive-queue peaks
   per-frame handler reported for each of its frames, ``(invariant,
   time, message, detail)`` included;
 - ``ReceiverQueueBoundMonitor`` on a stressed receiver trips at the
-  same ``(time, depth)`` as every queued frame's own depth says it must,
-  and its window shows the arrivals and drains held when it tripped;
+  same ``(time, depth)`` as every queued frame's own depth, handed over
+  one at a time, says it must — at that instant — and its window shows
+  the arrivals and drains held when it tripped;
 - a listener attached mid-run hears every run decided after it.
 """
 
@@ -91,16 +92,29 @@ ACCEPTED = {
 }
 
 
-def _on_each_arrival(receiver: LamsReceiver, observe) -> None:
-    """Call ``observe(frame, corrupted)`` as each frame of a run taken as
-    it lands (a traced run) is applied: its arrivals are the receiver's
-    own items, not the channel handler's."""
-    arrive = LamsReceiver._arrive
+def _runs_taken(receiver: LamsReceiver) -> list[tuple[float, int, bool]]:
+    """``(arrival, sequence, corrupted)`` of every I-frame *receiver* takes
+    through the run path, which the channel's handler never sees; the
+    arrivals ``hand_back`` returns to the channel leave the list (they land
+    through the handler)."""
+    taken: list[tuple[float, int, bool]] = []
+    on_run, hand_back = LamsReceiver.on_run, LamsReceiver.hand_back
+
+    def taking(self, times, frames, verdicts):
+        first = self.sim._sequence + 1
+        taken.extend((when, first + k, bool(corrupted))
+                     for k, (when, corrupted) in enumerate(zip(times, verdicts)))
+        on_run(self, times, frames, verdicts)
+
+    def handing_back(self):
+        self._settle_due()
+        back = {run.first + k for run in self._pending for k in range(run.next, len(run.times))}
+        hand_back(self)
+        taken[:] = [entry for entry in taken if entry[1] not in back]
+
     receiver.__class__ = type("Observed", (LamsReceiver,), {
-        "__slots__": (),
-        "_arrive": lambda self, run, position: (
-            arrive(self, run, position),
-            observe(run.frames[position], run.verdicts[position]))})
+        "__slots__": (), "on_run": taking, "hand_back": handing_back})
+    return taken
 
 
 def _digest(stream: list[tuple]) -> str:
@@ -236,35 +250,51 @@ def test_release_record_reports_what_per_frame_records_did(frames, windows, peri
 # -- receive queue: new peaks against every queued frame's depth ---------------
 
 
-def stressed_receiver(bounds):
+def stressed_receiver(bounds, one_at_a_time=False):
     """A receiver slower than the line (t_proc = 1.5 t_f): its queue
-    builds until Stop-Go throttles the sender."""
+    builds until Stop-Go throttles the sender.  The monitors, each
+    violation's ``(violation, clock when it was raised)``, and — frames
+    handed over one at a time, the run path unwired — every I-frame's
+    ``(arrival, depth)`` once it queued."""
     base = preset("nominal")
     scenario = base.with_(processing_time=1.5 * base.iframe_time)
     setup = build_simulation(scenario, "lams", seed=3, tracer=Tracer())
     monitors = [ReceiverQueueBoundMonitor(bound=bound) for bound in bounds]
     MonitorSuite(setup.tracer, monitors)
+    raised = []
+
+    def violate(monitor, *args, **detail):
+        violation = ReceiverQueueBoundMonitor.violate(monitor, *args, **detail)
+        raised.append((violation, setup.sim.now))
+        return violation
+
+    for monitor in monitors:
+        monitor.violate = violate.__get__(monitor)
     receiver = setup.endpoint_b.receiver
     depths: list[tuple[float, int]] = []
-    channel = setup.link.forward
-    on_frame = channel.receiver
+    if one_at_a_time:
+        channel = setup.link.forward
+        on_frame = channel.receiver
 
-    def traced(frame, corrupted):
-        on_frame(frame, corrupted)  # the depth only grows by enqueueing
-        if type(frame) is IFrame:
-            depths.append((setup.sim.now, receiver.receive_queue_length))
+        def traced(frame, corrupted):
+            on_frame(frame, corrupted)  # the depth only grows by enqueueing
+            if type(frame) is IFrame:
+                depths.append((setup.sim.now, receiver.receive_queue_length))
 
-    channel.receiver = traced  # the handler frames handed over on their own pass
-    _on_each_arrival(receiver, lambda frame, corrupted: depths.append(
-        (setup.sim.now, receiver.receive_queue_length)))
+        channel.receiver = traced
+        receiver.hear(channel)
     FiniteBatch(setup.sim, setup.endpoint_a, 3000).start()
     setup.run(until=0.3)
-    return monitors, depths
+    return monitors, raised, depths
 
 
 def test_queue_bound_trips_where_the_per_frame_depths_cross_it():
+    """On the run path the bound trips at the frame a frame-at-a-time
+    receiver's depths cross it, and then: the record of a new peak goes
+    out at its arrival's own item, not with a later settle."""
     bounds = [1, 2, 5, 17, 40]
-    monitors, depths = stressed_receiver(bounds)
+    monitors, raised, _ = stressed_receiver(bounds)
+    _, _, depths = stressed_receiver([], one_at_a_time=True)
     assert max(depth for _, depth in depths) > bounds[-1]
     for monitor in monitors:
         time, depth = next((t, d) for t, d in depths if d > monitor.bound)
@@ -272,13 +302,14 @@ def test_queue_bound_trips_where_the_per_frame_depths_cross_it():
         assert (violation.time, violation.detail["depth"]) == (time, depth)
         assert violation.message == (
             f"receive queue nominal.B.rx reached {depth} frames, above the bound {monitor.bound:g}")
+    assert [now for _, now in raised] == [violation.time for violation, _ in raised]
 
 
 def test_a_queue_bound_window_shows_the_arrivals_and_drains_before_the_peak():
     """The violation settles the tracer before it snapshots the window:
     the run landing and the drains since the last checkpoint, held when
     the bound trips, follow the peak that raised it."""
-    (monitor,), depths = stressed_receiver([3])
+    (monitor,), _, _ = stressed_receiver([3])
     (violation,) = monitor.violations
     lines = [line.split() for line in violation.trace_window]
     events = [line[2] for line in lines]
@@ -365,8 +396,7 @@ def test_receiving_end_expands_to_the_per_frame_stream(name):
         assert setup.endpoint_b.receiver.duplicates_suppressed > 0
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
+SLICED_RUNS = dict(
     t_proc=st.sampled_from([0.0, 10e-6, 40e-6]),
     outages=st.lists(st.tuples(st.sampled_from([0.0021, 0.003, 0.0045, 0.006]),
                                st.sampled_from([0.0002, 0.0004, 0.002])), max_size=2),
@@ -375,13 +405,33 @@ def test_receiving_end_expands_to_the_per_frame_stream(name):
     seed=st.integers(0, 3),
     window=st.sampled_from([1, 7, 64]),
 )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**SLICED_RUNS)
 def test_settled_records_are_what_the_receivers_heard_and_delivered(
         t_proc, outages, slices, seed, window):
     """A short_hop link carrying 300 payloads, cut into *slices*: after
     each, the settled records must expand to what each channel handed
     its receiver and what B's receiver delivered, in order.  A channel
     hands its receiver control frames (and frames on their own) through
-    its handler, a traced run's I-frames as the receiver's own items."""
+    its handler; with the run path wired (swapping the handler does not
+    unwire it) a run's I-frames go to the receiver whole, and have landed
+    once the dispatch has passed their arrivals."""
+    _settled_records(True, t_proc, outages, slices, seed, window)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(**SLICED_RUNS)
+def test_settled_records_are_what_frames_handed_over_one_at_a_time_were(
+        t_proc, outages, slices, seed, window):
+    """The same with the run path unwired (the receiver hears the channel
+    again): every frame goes through the handler."""
+    _settled_records(False, t_proc, outages, slices, seed, window)
+
+
+def _settled_records(wired, t_proc, outages, slices, seed, window):
+    """One sliced run, checked after each slice (the run path *wired* or not)."""
     scenario = preset("short_hop").with_(processing_time=t_proc)
     plan = FaultPlan(faults=tuple(LinkOutage(start=start, duration=length)
                                   for start, length in outages))
@@ -390,23 +440,34 @@ def test_settled_records_are_what_the_receivers_heard_and_delivered(
                              overrides={"receive_queue_capacity": 48, "batch_window": window})
     sim, split = setup.sim, Split()
     setup.tracer.listeners.append(split)
-    want: dict[str, list] = {}
+    heard: dict[str, list] = {}  # (time, sequence, record) per channel
+    taken: dict[str, list] = {}
     for channel, endpoint in ((setup.link.forward, setup.endpoint_b),
                               (setup.link.reverse, setup.endpoint_a)):
-        heard, log = channel.receiver, want.setdefault(channel.name, [])
-        channel.receiver = lambda frame, corrupted, heard=heard, log=log: (
-            log.append(("deliver", sim.now, frame.is_control, corrupted)), heard(frame, corrupted))
-        assert channel._run_sink is endpoint.receiver  # still wired
-        _on_each_arrival(endpoint.receiver, lambda frame, corrupted, log=log: log.append(
-            ("deliver", sim.now, False, corrupted)))
+        handler, log = channel.receiver, heard.setdefault(channel.name, [])
+        channel.receiver = lambda frame, corrupted, handler=handler, log=log: (
+            log.append((sim.now, sim._order, ("deliver", sim.now, frame.is_control, corrupted))),
+            handler(frame, corrupted))
+        if wired:
+            assert channel._run_sink is endpoint.receiver  # still wired
+            taken[channel.name] = _runs_taken(endpoint.receiver)
+        else:
+            endpoint.receiver.hear(channel)
+            assert channel._run_sink is None
     receiver = setup.endpoint_b.receiver
-    deliver, log = receiver.deliver, want.setdefault(receiver.name, [])
-    receiver.deliver = lambda packet: (log.append(("payload_delivered", sim.now, packet)),
+    deliver, delivered = receiver.deliver, []
+    receiver.deliver = lambda packet: (delivered.append(("payload_delivered", sim.now, packet)),
                                        deliver(packet))
     FiniteBatch(sim, setup.endpoint_a, count=300).start()
     for until in [*slices, 0.3]:
         setup.run(until=until)
         setup.tracer.settle()
+        want = {name: [record for *_, record in sorted(
+                    log + [(when, sequence, ("deliver", when, False, corrupted))
+                           for when, sequence, corrupted in taken.get(name, ())
+                           if when <= sim.now], key=lambda entry: entry[:2])]
+                for name, log in heard.items()}
+        want[receiver.name] = delivered
         assert split.deliveries == {source: log for source, log in want.items() if log}
     assert setup.finalize_monitors().ok and len(setup.delivered) == 300
 
@@ -553,12 +614,13 @@ def test_a_listener_settling_on_a_run_record_sees_each_frame_once():
 @pytest.mark.parametrize("load", [0.5, 1.5])
 @pytest.mark.parametrize("errors", [None, BURSTS], ids=["bernoulli", "bursts"])
 def test_a_traced_run_records_as_frames_handed_over_one_at_a_time(load, errors):
-    """A traced run lands as the receiver's own items, each applying its
-    arrival at once if it may bear a record and leaving the rest to the
-    next settle; frames handed over one at a time (the handler swapped,
-    the receiver hearing the channel again) are each applied at once.
-    With t_proc at *load* times t_f the queue stays short or builds: the
-    records, their order and the engine's entries are the same."""
+    """A traced run is taken whole, its deliveries planned at their
+    arrivals' ranks and an item made only at each arrival that may bear a
+    record; frames handed over one at a time (the handler swapped, the
+    receiver hearing the channel again) are each applied at once.  With
+    t_proc at *load* times t_f the queue stays short or builds: the
+    records, their order and the deliveries are the same (the entries are
+    not: one at a time, every arrival is an item)."""
     def observe(one_at_a_time):
         base = preset("nominal")
         setup = build_simulation(base.with_(processing_time=load * base.iframe_time), "lams",
@@ -578,6 +640,6 @@ def test_a_traced_run_records_as_frames_handed_over_one_at_a_time(load, errors):
         setup.run(until=0.3)
         setup.tracer.settle()
         assert any(event == "rxqueue_peak" for _, _, event, _ in records)
-        return records, setup.sim.event_count, len(setup.delivered)
+        return records, len(setup.delivered)
 
     assert observe(False) == observe(True)

@@ -15,6 +15,8 @@ import pytest
 from repro.core.frames import CheckpointFrame, IFrame
 from repro.core.wire import encode_frame
 from repro.faults import FaultPlan, HandshakeBlackhole
+from repro.faults.metrics import declared_failure_bound
+from repro.faults.plan import LinkOutage
 from repro.simulator import StreamRegistry, Tracer
 from repro.transport import (
     AsyncioClock,
@@ -281,15 +283,40 @@ class TestLoopbackSession:
 
 class TestPlainTransferContract:
     """What ``run_transfer`` promises beyond a supervised session: the
-    supervisor declares nothing itself and never reconnects."""
+    supervisor declares nothing itself and never reconnects; the
+    protocol's declared failure ends the session."""
 
-    def test_silent_peer_ends_in_watchdog_at_the_timeout(self):
+    def test_silent_peer_ends_in_the_protocols_declared_failure(self):
+        """No checkpoint ever arrives: the sender's startup watchdog and
+        failure timer declare the link failed, well inside the deadline."""
         blackhole = FaultPlan(faults=(HandshakeBlackhole(start=0.0, duration=60.0),))
-        result = run_transfer(golden_scenario("clean"), n_frames=8, timeout=1.0,
+        result = run_transfer(golden_scenario("clean"), n_frames=8, timeout=5.0,
                               fault_plan=blackhole)
+        assert not result.completed
+        assert result.failure_reason == "protocol-failure"
+        assert result.elapsed < 1.0
+
+    def test_a_cut_the_protocol_cannot_see_ends_in_watchdog_at_the_timeout(self):
+        """Only the data direction is cut: the peer's checkpoints keep
+        arriving, so nothing is declared and the deadline ends it."""
+        cut = FaultPlan(faults=(LinkOutage(start=0.05, duration=60.0, direction="forward"),))
+        result = run_transfer(golden_scenario("clean"), n_frames=400, timeout=1.0,
+                              fault_plan=cut, seed=3)
         assert not result.completed
         assert result.failure_reason == "watchdog"
         assert 1.0 <= result.elapsed < 2.0
+
+    def test_a_declared_link_failure_ends_it_at_once(self):
+        """A cut of both directions outlasting ``C_depth · W_cp`` plus the
+        response time: the sender declares the link failed, and the one
+        attempt ends there, not at its deadline."""
+        scenario = golden_scenario("clean")
+        cut = FaultPlan(faults=(LinkOutage(start=0.05, duration=60.0),))
+        result = run_transfer(scenario, n_frames=400, timeout=5.0, fault_plan=cut, seed=3)
+        assert not result.completed
+        assert result.failure_reason == "protocol-failure"
+        bound = declared_failure_bound(scenario.lams_config(), 2 * scenario.one_way_delay)
+        assert result.elapsed < 0.05 + 4 * bound < 1.0
 
     def test_signal_before_the_session_starts_interrupts_it(self, monkeypatch):
         """A SIGINT already pending when the handlers go in: the stop
