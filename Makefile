@@ -37,13 +37,16 @@ golden-bless:
 # Re-check the hand mutants (tools/mutants.py): each
 # tests/mutants/<name>.patch is applied to a scratch export of the index
 # (what `git add -A` staged) and the test it names must fail there.
-# Fails if any mutant survives or no longer applies.  29 patches, ~200 s
+# Fails if any mutant survives or no longer applies.  32 patches, ~220 s
 # wall on a 2-vCPU host; CI runs it after tier-1.
 mutants:
 	$(PYTHON) tools/mutants.py
 
+# The E-series shape assertions (benchmarks/): who wins, finite vs
+# infinite buffer, and the Section-4 table (~20 s on a 2-CPU host); CI
+# runs it.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # The repo benchmark's own smoke test (~30 s): one `python -m bench
 # --quick` run checked against the metric names in BENCHMARK.json, so

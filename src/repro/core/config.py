@@ -88,8 +88,9 @@ class LamsDlcConfig:
 
     # -- transmission batching (performance, not protocol) ---------------------
     batch_window: int = 64
-    """Most new frames the sender commits to the channel as one run
-    (``send_burst``) when it is at line rate with a backlog.  Outcomes
+    """Most frames the sender commits to the channel as one run
+    (``send_burst``) when it is at line rate with a backlog: new frames,
+    or queued retransmissions of one retransmission count.  Outcomes
     frame for frame do not depend on it; commit granularity does — what
     arrives mid-window (a NAK, a Stop-Go change, a suspension, a control
     frame) waits for the run to end, at most ``batch_window - 1`` frame

@@ -103,7 +103,11 @@ class SendBuffer:
         self.first_sends: list[float] = []
         # None for a first transmission, else ``(retransmit_count, origin)``.
         self.retx: list[Optional[tuple[int, int]]] = []
-        self.live = 0  # positions that are not tombstones
+        # Positions that are not tombstones: frames transmitted and not
+        # resolved.  LAMS-DLC's sender counts a retransmission from its
+        # departure, so a run of them still on the transmitter is not
+        # in it yet (LamsSender._settle_steps).
+        self.live = 0
         # Arrivals are normally non-decreasing in transmit order, so a
         # checkpoint's covered frames are a prefix found by bisection;
         # the sender clears this when it sees one out of order.

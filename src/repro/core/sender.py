@@ -51,6 +51,8 @@ from .seqspace import SequenceSpace
 
 __all__ = ["LamsSender", "PendingRetransmission"]
 
+_INF = float("inf")
+
 
 @dataclass(slots=True)
 class PendingRetransmission:
@@ -83,7 +85,8 @@ class LamsSender:
         "_checkpoint_timer", "_failure_timer", "_seen_any_checkpoint",
         "_sendbuf_stat", "_sendbuf_stat_name", "_iframe_bits",
         "_iframe_tx_time", "_piggyback", "_checkpoint_interval",
-        "_checkpoint_timeout", "_batch_window", "iframes_sent",
+        "_checkpoint_timeout", "_batch_window", "_step_at", "_steps_left",
+        "iframes_sent",
         "retransmissions", "retransmissions_by_cause", "releases",
         "checkpoints_received", "checkpoints_corrupted",
         "request_naks_sent", "failures_declared",
@@ -157,6 +160,10 @@ class LamsSender:
         self._batch_window = (
             config.batch_window if hasattr(data_channel, "send_burst") else 1
         )
+        # A retransmission run's gauge steps not yet taken: the next
+        # departure (+inf when none) and how many are left (_settle_steps).
+        self._step_at = _INF
+        self._steps_left = 0
 
         # Statistics.
         self.iframes_sent = 0
@@ -222,6 +229,8 @@ class LamsSender:
             except AttributeError:
                 busy = not channel.is_idle
             now = self.sim.now
+            if self._step_at <= now:
+                self._settle_steps()
             entered = buffer.enqueue_many(packets if busy else islice(packets, 1), now)
             if not entered:
                 return accepted
@@ -243,8 +252,10 @@ class LamsSender:
 
     @property
     def unresolved_count(self) -> int:
-        """Frames not yet known delivered (pending + outstanding + requeued)."""
-        return self.buffer.occupancy + len(self._retransmit_queue)
+        """Frames not yet known delivered (pending + outstanding + requeued,
+        a retransmission still waiting on the transmitter included)."""
+        return (self.buffer.occupancy + self._steps_left
+                + len(self._retransmit_queue))
 
     @property
     def pending_count(self) -> int:
@@ -253,7 +264,10 @@ class LamsSender:
 
     @property
     def occupancy(self) -> int:
-        """Sending-buffer occupancy (pending + outstanding)."""
+        """Sending-buffer occupancy (pending + outstanding), the ``sendbuf``
+        gauge's level: a retransmission counts from its departure."""
+        if self._step_at <= self.sim.now:
+            self._settle_steps()
         return self.buffer.occupancy
 
     def held_payloads(self) -> list[Any]:
@@ -297,17 +311,28 @@ class LamsSender:
                 self._pacing_armed = True
                 self.sim.schedule_at(self._next_allowed_send, self._pacing_expired)
             return
-        if has_retransmission:
-            self._send_window(1, retransmission=True)
-            return
-        # New frames go a window at a time only at line rate on an up
-        # channel; a Stop-Go-paced sender needs the gap after every frame.
+        # A window at a time only at line rate on an up channel; a
+        # Stop-Go-paced sender needs the gap after every frame.
         flow = self.flow
-        count = 1
-        if (
+        at_line_rate = (
             (not flow.enabled or flow.rate_fraction >= 1.0)
             and getattr(channel, "_is_up", True)
-        ):
+        )
+        if has_retransmission:
+            # Retransmissions go first, a run of one retransmission count
+            # (its iframes_sent record carries one ``retx``).
+            count = 1
+            if at_line_rate:
+                queue = self._retransmit_queue
+                retransmit_count = queue[0].retransmit_count
+                for job in islice(queue, 1, self._batch_window):
+                    if job.retransmit_count != retransmit_count:
+                        break
+                    count += 1
+            self._send_window(count, retransmission=True)
+            return
+        count = 1
+        if at_line_rate:
             count = min(self._batch_window, len(self.buffer._pending))
         self._send_window(count)
 
@@ -316,7 +341,8 @@ class LamsSender:
         self._maybe_send()
 
     def _send_window(self, count: int, retransmission: bool = False) -> None:
-        """Hand the channel one run: *count* new frames, or the next retransmission.
+        """Hand the channel one run: *count* new frames, or *count* queued
+        retransmissions of one retransmission count.
 
         Frames are stamped with their own departure instants — each
         window position carries its own first-send time and expected
@@ -326,14 +352,19 @@ class LamsSender:
         loop's own accumulation.  Sequence numbers are
         derived, not allocated: transmit index ``i`` carries
         ``(i + offset) % modulus``, and :meth:`SendBuffer.admit` stops the
-        run short of a number whose previous holder is still live.  The
-        single occupancy sample is exact: a first transmission moves one
-        packet from pending to outstanding.  What does depend on *count*
-        is the commit granularity (docs/TUNING.md §10): the piggybacked
-        Stop-Go bit is read once (no simulated time passes inside a
-        window), and anything that arrives mid-window waits for its end.
+        run short of a number whose previous holder is still live.  A
+        first transmission moves one packet from pending to outstanding,
+        so one occupancy sample is exact for a run of them; a
+        retransmission adds one at its departure, so a run of them steps
+        the gauge at the first here and leaves the rest to
+        :meth:`_settle_steps`.  What does depend on *count* is the commit
+        granularity (docs/TUNING.md §10): the piggybacked Stop-Go bit is
+        read once (no simulated time passes inside a window), and
+        anything that arrives mid-window waits for its end.
         """
         now = self.sim.now
+        if self._step_at <= now:
+            self._settle_steps()
         buffer = self.buffer
         channel = self.data_channel
         tx_time = self._iframe_tx_time
@@ -345,24 +376,22 @@ class LamsSender:
         count = buffer.admit(count)
         first_index = index = buffer.next_index
         first_seq = seq = (index + space.offset) % modulus
-        if not retransmission:
-            pop_pending = buffer._pending.popleft
-            batch = [pop_pending() for _ in range(count)]
-            retx, origin, retransmit_count, first_send = None, -1, 0, None
-        else:
-            job = self._retransmit_queue.popleft()
-            batch = [(job.payload, job.enqueue_time)]
-            retransmit_count, origin = retx = job.retransmit_count, job.origin
-            first_send = job.first_send_time
-            self.retransmissions += 1
-            self.retransmissions_by_cause[job.cause] += 1
         arrivals = buffer.arrivals
         first_sends = buffer.first_sends
         last_arrival = arrivals[-1] if arrivals else now
         departure = now
         frames: list[IFrame] = []
+        if not retransmission:
+            pop_pending = buffer._pending.popleft
+            batch = [pop_pending() for _ in range(count)]
+            retransmit_count = 0
+        else:
+            pop_job = self._retransmit_queue.popleft
+            jobs = [pop_job() for _ in range(count)]
+            batch = [(job.payload, job.enqueue_time) for job in jobs]
+            retransmit_count = jobs[0].retransmit_count
         for payload, _ in batch:
-            frames.append(IFrame(seq, payload, bits, index, origin, stop_go))
+            frames.append(IFrame(seq, payload, bits, index, -1, stop_go))
             if fixed_delay is None:
                 delay = channel.propagation_delay(departure)
             arrival = departure + tx_time + delay
@@ -370,12 +399,24 @@ class LamsSender:
                 buffer.monotone = False  # coverage falls back to a scan
             last_arrival = arrival
             arrivals.append(arrival)
-            first_sends.append(departure if first_send is None else first_send)
+            first_sends.append(departure)
             index += 1
             seq += 1
             if seq == modulus:
                 seq = 0
             departure += tx_time
+        if not retransmission:
+            buffer.retx.extend([None] * count)
+        else:
+            # A renumbered frame keeps its first incarnation's identity
+            # (set before the frames go on the wire) and first-send time.
+            by_cause = self.retransmissions_by_cause
+            for frame, job in zip(frames, jobs):
+                frame.origin = job.origin
+                by_cause[job.cause] += 1
+            first_sends[-count:] = [job.first_send_time for job in jobs]
+            buffer.retx.extend([(retransmit_count, job.origin) for job in jobs])
+            self.retransmissions += count
         assert seq == (index + space.offset) % modulus, "seq is derived from index"
         if self.tracer.active:
             self.tracer.emit(
@@ -384,8 +425,15 @@ class LamsSender:
                 retx=retransmit_count,
             )
         buffer.items.extend(batch)
-        buffer.retx.extend([retx] * count)
-        buffer.live += count
+        if retransmission and count > 1:
+            # The first departs now; the others step the gauge as they
+            # leave, at now plus frame_time added once per frame before.
+            buffer.live += 1
+            self._step_at = now + tx_time
+            self._steps_left = count - 1
+            self.tracer.hold(self._settle_steps)
+        else:
+            buffer.live += count
         occupancy = len(buffer._pending) + buffer.live
         if occupancy > buffer.peak_occupancy:
             buffer.peak_occupancy = occupancy
@@ -400,13 +448,55 @@ class LamsSender:
         else:
             channel.send_burst(frames)
         self.iframes_sent += count
-        # Inlined StopGoRateController.inter_frame_gap; at line rate the
-        # accumulated departure is the channel's own run-end float.
+        # Inlined StopGoRateController.inter_frame_gap.  At line rate a
+        # retransmission run ends at the accumulated departure, the
+        # channel's own run-end float (a run of one: now + tx_time either
+        # way); a window of new frames keeps the product, which can land
+        # an ulp past it.
         flow = self.flow
-        self._next_allowed_send = (
-            now + count * tx_time / flow.rate_fraction if flow.enabled
-            else departure
-        )
+        if flow.enabled and (flow.rate_fraction < 1.0 or not retransmission):
+            self._next_allowed_send = now + count * tx_time / flow.rate_fraction
+        else:
+            self._next_allowed_send = departure
+
+    def _settle_steps(self) -> None:
+        """Step the ``sendbuf`` gauge at every departure due by now of the
+        retransmission run on the transmitter.
+
+        A retransmission joins the outstanding frames (``buffer.live``)
+        as it departs, so the gauge's area and maximum and
+        ``peak_occupancy`` are those of one frame per run to the bit.
+        Everything that changes or reads occupancy settles first (the
+        gauge updates, ``occupancy``, :meth:`on_checkpoint`); so does
+        ``Tracer.settle``, through the hold :meth:`_send_window` makes.
+        """
+        when = self._step_at
+        now = self.sim.now
+        if when > now:
+            if self._steps_left:
+                self.tracer.hold(self._settle_steps)
+            return
+        buffer = self.buffer
+        pending = len(buffer._pending)
+        update = self._sendbuf_stat.update
+        tx_time = self._iframe_tx_time
+        left = self._steps_left
+        while True:
+            buffer.live += 1
+            occupancy = pending + buffer.live
+            update(when, occupancy)
+            if occupancy > buffer.peak_occupancy:
+                buffer.peak_occupancy = occupancy
+            left -= 1
+            if not left:
+                when = _INF
+                break
+            when += tx_time
+            if when > now:
+                self.tracer.hold(self._settle_steps)
+                break
+        self._step_at = when
+        self._steps_left = left
 
     # -- piggybacked flow control -------------------------------------------------------
 
@@ -458,6 +548,8 @@ class LamsSender:
         # number a NAK could name and nothing to cover.
         buffer = self.buffer
         if buffer.items:
+            if self._step_at <= self.sim.now:
+                self._settle_steps()  # before a NAK or release moves the window
             if cp.naks:
                 # A NAK'd number that is no longer live was already
                 # retransmitted under a new number (Section 3.2): ignored.
@@ -624,12 +716,15 @@ class LamsSender:
     # -- instrumentation ----------------------------------------------------------------
 
     def _record_occupancy(self) -> None:
+        now = self.sim.now
+        if self._step_at <= now:
+            self._settle_steps()
         stat = self._sendbuf_stat
         if stat is None:
             stat = self._sendbuf_stat = self.tracer.level_stat(
-                self._sendbuf_stat_name, start_time=self.sim.now
+                self._sendbuf_stat_name, start_time=now
             )
-        stat.update(self.sim.now, self.buffer.occupancy)
+        stat.update(now, self.buffer.occupancy)
 
     @property
     def mean_holding_time(self) -> float:

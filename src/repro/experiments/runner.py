@@ -108,6 +108,7 @@ def measure_saturated(
 
     delivered = len(setup.delivered)
     iframe_time = scenario.iframe_time
+    setup.tracer.settle()  # the gauges read below are complete
     buf_stat = setup.tracer.levels.get(f"{setup.endpoint_a.name}.tx.sendbuf")
     return {
         "protocol": protocol,

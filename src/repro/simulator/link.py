@@ -356,7 +356,7 @@ class SimplexChannel:
                 arrival = self._last_arrival
             self._last_arrival = arrival
             traced = self.tracer.active
-            # A single I-frame (a retransmission, say) on a channel whose
+            # A single I-frame (a lone retransmission, say) on a channel whose
             # runs made an agenda is a run of one for a wired receiver, or
             # joins that agenda; otherwise, and for a single control
             # frame, it keeps the per-instant batching push, which it

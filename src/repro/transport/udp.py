@@ -282,8 +282,14 @@ class _UdpPeerProtocol(asyncio.DatagramProtocol):
     def datagram_received(self, data: bytes, addr: Any) -> None:
         self._owner._on_datagram(data, addr)
 
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        self._owner.socket_errors += 1
+    def error_received(self, exc: Exception) -> None:
+        owner = self._owner
+        if owner._sending:
+            # Raised by the kernel inside our own transport.sendto call,
+            # which asyncio catches and reports here instead.
+            owner._send_failed(exc)
+        else:
+            owner.socket_errors += 1
 
 
 class UdpEndpointSocket:
@@ -310,6 +316,7 @@ class UdpEndpointSocket:
         self.peer_addr: Optional[tuple] = None
         self.handler: Optional[Callable[[Any, bool], None]] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
+        self._sending = False  # inside transport.sendto (error_received)
         self.datagrams_received = 0
         self.datagrams_undecodable = 0
         self.datagrams_unaddressed = 0
@@ -378,7 +385,18 @@ class UdpEndpointSocket:
         self.frozen = False
 
     def sendto(self, data: bytes) -> None:
-        """Ship one already-impaired datagram to the peer."""
+        """Ship one already-impaired datagram to the peer.
+
+        A kernel send-path failure (EMSGSIZE, ENOBUFS, ECONNREFUSED on a
+        connected socket, ...) is a send error: UDP promises no delivery
+        anyway, so the datagram is accounted as lost, a ``udp_send_error``
+        record (``forced=False``, its ``errno``) is emitted, and the pump
+        keeps running.  asyncio's transport catches the ``OSError`` and
+        reports it through ``error_received`` during the call; one that
+        lets it raise is accounted the same way.  On EAGAIN asyncio
+        queues the datagram and sends it when the socket is writable:
+        nothing is lost, and nothing is counted.
+        """
         if self._transport is None or self.peer_addr is None:
             self.datagrams_unaddressed += 1
             return
@@ -402,18 +420,21 @@ class UdpEndpointSocket:
                     self.tracer.emit(self.clock.now, self.channel.name,
                                      "udp_send_error", forced=True)
                 return
+        self._sending = True
         try:
             self._transport.sendto(data, self.peer_addr)
         except OSError as error:
-            # Transient kernel send-path failures (EAGAIN, ENOBUFS,
-            # ECONNREFUSED on a connected socket, ...): UDP promises no
-            # delivery anyway, so the datagram is accounted as lost and
-            # the pump keeps running.
-            self.send_errors += 1
-            if self.tracer.active:
-                self.tracer.emit(self.clock.now, self.channel.name,
-                                 "udp_send_error", forced=False,
-                                 errno=getattr(error, "errno", None))
+            self._send_failed(error)
+        finally:
+            self._sending = False
+
+    def _send_failed(self, error: Exception) -> None:
+        """Account one datagram the kernel refused to send as lost."""
+        self.send_errors += 1
+        if self.tracer.active:
+            self.tracer.emit(self.clock.now, self.channel.name,
+                             "udp_send_error", forced=False,
+                             errno=getattr(error, "errno", None))
 
     def _on_datagram(self, data: bytes, addr: Any) -> None:
         if self.frozen:

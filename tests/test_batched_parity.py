@@ -24,11 +24,11 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import BerStorm, FaultPlan, LinkOutage
 from repro.simulator.engine import Simulator
 from repro.simulator.errormodel import BernoulliChannel, GilbertElliottChannel
-from repro.simulator.link import FullDuplexLink
+from repro.simulator.link import LIGHT_SPEED_KM_S, FullDuplexLink
 from repro.simulator.rng import StreamRegistry
 from repro.simulator.trace import Tracer
 from repro.workloads.generators import FiniteBatch, SaturatedSource
-from repro.workloads.scenarios import PRESETS, build_simulation
+from repro.workloads.scenarios import PRESETS, build_simulation, preset
 
 from .trace_runs import Split
 
@@ -160,6 +160,71 @@ class TestBatchedSendParity:
     def test_batch_window_below_one_rejected(self):
         with pytest.raises(ValueError, match="batch_window"):
             LamsDlcConfig(batch_window=0)
+
+
+# Every instant a dyadic rational: a power-of-two bit rate and checkpoint
+# interval, a 2**-6 s delay.  The gauge's per-frame updates at window 1
+# then sum exactly, so window 64 must agree to the bit.  200 frames leave
+# before the first NAK can return, so no NAK waits for a window of new
+# frames.  A checkpoint NAKs at most an interval's frames; one lost on the
+# way back (about one in ten here) makes the next NAK two intervals'
+# worth, a retransmission run that outlasts the checkpoint after it.
+DYADIC = preset("nominal").with_(
+    bit_rate=2.0 ** 26, distance_km=LIGHT_SPEED_KM_S / 64,
+    processing_time=2.0 ** -16, checkpoint_interval=2.0 ** -10,
+    reverse_cframe_ber=1e-3,
+)
+DYADIC_BURSTS = ("gilbert-elliott", dict(good_ber=1e-7, bad_ber=5e-3,
+                                         mean_good=0.05, mean_bad=0.004))
+
+
+def _retransmission_runs(batch_window: int) -> dict:
+    setup = build_simulation(DYADIC, "lams", seed=3, error_model=DYADIC_BURSTS,
+                             overrides={"batch_window": batch_window})
+    sim, sender = setup.sim, setup.endpoint_a.sender
+    runs, landings, delivered = [], [], []
+
+    def listen(record) -> None:
+        detail = record.detail
+        if record.event == "iframes_sent" and detail["retx"]:
+            runs.append((record.time, detail["count"], detail["frame_time"]))
+        elif (record.event == "frames_delivered" and detail["control"]
+              and record.source == setup.link.reverse.name):
+            landings.extend(time for k, time in enumerate(detail["times"])
+                            if k not in detail["corrupted"])
+
+    setup.tracer.listeners.append(listen)
+    deliver = setup.endpoint_b.receiver.deliver
+    setup.endpoint_b.receiver.deliver = lambda packet: (
+        delivered.append((sim.now, packet)), deliver(packet))
+    FiniteBatch(sim, setup.endpoint_a, count=200).start()
+    sim.run(until=2.0)
+    summary = setup.tracer.summary()
+    name = f"{sender.name}.sendbuf"
+    return {
+        "gauge": (summary[f"{name}.avg"], summary[f"{name}.max"],
+                  sender.buffer.peak_occupancy),
+        "delivered": delivered,
+        "retransmissions": sender.retransmissions,
+        # Checkpoints that landed while a later frame of a retransmission
+        # run was still waiting on the transmitter.
+        "mid_run": sum(1 for start, count, frame_time in runs for landing in landings
+                       if start < landing < start + (count - 1) * frame_time),
+    }
+
+
+def test_a_checkpoint_landing_mid_retransmission_run_moves_no_gauge():
+    """A retransmission joins the outstanding frames as it departs, so a
+    run of them steps the ``sendbuf`` gauge once a frame, each at its own
+    departure, whatever lands in between: mean, maximum and
+    ``peak_occupancy`` equal one frame per run's with ``==``."""
+    single = _retransmission_runs(1)
+    windowed = _retransmission_runs(64)
+    assert windowed["mid_run"] == 2 and windowed["retransmissions"] == 29
+    assert windowed["gauge"] == single["gauge"]
+    assert windowed["retransmissions"] == single["retransmissions"]
+    assert windowed["delivered"] == single["delivered"]
+    assert len(single["delivered"]) == 200
 
 
 # -- bare channel: one burst vs frame-by-frame ------------------------------

@@ -14,11 +14,11 @@ one :class:`~repro.simulator.engine.Agenda`, each item keeping the
 - whole LAMS links, outages (``down()`` mid-run) and a receiver slower
   than the line included, deliver at the same ``(now, payload)`` as with
   one entry per arrival and per drain;
-- digests of the delivered ``(now, payload)`` stream and of the full
-  trace-record stream of seven runs (the receiving end's run records
-  expanded per source by ``tests/trace_runs.py::Split``), recorded where
-  every arrival and every drain was its own heap entry and its own
-  record;
+- digests of the delivered ``(now, payload)`` stream, recorded where
+  every arrival and every drain was its own heap entry, and of the full
+  trace-record stream of seven runs (the sender's runs and the receiving
+  end's run records expanded per source by ``tests/trace_runs.py::Split``),
+  recorded where every retransmission was a run of its own;
 - ``flush()`` leaves no live drain behind, and the event budget.
 """
 
@@ -253,22 +253,23 @@ OUTAGES = FaultPlan.from_dict({"name": "runs", "faults": [
 ]})
 
 # name -> (payloads delivered, digest of the delivered (now, payload)
-# stream, trace records, digest of the record stream), recorded where
-# every arrival and every drain was a heap entry of its own.  The
-# delivered stream is the same with the monitors off.  The record stream
-# is the per-frame stream of ``tests/trace_runs.py``'s ``Split`` — the
-# other records in emission order, then each source's arrivals and
-# drains — its digest taken from the per-frame records where each
-# arrival and drain was traced on its own (the counts are those of the
-# stream in emission order, recorded before the agenda existed).
+# stream, trace records, digest of the record stream).  The delivered
+# stream was recorded where every arrival and every drain was a heap entry
+# of its own, and is the same with the monitors off.  The record stream is
+# the per-frame stream of ``tests/trace_runs.py``'s ``Split`` — the other
+# records in emission order, then the sender's frames per source, then
+# each source's arrivals and drains — recorded on the sender that handed
+# every retransmission over as a run of one (the count is of that
+# expanded stream); the receiving end's part was checked before against
+# the stream in which each arrival and drain was traced on its own.
 PARENT_STREAMS = {
-    "nominal": (2000, "1eef53611b7f5e3c", 6536, "92102ae72a32de30"),
-    "bursty": (2000, "a6b1bd1776ab635f", 7045, "c5054cd060bde276"),
-    "outages": (4000, "c43aa5cfc40c959f", 19995, "c6bb3dbde9b8481d"),
-    "stressed": (2000, "373d62fa1add8bba", 8947, "3fc39deac6944fed"),
-    "window1": (2000, "5900a210ba3ffa64", 8484, "79846b9f37b24182"),
-    "window64": (2000, "f41776c954ecada4", 6517, "1844bf8e33395671"),
-    "ring10": (600, "4ed30dec5b54dfdc", 9607, "91e84cd63bfe0527"),
+    "nominal": (2000, "1eef53611b7f5e3c", 8503, "785187d035bd5d29"),
+    "bursty": (2000, "a6b1bd1776ab635f", 9012, "7f4d5135a41aa9be"),
+    "outages": (4000, "c43aa5cfc40c959f", 23083, "655a5644529f81f3"),
+    "stressed": (2000, "373d62fa1add8bba", 10459, "69f3d2e1dd68397e"),
+    "window1": (2000, "5900a210ba3ffa64", 8484, "0da9219282a96930"),
+    "window64": (2000, "f41776c954ecada4", 8484, "98e3456d032c17c0"),
+    "ring10": (600, "4ed30dec5b54dfdc", 9620, "85e328395b14c401"),
 }
 
 
@@ -306,7 +307,8 @@ def _link_streams(name, monitored):
         assert any(record[2] == "checkpoint_sent" and record[3]["stop_go"]
                    for record in records.others) or not monitored
     return (len(delivered), _digest(delivered),
-            len(records), _digest((records.others, records.per_source())))
+            len(records),
+            _digest((records.others, records.sent_per_source(), records.per_source())))
 
 
 def _ring_streams():
@@ -327,7 +329,8 @@ def _ring_streams():
                 for channel in (runtime.link.forward, runtime.link.reverse)]
     assert any(channel._agenda is not None for channel in channels)
     return (sum(len(log) for log in constellation.logs.values()), _digest(logs),
-            len(records), _digest((records.others, records.per_source())))
+            len(records),
+            _digest((records.others, records.sent_per_source(), records.per_source())))
 
 
 @pytest.mark.parametrize("name", sorted(PARENT_STREAMS))
@@ -424,10 +427,11 @@ def test_flush_leaves_no_live_drain():
 
 def test_a_saturated_nominal_link_dispatches_under_a_fifth_of_an_event_per_frame():
     """Seed 7, the nominal link kept saturated for 0.25 s (the benchmark's
-    ``sat_clean`` source): 929 events for 9071 frames.  With an entry per
+    ``sat_clean`` source): 867 events for 9071 frames.  With an entry per
     arrival and per drain it was 17376, 1.92 a frame; with both on the
     agenda, 930; with the receiver taking runs whole, one agenda item per
-    delivery and none per arrival, 929."""
+    delivery and none per arrival, 929; with retransmissions leaving as
+    runs, 867."""
     scenario = preset("nominal")
     setup = build_simulation(scenario, "lams", seed=7)
     sender = setup.endpoint_a.sender
@@ -435,7 +439,7 @@ def test_a_saturated_nominal_link_dispatches_under_a_fifth_of_an_event_per_frame
                     low_water=256, chunk=512, poll_interval=scenario.iframe_time * 64).start()
     setup.run(until=0.25)
     frames = setup.link.forward.frames_sent + setup.link.reverse.frames_sent
-    assert (setup.sim.event_count, frames, len(setup.delivered)) == (929, 9071, 8395)
+    assert (setup.sim.event_count, frames, len(setup.delivered)) == (867, 9071, 8395)
     assert setup.sim.event_count / frames <= 0.2
 
 

@@ -175,7 +175,7 @@ def test_a_saturated_sources_acceptances_are_the_per_packet_stream():
     assert setup.finalize_monitors().ok and len(setup.delivered) == source.offered == 4096
     accepted = [item for item in expanded if item[0] == "payload_accepted"]
     assert (records.count("payloads_accepted"), len(accepted)) == (9, 4096)
-    assert setup.sim.event_count == 550
+    assert setup.sim.event_count == 515  # 550 while each retransmission was a run
     assert _digest(accepted) == (
         "08139c6f1f4a56d2919a8c66ad44e3e8d26521d6ec3f93d07b63cea6170239dc")
 

@@ -288,3 +288,29 @@ class TestOsSendErrors:
         assert len(events) == 2
         assert all(e.detail.get("forced") is False for e in events)
         assert events[0].detail.get("errno") == errno.ENOBUFS
+
+    def test_a_real_kernel_send_failure_is_a_send_error(self):
+        """asyncio's transport catches the kernel's OSError and reports it
+        through ``error_received``, not by raising: an oversize datagram
+        on a real socket is still a send error with its record."""
+
+        async def scenario():
+            clock = AsyncioClock()
+            tracer = Tracer(record_timeline=True)
+            link = await UdpLink.open(
+                clock, name="emsgsize", bit_rate=2e6,
+                impairments=Impairments(), seed=0, tracer=tracer,
+            )
+            sock = link.socket_a
+            try:
+                sock.sendto(bytes(70_000))  # above UDP's 65,507-byte payload
+            finally:
+                link.close()
+                clock.close()
+            events = [r for r in tracer.timeline() if r.event == "udp_send_error"]
+            return sock.send_errors, sock.socket_errors, events
+
+        send_errors, socket_errors, events = asyncio.run(scenario())
+        assert (send_errors, socket_errors) == (1, 0)
+        assert len(events) == 1
+        assert events[0].detail == {"forced": False, "errno": errno.EMSGSIZE}

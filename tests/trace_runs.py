@@ -23,7 +23,11 @@ compare frame by frame:
 Any other record expands to nothing.  The receiving end's records are
 held until a run lands or a checkpoint goes out, so they come later in
 the stream than the per-frame records did: :class:`Split` keeps them
-apart, per source, where their order is still the per-frame order.
+apart, per source, where their order is still the per-frame order.  The
+sender's runs are recorded when they are handed over, ahead of what
+happens while their frames leave, so :class:`Split` keeps their frames
+apart per source too: a stream then does not depend on how frames were
+grouped into runs, retransmissions included.
 """
 
 from __future__ import annotations
@@ -65,18 +69,24 @@ DELIVERIES = ("frames_delivered", "payloads_delivered")
 
 class Split:
     """A record listener: the receiving end's records expanded, per
-    source, into :attr:`deliveries`; every other record in emission order
-    into :attr:`others` as a raw entry, but a ``payloads_accepted`` as one
-    ``payload_accepted`` entry per packet."""
+    source, into :attr:`deliveries`; the sender's ``iframes_sent`` runs
+    expanded, per source, into :attr:`sent` (sequence numbers mod
+    *modulus*, the default numbering's); every other record in emission
+    order into :attr:`others` as a raw entry, but a ``payloads_accepted``
+    as one ``payload_accepted`` entry per packet."""
 
-    def __init__(self) -> None:
+    def __init__(self, modulus: int = 1 << 16) -> None:
+        self.modulus = modulus
         self.others: list[tuple] = []
         self.deliveries: dict[str, list[tuple]] = {}
+        self.sent: dict[str, list[tuple]] = {}
 
     def __call__(self, record: TraceRecord) -> None:
         entry = (record.time, record.source, record.event, record.detail)
         if record.event in DELIVERIES:
             self.deliveries.setdefault(record.source, []).extend(expand(entry, 0))
+        elif record.event == "iframes_sent":
+            self.sent.setdefault(record.source, []).extend(expand(entry, self.modulus))
         elif record.event == "payloads_accepted":
             self.others.extend((record.time, record.source, "payload_accepted",
                                 {"payload": payload}) for payload in record.detail["payloads"])
@@ -86,6 +96,10 @@ class Split:
     def per_source(self) -> list[tuple[str, list[tuple]]]:
         return sorted(self.deliveries.items())
 
+    def sent_per_source(self) -> list[tuple[str, list[tuple]]]:
+        return sorted(self.sent.items())
+
     def __len__(self) -> int:
         """Entries in all: the records the per-frame stream had."""
-        return len(self.others) + sum(map(len, self.deliveries.values()))
+        return (len(self.others) + sum(map(len, self.deliveries.values()))
+                + sum(map(len, self.sent.values())))
