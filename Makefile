@@ -37,7 +37,7 @@ golden-bless:
 # Re-check the hand mutants (tools/mutants.py): each
 # tests/mutants/<name>.patch is applied to a scratch export of the index
 # (what `git add -A` staged) and the test it names must fail there.
-# Fails if any mutant survives or no longer applies.  32 patches, ~220 s
+# Fails if any mutant survives or no longer applies.  33 patches, ~220 s
 # wall on a 2-vCPU host; CI runs it after tier-1.
 mutants:
 	$(PYTHON) tools/mutants.py

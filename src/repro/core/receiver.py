@@ -24,7 +24,7 @@ channel has decided (``hear`` wires it), :meth:`LamsReceiver.on_iframe`
 a frame handed over on its own, as a run of one.  A run waits as
 *pending arrivals*, each clean frame's delivery is planned at once by the
 receive queue's recurrence ``d = max(a, d_prev) + t_proc`` as one agenda
-item that keeps its arrival's rank (the engine's rank rule), and the
+item, ranked by the engine's instant-start rule, and the
 arrivals — with the deliveries already made — are applied in order, each
 at its own time, by ``_settle``, at the top of everything that reads the
 receiver's state.  Traced or not, a run is taken the same way; traced,
@@ -120,7 +120,7 @@ class LamsReceiver:
         "tracer", "deliver", "delivery_interval", "cp_index", "_frontier",
         "_next_expected_seq", "_error_log", "_resolving_log", "_running",
         "_checkpoint_tick", "_incoming", "_drain_token", "_held",
-        "_depth", "_due", "_pending", "_next_settle", "_peak",
+        "_depth", "_due", "_made", "_pending", "_next_settle", "_peak",
         "_stop_go_sink", "_stop_go_armed", "_header_protected",
         "_numbering_size", "_zero_duplication", "_rx_capacity",
         "_checkpoint_interval", "_cumulation_depth",
@@ -186,8 +186,12 @@ class LamsReceiver:
         # ``_depth`` and the gauge by ``_settle``, oldest first; once
         # settled, the first ``_depth`` of them are the queue proper (their
         # payloads have arrived) and the rest are owed to pending arrivals.
+        # While arrivals are pending, the first ``_made`` of them have been
+        # made and wait for ``_settle`` too; with none pending, a delivery
+        # settles itself as it is made.
         self._depth = 0
         self._due: deque[tuple] = deque()
+        self._made = 0
         # The runs not yet fully arrived, oldest first, and the earliest
         # arrival or delivery not yet settled.
         self._pending: list[_Run] = []
@@ -293,8 +297,6 @@ class LamsReceiver:
             channel._run_sink = self
             if self.config.piggyback_flow_control:
                 self._stop_go_sink = owner.sender
-            self.sim._plan(self)  # its runs' deliveries keep their arrivals' ranks
-
         elif channel._run_sink is self:
             self.hand_back()
             channel._run_sink = None
@@ -354,10 +356,9 @@ class LamsReceiver:
         """Pend *run* and plan its frames' deliveries behind every delivery
         owed, projecting in arrival order what decides a clean frame's fate
         as it lands: its origin (zero-duplication), and the queue's depth
-        (a full queue discards it).  Each delivery is a *planned* item that
-        keeps its arrival's rank, so it runs where a delivery numbered at
-        its arrival would have; taken at its own arrival (a frame handed
-        over on its own), it is numbered there.  Planned while the tracer
+        (a full queue discards it).  Each delivery is a *planned* item,
+        ranked by the instant-start rule; taken at its own arrival (a frame
+        handed over on its own), it is numbered there.  Planned while the tracer
         is active, the arrivals that may bear a record get items of their
         own (:meth:`_mark_records`)."""
         self._pending.append(run)
@@ -536,12 +537,13 @@ class LamsReceiver:
         entry and is not yet applied: each pending arrival — sequence and
         gap tracking, the frontier, the error log, the queue or a discard,
         its records — and each delivery already made, with the ``rxqueue``
-        gauge stepped at every one, as a frame at a time would.  Where a
-        delivery ties with an arrival or the running entry, ranks decide
-        (``Simulator._key``)."""
+        gauge stepped at every one, as a frame at a time would.  An arrival
+        of the running entry's instant has passed if its number is at most
+        the running entry's rank; where a delivery made ties with an
+        arrival, ranks decide (``Simulator._key``)."""
         sim = self.sim
         now = sim.now
-        running = None  # the running entry's key, read at a tie
+        made = self._made
         # Until the end, a settle that a record emitted here sets off
         # (through Tracer.settle) finds nothing due.
         self._next_settle = _INF
@@ -568,15 +570,9 @@ class LamsReceiver:
                 k = start = run.next
                 while k < count:
                     arrival = times[k]
-                    if arrival >= now:
-                        if arrival > now:
-                            break
-                        if first + k > sim._order:  # else it precedes, whatever the rank
-                            if running is None:
-                                running = sim._running_key()
-                            if (arrival, first + k) > running:
-                                break
-                    while due:  # the deliveries made before this arrival
+                    if arrival >= now and (arrival > now or first + k > sim._order):
+                        break
+                    while made:  # the deliveries made before this arrival
                         item = due[0]
                         when = item[0]
                         if when >= arrival and (when > arrival or (
@@ -584,6 +580,7 @@ class LamsReceiver:
                                 else not sim._key(item) < (arrival, first + k))):
                             break
                         due.popleft()
+                        made -= 1
                         depth -= 1
                         if when < last:
                             stat.update(when, depth)  # raises: time went backwards
@@ -656,17 +653,8 @@ class LamsReceiver:
                 del pending[0]
             self._next_expected_seq = expected
             self._frontier = frontier
-        while due:  # the deliveries made since the last arrival
-            item = due[0]
-            when = item[0]
-            if when >= now:
-                if when > now:
-                    break
-                if running is None:
-                    running = sim._running_key()
-                if sim._key(item) > running:
-                    break
-            due.popleft()
+        for _ in range(made):  # the deliveries made since the last arrival
+            when = due.popleft()[0]
             depth -= 1
             if when < last:
                 stat.update(when, depth)  # raises: time went backwards
@@ -679,6 +667,7 @@ class LamsReceiver:
             stat._level = level
             stat.maximum = maximum
         self._depth = depth
+        self._made = 0
         # The first arrival or delivery not yet settled.
         when = due[0][0] if due else _INF
         if pending:
@@ -733,19 +722,6 @@ class LamsReceiver:
             self._take(run)
         if self._stop_go_sink is not None and self._pending:
             self._arm_stop_go()
-
-    def _oldest_arrival(self) -> Optional[tuple[float, int]]:
-        """The oldest arrival a planned delivery not yet made keeps the rank
-        of (``Simulator._note`` prunes its log behind it).  A delivery made
-        but not yet settled keeps its rank as a plain number from here on,
-        so a receiver nobody settles any more holds no log."""
-        due, sim = self._due, self.sim
-        for index, item in enumerate(due):
-            if len(item) > 4:
-                if item[0] >= sim.now:
-                    return item[4], item[1]
-                due[index] = (item[0], sim._key(item)[1], item[2], item[3])
-        return None
 
     def hand_back(self) -> None:
         """The channel goes down, or ``hear`` unwires the run path: settle,
@@ -941,16 +917,17 @@ class LamsReceiver:
         """One planned delivery: *packet*, the oldest payload owed, goes up."""
         if token is not self._drain_token:
             return  # overtaken by flush()
-        due = self._due
         sim = self.sim
-        if not self._pending and due and due[0][1] == sim._order:
+        if self._pending:
+            self._made += 1
+            if self._next_settle > sim.now:
+                self._next_settle = sim.now  # what reads the queue replays it
+        else:
             # Nothing before it left to settle: step the gauge now, as
             # _settle would (a frame handed over on its own's every delivery).
-            due.popleft()
+            self._due.popleft()
             self._depth = depth = self._depth - 1
             self._rxqueue_stat.update(sim.now, depth)
-        elif self._next_settle > sim.now:
-            self._next_settle = sim.now  # what reads the queue replays it
         self.delivered += 1
         tracer = self.tracer
         if tracer.active:
@@ -987,21 +964,16 @@ class LamsReceiver:
         Graceful-teardown paths (session supervisor recycling an
         endpoint generation) call this before dropping the receiver.
         """
-        self._settle_due()
+        runs = self._unplan()  # taken again behind the flush: they meet an empty queue
         count = self._depth
         self._drain_token = token = object()  # their drains lapse
         due = self._due
         agenda = self._incoming._agenda if self._incoming is not None else None
-        if agenda is not None and count:  # settled: the lane's head is the queue
+        if agenda is not None and count:  # settled: the lane holds the queue
             agenda.trim(agenda.lanes[1], head=count)
-        stat = self._rxqueue_stat
-        now = self.sim.now
         for _ in range(count):
-            item = due.popleft()
-            self._depth -= 1
-            stat.update(now, self._depth)
-            self._drain_one(token, item[3][1])
-        self._replan(self._unplan())  # what lands later meets an empty queue
+            self._drain_one(token, due[0][3][1])  # with nothing pending, it goes now
+        self._replan(runs)
         self._release_delivered()
         return count
 

@@ -6,10 +6,10 @@ the hot paths' absolute-time push), a :class:`Timer` is a callback that
 can be re-armed and cancelled, and :meth:`Simulator.every` runs a
 callback once an interval.  That is the whole programming model, as in
 the paper: LAMS-DLC is specified as frame handlers, two timers, and a
-Check-Point every ``W_cp``.  Events for the same time fire in the order
-they were scheduled (a monotonically increasing sequence number breaks
-ties), so a frame arrival and a timer expiry at one instant resolve
-reproducibly.
+Check-Point every ``W_cp``.  Events for the same time fire by the
+instant-start rule of docs/TUNING.md §10, on a monotonically increasing
+sequence number, so a frame arrival and a timer expiry at one instant
+resolve reproducibly.
 
 Hot-path design notes
 ---------------------
@@ -30,7 +30,7 @@ Hot-path design notes
   drains of the receiver it feeds — is one :class:`Agenda`: items that
   keep their own ``(time, sequence)`` in FIFO lanes, carried by one heap
   entry that runs them inline (docs/TUNING.md §10).  A delivery planned
-  ahead of its arrival keeps that arrival's rank (the rank rule).
+  ahead of its arrival is ranked by the instant-start rule.
 
 The scheduling contract
 -----------------------
@@ -42,19 +42,18 @@ protocol half needs from its event source.  The hot paths in
 append that same tuple to an :class:`Agenda` lane and announce it with
 :meth:`Agenda.added`, so the heap and the ``_sequence`` counter are part
 of the ABI; every such push or item takes a number, which closes an open
-batch — but a *planned* item (the rank rule, below), which takes its
-arrival's.  A loop
+batch — but a *planned* item (below), which takes its arrival's.  A loop
 owes a popped entry ``entry[2](*entry[3])`` and nothing else: a carrier
 names ``Timer._surfaced`` (fire, re-push at the reserved ``(deadline,
 sequence)``, or lapse) or ``Agenda._surfaced`` (through ``_ranked``
 for a carrier at a rank), a shared entry the
 runner.  A loop also keeps ``_horizon``, the latest time an agenda may
 run an item inline: :meth:`Simulator.run` sets it to *until* (+inf
-without one); ``_order``, the sequence number of the entry it is
-running (an agenda sets its items' own, and ``_item`` to the item),
-which a receiver settling arrivals lazily compares with —
-:meth:`Simulator.run` leaves it "after everything" between runs; and the
-dispatch log, a ``_note`` after each dispatch that moved ``_sequence``.
+without one); ``_reached``, ``_sequence`` as the clock reached ``now``,
+set each time ``now`` advances and nowhere else; and ``_order``, the rank
+of the entry it is running (an agenda sets its items'), which a receiver
+settling arrivals lazily compares with — :meth:`Simulator.run` leaves it
+"after everything" between runs.
 A clock that is not this engine subclasses
 :class:`Simulator` (as :class:`repro.transport.clock.AsyncioClock`
 does); the asyncio clock's horizon is -inf, since its pump dispatches by
@@ -78,22 +77,16 @@ new earliest item.  So nothing runs inline that another entry should
 have preceded, and whatever reads the receiver's state runs after every
 item before it, as it would with an entry per item.
 
-The rank rule.  A delivery planned when its run is decided, before its
+Planned items.  A delivery planned when its run is decided, before its
 arrival lands, is a *planned* item ``(time, arrival sequence, callback,
-args, arrival time)``: it keeps the rank a delivery numbered at its
-arrival would have had.  Against any entry or item of its own instant it
-runs after everything numbered before the dispatch passed its arrival's
-``(time, sequence)`` and before everything numbered after; planned items
-tied with each other go in arrival order.  That rank is
-``(time, c + 0.5, arrival)`` (:meth:`Simulator._key`), where ``c`` is the
-counter when the dispatch passed the arrival: the dispatch log keeps
-``(key, counter)`` for each dispatch that moved the counter, so ``c`` is
-a bisect away, and the log is pruned behind the oldest arrival a planned
-item not yet made keeps the rank of.  The rank is read only where a
-planned item ties in time with another entry — an agenda's head against
-the heap's top or another lane's head, a receiver's delivery against an
-arrival or the running entry — and a planned head that must let a tied
-entry go first is carried again at its rank, once its arrival has passed.
+args, arrival time)``.  The instant-start rule ranks it at
+``(time, _reached + 0.5, arrival)`` once the clock is at its instant
+(:meth:`Simulator._key`); until then its arrival's number, taken before
+that instant, is a lower bound that carries it.  The rank is read only
+where a planned item ties in time with another entry — an agenda's head
+against the heap's top or another lane's head, a receiver's delivery
+against an arrival — and a planned head that must let a tied entry go
+first is carried again at its rank.
 
 Example
 -------
@@ -113,7 +106,6 @@ Example
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
@@ -123,9 +115,6 @@ __all__ = ["Agenda", "Simulator", "Timer", "SimulationError", "engine_backend"]
 _INF = float("inf")
 # ``Simulator._order`` outside a dispatch: after every number taken so far.
 _AFTER = 1 << 62
-# Entries the dispatch log holds before it is pruned behind the oldest
-# arrival a planned item still keeps the rank of.
-_LOG_LIMIT = 1024
 
 
 class SimulationError(Exception):
@@ -314,11 +303,11 @@ class Agenda:
 
     A *planned* item, ``(time, arrival sequence, callback, args, arrival
     time)``, is made ahead of the arrival it belongs to and takes no
-    number: it keeps the rank that arrival gives it (:meth:`Simulator._key`,
-    the rank rule), for which its arrival's number is a lower bound that
-    stands in except where it ties with another entry.  There the rank
-    decides, and a planned head that must let a tied entry go first is
-    carried again at its rank (:meth:`_defer`).
+    number: it is ranked by the instant-start rule (:meth:`Simulator._key`),
+    for which its arrival's number is a lower bound that stands in except
+    where it ties with another entry.  There the rank decides, and a
+    planned head that must let a tied entry go first is carried again at
+    its rank (:meth:`_defer`).
     """
 
     __slots__ = ("sim", "lanes", "_armed", "_carried", "_on_surface")
@@ -418,7 +407,6 @@ class Agenda:
         lanes = self.lanes
         self._carried.discard(key)
         self._armed = -_INF
-        counted = sim._counted
         deferred = False
         try:
             item = None
@@ -438,17 +426,11 @@ class Agenda:
             if len(item) > 4 and key == item[1] and heap:
                 top = heap[0]
                 if top[0] == when and not sim._key(item) < sim._key(top):
-                    self._defer(item)
-                    deferred = True
-                    return
+                    return  # a tied entry goes first: carried again at its rank
             head.popleft()
-            sim._order = item[1]
-            sim._item = item
+            sim._order = item[1] if len(item) < 5 else sim._reached + 0.5
             item[2](*item[3])
             while not sim._stopped:
-                if sim._sequence != counted:
-                    sim._note(item)
-                    counted = sim._counted
                 item = None
                 for lane in lanes:
                     if lane:
@@ -468,23 +450,23 @@ class Agenda:
                             item[1] < top[1] if len(item) < 5 else sim._key(item) < sim._key(top))):
                         if when == top[0] and len(item) > 4 and item[1] < top[1]:
                             # Its number said first, its rank says later: the
-                            # next dispatch is past its arrival, so the rank holds.
+                            # next dispatch reaches its instant, so the rank holds.
                             self._defer(item)
                             deferred = True
                         break
                 head.popleft()
-                sim.now = when
-                sim._order = item[1]
-                sim._item = item
+                if when != sim.now:
+                    sim.now = when
+                    sim._reached = sim._sequence
+                sim._order = item[1] if len(item) < 5 else sim._reached + 0.5
                 item[2](*item[3])
         finally:
-            if sim._sequence != counted:  # moved by the last item run
-                sim._note(sim._item)
             if not deferred:
                 self._rearm()
 
     def _defer(self, item: tuple) -> None:
-        """Carry the planned head *item*, whose arrival has passed, at its rank."""
+        """Carry the planned head *item* at its rank, which is fixed: it is
+        due now, or the next dispatch reaches its instant."""
         key = self.sim._key(item)
         self._armed = item[0]
         if key[1] not in self._carried:
@@ -492,20 +474,18 @@ class Agenda:
 
     def _rearm(self) -> None:
         """Carry the head, unless a carrier of its own is still in the heap
-        — at its rank, if it is planned, its arrival has passed and the
-        heap's top ties with it."""
+        — at its rank if it is planned and due now, where the rank is
+        fixed; a planned head due later is carried at its arrival's
+        number, which its rank cannot precede."""
         head = self._head()
         if head is None:
             self._armed = _INF
             return
         item = head[0]
         when, sequence = item[0], item[1]
-        if len(item) > 4:
-            sim = self.sim
-            heap = sim._heap
-            if heap and heap[0][0] == when and (item[4], sequence) < (sim.now, sim._order):
-                self._defer(item)
-                return
+        if len(item) > 4 and when == self.sim.now:
+            self._defer(item)
+            return
         self._armed = when
         carried = self._carried
         if sequence not in carried:
@@ -528,24 +508,14 @@ class Simulator:
         self._stopped = False
         # The running loop's horizon: an agenda runs nothing inline past it.
         self._horizon = _INF
-        # The sequence number of the entry or agenda item being run (a
-        # shared entry's for each of its calls); _AFTER between runs.
-        # What settles lazily (LamsReceiver._settle) compares with it.
+        # ``_sequence`` when the clock reached ``now``: the numbers at or
+        # under it were taken before this instant (the instant-start rule).
+        self._reached = 0
+        # The rank of the entry or agenda item being run: its sequence
+        # number (a shared entry's for each of its calls), ``_reached +
+        # 0.5`` for a planned item; _AFTER between runs.  What settles
+        # lazily (LamsReceiver._settle) compares with it.
         self._order = _AFTER
-        # The agenda item being run last (a planned one's rank is read from
-        # it by _running_key).
-        self._item: Optional[tuple] = None
-        # The dispatch log: ``(*key, counter)`` for each dispatch after
-        # which ``_sequence`` had moved, keys in dispatch order, so the
-        # counter at any position already passed is a bisect away
-        # (_counter_at).  ``_counted`` is the counter last logged; each
-        # object in ``_planners`` names, by ``_oldest_arrival()``, the
-        # oldest arrival whose rank it may still ask for.  With no
-        # planner there is no planned item and the loops log nothing.
-        self._log: list[tuple] = [(-_INF, 0, 0)]
-        self._counted = 0
-        self._log_limit = _LOG_LIMIT
-        self._planners: list = []
         self.event_count = 0
         # Armed rounds by (next deadline, interval); see every().
         self._rounds: dict[tuple[float, float], _Round] = {}
@@ -637,71 +607,23 @@ class Simulator:
             elif then is not None:
                 then()
 
-    # -- the rank rule ----------------------------------------------------
-
     def _key(self, entry: tuple) -> tuple:
-        """The full dispatch key of an entry or agenda item: ``(time,
-        sequence)``, or for a planned item ``(time, c + 0.5, arrival time,
-        arrival sequence)``, where ``c`` is the counter when the dispatch
-        passed its arrival (``_counter_at``).  That is the rank a
-        delivery numbered at its arrival would have had: after every entry
-        numbered before the arrival was passed, before every entry numbered
-        after, and among planned items in arrival order.  Compared only
-        where two entries tie in time."""
+        """The full dispatch key of an entry or agenda item, compared only
+        where two tie in time: ``(time, sequence)``, or for a planned item
+        ``(time, rank, arrival time, arrival sequence)`` by the
+        instant-start rule (docs/TUNING.md §10).  Its rank is ``_reached +
+        0.5`` when it is due now; at any other instant it is ranked after
+        every number taken so far — which is its rank against every entry
+        that exists before the clock reaches its instant, and at an
+        instant already past the only thing it is compared with is its
+        receiver's own arrivals, numbered when their run was taken,
+        before their instant."""
         if len(entry) > 4:
-            when, sequence = entry[4], entry[1]
-            return (entry[0], self._counter_at(when, sequence) + 0.5, when, sequence)
+            rank = (self._reached if entry[0] == self.now else self._sequence) + 0.5
+            return (entry[0], rank, entry[4], entry[1])
         if entry[2] is _ranked:
             return (entry[0], entry[1], *entry[3][1])  # a carrier at a rank
         return (entry[0], entry[1])
-
-    def _running_key(self) -> tuple:
-        """The dispatch key of the entry or item being run."""
-        item = self._item
-        if (item is not None and len(item) > 4 and item[1] == self._order
-                and item[0] == self.now):
-            return self._key(item)
-        return (self.now, self._order)
-
-    def _counter_at(self, when: float, sequence: int) -> int:
-        """``_sequence`` as the dispatch passed position ``(when, sequence)``:
-        the counter after the last logged dispatch before it, or — not
-        passed yet — the counter now, which every entry made before it is
-        passed stays at or under."""
-        log = self._log
-        index = bisect_left(log, (when, sequence))
-        if index == len(log) and (when > self.now or (
-                when == self.now and sequence > self._order)):
-            return self._sequence
-        return log[index - 1][-1] if index else log[0][-1]
-
-    def _plan(self, planner: Any) -> None:
-        """*planner* may make planned items from now on: keep the dispatch
-        log (from here, the first time) and prune it behind *planner*'s
-        oldest arrival too."""
-        if not self._planners:
-            self._note((self.now, self._order, None, ()))
-        if planner not in self._planners:
-            self._planners.append(planner)
-
-    def _note(self, entry: tuple) -> None:
-        """Log that ``_sequence`` moved during the dispatch of *entry*."""
-        self._counted = counter = self._sequence
-        log = self._log
-        if len(entry) < 5 and entry[2] is not _ranked:
-            log.append((entry[0], entry[1], counter))
-        else:
-            log.append((*self._key(entry), counter))
-        if len(log) > self._log_limit:
-            oldest = None
-            for planner in self._planners:
-                arrival = planner._oldest_arrival()
-                if arrival is not None and (oldest is None or arrival < oldest):
-                    oldest = arrival
-            keep = len(log) - 1 if oldest is None else bisect_left(log, oldest) - 1
-            if keep > 0:
-                del log[:keep]
-            self._log_limit = max(_LOG_LIMIT, 2 * len(log))
 
     def timer(self, callback: Callable[[], None]) -> Timer:
         """A restartable :class:`Timer` invoking *callback* on expiry."""
@@ -755,8 +677,6 @@ class Simulator:
         *max_events* is a safety valve for runaway simulations.
         """
         self._stopped = False
-        if self._planners and self._sequence != self._counted:  # numbers taken between runs
-            self._note((self.now, self._order, None, ()))
         heap = self._heap
         pop = heappop
         push = heappush
@@ -772,15 +692,17 @@ class Simulator:
                     # Past the horizon: put the entry back (rare — at most
                     # once per run call) and stop at exactly *until*.
                     push(heap, entry)
-                    self.now = until
+                    if until != self.now:
+                        self.now = until
+                        self._reached = self._sequence
                     self._order = _AFTER
                     return until
-                self.now = when
+                if when != self.now:
+                    self.now = when
+                    self._reached = self._sequence
                 self._order = entry[1]
                 entry[2](*entry[3])
                 processed += 1
-                if self._planners and self._sequence != self._counted:
-                    self._note(entry)
                 if processed >= limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (possible runaway simulation)"
@@ -791,6 +713,7 @@ class Simulator:
             self._order = _AFTER
         if bounded and self.now < until and not self._stopped:
             self.now = until
+            self._reached = self._sequence
         return self.now
 
     def peek(self) -> Optional[float]:

@@ -99,16 +99,16 @@ class AsyncioClock(Simulator):
                 when = entry[0]
                 if when > self.now:
                     self.now = when
+                    self._reached = self._sequence
                 self._order = entry[1]
                 entry[2](*entry[3])
                 processed += 1
-                if self._planners and self._sequence != self._counted:
-                    self._note(entry)
             # Snap to wall time so externally triggered work (frame
             # dispatch, accepts) is stamped with its real arrival time.
             wall = loop_time() - epoch
             if wall > self.now:
                 self.now = wall
+                self._reached = self._sequence
         finally:
             self.event_count += processed
             self._pumping = False

@@ -21,18 +21,16 @@ from repro.simulator.engine import Simulator
 
 
 def _run(planned: bool, lane: "_PushLane", item: tuple) -> None:
-    """An item's own entry surfaced: it leaves its lane and runs — a
-    planned one at its rank, pushed again there if a tied entry ranks
-    first (the engine's rank rule, entry by entry)."""
+    """An item's own entry surfaced: it leaves its lane and runs.  A
+    planned item's first entry, at its arrival's number, surfaces once the
+    clock has reached its instant: it is pushed again at its rank by the
+    instant-start rule (docs/TUNING.md §10) and runs there."""
     sim = lane.sim
-    heap = sim._heap
-    if (len(item) > 4 and sim._order == item[1] and heap and heap[0][0] == item[0]
-            and not sim._key(item) < sim._key(heap[0])):
-        rank = sim._key(item)[1]
-        heappush(heap, (item[0], rank, _run_ranked, ((item[4], item[1]), lane, item)))
+    if planned and sim._order == item[1]:
+        heappush(sim._heap, (item[0], sim._reached + 0.5, _run_ranked,
+                             ((item[4], item[1]), lane, item)))
         return
     lane.remove(item)
-    sim._item = item
     item[2](*item[3])
 
 
@@ -51,8 +49,9 @@ class _PushLane(deque):
         self.sim = sim
 
     def append(self, item: tuple) -> None:
-        # A planned item takes its arrival's number, which the item at the
-        # arrival has too: at one instant, that one goes first.
+        # A planned item's first entry is at its arrival's number, which
+        # its rank cannot precede (_run pushes it again at the rank); the
+        # item at that arrival has the number too and goes first.
         heappush(self.sim._heap, (item[0], item[1], _run, (len(item) > 4, self, item)))
         super().append(item)
 

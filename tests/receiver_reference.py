@@ -8,6 +8,15 @@ path must agree with: the same ``(now, payload)`` deliveries, checkpoint
 frames, error log and ``rxqueue`` gauge.  Patched in as
 ``repro.core.protocol.LamsReceiver`` it puts the old receiver into whole
 links (``tests/test_receiver_runs.py``).
+
+Its same-instant order is the per-frame push counter's, not the
+instant-start rule (docs/TUNING.md §10) the run path follows: each drain
+is an entry numbered when it is scheduled, at an arrival or at the drain
+before it, and runs among the entries numbered before its instant in
+number order, where the run path's planned delivery runs after all of
+them.  The two orders differ only where an entry numbered after a
+drain was scheduled, and before its instant, ties with it; no comparison
+made against this receiver has one.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulator.engine import SimulationError, Simulator
+from repro.simulator.engine import Agenda, SimulationError, Simulator
+from repro.transport.clock import AsyncioClock
 
+from .test_engine_properties import _StubLoop
 from .periodic_reference import ReferencePeriodic, round_entries, round_members
 from .timer_reference import timer_entries
 
@@ -690,3 +692,44 @@ class TestPush:
             (1.0, 2), (1.0, 3)]
         sim.run()
         assert log == ["a", "c", "after"]
+
+
+class TestTheInstantStartRule:
+    """docs/TUNING.md §10: at one instant, entries numbered before the
+    clock reached it run first, then planned deliveries in arrival order,
+    then entries numbered at the instant."""
+
+    @staticmethod
+    def tie(sim):
+        """A planned delivery at t = 2 whose arrival was numbered first of
+        all, tied with an entry numbered at t = 0, one numbered at t = 1,
+        and one the first of those pushes at t = 2; the order they ran in."""
+        log = []
+        agenda = Agenda(sim)
+        sim._sequence = arrival = sim._sequence + 1  # numbered ahead of everything
+        agenda.lanes[1].append((2.0, arrival, log.append, ("planned",), 1.0))
+        agenda.added(2.0, arrival)
+
+        def before():
+            log.append("numbered at 0")
+            sim.schedule_at(2.0, log.append, "numbered at 2")
+
+        sim.schedule_at(2.0, before)
+        sim.schedule_at(1.0, sim.schedule_at, 2.0, log.append, "numbered at 1")
+        return log
+
+    def test_on_a_run(self):
+        sim = Simulator()
+        log = self.tie(sim)
+        sim.run()
+        assert log == ["numbered at 0", "numbered at 1", "planned", "numbered at 2"]
+
+    def test_on_a_hand_pumped_asyncio_clock(self):
+        loop = _StubLoop()
+        clock = AsyncioClock(loop)
+        log = self.tie(clock)
+        for now in (1.0, 2.0):
+            loop.now = now
+            clock.kick()
+        assert not clock._heap
+        assert log == ["numbered at 0", "numbered at 1", "planned", "numbered at 2"]

@@ -15,8 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sendbuf import SendBuffer
+from repro.core.sender import LamsSender
 from repro.core.seqspace import SequenceSpace
 from repro.faults.plan import FaultPlan, LinkOutage
+from repro.workloads import preset
+from repro.workloads.generators import SaturatedSource
+from repro.workloads.scenarios import build_simulation
 
 from .sender_reference import FRAME_TIME, RTT, SenderRig
 from .test_batched_parity import _run_golden
@@ -315,3 +319,25 @@ def _pinned_run(name: str, batch_window: int) -> tuple:
 @pytest.mark.parametrize("name,batch_window", sorted(PARENT_PINS))
 def test_presets_unchanged_from_parent(name, batch_window):
     assert _pinned_run(name, batch_window) == PARENT_PINS[(name, batch_window)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_send_window paces a window of new frames from now + count * tx_time, "
+    "which can land an ulp after the channel's run ends"))
+def test_a_saturated_line_rate_window_arms_no_pacing_wake_up(monkeypatch):
+    """A window of new frames at line rate leaves the channel busy until
+    its last frame is out, so the next window starts at the channel's idle
+    callback and never waits on pacing.  Seed 7, ``nominal`` kept
+    saturated for 1 s with a window of 64: 155 wake-ups are armed."""
+    woken = []
+    pacing_expired = LamsSender._pacing_expired
+    monkeypatch.setattr(LamsSender, "_pacing_expired",
+                        lambda sender: (woken.append(sender.sim.now), pacing_expired(sender)))
+    scenario = preset("nominal")
+    setup = build_simulation(scenario, "lams", seed=7, overrides={"batch_window": 64})
+    sender = setup.endpoint_a.sender
+    SaturatedSource(setup.sim, setup.endpoint_a, backlog_fn=lambda: sender.pending_count,
+                    low_water=256, chunk=512, poll_interval=scenario.iframe_time * 64).start()
+    setup.run(until=1.0)
+    assert len(setup.delivered) > 30000
+    assert woken == []
