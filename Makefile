@@ -8,7 +8,7 @@ install:
 	$(PYTHON) setup.py develop
 
 # The tier-1 suite, as ROADMAP.md's tier-1 verify command runs it
-# (~100 s: 97 s and 105 s measured for 1517 tests on a 2-CPU host).
+# (1650 tests: 53-55 s on an idle 2-CPU host, 94-126 s while it was shared).
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
@@ -37,8 +37,9 @@ golden-bless:
 # Re-check the hand mutants (tools/mutants.py): each
 # tests/mutants/<name>.patch is applied to a scratch export of the index
 # (what `git add -A` staged) and the test it names must fail there.
-# Fails if any mutant survives or no longer applies.  33 patches, ~220 s
-# wall on a 2-vCPU host; CI runs it after tier-1.
+# Fails if any mutant survives or no longer applies.  36 patches, one of
+# them in the specification (tests/spec/), a few minutes on a 2-vCPU
+# host; CI runs it after tier-1.
 mutants:
 	$(PYTHON) tools/mutants.py
 

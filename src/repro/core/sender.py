@@ -448,13 +448,12 @@ class LamsSender:
         else:
             channel.send_burst(frames)
         self.iframes_sent += count
-        # Inlined StopGoRateController.inter_frame_gap.  At line rate a
-        # retransmission run ends at the accumulated departure, the
-        # channel's own run-end float (a run of one: now + tx_time either
-        # way); a window of new frames keeps the product, which can land
-        # an ulp past it.
+        # Inlined StopGoRateController.inter_frame_gap.  At line rate a run
+        # ends at the accumulated departure, the channel's own run-end
+        # float (a run of one: now + tx_time either way); the product
+        # can land an ulp past it.
         flow = self.flow
-        if flow.enabled and (flow.rate_fraction < 1.0 or not retransmission):
+        if flow.enabled and flow.rate_fraction < 1.0:
             self._next_allowed_send = now + count * tx_time / flow.rate_fraction
         else:
             self._next_allowed_send = departure

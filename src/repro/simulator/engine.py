@@ -318,7 +318,10 @@ class Agenda:
         # Time of the carried head: +inf when empty, -inf while running
         # (nothing added then needs a carrier).
         self._armed = _INF
-        self._carried: set = set()  # keys of this agenda's carriers in the heap
+        # ``(time, key)`` of this agenda's carriers in the heap: a planned
+        # item is carried at its arrival's number, which the arrival's own
+        # item also carries, at another time.
+        self._carried: set = set()
         # Bound once: the object every carrier at a number carries.
         self._on_surface = self._surfaced
 
@@ -350,7 +353,7 @@ class Agenda:
         first = items[0]
         if (self._armed != -_INF and (lead is None or first[0] < lead[0] or (
                 first[0] == lead[0] and self.sim._key(first) < self.sim._key(lead)))
-                and first[1] not in self._carried):
+                and (first[0], first[1]) not in self._carried):
             self._carry(first[0], first[1])
 
     def discard(self, lane: deque, keep: Callable[[tuple], bool]) -> None:
@@ -377,7 +380,7 @@ class Agenda:
 
     def _carry(self, when: float, key: float, arrival: Optional[tuple] = None) -> None:
         self._armed = when
-        self._carried.add(key)
+        self._carried.add((when, key))
         if arrival is None:
             heappush(self.sim._heap, (when, key, self._on_surface, (key,)))
         else:
@@ -405,7 +408,7 @@ class Agenda:
         heap = sim._heap
         horizon = sim._horizon
         lanes = self.lanes
-        self._carried.discard(key)
+        self._carried.discard((sim.now, key))
         self._armed = -_INF
         deferred = False
         try:
@@ -469,7 +472,7 @@ class Agenda:
         due now, or the next dispatch reaches its instant."""
         key = self.sim._key(item)
         self._armed = item[0]
-        if key[1] not in self._carried:
+        if (item[0], key[1]) not in self._carried:
             self._carry(item[0], key[1], key[2:])
 
     def _rearm(self) -> None:
@@ -488,8 +491,8 @@ class Agenda:
             return
         self._armed = when
         carried = self._carried
-        if sequence not in carried:
-            carried.add(sequence)
+        if (when, sequence) not in carried:
+            carried.add((when, sequence))
             heappush(self.sim._heap, (when, sequence, self._on_surface, (sequence,)))
 
 

@@ -9,7 +9,11 @@ holding-time bookkeeping, and ``sorted`` / ``min`` passes over the dict
 where the columns now have an order.  They are kept here verbatim, and
 only here, as the thing the shipped senders must agree with; the one
 addition is an ``accept_many`` that offers packets one ``accept`` at a
-time, so an endpoint can hand them a stretch.
+time, so an endpoint can hand them a stretch.  Beside them, for
+``tests/test_accept_many.py``: the shipped senders' per-packet ``accept``
+as it was before they took stretches (:func:`buffered_accept`), and the
+sources' per-packet loops (:class:`ReferenceFiniteBatch`,
+:class:`ReferenceSaturatedSource`).
 
 :class:`BaselineRig` drives a shipped sender and its reference through
 one history — each on its own simulator, stub channel and tracer — and
@@ -35,9 +39,79 @@ from repro.nbdt.frames import NbdtIFrame, NbdtReport, NbdtReportRequest
 from repro.simulator.engine import Simulator
 from repro.simulator.link import SimplexChannel
 from repro.simulator.trace import Tracer
+from repro.workloads.generators import FiniteBatch, SaturatedSource
 
-from .accept_reference import accept_each
 
+
+# -- per-packet acceptance, as before senders took stretches ---------------
+
+
+def accept_each(accept: Callable[[Any], bool], packets) -> int:
+    """``for p in packets: if not accept(p): break``, counting acceptances."""
+    accepted = 0
+    for packet in packets:
+        if not accept(packet):
+            break
+        accepted += 1
+    return accepted
+
+
+def enqueue(buffer: Any, packet: Any, now: float) -> bool:
+    """``SendBuffer.enqueue`` before stretches."""
+    occ = len(buffer._pending) + buffer.live
+    if buffer.capacity is not None and occ >= buffer.capacity:
+        buffer.refused_total += 1
+        return False
+    buffer._pending.append((packet, now))
+    buffer.enqueued_total += 1
+    occ += 1
+    if occ > buffer.peak_occupancy:
+        buffer.peak_occupancy = occ
+    return True
+
+
+def buffered_accept(sender: Any, packet: Any) -> bool:
+    """``BufferedSender.accept`` before stretches: a sample and a wake a packet."""
+    if not enqueue(sender.buffer, packet, sender.sim.now):
+        return False
+    sender._record_occupancy()
+    sender._wake()
+    return True
+
+
+class ReferenceFiniteBatch(FiniteBatch):
+    """``FiniteBatch`` with its per-packet loop."""
+
+    def start(self) -> None:
+        for index in range(self.count):
+            packet = self.make_packet(index, self.sim.now)
+            if self.target.accept(packet):
+                self.offered += 1
+            else:
+                self.refused += 1
+
+
+class ReferenceSaturatedSource(SaturatedSource):
+    """``SaturatedSource`` with its per-packet refill loop."""
+
+    def _tick(self, chain: int) -> None:
+        if chain != self._chain or not self._running:
+            return
+        if self.limit is not None and self.offered >= self.limit:
+            self._running = False
+            return
+        if self.backlog_fn() < self.low_water:
+            budget = self.chunk
+            if self.limit is not None:
+                budget = min(budget, self.limit - self.offered)
+            for _ in range(budget):
+                packet = self.make_packet(self.offered + self.refused, self.sim.now)
+                if self.target.accept(packet):
+                    self.offered += 1
+                else:
+                    self.refused += 1
+                    break
+        self.sim.schedule(self.poll_interval, self._tick, chain)
 
 
 # -- the parent's SR-HDLC / GBN sender (hdlc/window.py, hdlc/sender.py) ------
@@ -176,7 +250,7 @@ class HdlcSender:
         return True
 
     def accept_many(self, packets: Any) -> int:
-        """The loop ``accept_many`` stands for (tests/accept_reference.py)."""
+        """The loop ``accept_many`` stands for (:func:`accept_each`)."""
         return accept_each(self.accept, packets)
 
     @property
@@ -479,7 +553,7 @@ class NbdtSender:
         return True
 
     def accept_many(self, packets: Any) -> int:
-        """The loop ``accept_many`` stands for (tests/accept_reference.py)."""
+        """The loop ``accept_many`` stands for (:func:`accept_each`)."""
         return accept_each(self.accept, packets)
 
     @property

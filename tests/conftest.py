@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from repro.simulator import (
     BernoulliChannel,
@@ -24,6 +24,18 @@ from repro.workloads import LinkScenario
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("deep", derandomize=False)
 settings.load_profile("tier1")
+
+
+def spec_settings(**kwargs) -> settings:
+    """Settings for a property that compares shipped code with the
+    executable specification in ``tests/spec/``.  Under ``tier1`` it does
+    not shrink: a failing whole-link example is replayed unshrunk, so it
+    fails in about the time a passing run takes, and the same example
+    fails again on the next run; ``deep`` keeps shrinking.  Read when the
+    test module is imported, after ``--hypothesis-profile`` is applied."""
+    if settings.get_current_profile_name() == "tier1":
+        kwargs["phases"] = [phase for phase in Phase if phase is not Phase.shrink]
+    return settings(**kwargs)
 
 
 @pytest.fixture

@@ -3,20 +3,26 @@
 Every sender family takes a stretch of packets in one call, and the
 sources, the session manager and the DES conformance backend offer
 through it.  Its outcome must be that of ``for p in packets: if not
-accept(p): break`` with the parent's per-packet ``accept``
-(``tests/accept_reference.py``) in every respect.  Each history here is
-played on two copies of one sender — one offered to the shipped way,
-one through the reference — and after every step the two must agree,
-compared with ``==``: the sending buffer's pending queue, columns and
-counters, the ``sendbuf`` gauge's mean, maximum and area, the frames on
-the channel, the source's ``offered`` / ``refused`` and how often it
-called ``make_packet``, the simulator's event count, and the trace
-records with acceptances expanded to one tuple per payload.
+accept(p): break`` in every respect.  Each history here is played on two
+copies of one sender: one offered to the shipped way, the other one
+packet at a time by the sources' per-packet loops
+(``tests/baseline_sender_reference.py``) — a baseline sender through its
+per-packet ``accept`` as it was, a LAMS-DLC sender (``lams``) as the
+specification's (``tests/spec/``) at a window of four, and (``lams-own``)
+as the shipped sender's own ``accept``, one call a packet.  After every
+step the two must agree, compared with ``==``: the pending queue, the
+outstanding frames and the counters, the ``sendbuf`` gauge, the frames
+on the channel, the source's ``offered`` / ``refused`` and how often it
+called ``make_packet``; but for all but the specification also the simulator's
+event count and the trace records with acceptances expanded to one
+tuple per payload, and for the baselines their columns.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count
+from types import SimpleNamespace
 from typing import Any
 
 import pytest
@@ -36,19 +42,18 @@ from repro.simulator.engine import Simulator
 from repro.simulator.trace import Tracer
 from repro.workloads.generators import FiniteBatch, SaturatedSource
 
-from . import baseline_sender_reference, sender_reference
-from .accept_reference import (
-    OneByOne, ReferenceFiniteBatch, ReferenceSaturatedSource, accept_each,
+from . import baseline_sender_reference, spec
+from .baseline_sender_reference import (
+    ReferenceFiniteBatch, ReferenceSaturatedSource, accept_each, buffered_accept,
 )
+from .test_sender_window import FRAME_TIME, RTT, StubChannel, sender_view
 from .trace_runs import expand
 
-RTT = sender_reference.RTT
-FRAME_TIME = sender_reference.FRAME_TIME
-FAMILIES = ["lams", "hdlc", "gbn", "nbdt-continuous", "nbdt-multiphase"]
+FAMILIES = ["lams", "lams-own", "hdlc", "gbn", "nbdt-continuous", "nbdt-multiphase"]
 
 
 def make_config(family: str, capacity):
-    if family == "lams":
+    if family.startswith("lams"):
         return LamsDlcConfig(send_buffer_capacity=capacity, batch_window=4)
     if family.startswith("nbdt"):
         return NbdtConfig(mode=family.split("-")[1], timeout=8 * FRAME_TIME,
@@ -58,25 +63,29 @@ def make_config(family: str, capacity):
 
 
 class Side:
-    """One sender on its own simulator, stub channel and tracer, offered
-    to the shipped way (``shipped``) or the per-packet way."""
+    """One sender on its own engine, stub channel and tracer, offered to
+    the shipped way (``shipped``) or one packet at a time."""
 
     def __init__(self, family: str, config: Any, shipped: bool, source) -> None:
-        self.family = family
-        self.sim = sim = Simulator()
+        self.family, self.lams = family, family.startswith("lams")
+        self.spec = family == "lams" and not shipped
+        self.sim = sim = spec.Engine() if self.spec else Simulator()
         self.tracer = Tracer()
         self.log: list[tuple] = []
         self.tracer.listeners.append(self._on_record)
-        if family == "lams":
-            self.channel = sender_reference.StubChannel(sim, RTT / 2)
-            self.sender = LamsSender(sim, config, self.channel, RTT, tracer=self.tracer)
+        if self.lams:
+            self.channel = StubChannel(sim, RTT / 2)
+            self.sender = (spec.Sender(sim, config, self.channel, RTT) if self.spec else
+                           LamsSender(sim, config, self.channel, RTT, tracer=self.tracer))
         else:
             self.channel = baseline_sender_reference.StubChannel(
                 sim, config.iframe_bits / FRAME_TIME, 2 * FRAME_TIME)
             kind = NbdtSender if family.startswith("nbdt") else HdlcSender
             self.sender = kind(sim, config, self.channel, tracer=self.tracer)
         self.shipped = shipped
-        self.target = self.sender if shipped else OneByOne(self.sender)
+        # Offered one packet at a time: a target with ``accept`` only.
+        self.target = self.sender if shipped else SimpleNamespace(
+            accept=self.sender.accept if self.lams else partial(buffered_accept, self.sender))
         self.made = 0
         self._serial = count()  # tells apart the packets of repeated batches
         self.offers: list[int] = []
@@ -86,9 +95,8 @@ class Side:
         if source is not None:
             chunk, low_water, poll, limit = source
             kind = SaturatedSource if shipped else ReferenceSaturatedSource
-            sender = self.sender
             self.source = kind(
-                sim, self.target, backlog_fn=lambda: sender.pending_count,
+                sim, self.target, backlog_fn=lambda: self.sender.pending_count,
                 low_water=low_water, chunk=chunk, poll_interval=poll * FRAME_TIME,
                 make_packet=self.make_packet, limit=limit,
             )
@@ -114,18 +122,11 @@ class Side:
     # -- steps ---------------------------------------------------------------
 
     def offer(self, n: int, how: str) -> None:
-        if how == "stretch":
-            packets = self.packets(n)
-        elif how == "list":
-            packets = list(self.packets(n))
-        else:  # "one": the shipped accept, one packet a call
-            accepted = accept_each(self.target.accept, self.packets(n))
-            self.offers.append(accepted)
-            return
-        if self.shipped:
+        packets = list(self.packets(n)) if how == "list" else self.packets(n)
+        if self.shipped and how != "one":
             self.offers.append(self.sender.accept_many(packets))
-        else:
-            self.offers.append(self.target.offer(packets))
+        else:  # "one": the shipped accept, one packet a call
+            self.offers.append(accept_each(self.target.accept, packets))
 
     def batch(self, n: int) -> None:
         kind = FiniteBatch if self.shipped else ReferenceFiniteBatch
@@ -134,13 +135,13 @@ class Side:
         self.batches.append((batch.offered, batch.refused))
 
     def hold(self) -> None:
-        if self.family == "lams":
+        if self.lams:
             self.channel.busy = True
         else:
             self.channel.busy += 1
 
     def release(self) -> None:
-        if self.family == "lams":
+        if self.lams:
             self.channel.idle()
         elif self.channel.busy:
             self.channel._sent()
@@ -148,59 +149,57 @@ class Side:
     def acknowledge(self, nak: bool) -> None:
         """Resolve everything sent so far (a NAK of the oldest live frame
         first, for LAMS-DLC, when asked)."""
-        sender, buffer, now = self.sender, self.sender.buffer, self.sim.now
-        if self.family == "lams":
-            live = [frame.seq for frame in buffer.outstanding_frames()]
-            naks = tuple(live[:1]) if nak else ()
+        sender, now = self.sender, self.sim.now
+        if self.lams:
+            live = [frame[0] for frame in sender_view(sender)["outstanding"]]
             sender.on_checkpoint(CheckpointFrame(
-                cp_index=0, issue_time=now + RTT, naks=naks,
-                frontier=buffer.next_index - 1), False)
-        elif self.family.startswith("nbdt"):
+                cp_index=0, issue_time=now + RTT, naks=tuple(live[:1]) if nak else (),
+                frontier=sender.iframes_sent - 1), False)
+            return
+        buffer = sender.buffer
+        if self.family.startswith("nbdt"):
             sender.on_report(NbdtReport(cumulative=0, highest_seen=buffer.next_index - 1), False)
         else:
             sender.on_rr(RrFrame(nr=buffer.space.seq_of(buffer.next_index)), False)
 
     def stop_go(self, stop: bool) -> None:
-        if self.family == "lams":
+        if self.lams:
             self.sender.flow.on_stop_go(stop)
 
     def stop(self) -> None:
         self.sender.stop()
 
     def start(self) -> None:
-        if self.family != "lams" and not self.sender._started:
+        if not self.lams and not self.sender._started:
             self.sender.start()
 
     # -- what is compared ----------------------------------------------------
 
     def state(self) -> dict:
-        sender, buffer = self.sender, self.sender.buffer
-        gauge = sender._sendbuf_stat if self.family == "lams" else sender._sendbuf
+        sender = self.sender
         state = dict(
-            pending=list(buffer._pending), items=buffer.items, arrivals=buffer.arrivals,
-            first_sends=buffer.first_sends, retx=buffer.retx, base=buffer.base,
-            live=buffer.live, monotone=buffer.monotone,
-            counters=(buffer.enqueued_total, buffer.refused_total, buffer.peak_occupancy),
-            gauge=None if gauge is None else (
-                gauge.mean(), gauge.maximum, gauge._area, gauge._level, gauge._last_time),
             made=self.made, offers=self.offers, batches=self.batches,
             source=None if self.source is None else (self.source.offered, self.source.refused),
-            events=self.sim.event_count, now=self.sim.now, log=self.log,
-            sent=(sender.iframes_sent, sender.retransmissions),
-        )
-        if self.family == "lams":
-            state.update(
-                runs=[(when, list(map(repr, frames))) for when, frames in self.channel.runs],
-                failed=sender.failed,
-                pacing=(sender._pacing_armed, sender._next_allowed_send),
-                requeued=list(sender._retransmit_queue),
-            )
+            now=self.sim.now)
+        if self.lams:
+            state.update(sender_view(sender), runs=[
+                (when, list(map(repr, frames))) for when, frames in self.channel.runs])
+            if self.family == "lams":
+                return state
         else:
-            state.update(frames=list(map(repr, self.channel.frames)), started=sender._started,
-                         timer=sender._timer.deadline)
+            buffer, gauge = sender.buffer, sender._sendbuf
+            state.update(
+                pending=list(buffer._pending), sent=(sender.iframes_sent, sender.retransmissions),
+                counters=(buffer.enqueued_total, buffer.refused_total, buffer.peak_occupancy),
+                items=buffer.items, arrivals=buffer.arrivals, first_sends=buffer.first_sends,
+                retx=buffer.retx, base=buffer.base, live=buffer.live, monotone=buffer.monotone,
+                gauge=None if gauge is None else (
+                    gauge.mean(), gauge.maximum, gauge._area, gauge._level, gauge._last_time),
+                frames=list(map(repr, self.channel.frames)), started=sender._started,
+                timer=sender._timer.deadline)
             if self.family.startswith("nbdt"):
                 state.update(phase=(sender._phase_new_remaining, sender._awaiting_report))
-        return state
+        return dict(state, events=self.sim.event_count, log=self.log)
 
 
 class AcceptRig:

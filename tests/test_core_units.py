@@ -20,7 +20,7 @@ from repro.session import LinkSessionManager, PassSchedule
 from repro.session.factories import session_factory
 from repro.simulator import FullDuplexLink, Simulator
 
-from .sender_reference import FRAME_TIME, SenderRig
+from .test_sender_window import FRAME_TIME, SenderRig
 
 
 class TestForwardDistance:

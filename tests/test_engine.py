@@ -7,9 +7,8 @@ import pytest
 from repro.simulator.engine import Agenda, SimulationError, Simulator
 from repro.transport.clock import AsyncioClock
 
-from .test_engine_properties import _StubLoop
-from .periodic_reference import ReferencePeriodic, round_entries, round_members
-from .timer_reference import timer_entries
+from . import spec
+from .test_engine_properties import _StubLoop, round_entries, round_members, timer_entries
 
 
 class TestScheduling:
@@ -490,10 +489,9 @@ class TestEvery:
         round's first interval (the entry is the first joiner's)."""
         log = []
 
-        def every(interval, callback):
-            if periodic == "every":
-                return sim.every(interval, callback)
-            return ReferencePeriodic(sim, interval, callback)
+        if periodic == "reference":  # the specification: an entry per firing
+            sim = spec.Engine()
+        every = sim.every
 
         def pusher():
             log.append((sim.now, "pusher"))
@@ -519,10 +517,9 @@ class TestEvery:
                                                                    periodic):
         log = []
 
-        def every(interval, callback):
-            if periodic == "every":
-                return sim.every(interval, callback)
-            return ReferencePeriodic(sim, interval, callback)
+        if periodic == "reference":  # the specification: an entry per firing
+            sim = spec.Engine()
+        every = sim.every
 
         def stopper():
             log.append((sim.now, "stopper"))
@@ -553,10 +550,9 @@ class TestEvery:
 
         log = []
 
-        def every(interval, callback):
-            if periodic == "every":
-                return sim.every(interval, callback)
-            return ReferencePeriodic(sim, interval, callback)
+        if periodic == "reference":  # the specification: an entry per firing
+            sim = spec.Engine()
+        every = sim.every
 
         def bang():
             log.append((sim.now, "bang"))

@@ -12,9 +12,41 @@ from repro.simulator.engine import Periodic, Simulator, Timer
 from repro.topology import build_constellation, ring_topology
 from repro.transport.clock import AsyncioClock
 
-from .periodic_reference import ReferencePeriodic, round_entries, round_members
-from .push_reference import pending_calls, reference_push
-from .timer_reference import ReferenceTimer, timer_entries
+from . import spec
+
+
+def timer_entries(sim: Simulator, timer: Timer) -> list[tuple]:
+    """The heap entries that will surface for *timer* (carrier or left behind)."""
+    return [entry for entry in sim._heap if getattr(entry[2], "__self__", None) is timer]
+
+
+def round_entries(sim: Simulator) -> list[tuple]:
+    """The heap entries of ``sim.every``'s rounds: shared entries whose
+    trailing call re-arms them."""
+    return [entry for entry in sim._heap
+            if entry[2] is sim._joined and entry[3][3] is not None]
+
+
+def round_members(entry: tuple) -> list[Periodic]:
+    """The members a round's heap entry runs next, in order."""
+    return [call.__self__ for call in entry[3][0][::2]]
+
+
+def pending_calls(clock) -> list[tuple[float, object, tuple]]:
+    """``(time, callback, args)`` of every call still due, in dispatch
+    order: a shared entry (a batch of :meth:`Simulator.push`, a round of
+    :meth:`Simulator.every`) counts once per call."""
+    if isinstance(clock, spec.Engine):
+        return clock.pending()
+    calls = []
+    for when, _, callback, args in sorted(clock._heap):
+        if callback is clock._joined:
+            members = args[0]
+            calls.extend((when, members[index], members[index + 1])
+                         for index in range(0, len(members), 2))
+        else:
+            calls.append((when, callback, args))
+    return calls
 
 
 class TestSchedulingProperties:
@@ -130,7 +162,7 @@ class TestTimerProperties:
             assert abs(got - want) < 1e-9
 
 
-# -- the carrier rule against the push-per-start reference -------------------
+# -- the carrier rule against the specification's entry per start ------------
 
 TIMERS = 3
 # A coarse grid, for both the instants operations run at and their
@@ -169,32 +201,24 @@ class _StubLoop:
         return self._Handle()
 
 
-def _run_des(step):
-    sim = Simulator()
-    return sim, sim.run
+def _run_des(step, reference=False):
+    return _des_until(step, reference, horizon=None)
 
 
-def _run_pumped(step):
-    loop = _StubLoop()
-    clock = AsyncioClock(loop)
-
-    def drain():
-        while clock._heap:
-            loop.now += step
-            clock.kick()
-
-    return clock, drain
+def _run_pumped(step, reference=False):
+    return _pumped_until(step, reference, horizon=24.0)  # past every deadline
 
 
-def _play(make_clock, timer_class, history, refires, step):
-    """Run *history*; the log of live callbacks, ``_sequence``, ``event_count``."""
-    clock, drain = make_clock(step)
+def _play(make_clock, reference, history, refires, step):
+    """Run *history*, on the specification's engine if *reference*; the
+    log of live callbacks, ``_sequence`` and ``event_count``."""
+    clock, drain = make_clock(step, reference)
     log = []
     refires = [list(delays) for delays in refires]
     shortened = [0] * TIMERS  # starts that pushed beside a later carrier
 
     def check_one_entry_per_timer():
-        if timer_class is not Timer:
+        if reference:
             return
         for timer, spare in zip(timers, shortened):
             assert len(timer_entries(clock, timer)) <= 1 + spare
@@ -221,11 +245,10 @@ def _play(make_clock, timer_class, history, refires, step):
             start(index, delay)
         check_one_entry_per_timer()
 
-    timers = [timer_class(clock, lambda index=index: fired(index))
-              for index in range(TIMERS)]
+    timers = [clock.timer(lambda index=index: fired(index)) for index in range(TIMERS)]
     for number, (at, index, action, delay) in enumerate(history):
         clock.schedule(at, apply, number, index, action, delay)
-    drain()
+    drain(log)
     assert not any(timer.running for timer in timers)
     return log, clock._sequence, clock.event_count
 
@@ -239,13 +262,12 @@ class TestTimerAgainstReference:
                                                    refires, step):
         """Start later / at the same instant / earlier, cancel,
         cancel-then-start, restart from inside the callback: every live
-        callback at the reference's ``(now, who)``, every sequence
-        number reserved, never more than one heap entry per timer unless
-        a start shortened its deadline — and nothing popped that the
-        reference did not pop."""
-        log, sequence, events = _play(make_clock, Timer, history, refires, step)
-        want_log, want_sequence, want_events = _play(
-            make_clock, ReferenceTimer, history, refires, step)
+        callback at the ``(now, who)`` of the specification's timer (an
+        entry per start), every sequence number reserved, never more than
+        one heap entry per timer unless a start shortened its deadline —
+        and nothing popped that the specification did not pop."""
+        log, sequence, events = _play(make_clock, False, history, refires, step)
+        want_log, want_sequence, want_events = _play(make_clock, True, history, refires, step)
         assert log == want_log
         assert sequence == want_sequence
         assert events <= want_events
@@ -306,13 +328,13 @@ class Boom(Exception):
     """What a scripted callback raises."""
 
 
-def _des_until(step):
-    sim = Simulator()
+def _des_until(step, reference=False, horizon=HORIZON):
+    sim = spec.Engine() if reference else Simulator()
 
     def drain(log):
         while True:  # a stop() or an exception ends a run: run again
             try:
-                sim.run(until=HORIZON)
+                sim.run(until=horizon)
             except Boom:
                 continue
             if not sim._stopped:
@@ -322,30 +344,41 @@ def _des_until(step):
     return sim, drain
 
 
-def _kick(clock):
+def _kick(kick):
     while True:  # an exception ends a pump: pump again
         try:
-            clock.kick()
+            kick()
             return
         except Boom:
             pass
 
 
-def _pumped_until(step):
+def _pumped_until(step, reference=False, horizon=HORIZON):
+    if reference:  # run to each step of the wall clock, deaf to stop() as a pump is
+        engine = spec.Engine()
+        engine.stop = lambda: None
+
+        def drain_spec(log):
+            wall = 0.0
+            while wall < horizon:
+                wall += step
+                _kick(partial(engine.run, until=wall))
+
+        return engine, drain_spec
     loop = _StubLoop()
     clock = AsyncioClock(loop)
 
     def drain(log):
-        while loop.now < HORIZON:
+        while loop.now < horizon:
             loop.now += step  # 2.5: every round is pumped late, some twice over
-            _kick(clock)
+            _kick(clock.kick)
 
     return clock, drain
 
 
 def _play_rounds(make_clock, reference, history, scripts, step):
     """Run *history*; the ``(now, who)`` log and ``event_count``."""
-    clock, drain = make_clock(step)
+    clock, drain = make_clock(step, reference)
     log = []
     scripts = [list(script) for script in scripts]
     handles = [None] * MEMBERS
@@ -369,8 +402,7 @@ def _play_rounds(make_clock, reference, history, scripts, step):
         cancel(index)  # on a running member this is stop(); start()
         intervals[index] = interval
         callback = partial(fired, index)
-        handles[index] = (ReferencePeriodic(clock, interval, callback) if reference
-                          else clock.every(interval, callback))
+        handles[index] = clock.every(interval, callback)
 
     def plain(tag, delay):
         clock.schedule(delay, lambda: log.append((clock.now, tag)))
@@ -426,9 +458,10 @@ class TestRoundsAgainstReference:
         during a firing, a round re-arming onto another's key, a member
         calling ``sim.stop()`` or raising mid-round and the run (or pump)
         started again: the same
-        ``(now, who)`` log as one self-restarting timer per callback,
-        plain events at the rounds' instants included, one heap entry a
-        round throughout — and nothing popped the reference did not pop.
+        ``(now, who)`` log as the specification's self-restarting timer
+        per callback, plain events at the rounds' instants included, one
+        heap entry a round throughout — and nothing popped the
+        specification did not pop.
 
         Exact, because nothing here takes a number *between* two members
         of a round: each instant's plain pushes are made before its
@@ -448,7 +481,7 @@ class TestRoundsAgainstReference:
         """Pushes and re-joins from inside a member's callback, pushes
         between two joins: an entry can now take a number between two
         members, so it runs on one side of the whole round — every
-        callback still at the reference's instant, bit for bit."""
+        callback still at the specification's instant, bit for bit."""
         log, events = _play_rounds(make_clock, False, history, scripts, step)
         want_log, want_events = _play_rounds(make_clock, True, history, scripts, step)
         assert sorted(log) == sorted(want_log)
@@ -493,39 +526,19 @@ _push_histories = st.lists(
 )
 
 
-def _push_des(step):
-    sim = Simulator()
-
-    def drain(log):
-        while True:  # a stop() or an exception ends a run: run again
-            try:
-                sim.run(until=PUSH_HORIZON)
-            except Boom:
-                continue
-            if not sim._stopped:
-                return
-            log.append((sim.now, "stopped"))  # what ran before the stop
-
-    return sim, drain
+def _push_des(step, reference=False):
+    return _des_until(step, reference, PUSH_HORIZON)
 
 
-def _push_pumped(step):
-    loop = _StubLoop()
-    clock = AsyncioClock(loop)
-
-    def drain(log):
-        while loop.now < PUSH_HORIZON:
-            loop.now += step  # 1.5: most batches are pumped late
-            _kick(clock)
-
-    return clock, drain
+def _push_pumped(step, reference=False):
+    return _pumped_until(step, reference, PUSH_HORIZON)  # step 1.5: most batches late
 
 
 def _play_pushes(make_clock, reference, history, step):
     """Run *history*; the ``(now, who)`` log, what is still pending as
     ``(time, who)`` in dispatch order, and ``event_count``."""
-    clock, drain = make_clock(step)
-    push = partial(reference_push, clock) if reference else clock.push
+    clock, drain = make_clock(step, reference)
+    push = clock.push
     log = []
 
     def expired(index):
@@ -572,7 +585,7 @@ def _play_pushes(make_clock, reference, history, step):
         if callback in (fired, plain):
             return args[0]
         owner = getattr(callback, "__self__", None)
-        if isinstance(owner, Periodic):
+        if isinstance(owner, (Periodic, spec.Periodic)):
             return "member " + owner.callback.args[0]
         return f"timer{timers.index(owner)}"
 
@@ -595,18 +608,26 @@ class TestPushRuleAgainstReference:
         joins between them, a member calling ``stop()`` or raising and
         the run (or pump) started again: the same ``(now, who)`` log as
         one heap entry a push, the same calls pending past the horizon
-        in the same order — and nothing popped the reference did not."""
+        in the same order — and nothing popped the specification did not.
+        Where two ``every`` joins of one interval may share a round, a
+        push can take a number between its members (the ordering rule in
+        ``every``'s docstring): there only the instants are compared."""
         log, pending, events = _play_pushes(make_clock, False, history, step)
         want_log, want_pending, want_events = _play_pushes(
             make_clock, True, history, step)
         times = [now for now, _ in log]
         assert times == sorted(times)  # a stopped run leaves now where it stopped
+        intervals = [values[0] for _, steps in history for kind, *values in steps
+                     if kind == "every"]
+        if len(intervals) != len(set(intervals)):  # two joins can share a round
+            log, want_log, pending, want_pending = map(
+                sorted, (log, want_log, pending, want_pending))
         assert log == want_log
         assert pending == want_pending
         assert events <= want_events
 
 
-# -- rounds and batches in one history, against both references --------------
+# -- rounds and batches in one history, against the specification ------------
 
 # Members join on whole intervals and what is pushed lands on halves as
 # well, so rounds and batches share instants.
@@ -650,12 +671,12 @@ def _mixed_case(exact):
 
 def _play_mixed(make_clock, reference, history, scripts, step):
     """Run *history*; the ``(now, who)`` log and ``event_count``."""
-    clock, drain = make_clock(step)
-    push = partial(reference_push, clock) if reference else clock.push
+    clock, drain = make_clock(step, reference)
+    push = clock.push
     log = []
     scripts = [list(script) for script in scripts]
     firings = [0] * MEMBERS
-    handles = {}  # name -> what every() (or the reference) returned
+    handles = {}  # name -> what every() returned
     intervals = {}
 
     def note(label):
@@ -668,8 +689,7 @@ def _play_mixed(make_clock, reference, history, scripts, step):
     def join(name, interval, callback):
         cancel(name)
         intervals[name] = interval
-        handles[name] = (ReferencePeriodic(clock, interval, callback) if reference
-                         else clock.every(interval, callback))
+        handles[name] = clock.every(interval, callback)
 
     def act(label, then, index=None):
         kind, own = then[0], f"member{index}"
@@ -715,11 +735,11 @@ class TestRoundsAndBatchesAgainstReference:
     def test_same_calls_at_the_same_instants(self, make_clock, case, step):
         """Members of ``every`` rounds push same-instant batches, batch
         members join and cancel rounds, either calls ``stop()`` or
-        raises and the run (or pump) starts again: against
-        ``ReferencePeriodic`` and ``reference_push`` together, the same
-        ``(now, who)`` log where the ordering rule promises the order,
-        every call at the same instant elsewhere — and nothing popped
-        that the references did not pop."""
+        raises and the run (or pump) starts again: against the
+        specification's engine, the same ``(now, who)`` log where the
+        ordering rule promises the order, every call at the same instant
+        elsewhere — and nothing popped that the specification did not
+        pop."""
         exact, history, scripts = case
         log, events = _play_mixed(make_clock, False, history, scripts, step)
         want_log, want_events = _play_mixed(make_clock, True, history, scripts, step)

@@ -7,13 +7,12 @@ one :class:`~repro.simulator.engine.Agenda`, each item keeping the
 - generated histories — items on several lanes, foreign entries tied at
   equal times (plain and batched pushes), ``run(until)`` slices,
   ``stop()`` and exceptions inside items — play the same ``(now, who)``
-  log and leave the same ``_sequence`` on an agenda as on
-  ``tests/agenda_reference.py``'s one entry per item, on
-  :meth:`Simulator.run` and on a pumped ``AsyncioClock`` (which runs no
-  item inline);
+  log on an agenda as on the specification's engine (``tests/spec/``),
+  one heap entry per item, on :meth:`Simulator.run` and on a pumped
+  ``AsyncioClock`` (which runs no item inline);
 - whole LAMS links, outages (``down()`` mid-run) and a receiver slower
-  than the line included, deliver at the same ``(now, payload)`` as with
-  one entry per arrival and per drain;
+  than the line included, deliver at the same ``(now, payload)`` as the
+  specification's link, one entry per arrival and per drain;
 - digests of the delivered ``(now, payload)`` stream, recorded where
   every arrival and every drain was its own heap entry, and of the full
   trace-record stream of seven runs (the sender's runs and the receiving
@@ -30,21 +29,24 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.simulator.link as link_module
 from repro.core.config import LamsDlcConfig
 from repro.core.frames import IFrame
 from repro.core.protocol import LamsDlcEndpoint
 from repro.faults import FaultPlan
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import LinkOutage
 from repro.api import make_endpoint_pair
 from repro.simulator import FullDuplexLink, Simulator
 from repro.simulator.engine import Agenda
+from repro.simulator.errormodel import PerfectChannel
 from repro.simulator.link import SimplexChannel
+from repro.simulator.rng import StreamRegistry
 from repro.simulator.trace import Tracer
 from repro.topology import build_constellation, cross_traffic, ring_topology
 from repro.topology.spec import LinkSpec
@@ -53,7 +55,8 @@ from repro.workloads import preset
 from repro.workloads.generators import FiniteBatch, SaturatedSource
 from repro.workloads.scenarios import build_simulation
 
-from .agenda_reference import ReferenceAgenda
+from . import spec
+from .conftest import spec_settings
 from .trace_runs import Split
 from .test_engine_properties import _StubLoop
 
@@ -88,9 +91,10 @@ HISTORIES = st.recursive(
 SLICES = st.lists(st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0, 6.0]), max_size=4).map(sorted)
 
 
-def play(clock, make_agenda, history, slices, drain):
-    """Play *history*; the ``(now, who)`` log and ``_sequence``."""
-    agenda = make_agenda(clock, LANES)
+def play(clock, history, slices, drain):
+    """Play *history*; the ``(now, who)`` log.  On the specification's
+    engine every item is a heap entry of its own."""
+    agenda = Agenda(clock, LANES) if isinstance(clock, Simulator) else None
     log = []
     tails = [0.0] * LANES
     names = itertools.count()
@@ -100,12 +104,17 @@ def play(clock, make_agenda, history, slices, drain):
             kind = action[0]
             if kind == "item":
                 _, lane_index, delay, count, spacing, children = action
-                lane = agenda.lanes[lane_index]
                 when = max(tails[lane_index], clock.now + delay)
                 name = next(names)
-                if count == 1:
-                    agenda.add(lane, when, fire, (name, children))
+                if agenda is None:
+                    for offset in range(count):
+                        clock.schedule_at(when + offset * spacing, fire,
+                                          name if count == 1 else (name, offset),
+                                          children if offset == 0 else ())
+                elif count == 1:
+                    agenda.add(agenda.lanes[lane_index], when, fire, (name, children))
                 else:
+                    lane = agenda.lanes[lane_index]
                     first = clock._sequence + 1
                     for offset in range(count):
                         clock._sequence += 1
@@ -134,7 +143,7 @@ def play(clock, make_agenda, history, slices, drain):
     except Boom:
         log.append(("raised at setup",))
     drain(clock, slices, log)
-    return log, clock._sequence
+    return log
 
 
 def _run_slices(sim, slices, log):
@@ -151,6 +160,19 @@ def _run_slices(sim, slices, log):
 
 
 def _pump(clock, slices, log):
+    """A pumped ``AsyncioClock`` dispatches what is due each quarter second
+    and ignores ``stop()``; the specification's engine, run to each
+    quarter second, does the same."""
+    if isinstance(clock, spec.Engine):
+        clock.stop = lambda: None
+        wall = 0.0
+        while clock._heap:
+            wall += 0.25
+            try:
+                clock.run(until=wall)
+            except Boom:
+                log.append(("raised", clock.now))
+        return
     loop = clock._loop
     while clock._heap:
         loop.now += 0.25
@@ -163,20 +185,27 @@ def _pump(clock, slices, log):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(HISTORIES, SLICES)
 def test_an_agenda_runs_as_one_entry_per_item(history, slices):
-    got = play(Simulator(), Agenda, history, slices, _run_slices)
-    want = play(Simulator(), ReferenceAgenda, history, slices, _run_slices)
-    assert got == want
+    sim, engine = Simulator(), spec.Engine()
+    assert play(sim, history, slices, _run_slices) == play(engine, history, slices, _run_slices)
+    if not _pushes(history):  # pushes for one instant may share a number
+        assert sim._sequence == engine._sequence  # a number an item, as an entry each
+
+
+def _pushes(actions) -> bool:
+    """Whether *actions* or their children push through ``Simulator.push``."""
+    return any(action[0] == "foreign" and action[2] or _pushes(action[-1])
+               for action in actions if action[0] in ("item", "foreign"))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(HISTORIES)
 def test_a_pumped_clock_runs_no_item_inline(history):
-    clocks = [AsyncioClock(_StubLoop()), AsyncioClock(_StubLoop())]
-    got = play(clocks[0], Agenda, history, (), _pump)
-    want = play(clocks[1], ReferenceAgenda, history, (), _pump)
+    clocks = [AsyncioClock(_StubLoop()), spec.Engine()]
+    got = play(clocks[0], history, (), _pump)
+    want = play(clocks[1], history, (), _pump)
     assert got == want
     # One heap entry per item: the agenda's carriers are popped exactly
-    # as often as the reference's entries.
+    # as often as the specification's entries.
     assert clocks[0].event_count == clocks[1].event_count
 
 
@@ -200,38 +229,61 @@ def test_a_carrier_left_behind_surfaces_at_its_own_item():
 # -- whole links, against one entry per arrival and per drain ----------------------
 
 
-def _drive_link(reference, t_proc, outages, slices, seed):
-    """A LAMS link on short_hop, A sending 300 payloads; the (now, what)
-    of every frame B hears and every payload it delivers."""
+def _drive_link(path, t_proc, outages, slices, seed, batch_window=1):
+    """A LAMS link on short_hop, A sending 300 payloads, played ``run`` (as
+    built), ``frame`` (B's receiver made to hear its channel again, so
+    each I-frame is handed over on its own) or ``spec`` (the
+    specification's link, one heap entry per arrival and per drain); the
+    (now, what) of every payload B delivers — and, off the run path, of
+    every frame B hears — with B's queue where each slice ends."""
     scenario = preset("short_hop").with_(processing_time=t_proc)
     plan = FaultPlan(faults=tuple(LinkOutage(start=start, duration=length)
                                   for start, length in outages))
-    saved = link_module.Agenda
-    if reference:
-        link_module.Agenda = ReferenceAgenda
-    try:
-        setup = build_simulation(scenario, "lams", seed=seed, fault_plan=plan,
-                                 overrides={"receive_queue_capacity": 48})
-        sim = setup.sim
-        log = []
-        heard = setup.link.forward.receiver
-        setup.link.forward.receiver = lambda frame, corrupted: (
+    overrides = {"receive_queue_capacity": 48}
+    if batch_window is not None:  # None: the preset's own window
+        overrides["batch_window"] = batch_window
+    setup = build_simulation(scenario, "lams", seed=seed, overrides=overrides)
+    log = []
+    if path == "spec":
+        shipped = setup.link
+        sim = spec.Engine()
+        streams = StreamRegistry(shipped.streams.seed)
+        link = SimpleNamespace(**{
+            direction: spec.Channel(sim, channel.name, channel.bit_rate,
+                                    channel._fixed_delay, channel.iframe_errors,
+                                    channel.cframe_errors, streams)
+            for direction, channel in (("forward", shipped.forward),
+                                       ("reverse", shipped.reverse))})
+        a, b = spec.make_pair(sim, setup.endpoint_a.config, link.forward, link.reverse,
+                              deliver_b=lambda packet: log.append((sim.now, "up", packet)))
+        a.start(send=True, receive=False)
+        b.start(send=False, receive=True)
+        if len(plan):
+            FaultInjector(sim, link, plan, tracer=Tracer())
+    else:
+        sim, link, a, b = setup.sim, setup.link, setup.endpoint_a, setup.endpoint_b
+        deliver = b.receiver.deliver
+        b.receiver.deliver = lambda packet: (log.append((sim.now, "up", packet)),
+                                             deliver(packet))
+        if len(plan):
+            FaultInjector(sim, link, plan, tracer=setup.tracer)
+    FiniteBatch(sim, a, count=300).start()
+    if path != "run":
+        heard = link.forward.receiver
+        link.forward.receiver = lambda frame, corrupted: (
             log.append((sim.now, "heard", getattr(frame, "seq", None), corrupted)),
             heard(frame, corrupted))
-        receiver = setup.endpoint_b.receiver
-        deliver = receiver.deliver
-        receiver.deliver = lambda packet: (log.append((sim.now, "up", packet)),
-                                           deliver(packet))
-        FiniteBatch(sim, setup.endpoint_a, count=300).start()
-        for until in [*slices, 0.3]:
-            sim.run(until=until)
-            log.append(("slice", until, receiver.receive_queue_length))
-    finally:
-        link_module.Agenda = saved
-    return log, sim._sequence, len(setup.delivered), receiver.discards
+        if path == "frame":
+            b.receiver.hear(link.forward)
+    for until in [*slices, 0.3]:
+        sim.run(until=until)
+        log.append(("slice", until, b.receiver.receive_queue_length))
+    if path != "run":
+        log = [entry for entry in log if entry[1] != "heard"], log
+    return log, b.receiver.delivered, b.receiver.discards
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@spec_settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     t_proc=st.sampled_from([0.0, 10e-6, 40e-6]),
     outages=st.lists(st.tuples(st.sampled_from([0.0021, 0.003, 0.0045, 0.006]),
@@ -240,10 +292,19 @@ def _drive_link(reference, t_proc, outages, slices, seed):
     seed=st.integers(0, 3),
 )
 def test_a_link_delivers_as_with_one_entry_per_arrival_and_drain(t_proc, outages, slices, seed):
-    got = _drive_link(False, t_proc, outages, slices, seed)
-    want = _drive_link(True, t_proc, outages, slices, seed)
-    assert got == want
-    assert got[2] == 300
+    """Outages (``down()`` mid-run), a receiver slower than the line and
+    ``run(until)`` slices: at a window of one the shipped link, as built
+    and one frame at a time, delivers at the specification's ``(now,
+    payload)``, with the same frames heard and the same queue at each
+    slice; at the preset's window the run path delivers as the frame path."""
+    want = _drive_link("spec", t_proc, outages, slices, seed)
+    (delivered, heard), *counts = want
+    got = _drive_link("run", t_proc, outages, slices, seed)
+    assert got == (delivered, *counts)
+    assert _drive_link("frame", t_proc, outages, slices, seed) == want
+    assert counts[0] == 300
+    (delivered, _), *counts = _drive_link("frame", t_proc, outages, slices, seed, None)
+    assert _drive_link("run", t_proc, outages, slices, seed, None) == (delivered, *counts)
 
 
 # -- digests recorded at the parent -------------------------------------------------
@@ -269,18 +330,22 @@ OUTAGES = FaultPlan.from_dict({"name": "runs", "faults": [
 # each source's arrivals and drains — recorded on the sender that handed
 # every retransmission over as a run of one (the count is of that
 # expanded stream); the receiving end's part was checked before against
-# the stream in which each arrival and drain was traced on its own.
+# the stream in which each arrival and drain was traced on its own.  All
+# but ``window1`` were recorded again (counts unchanged) when a window of
+# new frames at line rate began to pace from its accumulated departure,
+# not from ``now + count * frame_time``: every payload arrives and is
+# delivered in the same order, up to an ulp (5.6e-16 s) earlier or later.
 PARENT_STREAMS = {
-    "nominal": (2000, "1eef53611b7f5e3c", 8503, "785187d035bd5d29", "c8200858f85a8e4c"),
-    "bursty": (2000, "a6b1bd1776ab635f", 9012, "7f4d5135a41aa9be", "871dce7b23ad0f3b"),
-    "outages": (4000, "c43aa5cfc40c959f", 23083, "655a5644529f81f3", "8cc7b8df68eec749"),
-    "stressed": (2000, "373d62fa1add8bba", 10459, "69f3d2e1dd68397e", "455f81175c85465d"),
+    "nominal": (2000, "c6498cd2067b2305", 8503, "38cc574da3c29a80", "24fbc2998be79edc"),
+    "bursty": (2000, "4ee11191e692460d", 9012, "5e0fe76fd11e0d0e", "a19d137c45561189"),
+    "outages": (4000, "1d6dbb99057dbca8", 23083, "97ec29078a855264", "f6dbf09932506d94"),
+    "stressed": (2000, "ccdff2d62bcb8517", 10459, "53e9e2e1da67c043", "2f19c92b81a32827"),
     "window1": (2000, "5900a210ba3ffa64", 8484, "0da9219282a96930", "22677ba0859c1ab9"),
-    "window64": (2000, "f41776c954ecada4", 8484, "98e3456d032c17c0", "d73f41d2db15662d"),
+    "window64": (2000, "dd00462a0be4b33f", 8484, "8f794f86ee41c7dc", "dea03ea534ffb3ac"),
     # Re-recorded once under the instant-start rule: 12 payload_accepted
     # records changed places with other links' records at two instants;
     # every link's own stream is as before.
-    "ring10": (600, "4ed30dec5b54dfdc", 9620, "f75fe7c8a4f9668f", "5e1a5c8b0faaacf5"),
+    "ring10": (600, "4ed30dec5b54dfdc", 9620, "4ff1cab272e2e5de", "2737a83c43dda5de"),
 }
 
 
@@ -413,12 +478,38 @@ def test_a_planned_delivery_runs_after_what_was_numbered_before_its_instant(trac
     other channel's arrival is pushed; handed over one at a time, q's
     delivery is numbered as it lands, after that push.  Both ways the
     arrival was numbered before the delivery's instant, so by the
-    instant-start rule it runs first, traced or not."""
+    instant-start rule it runs first, traced or not — as it does in the
+    specification, whose heap key states the rule."""
     unit = 1 / 1024
     want = [(5.5 * unit, "p0"), (6.5 * unit, "p1"), (7.5 * unit, "p2"),
             (45.5 * unit, "x"), (45.5 * unit, "q")]
     assert _tied_across_links(traced, one_at_a_time=True) == want
     assert _tied_across_links(traced, one_at_a_time=False) == want
+    assert _tied_across_links_in_the_specification() == want
+
+
+def _tied_across_links_in_the_specification() -> list:
+    """:func:`_tied_across_links` on the specification's engine, where the
+    rule is the heap's sort key."""
+    engine, unit, log = spec.Engine(), 1 / 1024, []
+    channels = [spec.Channel(engine, name, 2.0 ** 20, delay, PerfectChannel(), PerfectChannel(),
+                             StreamRegistry()) for name, delay in
+                (("fwd", 4 * unit), ("rev", 4 * unit), ("other", 2 * unit))]
+    config = preset("nominal").lams_config(
+        iframe_payload_bits=1024 - 80, checkpoint_interval=16 * unit,
+        processing_time=unit / 2, batch_window=1, cframe_base_bits=128)
+    a, b = spec.make_pair(engine, config, *channels[:2],
+                          deliver_b=lambda packet: log.append((engine.now, packet)))
+    channels[2].receiver = lambda frame, corrupted: log.append((engine.now, frame.payload))
+    a.start()
+    b.start()
+    for packet in ("p0", "p1", "p2"):
+        a.accept(packet)
+    engine.schedule_at(40 * unit, a.accept, "q")
+    engine.schedule_at(43 * unit, channels[2].send,
+                       IFrame(seq=0, payload="x", size_bits=512, transmit_index=0))
+    engine.run(until=64 * unit)
+    return log
 
 
 # -- flush, and what the agenda saves ------------------------------------------------
@@ -453,11 +544,12 @@ def test_flush_leaves_no_live_drain():
 
 def test_a_saturated_nominal_link_dispatches_under_a_fifth_of_an_event_per_frame():
     """Seed 7, the nominal link kept saturated for 0.25 s (the benchmark's
-    ``sat_clean`` source): 867 events for 9071 frames.  With an entry per
+    ``sat_clean`` source): 853 events for 9071 frames.  With an entry per
     arrival and per drain it was 17376, 1.92 a frame; with both on the
     agenda, 930; with the receiver taking runs whole, one agenda item per
     delivery and none per arrival, 929; with retransmissions leaving as
-    runs, 867."""
+    runs, 867; with a window of new frames paced from its accumulated
+    departure, which arms no wake-up an ulp after the channel's run ends, 853."""
     scenario = preset("nominal")
     setup = build_simulation(scenario, "lams", seed=7)
     sender = setup.endpoint_a.sender
@@ -465,7 +557,7 @@ def test_a_saturated_nominal_link_dispatches_under_a_fifth_of_an_event_per_frame
                     low_water=256, chunk=512, poll_interval=scenario.iframe_time * 64).start()
     setup.run(until=0.25)
     frames = setup.link.forward.frames_sent + setup.link.reverse.frames_sent
-    assert (setup.sim.event_count, frames, len(setup.delivered)) == (867, 9071, 8395)
+    assert (setup.sim.event_count, frames, len(setup.delivered)) == (853, 9071, 8395)
     assert setup.sim.event_count / frames <= 0.2
 
 

@@ -1,5 +1,5 @@
 """The receiver takes a run: the run path against frames handed over one
-at a time and the frozen per-frame receiver.
+at a time and the executable specification.
 
 ``LamsReceiver.on_run`` takes a run the channel has decided, plans each
 clean frame's delivery by the receive queue's recurrence and applies the
@@ -11,24 +11,27 @@ Stop-Go bit and the checkpoints of both directions matter:
 - ``frame``: each channel's handler wrapped and its receiver made to
   ``hear`` the channel again, which unwires the run path: every I-frame
   is handed over on its own (``on_iframe``, a run of one);
-- ``reference``: ``tests/receiver_reference.py``'s frozen per-frame
-  receiver patched into the pair.
+- ``spec``: the specification's link (``tests/spec/``), one heap entry
+  per event, one ``on_iframe`` per arrival, with the same configuration,
+  error models and seed, held to the run path at ``batch_window=1``.
 
-All three must deliver the same ``(now, payload)`` streams and send the
-same checkpoint frames (index, issue time, NAK list, frontier, enforced,
+All must deliver the same ``(now, payload)`` streams and send the same
+checkpoint frames (index, issue time, NAK list, frontier, enforced,
 Stop-Go), and end with the same error log, arrival counts and ``rxqueue``
-gauge (area and maximum, to the bit).
+gauge (area and maximum, to the bit).  The ``tied`` cases put arrivals,
+deliveries and checkpoint ticks on one float: there the specification's
+instant-start rule decides.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.core.protocol as protocol_module
 from repro.api import make_endpoint_pair
 from repro.core.frames import CheckpointFrame, IFrame
 from repro.core.receiver import LamsReceiver
@@ -42,9 +45,9 @@ from repro.simulator.trace import Tracer
 from repro.workloads import preset
 from repro.workloads.generators import FiniteBatch
 
-from .receiver_reference import ReferenceReceiver
+from . import spec
+from .conftest import spec_settings
 
-PATHS = ("run", "frame", "reference")
 BURSTS = ("gilbert-elliott", {
     "good_ber": 1e-7, "bad_ber": 1e-3, "mean_good": 0.004, "mean_bad": 0.001,
 })
@@ -60,7 +63,7 @@ def _case(kind: str, seed: int = 1, **extra) -> dict:
     case = dict(kind=kind, seed=seed, bit_rate=nominal.bit_rate,
                 delay=nominal.one_way_delay, payload_bits=nominal.iframe_payload_bits,
                 config={}, model=("bernoulli", {"ber": 1e-6}), payloads=600,
-                until=0.06, outages=(), flushes=(), delivery_interval=None)
+                until=0.06, outages=(), flushes=(), slices=(), delivery_interval=None)
     case.update(extra)
     return case
 
@@ -93,39 +96,50 @@ CASES = {
                          model=("bernoulli", {"ber": 2e-4}), **TIED),
     "tied-outage": _case("tied-outage", seed=14, payloads=150, until=0.5,
                          outages=((0.125, 0.0234375, "forward"),), **TIED),
+    # Corrupted frames and an outage of about one frame time: a delivery
+    # planned for a frame that lands in the outage is trimmed, and the
+    # frame handed back must still land, and be lost, at its own instant.
+    "tied-outage-bursts": _case("tied-outage-bursts", seed=9, payloads=150, until=0.06,
+                                model=("bernoulli", {"ber": 2e-4}),
+                                outages=((0.015, 0.001, "reverse"),), **TIED),
 }
 
 
 def run(case: dict, path: str, traced: bool = False) -> dict:
-    """Play *case* one way, with a listener on the tracer when *traced*;
-    what each side delivered, sent and logged."""
-    sim = Simulator()
+    """Play *case* one way (``run``, ``frame`` or ``spec``), with a listener
+    on the tracer when *traced*; what each side delivered, sent and logged."""
+    name, params = case["model"]
+    errors = [make_error_model(name, {"bit_rate": case["bit_rate"]}, **params)
+              for _ in range(2)] + [make_error_model("bernoulli", ber=1e-6)]
+    config = preset("nominal").lams_config(
+        iframe_payload_bits=case["payload_bits"], **case["config"])
     tracer = Tracer()
     if traced:
         tracer.listeners.append(lambda record: None)
     streams = StreamRegistry(case["seed"])
-    name, params = case["model"]
-    link = FullDuplexLink(sim, case["bit_rate"], case["delay"], name=case["kind"],
-                          iframe_errors=make_error_model(
-                              name, {"bit_rate": case["bit_rate"]}, **params),
-                          reverse_iframe_errors=make_error_model(
-                              name, {"bit_rate": case["bit_rate"]}, **params),
-                          cframe_errors=make_error_model("bernoulli", ber=1e-6),
-                          streams=streams, tracer=tracer)
-    config = preset("nominal").lams_config(
-        iframe_payload_bits=case["payload_bits"], **case["config"])
     delivered = {"A": [], "B": []}
-    saved = protocol_module.LamsReceiver
-    if path == "reference":
-        protocol_module.LamsReceiver = ReferenceReceiver
-    try:
+    if path == "spec":
+        sim = spec.Engine()
+        link = SimpleNamespace(
+            forward=spec.Channel(sim, f"{case['kind']}.fwd", case["bit_rate"], case["delay"],
+                                 errors[0], errors[2], streams),
+            reverse=spec.Channel(sim, f"{case['kind']}.rev", case["bit_rate"], case["delay"],
+                                 errors[1], errors[2], streams))
+        a, b = spec.make_pair(
+            sim, config, link.forward, link.reverse,
+            deliver_a=lambda packet: delivered["A"].append((sim.now, packet)),
+            deliver_b=lambda packet: delivered["B"].append((sim.now, packet)),
+            delivery_interval_b=case["delivery_interval"])
+    else:
+        sim = Simulator()
+        link = FullDuplexLink(sim, case["bit_rate"], case["delay"], name=case["kind"],
+                              iframe_errors=errors[0], reverse_iframe_errors=errors[1],
+                              cframe_errors=errors[2], streams=streams, tracer=tracer)
         a, b = make_endpoint_pair(
             "lams", sim, link, config, tracer=tracer,
             deliver_a=lambda packet: delivered["A"].append((sim.now, packet)),
             deliver_b=lambda packet: delivered["B"].append((sim.now, packet)),
             delivery_interval_b=case["delivery_interval"])
-    finally:
-        protocol_module.LamsReceiver = saved
     checkpoints = []
     for channel, endpoint in ((link.forward, b), (link.reverse, a)):
         if path == "frame":
@@ -152,15 +166,18 @@ def run(case: dict, path: str, traced: bool = False) -> dict:
             for start, length, direction in case["outages"])), tracer=tracer)
     for when in case["flushes"]:
         sim.schedule_at(when, b.receiver.flush)
-    sim.run(until=case["until"])
-    result = {"delivered": delivered, "checkpoints": checkpoints}
+    depths = []  # B's queue where a run(until) slice ends
+    for until in (*case["slices"], case["until"]):
+        sim.run(until=until)
+        depths.append(b.receiver.receive_queue_length)
+    result = {"delivered": delivered, "checkpoints": checkpoints, "depths": depths}
     for side, endpoint in (("A", a), ("B", b)):
-        receiver = endpoint.receiver
+        receiver, sender = endpoint.receiver, endpoint.sender
         depth = receiver.receive_queue_length  # settles
-        stat = tracer.levels.get(f"{receiver.name}.rxqueue")
+        stat = (receiver.gauge if path == "spec"
+                else tracer.levels.get(f"{receiver.name}.rxqueue"))
         result[side] = dict(
-            depth=depth,
-            gauge=None if stat is None else (stat._area, stat.maximum, stat._last_time),
+            depth=depth, gauge=stat and (stat._area, stat.maximum, stat._last_time),
             log=[(entry.seq, entry.detect_time, entry.reports)
                  for entry in receiver._resolving_log],
             errors=sorted(receiver._error_log),
@@ -168,47 +185,63 @@ def run(case: dict, path: str, traced: bool = False) -> dict:
                     receiver.gap_losses_detected, receiver.frontier, receiver.delivered,
                     receiver.discards, receiver.duplicates_suppressed,
                     receiver.checkpoints_sent, receiver.enforced_sent),
-            sender=(endpoint.sender.iframes_sent, endpoint.sender.retransmissions,
-                    endpoint.sender.flow.rate_fraction),
+            sender=(sender.iframes_sent, sender.retransmissions, sender.flow.rate_fraction),
         )
     return result
 
 
+def window_of_one(case: dict) -> dict:
+    return dict(case, config=dict(case["config"], batch_window=1))
+
+
+_PLAYED: dict = {}
+
+
+def played(name: str, path: str, one: bool = False, traced: bool = False) -> dict:
+    """:func:`run` of ``CASES[name]`` (at a window of one if *one*), kept
+    for the tests below, which share what they play."""
+    key = (name, path, one, traced)
+    if key not in _PLAYED:
+        case = CASES[name]
+        _PLAYED[key] = run(window_of_one(case) if one else case, path, traced)
+    return _PLAYED[key]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_three_paths_agree(name):
-    case = CASES[name]
-    results = {path: run(case, path) for path in PATHS}
-    assert results["run"] == results["reference"]
-    assert results["frame"] == results["reference"]
-    assert results["run"]["delivered"]["B"], "nothing delivered: the case tests nothing"
+    """The run path gives the frame path's answers at the case's window,
+    and the specification's at a window of one."""
+    run_path = played(name, "run")
+    assert run_path["delivered"]["B"], "nothing delivered: the case tests nothing"
+    assert run_path == played(name, "frame")
+    assert played(name, "run", one=True) == played(name, "spec", one=True)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_traced_run_taken_as_it_lands_agrees(name):
-    """Traced, a run is taken whole — its deliveries at their arrivals'
-    ranks, an item only at an arrival that may bear a record, the rest
-    waiting for the next settle — and gives the frozen per-frame
-    receiver's answers."""
-    case = CASES[name]
-    assert run(case, "run", traced=True) == run(case, "reference", traced=True)
+    """Traced, a run is taken whole — its deliveries at their ranks, an
+    item only at an arrival that may bear a record, the rest waiting for
+    the next settle — and gives the specification's answers."""
+    assert played(name, "run", one=True, traced=True) == played(name, "spec", one=True)
+    assert played(name, "run", traced=True) == played(name, "run")
 
 
 def test_the_cases_reach_what_they_are_named_for():
     """Each case exercises its feature on the run path."""
-    slow = run(CASES["slow-receiver"], "run")
+    slow = played("slow-receiver", "run")
     assert any(checkpoint[-1] for checkpoint in slow["checkpoints"])  # Stop-Go set
     assert slow["B"]["gauge"][1] > 64
-    bursts = run(CASES["bursts"], "run")
+    bursts = played("bursts", "run")
     assert bursts["B"]["counts"][1] > 0 and bursts["A"]["sender"][1] > 0
-    assert run(CASES["zero-duplication"], "run")["B"]["counts"][6] > 0  # suppressed
-    tied = run(CASES["tied"], "run")
+    assert played("zero-duplication", "run")["B"]["counts"][6] > 0  # suppressed
+    tied = played("tied", "run")
     arrivals = {when for when, _ in tied["delivered"]["B"]}
     ticks = {checkpoint[0] for checkpoint in tied["checkpoints"]}
     assert len(tied["delivered"]["B"]) == 150
     assert ticks & {when - 1 / 2048 for when in arrivals}  # an arrival on a tick
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+@spec_settings(max_examples=12, deadline=None, derandomize=True)
 @given(
     base=st.sampled_from(["bernoulli", "bursts", "slow-receiver", "tied-bursts"]),
     seed=st.integers(0, 50),
@@ -218,14 +251,21 @@ def test_the_cases_reach_what_they_are_named_for():
                                st.sampled_from(["forward", "reverse", "both"])),
                      max_size=2),
     capacity=st.sampled_from([None, 8, 40]),
+    slices=st.lists(st.sampled_from([0.0101, 0.0234375, 0.04]), max_size=2),
 )
-def test_generated_histories_agree(base, seed, flushes, outages, capacity):
+def test_generated_histories_agree(base, seed, flushes, outages, capacity, slices):
+    """Flushes, outages, receive capacities and ``run(until)`` slices (an
+    agenda stops at the horizon mid-run) on whole links: the run path
+    gives the frame path's answers at the case's window, and the
+    specification's at a window of one."""
     case = dict(CASES[base], seed=seed, flushes=tuple(sorted(flushes)),
-                outages=tuple(sorted(outages)), until=min(CASES[base]["until"], 0.06))
+                outages=tuple(sorted(outages)), slices=tuple(sorted(set(slices))),
+                until=min(CASES[base]["until"], 0.06))
     if capacity is not None:
         case["config"] = dict(case["config"], receive_queue_capacity=capacity)
-    run_path, reference = run(case, "run"), run(case, "reference")
-    assert run_path == reference
+    assert run(case, "run") == run(case, "frame")
+    case = window_of_one(case)
+    assert run(case, "run") == run(case, "spec")
 
 
 def _counted_runs(wrap: bool, rehear: bool, traced: bool) -> tuple[list[int], int, int]:
@@ -272,18 +312,21 @@ def test_hear_wires_the_run_path_and_rewires_on_a_new_handler():
 
 def test_a_capacity_bounded_receiver_takes_runs_as_the_per_frame_receiver_did():
     """The ``stressed`` history (capacity 96, t_proc 40 us, seed 13) on the
-    run path: wired, and frame for frame the frozen per-frame receiver's
-    discards, error log, gauge area and maximum, and deliveries."""
+    run path: wired, and frame for frame the discards, error log, gauge
+    area and maximum, and deliveries of frames handed over one at a time
+    (traced too) — and of the specification at a window of one."""
     case = _case("stressed", seed=13, payloads=2000, until=1.0,
                  config=dict(processing_time=40e-6, receive_queue_capacity=96))
     sim = Simulator()
     link = FullDuplexLink(sim, 1e6, 0.001)
     make_endpoint_pair("lams", sim, link, preset("nominal").lams_config(**case["config"]))
     assert link.forward._run_sink is not None and link.reverse._run_sink is not None
-    results = {path: run(case, path) for path in PATHS}
-    assert results["run"] == results["reference"] == results["frame"]
+    results = {path: run(case, path) for path in ("run", "frame")}
+    assert results["run"] == results["frame"]
     assert results["run"]["B"]["counts"][5] > 0  # discards
-    assert run(case, "run", traced=True) == run(case, "reference", traced=True)
+    assert run(case, "run", traced=True) == results["run"]
+    case = window_of_one(case)
+    assert run(case, "run") == run(case, "spec")
 
 
 @pytest.mark.parametrize("interval", [-1e-3, math.nan, math.inf, -math.inf])

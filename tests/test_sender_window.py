@@ -1,29 +1,213 @@
-"""The sender's outstanding window against the record-per-frame oracle.
+"""The sender's outstanding window against the specification's sender.
 
-``tests/sender_reference.py`` holds the oracle and the rig; every
-``rig`` step below ends with the full comparison (trace records,
-retransmission queue, holding statistics to the bit, outstanding view,
-``held_payloads()``), so the tests here only have to steer.
+``SenderRig`` drives a real ``LamsSender`` over a stub channel and the
+specification's sender (``tests/spec/``, a dict window keyed by sequence
+number) beside it on its own engine and channel, step for step, at the
+same window.  After each step both must tell the same story
+(:func:`sender_view`): the same sends, requeues and releases (the
+sender's run records expanded frame by frame, ``tests/trace_runs.py``;
+its acceptance records are ``tests/test_accept_many.py``'s), the same
+retransmission queue, the same holding statistics and ``sendbuf`` gauge
+to the bit (a retransmission counting from its own departure), the same
+outstanding frames, held payloads, counters and pacing.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import astuple
+from typing import Any, Callable, Optional, Union
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given
 from hypothesis import strategies as st
 
+from repro.core.config import LamsDlcConfig
+from repro.core.frames import CheckpointFrame
 from repro.core.sendbuf import SendBuffer
 from repro.core.sender import LamsSender
-from repro.core.seqspace import SequenceSpace
+from repro.core.seqspace import SequenceExhausted, SequenceSpace
 from repro.faults.plan import FaultPlan, LinkOutage
+from repro.simulator.engine import Simulator
+from repro.simulator.errormodel import PerfectChannel
+from repro.simulator.rng import StreamRegistry
+from repro.simulator.trace import SampleStat, Tracer
 from repro.workloads import preset
 from repro.workloads.generators import SaturatedSource
 from repro.workloads.scenarios import build_simulation
 
-from .sender_reference import FRAME_TIME, RTT, SenderRig
+from . import spec
+from .conftest import spec_settings
 from .test_batched_parity import _run_golden
+from .trace_runs import expand
+
+RTT = 0.008
+FRAME_TIME = 1e-4
+
+
+class StubChannel(spec.Channel):
+    """The channel a rig's sender sends on: the specification's FIFO
+    channel, error-free, its arrivals heard by nobody, on either engine.
+    It records every run it is handed.  With ``burst=False`` it has no
+    ``send_burst`` — the duck-typed shape of ``UdpChannel`` and the bench's
+    stubs, which a ``LamsSender`` hands a frame at a time."""
+
+    bit_rate = LamsDlcConfig().iframe_bits / FRAME_TIME
+
+    def __init__(self, sim, delay: Union[float, Callable[[float], float]],
+                 burst: bool = True) -> None:
+        super().__init__(sim, "stub", self.bit_rate, delay, PerfectChannel(),
+                         PerfectChannel(), StreamRegistry())
+        self.receiver = lambda frame, corrupted: None
+        self.runs: list[tuple[float, list]] = []
+        if burst:
+            self.send_burst = self._send_burst
+
+    # Held busy by hand (the frames offered meanwhile leave together), then idle.
+    busy = property(lambda self: self.transmitting,
+                    lambda self, busy: setattr(self, "transmitting", busy))
+
+    def idle(self) -> None:
+        self._start_next()
+
+    def send(self, frame: Any) -> None:
+        self._send_burst([frame])
+
+    def _send_burst(self, frames: list) -> None:
+        if not frames[0].is_control:
+            self.runs.append((self.engine.now, list(frames)))
+        for frame in frames:
+            super().send(frame)
+
+
+def sender_view(sender: Union[LamsSender, spec.Sender]) -> dict:
+    """What a LAMS-DLC sender holds and has counted, alike for the shipped
+    sender (its columns, gauge and holding-time statistic) and the
+    specification's (its dict window and per-frame lists)."""
+    if isinstance(sender, spec.Sender):
+        holding = SampleStat("holding_time")
+        for sample in sender.holdings:
+            holding.add(sample)
+        gauge, requeued = sender.gauge, [tuple(job) for job in sender.retransmit_queue]
+        pending, outstanding = list(sender.pending), sender.in_transmit_order()
+        counts = (sender.iframes_sent, sender.retransmissions, sender.releases,
+                  sender.enqueued, sender.refused, sender.peak_occupancy, sender.holding_sum)
+        state = (sender.failed, sender.suspended, sender.awaiting_enforced,
+                 sender.pacing_armed, sender.next_allowed_send)
+    else:
+        buffer = sender.buffer
+        holding = sender.tracer.samples.get(f"{sender.name}.holding_time", SampleStat(""))
+        gauge, requeued = sender._sendbuf_stat, [astuple(job) for job in sender._retransmit_queue]
+        pending, outstanding = list(buffer._pending), list(buffer.outstanding_frames())
+        counts = (sender.iframes_sent, sender.retransmissions, sender.releases,
+                  buffer.enqueued_total, buffer.refused_total, buffer.peak_occupancy,
+                  buffer.holding_time_sum)
+        state = (sender.failed, sender.suspended, sender._awaiting_enforced,
+                 sender._pacing_armed, sender._next_allowed_send)
+    return dict(
+        occupancy=(sender.occupancy, sender.unresolved_count),  # read first: it settles
+        pending=pending, outstanding=[tuple(frame) for frame in outstanding],
+        requeued=requeued, held=sender.held_payloads(), counts=counts, state=state,
+        holding=(holding.count, holding._mean, holding._m2, holding.minimum, holding.maximum),
+        gauge=gauge and (gauge._area, gauge.maximum, gauge._last_time, gauge._level))
+
+
+class SenderRig:
+    """One ``LamsSender`` on a stub channel, shadowed frame by frame by the
+    specification's sender."""
+
+    def __init__(self, numbering_bits: int = 16, batch_window: int = 64,
+                 delay: Union[float, Callable[[float], float]] = RTT / 2,
+                 burst: bool = True) -> None:
+        self.sim = Simulator()
+        self.channel = StubChannel(self.sim, delay, burst)
+        self.config = LamsDlcConfig(numbering_bits=numbering_bits, batch_window=batch_window)
+        self.tracer = Tracer()
+        self.log: list[tuple] = []
+        self.tracer.listeners.append(self._on_record)
+        self.sender = LamsSender(self.sim, self.config, self.channel, RTT, tracer=self.tracer)
+        self.offered = 0
+        self.exhausted: Optional[SequenceExhausted] = None
+        self.engine = spec.Engine()
+        self.spec = spec.Sender(self.engine, self.config, StubChannel(self.engine, delay, burst),
+                                RTT)
+        self.spec_exhausted: Optional[SequenceExhausted] = None
+        self.spec.start()
+        self.sender.start()
+
+    def _on_record(self, record) -> None:
+        if record.event == "requeue":
+            self.log.append(("requeue", record.time, record.detail["seq"],
+                             record.detail["cause"]))
+        elif record.event != "payloads_accepted":  # tests/test_accept_many.py
+            self.log.extend(expand(
+                (record.time, record.source, record.event, record.detail),
+                self.config.numbering_size,
+            ))
+
+    # -- steps ---------------------------------------------------------------
+
+    def offer(self, count: int, together: bool = True) -> None:
+        """Accept *count* payloads; *together* holds the channel busy
+        meanwhile so they leave as windows rather than one by one."""
+        payloads = range(self.offered, self.offered + count)
+        self.offered += count
+
+        def step(sender, channel) -> None:
+            if sender.failed:
+                return
+            held = together and not channel.busy
+            channel.busy = channel.busy or held
+            for payload in payloads:
+                assert sender.accept(payload)
+            if held:
+                channel.idle()
+
+        self._guarded(lambda: step(self.sender, self.channel),
+                      lambda: step(self.spec, self.spec.channel))
+
+    def run(self, seconds: float) -> None:
+        self._guarded(lambda: self.sim.run(until=self.sim.now + seconds),
+                      lambda: self.engine.run(until=self.engine.now + seconds))
+
+    def timeout(self) -> None:
+        """The checkpoint timer expires: suspected failure, Request-NAK."""
+        self._guarded(self.sender._on_checkpoint_timeout,
+                      lambda: self.spec.on_checkpoint_timeout())
+
+    def checkpoint(self, issue_time: float, naks=(), frontier: Optional[int] = None,
+                   enforced: bool = False) -> None:
+        cp = CheckpointFrame(cp_index=0, issue_time=issue_time, naks=tuple(naks),
+                             frontier=frontier, enforced=enforced)
+        self._guarded(lambda: self.sender.on_checkpoint(cp, False),
+                      lambda: self.spec.on_checkpoint(cp, False))
+
+    def _guarded(self, step: Callable[[], Any], spec_step: Callable[[], Any]) -> None:
+        if self.exhausted is None:
+            try:
+                step()
+            except SequenceExhausted as exc:
+                self.exhausted = exc
+        if self.spec_exhausted is None:
+            try:
+                spec_step()
+            except SequenceExhausted as exc:
+                self.spec_exhausted = exc
+        self.check()
+
+    # -- the comparison ------------------------------------------------------
+
+    def check(self) -> None:
+        sender, buffer = self.sender, self.sender.buffer
+        assert len(buffer.items) == len(buffer.arrivals) == len(buffer.first_sends) == len(buffer.retx)
+        assert sender.iframes_sent == buffer.next_index == buffer.base + len(buffer.items)
+        assert (self.tracer.samples.get("lams.tx.holding_time") is None) == (
+            sender.releases == 0)  # made by the first release
+        assert self.log == self.spec.log  # sends, requeues and releases
+        assert (self.sim.now, str(self.exhausted)) == (self.engine.now, str(self.spec_exhausted))
+        assert sender_view(sender) == sender_view(self.spec)
+        assert buffer.peak_occupancy >= sender.occupancy
+
 
 GUARD = 10e-6  # LamsDlcConfig.processing_time
 
@@ -59,17 +243,18 @@ steps = st.one_of(
 
 
 def apply_checkpoint(rig: SenderRig, enforced, picks, frontier_kind, issue_kind, salt) -> None:
-    buffer, reference = rig.sender.buffer, rig.reference
-    live = [record.seq for record in reference.in_transmit_order()]
+    buffer, modulus = rig.sender.buffer, rig.config.numbering_size
+    outstanding = list(buffer.outstanding_frames())
+    live = [frame.seq for frame in outstanding]
     naks: list[int] = []
     for kind, number in picks:
         # A live number, or any number at all: one that was never sent,
         # one already retransmitted, one NAK'd by an earlier checkpoint.
-        seq = number % reference.modulus
+        seq = number % modulus
         if kind == "live" and live:
             seq = live[number % len(live)]
         elif kind == "out of range":
-            seq += reference.modulus * (1 + number % 3)
+            seq += modulus * (1 + number % 3)
         if seq not in naks:
             naks.append(seq)
     newest = buffer.next_index - 1
@@ -79,7 +264,7 @@ def apply_checkpoint(rig: SenderRig, enforced, picks, frontier_kind, issue_kind,
     }[frontier_kind]
     if frontier is not None and frontier < 0:
         frontier = None
-    arrivals = [record.expected_arrival for record in reference.records.values()]
+    arrivals = [frame.expected_arrival for frame in outstanding]
     issue_time = {
         "past": rig.sim.now - RTT, "now": rig.sim.now, "future": rig.sim.now + 1.0,
         # Exactly on the coverage comparison's boundary for one frame.
@@ -88,7 +273,7 @@ def apply_checkpoint(rig: SenderRig, enforced, picks, frontier_kind, issue_kind,
     rig.checkpoint(issue_time, naks, frontier, enforced)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@spec_settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     numbering_bits=st.sampled_from([3, 4, 6, 16]),
     batch_window=st.sampled_from([1, 7, 64]),
@@ -234,6 +419,24 @@ def test_enforced_recovery_retransmits_beyond_the_vouch_horizon():
     assert causes[:8] == ["enforced"] * 8 and rig.sender.releases > 0
 
 
+def test_retransmissions_leave_in_runs_of_one_count_each_frame_counted_as_it_departs():
+    """NAKs of live frames while a retransmission run is on the
+    transmitter: the runs split where the retransmission count changes,
+    and each retransmission joins the ``sendbuf`` gauge at its own
+    departure, to the bit of the specification's sender, mid-run and after."""
+    rig = SenderRig()
+    rig.offer(40)
+    rig.run(100 * FRAME_TIME)
+    rig.checkpoint(rig.sim.now - 1.0, naks=[0, 1, 2, 3, 4, 5, 6])  # seqs 40-46 resend them
+    rig.run(2.5 * FRAME_TIME)                                      # 40-42 have left
+    rig.checkpoint(rig.sim.now - 1.0, naks=[7, 40, 8, 41])
+    rig.run(30 * FRAME_TIME)
+    runs = [(len(frames), {frame.origin for frame in frames}) for _, frames in rig.channel.runs]
+    assert [length for length, _ in runs] == [40, 7, 1, 1, 1, 1]
+    assert rig.sender.retransmissions == 11
+    assert rig.spec.gauge.maximum == 40 and rig.sender.occupancy == 40
+
+
 def test_duck_typed_channel_takes_runs_of_one():
     rig = SenderRig(burst=False)
     rig.offer(5)
@@ -264,40 +467,28 @@ def test_numbering_offset_is_explicit():
 # -- pinned to the parent commit ---------------------------------------------------
 
 # (events, sim.now, delivered, sha256 of the delivered payloads, sha256
-# of tracer.summary()) of ``_pinned_run`` below.  Everything but the
-# first column was recorded at the parent of the change that made the
-# window columns (record-per-frame bookkeeping): the columns change no
-# float and no event.  The ``events`` column was re-recorded when a
-# restarted Timer stopped leaving a dead heap entry behind (it counts
-# popped entries, and only no-op pops went away — 60 to 124 of them in
-# a second, 597 over the outage runs' five); ``sim.now``, the delivered
-# count, both digests stayed byte-identical in all ten rows.  It was
-# re-recorded again for the five 64-window rows when a channel's arrivals
-# and its receiver's drains began to share one heap entry, an agenda
-# (6433 / 7192 / 6767 / 6758 / 4295 became 417 / 1221 / 844 / 838 /
-# 3703): every callback runs at its old ``(time, sequence)``, and only
-# the entries popped went down.  The window-1 rows never make a run of
-# two, hence no agenda, and did not move.  When the receiver began to
-# take a run whole (one agenda item per delivery, none per arrival) only
-# the noisy row's count moved, 1221 -> 1209.  When a frame handed over on
-# its own ahead of pending runs began always to set them aside and take
-# them again (their deliveries keep their arrivals' ranks, so nothing else
-# moved), the outage row's moved, 3703 -> 3704.  When retransmissions
-# began to leave as runs, four 64-window rows popped fewer entries (417 /
-# 1209 / 844 / 3704 became 394 / 870 / 827 / 3561; short_hop retransmits
-# one frame); sim.now, deliveries and both digests, the sendbuf gauge's
-# mean to the bit included, did not move.
+# of tracer.summary()) of ``_pinned_run`` below, first recorded with the
+# record-per-frame bookkeeping the window columns replaced.  ``events``
+# counts popped entries and went down whenever entries were shared or
+# stopped being pushed (CHANGES.md has each step); the other columns
+# moved once: when a window of new frames at line rate began to pace from
+# its accumulated departure instead of ``now + count * frame_time``, four
+# 64-window summaries moved in the last bits of the holding-time mean and
+# the gauges' averages, the delivered payloads did not.  ``events`` went
+# up by one once (``short_hop+outages``, 64), when an agenda began to
+# tell its carriers apart by time as well as number: an arrival handed
+# back at a channel's outage gets a carrier of its own at its instant.
 PARENT_PINS = {
     ('long_haul', 1): (9382, 1.0, 3000, 'bd0c1b1edf3bbbde', '7e5b94d4e5b143a6'),
-    ('long_haul', 64): (394, 1.0, 3000, 'bd0c1b1edf3bbbde', '1f977025b44d2019'),
+    ('long_haul', 64): (391, 1.0, 3000, 'bd0c1b1edf3bbbde', '1f977025b44d2019'),
     ('noisy', 1): (10130, 1.0, 3000, 'ea4fc1e6884150ec', '376090006529bf47'),
-    ('noisy', 64): (870, 1.0, 3000, '2446543cc7eac069', '9a6c1c83dc3613b3'),
+    ('noisy', 64): (856, 1.0, 3000, '2446543cc7eac069', '60840f14249e926f'),
     ('nominal', 1): (9705, 1.0, 3000, 'c3a12360746b01e0', '3abddafd9f8cfb02'),
-    ('nominal', 64): (827, 1.0, 3000, 'cd127c87b8a5b2d3', 'df325d4415d56cbb'),
+    ('nominal', 64): (813, 1.0, 3000, 'cd127c87b8a5b2d3', '49723f08f6bf7273'),
     ('short_hop', 1): (9696, 1.0, 3000, 'dd5826463113fa29', '9dd76588ae863488'),
-    ('short_hop', 64): (838, 1.0, 3000, 'b32bedb5f0402d90', '1ac8fad06cba5201'),
+    ('short_hop', 64): (824, 1.0, 3000, 'b32bedb5f0402d90', '5087d86bfbc61821'),
     ('short_hop+outages', 1): (4443, 5.0, 300, '15b7365b80a0beeb', '110426c39522964e'),
-    ('short_hop+outages', 64): (3561, 5.0, 300, '15b7365b80a0beeb', '94b34be119c2e2e7'),
+    ('short_hop+outages', 64): (3561, 5.0, 300, '15b7365b80a0beeb', 'f171298a0e6170d1'),
 }
 
 TWO_OUTAGES = FaultPlan(faults=(LinkOutage(start=0.002, duration=0.004),
@@ -321,23 +512,44 @@ def test_presets_unchanged_from_parent(name, batch_window):
     assert _pinned_run(name, batch_window) == PARENT_PINS[(name, batch_window)]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "_send_window paces a window of new frames from now + count * tx_time, "
-    "which can land an ulp after the channel's run ends"))
+def _saturated_nominal(batch_window: int, until: float, monkeypatch=None) -> tuple:
+    """Seed 7's ``nominal`` link kept saturated (the benchmark's source):
+    the sender's every I-frame departure, the instants a pacing wake-up
+    was armed for, and the payloads delivered."""
+    woken = []
+    if monkeypatch is not None:
+        pacing_expired = LamsSender._pacing_expired
+        monkeypatch.setattr(LamsSender, "_pacing_expired", lambda sender: (
+            woken.append(sender.sim.now), pacing_expired(sender)))
+    scenario = preset("nominal")
+    setup = build_simulation(scenario, "lams", seed=7,
+                             overrides={"batch_window": batch_window})
+    sender, departures = setup.endpoint_a.sender, []
+    setup.tracer.listeners.append(lambda record: departures.extend(
+        entry[1] for entry in expand((record.time, record.source, record.event, record.detail),
+                                     1 << 16) if entry[0] == "iframe_sent"))
+    SaturatedSource(setup.sim, setup.endpoint_a, backlog_fn=lambda: sender.pending_count,
+                    low_water=256, chunk=512, poll_interval=scenario.iframe_time * 64).start()
+    setup.run(until=until)
+    return departures, woken, len(setup.delivered)
+
+
 def test_a_saturated_line_rate_window_arms_no_pacing_wake_up(monkeypatch):
     """A window of new frames at line rate leaves the channel busy until
     its last frame is out, so the next window starts at the channel's idle
-    callback and never waits on pacing.  Seed 7, ``nominal`` kept
-    saturated for 1 s with a window of 64: 155 wake-ups are armed."""
-    woken = []
-    pacing_expired = LamsSender._pacing_expired
-    monkeypatch.setattr(LamsSender, "_pacing_expired",
-                        lambda sender: (woken.append(sender.sim.now), pacing_expired(sender)))
-    scenario = preset("nominal")
-    setup = build_simulation(scenario, "lams", seed=7, overrides={"batch_window": 64})
-    sender = setup.endpoint_a.sender
-    SaturatedSource(setup.sim, setup.endpoint_a, backlog_fn=lambda: sender.pending_count,
-                    low_water=256, chunk=512, poll_interval=scenario.iframe_time * 64).start()
-    setup.run(until=1.0)
-    assert len(setup.delivered) > 30000
+    callback and never waits on pacing (seed 7, 1 s, a window of 64)."""
+    _, woken, delivered = _saturated_nominal(64, 1.0, monkeypatch)
+    assert delivered > 30000
     assert woken == []
+
+
+def test_a_window_of_64_departs_as_a_window_of_one():
+    """At line rate a run paces from its frames' accumulated departure,
+    the float a frame-at-a-time sender reaches, so every departure of a
+    saturated window of 64 is a window of one's, bit for bit (the first
+    0.2 s of seed 7's ``nominal``: 7254 frames)."""
+    wide, _, _ = _saturated_nominal(64, 0.2)
+    one, _, _ = _saturated_nominal(1, 0.2)
+    wide = [departure for departure in wide if departure < 0.2]
+    assert len(wide) == 7254
+    assert wide == one

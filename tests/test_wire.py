@@ -27,7 +27,7 @@ from repro.core.wire import (
 from repro.fec.crc import append_crc16
 from repro.transport.udp import decode_datagram
 
-from .sender_reference import SenderRig
+from .test_sender_window import SenderRig
 
 
 def make_iframe(seq=7, index=42, payload_bits=64) -> IFrame:

@@ -7,8 +7,8 @@ record per stretch of packets accepted together; the channel one
 ``frames_delivered`` record per run that lands, and the receiver one
 ``payloads_delivered`` record per checkpoint interval's drains.
 :func:`expand` turns each back into the tuples the per-frame records
-used to carry, so the sender-window oracle in
-``tests/sender_reference.py`` and the recorded-stream digests in
+used to carry, so the sender-window comparison in
+``tests/test_sender_window.py`` and the recorded-stream digests in
 ``tests/test_trace_runs.py`` and ``tests/test_receive_agenda.py``
 compare frame by frame:
 
