@@ -24,12 +24,13 @@ channel has decided (``hear`` wires it), :meth:`LamsReceiver.on_iframe`
 a frame handed over on its own, as a run of one.  A run waits as
 *pending arrivals*, each clean frame's delivery is planned at once by the
 receive queue's recurrence ``d = max(a, d_prev) + t_proc`` as one agenda
-item, ranked by the engine's instant-start rule, and the
-arrivals — with the deliveries already made — are applied in order, each
-at its own time, by ``_settle``, at the top of everything that reads the
-receiver's state.  Traced or not, a run is taken the same way; traced,
-the arrivals that may bear a record get an item of their own, which
-settles there (docs/TUNING.md §10).
+item, keyed by the engine's same-instant rule to run after every
+numbered entry at its instant, and the arrivals — with the deliveries
+already made — are applied in order, each at its own time, by
+``_settle``, at the top of everything that reads the receiver's state.
+Traced or not, a run is taken the same way; traced, the arrivals that
+may bear a record get an item of their own, which settles there
+(docs/TUNING.md §10).
 
 While its tracer is active the receiver traces a checkpoint interval's
 drains, not a drain: one ``payloads_delivered`` record (``times``,
@@ -48,7 +49,7 @@ from heapq import heappush
 from itertools import count, islice
 from typing import Any, Callable, Optional, Sequence
 
-from ..simulator.engine import Periodic, Simulator
+from ..simulator.engine import _AFTER, Periodic, Simulator
 from ..simulator.link import SimplexChannel
 from ..simulator.trace import Tracer
 from .config import LamsDlcConfig
@@ -181,9 +182,9 @@ class LamsReceiver:
 
         # Receive queue.  With no delivery_interval it drains at one frame
         # per t_proc, so each payload's delivery is planned when it is
-        # known, as an item ``(when, sequence, _drain_one, (token,
-        # payload))``.  ``_due`` holds the items not yet replayed into
-        # ``_depth`` and the gauge by ``_settle``, oldest first; once
+        # known, as an item ``(when, _AFTER + arrival number, _drain_one,
+        # (token, payload))``.  ``_due`` holds the items not yet replayed
+        # into ``_depth`` and the gauge by ``_settle``, oldest first; once
         # settled, the first ``_depth`` of them are the queue proper (their
         # payloads have arrived) and the rest are owed to pending arrivals.
         # While arrivals are pending, the first ``_made`` of them have been
@@ -323,13 +324,17 @@ class LamsReceiver:
 
     def on_iframe(self, frame: IFrame, corrupted: bool) -> None:
         """Take an I-frame handed over on its own: a run of one at its own
-        item's ``(time, sequence)``, applied at once — ahead of the runs
-        pending (decided while it was in flight), which are set aside and
-        taken again behind it."""
+        item's ``(time, sequence)`` (the latest number taken, where no
+        numbered entry runs), applied at once — ahead of the runs pending
+        (decided while it was in flight), which are set aside and taken
+        again behind it."""
         sim = self.sim
-        run = _Run((sim.now,), (frame,), (corrupted,), sim._order)
+        order = sim._order
+        if order > sim._sequence:
+            order = sim._sequence
+        run = _Run((sim.now,), (frame,), (corrupted,), order)
         runs = self._unplan() if self._pending else ()
-        self._take(run, planned=False)
+        self._take(run, landed=True)
         self._settle()
         if runs:
             self._replan(runs)
@@ -352,15 +357,17 @@ class LamsReceiver:
         # Whatever reads the trace's statistics as complete settles first.
         self.tracer.hold(self._settle_due)
 
-    def _take(self, run: _Run, planned: bool = True) -> None:
+    def _take(self, run: _Run, landed: bool = False) -> None:
         """Pend *run* and plan its frames' deliveries behind every delivery
         owed, projecting in arrival order what decides a clean frame's fate
         as it lands: its origin (zero-duplication), and the queue's depth
-        (a full queue discards it).  Each delivery is a *planned* item,
-        ranked by the instant-start rule; taken at its own arrival (a frame
-        handed over on its own), it is numbered there.  Planned while the tracer
-        is active, the arrivals that may bear a record get items of their
-        own (:meth:`_mark_records`)."""
+        (a full queue discards it).  Each delivery is an item keyed
+        ``_AFTER`` plus its arrival's number, after every numbered entry at
+        its instant.  A frame that *landed*, handed over on its own, is
+        applied at once; its delivery takes a number of its own as it
+        lands, since the pushes of one batch share their entry's.  Other
+        runs, while the tracer is active, give the arrivals that may bear a
+        record items of their own (:meth:`_mark_records`)."""
         self._pending.append(run)
         times, k = run.times, run.next
         if times[k] < self._next_settle:
@@ -381,11 +388,11 @@ class LamsReceiver:
         bound = self._drain_bound
         token = self._drain_token
         agenda = self._incoming._agenda if self._incoming is not None else None
-        lane = agenda.lanes[1] if agenda is not None and planned else None
-        lead = None
+        lane = agenda.lanes[1] if agenda is not None else None
+        key = _AFTER + sim._sequence + 1 - run.first if landed else _AFTER
         # Traced, where an arrival finds deliveries owed: a new peak can
         # only be there.
-        traced = planned and self.tracer.active
+        traced = not landed and self.tracer.active
         backlog = [] if traced else None
         rows = zip(count(run.first), times, run.frames, run.verdicts)
         for number, arrival, frame, skipped in islice(rows, k, None) if k else rows:
@@ -398,9 +405,6 @@ class LamsReceiver:
                 if capacity is not None:
                     # Every payload owed has arrived; those not yet delivered queue.
                     served = bisect_left(due, (arrival, number), served)
-                    while served and due[served - 1][0] == arrival and len(due[served - 1]) > 4 \
-                            and not sim._key(due[served - 1]) < (arrival, number):
-                        served -= 1  # planned ahead of this arrival, ranked after it
                     if len(due) - served >= capacity:
                         dropped[number - first] = False  # a discard
                         continue
@@ -408,36 +412,28 @@ class LamsReceiver:
                 last = arrival + interval
             else:
                 if backlog is not None:
-                    backlog.append(len(due))
+                    backlog.append((len(due), arrival))
                 last += interval
-            item = (last, number, bound, (token, frame.payload), arrival)
+            item = (last, key + number, bound, (token, frame.payload))
             plan(item)
             if lane is not None:
                 lane.append(item)
-                if lead is None:
-                    lead = item
-        if not planned and len(due) > owed:
-            # A frame handed over on its own: its delivery is numbered here,
-            # at its arrival, as a plain item (an entry of its own with no
-            # agenda).
-            sim._sequence = sequence = sim._sequence + 1
-            item = due[-1] = (due[-1][0], sequence, bound, due[-1][3])
-            if agenda is None:
-                heappush(sim._heap, item)
-            else:
-                agenda.lanes[1].append(item)
-                lead = item
         if checked:
             run.dropped = dropped or _NONE
         if traced:
             self._mark_records(run, owed, backlog)
-        if lead is not None:
-            agenda.added(lead[0], lead[1])
+        if len(due) > owed:
+            if landed:
+                sim._sequence += 1  # the number its delivery's key took
+            if lane is None:  # no agenda: an entry of its own
+                heappush(sim._heap, due[-1])
+            else:
+                agenda.added(due[owed][0], due[owed][1])
 
     def _mark_records(self, run: _Run, owed: int, backlog: list) -> None:
         """Give an item of its own to each arrival of *run* — its
-        deliveries planned from ``_due[owed]`` on, those at the *backlog*
-        indexes behind deliveries owed — that may bear a record: a
+        deliveries planned from ``_due[owed]`` on, the *backlog* ``(index,
+        arrival time)`` behind deliveries owed — that may bear a record: a
         corrupted frame, a gap in the numbering (the first frame, or one
         after a lost header), a duplicate or discard, a new queue peak, and
         the last, which carries the channel's record of the run."""
@@ -465,7 +461,7 @@ class LamsReceiver:
         # before its own (deliveries keep arrival order) not made yet.  An
         # arrival that finds none owed is one deep.
         due = self._due
-        sim = self.sim
+        first += _AFTER  # a delivery's key, less its arrival's position
         peak = self._peak
         stat = self._rxqueue_stat
         if stat is not None and stat.maximum > peak:
@@ -473,19 +469,16 @@ class LamsReceiver:
         if not peak and len(due) > owed:
             peak = 1
             marks.append(due[owed][1] - first)
-        for index in backlog:
+        for index, arrival in backlog:
             ahead = index - peak
             if ahead < 0:
                 continue
-            item = due[index]
-            arrival = item[4]
-            while ahead >= 0 and (due[ahead][0] > arrival or (
-                    due[ahead][0] == arrival
-                    and not sim._key(due[ahead]) < (arrival, item[1]))):
+            # A delivery tied with the arrival waits for it.
+            while ahead >= 0 and due[ahead][0] >= arrival:
                 ahead -= 1
             if index - ahead > peak:
                 peak = index - ahead
-                marks.append(item[1] - first)
+                marks.append(due[index][1] - first)
         self._peak = peak
         marks = dict.fromkeys(marks, True)
         if run.recorded:  # the channel's record: no arrival to apply there for it
@@ -533,14 +526,14 @@ class LamsReceiver:
             self._settle()
 
     def _settle(self) -> None:
-        """Replay, in ``(time, sequence)`` order, what precedes the running
+        """Replay, in ``(time, key)`` order, what precedes the running
         entry and is not yet applied: each pending arrival — sequence and
         gap tracking, the frontier, the error log, the queue or a discard,
         its records — and each delivery already made, with the ``rxqueue``
         gauge stepped at every one, as a frame at a time would.  An arrival
         of the running entry's instant has passed if its number is at most
-        the running entry's rank; where a delivery made ties with an
-        arrival, ranks decide (``Simulator._key``)."""
+        the running entry's key; a delivery made that ties with an arrival
+        waits for it (the engine's same-instant rule)."""
         sim = self.sim
         now = sim.now
         made = self._made
@@ -573,11 +566,8 @@ class LamsReceiver:
                     if arrival >= now and (arrival > now or first + k > sim._order):
                         break
                     while made:  # the deliveries made before this arrival
-                        item = due[0]
-                        when = item[0]
-                        if when >= arrival and (when > arrival or (
-                                item[1] > first + k if len(item) < 5
-                                else not sim._key(item) < (arrival, first + k))):
+                        when = due[0][0]
+                        if when >= arrival:
                             break
                         due.popleft()
                         made -= 1

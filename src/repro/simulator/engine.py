@@ -7,13 +7,13 @@ can be re-armed and cancelled, and :meth:`Simulator.every` runs a
 callback once an interval.  That is the whole programming model, as in
 the paper: LAMS-DLC is specified as frame handlers, two timers, and a
 Check-Point every ``W_cp``.  Events for the same time fire by the
-instant-start rule of docs/TUNING.md §10, on a monotonically increasing
-sequence number, so a frame arrival and a timer expiry at one instant
-resolve reproducibly.
+same-instant rule below, on a monotonically increasing sequence number,
+so a frame arrival and a timer expiry at one instant resolve
+reproducibly.
 
 Hot-path design notes
 ---------------------
-- Heap entries are plain ``(time, sequence, callback, args)`` tuples,
+- Heap entries are plain ``(time, key, callback, args)`` tuples,
   compared by ``heapq`` in C (a slotted record's ``__lt__`` was ~3x
   slower); ``heappush``/``heappop`` are bound once, and ``now`` is a
   plain attribute.
@@ -28,9 +28,8 @@ Hot-path design notes
   (docs/TUNING.md §12 has the measurements).
 - The receiving end of a channel — the arrivals of its runs and the
   drains of the receiver it feeds — is one :class:`Agenda`: items that
-  keep their own ``(time, sequence)`` in FIFO lanes, carried by one heap
-  entry that runs them inline (docs/TUNING.md §10).  A delivery planned
-  ahead of its arrival is ranked by the instant-start rule.
+  keep their own ``(time, key)`` in FIFO lanes, carried by one heap
+  entry that runs them inline (docs/TUNING.md §10).
 
 The scheduling contract
 -----------------------
@@ -38,26 +37,34 @@ The scheduling contract
 ``schedule_at``, ``push``, ``timer()`` and ``every()`` — is what a
 protocol half needs from its event source.  The hot paths in
 :mod:`repro.core.receiver` and :mod:`repro.simulator.link` inline
-``heappush(clock._heap, (when, clock._sequence, callback, args))``, or
-append that same tuple to an :class:`Agenda` lane and announce it with
-:meth:`Agenda.added`, so the heap and the ``_sequence`` counter are part
-of the ABI; every such push or item takes a number, which closes an open
-batch — but a *planned* item (below), which takes its arrival's.  A loop
-owes a popped entry ``entry[2](*entry[3])`` and nothing else: a carrier
-names ``Timer._surfaced`` (fire, re-push at the reserved ``(deadline,
-sequence)``, or lapse) or ``Agenda._surfaced`` (through ``_ranked``
-for a carrier at a rank), a shared entry the
+``heappush(clock._heap, (when, key, callback, args))``, or append that
+same tuple to an :class:`Agenda` lane and announce it with
+:meth:`Agenda.added`, so the heap, the ``_sequence`` counter and
+``_AFTER`` are part of the ABI.  Every heap entry and agenda item is
+such a 4-tuple.  Its key is a sequence number — every push, item, timer
+start and round takes one, which closes an open batch — or, for a
+*planned delivery*, ``_AFTER + n`` (below).  A loop owes a popped entry
+``entry[2](*entry[3])`` and nothing else: a carrier names
+``Timer._surfaced`` (fire, re-push at the reserved ``(deadline,
+sequence)``, or lapse) or ``Agenda._surfaced``, a shared entry the
 runner.  A loop also keeps ``_horizon``, the latest time an agenda may
 run an item inline: :meth:`Simulator.run` sets it to *until* (+inf
-without one); ``_reached``, ``_sequence`` as the clock reached ``now``,
-set each time ``now`` advances and nowhere else; and ``_order``, the rank
-of the entry it is running (an agenda sets its items'), which a receiver
-settling arrivals lazily compares with — :meth:`Simulator.run` leaves it
-"after everything" between runs.
+without one); and ``_order``, the key of the entry it is running (an
+agenda sets its items'), which a receiver settling arrivals lazily
+compares with — :meth:`Simulator.run` leaves it +inf, after every key,
+between runs.
 A clock that is not this engine subclasses
 :class:`Simulator` (as :class:`repro.transport.clock.AsyncioClock`
 does); the asyncio clock's horizon is -inf, since its pump dispatches by
 wall time, so there every agenda item is an entry of its own.
+
+The same-instant rule.  At one instant, every numbered entry runs
+first, in number order; planned deliveries run last, in the order their
+arrivals were numbered.  A planned delivery is a receiver's delivery of
+a payload, planned before the instant it runs at; its key ``_AFTER +
+n``, with ``n`` its arrival's number, is after every number, so the
+rule is the heap's own tuple order and no key reads the clock
+(docs/TUNING.md §10).
 
 The shared-entry rule.  The runner runs the entry's calls in order,
 letting each go as it runs.  A ``stop()`` or an exception leaving a call
@@ -70,23 +77,12 @@ the clock's own ``now``, as a timer restarted inside its callback would
 
 The agenda rule.  Each item is the entry one push would have made.  The
 heap holds a carrier at the agenda's earliest item; when it surfaces,
-the agenda runs items in ``(time, sequence)`` order while the next one
+the agenda runs items in ``(time, key)`` order while the next one
 precedes the heap's top, is within the horizon and no ``stop()`` has
 been made, then — however it left, an exception included — carries the
 new earliest item.  So nothing runs inline that another entry should
 have preceded, and whatever reads the receiver's state runs after every
 item before it, as it would with an entry per item.
-
-Planned items.  A delivery planned when its run is decided, before its
-arrival lands, is a *planned* item ``(time, arrival sequence, callback,
-args, arrival time)``.  The instant-start rule ranks it at
-``(time, _reached + 0.5, arrival)`` once the clock is at its instant
-(:meth:`Simulator._key`); until then its arrival's number, taken before
-that instant, is a lower bound that carries it.  The rank is read only
-where a planned item ties in time with another entry — an agenda's head
-against the heap's top or another lane's head, a receiver's delivery
-against an arrival — and a planned head that must let a tied entry go
-first is carried again at its rank.
 
 Example
 -------
@@ -113,8 +109,11 @@ from typing import Any, Callable, Optional
 __all__ = ["Agenda", "Simulator", "Timer", "SimulationError", "engine_backend"]
 
 _INF = float("inf")
-# ``Simulator._order`` outside a dispatch: after every number taken so far.
+# A planned delivery's key is ``_AFTER + n``: after every sequence number.
 _AFTER = 1 << 62
+# ``Agenda._armed`` with no head, and while the agenda runs its items.
+_IDLE = (_INF, 0)
+_RUNNING = (-_INF, 0)
 
 
 class SimulationError(Exception):
@@ -277,37 +276,22 @@ class _Round:
             armed.calls += calls
 
 
-def _ranked(key: float, arrival: tuple, agenda: "Agenda") -> None:
-    """A carrier at a rank (:meth:`Agenda._defer`): *agenda*'s head
-    surfaced at ``(now, key)``.  A function, not a bound method, so that
-    two carriers at one rank compare by their arrivals, never by agenda."""
-    agenda._surfaced(key)
-
-
 class Agenda:
-    """Items that keep their own ``(time, sequence)`` but share one heap entry.
+    """Items that keep their own ``(time, key)`` but share one heap entry.
 
-    An item is a ``(time, sequence, callback, args)`` tuple, exactly the
-    heap entry one push would have made; it waits in one of the agenda's
-    FIFO ``lanes``, each of which its owner fills in ``(time, sequence)``
-    order.  The heap holds a *carrier* at the earliest head: an item added
-    earlier than the carried head gets a carrier of its own (the old one
-    stays, surfaces, finds a later head and carries that).  When a carrier
+    An item is a ``(time, key, callback, args)`` tuple, exactly the heap
+    entry one push would have made; it waits in one of the agenda's FIFO
+    ``lanes``, each of which its owner fills in ``(time, key)`` order.
+    The heap holds a *carrier* at the earliest head: an item added ahead
+    of the carried head gets a carrier of its own (the old one stays,
+    surfaces, finds a later head and carries that).  When a carrier
     surfaces at its own item, :meth:`_surfaced` runs heads in order, each
     at its own ``now``, for as long as the next one precedes the heap's
-    top — ties broken by rank — and lies within the running loop's horizon
-    (``sim._horizon``), stopping after a ``stop()``; then, however it left
-    (an exception included), it carries the new head.  Every item
-    therefore runs at the ``(time, sequence)`` and in the order one heap
-    entry per item would have given it.
-
-    A *planned* item, ``(time, arrival sequence, callback, args, arrival
-    time)``, is made ahead of the arrival it belongs to and takes no
-    number: it is ranked by the instant-start rule (:meth:`Simulator._key`),
-    for which its arrival's number is a lower bound that stands in except
-    where it ties with another entry.  There the rank decides, and a
-    planned head that must let a tied entry go first is carried again at
-    its rank (:meth:`_defer`).
+    top and lies within the running loop's horizon (``sim._horizon``),
+    stopping after a ``stop()``; then, however it left (an exception
+    included), it carries the new head.  Every item therefore runs at the
+    ``(time, key)`` and in the order one heap entry per item would have
+    given it.
     """
 
     __slots__ = ("sim", "lanes", "_armed", "_carried", "_on_surface")
@@ -315,14 +299,14 @@ class Agenda:
     def __init__(self, sim: "Simulator", lanes: int = 2) -> None:
         self.sim = sim
         self.lanes = tuple(deque() for _ in range(lanes))
-        # Time of the carried head: +inf when empty, -inf while running
-        # (nothing added then needs a carrier).
-        self._armed = _INF
-        # ``(time, key)`` of this agenda's carriers in the heap: a planned
-        # item is carried at its arrival's number, which the arrival's own
-        # item also carries, at another time.
+        # ``(time, key)`` of the carried head: _IDLE when empty, _RUNNING
+        # while running (nothing added then needs a carrier).
+        self._armed = _IDLE
+        # ``(time, key)`` of this agenda's carriers in the heap: a delivery
+        # planned again (behind a frame handed over on its own, or a
+        # flush) keeps its key at another time.
         self._carried: set = set()
-        # Bound once: the object every carrier at a number carries.
+        # Bound once: the object every carrier carries.
         self._on_surface = self._surfaced
 
     def add(self, lane: deque, when: float, callback: Callable, args: tuple) -> None:
@@ -330,18 +314,18 @@ class Agenda:
         sim = self.sim
         sim._sequence = sequence = sim._sequence + 1
         lane.append((when, sequence, callback, args))
-        if when < self._armed:
+        if (when, sequence) < self._armed:
             self._carry(when, sequence)
 
-    def added(self, when: float, sequence: int) -> None:
-        """An owner appended items itself, the first at ``(when, sequence)``."""
-        if when < self._armed:
-            self._carry(when, sequence)
+    def added(self, when: float, key: int) -> None:
+        """An owner appended items itself, the first at ``(when, key)``."""
+        if (when, key) < self._armed:
+            self._carry(when, key)
 
     def insert(self, lane: deque, items: list) -> None:
-        """Merge *items* — entries numbered earlier, in ``(time, sequence)``
+        """Merge *items* — entries numbered earlier, in ``(time, key)``
         order — into *lane*, carrying the first if it now leads (and no
-        carrier of its number is in the heap already)."""
+        carrier of its key is in the heap already)."""
         lead = self._head()
         lead = lead[0] if lead is not None else None
         if not lane or lane[-1] < items[0]:
@@ -350,11 +334,10 @@ class Agenda:
             merged = sorted((*lane, *items))
             lane.clear()
             lane.extend(merged)
-        first = items[0]
-        if (self._armed != -_INF and (lead is None or first[0] < lead[0] or (
-                first[0] == lead[0] and self.sim._key(first) < self.sim._key(lead)))
-                and (first[0], first[1]) not in self._carried):
-            self._carry(first[0], first[1])
+        when, key = items[0][0], items[0][1]
+        if (self._armed is not _RUNNING and (when, key) not in self._carried and (
+                lead is None or when < lead[0] or (when == lead[0] and key < lead[1]))):
+            self._carry(when, key)
 
     def discard(self, lane: deque, keep: Callable[[tuple], bool]) -> None:
         """Drop the items of *lane* that *keep* rejects.  A dropped head's
@@ -375,19 +358,16 @@ class Agenda:
             self._dropped()
 
     def _dropped(self) -> None:
-        if self._armed != -_INF:  # while running, the run carries at its end
+        if self._armed is not _RUNNING:  # while running, the run carries at its end
             self._rearm()
 
-    def _carry(self, when: float, key: float, arrival: Optional[tuple] = None) -> None:
-        self._armed = when
+    def _carry(self, when: float, key: int) -> None:
+        self._armed = (when, key)
         self._carried.add((when, key))
-        if arrival is None:
-            heappush(self.sim._heap, (when, key, self._on_surface, (key,)))
-        else:
-            heappush(self.sim._heap, (when, key, _ranked, (key, arrival, self)))
+        heappush(self.sim._heap, (when, key, self._on_surface, (key,)))
 
     def _head(self) -> Optional[deque]:
-        """The lane whose head comes first (a tie decided by rank)."""
+        """The lane whose head comes first."""
         head = None
         for lane in self.lanes:
             if lane:
@@ -395,12 +375,11 @@ class Agenda:
                     head = lane
                     continue
                 first, item = lane[0], head[0]
-                if first[0] < item[0] or (
-                        first[0] == item[0] and self.sim._key(first) < self.sim._key(item)):
+                if first[0] < item[0] or (first[0] == item[0] and first[1] < item[1]):
                     head = lane
         return head
 
-    def _surfaced(self, key: float) -> None:
+    def _surfaced(self, key: int) -> None:
         """A carrier reached the top at ``(now, key)``.  If the head is its
         item, run the heads that precede everything else; then carry the
         new head."""
@@ -409,38 +388,21 @@ class Agenda:
         horizon = sim._horizon
         lanes = self.lanes
         self._carried.discard((sim.now, key))
-        self._armed = -_INF
-        deferred = False
+        self._armed = _RUNNING
         try:
-            item = None
-            for lane in lanes:
-                if lane:
-                    first = lane[0]
-                    if item is None or first[0] < item[0]:
-                        item, head = first, lane
-                    elif first[0] == item[0] and sim._key(first) < sim._key(item):
-                        item, head = first, lane
-            if item is None:
-                return
-            when = item[0]
-            if when != sim.now or (item[1] != key and (
-                    len(item) < 5 or key != sim._key(item)[1])):
-                return  # not its item: a later one (its own was dropped)
-            if len(item) > 4 and key == item[1] and heap:
-                top = heap[0]
-                if top[0] == when and not sim._key(item) < sim._key(top):
-                    return  # a tied entry goes first: carried again at its rank
-            head.popleft()
-            sim._order = item[1] if len(item) < 5 else sim._reached + 0.5
+            head = self._head()
+            if head is None or head[0][1] != key or head[0][0] != sim.now:
+                return  # not its item: a later one (its own was dropped or moved)
+            item = head.popleft()
+            sim._order = key
             item[2](*item[3])
             while not sim._stopped:
                 item = None
                 for lane in lanes:
                     if lane:
                         first = lane[0]
-                        if item is None or first[0] < item[0]:
-                            item, head = first, lane
-                        elif first[0] == item[0] and sim._key(first) < sim._key(item):
+                        if item is None or first[0] < item[0] or (
+                                first[0] == item[0] and first[1] < item[1]):
                             item, head = first, lane
                 if item is None:
                     break
@@ -449,51 +411,26 @@ class Agenda:
                     break
                 if heap:
                     top = heap[0]
-                    if when >= top[0] and (when > top[0] or not (
-                            item[1] < top[1] if len(item) < 5 else sim._key(item) < sim._key(top))):
-                        if when == top[0] and len(item) > 4 and item[1] < top[1]:
-                            # Its number said first, its rank says later: the
-                            # next dispatch reaches its instant, so the rank holds.
-                            self._defer(item)
-                            deferred = True
+                    if when > top[0] or (when == top[0] and item[1] >= top[1]):
                         break
                 head.popleft()
-                if when != sim.now:
-                    sim.now = when
-                    sim._reached = sim._sequence
-                sim._order = item[1] if len(item) < 5 else sim._reached + 0.5
+                sim.now = when
+                sim._order = item[1]
                 item[2](*item[3])
         finally:
-            if not deferred:
-                self._rearm()
-
-    def _defer(self, item: tuple) -> None:
-        """Carry the planned head *item* at its rank, which is fixed: it is
-        due now, or the next dispatch reaches its instant."""
-        key = self.sim._key(item)
-        self._armed = item[0]
-        if (item[0], key[1]) not in self._carried:
-            self._carry(item[0], key[1], key[2:])
+            self._rearm()
 
     def _rearm(self) -> None:
-        """Carry the head, unless a carrier of its own is still in the heap
-        — at its rank if it is planned and due now, where the rank is
-        fixed; a planned head due later is carried at its arrival's
-        number, which its rank cannot precede."""
+        """Carry the head, unless a carrier of its own is still in the heap."""
         head = self._head()
         if head is None:
-            self._armed = _INF
+            self._armed = _IDLE
             return
-        item = head[0]
-        when, sequence = item[0], item[1]
-        if len(item) > 4 and when == self.sim.now:
-            self._defer(item)
-            return
-        self._armed = when
-        carried = self._carried
-        if (when, sequence) not in carried:
-            carried.add((when, sequence))
-            heappush(self.sim._heap, (when, sequence, self._on_surface, (sequence,)))
+        when, key = head[0][0], head[0][1]
+        if (when, key) in self._carried:
+            self._armed = (when, key)
+        else:
+            self._carry(when, key)
 
 
 class Simulator:
@@ -511,14 +448,10 @@ class Simulator:
         self._stopped = False
         # The running loop's horizon: an agenda runs nothing inline past it.
         self._horizon = _INF
-        # ``_sequence`` when the clock reached ``now``: the numbers at or
-        # under it were taken before this instant (the instant-start rule).
-        self._reached = 0
-        # The rank of the entry or agenda item being run: its sequence
-        # number (a shared entry's for each of its calls), ``_reached +
-        # 0.5`` for a planned item; _AFTER between runs.  What settles
-        # lazily (LamsReceiver._settle) compares with it.
-        self._order = _AFTER
+        # The key of the entry or agenda item being run (a shared entry's
+        # for each of its calls); +inf between runs, after every key.
+        # What settles lazily (LamsReceiver._settle) compares with it.
+        self._order = _INF
         self.event_count = 0
         # Armed rounds by (next deadline, interval); see every().
         self._rounds: dict[tuple[float, float], _Round] = {}
@@ -610,24 +543,6 @@ class Simulator:
             elif then is not None:
                 then()
 
-    def _key(self, entry: tuple) -> tuple:
-        """The full dispatch key of an entry or agenda item, compared only
-        where two tie in time: ``(time, sequence)``, or for a planned item
-        ``(time, rank, arrival time, arrival sequence)`` by the
-        instant-start rule (docs/TUNING.md §10).  Its rank is ``_reached +
-        0.5`` when it is due now; at any other instant it is ranked after
-        every number taken so far — which is its rank against every entry
-        that exists before the clock reaches its instant, and at an
-        instant already past the only thing it is compared with is its
-        receiver's own arrivals, numbered when their run was taken,
-        before their instant."""
-        if len(entry) > 4:
-            rank = (self._reached if entry[0] == self.now else self._sequence) + 0.5
-            return (entry[0], rank, entry[4], entry[1])
-        if entry[2] is _ranked:
-            return (entry[0], entry[1], *entry[3][1])  # a carrier at a rank
-        return (entry[0], entry[1])
-
     def timer(self, callback: Callable[[], None]) -> Timer:
         """A restartable :class:`Timer` invoking *callback* on expiry."""
         return Timer(self, callback)
@@ -675,9 +590,11 @@ class Simulator:
         """Drain the event heap; return the final simulation time.
 
         With *until*, stop once the clock would pass it and advance the
-        clock exactly to it (events at ``t == until`` run); a run ended
-        by :meth:`stop` leaves the clock at the stopping event.
-        *max_events* is a safety valve for runaway simulations.
+        clock exactly to it (events at ``t == until`` run) — never back:
+        an *until* behind ``now`` runs nothing and leaves the clock where
+        it is.  A run ended by :meth:`stop` leaves the clock at the
+        stopping event.  *max_events* is a safety valve for runaway
+        simulations.
         """
         self._stopped = False
         heap = self._heap
@@ -693,16 +610,10 @@ class Simulator:
                 when = entry[0]
                 if bounded and when > until:
                     # Past the horizon: put the entry back (rare — at most
-                    # once per run call) and stop at exactly *until*.
+                    # once per run call) and stop at *until*.
                     push(heap, entry)
-                    if until != self.now:
-                        self.now = until
-                        self._reached = self._sequence
-                    self._order = _AFTER
-                    return until
-                if when != self.now:
-                    self.now = when
-                    self._reached = self._sequence
+                    break
+                self.now = when
                 self._order = entry[1]
                 entry[2](*entry[3])
                 processed += 1
@@ -713,10 +624,9 @@ class Simulator:
         finally:
             self.event_count += processed
         if not self._stopped:
-            self._order = _AFTER
-        if bounded and self.now < until and not self._stopped:
-            self.now = until
-            self._reached = self._sequence
+            self._order = _INF
+            if bounded and self.now < until:
+                self.now = until
         return self.now
 
     def peek(self) -> Optional[float]:

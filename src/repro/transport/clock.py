@@ -1,7 +1,7 @@
 """The asyncio implementation of the engine's scheduling contract.
 
 The protocol halves do not only call ``schedule``/``timer()`` — their
-hot paths push ``(time, sequence, callback, args)`` tuples straight
+hot paths push ``(time, key, callback, args)`` tuples straight
 onto the engine heap (see :mod:`repro.simulator.engine` for why that
 ABI is public).  :class:`AsyncioClock` therefore *subclasses*
 :class:`~repro.simulator.engine.Simulator` instead of re-implementing
@@ -99,7 +99,6 @@ class AsyncioClock(Simulator):
                 when = entry[0]
                 if when > self.now:
                     self.now = when
-                    self._reached = self._sequence
                 self._order = entry[1]
                 entry[2](*entry[3])
                 processed += 1
@@ -108,7 +107,6 @@ class AsyncioClock(Simulator):
             wall = loop_time() - epoch
             if wall > self.now:
                 self.now = wall
-                self._reached = self._sequence
         finally:
             self.event_count += processed
             self._pumping = False

@@ -3,13 +3,12 @@
 Every ``schedule``, ``push``, timer start and periodic firing is an entry
 of its own, and a periodic callback is a timer restarted from inside the
 callback, as the paper's receiver restarts its Check-Point timer every
-``W_cp`` (Section 3.1).  Entries for one instant run by the instant-start
-rule, stated here as the heap's sort key:
+``W_cp`` (Section 3.1).  Entries for one instant run by the same-instant
+rule, stated here as the heap's sort key, which never changes:
 
-- ``(time, 0, sequence)``: numbered before the clock reached its instant;
-- ``(time, 1, arrival time, arrival sequence)``: a planned delivery,
-  made at its I-frame's arrival;
-- ``(time, 2, sequence)``: numbered at its instant.
+- ``(time, 0, sequence)``: every numbered entry, in number order;
+- ``(time, 1, arrival sequence)``: a planned delivery, made at its
+  I-frame's arrival, after every numbered entry.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from typing import Any, Callable, Optional
 
 class Engine:
     """A clock, a sequence counter and a heap of entries
-    ``(time, rank, a, b, sequence, callback, args)``."""
+    ``(time, group, number, sequence, callback, args)``: the sort key, then
+    the entry's own sequence number, so that no two entries tie."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -32,8 +32,7 @@ class Engine:
 
     def push(self, when: float, callback: Callable, args: tuple) -> None:
         self._sequence += 1
-        rank = 0 if when > self.now else 2
-        heappush(self._heap, (when, rank, self._sequence, 0, self._sequence, callback, args))
+        heappush(self._heap, (when, 0, self._sequence, self._sequence, callback, args))
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         if not delay >= 0:
@@ -48,7 +47,7 @@ class Engine:
     def plan(self, when: float, callback: Callable, *args: Any) -> None:
         """A delivery planned by the entry being run, an I-frame's arrival."""
         self._sequence += 1
-        heappush(self._heap, (when, 1, self.now, self.running, self._sequence, callback, args))
+        heappush(self._heap, (when, 1, self.running, self._sequence, callback, args))
 
     def timer(self, callback: Callable[[], None]) -> "Timer":
         return Timer(self, callback)
@@ -66,8 +65,8 @@ class Engine:
         heap = self._heap
         while heap and not self._stopped and (until is None or heap[0][0] <= until):
             entry = heappop(heap)
-            self.now, self.running = entry[0], entry[4]
-            entry[5](*entry[6])
+            self.now, self.running = entry[0], entry[3]
+            entry[4](*entry[5])
             self.event_count += 1  # as the shipped loop counts: once it returns
         if until is not None and self.now < until and not self._stopped:
             self.now = until
@@ -75,7 +74,7 @@ class Engine:
 
     def pending(self) -> list[tuple[float, Callable, tuple]]:
         """``(time, callback, args)`` of every entry not yet run, in run order."""
-        return [(entry[0], entry[5], entry[6]) for entry in sorted(self._heap)]
+        return [(entry[0], entry[4], entry[5]) for entry in sorted(self._heap)]
 
 
 class Timer:

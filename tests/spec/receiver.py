@@ -3,7 +3,7 @@
 Every I-frame is one ``on_iframe`` call at its arrival.  A clean frame
 joins the receive queue and its delivery is planned there, ``t_proc``
 after its arrival or after the delivery ahead of it, whichever is later;
-the engine runs it by the instant-start rule.  Errors go into a dict
+the engine runs it after every numbered entry at its instant.  Errors go into a dict
 error log, each reported in ``C_depth`` consecutive Check-Points.
 """
 

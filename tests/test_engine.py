@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from heapq import heappush
+
 import pytest
 
-from repro.simulator.engine import Agenda, SimulationError, Simulator
+from repro.simulator.engine import _AFTER, Agenda, SimulationError, Simulator
 from repro.transport.clock import AsyncioClock
 
 from . import spec
@@ -127,6 +129,21 @@ class TestScheduling:
         sim.run()
         assert fired == ["x"]
         assert sim.now == 10.0
+
+    @pytest.mark.parametrize("make", [Simulator, spec.Engine], ids=["shipped", "spec"])
+    def test_an_until_behind_now_never_moves_the_clock_back(self, make):
+        """Events at 2 and 5, ``run(until=3)`` run: a later ``run(until=1)``
+        runs nothing and leaves the clock at 3, so a delay scheduled after
+        it counts from 3 — with the heap empty too."""
+        sim, log = make(), []
+        for when in (2.0, 5.0):
+            sim.schedule_at(when, lambda: log.append(sim.now))
+        assert sim.run(until=3.0) == 3.0
+        assert sim.run(until=1.0) == 3.0 and sim.now == 3.0
+        sim.schedule(0.5, lambda: log.append(sim.now))
+        sim.run()
+        assert log == [2.0, 3.5, 5.0]
+        assert sim.run(until=1.0) == 5.0 and sim.now == 5.0
 
     def test_run_until_with_empty_heap_advances_clock(self):
         sim = Simulator()
@@ -690,21 +707,32 @@ class TestPush:
         assert log == ["a", "c", "after"]
 
 
-class TestTheInstantStartRule:
-    """docs/TUNING.md §10: at one instant, entries numbered before the
-    clock reached it run first, then planned deliveries in arrival order,
-    then entries numbered at the instant."""
+class TestTheSameInstantRule:
+    """docs/TUNING.md §10: at one instant, every numbered entry runs first,
+    in number order; planned deliveries run last, in the order their
+    arrivals were numbered — a key that never changes."""
 
     @staticmethod
     def tie(sim):
-        """A planned delivery at t = 2 whose arrival was numbered first of
-        all, tied with an entry numbered at t = 0, one numbered at t = 1,
-        and one the first of those pushes at t = 2; the order they ran in."""
+        """Two planned deliveries at t = 2 — on an agenda, and an entry of
+        its own as a frame handed over with no agenda plans it — whose
+        arrivals were numbered first of all, the later-numbered one planned
+        first; tied with an entry numbered at t = 0, one numbered at t = 1,
+        one the first of those pushes at t = 2 and one the first delivery
+        pushes there.  The order they ran in."""
         log = []
         agenda = Agenda(sim)
-        sim._sequence = arrival = sim._sequence + 1  # numbered ahead of everything
-        agenda.lanes[1].append((2.0, arrival, log.append, ("planned",), 1.0))
-        agenda.added(2.0, arrival)
+        first = sim._sequence + 1
+        sim._sequence += 2  # two arrivals, numbered ahead of everything
+
+        def planned(name):
+            log.append(name)
+            if name == "planned 1":
+                sim.schedule_at(2.0, log.append, "numbered by planned 1")
+
+        agenda.lanes[1].append((2.0, _AFTER + first + 1, planned, ("planned 2",)))
+        agenda.added(2.0, _AFTER + first + 1)
+        heappush(sim._heap, (2.0, _AFTER + first, planned, ("planned 1",)))
 
         def before():
             log.append("numbered at 0")
@@ -714,11 +742,14 @@ class TestTheInstantStartRule:
         sim.schedule_at(1.0, sim.schedule_at, 2.0, log.append, "numbered at 1")
         return log
 
+    ORDER = ["numbered at 0", "numbered at 1", "numbered at 2", "planned 1",
+             "numbered by planned 1", "planned 2"]
+
     def test_on_a_run(self):
         sim = Simulator()
         log = self.tie(sim)
         sim.run()
-        assert log == ["numbered at 0", "numbered at 1", "planned", "numbered at 2"]
+        assert log == self.ORDER
 
     def test_on_a_hand_pumped_asyncio_clock(self):
         loop = _StubLoop()
@@ -728,4 +759,4 @@ class TestTheInstantStartRule:
             loop.now = now
             clock.kick()
         assert not clock._heap
-        assert log == ["numbered at 0", "numbered at 1", "planned", "numbered at 2"]
+        assert log == self.ORDER

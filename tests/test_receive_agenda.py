@@ -43,7 +43,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import LinkOutage
 from repro.api import make_endpoint_pair
 from repro.simulator import FullDuplexLink, Simulator
-from repro.simulator.engine import Agenda
+from repro.simulator.engine import _AFTER, Agenda
 from repro.simulator.errormodel import PerfectChannel
 from repro.simulator.link import SimplexChannel
 from repro.simulator.rng import StreamRegistry
@@ -226,6 +226,38 @@ def test_a_carrier_left_behind_surfaces_at_its_own_item():
     assert sim.event_count == 3 and not sim._heap and not agenda._carried
 
 
+def test_an_item_added_at_a_planned_heads_instant_is_carried_at_its_own_key():
+    """A numbered item added at the instant of a carried planned head comes
+    before it, so it gets a carrier of its own: it runs before an entry
+    numbered after it, and the planned head after both."""
+    sim = Simulator()
+    agenda = Agenda(sim)
+    log = []
+    sim._sequence = arrival = sim._sequence + 1
+    agenda.lanes[1].append((2.0, _AFTER + arrival, log.append, ("planned",)))
+    agenda.added(2.0, _AFTER + arrival)
+    agenda.add(agenda.lanes[0], 2.0, log.append, ("numbered item",))
+    sim.schedule_at(2.0, log.append, "numbered entry")
+    sim.run()
+    assert log == ["numbered item", "numbered entry", "planned"]
+
+
+def test_an_item_planned_again_later_runs_at_its_new_time():
+    """A delivery planned again (behind a frame handed over on its own)
+    keeps its key at a later time: the carrier left at the old time
+    surfaces, finds its item not due and leaves it to a carrier of its own."""
+    sim = Simulator()
+    agenda = Agenda(sim)
+    lane, key, log = agenda.lanes[1], _AFTER + 1, []
+    lane.append((1.0, key, lambda: log.append(sim.now), ()))
+    agenda.added(1.0, key)
+    agenda.trim(lane, tail=1)
+    lane.append((2.0, key, lambda: log.append(sim.now), ()))
+    agenda.added(2.0, key)
+    sim.run()
+    assert log == [2.0] and sim.event_count == 2
+
+
 # -- whole links, against one entry per arrival and per drain ----------------------
 
 
@@ -342,10 +374,13 @@ PARENT_STREAMS = {
     "stressed": (2000, "ccdff2d62bcb8517", 10459, "53e9e2e1da67c043", "2f19c92b81a32827"),
     "window1": (2000, "5900a210ba3ffa64", 8484, "0da9219282a96930", "22677ba0859c1ab9"),
     "window64": (2000, "dd00462a0be4b33f", 8484, "8f794f86ee41c7dc", "dea03ea534ffb3ac"),
-    # Re-recorded once under the instant-start rule: 12 payload_accepted
-    # records changed places with other links' records at two instants;
-    # every link's own stream is as before.
-    "ring10": (600, "4ed30dec5b54dfdc", 9620, "4ff1cab272e2e5de", "2737a83c43dda5de"),
+    # Re-recorded once under the instant-start rule (12 payload_accepted
+    # records changed places with other links' records at two instants),
+    # and once when a frame handed over on its own began to plan its
+    # delivery as a run does, after every numbered entry at its instant
+    # (5 payload_accepted records at three instants); every link's own
+    # stream is as before.
+    "ring10": (600, "4ed30dec5b54dfdc", 9620, "26ae436ce4fff14c", "2737a83c43dda5de"),
 }
 
 

@@ -17,10 +17,13 @@ Stop-Go bit and the checkpoints of both directions matter:
 
 All must deliver the same ``(now, payload)`` streams and send the same
 checkpoint frames (index, issue time, NAK list, frontier, enforced,
-Stop-Go), and end with the same error log, arrival counts and ``rxqueue``
-gauge (area and maximum, to the bit).  The ``tied`` cases put arrivals,
-deliveries and checkpoint ticks on one float: there the specification's
-instant-start rule decides.
+Stop-Go), in the same order of deliveries and checkpoints, and end with
+the same error log, arrival counts and ``rxqueue`` gauge (area and
+maximum, to the bit).  The ``tied`` cases put arrivals, deliveries and
+checkpoint ticks on one float: there the engine's same-instant rule
+decides, which runs a delivery after every numbered entry at its
+instant; in ``tied-slow`` the queue builds, so deliveries planned long
+before land on ticks and on later arrivals.
 """
 
 from __future__ import annotations
@@ -96,6 +99,16 @@ CASES = {
                          model=("bernoulli", {"ber": 2e-4}), **TIED),
     "tied-outage": _case("tied-outage", seed=14, payloads=150, until=0.5,
                          outages=((0.125, 0.0234375, "forward"),), **TIED),
+    # A receiver exactly as fast as the line: each delivery lands on the
+    # next frame's arrival, which comes first, and only a replay sees the
+    # queue two deep there (no Stop-Go item settles at an arrival).
+    "tied-paced": _case("tied-paced", seed=16, payloads=150, until=0.5,
+                        **dict(TIED, config=dict(TIED["config"], processing_time=1 / 1024,
+                                                 piggyback_flow_control=False))),
+    # A receiver slower than the line: deliveries land on ticks and on
+    # arrivals, planned many frame times before.
+    "tied-slow": _case("tied-slow", seed=15, payloads=300, until=0.5,
+                       **dict(TIED, config=dict(TIED["config"], processing_time=3 / 2048))),
     # Corrupted frames and an outage of about one frame time: a delivery
     # planned for a frame that lands in the outage is trimmed, and the
     # frame handed back must still land, and be lost, at its own instant.
@@ -118,6 +131,9 @@ def run(case: dict, path: str, traced: bool = False) -> dict:
         tracer.listeners.append(lambda record: None)
     streams = StreamRegistry(case["seed"])
     delivered = {"A": [], "B": []}
+    # Deliveries and checkpoints, in the order they ran: a delivery tied
+    # with a checkpoint tick runs after it (the engine's same-instant rule).
+    timeline = []
     if path == "spec":
         sim = spec.Engine()
         link = SimpleNamespace(
@@ -128,7 +144,8 @@ def run(case: dict, path: str, traced: bool = False) -> dict:
         a, b = spec.make_pair(
             sim, config, link.forward, link.reverse,
             deliver_a=lambda packet: delivered["A"].append((sim.now, packet)),
-            deliver_b=lambda packet: delivered["B"].append((sim.now, packet)),
+            deliver_b=lambda packet: (delivered["B"].append((sim.now, packet)),
+                                      timeline.append("B")),
             delivery_interval_b=case["delivery_interval"])
     else:
         sim = Simulator()
@@ -138,7 +155,8 @@ def run(case: dict, path: str, traced: bool = False) -> dict:
         a, b = make_endpoint_pair(
             "lams", sim, link, config, tracer=tracer,
             deliver_a=lambda packet: delivered["A"].append((sim.now, packet)),
-            deliver_b=lambda packet: delivered["B"].append((sim.now, packet)),
+            deliver_b=lambda packet: (delivered["B"].append((sim.now, packet)),
+                                      timeline.append("B")),
             delivery_interval_b=case["delivery_interval"])
     checkpoints = []
     for channel, endpoint in ((link.forward, b), (link.reverse, a)):
@@ -152,6 +170,7 @@ def run(case: dict, path: str, traced: bool = False) -> dict:
                 checkpoints.append((sim.now, channel.name, frame.cp_index, frame.issue_time,
                                     frame.naks, frame.frontier, frame.enforced,
                                     frame.stop_go))
+                timeline.append(channel.name)
             send(frame)
 
         channel.send = send
@@ -170,7 +189,8 @@ def run(case: dict, path: str, traced: bool = False) -> dict:
     for until in (*case["slices"], case["until"]):
         sim.run(until=until)
         depths.append(b.receiver.receive_queue_length)
-    result = {"delivered": delivered, "checkpoints": checkpoints, "depths": depths}
+    result = {"delivered": delivered, "checkpoints": checkpoints, "depths": depths,
+              "timeline": timeline}
     for side, endpoint in (("A", a), ("B", b)):
         receiver, sender = endpoint.receiver, endpoint.sender
         depth = receiver.receive_queue_length  # settles
@@ -239,11 +259,16 @@ def test_the_cases_reach_what_they_are_named_for():
     ticks = {checkpoint[0] for checkpoint in tied["checkpoints"]}
     assert len(tied["delivered"]["B"]) == 150
     assert ticks & {when - 1 / 2048 for when in arrivals}  # an arrival on a tick
+    assert played("tied-paced", "run")["B"]["gauge"][1] == 2  # an arrival, then a delivery
+    slow = played("tied-slow", "run")
+    ticks = {checkpoint[0] for checkpoint in slow["checkpoints"]}
+    assert slow["B"]["gauge"][1] > 16  # planned more than a W_cp ahead
+    assert ticks & {when for when, _ in slow["delivered"]["B"]}  # a delivery on a tick
 
 
 @spec_settings(max_examples=12, deadline=None, derandomize=True)
 @given(
-    base=st.sampled_from(["bernoulli", "bursts", "slow-receiver", "tied-bursts"]),
+    base=st.sampled_from(["bernoulli", "bursts", "slow-receiver", "tied-bursts", "tied-slow"]),
     seed=st.integers(0, 50),
     flushes=st.lists(st.sampled_from([0.011, 0.0234375, 0.03, 0.041]), max_size=2),
     outages=st.lists(st.tuples(st.sampled_from([0.015, 0.0322265625, 0.044]),

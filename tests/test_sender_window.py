@@ -84,6 +84,7 @@ def sender_view(sender: Union[LamsSender, spec.Sender]) -> dict:
     """What a LAMS-DLC sender holds and has counted, alike for the shipped
     sender (its columns, gauge and holding-time statistic) and the
     specification's (its dict window and per-frame lists)."""
+    occupancy = (sender.occupancy, sender.unresolved_count)  # read first: it settles
     if isinstance(sender, spec.Sender):
         holding = SampleStat("holding_time")
         for sample in sender.holdings:
@@ -105,7 +106,7 @@ def sender_view(sender: Union[LamsSender, spec.Sender]) -> dict:
         state = (sender.failed, sender.suspended, sender._awaiting_enforced,
                  sender._pacing_armed, sender._next_allowed_send)
     return dict(
-        occupancy=(sender.occupancy, sender.unresolved_count),  # read first: it settles
+        occupancy=occupancy,
         pending=pending, outstanding=[tuple(frame) for frame in outstanding],
         requeued=requeued, held=sender.held_payloads(), counts=counts, state=state,
         holding=(holding.count, holding._mean, holding._m2, holding.minimum, holding.maximum),
@@ -206,7 +207,8 @@ class SenderRig:
         assert self.log == self.spec.log  # sends, requeues and releases
         assert (self.sim.now, str(self.exhausted)) == (self.engine.now, str(self.spec_exhausted))
         assert sender_view(sender) == sender_view(self.spec)
-        assert buffer.peak_occupancy >= sender.occupancy
+        occupancy = sender.occupancy  # settles
+        assert buffer.peak_occupancy >= occupancy
 
 
 GUARD = 10e-6  # LamsDlcConfig.processing_time
@@ -239,6 +241,8 @@ steps = st.one_of(
         st.sampled_from(["past", "now", "edge", "future"]),               # issue time
         st.integers(0, 10**6),
     ),
+    st.tuples(st.just("naks"), st.integers(2, 8), st.integers(0, 10**6),
+              st.sampled_from([0.5, 2.5])),
 )
 
 
@@ -273,6 +277,18 @@ def apply_checkpoint(rig: SenderRig, enforced, picks, frontier_kind, issue_kind,
     rig.checkpoint(issue_time, naks, frontier, enforced)
 
 
+def nak_live(rig: SenderRig, count: int, salt: int, frames: float) -> None:
+    """NAK *count* live frames in transmit order, from a *salt*-chosen one,
+    with a checkpoint that covers none of them, then run *frames* frame
+    times: a retransmission run, compared while it is on the transmitter
+    (the slice may span frames of two retransmission counts)."""
+    live = [frame.seq for frame in rig.sender.buffer.outstanding_frames()]
+    if live:
+        start = salt % len(live)
+        rig.checkpoint(rig.sim.now - RTT, live[start:start + count])
+    rig.run(frames * FRAME_TIME)
+
+
 @spec_settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     numbering_bits=st.sampled_from([3, 4, 6, 16]),
@@ -292,6 +308,8 @@ def test_window_matches_record_per_frame_reference(
             rig.run(step[1] * FRAME_TIME)
         elif step[0] == "timeout":
             rig.timeout()
+        elif step[0] == "naks":
+            nak_live(rig, *step[1:])
         else:
             apply_checkpoint(rig, *step[1:])
     rig.run(5 * FRAME_TIME)
