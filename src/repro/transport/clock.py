@@ -27,17 +27,28 @@ coverage compares the receiver's ``issue_time`` against the sender's
 ``expected_arrival``, timestamps minted on *different* endpoints.
 
 Re-entry contract: every *external* entry into protocol code — a
-datagram arriving, an application ``accept()`` — must be bracketed by
-:meth:`kick` so due work runs first and newly pushed work re-arms the
-alarm.  Callbacks dispatched *by* the pump need no bracketing; the pump
-re-arms after draining.
+datagram arriving, an application ``accept()``, a channel cut — must be
+bracketed by :meth:`kick` so due work runs first and newly pushed work
+re-arms the alarm.  Callbacks dispatched *by* the pump need no
+bracketing; the pump re-arms after draining.
+
+The alarm rule.  The alarm is armed for the head entry's time, with one
+exception: a head whose callback was registered with
+:meth:`defer_wakeup` (a frame's serialisation end) may wait out its
+*slack* (the earliest its frame can reach the wire), but never past the
+next entry, which is one of the heap root's two children:
+``min(head + slack, heap[1], heap[2])``.  Only the wake-up moves.  The
+entry keeps its time and its place in the dispatch order, because the
+pump sets ``now`` to each entry's own time, and an external entry kicks
+the pump first, so nothing outside the clock sees the state before the
+deferred entry has run.
 """
 
 from __future__ import annotations
 
 import asyncio
 from heapq import heappop
-from typing import Optional
+from typing import Callable, Optional
 
 from ..simulator.engine import Simulator
 
@@ -62,6 +73,9 @@ class AsyncioClock(Simulator):
         self.now = self._loop.time() - self._epoch
         self._alarm: Optional[asyncio.TimerHandle] = None
         self._alarm_deadline: Optional[float] = None
+        # id(callback) -> (callback, slack); see defer_wakeup().  The
+        # callback is kept so that its id is not reused.
+        self._deferred: dict[int, tuple[Callable, float]] = {}
         self._pumping = False
         # Never run an agenda item inline: the pump dispatches what is due
         # in wall time, one heap entry per item.
@@ -85,6 +99,19 @@ class AsyncioClock(Simulator):
         if self._pumping:
             return
         self._pump()
+
+    def defer_wakeup(self, callback: Callable, slack: float) -> None:
+        """Let an entry running *callback* wake the loop up to *slack*
+        seconds after its time.
+
+        For a callback whose effects reach nothing outside the clock
+        before ``when + slack``: the alarm for such a head is armed for
+        ``when + slack``, or for the next entry if that is sooner.  The
+        entry still runs at its own time, in its own order.  *callback*
+        is matched by identity, so push that very object.
+        """
+        if slack > 0:
+            self._deferred[id(callback)] = (callback, slack)
 
     def _pump(self) -> None:
         self._pumping = True
@@ -120,7 +147,15 @@ class AsyncioClock(Simulator):
                 self._alarm = None
                 self._alarm_deadline = None
             return
-        deadline = heap[0][0]
+        head = heap[0]
+        deadline = head[0]
+        deferred = self._deferred.get(id(head[2]))
+        if deferred is not None:
+            deadline += deferred[1]
+            # The second entry is one of the root's two children.
+            for child in heap[1:3]:
+                if child[0] < deadline:
+                    deadline = child[0]
         if (self._alarm is not None and self._alarm_deadline is not None
                 and abs(self._alarm_deadline - deadline) < 1e-9):
             return

@@ -324,6 +324,7 @@ async def _settle(
 
 async def _close(clock: AsyncioClock, link: Any, *endpoints: Any) -> None:
     """Stop *endpoints*, then release *link*'s sockets and *clock*'s alarm."""
+    clock.kick()
     for endpoint in endpoints:
         endpoint.stop()
     clock.kick()

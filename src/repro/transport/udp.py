@@ -21,13 +21,18 @@ same factory wires endpoints over real sockets:
   salvage pass for corrupted-but-parseable frames) and dispatched to
   the attached endpoint between clock kicks.
 - :class:`UdpLink` — a loopback pair of sockets presenting the
-  :class:`~repro.simulator.link.FullDuplexLink` surface.
+  :class:`~repro.simulator.link.FullDuplexLink` surface.  Both ends live
+  in one process, so each ``sendto`` is followed by one non-blocking
+  read of the peer's socket: the datagram is dispatched in the pump
+  that sent it, at its emulated arrival instant, without a pass of the
+  event loop.  What is not there yet the loop's reader picks up.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+import socket
 from collections import deque
 from typing import Any, Callable, Optional
 
@@ -38,6 +43,9 @@ from .clock import AsyncioClock
 from .impair import Impairments, corrupt_crc
 
 __all__ = ["UdpChannel", "UdpEndpointSocket", "UdpLink", "decode_datagram"]
+
+# Larger than any UDP datagram.
+_MAX_DATAGRAM = 65536
 
 
 def decode_datagram(data: bytes) -> tuple[Optional[Any], bool]:
@@ -66,6 +74,11 @@ class UdpChannel:
     arrival clamp, same per-class error-model attributes — but the
     "delivery" is a real datagram handed to *emit* at the emulated
     arrival instant.
+
+    A frame's serialisation end keeps its own heap entry, but it wakes
+    the loop no sooner than its frame can reach the wire, a propagation
+    delay later (:meth:`AsyncioClock.defer_wakeup`): nothing else sees
+    the end of serialisation before that.  So a frame costs one wake-up.
     """
 
     def __init__(
@@ -95,6 +108,10 @@ class UdpChannel:
                 "propagation_delay must be non-negative and finite, "
                 f"got {self._fixed_delay!r}"
             )
+        # Bound once: the object every serialisation end pushes, which
+        # the clock recognises by identity.
+        self._serialised = self._transmit_done
+        clock.defer_wakeup(self._serialised, self._fixed_delay)
         self._queue: deque[Any] = deque()
         self._transmitting = False
         self._last_arrival = -1.0
@@ -140,11 +157,17 @@ class UdpChannel:
         return self._is_up
 
     def down(self) -> None:
-        """Cut the direction: everything sent from now on is lost."""
+        """Cut the direction: everything sent from now on is lost.
+
+        Kicks the clock first, so a serialisation end that is due but
+        waiting for its wake-up finds the direction as it was.
+        """
+        self.sim.kick()
         self._is_up = False
 
     def up(self) -> None:
         """Restore the direction."""
+        self.sim.kick()
         self._is_up = True
 
     # -- transmission ----------------------------------------------------
@@ -164,7 +187,7 @@ class UdpChannel:
         tx_time = frame.size_bits / self.bit_rate
         self.busy_seconds += tx_time
         clock = self.sim
-        clock.schedule(tx_time, self._transmit_done, frame, clock.now)
+        clock.schedule(tx_time, self._serialised, frame, clock.now)
 
     def _start_next(self) -> None:
         if not self._queue:
@@ -292,6 +315,24 @@ class _UdpPeerProtocol(asyncio.DatagramProtocol):
             owner.socket_errors += 1
 
 
+def _bound_socket(bind: tuple[str, int]) -> socket.socket:
+    """A non-blocking datagram socket bound to *bind*: the first address
+    it resolves to that binds, as ``create_datagram_endpoint`` picks."""
+    error: Optional[OSError] = None
+    for family, kind, proto, _, address in socket.getaddrinfo(
+            *bind, type=socket.SOCK_DGRAM):
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            sock.bind(address)
+        except OSError as exc:
+            sock.close()
+            error = exc
+            continue
+        return sock
+    raise error if error is not None else OSError(f"cannot bind {bind!r}")
+
+
 class UdpEndpointSocket:
     """One bound UDP socket, its outgoing channel, and frame dispatch.
 
@@ -316,6 +357,9 @@ class UdpEndpointSocket:
         self.peer_addr: Optional[tuple] = None
         self.handler: Optional[Callable[[Any, bool], None]] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
+        self._recvfrom: Optional[Callable[[int], tuple[bytes, Any]]] = None
+        # The other end of a UdpLink, whose socket is read after each send.
+        self.loopback_peer: Optional["UdpEndpointSocket"] = None
         self._sending = False  # inside transport.sendto (error_received)
         self.datagrams_received = 0
         self.datagrams_undecodable = 0
@@ -358,9 +402,11 @@ class UdpEndpointSocket:
         )
         self = cls(clock, channel, incoming_name, tracer, learn_peer=learn_peer)
         channel._emit = self.sendto
+        sock = _bound_socket(bind)
+        self._recvfrom = sock.recvfrom
         loop = asyncio.get_running_loop()
         await loop.create_datagram_endpoint(
-            lambda: _UdpPeerProtocol(self), local_addr=bind,
+            lambda: _UdpPeerProtocol(self), sock=sock,
         )
         if peer is not None:
             self.peer_addr = peer
@@ -425,8 +471,27 @@ class UdpEndpointSocket:
             self._transport.sendto(data, self.peer_addr)
         except OSError as error:
             self._send_failed(error)
+            return
         finally:
             self._sending = False
+        peer = self.loopback_peer
+        if peer is not None:
+            peer._read_one()
+
+    def _read_one(self) -> None:
+        """Read at most one waiting datagram and dispatch it now.
+
+        Once, not until ``EAGAIN``: a datagram not there yet is the loop
+        reader's, and the failing call would cost as much as it saves.
+        """
+        try:
+            data, addr = self._recvfrom(_MAX_DATAGRAM)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self.socket_errors += 1
+            return
+        self._on_datagram(data, addr)
 
     def _send_failed(self, error: Exception) -> None:
         """Account one datagram the kernel refused to send as lost."""
@@ -456,6 +521,8 @@ class UdpEndpointSocket:
             return
         # Bracketing kicks: run due timers before the arrival, stamp the
         # dispatch at wall time, and re-arm for whatever it scheduled.
+        # Read in the dispatch that sent it, both are no-ops and the
+        # arrival is stamped at its emulated instant.
         self.clock.kick()
         if self.tracer.active:
             now = self.clock.now
@@ -493,6 +560,7 @@ class UdpLink:
         self.name = name
         self.socket_a = socket_a
         self.socket_b = socket_b
+        socket_a.loopback_peer, socket_b.loopback_peer = socket_b, socket_a
         self.forward = socket_a.channel
         self.reverse = socket_b.channel
         self.streams = streams
