@@ -28,11 +28,14 @@ item, keyed by the engine's same-instant rule to run after every
 numbered entry at its instant, and the arrivals — with the deliveries
 already made — are applied in order, each at its own time, by
 ``_settle``, at the top of everything that reads the receiver's state.
-Traced or not, a run is taken the same way; traced, the arrivals that
-may bear a record get an item of their own, which settles there
-(docs/TUNING.md §10).
+Traced or not, a run is taken the same way and takes the same items:
+its deliveries, and the piggybacked Stop-Go bit's (docs/TUNING.md §10).
 
-While its tracer is active the receiver traces a checkpoint interval's
+While its tracer is active the records of an arrival — a corruption, a
+gap, a duplicate or discard, a new queue peak — go out with the settle
+that applies it, each stamped with its arrival, after the incoming
+channel's records of the runs that have landed: so before the next
+``checkpoint_sent``.  The receiver traces a checkpoint interval's
 drains, not a drain: one ``payloads_delivered`` record (``times``,
 ``payloads``) just ahead of each ``checkpoint_sent`` record, and in
 :meth:`LamsReceiver.flush`, :meth:`LamsReceiver.stop` and
@@ -81,24 +84,18 @@ class _Run:
     ``times[k]``, numbered ``first + k``, corrupted when ``verdicts[k]``;
     ``next`` is the first not applied; ``dropped`` maps a clean frame's
     position to True (a duplicate) or False (a discard), as projected when
-    the run was taken.  ``marked`` maps the positions with an item of the
-    receiver's own (``_at_arrival``) to whether it applies its arrival
-    there, and ``recorded`` says whether the channel holds the run's
-    record for its last arrival to emit."""
+    the run was taken."""
 
-    __slots__ = ("times", "frames", "verdicts", "first", "next", "dropped",
-                 "marked", "recorded")
+    __slots__ = ("times", "frames", "verdicts", "first", "next", "dropped")
 
     def __init__(self, times: Sequence[float], frames: Sequence[IFrame],
-                 verdicts: Sequence[bool], first: int, recorded: bool = False) -> None:
+                 verdicts: Sequence[bool], first: int) -> None:
         self.times = times
         self.frames = frames
         self.verdicts = verdicts
         self.first = first
         self.next = 0
         self.dropped = _NONE
-        self.marked: Optional[dict] = None
-        self.recorded = recorded
 
 
 def _settled(slot: str, doc: Optional[str] = None) -> property:
@@ -121,7 +118,7 @@ class LamsReceiver:
         "tracer", "deliver", "delivery_interval", "cp_index", "_frontier",
         "_next_expected_seq", "_error_log", "_resolving_log", "_running",
         "_checkpoint_tick", "_incoming", "_drain_token", "_held",
-        "_depth", "_due", "_made", "_pending", "_next_settle", "_peak",
+        "_depth", "_due", "_made", "_pending", "_next_settle",
         "_stop_go_sink", "_stop_go_armed", "_header_protected",
         "_numbering_size", "_zero_duplication", "_rx_capacity",
         "_checkpoint_interval", "_cumulation_depth",
@@ -197,15 +194,11 @@ class LamsReceiver:
         # arrival or delivery not yet settled.
         self._pending: list[_Run] = []
         self._next_settle = _INF
-        # The deepest the queue is projected to get by the runs taken
-        # (traced ones) or settled: a traced arrival beyond it bears a
-        # new peak's record.
-        self._peak = 0
         # The co-located sender, whose piggybacked Stop-Go bits a run's
-        # frames carry (hear() sets it), and the item that applies the
-        # next one, or None.
+        # frames carry (hear() sets it), and whether an item applies the
+        # next one.
         self._stop_go_sink: Any = None
-        self._stop_go_armed: Optional[tuple] = None
+        self._stop_go_armed = False
         # Per-frame constants hoisted out of the hot path (all fixed for
         # the lifetime of the endpoint).
         self._header_protected = config.header_protected
@@ -348,10 +341,10 @@ class LamsReceiver:
         sim = self.sim
         first = sim._sequence + 1
         sim._sequence = first + len(times) - 1
-        run = _Run(times, frames, verdicts, first, self._incoming.tracer.active)
+        run = _Run(times, frames, verdicts, first)
         # The Stop-Go item first: it is due before the deliveries, so the
         # agenda's carrier serves both.
-        if self._stop_go_sink is not None and self._stop_go_armed is None:
+        if self._stop_go_sink is not None and not self._stop_go_armed:
             self._arm_stop_go(run)
         self._take(run)
         # Whatever reads the trace's statistics as complete settles first.
@@ -365,9 +358,7 @@ class LamsReceiver:
         ``_AFTER`` plus its arrival's number, after every numbered entry at
         its instant.  A frame that *landed*, handed over on its own, is
         applied at once; its delivery takes a number of its own as it
-        lands, since the pushes of one batch share their entry's.  Other
-        runs, while the tracer is active, give the arrivals that may bear a
-        record items of their own (:meth:`_mark_records`)."""
+        lands, since the pushes of one batch share their entry's."""
         self._pending.append(run)
         times, k = run.times, run.next
         if times[k] < self._next_settle:
@@ -390,10 +381,6 @@ class LamsReceiver:
         agenda = self._incoming._agenda if self._incoming is not None else None
         lane = agenda.lanes[1] if agenda is not None else None
         key = _AFTER + sim._sequence + 1 - run.first if landed else _AFTER
-        # Traced, where an arrival finds deliveries owed: a new peak can
-        # only be there.
-        traced = not landed and self.tracer.active
-        backlog = [] if traced else None
         rows = zip(count(run.first), times, run.frames, run.verdicts)
         for number, arrival, frame, skipped in islice(rows, k, None) if k else rows:
             if skipped:
@@ -411,8 +398,6 @@ class LamsReceiver:
             if arrival > last:
                 last = arrival + interval
             else:
-                if backlog is not None:
-                    backlog.append((len(due), arrival))
                 last += interval
             item = (last, key + number, bound, (token, frame.payload))
             plan(item)
@@ -420,8 +405,6 @@ class LamsReceiver:
                 lane.append(item)
         if checked:
             run.dropped = dropped or _NONE
-        if traced:
-            self._mark_records(run, owed, backlog)
         if len(due) > owed:
             if landed:
                 sim._sequence += 1  # the number its delivery's key took
@@ -429,96 +412,6 @@ class LamsReceiver:
                 heappush(sim._heap, due[-1])
             else:
                 agenda.added(due[owed][0], due[owed][1])
-
-    def _mark_records(self, run: _Run, owed: int, backlog: list) -> None:
-        """Give an item of its own to each arrival of *run* — its
-        deliveries planned from ``_due[owed]`` on, the *backlog* ``(index,
-        arrival time)`` behind deliveries owed — that may bear a record: a
-        corrupted frame, a gap in the numbering (the first frame, or one
-        after a lost header), a duplicate or discard, a new queue peak, and
-        the last, which carries the channel's record of the run."""
-        times, frames, verdicts, first, k = run.times, run.frames, run.verdicts, run.first, run.next
-        header_protected = self._header_protected
-        marks = [*run.dropped]
-        expected = self._next_expected_seq  # after the last readable header before the run
-        for before in reversed(self._pending[:-1]):
-            readable = next((position for position in range(len(before.times) - 1,
-                                                            before.next - 1, -1)
-                             if header_protected or not before.verdicts[position]), None)
-            if readable is not None:
-                expected = (before.frames[readable].seq + 1) % self._numbering_size
-                break
-        if expected is None or frames[k].seq != expected:
-            marks.append(k)  # a gap since the frames before
-        if any(islice(verdicts, k, None)):
-            for position in range(k, len(times)):
-                if verdicts[position]:
-                    marks.append(position)
-                    if not header_protected:
-                        marks.append(position + 1)  # the gap its lost header leaves
-        # A new peak: more deliveries owed at an arrival, its own included,
-        # than the deepest projected so far — the delivery ``peak`` places
-        # before its own (deliveries keep arrival order) not made yet.  An
-        # arrival that finds none owed is one deep.
-        due = self._due
-        first += _AFTER  # a delivery's key, less its arrival's position
-        peak = self._peak
-        stat = self._rxqueue_stat
-        if stat is not None and stat.maximum > peak:
-            peak = stat.maximum
-        if not peak and len(due) > owed:
-            peak = 1
-            marks.append(due[owed][1] - first)
-        for index, arrival in backlog:
-            ahead = index - peak
-            if ahead < 0:
-                continue
-            # A delivery tied with the arrival waits for it.
-            while ahead >= 0 and due[ahead][0] >= arrival:
-                ahead -= 1
-            if index - ahead > peak:
-                peak = index - ahead
-                marks.append(due[index][1] - first)
-        self._peak = peak
-        marks = dict.fromkeys(marks, True)
-        if run.recorded:  # the channel's record: no arrival to apply there for it
-            marks.setdefault(len(times) - 1, False)
-        self._mark(run, marks)
-
-    def _mark(self, run: _Run, positions: dict) -> None:
-        """Give each of *positions* of *run* an item (:meth:`_at_arrival`)
-        unless it has one; *positions* says whether the item applies its
-        arrival there."""
-        marked = run.marked = run.marked or {}
-        times = run.times
-        items = [(times[position], run.first + position, self._at_arrival, (run, position))
-                 for position in sorted(positions)
-                 if position < len(times) and position not in marked]
-        for position, applies in positions.items():
-            marked[position] = marked.get(position, False) or applies
-        if items:
-            agenda = self._incoming._agenda
-            agenda.insert(agenda.lanes[0], items)
-
-    def _at_arrival(self, run: _Run, position: int) -> None:
-        """The item at arrival *position* of *run*: the channel's record of
-        the run goes out first if it is the last frame; the arrival is
-        applied, with everything before it, if it may bear a record; then
-        its piggybacked Stop-Go bit, if this is the arrival armed for it."""
-        if run.recorded and position == len(run.times) - 1:
-            channel = self._incoming
-            if position:
-                channel._emit_held()
-            else:
-                channel._emit_one(run.frames[0], run.verdicts[0])
-        if run.marked[position]:
-            self._settle_due()
-        armed = self._stop_go_armed
-        if armed is not None and armed[0] is run and armed[1] == position:
-            self._stop_go_armed = None
-            self._stop_go_sink.note_piggyback_stop_go(run.frames[position].stop_go)
-            if self._pending:
-                self._arm_stop_go()
 
     def _settle_due(self) -> None:
         """Settle, if an arrival or a delivery made is due by now."""
@@ -533,13 +426,17 @@ class LamsReceiver:
         gauge stepped at every one, as a frame at a time would.  An arrival
         of the running entry's instant has passed if its number is at most
         the running entry's key; a delivery made that ties with an arrival
-        waits for it (the engine's same-instant rule)."""
+        waits for it (the engine's same-instant rule).  First, the incoming
+        channel emits the records it holds of the runs that have landed."""
         sim = self.sim
         now = sim.now
         made = self._made
         # Until the end, a settle that a record emitted here sets off
         # (through Tracer.settle) finds nothing due.
         self._next_settle = _INF
+        channel = self._incoming
+        if channel is not None and channel._held:
+            channel._emit_landed_runs()
         due = self._due
         depth = self._depth
         # TimeWeightedStat.update's arithmetic, on locals; the gauge is
@@ -670,7 +567,7 @@ class LamsReceiver:
     def _unplan(self) -> list[_Run]:
         """Settle, then set the pending runs aside: forget the origins they
         recorded ahead, the deliveries owed for them (the queued payloads'
-        stay) and the receiver's own items at their arrivals.  Returns
+        stay) and the Stop-Go item armed at one of their arrivals.  Returns
         them."""
         self._settle_due()
         pending = self._pending
@@ -697,12 +594,8 @@ class LamsReceiver:
             # Settled, the lane holds the deliveries not yet made: the owed
             # ones are its tail.
             agenda.trim(agenda.lanes[1], tail=owed)
-            agenda.discard(agenda.lanes[0], lambda item: item[2] != self._at_arrival)
-        self._stop_go_armed = None
-        for run in runs:
-            run.marked = None
-        stat = self._rxqueue_stat
-        self._peak = stat.maximum if stat is not None else 0
+            agenda.discard(agenda.lanes[0], lambda item: item[2] != self._stop_go_due)
+        self._stop_go_armed = False
         self._next_settle = due[0][0] if due else _INF
         return runs
 
@@ -719,15 +612,9 @@ class LamsReceiver:
         items they would have been, which meet the channel's state (and
         handler) as they land."""
         channel = self._incoming
-        items = []
-        for run in self._unplan():
-            last = len(run.times) - 1
-            for position in range(run.next, last + 1):
-                deliver = channel._deliver
-                if run.recorded and position == last:  # it holds the run's record
-                    deliver = channel._deliver_last if position else channel._deliver_traced
-                items.append((run.times[position], run.first + position, deliver,
-                              (run.frames[position], run.verdicts[position])))
+        items = [(run.times[position], run.first + position, channel._deliver,
+                  (run.frames[position], run.verdicts[position]))
+                 for run in self._unplan() for position in range(run.next, len(run.times))]
         if items:
             channel._agenda.insert(channel._agenda.lanes[0], items)
 
@@ -736,10 +623,9 @@ class LamsReceiver:
     def _arm_stop_go(self, run: Optional[_Run] = None) -> None:
         """Find the next pending arrival whose piggybacked Stop-Go bit the
         sender will apply — its readable header landing a checkpoint
-        interval after the last one applied — and apply it there: at the
-        arrival's own item (:meth:`_at_arrival`), made if it has none.
-        Searches *run* only when given (nothing before it qualified against
-        the same last one)."""
+        interval after the last one applied — and apply it there, at an
+        item of its own (:meth:`_stop_go_due`).  Searches *run* only when
+        given (nothing before it qualified against the same last one)."""
         sender = self._stop_go_sink
         if sender.failed:
             return
@@ -755,9 +641,21 @@ class LamsReceiver:
                     continue
                 if verdicts[position] and not header_protected:
                     continue
-                self._stop_go_armed = (candidate, position)
-                self._mark(candidate, {position: True})
+                self._stop_go_armed = True
+                agenda = self._incoming._agenda
+                agenda.insert(agenda.lanes[0], [(times[position], candidate.first + position,
+                                                 self._stop_go_due, (candidate.frames[position],))])
                 return
+
+    def _stop_go_due(self, frame: IFrame) -> None:
+        """The item at the arrival armed by :meth:`_arm_stop_go`: settled
+        past that arrival, the sender applies *frame*'s Stop-Go bit, and
+        the next one is armed."""
+        self._stop_go_armed = False
+        self._settle_due()
+        self._stop_go_sink.note_piggyback_stop_go(frame.stop_go)
+        if self._pending:
+            self._arm_stop_go()
 
     # -- zero-duplication extension -----------------------------------------------
 

@@ -16,9 +16,9 @@ with the protocol's own events to produce one
 - **frames_lost** — frames the outage swallowed (both loss phases,
   per the ``frame_lost_outage`` trace event).
 - **post_recovery_delivery_delay** — outage end → the first I-frame
-  arrival at or after it (read from the channels' ``frames_delivered``
-  run records): how long the resequencing pipeline stays dry after the
-  link returns.
+  arrival at or after it (the earliest in the channels'
+  ``frames_delivered`` run records, whatever order they are emitted in):
+  how long the resequencing pipeline stays dry after the link returns.
 
 All quantities derive purely from simulation events, so a fault plan's
 metrics are bit-identical across repeated runs and across serial vs
@@ -218,10 +218,13 @@ class RecoveryMetrics(Router):
             return
         times = detail["times"]
         for outage in self.outages:
-            if outage.post_recovery_delivery_delay is None and outage.end is not None:
+            if outage.end is not None:
                 first = bisect_left(times, outage.end)
                 if first < len(times):
-                    outage.post_recovery_delivery_delay = times[first] - outage.end
+                    delay = times[first] - outage.end
+                    kept = outage.post_recovery_delivery_delay
+                    if kept is None or delay < kept:
+                        outage.post_recovery_delivery_delay = delay
 
     # -- reporting --------------------------------------------------------
 

@@ -25,9 +25,12 @@ Each simplex channel models:
 
 While its tracer is active a channel traces a run, not a frame: one
 ``frames_delivered`` record (``times``, ``control``, ``corrupted``
-positions) per decided run, held until its last frame lands (a run of
-one: as it lands) and stamped with its first arrival; a frame lost in
-propagation keeps its ``frame_lost_outage`` record and is left out.
+positions) per decided run, stamped with its first arrival.  A run of
+one goes out as it lands, and a run of the frames landing as items of
+the channel's own when its last frame does; a run taken whole by a
+receiver (its run path) waits for that receiver's next settle.  Either
+way the held runs go out oldest first.  A frame lost in propagation
+keeps its ``frame_lost_outage`` record and is left out.
 """
 
 from __future__ import annotations
@@ -72,10 +75,9 @@ class SimplexChannel:
     # answers, so an idle channel, whose runs are all of one, holds
     # nothing for it.
     _agenda: Optional[Agenda] = None
-    # While the tracer is active: the runs decided but not yet landed,
-    # oldest first, each ``(times, verdicts, frames, last sequence,
-    # positions lost)``; its frames_delivered record waits for its last
-    # frame.  None until the first.
+    # While the tracer is active: the runs decided whose records have
+    # not gone out, oldest first, each ``(times, verdicts, frames, last
+    # sequence, positions lost)``.  None until the first.
     _held: Optional[deque] = None
     # The receiver whose ``hear`` wired its run path: an I-frame run is
     # handed to its ``on_run`` whole (docs/TUNING.md §10).  None: every
@@ -369,6 +371,8 @@ class SimplexChannel:
                 return
             sink = self._run_sink
             if sink is not None:
+                if traced:
+                    self._hold((arrival,), (corrupted,), (first,), sim._sequence + 1)
                 sink.on_run((arrival,), (first,), (corrupted,))
                 return
             agenda.add(agenda.lanes[0], arrival, deliver, (first, corrupted))
@@ -414,12 +418,7 @@ class SimplexChannel:
         sequence = sim._sequence + len(times)
         traced = self.tracer.active
         if traced:
-            # The run's record is held until its last frame lands.
-            held = self._held
-            if held is None:
-                held = self._held = deque()
-            held.append((times, verdicts, frames, sequence, []))
-            self.tracer.hold(self._emit_landed)
+            self._hold(times, verdicts, frames, sequence)
         sink = self._run_sink
         if sink is not None and not first.is_control:
             sink.on_run(times, frames, verdicts)  # numbers them the same way
@@ -437,8 +436,18 @@ class SimplexChannel:
             last = arrivals[-1]
             arrivals[-1] = (last[0], sequence, self._deliver_last, last[3])
 
-    def _emit_run(self, times: list, verdicts: Sequence[bool],
-                  frames: Sequence[Transmittable], lost: list) -> None:
+    def _hold(self, times: Sequence[float], verdicts: Sequence[bool],
+              frames: Sequence[Transmittable], last: int) -> None:
+        """Hold the record of a run decided while traced, its last frame
+        numbered *last*."""
+        held = self._held
+        if held is None:
+            held = self._held = deque()
+        held.append((times, verdicts, frames, last, []))
+        self.tracer.hold(self._emit_landed)
+
+    def _emit_run(self, times: Sequence[float], verdicts: Sequence[bool],
+                  frames: Sequence[Transmittable], lost: Sequence[int]) -> None:
         """Emit one ``frames_delivered`` record: the frames not lost."""
         if lost:
             kept = [k for k in range(len(times)) if k not in lost]
@@ -451,16 +460,29 @@ class SimplexChannel:
                 corrupted=[k for k, bad in enumerate(verdicts) if bad] if any(verdicts) else [],
             )
 
+    def _emit_landed_runs(self) -> None:
+        """Emit the record of every held run whose frames have all landed
+        — the arrivals the dispatch has passed, however they were taken (an
+        item each, or a run handed to the receiver whole) — oldest first."""
+        held = self._held
+        sim = self.sim
+        now, order = sim.now, sim._order
+        while held:
+            times, verdicts, frames, last, lost = held[0]
+            if times[-1] > now or (times[-1] == now and last > order):
+                return
+            held.popleft()  # first: a listener may settle the tracer
+            self._emit_run(times, verdicts, frames, lost)
+
     def _emit_landed(self) -> None:
-        """``Tracer.settle``: emit the frames of the oldest held run that
-        have already landed; the rest wait for their last frame."""
+        """``Tracer.settle``: emit every held run that has landed, and the
+        frames of the next that have; its rest waits."""
+        self._emit_landed_runs()
         held = self._held
         if not held:
             return
         times, verdicts, frames, last, lost = held[0]
         first = last - len(times) + 1
-        # Landed: the arrivals the dispatch has passed, however they were
-        # taken (an item each, or a run handed to the receiver whole).
         sim = self.sim
         now, order = sim.now, sim._order
         landed = bisect_left(times, now)
@@ -489,43 +511,40 @@ class SimplexChannel:
     def _deliver(self, frame: Transmittable, corrupted: bool) -> None:
         if not self._is_up:
             self._lose_to_outage(frame, phase="propagate")
-            held = self._held
-            if held:  # leave it out of its held run's record
-                _, _, frames, _, lost = held[0]
-                for position in range(lost[-1] + 1 if lost else 0, len(frames)):
-                    if frames[position] is frame:
-                        lost.append(position)
-                        break
+            if self._held:
+                self._leave_out(frame)
             return
         if self.receiver is None:
             raise RuntimeError(f"channel {self.name!r} has no receiver attached")
         self.receiver(frame, corrupted)
 
+    def _leave_out(self, frame: Transmittable) -> None:
+        """Leave *frame*, lost in propagation, out of the oldest held run's
+        record; then emit the runs that have landed (its own, if it was
+        the last)."""
+        _, _, frames, _, lost = self._held[0]
+        for position in range(lost[-1] + 1 if lost else 0, len(frames)):
+            if frames[position] is frame:
+                lost.append(position)
+                break
+        self._emit_landed_runs()
+
     def _deliver_traced(self, frame: Transmittable, corrupted: bool) -> None:
-        """A run of one lands: its one-frame record goes out ahead of it."""
+        """A run of one lands: the held runs that landed before it, then its
+        one-frame record, go out ahead of it."""
         if self._is_up:
-            self._emit_one(frame, corrupted)
+            if self._held:
+                self._emit_landed_runs()
+            self._emit_run((self.sim.now,), (corrupted,), (frame,), ())
         self._deliver(frame, corrupted)
 
     def _deliver_last(self, frame: Transmittable, corrupted: bool) -> None:
-        """The last frame of a held run lands: the run's record goes out
-        ahead of it, as a frame's own record did."""
-        if not self._is_up:
-            self._deliver(frame, corrupted)  # lost, and left out
-        self._emit_held()
+        """The last frame of a held run lands: the run's record, after
+        those of the held runs before it, goes out ahead of it, as a
+        frame's own record did (lost, after it is left out)."""
         if self._is_up:
-            self._deliver(frame, corrupted)
-
-    def _emit_one(self, frame: Transmittable, corrupted: bool) -> None:
-        """A run of one lands now: its record."""
-        now = self.sim.now
-        self.tracer.emit(now, self.name, "frames_delivered", times=(now,),
-                         control=frame.is_control, corrupted=(0,) if corrupted else ())
-
-    def _emit_held(self) -> None:
-        """The last frame of the oldest held run lands: the run's record."""
-        times, verdicts, frames, _, lost = self._held.popleft()
-        self._emit_run(times, verdicts, frames, lost)
+            self._emit_landed_runs()
+        self._deliver(frame, corrupted)
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Fraction of elapsed time the transmitter was busy."""

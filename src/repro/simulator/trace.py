@@ -24,10 +24,16 @@ recovery metrics are :class:`Router` listeners, which publish the hooks
 each event goes to, and while only routers are attached :meth:`Tracer.emit`
 hands each hook the raw ``(time, source, event, detail)`` entry.
 
-The receiving end traces runs, not frames: a channel's
-``frames_delivered`` goes out when its run's last frame arrives, and a
-receiver's ``payloads_delivered`` when it next checkpoints.  What is
-held back meanwhile is announced with :meth:`Tracer.hold`, and
+The receiving end traces runs, not frames.  A LAMS-DLC receiver applies
+a run it took whole at its next settle — every checkpoint, Request-NAK,
+Stop-Go reading, piggybacked Stop-Go bit and teardown — and emits there the records of its
+arrivals, each stamped with its own time, after its channel's
+``frames_delivered`` of the runs that have landed; its drains go out as
+one ``payloads_delivered`` when it next checkpoints.  So each source's
+records keep their order, and every record of a receiver goes out
+before its next ``checkpoint_sent``, but records of different sources
+may come out in another order than they happened.  What is held back
+meanwhile is announced with :meth:`Tracer.hold`, and
 :meth:`Tracer.settle` has it emitted — before a suite finalizes, before
 the timeline is read, and before a ``backlog_reclaimed`` record.
 """

@@ -1,6 +1,7 @@
 """Unit tests for the tooling around the repo benchmark
 (``python3 -m bench``): the stamp its records carry and the
-``tools/bench_pairs.py`` counts comparison and claim verdicts.
+``tools/bench_pairs.py`` counts comparison and claim verdicts; and the
+verdicts of ``tools/mutants.py``.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 from repro.simulator.engine import engine_backend
@@ -18,12 +20,16 @@ def test_engine_backend_is_stamped_somewhere_real():
     assert engine_backend() in ("pure", "compiled")
 
 
-def load_bench_pairs():
+def load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
-    return bench_pairs
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def load_bench_pairs():
+    return load_tool("bench_pairs")
 
 
 def test_bench_pairs_counts_may_differ_only_where_named():
@@ -138,3 +144,31 @@ def test_bench_pairs_change_exports_a_named_revision_like_the_parent(monkeypatch
     assert bench_pairs.main(arguments) == 0
     assert exported == [("parent", "cdbdb12"), ("change", None)]
     assert "change = the index" in capsys.readouterr().out
+
+
+def test_a_mutant_whose_killer_runs_no_test_is_stale(monkeypatch, tmp_path):
+    """``tools/mutants.py``: a ``Killed-by`` id that names no test makes
+    pytest exit 4 (5 when nothing is collected); that is a stale mutant,
+    not a kill.  Any other failure kills it, a pass lets it survive."""
+    mutants = load_tool("mutants")
+    patch = tmp_path / "renamed-killer.patch"
+    patch.write_text("Mutant: a test renamed away\n"
+                     "Killed-by: tests/test_trace_runs.py::test_no_such_test\n")
+    monkeypatch.setattr(mutants, "export", lambda rev, target: target.mkdir(parents=True))
+    status = {}
+
+    def fake_run(command, **kwargs):
+        code = 0 if command[:2] == ["git", "apply"] else status["pytest"]
+        return subprocess.CompletedProcess(command, code, stdout="", stderr="")
+
+    monkeypatch.setattr(mutants.subprocess, "run", fake_run)
+    verdicts = {}
+    for code in (0, 1, 4, 5):
+        status["pytest"] = code
+        verdicts[code] = mutants.check(patch, None, tmp_path / str(code))[0]
+    assert verdicts == {0: "survived", 1: "killed", 4: "stale", 5: "stale"}
+    missing = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_trace_runs.py::test_no_such_test"],
+        cwd=mutants.REPO, capture_output=True)
+    assert missing.returncode in mutants.NOTHING_RUN

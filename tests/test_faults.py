@@ -361,6 +361,19 @@ class TestRecoveryMetrics:
         assert outage.post_recovery_delivery_delay is not None
         assert outage.post_recovery_delivery_delay >= 0.0
 
+    def test_post_recovery_delay_is_the_earliest_arrival_in_any_record(self):
+        """Link Y's run is recorded before link X's, whose first frame
+        landed earlier: the delay is X's, not the first one heard."""
+        tracer = Tracer()
+        metrics = RecoveryMetrics(tracer)
+        tracer.emit(1.0, "faults", "fault_start", kind="outage", index=0)
+        tracer.emit(2.0, "faults", "fault_end", kind="outage", index=0)
+        tracer.emit(2.5, "Y.fwd", "frames_delivered", times=[2.5], control=False, corrupted=[])
+        tracer.emit(2.1, "X.fwd", "frames_delivered", times=[2.1, 2.9], control=False,
+                    corrupted=[])
+        [outage] = metrics.outages
+        assert outage.post_recovery_delivery_delay == pytest.approx(0.1)
+
     def test_frames_lost_counted_per_outage(self):
         _, setup = self.run_outage(0.03, total_time=3.0)
         [outage] = setup.recovery.outages

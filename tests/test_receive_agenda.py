@@ -17,9 +17,12 @@ one :class:`~repro.simulator.engine.Agenda`, each item keeping the
   every arrival and every drain was its own heap entry, and of the full
   trace-record stream of seven runs (the sender's runs and the receiving
   end's run records expanded per source by ``tests/trace_runs.py::Split``),
-  recorded where every retransmission was a run of its own, and of that
+  recorded where every retransmission was a run of its own, of that
   stream with each instant's records sorted, which no same-instant rule
-  can move;
+  can move, and of it source by source, which no change to when a
+  source's records go out can move;
+- monitored or not, a link pops the same entries, and its receivers take
+  the same agenda items;
 - the instant-start rule on a planned delivery tied with another link's
   arrival;
 - ``flush()`` leaves no live drain behind, and the event budget.
@@ -32,12 +35,13 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LamsDlcConfig
 from repro.core.frames import IFrame
 from repro.core.protocol import LamsDlcEndpoint
+from repro.core.receiver import LamsReceiver
 from repro.faults import FaultPlan
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import LinkOutage
@@ -206,6 +210,10 @@ def _pump(clock, slices, log):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(HISTORIES, SLICES)
+# A planned delivery, a numbered item and a later-numbered entry at one
+# instant: the item, numbered before the instant's planned head, needs a
+# carrier of its own to run ahead of the entry.
+@example([("plan", 1.0), ("item", 0, 1.0, 1, 0.0, ()), ("foreign", 1.0, False, ())], [])
 def test_an_agenda_runs_as_one_entry_per_item(history, slices):
     sim, engine = Simulator(), spec.Engine()
     batches = _tally_batches(sim)
@@ -401,36 +409,56 @@ OUTAGES = FaultPlan.from_dict({"name": "runs", "faults": [
 
 # name -> (payloads delivered, digest of the delivered (now, payload)
 # stream, trace records, digest of the record stream, digest of the
-# record stream with each instant's records sorted).  The last was
-# recorded under the rank rule that reproduced the per-frame push counter
-# and must not move under the instant-start rule, which reorders records
-# only within one instant (docs/TUNING.md §10).  The delivered
-# stream was recorded where every arrival and every drain was a heap entry
-# of its own, and is the same with the monitors off.  The record stream is
-# the per-frame stream of ``tests/trace_runs.py``'s ``Split`` — the other
-# records in emission order, then the sender's frames per source, then
-# each source's arrivals and drains — recorded on the sender that handed
-# every retransmission over as a run of one (the count is of that
-# expanded stream); the receiving end's part was checked before against
-# the stream in which each arrival and drain was traced on its own.  All
-# but ``window1`` were recorded again (counts unchanged) when a window of
-# new frames at line rate began to pace from its accumulated departure,
+# record stream with each instant's records sorted, digest of the record
+# stream source by source).  The delivered stream was recorded where
+# every arrival and every drain was a heap entry of its own, and is the
+# same with the monitors off.  The record stream is the per-frame stream
+# of ``tests/trace_runs.py``'s ``Split`` — the other records in emission
+# order, then the sender's frames per source, then each source's arrivals
+# and drains — recorded on the sender that handed every retransmission
+# over as a run of one (the count is of that expanded stream); the
+# receiving end's part was checked before against the stream in which
+# each arrival and drain was traced on its own.  The sorted digest
+# reorders records only within one instant, which is all the instant-start
+# rule may do (docs/TUNING.md §10).  The per-source digest holds every
+# source's own records in their order, which no change to when a source's
+# records go out may move.
+#
+# All but ``window1`` were recorded again (counts unchanged) when a window
+# of new frames at line rate began to pace from its accumulated departure,
 # not from ``now + count * frame_time``: every payload arrives and is
 # delivered in the same order, up to an ulp (5.6e-16 s) earlier or later.
+# They were recorded again (counts, delivered streams and per-source
+# digests unchanged; the per-source digest is the parent's) when a traced
+# receiver's records began to go out with its next settle instead of at
+# items of their own, after other sources' records emitted meanwhile:
+# ``iframe_corrupted`` and ``error_logged`` (4 + 4 of nominal's 18 + 18,
+# bursty's 79 + 79 of 120 + 120, window64's 5 + 5 of 14 + 14), 94 of the
+# stressed receiver's 374 ``overflow_discard`` with 96 ``error_logged``
+# and 2 ``iframe_corrupted``, 2 of the outages' 34 ``iframe_corrupted``
+# with their ``error_logged``, and one corruption (``iframe_corrupted``,
+# ``error_logged``) on the ring's link 8.
 PARENT_STREAMS = {
-    "nominal": (2000, "c6498cd2067b2305", 8503, "38cc574da3c29a80", "24fbc2998be79edc"),
-    "bursty": (2000, "4ee11191e692460d", 9012, "5e0fe76fd11e0d0e", "a19d137c45561189"),
-    "outages": (4000, "1d6dbb99057dbca8", 23083, "97ec29078a855264", "f6dbf09932506d94"),
-    "stressed": (2000, "ccdff2d62bcb8517", 10459, "53e9e2e1da67c043", "2f19c92b81a32827"),
-    "window1": (2000, "5900a210ba3ffa64", 8484, "0da9219282a96930", "22677ba0859c1ab9"),
-    "window64": (2000, "dd00462a0be4b33f", 8484, "8f794f86ee41c7dc", "dea03ea534ffb3ac"),
+    "nominal": (2000, "c6498cd2067b2305", 8503, "d37f60f69b802c66", "16fbe2f57549e54c",
+               "4783625bc46d579e"),
+    "bursty": (2000, "4ee11191e692460d", 9012, "11b5284d4c1138df", "895ae76b97939432",
+              "a161910b0be112c1"),
+    "outages": (4000, "1d6dbb99057dbca8", 23083, "c11636b38caa1287", "36278cfd4552a545",
+               "aab8156430e53d26"),
+    "stressed": (2000, "ccdff2d62bcb8517", 10459, "50d74b21e03c5aa0", "f3fd8b8c149d1839",
+                "20aa6b869d506e23"),
+    "window1": (2000, "5900a210ba3ffa64", 8484, "0da9219282a96930", "22677ba0859c1ab9",
+               "efe05aa93590793a"),
+    "window64": (2000, "dd00462a0be4b33f", 8484, "3199cae914db6b25", "a8f0e9109cd33291",
+                "8426c96cd77c60d3"),
     # Re-recorded once under the instant-start rule (12 payload_accepted
     # records changed places with other links' records at two instants),
     # and once when a frame handed over on its own began to plan its
     # delivery as a run does, after every numbered entry at its instant
     # (5 payload_accepted records at three instants); every link's own
     # stream is as before.
-    "ring10": (600, "4ed30dec5b54dfdc", 9620, "26ae436ce4fff14c", "2737a83c43dda5de"),
+    "ring10": (600, "4ed30dec5b54dfdc", 9620, "2849cedf4643fdd5", "67e9536d79f5ee53",
+              "65c7be81acc2b86f"),
 }
 
 
@@ -445,17 +473,27 @@ def _by_instant(stream: list) -> list:
             for entry in sorted(tied, key=repr)]
 
 
+def _per_source(entries: list) -> list:
+    """*entries* grouped by source, each source's in emission order."""
+    sources: dict = {}
+    for entry in entries:
+        sources.setdefault(entry[1], []).append(entry)
+    return sorted(sources.items())
+
+
 def _record_digests(records: Split) -> tuple:
-    """The record count, the record stream's digest and its digest with
-    every instant's records sorted."""
+    """The record count, the record stream's digest, its digest with
+    every instant's records sorted, and its digest source by source."""
     parts = (records.others, records.sent_per_source(), records.per_source())
     sorted_parts = (_by_instant(records.others),
                     [(source, _by_instant(stream)) for source, stream in parts[1]],
                     [(source, _by_instant(stream)) for source, stream in parts[2]])
-    return len(records), _digest(parts), _digest(sorted_parts)
+    return (len(records), _digest(parts), _digest(sorted_parts),
+            _digest((_per_source(records.others), *parts[1:])))
 
 
-def _link_streams(name, monitored):
+def _build_link(name, monitored):
+    """The seeded LAMS link *name*, monitored or not, and its payloads."""
     scenario = preset("nominal")
     build, payloads = dict(seed=7), 2000
     if name == "bursty":
@@ -469,7 +507,11 @@ def _link_streams(name, monitored):
         build = dict(seed=13, overrides={"receive_queue_capacity": 96})
     elif name.startswith("window"):
         build = dict(seed=5, overrides={"batch_window": int(name[len("window"):])})
-    setup = build_simulation(scenario, "lams", run_with_invariants=monitored, **build)
+    return build_simulation(scenario, "lams", run_with_invariants=monitored, **build), payloads
+
+
+def _link_streams(name, monitored):
+    setup, payloads = _build_link(name, monitored)
     sim, receiver = setup.sim, setup.endpoint_b.receiver
     delivered, records = [], Split()
     deliver = receiver.deliver
@@ -516,6 +558,42 @@ def test_streams_match_the_parent(name):
     delivered, delivered_digest = PARENT_STREAMS[name][:2]
     assert _link_streams(name, monitored=True) == PARENT_STREAMS[name]
     assert _link_streams(name, monitored=False)[:2] == (delivered, delivered_digest)
+
+
+@pytest.mark.parametrize("name", ["nominal", "bursty", "outages", "stressed"])
+def test_a_traced_run_takes_the_untraced_runs_items(name, monkeypatch):
+    """Monitored or not, a link pops the same entries, its receivers put
+    the same items on their channels' agendas (a delivery each, and the
+    Stop-Go bit's) and deliver the same ``(now, payload)`` stream: the
+    records of a traced receiver go out with its settles, at no item of
+    their own."""
+    inserted = []
+    insert = Agenda.insert
+
+    def inserting(agenda, lane, items):
+        inserted.extend(item for item in items
+                        if isinstance(getattr(item[2], "__self__", None), LamsReceiver))
+        insert(agenda, lane, items)
+
+    monkeypatch.setattr(Agenda, "insert", inserting)
+
+    def observe(monitored):
+        inserted.clear()
+        setup, payloads = _build_link(name, monitored)
+        if setup.recovery is not None and not monitored:
+            setup.recovery.detach()  # the fault plan's listener
+        sim, receiver = setup.sim, setup.endpoint_b.receiver
+        delivered = []
+        deliver = receiver.deliver
+        receiver.deliver = lambda packet: (delivered.append((sim.now, packet)), deliver(packet))
+        FiniteBatch(sim, setup.endpoint_a, payloads).start()
+        setup.run(until=1.0)
+        assert setup.tracer.active is monitored and len(delivered) == payloads
+        return sim.event_count, len(inserted), receiver.delivered, delivered
+
+    traced = observe(True)
+    assert traced[1] > 0  # Stop-Go items
+    assert traced == observe(False)
 
 
 # -- the instant-start rule: a planned delivery ranks at the start of its instant ----

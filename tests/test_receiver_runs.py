@@ -239,9 +239,9 @@ def test_three_paths_agree(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_traced_run_taken_as_it_lands_agrees(name):
-    """Traced, a run is taken whole — its deliveries at their ranks, an
-    item only at an arrival that may bear a record, the rest waiting for
-    the next settle — and gives the specification's answers."""
+    """Traced, a run is taken whole — its deliveries at their ranks, its
+    arrivals and their records waiting for the next settle — and gives
+    the specification's answers."""
     assert played(name, "run", one=True, traced=True) == played(name, "spec", one=True)
     assert played(name, "run", traced=True) == played(name, "run")
 

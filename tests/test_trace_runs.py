@@ -23,14 +23,18 @@ checkpoint interval's drains, and only new receive-queue peaks
   time, message, detail)`` included;
 - ``ReceiverQueueBoundMonitor`` on a stressed receiver trips at the
   same ``(time, depth)`` as every queued frame's own depth, handed over
-  one at a time, says it must — at that instant — and its window shows
-  the arrivals and drains held when it tripped;
-- a listener attached mid-run hears every run decided after it.
+  one at a time, says it must — raised at the receiver's next settle —
+  and its window shows the arrivals and drains held when it tripped;
+- a listener attached mid-run hears every run decided after it;
+- a traced receiver's records, and its channel's, go out before its
+  next ``checkpoint_sent``, and the runs a channel holds are those
+  landing within a checkpoint interval of now or later.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -259,9 +263,10 @@ def test_release_record_reports_what_per_frame_records_did(frames, windows, peri
 def stressed_receiver(bounds, one_at_a_time=False):
     """A receiver slower than the line (t_proc = 1.5 t_f): its queue
     builds until Stop-Go throttles the sender.  The monitors, each
-    violation's ``(violation, clock when it was raised)``, and — frames
-    handed over one at a time, the run path unwired — every I-frame's
-    ``(arrival, depth)`` once it queued."""
+    violation's ``(violation, clock when it was raised)``, the clock at
+    each of the receiver's settles, and — frames handed over one at a
+    time, the run path unwired — every I-frame's ``(arrival, depth)`` once
+    it queued."""
     base = preset("nominal")
     scenario = base.with_(processing_time=1.5 * base.iframe_time)
     setup = build_simulation(scenario, "lams", seed=3, tracer=Tracer())
@@ -277,6 +282,13 @@ def stressed_receiver(bounds, one_at_a_time=False):
     for monitor in monitors:
         monitor.violate = violate.__get__(monitor)
     receiver = setup.endpoint_b.receiver
+    settles: list[float] = []
+
+    def settle(self):
+        settles.append(self.sim.now)
+        LamsReceiver._settle(self)
+
+    receiver.__class__ = type("Observed", (LamsReceiver,), {"__slots__": (), "_settle": settle})
     depths: list[tuple[float, int]] = []
     if one_at_a_time:
         channel = setup.link.forward
@@ -291,16 +303,17 @@ def stressed_receiver(bounds, one_at_a_time=False):
         receiver.hear(channel)
     FiniteBatch(setup.sim, setup.endpoint_a, 3000).start()
     setup.run(until=0.3)
-    return monitors, raised, depths
+    return monitors, raised, settles, depths
 
 
 def test_queue_bound_trips_where_the_per_frame_depths_cross_it():
     """On the run path the bound trips at the frame a frame-at-a-time
-    receiver's depths cross it, and then: the record of a new peak goes
-    out at its arrival's own item, not with a later settle."""
+    receiver's depths cross it, stamped with that frame's arrival; the
+    record of the new peak goes out with the receiver's next settle, and
+    the violation is raised there."""
     bounds = [1, 2, 5, 17, 40]
-    monitors, raised, _ = stressed_receiver(bounds)
-    _, _, depths = stressed_receiver([], one_at_a_time=True)
+    monitors, raised, settles, _ = stressed_receiver(bounds)
+    *_, depths = stressed_receiver([], one_at_a_time=True)
     assert max(depth for _, depth in depths) > bounds[-1]
     for monitor in monitors:
         time, depth = next((t, d) for t, d in depths if d > monitor.bound)
@@ -308,25 +321,32 @@ def test_queue_bound_trips_where_the_per_frame_depths_cross_it():
         assert (violation.time, violation.detail["depth"]) == (time, depth)
         assert violation.message == (
             f"receive queue nominal.B.rx reached {depth} frames, above the bound {monitor.bound:g}")
-    assert [now for _, now in raised] == [violation.time for violation, _ in raised]
+    for violation, now in raised:
+        assert now == min(settle for settle in settles if settle >= violation.time)
+    assert any(now > violation.time for violation, now in raised)
 
 
 def test_a_queue_bound_window_shows_the_arrivals_and_drains_before_the_peak():
-    """The violation settles the tracer before it snapshots the window:
-    the run landing and the drains since the last checkpoint, held when
-    the bound trips, follow the peak that raised it."""
-    (monitor,), _, _ = stressed_receiver([3])
+    """The violation settles the tracer before it snapshots the window.
+    The settle that raised it emitted the channel's record of the run
+    that tripped it, then the new peaks; what was still held follows the
+    peak that raised it: the landed part of the run in flight and the
+    drains since the last checkpoint, each stamped with its own first
+    time, which may come after the violation's."""
+    (monitor,), raised, _, _ = stressed_receiver([3])
     (violation,) = monitor.violations
+    [(_, now)] = raised
     lines = [line.split() for line in violation.trace_window]
     events = [line[2] for line in lines]
-    peak = events.index("rxqueue_peak") + 3  # depths 1, 2, 3, then 4
+    peak = len(events) - 1 - events[::-1].index("rxqueue_peak")
     assert lines[peak][3] == "depth=4" and lines[peak][0] == f"{violation.time:.6f}"
     assert events[peak + 1:] == ["frames_delivered", "payloads_delivered"]
+    tripped = max(k for k in range(peak) if events[k] == "frames_delivered")
+    assert set(events[tripped + 1:peak]) == {"rxqueue_peak"}  # one settle
+    assert float(lines[tripped][0]) <= violation.time  # the run that tripped it
     for line in lines[peak + 1:]:
         assert line[1] == ("nominal.fwd" if line[2] == "frames_delivered" else "nominal.B.rx")
-        assert float(line[0]) < violation.time
-    arrivals = violation.trace_window[peak + 1]
-    assert f"{violation.time!r}]" in arrivals  # up to the frame that tripped it
+        assert float(line[0]) < now
     assert "('pkt', 0, 0.0)" in violation.trace_window[-1]
 
 
@@ -621,21 +641,22 @@ def test_a_listener_settling_on_a_run_record_sees_each_frame_once():
 @pytest.mark.parametrize("load", [0.5, 1.5])
 @pytest.mark.parametrize("errors", [None, BURSTS], ids=["bernoulli", "bursts"])
 def test_a_traced_run_records_as_frames_handed_over_one_at_a_time(load, errors):
-    """A traced run is taken whole, its deliveries planned at their
-    arrivals' ranks and an item made only at each arrival that may bear a
-    record; frames handed over one at a time (the handler swapped, the
-    receiver hearing the channel again) are each applied at once.  With
-    t_proc at *load* times t_f the queue stays short or builds: the
-    records, their order and the deliveries are the same (the entries are
-    not: one at a time, every arrival is an item)."""
+    """A traced run is taken whole, as an untraced one is, its records
+    emitted at the receiver's next settle; frames handed over one at a
+    time (the handler swapped, the receiver hearing the channel again)
+    are each applied, and their records emitted, at once.  With t_proc at
+    *load* times t_f the queue stays short or builds: each source's
+    records, in their order, and the deliveries are the same (the order
+    across sources is not, nor are the entries: one at a time, every
+    arrival is an item)."""
     def observe(one_at_a_time):
         base = preset("nominal")
         setup = build_simulation(base.with_(processing_time=load * base.iframe_time), "lams",
                                  seed=3, error_model=errors)
-        records = []
+        records: dict[str, list] = {}
         setup.tracer.listeners.append(
-            lambda record: records.append((record.time, record.source, record.event,
-                                           record.detail)))
+            lambda record: records.setdefault(record.source, []).append(
+                (record.time, record.event, record.detail)))
         if one_at_a_time:
             for channel, endpoint in ((setup.link.forward, setup.endpoint_b),
                                       (setup.link.reverse, setup.endpoint_a)):
@@ -646,7 +667,91 @@ def test_a_traced_run_records_as_frames_handed_over_one_at_a_time(load, errors):
         FiniteBatch(setup.sim, setup.endpoint_a, 3000).start()
         setup.run(until=0.3)
         setup.tracer.settle()
-        assert any(event == "rxqueue_peak" for _, _, event, _ in records)
-        return records, len(setup.delivered)
+        assert any(event == "rxqueue_peak" for _, event, _ in records["nominal.B.rx"])
+        return sorted(records.items()), len(setup.delivered)
 
     assert observe(False) == observe(True)
+
+
+# -- when a traced receiver's records go out ---------------------------------------
+
+
+def traced_stressed_link(flow_control=True, fault_plan=None):
+    """A receiver at 1.5 frame times a frame under Gilbert–Elliott bursts,
+    traced (its queue peaks, corruptions, gaps and NAKs all recorded),
+    with Stop-Go on or off; 3000 payloads offered."""
+    base = preset("nominal")
+    setup = build_simulation(base.with_(processing_time=1.5 * base.iframe_time), "lams",
+                             seed=3, error_model=BURSTS, fault_plan=fault_plan, tracer=Tracer(),
+                             overrides={"flow_control_enabled": flow_control})
+    FiniteBatch(setup.sim, setup.endpoint_a, 3000).start()
+    return setup
+
+
+@pytest.mark.parametrize("flow_control", [True, False], ids=["stop-go", "no-flow-control"])
+def test_a_receivers_records_and_its_channels_precede_its_next_checkpoint(flow_control):
+    """A traced receiver applies a run it took whole at its next settle,
+    which first has its channel emit the runs that have landed: no
+    record of the receiver stamped before one of its ``checkpoint_sent``
+    goes out after it, and no ``frames_delivered`` of its channel for a
+    run that had landed before it.  Records of an arrival do go out later
+    than the arrival (at the checkpoint, a Request-NAK or Stop-Go's own
+    reading of the queue)."""
+    setup = traced_stressed_link(flow_control)
+    sim, receiver, channel = setup.sim, setup.endpoint_b.receiver, setup.link.forward
+    checkpoint, late, deferred, events = [-math.inf], [], [0], set()
+
+    def listen(record):
+        if record.source == receiver.name:
+            if record.event == "checkpoint_sent":
+                checkpoint[0] = record.time
+                return
+            events.add(record.event)
+            deferred[0] += record.time < sim.now
+            if record.time < checkpoint[0]:
+                late.append(record)
+        elif record.source == channel.name and record.detail["times"][-1] < checkpoint[0]:
+            late.append(record)
+
+    setup.tracer.listeners.append(listen)
+    setup.run(until=0.3)
+    setup.tracer.settle()
+    assert len(setup.delivered) == 3000 and late == []
+    assert {"rxqueue_peak", "iframe_corrupted", "error_logged"} <= events
+    assert deferred[0] > 50
+
+
+def test_a_channel_holds_no_landed_run_past_its_receivers_next_settle():
+    """The runs a channel holds the record of are those landing within
+    one checkpoint interval of now or later (``len(channel._held)`` stays
+    within the runs taken that do), and at each of the receiver's
+    checkpoints only runs in flight: its settle emitted the rest.
+    Outages included, where the runs handed back go out as their last
+    frame is lost."""
+    plan = FaultPlan(faults=(LinkOutage(start=0.05, duration=0.004),
+                             LinkOutage(start=0.12, duration=0.02)))
+    setup = traced_stressed_link(fault_plan=plan)
+    sim, receiver, channel = setup.sim, setup.endpoint_b.receiver, setup.link.forward
+    interval = receiver.config.checkpoint_interval
+    taken = []  # the last arrival of every run the receiver took
+    held, checkpoints = [], []  # runs held at each run taken; at each checkpoint, in flight?
+
+    def sample(log, now):
+        ends = [times[-1] for times, *_ in channel._held or ()]
+        assert all(end >= now - interval for end in ends)
+        assert len(ends) <= sum(1 for end in taken if end >= now - interval)
+        log.append(len(ends) if log is held else all(end >= now for end in ends))
+
+    def taking(self, times, frames, verdicts):
+        taken.append(times[-1])
+        LamsReceiver.on_run(self, times, frames, verdicts)
+        sample(held, sim.now)
+
+    receiver.__class__ = type("Observed", (LamsReceiver,), {"__slots__": (), "on_run": taking})
+    setup.tracer.listeners.append(lambda record: record.source == receiver.name
+                                  and record.event == "checkpoint_sent"
+                                  and sample(checkpoints, record.time))
+    setup.run(until=0.3)
+    assert len(set(setup.delivered)) == 3000 and setup.fault_injector.faults_started == 2
+    assert len(checkpoints) > 50 and all(checkpoints)
+    assert max(held) > 2

@@ -149,9 +149,8 @@ class ReferenceRecoveryMetrics:
         if detail.get("control", False):
             return
         for outage in self.outages:
-            if (
+            if outage.end is not None and time >= outage.end and (
                 outage.post_recovery_delivery_delay is None
-                and outage.end is not None
-                and time >= outage.end
+                or time - outage.end < outage.post_recovery_delivery_delay
             ):
                 outage.post_recovery_delivery_delay = time - outage.end

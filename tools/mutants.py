@@ -15,8 +15,10 @@ index (what ``git add -A`` staged) by default, ``git archive REV`` with
 ``--rev`` — the patch is applied there with ``git apply``, and each
 ``Killed-by`` test id is run with ``python -m pytest -x -q``.  The mutant
 is *killed* when every one of them fails.  A patch that no longer
-applies is reported as stale.  Exit status 1 if any mutant survives or
-is stale.  Nothing in the working tree is touched.
+applies is reported as stale, and so is one with an id that runs no
+test (pytest's exit status 4 or 5: a renamed or deleted test is not a
+kill).  Exit status 1 if any mutant survives or is stale.  Nothing in
+the working tree is touched.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 MUTANTS = REPO / "tests" / "mutants"
+# pytest's exit statuses for a usage error (an id naming no test) and
+# for no test collected.
+NOTHING_RUN = (4, 5)
 
 
 def export(rev: str | None, target: Path) -> None:
@@ -74,6 +79,8 @@ def check(patch: Path, rev: str | None, scratch: Path) -> tuple[str, str]:
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test],
             cwd=tree, env=env, capture_output=True, text=True)
+        if result.returncode in NOTHING_RUN:
+            return "stale", f"no test collected: {test}"
         if result.returncode == 0:
             survivors.append(test)
     if survivors:
