@@ -59,8 +59,12 @@ class Engine:
         self._stopped = True
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run entries in key order, none later than *until*; the clock
-        ends at *until* unless ``stop()`` ended the run."""
+        """Run entries in key order, none later than *until* (inf: no
+        bound; NaN is refused); the clock ends at a finite *until* unless
+        ``stop()`` ended the run."""
+        if until != until:
+            raise ValueError(f"cannot run until {until!r}")
+        until = None if until == float("inf") else until
         self._stopped = False
         heap = self._heap
         while heap and not self._stopped and (until is None or heap[0][0] <= until):

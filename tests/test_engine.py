@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import math
 from heapq import heappush
 
 import pytest
 
-from repro.simulator.engine import _AFTER, Agenda, SimulationError, Simulator
+from repro.simulator.engine import _AFTER, _GEN0_FLOOR, Agenda, SimulationError, Simulator
 from repro.transport.clock import AsyncioClock
 
 from . import spec
@@ -145,6 +147,33 @@ class TestScheduling:
         assert log == [2.0, 3.5, 5.0]
         assert sim.run(until=1.0) == 5.0 and sim.now == 5.0
 
+    @pytest.mark.parametrize("make", [Simulator, spec.Engine], ids=["shipped", "spec"])
+    def test_a_nan_until_is_refused(self, make):
+        """Every ``when > until`` is false for a NaN *until*, so the run
+        would have no bound (with an ``every()`` callback, none at all): it
+        raises before running anything, as a NaN delay does, and the clock
+        stays where it was."""
+        sim, log = make(), []
+        for when in (1.0, 2.0, 3.0):
+            sim.schedule_at(when, lambda: log.append(sim.now))
+        with pytest.raises(ValueError, match="nan"):
+            sim.run(until=math.nan)
+        assert log == [] and sim.now == 0.0
+        assert sim.run(until=2.0) == 2.0 and log == [1.0, 2.0]
+
+    @pytest.mark.parametrize("make", [Simulator, spec.Engine], ids=["shipped", "spec"])
+    def test_an_infinite_until_is_no_bound(self, make):
+        """``run(until=inf)`` runs what ``run()`` runs and leaves the clock
+        at the last event, not at infinity: a delay scheduled after it
+        counts from there."""
+        sim, log = make(), []
+        for when in (2.0, 5.0):
+            sim.schedule_at(when, lambda: log.append(sim.now))
+        assert sim.run(until=math.inf) == 5.0 and sim.now == 5.0
+        sim.schedule(0.5, lambda: log.append(sim.now))
+        assert sim.run(until=math.inf) == 5.5
+        assert log == [2.0, 5.0, 5.5]
+
     def test_run_until_with_empty_heap_advances_clock(self):
         sim = Simulator()
         sim.run(until=7.0)
@@ -244,6 +273,106 @@ class TestScheduling:
         assert sim.run() == 1.5
         assert log == ["before", "after"]
         assert sim.event_count == 2
+
+
+# The ways out of ``Simulator.run``, each given the simulator whose run it ends.
+def _returns(sim):
+    sim.run()
+
+
+def _reaches_until(sim):
+    sim.schedule_at(3.0, lambda: None)
+    assert sim.run(until=2.0) == 2.0
+
+
+def _stops(sim):
+    sim.schedule_at(2.0, sim.stop)
+    sim.schedule_at(3.0, lambda: None)
+    assert sim.run() == 2.0
+
+
+def _raises(sim):
+    def bang():
+        raise KeyError("bang")
+
+    sim.schedule_at(2.0, bang)
+    with pytest.raises(KeyError):
+        sim.run()
+
+
+def _runs_away(sim):
+    sim.every(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=5)
+
+
+def _runs_another_inside(sim):
+    inner, log = Simulator(), []
+    inner.schedule_at(0.5, lambda: log.append(gc.get_threshold()))
+    sim.schedule_at(2.0, inner.run)
+    sim.schedule_at(3.0, lambda: log.append(gc.get_threshold()))
+    sim.run()
+    assert log == [TestTheCollectorPolicy.RAISED] * 2
+
+
+class TestTheCollectorPolicy:
+    """docs/TUNING.md §12: while ``Simulator.run`` runs, the cyclic
+    collector's generation-0 threshold is at least ``_GEN0_FLOOR``; a
+    caller's threshold at or above it, or 0, is left alone; and the
+    caller's thresholds are back however the run ends."""
+
+    CALLER = (700, 9, 11)
+    RAISED = (_GEN0_FLOOR, 9, 11)
+
+    @pytest.fixture(autouse=True)
+    def collector(self):
+        """The caller's thresholds and switch, put back after each test."""
+        thresholds, enabled = gc.get_threshold(), gc.isenabled()
+        gc.set_threshold(*self.CALLER)
+        try:
+            yield
+        finally:
+            gc.set_threshold(*thresholds)
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+
+    @staticmethod
+    def seen(sim):
+        """Schedule a read of the thresholds at t = 1; the reads."""
+        log = []
+        sim.schedule_at(1.0, lambda: log.append(gc.get_threshold()))
+        return log
+
+    @pytest.mark.parametrize(
+        "way_out", [_returns, _reaches_until, _stops, _raises, _runs_away, _runs_another_inside],
+        ids=["return", "until", "stop", "raise", "max_events", "nested"])
+    def test_the_callers_thresholds_are_back_on_every_way_out(self, way_out):
+        """A callback sees the floor; the caller's thresholds come back."""
+        sim = Simulator()
+        log = self.seen(sim)
+        way_out(sim)
+        assert log == [self.RAISED]
+        assert gc.get_threshold() == self.CALLER
+
+    @pytest.mark.parametrize("first", [_GEN0_FLOOR, 5 * _GEN0_FLOOR, 0],
+                             ids=["at-the-floor", "above-it", "collector-off"])
+    def test_a_callers_threshold_at_or_above_the_floor_or_0_is_left_alone(self, first):
+        gc.set_threshold(first, *self.CALLER[1:])
+        sim = Simulator()
+        log = self.seen(sim)
+        sim.run()
+        assert log == [gc.get_threshold()] == [(first, *self.CALLER[1:])]
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        sim = Simulator()
+        log = []
+        sim.schedule_at(1.0, lambda: log.append(gc.isenabled()))
+        sim.run()
+        assert log == [False] and not gc.isenabled()
+        assert gc.get_threshold() == self.CALLER
 
 
 class TestTimer:
