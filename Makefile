@@ -22,8 +22,9 @@ test-deep:
 # The "same answers" set under tests/golden/: the benchmark's seed-7
 # `counts` of the four discrete-event workloads at a short window
 # (des_counts.json, tests/test_golden_counts.py, also in tier-1) and the
-# digests of E21's rows and of the `soak --seed 7 --episodes 145`
-# verdicts (verdicts.json, tools/golden.py; ~5 s on a 2-CPU host).
+# digests of the rows of E3, E4-sim, E21 and E26 and of the `soak --seed
+# 7 --episodes 145` verdicts (verdicts.json, tools/golden.py; ~15 s on a
+# 2-CPU host, E26 ~9 s and E4-sim ~4 s of it).
 # `make golden` fails if any moved; `make golden-bless` rewrites both
 # files and prints each key that moved.  A change that moves one by
 # design runs golden-bless and names the key.
@@ -38,7 +39,7 @@ golden-bless:
 # Re-check the hand mutants (tools/mutants.py): each
 # tests/mutants/<name>.patch is applied to a scratch export of the index
 # (what `git add -A` staged) and the test it names must fail there.
-# Fails if any mutant survives or no longer applies.  43 patches, one of
+# Fails if any mutant survives or no longer applies.  47 patches, one of
 # them in the specification (tests/spec/), a few minutes on a 2-vCPU
 # host; CI runs it after tier-1.
 mutants:

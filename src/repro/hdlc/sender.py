@@ -16,7 +16,8 @@ Implements the checkpoint/poll discipline the analysis models:
 - Poll-timer expiry (the response was lost, or everything after a loss
   vanished) retransmits the oldest unacknowledged frame with the Poll
   bit — the paper's timeout recovery whose cost is the ``alpha``-laden
-  retransmission period.
+  retransmission period.  Whenever frames are held and nothing can be
+  sent, the poll timer runs.
 
 In Go-Back-N mode (``config.selective = False``) a REJ rolls the send
 state back and everything from N(R) is retransmitted in order.
@@ -88,6 +89,11 @@ class HdlcSender(BufferedSender):
             # Poll bit and no timer interaction: these are opportunistic
             # extra copies, not recovery actions.
             self._emit_stutter()
+        elif buffer.items and not self._timer.running:
+            # Frames are held and nothing can go: the poll timer must run.
+            # (An RR can acknowledge the queued frame that was to carry the
+            # Poll bit, leaving the period's last frame unpolled.)
+            self._timer.start(self.config.timeout)
 
     def _window_open(self) -> bool:
         """A packet is pending and V(S) has not exhausted the window."""

@@ -5,15 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import Phase, settings
 
-from repro.simulator import (
-    BernoulliChannel,
-    FullDuplexLink,
-    PerfectChannel,
-    Simulator,
-    StreamRegistry,
-    Tracer,
-)
-from repro.workloads import LinkScenario
+from repro.simulator import Simulator, Tracer
 
 # Hypothesis profiles.  ``tier1``, loaded here, derandomizes every
 # property test and keeps no example database: each run draws the same
@@ -48,43 +40,3 @@ def sim() -> Simulator:
 def tracer() -> Tracer:
     """A tracer with the timeline recording enabled."""
     return Tracer(record_timeline=True)
-
-
-@pytest.fixture
-def perfect_link(sim: Simulator) -> FullDuplexLink:
-    """100 Mbps, 10 ms one-way, error-free link."""
-    return FullDuplexLink(
-        sim,
-        bit_rate=100e6,
-        propagation_delay=0.010,
-        name="test",
-        iframe_errors=PerfectChannel(),
-        cframe_errors=PerfectChannel(),
-        streams=StreamRegistry(seed=1),
-    )
-
-
-def make_lossy_link(
-    sim: Simulator,
-    iframe_ber: float = 1e-6,
-    cframe_ber: float = 1e-8,
-    seed: int = 1,
-    bit_rate: float = 100e6,
-    delay: float = 0.010,
-) -> FullDuplexLink:
-    """A link with Bernoulli bit errors on both directions."""
-    return FullDuplexLink(
-        sim,
-        bit_rate=bit_rate,
-        propagation_delay=delay,
-        name="lossy",
-        iframe_errors=BernoulliChannel(iframe_ber),
-        cframe_errors=BernoulliChannel(cframe_ber),
-        streams=StreamRegistry(seed=seed),
-    )
-
-
-@pytest.fixture
-def nominal_scenario() -> LinkScenario:
-    """The paper's nominal operating point."""
-    return LinkScenario()

@@ -4,23 +4,22 @@ Every sender family takes a stretch of packets in one call, and the
 sources, the session manager and the DES conformance backend offer
 through it.  Its outcome must be that of ``for p in packets: if not
 accept(p): break`` in every respect.  Each history here is played on two
-copies of one sender: one offered to the shipped way, the other one
-packet at a time by the sources' per-packet loops
-(``tests/baseline_sender_reference.py``) — a baseline sender through its
-per-packet ``accept`` as it was, a LAMS-DLC sender (``lams``) as the
-specification's (``tests/spec/``) at a window of four, and (``lams-own``)
-as the shipped sender's own ``accept``, one call a packet.  After every
+senders: the shipped one, offered to the shipped way, and one offered a
+packet at a time by the sources' per-packet loops (:class:`Refill`,
+``Side.batch``) — for a baseline family the specification's sender
+(``tests/spec/hdlc.py``, ``tests/spec/nbdt.py``), for a LAMS-DLC sender
+(``lams``) the specification's at a window of four, and (``lams-own``)
+the shipped sender's own ``accept``, one call a packet.  After every
 step the two must agree, compared with ``==``: the pending queue, the
 outstanding frames and the counters, the ``sendbuf`` gauge, the frames
 on the channel, the source's ``offered`` / ``refused`` and how often it
-called ``make_packet``; but for all but the specification also the simulator's
-event count and the trace records with acceptances expanded to one
-tuple per payload, and for the baselines their columns.
+called ``make_packet``; for the baselines and ``lams-own`` also the
+trace records, with acceptances expanded to one tuple per payload, and
+for ``lams-own`` the simulator's event count.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import count
 from types import SimpleNamespace
 from typing import Any
@@ -42,10 +41,10 @@ from repro.simulator.engine import Simulator
 from repro.simulator.trace import Tracer
 from repro.workloads.generators import FiniteBatch, SaturatedSource
 
-from . import baseline_sender_reference, spec
-from .baseline_sender_reference import (
-    ReferenceFiniteBatch, ReferenceSaturatedSource, accept_each, buffered_accept,
-)
+from . import spec
+from .spec.hdlc import HdlcSender as SpecHdlc
+from .spec.nbdt import NbdtSender as SpecNbdt
+from .test_baseline_senders import accept_each, view
 from .test_sender_window import FRAME_TIME, RTT, StubChannel, sender_view
 from .trace_runs import expand
 
@@ -62,30 +61,53 @@ def make_config(family: str, capacity):
                       selective=family == "hdlc", send_buffer_capacity=capacity)
 
 
+class Refill(SaturatedSource):
+    """``SaturatedSource`` with its per-packet refill loop."""
+
+    def _tick(self, chain: int) -> None:
+        if chain != self._chain or not self._running:
+            return
+        if self.limit is not None and self.offered >= self.limit:
+            self._running = False
+            return
+        if self.backlog_fn() < self.low_water:
+            budget = self.chunk if self.limit is None else min(self.chunk,
+                                                               self.limit - self.offered)
+            for _ in range(budget):
+                if not self.target.accept(self.make_packet(self.offered + self.refused,
+                                                           self.sim.now)):
+                    self.refused += 1
+                    break
+                self.offered += 1
+        self.sim.schedule(self.poll_interval, self._tick, chain)
+
+
 class Side:
     """One sender on its own engine, stub channel and tracer, offered to
     the shipped way (``shipped``) or one packet at a time."""
 
     def __init__(self, family: str, config: Any, shipped: bool, source) -> None:
         self.family, self.lams = family, family.startswith("lams")
-        self.spec = family == "lams" and not shipped
+        self.spec = family != "lams-own" and not shipped
         self.sim = sim = spec.Engine() if self.spec else Simulator()
         self.tracer = Tracer()
         self.log: list[tuple] = []
         self.tracer.listeners.append(self._on_record)
+        self.channel = StubChannel(sim, RTT / 2)
         if self.lams:
-            self.channel = StubChannel(sim, RTT / 2)
             self.sender = (spec.Sender(sim, config, self.channel, RTT) if self.spec else
                            LamsSender(sim, config, self.channel, RTT, tracer=self.tracer))
         else:
-            self.channel = baseline_sender_reference.StubChannel(
-                sim, config.iframe_bits / FRAME_TIME, 2 * FRAME_TIME)
-            kind = NbdtSender if family.startswith("nbdt") else HdlcSender
-            self.sender = kind(sim, config, self.channel, tracer=self.tracer)
+            nbdt = family.startswith("nbdt")
+            if self.spec:
+                self.sender = (SpecNbdt if nbdt else SpecHdlc)(sim, config, self.channel)
+                self.log = self.sender.log
+            else:
+                self.sender = (NbdtSender if nbdt else HdlcSender)(
+                    sim, config, self.channel, tracer=self.tracer)
         self.shipped = shipped
         # Offered one packet at a time: a target with ``accept`` only.
-        self.target = self.sender if shipped else SimpleNamespace(
-            accept=self.sender.accept if self.lams else partial(buffered_accept, self.sender))
+        self.target = self.sender if shipped else SimpleNamespace(accept=self.sender.accept)
         self.made = 0
         self._serial = count()  # tells apart the packets of repeated batches
         self.offers: list[int] = []
@@ -94,7 +116,7 @@ class Side:
         self.sender.start()
         if source is not None:
             chunk, low_water, poll, limit = source
-            kind = SaturatedSource if shipped else ReferenceSaturatedSource
+            kind = SaturatedSource if shipped else Refill
             self.source = kind(
                 sim, self.target, backlog_fn=lambda: self.sender.pending_count,
                 low_water=low_water, chunk=chunk, poll_interval=poll * FRAME_TIME,
@@ -129,22 +151,19 @@ class Side:
             self.offers.append(accept_each(self.target.accept, packets))
 
     def batch(self, n: int) -> None:
-        kind = FiniteBatch if self.shipped else ReferenceFiniteBatch
-        batch = kind(self.sim, self.target, n, make_packet=self.make_packet)
-        batch.start()
-        self.batches.append((batch.offered, batch.refused))
+        if self.shipped:
+            batch = FiniteBatch(self.sim, self.target, n, make_packet=self.make_packet)
+            batch.start()
+            self.batches.append((batch.offered, batch.refused))
+        else:  # its per-packet loop: a refused packet is counted and the next offered
+            outcomes = [self.target.accept(packet) for packet in self.packets(n)]
+            self.batches.append((outcomes.count(True), outcomes.count(False)))
 
     def hold(self) -> None:
-        if self.lams:
-            self.channel.busy = True
-        else:
-            self.channel.busy += 1
+        self.channel.busy = True
 
     def release(self) -> None:
-        if self.lams:
-            self.channel.idle()
-        elif self.channel.busy:
-            self.channel._sent()
+        self.channel.idle()
 
     def acknowledge(self, nak: bool) -> None:
         """Resolve everything sent so far (a NAK of the oldest live frame
@@ -152,15 +171,14 @@ class Side:
         sender, now = self.sender, self.sim.now
         if self.lams:
             live = [frame[0] for frame in sender_view(sender)["outstanding"]]
-            sender.on_checkpoint(CheckpointFrame(
+            return sender.on_checkpoint(CheckpointFrame(
                 cp_index=0, issue_time=now + RTT, naks=tuple(live[:1]) if nak else (),
                 frontier=sender.iframes_sent - 1), False)
-            return
-        buffer = sender.buffer
+        top = sender.next_seq if self.spec else sender.buffer.next_index
         if self.family.startswith("nbdt"):
-            sender.on_report(NbdtReport(cumulative=0, highest_seen=buffer.next_index - 1), False)
+            sender.on_report(NbdtReport(cumulative=0, highest_seen=top - 1), False)
         else:
-            sender.on_rr(RrFrame(nr=buffer.space.seq_of(buffer.next_index)), False)
+            sender.on_rr(RrFrame(nr=top % sender.config.modulus), False)
 
     def stop_go(self, stop: bool) -> None:
         if self.lams:
@@ -170,7 +188,7 @@ class Side:
         self.sender.stop()
 
     def start(self) -> None:
-        if not self.lams and not self.sender._started:
+        if not self.lams and not getattr(self.sender, "started" if self.spec else "_started"):
             self.sender.start()
 
     # -- what is compared ----------------------------------------------------
@@ -180,26 +198,14 @@ class Side:
         state = dict(
             made=self.made, offers=self.offers, batches=self.batches,
             source=None if self.source is None else (self.source.offered, self.source.refused),
-            now=self.sim.now)
-        if self.lams:
-            state.update(sender_view(sender), runs=[
-                (when, list(map(repr, frames))) for when, frames in self.channel.runs])
-            if self.family == "lams":
-                return state
-        else:
-            buffer, gauge = sender.buffer, sender._sendbuf
-            state.update(
-                pending=list(buffer._pending), sent=(sender.iframes_sent, sender.retransmissions),
-                counters=(buffer.enqueued_total, buffer.refused_total, buffer.peak_occupancy),
-                items=buffer.items, arrivals=buffer.arrivals, first_sends=buffer.first_sends,
-                retx=buffer.retx, base=buffer.base, live=buffer.live, monotone=buffer.monotone,
-                gauge=None if gauge is None else (
-                    gauge.mean(), gauge.maximum, gauge._area, gauge._level, gauge._last_time),
-                frames=list(map(repr, self.channel.frames)), started=sender._started,
-                timer=sender._timer.deadline)
-            if self.family.startswith("nbdt"):
-                state.update(phase=(sender._phase_new_remaining, sender._awaiting_report))
-        return dict(state, events=self.sim.event_count, log=self.log)
+            now=self.sim.now, log=self.log,
+            runs=[(when, list(map(repr, frames))) for when, frames in self.channel.runs])
+        if not self.lams:
+            return dict(state, **view(sender))
+        state.update(sender_view(sender), events=self.sim.event_count)
+        if self.spec:  # no trace records, and an event count of its own
+            del state["log"], state["events"]
+        return state
 
 
 class AcceptRig:

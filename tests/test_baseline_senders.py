@@ -1,18 +1,21 @@
-"""The SR-HDLC/GBN and NBDT senders against their parents.
+"""The SR-HDLC/GBN and NBDT senders against the specification's.
 
-``tests/baseline_sender_reference.py`` holds the record-per-frame
-senders and the rig; every rig step ends with the full comparison
-(frames, trace records, timer deadline, counters, holding-time sum to
-the bit, occupancy, peak, outstanding records, ``held_payloads()``), so
-the histories here only have to steer.  Then whole runs: the runner's
-outcome dicts must not change when the reference senders are swapped
-in, and every baseline now reports its sending-buffer gauge and
+:class:`BaselineRig` drives a shipped sender on the simulator and the
+specification's (``tests/spec/hdlc.py``, ``tests/spec/nbdt.py``: a dict
+buffer keyed by a non-circular number) on its own engine, each on the
+specification's channel.  Every step ends with the full comparison, with
+``==``: the frames on the channel, the trace records, the armed timer
+deadline, the counters, the holding-time sum to the bit, occupancy,
+peak, outstanding frames and ``held_payloads()`` (:func:`view`), so the
+histories here only have to steer.  Then whole runs: the runner's
+outcome dicts must not change when the specification's senders are
+swapped in, and every baseline reports its sending-buffer gauge and
 holding-time samples.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import takewhile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,15 +27,23 @@ from repro.hdlc import protocol as hdlc_protocol
 from repro.hdlc.config import HdlcConfig
 from repro.hdlc.frames import RejFrame, RrFrame, SrejFrame
 from repro.hdlc.receiver import HdlcReceiver
+from repro.hdlc.sender import HdlcSender
+from repro.hdlc.window import window_offset
 from repro.nbdt import protocol as nbdt_protocol
 from repro.nbdt.config import NbdtConfig
 from repro.nbdt.frames import NbdtReport
 from repro.nbdt.receiver import NbdtReceiver
+from repro.nbdt.sender import NbdtSender
+from repro.simulator.engine import Simulator
+from repro.simulator.errormodel import PerfectChannel
+from repro.simulator.rng import StreamRegistry
+from repro.simulator.trace import SampleStat, Tracer
 from repro.workloads import build_simulation, preset
 from repro.workloads.generators import SaturatedSource
 
-from . import baseline_sender_reference as reference
-from .baseline_sender_reference import BaselineRig
+from . import spec
+from .spec.hdlc import HdlcSender as SpecHdlc, Held
+from .spec.nbdt import NbdtSender as SpecNbdt
 
 MODES = {
     "sr": dict(selective=True),
@@ -42,6 +53,134 @@ MODES = {
     "nbdt-multiphase": dict(mode="multiphase"),
 }
 DYADIC = 1 / 64  # an I-frame time with exact multiples; the timeout is four
+
+
+def accept_each(accept, packets) -> int:
+    """``for p in packets: if not accept(p): break``, counting acceptances."""
+    return sum(1 for _ in takewhile(accept, packets))
+
+
+def view(sender) -> dict:
+    """What a baseline sender holds and has counted, read alike off the
+    shipped sender's columns, gauge and holding-time statistic and off the
+    specification's dict buffer and per-frame lists.  A frame's number is
+    absolute; the shipped N(S) are read against V(A) by ``window_offset``."""
+    if isinstance(sender, Held):
+        holding = SampleStat("holding_time")
+        for sample in sender.holdings:
+            holding.add(sample)
+        frames = [(number, f.payload, f.enqueue_time, f.first_send, f.retransmit_count,
+                   f.last_send) for number, f in sender.buffer.items()]
+        offsets = [number - sender.base for number in sender.buffer] \
+            if isinstance(sender, SpecHdlc) else None
+        counts = (sender.enqueued, sender.refused, sender.peak_occupancy, sender.holding_sum,
+                  sender.next_seq, sender.timer.deadline)
+        gauge, phase = sender.gauge, (getattr(sender, "phase_new_remaining", None),
+                                      getattr(sender, "awaiting_report", None))
+    else:
+        buffer, outstanding = sender.buffer, list(sender.buffer.outstanding_frames())
+        holding = sender.tracer.samples.get(f"{sender.name}.holding_time", SampleStat(""))
+        last_sends = getattr(sender, "_last_sends", buffer.first_sends)
+        frames = [(f.transmit_index, f.payload, f.enqueue_time, f.first_send_time,
+                   f.retransmit_count, last_sends[f.transmit_index - buffer.base])
+                  for f in outstanding]
+        va, modulus = buffer.space.seq_of(buffer.base), buffer.space.modulus
+        offsets = [window_offset(va, f.seq, modulus) for f in outstanding] \
+            if isinstance(sender, HdlcSender) else None
+        counts = (buffer.enqueued_total, buffer.refused_total, buffer.peak_occupancy,
+                  buffer.holding_time_sum, buffer.next_index, sender._timer.deadline)
+        gauge, phase = sender._sendbuf, (getattr(sender, "_phase_new_remaining", None),
+                                         getattr(sender, "_awaiting_report", None))
+    return dict(
+        occupancy=(sender.occupancy, sender.unresolved_count, sender.pending_count),
+        held=sender.held_payloads(), frames=frames, offsets=offsets, counts=counts,
+        phase=phase, mean_holding=sender.mean_holding_time,
+        sent=(sender.iframes_sent, sender.retransmissions, sender.releases, sender.polls_sent,
+              sender.timeouts, getattr(sender, "stutter_transmissions", None),
+              getattr(sender, "reports_received", None)),
+        holding=(holding.count, holding._mean, holding._m2, holding.minimum, holding.maximum),
+        gauge=gauge and (gauge._area, gauge.maximum, gauge._last_time, gauge._level))
+
+
+class Line(spec.Channel):
+    """The specification's FIFO channel, error-free and heard by nobody,
+    keeping every frame it is handed."""
+
+    def __init__(self, engine, bit_rate: float, delay: float) -> None:
+        super().__init__(engine, "stub", bit_rate, delay, PerfectChannel(), PerfectChannel(),
+                         StreamRegistry())
+        self.receiver = lambda frame, corrupted: None
+        self.frames: list = []
+
+    def send(self, frame) -> None:
+        self.frames.append(frame)
+        super().send(frame)
+
+
+class BaselineRig:
+    """A shipped baseline sender and the specification's, driven through
+    one history.  An I-frame takes *frame_time* to serialize and twice
+    that to propagate.  With a dyadic *frame_time* (and timeout) every
+    instant is exact, so "exactly one timeout after the last send"
+    happens; with any other, float sums depend on their order."""
+
+    def __init__(self, config, frame_time: float) -> None:
+        self.family = "hdlc" if isinstance(config, HdlcConfig) else "nbdt"
+        self.config, self.frame_time, self.offered = config, frame_time, 0
+        shipped, specified = {"hdlc": (HdlcSender, SpecHdlc),
+                              "nbdt": (NbdtSender, SpecNbdt)}[self.family]
+        bit_rate = config.iframe_bits / frame_time
+        self.sim, self.engine, self.tracer, self.records = Simulator(), spec.Engine(), Tracer(), []
+        self.tracer.listeners.append(
+            lambda r: self.records.append((r.time, r.source, r.event, r.detail)))
+        self.sender = shipped(self.sim, config, Line(self.sim, bit_rate, 2 * frame_time),
+                              tracer=self.tracer)
+        self.spec = specified(self.engine, config, Line(self.engine, bit_rate, 2 * frame_time))
+        self.check()
+
+    def both(self, step) -> None:
+        """Apply *step* to both senders: same result, or the same refusal."""
+        outcomes = []
+        for sender in (self.sender, self.spec):
+            try:
+                outcomes.append(("returned", step(sender)))
+            except RuntimeError as exc:
+                outcomes.append(("raised", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        self.check()
+
+    def offer(self, count: int) -> None:
+        for _ in range(count):
+            self.both(lambda sender, payload=self.offered: sender.accept(payload))
+            self.offered += 1
+
+    def run(self, seconds: float) -> None:
+        until = self.engine.now + seconds
+        self.sim.run(until=until)
+        self.engine.run(until=until)
+        self.check()
+
+    def expire(self) -> None:
+        """Run to the armed poll / report deadline, firing the timer."""
+        if self.spec.timer.deadline is not None:
+            self.run(self.spec.timer.deadline - self.engine.now)
+
+    def response(self, handler: str, frame, corrupted: bool) -> None:
+        self.both(lambda sender: getattr(sender, handler)(frame, corrupted))
+
+    def start(self) -> None:
+        self.both(lambda sender: sender.start())
+
+    def live_numbers(self) -> list[int]:
+        """N(S) (HDLC) or frame ids (NBDT) of the unacknowledged frames."""
+        hdlc = self.family == "hdlc"
+        return [number % self.config.modulus if hdlc else number for number in self.spec.buffer]
+
+    def check(self) -> None:
+        assert self.sim.now == self.engine.now
+        assert self.sender.data_channel.frames == self.spec.channel.frames
+        assert self.records == self.spec.log
+        assert view(self.sender) == view(self.spec)
 
 
 def make_rig(mode: str, window: int = 4, capacity=None, frame_time: float = DYADIC):
@@ -90,8 +229,7 @@ def hdlc_number(rig: BaselineRig, kind: str, number: int) -> int:
     if kind in ("ack", "live") and live:
         return (live[number % len(live)] + (kind == "ack")) % modulus
     if kind == "relative":
-        va = rig.reference.sender.window.va
-        return (va - 2 + number % (rig.config.window_size + 5)) % modulus
+        return (rig.spec.base - 2 + number % (rig.config.window_size + 5)) % modulus
     return number % (2 * modulus)  # M and above included
 
 
@@ -100,7 +238,7 @@ def nbdt_id(rig: BaselineRig, kind: str, number: int) -> int:
     live = rig.live_numbers()
     if kind in ("ack", "live") and live:
         return live[number % len(live)]
-    top = rig.reference.sender._next_fid
+    top = rig.spec.next_seq
     if kind == "relative":
         return max(-1, top - 1 - number % 3)
     return number % (top + 3) - 1
@@ -124,14 +262,13 @@ def report_at_the_guard(rig: BaselineRig, number: int, corrupted: bool) -> None:
     fid = live[number % len(live)]
     report = NbdtReport(cumulative=0, highest_seen=fid, missing=(fid,))
     rig.response("on_report", report, False)
-    outstanding = rig.reference.sender._outstanding
     for _ in range(8):  # the channel may be busy for a few frames
-        record = outstanding.get(fid)
-        if record is None or record.retransmit_count:
+        frame = rig.spec.buffer.get(fid)
+        if frame is None or frame.retransmit_count:
             break
         rig.run(rig.frame_time)
-    if record is not None and record.retransmit_count:
-        rig.run(max(0.0, record.last_send_time + rig.config.timeout - rig.reference.sim.now))
+    if frame is not None and frame.retransmit_count:
+        rig.run(max(0.0, frame.last_send + rig.config.timeout - rig.engine.now))
     rig.response("on_report", report, corrupted)
 
 
@@ -141,8 +278,10 @@ def play(rig: BaselineRig, step: tuple) -> None:
         rig.offer(step[1])
     elif kind == "run":
         rig.run(step[1] * rig.frame_time)
-    elif kind in ("expire", "stop", "start"):
-        getattr(rig, kind)()
+    elif kind == "expire":
+        rig.expire()
+    elif kind in ("stop", "start"):
+        rig.both(lambda sender: getattr(sender, kind)())
     elif kind == "rr":
         rig.response("on_rr", RrFrame(nr=hdlc_number(rig, *step[1]), final=step[2]), step[3])
     elif kind == "rej":
@@ -166,6 +305,8 @@ def play(rig: BaselineRig, step: tuple) -> None:
     data=st.data(),
 )
 def test_sender_matches_its_parent(mode, window, capacity, frame_time, before_start, data):
+    """The shipped sender against the specification's (its oracle since
+    the record-per-frame parents were retired)."""
     rig = make_rig(mode, window, capacity, frame_time)
     rig.offer(before_start)
     rig.start()
@@ -189,7 +330,7 @@ def test_stutter_copies_go_round_in_transmit_order():
     rig.response("on_rr", RrFrame(nr=6, final=True), False)
     rig.offer(4)
     rig.run(7 / 64)                               # 6 7 0 1, then copies
-    assert [f.ns for f in rig.shipped.channel.frames[-7:]] == [6, 7, 0, 1, 7, 0, 1]
+    assert [f.ns for f in rig.sender.data_channel.frames[-7:]] == [6, 7, 0, 1, 7, 0, 1]
 
 
 def test_rej_requeues_in_nr_order_across_the_wrap():
@@ -202,7 +343,7 @@ def test_rej_requeues_in_nr_order_across_the_wrap():
     rig.run(6 / 64)
     rig.response("on_rej", RejFrame(nr=7, final=True), False)
     rig.run(4 / 64)
-    assert [f.ns for f in rig.shipped.channel.frames[-4:]] == [7, 0, 1, 2]
+    assert [f.ns for f in rig.sender.data_channel.frames[-4:]] == [7, 0, 1, 2]
 
 
 def test_continuous_guard_lets_a_gap_go_exactly_one_timeout_after_its_resend():
@@ -216,10 +357,10 @@ def test_continuous_guard_lets_a_gap_go_exactly_one_timeout_after_its_resend():
     rig.response("on_report", report, False)      # frame 1 resent at t = 3/64
     rig.run(1 / 64)
     rig.response("on_report", report, False)      # still in flight: held back
-    assert rig.shipped.sender.retransmissions == 1
+    assert rig.sender.retransmissions == 1
     rig.run(3 / 64)                               # now exactly one timeout on
     rig.response("on_report", report, False)
-    assert rig.shipped.sender.retransmissions == 2
+    assert rig.sender.retransmissions == 2
 
 
 def test_a_released_number_named_by_srej_is_not_requeued():
@@ -231,8 +372,25 @@ def test_a_released_number_named_by_srej_is_not_requeued():
     rig.run(4 / 64)
     rig.response("on_rr", RrFrame(nr=2), False)   # 0 and 1 released
     rig.response("on_srej", SrejFrame(nrs=(3, 0, 1), final=True), False)
-    last = rig.shipped.channel.frames[-1]
+    last = rig.sender.data_channel.frames[-1]
     assert (last.ns, last.poll) == (3, True)
+
+
+def test_held_frames_with_nothing_to_send_keep_the_poll_timer_running():
+    """A SREJ names 3, then 1: 3 goes at once, without the Poll bit, as 1
+    is to follow.  An RR then acknowledges 1, so nothing follows, and 2
+    and 3 are held with no poll out.  Section 4's sender polls on the last
+    frame of a period; here the poll timer starts instead (it stayed off,
+    and the link stalled for good)."""
+    rig = make_rig("sr")
+    rig.start()
+    rig.offer(4)
+    rig.run(4 / 64)                               # 0 (alone, polled), 1 2 3
+    rig.response("on_srej", SrejFrame(nrs=(3, 1), final=True), False)
+    rig.response("on_rr", RrFrame(nr=2), False)   # 1 acknowledged while queued
+    rig.run(5 / 64)                               # 3 leaves; one timeout later...
+    assert rig.sender.timeouts == 1
+    assert [(f.ns, f.poll) for f in rig.sender.data_channel.frames[-2:]] == [(3, False), (2, True)]
 
 
 # -- whole runs --------------------------------------------------------------------
@@ -241,6 +399,26 @@ PROTOCOLS = [
     ("lams", None), ("hdlc", None), ("gbn", None),
     ("nbdt-continuous", None), ("nbdt-multiphase", None), ("hdlc", {"stutter": True}),
 ]
+
+
+def registry_half(kind: type) -> type:
+    """The specification's sender *kind* as a registry half: built as a
+    shipped one is, its ``sendbuf`` gauge kept in the run's tracer, where
+    the runner reads it, and a stretch offered a packet at a time."""
+
+    class Half(kind):
+        def __init__(self, sim, config, data_channel, name, tracer) -> None:
+            super().__init__(sim, config, data_channel, name)
+            self.tracer = tracer
+
+        def record_occupancy(self) -> None:
+            super().record_occupancy()
+            self.tracer.level(f"{self.name}.sendbuf", self.engine.now, self.occupancy)
+
+        def accept_many(self, packets) -> int:
+            return accept_each(self.accept, packets)
+
+    return Half
 
 
 def _runs(protocol: str, overrides) -> tuple[dict, dict]:
@@ -254,28 +432,24 @@ def _runs(protocol: str, overrides) -> tuple[dict, dict]:
 @pytest.mark.parametrize("protocol,overrides", PROTOCOLS,
                          ids=[p + ("+stutter" if o else "") for p, o in PROTOCOLS])
 def test_whole_runs_equal_the_parent_senders(protocol, overrides, monkeypatch):
+    """Whole ``noisy`` runs with the specification's senders swapped in
+    (they replaced the record-per-frame parents) give the same outcome
+    dicts, the ``sendbuf`` gauge included."""
     shipped = _runs(protocol, overrides)
     for family, module, sender, receiver in (
-        ("hdlc", hdlc_protocol, reference.HdlcSender, HdlcReceiver),
-        ("nbdt", nbdt_protocol, reference.NbdtSender, NbdtReceiver),
+        ("hdlc", hdlc_protocol, SpecHdlc, HdlcReceiver),
+        ("nbdt", nbdt_protocol, SpecNbdt, NbdtReceiver),
     ):
         monkeypatch.setitem(registry._FACTORIES, family, registry.pair_factory(family))
-        registry.register_baseline(family, sender, receiver, module.ROUTES)
-    parent = _runs(protocol, overrides)
-    if protocol.startswith("nbdt"):
-        # The one difference: the parent's NBDT sender kept no gauge.
-        for key in ("sendbuf_avg", "sendbuf_max"):
-            assert math.isnan(parent[0].pop(key))
-            assert not math.isnan(shipped[0].pop(key))
-    assert shipped == parent
+        registry.register_baseline(family, registry_half(sender), receiver, module.ROUTES)
+    assert _runs(protocol, overrides) == shipped
     assert shipped[1]["completed"]
 
 
 @pytest.mark.parametrize("protocol", ["hdlc", "gbn", "nbdt-continuous", "nbdt-multiphase"])
 def test_every_baseline_reports_its_sending_buffer_and_holding_time(protocol):
     """The gauge ``measure_saturated`` reads as ``sendbuf_max`` peaks at
-    the buffer's own peak, and every release is a holding-time sample
-    (NBDT had neither)."""
+    the buffer's own peak, and every release is a holding-time sample."""
     setup = build_simulation(preset("noisy"), protocol, seed=3)
     sender = setup.endpoint_a.sender
     SaturatedSource(

@@ -1,65 +1,33 @@
-"""Direct unit tests of the HDLC sender/receiver halves via stub channels."""
+"""Direct unit tests of the HDLC sender/receiver halves: the sender on the
+rig of ``tests/test_baseline_senders.py``, the receiver on a stub channel."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.hdlc.config import HdlcConfig
 from repro.hdlc.frames import HdlcIFrame, RejFrame, RrFrame, SrejFrame
 from repro.hdlc.receiver import HdlcReceiver
-from repro.hdlc.sender import HdlcSender
 from repro.simulator.engine import Simulator
+
+from .test_baseline_senders import make_rig
 
 
 class StubChannel:
-    """Captures sends and emulates serialization-complete idle events."""
+    """Captures the receiver half's responses."""
 
-    def __init__(self, sim=None, bit_rate: float = 100e6):
-        self.sim = sim
-        self.bit_rate = bit_rate
+    def __init__(self):
         self.sent: list = []
-        self.idle_callbacks: list = []
 
     def send(self, frame):
         self.sent.append(frame)
-        if self.sim is not None:
-            self.sim.schedule(
-                frame.size_bits / self.bit_rate,
-                lambda: [cb() for cb in self.idle_callbacks],
-            )
-
-    def on_idle(self, callback):
-        self.idle_callbacks.append(callback)
-
-    @property
-    def is_idle(self):
-        return True
-
-    def transmission_time(self, frame):
-        return frame.size_bits / self.bit_rate
-
-    def propagation_delay(self, when):
-        return 0.01
 
     def drain(self):
         out, self.sent = self.sent, []
         return out
 
 
-def _config(**overrides):
-    base = dict(window_size=4, sequence_bits=3, timeout=0.05)
-    base.update(overrides)
-    return HdlcConfig(**base)
-
-
-def make_sender(sim, **overrides):
-    channel = StubChannel(sim)
-    return HdlcSender(sim, _config(**overrides), data_channel=channel), channel
-
-
 def make_receiver(sim, **overrides):
-    config = _config(**overrides)
-    channel = StubChannel(sim)
+    config = HdlcConfig(**{"window_size": 4, "sequence_bits": 3, "timeout": 0.05, **overrides})
+    channel = StubChannel()
     delivered = []
     receiver = HdlcReceiver(
         sim, config, control_channel=channel, deliver=delivered.append
@@ -72,116 +40,89 @@ def iframe(ns, poll=False, payload=None):
                       size_bits=8272, poll=poll)
 
 
+def sent(rig, count=None):
+    """``(N(S), Poll)`` of the last *count* frames the shipped sender sent."""
+    return [(f.ns, f.poll) for f in rig.sender.data_channel.frames[-count if count else 0:]]
+
+
 class TestHdlcSenderHalf:
+    """The shipped sender beside the specification's (``BaselineRig``: M = 8,
+    W = 4, a frame time of 1/64 s, a poll timeout of four)."""
+
     def test_window_limits_outstanding(self):
-        sim = Simulator()
-        sender, channel = make_sender(sim)
-        sender.start()
-        for i in range(10):
-            sender.accept(("pkt", i))
-        sim.run(until=0.01)
-        sent = [f for f in channel.drain() if isinstance(f, HdlcIFrame)]
-        assert len(sent) == 4  # window size
-        assert [f.ns for f in sent] == [0, 1, 2, 3]
+        rig = make_rig("sr")
+        rig.start()
+        rig.offer(10)
+        rig.run(4 / 64)
+        assert [ns for ns, _ in sent(rig)] == [0, 1, 2, 3]  # window size
 
     def test_last_frame_of_window_polls(self):
-        sim = Simulator()
-        sender, channel = make_sender(sim)
-        # Queue the whole batch before starting so the poll decision
-        # sees the real backlog at each send.
-        for i in range(10):
-            sender.accept(("pkt", i))
-        sender.start()
-        sim.run(until=0.01)
-        sent = channel.drain()
-        assert [f.poll for f in sent] == [False, False, False, True]
+        rig = make_rig("sr")
+        rig.offer(10)  # the whole backlog is there at each send's poll decision
+        rig.start()
+        rig.run(4 / 64)
+        assert [poll for _, poll in sent(rig)] == [False, False, False, True]
 
     def test_rr_slides_window_and_releases(self):
-        sim = Simulator()
-        sender, channel = make_sender(sim)
-        sender.start()
-        for i in range(6):
-            sender.accept(("pkt", i))
-        sim.run(until=0.01)
-        channel.drain()
-        sender.on_rr(RrFrame(nr=4, final=True), corrupted=False)
-        sim.run(until=0.02)
-        assert sender.releases == 4
-        more = [f for f in channel.drain() if isinstance(f, HdlcIFrame)]
-        assert [f.ns for f in more] == [4, 5]
+        rig = make_rig("sr")
+        rig.start()
+        rig.offer(6)
+        rig.run(4 / 64)
+        rig.response("on_rr", RrFrame(nr=4, final=True), False)
+        rig.run(2 / 64)
+        assert rig.sender.releases == 4
+        assert [ns for ns, _ in sent(rig, 2)] == [4, 5]
 
     def test_srej_retransmits_listed_frames(self):
-        sim = Simulator()
-        sender, channel = make_sender(sim)
-        sender.start()
-        for i in range(4):
-            sender.accept(("pkt", i))
-        sim.run(until=0.01)
-        channel.drain()
-        sender.on_srej(SrejFrame(nrs=(1, 2), final=True), corrupted=False)
-        sim.run(until=0.02)
-        resent = [f for f in channel.drain() if isinstance(f, HdlcIFrame)]
-        assert [f.ns for f in resent] == [1, 2]
-        assert sender.retransmissions == 2
+        rig = make_rig("sr")
+        rig.start()
+        rig.offer(4)
+        rig.run(4 / 64)
+        rig.response("on_srej", SrejFrame(nrs=(1, 2), final=True), False)
+        rig.run(2 / 64)
+        assert [ns for ns, _ in sent(rig, 2)] == [1, 2]
+        assert rig.sender.retransmissions == 2
 
     def test_repeated_srej_retransmits_again(self):
         """A second SREJ for the same N(S) after the retransmission went
         out is a legitimate re-request (the re-sent copy was lost too)
         and must trigger another copy."""
-        sim = Simulator()
-        sender, channel = make_sender(sim)
-        sender.start()
-        sender.accept(("pkt", 0))
-        sim.run(until=0.01)
-        channel.drain()
-        sender.on_srej(SrejFrame(nrs=(0,)), corrupted=False)
-        sim.run(until=0.02)
-        first = [f for f in channel.drain() if isinstance(f, HdlcIFrame)]
-        assert len(first) == 1
-        sender.on_srej(SrejFrame(nrs=(0,)), corrupted=False)
-        sim.run(until=0.03)
-        second = [f for f in channel.drain() if isinstance(f, HdlcIFrame)]
-        assert len(second) == 1
-        assert sender.retransmissions == 2
+        rig = make_rig("sr")
+        rig.start()
+        rig.offer(1)
+        rig.run(1 / 64)
+        for _ in range(2):
+            rig.response("on_srej", SrejFrame(nrs=(0,)), False)
+            rig.run(1 / 64)
+        assert sent(rig) == [(0, True)] * 3 and rig.sender.retransmissions == 2
 
     def test_poll_timeout_retransmits_oldest(self):
-        sim = Simulator()
-        sender, channel = make_sender(sim)
-        sender.start()
-        for i in range(2):
-            sender.accept(("pkt", i))
-        sim.run(until=0.3)  # several timeouts, no responses
-        assert sender.timeouts >= 1
-        frames = [f for f in channel.drain() if isinstance(f, HdlcIFrame)]
-        # Oldest unacked frame (ns=0) re-sent with poll.
-        retries = [f for f in frames if f.ns == 0]
-        assert len(retries) >= 2
-        assert any(f.poll for f in retries[1:])
+        rig = make_rig("sr")
+        rig.start()
+        rig.offer(2)
+        rig.run(20 / 64)  # several timeouts, no responses
+        assert rig.sender.timeouts >= 1
+        retries = [poll for ns, poll in sent(rig) if ns == 0]
+        assert len(retries) >= 2 and any(retries[1:])  # ns=0 again, polling
 
     def test_rej_goes_back(self):
-        sim = Simulator()
-        sender, channel = make_sender(sim, selective=False)
-        sender.start()
-        for i in range(4):
-            sender.accept(("pkt", i))
-        sim.run(until=0.01)
-        channel.drain()
-        sender.on_rej(RejFrame(nr=1, final=True), corrupted=False)
-        sim.run(until=0.02)
-        resent = [f.ns for f in channel.drain() if isinstance(f, HdlcIFrame)]
-        assert resent == [1, 2, 3]  # everything from N(R), in order
-        assert sender.releases == 1  # frame 0 cumulatively acked
+        rig = make_rig("gbn")
+        rig.start()
+        rig.offer(4)
+        rig.run(4 / 64)
+        rig.response("on_rej", RejFrame(nr=1, final=True), False)
+        rig.run(3 / 64)
+        assert [ns for ns, _ in sent(rig, 3)] == [1, 2, 3]  # everything from N(R), in order
+        assert rig.sender.releases == 1  # frame 0 cumulatively acked
 
     def test_corrupted_responses_ignored(self):
-        sim = Simulator()
-        sender, channel = make_sender(sim)
-        sender.start()
-        sender.accept(("pkt", 0))
-        sim.run(until=0.01)
-        sender.on_rr(RrFrame(nr=1), corrupted=True)
-        sender.on_srej(SrejFrame(nrs=(0,)), corrupted=True)
-        assert sender.releases == 0
-        assert sender.retransmissions == 0
+        rig = make_rig("sr")
+        rig.start()
+        rig.offer(1)
+        rig.run(1 / 64)
+        rig.response("on_rr", RrFrame(nr=1), True)
+        rig.response("on_srej", SrejFrame(nrs=(0,)), True)
+        assert (rig.sender.releases, rig.sender.retransmissions) == (0, 0)
 
 
 class TestHdlcReceiverHalf:

@@ -1,8 +1,8 @@
 """Unit tests for HDLC window arithmetic and configuration.
 
 The sender's V(A) / V(S) window is the sending buffer's columns
-(``HdlcSender.buffer``); ``TestSenderWindow`` drives it through the
-sender on a stub channel.
+(``HdlcSender.buffer``); ``tests/test_baseline_senders.py`` holds it to
+the specification's window, a dict keyed by non-circular number.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 
 from repro.hdlc.config import HdlcConfig
 from repro.hdlc.frames import HdlcIFrame, RejFrame, RrFrame, SrejFrame
-from repro.hdlc.sender import HdlcSender
 from repro.hdlc.window import ReceiverWindow, in_window, increment, window_offset
-from repro.simulator.engine import Simulator
-
-from .baseline_sender_reference import StubChannel
-
-FRAME_TIME = 1 / 1024  # far inside the default 0.1 s poll timeout
 
 
 class TestWindowArithmetic:
@@ -43,92 +37,6 @@ class TestWindowArithmetic:
     )
     def test_in_window_consistent_with_offset(self, base, seq, size):
         assert in_window(base, seq, size, 128) == (window_offset(base, seq, 128) < size)
-
-
-class SenderRig:
-    """An HDLC sender (M = 8) on a stub channel, with its window in view."""
-
-    def __init__(self, size: int) -> None:
-        self.sim = Simulator()
-        config = HdlcConfig(window_size=size, sequence_bits=3, selective=False)
-        self.channel = StubChannel(self.sim, config.iframe_bits / FRAME_TIME, 0.0)
-        self.sender = HdlcSender(self.sim, config, self.channel)
-        self.sender.start()
-
-    def send(self, count: int) -> list[int]:
-        """Offer *count* packets; the N(S) of every frame that went out."""
-        sent = len(self.channel.frames)
-        for i in range(count):
-            assert self.sender.accept(i)
-        self.sim.run(until=self.sim.now + (count + 1) * FRAME_TIME)
-        return [frame.ns for frame in self.channel.frames[sent:]]
-
-    def ack(self, nr: int) -> int:
-        """Apply RR(N(R)); how many frames it released."""
-        released = self.sender.releases
-        self.sender.on_rr(RrFrame(nr=nr), corrupted=False)
-        return self.sender.releases - released
-
-    @property
-    def va(self) -> int:
-        buffer = self.sender.buffer
-        return buffer.space.seq_of(buffer.base)
-
-    @property
-    def vs(self) -> int:
-        buffer = self.sender.buffer
-        return buffer.space.seq_of(buffer.next_index)
-
-    @property
-    def outstanding(self) -> int:
-        return len(self.sender.buffer.items)
-
-
-class TestSenderWindow:
-    def test_send_until_exhausted(self):
-        rig = SenderRig(size=3)
-        assert rig.send(5) == [0, 1, 2]
-        assert rig.outstanding == 3 and rig.sender.pending_count == 2
-
-    def test_cumulative_ack_slides(self):
-        rig = SenderRig(size=4)
-        rig.send(4)
-        assert rig.ack(3) == 3  # acks 0, 1, 2
-        assert rig.outstanding == 1
-        assert rig.send(1) == [4]  # the window is open again
-
-    def test_stale_ack_ignored(self):
-        rig = SenderRig(size=4)
-        rig.send(2)
-        assert rig.ack(2) == 2
-        assert rig.ack(2) == 0  # repeat: no progress
-        assert rig.ack(7) == 0  # insane: outside (va, vs]
-        assert (rig.va, rig.vs) == (2, 2)
-
-    def test_ack_across_wraparound(self):
-        rig = SenderRig(size=4)
-        # Advance near the wrap point.
-        for _ in range(6):
-            rig.send(1)
-            rig.ack(rig.vs)
-        assert rig.va == rig.vs == 6
-        # Send 4 more crossing the modulus.
-        assert rig.send(4) == [6, 7, 0, 1]
-        assert rig.ack(1) == 3  # acks 6, 7, 0
-        assert (rig.va, rig.outstanding) == (1, 1)
-
-    def test_holds(self):
-        rig = SenderRig(size=4)
-        rig.send(2)
-        position_of = rig.sender.buffer.position_of
-        assert position_of(0) is not None and position_of(1) is not None
-        assert position_of(2) is None
-
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            HdlcConfig(window_size=0)
-        with pytest.raises(ValueError):
-            HdlcConfig(window_size=8, sequence_bits=3, selective=False)
 
 
 class TestReceiverWindow:

@@ -66,6 +66,7 @@ from .test_engine_properties import _StubLoop
 
 LANES = 3
 DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5])  # a coarse grid: many ties
+PLANS = st.sampled_from([0.5, 1.0, 1.5, 2.5])
 
 
 class Boom(Exception):
@@ -82,13 +83,17 @@ class Boom(Exception):
 # and past the lane's tail (keyed ``_AFTER + n`` at the running entry's
 # number ``n`` — 0 at setup — and announced with ``Agenda.added``, as the
 # receiver does; ``Engine.plan`` on the specification's side);
-# ("stop",); ("raise",).  Children run when their item or entry does.
+# ("stop",); ("raise",); ("tied", delay, lane, batched): a plan, a one-item
+# add and a foreign entry at ``now + delay`` (past no tail: one instant for a
+# planned head, an item numbered before it and an entry numbered after).
+# Children run when their item or entry does.
 def _actions(children):
     return st.one_of(
         st.tuples(st.just("item"), st.integers(0, LANES - 1), DELAYS,
                   st.integers(1, 4), st.sampled_from([0.0, 0.5]), children),
         st.tuples(st.just("foreign"), DELAYS, st.booleans(), children),
-        st.tuples(st.just("plan"), st.sampled_from([0.5, 1.0, 1.5, 2.5])),
+        st.tuples(st.just("plan"), PLANS),
+        st.tuples(st.just("tied"), PLANS, st.integers(0, LANES - 1), st.booleans()),
         st.just(("stop",)),
         st.just(("raise",)),
     )
@@ -151,6 +156,10 @@ def play(clock, history, slices, drain):
                     key = _AFTER + (clock._order if running[0] else 0)
                     agenda.lanes[LANES].append((when, key, fire, (name, ())))
                     agenda.added(when, key)
+            elif kind == "tied":
+                _, delay, lane_index, batched = action
+                perform([("plan", delay), ("item", lane_index, delay, 1, 0.0, ()),
+                         ("foreign", delay, batched, ())])
             elif kind == "stop":
                 clock.stop()
             else:

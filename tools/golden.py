@@ -8,9 +8,12 @@ change to the monitored path quotes.
 ``tests/golden/verdicts.json`` holds, for each entry, a count and a
 SHA-256 digest:
 
-- ``E21``: ``repr`` of the fault-injection matrix's rows
-  (``run_experiment("E21")``), detection and declared-failure latencies
-  included;
+- ``E3``, ``E4-sim``, ``E21``, ``E26``: ``repr`` of each experiment's
+  rows (``run_experiment(id).rows``) — the holding-time model's table;
+  the simulated sending-buffer trajectories of LAMS-DLC and SR-HDLC; the
+  fault-injection matrix, detection and declared-failure latencies
+  included; the Section-4 validation table, whose rows hold the
+  simulated SR-HDLC and NBDT means beside ``eta_HDLC``;
 - ``soak-7x145``: the episode reports of ``soak --seed 7 --episodes 145``
   (every monitor verdict, violation and counter of each episode), as
   sorted-key JSON.
@@ -26,6 +29,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden" / "verdicts.json"
@@ -35,11 +39,12 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def e21() -> dict:
+def rows(experiment: str) -> dict:
+    """*experiment*'s entry: how many rows, and their digest."""
     from repro.experiments import run_experiment
 
-    rows = run_experiment("E21").rows
-    return {"rows": len(rows), "digest": _digest(repr(rows))}
+    table = run_experiment(experiment).rows
+    return {"rows": len(table), "digest": _digest(repr(table))}
 
 
 def soak() -> dict:
@@ -50,7 +55,8 @@ def soak() -> dict:
             "digest": _digest(json.dumps(result.episodes, sort_keys=True))}
 
 
-ENTRIES = {"E21": e21, "soak-7x145": soak}
+ENTRIES = {name: partial(rows, name) for name in ("E3", "E4-sim", "E21", "E26")}
+ENTRIES["soak-7x145"] = soak
 
 
 def main(argv=None) -> int:
