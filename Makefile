@@ -39,7 +39,7 @@ golden-bless:
 # Re-check the hand mutants (tools/mutants.py): each
 # tests/mutants/<name>.patch is applied to a scratch export of the index
 # (what `git add -A` staged) and the test it names must fail there.
-# Fails if any mutant survives or no longer applies.  47 patches, one of
+# Fails if any mutant survives or no longer applies.  49 patches, one of
 # them in the specification (tests/spec/), a few minutes on a 2-vCPU
 # host; CI runs it after tier-1.
 mutants:

@@ -18,7 +18,16 @@ __all__ = ["StopGoRateController"]
 
 
 class StopGoRateController:
-    """Multiplicative-decrease / additive-increase sending-rate control."""
+    """Multiplicative-decrease / additive-increase sending-rate control.
+
+    Its state is a fixed set of slots: each of an idle constellation's
+    senders applies a checkpoint's bit once per ``W_cp`` (docs/TUNING.md
+    §12).
+    """
+
+    __slots__ = ("decrease_factor", "increase_step", "min_fraction", "enabled",
+                 "rate_fraction", "min_fraction_seen", "stop_indications",
+                 "go_indications")
 
     def __init__(
         self,

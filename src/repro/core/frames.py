@@ -78,14 +78,17 @@ class IFrame:
             raise ValueError("I-frame must have positive size")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class CheckpointFrame:
     """Check-Point command / Check-Point-NAK / Enforced-NAK.
 
     Not ``frozen``, for :class:`IFrame`'s reason: on an idle link the
     periodic checkpoint *is* the traffic (all but a few hundred of a
     1000-link constellation's frames), and it should cost what an
-    I-frame costs to build.  Immutable once on the wire all the same.
+    I-frame costs to build.  For the same reason its ``__init__`` is
+    written out, checks and stores in one call (a generated one calls a
+    ``__post_init__`` for the checks).  Immutable once on the wire all
+    the same.
 
     Attributes
     ----------
@@ -129,14 +132,22 @@ class CheckpointFrame:
 
     is_control = True
 
-    def __post_init__(self) -> None:
-        if self.cp_index < 0:
+    def __init__(self, cp_index: int, issue_time: float, naks: tuple[int, ...] = (),
+                 frontier: Optional[int] = None, enforced: bool = False,
+                 stop_go: bool = False, size_bits: int = 96) -> None:
+        if cp_index < 0:
             raise ValueError("checkpoint index cannot be negative")
-        if self.size_bits <= 0:
+        if size_bits <= 0:
             raise ValueError("C-frame must have positive size")
-        naks = self.naks
         if naks and len(set(naks)) != len(naks):
             raise ValueError("duplicate sequence numbers in NAK list")
+        self.cp_index = cp_index
+        self.issue_time = issue_time
+        self.naks = naks
+        self.frontier = frontier
+        self.enforced = enforced
+        self.stop_go = stop_go
+        self.size_bits = size_bits
 
     @property
     def is_resolving_command(self) -> bool:

@@ -253,7 +253,7 @@ class LamsReceiver:
             raise RuntimeError("receiver already started")
         self._running = True
         self._checkpoint_tick = self.sim.every(
-            self._checkpoint_interval, self._emit_periodic_checkpoint)
+            self._checkpoint_interval, self._send_checkpoint)
 
     def stop(self) -> None:
         """Halt checkpoint emission (link teardown)."""
@@ -698,10 +698,9 @@ class LamsReceiver:
             # An unreadable probe; the sender's failure timer covers this.
             self.tracer.emit(self.sim.now, self.name, "request_nak_corrupted")
             return
-        naks = self._resolving_period_errors()
-        self._send_checkpoint(naks=naks, enforced=True)
+        frame = self._send_checkpoint(enforced=True)
         self.enforced_sent += 1
-        self.tracer.emit(self.sim.now, self.name, "enforced_nak", naks=len(naks))
+        self.tracer.emit(self.sim.now, self.name, "enforced_nak", naks=len(frame.naks))
 
     # -- gap / error logging -----------------------------------------------------
 
@@ -748,30 +747,32 @@ class LamsReceiver:
 
     # -- checkpoint emission ---------------------------------------------------------
 
-    def _emit_periodic_checkpoint(self) -> None:
-        self._settle_due()
-        self._send_checkpoint(self._cumulative_naks(), enforced=False)
-
-    def _cumulative_naks(self) -> tuple[int, ...]:
-        """NAK list for a periodic checkpoint; ages out reported entries."""
-        if not self._error_log:
-            return ()
-        naks = []
-        expired = []
-        depth = self._cumulation_depth
-        for seq, entry in self._error_log.items():
-            naks.append(seq)
-            entry.reports += 1
-            if entry.reports >= depth:
-                expired.append(seq)
-        for seq in expired:
-            del self._error_log[seq]
-        return tuple(naks)
-
-    def _send_checkpoint(self, naks: tuple[int, ...], enforced: bool) -> None:
-        stop_go = self.stop_indicated()
-        index = self.cp_index
+    def _send_checkpoint(self, enforced: bool = False) -> CheckpointFrame:
+        """Settle, then build and send a checkpoint: the periodic one (a
+        member of the checkpoint round calls this every ``W_cp``), carrying
+        the cumulative NAK list, or an *enforced* one, carrying every error
+        logged within the resolving period.  Returns the frame."""
         now = self.sim.now
+        if self._next_settle <= now:
+            self._settle()
+        if enforced:
+            naks = self._resolving_period_errors()
+        elif self._error_log:
+            # The cumulative NAK: every entry logged, each aged out once it
+            # has been reported C_depth times.
+            log = self._error_log
+            naks = tuple(log)
+            depth = self._cumulation_depth
+            for seq in naks:
+                entry = log[seq]
+                entry.reports += 1
+                if entry.reports >= depth:
+                    del log[seq]
+        else:
+            naks = ()
+        # stop_indicated(), settled.
+        stop_go = self._flow_control_enabled and self._depth >= self._high_watermark
+        index = self.cp_index
         frame = CheckpointFrame(
             index, now, naks, self._frontier, enforced, stop_go,
             self.config.cframe_bits(len(naks)) if naks else self._empty_cframe_bits,
@@ -787,6 +788,7 @@ class LamsReceiver:
                 index=index, naks=len(naks), enforced=enforced, stop_go=stop_go,
                 seqs=naks,
             )
+        return frame
 
     # -- delivery / flow control --------------------------------------------------------
 

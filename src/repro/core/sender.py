@@ -289,11 +289,11 @@ class LamsSender:
         if self.failed or not self._started:
             return
         # Nothing to send is decided first: it is the whole of an idle
-        # link's two calls per checkpoint (its own checkpoint leaving
-        # the channel, the peer's arriving) and touches no channel state.
-        has_retransmission = bool(self._retransmit_queue)
-        has_new = bool(self.buffer._pending) and not self.suspended
-        if not has_retransmission and not has_new:
+        # link's call per checkpoint (its own checkpoint leaving the
+        # channel; on_checkpoint calls only with work pending) and
+        # touches no channel state.
+        retransmissions = self._retransmit_queue
+        if not retransmissions and (not self.buffer._pending or self.suspended):
             return
         # Inlined SimplexChannel.is_idle (hot: runs once per idle event
         # and once per accepted packet); falls back to the public
@@ -318,14 +318,13 @@ class LamsSender:
             (not flow.enabled or flow.rate_fraction >= 1.0)
             and getattr(channel, "_is_up", True)
         )
-        if has_retransmission:
+        if retransmissions:
             # Retransmissions go first, a run of one retransmission count
             # (its iframes_sent record carries one ``retx``).
             count = 1
             if at_line_rate:
-                queue = self._retransmit_queue
-                retransmit_count = queue[0].retransmit_count
-                for job in islice(queue, 1, self._batch_window):
+                retransmit_count = retransmissions[0].retransmit_count
+                for job in islice(retransmissions, 1, self._batch_window):
                     if job.retransmit_count != retransmit_count:
                         break
                     count += 1
@@ -569,7 +568,9 @@ class LamsSender:
             # but can not send new I-frames" state.
             if not self._awaiting_enforced:
                 self._release_covered(cp)
-        self._maybe_send()
+        # Only with work pending: an idle link's checkpoint has none.
+        if self._retransmit_queue or buffer._pending:
+            self._maybe_send()
 
     def _requeue(self, position: int, cause: str) -> None:
         """Detach a window position for renumbered retransmission."""

@@ -52,7 +52,10 @@ class NbdtSender(BufferedSender):
         tracer: Optional[Tracer] = None,
     ) -> None:
         super().__init__(sim, config, data_channel, name, tracer)
-        # Frame ids owed a retransmission; the set mirrors the queue.
+        # Frame ids owed a retransmission.  The set holds the ids queued:
+        # continuous, those still in the queue; multiphase, those queued
+        # for the open phase, sent or not, so that a report arriving
+        # while the phase goes out queues each gap once per phase.
         self._retransmit_queue: deque[int] = deque()
         self._requeued: set[int] = set()
         # When each window position was last (re)sent: the in-flight guard.
@@ -112,6 +115,7 @@ class NbdtSender(BufferedSender):
             if last:
                 self._phase_new_remaining = 0
         else:
+            self._requeued.clear()  # the phase ran dry without its poll
             return
         self._emit(position, poll=last)
         if last:
@@ -121,9 +125,11 @@ class NbdtSender(BufferedSender):
         """Pop queued ids until one is still held; its position, or None."""
         buffer = self.buffer
         queue = self._retransmit_queue
+        continuous = self.config.mode == "continuous"
         while queue:
             fid = queue.popleft()
-            self._requeued.discard(fid)
+            if continuous:
+                self._requeued.discard(fid)
             position = fid - buffer.base
             if position >= 0 and buffer.items[position] is not None:
                 buffer.resend(position)
@@ -133,6 +139,7 @@ class NbdtSender(BufferedSender):
 
     def _close_phase(self) -> None:
         self._awaiting_report = True
+        self._requeued.clear()
         self._timer.start(self.config.timeout)
 
     def _nothing_else_sendable(self) -> bool:
@@ -191,8 +198,11 @@ class NbdtSender(BufferedSender):
         # gap can be re-reported while its retransmission is still in
         # flight (the report was issued before the re-sent copy could
         # arrive), so those are guarded by one timeout (>= RTT by
-        # configuration).  Multiphase reports always postdate the whole
-        # previous phase — every listed gap genuinely needs a re-send.
+        # configuration).  A multiphase report answering a poll postdates
+        # the whole phase it closed — every listed gap genuinely needs a
+        # re-send; one arriving while the next phase goes out (a report
+        # request answered after the report it replaced) adds only the
+        # gaps that phase does not hold.
         in_flight_possible = self.config.mode == "continuous"
         for fid in sorted(missing):
             position = fid - base
@@ -219,10 +229,8 @@ class NbdtSender(BufferedSender):
                 continue
             queue.append(fid)
             requeued.add(fid)
-        if self.config.mode == "multiphase":
-            requeued.clear()
-            if not queue:
-                self._begin_phase_if_idle()
+        if self.config.mode == "multiphase" and not queue:
+            self._begin_phase_if_idle()
         if self.occupancy:
             self._timer.start(timeout)
         else:

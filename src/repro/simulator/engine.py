@@ -195,7 +195,9 @@ class Timer:
         self._deadline = deadline = sim.now + delay
         carried = self._carrier_time
         if carried is None or deadline < carried:
-            self._push(deadline)
+            # No carrier, or one due after the deadline: a new carrier at
+            # the deadline, made as one surfacing short of it makes it.
+            self._surfaced(self._carrier)
 
     def restart(self, delay: float) -> None:
         """Alias of :meth:`start`; reads better at call sites that reset."""
@@ -205,14 +207,9 @@ class Timer:
         """Disarm the timer; its carrier lapses (or is reused) later."""
         self._deadline = None
 
-    def _push(self, when: float) -> None:
-        """Make ``(when, reserved sequence)`` the carrier."""
-        self._carrier_time = when
-        self._carrier = sequence = self._sequence
-        heappush(self.sim._heap, (when, sequence, self._on_surface, (sequence,)))
-
     def _surfaced(self, sequence: int) -> None:
-        """The heap entry pushed with *sequence* reached the top."""
+        """The heap entry pushed with *sequence* reached the top (or
+        :meth:`start` needs a carrier, and passes the current one's)."""
         if sequence != self._carrier:
             return  # left behind by a start that shortened the deadline
         deadline = self._deadline
@@ -222,7 +219,11 @@ class Timer:
             self._carrier_time = self._deadline = None
             self.callback()
         else:
-            self._push(deadline)
+            # Short of the deadline: ``(deadline, reserved sequence)``
+            # becomes the carrier.
+            self._carrier_time = deadline
+            self._carrier = sequence = self._sequence
+            heappush(self.sim._heap, (deadline, sequence, self._on_surface, (sequence,)))
 
 
 class Periodic:

@@ -250,7 +250,7 @@ class SimplexChannel:
                 break
             start = end
         if on_wire:
-            self._decide(frames[:on_wire], self._run_start)
+            self._complete(frames[:on_wire], self._run_start, settled=True)
         self._queue.extendleft(reversed(frames[on_wire + 1:]))
         self._run = frame
         sim = self.sim
@@ -258,20 +258,8 @@ class SimplexChannel:
         heappush(sim._heap, (end, sequence, self._complete, (frame, start)))
 
     def _start_next(self) -> None:
-        """Start the next run from the queue head, or go idle."""
+        """Start the next run from the head of the (non-empty) queue."""
         queue = self._queue
-        if not queue:
-            self._transmitting = False
-            self._run = None
-            callbacks = self.idle_callbacks
-            if len(callbacks) == 1:
-                # Single registered callback (the usual wiring): skip the
-                # defensive snapshot copy — this runs once per run.
-                callbacks[0]()
-            else:
-                for callback in list(callbacks):
-                    callback()
-            return
         self._transmitting = True
         sim = self.sim
         bit_rate = self.bit_rate
@@ -302,81 +290,107 @@ class SimplexChannel:
         sim._sequence = sequence = sim._sequence + 1
         heappush(sim._heap, (end, sequence, self._complete, (frames, start)))
 
-    def _complete(self, run: Any, start: float) -> None:
-        """The run that began at *start* has left the transmitter: decide it."""
-        if run is not self._run:
-            return  # settled: a shorter run replaced this one
-        frames = run if run.__class__ is list else (run,)
-        if self._is_up:
-            self._decide(frames, start)
-        else:
-            frame = frames[0]  # runs started or settled while down hold one frame
-            self.frames_sent += 1
-            self.busy_seconds += frame.size_bits / self.bit_rate
-            self._lose_to_outage(frame, phase="serialize")
-        self._start_next()
+    def _complete(self, run: Any, start: float, settled: bool = False) -> None:
+        """The run that began at *start* has left the transmitter: draw its
+        verdicts and schedule its deliveries — the one place corruption is
+        decided, a run of two or more through :meth:`_decide` — then start
+        the queue's next run or go idle.
 
-    def _decide(self, frames: Sequence[Transmittable], start: float) -> None:
-        """Draw verdicts for frames that left an up transmitter back to
-        back from *start*, and schedule their deliveries — the one place
-        corruption is decided.
+        *run* is a frame (a run of one) or a list of frames that left an
+        up transmitter back to back from *start*.  :meth:`settle` passes
+        the frames it pins down as *settled*: decided now, and the
+        transmitter left to it.  A run of one takes this one call from
+        its completion to the idle callbacks: an idle constellation's
+        every frame is one (docs/TUNING.md §12).
 
         The error model is looked up here, never cached: fault injection
         and instrumentation reassign it on a live channel.
         """
-        first = frames[0]
-        if first.is_control:
-            rng = self._cframe_rng
-            if rng is None:
-                rng = self._cframe_rng = self.streams.get(f"{self.name}.cframe")
-            model = self.cframe_errors
+        if run is not self._run and not settled:
+            return  # settled: a shorter run replaced this one
+        if run.__class__ is list:
+            first = run[0]
+            many = len(run) > 1
         else:
-            rng = self._iframe_rng
-            if rng is None:
-                rng = self._iframe_rng = self.streams.get(f"{self.name}.iframe")
-            model = self.iframe_errors
+            first = run
+            many = False
+        sim = self.sim
+        bit_rate = self.bit_rate
+        if not self._is_up:
+            # Runs started or settled while down hold one frame.
+            self.frames_sent += 1
+            self.busy_seconds += first.size_bits / bit_rate
+            self._lose_to_outage(first, phase="serialize")
+        else:
+            control = first.is_control
+            if control:
+                rng = self._cframe_rng
+                if rng is None:
+                    rng = self._cframe_rng = self.streams.get(f"{self.name}.cframe")
+                model = self.cframe_errors
+            else:
+                rng = self._iframe_rng
+                if rng is None:
+                    rng = self._iframe_rng = self.streams.get(f"{self.name}.iframe")
+                model = self.iframe_errors
+            if many:
+                self._decide(run, start, model, rng)
+            else:
+                # A run of one, straight-line: going through the loop of
+                # a longer run for a single frame costs constellation_1000
+                # (2000 idle channels, every checkpoint a run of one) 5-7%.
+                bits = first.size_bits
+                corrupted = model.frame_error(start, bits, rng)
+                self.frames_sent += 1
+                tx_time = bits / bit_rate
+                self.busy_seconds += tx_time
+                if corrupted:
+                    self.frames_corrupted += 1
+                delay = self._fixed_delay
+                if delay is None:
+                    delay = self.propagation_delay(start)
+                arrival = start + tx_time + delay
+                if arrival < self._last_arrival:
+                    arrival = self._last_arrival
+                self._last_arrival = arrival
+                traced = self.tracer.active
+                # A single I-frame (a lone retransmission, say) on a channel
+                # whose runs made an agenda is a run of one for a wired
+                # receiver, or joins that agenda; otherwise, and for a
+                # single control frame, it keeps the per-instant batching
+                # push, which it shares with the checkpoints of other
+                # links sent at the same instant.
+                deliver = self._deliver_traced if traced else self._deliver
+                if control or self._agenda is None:
+                    sim.push(arrival, deliver, (first, corrupted))
+                elif self._run_sink is not None:
+                    if traced:
+                        self._hold((arrival,), (corrupted,), (first,), sim._sequence + 1)
+                    self._run_sink.on_run((arrival,), (first,), (corrupted,))
+                else:
+                    self._agenda.add(self._agenda.lanes[0], arrival, deliver, (first, corrupted))
+        if settled:
+            return
+        if self._queue:
+            self._start_next()
+            return
+        self._transmitting = False
+        self._run = None
+        callbacks = self.idle_callbacks
+        if len(callbacks) == 1:
+            # Single registered callback (the usual wiring): skip the
+            # defensive snapshot copy — this runs once per run.
+            callbacks[0]()
+        else:
+            for callback in list(callbacks):
+                callback()
+
+    def _decide(self, frames: list, start: float, model: ErrorModel, rng: Any) -> None:
+        """:meth:`_complete`'s draw and schedule for a run of two or more
+        frames, their verdicts from *model* on *rng*."""
         sim = self.sim
         bit_rate = self.bit_rate
         fixed_delay = self._fixed_delay
-        if len(frames) == 1:
-            # A run of one, straight-line.  The loop below computes the
-            # same thing; going through it for a single frame costs
-            # constellation_1000 (2000 idle channels, every checkpoint a
-            # run of one) 5-7% (measurement in CHANGES.md, PR 15).
-            bits = first.size_bits
-            corrupted = model.frame_error(start, bits, rng)
-            self.frames_sent += 1
-            tx_time = bits / bit_rate
-            self.busy_seconds += tx_time
-            if corrupted:
-                self.frames_corrupted += 1
-            delay = fixed_delay
-            if delay is None:
-                delay = self.propagation_delay(start)
-            arrival = start + tx_time + delay
-            if arrival < self._last_arrival:
-                arrival = self._last_arrival
-            self._last_arrival = arrival
-            traced = self.tracer.active
-            # A single I-frame (a lone retransmission, say) on a channel whose
-            # runs made an agenda is a run of one for a wired receiver, or
-            # joins that agenda; otherwise, and for a single control
-            # frame, it keeps the per-instant batching push, which it
-            # shares with the checkpoints of other links sent at the same
-            # instant.
-            deliver = self._deliver_traced if traced else self._deliver
-            agenda = self._agenda
-            if agenda is None or first.is_control:
-                sim.push(arrival, deliver, (first, corrupted))
-                return
-            sink = self._run_sink
-            if sink is not None:
-                if traced:
-                    self._hold((arrival,), (corrupted,), (first,), sim._sequence + 1)
-                sink.on_run((arrival,), (first,), (corrupted,))
-                return
-            agenda.add(agenda.lanes[0], arrival, deliver, (first, corrupted))
-            return
         # Frame k starts where frame k-1 ended, and lands a delay later,
         # clamped so that frames cannot overtake.
         starts = []
@@ -420,7 +434,7 @@ class SimplexChannel:
         if traced:
             self._hold(times, verdicts, frames, sequence)
         sink = self._run_sink
-        if sink is not None and not first.is_control:
+        if sink is not None and not frames[0].is_control:
             sink.on_run(times, frames, verdicts)  # numbers them the same way
             return
         arrivals = agenda.lanes[0]

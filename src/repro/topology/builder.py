@@ -48,11 +48,23 @@ __all__ = [
 ]
 
 
+def _senders_held(a: Any, b: Any) -> int:
+    """What the two ends of a link hold: their senders' buffers."""
+    return a.sender.occupancy + b.sender.occupancy
+
+
+def _senders_and_queues_held(a: Any, b: Any) -> int:
+    """What the two ends of a LAMS-DLC link hold: their senders' buffers
+    and their receive queues."""
+    return (a.sender.occupancy + a.receiver.receive_queue_length
+            + b.sender.occupancy + b.receiver.receive_queue_length)
+
+
 class LinkRuntime:
     """One built link: spec, channel pair, endpoints, stats, monitors."""
 
     __slots__ = ("spec", "link", "endpoint_a", "endpoint_b", "stats",
-                 "tracer", "monitors")
+                 "tracer", "monitors", "_held")
 
     def __init__(self, spec, link, endpoint_a, endpoint_b, stats,
                  tracer=None, monitors=None) -> None:
@@ -63,19 +75,16 @@ class LinkRuntime:
         self.stats = stats
         self.tracer = tracer
         self.monitors = monitors
+        # Resolved once, read at every probe: only the LAMS receiver has
+        # a receive queue to count.
+        self._held = (_senders_and_queues_held
+                      if hasattr(endpoint_a.receiver, "receive_queue_length")
+                      else _senders_held)
 
     def buffered_payloads(self) -> int:
         """Protocol payloads currently held at either end (sender
         buffers + receiver queues) — this link's live state footprint."""
-        total = 0
-        for endpoint in (self.endpoint_a, self.endpoint_b):
-            sender = getattr(endpoint, "sender", None)
-            if sender is not None:
-                total += getattr(sender, "occupancy", 0)
-            # Only the LAMS receiver has a receive queue to count.
-            total += getattr(
-                getattr(endpoint, "receiver", None), "receive_queue_length", 0)
-        return total
+        return self._held(self.endpoint_a, self.endpoint_b)
 
     def __repr__(self) -> str:
         return f"<LinkRuntime {self.spec.name} {self.spec.a}--{self.spec.b}>"

@@ -6,8 +6,8 @@ a report covers it ("the huge memory"); the report timer only asks again.
 
 - **multiphase**: a phase of new frames, the last polling; the report;
   its gaps as the next phase, the last polling again; new frames only
-  when nothing is owed.  Each report's gaps are a phase whole: a gap is
-  queued once per report, even if an earlier report's phase still owes it.
+  when nothing is owed.  A gap is queued once per phase (a repeat report
+  adds only those it lacks); a phase ends at its poll, or running dry.
 - **continuous**: reported gaps go ahead of new frames without a pause,
   but a gap re-sent less than one timeout ago may be in flight: left alone.
 
@@ -32,7 +32,7 @@ class NbdtSender(Held):
         super().__init__(engine, config, channel, name, self.on_report_timeout)
         self.continuous = config.mode == "continuous"
         self.phase_new_remaining = 0  # multiphase: new frames the open phase still owes
-        self.awaiting_report, self.reports_received = False, 0
+        self.awaiting_report, self.reports_received, self.phase_gaps = False, 0, set()
 
     def wake(self) -> None:
         if self.started:
@@ -63,10 +63,10 @@ class NbdtSender(Held):
             if last:
                 self.phase_new_remaining = 0
         else:
-            return
+            return self.phase_gaps.clear()  # the phase ran dry
         self.send(fid, poll=last)
         if last:  # the phase is over: wait for its report
-            self.awaiting_report = True
+            self.awaiting_report, self.phase_gaps = True, set()
             self.timer.start(self.config.timeout)
 
     def send(self, fid: int, poll: bool) -> None:
@@ -97,7 +97,7 @@ class NbdtSender(Held):
         gaps = [fid for fid in sorted(missing) if fid in self.buffer and fid not in in_flight]
         tail = [fid for fid, frame in self.buffer.items()
                 if fid > report.highest_seen and not now - frame.last_send < timeout]
-        queued = set(self.retransmit) if self.continuous else set()
+        queued = set(self.retransmit) if self.continuous else self.phase_gaps
         for fid in gaps + tail:
             if fid not in queued:
                 queued.add(fid)

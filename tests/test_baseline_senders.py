@@ -363,6 +363,22 @@ def test_continuous_guard_lets_a_gap_go_exactly_one_timeout_after_its_resend():
     assert rig.sender.retransmissions == 2
 
 
+def test_a_repeat_multiphase_report_queues_each_gap_once_per_phase():
+    """Phase 0 1 2, then its report naming 0 and 1 and, while 0's
+    retransmission is on the line, a repeat of it: 0 and 1 go once each."""
+    rig = make_rig("nbdt-multiphase")
+    rig.offer(3)
+    rig.start()
+    rig.run(3 / 64)                               # the phase: 0 1 2, polling on 2
+    report = NbdtReport(cumulative=0, highest_seen=2, missing=(0, 1))
+    rig.response("on_report", report, False)      # 0 goes on the line
+    rig.run(1 / 128)
+    rig.response("on_report", report, False)      # the repeat: 0 and 1 held already
+    rig.run(4 / 64)
+    assert [f.fid for f in rig.sender.data_channel.frames[3:]] == [0, 1]
+    assert rig.sender.retransmissions == 2
+
+
 def test_a_released_number_named_by_srej_is_not_requeued():
     """A stale number left queued behind the live one would take the
     Poll bit off its retransmission."""

@@ -1,0 +1,163 @@
+"""The idle checkpoint cycle: what one of its frames costs, and the edges
+of the paths it takes (docs/TUNING.md §12).
+
+An idle LAMS-DLC link is all Check-Points.  The receiver's round member
+settles, builds and sends its frame in one call
+(``LamsReceiver._send_checkpoint``); the channel completes a run of one
+in one call, its draw, its delivery and its idle step
+(``SimplexChannel._complete``); the sender hears it, restarts its timer
+and applies the Stop-Go bit, and looks for work only when some is
+pending.  The budget test counts the Python-level calls per frame on a
+12-link ring.  The edge tests play each way off those paths, on
+``tests/test_receiver_runs.py``'s bidirectional link: untraced against
+the specification (``tests/spec/``) at a window of one, and traced, at
+the case's own window, against pinned digests of every trace record the
+run emits (taken before the paths were fused into one call each), and
+against the same run untraced.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import pytest
+
+from repro.topology import build_constellation, ring_topology
+from repro.workloads import preset
+
+from .test_receiver_runs import _case, run, window_of_one
+
+# A checkpoint tick: every receiver starts at 0 and W_cp is 5 ms.
+TICK = 0.04
+SLOW = dict(processing_time=1.5 * preset("nominal").iframe_time)
+
+EDGES = {
+    # The reverse channel goes down while one of B's checkpoints, alone
+    # on it, is on the wire (96 bits: 0.32 us at 300 Mbit/s).
+    "checkpoint-lost-serializing": _case("lost-serializing", seed=21, until=0.05,
+                                         outages=((TICK + 1e-7, 0.002, "reverse"),)),
+    # A saturates the forward channel: its receiver's checkpoints wait
+    # behind I-frame runs and leave as runs of one.
+    "checkpoint-behind-a-run": _case("behind-a-run", seed=22, payloads=1200, until=0.05),
+    "checkpoint-corrupted": _case("corrupted", seed=23, cframe_ber=5e-3, until=0.06),
+    # NAKs from I-frame errors; a reverse outage longer than the
+    # checkpoint timeout, so A probes and B answers with an Enforced-NAK.
+    "checkpoint-nak-and-enforced": _case("nak-and-enforced", seed=24,
+                                         model=("bernoulli", {"ber": 1e-5}), until=0.08,
+                                         outages=((0.02, 0.02, "reverse"),)),
+    "stop-bit": _case("stop-bit", seed=25, payloads=900, until=0.06, config=SLOW),
+    "flow-control-off": _case("flow-control-off", seed=26, payloads=900, until=0.06,
+                              config=dict(SLOW, flow_control_enabled=False)),
+}
+
+# sha256 of ``repr`` of every record a traced run of each edge emits,
+# ``(time, source, event, detail)`` in emission order.
+RECORDS = {
+    "checkpoint-lost-serializing":
+        "f65e7e5d2dd1986551790bfec41db53e7f400ff9047cb0170d23661d615eaff1",
+    "checkpoint-behind-a-run":
+        "ca8a4882c469fae14d17a7c854f291f260e3ce7bfaba3144af39c2c627a26198",
+    "checkpoint-corrupted":
+        "fbb00bdd1a774f0250377c66d7cf3797ddd685d2bc598b14868800acd9dae82f",
+    "checkpoint-nak-and-enforced":
+        "1f821fa1f51b50befaa4ebf25aa647f29d958a07ab64b56d8e619a1dff9e3330",
+    "stop-bit":
+        "bd7f4d2fbbefbb46894890453604034e2df5b654b713b987b7018e7978765929",
+    "flow-control-off":
+        "87a95b0200ee290231175837985eadd6606ade45726e1d60ce43115bb950161f",
+}
+
+
+def _queued_behind_a_run(channel) -> bool:
+    """The frame just sent is a control frame waiting behind an I-frame run."""
+    queue, on_wire = channel._queue, channel._run
+    if not queue or not queue[-1].is_control or on_wire is None:
+        return False
+    first = on_wire[0] if on_wire.__class__ is list else on_wire
+    return not first.is_control
+
+
+def traced(case: dict) -> tuple[dict, list, list]:
+    """A traced run of *case*: its outcome, its records, and for each
+    ``checkpoint_sent`` whether that checkpoint waits behind an I-frame run."""
+    records, behind = [], []
+
+    def watch(link, tracer):
+        def listen(record):
+            records.append((record.time, record.source, record.event, record.detail))
+            if record.event == "checkpoint_sent":
+                behind.append(any(map(_queued_behind_a_run, (link.forward, link.reverse))))
+
+        tracer.listeners.append(listen)
+
+    return run(case, "run", watch=watch), records, behind
+
+
+_TRACED: dict = {}
+
+
+def _traced(name: str) -> tuple[dict, list, list]:
+    if name not in _TRACED:
+        _TRACED[name] = traced(EDGES[name])
+    return _TRACED[name]
+
+
+def test_an_idle_checkpoint_frame_costs_at_most_fifteen_calls():
+    """``sys.setprofile`` "call" events over frames sent, on an idle
+    12-link ring (every frame a checkpoint) from 50 ms for 200 ms."""
+    constellation = build_constellation(ring_topology(12, name="budget-ring"), master_seed=7)
+    constellation.run(until=0.05)
+
+    def frames() -> int:
+        return sum(runtime.stats.frames_sent for runtime in constellation.links.values())
+
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sent = frames()
+    sys.setprofile(count)
+    try:
+        constellation.run(until=0.25)
+    finally:
+        sys.setprofile(None)
+    sent = frames() - sent
+    assert sent > 900
+    assert calls / sent <= 15
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_an_edge_of_the_checkpoint_cycle_agrees_with_the_specification(name):
+    case = window_of_one(EDGES[name])
+    assert run(case, "run") == run(case, "spec")
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_an_edge_of_the_checkpoint_cycle_keeps_its_records(name):
+    """Traced, the same outcome as untraced and the same records as pinned."""
+    outcome, records, _ = _traced(name)
+    assert outcome == run(EDGES[name], "run")
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == RECORDS[name]
+
+
+def test_the_edges_reach_what_they_are_named_for():
+    _, records, _ = _traced("checkpoint-lost-serializing")
+    assert any(event == "frame_lost_outage" and detail == {"phase": "serialize", "control": True}
+               for _, _, event, detail in records)
+    assert any(_traced("checkpoint-behind-a-run")[2])
+    _, records, _ = _traced("checkpoint-corrupted")
+    assert any(event == "checkpoint_corrupted" for _, _, event, _ in records)
+    outcome, records, _ = _traced("checkpoint-nak-and-enforced")
+    assert any(checkpoint[4] for checkpoint in outcome["checkpoints"])  # NAKs
+    assert any(checkpoint[6] for checkpoint in outcome["checkpoints"])  # enforced
+    assert any(event == "enforced_nak" for _, _, event, _ in records)
+    assert any(checkpoint[7] for checkpoint in _traced("stop-bit")[0]["checkpoints"])
+    off = _traced("flow-control-off")[0]
+    assert not any(checkpoint[7] for checkpoint in off["checkpoints"])
+    assert off["B"]["gauge"][1] >= 64  # the watermark: a Stop bit, were flow control on
+    assert {off[side]["sender"][2] for side in "AB"} == {1.0}
+

@@ -306,6 +306,17 @@ class TestFrames:
         with pytest.raises(ValueError):
             CheckpointFrame(cp_index=0, issue_time=0.0, naks=(1, 1))
 
+    def test_checkpoint_validation(self):
+        """A negative index or a size of zero is refused; the fields go by
+        position or by name."""
+        with pytest.raises(ValueError):
+            CheckpointFrame(cp_index=-1, issue_time=0.0)
+        with pytest.raises(ValueError):
+            CheckpointFrame(cp_index=0, issue_time=0.0, size_bits=0)
+        assert CheckpointFrame(2, 0.5, (1,), 4, True, True, 120) == CheckpointFrame(
+            cp_index=2, issue_time=0.5, naks=(1,), frontier=4, enforced=True, stop_go=True,
+            size_bits=120)
+
     def test_resolving_command_detection(self):
         resolving = CheckpointFrame(cp_index=0, issue_time=0.0, enforced=True)
         assert resolving.is_resolving_command

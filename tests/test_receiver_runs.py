@@ -65,7 +65,7 @@ def _case(kind: str, seed: int = 1, **extra) -> dict:
     nominal = preset("nominal")
     case = dict(kind=kind, seed=seed, bit_rate=nominal.bit_rate,
                 delay=nominal.one_way_delay, payload_bits=nominal.iframe_payload_bits,
-                config={}, model=("bernoulli", {"ber": 1e-6}), payloads=600,
+                config={}, model=("bernoulli", {"ber": 1e-6}), cframe_ber=1e-6, payloads=600,
                 until=0.06, outages=(), flushes=(), slices=(), delivery_interval=None)
     case.update(extra)
     return case
@@ -118,12 +118,14 @@ CASES = {
 }
 
 
-def run(case: dict, path: str, traced: bool = False) -> dict:
+def run(case: dict, path: str, traced: bool = False, watch=None) -> dict:
     """Play *case* one way (``run``, ``frame`` or ``spec``), with a listener
-    on the tracer when *traced*; what each side delivered, sent and logged."""
+    on the tracer when *traced*; what each side delivered, sent and logged.
+    *watch*, if given, is called with the built link and its tracer (not
+    on the ``spec`` path)."""
     name, params = case["model"]
     errors = [make_error_model(name, {"bit_rate": case["bit_rate"]}, **params)
-              for _ in range(2)] + [make_error_model("bernoulli", ber=1e-6)]
+              for _ in range(2)] + [make_error_model("bernoulli", ber=case["cframe_ber"])]
     config = preset("nominal").lams_config(
         iframe_payload_bits=case["payload_bits"], **case["config"])
     tracer = Tracer()
@@ -158,6 +160,8 @@ def run(case: dict, path: str, traced: bool = False) -> dict:
             deliver_b=lambda packet: (delivered["B"].append((sim.now, packet)),
                                       timeline.append("B")),
             delivery_interval_b=case["delivery_interval"])
+        if watch is not None:
+            watch(link, tracer)
     checkpoints = []
     for channel, endpoint in ((link.forward, b), (link.reverse, a)):
         if path == "frame":

@@ -305,6 +305,23 @@ def test_buffered_payloads_counts_what_each_family_holds():
     assert all(seen.values()) and max(queued) > 0, (seen, queued)
 
 
+def test_probes_of_a_mixed_family_ring_read_what_each_end_holds():
+    """Every family on one ring, probed every 250 us: each link's
+    ``peak_buffered``, from the readers resolved at build, is the value
+    read attribute by attribute at every probe (pinned)."""
+    families = ("lams", "hdlc", "nbdt-continuous", "nbdt-multiphase")
+    topo = ring_topology(8, FAST, name="mixed-ring").map_links(
+        lambda spec: spec.with_(protocol=families[int(spec.name[1:]) % 4]))
+    names = topo.node_names()
+    constellation = build_constellation(topo, master_seed=11, flows=[
+        FlowSpec(source=names[s], destination=names[(s + 2) % 8], messages=300,
+                 interval=2e-5) for s in (0, 3, 5)], horizon=0.03, probe_interval=2.5e-4)
+    constellation.run(until=0.03)
+    assert {name: runtime.stats.peak_buffered
+            for name, runtime in constellation.links.items()} == {
+        "l0": 301, "l1": 298, "l2": 0, "l3": 300, "l4": 299, "l5": 300, "l6": 64, "l7": 0}
+
+
 class TestFaultIsolation:
     def test_fault_on_one_link_cannot_shift_another(self):
         plans = {"l2": FaultPlan.single_outage(0.05, 0.05)}
