@@ -22,12 +22,14 @@ class StopGoRateController:
 
     Its state is a fixed set of slots: each of an idle constellation's
     senders applies a checkpoint's bit once per ``W_cp`` (docs/TUNING.md
-    §12).
+    §12).  While its link is parked (:mod:`repro.core.idle`) the go
+    indications of the span are owed, and reading the rate or their
+    count settles them first.
     """
 
     __slots__ = ("decrease_factor", "increase_step", "min_fraction", "enabled",
-                 "rate_fraction", "min_fraction_seen", "stop_indications",
-                 "go_indications")
+                 "_rate", "min_fraction_seen", "stop_indications",
+                 "_go", "_parked")
 
     def __init__(
         self,
@@ -46,10 +48,29 @@ class StopGoRateController:
         self.increase_step = increase_step
         self.min_fraction = min_fraction
         self.enabled = enabled
-        self.rate_fraction = 1.0
+        self._rate = 1.0
         self.min_fraction_seen = 1.0
         self.stop_indications = 0
-        self.go_indications = 0
+        self._go = 0
+        self._parked = None
+
+    @property
+    def rate_fraction(self) -> float:
+        """The sending rate, as a fraction of the line rate."""
+        if self._parked is not None:
+            self._parked.settle()
+        return self._rate
+
+    @rate_fraction.setter
+    def rate_fraction(self, value: float) -> None:
+        self._rate = value
+
+    @property
+    def go_indications(self) -> int:
+        """Go bits applied."""
+        if self._parked is not None:
+            self._parked.settle()
+        return self._go
 
     def on_stop_go(self, stop: bool) -> None:
         """Apply one checkpoint's Stop-Go bit."""
@@ -57,14 +78,12 @@ class StopGoRateController:
             return
         if stop:
             self.stop_indications += 1
-            self.rate_fraction = max(
-                self.min_fraction, self.rate_fraction * self.decrease_factor
-            )
-            if self.rate_fraction < self.min_fraction_seen:
-                self.min_fraction_seen = self.rate_fraction
+            self._rate = max(self.min_fraction, self._rate * self.decrease_factor)
+            if self._rate < self.min_fraction_seen:
+                self.min_fraction_seen = self._rate
         else:
-            self.go_indications += 1
-            self.rate_fraction = min(1.0, self.rate_fraction + self.increase_step)
+            self._go += 1
+            self._rate = min(1.0, self._rate + self.increase_step)
 
     def inter_frame_gap(self, transmission_time: float) -> float:
         """Seconds between the *starts* of consecutive I-frames.
@@ -80,7 +99,7 @@ class StopGoRateController:
 
     def reset(self) -> None:
         """Return to full rate (link re-initialisation)."""
-        self.rate_fraction = 1.0
+        self._rate = 1.0
 
     def __repr__(self) -> str:
-        return f"StopGoRateController(rate={self.rate_fraction:.3f})"
+        return f"StopGoRateController(rate={self._rate:.3f})"

@@ -57,6 +57,7 @@ from ..simulator.link import SimplexChannel
 from ..simulator.trace import Tracer
 from .config import LamsDlcConfig
 from .frames import CheckpointFrame, IFrame, RequestNakFrame
+from .idle import park
 from .seqspace import forward_distance
 
 __all__ = ["LamsReceiver", "ErrorEntry"]
@@ -115,7 +116,7 @@ class LamsReceiver:
 
     __slots__ = (
         "sim", "config", "control_channel", "expected_rtt", "name",
-        "tracer", "deliver", "delivery_interval", "cp_index", "_frontier",
+        "tracer", "deliver", "delivery_interval", "_cp_index", "_frontier",
         "_next_expected_seq", "_error_log", "_resolving_log", "_running",
         "_checkpoint_tick", "_incoming", "_drain_token", "_held",
         "_depth", "_due", "_made", "_pending", "_next_settle",
@@ -127,7 +128,7 @@ class LamsReceiver:
         "_rxqueue_stat", "_rxqueue_stat_name", "_delivered_origins",
         "_origin_prune_queue", "_received", "_corrupted", "_gaps",
         "_duplicates", "_discards", "delivered",
-        "checkpoints_sent", "enforced_sent",
+        "_checkpoints_sent", "enforced_sent", "_parked",
     )
 
     def __init__(
@@ -156,7 +157,7 @@ class LamsReceiver:
                              f"got {delivery_interval!r}")
         self.delivery_interval = delivery_interval
 
-        self.cp_index = 0
+        self._cp_index = 0
         self._frontier: Optional[int] = None
         self._next_expected_seq: Optional[int] = None
         self._error_log: dict[int, ErrorEntry] = {}
@@ -242,8 +243,10 @@ class LamsReceiver:
         self.delivered = 0
         self._discards = 0
         self._duplicates = 0
-        self.checkpoints_sent = 0
+        self._checkpoints_sent = 0
         self.enforced_sent = 0
+        # The parked link this receiver belongs to, while it is parked.
+        self._parked = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -257,6 +260,8 @@ class LamsReceiver:
 
     def stop(self) -> None:
         """Halt checkpoint emission (link teardown)."""
+        if self._parked is not None:
+            self._parked.wake()
         self._settle_due()
         self._release_delivered()
         self._running = False
@@ -280,6 +285,8 @@ class LamsReceiver:
         """
         if not isinstance(channel, SimplexChannel):
             return
+        if self._parked is not None:
+            self._parked.wake()
         self._incoming = channel
         from .protocol import LamsDlcEndpoint
 
@@ -305,6 +312,20 @@ class LamsReceiver:
         """
         return self.config.resolving_period(self.expected_rtt)
 
+    @property
+    def cp_index(self) -> int:
+        """The next checkpoint's index."""
+        if self._parked is not None:
+            self._parked.settle()
+        return self._cp_index
+
+    @property
+    def checkpoints_sent(self) -> int:
+        """Checkpoints sent, enforced ones included."""
+        if self._parked is not None:
+            self._parked.settle()
+        return self._checkpoints_sent
+
     frontier = _settled("_frontier", "The highest transmit index heard so far (None before any).")
     iframes_received = _settled("_received")
     iframes_corrupted = _settled("_corrupted")
@@ -321,6 +342,8 @@ class LamsReceiver:
         numbered entry runs), applied at once — ahead of the runs pending
         (decided while it was in flight), which are set aside and taken
         again behind it."""
+        if self._parked is not None:
+            self._parked.wake()
         sim = self.sim
         order = sim._order
         if order > sim._sequence:
@@ -338,6 +361,8 @@ class LamsReceiver:
         ``times[k]`` (nondecreasing, none before now) and corrupted when
         ``verdicts[k]``, its arrivals numbered as their items would have
         been: the run path."""
+        if self._parked is not None:
+            self._parked.wake()
         sim = self.sim
         first = sim._sequence + 1
         sim._sequence = first + len(times) - 1
@@ -693,6 +718,8 @@ class LamsReceiver:
         """Answer a (valid) Request-NAK immediately with an Enforced-NAK."""
         if not self._running:
             return  # a dead receiver answers nothing
+        if self._parked is not None:
+            self._parked.wake()
         self._settle_due()
         if corrupted:
             # An unreadable probe; the sender's failure timer covers this.
@@ -747,11 +774,12 @@ class LamsReceiver:
 
     # -- checkpoint emission ---------------------------------------------------------
 
-    def _send_checkpoint(self, enforced: bool = False) -> CheckpointFrame:
+    def _send_checkpoint(self, enforced: bool = False) -> Optional[CheckpointFrame]:
         """Settle, then build and send a checkpoint: the periodic one (a
         member of the checkpoint round calls this every ``W_cp``), carrying
         the cumulative NAK list, or an *enforced* one, carrying every error
-        logged within the resolving period.  Returns the frame."""
+        logged within the resolving period.  Returns the frame, or None
+        when the link parks instead (:mod:`repro.core.idle`)."""
         now = self.sim.now
         if self._next_settle <= now:
             self._settle()
@@ -770,15 +798,24 @@ class LamsReceiver:
                     del log[seq]
         else:
             naks = ()
+            # Nothing to report: if the peer's checkpoint of this instant
+            # is already on its way, the link may be idle, and park (on
+            # the engine itself: another clock keeps every frame).
+            incoming = self._incoming
+            if incoming is not None and self.sim.__class__ is Simulator:
+                peer = incoming._run
+                if (peer.__class__ is CheckpointFrame and peer.issue_time == now
+                        and park(self)):
+                    return None
         # stop_indicated(), settled.
         stop_go = self._flow_control_enabled and self._depth >= self._high_watermark
-        index = self.cp_index
+        index = self._cp_index
         frame = CheckpointFrame(
             index, now, naks, self._frontier, enforced, stop_go,
             self.config.cframe_bits(len(naks)) if naks else self._empty_cframe_bits,
         )
-        self.cp_index = index + 1
-        self.checkpoints_sent += 1
+        self._cp_index = index + 1
+        self._checkpoints_sent += 1
         self.control_channel.send(frame)
         if self.tracer.active:
             if self._held is not None:
@@ -869,6 +906,6 @@ class LamsReceiver:
 
     def __repr__(self) -> str:
         return (
-            f"<LamsReceiver {self.name} cp={self.cp_index} "
+            f"<LamsReceiver {self.name} cp={self._cp_index} "
             f"errors={len(self._error_log)} delivered={self.delivered}>"
         )

@@ -73,7 +73,9 @@ class LamsSender:
     Its state is a fixed set of slots: past 30 attributes an instance
     dict stops sharing its keys (CPython's ``SHARED_KEYS_MAX_SIZE``), and
     an idle constellation reads this state once per checkpoint per link
-    (docs/TUNING.md §12).
+    (docs/TUNING.md §12).  While its link is parked (:mod:`repro.core.idle`)
+    the checkpoint counters and the timer deadline settle before they
+    are read, and a packet offered or a stop wakes the link first.
     """
 
     __slots__ = (
@@ -88,8 +90,8 @@ class LamsSender:
         "_checkpoint_timeout", "_batch_window", "_step_at", "_steps_left",
         "iframes_sent",
         "retransmissions", "retransmissions_by_cause", "releases",
-        "checkpoints_received", "checkpoints_corrupted",
-        "request_naks_sent", "failures_declared",
+        "_checkpoints_received", "_checkpoints_corrupted",
+        "request_naks_sent", "failures_declared", "_parked",
     )
 
     def __init__(
@@ -170,10 +172,12 @@ class LamsSender:
         self.retransmissions = 0
         self.retransmissions_by_cause = {"nak": 0, "trailing": 0, "enforced": 0}
         self.releases = 0
-        self.checkpoints_received = 0
-        self.checkpoints_corrupted = 0
+        self._checkpoints_received = 0
+        self._checkpoints_corrupted = 0
         self.request_naks_sent = 0
         self.failures_declared = 0
+        # The parked link this sender belongs to, while it is parked.
+        self._parked = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -193,6 +197,8 @@ class LamsSender:
 
     def stop(self) -> None:
         """Halt all activity (link teardown)."""
+        if self._parked is not None:
+            self._parked.wake()
         self._checkpoint_timer.cancel()
         self._failure_timer.cancel()
         self.failed = True
@@ -215,6 +221,8 @@ class LamsSender:
         sample (the same-instant samples it stands for add nothing to
         the mean) and one ``payloads_accepted`` record at *now*.
         """
+        if self._parked is not None:
+            self._parked.wake()
         packets = iter(packets)
         buffer = self.buffer
         channel = self.data_channel
@@ -249,6 +257,31 @@ class LamsSender:
             self._maybe_send()
         next(packets, None)  # the one packet a failed sender refuses
         return accepted
+
+    @property
+    def checkpoints_received(self) -> int:
+        """Intact checkpoints heard."""
+        if self._parked is not None:
+            self._parked.settle()
+        return self._checkpoints_received
+
+    @property
+    def checkpoints_corrupted(self) -> int:
+        """Corrupted checkpoints heard."""
+        if self._parked is not None:
+            self._parked.settle()
+        return self._checkpoints_corrupted
+
+    @property
+    def checkpoint_deadline(self) -> Optional[float]:
+        """When the checkpoint timer expires unless a checkpoint arrives
+        intact first (None while it is stopped): the last intact arrival
+        plus ``C_depth * W_cp``."""
+        parked = self._parked
+        if parked is not None:
+            parked.settle()
+            return parked.deadline(self)
+        return self._checkpoint_timer.deadline
 
     @property
     def unresolved_count(self) -> int:
@@ -315,7 +348,7 @@ class LamsSender:
         # Stop-Go-paced sender needs the gap after every frame.
         flow = self.flow
         at_line_rate = (
-            (not flow.enabled or flow.rate_fraction >= 1.0)
+            (not flow.enabled or flow._rate >= 1.0)
             and getattr(channel, "_is_up", True)
         )
         if retransmissions:
@@ -452,8 +485,8 @@ class LamsSender:
         # float (a run of one: now + tx_time either way); the product
         # can land an ulp past it.
         flow = self.flow
-        if flow.enabled and flow.rate_fraction < 1.0:
-            self._next_allowed_send = now + count * tx_time / flow.rate_fraction
+        if flow.enabled and flow._rate < 1.0:
+            self._next_allowed_send = now + count * tx_time / flow._rate
         else:
             self._next_allowed_send = departure
 
@@ -518,10 +551,10 @@ class LamsSender:
         if self.failed:
             return
         if corrupted:
-            self.checkpoints_corrupted += 1
+            self._checkpoints_corrupted += 1
             self.tracer.emit(self.sim.now, self.name, "checkpoint_corrupted")
             return
-        self.checkpoints_received += 1
+        self._checkpoints_received += 1
         self._seen_any_checkpoint = True
         self._checkpoint_timer.start(self._checkpoint_timeout)
         self.flow.on_stop_go(cp.stop_go)
@@ -675,8 +708,12 @@ class LamsSender:
         return self.link_start_time + self.config.link_lifetime - self.sim.now
 
     def _on_checkpoint_timeout(self) -> None:
-        """No valid checkpoint for C_depth * W_cp: suspect link failure."""
+        """No valid checkpoint for C_depth * W_cp: suspect link failure.
+        On a parked link the checkpoints of its span may have restarted
+        the timer; the parked link decides."""
         if self.failed:
+            return
+        if self._parked is not None and not self._parked.expired(self):
             return
         self.tracer.emit(self.sim.now, self.name, "checkpoint_timeout")
         remaining = self._remaining_lifetime()

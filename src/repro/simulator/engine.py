@@ -80,6 +80,15 @@ the entry's trailing call: a round's re-arm at ``now + interval`` — from
 the clock's own ``now``, as a timer restarted inside its callback would
 — and nothing for a batch.
 
+The parked-member rule.  A member may leave its round while another
+object owes its firings (an idle link, :mod:`repro.core.idle`): the round
+counts it in ``held`` and keeps firing, with no call if need be, so that
+its key says whether the instant it would have run at has passed (the
+owner keeps the count), and it carries the far entries of its parked members
+(:meth:`Simulator.carry`), pushing each at its last firing before it is
+due, numbered as it was when carried.  A member rejoins with
+``every(interval, callback, first=...)`` at the round's next firing.
+
 The agenda rule.  Each item is the entry one push would have made.  The
 heap holds a carrier at the agenda's earliest item; when it surfaces,
 the agenda runs items in ``(time, key)`` order while the next one
@@ -203,6 +212,19 @@ class Timer:
         """Alias of :meth:`start`; reads better at call sites that reset."""
         self.start(delay)
 
+    def start_at(self, deadline: float) -> None:
+        """(Re)arm the timer to fire at *deadline* exactly (not before now):
+        a deadline computed elsewhere, which ``now + (deadline - now)``
+        may miss by an ulp."""
+        sim = self.sim
+        if not deadline >= sim.now:  # NaN too
+            raise ValueError(f"timer deadline in the past: {deadline!r}")
+        sim._sequence = self._sequence = sim._sequence + 1
+        self._deadline = deadline
+        carried = self._carrier_time
+        if carried is None or deadline < carried:
+            self._surfaced(self._carrier)
+
     def cancel(self) -> None:
         """Disarm the timer; its carrier lapses (or is reused) later."""
         self._deadline = None
@@ -237,8 +259,11 @@ class Periodic:
         self.run = self._run
 
     def cancel(self) -> None:
-        """Never run again; the round drops the member when it next fires."""
+        """Never run again; the round drops the member when it next fires.
+        The member lets go of its bound ``run`` too, so that once dropped
+        it is freed, not left as a cycle for the collector."""
         self.callback = None
+        self.run = None
 
     def _run(self, home: "_Round") -> None:
         """Run the callback and stay for *home*'s next firing — unless it
@@ -259,10 +284,15 @@ class _Round:
     A shared entry armed at ``sim._rounds``' key ``key``: its ``calls``
     are its members' ``run``, each passed the round, and its trailing
     call is :meth:`_rearm`.  A member still live after it has run
-    appends itself to ``ahead``, the next firing's calls.
+    appends itself to ``ahead``, the next firing's calls.  ``held``
+    counts the members parked off it (the parked-member rule): while any
+    is, the round keeps firing with no call, so that its key says where
+    the members it would have run stand, and ``later`` is a heap of the
+    entries it carries for them (:meth:`Simulator.carry`), each pushed
+    at the last firing before it is due.
     """
 
-    __slots__ = ("sim", "key", "calls", "ahead", "args", "rearm")
+    __slots__ = ("sim", "key", "calls", "ahead", "args", "rearm", "held", "later")
 
     def __init__(self, sim: "Simulator", key: tuple[float, float]) -> None:
         self.sim = sim
@@ -270,6 +300,8 @@ class _Round:
         self.calls: list = []
         self.ahead: list = []
         self.args = (self,)
+        self.held = 0
+        self.later: list = []
         # Bound once: the trailing call every entry of this round carries.
         self.rearm = self._rearm
         sim._rounds[key] = self
@@ -281,10 +313,13 @@ class _Round:
         rounds = sim._rounds
         del rounds[self.key]
         calls, self.ahead = self.ahead, self.calls  # the spent list is empty
-        if not calls:
+        if not calls and not self.held:
             return  # every member cancelled or raised: the round lapses
         interval = self.key[1]
         self.key = key = (sim.now + interval, interval)
+        later = self.later
+        while later and later[0][0] <= key[0]:
+            heappush(sim._heap, heappop(later))
         armed = rounds.setdefault(key, self)
         if armed is self:
             self.calls = calls
@@ -292,6 +327,9 @@ class _Round:
         else:
             calls[1::2] = (armed.args,) * (len(calls) // 2)
             armed.calls += calls
+            armed.held += self.held
+            for entry in later:
+                heappush(armed.later, entry)
 
 
 class Agenda:
@@ -565,9 +603,11 @@ class Simulator:
         """A restartable :class:`Timer` invoking *callback* on expiry."""
         return Timer(self, callback)
 
-    def every(self, interval: float, callback: Callable[[], None]) -> Periodic:
-        """Run ``callback()`` at ``now + interval`` and every *interval*
-        after, until the returned handle's ``cancel()``.
+    def every(self, interval: float, callback: Callable[[], None],
+              first: Optional[float] = None) -> Periodic:
+        """Run ``callback()`` at ``now + interval`` (at *first*, when given:
+        not before now) and every *interval* after, until the returned
+        handle's ``cancel()``.
 
         Each deadline is the previous firing's ``now + interval``, the
         floats a :class:`Timer` restarted inside its callback computes.
@@ -592,11 +632,29 @@ class Simulator:
         """
         if not interval > 0:
             raise ValueError(f"period must be positive, got {interval!r}")
+        if first is None:
+            first = self.now + interval
+        elif not first >= self.now:  # NaN too
+            raise ValueError(f"cannot start a round in the past (first={first!r})")
         member = Periodic(callback)
-        key = (self.now + interval, interval)
+        key = (first, interval)
         armed = self._rounds.get(key) or _Round(self, key)
         armed.calls += member.run, armed.args
         return member
+
+    def carry(self, key: tuple[float, float], when: float, callback: Callable,
+              args: tuple) -> None:
+        """Run ``callback(*args)`` at *when* (not before the next firing of
+        the round armed at *key*, which holds parked members), numbered
+        now.  Past that firing, the round carries the entry and pushes it
+        at its last firing before *when*: the far entries of all its
+        parked members take no room in the heap."""
+        self._sequence = sequence = self._sequence + 1
+        entry = (when, sequence, callback, args)
+        if when <= key[0]:
+            heappush(self._heap, entry)
+        else:
+            heappush(self._rounds[key].later, entry)
 
     # -- running ----------------------------------------------------------
 

@@ -120,6 +120,10 @@ class PerfectChannel:
     ) -> "list[bool]":
         return [False] * len(sizes)
 
+    def buffered_verdicts(self, bits: int, rng: np.random.Generator) -> None:
+        """None: every frame to come is intact, and none draws."""
+        return None
+
     def __repr__(self) -> str:
         return "PerfectChannel()"
 
@@ -146,6 +150,23 @@ class BernoulliChannel:
         # its own ``[rng, index, buffer]`` entry.  A channel direction
         # uses one generator, so the list holds at most a few entries.
         self._draws: list[list] = []
+
+    def buffered_verdicts(self, bits: int, rng: np.random.Generator) -> Optional[np.ndarray]:
+        """The verdicts of the next frames of *bits* bits on *rng*, as far
+        as the buffer already holds their variates (possibly none), taking
+        nothing from it: a look-ahead, which later draws agree with.  None
+        when such a frame cannot be corrupted (and draws nothing)."""
+        probability = self._prob_by_bits.get(bits)
+        if probability is None:
+            probability = self._prob_by_bits[bits] = frame_error_probability(
+                self.ber, bits
+            )
+        if probability == 0.0:
+            return None
+        for rng_, index, buffer in self._draws:
+            if rng_ is rng:
+                return buffer[index:] < probability
+        return np.zeros(0, dtype=bool)
 
     def frame_error(self, start: float, bits: int, rng: np.random.Generator) -> bool:
         probability = self._prob_by_bits.get(bits)

@@ -129,10 +129,16 @@ class SimplexChannel:
         # skips an f-string build plus a dict probe per frame.
         self._iframe_rng = None
         self._cframe_rng = None
-        self.busy_seconds = 0.0
-        self.frames_sent = 0
-        self.frames_corrupted = 0
+        self._busy_seconds = 0.0
+        self._frames_sent = 0
+        self._frames_corrupted = 0
         self.frames_lost_outage = 0
+        # While the link is parked (repro.core.idle): the parked link, which
+        # owes this channel the checkpoints of its span.  The counters
+        # settle it before they are read, and settle() wakes it.  Set here,
+        # not first at a park, so that it is one of the keys every channel
+        # shares.
+        self._parked: Any = None
         # Bound once: the two objects every heap entry of this channel
         # carries.  A bound method made per push is one more allocation
         # the collector tracks per in-flight frame.
@@ -174,6 +180,28 @@ class SimplexChannel:
     @property
     def is_up(self) -> bool:
         return self._is_up
+
+    @property
+    def frames_sent(self) -> int:
+        """Frames that have left the transmitter, lost while serializing included."""
+        if self._parked is not None:
+            self._parked.settle()
+        return self._frames_sent
+
+    @property
+    def frames_corrupted(self) -> int:
+        """Frames delivered with ``corrupted=True``."""
+        if self._parked is not None:
+            self._parked.settle()
+        return self._frames_corrupted
+
+    @property
+    def busy_seconds(self) -> float:
+        """Seconds the transmitter has spent serializing, one frame's time
+        added per frame in departure order."""
+        if self._parked is not None:
+            self._parked.settle()
+        return self._busy_seconds
 
     def down(self) -> None:
         """Cut the channel: queued/in-flight sends from now on are lost."""
@@ -234,10 +262,14 @@ class SimplexChannel:
         """Pin down the active run before something changes its frames' fate.
 
         Must be called before the channel goes down or an error model is
-        swapped.  Frames already off the transmitter are decided now,
-        under the state they were sent in; the frame on the wire finishes
-        as a run of one; the rest return to the head of the queue.
+        swapped.  A parked link wakes first: its span's frames are drawn
+        under the model they were sent under.  Frames already off the
+        transmitter are decided now, under the state they were sent in;
+        the frame on the wire finishes as a run of one; the rest return to
+        the head of the queue.
         """
+        if self._parked is not None:
+            self._parked.wake()
         frames = self._run
         if frames.__class__ is not list or len(frames) < 2:
             return
@@ -318,8 +350,8 @@ class SimplexChannel:
         bit_rate = self.bit_rate
         if not self._is_up:
             # Runs started or settled while down hold one frame.
-            self.frames_sent += 1
-            self.busy_seconds += first.size_bits / bit_rate
+            self._frames_sent += 1
+            self._busy_seconds += first.size_bits / bit_rate
             self._lose_to_outage(first, phase="serialize")
         else:
             control = first.is_control
@@ -341,11 +373,11 @@ class SimplexChannel:
                 # (2000 idle channels, every checkpoint a run of one) 5-7%.
                 bits = first.size_bits
                 corrupted = model.frame_error(start, bits, rng)
-                self.frames_sent += 1
+                self._frames_sent += 1
                 tx_time = bits / bit_rate
-                self.busy_seconds += tx_time
+                self._busy_seconds += tx_time
                 if corrupted:
-                    self.frames_corrupted += 1
+                    self._frames_corrupted += 1
                 delay = self._fixed_delay
                 if delay is None:
                     delay = self.propagation_delay(start)
@@ -396,7 +428,7 @@ class SimplexChannel:
         starts = []
         sizes = []
         times = []
-        busy = self.busy_seconds
+        busy = self._busy_seconds
         last_arrival = self._last_arrival
         cursor = start
         for frame in frames:
@@ -419,9 +451,9 @@ class SimplexChannel:
             verdicts = bulk(starts, sizes, rng)
         else:
             verdicts = scalar_draw_window(model, starts, sizes, rng)
-        self.frames_sent += len(frames)
-        self.frames_corrupted += sum(map(bool, verdicts))
-        self.busy_seconds = busy
+        self._frames_sent += len(frames)
+        self._frames_corrupted += sum(map(bool, verdicts))
+        self._busy_seconds = busy
         self._last_arrival = last_arrival
         agenda = self._agenda
         if agenda is None:

@@ -30,6 +30,13 @@ def spec_settings(**kwargs) -> settings:
     return settings(**kwargs)
 
 
+class PerFrameClock(Simulator):
+    """The engine under another name.  A link parks when it turns idle
+    only on :class:`Simulator` itself (``repro.core.idle``), so on this
+    clock every checkpoint of an idle link is simulated frame by frame:
+    for the tests of that path's own costs and sharing."""
+
+
 @pytest.fixture
 def sim() -> Simulator:
     """A fresh simulator."""

@@ -5,7 +5,9 @@ bit_rate``; frames sent meanwhile wait in FIFO order.  When a frame has
 left, its verdict is drawn from the error model of its class (I-frame or
 control, each on its own named random stream) and it lands a propagation
 delay later, never before the frame ahead of it.  While the channel is
-down, a frame that leaves the transmitter or lands is lost.
+down, a frame that leaves the transmitter or lands is lost.  Each frame's
+fate is counted: sent (off the transmitter), corrupted, or lost while
+serializing or while propagating; and its time on the transmitter.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class Channel:
         self.idle_callbacks: list[Callable[[], None]] = []
         self.queue: deque = deque()
         self.transmitting, self.is_up, self.last_arrival = False, True, -1.0
+        self.sent = self.corrupted = self.busy_seconds = 0
+        self.lost = {"serialize": 0, "propagate": 0}
 
     @property
     def is_idle(self) -> bool:
@@ -69,14 +73,21 @@ class Channel:
 
     def _left(self, frame: Any, start: float) -> None:
         """The frame that began at *start* is off the transmitter."""
+        self.sent += 1
+        self.busy_seconds += frame.size_bits / self.bit_rate
         if self.is_up:
             stream = self.streams.get(f"{self.name}.{'cframe' if frame.is_control else 'iframe'}")
             corrupted = self.errors[frame.is_control].frame_error(start, frame.size_bits, stream)
+            self.corrupted += corrupted
             arrival = start + frame.size_bits / self.bit_rate + self.propagation_delay(start)
             self.last_arrival = arrival = max(arrival, self.last_arrival)
             self.engine.schedule_at(arrival, self._land, frame, corrupted)
+        else:
+            self.lost["serialize"] += 1
         self._start_next()
 
     def _land(self, frame: Any, corrupted: bool) -> None:
         if self.is_up:
             self.receiver(frame, corrupted)
+        else:
+            self.lost["propagate"] += 1

@@ -8,7 +8,8 @@ in one call, its draw, its delivery and its idle step
 (``SimplexChannel._complete``); the sender hears it, restarts its timer
 and applies the Stop-Go bit, and looks for work only when some is
 pending.  The budget test counts the Python-level calls per frame on a
-12-link ring.  The edge tests play each way off those paths, on
+12-link ring held frame by frame; its sibling counts what the same ring
+costs parked (``repro.core.idle``).  The edge tests play each way off those paths, on
 ``tests/test_receiver_runs.py``'s bidirectional link: untraced against
 the specification (``tests/spec/``) at a window of one, and traced, at
 the case's own window, against pinned digests of every trace record the
@@ -23,9 +24,11 @@ import sys
 
 import pytest
 
+from repro.simulator import Simulator
 from repro.topology import build_constellation, ring_topology
 from repro.workloads import preset
 
+from .conftest import PerFrameClock
 from .test_receiver_runs import _case, run, window_of_one
 
 # A checkpoint tick: every receiver starts at 0 and W_cp is 5 ms.
@@ -103,15 +106,20 @@ def _traced(name: str) -> tuple[dict, list, list]:
     return _TRACED[name]
 
 
-def test_an_idle_checkpoint_frame_costs_at_most_fifteen_calls():
-    """``sys.setprofile`` "call" events over frames sent, on an idle
-    12-link ring (every frame a checkpoint) from 50 ms for 200 ms."""
-    constellation = build_constellation(ring_topology(12, name="budget-ring"), master_seed=7)
+def idle_ring(clock: Simulator):
+    """An idle 12-link ring (every frame a checkpoint), run to 50 ms."""
+    constellation = build_constellation(ring_topology(12, name="budget-ring"), sim=clock,
+                                        master_seed=7)
     constellation.run(until=0.05)
+    return constellation
 
-    def frames() -> int:
-        return sum(runtime.stats.frames_sent for runtime in constellation.links.values())
 
+def frames(constellation) -> int:
+    return sum(runtime.stats.frames_sent for runtime in constellation.links.values())
+
+
+def calls_to(constellation, until: float) -> int:
+    """``sys.setprofile`` "call" events while *constellation* runs to *until*."""
     calls = 0
 
     def count(frame, event, arg):
@@ -119,15 +127,37 @@ def test_an_idle_checkpoint_frame_costs_at_most_fifteen_calls():
         if event == "call":
             calls += 1
 
-    sent = frames()
     sys.setprofile(count)
     try:
-        constellation.run(until=0.25)
+        constellation.run(until=until)
     finally:
         sys.setprofile(None)
-    sent = frames() - sent
+    return calls
+
+
+def test_an_idle_checkpoint_frame_costs_at_most_fifteen_calls():
+    """Calls over frames sent from 50 ms for 200 ms, frame by frame: on a
+    clock that is not ``Simulator`` itself the idle links do not park, and
+    each checkpoint is sent, completed and heard as its own frame."""
+    constellation = idle_ring(PerFrameClock())
+    sent = frames(constellation)
+    calls = calls_to(constellation, 0.25)
+    sent = frames(constellation) - sent
     assert sent > 900
     assert calls / sent <= 15
+
+
+def test_a_parked_idle_link_costs_at_most_a_hundred_calls_a_second():
+    """The same ring on ``Simulator``: its links park at the first
+    checkpoint instant and owe their checkpoints, which the frame counts
+    settle when read (the same 960 as frame by frame).  What is left is
+    the round the parked links hold (one entry a W_cp for all of them):
+    about 50 calls a simulated link-second where frame by frame is ~5,800."""
+    constellation = idle_ring(Simulator())
+    sent = frames(constellation)
+    calls = calls_to(constellation, 0.25)
+    assert frames(constellation) - sent == 960
+    assert calls / (len(constellation.links) * 0.2) <= 100
 
 
 @pytest.mark.parametrize("name", sorted(EDGES))

@@ -13,6 +13,7 @@ from repro.topology import build_constellation, ring_topology
 from repro.transport.clock import AsyncioClock
 
 from . import spec
+from .conftest import PerFrameClock
 
 
 def timer_entries(sim: Simulator, timer: Timer) -> list[tuple]:
@@ -756,7 +757,9 @@ class TestCheckpointRounds:
 
     @staticmethod
     def ring():
-        constellation = build_constellation(ring_topology(6), master_seed=7)
+        # On the per-frame path: parked, an idle link leaves its round.
+        constellation = build_constellation(ring_topology(6), sim=PerFrameClock(),
+                                            master_seed=7)
         receivers = [endpoint.receiver for runtime in constellation.links.values()
                      for endpoint in (runtime.endpoint_a, runtime.endpoint_b)]
         return constellation.sim, receivers
@@ -809,7 +812,8 @@ class TestIdleChannelEntries:
         """ring-12: each interval's 24 checkpoints leave the transmitters
         as one plain ``_complete`` entry and one batch of 23 (they were
         24 entries), and land the same way as ``_deliver`` entries."""
-        constellation = build_constellation(ring_topology(12), master_seed=7)
+        constellation = build_constellation(ring_topology(12), sim=PerFrameClock(),
+                                            master_seed=7)
         sim = constellation.sim
         link = next(iter(constellation.links.values()))
         interval = link.endpoint_a.receiver.config.checkpoint_interval

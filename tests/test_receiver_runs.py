@@ -209,8 +209,19 @@ def run(case: dict, path: str, traced: bool = False, watch=None) -> dict:
                     receiver.gap_losses_detected, receiver.frontier, receiver.delivered,
                     receiver.discards, receiver.duplicates_suppressed,
                     receiver.checkpoints_sent, receiver.enforced_sent),
-            sender=(sender.iframes_sent, sender.retransmissions, sender.flow.rate_fraction),
+            sender=(sender.iframes_sent, sender.retransmissions, sender.flow.rate_fraction,
+                    sender.checkpoints_received, sender.checkpoints_corrupted,
+                    sender.request_naks_sent,
+                    sender.checkpoint_timer.deadline if path == "spec"
+                    else sender.checkpoint_deadline),
         )
+    # Each channel's frames by fate: sent, corrupted, lost to an outage
+    # (while serializing or propagating), and its time on the transmitter.
+    result["channels"] = [
+        (channel.sent, channel.corrupted, sum(channel.lost.values()), channel.busy_seconds)
+        if path == "spec" else (channel.frames_sent, channel.frames_corrupted,
+                                channel.frames_lost_outage, channel.busy_seconds)
+        for channel in (link.forward, link.reverse)]
     return result
 
 
