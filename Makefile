@@ -39,7 +39,7 @@ golden-bless:
 # Re-check the hand mutants (tools/mutants.py): each
 # tests/mutants/<name>.patch is applied to a scratch export of the index
 # (what `git add -A` staged) and the test it names must fail there.
-# Fails if any mutant survives or no longer applies.  52 patches, one of
+# Fails if any mutant survives or no longer applies.  53 patches, one of
 # them in the specification (tests/spec/), a few minutes on a 2-vCPU
 # host; CI runs it after tier-1.
 mutants:
@@ -136,13 +136,15 @@ soak-smoke:
 # through the `constellation` CLI, then the E24 experiment with its
 # determinism-certifying scale cell shrunk to a dozen links.  That cell
 # also carries the idle-link budget as exact counts (they repeat to the
-# event, so no timing is involved): 2.515 events a frame and 12.83 heap
-# entries a link, the 24 receivers' checkpoints being one round of
-# Simulator.every with one heap entry (a receiver whose idle link has
-# parked counts as held by the round, not as a live member of it,
-# docs/TOPOLOGY.md); a checkpoint timer per receiver
-# coming back reads 3.385 and 14.75, a heap entry per timer restart
-# 3.899 and 18.7 (docs/TUNING.md "What an idle link costs").
+# event, so no timing is involved): 1.723 events a frame and 12.83 heap
+# entries a link (4508 events, 2617 frames, 154 entries), the 24
+# receivers' checkpoints being one round of Simulator.every with one
+# heap entry (a receiver whose idle link has parked counts as held by
+# the round, not as a live member of it, docs/TOPOLOGY.md).  The
+# budgets, 2.0 and 13.8, keep the headroom they had over 0.764 and 6.50
+# when same-instant pushes still shared an entry; a checkpoint timer per
+# receiver coming back reads 3.385 and 14.75, a heap entry per timer
+# restart 2.030 and 16.33 (docs/TUNING.md "What an idle link costs").
 # The build side of the budget is a count too: a routing table is made
 # by the node that first forwards, so the cell E24 itself built (caught
 # on its way out of build_constellation) may hold no more tables than
@@ -163,9 +165,9 @@ constellation-smoke:
 	assert all(row['deterministic'] in (None, True) for row in result.rows), result.rows; \
 	scale = result.rows[-1]; \
 	assert scale['cell'] == 'ring-12', scale; \
-	assert scale['events'] <= 0.9 * scale['frames_sent'], scale; \
-	assert scale['peak_heap'] <= 7 * scale['links'], scale; \
-	rounds = sorted(sum(call.__self__.callback is not None for call in armed.calls[::2]) \
+	assert scale['events'] <= 2.0 * scale['frames_sent'], scale; \
+	assert scale['peak_heap'] <= 13.8 * scale['links'], scale; \
+	rounds = sorted(sum(member.callback is not None for member in armed.calls) \
 		+ armed.held for armed in cells[-1].sim._rounds.values()); \
 	assert rounds[-1] == 2 * scale['links'], rounds; \
 	routing = [(sum(layer.tables_built for layer in cell.layers.values()), \

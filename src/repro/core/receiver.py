@@ -383,7 +383,7 @@ class LamsReceiver:
         ``_AFTER`` plus its arrival's number, after every numbered entry at
         its instant.  A frame that *landed*, handed over on its own, is
         applied at once; its delivery takes a number of its own as it
-        lands, since the pushes of one batch share their entry's."""
+        lands."""
         self._pending.append(run)
         times, k = run.times, run.next
         if times[k] < self._next_settle:

@@ -1,12 +1,11 @@
 """Discrete-event simulation engine.
 
 A :class:`Simulator` owns a clock and an event heap: plain callbacks
-are scheduled at absolute or relative times (:meth:`Simulator.push` is
-the hot paths' absolute-time push), a :class:`Timer` is a callback that
-can be re-armed and cancelled, and :meth:`Simulator.every` runs a
-callback once an interval.  That is the whole programming model, as in
-the paper: LAMS-DLC is specified as frame handlers, two timers, and a
-Check-Point every ``W_cp``.  Events for the same time fire by the
+are scheduled at absolute or relative times, a :class:`Timer` is a
+callback that can be re-armed and cancelled, and :meth:`Simulator.every`
+runs a callback once an interval.  That is the whole programming model,
+as in the paper: LAMS-DLC is specified as frame handlers, two timers,
+and a Check-Point every ``W_cp``.  Events for the same time fire by the
 same-instant rule below, on a monotonically increasing sequence number,
 so a frame arrival and a timer expiry at one instant resolve
 reproducibly.
@@ -18,13 +17,12 @@ Hot-path design notes
   slower); ``heappush``/``heappop`` are bound once, and ``now`` is a
   plain attribute.
 - A running :class:`Timer` keeps one heap entry, its *carrier*.
-- Several calls share ONE heap entry where their order allows: pushes
-  made back to back for one instant (:meth:`Simulator.push`, a *batch*)
-  and periodic callbacks with the same next deadline and interval
-  (:meth:`Simulator.every`, a *round*).  A shared entry's calls are a
-  plain list and its runner, :meth:`Simulator._run_joined`, is bound
-  once per simulator; nothing pushed per frame or per restart is a
-  bound method made for that push, or an object that refers to itself
+- Periodic callbacks with the same next deadline and interval
+  (:meth:`Simulator.every`) share ONE heap entry, a *round*.  Carriers
+  (a timer's, an agenda's) and rounds name their class's function and
+  pass the owner in ``args``: nothing pushed per frame or per restart
+  is a bound method made for that push, and no engine object refers to
+  itself, so a drained simulator is freed by reference counting
   (docs/TUNING.md §12 has the measurements).
 - The receiving end of a channel — the arrivals of its runs and the
   drains of the receiver it feeds — is one :class:`Agenda`: items that
@@ -38,23 +36,23 @@ Hot-path design notes
 
 The scheduling contract
 -----------------------
-:class:`Simulator`'s public surface — a monotone ``now``, ``schedule`` /
-``schedule_at``, ``push``, ``timer()`` and ``every()`` — is what a
-protocol half needs from its event source.  The hot paths in
+:class:`Simulator`'s public surface — a monotone ``now``, ``schedule``
+/ ``schedule_at``, ``timer()`` and ``every()`` — is what a protocol half
+needs from its event source.  The hot paths in
 :mod:`repro.core.receiver` and :mod:`repro.simulator.link` inline
 ``heappush(clock._heap, (when, key, callback, args))``, or append that
 same tuple to an :class:`Agenda` lane and announce it with
 :meth:`Agenda.added`, so the heap, the ``_sequence`` counter and
 ``_AFTER`` are part of the ABI.  Every heap entry and agenda item is
 such a 4-tuple.  Its key is a sequence number — every push, item, timer
-start and round takes one, which closes an open batch — or, for a
-*planned delivery*, ``_AFTER + n`` (below).  A loop owes a popped entry
+start and round arming takes one — or, for a *planned delivery*,
+``_AFTER + n`` (below).  A loop owes a popped entry
 ``entry[2](*entry[3])`` and nothing else: a carrier names
 ``Timer._surfaced`` (fire, re-push at the reserved ``(deadline,
-sequence)``, or lapse) or ``Agenda._surfaced``, a shared entry the
-runner.  A loop also keeps ``_horizon``, the latest time an agenda may
-run an item inline: :meth:`Simulator.run` sets it to *until* (+inf
-without one); and ``_order``, the key of the entry it is running (an
+sequence)``, or lapse) or ``Agenda._surfaced``, a round
+``_Round._fire``.  A loop also keeps ``_horizon``, the latest time an
+agenda may run an item inline: :meth:`Simulator.run` sets it to *until*
+(+inf without one); and ``_order``, the key of the entry it is running (an
 agenda sets its items'), which a receiver settling arrivals lazily
 compares with — :meth:`Simulator.run` leaves it +inf, after every key,
 between runs.
@@ -71,14 +69,14 @@ n``, with ``n`` its arrival's number, is after every number, so the
 rule is the heap's own tuple order and no key reads the clock
 (docs/TUNING.md §10).
 
-The shared-entry rule.  The runner runs the entry's calls in order,
-letting each go as it runs.  A ``stop()`` or an exception leaving a call
-puts the calls not yet run back at the entry's own ``(time, sequence)``,
-so what runs next is what would have run next with an entry per call.
-Once the list is empty, however its last call returned, the runner makes
-the entry's trailing call: a round's re-arm at ``now + interval`` — from
-the clock's own ``now``, as a timer restarted inside its callback would
-— and nothing for a batch.
+The round rule.  A round runs its members in order, letting each go as
+it runs.  A ``stop()`` or an exception leaving a member puts the members
+not yet run back at the round's own ``(time, sequence)``, so what runs
+next is what would have run next with an entry per member.  Once the
+list is empty, however its last member returned, the round re-arms at
+``now + interval`` — from the clock's own ``now``, as a timer restarted
+inside its callback would — or hands its members to the round already
+armed there.
 
 The parked-member rule.  A member may leave its round while another
 object owes its firings (an idle link, :mod:`repro.core.idle`): the round
@@ -173,7 +171,7 @@ class Timer:
     """
 
     __slots__ = ("sim", "callback", "_deadline", "_sequence", "_carrier",
-                 "_carrier_time", "_on_surface")
+                 "_carrier_time")
 
     def __init__(self, sim: "Simulator", callback: Callable[[], None]) -> None:
         self.sim = sim
@@ -182,8 +180,6 @@ class Timer:
         self._sequence = 0  # reserved by the latest start
         self._carrier = 0  # sequence number of the carrier entry
         self._carrier_time: Optional[float] = None  # its time; None: no carrier
-        # Bound once: the object every entry of this timer carries.
-        self._on_surface = self._surfaced
 
     @property
     def running(self) -> bool:
@@ -245,67 +241,80 @@ class Timer:
             # becomes the carrier.
             self._carrier_time = deadline
             self._carrier = sequence = self._sequence
-            heappush(self.sim._heap, (deadline, sequence, self._on_surface, (sequence,)))
+            heappush(self.sim._heap, (deadline, sequence, Timer._surfaced, (self, sequence)))
 
 
 class Periodic:
     """One callback of a round: what :meth:`Simulator.every` returns."""
 
-    __slots__ = ("callback", "run")
+    __slots__ = ("callback",)
 
     def __init__(self, callback: Callable[[], None]) -> None:
         self.callback: Optional[Callable[[], None]] = callback  # None: cancelled
-        # Bound once: the call a round's list holds for this member.
-        self.run = self._run
 
     def cancel(self) -> None:
-        """Never run again; the round drops the member when it next fires.
-        The member lets go of its bound ``run`` too, so that once dropped
-        it is freed, not left as a cycle for the collector."""
+        """Never run again; the round drops the member when it next fires."""
         self.callback = None
-        self.run = None
-
-    def _run(self, home: "_Round") -> None:
-        """Run the callback and stay for *home*'s next firing — unless it
-        raised (as a timer whose callback raised was not restarted) or
-        cancelled this member."""
-        callback = self.callback
-        if callback is not None:
-            callback()
-            if self.callback is not None:
-                ahead = home.ahead
-                ahead.append(self.run)
-                ahead.append(home.args)
 
 
 class _Round:
     """The periodic callbacks that share one ``(next deadline, interval)``.
 
-    A shared entry armed at ``sim._rounds``' key ``key``: its ``calls``
-    are its members' ``run``, each passed the round, and its trailing
-    call is :meth:`_rearm`.  A member still live after it has run
-    appends itself to ``ahead``, the next firing's calls.  ``held``
-    counts the members parked off it (the parked-member rule): while any
-    is, the round keeps firing with no call, so that its key says where
-    the members it would have run stand, and ``later`` is a heap of the
-    entries it carries for them (:meth:`Simulator.carry`), each pushed
-    at the last firing before it is due.
+    Armed at ``sim._rounds``' key ``key``, one heap entry ``(when,
+    sequence, _Round._fire, (round, sequence))``: :meth:`_fire` runs the
+    members in ``calls`` by the round rule (module docstring), and a
+    member still live after it has run goes to ``ahead``, the next
+    firing's members.  ``held`` counts the members parked off it (the
+    parked-member rule): while any is, the round keeps firing with no
+    member, so that its key says where the members it would have run
+    stand, and ``later`` is a heap of the entries it carries for them
+    (:meth:`Simulator.carry`), each pushed at the last firing before it
+    is due.
     """
 
-    __slots__ = ("sim", "key", "calls", "ahead", "args", "rearm", "held", "later")
+    __slots__ = ("sim", "key", "calls", "ahead", "held", "later")
 
     def __init__(self, sim: "Simulator", key: tuple[float, float]) -> None:
         self.sim = sim
         self.key = key
-        self.calls: list = []
-        self.ahead: list = []
-        self.args = (self,)
+        self.calls: list[Periodic] = []
+        self.ahead: list[Periodic] = []
         self.held = 0
         self.later: list = []
-        # Bound once: the trailing call every entry of this round carries.
-        self.rearm = self._rearm
         sim._rounds[key] = self
-        sim._share(key[0], self.calls, self.rearm)
+        self._arm()
+
+    def _arm(self) -> None:
+        sim = self.sim
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (self.key[0], sequence, _Round._fire, (self, sequence)))
+
+    def _fire(self, sequence: int) -> None:
+        """Run the members — each stays for the next firing unless it raised
+        (as a timer whose callback raised was not restarted) or was
+        cancelled — then re-arm, or put back the members not yet run."""
+        sim = self.sim
+        calls, ahead = self.calls, self.ahead
+        # Popped from the end, each member is let go as it runs, as its
+        # own entry would have been.
+        calls.reverse()
+        pop = calls.pop
+        try:
+            while calls:
+                member = pop()
+                callback = member.callback
+                if callback is not None:
+                    callback()
+                    if member.callback is not None:
+                        ahead.append(member)
+                if sim._stopped:
+                    break
+        finally:
+            if calls:
+                calls.reverse()
+                heappush(sim._heap, (self.key[0], sequence, _Round._fire, (self, sequence)))
+            else:
+                self._rearm()
 
     def _rearm(self) -> None:
         """Arm the members that stayed at ``now + interval`` (or join the round there)."""
@@ -323,9 +332,8 @@ class _Round:
         armed = rounds.setdefault(key, self)
         if armed is self:
             self.calls = calls
-            sim._share(key[0], calls, self.rearm)
+            self._arm()
         else:
-            calls[1::2] = (armed.args,) * (len(calls) // 2)
             armed.calls += calls
             armed.held += self.held
             for entry in later:
@@ -350,7 +358,7 @@ class Agenda:
     given it.
     """
 
-    __slots__ = ("sim", "lanes", "_armed", "_carried", "_on_surface")
+    __slots__ = ("sim", "lanes", "_armed", "_carried")
 
     def __init__(self, sim: "Simulator", lanes: int = 2) -> None:
         self.sim = sim
@@ -362,8 +370,6 @@ class Agenda:
         # planned again (behind a frame handed over on its own, or a
         # flush) keeps its key at another time.
         self._carried: set = set()
-        # Bound once: the object every carrier carries.
-        self._on_surface = self._surfaced
 
     def add(self, lane: deque, when: float, callback: Callable, args: tuple) -> None:
         """Put ``callback(*args)`` at ``when`` on *lane*, at the next sequence number."""
@@ -420,7 +426,7 @@ class Agenda:
     def _carry(self, when: float, key: int) -> None:
         self._armed = (when, key)
         self._carried.add((when, key))
-        heappush(self.sim._heap, (when, key, self._on_surface, (key,)))
+        heappush(self.sim._heap, (when, key, Agenda._surfaced, (self, key)))
 
     def _head(self) -> Optional[deque]:
         """The lane whose head comes first."""
@@ -504,20 +510,13 @@ class Simulator:
         self._stopped = False
         # The running loop's horizon: an agenda runs nothing inline past it.
         self._horizon = _INF
-        # The key of the entry or agenda item being run (a shared entry's
-        # for each of its calls); +inf between runs, after every key.
+        # The key of the entry or agenda item being run (a round's for
+        # each of its members); +inf between runs, after every key.
         # What settles lazily (LamsReceiver._settle) compares with it.
         self._order = _INF
         self.event_count = 0
         # Armed rounds by (next deadline, interval); see every().
         self._rounds: dict[tuple[float, float], _Round] = {}
-        # The tail of push(): time and sequence number of its latest
-        # entry, and that entry's call list if it is a batch still open.
-        self._tail_time = 0.0
-        self._tail_sequence = -1
-        self._tail_calls: Optional[list] = None
-        # Bound once: the object every shared entry carries.
-        self._joined = self._run_joined
 
     # -- scheduling ------------------------------------------------------
 
@@ -538,67 +537,6 @@ class Simulator:
         self._sequence = sequence = self._sequence + 1
         _push(self._heap, (when, sequence, callback, args))
 
-    def push(self, when: float, callback: Callable, args: tuple,
-             _push=heappush) -> None:
-        """Run ``callback(*args)`` at absolute time *when* (not checked
-        against ``now``), sharing a heap entry where the push rule allows.
-
-        The push rule.  A push for the same instant as the previous push
-        made here, with no sequence number taken in between, joins it:
-        the first push for an instant is a plain entry, the second opens
-        a *batch* — a shared entry whose list holds callback, args,
-        callback, args, … — and later ones append to it.  The batch
-        closes when anything takes a number (any other push, a
-        :class:`Timer` start, a round arming) and when it starts to run.
-        The order is exact: the members would have taken consecutive
-        numbers at one instant, so nothing could run between them, and
-        what is pushed while they run would have come after them either
-        way.  Only the numbers taken after a batch are fewer.
-        """
-        sequence = self._sequence
-        if sequence == self._tail_sequence and when == self._tail_time:
-            calls = self._tail_calls
-            if calls is not None:
-                calls.append(callback)
-                calls.append(args)
-                return
-            self._tail_calls = calls = [callback, args]
-            self._tail_sequence = self._share(when, calls, None)
-            return
-        self._sequence = self._tail_sequence = sequence = sequence + 1
-        self._tail_time = when
-        self._tail_calls = None
-        _push(self._heap, (when, sequence, callback, args))
-
-    def _share(self, when: float, calls: list, then: Optional[Callable]) -> int:
-        """Push *calls* as one shared entry at *when*; its sequence number."""
-        self._sequence = sequence = self._sequence + 1
-        heappush(self._heap, (when, sequence, self._joined, (calls, when, sequence, then)))
-        return sequence
-
-    def _run_joined(self, calls: list, when: float, sequence: int,
-                    then: Optional[Callable]) -> None:
-        """Run a shared entry by the shared-entry rule (module docstring)."""
-        if calls is self._tail_calls:
-            self._tail_calls = None  # closed: later pushes start afresh
-        # Popped from the end, each call is let go as it runs, as its own
-        # entry would have been, not kept alive until the last has run.
-        calls.reverse()
-        pop = calls.pop
-        try:
-            while calls:
-                callback = pop()
-                callback(*pop())
-                if self._stopped:
-                    break
-        finally:
-            if calls:
-                calls.reverse()
-                heappush(self._heap, (when, sequence, self._joined,
-                                      (calls, when, sequence, then)))
-            elif then is not None:
-                then()
-
     def timer(self, callback: Callable[[], None]) -> Timer:
         """A restartable :class:`Timer` invoking *callback* on expiry."""
         return Timer(self, callback)
@@ -612,7 +550,7 @@ class Simulator:
         Each deadline is the previous firing's ``now + interval``, the
         floats a :class:`Timer` restarted inside its callback computes.
         Callbacks whose next deadline *and* interval are equal form a
-        *round*, one shared entry: a thousand receivers started together
+        *round*, one heap entry: a thousand receivers started together
         cost one pop and one push per interval.
 
         The ordering rule.  A round runs its live members in the order
@@ -639,7 +577,7 @@ class Simulator:
         member = Periodic(callback)
         key = (first, interval)
         armed = self._rounds.get(key) or _Round(self, key)
-        armed.calls += member.run, armed.args
+        armed.calls.append(member)
         return member
 
     def carry(self, key: tuple[float, float], when: float, callback: Callable,
@@ -659,7 +597,7 @@ class Simulator:
     # -- running ----------------------------------------------------------
 
     def stop(self) -> None:
-        """Halt :meth:`run` after the current callback (or shared call) returns."""
+        """Halt :meth:`run` after the current callback (or round member) returns."""
         self._stopped = True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:

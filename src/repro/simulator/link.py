@@ -234,14 +234,13 @@ class SimplexChannel:
             self._queue.append(frame)
             return
         # Idle channel: a run of one, inlined (_start_next without the
-        # queue round-trip — this is the per-frame common case).  Idle
-        # channels sending at one instant share its heap entry.
+        # queue round-trip — this is the per-frame common case).
         self._transmitting = True
         sim = self.sim
         self._run = frame
         start = sim.now
-        sim.push(start + frame.size_bits / self.bit_rate, self._complete,
-                 (frame, start))
+        sim.schedule_at(start + frame.size_bits / self.bit_rate, self._complete,
+                        frame, start)
 
     def transmission_time(self, frame: Transmittable) -> float:
         """Seconds the transmitter is occupied serializing *frame*."""
@@ -389,12 +388,10 @@ class SimplexChannel:
                 # A single I-frame (a lone retransmission, say) on a channel
                 # whose runs made an agenda is a run of one for a wired
                 # receiver, or joins that agenda; otherwise, and for a
-                # single control frame, it keeps the per-instant batching
-                # push, which it shares with the checkpoints of other
-                # links sent at the same instant.
+                # single control frame, it is an entry of its own.
                 deliver = self._deliver_traced if traced else self._deliver
                 if control or self._agenda is None:
-                    sim.push(arrival, deliver, (first, corrupted))
+                    sim.schedule_at(arrival, deliver, first, corrupted)
                 elif self._run_sink is not None:
                     if traced:
                         self._hold((arrival,), (corrupted,), (first,), sim._sequence + 1)

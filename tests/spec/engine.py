@@ -1,7 +1,7 @@
 """The specification's event engine: a clock and one heap entry per event.
 
-Every ``schedule``, ``push``, timer start and periodic firing is an entry
-of its own, and a periodic callback is a timer restarted from inside the
+Every ``schedule``, timer start and periodic firing is an entry of its
+own, and a periodic callback is a timer restarted from inside the
 callback, as the paper's receiver restarts its Check-Point timer every
 ``W_cp`` (Section 3.1).  Entries for one instant run by the same-instant
 rule, stated here as the heap's sort key, which never changes:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import gc
 import random
+import weakref
 
 import pytest
 
+from repro.simulator.engine import Agenda, Simulator
 from repro.topology import FlowSpec, build_constellation, ring_topology
 from repro.workloads.generators import SaturatedSource
 from repro.workloads.scenarios import build_simulation, preset
@@ -83,16 +85,45 @@ def ring_frames(constellation) -> int:
 
 
 def test_a_ring_leaves_the_same_garbage_however_long_it_runs():
-    """A round whose members have all left lapses as a cycle
-    (``_Round.args`` holds the round): here the probes' round, at the
-    horizon, 7 objects however long the ring runs after it.  Its idle
-    links park, and their cancelled round members go as they are
-    dropped.  (The ring's frames measure how far it ran: parked, an idle
-    link's checkpoints take no events.)"""
+    """None, however long it runs: a round whose members have all left
+    (the probes' at the horizon) lapses when it next fires and is freed
+    then, as are the cancelled members of the idle links that park.
+    (The ring's frames measure how far it ran: parked, an idle link's
+    checkpoints take no events.)"""
     short, found_short = garbage_after(ring_of_12, 1.0)
     long, found_long = garbage_after(ring_of_12, 3.0)
     assert ring_frames(long) > 1.5 * ring_frames(short)
-    assert found_long == found_short
+    assert found_long == found_short == 0
+
+
+def test_a_drained_engine_is_freed_by_reference_counting():
+    """No engine object refers to itself: with the collector off, a
+    simulator whose timer was restarted and fired, whose round lapsed
+    after its member's ``cancel()`` and whose agenda ran dry is freed
+    as soon as it is dropped, and leaves the collector nothing."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        sim, log = Simulator(), []
+        timer = sim.timer(lambda: log.append("timer"))
+        timer.start(1.0)
+        timer.start(3.0)  # later: the carrier at 1.0 re-pushes itself at 3.0
+        member = sim.every(1.0, lambda: log.append("tick"))
+        sim.schedule(1.5, member.cancel)  # the round lapses when it fires at 2.0
+        agenda = Agenda(sim)
+        agenda.add(agenda.lanes[1], 0.75, log.append, ("second item",))
+        agenda.add(agenda.lanes[0], 0.5, log.append, ("first item",))
+        sim.run()
+        assert log == ["first item", "second item", "tick", "timer"]
+        assert not sim._heap and not sim._rounds
+        freed = weakref.ref(sim)
+        del sim, timer, member, agenda
+        assert freed() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_saturated_second_makes_a_generation_0_collection_per_5000_frames():

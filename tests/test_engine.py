@@ -741,101 +741,6 @@ class TestEvery:
                        "before the first join", 2.0, 2.0, "after the re-arm"]
 
 
-class TestPush:
-    """``Simulator.push``: back-to-back pushes for one instant share an entry."""
-
-    @staticmethod
-    def batches(sim):
-        return [entry for entry in sim._heap
-                if entry[2] is sim._joined and entry[3][3] is None]
-
-    def test_one_push_is_a_plain_entry(self, sim):
-        sim.push(1.0, print, ("x",))
-        assert sim._heap == [(1.0, 1, print, ("x",))]
-
-    def test_later_pushes_for_the_instant_join_one_batch(self, sim):
-        log = []
-        for name in "abcd":
-            sim.push(1.0, log.append, (name,))
-        assert len(sim._heap) == 2 and sim._sequence == 2
-        (batch,) = self.batches(sim)
-        assert batch[:2] == (1.0, 2)
-        assert batch[3][0] == [log.append, ("b",), log.append, ("c",),
-                               log.append, ("d",)]
-        sim.run()
-        assert log == list("abcd") and sim.event_count == 2
-
-    def test_anything_taking_a_number_closes_the_tail(self, sim):
-        log = []
-        timer = sim.timer(lambda: log.append("timer"))
-        sim.push(1.0, log.append, ("a",))
-        sim.push(1.0, log.append, ("b",))  # opens a batch
-        sim.schedule_at(1.0, log.append, "plain")
-        sim.push(1.0, log.append, ("c",))
-        sim.push(1.0, log.append, ("d",))  # opens another
-        timer.start(1.0)  # reserves a number (and pushes its carrier)
-        sim.push(1.0, log.append, ("e",))
-        sim.every(1.0, lambda: log.append("round"))  # arms a round
-        sim.push(1.0, log.append, ("f",))
-        sim.push(2.0, log.append, ("later",))  # the tail moves on
-        sim.push(1.0, log.append, ("g",))
-        sim.push(1.0, log.append, ("h",))  # a third
-        assert len(sim._heap) == 12 and len(self.batches(sim)) == 3
-        sim.run(until=1.5)
-        assert log == ["a", "b", "plain", "c", "d", "timer", "e", "round", "f",
-                       "g", "h"]
-
-    def test_a_batch_closes_when_it_runs(self, sim):
-        log = []
-
-        def member(name):
-            log.append(name)
-            if name == "b":  # zero-delay, from inside the batch
-                sim.push(sim.now, log.append, ("pushed by b",))
-                sim.push(sim.now, log.append, ("pushed by b, too",))
-
-        sim.push(1.0, member, ("a",))
-        sim.push(1.0, member, ("b",))
-        sim.push(1.0, member, ("c",))
-        sim.run()
-        assert log == ["a", "b", "c", "pushed by b", "pushed by b, too"]
-
-    def test_stop_leaves_the_rest_due_at_the_batch_rank(self, sim):
-        log = []
-
-        def stopper():
-            log.append("stopper")
-            sim.stop()
-
-        sim.push(1.0, log.append, ("a",))
-        sim.push(1.0, stopper, ())
-        sim.push(1.0, log.append, ("c",))
-        sim.schedule_at(1.0, log.append, "after")
-        assert sim.run(until=5.0) == 1.0
-        assert log == ["a", "stopper"]
-        (batch,) = self.batches(sim)
-        assert batch[:2] == (1.0, 2) and batch[3][0] == [log.append, ("c",)]
-        sim.run()
-        assert log == ["a", "stopper", "c", "after"]
-
-    def test_an_exception_leaves_the_rest_due_at_the_batch_rank(self, sim):
-        log = []
-
-        def bang():
-            raise ValueError("bang")
-
-        sim.push(1.0, log.append, ("a",))
-        sim.push(1.0, bang, ())
-        sim.push(1.0, log.append, ("c",))
-        sim.schedule_at(1.0, log.append, "after")
-        with pytest.raises(ValueError):
-            sim.run()
-        assert log == ["a"] and [entry[:2] for entry in sorted(sim._heap)] == [
-            (1.0, 2), (1.0, 3)]
-        sim.run()
-        assert log == ["a", "c", "after"]
-
-
 class TestTheSameInstantRule:
     """docs/TUNING.md §10: at one instant, every numbered entry runs first,
     in number order; planned deliveries run last, in the order their

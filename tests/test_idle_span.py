@@ -277,3 +277,21 @@ def test_the_peak_heap_follows_active_links_not_declared_ones():
     assert small.datagrams_delivered() == large.datagrams_delivered() == 120
     assert 0 < large.peak_heap <= small.peak_heap
 
+
+def test_a_cumulation_depth_of_one_times_out_on_intact_checkpoints():
+    """A limit of the paper's timeout (docs/PROTOCOL.md §5 S3): with
+    ``C_depth`` = 1 the checkpoint timeout is ``W_cp`` itself, so an
+    intact checkpoint landing an ulp of float accumulation past its
+    predecessor's ``+ W_cp`` finds the timer fired, and the sender sends a
+    Request-NAK on a clean idle link.  Such a link never parks; the
+    shipped pair and the specification send the same Request-NAKs."""
+    case = dict(seed=14, cframe_ber=1e-8, depth=1, rate=1.0, step=0.1)
+    seen = {}
+    for path in ("parked", "spec"):
+        sim, link, a, b, _ = build(case, path)
+        sim.run(until=0.2)
+        seen[path] = snapshot(path, link, a, b)
+    assert seen["parked"] == seen["spec"]
+    ends = seen["parked"][2:]
+    assert [end[3] for end in ends] == [0, 0]  # no checkpoint corrupted
+    assert [end[4] for end in ends] == [2, 2]  # Request-NAKs per sender

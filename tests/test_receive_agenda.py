@@ -5,7 +5,7 @@ one :class:`~repro.simulator.engine.Agenda`, each item keeping the
 ``(time, sequence)`` its own heap push would have had.  Held here:
 
 - generated histories — items on several lanes, foreign entries tied at
-  equal times (plain and batched pushes), ``run(until)`` slices,
+  equal times (absolute and relative pushes), ``run(until)`` slices,
   ``stop()`` and exceptions inside items — play the same ``(now, who)``
   log on an agenda as on the specification's engine (``tests/spec/``),
   one heap entry per item, on :meth:`Simulator.run` and on a pumped
@@ -77,13 +77,13 @@ class Boom(Exception):
 # items on ``lane`` from ``max(lane tail, now + delay)``, ``spacing``
 # apart (one through ``Agenda.add``, several appended by hand and
 # announced with ``Agenda.added``, as ``SimplexChannel._decide`` does);
-# ("foreign", delay, batched, children): an entry of the heap's own,
-# through ``Simulator.push`` or ``Simulator.schedule``; ("plan", delay): a
+# ("foreign", delay, absolute, children): an entry of the heap's own,
+# through ``Simulator.schedule_at`` or ``Simulator.schedule``; ("plan", delay): a
 # delivery the running entry plans on a lane of its own, at ``now + delay``
 # and past the lane's tail (keyed ``_AFTER + n`` at the running entry's
 # number ``n`` — 0 at setup — and announced with ``Agenda.added``, as the
 # receiver does; ``Engine.plan`` on the specification's side);
-# ("stop",); ("raise",); ("tied", delay, lane, batched): a plan, a one-item
+# ("stop",); ("raise",); ("tied", delay, lane, absolute): a plan, a one-item
 # add and a foreign entry at ``now + delay`` (past no tail: one instant for a
 # planned head, an item numbered before it and an entry numbered after).
 # Children run when their item or entry does.
@@ -138,10 +138,10 @@ def play(clock, history, slices, drain):
                     agenda.added(when, first)
                 tails[lane_index] = when + (count - 1) * spacing
             elif kind == "foreign":
-                _, delay, batched, children = action
+                _, delay, absolute, children = action
                 name = ("foreign", next(names))
-                if batched:
-                    clock.push(clock.now + delay, fire, (name, children))
+                if absolute:
+                    clock.schedule_at(clock.now + delay, fire, name, children)
                 else:
                     clock.schedule(delay, fire, name, children)
             elif kind == "plan":
@@ -157,9 +157,9 @@ def play(clock, history, slices, drain):
                     agenda.lanes[LANES].append((when, key, fire, (name, ())))
                     agenda.added(when, key)
             elif kind == "tied":
-                _, delay, lane_index, batched = action
+                _, delay, lane_index, absolute = action
                 perform([("plan", delay), ("item", lane_index, delay, 1, 0.0, ()),
-                         ("foreign", delay, batched, ())])
+                         ("foreign", delay, absolute, ())])
             elif kind == "stop":
                 clock.stop()
             else:
@@ -225,55 +225,23 @@ def _pump(clock, slices, log):
 @example([("plan", 1.0), ("item", 0, 1.0, 1, 0.0, ()), ("foreign", 1.0, False, ())], [])
 def test_an_agenda_runs_as_one_entry_per_item(history, slices):
     sim, engine = Simulator(), spec.Engine()
-    batches = _tally_batches(sim)
     log = play(sim, history, slices, _run_slices)
     assert log == play(engine, history, slices, _run_slices)
-    # A number an item, as an entry each; a planned delivery takes none,
-    # and a batch of pushes one for all its members.
+    # A number an item, as an entry each; a planned delivery takes none.
     plans = sum(entry[0] == "plan" for entry in log)
-    assert sim._sequence == engine._sequence - plans - batches.extra_numbers
-
-
-def _tally_batches(clock):
-    """Wrap *clock*'s runner of shared entries; the tally it keeps.
-
-    A batch of pushes (``Simulator.push``) is one heap entry for members
-    the specification pushes as an entry each.  ``extra_numbers``: per
-    batch, its members past the first — the numbers the specification
-    takes that the batch does not.  ``extra_runs``: per run of a batch,
-    the members it popped past the first — the entries the specification
-    counts in ``event_count`` that the run does not (a run that raises
-    is counted by neither, nor is the member that raised; a run cut by
-    ``stop()`` leaves the rest to a run of its own)."""
-    tally = SimpleNamespace(extra_numbers=0, extra_runs=0)
-    run, seen = clock._joined, set()
-
-    def joined(calls, when, sequence, then):
-        if sequence not in seen:  # a batch keeps its number when re-pushed
-            seen.add(sequence)
-            tally.extra_numbers += len(calls) // 2 - 1
-        members = len(calls) // 2
-        try:
-            run(calls, when, sequence, then)
-        finally:
-            tally.extra_runs += members - len(calls) // 2 - 1
-
-    clock._joined = joined
-    return tally
+    assert sim._sequence == engine._sequence - plans
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(HISTORIES)
 def test_a_pumped_clock_runs_no_item_inline(history):
     clocks = [AsyncioClock(_StubLoop()), spec.Engine()]
-    batches = _tally_batches(clocks[0])
     got = play(clocks[0], history, (), _pump)
     want = play(clocks[1], history, (), _pump)
     assert got == want
     # One heap entry per item: the agenda's carriers are popped exactly
-    # as often as the specification's entries, a batch of pushes
-    # counting once per run.
-    assert clocks[0].event_count + batches.extra_runs == clocks[1].event_count
+    # as often as the specification's entries.
+    assert clocks[0].event_count == clocks[1].event_count
 
 
 def test_a_carrier_left_behind_surfaces_at_its_own_item():
