@@ -39,7 +39,7 @@ golden-bless:
 # Re-check the hand mutants (tools/mutants.py): each
 # tests/mutants/<name>.patch is applied to a scratch export of the index
 # (what `git add -A` staged) and the test it names must fail there.
-# Fails if any mutant survives or no longer applies.  53 patches, one of
+# Fails if any mutant survives or no longer applies.  55 patches, one of
 # them in the specification (tests/spec/), a few minutes on a 2-vCPU
 # host; CI runs it after tier-1.
 mutants:
@@ -136,8 +136,8 @@ soak-smoke:
 # through the `constellation` CLI, then the E24 experiment with its
 # determinism-certifying scale cell shrunk to a dozen links.  That cell
 # also carries the idle-link budget as exact counts (they repeat to the
-# event, so no timing is involved): 1.723 events a frame and 12.83 heap
-# entries a link (4508 events, 2617 frames, 154 entries), the 24
+# event, so no timing is involved): 1.715 events a frame and 12.83 heap
+# entries a link (4487 events, 2617 frames, 154 entries), the 24
 # receivers' checkpoints being one round of Simulator.every with one
 # heap entry (a receiver whose idle link has parked counts as held by
 # the round, not as a live member of it, docs/TOPOLOGY.md).  The
@@ -145,6 +145,11 @@ soak-smoke:
 # when same-instant pushes still shared an entry; a checkpoint timer per
 # receiver coming back reads 3.385 and 14.75, a heap entry per timer
 # restart 2.030 and 16.33 (docs/TUNING.md "What an idle link costs").
+# An idle ring-12 starts up in one pass: its links park at their first
+# checkpoint instant with the look-ahead filled and the start-up
+# watchdogs held, so none looks again (ParkedLink._due) and no timer
+# asks one (ParkedLink.expired) before 0.1 s; one look a parked link
+# there is the start-up pass the park used to leave at ~37 ms.
 # The build side of the budget is a count too: a routing table is made
 # by the node that first forwards, so the cell E24 itself built (caught
 # on its way out of build_constellation) may hold no more tables than
@@ -157,7 +162,17 @@ constellation-smoke:
 		--size 4 --messages 10 --duration 0.5
 	PYTHONPATH=src $(PYTHON) -c "\
 	import repro.topology as topology; \
+	import repro.core.idle as idle; \
 	from repro.experiments import run_experiment; \
+	looks, due, expired = [], idle.ParkedLink._due, idle.ParkedLink.expired; \
+	idle.ParkedLink._due = lambda link, token: looks.append(link) or due(link, token); \
+	idle.ParkedLink.expired = lambda link, sender: looks.append(link) or expired(link, sender); \
+	quiet = topology.build_constellation(topology.ring_topology(12, name='idle-12'), \
+		master_seed=7, probe_interval=0.005); \
+	quiet.run(until=0.1); \
+	parked = sum(runtime.link.forward._parked is not None for runtime in quiet.links.values()); \
+	startup = len(looks); \
+	assert parked == 12 and startup == 0, (parked, startup); \
 	cells, build = [], topology.build_constellation; \
 	topology.build_constellation = lambda *a, **k: cells.append(build(*a, **k)) or cells[-1]; \
 	result = run_experiment('E24', scale_links=12, duration=0.5); \
@@ -180,6 +195,7 @@ constellation-smoke:
 		'| ring-12 events/frame %.3f, peak_heap/link %.2f, members per round %s,' \
 		% (scale['events'] / scale['frames_sent'], scale['peak_heap'] / scale['links'], \
 		'+'.join(map(str, rounds))), \
+		'idle ring-12 start-up %d look-again passes for %d parked links,' % (startup, parked), \
 		'%d route tables for %d forwarding nodes' % (tables, forwarders))"
 
 # Transport-backend smoke (docs/TRANSPORT.md): a loopback LAMS-DLC

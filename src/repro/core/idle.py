@@ -16,7 +16,8 @@ receive queue and no run or drain planned; no frame in flight but the
 checkpoints of the cycle itself.  The test runs in the receiver that
 fires second at the instant (``LamsReceiver._send_checkpoint``, where it
 already branches on an empty log): the peer's checkpoint of the instant
-is on its channel, and the firing receiver's own goes into the span.
+is on its channel's transmitter, a plain one, and goes into the span
+with the firing receiver's own.
 
 The first touch settles the span up to the running entry ``(now,
 sim._order)`` and wakes the link: a packet handed down (``accept`` /
@@ -44,19 +45,27 @@ span was; between runs, everything at ``now`` has passed.  A frame
 landing exactly on a timer's deadline precedes the timer if it left the
 transmitter before the timer's restart (its entry was numbered then),
 and follows it if not.  A woken link's frames in flight are pushed
-afresh, the timer re-armed between them by the same rule.
+afresh, the timer re-armed between them by the same rule; a timer held
+since the park gets back the sequence number it was started with.
 
 A parked link ends its own span when it must: the checkpoint timer
-expires if no checkpoint lands intact for ``C_depth * W_cp``.  Until a
-checkpoint of the span lands intact the senders' own timers hold the
-deadline, and one that expires asks the parked link first
-(:meth:`ParkedLink.expired`).  After that the parked link holds it and
-keeps one entry, where the timer would expire on the verdicts the error
-model already holds in its buffer (a look-ahead that takes nothing) or,
-past them, at the deadline then in force; the round carries it
-(``Simulator.carry``), so a parked link takes no room in the heap.
-There the link settles and looks again, or wakes and lets the timer
-expire.
+expires if no checkpoint lands intact for ``C_depth * W_cp``.  Its
+look-ahead is the verdicts in the error model's buffer, which the park
+fills if it is empty, with the variates the next draw would take (a wake
+gives back a fill no draw has read, so a model swapped in draws what it
+would have).  The parked link holds a sender's deadline from the park
+when the timer cannot expire as it stands, the look-ahead landing a
+checkpoint of the span intact first, and nothing but the span's own
+checkpoints is on its way to that sender: a link parked at its first
+checkpoint instant holds both start-up watchdogs so, and the timers'
+carriers lapse when they surface.  Otherwise the sender's own timer
+holds it until a checkpoint of the span lands intact, and if it expires
+first it asks the parked link (:meth:`ParkedLink.expired`).  The parked
+link keeps one entry, where the timer would expire on the look-ahead's
+verdicts or, past them, a little before the deadline then in force; the
+round carries it (``Simulator.carry``), so a parked link takes no room
+in the heap.  There the link settles and looks again, or wakes and lets
+the timer expire.
 
 What stays on the per-frame path: a traced or monitored link (its tracer
 active at the park), a channel whose ``send`` is wrapped, an error model
@@ -99,18 +108,20 @@ class _Way:
     __slots__ = ("receiver", "channel", "sender", "next", "undrawn", "flight",
                  "deadline", "restarted", "interval", "bits", "tx", "delay", "timeout")
 
-    def __init__(self, receiver: Any, sender: Any, first: float) -> None:
+    def __init__(self, receiver: Any, sender: Any, first: float,
+                 undrawn: list[float]) -> None:
         self.receiver = receiver
         self.channel = channel = receiver.control_channel
         self.sender = sender
         self.next = first  # the next checkpoint's start, not yet settled
-        self.undrawn: list[float] = []  # starts of checkpoints on the transmitter
+        self.undrawn = undrawn  # starts of checkpoints on the transmitter
         # Checkpoints off the transmitter, not yet heard: (start, arrival,
         # corrupted), in order.
         self.flight: list[tuple[float, float, bool]] = []
-        # The far sender's checkpoint-timer deadline, once a checkpoint of
-        # the span has landed intact, and when it landed; until then the
-        # sender's timer holds it.
+        # The far sender's checkpoint-timer deadline, once the parked link
+        # holds it, and when it was restarted (-inf: before the span, by
+        # the timer, which keeps its carrier); None while the sender's
+        # timer holds it.
         self.deadline: Optional[float] = None
         self.restarted = -_INF
         self.interval = receiver._checkpoint_interval
@@ -224,20 +235,22 @@ class _Way:
             flow._rate = rate
         return took_over
 
-    def horizon(self) -> float:
+    def horizon(self) -> tuple[float, bool]:
         """When the parked link must look again for this direction: the
         instant the far sender's timer expires on the verdicts known or
-        buffered; past them, the deadline then in force, the first
-        instant a verdict not yet known could matter.  While the sender's
-        own timer holds the deadline it looks for itself (its expiry asks
-        the parked link): +inf then, as when no expiry can come, unless
-        the next frame could restart it to an earlier deadline."""
+        buffered; past them, the deadline then in force, the first instant a
+        verdict not yet known could matter.  While the sender's own timer
+        holds the deadline it looks for itself (its expiry asks the parked
+        link): +inf then, as when no expiry can come, unless the next frame
+        could restart it to an earlier deadline.  Second, whether the
+        sender's timer still holds it then, no intact checkpoint having
+        landed before it expires."""
         deadline, restarted = self._timer()
         held = self.deadline is None  # by the sender's own timer
         timeout, interval, tx, delay = self.timeout, self.interval, self.tx, self.delay
         for start, arrival, corrupted in self.flight:
             if arrival > deadline or (arrival == deadline and start + tx >= restarted):
-                return _INF if held else deadline
+                return (_INF if held else deadline), held
             if not corrupted:
                 deadline, restarted, held = arrival + timeout, arrival, False
         verdicts = self.channel.cframe_errors.buffered_verdicts(self.bits, self._rng())
@@ -249,53 +262,73 @@ class _Way:
         if verdicts is None or not verdicts.any():
             arrival = max(start + tx + delay, last)
             if arrival > deadline or (arrival == deadline and start + tx >= restarted):
-                return _INF if held else deadline
+                return (_INF if held else deadline), held
             if verdicts is None:
-                return _INF
-            if len(verdicts):
-                start = reduce(add, [interval] * (len(verdicts) - 1), start)
-                return max(start + tx + delay, last) + timeout
-        else:
-            for corrupted in verdicts.tolist():
-                arrival = start + tx + delay
-                if arrival < last:
-                    arrival = last
-                last = arrival
-                if arrival > deadline or (arrival == deadline and start + tx >= restarted):
-                    return _INF if held else deadline
-                if not corrupted:
-                    deadline, restarted, held = arrival + timeout, arrival, False
-                start += interval
+                return _INF, False
+            # The look-ahead's last frame starts len - 1 additions of
+            # W_cp on; a product one W_cp short of that chain is early by
+            # far more than the chain's rounding, so the look comes early.
+            start += max(len(verdicts) - 2, 0) * interval
+            return max(start + tx + delay, last) + timeout, False
+        for corrupted in verdicts.tolist():
+            arrival = start + tx + delay
+            if arrival < last:
+                arrival = last
+            last = arrival
+            if arrival > deadline or (arrival == deadline and start + tx >= restarted):
+                return (_INF if held else deadline), held
+            if not corrupted:
+                deadline, restarted, held = arrival + timeout, arrival, False
+            start += interval
         if not held:
-            return deadline
+            return deadline, False
         # The next frame, if intact, would restart the timer the sender
         # holds, earlier than it now stands only after a long start-up
         # watchdog (or with none running).
         restart = max(start + tx + delay, last) + timeout
-        return restart if restart < deadline else _INF
+        return (restart if restart < deadline else _INF), True
+
+    def hold(self, now: float) -> None:
+        """At the park: take the far sender's deadline over from its timer,
+        which cannot expire as it stands (:meth:`horizon` found a checkpoint
+        of the span landing intact first), if nothing but the span's own
+        checkpoints is on its way to the sender.  The timer keeps its
+        carrier, ``(deadline, its own sequence)``, for :meth:`resume`."""
+        timer = self.sender._checkpoint_timer
+        if timer._deadline is not None and self.channel._last_arrival < now:
+            self.deadline, self.restarted = timer._deadline, -_INF
+            timer.cancel()
 
     def resume(self, sim: Simulator, expiring: bool) -> None:
         """Put back what the per-frame path would hold now: the span's
-        checkpoints still on their way, the timer, the round member.  The
-        timer is (re)armed after the frames that left the transmitter
-        before it was restarted, and before the others, so that one
-        landing on its deadline keeps its side of it."""
+        checkpoints still on their way, the timer, the round member.  A
+        frame landing on the timer's deadline keeps its side of it: a
+        timer the parked link holds is re-armed after the frames that
+        left the transmitter before it was restarted, and before the
+        others; one the sender still holds runs on with its own number,
+        unless such a frame lands on its deadline, and is re-armed behind
+        that frame then."""
         channel, receiver = self.channel, self.receiver
         index = receiver._cp_index - len(self.undrawn) - len(self.flight)
         frontier, bits, tx = receiver._frontier, self.bits, self.tx
         deadline, restarted = self._timer()
+        own = self.deadline is None
         armed = expiring or deadline == _INF
         heap = sim._heap
         for start, arrival, corrupted in self.flight:
             if not armed and start + tx >= restarted:
-                self.sender._checkpoint_timer.start_at(deadline)
                 armed = True
+                if not own:
+                    self._arm(deadline, restarted)
             frame = CheckpointFrame(index, start, (), frontier, False, False, bits)
             index += 1
             sim._sequence = sequence = sim._sequence + 1
             heappush(heap, (arrival, sequence, channel._deliver, (frame, corrupted)))
-        if not armed:
-            self.sender._checkpoint_timer.start_at(deadline)
+            if not armed and own and arrival == deadline:
+                self.sender._checkpoint_timer.start_at(deadline)
+                armed = True
+        if not (armed or own):
+            self._arm(deadline, restarted)
         for start in self.undrawn:
             frame = CheckpointFrame(index, start, (), frontier, False, False, bits)
             index += 1
@@ -305,6 +338,16 @@ class _Way:
             heappush(heap, (start + tx, sequence, channel._complete, (frame, start)))
         receiver._checkpoint_tick = sim.every(
             self.interval, receiver._send_checkpoint, first=self.next)
+
+    def _arm(self, deadline: float, restarted: float) -> None:
+        """Re-arm the far sender's timer at *deadline*; one held since the
+        park, its carrier still in the heap, gets back the sequence number
+        it was started with."""
+        timer = self.sender._checkpoint_timer
+        if restarted == -_INF and timer._carrier_time == deadline:
+            timer._deadline = deadline
+        else:
+            timer.start_at(deadline)
 
 
 class ParkedLink:
@@ -357,10 +400,17 @@ class ParkedLink:
                 return way.deadline
         return sender._checkpoint_timer.deadline
 
-    def _schedule(self) -> None:
+    def _schedule(self, park: bool = False) -> None:
         """Keep one entry at the earliest instant a sender's timer could
-        expire on the checkpoints of the span, or its look-ahead ends."""
-        when = min(way.horizon() for way in self.ways)
+        expire on the checkpoints of the span, or its look-ahead ends; at
+        the *park*, hold each deadline its timer cannot expire at."""
+        when = _INF
+        for way in self.ways:
+            at, held = way.horizon()
+            if park and not held:
+                way.hold(self.sim.now)
+            if at < when:
+                when = at
         self._entry = None  # one in the heap lapses
         if when < _INF:
             self._entry = token = object()
@@ -407,6 +457,7 @@ class ParkedLink:
         for way in self.ways:
             way.channel._parked = way.receiver._parked = way.sender._parked = None
             way.sender.flow._parked = None
+            way.channel.cframe_errors.give_back(way._rng())
         sim = self.sim
         sim._rounds[self._round()].held -= 2
         # The peer fired first at the park: it rejoins first.
@@ -431,8 +482,9 @@ def park(receiver: Any) -> bool:
            for handler in handlers):
         return False
     own, peer = (handler.__self__ for handler in handlers)
+    lead = theirs._run  # the peer's checkpoint of this instant
     if (own.receiver is not receiver or peer.receiver.control_channel is not theirs
-            or peer.receiver._incoming is not mine or theirs._run.enforced):
+            or peer.receiver._incoming is not mine or lead.enforced or lead.naks):
         return False
     interval = receiver._checkpoint_interval
     key = (sim.now, interval)
@@ -463,9 +515,13 @@ def park(receiver: Any) -> bool:
     if mine._transmitting:
         return False
     now = sim.now
-    ways = (_Way(receiver, peer.sender, now), _Way(peer.receiver, own.sender, now + interval))
+    # The peer's checkpoint joins the span on the transmitter: its
+    # completion entry lapses (the run is no longer the channel's).
+    theirs._run, theirs._transmitting = None, False
+    ways = (_Way(receiver, peer.sender, now, []),
+            _Way(peer.receiver, own.sender, now + interval, [now]))
     receiver._checkpoint_tick.cancel()
     peer.receiver._checkpoint_tick.cancel()
     sim._rounds[key].held += 2
-    ParkedLink(sim, ways)._schedule()
+    ParkedLink(sim, ways)._schedule(park=True)
     return True

@@ -124,6 +124,9 @@ class PerfectChannel:
         """None: every frame to come is intact, and none draws."""
         return None
 
+    def give_back(self, rng: np.random.Generator) -> None:
+        """Nothing to give back: this model never fills a buffer."""
+
     def __repr__(self) -> str:
         return "PerfectChannel()"
 
@@ -153,9 +156,12 @@ class BernoulliChannel:
 
     def buffered_verdicts(self, bits: int, rng: np.random.Generator) -> Optional[np.ndarray]:
         """The verdicts of the next frames of *bits* bits on *rng*, as far
-        as the buffer already holds their variates (possibly none), taking
-        nothing from it: a look-ahead, which later draws agree with.  None
-        when such a frame cannot be corrupted (and draws nothing)."""
+        as the buffer holds their variates: a look-ahead, which later
+        draws agree with.  A buffer with nothing left is filled first,
+        with the 512 variates the next draw would fill it with, so the
+        look-ahead is never empty (:meth:`give_back` returns them while
+        no draw has read one).  None when such a frame cannot be
+        corrupted (and draws nothing)."""
         probability = self._prob_by_bits.get(bits)
         if probability is None:
             probability = self._prob_by_bits[bits] = frame_error_probability(
@@ -163,10 +169,27 @@ class BernoulliChannel:
             )
         if probability == 0.0:
             return None
-        for rng_, index, buffer in self._draws:
-            if rng_ is rng:
-                return buffer[index:] < probability
-        return np.zeros(0, dtype=bool)
+        for entry in self._draws:
+            if entry[0] is rng:
+                break
+        else:
+            entry = [rng, 512, None]
+            self._draws.append(entry)
+        index = entry[1]
+        if index >= 512:
+            entry[2] = rng.random(512)
+            entry[1] = index = 0
+        return entry[2][index:] < probability
+
+    def give_back(self, rng: np.random.Generator) -> None:
+        """Undo a look-ahead's fill that no draw has read (a buffer at
+        index 0: a draw always takes one): *rng* goes back 512 variates,
+        one step each on a :class:`~numpy.random.PCG64` stream, to where
+        the next draw, perhaps under another model, would find it."""
+        for entry in self._draws:
+            if entry[0] is rng and entry[1] == 0:
+                entry[1] = 512
+                rng.bit_generator.advance(-512)
 
     def frame_error(self, start: float, bits: int, rng: np.random.Generator) -> bool:
         probability = self._prob_by_bits.get(bits)

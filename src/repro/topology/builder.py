@@ -204,14 +204,16 @@ class Constellation:
         """One probe tick: per-link buffered-payload peaks + heap width.
 
         Reads state only — scheduling it cannot perturb protocol
-        behaviour, so probed and unprobed runs deliver identically.
+        behaviour, so probed and unprobed runs deliver identically.  It
+        reads only active links: a parked one (:mod:`repro.core.idle`)
+        holds no payload by the park's own definition.
         """
         heap_width = len(self.sim._heap)
         if heap_width > self.peak_heap:
             self.peak_heap = heap_width
-        for spec in self.topology.links:
-            runtime = self.links[spec.name]
-            runtime.stats.observe_buffered(runtime.buffered_payloads())
+        for runtime in self.links.values():
+            if runtime.link.forward._parked is None:
+                runtime.stats.observe_buffered(runtime.buffered_payloads())
 
     def __repr__(self) -> str:
         return (

@@ -24,11 +24,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import make_endpoint_pair
+from repro.core.idle import ParkedLink
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import BerStorm, FaultPlan
 from repro.simulator import FullDuplexLink, Simulator
 from repro.simulator.errormodel import GilbertElliottChannel, make_error_model
 from repro.simulator.rng import StreamRegistry
 from repro.simulator.trace import Tracer
-from repro.topology import FlowSpec, build_constellation, ring_topology
+from repro.topology import Constellation, FlowSpec, LinkRuntime, build_constellation, ring_topology
 from repro.workloads import preset
 
 from . import spec
@@ -110,13 +113,31 @@ def touch_time(case: dict) -> float:
     return instant if deadline is None else deadline
 
 
+def storm(sim, link, path: str, start: float) -> None:
+    """Both channels' control frames under a BER of 0.3 for four W_cp
+    from *start*: a fault injector's model swap on the shipped link, the
+    same swap by hand on the specification's."""
+    end = start + 4 * W_CP
+    if path == "spec":
+        for channel in (link.forward, link.reverse):
+            base, stormy = channel.errors[True], make_error_model("bernoulli", ber=0.3)
+            sim.schedule_at(start, channel.errors.__setitem__, True, stormy)
+            sim.schedule_at(end, channel.errors.__setitem__, True, base)
+    else:
+        FaultInjector(sim, link, FaultPlan(faults=(BerStorm(
+            start=start, duration=end - start, params=(("ber", 0.3),), direction="both",
+            targets=("cframe",)),)))
+
+
 def play(case: dict, path: str) -> list:
     """Snapshots of *case* played on *path*: at the touch and at the end."""
     when = touch_time(case)
     sim, link, a, b, delivered = build(case, path)
     seen = []
     action = case["action"]
-    if action == "inside":
+    if action == "storm":  # a third of a control frame's time after the touch
+        storm(sim, link, path, when + 1e-7)
+    elif action == "inside":
         sim.schedule_at(when, lambda: seen.append(snapshot(path, link, a, b)))
     elif action == "accept":
         sim.schedule_at(when, lambda: [a.accept(("p", k)) for k in range(3)])
@@ -165,6 +186,27 @@ EDGES = {
                     touch="between", action="read", rate=1.0, step=0.1),
     "streaks-deep": dict(seed=8, cframe_ber=6e-3, depth=3, at=35, after=60,
                          touch="deadline", action="inside", rate=0.3, step=0.013),
+    # Start-up: the link parks at its first checkpoint instant while each
+    # sender's start-up watchdog (RTT + C_depth W_cp, ~48 ms) holds.  The
+    # first intact checkpoint restarts A's timer to ~37 ms, earlier than
+    # the watchdog stood, and a streak after it lets the timer expire
+    # there: the parked link held the watchdog from the park and looks at
+    # the earlier restart.
+    "start-up": dict(seed=0, cframe_ber=6e-3, depth=3, at=8, after=10,
+                     touch="between", action="read", rate=1.0, step=0.1),
+    # The same start, with a model swap on both channels landing just
+    # after the park, before either checkpoint of the park instant has
+    # left its transmitter: the look-ahead the park filled has been read
+    # by no draw, and the swapped-in model must draw what it would have.
+    "start-up-storm": dict(seed=0, cframe_ber=6e-3, depth=3, at=1, after=12,
+                           touch="instant", action="storm", rate=1.0, step=0.1),
+    # No checkpoint lands intact at A before its watchdog (~53 ms at
+    # C_depth 4) is due, so A's own timer keeps it.  B's timer expires
+    # first, after a streak, and wakes the link; A's watchdog, started
+    # before the packets' entry was numbered, still expires ahead of them
+    # at its instant.
+    "watchdog-kept-on-wake": dict(seed=166, cframe_ber=2e-2, depth=4, at=6, after=8,
+                                  touch="deadline", action="accept", rate=1.0, step=0.013),
 }
 
 
@@ -179,6 +221,30 @@ def test_an_edge_of_a_parked_span_agrees_with_the_specification(name):
     if name.startswith("streaks"):
         last = parked[-2]
         assert last[2][4] + last[3][4] > 0  # a Request-NAK: the timer expired
+    if name == "start-up":  # read at ~42 ms: expired before the watchdog was due
+        assert first[2][4] == 1
+
+
+def test_a_watchdog_held_from_the_park_keeps_its_number():
+    """The link parks at 5 ms holding both start-up watchdogs.  The
+    channel towards A goes down at 6 ms, which wakes the link, and drops
+    the checkpoints that would have restarted A's timer, so A's watchdog
+    expires unmoved.  Given back to A's timer with the number it was
+    started with, it expires ahead of packets handed down at its instant
+    by an entry scheduled after the start, as in the specification."""
+    case = dict(seed=0, cframe_ber=1e-8, depth=3, rate=1.0, step=0.1)
+    seen = []
+    for path in ("parked", "spec"):
+        sim, link, a, b, delivered = build(case, path)
+        watchdog = (a.sender.checkpoint_timer.deadline if path == "spec"
+                    else a.sender.checkpoint_deadline)
+        sim.schedule_at(watchdog, lambda: [a.accept(("p", k)) for k in range(3)])
+        sim.schedule_at(0.006, link.reverse.down)
+        sim.schedule_at(0.040, link.reverse.up)
+        sim.run(until=0.07)
+        seen.append((snapshot(path, link, a, b), delivered))
+    assert seen[0] == seen[1]
+    assert seen[0][0][2][4:7] == (1, 0, 0)  # a Request-NAK, and no I-frame sent
 
 
 def two_bursts(clock: Simulator):
@@ -215,6 +281,69 @@ def test_a_ring_whose_flows_start_stop_and_start_again_runs_as_frame_by_frame():
     assert ([list(log.delays) for log in parked.logs.values()]
             == [list(log.delays) for log in frame.logs.values()])
     assert parked.sim.event_count < frame.sim.event_count
+
+
+def counters(ring) -> list:
+    """Every channel, receiver and sender counter of every link of *ring*."""
+    rows = []
+    for runtime in ring.links.values():
+        for channel in (runtime.link.forward, runtime.link.reverse):
+            rows.append((channel.frames_sent, channel.frames_corrupted,
+                         channel.frames_lost_outage, channel.busy_seconds))
+        for end in (runtime.endpoint_a, runtime.endpoint_b):
+            sender = end.sender
+            rows.append((end.receiver.cp_index, end.receiver.checkpoints_sent,
+                         sender.checkpoints_received, sender.checkpoints_corrupted,
+                         sender.request_naks_sent, sender.failures_declared,
+                         sender.checkpoint_deadline, sender.flow.rate_fraction,
+                         sender.flow.go_indications))
+    return rows
+
+
+def test_an_idle_ring_starts_up_in_one_pass(monkeypatch):
+    """An idle 120-link ring parks at its first checkpoint instant (5 ms)
+    with each look-ahead filled and each start-up watchdog (~48 ms) held
+    by the parked link: in the first 0.1 s no parked link looks again
+    (``ParkedLink._due``) and no sender's timer asks one
+    (``ParkedLink.expired``), and every counter reads as frame by frame."""
+    looks = []
+    for name in ("_due", "expired"):
+        method = getattr(ParkedLink, name)
+        monkeypatch.setattr(ParkedLink, name, lambda self, *args, _method=method:
+                            looks.append(self.sim.now) or _method(self, *args))
+
+    def ring(clock: Simulator):
+        return build_constellation(ring_topology(120, name="idle-120"), sim=clock,
+                                   master_seed=3, probe_interval=0.005)
+
+    parked, frame = ring(Simulator()), ring(PerFrameClock())
+    for each in (parked, frame):
+        each.run(until=0.1)
+    assert all(runtime.link.forward._parked is not None for runtime in parked.links.values())
+    assert looks == []
+    assert counters(parked) == counters(frame)
+
+
+def test_the_probe_reads_nothing_of_a_parked_link(monkeypatch):
+    """``Constellation.sample_state`` reads only active links: on the
+    two-burst ring it asks no parked link for its buffered payloads, and
+    each link's ``peak_buffered`` and the probe's ticks read as frame by
+    frame; the parked ring's sampled ``peak_heap`` is no wider."""
+    asked, ticks = [], []
+    buffered, sample = LinkRuntime.buffered_payloads, Constellation.sample_state
+    monkeypatch.setattr(LinkRuntime, "buffered_payloads", lambda runtime:
+                        asked.append(runtime.link.forward._parked) or buffered(runtime))
+    monkeypatch.setattr(Constellation, "sample_state", lambda ring:
+                        ticks.append(type(ring.sim)) or sample(ring))
+    parked, frame = two_bursts(Simulator()), two_bursts(PerFrameClock())
+    for ring in (parked, frame):
+        ring.run(until=0.45)
+    assert asked and all(link is None for link in asked)
+    assert ticks.count(Simulator) == ticks.count(PerFrameClock) > 0
+    assert ([summary["peak_buffered"] for summary in parked.link_summaries()]
+            == [summary["peak_buffered"] for summary in frame.link_summaries()])
+    assert any(summary["peak_buffered"] for summary in parked.link_summaries())
+    assert 0 < parked.peak_heap <= frame.peak_heap
 
 
 def idle_pair(variant: str):
