@@ -35,7 +35,7 @@ from .orbit import (
     visibility_windows,
 )
 from .rng import StreamRegistry, derive_seed
-from .trace import Counter, SampleStat, TimeWeightedStat, Tracer, TraceRecord
+from .trace import Counter, StreamingSummary, TimeWeightedStat, Tracer, TraceRecord
 
 __all__ = [
     "BernoulliChannel",
@@ -51,12 +51,12 @@ __all__ = [
     "PacketSink",
     "PerfectChannel",
     "RecordingChannel",
-    "SampleStat",
     "Satellite",
     "SimplexChannel",
     "SimulationError",
     "Simulator",
     "StreamRegistry",
+    "StreamingSummary",
     "TimeWeightedStat",
     "Timer",
     "TraceRecord",

@@ -45,8 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
-    "TraceRecord", "Tracer", "Router", "Counter", "TimeWeightedStat",
-    "SampleStat", "StreamingSummary",
+    "TraceRecord", "Tracer", "Router", "Counter", "TimeWeightedStat", "StreamingSummary",
 ]
 
 # Two-sided 95% normal quantile.
@@ -107,72 +106,6 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class SampleStat:
-    """Streaming mean/variance/min/max over point samples (Welford)."""
-
-    __slots__ = ("name", "count", "_mean", "_m2", "minimum", "maximum")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, sample: float) -> None:
-        self.count += 1
-        delta = sample - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (sample - self._mean)
-        if sample < self.minimum:
-            self.minimum = sample
-        if sample > self.maximum:
-            self.maximum = sample
-
-    def extend(self, samples: list[float]) -> None:
-        """:meth:`add` each of *samples* in order — the same floats, one call."""
-        if not samples:
-            return
-        mean, m2 = self._mean, self._m2
-        count = float(self.count)  # exact, and spares an int->float per division
-        for sample in samples:
-            count += 1.0
-            delta = sample - mean
-            mean += delta / count
-            m2 += delta * (sample - mean)
-        self.count += len(samples)
-        self._mean, self._m2 = mean, m2
-        self.minimum = min(self.minimum, min(samples))
-        self.maximum = max(self.maximum, max(samples))
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0.0 below two samples.
-
-        A single observation (or none) carries no spread information, so
-        the spread is reported as exactly zero rather than dividing by
-        ``n - 1 = 0`` or poisoning downstream confidence intervals with
-        NaN.
-        """
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stdev(self) -> float:
-        # Welford's m2 is non-negative in exact arithmetic; clamp the
-        # tiny negatives float cancellation can produce.
-        return math.sqrt(max(0.0, self.variance))
-
-    def __repr__(self) -> str:
-        return f"SampleStat({self.name}: n={self.count} mean={self.mean:.6g})"
-
-
 class TimeWeightedStat:
     """Time-weighted average of a piecewise-constant signal.
 
@@ -226,14 +159,16 @@ class TimeWeightedStat:
 
 
 class StreamingSummary:
-    """Mean / spread of one metric across independent replications.
+    """Count, mean, spread and extremes of one metric's samples (Welford).
 
-    Holds only ``(count, mean, M2)`` — Welford's recurrence, numerically
-    stable at large means — so memory is constant however many samples
-    flow through.  Values :meth:`push`-ed in the same order always
-    produce the same bits, which is what makes a parallel sweep's
-    summary identical to a serial one: the sweep engine folds results
-    in seed order, whatever order workers finished in.
+    Holds only ``(count, mean, M2, minimum, maximum)`` — Welford's
+    recurrence, numerically stable at large means — so memory is
+    constant however many samples flow through: a tracer's point samples
+    (holding times) and a metric across independent replications alike.
+    Values :meth:`push`-ed in the same order always produce the same
+    bits, which is what makes a parallel sweep's summary identical to a
+    serial one: the sweep engine folds results in seed order, whatever
+    order workers finished in.  An empty summary's mean is 0.0.
 
     :meth:`merge` combines two accumulators with the Chan et al.
     parallel formula; the merged moments are mathematically exact but
@@ -242,20 +177,20 @@ class StreamingSummary:
     (as the sweep engine does) when exact reproducibility matters.
     """
 
-    __slots__ = ("metric", "count", "_mean", "_m2")
+    __slots__ = ("metric", "count", "_mean", "_m2", "minimum", "maximum")
 
-    def __init__(self, metric: str = "", count: int = 0,
-                 mean: float = 0.0, m2: float = 0.0) -> None:
+    def __init__(self, metric: str = "") -> None:
         self.metric = metric
-        self.count = count
-        self._mean = mean
-        self._m2 = m2
+        self.count = 0
+        self._mean = 0.0
+        self._m2 = 0.0
+        self.minimum = math.inf
+        self.maximum = -math.inf
 
     @classmethod
     def from_samples(cls, metric: str, samples: Iterable[float]) -> "StreamingSummary":
         summary = cls(metric)
-        for value in samples:
-            summary.push(value)
+        summary.extend(list(samples))
         return summary
 
     def push(self, value: float) -> None:
@@ -264,11 +199,33 @@ class StreamingSummary:
         delta = value - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (value - self._mean)
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
+
+    def extend(self, samples: list[float]) -> None:
+        """:meth:`push` each of *samples* in order — the same floats, one call."""
+        if not samples:
+            return
+        mean, m2 = self._mean, self._m2
+        count = float(self.count)  # exact, and spares an int->float per division
+        for sample in samples:
+            count += 1.0
+            delta = sample - mean
+            mean += delta / count
+            m2 += delta * (sample - mean)
+        self.count += len(samples)
+        self._mean, self._m2 = mean, m2
+        self.minimum = min(self.minimum, min(samples))
+        self.maximum = max(self.maximum, max(samples))
 
     def merge(self, other: "StreamingSummary") -> None:
         """Absorb *other*'s moments (Chan et al. pairwise combination)."""
         if other.count == 0:
             return
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
         if self.count == 0:
             self.count, self._mean, self._m2 = other.count, other._mean, other._m2
             return
@@ -283,11 +240,24 @@ class StreamingSummary:
         return self._mean
 
     @property
-    def stdev(self) -> float:
-        """Sample standard deviation (n-1); 0 below two samples."""
+    def variance(self) -> float:
+        """Sample variance (n-1 denominator); 0.0 below two samples.
+
+        A single observation (or none) carries no spread information, so
+        the spread is reported as exactly zero rather than dividing by
+        ``n - 1 = 0`` or poisoning downstream confidence intervals with
+        NaN.
+        """
         if self.count < 2:
             return 0.0
-        return math.sqrt(self._m2 / (self.count - 1))
+        return self._m2 / (self.count - 1)
+
+    @property
+    def stdev(self) -> float:
+        """Sample standard deviation (n-1); 0 below two samples."""
+        # Welford's m2 is non-negative in exact arithmetic; clamp the
+        # tiny negatives float cancellation can produce.
+        return math.sqrt(max(0.0, self.variance))
 
     @property
     def half_width(self) -> float:
@@ -417,7 +387,7 @@ class Tracer:
         self._record_timeline = bool(record_timeline)
         self.records: list[TraceRecord] = []
         self.counters: dict[str, Counter] = {}
-        self.samples: dict[str, SampleStat] = {}
+        self.samples: dict[str, StreamingSummary] = {}
         self.levels: dict[str, TimeWeightedStat] = {}
         self.listeners: _ListenerList = _ListenerList(self)
         self.active = self._record_timeline
@@ -513,20 +483,20 @@ class Tracer:
         """Shorthand: increment counter *name*."""
         self.counter(name).increment(by)
 
-    def sample_stat(self, name: str) -> SampleStat:
-        """The :class:`SampleStat` for *name*, created on first use.
+    def sample_stat(self, name: str) -> StreamingSummary:
+        """The :class:`StreamingSummary` for *name*, created on first use.
 
         Hot paths hold the returned object directly instead of paying a
         dict lookup (and often an f-string build) per sample.
         """
         stat = self.samples.get(name)
         if stat is None:
-            stat = self.samples[name] = SampleStat(name)
+            stat = self.samples[name] = StreamingSummary(name)
         return stat
 
     def sample(self, name: str, value: float) -> None:
         """Shorthand: add a point sample to stat *name*."""
-        self.sample_stat(name).add(value)
+        self.sample_stat(name).push(value)
 
     def level_stat(self, name: str, start_time: float = 0.0) -> TimeWeightedStat:
         """The :class:`TimeWeightedStat` for *name*, created on first use.
@@ -556,7 +526,7 @@ class Tracer:
         for name, counter in sorted(self.counters.items()):
             result[name] = counter.value
         for name, stat in sorted(self.samples.items()):
-            result[f"{name}.mean"] = stat.mean
+            result[f"{name}.mean"] = stat.mean if stat.count else math.nan
             result[f"{name}.count"] = stat.count
         for name, stat in sorted(self.levels.items()):
             result[f"{name}.avg"] = stat.mean()

@@ -6,8 +6,8 @@ left, its verdict is drawn from the error model of its class (I-frame or
 control, each on its own named random stream) and it lands a propagation
 delay later, never before the frame ahead of it.  While the channel is
 down, a frame that leaves the transmitter or lands is lost.  Each frame's
-fate is counted: sent (off the transmitter), corrupted, or lost while
-serializing or while propagating; and its time on the transmitter.
+fate is counted and written to the log: landed (``deliver``), corrupted,
+or lost while serializing or while propagating (``frame_lost_outage``).
 """
 
 from __future__ import annotations
@@ -29,18 +29,16 @@ class Channel:
                  iframe_errors: ErrorModel, cframe_errors: ErrorModel,
                  streams: StreamRegistry) -> None:
         self.engine, self.name, self.bit_rate, self.delay = engine, name, bit_rate, delay
-        self.errors = {False: iframe_errors, True: cframe_errors}  # by is_control
-        self.streams = streams
+        self.errors, self.streams = {False: iframe_errors, True: cframe_errors}, streams
         self.receiver: Optional[Callable[[Any, bool], None]] = None
         self.idle_callbacks: list[Callable[[], None]] = []
         self.queue: deque = deque()
         self.transmitting, self.is_up, self.last_arrival = False, True, -1.0
         self.sent = self.corrupted = self.busy_seconds = 0
         self.lost = {"serialize": 0, "propagate": 0}
+        self.log = engine.log if isinstance(engine, Engine) else []  # a stub's own on a clock
 
-    @property
-    def is_idle(self) -> bool:
-        return not self.transmitting and not self.queue
+    is_idle = property(lambda self: not self.transmitting and not self.queue)
 
     def propagation_delay(self, when: float) -> float:
         return self.delay(when) if callable(self.delay) else self.delay
@@ -83,11 +81,24 @@ class Channel:
             self.last_arrival = arrival = max(arrival, self.last_arrival)
             self.engine.schedule_at(arrival, self._land, frame, corrupted)
         else:
-            self.lost["serialize"] += 1
+            self._lose(frame, "serialize")
         self._start_next()
 
+    def _lose(self, frame: Any, phase: str) -> None:
+        self.lost[phase] += 1
+        self.log.append((self.engine.now, self.name, "frame_lost_outage",
+                         {"phase": phase, "control": frame.is_control}))
+
     def _land(self, frame: Any, corrupted: bool) -> None:
-        if self.is_up:
-            self.receiver(frame, corrupted)
-        else:
-            self.lost["propagate"] += 1
+        if not self.is_up:
+            return self._lose(frame, "propagate")
+        self.log.append((self.engine.now, self.name, "deliver", (frame.is_control, corrupted)))
+        self.receiver(frame, corrupted)
+
+
+class RunChannel(Channel):
+    """A channel that takes runs (``batch_window`` frames), back to back."""
+
+    def send_burst(self, frames: list) -> None:
+        for frame in frames:
+            self.send(frame)

@@ -23,12 +23,10 @@ class Engine:
     the entry's own sequence number, so that no two entries tie."""
 
     def __init__(self) -> None:
-        self.now = 0.0
-        self._heap: list[tuple] = []
-        self._sequence = 0
+        self.now, self._heap, self._sequence, self.event_count = 0.0, [], 0, 0
         self.running = 0  # the sequence number of the entry being run
-        self.event_count = 0
         self._stopped = False
+        self.log: list[tuple] = []  # (time, source, event, detail), as the parts write them
 
     def push(self, when: float, callback: Callable, args: tuple) -> None:
         self._sequence += 1
@@ -90,9 +88,7 @@ class Timer:
         self.deadline: Optional[float] = None
         self._start: Optional[object] = None
 
-    @property
-    def running(self) -> bool:
-        return self.deadline is not None
+    running = property(lambda self: self.deadline is not None)
 
     def start(self, delay: float) -> None:
         if not delay >= 0:

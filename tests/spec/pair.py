@@ -24,11 +24,11 @@ class Endpoint:
 
     def __init__(self, engine: Engine, config: LamsDlcConfig, outgoing: Channel,
                  expected_rtt: float, deliver: Optional[Callable[[Any], None]] = None,
-                 delivery_interval: Optional[float] = None) -> None:
+                 delivery_interval: Optional[float] = None, name: str = "lams") -> None:
         self.config = config
-        self.sender = Sender(engine, config, outgoing, expected_rtt)
+        self.sender = Sender(engine, config, outgoing, expected_rtt, name=f"{name}.tx")
         self.receiver = Receiver(engine, config, outgoing, expected_rtt, deliver,
-                                 delivery_interval)
+                                 delivery_interval, f"{name}.rx")
         self.sender.stop_go_provider = self.receiver.stop_indicated
         self.accept = self.sender.accept
 
@@ -53,11 +53,13 @@ class Endpoint:
 def make_pair(engine: Engine, config: LamsDlcConfig, forward: Channel, reverse: Channel,
               deliver_a: Optional[Callable[[Any], None]] = None,
               deliver_b: Optional[Callable[[Any], None]] = None,
-              delivery_interval_b: Optional[float] = None) -> tuple[Endpoint, Endpoint]:
+              delivery_interval_b: Optional[float] = None,
+              name: str = "lams") -> tuple[Endpoint, Endpoint]:
     """A sends on *forward* and hears *reverse*; B the other way round.
-    Both know the round trip at the instant the link is made."""
+    Both know the round trip at the instant the link is made.  Their
+    records' sources are named as a shipped link *name*'s."""
     rtt = forward.propagation_delay(engine.now) + reverse.propagation_delay(engine.now)
-    a = Endpoint(engine, config, forward, rtt, deliver_a)
-    b = Endpoint(engine, config, reverse, rtt, deliver_b, delivery_interval_b)
+    a = Endpoint(engine, config, forward, rtt, deliver_a, name=f"{name}.A")
+    b = Endpoint(engine, config, reverse, rtt, deliver_b, delivery_interval_b, f"{name}.B")
     forward.receiver, reverse.receiver = b.on_frame, a.on_frame
     return a, b

@@ -3,13 +3,15 @@
 Every I-frame is one ``on_iframe`` call at its arrival.  A clean frame
 joins the receive queue and its delivery is planned there, ``t_proc``
 after its arrival or after the delivery ahead of it, whichever is later;
-the engine runs it after every numbered entry at its instant.  Errors go into a dict
-error log, each reported in ``C_depth`` consecutive Check-Points.
+the engine runs it after every numbered entry at its instant.  Errors go
+into a dict error log, each reported in ``C_depth`` consecutive
+Check-Points.  Its records go to the engine's log at their instants.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace as LoggedError  # seq, detect_time, reports
 from typing import Any, Callable, Optional
 
 from repro.core.config import LamsDlcConfig
@@ -30,21 +32,14 @@ class Gauge:
         self._last_time, self._level, self.maximum = now, level, max(self.maximum, level)
 
 
-class LoggedError:
-    """An error-log entry: the number, when the error was detected, and
-    how many Check-Points have reported it."""
-
-    def __init__(self, seq: int, detect_time: float) -> None:
-        self.seq, self.detect_time, self.reports = seq, detect_time, 0
-
-
 class Receiver:
     """One direction's receiver half."""
 
     def __init__(self, engine: Engine, config: LamsDlcConfig, control_channel: Channel,
                  expected_rtt: float, deliver: Optional[Callable[[Any], None]] = None,
-                 delivery_interval: Optional[float] = None) -> None:
-        self.engine, self.config, self.control_channel = engine, config, control_channel
+                 delivery_interval: Optional[float] = None, name: str = "lams.rx") -> None:
+        self.engine, self.config, self.control_channel, self.name = (
+            engine, config, control_channel, name)
         self.deliver = deliver if deliver is not None else (lambda packet: None)
         self.interval = config.processing_time if delivery_interval is None else delivery_interval
         self.retention = config.resolving_period(expected_rtt)
@@ -52,9 +47,7 @@ class Receiver:
         self.cp_index = 0
         self.frontier: Optional[int] = None
         self.next_expected = 0  # both ends start from sequence number zero
-        # The error log by number; the resolving log holds the same
-        # entries, oldest first, for Enforced-NAKs.  Named as the shipped
-        # receiver's, which the comparisons read alike.
+        # By number; oldest first, for Enforced-NAKs.  Named as the shipped receiver's.
         self._error_log: dict[int, LoggedError] = {}
         self._resolving_log: deque[LoggedError] = deque()
         self.queue: deque = deque()  # payloads arrived and not yet delivered
@@ -78,6 +71,9 @@ class Receiver:
 
     receive_queue_length = property(lambda self: len(self.queue))
 
+    def _write(self, event: str, detail: Any) -> None:
+        self.engine.log.append((self.engine.now, self.name, event, detail))
+
     def _step(self) -> None:
         if self.gauge is None:
             self.gauge = Gauge(self.engine.now)
@@ -92,25 +88,32 @@ class Receiver:
         self.iframes_received += 1
         if corrupted and not config.header_protected:
             self.iframes_corrupted += 1  # an unreadable header: a loss
-            return
+            return self._write("iframe_header_lost", {})
         gap = (frame.seq - self.next_expected) % config.numbering_size
         for offset in range(gap):
             self._log_error((self.next_expected + offset) % config.numbering_size)
-        self.gap_losses_detected += gap
+        if gap:
+            self.gap_losses_detected += gap
+            self._write("gap_detected", {"count": gap, "upto": frame.seq})
         self.next_expected = (frame.seq + 1) % config.numbering_size
         if self.frontier is None or frame.transmit_index > self.frontier:
             self.frontier = frame.transmit_index
         if corrupted:
             self.iframes_corrupted += 1
             self._log_error(frame.seq)
+            self._write("iframe_corrupted", {"seq": frame.seq})
         elif config.zero_duplication and self._is_duplicate(frame):
             self.duplicates_suppressed += 1
+            self._write("duplicate_suppressed", {"origin": frame.effective_origin})
         elif (config.receive_queue_capacity is not None
               and len(self.queue) >= config.receive_queue_capacity):
             self.discards += 1
             self._log_error(frame.seq)
+            self._write("overflow_discard", {"seq": frame.seq})
         else:
             self.queue.append(frame.payload)
+            if self.gauge is None or len(self.queue) > self.gauge.maximum:
+                self._write("rxqueue_peak", {"depth": len(self.queue)})
             self._step()
             self.last_planned = max(self.engine.now, self.last_planned) + self.interval
             self.engine.plan(self.last_planned, self._deliver_one, self.token)
@@ -126,14 +129,17 @@ class Receiver:
 
     def _log_error(self, seq: int) -> None:
         if seq not in self._error_log:
-            self._error_log[seq] = entry = LoggedError(seq, self.engine.now)
+            self._error_log[seq] = entry = LoggedError(seq=seq, detect_time=self.engine.now,
+                                                       reports=0)
             self._resolving_log.append(entry)
+            self._write("error_logged", {"seq": seq})
 
     def _deliver_one(self, token: object) -> None:
         if token is self.token:
             payload = self.queue.popleft()
             self._step()
             self.delivered += 1
+            self._write("payload_delivered", (payload,))
             self.deliver(payload)
 
     def flush(self) -> int:
@@ -161,17 +167,24 @@ class Receiver:
     def on_request_nak(self, frame: RequestNakFrame, corrupted: bool) -> None:
         """A valid Request-NAK is answered at once by an Enforced-NAK listing
         every error logged within the resolving period (Section 3.2)."""
-        if not self.running or corrupted:
+        if not self.running:
             return
+        if corrupted:
+            return self._write("request_nak_corrupted", {})
         log = self._resolving_log
         while log and log[0].detect_time < self.engine.now - self.retention:
             log.popleft()
-        self._send_checkpoint(tuple(dict.fromkeys(entry.seq for entry in log)), enforced=True)
+        naks = tuple(dict.fromkeys(entry.seq for entry in log))
+        self._send_checkpoint(naks, enforced=True)
         self.enforced_sent += 1
+        self._write("enforced_nak", {"naks": len(naks)})
 
     def _send_checkpoint(self, naks: tuple, enforced: bool) -> None:
+        stop_go = self.stop_indicated()
         self.control_channel.send(CheckpointFrame(
-            self.cp_index, self.engine.now, naks, self.frontier, enforced,
-            self.stop_indicated(), self.config.cframe_bits(len(naks))))
+            self.cp_index, self.engine.now, naks, self.frontier, enforced, stop_go,
+            self.config.cframe_bits(len(naks))))
+        self._write("checkpoint_sent", {"index": self.cp_index, "naks": len(naks),
+                                        "enforced": enforced, "stop_go": stop_go, "seqs": naks})
         self.cp_index += 1
         self.checkpoints_sent += 1

@@ -3,8 +3,8 @@
 Its outstanding window is a dict keyed by sequence number, one record per
 frame on the link.  It hands the channel one frame at a time, or, on a
 channel that takes runs, up to ``batch_window`` frames back to back.
-``log`` holds each send, requeue and release as the per-frame tuples of
-``tests/trace_runs.py::expand``.
+Every record a traced sender emits is written to the engine's log, a run
+or a release frame by frame (``tests/trace_runs.py::expand``'s tuples).
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class Sender:
 
     def __init__(self, engine: Engine, config: LamsDlcConfig, channel: Channel,
                  expected_rtt: float, on_failure: Optional[Callable[[], None]] = None,
-                 link_start_time: float = 0.0) -> None:
-        self.engine, self.config, self.channel = engine, config, channel
+                 link_start_time: float = 0.0, name: str = "lams.tx") -> None:
+        self.engine, self.config, self.channel, self.name = engine, config, channel, name
         self.expected_rtt, self.link_start_time = expected_rtt, link_start_time
         self.on_failure = on_failure or (lambda: None)
         self.tx_time = config.iframe_bits / channel.bit_rate
@@ -70,7 +70,6 @@ class Sender:
         self.checkpoint_timer = engine.timer(self.on_checkpoint_timeout)
         self.failure_timer = engine.timer(self.on_failure_timeout)
         self.gauge: Optional[Gauge] = None  # the ``sendbuf`` occupancy
-        self.log: list[tuple] = []
         self.holding_sum = 0.0
         self.holdings: list[float] = []
         self.iframes_sent = self.retransmissions = self.releases = 0
@@ -99,6 +98,10 @@ class Sender:
                 + [record.payload for record in self.in_transmit_order()]
                 + [job.payload for job in self.retransmit_queue])
 
+    def _write(self, event: str, detail: Any = None, when: Optional[float] = None) -> None:
+        self.engine.log.append((self.engine.now if when is None else when, self.name, event,
+                                {} if detail is None else detail))
+
     def _record_occupancy(self) -> None:
         self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
         if self.gauge is None:
@@ -126,16 +129,16 @@ class Sender:
             return False
         self.pending.append((packet, self.engine.now))
         self.enqueued += 1
+        self._write("payload_accepted", (packet,))
         self._record_occupancy()
         if self.channel.is_idle:
             self.maybe_send()
         return True
 
-    # -- transmission, renumbered retransmission first (Section 3.3) ----------
-
     def maybe_send(self) -> None:
-        """Send when the channel is idle and Stop-Go pacing allows; no new
-        frames while a failure is suspected."""
+        """Send when the channel is idle and Stop-Go pacing allows, renumbered
+        retransmissions first (Section 3.3); no new frames while a failure
+        is suspected."""
         if self.failed or not self.started or not self.channel.is_idle:
             return
         if not self.retransmit_queue and (not self.pending or self.suspended):
@@ -175,10 +178,9 @@ class Sender:
             if seq in self.window:
                 if frames:
                     break
-                raise SequenceExhausted(
-                    f"sequence number {seq} is still outstanding "
-                    f"({len(self.window)}/{modulus} numbers in use); "
-                    "the numbering space is undersized for this link")
+                raise SequenceExhausted(f"sequence number {seq} is still outstanding ("
+                                        f"{len(self.window)}/{modulus} numbers in use); "
+                                        "the numbering space is undersized for this link")
             frames.append(self._number(seq, departure, stop_go))
             if count and len(frames) > 1:  # joins the occupancy as it departs
                 self.departures.append(departure)
@@ -206,11 +208,9 @@ class Sender:
         self.window[seq] = Outstanding(seq, payload, enqueue_time, arrival, index, count,
                                        first_send, origin)
         self.next_index = index + 1
-        self.log.append(("iframe_sent", departure, seq, index, count))
+        self._write("iframe_sent", (seq, index, count), departure)
         return IFrame(seq, payload, self.config.iframe_bits, index, origin if count else -1,
                       stop_go)
-
-    # -- Stop-Go flow control (Section 3.4) -------------------------------------
 
     def note_piggyback_stop_go(self, stop: bool) -> None:
         """A Stop-Go bit piggybacked on an I-frame, applied at most once a ``W_cp``."""
@@ -220,23 +220,22 @@ class Sender:
             self.last_piggyback_applied = now
             self.flow.on_stop_go(stop)
 
-    # -- Check-Points (Section 3.2) ----------------------------------------------
-
     def on_checkpoint(self, cp: CheckpointFrame, corrupted: bool) -> None:
-        """Checkpoint recovery of every NAK'd number still outstanding, then
-        implicit release of what the checkpoint covers, unless an
-        Enforced-NAK is awaited."""
+        """Check-Point recovery (Section 3.2) of every NAK'd number still
+        outstanding, then implicit release of what the checkpoint covers,
+        unless an Enforced-NAK is awaited."""
         if self.failed:
             return
         if corrupted:
             self.checkpoints_corrupted += 1
-            return
+            return self._write("checkpoint_corrupted")
         self.checkpoints_received += 1
         self.checkpoint_timer.start(self.config.checkpoint_timeout)
         self.flow.on_stop_go(cp.stop_go)
         if self.awaiting_enforced and cp.enforced:
             self.failure_timer.cancel()
             self.awaiting_enforced = self.suspended = False
+            self._write("enforced_recovery_complete")
         elif (self.awaiting_enforced
               and self.engine.now - self.last_probe_time >= self.expected_response_time):
             self._send_request_nak()  # the link is up but the probe was lost
@@ -271,8 +270,7 @@ class Sender:
             self.holding_sum += holding
             self.holdings.append(holding)
             self.releases += 1
-            self.log.append(("iframe_released", now, record.seq, holding,
-                             record.retransmit_count))
+            self._write("iframe_released", (record.seq, holding, record.retransmit_count))
         if len(self.window) != live:
             self._record_occupancy()
 
@@ -281,9 +279,7 @@ class Sender:
         self.retransmit_queue.append(Job(record.payload, record.enqueue_time,
                                          record.first_send_time, record.retransmit_count + 1,
                                          cause, record.origin))
-        self.log.append(("requeue", self.engine.now, record.seq, cause))
-
-    # -- enforced recovery (Section 3.2) ------------------------------------------
+        self._write("requeue", {"seq": record.seq, "cause": cause})
 
     @property
     def expected_response_time(self) -> float:
@@ -296,9 +292,9 @@ class Sender:
         lifetime = self.config.link_lifetime
         if self.failed:
             return
+        self._write("checkpoint_timeout")
         if lifetime is not None and self.link_start_time + lifetime - self.engine.now < budget:
-            self._declare_failure()
-            return
+            return self._declare_failure()
         self.suspended = self.awaiting_enforced = True
         self._send_request_nak()
 
@@ -307,6 +303,7 @@ class Sender:
         self.request_naks_sent += 1
         self.last_probe_time = self.engine.now
         self.failure_timer.start(self.expected_response_time + self.config.checkpoint_timeout)
+        self._write("request_nak_sent")
 
     def on_failure_timeout(self) -> None:
         if not self.failed:
@@ -317,4 +314,5 @@ class Sender:
         self.failures_declared += 1
         self.checkpoint_timer.cancel()
         self.failure_timer.cancel()
+        self._write("link_failure_declared")
         self.on_failure()

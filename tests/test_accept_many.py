@@ -128,8 +128,6 @@ class Side:
         entry = (record.time, record.source, record.event, record.detail)
         if record.event == "payloads_accepted":
             self.log.extend(expand(entry, modulus=1))  # no sequence numbers in it
-        elif record.event == "payload_accepted":
-            self.log.append(("payload_accepted", record.time, record.detail["payload"]))
         else:
             self.log.append(entry)
 

@@ -351,6 +351,10 @@ DELETED_NAMES = [
     ("repro.experiments.registry", "e12_|validation"),
     ("repro.experiments.registry", "e19_|validation_matrix"),
     ("repro.experiments.report", "generate_|report"),
+    # The tracer's point-sample statistic, one Welford accumulator with
+    # the replication summary (StreamingSummary).
+    ("repro.simulator.trace", "Sample|Stat"),
+    ("repro.simulator", "Sample|Stat"),
 ]
 
 # Methods that went the same way, beside the class they were on.

@@ -37,7 +37,7 @@ from repro.nbdt.sender import NbdtSender
 from repro.simulator.engine import Simulator
 from repro.simulator.errormodel import PerfectChannel
 from repro.simulator.rng import StreamRegistry
-from repro.simulator.trace import SampleStat, Tracer
+from repro.simulator.trace import StreamingSummary, Tracer
 from repro.workloads import build_simulation, preset
 from repro.workloads.generators import SaturatedSource
 
@@ -66,9 +66,9 @@ def view(sender) -> dict:
     specification's dict buffer and per-frame lists.  A frame's number is
     absolute; the shipped N(S) are read against V(A) by ``window_offset``."""
     if isinstance(sender, Held):
-        holding = SampleStat("holding_time")
+        holding = StreamingSummary("holding_time")
         for sample in sender.holdings:
-            holding.add(sample)
+            holding.push(sample)
         frames = [(number, f.payload, f.enqueue_time, f.first_send, f.retransmit_count,
                    f.last_send) for number, f in sender.buffer.items()]
         offsets = [number - sender.base for number in sender.buffer] \
@@ -79,7 +79,7 @@ def view(sender) -> dict:
                                       getattr(sender, "awaiting_report", None))
     else:
         buffer, outstanding = sender.buffer, list(sender.buffer.outstanding_frames())
-        holding = sender.tracer.samples.get(f"{sender.name}.holding_time", SampleStat(""))
+        holding = sender.tracer.samples.get(f"{sender.name}.holding_time", StreamingSummary(""))
         last_sends = getattr(sender, "_last_sends", buffer.first_sends)
         frames = [(f.transmit_index, f.payload, f.enqueue_time, f.first_send_time,
                    f.retransmit_count, last_sends[f.transmit_index - buffer.base])

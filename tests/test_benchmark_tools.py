@@ -147,28 +147,32 @@ def test_bench_pairs_change_exports_a_named_revision_like_the_parent(monkeypatch
 
 
 def test_a_mutant_whose_killer_runs_no_test_is_stale(monkeypatch, tmp_path):
-    """``tools/mutants.py``: a ``Killed-by`` id that names no test makes
-    pytest exit 4 (5 when nothing is collected); that is a stale mutant,
-    not a kill.  Any other failure kills it, a pass lets it survive."""
+    """``tools/mutants.py``: a ``Killed-by`` id with no test in the
+    ``--junitxml`` report (pytest finds none of that name) makes a stale
+    mutant, not a kill.  A failing test in every id kills it; an id whose
+    tests all pass lets it survive."""
     mutants = load_tool("mutants")
     patch = tmp_path / "renamed-killer.patch"
-    patch.write_text("Mutant: a test renamed away\n"
-                     "Killed-by: tests/test_trace_runs.py::test_no_such_test\n")
-    monkeypatch.setattr(mutants, "export", lambda rev, target: target.mkdir(parents=True))
-    status = {}
+    patch.write_text("Mutant: a test renamed away\nKilled-by: tests/t.py::test_a\n"
+                     "Killed-by: tests/t.py::TestB::test_c\n")
+    cases: list = []
 
-    def fake_run(command, **kwargs):
-        code = 0 if command[:2] == ["git", "apply"] else status["pytest"]
-        return subprocess.CompletedProcess(command, code, stdout="", stderr="")
+    def fake_run(command, **kwargs):  # pytest writes its report; git applies
+        for report in (arg[len("--junitxml="):] for arg in command if "--junitxml=" in arg):
+            Path(report).write_text("<testsuite>" + "".join(
+                f'<testcase classname="{owner}" name="{name}">{"<failure/>" * failed}</testcase>'
+                for owner, name, failed in cases) + "</testsuite>")
+        return subprocess.CompletedProcess(command, 0, stdout="", stderr="")
 
     monkeypatch.setattr(mutants.subprocess, "run", fake_run)
-    verdicts = {}
-    for code in (0, 1, 4, 5):
-        status["pytest"] = code
-        verdicts[code] = mutants.check(patch, None, tmp_path / str(code))[0]
-    assert verdicts == {0: "survived", 1: "killed", 4: "stale", 5: "stale"}
-    missing = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_trace_runs.py::test_no_such_test"],
-        cwd=mutants.REPO, capture_output=True)
-    assert missing.returncode in mutants.NOTHING_RUN
+    verdicts = []
+    for c in (True, False):
+        cases[:] = [("tests.t", "test_a[x]", True), ("tests.t.TestB", "test_c", c)]
+        verdicts.append(mutants.check(patch, tmp_path)[0])
+    cases[:] = [("tests.t", "test_ab", True)]
+    assert verdicts + [mutants.check(patch, tmp_path)[0]] == ["killed", "survived", "stale"]
+    missing = ["tests/test_trace_runs.py::test_no_such_test"]
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                    f"--junitxml={tmp_path / 'missing.xml'}", *missing],
+                   cwd=mutants.REPO, capture_output=True)
+    assert mutants.failed_ids(tmp_path / "missing.xml", missing) == (set(), set())

@@ -10,16 +10,16 @@ and applies the Stop-Go bit, and looks for work only when some is
 pending.  The budget test counts the Python-level calls per frame on a
 12-link ring held frame by frame; its sibling counts what the same ring
 costs parked (``repro.core.idle``).  The edge tests play each way off those paths, on
-``tests/test_receiver_runs.py``'s bidirectional link: untraced against
-the specification (``tests/spec/``) at a window of one, and traced, at
-the case's own window, against pinned digests of every trace record the
-run emits (taken before the paths were fused into one call each), and
-against the same run untraced.
+``tests/test_receiver_runs.py``'s bidirectional link: at a window of one
+against the specification (``tests/spec/``), untraced, and traced with
+every source's records against the specification's log; and traced at
+the case's own window against the same run untraced and, record for
+record, against the specification's link at that window.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import sys
 
 import pytest
@@ -29,7 +29,7 @@ from repro.topology import build_constellation, ring_topology
 from repro.workloads import preset
 
 from .conftest import PerFrameClock
-from .test_receiver_runs import _case, run, window_of_one
+from .test_receiver_runs import _case, played, run, untraced
 
 # A checkpoint tick: every receiver starts at 0 and W_cp is 5 ms.
 TICK = 0.04
@@ -54,24 +54,6 @@ EDGES = {
                               config=dict(SLOW, flow_control_enabled=False)),
 }
 
-# sha256 of ``repr`` of every record a traced run of each edge emits,
-# ``(time, source, event, detail)`` in emission order.
-RECORDS = {
-    "checkpoint-lost-serializing":
-        "f65e7e5d2dd1986551790bfec41db53e7f400ff9047cb0170d23661d615eaff1",
-    "checkpoint-behind-a-run":
-        "ca8a4882c469fae14d17a7c854f291f260e3ce7bfaba3144af39c2c627a26198",
-    "checkpoint-corrupted":
-        "fbb00bdd1a774f0250377c66d7cf3797ddd685d2bc598b14868800acd9dae82f",
-    "checkpoint-nak-and-enforced":
-        "1f821fa1f51b50befaa4ebf25aa647f29d958a07ab64b56d8e619a1dff9e3330",
-    "stop-bit":
-        "bd7f4d2fbbefbb46894890453604034e2df5b654b713b987b7018e7978765929",
-    "flow-control-off":
-        "87a95b0200ee290231175837985eadd6606ade45726e1d60ce43115bb950161f",
-}
-
-
 def _queued_behind_a_run(channel) -> bool:
     """The frame just sent is a control frame waiting behind an I-frame run."""
     queue, on_wire = channel._queue, channel._run
@@ -81,29 +63,18 @@ def _queued_behind_a_run(channel) -> bool:
     return not first.is_control
 
 
-def traced(case: dict) -> tuple[dict, list, list]:
-    """A traced run of *case*: its outcome, its records, and for each
+@functools.cache
+def traced(name: str) -> tuple[dict, list, list]:
+    """A traced run of edge *name*: its outcome, its records, and for each
     ``checkpoint_sent`` whether that checkpoint waits behind an I-frame run."""
-    records, behind = [], []
+    behind = []
 
     def watch(link, tracer):
-        def listen(record):
-            records.append((record.time, record.source, record.event, record.detail))
-            if record.event == "checkpoint_sent":
-                behind.append(any(map(_queued_behind_a_run, (link.forward, link.reverse))))
+        tracer.listeners.append(lambda record: record.event == "checkpoint_sent" and behind.append(
+            any(map(_queued_behind_a_run, (link.forward, link.reverse)))))
 
-        tracer.listeners.append(listen)
-
-    return run(case, "run", watch=watch), records, behind
-
-
-_TRACED: dict = {}
-
-
-def _traced(name: str) -> tuple[dict, list, list]:
-    if name not in _TRACED:
-        _TRACED[name] = traced(EDGES[name])
-    return _TRACED[name]
+    outcome = run(EDGES[name], "run", traced=True, watch=watch)
+    return outcome, [entry for stream in outcome["records"].values() for entry in stream], behind
 
 
 def idle_ring(clock: Simulator):
@@ -162,31 +133,36 @@ def test_a_parked_idle_link_costs_at_most_a_hundred_calls_a_second():
 
 @pytest.mark.parametrize("name", sorted(EDGES))
 def test_an_edge_of_the_checkpoint_cycle_agrees_with_the_specification(name):
-    case = window_of_one(EDGES[name])
-    assert run(case, "run") == run(case, "spec")
+    """At a window of one, the specification's answers."""
+    spec_path = played(name, "spec", one=True, traced=True, cases=EDGES)
+    assert played(name, "run", one=True, cases=EDGES) == untraced(spec_path)
 
 
 @pytest.mark.parametrize("name", sorted(EDGES))
 def test_an_edge_of_the_checkpoint_cycle_keeps_its_records(name):
-    """Traced, the same outcome as untraced and the same records as pinned."""
-    outcome, records, _ = _traced(name)
-    assert outcome == run(EDGES[name], "run")
-    assert hashlib.sha256(repr(records).encode()).hexdigest() == RECORDS[name]
+    """Traced, each source's records are the specification's: with its
+    outcome at a window of one, and at the case's window, where the
+    outcome is the untraced run's."""
+    spec_path = played(name, "spec", one=True, traced=True, cases=EDGES)
+    assert played(name, "run", one=True, traced=True, cases=EDGES) == spec_path
+    outcome = traced(name)[0]
+    assert untraced(outcome) == played(name, "run", cases=EDGES)
+    assert outcome["records"] == played(name, "spec", traced=True, cases=EDGES)["records"]
 
 
 def test_the_edges_reach_what_they_are_named_for():
-    _, records, _ = _traced("checkpoint-lost-serializing")
+    _, records, _ = traced("checkpoint-lost-serializing")
     assert any(event == "frame_lost_outage" and detail == {"phase": "serialize", "control": True}
                for _, _, event, detail in records)
-    assert any(_traced("checkpoint-behind-a-run")[2])
-    _, records, _ = _traced("checkpoint-corrupted")
+    assert any(traced("checkpoint-behind-a-run")[2])
+    _, records, _ = traced("checkpoint-corrupted")
     assert any(event == "checkpoint_corrupted" for _, _, event, _ in records)
-    outcome, records, _ = _traced("checkpoint-nak-and-enforced")
+    outcome, records, _ = traced("checkpoint-nak-and-enforced")
     assert any(checkpoint[4] for checkpoint in outcome["checkpoints"])  # NAKs
     assert any(checkpoint[6] for checkpoint in outcome["checkpoints"])  # enforced
     assert any(event == "enforced_nak" for _, _, event, _ in records)
-    assert any(checkpoint[7] for checkpoint in _traced("stop-bit")[0]["checkpoints"])
-    off = _traced("flow-control-off")[0]
+    assert any(checkpoint[7] for checkpoint in traced("stop-bit")[0]["checkpoints"])
+    off = traced("flow-control-off")[0]
     assert not any(checkpoint[7] for checkpoint in off["checkpoints"])
     assert off["B"]["gauge"][1] >= 64  # the watermark: a Stop bit, were flow control on
     assert {off[side]["sender"][2] for side in "AB"} == {1.0}

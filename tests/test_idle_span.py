@@ -156,12 +156,12 @@ def play(case: dict, path: str) -> list:
 @spec_settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 40),
-    cframe_ber=st.sampled_from([0.0, 1e-8, 2e-3, 6e-3]),
+    cframe_ber=st.sampled_from([0.0, 1e-8, 2e-3, 6e-3, 2e-2, 5e-2]),
     depth=st.sampled_from([1, 2, 3, 4]),
-    at=st.integers(2, 40),
+    at=st.integers(1, 40),
     after=st.integers(1, 40),
     touch=st.sampled_from(["instant", "deadline", "between"]),
-    action=st.sampled_from(["read", "inside", "accept", "outage"]),
+    action=st.sampled_from(["read", "inside", "accept", "outage", "storm"]),
     rate=st.sampled_from([(1.0, 0.1), (0.3, 0.013)]),
 )
 def test_a_parked_link_agrees_with_the_specification(seed, cframe_ber, depth, at, after,

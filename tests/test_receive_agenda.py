@@ -13,14 +13,15 @@ one :class:`~repro.simulator.engine.Agenda`, each item keeping the
 - whole LAMS links, outages (``down()`` mid-run) and a receiver slower
   than the line included, deliver at the same ``(now, payload)`` as the
   specification's link, one entry per arrival and per drain;
-- digests of the delivered ``(now, payload)`` stream, recorded where
-  every arrival and every drain was its own heap entry, and of the full
-  trace-record stream of seven runs (the sender's runs and the receiving
-  end's run records expanded per source by ``tests/trace_runs.py::Split``),
-  recorded where every retransmission was a run of its own, of that
-  stream with each instant's records sorted, which no same-instant rule
-  can move, and of it source by source, which no change to when a
-  source's records go out can move;
+- the order of records across sources, which the specification's
+  per-source comparison leaves out, for a single link at a window of 64
+  and a 10-link ring: digests of the delivered ``(now, payload)``
+  stream, recorded where every arrival and every drain was its own heap
+  entry, and of the full trace-record stream (the sender's runs and the
+  receiving end's run records expanded per source by
+  ``tests/trace_runs.py::Split``), of that stream with each instant's
+  records sorted, which no same-instant rule can move, and of it source
+  by source;
 - monitored or not, a link pops the same entries, and its receivers take
   the same agenda items;
 - the instant-start rule on a planned delivery tied with another link's
@@ -60,7 +61,7 @@ from repro.workloads.generators import FiniteBatch, SaturatedSource
 from repro.workloads.scenarios import build_simulation
 
 from . import spec
-from .conftest import spec_settings
+from .conftest import spec_settings, spec_twin
 from .trace_runs import Split
 from .test_engine_properties import _StubLoop
 
@@ -312,21 +313,9 @@ def _drive_link(path, t_proc, outages, slices, seed, batch_window=1):
     setup = build_simulation(scenario, "lams", seed=seed, overrides=overrides)
     log = []
     if path == "spec":
-        shipped = setup.link
-        sim = spec.Engine()
-        streams = StreamRegistry(shipped.streams.seed)
-        link = SimpleNamespace(**{
-            direction: spec.Channel(sim, channel.name, channel.bit_rate,
-                                    channel._fixed_delay, channel.iframe_errors,
-                                    channel.cframe_errors, streams)
-            for direction, channel in (("forward", shipped.forward),
-                                       ("reverse", shipped.reverse))})
-        a, b = spec.make_pair(sim, setup.endpoint_a.config, link.forward, link.reverse,
-                              deliver_b=lambda packet: log.append((sim.now, "up", packet)))
-        a.start(send=True, receive=False)
-        b.start(send=False, receive=True)
-        if len(plan):
-            FaultInjector(sim, link, plan, tracer=Tracer())
+        sim, a, b = spec_twin(setup, plan)
+        link = SimpleNamespace(forward=a.sender.channel)
+        b.receiver.deliver = lambda packet: log.append((sim.now, "up", packet))
     else:
         sim, link, a, b = setup.sim, setup.link, setup.endpoint_a, setup.endpoint_b
         deliver = b.receiver.deliver
@@ -385,55 +374,25 @@ OUTAGES = FaultPlan.from_dict({"name": "runs", "faults": [
 ]})
 
 # name -> (payloads delivered, digest of the delivered (now, payload)
-# stream, trace records, digest of the record stream, digest of the
-# record stream with each instant's records sorted, digest of the record
-# stream source by source).  The delivered stream was recorded where
-# every arrival and every drain was a heap entry of its own, and is the
-# same with the monitors off.  The record stream is the per-frame stream
-# of ``tests/trace_runs.py``'s ``Split`` — the other records in emission
-# order, then the sender's frames per source, then each source's arrivals
-# and drains — recorded on the sender that handed every retransmission
-# over as a run of one (the count is of that expanded stream); the
-# receiving end's part was checked before against the stream in which
-# each arrival and drain was traced on its own.  The sorted digest
-# reorders records only within one instant, which is all the instant-start
-# rule may do (docs/TUNING.md §10).  The per-source digest holds every
-# source's own records in their order, which no change to when a source's
-# records go out may move.
-#
-# All but ``window1`` were recorded again (counts unchanged) when a window
-# of new frames at line rate began to pace from its accumulated departure,
-# not from ``now + count * frame_time``: every payload arrives and is
-# delivered in the same order, up to an ulp (5.6e-16 s) earlier or later.
-# They were recorded again (counts, delivered streams and per-source
-# digests unchanged; the per-source digest is the parent's) when a traced
-# receiver's records began to go out with its next settle instead of at
-# items of their own, after other sources' records emitted meanwhile:
-# ``iframe_corrupted`` and ``error_logged`` (4 + 4 of nominal's 18 + 18,
-# bursty's 79 + 79 of 120 + 120, window64's 5 + 5 of 14 + 14), 94 of the
-# stressed receiver's 374 ``overflow_discard`` with 96 ``error_logged``
-# and 2 ``iframe_corrupted``, 2 of the outages' 34 ``iframe_corrupted``
-# with their ``error_logged``, and one corruption (``iframe_corrupted``,
-# ``error_logged``) on the ring's link 8.
+# stream, trace records, digest of the record stream, digest of it with
+# each instant's records sorted, digest of it source by source), recorded
+# where every arrival and every drain was a heap entry of its own.  Each
+# source's own records are held with ``==`` to the specification's log
+# (``tests/test_trace_runs.py``; ``tests/test_receiver_runs.py`` at every
+# window); these two rows pin what that leaves out, the order of records
+# across sources: a single link's at a window of 64, and a 10-link
+# ring's.  The record stream is ``tests/trace_runs.py``'s ``Split``; the
+# sorted digest reorders records only within one instant, which is all
+# the instant-start rule may do (docs/TUNING.md §10).  Both rows were
+# re-recorded, every source's own stream unchanged, when a traced
+# receiver's records began to go out with its next settle (``window64``:
+# 5 + 5 of its 14 + 14 ``iframe_corrupted`` and ``error_logged`` moved),
+# and ``ring10`` under the instant-start rule and when a frame handed
+# over on its own began to plan its delivery as a run does (12 and 5
+# ``payload_accepted`` records changed places with other links').
 PARENT_STREAMS = {
-    "nominal": (2000, "c6498cd2067b2305", 8503, "d37f60f69b802c66", "16fbe2f57549e54c",
-               "4783625bc46d579e"),
-    "bursty": (2000, "4ee11191e692460d", 9012, "11b5284d4c1138df", "895ae76b97939432",
-              "a161910b0be112c1"),
-    "outages": (4000, "1d6dbb99057dbca8", 23083, "c11636b38caa1287", "36278cfd4552a545",
-               "aab8156430e53d26"),
-    "stressed": (2000, "ccdff2d62bcb8517", 10459, "50d74b21e03c5aa0", "f3fd8b8c149d1839",
-                "20aa6b869d506e23"),
-    "window1": (2000, "5900a210ba3ffa64", 8484, "0da9219282a96930", "22677ba0859c1ab9",
-               "efe05aa93590793a"),
     "window64": (2000, "dd00462a0be4b33f", 8484, "3199cae914db6b25", "a8f0e9109cd33291",
                 "8426c96cd77c60d3"),
-    # Re-recorded once under the instant-start rule (12 payload_accepted
-    # records changed places with other links' records at two instants),
-    # and once when a frame handed over on its own began to plan its
-    # delivery as a run does, after every numbered entry at its instant
-    # (5 payload_accepted records at three instants); every link's own
-    # stream is as before.
     "ring10": (600, "4ed30dec5b54dfdc", 9620, "2849cedf4643fdd5", "67e9536d79f5ee53",
               "65c7be81acc2b86f"),
 }
@@ -499,10 +458,6 @@ def _link_streams(name, monitored):
     setup.run(until=1.0)
     if monitored:
         assert setup.finalize_monitors().ok
-    if name == "stressed":
-        assert receiver.discards > 0
-        assert any(record[2] == "checkpoint_sent" and record[3]["stop_go"]
-                   for record in records.others) or not monitored
     return (len(delivered), _digest(delivered), *_record_digests(records))
 
 

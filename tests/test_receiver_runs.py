@@ -13,7 +13,9 @@ Stop-Go bit and the checkpoints of both directions matter:
   is handed over on its own (``on_iframe``, a run of one);
 - ``spec``: the specification's link (``tests/spec/``), one heap entry
   per event, one ``on_iframe`` per arrival, with the same configuration,
-  error models and seed, held to the run path at ``batch_window=1``.
+  error models and seed, held to the run path at ``batch_window=1``;
+  traced, each source's records are held to its log there and at the
+  case's own window.
 
 All must deliver the same ``(now, payload)`` streams and send the same
 checkpoint frames (index, issue time, NAK list, frontier, enforced,
@@ -50,6 +52,7 @@ from repro.workloads.generators import FiniteBatch
 
 from . import spec
 from .conftest import spec_settings
+from .trace_runs import normal
 
 BURSTS = ("gilbert-elliott", {
     "good_ber": 1e-7, "bad_ber": 1e-3, "mean_good": 0.004, "mean_bad": 0.001,
@@ -119,18 +122,20 @@ CASES = {
 
 
 def run(case: dict, path: str, traced: bool = False, watch=None) -> dict:
-    """Play *case* one way (``run``, ``frame`` or ``spec``), with a listener
-    on the tracer when *traced*; what each side delivered, sent and logged.
-    *watch*, if given, is called with the built link and its tracer (not
-    on the ``spec`` path)."""
+    """Play *case* one way (``run``, ``frame`` or ``spec``); what each side
+    delivered, sent and logged.  *traced*, each source's records too, in
+    ``tests/trace_runs.py``'s normal form: on the ``spec`` path, the
+    specification's log.  *watch*, if given, is called with the built link
+    and its tracer (not on the ``spec`` path)."""
     name, params = case["model"]
     errors = [make_error_model(name, {"bit_rate": case["bit_rate"]}, **params)
               for _ in range(2)] + [make_error_model("bernoulli", ber=case["cframe_ber"])]
     config = preset("nominal").lams_config(
         iframe_payload_bits=case["payload_bits"], **case["config"])
-    tracer = Tracer()
+    tracer, records = Tracer(), []
     if traced:
-        tracer.listeners.append(lambda record: None)
+        tracer.listeners.append(lambda record: records.append(
+            (record.time, record.source, record.event, record.detail)))
     streams = StreamRegistry(case["seed"])
     delivered = {"A": [], "B": []}
     # Deliveries and checkpoints, in the order they ran: a delivery tied
@@ -139,16 +144,17 @@ def run(case: dict, path: str, traced: bool = False, watch=None) -> dict:
     if path == "spec":
         sim = spec.Engine()
         link = SimpleNamespace(
-            forward=spec.Channel(sim, f"{case['kind']}.fwd", case["bit_rate"], case["delay"],
-                                 errors[0], errors[2], streams),
-            reverse=spec.Channel(sim, f"{case['kind']}.rev", case["bit_rate"], case["delay"],
-                                 errors[1], errors[2], streams))
+            forward=spec.RunChannel(sim, f"{case['kind']}.fwd", case["bit_rate"], case["delay"],
+                                    errors[0], errors[2], streams),
+            reverse=spec.RunChannel(sim, f"{case['kind']}.rev", case["bit_rate"], case["delay"],
+                                    errors[1], errors[2], streams))
         a, b = spec.make_pair(
             sim, config, link.forward, link.reverse,
             deliver_a=lambda packet: delivered["A"].append((sim.now, packet)),
             deliver_b=lambda packet: (delivered["B"].append((sim.now, packet)),
                                       timeline.append("B")),
-            delivery_interval_b=case["delivery_interval"])
+            delivery_interval_b=case["delivery_interval"], name=case["kind"])
+        records = sim.log  # the fault injector's records join it
     else:
         sim = Simulator()
         link = FullDuplexLink(sim, case["bit_rate"], case["delay"], name=case["kind"],
@@ -222,6 +228,9 @@ def run(case: dict, path: str, traced: bool = False, watch=None) -> dict:
         if path == "spec" else (channel.frames_sent, channel.frames_corrupted,
                                 channel.frames_lost_outage, channel.busy_seconds)
         for channel in (link.forward, link.reverse)]
+    if traced:
+        tracer.settle()
+        result["records"] = normal(records, config.numbering_size)
     return result
 
 
@@ -229,15 +238,21 @@ def window_of_one(case: dict) -> dict:
     return dict(case, config=dict(case["config"], batch_window=1))
 
 
+def untraced(result: dict) -> dict:
+    """*result* without its records."""
+    return {key: value for key, value in result.items() if key != "records"}
+
+
 _PLAYED: dict = {}
 
 
-def played(name: str, path: str, one: bool = False, traced: bool = False) -> dict:
-    """:func:`run` of ``CASES[name]`` (at a window of one if *one*), kept
-    for the tests below, which share what they play."""
+def played(name: str, path: str, one: bool = False, traced: bool = False,
+           cases: dict = CASES) -> dict:
+    """:func:`run` of ``cases[name]`` (at a window of one if *one*), kept
+    for the tests that share what they play."""
     key = (name, path, one, traced)
     if key not in _PLAYED:
-        case = CASES[name]
+        case = cases[name]
         _PLAYED[key] = run(window_of_one(case) if one else case, path, traced)
     return _PLAYED[key]
 
@@ -245,20 +260,24 @@ def played(name: str, path: str, one: bool = False, traced: bool = False) -> dic
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_three_paths_agree(name):
     """The run path gives the frame path's answers at the case's window,
-    and the specification's at a window of one."""
+    and the specification's at a window of one: traced, its records too."""
     run_path = played(name, "run")
     assert run_path["delivered"]["B"], "nothing delivered: the case tests nothing"
     assert run_path == played(name, "frame")
-    assert played(name, "run", one=True) == played(name, "spec", one=True)
+    spec_path = played(name, "spec", one=True, traced=True)
+    assert played(name, "run", one=True) == untraced(spec_path)
+    assert played(name, "run", one=True, traced=True) == spec_path
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_traced_run_taken_as_it_lands_agrees(name):
     """Traced, a run is taken whole — its deliveries at their ranks, its
     arrivals and their records waiting for the next settle — and gives
-    the specification's answers."""
-    assert played(name, "run", one=True, traced=True) == played(name, "spec", one=True)
-    assert played(name, "run", traced=True) == played(name, "run")
+    the untraced run's answers at the case's window, and the records of
+    the specification's link at that window (its channels take runs)."""
+    traced = played(name, "run", traced=True)
+    assert untraced(traced) == played(name, "run")
+    assert traced["records"] == played(name, "spec", traced=True)["records"]
 
 
 def test_the_cases_reach_what_they_are_named_for():
@@ -304,8 +323,10 @@ def test_generated_histories_agree(base, seed, flushes, outages, capacity, slice
     if capacity is not None:
         case["config"] = dict(case["config"], receive_queue_capacity=capacity)
     assert run(case, "run") == run(case, "frame")
+    assert run(case, "run", traced=True)["records"] == run(case, "spec", traced=True)["records"]
     case = window_of_one(case)
-    assert run(case, "run") == run(case, "spec")
+    spec_path = run(case, "spec", traced=True)
+    assert run(case, "run") == untraced(spec_path) and run(case, "run", traced=True) == spec_path
 
 
 def _counted_runs(wrap: bool, rehear: bool, traced: bool) -> tuple[list[int], int, int]:
@@ -364,9 +385,10 @@ def test_a_capacity_bounded_receiver_takes_runs_as_the_per_frame_receiver_did():
     results = {path: run(case, path) for path in ("run", "frame")}
     assert results["run"] == results["frame"]
     assert results["run"]["B"]["counts"][5] > 0  # discards
-    assert run(case, "run", traced=True) == results["run"]
+    assert untraced(run(case, "run", traced=True)) == results["run"]
     case = window_of_one(case)
-    assert run(case, "run") == run(case, "spec")
+    spec_path = run(case, "spec", traced=True)
+    assert run(case, "run") == untraced(spec_path) and run(case, "run", traced=True) == spec_path
 
 
 @pytest.mark.parametrize("interval", [-1e-3, math.nan, math.inf, -math.inf])

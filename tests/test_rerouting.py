@@ -179,6 +179,9 @@ class TestFailover:
 # instant are an entry each.  And (7683 and 7602) when a link parking
 # took its peer's checkpoint of the instant into the span: that
 # checkpoint's departure and landing are no entries of their own.
+# Kept beside the specification's per-link log: the delivered datagrams
+# of a rerouted ring are the network layer's, which the specification
+# does not model.
 PARENT_RUNS = {
     "forward-then-failure": ("6abdba4b74dd2295", 46, 7683),
     "failure-then-forward": ("9b0190cb289fd452", 0, 7602),

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.simulator.rng import StreamRegistry, derive_seed
-from repro.simulator.trace import SampleStat, TimeWeightedStat, Tracer
+from repro.simulator.trace import StreamingSummary, TimeWeightedStat, Tracer
 
 
 class TestStreamRegistry:
@@ -61,51 +61,53 @@ class TestStreamRegistry:
         assert 0 <= derive_seed(123456, "anything") < 2**32
 
 
-class TestSampleStat:
+class TestSampleStat:  # a tracer's point samples, a StreamingSummary each
     def test_mean_and_extremes(self):
-        stat = SampleStat("s")
+        stat = StreamingSummary("s")
         for value in (1.0, 2.0, 3.0, 4.0):
-            stat.add(value)
+            stat.push(value)
         assert stat.mean == pytest.approx(2.5)
         assert stat.minimum == 1.0 and stat.maximum == 4.0
 
     def test_variance_matches_textbook(self):
-        stat = SampleStat("s")
+        stat = StreamingSummary("s")
         for value in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            stat.add(value)
+            stat.push(value)
         assert stat.variance == pytest.approx(32.0 / 7.0)
         assert stat.stdev == pytest.approx(math.sqrt(32.0 / 7.0))
 
     @given(st.lists(st.lists(st.floats(-1e6, 1e6), max_size=20), max_size=6))
     def test_extend_equals_repeated_add_to_the_bit(self, batches):
-        one_by_one, batched = SampleStat("a"), SampleStat("b")
+        one_by_one, batched = StreamingSummary("a"), StreamingSummary("b")
         for batch in batches:
             for value in batch:
-                one_by_one.add(value)
+                one_by_one.push(value)
             batched.extend(batch)
-            assert [getattr(batched, slot) for slot in SampleStat.__slots__[1:]] == [
-                getattr(one_by_one, slot) for slot in SampleStat.__slots__[1:]]
+            assert [getattr(batched, slot) for slot in StreamingSummary.__slots__[1:]] == [
+                getattr(one_by_one, slot) for slot in StreamingSummary.__slots__[1:]]
 
     def test_empty_stat_mean_is_nan_but_spread_is_zero(self):
-        # Mean of nothing is undefined; spread of fewer than two samples
-        # is *defined* as zero so confidence intervals degrade gracefully
-        # instead of propagating NaN (or dividing by n-1 = 0).
-        stat = SampleStat("s")
-        assert math.isnan(stat.mean)
+        # Mean of nothing is undefined: a tracer's summary reads NaN (the
+        # accumulator 0.0, as a replication table wants).  Spread of fewer
+        # than two samples is *defined* as zero so confidence intervals
+        # degrade gracefully instead of propagating NaN.
+        tracer = Tracer()
+        stat = tracer.sample_stat("s")
+        assert math.isnan(tracer.summary()["s.mean"]) and stat.mean == 0.0
         assert stat.variance == 0.0
         assert stat.stdev == 0.0
 
     def test_single_sample_has_zero_spread(self):
-        stat = SampleStat("s")
-        stat.add(42.0)
+        stat = StreamingSummary("s")
+        stat.push(42.0)
         assert stat.mean == 42.0
         assert stat.variance == 0.0
         assert stat.stdev == 0.0
 
     def test_two_samples_spread_becomes_live(self):
-        stat = SampleStat("s")
-        stat.add(1.0)
-        stat.add(3.0)
+        stat = StreamingSummary("s")
+        stat.push(1.0)
+        stat.push(3.0)
         assert stat.variance == pytest.approx(2.0)
         assert stat.stdev == pytest.approx(math.sqrt(2.0))
 

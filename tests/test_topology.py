@@ -182,6 +182,9 @@ class TestDeterminism:
 # network_rollup() without its two engine-scale keys, sha256 of
 # link_summaries(), frames_sent), and the two engine-scale keys, which
 # are what that change was about — same frames, fewer heap entries.
+# Kept beside the specification's per-link log: a 20-link ring's network
+# rollup and link summaries are of the topology and network layers,
+# which the specification does not model.
 PARENT_IDLE_RING = ("6addde466787fb2f", "6c21e99d13c6ad51", 841)
 PARENT_IDLE_RING_ENGINE = {"events": 3021, "peak_heap": 389}
 

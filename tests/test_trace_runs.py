@@ -5,17 +5,16 @@ The LAMS sender emits one ``iframes_sent`` per run, one
 stretch of packets accepted together; a channel one ``frames_delivered``
 per run that lands; the receiver one ``payloads_delivered`` per
 checkpoint interval's drains, and only new receive-queue peaks
-(``rxqueue_peak``).  Pinned here:
+(``rxqueue_peak``).  Held here:
 
-- the expanded stream (``tests/trace_runs.py``) of three seeded
-  monitored runs — nominal, Gilbert–Elliott bursts, and outages — is
-  digest-equal to the per-frame ``(event, time, seq, index, retx |
-  holding)`` stream the sender emitted frame by frame, and its
-  acceptances, with a saturated source's too, to the per-packet
-  ``("payload_accepted", time, payload)`` stream;
-- the receiving end's records of six seeded runs expand, source by
-  source, to the per-frame ``deliver`` / ``payload_delivered`` stream;
-  generated runs cut into slices expand, after ``Tracer.settle()`` at
+- the records of nine seeded monitored runs at the preset's window —
+  nominal, Gilbert–Elliott bursts, outages, a stressed receiver, zero
+  duplication, a saturated source, a run cut short — expand
+  (``tests/trace_runs.py``'s normal form), source by source, to the
+  records the specification (``tests/spec/``) writes a frame at a time
+  on a twin of the link, acceptances and the receiving end's
+  ``deliver`` / ``payload_delivered`` included;
+- generated runs cut into slices expand, after ``Tracer.settle()`` at
   each cut, to exactly what the receivers heard and delivered; and the
   records the tracer holds back reach the ledger ahead of a reclaim;
 - ``HoldingTimeBoundMonitor`` reading a release record reports what the
@@ -33,7 +32,6 @@ checkpoint interval's drains, and only new receive-queue peaks
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import pytest
@@ -60,8 +58,9 @@ from repro.workloads import preset
 from repro.workloads.generators import FiniteBatch, SaturatedSource
 from repro.workloads.scenarios import build_simulation
 
+from .conftest import spec_twin
 from .test_session_faults import make_link
-from .trace_runs import DELIVERIES, Split, expand
+from .trace_runs import DELIVERIES, Split, normal
 
 BURSTS = ("gilbert-elliott", {
     "good_ber": 1e-7, "bad_ber": 1e-3, "mean_good": 0.02, "mean_bad": 0.002,
@@ -72,31 +71,11 @@ OUTAGES = FaultPlan.from_dict({"name": "runs", "faults": [
 ]})
 
 # name -> (build arguments, payloads, sent, released, released with
-# retx > 0, sha256 of repr(stream)); recorded from the per-frame
-# ``iframe_sent`` / ``iframe_released`` records of the sender that
-# emitted one record per frame.  The digests were recorded again when a
-# run of new frames at line rate began to pace from its accumulated
-# departure, not from ``now + count * frame_time``: departures, holding
-# times and arrivals moved by an ulp (at most 5.6e-16 s), every count
-# and every payload's order stayed.
+# retx > 0): three seeded monitored runs at the preset's window of 64.
 STREAMS = {
-    "nominal": (dict(seed=7), 2000, 2018, 2000, 18,
-                "0db023c195f75c1d41839e414868162383112efc8a639264c3219d9f6ab410ca"),
-    "bursty": (dict(seed=41, error_model=BURSTS), 2000, 2120, 2000, 120,
-               "2b77accee8ba9f90665d94df5c1976dfd5a4ee573dd36a5ace47a4d52cc5f4c8"),
-    "outages": (dict(seed=9, fault_plan=OUTAGES), 4000, 5654, 4000, 1601,
-                "c54bd48cde893a4f3cff646198f0ed835fc4755c878b9b40667a7e8d77512920"),
-}
-
-# name -> sha256 of repr of the run's ``("payload_accepted", time,
-# payload)`` stream, recorded from the sender that emitted one
-# ``payload_accepted`` record per packet.  A batch offered at t = 0 is
-# two records now: its first packet starts the idle channel, the rest
-# enter in one step.
-ACCEPTED = {
-    "nominal": "4211e64aeac6fa1142a3457f50ba5eaeffb0a86763a2a78f38ff369064c6b638",
-    "bursty": "4211e64aeac6fa1142a3457f50ba5eaeffb0a86763a2a78f38ff369064c6b638",
-    "outages": "ad51d7736b7206cb797fd80f4a3ccf4db837376fb23fdc52d29ffa097b8ae94b",
+    "nominal": (dict(seed=7), 2000, 2018, 2000, 18),
+    "bursty": (dict(seed=41, error_model=BURSTS), 2000, 2120, 2000, 120),
+    "outages": (dict(seed=9, fault_plan=OUTAGES), 4000, 5654, 4000, 1601),
 }
 
 
@@ -125,69 +104,75 @@ def _runs_taken(receiver: LamsReceiver) -> list[tuple[float, int, bool]]:
     return taken
 
 
-def _digest(stream: list[tuple]) -> str:
-    return hashlib.sha256(repr(stream).encode()).hexdigest()
+def as_specified(made, drive, *listeners):
+    """``made()``, monitored, driven by *drive* (engine, endpoint A) with
+    *listeners* on its tracer: its monitors must pass and its records,
+    source by source, be those the specification's twin of a fresh
+    ``made()`` writes driven alike.  The setup, what *drive* returned,
+    and the records' events."""
+    setup, records = made(), []
+    setup.tracer.listeners.extend(listeners)
+    setup.tracer.listeners.append(lambda record: records.append(
+        (record.time, record.source, record.event, record.detail)))
+    driven = drive(setup.sim, setup.endpoint_a)
+    assert setup.finalize_monitors().ok
+    engine, a, _ = spec_twin(made())
+    drive(engine, a)
+    assert normal(records) == normal(engine.log)
+    return setup, driven, [record[2] for record in records]
 
 
-def _expanding(setup):
-    """Attach a listener; returns (expanded stream, acceptance records)."""
-    modulus = setup.endpoint_a.sender.buffer.space.modulus
-    stream: list[tuple] = []
-    records: list[str] = []
-
-    def listen(record):
-        records.append(record.event)
-        stream.extend(expand((record.time, record.source, record.event, record.detail), modulus))
-
-    setup.tracer.listeners.append(listen)
-    return stream, records
+def _batch(payloads: int, until: float):
+    def drive(sim, endpoint):
+        FiniteBatch(sim, endpoint, payloads).start()
+        sim.run(until=until)
+    return drive
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_expanded_stream_is_the_per_frame_stream(name):
-    build, payloads, sent, released, retransmitted, digest = STREAMS[name]
+    """Expanded frame by frame, every source's records are the ones the
+    specification writes a frame at a time, acceptances included."""
+    build, payloads, sent, released, retransmitted = STREAMS[name]
     scenario = preset("nominal")
     if name == "outages":
         scenario = scenario.with_(checkpoint_interval=0.005)
-    setup = build_simulation(scenario, "lams", run_with_invariants=True, **build)
-    expanded, records = _expanding(setup)
-    FiniteBatch(setup.sim, setup.endpoint_a, payloads).start()
-    setup.run(until=1.0)
-    assert setup.finalize_monitors().ok and len(setup.delivered) == payloads
-    stream = [item for item in expanded if item[0] in ("iframe_sent", "iframe_released")]
-    accepted = [item for item in expanded if item[0] == "payload_accepted"]
-    events = [frame[0] for frame in stream]
-    assert (events.count("iframe_sent"), events.count("iframe_released")) == (sent, released)
-    assert sum(1 for frame in stream if frame[0] == "iframe_released" and frame[4]) == retransmitted
-    assert _digest(stream) == digest
-    assert (records.count("payloads_accepted"), len(accepted)) == (2, payloads)
-    assert _digest(accepted) == ACCEPTED[name]
+    split = Split()
+    setup, _, events = as_specified(
+        lambda: build_simulation(scenario, "lams", run_with_invariants=True, **build),
+        _batch(payloads, 1.0), split)
+    assert len(setup.delivered) == payloads
+    frames = split.sent["nominal.A.tx"]
+    releases = [entry[3] for entry in split.others if entry[2] == "iframes_released"]
+    assert (len(frames), sum(len(detail["seqs"]) for detail in releases)) == (sent, released)
+    assert sum(count > 0 for detail in releases for count in detail["retx"]) == retransmitted
+    assert events.count("payloads_accepted") == 2
 
 
 def test_a_saturated_sources_acceptances_are_the_per_packet_stream():
     """Eight refills over 0.1 s of a saturated source: each is one
-    record (the first two, as the channel starts idle), and the stream
-    they expand to is the one recorded a record per packet."""
+    record (the first two, as the channel starts idle), and every source's
+    records, expanded, are the specification's."""
     scenario = preset("nominal")
-    setup = build_simulation(scenario, "lams", seed=7, run_with_invariants=True)
-    expanded, records = _expanding(setup)
-    sender = setup.endpoint_a.sender
-    source = SaturatedSource(
-        setup.sim, setup.endpoint_a, backlog_fn=lambda: sender.pending_count,
-        low_water=256, chunk=512, poll_interval=scenario.iframe_time * 64,
-    )
-    source.start()
-    setup.run(until=0.1)
-    source.stop()
-    setup.run(until=0.3)
-    assert setup.finalize_monitors().ok and len(setup.delivered) == source.offered == 4096
-    accepted = [item for item in expanded if item[0] == "payload_accepted"]
-    assert (records.count("payloads_accepted"), len(accepted)) == (9, 4096)
+
+    def drive(sim, endpoint):
+        source = SaturatedSource(
+            sim, endpoint, backlog_fn=lambda: endpoint.sender.pending_count,
+            low_water=256, chunk=512, poll_interval=scenario.iframe_time * 64,
+        )
+        source.start()
+        sim.run(until=0.1)
+        source.stop()
+        sim.run(until=0.3)
+        return source
+
+    setup, source, events = as_specified(
+        lambda: build_simulation(scenario, "lams", seed=7, run_with_invariants=True), drive)
+    assert len(setup.delivered) == source.offered == 4096
+    assert events.count("payloads_accepted") == 9
     # 550 while each retransmission was a run, 515 while a window of new
     # frames paced from the product and could arm a wake-up an ulp late.
     assert setup.sim.event_count == 501
-    assert _digest(accepted) == (
-        "08139c6f1f4a56d2919a8c66ad44e3e8d26521d6ec3f93d07b63cea6170239dc")
 
 
 # -- holding time: one release record against per-frame checks -----------------
@@ -363,62 +348,51 @@ CUT = FaultPlan.from_dict({"name": "cut", "faults": [
     {"kind": "outage", "start": 0.03, "duration": 0.02, "direction": "both"},
 ]})
 
-# name -> (scenario changes, build arguments,
-# payloads, run until, frames lost (serializing, propagating), payloads
-# delivered, {source: (arrivals, drains)}, sha256 of repr of the
-# per-source streams); recorded from the channel's per-frame ``deliver``
-# and the receiver's per-drain ``payload_delivered`` records, expanded by
-# ``Split`` into ``("deliver", time, control, corrupted)`` and
-# ``("payload_delivered", time, payload)``.  "cut_short" stops with a
-# run half landed and drains not yet checkpointed.  The digests were
-# recorded again with ``STREAMS``', when arrival times moved by an ulp.
+# name -> (scenario changes, build arguments, payloads, run until,
+# frames lost (serializing, propagating), payloads delivered, {source:
+# (arrivals, drains)}).  "cut_short" stops with a run half landed and
+# drains not yet checkpointed.
 RECEIVING = {
     "nominal": ({}, dict(seed=7), 2000, 1.0, (0, 0), 2000,
-                {"nominal.B.rx": (0, 2000), "nominal.fwd": (2018, 0), "nominal.rev": (196, 0)},
-                "8dba47f2dd74c793f9397c97b5a8393b2bccfba820b559f37137c769f6834300"),
+                {"nominal.B.rx": (0, 2000), "nominal.fwd": (2018, 0), "nominal.rev": (196, 0)}),
     "bursty": ({}, dict(seed=41, error_model=BURSTS), 2000, 1.0, (0, 0), 2000,
-               {"nominal.B.rx": (0, 2000), "nominal.fwd": (2120, 0), "nominal.rev": (196, 0)},
-               "0c6f455312afe32e3fe3f8834b1ae71983398f30ce25326644dc05bf907ce306"),
+               {"nominal.B.rx": (0, 2000), "nominal.fwd": (2120, 0), "nominal.rev": (196, 0)}),
     "outages": (dict(checkpoint_interval=0.005), dict(seed=9, fault_plan=OUTAGES), 4000, 1.0,
                 (871, 751), 4000,
-                {"nominal.B.rx": (0, 4000), "nominal.fwd": (4034, 0), "nominal.rev": (194, 0)},
-                "5a68c0fe5b5004e237684d58c88e91c025ff2f4c605e5c1433f211788549c1b6"),
+                {"nominal.B.rx": (0, 4000), "nominal.fwd": (4034, 0), "nominal.rev": (194, 0)}),
     "stressed": (dict(processing_time=40e-6),
                  dict(seed=13, overrides={"receive_queue_capacity": 96}), 2000, 1.0, (0, 0), 2000,
-                 {"nominal.B.rx": (0, 2000), "nominal.fwd": (2388, 0), "nominal.rev": (196, 0)},
-                 "55a78f8e8a7edad4b320d628a9eab7971c642a272c05615e325ace7932d4653a"),
+                 {"nominal.B.rx": (0, 2000), "nominal.fwd": (2388, 0), "nominal.rev": (196, 0)}),
     "zero_duplication": (dict(checkpoint_interval=0.005),
                          dict(seed=4, fault_plan=CUT, overrides={"zero_duplication": True}),
                          2000, 1.0, (429, 608), 2000,
                          {"nominal.B.rx": (0, 2000), "nominal.fwd": (2500, 0),
-                          "nominal.rev": (190, 0)},
-                         "ef926c0ae89e1b733a7feacc26f08bdcf143955a5199e47ef728f51e610009b6"),
+                          "nominal.rev": (190, 0)}),
     "cut_short": ({}, dict(seed=7), 2000, 0.0401234, (0, 0), 840,
-                  {"nominal.B.rx": (0, 840), "nominal.fwd": (850, 0), "nominal.rev": (4, 0)},
-                  "a01e1423b5b161465ec98d7437d9d964702dd58b819424294d290e5a00591002"),
+                  {"nominal.B.rx": (0, 840), "nominal.fwd": (850, 0), "nominal.rev": (4, 0)}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECEIVING))
 def test_receiving_end_expands_to_the_per_frame_stream(name):
-    changes, build, payloads, until, lost, delivered, counts, digest = RECEIVING[name]
-    setup = build_simulation(preset("nominal").with_(**changes), "lams",
-                             run_with_invariants=True, **build)
+    """The receiving end's records expand, source by source, to the
+    specification's per-frame ``deliver`` and ``payload_delivered``
+    records, and every other source's to its records too."""
+    changes, build, payloads, until, lost, delivered, counts = RECEIVING[name]
     split, stamps = Split(), []
-    setup.tracer.listeners.append(split)
-    setup.tracer.listeners.append(lambda record: record.event in DELIVERIES and stamps.append(
-        record.time == record.detail["times"][0]))  # a record is stamped with its first time
-    FiniteBatch(setup.sim, setup.endpoint_a, payloads).start()
-    setup.run(until=until)
-    assert setup.finalize_monitors().ok and len(setup.delivered) == delivered
+    setup, _, _ = as_specified(
+        lambda: build_simulation(preset("nominal").with_(**changes), "lams",
+                                 run_with_invariants=True, **build),
+        _batch(payloads, until), split,
+        lambda record: record.event in DELIVERIES and stamps.append(
+            record.time == record.detail["times"][0]))  # stamped with its first time
+    assert len(setup.delivered) == delivered
     assert stamps and all(stamps)
     phases = [entry[3]["phase"] for entry in split.others if entry[2] == "frame_lost_outage"]
     assert (phases.count("serialize"), phases.count("propagate")) == lost
-    streams = split.per_source()
     assert {source: (sum(1 for item in stream if item[0] == "deliver"),
                      sum(1 for item in stream if item[0] == "payload_delivered"))
-            for source, stream in streams} == counts
-    assert _digest(streams) == digest
+            for source, stream in split.per_source()} == counts
     if name == "zero_duplication":
         assert setup.endpoint_b.receiver.duplicates_suppressed > 0
 
@@ -589,32 +563,6 @@ def test_a_duplicate_is_reported_at_its_own_delivery_time():
     [violation] = suite.violations
     assert (violation.time, violation.detail["payload"]) == (0.3, b"a")
     assert violation.trace_window[-1].split()[:3] == ["0.100000", "b", "payloads_delivered"]
-
-
-def test_a_checkpoint_record_follows_the_drains_before_it():
-    """The receiver's held drains go out just ahead of its next
-    ``checkpoint_sent``: at every checkpoint record, each payload
-    delivered before the checkpoint's instant has already been recorded."""
-    tracer = Tracer()
-    setup = build_simulation(preset("nominal"), "lams", seed=7, tracer=tracer)
-    sim, receiver = setup.sim, setup.endpoint_b.receiver
-    deliveries, recorded, checked = [], [], []
-    deliver = receiver.deliver
-    receiver.deliver = lambda packet: (deliveries.append(sim.now), deliver(packet))
-
-    def listen(record):
-        if record.source != receiver.name:
-            return
-        if record.event == "payloads_delivered":
-            recorded.extend(record.detail["times"])
-        elif record.event == "checkpoint_sent":
-            due = sum(1 for when in deliveries if when < record.time)
-            checked.append((due, len(recorded) >= due))
-
-    tracer.listeners.append(listen)
-    FiniteBatch(sim, setup.endpoint_a, 600).start()
-    setup.run(until=0.06)
-    assert all(ok for _, ok in checked) and sum(due > 0 for due, _ in checked) > 5
 
 
 def test_a_listener_settling_on_a_run_record_sees_each_frame_once():

@@ -7,10 +7,12 @@ record per stretch of packets accepted together; the channel one
 ``frames_delivered`` record per run that lands, and the receiver one
 ``payloads_delivered`` record per checkpoint interval's drains.
 :func:`expand` turns each back into the tuples the per-frame records
-used to carry, so the sender-window comparison in
-``tests/test_sender_window.py`` and the recorded-stream digests in
-``tests/test_trace_runs.py`` and ``tests/test_receive_agenda.py``
-compare frame by frame:
+used to carry, and :func:`normal` every source's records into the form
+the executable specification (``tests/spec/``) writes its log in, so
+that a traced shipped run and the specification's compare with ``==``
+(``tests/test_receiver_runs.py``, ``tests/test_checkpoint_cycle.py``,
+``tests/test_trace_runs.py``, ``tests/test_sender_window.py``) frame by
+frame:
 
 - ``("iframe_sent", departure, seq, index, retx)``, where frame ``k``
   of a run departs at the record's time plus ``frame_time`` added ``k``
@@ -20,9 +22,10 @@ compare frame by frame:
 - ``("deliver", time, control, corrupted)``, one per frame landed;
 - ``("payload_delivered", time, payload)``, one per drain.
 
-Any other record expands to nothing.  The receiving end's records are
-held until a run lands or a checkpoint goes out, so they come later in
-the stream than the per-frame records did: :class:`Split` keeps them
+Any other record expands to nothing (:func:`per_frame` keeps it as it
+is).  The receiving end's records are held until a run lands or a
+checkpoint goes out, so they come later in the stream than the
+per-frame records did: :class:`Split` keeps them
 apart, per source, where their order is still the per-frame order.  The
 sender's runs are recorded when they are handed over, ahead of what
 happens while their frames leave, so :class:`Split` keeps their frames
@@ -32,7 +35,7 @@ grouped into runs, retransmissions included.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from repro.simulator.trace import Entry, TraceRecord
 
@@ -65,6 +68,37 @@ def expand(entry: Entry, modulus: int) -> list[tuple[Any, ...]]:
 
 
 DELIVERIES = ("frames_delivered", "payloads_delivered")
+RUNS = ("iframes_sent", "iframes_released", "payloads_accepted", *DELIVERIES)
+
+
+def per_frame(entry: Entry, modulus: int) -> list[Entry]:
+    """*entry* one frame or payload a record: a run's :func:`expand`ed,
+    each ``(time, source, event, detail)`` with the rest of its tuple as
+    the detail; any other record as it is."""
+    if entry[2] not in RUNS:
+        return [entry]
+    return [(item[1], entry[1], item[0], item[2:]) for item in expand(entry, modulus)]
+
+
+def normal(entries: Iterable[Entry], modulus: int = 1 << 16) -> dict[str, list[Entry]]:
+    """Each source's records frame by frame (:func:`per_frame`), in an
+    order that neither the grouping of frames into runs nor the holding
+    of records changes: by time, then event, between two of the source's
+    ``checkpoint_sent`` records, which stay where they are."""
+    sources: dict[str, list[Entry]] = {}
+    for entry in entries:
+        for item in per_frame(entry, modulus):
+            sources.setdefault(item[1], []).append(item)
+    return {source: _canonical(items) for source, items in sorted(sources.items())}
+
+
+def _canonical(items: list[Entry]) -> list[Entry]:
+    keyed, checkpoints = [], 0
+    for item in items:
+        boundary = item[2] == "checkpoint_sent"
+        keyed.append(((checkpoints, boundary, item[0], item[2]), item))
+        checkpoints += boundary
+    return [item for _, item in sorted(keyed, key=lambda pair: pair[0])]
 
 
 class Split:
