@@ -29,12 +29,14 @@ def as_count(name: str, value: object, least: int) -> int:
 
 
 def _default_batch_window() -> int:
-    """The default :attr:`LamsDlcConfig.batch_window`.
+    """The sender's run window, :data:`repro.core.sender.WINDOW`.
 
     Kept because ``bench/run.py`` stamps it into every record; a later
     benchmark PR drops the stamp field and this function with it.
     """
-    return LamsDlcConfig.batch_window
+    from .sender import WINDOW
+
+    return WINDOW
 
 
 @dataclass
@@ -86,17 +88,6 @@ class LamsDlcConfig:
     send_buffer_capacity: Optional[int] = None
     receive_queue_capacity: Optional[int] = None
 
-    # -- transmission batching (performance, not protocol) ---------------------
-    batch_window: int = 64
-    """Most frames the sender commits to the channel as one run
-    (``send_burst``) when it is at line rate with a backlog: new frames,
-    or queued retransmissions of one retransmission count.  Outcomes
-    frame for frame do not depend on it; commit granularity does — what
-    arrives mid-window (a NAK, a Stop-Go change, a suspension, a control
-    frame) waits for the run to end, at most ``batch_window - 1`` frame
-    times (docs/TUNING.md §10).  ``1`` is one frame per run: the
-    paper's sender, and the reference the parity tests compare against."""
-
     # -- flow control (Section 3.4) -------------------------------------------
     flow_control_enabled: bool = True
     piggyback_flow_control: bool = True
@@ -138,7 +129,6 @@ class LamsDlcConfig:
         for name in ("send_buffer_capacity", "receive_queue_capacity"):
             if getattr(self, name) is not None:
                 as_count(name, getattr(self, name), 1)
-        as_count("batch_window", self.batch_window, 1)
         if not 0 < self.rate_decrease_factor < 1:
             raise ValueError("rate_decrease_factor must be in (0, 1)")
         if not 0 <= self.rate_increase_step < math.inf:

@@ -495,7 +495,7 @@ def park(receiver: Any) -> bool:
         buffer = sender.buffer
         if (sender.failed or sender.suspended or sender._awaiting_enforced
                 or buffer.items or buffer._pending or sender._retransmit_queue
-                or sender._steps_left or sender._failure_timer._deadline is not None
+                or sender._run is not None or sender._failure_timer._deadline is not None
                 or sender.tracer.active or sender.data_channel is not half.control_channel
                 or not sender._checkpoint_timeout > 1.5 * interval):
             return False

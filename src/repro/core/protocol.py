@@ -79,6 +79,7 @@ class LamsDlcEndpoint:
         # Section 3.1 piggybacking: outgoing I-frames carry the local
         # receive queue's Stop-Go state.
         self.sender.stop_go_provider = self.receiver.stop_indicated
+        self.sender._stop_source = self.receiver
         # Hoisted per-frame dispatch constants.
         self._piggyback = config.piggyback_flow_control
         self._header_protected = config.header_protected

@@ -120,7 +120,7 @@ class LamsReceiver:
         "_next_expected_seq", "_error_log", "_resolving_log", "_running",
         "_checkpoint_tick", "_incoming", "_drain_token", "_held",
         "_depth", "_due", "_made", "_pending", "_next_settle",
-        "_stop_go_sink", "_stop_go_armed", "_header_protected",
+        "_stop_go_sink", "_stop_go_armed", "_stop_changes", "_header_protected",
         "_numbering_size", "_zero_duplication", "_rx_capacity",
         "_checkpoint_interval", "_cumulation_depth",
         "_flow_control_enabled", "_high_watermark", "_empty_cframe_bits",
@@ -200,6 +200,10 @@ class LamsReceiver:
         # next one.
         self._stop_go_sink: Any = None
         self._stop_go_armed = False
+        # While the co-located sender has a run on the transmitter: where
+        # stop_indicated() changes, ``(time, key, bit)`` in the order the
+        # replay meets them (LamsSender._stamp).
+        self._stop_changes: Optional[list] = None
         # Per-frame constants hoisted out of the hot path (all fixed for
         # the lifetime of the endpoint).
         self._header_protected = config.header_protected
@@ -470,6 +474,9 @@ class LamsReceiver:
         if stat is not None:
             area, last, level, maximum = (
                 stat._area, stat._last_time, stat._level, stat.maximum)
+        # Where the Stop-Go bit changes, for a sender whose run is out.
+        changes = self._stop_changes
+        high = self._high_watermark
         pending = self._pending
         if pending:
             tracer = self.tracer
@@ -491,9 +498,11 @@ class LamsReceiver:
                         when = due[0][0]
                         if when >= arrival:
                             break
-                        due.popleft()
+                        item = due.popleft()
                         made -= 1
                         depth -= 1
+                        if changes is not None and depth == high - 1:
+                            changes.append((when, item[1], False))
                         if when < last:
                             stat.update(when, depth)  # raises: time went backwards
                         area += level * (when - last)
@@ -541,6 +550,8 @@ class LamsReceiver:
                                 tracer.emit(arrival, self.name, "overflow_discard", seq=seq)
                             continue
                     depth += 1
+                    if changes is not None and depth == high:
+                        changes.append((arrival, first + k - 1, True))
                     if stat is None:
                         stat = self._rxqueue_stat = tracer.level_stat(
                             self._rxqueue_stat_name, start_time=arrival)
@@ -566,8 +577,11 @@ class LamsReceiver:
             self._next_expected_seq = expected
             self._frontier = frontier
         for _ in range(made):  # the deliveries made since the last arrival
-            when = due.popleft()[0]
+            item = due.popleft()
+            when = item[0]
             depth -= 1
+            if changes is not None and depth == high - 1:
+                changes.append((when, item[1], False))
             if when < last:
                 stat.update(when, depth)  # raises: time went backwards
             area += level * (when - last)
@@ -855,6 +869,8 @@ class LamsReceiver:
             self._due.popleft()
             self._depth = depth = self._depth - 1
             self._rxqueue_stat.update(sim.now, depth)
+            if self._stop_changes is not None and depth == self._high_watermark - 1:
+                self._stop_changes.append((sim.now, sim._order, False))
         self.delivered += 1
         tracer = self.tracer
         if tracer.active:

@@ -104,9 +104,9 @@ class SendBuffer:
         # None for a first transmission, else ``(retransmit_count, origin)``.
         self.retx: list[Optional[tuple[int, int]]] = []
         # Positions that are not tombstones: frames transmitted and not
-        # resolved.  LAMS-DLC's sender counts a retransmission from its
-        # departure, so a run of them still on the transmitter is not
-        # in it yet (LamsSender._settle_steps).
+        # resolved.  LAMS-DLC's sender moves a frame into the window at
+        # its departure, so the rest of a run still on the transmitter is
+        # not in it yet (LamsSender._settle_steps).
         self.live = 0
         # Arrivals are normally non-decreasing in transmit order, so a
         # checkpoint's covered frames are a prefix found by bisection;

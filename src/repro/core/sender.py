@@ -32,15 +32,15 @@ I-frames".
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
-from operator import add
-from typing import Any, Callable, Iterable, Optional
+from itertools import chain, islice, repeat
+from operator import add, itemgetter, mul, sub
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..simulator.engine import Simulator
+from ..simulator.engine import _AFTER, Simulator
 from ..simulator.link import SimplexChannel
 from ..simulator.trace import Tracer
 from .config import LamsDlcConfig
@@ -52,6 +52,14 @@ from .seqspace import SequenceSpace
 __all__ = ["LamsSender", "PendingRetransmission"]
 
 _INF = float("inf")
+
+WINDOW = 64
+"""Most frames the sender hands a channel as one run (``send_burst``): new
+frames, or queued retransmissions of one retransmission count.  A run is
+an engine cost, not a protocol fact: what would change the next frame a
+one-frame sender sends takes the run's undeparted tail back
+(:meth:`LamsSender._taken_back`).  Channels without ``send_burst`` take
+runs of one."""
 
 
 @dataclass(slots=True)
@@ -65,6 +73,30 @@ class PendingRetransmission:
     cause: str  # "nak" | "trailing" | "enforced"
     origin: int = -1
     """Transmit index of the first incarnation (stable identity)."""
+
+
+class _Run:
+    """The run a sender has handed its channel: frame ``k`` departs at
+    ``departures[k]`` (``frame_time`` added ``k`` times to the first; one
+    more entry, the run's end) and is expected at ``arrivals[k]``.
+    ``jobs`` are the retransmissions it carries (None: new frames, the
+    head of the pending queue).  The first ``left`` frames have departed
+    and are in the window; the first ``told`` of those are in
+    ``iframes_sent`` records."""
+
+    __slots__ = ("frames", "departures", "arrivals", "jobs", "first_index",
+                 "ordered", "left", "told")
+
+    def __init__(self, frames: list, departures: list, arrivals: list,
+                 jobs: Optional[list], first_index: int, ordered: bool) -> None:
+        self.frames = frames
+        self.departures = departures
+        self.arrivals = arrivals
+        self.jobs = jobs
+        self.first_index = first_index
+        self.ordered = ordered  # arrivals nondecreasing within the run
+        self.left = 0
+        self.told = 0
 
 
 class LamsSender:
@@ -87,9 +119,8 @@ class LamsSender:
         "_checkpoint_timer", "_failure_timer", "_seen_any_checkpoint",
         "_sendbuf_stat", "_sendbuf_stat_name", "_iframe_bits",
         "_iframe_tx_time", "_piggyback", "_checkpoint_interval",
-        "_checkpoint_timeout", "_batch_window", "_step_at", "_steps_left",
-        "iframes_sent",
-        "retransmissions", "retransmissions_by_cause", "releases",
+        "_checkpoint_timeout", "_window", "_run", "_step_at", "_stop_source", "_stamps",
+        "_iframes_sent", "_retransmissions", "_by_cause", "releases",
         "_checkpoints_received", "_checkpoints_corrupted",
         "request_naks_sent", "failures_declared", "_parked",
     )
@@ -134,6 +165,11 @@ class LamsSender:
         # checkpoint interval (so AIMD constants keep their meaning).
         self.stop_go_provider: Callable[[], bool] = lambda: False
         self._last_piggyback_applied = -float("inf")
+        # The receiver half behind stop_go_provider (the endpoint sets
+        # it), and while the channel holds frames of a run of several:
+        # ``(first index, departures, bit at the first, last index)``.
+        self._stop_source: Any = None
+        self._stamps: Optional[tuple] = None
 
         # Failure handling state.
         self.suspended = False  # suspected failure: no new I-frames
@@ -158,19 +194,21 @@ class LamsSender:
         self._piggyback = config.piggyback_flow_control
         self._checkpoint_interval = config.checkpoint_interval
         self._checkpoint_timeout = config.checkpoint_timeout
-        # Channels without send_burst (UDP, stubs) take runs of one.
-        self._batch_window = (
-            config.batch_window if hasattr(data_channel, "send_burst") else 1
-        )
-        # A retransmission run's gauge steps not yet taken: the next
-        # departure (+inf when none) and how many are left (_settle_steps).
+        # Channels without send_burst (UDP, stubs) take runs of one; one
+        # that takes runs hands their undeparted tails back here.
+        self._window = 1
+        if hasattr(data_channel, "send_burst"):
+            self._window = WINDOW
+            data_channel._tail_sink = self
+        # The run on the transmitter (None when none) and its next
+        # departure not yet in the window (+inf when none): _settle_steps.
+        self._run: Optional[_Run] = None
         self._step_at = _INF
-        self._steps_left = 0
 
         # Statistics.
-        self.iframes_sent = 0
-        self.retransmissions = 0
-        self.retransmissions_by_cause = {"nak": 0, "trailing": 0, "enforced": 0}
+        self._iframes_sent = 0
+        self._retransmissions = 0
+        self._by_cause = {"nak": 0, "trailing": 0, "enforced": 0}
         self.releases = 0
         self._checkpoints_received = 0
         self._checkpoints_corrupted = 0
@@ -202,6 +240,7 @@ class LamsSender:
         self._checkpoint_timer.cancel()
         self._failure_timer.cancel()
         self.failed = True
+        self._recall()
 
     # -- network-layer interface ----------------------------------------------------
 
@@ -283,24 +322,49 @@ class LamsSender:
             return parked.deadline(self)
         return self._checkpoint_timer.deadline
 
+    # What follows reads the sender as a one-frame sender would stand:
+    # the run on the transmitter counts up to its last departure.
+
+    @property
+    def iframes_sent(self) -> int:
+        """I-frames that have departed, retransmissions included."""
+        self._settle_steps()
+        return self._iframes_sent
+
+    @property
+    def retransmissions(self) -> int:
+        """Retransmissions that have departed."""
+        self._settle_steps()
+        return self._retransmissions
+
+    @property
+    def retransmissions_by_cause(self) -> dict[str, int]:
+        """:attr:`retransmissions` by the cause that requeued each."""
+        self._settle_steps()
+        return self._by_cause
+
     @property
     def unresolved_count(self) -> int:
         """Frames not yet known delivered (pending + outstanding + requeued,
         a retransmission still waiting on the transmitter included)."""
-        return (self.buffer.occupancy + self._steps_left
-                + len(self._retransmit_queue))
+        self._settle_steps()
+        return self.buffer.occupancy + len(self._retransmit_queue)
 
     @property
     def pending_count(self) -> int:
-        """Frames awaiting *first* transmission (the drainable backlog)."""
-        return self.buffer.pending_count
+        """Frames awaiting *first* transmission (the drainable backlog): a
+        run of new frames on the transmitter leaves the queue as it departs."""
+        waiting = len(self.buffer._pending)
+        run = self._run
+        if run is not None and run.jobs is None and self._step_at <= self.sim.now:
+            waiting -= self._departed(run) - run.left
+        return waiting
 
     @property
     def occupancy(self) -> int:
         """Sending-buffer occupancy (pending + outstanding), the ``sendbuf``
-        gauge's level: a retransmission counts from its departure."""
-        if self._step_at <= self.sim.now:
-            self._settle_steps()
+        gauge's level: a frame joins the window at its departure."""
+        self._settle_steps()
         return self.buffer.occupancy
 
     def held_payloads(self) -> list[Any]:
@@ -310,6 +374,7 @@ class LamsSender:
         frames — on a declared link failure these are exactly the frames
         the network layer can still recover.
         """
+        self._settle_steps()
         payloads = self.buffer.pending_payloads()
         payloads.extend(item[0] for item in self.buffer.items if item is not None)
         payloads.extend(job.payload for job in self._retransmit_queue)
@@ -321,6 +386,8 @@ class LamsSender:
         """Transmit the next run if pacing, channel, and state allow."""
         if self.failed or not self._started:
             return
+        if self._run is not None:
+            self._settle_steps()  # the run that just left joins the window
         # Nothing to send is decided first: it is the whole of an idle
         # link's call per checkpoint (its own checkpoint leaving the
         # channel; on_checkpoint calls only with work pending) and
@@ -344,59 +411,48 @@ class LamsSender:
                 self._pacing_armed = True
                 self.sim.schedule_at(self._next_allowed_send, self._pacing_expired)
             return
-        # A window at a time only at line rate on an up channel; a
+        # A run at a time only at line rate on an up channel; a
         # Stop-Go-paced sender needs the gap after every frame.
         flow = self.flow
-        at_line_rate = (
-            (not flow.enabled or flow._rate >= 1.0)
-            and getattr(channel, "_is_up", True)
-        )
+        window = self._window
+        if (flow.enabled and flow._rate < 1.0) or not getattr(channel, "_is_up", True):
+            window = 1
         if retransmissions:
             # Retransmissions go first, a run of one retransmission count
             # (its iframes_sent record carries one ``retx``).
             count = 1
-            if at_line_rate:
-                retransmit_count = retransmissions[0].retransmit_count
-                for job in islice(retransmissions, 1, self._batch_window):
-                    if job.retransmit_count != retransmit_count:
-                        break
-                    count += 1
+            retransmit_count = retransmissions[0].retransmit_count
+            for job in islice(retransmissions, 1, window):
+                if job.retransmit_count != retransmit_count:
+                    break
+                count += 1
             self._send_window(count, retransmission=True)
             return
-        count = 1
-        if at_line_rate:
-            count = min(self._batch_window, len(self.buffer._pending))
-        self._send_window(count)
+        self._send_window(min(window, len(self.buffer._pending)))
 
     def _pacing_expired(self) -> None:
         self._pacing_armed = False
         self._maybe_send()
 
     def _send_window(self, count: int, retransmission: bool = False) -> None:
-        """Hand the channel one run: *count* new frames, or *count* queued
-        retransmissions of one retransmission count.
+        """Hand the channel one run: the next *count* new frames, or the
+        next *count* queued retransmissions, of one retransmission count.
 
-        Frames are stamped with their own departure instants — each
-        window position carries its own first-send time and expected
-        arrival — so what is recorded does not depend on *count*.  One
-        ``iframes_sent`` record at *now* describes the run: frame ``k``
-        departs at *now* plus ``frame_time`` added ``k`` times, the
-        loop's own accumulation.  Sequence numbers are
-        derived, not allocated: transmit index ``i`` carries
+        Frames are stamped with their own departure instants — frame
+        ``k`` departs at *now* plus ``frame_time`` added ``k`` times, the
+        loop's own accumulation — and each joins the window, the counters
+        and the ``sendbuf`` gauge as it departs (:meth:`_settle_steps`),
+        so a read stands where a one-frame sender's would.  Sequence
+        numbers are derived, not allocated: transmit index ``i`` carries
         ``(i + offset) % modulus``, and :meth:`SendBuffer.admit` stops the
-        run short of a number whose previous holder is still live.  A
-        first transmission moves one packet from pending to outstanding,
-        so one occupancy sample is exact for a run of them; a
-        retransmission adds one at its departure, so a run of them steps
-        the gauge at the first here and leaves the rest to
-        :meth:`_settle_steps`.  What does depend on *count* is the commit
-        granularity (docs/TUNING.md §10): the piggybacked Stop-Go bit is
-        read once (no simulated time passes inside a window), and
-        anything that arrives mid-window waits for its end.
+        run short of a number whose previous holder is still live.  What
+        would change the next frame a one-frame sender sends takes the
+        undeparted tail back (:meth:`_taken_back`); the piggybacked
+        Stop-Go bit is read at the first departure, and each later frame
+        is stamped with its own departure's when the channel decides it
+        (:meth:`_stamp`).
         """
         now = self.sim.now
-        if self._step_at <= now:
-            self._settle_steps()
         buffer = self.buffer
         channel = self.data_channel
         tx_time = self._iframe_tx_time
@@ -407,127 +463,227 @@ class LamsSender:
         modulus = space.modulus
         count = buffer.admit(count)
         first_index = index = buffer.next_index
-        first_seq = seq = (index + space.offset) % modulus
-        arrivals = buffer.arrivals
-        first_sends = buffer.first_sends
-        last_arrival = arrivals[-1] if arrivals else now
-        departure = now
-        frames: list[IFrame] = []
-        if not retransmission:
-            pop_pending = buffer._pending.popleft
-            batch = [pop_pending() for _ in range(count)]
-            retransmit_count = 0
+        seq = (index + space.offset) % modulus
+        if retransmission:
+            jobs = list(islice(self._retransmit_queue, count))
+            payloads = [job.payload for job in jobs]
         else:
-            pop_job = self._retransmit_queue.popleft
-            jobs = [pop_job() for _ in range(count)]
-            batch = [(job.payload, job.enqueue_time) for job in jobs]
-            retransmit_count = jobs[0].retransmit_count
-        for payload, _ in batch:
+            jobs = None
+            payloads = map(itemgetter(0), islice(buffer._pending, count))
+        frames: list[IFrame] = []
+        departures: list[float] = []
+        arrivals: list[float] = []
+        departure = last_arrival = now
+        ordered = True
+        for payload in payloads:
             frames.append(IFrame(seq, payload, bits, index, -1, stop_go))
             if fixed_delay is None:
                 delay = channel.propagation_delay(departure)
             arrival = departure + tx_time + delay
             if arrival < last_arrival:
-                buffer.monotone = False  # coverage falls back to a scan
+                ordered = False
             last_arrival = arrival
+            departures.append(departure)
             arrivals.append(arrival)
-            first_sends.append(departure)
             index += 1
             seq += 1
             if seq == modulus:
                 seq = 0
             departure += tx_time
-        if not retransmission:
-            buffer.retx.extend([None] * count)
-        else:
+        # Where the next may depart: the run's end, or paced (Stop-Go's
+        # inter-frame gap, StopGoRateController.inter_frame_gap inlined).
+        flow = self.flow
+        if flow.enabled and flow._rate < 1.0:
+            departure = now + tx_time / flow._rate  # a paced run is of one
+        departures.append(departure)
+        if jobs is not None:
             # A renumbered frame keeps its first incarnation's identity
-            # (set before the frames go on the wire) and first-send time.
-            by_cause = self.retransmissions_by_cause
+            # (set before the frames go on the wire).
             for frame, job in zip(frames, jobs):
                 frame.origin = job.origin
-                by_cause[job.cause] += 1
-            first_sends[-count:] = [job.first_send_time for job in jobs]
-            buffer.retx.extend([(retransmit_count, job.origin) for job in jobs])
-            self.retransmissions += count
-        assert seq == (index + space.offset) % modulus, "seq is derived from index"
-        if self.tracer.active:
-            self.tracer.emit(
-                now, self.name, "iframes_sent", first_index=first_index,
-                first_seq=first_seq, count=count, frame_time=tx_time,
-                retx=retransmit_count,
-            )
-        buffer.items.extend(batch)
-        if retransmission and count > 1:
-            # The first departs now; the others step the gauge as they
-            # leave, at now plus frame_time added once per frame before.
-            buffer.live += 1
-            self._step_at = now + tx_time
-            self._steps_left = count - 1
-            self.tracer.hold(self._settle_steps)
+        self._run = _Run(frames, departures, arrivals, jobs, first_index, ordered)
+        source = self._stop_source
+        if count > 1 and self._piggyback and flow.enabled and source is not None:
+            # Its bit may change while the run leaves: _stamp.
+            source._stop_changes = []
+            self._stamps = (first_index, departures, stop_go, index - 1)
+        if count == 1:
+            self._apply(1)
+            self._finish()
+            channel.send(frames[0])
         else:
-            buffer.live += count
-        occupancy = len(buffer._pending) + buffer.live
-        if occupancy > buffer.peak_occupancy:
-            buffer.peak_occupancy = occupancy
+            self._step_at = now  # the first departs now: the next settle has it
+            self.tracer.hold(self._tell_held)
+            channel.send_burst(frames)
+
+    def _apply(self, upto: int) -> None:
+        """Move the run's frames up to position *upto* (exclusive), which
+        have departed, into the window: each at its departure leaves the
+        pending or retransmission queue, is counted, and steps the
+        ``sendbuf`` gauge, as a one-frame sender records each send.  The
+        next may depart at the next one's departure."""
+        run = self._run
+        start = run.left
+        count = upto - start
+        if count <= 0:
+            return
+        run.left = upto
+        buffer = self.buffer
+        pending = buffer._pending
+        departures = run.departures[start:upto]
+        self._next_allowed_send = run.departures[upto]
         stat = self._sendbuf_stat
         if stat is None:
             stat = self._sendbuf_stat = self.tracer.level_stat(
-                self._sendbuf_stat_name, start_time=now
+                self._sendbuf_stat_name, start_time=departures[0]
             )
-        stat.update(now, occupancy)
-        if count == 1:
-            channel.send(frames[0])
+        jobs = run.jobs
+        if jobs is None:
+            # A new frame moves within the level, and each departure adds
+            # its interval's area: TimeWeightedStat.update's arithmetic,
+            # one float operation at a time in departure order.
+            level = len(pending) + buffer.live
+            if count == 1:
+                stat._area += level * (departures[0] - stat._last_time)
+            else:
+                steps = map(sub, departures, chain((stat._last_time,), departures))
+                stat._area = reduce(add, map(mul, repeat(level), steps), stat._area)
+            stat._last_time = departures[-1]
+            pop = pending.popleft
+            buffer.items.extend([pop() for _ in range(count)])
+            buffer.first_sends.extend(departures)
+            buffer.retx.extend([None] * count)
+            buffer.live += count
         else:
-            channel.send_burst(frames)
-        self.iframes_sent += count
-        # Inlined StopGoRateController.inter_frame_gap.  At line rate a run
-        # ends at the accumulated departure, the channel's own run-end
-        # float (a run of one: now + tx_time either way); the product
-        # can land an ulp past it.
-        flow = self.flow
-        if flow.enabled and flow._rate < 1.0:
-            self._next_allowed_send = now + count * tx_time / flow._rate
-        else:
-            self._next_allowed_send = departure
+            jobs = jobs[start:upto]
+            pop = self._retransmit_queue.popleft
+            for _ in range(count):
+                pop()
+            buffer.items.extend([(job.payload, job.enqueue_time) for job in jobs])
+            buffer.first_sends.extend([job.first_send_time for job in jobs])
+            buffer.retx.extend([(job.retransmit_count, job.origin) for job in jobs])
+            by_cause = self._by_cause
+            for job in jobs:
+                by_cause[job.cause] += 1
+            self._retransmissions += count
+            # A retransmission joins the occupancy as it departs.
+            waiting = len(pending)
+            update = stat.update
+            for when in departures:
+                buffer.live += 1
+                occupancy = waiting + buffer.live
+                update(when, occupancy)
+                if occupancy > buffer.peak_occupancy:
+                    buffer.peak_occupancy = occupancy
+        arrivals = run.arrivals[start:upto]
+        column = buffer.arrivals
+        if buffer.monotone and ((column and arrivals[0] < column[-1]) or not run.ordered and any(
+                later < earlier for earlier, later in zip(arrivals, arrivals[1:]))):
+            buffer.monotone = False  # coverage falls back to a scan
+        column.extend(arrivals)
+        self._iframes_sent += count
 
     def _settle_steps(self) -> None:
-        """Step the ``sendbuf`` gauge at every departure due by now of the
-        retransmission run on the transmitter.
-
-        A retransmission joins the outstanding frames (``buffer.live``)
-        as it departs, so the gauge's area and maximum and
-        ``peak_occupancy`` are those of one frame per run to the bit.
-        Everything that changes or reads occupancy settles first (the
-        gauge updates, ``occupancy``, :meth:`on_checkpoint`); so does
-        ``Tracer.settle``, through the hold :meth:`_send_window` makes.
-        """
-        when = self._step_at
-        now = self.sim.now
-        if when > now:
-            if self._steps_left:
-                self.tracer.hold(self._settle_steps)
+        """Move the frames of the run on the transmitter that have departed
+        by now into the window (:meth:`_apply`).  At a departure's own
+        instant a frame has departed for a planned delivery and between
+        runs of the engine, and not yet for a numbered entry: that entry
+        ran before the one-frame sender's send (docs/TUNING.md §10).
+        Everything that reads or changes the sender settles first, and so
+        does ``Tracer.settle`` (:meth:`_tell_held`)."""
+        run = self._run
+        if run is None:
             return
-        buffer = self.buffer
-        pending = len(buffer._pending)
-        update = self._sendbuf_stat.update
-        tx_time = self._iframe_tx_time
-        left = self._steps_left
-        while True:
-            buffer.live += 1
-            occupancy = pending + buffer.live
-            update(when, occupancy)
-            if occupancy > buffer.peak_occupancy:
-                buffer.peak_occupancy = occupancy
-            left -= 1
-            if not left:
-                when = _INF
-                break
-            when += tx_time
-            if when > now:
-                self.tracer.hold(self._settle_steps)
-                break
-        self._step_at = when
-        self._steps_left = left
+        upto = self._departed(run)
+        self._apply(upto)
+        if upto == len(run.frames):
+            self._finish()
+        else:
+            self._step_at = run.departures[upto]
+
+    def _departed(self, run: _Run) -> int:
+        """How many frames of *run* have departed by now (the first as the
+        run was handed over)."""
+        sim = self.sim
+        bisect = bisect_right if sim._order >= _AFTER else bisect_left
+        return bisect(run.departures, sim.now, run.left or 1, len(run.frames))
+
+    def _tell(self) -> None:
+        """Emit one ``iframes_sent`` record of the run's departed frames
+        not yet recorded, at the first one's departure."""
+        run = self._run
+        start = run.told
+        if run.left > start and self.tracer.active:
+            index = run.first_index + start
+            self.tracer.emit(
+                run.departures[start], self.name, "iframes_sent", first_index=index,
+                first_seq=self.buffer.space.seq_of(index), count=run.left - start,
+                frame_time=self._iframe_tx_time,
+                retx=0 if run.jobs is None else run.jobs[0].retransmit_count,
+            )
+        run.told = run.left
+
+    def _finish(self) -> None:
+        """The run is final (its last frame departed, or the rest were
+        taken back): record it and forget it."""
+        if self.tracer.active:
+            self._tell()
+        self._run = None
+        self._step_at = _INF
+
+    def _tell_held(self) -> None:
+        """``Tracer.settle``: settle the run, record what of it has
+        departed, and hold the rest."""
+        self._settle_steps()
+        if self._run is not None:
+            self._tell()
+            self.tracer.hold(self._tell_held)
+
+    def _recall(self) -> None:
+        """Take the undeparted tail of the run on the transmitter back
+        (the channel calls :meth:`_taken_back`).  A duck-typed channel
+        that takes runs but cannot give frames back keeps them."""
+        if self._run is not None and hasattr(self.data_channel, "take_back"):
+            self.data_channel.take_back()
+
+    def _stamp(self, frames: Sequence[IFrame]) -> None:
+        """The channel decides *frames* of the run: each carries the
+        piggybacked Stop-Go bit of its own departure, as a one-frame
+        sender reads it at each send.  The receiver half, settled to now,
+        has logged where its bit changed since the run was handed over;
+        a change at a departure's instant is the frame's unless it came
+        at a planned delivery, which runs after the send."""
+        first, departures, bit, last = self._stamps
+        source = self._stop_source
+        if source._next_settle <= self.sim.now:
+            source._settle()  # the changes up to now
+        changes = source._stop_changes
+        if changes:
+            for frame in frames:
+                if frame.transmit_index == first:
+                    continue  # read as the run was handed over
+                when = departures[frame.transmit_index - first]
+                stop = bit
+                for change, key, value in changes:
+                    if change > when or (change == when and key >= _AFTER):
+                        break
+                    stop = value
+                frame.stop_go = stop
+        if frames[-1].transmit_index == last:  # the run's last frame sent
+            source._stop_changes = None
+            self._stamps = None
+
+    def _taken_back(self, count: int) -> None:
+        """The channel gave the run's last *count* frames back undeparted:
+        they were never sent.  The frames before them have departed; the
+        payloads or jobs of the rest are still at the head of their queue,
+        and the next run may start where they would have departed."""
+        run = self._run
+        kept = len(run.frames) - count
+        self._apply(kept)
+        if self._stamps is not None:
+            self._stamps = self._stamps[:3] + (run.first_index + kept - 1,)
+        self._finish()
 
     # -- piggybacked flow control -------------------------------------------------------
 
@@ -543,6 +699,8 @@ class LamsSender:
             return
         self._last_piggyback_applied = self.sim.now
         self.flow.on_stop_go(stop)
+        if self._run is not None and self.flow._rate < 1.0:
+            self._recall()  # paced from the next frame on
 
     # -- checkpoint handling -----------------------------------------------------------
 
@@ -550,6 +708,8 @@ class LamsSender:
         """Process an arriving Check-Point / Enforced-NAK command."""
         if self.failed:
             return
+        if self._step_at <= self.sim.now:
+            self._settle_steps()  # before a NAK, a release or a record
         if corrupted:
             self._checkpoints_corrupted += 1
             self.tracer.emit(self.sim.now, self.name, "checkpoint_corrupted")
@@ -579,8 +739,6 @@ class LamsSender:
         # number a NAK could name and nothing to cover.
         buffer = self.buffer
         if buffer.items:
-            if self._step_at <= self.sim.now:
-                self._settle_steps()  # before a NAK or release moves the window
             if cp.naks:
                 # A NAK'd number that is no longer live was already
                 # retransmitted under a new number (Section 3.2): ignored.
@@ -601,6 +759,11 @@ class LamsSender:
             # but can not send new I-frames" state.
             if not self._awaiting_enforced:
                 self._release_covered(cp)
+        run = self._run
+        if run is not None and ((self._retransmit_queue and run.jobs is None)
+                                or (self.flow.enabled and self.flow._rate < 1.0)):
+            # A one-frame sender sends the retransmissions next, or paces.
+            self._recall()
         # Only with work pending: an idle link's checkpoint has none.
         if self._retransmit_queue or buffer._pending:
             self._maybe_send()
@@ -715,6 +878,8 @@ class LamsSender:
             return
         if self._parked is not None and not self._parked.expired(self):
             return
+        if self._step_at <= self.sim.now:
+            self._settle_steps()
         self.tracer.emit(self.sim.now, self.name, "checkpoint_timeout")
         remaining = self._remaining_lifetime()
         response_budget = self.expected_response_time + self._checkpoint_timeout
@@ -724,7 +889,7 @@ class LamsSender:
             return
         self.suspended = True
         self._awaiting_enforced = True
-        self._send_request_nak()
+        self._send_request_nak()  # a control frame: the channel takes the run back
 
     def _send_request_nak(self) -> None:
         probe = RequestNakFrame(request_time=self.sim.now)
@@ -744,6 +909,7 @@ class LamsSender:
 
     def _declare_failure(self) -> None:
         self.failed = True
+        self._recall()
         self.failures_declared += 1
         self._checkpoint_timer.cancel()
         self._failure_timer.cancel()

@@ -41,7 +41,7 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
-from .engine import Agenda, Simulator
+from .engine import _AFTER, Agenda, Simulator
 from .errormodel import ErrorModel, PerfectChannel, scalar_draw_window
 from .rng import StreamRegistry
 from .trace import Tracer
@@ -83,6 +83,10 @@ class SimplexChannel:
     # handed to its ``on_run`` whole (docs/TUNING.md §10).  None: every
     # arrival is an item of its own.
     _run_sink: Any = None
+    # The sender whose runs this channel carries: what would change the
+    # next frame a one-frame sender sends hands the undeparted frames of
+    # its run back to it (``_taken_back``, docs/TUNING.md §10).
+    _tail_sink: Any = None
 
     def __init__(
         self,
@@ -183,25 +187,73 @@ class SimplexChannel:
 
     @property
     def frames_sent(self) -> int:
-        """Frames that have left the transmitter, lost while serializing included."""
+        """Frames that have left the transmitter, lost while serializing
+        included: a run on the transmitter counts those of its frames."""
         if self._parked is not None:
             self._parked.settle()
-        return self._frames_sent
+        return self._frames_sent + len(self._left_of_run())
 
     @property
     def frames_corrupted(self) -> int:
-        """Frames delivered with ``corrupted=True``."""
+        """Frames delivered with ``corrupted=True``: the frames of a run on
+        the transmitter that have left it are decided first, and the rest
+        go on as the run (the cut :meth:`settle` makes, without one)."""
         if self._parked is not None:
             self._parked.settle()
+        frames = self._run
+        if frames.__class__ is list and len(frames) > 1:
+            on_wire, start, _ = self._on_wire(frames)
+            if on_wire:
+                self._complete(frames[:on_wire], self._run_start, settled=True)
+                self._run = rest = frames[on_wire:]
+                self._run_start = start
+                end = start
+                for frame in rest:
+                    end += frame.size_bits / self.bit_rate
+                sim = self.sim
+                sim._sequence = sequence = sim._sequence + 1
+                heappush(sim._heap, (end, sequence, self._complete, (rest, start)))
         return self._frames_corrupted
 
     @property
     def busy_seconds(self) -> float:
         """Seconds the transmitter has spent serializing, one frame's time
-        added per frame in departure order."""
+        added per frame in departure order, a run on the transmitter's
+        frames that have left included."""
         if self._parked is not None:
             self._parked.settle()
-        return self._busy_seconds
+        busy = self._busy_seconds
+        bit_rate = self.bit_rate
+        for frame in self._left_of_run():
+            busy += frame.size_bits / bit_rate
+        return busy
+
+    def _left_of_run(self) -> list:
+        """The frames of the run on the transmitter that have left it by
+        now (none of a run of one: it is counted when it leaves)."""
+        frames = self._run
+        if frames.__class__ is not list or len(frames) < 2:
+            return []
+        return frames[:self._on_wire(frames)[0]]
+
+    def _on_wire(self, frames: list) -> tuple[int, float, float]:
+        """Position, start and end of the frame of the list run *frames*
+        that is on the wire now.  A frame whose end is now has left for a
+        planned delivery and between runs of the engine, and not yet for a
+        numbered entry, which ran before a frame's own completion would
+        have (docs/TUNING.md §10)."""
+        sim = self.sim
+        now = sim.now
+        left_at_now = sim._order >= _AFTER
+        bit_rate = self.bit_rate
+        start = self._run_start
+        last = len(frames) - 1
+        for position, frame in enumerate(frames):
+            end = start + frame.size_bits / bit_rate
+            if position == last or end > now or (end == now and not left_at_now):
+                return position, start, end
+            start = end
+        raise AssertionError("unreachable")
 
     def down(self) -> None:
         """Cut the channel: queued/in-flight sends from now on are lost."""
@@ -229,8 +281,12 @@ class SimplexChannel:
     # accumulates the same way: ``now + total`` differs in the last bit.
 
     def send(self, frame: Transmittable) -> None:
-        """Queue *frame* for transmission (FIFO behind any busy frame)."""
+        """Queue *frame* for transmission (FIFO behind any busy frame).  A
+        control frame goes behind the frame on the wire: the frames of a
+        sender's run that have not left go back to it."""
         if self._transmitting:
+            if self._tail_sink is not None and frame.is_control:
+                self.take_back()
             self._queue.append(frame)
             return
         # Idle channel: a run of one, inlined (_start_next without the
@@ -257,29 +313,50 @@ class SimplexChannel:
         if self._queue and not self._transmitting:
             self._start_next()
 
+    def take_back(self) -> None:
+        """Hand the frames of the tail sink's run that have not left the
+        transmitter back to it (``_taken_back``): the frame on the wire
+        finishes its run, and the frames queued behind it leave the
+        queue.  They were never sent."""
+        sink = self._tail_sink
+        frames = self._run
+        count = 0
+        if frames.__class__ is list and len(frames) > 1 and not frames[0].is_control:
+            on_wire, start, end = self._on_wire(frames)
+            count = len(frames) - on_wire - 1
+            if count:
+                self._run = kept = frames[:on_wire + 1]
+                sim = self.sim
+                sim._sequence = sequence = sim._sequence + 1
+                heappush(sim._heap, (end, sequence, self._complete,
+                                     (kept, self._run_start)))
+        queue = self._queue
+        while queue and not queue[0].is_control:  # the run's frames behind it
+            queue.popleft()
+            count += 1
+        if count:
+            sink._taken_back(count)
+
     def settle(self) -> None:
         """Pin down the active run before something changes its frames' fate.
 
         Must be called before the channel goes down or an error model is
         swapped.  A parked link wakes first: its span's frames are drawn
-        under the model they were sent under.  Frames already off the
-        transmitter are decided now, under the state they were sent in;
-        the frame on the wire finishes as a run of one; the rest return to
-        the head of the queue.
+        under the model they were sent under.  The frames of a sender's
+        run that have not left go back to it (:meth:`take_back`).  Frames
+        already off the transmitter are decided now, under the state they
+        were sent in; the frame on the wire finishes as a run of one; the
+        rest return to the head of the queue.
         """
         if self._parked is not None:
             self._parked.wake()
+        if self._tail_sink is not None:
+            self.take_back()
         frames = self._run
         if frames.__class__ is not list or len(frames) < 2:
             return
-        now = self.sim.now
-        bit_rate = self.bit_rate
-        start = self._run_start
-        for on_wire, frame in enumerate(frames):
-            end = start + frame.size_bits / bit_rate
-            if end >= now:
-                break
-            start = end
+        on_wire, start, end = self._on_wire(frames)
+        frame = frames[on_wire]
         if on_wire:
             self._complete(frames[:on_wire], self._run_start, settled=True)
         self._queue.extendleft(reversed(frames[on_wire + 1:]))
@@ -345,6 +422,10 @@ class SimplexChannel:
         else:
             first = run
             many = False
+        sink = self._tail_sink
+        if sink is not None and sink._stamps is not None and not first.is_control:
+            # Each frame carries the Stop-Go bit of its own departure.
+            sink._stamp(run if many else (first,))
         sim = self.sim
         bit_rate = self.bit_rate
         if not self._is_up:

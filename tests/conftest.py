@@ -45,7 +45,7 @@ def spec_twin(setup, plan=None) -> tuple[spec.Engine, spec.Endpoint, spec.Endpoi
     shipped, engine = setup.link, spec.Engine()
     streams = StreamRegistry(shipped.streams.seed)
     link = SimpleNamespace(**{
-        direction: spec.RunChannel(engine, side.name, side.bit_rate, side._fixed_delay,
+        direction: spec.Channel(engine, side.name, side.bit_rate, side._fixed_delay,
                                    side.iframe_errors, side.cframe_errors, streams)
         for direction, side in (("forward", shipped.forward), ("reverse", shipped.reverse))})
     a, b = spec.make_pair(engine, setup.endpoint_a.config, link.forward, link.reverse,

@@ -8,13 +8,13 @@ number (:mod:`.sender`); a receiver with a dict error log and one
 Section 4's SR-HDLC/GBN (:mod:`.hdlc`) and NBDT (:mod:`.nbdt`) senders.
 The LAMS-DLC parts write every record a traced shipped pair emits to the
 engine's ``log``, frame by frame at its instant.  Given the same
-configuration, window, error models and seed, a shipped link and this
+configuration, error models and seed, a shipped link and this
 one agree in every delivery, frame, counter, gauge and, source by source
 (``tests/trace_runs.py::normal``), record.  It imports from ``repro`` only
 what it does not judge (``tests/test_spec_boundary.py``).
 """
 
-from .channel import Channel, RunChannel
+from .channel import Channel
 from .engine import Engine, Periodic, Timer
 from .pair import Endpoint, make_pair
 from .receiver import Gauge, Receiver

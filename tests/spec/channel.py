@@ -95,10 +95,3 @@ class Channel:
         self.log.append((self.engine.now, self.name, "deliver", (frame.is_control, corrupted)))
         self.receiver(frame, corrupted)
 
-
-class RunChannel(Channel):
-    """A channel that takes runs (``batch_window`` frames), back to back."""
-
-    def send_burst(self, frames: list) -> None:
-        for frame in frames:
-            self.send(frame)

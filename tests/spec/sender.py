@@ -1,8 +1,7 @@
 """The specification's LAMS-DLC sender (paper Sections 3.2-3.4).
 
 Its outstanding window is a dict keyed by sequence number, one record per
-frame on the link.  It hands the channel one frame at a time, or, on a
-channel that takes runs, up to ``batch_window`` frames back to back.
+frame on the link.  It hands the channel one frame at a time.
 Every record a traced sender emits is written to the engine's log, a run
 or a release frame by frame (``tests/trace_runs.py::expand``'s tuples).
 """
@@ -54,12 +53,9 @@ class Sender:
         self.expected_rtt, self.link_start_time = expected_rtt, link_start_time
         self.on_failure = on_failure or (lambda: None)
         self.tx_time = config.iframe_bits / channel.bit_rate
-        self.batch_window = config.batch_window if hasattr(channel, "send_burst") else 1
         self.window: dict[int, Outstanding] = {}
         self.pending: deque = deque()  # (payload, enqueue time)
         self.retransmit_queue: deque[Job] = deque()
-        # Departures still ahead of the retransmissions handed to the channel.
-        self.departures: deque[float] = deque()
         self.next_index = 0
         self.flow = Flow(config)
         self.next_allowed_send = 0.0
@@ -80,11 +76,8 @@ class Sender:
 
     @property
     def occupancy(self) -> int:
-        """Pending and outstanding frames; a retransmission counts from its
-        departure, so the departures still ahead are left out."""
-        while self.departures and self.departures[0] <= self.engine.now:
-            self.departures.popleft()
-        return len(self.pending) + len(self.window) - len(self.departures)
+        """Pending and outstanding frames."""
+        return len(self.pending) + len(self.window)
 
     pending_count = property(lambda self: len(self.pending))
     unresolved_count = property(
@@ -149,68 +142,39 @@ class Sender:
                 self.pacing_armed = True
                 self.engine.schedule_at(self.next_allowed_send, self._pacing_expired)
             return
-        self._send_run()
+        self._send()
 
     def _pacing_expired(self) -> None:
         self.pacing_armed = False
         self.maybe_send()
 
-    def _send_run(self) -> None:
-        """Queued retransmissions first, then new frames.  At line rate on
-        an up channel a run holds up to ``batch_window`` of them (of one
-        retransmission count), each departing ``tx_time`` after the one
-        ahead; otherwise one.  Frame ``index`` is numbered ``index mod
-        2^bits``, refused while that number's previous holder is
-        outstanding (Section 2.3): a run stops short of it, and a run that
-        would start there raises."""
-        now, modulus = self.engine.now, self.config.numbering_size
-        line_rate = self.flow.rate_fraction >= 1.0 and self.channel.is_up
-        queue = self.retransmit_queue
-        count = queue[0].retransmit_count if queue else 0  # 0: new frames
-        stop_go = self.config.piggyback_flow_control and self.stop_go_provider()
-        frames, departure = [], now
-        for _ in range(self.batch_window if line_rate else 1):
-            if count and not (queue and queue[0].retransmit_count == count):
-                break
-            if not count and not self.pending:
-                break
-            seq = self.next_index % modulus
-            if seq in self.window:
-                if frames:
-                    break
-                raise SequenceExhausted(f"sequence number {seq} is still outstanding ("
-                                        f"{len(self.window)}/{modulus} numbers in use); "
-                                        "the numbering space is undersized for this link")
-            frames.append(self._number(seq, departure, stop_go))
-            if count and len(frames) > 1:  # joins the occupancy as it departs
-                self.departures.append(departure)
-                self.engine.schedule_at(departure, self._record_occupancy)
-            departure += self.tx_time
-        self._record_occupancy()
-        if len(frames) > 1:
-            self.channel.send_burst(frames)
-        else:
-            self.channel.send(frames[0])
-        self.iframes_sent += len(frames)
-        rate = self.flow.rate_fraction
-        self.next_allowed_send = departure if rate >= 1.0 else now + self.tx_time / rate
-
-    def _number(self, seq: int, departure: float, stop_go: bool) -> IFrame:
-        """The next frame, outstanding from now, departing at *departure*."""
-        index = self.next_index
+    def _send(self) -> None:
+        """A queued retransmission first, else a new frame, outstanding from
+        now.  Frame ``index`` is numbered ``index mod 2^bits``, refused
+        while that number's previous holder is outstanding (Section 2.3)."""
+        now, modulus, index = self.engine.now, self.config.numbering_size, self.next_index
+        seq = index % modulus
+        if seq in self.window:
+            raise SequenceExhausted(f"sequence number {seq} is still outstanding ("
+                                    f"{len(self.window)}/{modulus} numbers in use); "
+                                    "the numbering space is undersized for this link")
         if self.retransmit_queue:
             payload, enqueue_time, first_send, count, _, origin = self.retransmit_queue.popleft()
             self.retransmissions += 1
         else:
             (payload, enqueue_time), first_send, count, origin = (
-                self.pending.popleft(), departure, 0, index)
-        arrival = departure + self.tx_time + self.channel.propagation_delay(departure)
+                self.pending.popleft(), now, 0, index)
+        arrival = now + self.tx_time + self.channel.propagation_delay(now)
         self.window[seq] = Outstanding(seq, payload, enqueue_time, arrival, index, count,
                                        first_send, origin)
         self.next_index = index + 1
-        self._write("iframe_sent", (seq, index, count), departure)
-        return IFrame(seq, payload, self.config.iframe_bits, index, origin if count else -1,
-                      stop_go)
+        self._write("iframe_sent", (seq, index, count))
+        self._record_occupancy()
+        stop_go = self.config.piggyback_flow_control and self.stop_go_provider()
+        self.channel.send(IFrame(seq, payload, self.config.iframe_bits, index,
+                                 origin if count else -1, stop_go))
+        self.iframes_sent += 1
+        self.next_allowed_send = now + self.tx_time / min(1.0, self.flow.rate_fraction)
 
     def note_piggyback_stop_go(self, stop: bool) -> None:
         """A Stop-Go bit piggybacked on an I-frame, applied at most once a ``W_cp``."""

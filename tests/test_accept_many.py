@@ -8,11 +8,11 @@ senders: the shipped one, offered to the shipped way, and one offered a
 packet at a time by the sources' per-packet loops (:class:`Refill`,
 ``Side.batch``) — for a baseline family the specification's sender
 (``tests/spec/hdlc.py``, ``tests/spec/nbdt.py``), for a LAMS-DLC sender
-(``lams``) the specification's at a window of four, and (``lams-own``)
-the shipped sender's own ``accept``, one call a packet.  After every
+(``lams``) the specification's, and (``lams-own``) the shipped
+sender's own ``accept``, one call a packet.  After every
 step the two must agree, compared with ``==``: the pending queue, the
-outstanding frames and the counters, the ``sendbuf`` gauge, the frames
-on the channel, the source's ``offered`` / ``refused`` and how often it
+outstanding frames and the counters, the ``sendbuf`` gauge, each frame
+as it starts to leave the channel, the source's ``offered`` / ``refused`` and how often it
 called ``make_packet``; for the baselines and ``lams-own`` also the
 trace records, with acceptances expanded to one tuple per payload, and
 for ``lams-own`` the simulator's event count.
@@ -53,7 +53,7 @@ FAMILIES = ["lams", "lams-own", "hdlc", "gbn", "nbdt-continuous", "nbdt-multipha
 
 def make_config(family: str, capacity):
     if family.startswith("lams"):
-        return LamsDlcConfig(send_buffer_capacity=capacity, batch_window=4)
+        return LamsDlcConfig(send_buffer_capacity=capacity)
     if family.startswith("nbdt"):
         return NbdtConfig(mode=family.split("-")[1], timeout=8 * FRAME_TIME,
                           send_buffer_capacity=capacity)
@@ -197,7 +197,7 @@ class Side:
             made=self.made, offers=self.offers, batches=self.batches,
             source=None if self.source is None else (self.source.offered, self.source.refused),
             now=self.sim.now, log=self.log,
-            runs=[(when, list(map(repr, frames))) for when, frames in self.channel.runs])
+            started=[(when, repr(frame)) for when, frame in self.channel.started])
         if not self.lams:
             return dict(state, **view(sender))
         state.update(sender_view(sender), events=self.sim.event_count)

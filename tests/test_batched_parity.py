@@ -1,12 +1,13 @@
 """Differential harness for the frame path: outcomes do not depend on run length.
 
-Every transmission is a run decided when its last frame leaves the
-transmitter, so nothing is drawn ahead of time and a run of 64 must
-equal 64 runs of one — draw for draw, delivery for delivery, loss for
-loss.  Two levels:
+The sender hands the channel runs of up to ``WINDOW`` frames, and every
+run is decided when its last frame leaves the transmitter, so nothing is
+drawn ahead of time and a run of 64 must equal 64 runs of one — draw for
+draw, delivery for delivery, loss for loss.  Two levels:
 
-- end to end, ``batch_window=1`` (one frame per run, the paper's
-  sender) against wider windows, outages included;
+- end to end, the shipped link against its specification twin
+  (``tests/conftest.py::spec_twin``, the paper's one-frame sender),
+  outages, saturation and retransmission runs included;
 - on a bare channel, ``send_burst(frames)`` against frame-by-frame
   sends, under every combination of error model, propagation delay,
   interleaved control traffic and fault schedule.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.config import LamsDlcConfig
+from repro.core.sender import LamsSender
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BerStorm, FaultPlan, LinkOutage
 from repro.simulator.engine import Simulator
@@ -30,6 +31,8 @@ from repro.simulator.trace import Tracer
 from repro.workloads.generators import FiniteBatch, SaturatedSource
 from repro.workloads.scenarios import PRESETS, build_simulation, preset
 
+from . import spec
+from .conftest import spec_twin
 from .trace_runs import Split
 
 
@@ -47,97 +50,103 @@ def _fingerprint(setup) -> tuple:
 
 
 def _run_golden(preset_name: str, *, seed: int = 3, until: float = 5.0,
-                count: int = 400, overrides: dict | None = None,
-                fault_plan: FaultPlan | None = None):
-    setup = build_simulation(PRESETS[preset_name], "lams", seed=seed,
-                             overrides=overrides, fault_plan=fault_plan)
+                count: int = 400, fault_plan: FaultPlan | None = None):
+    setup = build_simulation(PRESETS[preset_name], "lams", seed=seed, fault_plan=fault_plan)
     FiniteBatch(setup.sim, setup.endpoint_a, count=count).start()
     setup.sim.run(until=until)
     return _fingerprint(setup)
 
 
-def _assert_equivalent(single: tuple, windowed: tuple) -> None:
-    """Window-vs-single equality, modulo the two bookkeeping deltas.
+def _sender(sender) -> tuple:
+    """A LAMS-DLC sender's counters, holding-time sum and ``sendbuf``
+    gauge, alike for the shipped sender and the specification's."""
+    sender.occupancy  # settles
+    if isinstance(sender, spec.Sender):
+        gauge, peak, holding = sender.gauge, sender.peak_occupancy, sender.holding_sum
+    else:
+        gauge, peak = sender._sendbuf_stat, sender.buffer.peak_occupancy
+        holding = sender.buffer.holding_time_sum
+    return (sender.iframes_sent, sender.retransmissions, sender.releases, peak, holding,
+            sender.request_naks_sent, sender.failures_declared,
+            gauge and (gauge._area, gauge.maximum, gauge._last_time, gauge._level))
 
-    Event counts legitimately differ (k deliveries + one completion per
-    run instead of 2k events).  Time-weighted summary means may differ
-    in the last float bit — one level-neutral update at window commit
-    integrates the same area as k per-frame updates, but in a different
-    summation order — so summary floats compare at 1e-9 relative.
-    Everything else, including the delivered-payload digest, is exact.
-    """
-    _, single_now, single_n, single_digest, single_summary = single
-    _, windowed_now, windowed_n, windowed_digest, windowed_summary = windowed
-    assert single_now == windowed_now
-    assert single_n == windowed_n
-    assert single_digest == windowed_digest
-    assert single_summary.keys() == windowed_summary.keys()
-    for key, value in single_summary.items():
-        other = windowed_summary[key]
-        if isinstance(value, float):
-            assert other == pytest.approx(value, rel=1e-9), key
-        else:
-            assert other == value, key
+
+def _twins(make, drive) -> tuple[dict, dict]:
+    """The link *make()* builds and the specification's twin of a fresh
+    one, each driven by *drive(clock, endpoint A)*: the ``(now, payload)``
+    deliveries at B, the clock, and A's sender (:func:`_sender`)."""
+    outcomes = []
+    for twin in (False, True):
+        setup = make()
+        clock, a, b = spec_twin(setup) if twin else (setup.sim, setup.endpoint_a,
+                                                     setup.endpoint_b)
+        delivered = []
+        deliver = b.receiver.deliver
+        b.receiver.deliver = lambda packet, deliver=deliver, clock=clock: (
+            delivered.append((clock.now, packet)), deliver(packet))
+        drive(clock, a)
+        outcomes.append({"delivered": delivered, "now": clock.now, "sender": _sender(a.sender)})
+    return outcomes[0], outcomes[1]
+
+
+def _batch(count: int, until: float):
+    def drive(clock, endpoint) -> None:
+        FiniteBatch(clock, endpoint, count=count).start()
+        clock.run(until=until)
+    return drive
 
 
 class TestBatchedSendParity:
     @pytest.mark.parametrize("preset_name", sorted(PRESETS))
     def test_batched_equals_scalar(self, preset_name):
-        single = _run_golden(preset_name, overrides={"batch_window": 1})
-        windowed = _run_golden(preset_name, overrides={"batch_window": 64})
-        _assert_equivalent(single, windowed)
+        """Each preset, 400 payloads at once: the specification's link."""
+        shipped, twin = _twins(lambda: build_simulation(PRESETS[preset_name], "lams", seed=3),
+                               _batch(400, 5.0))
+        assert len(shipped["delivered"]) == 400
+        assert shipped == twin
 
     def test_deep_backlog_delivers_exactly_once(self):
-        """Sustained line-rate backlog: where commit granularity shows.
-
-        Once the backlog outlasts the round-trip time, NAK-triggered
-        retransmissions arrive while a window is on the transmitter and
-        wait for it to end (at ``batch_window=1``: only for the current
-        frame) — the one W-dependent property (docs/TUNING.md §10).
-        Delivery *timing* may then differ, so this asserts the invariant
-        that survives it: the same payload set arrives, exactly once.
-        """
-        single = _run_golden("nominal", until=1.0, count=3000,
-                             overrides={"batch_window": 1})
-        windowed = _run_golden("nominal", until=1.0, count=3000,
-                               overrides={"batch_window": 64})
-        assert single[2] == windowed[2] == 3000
+        """Sustained line-rate backlog (3,000 payloads on ``nominal``): once
+        it outlasts the round trip, checkpoints queue retransmissions while
+        a run of new frames is on the transmitter, and the run gives its
+        undeparted tail back (docs/TUNING.md §10), so every payload is
+        delivered exactly once, at the specification's instant."""
+        shipped, twin = _twins(lambda: build_simulation(PRESETS["nominal"], "lams", seed=3),
+                               _batch(3000, 1.0))
+        payloads = [payload for _, payload in shipped["delivered"]]
+        assert len(payloads) == len(set(payloads)) == 3000
+        assert shipped == twin
 
     def test_batched_saturated_source_delivers_exactly_once(self):
-        """Feedback-coupled workload: SaturatedSource polls protocol
-        state, so its offered traffic legitimately shifts when the
-        window changes the drain pattern; delivery must stay
-        exactly-once."""
-        setup = build_simulation(PRESETS["nominal"], "lams", seed=3,
-                                 overrides={"batch_window": 64})
-        sender = setup.endpoint_a.sender
-        SaturatedSource(
-            setup.sim, setup.endpoint_a,
-            backlog_fn=lambda: sender.pending_count,
-        ).start()
-        setup.sim.run(until=0.2)
-        indexes = [payload[1] for payload in setup.delivered]
+        """Feedback-coupled workload: ``SaturatedSource`` polls the backlog,
+        which counts what has not departed, so what it offers and when is
+        the specification's; every payload arrives once."""
+        def drive(clock, endpoint) -> None:
+            SaturatedSource(clock, endpoint,
+                            backlog_fn=lambda: endpoint.sender.pending_count).start()
+            clock.run(until=0.2)
+
+        shipped, twin = _twins(lambda: build_simulation(PRESETS["nominal"], "lams", seed=3),
+                               drive)
+        indexes = [payload[1] for _, payload in shipped["delivered"]]
         assert len(indexes) > 1000
         assert len(indexes) == len(set(indexes))
+        assert shipped == twin
 
     def test_mid_burst_outage_keeps_protocol_invariants(self):
-        """Two cuts landing mid-window change nothing a window can see.
-
-        ``down()`` settles the active run — frames already sent keep
-        their fate, the rest are decided when they actually leave — so
-        the run with windows equals the frame-by-frame run, not merely
-        in what is delivered but in every counter and statistic.
-        """
+        """Two cuts landing mid-run change nothing a run can see: ``down()``
+        settles the active run — frames already sent keep their fate, the
+        rest go back to the sender — so the link equals the
+        specification's in every delivery and counter."""
         plan = FaultPlan(faults=(
             LinkOutage(start=0.002, duration=0.004),
             LinkOutage(start=0.010, duration=0.002),
         ))
-        single = _run_golden("short_hop", seed=11, count=300, fault_plan=plan,
-                             overrides={"batch_window": 1})
-        windowed = _run_golden("short_hop", seed=11, count=300, fault_plan=plan,
-                               overrides={"batch_window": 32})
-        assert single[2] == 300
-        _assert_equivalent(single, windowed)
+        shipped, twin = _twins(
+            lambda: build_simulation(PRESETS["short_hop"], "lams", seed=11, fault_plan=plan),
+            _batch(300, 5.0))
+        assert len(shipped["delivered"]) == 300
+        assert shipped == twin
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("start", [0.0021, 0.0037, 0.0093])
@@ -157,16 +166,10 @@ class TestBatchedSendParity:
         setup.sim.run(until=3.0)
         assert len(setup.delivered) == 3000
 
-    def test_batch_window_below_one_rejected(self):
-        with pytest.raises(ValueError, match="batch_window"):
-            LamsDlcConfig(batch_window=0)
-
 
 # Every instant a dyadic rational: a power-of-two bit rate and checkpoint
-# interval, a 2**-6 s delay.  The gauge's per-frame updates at window 1
-# then sum exactly, so window 64 must agree to the bit.  200 frames leave
-# before the first NAK can return, so no NAK waits for a window of new
-# frames.  A checkpoint NAKs at most an interval's frames; one lost on the
+# interval, a 2**-6 s delay.  200 frames leave before the first NAK can
+# return.  A checkpoint NAKs at most an interval's frames; one lost on the
 # way back (about one in ten here) makes the next NAK two intervals'
 # worth, a retransmission run that outlasts the checkpoint after it.
 DYADIC = preset("nominal").with_(
@@ -178,53 +181,33 @@ DYADIC_BURSTS = ("gilbert-elliott", dict(good_ber=1e-7, bad_ber=5e-3,
                                          mean_good=0.05, mean_bad=0.004))
 
 
-def _retransmission_runs(batch_window: int) -> dict:
-    setup = build_simulation(DYADIC, "lams", seed=3, error_model=DYADIC_BURSTS,
-                             overrides={"batch_window": batch_window})
-    sim, sender = setup.sim, setup.endpoint_a.sender
-    runs, landings, delivered = [], [], []
-
-    def listen(record) -> None:
-        detail = record.detail
-        if record.event == "iframes_sent" and detail["retx"]:
-            runs.append((record.time, detail["count"], detail["frame_time"]))
-        elif (record.event == "frames_delivered" and detail["control"]
-              and record.source == setup.link.reverse.name):
-            landings.extend(time for k, time in enumerate(detail["times"])
-                            if k not in detail["corrupted"])
-
-    setup.tracer.listeners.append(listen)
-    deliver = setup.endpoint_b.receiver.deliver
-    setup.endpoint_b.receiver.deliver = lambda packet: (
-        delivered.append((sim.now, packet)), deliver(packet))
-    FiniteBatch(sim, setup.endpoint_a, count=200).start()
-    sim.run(until=2.0)
-    summary = setup.tracer.summary()
-    name = f"{sender.name}.sendbuf"
-    return {
-        "gauge": (summary[f"{name}.avg"], summary[f"{name}.max"],
-                  sender.buffer.peak_occupancy),
-        "delivered": delivered,
-        "retransmissions": sender.retransmissions,
-        # Checkpoints that landed while a later frame of a retransmission
-        # run was still waiting on the transmitter.
-        "mid_run": sum(1 for start, count, frame_time in runs for landing in landings
-                       if start < landing < start + (count - 1) * frame_time),
-    }
-
-
 def test_a_checkpoint_landing_mid_retransmission_run_moves_no_gauge():
     """A retransmission joins the outstanding frames as it departs, so a
     run of them steps the ``sendbuf`` gauge once a frame, each at its own
     departure, whatever lands in between: mean, maximum and
-    ``peak_occupancy`` equal one frame per run's with ``==``."""
-    single = _retransmission_runs(1)
-    windowed = _retransmission_runs(64)
-    assert windowed["mid_run"] == 2 and windowed["retransmissions"] == 29
-    assert windowed["gauge"] == single["gauge"]
-    assert windowed["retransmissions"] == single["retransmissions"]
-    assert windowed["delivered"] == single["delivered"]
-    assert len(single["delivered"]) == 200
+    ``peak_occupancy`` equal the specification's with ``==``."""
+    landed_mid_run = []
+
+    def make():
+        setup = build_simulation(DYADIC, "lams", seed=3, error_model=DYADIC_BURSTS)
+        sender = setup.endpoint_a.sender
+
+        def hearing(self, cp, corrupted) -> None:
+            # A checkpoint heard while a later frame of a retransmission
+            # run is still waiting on the transmitter.
+            self.retransmissions  # settles
+            run = self._run
+            landed_mid_run.append(not corrupted and run is not None and run.jobs is not None)
+            LamsSender.on_checkpoint(self, cp, corrupted)
+
+        sender.__class__ = type("Hearing", (LamsSender,), {
+            "__slots__": (), "on_checkpoint": hearing})
+        return setup
+
+    shipped, twin = _twins(make, _batch(200, 2.0))
+    assert sum(landed_mid_run) == 2 and shipped["sender"][1] == 29
+    assert len(shipped["delivered"]) == 200
+    assert shipped == twin
 
 
 # -- bare channel: one burst vs frame-by-frame ------------------------------
@@ -303,7 +286,7 @@ def _drive(feed: str, model_kind: str, delay: float, mixed: bool,
     )
     if feed == "chained":
         # True frame-by-frame: the next frame is offered only when the
-        # channel reports idle, as a batch_window=1 sender does.
+        # channel reports idle, as a one-frame sender does.
         waiting = iter(frames)
 
         def feed_one() -> None:

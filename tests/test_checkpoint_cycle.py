@@ -10,11 +10,9 @@ and applies the Stop-Go bit, and looks for work only when some is
 pending.  The budget test counts the Python-level calls per frame on a
 12-link ring held frame by frame; its sibling counts what the same ring
 costs parked (``repro.core.idle``).  The edge tests play each way off those paths, on
-``tests/test_receiver_runs.py``'s bidirectional link: at a window of one
-against the specification (``tests/spec/``), untraced, and traced with
-every source's records against the specification's log; and traced at
-the case's own window against the same run untraced and, record for
-record, against the specification's link at that window.
+``tests/test_receiver_runs.py``'s bidirectional link, against the
+specification (``tests/spec/``): untraced, and traced with every
+source's records against the specification's log.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ EDGES = {
     # on it, is on the wire (96 bits: 0.32 us at 300 Mbit/s).
     "checkpoint-lost-serializing": _case("lost-serializing", seed=21, until=0.05,
                                          outages=((TICK + 1e-7, 0.002, "reverse"),)),
-    # A saturates the forward channel: its receiver's checkpoints wait
-    # behind I-frame runs and leave as runs of one.
+    # A saturates the forward channel: its receiver's checkpoints leave
+    # behind the I-frame on the wire, and the rest of its run goes back.
     "checkpoint-behind-a-run": _case("behind-a-run", seed=22, payloads=1200, until=0.05),
     "checkpoint-corrupted": _case("corrupted", seed=23, cframe_ber=5e-3, until=0.06),
     # NAKs from I-frame errors; a reverse outage longer than the
@@ -55,7 +53,7 @@ EDGES = {
 }
 
 def _queued_behind_a_run(channel) -> bool:
-    """The frame just sent is a control frame waiting behind an I-frame run."""
+    """The frame just sent is a control frame waiting behind an I-frame."""
     queue, on_wire = channel._queue, channel._run
     if not queue or not queue[-1].is_control or on_wire is None:
         return False
@@ -66,7 +64,7 @@ def _queued_behind_a_run(channel) -> bool:
 @functools.cache
 def traced(name: str) -> tuple[dict, list, list]:
     """A traced run of edge *name*: its outcome, its records, and for each
-    ``checkpoint_sent`` whether that checkpoint waits behind an I-frame run."""
+    ``checkpoint_sent`` whether that checkpoint waits behind an I-frame."""
     behind = []
 
     def watch(link, tracer):
@@ -133,21 +131,18 @@ def test_a_parked_idle_link_costs_at_most_a_hundred_calls_a_second():
 
 @pytest.mark.parametrize("name", sorted(EDGES))
 def test_an_edge_of_the_checkpoint_cycle_agrees_with_the_specification(name):
-    """At a window of one, the specification's answers."""
-    spec_path = played(name, "spec", one=True, traced=True, cases=EDGES)
-    assert played(name, "run", one=True, cases=EDGES) == untraced(spec_path)
+    """The specification's answers."""
+    spec_path = played(name, "spec", traced=True, cases=EDGES)
+    assert played(name, "run", cases=EDGES) == untraced(spec_path)
 
 
 @pytest.mark.parametrize("name", sorted(EDGES))
 def test_an_edge_of_the_checkpoint_cycle_keeps_its_records(name):
-    """Traced, each source's records are the specification's: with its
-    outcome at a window of one, and at the case's window, where the
+    """Traced, each source's records are the specification's, and the
     outcome is the untraced run's."""
-    spec_path = played(name, "spec", one=True, traced=True, cases=EDGES)
-    assert played(name, "run", one=True, traced=True, cases=EDGES) == spec_path
     outcome = traced(name)[0]
     assert untraced(outcome) == played(name, "run", cases=EDGES)
-    assert outcome["records"] == played(name, "spec", traced=True, cases=EDGES)["records"]
+    assert outcome == played(name, "spec", traced=True, cases=EDGES)
 
 
 def test_the_edges_reach_what_they_are_named_for():

@@ -187,6 +187,7 @@ class TestSendBuffer:
         """A number held by a live frame cannot be issued again."""
         rig = SenderRig(numbering_bits=2)
         rig.offer(4)
+        rig.run(0.001)  # all four have departed
         buffer = rig.sender.buffer
         with pytest.raises(SequenceExhausted):
             buffer.admit(1)
@@ -399,7 +400,6 @@ class TestLamsConfig:
         ("receive_queue_capacity", 2.5), ("send_buffer_capacity", 0),
         ("send_buffer_capacity", -3), ("cumulation_depth", float("inf")),
         ("cumulation_depth", 2.5), ("numbering_bits", 8.5),
-        ("batch_window", float("nan")), ("batch_window", 2.5),
         ("rate_increase_step", float("nan")), ("rate_increase_step", -0.1),
         ("rate_increase_step", float("inf")), ("link_lifetime", float("nan")),
         ("link_lifetime", -1.0), ("link_lifetime", float("inf")),

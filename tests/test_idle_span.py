@@ -4,7 +4,7 @@ specification and against the same link frame by frame.
 A LAMS-DLC link with nothing to send parks at a checkpoint instant and
 owes its checkpoints until something touches it.  The oracle is the
 specification's pair (``tests/spec/``), one heap entry per event, on the
-same configuration, error models and seed at a window of one: every
+same configuration, error models and seed: every
 counter the span moves, the checkpoint-timer deadline and the Stop-Go
 rate must read the same, with ``==``, wherever the touch falls — exactly
 on a checkpoint instant, on the timer's deadline, or between — and
@@ -52,8 +52,7 @@ def grid(k: int) -> float:
 def build(case: dict, path: str):
     """An idle link of *case* on the shipped engine (``parked``) or the
     specification's (``spec``); both endpoints started."""
-    config = NOMINAL.lams_config(batch_window=1, cumulation_depth=case["depth"],
-                                 rate_increase_step=case["step"])
+    config = NOMINAL.lams_config(cumulation_depth=case["depth"], rate_increase_step=case["step"])
     errors = [make_error_model("bernoulli", ber=1e-6) for _ in range(2)]
     errors.append(make_error_model("bernoulli", ber=case["cframe_ber"]))
     streams = StreamRegistry(case["seed"])

@@ -14,8 +14,8 @@ one :class:`~repro.simulator.engine.Agenda`, each item keeping the
   than the line included, deliver at the same ``(now, payload)`` as the
   specification's link, one entry per arrival and per drain;
 - the order of records across sources, which the specification's
-  per-source comparison leaves out, for a single link at a window of 64
-  and a 10-link ring: digests of the delivered ``(now, payload)``
+  per-source comparison leaves out, for a single link sending runs of up
+  to 64 frames and a 10-link ring: digests of the delivered ``(now, payload)``
   stream, recorded where every arrival and every drain was its own heap
   entry, and of the full trace-record stream (the sender's runs and the
   receiving end's run records expanded per source by
@@ -297,7 +297,7 @@ def test_an_item_planned_again_later_runs_at_its_new_time():
 # -- whole links, against one entry per arrival and per drain ----------------------
 
 
-def _drive_link(path, t_proc, outages, slices, seed, batch_window=1):
+def _drive_link(path, t_proc, outages, slices, seed):
     """A LAMS link on short_hop, A sending 300 payloads, played ``run`` (as
     built), ``frame`` (B's receiver made to hear its channel again, so
     each I-frame is handed over on its own) or ``spec`` (the
@@ -307,10 +307,8 @@ def _drive_link(path, t_proc, outages, slices, seed, batch_window=1):
     scenario = preset("short_hop").with_(processing_time=t_proc)
     plan = FaultPlan(faults=tuple(LinkOutage(start=start, duration=length)
                                   for start, length in outages))
-    overrides = {"receive_queue_capacity": 48}
-    if batch_window is not None:  # None: the preset's own window
-        overrides["batch_window"] = batch_window
-    setup = build_simulation(scenario, "lams", seed=seed, overrides=overrides)
+    setup = build_simulation(scenario, "lams", seed=seed,
+                             overrides={"receive_queue_capacity": 48})
     log = []
     if path == "spec":
         sim, a, b = spec_twin(setup, plan)
@@ -349,18 +347,15 @@ def _drive_link(path, t_proc, outages, slices, seed, batch_window=1):
 )
 def test_a_link_delivers_as_with_one_entry_per_arrival_and_drain(t_proc, outages, slices, seed):
     """Outages (``down()`` mid-run), a receiver slower than the line and
-    ``run(until)`` slices: at a window of one the shipped link, as built
-    and one frame at a time, delivers at the specification's ``(now,
-    payload)``, with the same frames heard and the same queue at each
-    slice; at the preset's window the run path delivers as the frame path."""
+    ``run(until)`` slices: the shipped link, as built and one frame at a
+    time, delivers at the specification's ``(now, payload)``, with the
+    same frames heard and the same queue at each slice."""
     want = _drive_link("spec", t_proc, outages, slices, seed)
     (delivered, heard), *counts = want
     got = _drive_link("run", t_proc, outages, slices, seed)
     assert got == (delivered, *counts)
     assert _drive_link("frame", t_proc, outages, slices, seed) == want
     assert counts[0] == 300
-    (delivered, _), *counts = _drive_link("frame", t_proc, outages, slices, seed, None)
-    assert _drive_link("run", t_proc, outages, slices, seed, None) == (delivered, *counts)
 
 
 # -- digests recorded at the parent -------------------------------------------------
@@ -378,9 +373,9 @@ OUTAGES = FaultPlan.from_dict({"name": "runs", "faults": [
 # each instant's records sorted, digest of it source by source), recorded
 # where every arrival and every drain was a heap entry of its own.  Each
 # source's own records are held with ``==`` to the specification's log
-# (``tests/test_trace_runs.py``; ``tests/test_receiver_runs.py`` at every
-# window); these two rows pin what that leaves out, the order of records
-# across sources: a single link's at a window of 64, and a 10-link
+# (``tests/test_trace_runs.py``, ``tests/test_receiver_runs.py``); these
+# two rows pin what that leaves out, the order of records across sources:
+# a single link's, which sends runs of up to 64 frames, and a 10-link
 # ring's.  The record stream is ``tests/trace_runs.py``'s ``Split``; the
 # sorted digest reorders records only within one instant, which is all
 # the instant-start rule may do (docs/TUNING.md §10).  Both rows were
@@ -390,9 +385,15 @@ OUTAGES = FaultPlan.from_dict({"name": "runs", "faults": [
 # and ``ring10`` under the instant-start rule and when a frame handed
 # over on its own began to plan its delivery as a run does (12 and 5
 # ``payload_accepted`` records changed places with other links').
+# ``window64`` was re-recorded once more when a run began to give its
+# undeparted tail back: its delivered stream and its source-by-source
+# digest became the ones a window of one read at the parent (the
+# retransmissions a checkpoint queues mid-run no longer wait for the run
+# to end), and the record stream's order across sources moved with the
+# runs cut short.
 PARENT_STREAMS = {
-    "window64": (2000, "dd00462a0be4b33f", 8484, "3199cae914db6b25", "a8f0e9109cd33291",
-                "8426c96cd77c60d3"),
+    "window64": (2000, "5900a210ba3ffa64", 8484, "9fa54c549e300b9c", "8c409aa3ba0cf7f5",
+                "efe05aa93590793a"),
     "ring10": (600, "4ed30dec5b54dfdc", 9620, "2849cedf4643fdd5", "67e9536d79f5ee53",
               "65c7be81acc2b86f"),
 }
@@ -442,7 +443,7 @@ def _build_link(name, monitored):
         scenario = scenario.with_(processing_time=40e-6)
         build = dict(seed=13, overrides={"receive_queue_capacity": 96})
     elif name.startswith("window"):
-        build = dict(seed=5, overrides={"batch_window": int(name[len("window"):])})
+        build = dict(seed=5)
     return build_simulation(scenario, "lams", run_with_invariants=monitored, **build), payloads
 
 
@@ -545,7 +546,7 @@ def _tied_across_links(traced: bool, one_at_a_time: bool) -> list:
     link = FullDuplexLink(sim, 2.0 ** 20, 4 * unit, tracer=tracer)
     config = preset("nominal").lams_config(
         iframe_payload_bits=1024 - 80, checkpoint_interval=16 * unit,
-        processing_time=unit / 2, batch_window=8, cframe_base_bits=128)
+        processing_time=unit / 2, cframe_base_bits=128)
     log = []
     a, b = make_endpoint_pair("lams", sim, link, config, tracer=tracer,
                               deliver_b=lambda packet: log.append((sim.now, packet)))
@@ -592,7 +593,7 @@ def _tied_across_links_in_the_specification() -> list:
                 (("fwd", 4 * unit), ("rev", 4 * unit), ("other", 2 * unit))]
     config = preset("nominal").lams_config(
         iframe_payload_bits=1024 - 80, checkpoint_interval=16 * unit,
-        processing_time=unit / 2, batch_window=1, cframe_base_bits=128)
+        processing_time=unit / 2, cframe_base_bits=128)
     a, b = spec.make_pair(engine, config, *channels[:2],
                           deliver_b=lambda packet: log.append((engine.now, packet)))
     channels[2].receiver = lambda frame, corrupted: log.append((engine.now, frame.payload))
@@ -639,12 +640,16 @@ def test_flush_leaves_no_live_drain():
 
 def test_a_saturated_nominal_link_dispatches_under_a_fifth_of_an_event_per_frame():
     """Seed 7, the nominal link kept saturated for 0.25 s (the benchmark's
-    ``sat_clean`` source): 853 events for 9071 frames.  With an entry per
+    ``sat_clean`` source): 903 events for 9115 frames.  With an entry per
     arrival and per drain it was 17376, 1.92 a frame; with both on the
     agenda, 930; with the receiver taking runs whole, one agenda item per
     delivery and none per arrival, 929; with retransmissions leaving as
     runs, 867; with a window of new frames paced from its accumulated
-    departure, which arms no wake-up an ulp after the channel's run ends, 853."""
+    departure, which arms no wake-up an ulp after the channel's run ends,
+    853 for 9071 frames; with a run giving its undeparted tail back to the
+    sender when a checkpoint queues retransmissions or is itself queued
+    behind it, 903 for 9115 (the frames of the run still on the
+    transmitter that have left it are counted now)."""
     scenario = preset("nominal")
     setup = build_simulation(scenario, "lams", seed=7)
     sender = setup.endpoint_a.sender
@@ -652,7 +657,7 @@ def test_a_saturated_nominal_link_dispatches_under_a_fifth_of_an_event_per_frame
                     low_water=256, chunk=512, poll_interval=scenario.iframe_time * 64).start()
     setup.run(until=0.25)
     frames = setup.link.forward.frames_sent + setup.link.reverse.frames_sent
-    assert (setup.sim.event_count, frames, len(setup.delivered)) == (853, 9071, 8395)
+    assert (setup.sim.event_count, frames, len(setup.delivered)) == (903, 9115, 8395)
     assert setup.sim.event_count / frames <= 0.2
 
 

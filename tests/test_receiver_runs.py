@@ -12,16 +12,15 @@ Stop-Go bit and the checkpoints of both directions matter:
   ``hear`` the channel again, which unwires the run path: every I-frame
   is handed over on its own (``on_iframe``, a run of one);
 - ``spec``: the specification's link (``tests/spec/``), one heap entry
-  per event, one ``on_iframe`` per arrival, with the same configuration,
-  error models and seed, held to the run path at ``batch_window=1``;
-  traced, each source's records are held to its log there and at the
-  case's own window.
+  per event, one frame handed to a channel at a time, one ``on_iframe``
+  per arrival, with the same configuration, error models and seed;
+  traced, each source's records are held to its log.
 
 All must deliver the same ``(now, payload)`` streams and send the same
 checkpoint frames (index, issue time, NAK list, frontier, enforced,
 Stop-Go), in the same order of deliveries and checkpoints, and end with
-the same error log, arrival counts and ``rxqueue`` gauge (area and
-maximum, to the bit).  The ``tied`` cases put arrivals, deliveries and
+the same error log, arrival counts, ``rxqueue`` gauge (area and maximum,
+to the bit), sender counters and channel counters.  The ``tied`` cases put arrivals, deliveries and
 checkpoint ticks on one float: there the engine's same-instant rule
 decides, which runs a delivery after every numbered entry at its
 instant; in ``tied-slow`` the queue builds, so deliveries planned long
@@ -61,7 +60,7 @@ BURSTS = ("gilbert-elliott", {
 # arrivals fall on checkpoint ticks and on each other's deliveries.
 TIED = dict(bit_rate=2.0 ** 20, delay=4 / 1024, payload_bits=1024 - 80,
             config=dict(checkpoint_interval=16 / 1024, processing_time=1 / 2048,
-                        batch_window=8, cframe_base_bits=128))
+                        cframe_base_bits=128))
 
 
 def _case(kind: str, seed: int = 1, **extra) -> dict:
@@ -95,8 +94,13 @@ CASES = {
                               outages=((0.03, 0.02, "both"),)),
     "delivery-interval": _case("delivery-interval", seed=10,
                                delivery_interval=1.2 * preset("nominal").iframe_time),
-    "small-windows": _case("small-windows", seed=11, model=BURSTS,
-                           config=dict(batch_window=3)),
+    # Both receivers slower than the line, low watermarks and bursts: a
+    # side's Stop-Go bit changes while its own run of I-frames is out, and
+    # each frame carries its own departure's bit.
+    "stop-go-mid-run": _case("sg", seed=3, model=BURSTS, payloads=3000,
+                             until=0.12, config=dict(
+                                 processing_time=1.5 * preset("nominal").iframe_time,
+                                 receive_high_watermark=24, receive_low_watermark=8)),
     "tied": _case("tied", seed=12, payloads=150, until=0.5, **TIED),
     "tied-bursts": _case("tied-bursts", seed=13, payloads=150, until=0.5,
                          model=("bernoulli", {"ber": 2e-4}), **TIED),
@@ -144,9 +148,9 @@ def run(case: dict, path: str, traced: bool = False, watch=None) -> dict:
     if path == "spec":
         sim = spec.Engine()
         link = SimpleNamespace(
-            forward=spec.RunChannel(sim, f"{case['kind']}.fwd", case["bit_rate"], case["delay"],
+            forward=spec.Channel(sim, f"{case['kind']}.fwd", case["bit_rate"], case["delay"],
                                     errors[0], errors[2], streams),
-            reverse=spec.RunChannel(sim, f"{case['kind']}.rev", case["bit_rate"], case["delay"],
+            reverse=spec.Channel(sim, f"{case['kind']}.rev", case["bit_rate"], case["delay"],
                                     errors[1], errors[2], streams))
         a, b = spec.make_pair(
             sim, config, link.forward, link.reverse,
@@ -234,10 +238,6 @@ def run(case: dict, path: str, traced: bool = False, watch=None) -> dict:
     return result
 
 
-def window_of_one(case: dict) -> dict:
-    return dict(case, config=dict(case["config"], batch_window=1))
-
-
 def untraced(result: dict) -> dict:
     """*result* without its records."""
     return {key: value for key, value in result.items() if key != "records"}
@@ -246,35 +246,29 @@ def untraced(result: dict) -> dict:
 _PLAYED: dict = {}
 
 
-def played(name: str, path: str, one: bool = False, traced: bool = False,
-           cases: dict = CASES) -> dict:
-    """:func:`run` of ``cases[name]`` (at a window of one if *one*), kept
-    for the tests that share what they play."""
-    key = (name, path, one, traced)
+def played(name: str, path: str, traced: bool = False, cases: dict = CASES) -> dict:
+    """:func:`run` of ``cases[name]``, kept for the tests that share what
+    they play."""
+    key = (name, path, traced)
     if key not in _PLAYED:
-        case = cases[name]
-        _PLAYED[key] = run(window_of_one(case) if one else case, path, traced)
+        _PLAYED[key] = run(cases[name], path, traced)
     return _PLAYED[key]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_three_paths_agree(name):
-    """The run path gives the frame path's answers at the case's window,
-    and the specification's at a window of one: traced, its records too."""
+    """The run path gives the frame path's answers and the specification's."""
     run_path = played(name, "run")
     assert run_path["delivered"]["B"], "nothing delivered: the case tests nothing"
     assert run_path == played(name, "frame")
-    spec_path = played(name, "spec", one=True, traced=True)
-    assert played(name, "run", one=True) == untraced(spec_path)
-    assert played(name, "run", one=True, traced=True) == spec_path
+    assert run_path == untraced(played(name, "spec", traced=True))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_traced_run_taken_as_it_lands_agrees(name):
     """Traced, a run is taken whole — its deliveries at their ranks, its
     arrivals and their records waiting for the next settle — and gives
-    the untraced run's answers at the case's window, and the records of
-    the specification's link at that window (its channels take runs)."""
+    the untraced run's answers, and the specification's records."""
     traced = played(name, "run", traced=True)
     assert untraced(traced) == played(name, "run")
     assert traced["records"] == played(name, "spec", traced=True)["records"]
@@ -315,18 +309,16 @@ def test_the_cases_reach_what_they_are_named_for():
 def test_generated_histories_agree(base, seed, flushes, outages, capacity, slices):
     """Flushes, outages, receive capacities and ``run(until)`` slices (an
     agenda stops at the horizon mid-run) on whole links: the run path
-    gives the frame path's answers at the case's window, and the
-    specification's at a window of one."""
+    gives the frame path's answers and the specification's."""
     case = dict(CASES[base], seed=seed, flushes=tuple(sorted(flushes)),
                 outages=tuple(sorted(outages)), slices=tuple(sorted(set(slices))),
                 until=min(CASES[base]["until"], 0.06))
     if capacity is not None:
         case["config"] = dict(case["config"], receive_queue_capacity=capacity)
-    assert run(case, "run") == run(case, "frame")
-    assert run(case, "run", traced=True)["records"] == run(case, "spec", traced=True)["records"]
-    case = window_of_one(case)
+    run_path = run(case, "run")
+    assert run_path == run(case, "frame")
     spec_path = run(case, "spec", traced=True)
-    assert run(case, "run") == untraced(spec_path) and run(case, "run", traced=True) == spec_path
+    assert run_path == untraced(spec_path) and run(case, "run", traced=True) == spec_path
 
 
 def _counted_runs(wrap: bool, rehear: bool, traced: bool) -> tuple[list[int], int, int]:
@@ -336,7 +328,7 @@ def _counted_runs(wrap: bool, rehear: bool, traced: bool) -> tuple[list[int], in
     tracer = Tracer()
     if traced:
         tracer.listeners.append(lambda record: None)
-    link = FullDuplexLink(sim, 1e6, 0.1, tracer=tracer)
+    link = FullDuplexLink(sim, 1e7, 0.1, tracer=tracer)
     a, b = make_endpoint_pair("lams", sim, link, preset("nominal").lams_config(),
                               tracer=tracer)
     assert link.forward._run_sink is b.receiver and link.reverse._run_sink is a.receiver
@@ -375,7 +367,7 @@ def test_a_capacity_bounded_receiver_takes_runs_as_the_per_frame_receiver_did():
     """The ``stressed`` history (capacity 96, t_proc 40 us, seed 13) on the
     run path: wired, and frame for frame the discards, error log, gauge
     area and maximum, and deliveries of frames handed over one at a time
-    (traced too) — and of the specification at a window of one."""
+    (traced too) — and of the specification."""
     case = _case("stressed", seed=13, payloads=2000, until=1.0,
                  config=dict(processing_time=40e-6, receive_queue_capacity=96))
     sim = Simulator()
@@ -385,10 +377,9 @@ def test_a_capacity_bounded_receiver_takes_runs_as_the_per_frame_receiver_did():
     results = {path: run(case, path) for path in ("run", "frame")}
     assert results["run"] == results["frame"]
     assert results["run"]["B"]["counts"][5] > 0  # discards
-    assert untraced(run(case, "run", traced=True)) == results["run"]
-    case = window_of_one(case)
-    spec_path = run(case, "spec", traced=True)
-    assert run(case, "run") == untraced(spec_path) and run(case, "run", traced=True) == spec_path
+    traced = run(case, "run", traced=True)
+    assert untraced(traced) == results["run"]
+    assert traced == run(case, "spec", traced=True)
 
 
 @pytest.mark.parametrize("interval", [-1e-3, math.nan, math.inf, -math.inf])

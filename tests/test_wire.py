@@ -293,7 +293,7 @@ class TestTimesNoEncoderProduces:
         by one well-formed datagram, unless the decoder stops it."""
         rig = SenderRig()
         rig.offer(50)
-        rig.run(0.001)
+        rig.run(0.006)  # all 50 have departed
         assert rig.sender.buffer.outstanding_count == 50
         frame, corrupted = decode_datagram(crafted_checkpoint(math.inf, frontier=0xFFFFFFFF))
         assert frame is None and corrupted  # counted as undecodable, dispatched nowhere
